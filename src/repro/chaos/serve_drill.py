@@ -149,7 +149,7 @@ def _crash_scenario(vertices, num_nodes, baseline, phase, at_hit):
             first.submit(dict(_REQUEST))
         except ServiceCrashed:
             pass  # the submitting thread died with the process
-        if not _wait_for(lambda: first._state == "crashed"):
+        if not _wait_for(lambda: first.state == "crashed"):
             problems.append("crash never fired at phase %r" % phase)
             first.shutdown(drain=False)
             return problems
@@ -304,7 +304,7 @@ def _batch_crash_scenario(vertices, num_nodes, baselines, phase, at_hit):
             problems.append("crash fired before the batch dispatched")
             first.shutdown(drain=False)
             return problems
-        if not _wait_for(lambda: first._state == "crashed"):
+        if not _wait_for(lambda: first.state == "crashed"):
             problems.append("crash never fired at phase %r" % phase)
             first.shutdown(drain=False)
             return problems
@@ -328,9 +328,7 @@ def _batch_crash_scenario(vertices, num_nodes, baselines, phase, at_hit):
                 % (accounted, len(_BATCH_SOURCES), summary)
             )
         for record in second.jobs.values():
-            if record.state.value == "queued" and not getattr(
-                record, "no_batch", False
-            ):
+            if record.state.value == "queued" and not record.no_batch:
                 problems.append(
                     "requeued member %s may re-batch into a dead run"
                     % record.job_id

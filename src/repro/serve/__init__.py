@@ -6,13 +6,14 @@ The serving layer (DESIGN.md §14): a long-running
 and executes submitted Pregel jobs concurrently, instead of the one-shot
 build/load/run/tear-down of ``repro run``. Submissions flow through
 admission control (:mod:`repro.serve.admission`), weighted fair-share
-scheduling (:mod:`repro.serve.queue`), isolated execution, and a result
-cache (:mod:`repro.serve.cache`); :mod:`repro.serve.http` exposes the
-whole thing over plain HTTP.
+scheduling (:mod:`repro.serve.queue`), one dispatch → run → commit path
+(:mod:`repro.serve.executor` — a lone job is a batch of one), and a
+result cache (:mod:`repro.serve.cache`); :mod:`repro.serve.http` exposes
+the whole thing over plain HTTP.
 
-Crash safety (DESIGN.md §16): :mod:`repro.serve.journal` write-ahead
-logs every job lifecycle transition so a restarted service recovers
-every journaled job; :mod:`repro.serve.watchdog` flags wedged runs; the
+Crash safety (DESIGN.md §16): :mod:`repro.serve.lifecycle` writes every
+job lifecycle transition ahead to :mod:`repro.serve.journal` so a
+restarted service recovers every journaled job; :mod:`repro.serve.watchdog` flags wedged runs; the
 service enforces per-job deadlines cooperatively and sheds load when
 the queue or the journal falls behind.
 
@@ -49,6 +50,7 @@ from repro.serve.cache import (
     plan_class,
     result_digest,
 )
+from repro.serve.datasets import Dataset
 from repro.serve.history import HistorySampler
 from repro.serve.http import ServeHTTPServer
 from repro.serve.jobtrace import job_trace_document
@@ -60,7 +62,7 @@ from repro.serve.journal import (
     open_journal,
 )
 from repro.serve.queue import FairShareQueue
-from repro.serve.service import Dataset, JobService
+from repro.serve.service import JobService
 from repro.serve.watchdog import StuckJobWatchdog
 
 __all__ = [

@@ -247,6 +247,9 @@ class JobRecord:
     plan_signature: str = None
     #: Was this record reconstructed by journal replay?
     recovered: bool = False
+    #: Must run alone: set on a member given back by a shared run (or
+    #: replayed from one), so it can never wait for another batch.
+    no_batch: bool = False
 
     def __post_init__(self):
         self._done = threading.Event()

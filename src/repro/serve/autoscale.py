@@ -118,12 +118,10 @@ class Autoscaler:
         # Liveness sweep + retirement sweep ride along on every tick.
         service.heartbeats.observe()
         cluster.reap_draining_nodes()
-        if backlog is None or executing is None:
-            with service._lock:
-                if backlog is None:
-                    backlog = len(service.queue)
-                if executing is None:
-                    executing = len(service._executing)
+        if backlog is None:
+            backlog = len(service.queue)
+        if executing is None:
+            executing = service.executor.load()["executing"]
         with self._lock:
             if self._cooldown > 0:
                 self._cooldown -= 1

@@ -67,7 +67,7 @@ class BatchFormer:
             and not record.cancel_requested
             and not record.resume_run_id  # checkpointed solo state: resume solo
             and not request.optimize  # optimizer may re-plan mid-run
-            and not getattr(record, "no_batch", False)
+            and not record.no_batch
         )
 
     def compat_key(self, record):
@@ -81,7 +81,7 @@ class BatchFormer:
         """
         request = record.request
         try:
-            job = self.service._build_job(
+            job = self.service.build_job(
                 request, plan_signature=record.plan_signature
             )
         except Exception:
@@ -132,8 +132,6 @@ class BatchFormer:
         for record in overflow:
             service.queue.push(record.request.tenant, record)
         if len(members) < 2:
-            for record in members[1:]:
-                service.queue.push(record.request.tenant, record)
             return None
         self.formed += 1
         self.batched_jobs += len(members)
@@ -151,13 +149,11 @@ class BatchFormer:
         return members
 
     def requeue(self, record):
-        """Push a member back for solo execution (batch run failed)."""
+        """Push a member a shared run left unfinished back to run alone."""
         record.no_batch = True
         self.requeued += 1
         self.service.telemetry.registry.counter("serve.batch.requeued").inc()
-        with self.service._lock:
-            record.mark(JobState.QUEUED)
-            self.service.queue.push(record.request.tenant, record)
+        self.service.lifecycle.enqueue(record)
 
     def stats(self):
         return {
@@ -177,6 +173,6 @@ class BatchFormer:
             remaining = deadline - time.time()
             if remaining <= 0:
                 return
-            if self.service._state != "serving":
+            if self.service.state != "serving":
                 return
             time.sleep(min(remaining, 0.01))

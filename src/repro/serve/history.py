@@ -71,11 +71,11 @@ class HistorySampler:
         """Take one snapshot now; returns the sample dict."""
         service = self.service
         sample = {"ts": self._clock()}
-        with service._lock:
-            sample["state"] = service._state
-            sample["running"] = len(service._running)
-            sample["executing"] = len(service._executing)
-            sample["reserved_bytes"] = service._reserved_bytes
+        load = service.executor.load()
+        sample["state"] = service.state
+        sample["running"] = len(load["running"])
+        sample["executing"] = load["executing"]
+        sample["reserved_bytes"] = load["reserved_bytes"]
         sample["queue_depth"] = len(service.queue)
         sample["queue_by_tenant"] = service.queue.depth_by_tenant()
         virtual = service.queue.virtual_times()

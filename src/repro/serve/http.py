@@ -34,6 +34,9 @@ standard library. Rejections map admission codes onto HTTP statuses:
 ``overloaded`` (shedding) → 503, ``quarantined`` → 403,
 ``over_memory``/``queue_full``/``draining`` → 429 (with a
 ``Retry-After`` hint for the retryable ones), everything else → 400.
+A request body is size-capped by its declared ``Content-Length``
+(:data:`MAX_BODY_BYTES`): larger is 413, negative or non-numeric is
+400, both answered without reading the body.
 A job that failed by deadline answers its result query with 410 plus a
 ``Retry-After`` hint (re-submission with a larger budget may succeed).
 """
@@ -58,6 +61,18 @@ from repro.serve.api import (
 #: Admission codes that are the client's "try later", not "never".
 _RETRYABLE = (REJECT_QUEUE_FULL, REJECT_DRAINING, REJECT_OVERLOADED)
 _TOO_MANY = (REJECT_OVER_MEMORY, REJECT_QUEUE_FULL, REJECT_DRAINING)
+#: Largest request body the server will read (submissions are a few
+#: hundred bytes; nothing legitimate comes close).
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyRefused(Exception):
+    """The declared Content-Length was refused; the body was not read."""
+
+    def __init__(self, status, code, reason):
+        self.status = status
+        self.code = code
+        super().__init__(reason)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -102,8 +117,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = render_prometheus(self.service.telemetry.registry)
             self._text(200, body, CONTENT_TYPE)
         elif path == "/jobs":
-            with self.service._lock:
-                records = list(self.service.jobs.values())
+            records = self.service.list_jobs()
             records.sort(key=lambda r: r.submitted_at, reverse=True)
             self._json(200, {"jobs": [r.to_dict() for r in records]})
         elif path.startswith("/jobs/"):
@@ -146,6 +160,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, "not_found", "unknown path %r" % path)
 
     def do_POST(self):
+        try:
+            self._post()
+        except _BodyRefused as refused:
+            # The unread body is still on the wire, so the connection
+            # cannot carry another request.
+            self.close_connection = True
+            self._error(refused.status, refused.code, str(refused))
+
+    def _post(self):
         path = self.path.split("?", 1)[0].rstrip("/")
         if path == "/jobs":
             try:
@@ -209,8 +232,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BodyRefused(
+                400, "bad_request",
+                "Content-Length must be a non-negative integer, got %r"
+                % declared,
+            )
+        if length > MAX_BODY_BYTES:
+            raise _BodyRefused(
+                413, "payload_too_large",
+                "request body of %d bytes exceeds the %d byte limit"
+                % (length, MAX_BODY_BYTES),
+            )
+        if length == 0:
             raise ValueError("request body required")
         raw = self.rfile.read(length)
         try:

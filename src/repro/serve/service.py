@@ -11,53 +11,29 @@ namespace (indexes, message files, DFS scratch) over the *shared*,
 thread-safe buffer caches and file managers from DESIGN.md §13 — so
 concurrent jobs are bit-identical to the same jobs run back to back.
 
-The pipeline per submission is admission → fair-share queue → dispatch
-→ (result cache) — see DESIGN.md §14. Job failures route through the
-standard failure classification: transient faults are retried (bounded),
-fatal ones fail only that job; the service itself never dies with a job.
-
-Crash safety (DESIGN.md §16): with a journal attached, every lifecycle
-transition is written ahead to an append-only CRC-framed WAL
-(:mod:`repro.serve.journal`), so a service process that dies at any
-instant can be restarted and :meth:`JobService.recover` replays the
-journal — queued jobs re-enqueue, interrupted running jobs resume from
-their last verified checkpoint, finished jobs re-seed the result cache
-and never re-execute. Per-job wall-clock deadlines and a stuck-job
-watchdog are enforced cooperatively at superstep boundaries, and
-overload shedding rejects submissions with a retryable 503 before they
-consume admission work.
+The class is the front door and the wiring; the state behind it is
+split by owner. This module keeps construction, datasets,
+start/drain/shutdown, submission (shed → validate → result cache →
+admission → queue), cancellation and the stats/health documents.
+:mod:`repro.serve.lifecycle` owns the job table, terminal transitions,
+the write-ahead journal records and restart recovery;
+:mod:`repro.serve.executor` owns capacity accounting and the one
+dispatch → run → boundary → commit path every dequeued job takes (a
+lone job is a batch of one). See DESIGN.md §14.
 """
 
-import hashlib
-import os
 import threading
 import time
 
-from repro.common.errors import (
-    DeadlineExceeded,
-    JobCancelled,
-    ReproError,
-)
+from repro.common.errors import ReproError
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
-from repro.pregelix.failure import (
-    HeartbeatMonitor,
-    RetryPolicy,
-    failure_cause,
-    is_transient,
-)
-from repro.pregelix.multiquery import MultiQueryProgram
-from repro.pregelix.runtime import PregelixDriver
+from repro.pregelix.failure import HeartbeatMonitor, RetryPolicy
 from repro.serve.autoscale import Autoscaler, AutoscalePolicy
+from repro.serve import plans
 from repro.serve.batching import BatchFormer
-from repro.serve.admission import (
-    ADMIT,
-    REJECT,
-    AdmissionController,
-    TenantQuota,
-)
+from repro.serve.admission import REJECT, AdmissionController
 from repro.serve.api import (
-    ERROR_KIND_TIMEOUT,
     REJECT_BAD_REQUEST,
     REJECT_DRAINING,
     REJECT_OVERLOADED,
@@ -70,47 +46,21 @@ from repro.serve.api import (
     JobRequest,
     JobState,
     Rejection,
-    ServiceCrashed,
-    advance_job_ids,
     next_job_id,
-    result_document,
 )
-from repro.serve.cache import PlanCache, ResultCache, plan_class, result_digest
+from repro.serve.cache import PlanCache, ResultCache, result_digest
+from repro.serve.datasets import load_dataset
+from repro.serve.documents import ServiceDocuments
+from repro.serve.executor import Executor
 from repro.serve.history import HistorySampler
-from repro.serve.jobtrace import job_trace_document
-from repro.serve.journal import (
-    RECORD_CANCELLED,
-    RECORD_FINISHED,
-    RECORD_STARTED,
-    RECORD_SUBMITTED,
-    open_journal,
-)
+from repro.serve.journal import open_journal
+from repro.serve.lifecycle import JobLifecycle
 from repro.serve.queue import FairShareQueue
 from repro.serve.watchdog import StuckJobWatchdog
 from repro.telemetry import Telemetry
 
 
-class Dataset:
-    """A graph kept resident in the service's DFS."""
-
-    def __init__(self, name, path, digest, nbytes, num_files):
-        self.name = name
-        self.path = path
-        self.digest = digest
-        self.nbytes = nbytes
-        self.num_files = num_files
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "path": self.path,
-            "digest": self.digest,
-            "bytes": self.nbytes,
-            "files": self.num_files,
-        }
-
-
-class JobService:
+class JobService(ServiceDocuments):
     """A long-running, multi-tenant Pregelix job service.
 
     :param num_nodes: simulated machines in the owned cluster (ignored
@@ -224,26 +174,20 @@ class JobService:
         self.plan_cache = PlanCache()
         self.job_attempts = max(int(job_attempts), 1)
         self.datasets = {}
-        self.jobs = {}
         self.started_at = None
-        self._num_workers = max(int(workers), 1)
+        self.workers = max(int(workers), 1)
         self._threads = []
+        # One lock serialises job-state transitions across the three
+        # owners; each guards only its own fields with it.
         self._lock = threading.RLock()
-        self._capacity = threading.Condition(self._lock)
-        self._reserved_bytes = 0
-        self._running = {}  # job_id -> JobRecord popped off the queue
-        self._executing = {}  # job_id -> JobRecord past the dispatch gate
-        self._state = "new"  # new / serving / draining / stopped / crashed
-        self._rejections = 0
-        self._shed = 0
-        self._deadline_exceeded = 0
+        self._state = "new"  # new / serving / draining / stopped
+        self.lifecycle = JobLifecycle(self, self._lock)
+        self.jobs = self.lifecycle.jobs
+        self.executor = Executor(self, self._lock)
         self.default_deadline_seconds = default_deadline_seconds
         self.checkpoint_interval = checkpoint_interval
         self.shed_queue_depth = shed_queue_depth
         self.shed_append_seconds = shed_append_seconds
-        # Poison-job quarantine: request identity -> strike bookkeeping.
-        self._poison_strikes = {}
-        self._quarantine = {}
         self.journal = None
         if journal is not None:
             self.journal = open_journal(
@@ -282,37 +226,9 @@ class JobService:
         :param vertices: an iterable of ``(vid, value, edges)`` tuples, or
         :param local_dir: a directory of part files to ingest verbatim.
         """
-        from repro.graphs.io import write_graph_to_dfs
-
-        if (vertices is None) == (local_dir is None):
-            raise ReproError("add_dataset needs exactly one of vertices/local_dir")
-        path = "/serve/datasets/%s" % name
         if num_files is None:
             num_files = max(len(self.cluster.alive_node_ids()), 1)
-        if vertices is not None:
-            write_graph_to_dfs(self.dfs, path, iter(vertices), num_files=num_files)
-        else:
-            part_files = sorted(
-                entry for entry in os.listdir(local_dir)
-                if os.path.isfile(os.path.join(local_dir, entry))
-            )
-            if not part_files:
-                raise ReproError("no input files in %s" % local_dir)
-            for entry in part_files:
-                with open(os.path.join(local_dir, entry)) as handle:
-                    self.dfs.write("%s/%s" % (path, entry), handle.read())
-        digest = hashlib.sha256()
-        files = sorted(self.dfs.list_files(path))
-        for file_path in files:
-            digest.update(file_path.encode())
-            digest.update(self.dfs.read(file_path))
-        dataset = Dataset(
-            name=name,
-            path=path,
-            digest=digest.hexdigest()[:16],
-            nbytes=self.dfs.total_bytes(path),
-            num_files=len(files),
-        )
+        dataset = load_dataset(self.dfs, name, vertices, local_dir, num_files)
         with self._lock:
             self.datasets[name] = dataset
         self.telemetry.event(
@@ -326,20 +242,20 @@ class JobService:
     # ------------------------------------------------------------------
     def start(self):
         with self._lock:
-            if self._state == "serving":
-                return self
-            if self._state == "stopped":
-                raise ReproError("service already stopped")
-            if self._state == "crashed":
+            if self.state == "crashed":
                 raise ReproError(
                     "service crashed; build a fresh JobService over the "
                     "same journal and call recover()"
                 )
+            if self._state == "serving":
+                return self
+            if self._state == "stopped":
+                raise ReproError("service already stopped")
             self._state = "serving"
             self.started_at = time.time()
-            for i in range(self._num_workers):
+            for i in range(self.workers):
                 thread = threading.Thread(
-                    target=self._worker_loop,
+                    target=self.executor.worker_loop,
                     name="serve-worker-%d" % i,
                     daemon=True,
                 )
@@ -358,7 +274,7 @@ class JobService:
         if self.history is not None:
             self.history.start()
         self.telemetry.event(
-            "serve.start", category="serve", workers=self._num_workers,
+            "serve.start", category="serve", workers=self.workers,
             nodes=len(self.cluster.nodes),
         )
         return self
@@ -374,11 +290,9 @@ class JobService:
                 self._state = "draining"
         self.telemetry.event("serve.drain", category="serve")
         while True:
-            with self._lock:
-                if self._state == "crashed":
-                    return False  # nothing will finish; the journal has it
-                idle = not self._running and len(self.queue) == 0
-            if idle:
+            if self.state == "crashed":
+                return False  # nothing will finish; the journal has it
+            if not self.executor.load()["running"] and len(self.queue) == 0:
                 return True
             if deadline is not None and time.monotonic() > deadline:
                 return False
@@ -393,20 +307,35 @@ class JobService:
         if self.history is not None:
             self.history.stop()
         drained = self.drain(timeout=timeout) if drain else False
-        if not drain:
-            with self._lock:
-                if self._state != "crashed":
-                    self._state = "draining"
+        with self._lock:
+            self._state = "draining"
         self.queue.close()
         for thread in self._threads:
             thread.join(timeout=5.0)
         with self._lock:
-            if self._state != "crashed":
-                self._state = "stopped"
+            self._state = "stopped"
         if self._owns_cluster:
             self.cluster.close()
         self.telemetry.event("serve.stop", category="serve", drained=drained)
         return drained
+
+    @property
+    def state(self):
+        """``new`` / ``serving`` / ``draining`` / ``stopped``, or
+        ``crashed`` once the ``service.crash`` chaos site has fired."""
+        return "crashed" if self.lifecycle.crashed else self._state
+
+    def recover(self):
+        """Replay the journal into live state (see
+        :meth:`repro.serve.lifecycle.JobLifecycle.recover`)."""
+        return self.lifecycle.recover()
+
+    def clear_quarantine(self, key=None):
+        """Operator hook: forgive one poison key (or all of them)."""
+        return self.lifecycle.clear_quarantine(key)
+
+    def observe_queue_depth(self):
+        self.telemetry.registry.gauge("serve.queue_depth").set(len(self.queue))
 
     def __enter__(self):
         return self.start()
@@ -416,276 +345,11 @@ class JobService:
         return False
 
     # ------------------------------------------------------------------
-    # restart recovery (DESIGN.md §16)
-    # ------------------------------------------------------------------
-    def recover(self):
-        """Replay the journal into live state — the restart half.
-
-        Call on a fresh service (datasets re-registered first) built
-        over the previous process's journal. Per journaled job:
-
-        * ``finished`` → a terminal record; a succeeded one re-seeds the
-          result cache from its journaled key, so the job is never
-          re-executed.
-        * ``cancelled`` → stays cancelled.
-        * ``started`` with no terminal record → re-queued carrying its
-          run id and plan signature; it resumes from its last verified
-          checkpoint (or restarts fresh under the same pinned plan when
-          no checkpoint committed).
-        * ``submitted`` only → simply re-queued.
-
-        Also advances the job-id counter past every journaled id.
-        Returns a summary document.
-        """
-        if self.journal is None:
-            raise ReproError("recover() requires a journal")
-        replay = self.journal.replay()
-        jobs = replay.by_job()
-        summary = {
-            "jobs": len(jobs), "finished": 0, "cancelled": 0,
-            "resumed": 0, "requeued": 0, "skipped": 0,
-            "torn_bytes": replay.torn_bytes,
-        }
-        for job_id, entry in jobs.items():
-            advance_job_ids(job_id)
-            submitted = entry.get(RECORD_SUBMITTED)
-            if submitted is None:
-                summary["skipped"] += 1
-                continue  # cannot reconstruct a request that never logged
-            try:
-                request = JobRequest.from_dict(submitted.get("request"))
-            except ValueError:
-                summary["skipped"] += 1
-                continue
-            record = JobRecord(job_id=job_id, request=request)
-            record.recovered = True
-            record.deadline_seconds = submitted.get("deadline_seconds")
-            record.estimated_bytes = int(submitted.get("estimated_bytes") or 0)
-            finished = entry.get(RECORD_FINISHED)
-            cancelled = entry.get(RECORD_CANCELLED)
-            started = entry.get(RECORD_STARTED)
-            with self._lock:
-                self.jobs[job_id] = record
-            if finished is not None:
-                record.run_id = finished.get("run_id")
-                record.cache_hit = bool(finished.get("cache_hit"))
-                if finished.get("state") == JobState.SUCCEEDED.value:
-                    record.result = finished.get("result")
-                    record.result_digest = finished.get("digest")
-                    key = finished.get("cache_key")
-                    if (
-                        key is not None
-                        and record.result is not None
-                        and self.result_cache is not None
-                        and request.use_cache
-                    ):
-                        record.cache_key = tuple(key)
-                        self.result_cache.put(record.cache_key, record.result)
-                    record.mark(JobState.SUCCEEDED)
-                else:
-                    record.error = finished.get("error")
-                    record.error_kind = finished.get("error_kind")
-                    record.mark(JobState.FAILED)
-                summary["finished"] += 1
-            elif cancelled is not None:
-                record.error = cancelled.get("error") or "cancelled"
-                record.error_kind = "cancelled"
-                record.mark(JobState.CANCELLED)
-                summary["cancelled"] += 1
-            else:
-                if started is not None:
-                    if started.get("batch"):
-                        # A batched run's checkpoints hold wrapped
-                        # multi-lane state, so a member interrupted
-                        # mid-batch is never resumed — it re-runs solo
-                        # under the journaled plan pin, landing in the
-                        # same bit-identity class (hence same digest).
-                        # This is the "never a half-batch" invariant:
-                        # every member is individually terminal or
-                        # individually re-queued.
-                        record.plan_signature = started.get("plan")
-                        record.no_batch = True
-                        summary["requeued"] += 1
-                    else:
-                        record.resume_run_id = started.get("run_id")
-                        record.plan_signature = started.get("plan")
-                        summary["resumed"] += 1
-                else:
-                    summary["requeued"] += 1
-                with self._lock:
-                    record.mark(JobState.QUEUED)
-                    self.queue.push(request.tenant, record)
-                    self._observe_queue_depth()
-        self.telemetry.event("serve.recover", category="serve", **summary)
-        return summary
-
-    # ------------------------------------------------------------------
-    # crash simulation (the service.crash chaos site)
-    # ------------------------------------------------------------------
-    def _crash_check(self, phase, **info):
-        """Consult the ``service.crash`` chaos site; die if it fires.
-
-        The injector's ``node`` field carries the lifecycle phase
-        (``queued`` / ``dispatch`` / ``running`` / ``finishing``) so a
-        drill can pick exactly where the process dies.
-        """
-        injector = getattr(self.dfs, "fault_injector", None)
-        if injector is None:
-            injector = getattr(self.cluster, "fault_injector", None)
-        if injector is None:
-            return
-        try:
-            injector.check("service.crash", node=phase, **info)
-        except ReproError as failure:
-            self._simulate_crash(phase)
-            raise ServiceCrashed(phase) from failure
-
-    def _simulate_crash(self, phase):
-        """Everything a SIGKILL does, minus exiting the test process:
-        no more admissions, no more journal writes, worker threads
-        unwind at their next control point, queued work is abandoned in
-        place. Only the journal (and committed checkpoints) carry the
-        service's obligations forward."""
-        with self._lock:
-            if self._state == "crashed":
-                return
-            self._state = "crashed"
-        if self.journal is not None:
-            self.journal.freeze()
-        self.queue.close()
-        self.telemetry.event("serve.crash", category="serve", phase=phase)
-        self.telemetry.registry.counter("serve.crashes").inc()
-
-    # ------------------------------------------------------------------
-    # terminal transitions
-    # ------------------------------------------------------------------
-    def _finalize(self, record, state, error=None, error_kind=None, reason=None):
-        """The single path to a terminal state: idempotent mark + WAL.
-
-        Returns ``False`` with no side effects when the record is
-        already terminal — this is what makes a cancel racing a
-        completion deterministic: whichever transition gets here first
-        wins, and the loser observes the winner's state instead of
-        silently overwriting it.
-        """
-        with self._lock:
-            if record.state.terminal:
-                return False
-            if error is not None:
-                record.error = error
-                record.error_kind = error_kind
-            record.mark(state)
-        tenant = record.request.tenant
-        if state is JobState.SUCCEEDED:
-            self.telemetry.registry.counter("serve.succeeded", tenant=tenant).inc()
-        elif state is JobState.FAILED:
-            self.telemetry.registry.counter("serve.failed", tenant=tenant).inc()
-        else:
-            self.telemetry.registry.counter("serve.cancelled", tenant=tenant).inc()
-        self._observe_latency(record, tenant)
-        self._journal_finished(record, state, reason=reason)
-        return True
-
-    def _observe_latency(self, record, tenant):
-        """Per-tenant latency histograms, recorded exactly once per job
-        at this single terminal seam. Phases the job never entered
-        (a cache hit has no queue wait or run) are simply absent."""
-        breakdown = record.span_breakdown()
-        for which, key in (
-            ("e2e", "end_to_end_seconds"),
-            ("queue_wait", "queue_wait_seconds"),
-            ("run", "run_seconds"),
-        ):
-            value = breakdown[key]
-            if value is not None:
-                self.telemetry.registry.histogram(
-                    "serve.latency.%s_seconds" % which, tenant=tenant
-                ).observe(value)
-
-    def _journal_finished(self, record, state, reason=None):
-        if self.journal is None:
-            return
-        try:
-            if state is JobState.CANCELLED:
-                self.journal.append(
-                    RECORD_CANCELLED, record.job_id,
-                    reason=reason or record.cancel_requested or "user",
-                    error=record.error,
-                )
-                return
-            fields = {
-                "state": state.value,
-                "run_id": record.run_id,
-                "cache_hit": record.cache_hit,
-            }
-            if state is JobState.SUCCEEDED:
-                fields["result"] = record.result
-                fields["digest"] = record.result_digest
-                if record.cache_key is not None:
-                    fields["cache_key"] = list(record.cache_key)
-            else:
-                fields["error"] = record.error
-                fields["error_kind"] = record.error_kind
-            self.journal.append(RECORD_FINISHED, record.job_id, **fields)
-        except ServiceCrashed:
-            pass  # frozen journal: the restart will re-drive this job
-        except ReproError as error:
-            # A journal fault must not turn a finished job into a failed
-            # one; worst case the restart re-executes it, landing on the
-            # same digest.
-            self.telemetry.event(
-                "serve.journal.error", category="serve",
-                job_id=record.job_id, error=str(error),
-            )
-
-    # ------------------------------------------------------------------
-    # poison-job quarantine
-    # ------------------------------------------------------------------
-    def _strike(self, record, error):
-        """Count one deterministic failure; quarantine at two strikes."""
-        key = record.request.poison_key()
-        with self._lock:
-            strikes = self._poison_strikes.get(key, 0) + 1
-            self._poison_strikes[key] = strikes
-            newly_quarantined = strikes >= 2 and key not in self._quarantine
-            if newly_quarantined:
-                self._quarantine[key] = {
-                    "algorithm": record.request.algorithm,
-                    "dataset": record.request.dataset,
-                    "params_key": record.request.params_key(),
-                    "strikes": strikes,
-                    "last_error": str(error),
-                    "job_id": record.job_id,
-                }
-            elif key in self._quarantine:
-                self._quarantine[key]["strikes"] = strikes
-        if newly_quarantined:
-            self.telemetry.event(
-                "serve.quarantine", category="serve", job_id=record.job_id,
-                key=key, strikes=strikes,
-            )
-            self.telemetry.registry.counter("serve.quarantined").inc()
-        return strikes
-
-    def clear_quarantine(self, key=None):
-        """Operator hook: forgive one poison key (or all of them)."""
-        with self._lock:
-            if key is None:
-                cleared = len(self._quarantine)
-                self._quarantine.clear()
-                self._poison_strikes.clear()
-            else:
-                cleared = 1 if self._quarantine.pop(key, None) is not None else 0
-                self._poison_strikes.pop(key, None)
-        return cleared
-
-    # ------------------------------------------------------------------
     # watchdog surface
     # ------------------------------------------------------------------
     def executing_records(self):
         """Snapshot of jobs past the dispatch gate (for the watchdog)."""
-        with self._lock:
-            return list(self._executing.values())
+        return self.executor.executing_records()
 
     def flag_stuck(self, record, stall_seconds, threshold_seconds):
         """Watchdog callback: cooperatively cancel a wedged run."""
@@ -724,14 +388,12 @@ class JobService:
         # throwaway job — is the retryable 503.
         rejection = self._shed_check()
         if rejection is not None:
-            self._shed += 1
             self.telemetry.registry.counter("serve.shed").inc()
             return self._reject(request, rejection)
         rejection = self._validate(request)
         if rejection is not None:
             return self._reject(request, rejection)
-        with self._lock:
-            quarantined = self._quarantine.get(request.poison_key())
+        quarantined = self.lifecycle.quarantine(request.poison_key())
         if quarantined is not None:
             return self._reject(request, Rejection(
                 code=REJECT_QUARANTINED,
@@ -754,12 +416,11 @@ class JobService:
             record.cache_hit = True
             record.result = dict(cached)
             record.result_digest = result_digest(record.result)
-            rejection = self._journal_submitted(record)
+            rejection = self.lifecycle.journal_submitted(record)
             if rejection is not None:
                 return self._reject(request, rejection)
-            with self._lock:
-                self.jobs[record.job_id] = record
-            self._finalize(record, JobState.SUCCEEDED)
+            self.lifecycle.register(record)
+            self.lifecycle.finalize(record, JobState.SUCCEEDED)
             self.telemetry.event(
                 "serve.complete", category="serve", job_id=record.job_id,
                 tenant=request.tenant, cache_hit=True,
@@ -771,31 +432,27 @@ class JobService:
             "admission", category="serve", job_id=record.job_id,
             tenant=request.tenant,
         ), self._lock:
+            load = self.executor.load()
             decision = self.admission.decide(
                 request,
                 dataset_bytes=dataset.nbytes,
-                running_estimated_bytes=self._reserved_bytes,
-                running_by_tenant=self._tenant_running(request.tenant),
+                running_estimated_bytes=load["reserved_bytes"],
+                running_by_tenant=load["executing_by_tenant"][request.tenant],
                 queued_by_tenant=self.queue.depth(request.tenant),
             )
             if decision.action == REJECT:
-                pass  # fall through to the structured reject below
+                rejection = decision.rejection
             else:
                 record.estimated_bytes = decision.estimated_bytes
                 # The WAL write happens before the job becomes visible:
                 # once a client can observe QUEUED, a crash can no
                 # longer lose the submission.
-                rejection = self._journal_submitted(record)
+                rejection = self.lifecycle.journal_submitted(record)
                 if rejection is None:
-                    self.jobs[record.job_id] = record
-                    record.mark(JobState.QUEUED)
-                    self.queue.push(request.tenant, record)
-                    self._observe_queue_depth()
-        if decision.action == REJECT:
-            return self._reject(request, decision.rejection)
+                    self.lifecycle.enqueue(record)
         if rejection is not None:
             return self._reject(request, rejection)
-        self._crash_check("queued", job_id=record.job_id)
+        self.lifecycle.crash_check("queued", job_id=record.job_id)
         self.telemetry.event(
             "serve.admit", category="serve", job_id=record.job_id,
             tenant=request.tenant, action=decision.action,
@@ -807,68 +464,31 @@ class JobService:
         """Overload shedding (DESIGN.md §16): a retryable rejection when
         the queue is too deep or the journal's rolling append latency
         says durable writes can no longer keep up with arrivals."""
-        if self.shed_queue_depth is not None:
-            depth = len(self.queue)
-            if depth >= self.shed_queue_depth:
-                return Rejection(
-                    code=REJECT_OVERLOADED,
-                    reason="queue depth %d at shed threshold %d"
-                           % (depth, self.shed_queue_depth),
-                    details={
-                        "queue_depth": depth,
-                        "threshold": self.shed_queue_depth,
-                        "retry_after_seconds": 1,
-                    },
-                )
-        if self.journal is not None and self.shed_append_seconds is not None:
+        depth, limit = len(self.queue), self.shed_queue_depth
+        if limit is not None and depth >= limit:
+            return _overloaded(
+                "queue depth %d at shed threshold %d" % (depth, limit), 1,
+                queue_depth=depth, threshold=limit,
+            )
+        limit = self.shed_append_seconds
+        if self.journal is not None and limit is not None:
             avg = self.journal.avg_append_seconds()
-            if avg > self.shed_append_seconds:
-                return Rejection(
-                    code=REJECT_OVERLOADED,
-                    reason="journal append latency %.4fs over shed "
-                           "threshold %.4fs" % (avg, self.shed_append_seconds),
-                    details={
-                        "avg_append_seconds": avg,
-                        "threshold_seconds": self.shed_append_seconds,
-                        "retry_after_seconds": 2,
-                    },
+            if avg > limit:
+                return _overloaded(
+                    "journal append latency %.4fs over shed threshold %.4fs"
+                    % (avg, limit), 2,
+                    avg_append_seconds=avg, threshold_seconds=limit,
                 )
         return None
 
-    def _journal_submitted(self, record):
-        """WAL the submission; a down journal sheds instead of enqueueing
-        work the service could not recover after a crash."""
-        if self.journal is None:
-            return None
-        try:
-            self.journal.append(
-                RECORD_SUBMITTED, record.job_id,
-                request=record.request.to_dict(),
-                estimated_bytes=record.estimated_bytes,
-                deadline_seconds=record.deadline_seconds,
-            )
-            return None
-        except ServiceCrashed:
-            raise
-        except ReproError as error:
-            self.telemetry.event(
-                "serve.journal.error", category="serve",
-                job_id=record.job_id, error=str(error),
-            )
-            return Rejection(
-                code=REJECT_OVERLOADED,
-                reason="journal unavailable: %s" % error,
-                details={"retry_after_seconds": 1},
-            )
-
     def _validate(self, request):
-        with self._lock:
-            if self._state != "serving":
-                return Rejection(
-                    code=REJECT_DRAINING,
-                    reason="service is %s and not accepting jobs" % self._state,
-                    details={"state": self._state},
-                )
+        state = self.state
+        if state != "serving":
+            return Rejection(
+                code=REJECT_DRAINING,
+                reason="service is %s and not accepting jobs" % state,
+                details={"state": state},
+            )
         if request.algorithm not in SERVABLE_ALGORITHMS:
             return Rejection(
                 code=REJECT_UNKNOWN_ALGORITHM,
@@ -883,7 +503,7 @@ class JobService:
             )
         if request.plan is not None:
             try:
-                self._parse_plan(request.plan)
+                plans.parse_plan(request.plan)
             except ValueError as error:
                 return Rejection(
                     code=REJECT_BAD_REQUEST,
@@ -893,7 +513,7 @@ class JobService:
         try:
             # Front-load parameter errors: a job that cannot even be
             # constructed must never consume a queue slot.
-            self._build_job(request)
+            self.build_job(request)
         except (ReproError, TypeError, ValueError) as error:
             return Rejection(
                 code=REJECT_BAD_REQUEST,
@@ -903,7 +523,6 @@ class JobService:
         return None
 
     def _reject(self, request, rejection):
-        self._rejections += 1
         self.telemetry.event(
             "serve.reject", category="serve", tenant=request.tenant,
             code=rejection.code, reason=rejection.reason,
@@ -917,8 +536,11 @@ class JobService:
     # queries
     # ------------------------------------------------------------------
     def get(self, job_id):
-        with self._lock:
-            return self.jobs.get(job_id)
+        return self.lifecycle.get(job_id)
+
+    def list_jobs(self):
+        """Snapshot of every job record (the ``GET /jobs`` listing)."""
+        return self.lifecycle.listing()
 
     def cancel_job(self, job_id, reason="user"):
         """Cancel a job; returns a structured status document.
@@ -946,7 +568,7 @@ class JobService:
             if record.state is JobState.QUEUED:
                 removed = self.queue.remove(lambda item: item.job_id == job_id)
                 if removed:
-                    self._observe_queue_depth()
+                    self.observe_queue_depth()
             if not removed:
                 # Running, or queued-but-already-popped: cooperative.
                 record.cancel_requested = record.cancel_requested or reason
@@ -956,9 +578,9 @@ class JobService:
                 )
                 return {"job_id": job_id, "status": "cancelling",
                         "state": record.state.value, "cancelled": False}
-        self._finalize(record, JobState.CANCELLED,
-                       error="cancelled while queued",
-                       error_kind="cancelled", reason=reason)
+        self.lifecycle.finalize(record, JobState.CANCELLED,
+                                error="cancelled while queued",
+                                error_kind="cancelled", reason=reason)
         self.telemetry.event(
             "serve.cancel", category="serve", job_id=job_id,
             status="cancelled", reason=reason,
@@ -999,749 +621,15 @@ class JobService:
             "schedulable": len(self.cluster.schedulable_node_ids()),
         }
 
-    def cluster_stats(self):
-        """Per-node membership + liveness (the ``/stats`` cluster section)."""
-        self.heartbeats.observe()
-        self.cluster.reap_draining_nodes()
-        nodes = []
-        for node_id, node in list(self.cluster.nodes.items()):
-            missed = self.heartbeats.missed.get(node_id, 0)
-            nodes.append({
-                "node": node_id,
-                "alive": node.alive,
-                "draining": node.draining,
-                "inflight": node.inflight,
-                "missed_heartbeats": missed,
-                "suspect": node_id in self.heartbeats.dead or missed > 0,
-            })
-        doc = {
-            "nodes": nodes,
-            "schedulable": len(self.cluster.schedulable_node_ids()),
-            "draining": len(self.cluster.draining_node_ids()),
-            "retired": list(self.cluster.retired_nodes),
-            "epoch": self.cluster.membership_epoch,
-            "virtual_partitions": self.cluster.virtual_partitions,
-        }
-        if self.autoscaler is not None:
-            doc["autoscaler"] = self.autoscaler.state()
-        return doc
-
-    def stats(self):
-        cluster_doc = self.cluster_stats()
-        with self._lock:
-            by_state = {}
-            for record in self.jobs.values():
-                by_state[record.state.value] = by_state.get(record.state.value, 0) + 1
-            doc = {
-                "state": self._state,
-                "uptime_seconds": (
-                    time.time() - self.started_at if self.started_at else 0.0
-                ),
-                "workers": self._num_workers,
-                "nodes": len(self.cluster.alive_node_ids()),
-                "cluster": cluster_doc,
-                "jobs": by_state,
-                "jobs_total": len(self.jobs),
-                "rejected": self._rejections,
-                "shed": self._shed,
-                "deadline_exceeded": self._deadline_exceeded,
-                "quarantine": {
-                    key: dict(info) for key, info in self._quarantine.items()
-                },
-                "running": sorted(self._running),
-                "queue_depth": len(self.queue),
-                "queue_by_tenant": self.queue.depth_by_tenant(),
-                "reserved_bytes": self._reserved_bytes,
-                "datasets": {
-                    name: ds.to_dict() for name, ds in self.datasets.items()
-                },
-                "plan_cache_entries": len(self.plan_cache),
-            }
-            if self.batcher is not None:
-                doc["batch"] = self.batcher.stats()
-        if self.result_cache is not None:
-            doc["result_cache"] = self.result_cache.stats()
-        if self.journal is not None:
-            doc["journal"] = self.journal.stats()
-        if self.watchdog is not None:
-            doc["watchdog"] = self.watchdog.state()
-        doc["jobs_executed"] = self.cluster.jobs_executed
-        doc["latency"] = self.latency_stats()
-        return doc
-
-    def latency_stats(self):
-        """Per-tenant latency summaries (the ``/stats`` latency section).
-
-        Read from the same histograms ``/metrics`` exposes, so the two
-        surfaces always agree on the distribution's sum and count.
-        """
-        doc = {}
-        prefix = "serve.latency."
-        for metric in self.telemetry.registry.iter_metrics():
-            if metric.kind != "histogram" or not metric.name.startswith(prefix):
-                continue
-            which = metric.name[len(prefix):]
-            if which.endswith("_seconds"):
-                which = which[: -len("_seconds")]
-            tenant = dict(metric.labels).get("tenant", "")
-            doc.setdefault(tenant, {})[which] = metric.summary()
-        return doc
-
-    def job_trace(self, job_id):
-        """The assembled per-job Chrome trace document, or ``None``.
-
-        Contains the job's engine/driver spans (selected by the scoped
-        tracer's ``job_id``/``run_id`` stamps — batched jobs get the
-        shared run's spans plus only their own lane) and synthetic
-        queue-wait/run/fan-out lifecycle spans from the record's trace
-        marks.
-        """
-        record = self.get(job_id)
-        if record is None:
-            return None
-        return job_trace_document(self.telemetry, record)
-
-    def healthy(self):
-        with self._lock:
-            return self._state in ("serving", "draining") and bool(
-                self.cluster.alive_node_ids()
-            )
-
-    def health_document(self):
-        """The ``/healthz`` payload: liveness plus per-node degradation.
-
-        ``ok`` keeps its PR-5 meaning (the service can serve at all);
-        ``degraded`` flags suspect machines — a node with missed
-        heartbeats or one declared dead — without failing the probe, so
-        orchestrators keep routing while operators get paged.
-        """
-        cluster_doc = self.cluster_stats()
-        suspects = [n["node"] for n in cluster_doc["nodes"] if n["suspect"]]
-        with self._lock:
-            state = self._state
-        return {
-            "ok": self.healthy(),
-            "state": state,
-            "degraded": bool(suspects),
-            "suspect_nodes": suspects,
-            "nodes_alive": sum(1 for n in cluster_doc["nodes"] if n["alive"]),
-            "nodes_schedulable": cluster_doc["schedulable"],
-            "nodes_draining": cluster_doc["draining"],
-        }
-
     # ------------------------------------------------------------------
-    # dispatch
+    # request -> job
     # ------------------------------------------------------------------
-    def _worker_loop(self):
-        while True:
-            record = self.queue.pop(timeout=0.1)
-            with self._lock:
-                if self._state == "crashed":
-                    # The "process" died. Anything still queued — even a
-                    # record just popped — is abandoned in place; only
-                    # the journal carries it across the restart.
-                    return
-            if record is None:
-                with self._lock:
-                    if self._state in ("draining", "stopped") and len(self.queue) == 0:
-                        return
-                continue
-            if record.state is not JobState.QUEUED:
-                continue  # cancelled while queued but before removal
-            record.mark_trace("dequeued")
-            self._observe_queue_depth()
-            if self.batcher is not None:
-                members = self.batcher.form(record)
-                if members is not None:
-                    try:
-                        self._dispatch_batch(members)
-                    except ServiceCrashed:
-                        return
-                    continue
-            estimate = record.estimated_bytes
-            with self._capacity:
-                # Visible to drain() from the moment it left the queue.
-                self._running[record.job_id] = record
-                while not self._may_start(record):
-                    self._capacity.wait(timeout=0.5)
-                self._reserved_bytes += estimate
-                self._executing[record.job_id] = record
-            try:
-                self._execute(record)
-            except ServiceCrashed:
-                return  # this worker thread died with the process
-            finally:
-                with self._capacity:
-                    self._reserved_bytes -= estimate
-                    del self._executing[record.job_id]
-                    del self._running[record.job_id]
-                    self._capacity.notify_all()
-
-    def _may_start(self, record):
-        """Dispatch gate: never over-commit memory or a tenant's run cap."""
-        if self._reserved_bytes == 0 and not self._executing:
-            return True  # a lone job may always run (it passed admission)
-        quota = self.admission.quota(record.request.tenant)
-        if self._tenant_running(record.request.tenant) >= quota.max_running:
-            return False
-        capacity = self.admission.aggregate_capacity()
-        free = min(self.admission.aggregate_free(), capacity - self._reserved_bytes)
-        return record.estimated_bytes <= free
-
-    def _tenant_running(self, tenant):
-        return sum(
-            1 for record in self._executing.values()
-            if record.request.tenant == tenant
-        )
-
-    # ------------------------------------------------------------------
-    # batched execution (DESIGN.md §17)
-    # ------------------------------------------------------------------
-    def _dispatch_batch(self, members):
-        """Gate + execute + release for one formed batch.
-
-        The batch reserves its *merged* working-set estimate (one shared
-        dataset scan plus per-lane growth), occupies one execution slot,
-        and shows every member in ``_running``/``_executing`` so drain,
-        stats, and the watchdog keep seeing N independent jobs.
-        """
-        estimate = self.batcher.merged_estimate(members)
-        for record in members:
-            record.mark_trace("dequeued")  # companions left the queue too
-        with self._capacity:
-            for record in members:
-                self._running[record.job_id] = record
-            while not self._may_start_batch(members, estimate):
-                self._capacity.wait(timeout=0.5)
-            self._reserved_bytes += estimate
-            for record in members:
-                self._executing[record.job_id] = record
-        try:
-            self._execute_batch(members)
-        finally:
-            with self._capacity:
-                self._reserved_bytes -= estimate
-                for record in members:
-                    self._executing.pop(record.job_id, None)
-                    self._running.pop(record.job_id, None)
-                self._capacity.notify_all()
-
-    def _may_start_batch(self, members, estimate):
-        """The dispatch gate for a whole batch (cf. :meth:`_may_start`)."""
-        if self._reserved_bytes == 0 and not self._executing:
-            return True
-        for tenant in {record.request.tenant for record in members}:
-            quota = self.admission.quota(tenant)
-            if self._tenant_running(tenant) >= quota.max_running:
-                return False
-        capacity = self.admission.aggregate_capacity()
-        free = min(self.admission.aggregate_free(), capacity - self._reserved_bytes)
-        return estimate <= free
-
-    def _execute_batch(self, members):
-        """Run the members as one multi-query dataflow; fan results out.
-
-        Terminal outcomes are always *per member*: a mid-run cancel
-        retires only that lane, a deadline fails every still-live member
-        with ``timeout``, a crash leaves the journal's per-member
-        ``started(batch=True)`` records to drive individual recovery,
-        and any other shared failure re-queues the surviving members for
-        solo execution instead of failing N jobs for one engine fault.
-        """
-        leader = members[0]
-        now = time.monotonic()
-        for record in members:
-            record.attempts += 1
-            record.mark(JobState.RUNNING)
-            record.deadline_base = now
-        self.telemetry.event(
-            "serve.batch.start", category="serve", leader=leader.job_id,
-            size=len(members), members=[r.job_id for r in members],
-            algorithm=leader.request.algorithm,
-            deadline_seconds=leader.deadline_seconds,
-        )
-        dataset = self.datasets[leader.request.dataset]
-        try:
-            self._run_batch(members, dataset)
-        except ServiceCrashed:
-            raise
-        except DeadlineExceeded as error:
-            for record in members:
-                if record.state.terminal:
-                    continue
-                with self._lock:
-                    self._deadline_exceeded += 1
-                self.telemetry.registry.counter(
-                    "serve.deadline_exceeded", tenant=record.request.tenant
-                ).inc()
-                self._finalize(record, JobState.FAILED, error=str(error),
-                               error_kind=ERROR_KIND_TIMEOUT)
-        except JobCancelled as error:
-            # Every lane retired mid-run; lanes cancelled at a boundary
-            # were finalized there — this sweeps any raced stragglers.
-            for record in members:
-                if not record.state.terminal:
-                    self._finalize(record, JobState.CANCELLED,
-                                   error=str(error), error_kind="cancelled",
-                                   reason=getattr(error, "reason", "user"))
-        except Exception as error:
-            kind = self._failure_kind(error)
-            self.telemetry.event(
-                "serve.batch.failure", category="serve",
-                leader=leader.job_id, kind=kind, error=str(error),
-            )
-            for record in members:
-                if not record.state.terminal:
-                    self.batcher.requeue(record)
-
-    def _run_batch(self, members, dataset):
-        leader = members[0]
-        request = leader.request
-        template = self._build_job(request, plan_signature=leader.plan_signature)
-        if (
-            self.journal is not None
-            and self.checkpoint_interval
-            and not getattr(template, "checkpoint_interval", 0)
-        ):
-            template.checkpoint_interval = self.checkpoint_interval
-        plan_signature = self._plan_signature(template)
-        import importlib
-
-        module_name, param_names = SERVABLE_ALGORITHMS[request.algorithm]
-        module = importlib.import_module(module_name)
-        param_sets = []
-        for record in members:
-            record.plan_signature = plan_signature
-            param_sets.append({
-                name: record.request.params[name]
-                for name in param_names
-                if name in record.request.params
-            })
-        program = MultiQueryProgram(module, param_sets, template_job=template)
-        run_id = "serve-batch-%s-x%d" % (leader.job_id, len(members))
-        for record in members:
-            record.run_id = run_id
-            record.trace_run_ids.add(run_id)
-            self._journal_started(record, run_id, batch=True)
-        self._crash_check("dispatch", job_id=leader.job_id, batch=len(members))
-        driver = PregelixDriver(self.cluster, self.dfs)
-        output_path = "/serve/jobs/%s/out" % leader.job_id
-        crashed = False
-        try:
-            outcome, lane_lines = program.run(
-                driver, dataset.path, output_path, run_id=run_id,
-                boundary_chain=self._batch_boundary_chain(members, program),
-            )
-            lane_steps = program.lane_supersteps(outcome)
-            job = program.job
-            for lane, record in enumerate(members):
-                if record.state.terminal:
-                    continue  # this lane was cancelled at a boundary
-                record.mark_trace("fanout_begin")
-                with self.telemetry.span(
-                    "lane:%d" % lane, category="serve", run_id=run_id,
-                    job_id=record.job_id,
-                ):
-                    doc = program.lane_document(
-                        lane, request.algorithm, outcome, lane_lines[lane],
-                        lane_supersteps=lane_steps[lane],
-                    )
-                    record.result = doc
-                    record.result_digest = result_digest(doc)
-                    record.cache_key = ResultCache.make_key(
-                        dataset.digest, record.request.algorithm,
-                        record.request.params_key(), plan_class(job),
-                    )
-                    self._crash_check(
-                        "finishing", job_id=record.job_id, lane=lane
-                    )
-                    self._remember(record.request, dataset, job, doc)
-                    # End the fan-out phase before finalizing: _finalize
-                    # stamps "finished", and the synthetic fan-out span
-                    # must nest inside the run span, not straddle it.
-                    record.mark_trace("fanout_end")
-                    self._finalize(record, JobState.SUCCEEDED)
-                self.telemetry.event(
-                    "serve.batch.lane", category="serve",
-                    job_id=record.job_id, lane=lane, run_id=run_id,
-                    digest=record.result_digest, supersteps=lane_steps[lane],
-                )
-                self.telemetry.event(
-                    "serve.complete", category="serve", job_id=record.job_id,
-                    tenant=record.request.tenant, cache_hit=False,
-                    attempts=record.attempts, batched=True,
-                )
-        except ServiceCrashed:
-            crashed = True
-            raise
-        finally:
-            if not crashed:
-                self.dfs.delete("/serve/jobs/%s" % leader.job_id, recursive=True)
-
-    def _batch_boundary_chain(self, members, program):
-        """The per-superstep control point for a batched run.
-
-        Mirrors :meth:`_boundary_hook_for` but per lane: progress is
-        noted on every member (the watchdog sees N jobs advancing), a
-        member's cooperative cancel retires *its lane* at this boundary
-        (finalized CANCELLED immediately — the other lanes run on), and
-        the shared deadline budget (equal across members by batch
-        compatibility) fails the whole run when exceeded.
-        """
-        leader = members[0]
-        control = program.control
-
-        def chain(superstep):
-            for record in members:
-                record.note_boundary()
-            with self._lock:
-                crashed = self._state == "crashed"
-            if crashed:
-                raise ServiceCrashed("running")
-            self._crash_check(
-                "running", job_id=leader.job_id, superstep=superstep,
-                batch=len(members),
-            )
-            live = 0
-            for lane, record in enumerate(members):
-                if record.state.terminal:
-                    continue
-                reason = record.cancel_requested
-                if reason:
-                    control.cancel(lane)
-                    self._finalize(
-                        record, JobState.CANCELLED,
-                        error="job %s cancelled (%s) at batched superstep %d"
-                              % (record.job_id, reason, superstep),
-                        error_kind="cancelled", reason=reason,
-                    )
-                    self.telemetry.registry.counter(
-                        "serve.batch.lane_cancelled"
-                    ).inc()
-                    self.telemetry.event(
-                        "serve.batch.cancel_lane", category="serve",
-                        job_id=record.job_id, lane=lane, reason=reason,
-                        superstep=superstep,
-                    )
-                    continue
-                live += 1
-            if live == 0:
-                raise JobCancelled(
-                    "all %d batched lanes cancelled by superstep %d"
-                    % (len(members), superstep),
-                    reason="user",
-                )
-            budget = leader.deadline_seconds
-            if budget is not None and leader.deadline_base is not None:
-                elapsed = time.monotonic() - leader.deadline_base
-                if elapsed > budget:
-                    raise DeadlineExceeded(
-                        "batch %s exceeded its %.3fs deadline at superstep "
-                        "%d (%.3fs elapsed)"
-                        % (leader.job_id, budget, superstep, elapsed),
-                        budget_seconds=budget, elapsed_seconds=elapsed,
-                    )
-
-        return chain
-
-    def _observe_queue_depth(self):
-        self.telemetry.registry.gauge("serve.queue_depth").set(len(self.queue))
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def _execute(self, record):
-        request = record.request
-        record.mark(JobState.RUNNING)
-        record.deadline_base = time.monotonic()
-        self.telemetry.event(
-            "serve.job_start", category="serve", job_id=record.job_id,
-            tenant=request.tenant, algorithm=request.algorithm,
-            deadline_seconds=record.deadline_seconds,
-        )
-        dataset = self.datasets[request.dataset]
-        last_error = None
-        for attempt in range(1, self.job_attempts + 1):
-            record.attempts = attempt
-            try:
-                self._run_once(record, dataset)
-            except ServiceCrashed:
-                # The "process" died mid-run: no terminal mark, no WAL
-                # record — exactly the amnesia a real crash leaves.
-                # The checkpoints and the journal's `started` record
-                # survive for the restarted service to resume from.
-                raise
-            except DeadlineExceeded as error:
-                with self._lock:
-                    self._deadline_exceeded += 1
-                self.telemetry.event(
-                    "serve.deadline.exceeded", category="serve",
-                    job_id=record.job_id, tenant=request.tenant,
-                    budget_seconds=record.deadline_seconds,
-                    elapsed_seconds=error.elapsed_seconds,
-                )
-                self.telemetry.registry.counter(
-                    "serve.deadline_exceeded", tenant=request.tenant
-                ).inc()
-                self._finalize(record, JobState.FAILED, error=str(error),
-                               error_kind=ERROR_KIND_TIMEOUT)
-                return
-            except JobCancelled as error:
-                if getattr(error, "reason", "user") == "stuck":
-                    strikes = self._strike(record, error)
-                    if strikes < 2 and attempt < self.job_attempts:
-                        # One free retry: a wedged superstep may have
-                        # been bad luck (overloaded machine, noisy I/O),
-                        # not a property of the job.
-                        record.cancel_requested = None
-                        self.telemetry.event(
-                            "serve.retry", category="serve",
-                            job_id=record.job_id, attempt=attempt,
-                            kind="stuck",
-                        )
-                        continue
-                    self._finalize(record, JobState.FAILED,
-                                   error=str(error), error_kind="stuck")
-                    return
-                self._finalize(record, JobState.CANCELLED, error=str(error),
-                               error_kind="cancelled",
-                               reason=getattr(error, "reason", "user"))
-                return
-            except Exception as error:  # one job's failure never kills the service
-                last_error = error
-                kind = self._failure_kind(error)
-                record.error = str(error)
-                record.error_kind = kind
-                self.telemetry.event(
-                    "serve.job_failure", category="serve", job_id=record.job_id,
-                    tenant=request.tenant, kind=kind, attempt=attempt,
-                    error=str(error),
-                )
-                if kind != "transient" or attempt >= self.job_attempts:
-                    break
-                self.telemetry.event(
-                    "serve.retry", category="serve", job_id=record.job_id,
-                    attempt=attempt,
-                )
-                continue
-            self._finalize(record, JobState.SUCCEEDED)
-            self.telemetry.event(
-                "serve.complete", category="serve", job_id=record.job_id,
-                tenant=request.tenant, cache_hit=False,
-                attempts=attempt,
-            )
-            return
-        self._finalize(record, JobState.FAILED, error=str(last_error),
-                       error_kind=record.error_kind or "fatal")
-
-    @staticmethod
-    def _failure_kind(error):
-        """``transient`` / ``recoverable`` / ``fatal`` for a whole-run error.
-
-        Reuses the PR 3 classification: transients that exhausted the
-        driver's in-place retries are worth one whole-run replay (the
-        machine is healthy); attributed machine losses already went
-        through checkpoint recovery inside the driver, so if they still
-        surface here the run is not salvageable and the job fails.
-        """
-        if is_transient(error):
-            return "transient"
-        cause = failure_cause(error)
-        if cause is not None:
-            return "recoverable"
-        return "fatal"
-
-    def _run_once(self, record, dataset):
-        request = record.request
-        # A journaled plan signature (set on replay of an interrupted
-        # run) pins the physical plan, so the resumed run lands in the
-        # same bit-identity class as the original despite the restarted
-        # process's empty plan cache.
-        job = self._build_job(request, plan_signature=record.plan_signature)
-        if (
-            self.journal is not None
-            and self.checkpoint_interval
-            and not getattr(job, "checkpoint_interval", 0)
-        ):
-            # Resume needs checkpoints to land on.
-            job.checkpoint_interval = self.checkpoint_interval
-        record.plan_signature = self._plan_signature(job)
-        resume_from = record.resume_run_id
-        run_id = resume_from or "serve-%s-a%d" % (record.job_id, record.attempts)
-        record.trace_run_ids.add(run_id)
-        self._journal_started(record, run_id)
-        self._crash_check("dispatch", job_id=record.job_id)
-        driver = PregelixDriver(self.cluster, self.dfs)
-        output_path = "/serve/jobs/%s/out" % record.job_id
-        module, _params = SERVABLE_ALGORITHMS[request.algorithm]
-        import importlib
-
-        algorithm_module = importlib.import_module(module)
-        hook = self._boundary_hook_for(record)
-        crashed = False
-        try:
-            # Scoped tracer context: every span this run records — the
-            # driver's phases and supersteps, the engine's job and task
-            # spans, storage ops, even spans from pool worker threads —
-            # is stamped with this job's id, which is what keeps the
-            # shared session's trace separable per job.
-            job_context = self.telemetry.tracer.context(
-                job_id=record.job_id, tenant=request.tenant
-            )
-            if resume_from:
-                with job_context:
-                    outcome = driver.resume(
-                        job,
-                        dataset.path,
-                        run_id=run_id,
-                        output_path=output_path,
-                        parse_line=getattr(algorithm_module, "parse_line", None),
-                        format_record=getattr(algorithm_module, "format_record", None),
-                        boundary_hook=hook,
-                    )
-                record.resume_run_id = None
-            else:
-                with job_context:
-                    outcome = driver.run(
-                        job,
-                        dataset.path,
-                        output_path=output_path,
-                        parse_line=getattr(algorithm_module, "parse_line", None),
-                        format_record=getattr(algorithm_module, "format_record", None),
-                        run_id=run_id,
-                        boundary_hook=hook,
-                    )
-            record.run_id = outcome.run_id
-            results = driver.read_output(output_path)
-            record.result = result_document(
-                request.algorithm, job, outcome, results=results
-            )
-            record.result_digest = result_digest(record.result)
-            record.cache_key = ResultCache.make_key(
-                dataset.digest, request.algorithm, request.params_key(),
-                plan_class(job),
-            )
-            self._crash_check("finishing", job_id=record.job_id)
-            self._remember(request, dataset, job, record.result)
-        except ServiceCrashed:
-            crashed = True
-            raise
-        finally:
-            # The job's DFS scratch is not needed once the document is
-            # built; the run's indexes/message files were cleaned by the
-            # driver already. A dead process, though, cleans nothing.
-            if not crashed:
-                self.dfs.delete("/serve/jobs/%s" % record.job_id, recursive=True)
-
-    def _journal_started(self, record, run_id, **extra):
-        """WAL the dispatch (run id + resolved plan). A failed append
-        fails this attempt — running work the journal does not know
-        about would be invisible to a post-crash recovery. Batched
-        dispatches add ``batch=True`` so recovery re-queues interrupted
-        members for solo re-runs instead of resuming wrapped state."""
-        if self.journal is None:
-            return
-        self.journal.append(
-            RECORD_STARTED, record.job_id, run_id=run_id,
-            plan=record.plan_signature, attempt=record.attempts, **extra,
-        )
-
-    def _boundary_hook_for(self, record):
-        """The cooperative control point, run at every superstep boundary.
-
-        Order matters: progress first (the watchdog must see the
-        boundary), then crash simulation (no cleanup — checkpoints must
-        survive), then cancellation, then the deadline.
-        """
-
-        def hook(superstep):
-            record.note_boundary()
-            with self._lock:
-                crashed = self._state == "crashed"
-            if crashed:
-                # Another thread's fault killed the "process"; every
-                # running job stops at its next boundary, uncleaned.
-                raise ServiceCrashed("running")
-            self._crash_check(
-                "running", job_id=record.job_id, superstep=superstep,
-            )
-            reason = record.cancel_requested
-            if reason:
-                raise JobCancelled(
-                    "job %s cancelled (%s) at superstep %d"
-                    % (record.job_id, reason, superstep),
-                    reason=reason,
-                )
-            budget = record.deadline_seconds
-            if budget is not None and record.deadline_base is not None:
-                elapsed = time.monotonic() - record.deadline_base
-                if elapsed > budget:
-                    raise DeadlineExceeded(
-                        "job %s exceeded its %.3fs deadline at superstep %d "
-                        "(%.3fs elapsed)"
-                        % (record.job_id, budget, superstep, elapsed),
-                        budget_seconds=budget, elapsed_seconds=elapsed,
-                    )
-
-        return hook
-
-    def _build_job(self, request, plan_signature=None):
-        import importlib
-
-        module_name, param_names = SERVABLE_ALGORITHMS[request.algorithm]
-        module = importlib.import_module(module_name)
-        kwargs = {
-            name: request.params[name]
-            for name in param_names
-            if name in request.params
-        }
-        unknown = set(request.params) - set(param_names)
-        if unknown:
-            raise ReproError(
-                "algorithm %r takes no parameter(s) %s"
-                % (request.algorithm, ", ".join(sorted(unknown)))
-            )
-        job = module.build_job(**kwargs)
-        if request.max_supersteps is not None:
-            job.max_supersteps = int(request.max_supersteps)
-        if request.plan is not None:
-            self._parse_plan(request.plan).apply(job)
-        elif plan_signature is not None:
-            # A journaled plan pin (resume) outranks the optimizer and
-            # the plan cache: the resumed run must land in the plan the
-            # interrupted run already committed checkpoints under.
-            self._parse_plan(plan_signature).apply(job)
-        elif request.optimize:
-            job.auto_optimize = True
-        else:
-            dataset = self.datasets[request.dataset]
-            self.plan_cache.apply(dataset.digest, request.algorithm, job)
-        return job
-
-    @staticmethod
-    def _parse_plan(signature):
-        from repro.chaos.differential import PlanChoice
-
-        return PlanChoice.parse(signature)
-
-    @staticmethod
-    def _plan_signature(job):
-        """The job's resolved plan as a short, parseable signature."""
-        from repro.chaos.differential import PlanChoice
-
-        return PlanChoice(
-            job.join_strategy, job.groupby_strategy,
-            job.connector_policy, job.vertex_storage,
-        ).signature()
-
-    # ------------------------------------------------------------------
-    # caching
-    # ------------------------------------------------------------------
-    def _cache_key(self, request, dataset):
-        job = self._build_job(request)
-        return ResultCache.make_key(
-            dataset.digest, request.algorithm, request.params_key(),
-            plan_class(job),
+    def build_job(self, request, plan_signature=None):
+        """``request`` as a job with its physical plan resolved (see
+        :func:`repro.serve.plans.build_job`)."""
+        return plans.build_job(
+            request, self.datasets[request.dataset], self.plan_cache,
+            plan_signature,
         )
 
     def _cached_result(self, request, dataset):
@@ -1749,18 +637,11 @@ class JobService:
             return None
         if request.optimize:
             return None  # the optimizer may end on any plan class
-        try:
-            key = self._cache_key(request, dataset)
-        except (ReproError, ValueError):
-            return None  # invalid request; let admission produce the error
-        return self.result_cache.get(key)
-
-    def _remember(self, request, dataset, job, document):
-        self.plan_cache.remember(dataset.digest, request.algorithm, job)
-        if self.result_cache is None or not request.use_cache:
-            return
-        key = ResultCache.make_key(
-            dataset.digest, request.algorithm, request.params_key(),
-            plan_class(job),
+        return self.result_cache.get(
+            plans.cache_key(request, dataset, self.build_job(request))
         )
-        self.result_cache.put(key, document)
+
+
+def _overloaded(reason, retry_after, **details):
+    details["retry_after_seconds"] = retry_after
+    return Rejection(code=REJECT_OVERLOADED, reason=reason, details=details)

@@ -143,6 +143,67 @@ class TestBatchedCompletion:
         assert all(not r.result.get("batch") for r in records)
 
 
+@pytest.mark.parametrize("count", [1, 3], ids=["solo", "shared"])
+class TestBoundaryControl:
+    """Cancel flags honored at the run's first boundary, for a lone job
+    and for one lane of a shared run, through the one run seam."""
+
+    @staticmethod
+    def flag_last_member_once(service, flag):
+        original = service.executor._run
+        sizes = []
+
+        def flagging(members, dataset):
+            sizes.append(len(members))
+            if len(sizes) == 1:
+                flag(members[-1])
+            return original(members, dataset)
+
+        service.executor._run = flagging
+        return sizes
+
+    def test_user_cancel_retires_only_that_member(
+        self, batched_service, solo_digests, count
+    ):
+        service = batched_service
+        self.flag_last_member_once(
+            service, lambda record: service.cancel_job(record.job_id)
+        )
+        records = _submit_sssp(service, SOURCES[:count])
+        assert records[-1].wait(WAIT) is JobState.CANCELLED
+        assert records[-1].error_kind == "cancelled"
+        for record, source in zip(records[:-1], SOURCES):
+            assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
+            assert record.result_digest == solo_digests[source]
+        assert service.telemetry.registry.counter(
+            "serve.batch.lane_cancelled"
+        ).value == (1 if count > 1 else 0)
+
+    def test_stuck_member_gets_the_retry_policy_not_a_cancel(
+        self, batched_service, solo_digests, count
+    ):
+        # The watchdog's verdict is "this run wedged", never "the user
+        # gave up": a lone job gets its free retry, and a flagged lane
+        # is given back to run alone under that same policy (it used to
+        # be finalized CANCELLED with no strike and no retry).
+        service = batched_service
+        sizes = self.flag_last_member_once(
+            service, lambda record: service.flag_stuck(record, 5.0, 1.0)
+        )
+        records = _submit_sssp(service, SOURCES[:count])
+        for record, source in zip(records, SOURCES):
+            assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
+            assert record.result_digest == solo_digests[source]
+        stuck = records[-1]
+        assert service.stats()["quarantine"] == {}
+        if count == 1:
+            assert sizes == [1, 1] and stuck.attempts == 2
+        else:
+            assert sizes == [3, 1]
+            assert [r.no_batch for r in records] == [False, False, True]
+            assert service.stats()["batch"]["requeued"] == 1
+
+
 class TestBatchFormerUnits:
     def test_merged_estimate_charges_lanes_not_copies(self):
         class Stub:
@@ -191,9 +252,9 @@ class TestMidBatchCrash:
         except ServiceCrashed:
             pytest.fail("crash fired before the batch dispatched")
         deadline = time.monotonic() + WAIT
-        while service._state != "crashed" and time.monotonic() < deadline:
+        while service.state != "crashed" and time.monotonic() < deadline:
             time.sleep(0.02)
-        assert service._state == "crashed", "crash never fired at %r" % phase
+        assert service.state == "crashed", "crash never fired at %r" % phase
         injector.detach()
         return service, records
 
@@ -233,7 +294,7 @@ class TestMidBatchCrash:
         for job_id in requeued_ids:
             # the never-a-half-batch invariant: recovered members restart
             # solo, they do not wait for a batch that no longer exists
-            assert getattr(restarted.jobs[job_id], "no_batch", False)
+            assert restarted.jobs[job_id].no_batch
         restarted.start()
         try:
             for record, source in zip(records, SOURCES):

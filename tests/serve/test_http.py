@@ -1,5 +1,6 @@
 """The stdlib HTTP front end: real sockets, real status codes."""
 
+from http.client import HTTPConnection
 import json
 import threading
 import time
@@ -9,6 +10,7 @@ import urllib.request
 import pytest
 
 from repro.serve import JobService, JobState, ServeHTTPServer, TenantQuota
+from repro.serve.http import MAX_BODY_BYTES
 
 WAIT = 120
 
@@ -89,6 +91,40 @@ class TestEndpoints:
         status, doc, _ = http(base, "POST", "/jobs", raw=b"{not json")
         assert status == 400
         assert "error" in doc
+
+    @pytest.mark.parametrize("declared,status,code", [
+        (str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+        ("-5", 400, "bad_request"),
+        ("lots", 400, "bad_request"),
+    ])
+    @pytest.mark.parametrize("path", ["/jobs", "/cluster/scale"])
+    def test_declared_body_size_is_checked_before_reading(
+        self, served, path, declared, status, code
+    ):
+        # Only the headers are sent: the answer must not wait for (or
+        # read) a body of the declared size.
+        _service, base = served
+        host, port = base[len("http://"):].split(":")
+        conn = HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", declared)
+            conn.endheaders()
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == status
+        assert doc["error"]["code"] == code
+        assert set(doc["error"]) == {"code", "reason", "details"}
+
+    def test_body_at_the_limit_is_read(self, served):
+        _service, base = served
+        padding = b" " * (MAX_BODY_BYTES - 2)
+        status, doc, _ = http(base, "POST", "/jobs", raw=b"{" + padding + b"}")
+        assert status == 400  # parsed, then refused for missing fields
+        assert doc["error"]["code"] == "bad_request"
 
     def test_missing_fields_are_400(self, served):
         _service, base = served
@@ -179,8 +215,8 @@ class TestCancelRace:
     def test_cancel_queued_job_is_200(self, served):
         service, base = served
         release = threading.Event()
-        original = service._run_once
-        service._run_once = lambda record, dataset: release.wait(WAIT)
+        original = service.executor._run
+        service.executor._run = lambda members, dataset: release.wait(WAIT)
         try:
             # Two blocked jobs fill both workers; the third stays queued.
             blockers = [
@@ -208,15 +244,15 @@ class TestCancelRace:
             assert outcome["cancelled"] is True
         finally:
             release.set()
-            service._run_once = original
+            service.executor._run = original
         for record in blockers:
             record.wait(WAIT)
 
     def test_cancel_running_job_is_202_cancelling(self, served):
         service, base = served
         release = threading.Event()
-        original = service._run_once
-        service._run_once = lambda record, dataset: release.wait(WAIT)
+        original = service.executor._run
+        service.executor._run = lambda members, dataset: release.wait(WAIT)
         try:
             record = service.submit({"tenant": "alice", "algorithm": "cc",
                                      "dataset": "g", "use_cache": False})
@@ -233,7 +269,7 @@ class TestCancelRace:
             assert outcome["cancelled"] is False
         finally:
             release.set()
-            service._run_once = original
+            service.executor._run = original
         record.wait(WAIT)
 
     def test_cancel_after_completion_is_409_with_the_winner(self, served):
@@ -283,15 +319,13 @@ class TestOverloadAndQuarantine:
     def test_quarantined_request_is_403(self, served):
         service, base = served
         request = {"tenant": "alice", "algorithm": "cc", "dataset": "g"}
-        from repro.serve import JobRequest
+        from repro.serve import JobRecord, JobRequest
 
         key = JobRequest.from_dict(request).poison_key()
-        with service._lock:
-            service._quarantine[key] = {
-                "algorithm": "cc", "dataset": "g", "params_key": "{}",
-                "strikes": 2, "last_error": "wedged",
-                "job_id": "job-000001",
-            }
+        poison = JobRecord(job_id="job-000001",
+                           request=JobRequest.from_dict(request))
+        for _ in range(2):
+            service.lifecycle.strike(poison, "wedged")
         status, doc, _ = http(base, "POST", "/jobs", body=request)
         assert status == 403
         assert doc["error"]["code"] == "quarantined"

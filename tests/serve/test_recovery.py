@@ -54,9 +54,9 @@ def crash(cluster, dfs, make_service, phase, at_hit=1):
     except ServiceCrashed:
         pass  # crash at the "queued" phase kills the submitting thread
     deadline = time.monotonic() + WAIT
-    while service._state != "crashed" and time.monotonic() < deadline:
+    while service.state != "crashed" and time.monotonic() < deadline:
         time.sleep(0.02)
-    assert service._state == "crashed", "crash never fired at %r" % phase
+    assert service.state == "crashed", "crash never fired at %r" % phase
     injector.detach()
     return service
 

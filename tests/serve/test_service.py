@@ -1,9 +1,14 @@
 """JobService end to end: lifecycle, caching, rejection, failure, drain."""
 
+import pathlib
+import re
+import sys
 import threading
 import time
 
 import pytest
+
+import repro.serve
 
 from repro.common.errors import TransientIOError
 from repro.serve import (
@@ -154,45 +159,104 @@ class TestRejections:
             submit(service, "quicksort")
         assert service.stats()["rejected"] == 1
 
+    def test_concurrent_rejections_are_all_counted(self, service):
+        # HTTP threads reject concurrently; the count is a locked
+        # registry counter, so no increment may be lost.
+        threads, each = 8, 50
 
+        def reject_many():
+            for _ in range(each):
+                with pytest.raises(AdmissionRejected):
+                    submit(service, "quicksort")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=reject_many)
+                       for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(WAIT)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert service.stats()["rejected"] == threads * each
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["solo", "shared"])
 class TestFailureHandling:
-    def test_fatal_failure_fails_only_that_job(self, service):
-        original = service._run_once
+    """A lone job retries in place; a shared run's survivors go back to
+    the queue and run alone — same seam, same per-member outcomes."""
 
-        def explode(record, dataset):
+    @pytest.fixture
+    def point_service(self, serve_graph):
+        svc = JobService(num_nodes=3, workers=1, watchdog=False,
+                         batch_max=8, batch_window=0.3)
+        svc.add_dataset("g", vertices=serve_graph)
+        svc.start()
+        yield svc
+        svc.shutdown(timeout=WAIT)
+
+    @staticmethod
+    def submit_members(svc, count):
+        return [
+            submit(svc, "sssp", params={"source_id": source}, use_cache=False)
+            for source in range(count)
+        ]
+
+    def test_fatal_failure_fails_only_that_job(self, point_service, count):
+        service = point_service
+        original = service.executor._run
+        sizes = []
+
+        def explode(members, dataset):
+            sizes.append(len(members))
             raise RuntimeError("application bug")
 
-        service._run_once = explode
+        service.executor._run = explode
         try:
-            record = submit(service, "cc", use_cache=False)
-            assert record.wait(WAIT) is JobState.FAILED
-            assert record.error_kind == "fatal"
-            assert record.attempts == 1
-            assert "application bug" in record.error
+            records = self.submit_members(service, count)
+            for record in records:
+                assert record.wait(WAIT) is JobState.FAILED
+                assert record.error_kind == "fatal"
+                assert record.attempts == 1
+                assert "application bug" in record.error
         finally:
-            service._run_once = original
+            service.executor._run = original
+        # One engine fault never fails N jobs at once: the shared run
+        # gave its members back and each failed on its own run.
+        assert sizes == ([1] if count == 1 else [3, 1, 1, 1])
         # The service survived: the next job runs normally.
         healthy = submit(service, "cc", use_cache=False)
         assert healthy.wait(WAIT) is JobState.SUCCEEDED
         assert service.healthy()
 
-    def test_transient_failure_is_retried(self, service):
-        original = service._run_once
-        calls = []
+    def test_transient_failure_is_retried(self, point_service, count):
+        service = point_service
+        original = service.executor._run
+        sizes = []
 
-        def flaky(record, dataset):
-            calls.append(record.job_id)
-            if len(calls) == 1:
+        def flaky(members, dataset):
+            sizes.append(len(members))
+            if len(sizes) == 1:
                 raise TransientIOError("node0", site="serve-test")
-            return original(record, dataset)
+            return original(members, dataset)
 
-        service._run_once = flaky
+        service.executor._run = flaky
         try:
-            record = submit(service, "cc", use_cache=False)
-            assert record.wait(WAIT) is JobState.SUCCEEDED
-            assert record.attempts == 2
+            records = self.submit_members(service, count)
+            for record in records:
+                assert record.wait(WAIT) is JobState.SUCCEEDED
         finally:
-            service._run_once = original
+            service.executor._run = original
+        if count == 1:
+            assert records[0].attempts == 2  # retried in place
+            assert sizes == [1, 1]
+        else:
+            assert sizes == [3, 1, 1, 1]  # re-queued to run alone
+            assert all(r.no_batch and r.attempts == 1 for r in records)
+            assert service.stats()["batch"]["requeued"] == 3
 
 
 class TestDrainAndCancel:
@@ -206,12 +270,12 @@ class TestDrainAndCancel:
 
     def test_cancel_queued_job(self, service):
         release = threading.Event()
-        original = service._run_once
+        original = service.executor._run
 
-        def blocked(record, dataset):
+        def blocked(members, dataset):
             release.wait(WAIT)
 
-        service._run_once = blocked
+        service.executor._run = blocked
         try:
             # Two blocked jobs occupy both workers; the third stays queued.
             blockers = [submit(service, "cc", use_cache=False) for _ in range(2)]
@@ -230,7 +294,7 @@ class TestDrainAndCancel:
             assert service.cancel(blockers[0].job_id) is False
         finally:
             release.set()
-            service._run_once = original
+            service.executor._run = original
         for record in blockers:
             assert record.wait(WAIT) is JobState.SUCCEEDED
 
@@ -331,8 +395,8 @@ class TestCancelStatusDocument:
         self, service
     ):
         release = threading.Event()
-        original = service._run_once
-        service._run_once = lambda record, dataset: release.wait(WAIT)
+        original = service.executor._run
+        service.executor._run = lambda members, dataset: release.wait(WAIT)
         try:
             blockers = [submit(service, "cc", use_cache=False)
                         for _ in range(2)]
@@ -352,7 +416,7 @@ class TestCancelStatusDocument:
             assert service.cancel_job(queued.job_id)["status"] == "terminal"
         finally:
             release.set()
-            service._run_once = original
+            service.executor._run = original
         for record in blockers:
             record.wait(WAIT)
 
@@ -385,3 +449,18 @@ class TestStatsSurfaces:
     def test_watchdog_disabled_leaves_no_section(self, service):
         assert "watchdog" in service.stats()  # default service has one
         assert "journal" not in service.stats()  # but no journal
+
+
+def test_serve_modules_reach_collaborators_through_public_names_only():
+    """State has one owner per module: nothing under ``repro/serve``
+    touches a ``_``-prefixed attribute of the service, its lifecycle or
+    its executor from outside (``self._x`` inside the owner is fine)."""
+    private_reach = re.compile(
+        r"\b(?:service|lifecycle|executor|batcher|queue|journal)\._(?!_)\w+"
+    )
+    offenders = []
+    for path in sorted(pathlib.Path(repro.serve.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if private_reach.search(line.split("#", 1)[0]):
+                offenders.append("%s:%d: %s" % (path.name, number, line.strip()))
+    assert not offenders, "\n".join(offenders)

@@ -108,18 +108,18 @@ REQUEST = {"tenant": "alice", "algorithm": "cc", "dataset": "g",
 
 
 def wedge(service, times):
-    """Patch _run_once to raise a stuck-cancel for the first ``times``
+    """Patch the run seam to raise a stuck-cancel for the first ``times``
     executions, then behave normally."""
-    original = service._run_once
+    original = service.executor._run
     calls = []
 
-    def wedged(record, dataset):
-        calls.append(record.job_id)
+    def wedged(members, dataset):
+        calls.append(members[0].job_id)
         if len(calls) <= times:
             raise JobCancelled("wedged in superstep 3", reason="stuck")
-        return original(record, dataset)
+        return original(members, dataset)
 
-    service._run_once = wedged
+    service.executor._run = wedged
     return calls
 
 
@@ -168,19 +168,19 @@ class TestStuckRetryAndQuarantine:
         assert service.clear_quarantine() == 0
 
     def test_user_cancel_is_never_a_strike(self, service):
-        original = service._run_once
+        original = service.executor._run
 
-        def user_cancelled(record, dataset):
+        def user_cancelled(members, dataset):
             raise JobCancelled("user said stop", reason="user")
 
-        service._run_once = user_cancelled
+        service.executor._run = user_cancelled
         try:
             record = service.submit(dict(REQUEST))
             assert record.wait(WAIT) is JobState.CANCELLED
             assert record.attempts == 1
             assert service.stats()["quarantine"] == {}
         finally:
-            service._run_once = original
+            service.executor._run = original
 
 
 class TestFlagStuck:

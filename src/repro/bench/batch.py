@@ -20,8 +20,9 @@ execution:
   modes (the §13 ordering contract extended to batched runs).
 """
 
-import json
 import time
+
+from repro.bench.reporting import graph_driver
 
 DEFAULT_VERTICES = 360
 DEFAULT_NODES = 3
@@ -35,23 +36,6 @@ DEFAULT_GRAPH_SEED = 9
 #: volumes add up) at the same rate as the per-superstep scan/join costs
 #: batching exists to share, diluting the effect under measurement.
 DEFAULT_IO_LATENCY_SCALE = 0.0
-
-
-def _fresh(parallelism, num_nodes, vertices, graph_seed, io_latency_scale):
-    from repro.graphs.generators import btc_graph
-    from repro.graphs.io import write_graph_to_dfs
-    from repro.hdfs import MiniDFS
-    from repro.hyracks.engine import HyracksCluster
-    from repro.pregelix.runtime import PregelixDriver
-
-    cluster = HyracksCluster(num_nodes=num_nodes, parallelism=parallelism,
-                             io_latency_scale=io_latency_scale)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
-    write_graph_to_dfs(
-        dfs, "/in/g", iter(btc_graph(vertices, seed=graph_seed)),
-        num_files=num_nodes,
-    )
-    return cluster, PregelixDriver(cluster, dfs)
 
 
 def _solo_pass(driver, sources):
@@ -103,13 +87,12 @@ def _measure_mode(parallelism, vertices, num_nodes, sources, graph_seed,
     best_solo = best_batched = None
     solo_digests = batched_digests = None
     for _ in range(max(int(repeats), 1)):
-        cluster, driver = _fresh(parallelism, num_nodes, vertices,
-                                 graph_seed, io_latency_scale)
-        try:
+        with graph_driver(
+            num_nodes, vertices, graph_seed,
+            parallelism=parallelism, io_latency_scale=io_latency_scale,
+        ) as driver:
             solo_elapsed, solo_docs = _solo_pass(driver, sources)
             batched_elapsed, batched_docs = _batched_pass(driver, sources)
-        finally:
-            cluster.close()
         run_solo = tuple(result_digest(doc) for doc in solo_docs)
         run_batched = tuple(result_digest(doc) for doc in batched_docs)
         if solo_digests is not None and (
@@ -191,13 +174,6 @@ def run_batch_bench(
         "modes": modes,
         "pass": verdict,
     }
-
-
-def write_report(report, path):
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path
 
 
 def summary_lines(report):

@@ -20,8 +20,9 @@ The report is written to ``BENCH_elastic.json`` and committed, seeding
 the elastic benchmark trajectory next to ``BENCH_parallel.json``.
 """
 
-import json
 import time
+
+from repro.bench.reporting import graph_driver
 
 DEFAULT_VERTICES = 600
 DEFAULT_ITERATIONS = 6
@@ -38,27 +39,14 @@ def _run_once(vertices, iterations, num_nodes, io_latency_scale, graph_seed,
               scale_at=None):
     """One PageRank run; returns (elapsed, lines, outcome)."""
     from repro.algorithms import pagerank
-    from repro.graphs.generators import btc_graph
-    from repro.graphs.io import write_graph_to_dfs
-    from repro.hdfs import MiniDFS
-    from repro.hyracks.engine import HyracksCluster
-    from repro.pregelix.runtime import PregelixDriver
 
     # Over-decomposition (2 partitions per initial node) keeps the
     # partition count fixed across resizes and gives a joining node a
     # deterministic share of the data to take over.
-    cluster = HyracksCluster(
-        num_nodes=num_nodes,
-        io_latency_scale=io_latency_scale,
-        virtual_partitions=2 * num_nodes,
-    )
-    try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(
-            dfs, "/in/g", iter(btc_graph(vertices, seed=graph_seed)),
-            num_files=num_nodes,
-        )
-        driver = PregelixDriver(cluster, dfs)
+    with graph_driver(
+        num_nodes, vertices, graph_seed,
+        io_latency_scale=io_latency_scale, virtual_partitions=2 * num_nodes,
+    ) as driver:
         job = pagerank.build_job(iterations=iterations)
         started = time.perf_counter()
         outcome = driver.run(job, "/in/g", output_path="/out/r",
@@ -66,8 +54,6 @@ def _run_once(vertices, iterations, num_nodes, io_latency_scale, graph_seed,
         elapsed = time.perf_counter() - started
         lines = tuple(sorted(driver.read_output("/out/r")))
         return elapsed, lines, outcome
-    finally:
-        cluster.close()
 
 
 def _measure(vertices, iterations, num_nodes, io_latency_scale, graph_seed,
@@ -171,13 +157,6 @@ def run_elastic(
         "rebalance_budget_seconds": round(budget, 6),
         "pass": verdict,
     }
-
-
-def write_report(report, path):
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path
 
 
 def summary_lines(report):

@@ -431,7 +431,7 @@ def section76_loc(out=print):
         [
             ("Pregel-specific core (repro.pregelix)", report["pregelix_core"]),
             (
-                "Leveraged dataflow infrastructure (repro.hyracks + repro.hdfs)",
+                "Leveraged dataflow infrastructure (repro.hyracks + hdfs + common)",
                 report["leveraged_infrastructure"],
             ),
             ("paper: Pregelix core", report["paper_pregelix_core"]),

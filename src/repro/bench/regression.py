@@ -8,8 +8,8 @@ realism** (``io_latency_scale``), where every simulated disk/network
 transfer blocks for the cost model's seconds in *both* modes. Sequential
 execution pays the waits serially; parallel execution overlaps them, so
 the measured speedup is the same effect a real cluster's concurrent NICs
-and disks produce, not a GIL artifact (this container is single-core, so
-CPU-bound threading cannot cheat the comparison).
+and disks produce: the worker threads overlap simulated I/O *waits*, not
+CPU work.
 
 Two regressions are guarded:
 
@@ -24,8 +24,9 @@ The report is written to ``BENCH_parallel.json`` and committed, seeding
 the repo's benchmark trajectory.
 """
 
-import json
 import time
+
+from repro.bench.reporting import graph_driver
 
 DEFAULT_VERTICES = 1200
 DEFAULT_ITERATIONS = 4
@@ -41,32 +42,17 @@ def _run_once(parallelism, vertices, iterations, num_nodes, io_latency_scale,
               graph_seed):
     """One full PageRank run; returns (elapsed_seconds, sorted output)."""
     from repro.algorithms import pagerank
-    from repro.graphs.generators import btc_graph
-    from repro.graphs.io import write_graph_to_dfs
-    from repro.hdfs import MiniDFS
-    from repro.hyracks.engine import HyracksCluster
-    from repro.pregelix.runtime import PregelixDriver
 
-    cluster = HyracksCluster(
-        num_nodes=num_nodes,
-        parallelism=parallelism,
-        io_latency_scale=io_latency_scale,
-    )
-    try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(
-            dfs, "/in/g", iter(btc_graph(vertices, seed=graph_seed)),
-            num_files=num_nodes,
-        )
-        driver = PregelixDriver(cluster, dfs)
+    with graph_driver(
+        num_nodes, vertices, graph_seed,
+        parallelism=parallelism, io_latency_scale=io_latency_scale,
+    ) as driver:
         job = pagerank.build_job(iterations=iterations)
         started = time.perf_counter()
         outcome = driver.run(job, "/in/g", output_path="/out/r")
         elapsed = time.perf_counter() - started
         lines = tuple(sorted(driver.read_output("/out/r")))
         return elapsed, lines, outcome.supersteps
-    finally:
-        cluster.close()
 
 
 def _measure(parallelism, vertices, iterations, num_nodes, io_latency_scale,
@@ -150,13 +136,6 @@ def run_regression(
         "parallel": parallel,
         "pass": verdict,
     }
-
-
-def write_report(report, path):
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path
 
 
 def summary_lines(report):

@@ -1,4 +1,9 @@
-"""Plain-text tables and series, shaped like the paper's figures."""
+"""What the bench modules share: plain-text tables and series shaped like
+the paper's figures, the gates' JSON report writer, and the seeded
+graph-on-a-fresh-cluster setup the three ``BENCH_*.json`` gates measure."""
+
+import json
+from contextlib import contextmanager
 
 
 def print_table(title, headers, rows, out=print):
@@ -44,3 +49,33 @@ def _cell(value):
     if value is None:
         return "-"
     return str(value)
+
+
+def write_report(report, path):
+    """Write one gate's report dict as JSON; returns ``path``."""
+    with open(path, "w") as handle:
+        json.dump(report, handle, indent=2, sort_keys=False)
+        handle.write("\n")
+    return path
+
+
+@contextmanager
+def graph_driver(num_nodes, vertices, graph_seed, **cluster_options):
+    """A driver on a fresh cluster whose DFS holds a seeded BTC graph at
+    ``/in/g`` (one file per node); the cluster closes on exit."""
+    from repro.graphs.generators import btc_graph
+    from repro.graphs.io import write_graph_to_dfs
+    from repro.hdfs import MiniDFS
+    from repro.hyracks.engine import HyracksCluster
+    from repro.pregelix.runtime import PregelixDriver
+
+    cluster = HyracksCluster(num_nodes=num_nodes, **cluster_options)
+    try:
+        dfs = MiniDFS(datanodes=cluster.node_ids())
+        write_graph_to_dfs(
+            dfs, "/in/g", iter(btc_graph(vertices, seed=graph_seed)),
+            num_files=num_nodes,
+        )
+        yield PregelixDriver(cluster, dfs)
+    finally:
+        cluster.close()

@@ -356,8 +356,9 @@ def build_parser():
         "bench",
         help="sequential-vs-parallel perf regression (BENCH_parallel.json)",
     )
-    bench.add_argument("--out", default="BENCH_parallel.json",
-                       help="report path (JSON)")
+    bench.add_argument("--out", default=None,
+                       help="report path (JSON; default: the gate's own "
+                            "BENCH_parallel|elastic|batch.json)")
     bench.add_argument("--vertices", type=int, default=None,
                        help="microbench graph size")
     bench.add_argument("--iterations", type=int, default=None)
@@ -1182,82 +1183,47 @@ def cmd_checkpoints(args, out=print):
         cluster.close()
 
 
+#: gate -> (repro.bench module, runner, default --out, {CLI arg: runner kwarg})
+_BENCH_GATES = {
+    "parallel": (
+        "regression", "run_regression", "BENCH_parallel.json",
+        {"vertices": "vertices", "iterations": "iterations",
+         "nodes": "num_nodes", "parallel": "workers",
+         "io_latency": "io_latency_scale", "repeats": "repeats",
+         "min_speedup": "min_speedup"},
+    ),
+    "elastic": (
+        "elastic", "run_elastic", "BENCH_elastic.json",
+        {"vertices": "vertices", "iterations": "iterations",
+         "nodes": "num_nodes", "io_latency": "io_latency_scale",
+         "repeats": "repeats", "max_overhead": "max_overhead"},
+    ),
+    "batch": (
+        "batch", "run_batch_bench", "BENCH_batch.json",
+        {"vertices": "vertices", "nodes": "num_nodes", "parallel": "workers",
+         "io_latency": "io_latency_scale", "repeats": "repeats",
+         "min_speedup": "min_speedup"},
+    ),
+}
+
+
 def cmd_bench(args, out=print):
-    if args.elastic:
-        return _bench_elastic(args, out=out)
-    if args.batch:
-        return _bench_batch(args, out=out)
+    import importlib
 
-    from repro.bench import regression
+    from repro.bench.reporting import write_report
 
-    overrides = {}
-    if args.vertices is not None:
-        overrides["vertices"] = args.vertices
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.parallel is not None:
-        overrides["workers"] = tuple(args.parallel)
-    if args.io_latency is not None:
-        overrides["io_latency_scale"] = args.io_latency
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.min_speedup is not None:
-        overrides["min_speedup"] = args.min_speedup
-    report = regression.run_regression(**overrides)
-    regression.write_report(report, args.out)
-    for line in regression.summary_lines(report):
-        out(line)
-    out("report written to %s" % args.out)
-    return 0 if report["pass"] else 1
-
-
-def _bench_elastic(args, out=print):
-    from repro.bench import elastic
-
-    overrides = {}
-    if args.vertices is not None:
-        overrides["vertices"] = args.vertices
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.io_latency is not None:
-        overrides["io_latency_scale"] = args.io_latency
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.max_overhead is not None:
-        overrides["max_overhead"] = args.max_overhead
-    report = elastic.run_elastic(**overrides)
-    path = args.out if args.out != "BENCH_parallel.json" else "BENCH_elastic.json"
-    elastic.write_report(report, path)
-    for line in elastic.summary_lines(report):
-        out(line)
-    out("report written to %s" % path)
-    return 0 if report["pass"] else 1
-
-
-def _bench_batch(args, out=print):
-    from repro.bench import batch
-
-    overrides = {}
-    if args.vertices is not None:
-        overrides["vertices"] = args.vertices
-    if args.nodes is not None:
-        overrides["num_nodes"] = args.nodes
-    if args.parallel is not None:
-        overrides["workers"] = tuple(args.parallel)
-    if args.io_latency is not None:
-        overrides["io_latency_scale"] = args.io_latency
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.min_speedup is not None:
-        overrides["min_speedup"] = args.min_speedup
-    report = batch.run_batch_bench(**overrides)
-    path = args.out if args.out != "BENCH_parallel.json" else "BENCH_batch.json"
-    batch.write_report(report, path)
-    for line in batch.summary_lines(report):
+    gate = "elastic" if args.elastic else "batch" if args.batch else "parallel"
+    module_name, runner, default_out, arg_to_kwarg = _BENCH_GATES[gate]
+    module = importlib.import_module("repro.bench." + module_name)
+    overrides = {
+        kwarg: getattr(args, arg)
+        for arg, kwarg in arg_to_kwarg.items()
+        if getattr(args, arg) is not None
+    }
+    report = getattr(module, runner)(**overrides)
+    path = args.out or default_out
+    write_report(report, path)
+    for line in module.summary_lines(report):
         out(line)
     out("report written to %s" % path)
     return 0 if report["pass"] else 1

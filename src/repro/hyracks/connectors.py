@@ -14,21 +14,15 @@ Three patterns from the paper are implemented:
 
 Plus the trivial :class:`OneToOneConnector` for local pipelines.
 
-Every connector factors its routing into two halves shared by both
-execution modes: :meth:`~ConnectorDescriptor.split` partitions one
-sender's batch across consumers, and :meth:`~ConnectorDescriptor.assemble`
-builds each consumer's input from the per-``(consumer, sender)`` staging
-matrix. The sequential :meth:`~ConnectorDescriptor.route` and the
-parallel :class:`Exchange` drive the *same* split/assemble code, and
-``assemble`` always consumes senders in partition-id order — that shared
-path is the mechanical reason a parallel run's routed streams are
-bit-identical to a sequential run's (DESIGN.md §13).
-
-Under parallel execution an :class:`Exchange` replaces materialize-then-
-scan routing: producer clones push routed chunks into a bounded
-:class:`ExchangeQueue` from their worker threads while a drainer stages
-them concurrently, so senders that outrun the receiver block on the full
-queue (backpressure) instead of buffering their whole output.
+Every connector redistributes in two halves. Each producer clone, on
+whichever thread runs it, calls :meth:`~ConnectorDescriptor.split` on its
+own output (one tuple list per consumer) and ``_account`` for what it
+ships; each consumer's input is then built by
+:meth:`~ConnectorDescriptor.assemble` from the per-``(consumer, sender)``
+lists. ``assemble`` always consumes senders in partition-id order, so the
+routed streams do not depend on how many clones ran at once (DESIGN.md
+§13). :meth:`~ConnectorDescriptor.route` is the same hand-off in one
+call, for callers that already hold every sender's output.
 
 Byte accounting: a connector constructed with a ``tuple_serde`` measures
 the serialized volume it moves and charges the job's network counters —
@@ -40,190 +34,10 @@ threads mirrors a real cluster's network overlap.
 """
 
 import heapq
-import threading
 import time
-from collections import deque
 
 from repro.common import costmodel
-from repro.hyracks.job import ConnectorDescriptor as _BaseConnectorDescriptor
-
-#: Default bound of an exchange queue, in buffered tuples.
-DEFAULT_EXCHANGE_CAPACITY = 8192
-#: Granularity at which a sender's per-consumer stream is enqueued.
-DEFAULT_EXCHANGE_CHUNK = 512
-
-
-class ExchangeQueue:
-    """A bounded, thread-safe queue of ``(dest, sender, tuples)`` batches.
-
-    ``put`` blocks while the queue holds ``capacity`` or more buffered
-    tuples (backpressure); a single batch larger than the whole capacity
-    is admitted when the queue is empty so one oversized chunk can never
-    deadlock. ``get`` blocks until a batch arrives or the queue is closed
-    and drained (then returns ``None``).
-    """
-
-    def __init__(self, capacity_tuples=DEFAULT_EXCHANGE_CAPACITY):
-        self.capacity = max(int(capacity_tuples), 1)
-        self._cond = threading.Condition()
-        self._batches = deque()
-        self._buffered = 0
-        self._closed = False
-        #: Times a producer had to wait on a full queue.
-        self.backpressure_waits = 0
-
-    def put(self, dest, sender, tuples):
-        count = len(tuples)
-        with self._cond:
-            while (
-                not self._closed
-                and self._buffered > 0
-                and self._buffered + count > self.capacity
-            ):
-                self.backpressure_waits += 1
-                self._cond.wait()
-            if self._closed:
-                raise RuntimeError("put on a closed exchange queue")
-            self._batches.append((dest, sender, tuples))
-            self._buffered += count
-            self._cond.notify_all()
-
-    def get(self):
-        with self._cond:
-            while not self._batches and not self._closed:
-                self._cond.wait()
-            if not self._batches:
-                return None  # closed and fully drained
-            dest, sender, tuples = self._batches.popleft()
-            self._buffered -= len(tuples)
-            self._cond.notify_all()
-            return dest, sender, tuples
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    @property
-    def buffered_tuples(self):
-        return self._buffered
-
-
-class Exchange:
-    """One edge's parallel redistribution: bounded queue + drainer thread.
-
-    Producer clones call :meth:`send` from their worker threads; a
-    dedicated drainer thread (never borrowed from the clone pool — that
-    could starve the consumer side and deadlock the backpressure loop)
-    stages arriving chunks into the per-``(consumer, sender)`` matrix.
-    :meth:`collect` closes the queue, joins the drainer, and assembles
-    each consumer's input with the connector's own ``assemble`` — sender
-    order, hence bit-identity with the sequential route.
-    """
-
-    def __init__(
-        self,
-        connector,
-        num_senders,
-        num_consumers,
-        ctx,
-        capacity=DEFAULT_EXCHANGE_CAPACITY,
-        chunk=DEFAULT_EXCHANGE_CHUNK,
-    ):
-        connector.validate(num_senders, num_consumers)
-        self.connector = connector
-        self.num_senders = int(num_senders)
-        self.num_consumers = int(num_consumers)
-        self.ctx = ctx
-        self.chunk = max(int(chunk), 1)
-        self.queue = ExchangeQueue(capacity)
-        self._staged = [
-            [[] for _ in range(self.num_senders)] for _ in range(self.num_consumers)
-        ]
-        self._closed = False
-        self._drainer = threading.Thread(
-            target=self._drain, name="hyx-exchange-drain", daemon=True
-        )
-        self._drainer.start()
-
-    def send(self, sender, batch):
-        """Route one producer clone's complete port output (thread-safe)."""
-        per_dest = self.connector.split(sender, batch, self.num_consumers)
-        for dest, tuples in enumerate(per_dest):
-            self.connector._account(self.ctx, sender, dest, tuples)
-            for start in range(0, len(tuples), self.chunk):
-                self.queue.put(dest, sender, tuples[start : start + self.chunk])
-
-    def _drain(self):
-        while True:
-            item = self.queue.get()
-            if item is None:
-                return
-            dest, sender, tuples = item
-            self._staged[dest][sender].extend(tuples)
-
-    def close(self):
-        """Stop the drainer; safe to call more than once (abort path)."""
-        if not self._closed:
-            self._closed = True
-            self.queue.close()
-            self._drainer.join()
-
-    def collect(self):
-        """Per-consumer input lists, ordered by sender partition id."""
-        self.close()
-        telemetry = getattr(self.ctx, "telemetry", None)
-        if telemetry is not None and self.queue.backpressure_waits:
-            telemetry.registry.counter(
-                "connector.backpressure_waits", kind=type(self.connector).__name__
-            ).inc(self.queue.backpressure_waits)
-        return self.connector.assemble(self._staged)
-
-
-class ConnectorDescriptor(_BaseConnectorDescriptor):
-    """Adds the shared split/assemble routing protocol to the base class."""
-
-    def validate(self, num_senders, num_consumers):
-        """Reject impossible sender/consumer pairings (one-to-one only)."""
-
-    def split(self, sender, batch, num_consumers):
-        """One sender's batch as a list of per-consumer tuple lists."""
-        raise NotImplementedError
-
-    def assemble(self, staged):
-        """Each consumer's input from ``staged[consumer][sender]`` lists.
-
-        The default concatenates senders in partition-id order; the
-        merging connector overrides with a heap merge.
-        """
-        return [
-            [item for tuples in per_sender for item in tuples]
-            for per_sender in staged
-        ]
-
-    def route(self, producer_outputs, num_consumers, ctx):
-        self.validate(len(producer_outputs), num_consumers)
-        staged = [
-            [[] for _ in range(len(producer_outputs))] for _ in range(num_consumers)
-        ]
-        for sender, batch in enumerate(producer_outputs):
-            for dest, tuples in enumerate(self.split(sender, batch, num_consumers)):
-                self._account(ctx, sender, dest, tuples)
-                staged[dest][sender] = tuples
-        return self.assemble(staged)
-
-    def open_exchange(
-        self,
-        num_senders,
-        num_consumers,
-        ctx,
-        capacity=DEFAULT_EXCHANGE_CAPACITY,
-        chunk=DEFAULT_EXCHANGE_CHUNK,
-    ):
-        """A live :class:`Exchange` for one edge of a parallel operator."""
-        return Exchange(
-            self, num_senders, num_consumers, ctx, capacity=capacity, chunk=chunk
-        )
+from repro.hyracks.job import ConnectorDescriptor
 
 
 class OneToOneConnector(ConnectorDescriptor):

@@ -12,11 +12,12 @@ Substitution note (see DESIGN.md): clones run in one Python process
 rather than as JVM tasks on separate machines. All byte-level behaviour —
 budgets, spills, network volume — is accounted per node, so
 dataset-size-versus-RAM phenomena survive the substitution; wall-clock
-numbers are simulation-scale. With ``parallelism > 1`` the cluster runs
-each operator's partition clones concurrently on a worker thread pool and
-routes their outputs through bounded exchanges (DESIGN.md §13); the
-result is bit-identical to the sequential run because merge/choose points
-always consume inputs in partition-id order.
+numbers are simulation-scale. Producer clones split and account their
+own output per outgoing connector; consumers assemble their input from
+the per-sender lists in partition-id order (DESIGN.md §13). With
+``parallelism > 1`` an operator's clones run concurrently on a worker
+thread pool, and because nothing in that hand-off depends on completion
+order the result is bit-identical to the sequential run.
 """
 
 import os
@@ -203,9 +204,10 @@ class HyracksCluster:
     :param partitions_per_node: data partitions per worker (the paper
         assigns one per core).
     :param parallelism: partition clones executed concurrently per
-        operator. 1 (the default) is the historical sequential mode; any
-        larger value runs clones on a persistent worker thread pool and
-        replaces consumer-time routing with bounded exchanges.
+        operator. 1 (the default) runs them one after another on the
+        calling thread; any larger value runs them on a persistent worker
+        thread pool. Data moves between operators the same way, and the
+        result is bit-identical, at every value.
     :param io_latency_scale: >0 makes simulated I/O and network transfers
         take real wall-clock time (cost-model seconds × scale) in *both*
         modes, so sequential-vs-parallel timing comparisons are honest.
@@ -448,7 +450,7 @@ class HyracksCluster:
             for node_id in used_nodes:
                 self.nodes[node_id].inflight += 1
         try:
-            return self._execute_placed(job_spec, placement, started)
+            return self._execute_placed(job_spec, placement, used_nodes, started)
         finally:
             with self._membership_lock:
                 for node_id in used_nodes:
@@ -457,94 +459,67 @@ class HyracksCluster:
                         node.inflight -= 1
             self.reap_draining_nodes()
 
-    def _execute_placed(self, job_spec, placement, started):
+    def _execute_placed(self, job_spec, placement, used_nodes, started):
         job_ctx = JobContext(
             job_spec.name,
             telemetry=self.telemetry,
             io_latency_scale=self.io_latency_scale,
         )
-        disk_before = self._disk_snapshot()
-        cache_before = self._cache_snapshot()
-        outputs = {}
+        # Only the job's own nodes: they hold ``inflight > 0`` so they
+        # cannot retire mid-job, while any other node may be reaped (and
+        # vanish from ``self.nodes``) between the two snapshots.
+        job_nodes = [self.nodes[node_id] for node_id in used_nodes]
+        disk_before = self._disk_snapshot(job_nodes)
+        cache_before = self._cache_snapshot(job_nodes)
         operator_seconds = {}
-        use_exchanges = self.task_runner.concurrency > 1
-        # Live exchanges for edges whose producer ran but whose consumer
-        # has not yet collected; the finally closes whatever a failure
-        # leaves behind so no drainer thread outlives the job.
-        exchanges = {}
-        try:
-            with self.telemetry.span("job:%s" % job_spec.name, category="job"):
-                for operator in job_spec.topological_order():
-                    locations = placement[operator.op_id]
-                    num_partitions = len(locations)
-                    routed_inputs = []
-                    for edge in job_spec.inputs_of(operator):
-                        exchange = exchanges.pop(id(edge), None)
-                        if exchange is not None:
-                            routed_inputs.append(exchange.collect())
-                            continue
-                        produced = outputs.get((edge.producer.op_id, edge.port))
-                        if produced is None:
-                            raise JobFailure(
-                                "operator %r consumes unknown port %r of %r"
-                                % (operator, edge.port, edge.producer)
-                            )
-                        routed_inputs.append(
-                            edge.connector.route(produced, num_partitions, job_ctx)
-                        )
-                    out_exchanges = []
-                    if use_exchanges:
-                        for edge in job_spec.outputs_of(operator):
-                            exchange = edge.connector.open_exchange(
-                                num_partitions,
-                                len(placement[edge.consumer.op_id]),
-                                job_ctx,
-                            )
-                            exchanges[id(edge)] = exchange
-                            out_exchanges.append((edge.port, exchange))
-                    operator.initialize(job_ctx)
-                    injector = self.fault_injector
-                    tasks = [
-                        self._make_clone_task(
-                            operator,
-                            partition,
-                            self.nodes[locations[partition]],
-                            num_partitions,
-                            [routed[partition] for routed in routed_inputs],
-                            out_exchanges,
-                            job_ctx,
-                            injector,
-                        )
-                        for partition in range(num_partitions)
-                    ]
-                    outcomes = self.task_runner.map(tasks)
-                    self._raise_first_failure(outcomes, operator, locations)
-                    per_port = {}
-                    op_elapsed = 0.0
-                    for outcome in outcomes:
-                        elapsed, result = outcome.value
-                        op_elapsed += elapsed
-                        for port, tuples in result.items():
-                            per_port.setdefault(port, {})[outcome.partition] = tuples
-                    operator.finalize(job_ctx)
-                    operator_seconds[operator.name] = (
-                        operator_seconds.get(operator.name, 0.0) + op_elapsed
+        # edge -> staged[consumer][sender] tuple lists, from the moment
+        # the producer's clones returned until the consumer assembles.
+        staged = {}
+        with self.telemetry.span("job:%s" % job_spec.name, category="job"):
+            for operator in job_spec.topological_order():
+                locations = placement[operator.op_id]
+                num_partitions = len(locations)
+                routed_inputs = [
+                    edge.connector.assemble(staged.pop(edge))
+                    for edge in job_spec.inputs_of(operator)
+                ]
+                out_edges = [
+                    (edge, len(placement[edge.consumer.op_id]))
+                    for edge in job_spec.outputs_of(operator)
+                ]
+                operator.initialize(job_ctx)
+                injector = self.fault_injector
+                tasks = [
+                    self._make_clone_task(
+                        operator,
+                        partition,
+                        self.nodes[locations[partition]],
+                        num_partitions,
+                        [routed[partition] for routed in routed_inputs],
+                        out_edges,
+                        job_ctx,
+                        injector,
                     )
-                    ports = set(per_port)
-                    for edge in job_spec.outputs_of(operator):
-                        ports.add(edge.port)
-                    for port in ports:
-                        outputs[(operator.op_id, port)] = [
-                            per_port.get(port, {}).get(p, [])
-                            for p in range(num_partitions)
-                        ]
-        finally:
-            for exchange in exchanges.values():
-                exchange.close()
+                    for partition in range(num_partitions)
+                ]
+                outcomes = self.task_runner.map(tasks)
+                self._raise_first_failure(outcomes, operator, locations)
+                operator.finalize(job_ctx)
+                operator_seconds[operator.name] = operator_seconds.get(
+                    operator.name, 0.0
+                ) + sum(outcome.value[0] for outcome in outcomes)
+                # Outcomes come back in partition order, so each
+                # consumer's sender lists are in partition-id order.
+                sent = [outcome.value[1] for outcome in outcomes]
+                for index, (edge, num_consumers) in enumerate(out_edges):
+                    staged[edge] = [
+                        [per_edge[index][dest] for per_edge in sent]
+                        for dest in range(num_consumers)
+                    ]
         with self._jobs_executed_lock:
             self.jobs_executed += 1
         self.telemetry.registry.counter("engine.jobs_executed").inc()
-        disk_after = self._disk_snapshot()
+        disk_after = self._disk_snapshot(job_nodes)
         disk_delta = IOCounters()
         disk_delta.disk_reads = disk_after.disk_reads - disk_before.disk_reads
         disk_delta.disk_writes = disk_after.disk_writes - disk_before.disk_writes
@@ -554,7 +529,7 @@ class HyracksCluster:
         disk_delta.disk_write_bytes = (
             disk_after.disk_write_bytes - disk_before.disk_write_bytes
         )
-        cache_after = self._cache_snapshot()
+        cache_after = self._cache_snapshot(job_nodes)
         return JobResult(
             name=job_spec.name,
             collected=job_ctx.collected,
@@ -568,15 +543,15 @@ class HyracksCluster:
         )
 
     def _make_clone_task(self, operator, partition, node, num_partitions,
-                         clone_inputs, out_exchanges, job_ctx, injector):
+                         clone_inputs, out_edges, job_ctx, injector):
         """One partition clone as a zero-argument callable for a runner.
 
-        Mirrors the historical sequential body: failure check, injector
-        probes at open/next/close, a task span around ``run``. In parallel
-        mode the clone additionally pushes its port outputs through the
-        operator's outgoing exchanges from its own worker thread, so
-        routing (split, byte accounting, simulated transfer latency)
-        overlaps across partitions.
+        Failure check, injector probes at open/next/close, a task span
+        around ``run``; then the clone splits its port outputs across
+        each outgoing edge's consumers and accounts what it ships (bytes,
+        simulated transfer latency) on whichever thread runs it, so that
+        work overlaps across partitions under a parallel runner. Returns
+        ``(run seconds, [per-consumer lists of out_edges[i]])``.
         """
 
         def clone():
@@ -598,7 +573,7 @@ class HyracksCluster:
             ):
                 result = operator.run(ctx, partition, clone_inputs) or {}
             if injector is not None:
-                # "next": output produced, not yet registered — a fault
+                # "next": output produced, not yet handed on — a fault
                 # here loses the clone's work exactly like a crash
                 # mid-stream would.
                 injector.check(
@@ -609,8 +584,14 @@ class HyracksCluster:
                     tuples=sum(len(t) for t in result.values()),
                 )
             elapsed = time.perf_counter() - clone_started
-            for port, exchange in out_exchanges:
-                exchange.send(partition, result.get(port, []))
+            sent = []
+            for edge, num_consumers in out_edges:
+                per_dest = edge.connector.split(
+                    partition, result.get(edge.port, []), num_consumers
+                )
+                for dest, tuples in enumerate(per_dest):
+                    edge.connector._account(job_ctx, partition, dest, tuples)
+                sent.append(per_dest)
             if injector is not None:
                 injector.check(
                     "operator.close",
@@ -618,7 +599,7 @@ class HyracksCluster:
                     operator=operator.name,
                     partition=partition,
                 )
-            return elapsed, result
+            return elapsed, sent
 
         return clone
 
@@ -645,17 +626,19 @@ class HyracksCluster:
                 raise JobFailure(str(error), cause=error) from error
             raise error
 
-    def _cache_snapshot(self):
+    @staticmethod
+    def _cache_snapshot(nodes):
         misses = 0
         writebacks = 0
-        for node in self.nodes.values():
+        for node in nodes:
             misses += node.buffer_cache.stats.misses
             writebacks += node.buffer_cache.stats.writebacks
         return misses, writebacks
 
-    def _disk_snapshot(self):
+    @staticmethod
+    def _disk_snapshot(nodes):
         total = IOCounters()
-        for node in self.nodes.values():
+        for node in nodes:
             total.merge(node.io)
         return total
 

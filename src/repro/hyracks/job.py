@@ -42,7 +42,13 @@ class OperatorDescriptor:
 
 
 class ConnectorDescriptor:
-    """Base class for connectors; see :mod:`repro.hyracks.connectors`."""
+    """Base class for connectors; see :mod:`repro.hyracks.connectors`.
+
+    A connector redistributes in two halves: each producer clone calls
+    :meth:`split` on its own output and ``_account`` for what it ships,
+    and each consumer's input is built by :meth:`assemble` from the
+    per-``(consumer, sender)`` lists.
+    """
 
     PIPELINED = "pipelined"
     SENDER_SIDE_MATERIALIZED = "sender-side-materialized"
@@ -50,8 +56,29 @@ class ConnectorDescriptor:
     def __init__(self, materialization=PIPELINED):
         self.materialization = materialization
 
+    def validate(self, num_senders, num_consumers):
+        """Reject impossible sender/consumer pairings (one-to-one only)."""
+
+    def split(self, sender, batch, num_consumers):
+        """One sender's batch as a list of per-consumer tuple lists."""
+        raise NotImplementedError
+
+    def assemble(self, staged):
+        """Each consumer's input from ``staged[consumer][sender]`` lists.
+
+        The default concatenates senders in partition-id order; the
+        merging connector overrides with a heap merge.
+        """
+        return [
+            [item for tuples in per_sender for item in tuples]
+            for per_sender in staged
+        ]
+
     def route(self, producer_outputs, num_consumers, ctx):
         """Redistribute producer partition outputs to consumer partitions.
+
+        The engine's hand-off in one call, for direct callers: split and
+        account every sender in partition order, then assemble.
 
         :param producer_outputs: list (one per producer partition) of
             tuple lists.
@@ -59,7 +86,13 @@ class ConnectorDescriptor:
         :param ctx: the :class:`JobContext`, for byte accounting.
         :returns: list (one per consumer partition) of tuple lists.
         """
-        raise NotImplementedError
+        self.validate(len(producer_outputs), num_consumers)
+        staged = [[] for _ in range(num_consumers)]
+        for sender, batch in enumerate(producer_outputs):
+            for dest, tuples in enumerate(self.split(sender, batch, num_consumers)):
+                self._account(ctx, sender, dest, tuples)
+                staged[dest].append(tuples)
+        return self.assemble(staged)
 
 
 class Edge:

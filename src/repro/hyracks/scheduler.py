@@ -95,7 +95,6 @@ class ThreadPoolTaskRunner(TaskRunner):
             raise SchedulingError("thread pool needs at least one thread")
         self.concurrency = int(num_threads)
         self.telemetry = telemetry
-        self._counter = [0]
         self._executor = ThreadPoolExecutor(
             max_workers=self.concurrency,
             thread_name_prefix="hyx-worker",

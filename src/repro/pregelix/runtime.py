@@ -143,50 +143,12 @@ class PregelixDriver:
                 gs = load_result.collected["gs"][0][0]
                 self._advance_sim_load(input_path, gs, load_span)
 
-            try:
-                gs, generator, stats, recoveries = self._superstep_loop(
-                    job, generator, gs, scale_at=scale_at,
-                    boundary_hook=boundary_hook,
-                )
-            except (DeadlineExceeded, JobCancelled):
-                # A cooperative stop is a *clean* unwind: drop the run's
-                # indexes and scratch so the worker slot frees without
-                # leaking state. (A simulated service crash, by contrast,
-                # propagates untouched — its checkpoints must survive
-                # for the restarted service to resume from.)
-                self.cleanup(generator)
-                raise
-
-            injector = getattr(self.cluster, "fault_injector", None)
-            if injector is not None:
-                # The chaos harness targets the iterative phase; leftover
-                # faults must not tear the final result dump.
-                injector.disarm(reason="superstep loop complete", scope="engine")
-
-            dump_seconds = 0.0
-            if output_path is not None:
-                with telemetry.span("dump", category="phase", run_id=run_id):
-                    dump_started = time.perf_counter()
-                    self.cluster.execute(
-                        generator.dump_plan(output_path, format_record)
-                    )
-                    dump_seconds = time.perf_counter() - dump_started
-
-        outcome = JobOutcome(
-            job=job,
-            run_id=run_id,
-            gs=gs,
-            stats=stats,
-            load_seconds=load_seconds,
-            dump_seconds=dump_seconds,
-            recoveries=recoveries,
-            output_path=output_path,
-        )
-        if keep_state:
-            outcome.generator = generator
-        else:
-            self.cleanup(generator)
-        return outcome
+            return self._finish(
+                job, generator, gs, run_id, output_path, format_record,
+                load_seconds=load_seconds, prior_recoveries=0,
+                keep_state=keep_state, scale_at=scale_at,
+                boundary_hook=boundary_hook,
+            )
 
     def read_output(self, output_path):
         """The final vertex lines written by a run's dump plan."""
@@ -255,38 +217,63 @@ class PregelixDriver:
                 "recovery.resume", category="recovery", run_id=run_id,
                 superstep=superstep, partitions=num_partitions,
             )
-            try:
-                gs, generator, stats, recoveries = self._superstep_loop(
-                    job, generator, gs, boundary_hook=boundary_hook
+            # The crash that made this a resume was itself a recovery.
+            return self._finish(
+                job, generator, gs, run_id, output_path, format_record,
+                load_seconds=0.0, prior_recoveries=1, keep_state=False,
+                scale_at=None, boundary_hook=boundary_hook,
+            )
+
+    def _finish(self, job, generator, gs, run_id, output_path, format_record,
+                load_seconds, prior_recoveries, keep_state, scale_at,
+                boundary_hook):
+        """Everything after a run's state is in place: the superstep loop,
+        the optional dump phase, the :class:`JobOutcome`, and cleanup.
+        Called inside the run's ``pregelix:<job>`` span by :meth:`run`
+        (after the load phase) and :meth:`resume` (after the restore)."""
+        try:
+            gs, generator, stats, recoveries = self._superstep_loop(
+                job, generator, gs, scale_at=scale_at,
+                boundary_hook=boundary_hook,
+            )
+        except (DeadlineExceeded, JobCancelled):
+            # A cooperative stop is a *clean* unwind: drop the run's
+            # indexes and scratch so the worker slot frees without
+            # leaking state. (A simulated service crash, by contrast,
+            # propagates untouched — its checkpoints must survive
+            # for the restarted service to resume from.)
+            self.cleanup(generator)
+            raise
+
+        injector = getattr(self.cluster, "fault_injector", None)
+        if injector is not None:
+            # The chaos harness targets the iterative phase; leftover
+            # faults must not tear the final result dump.
+            injector.disarm(reason="superstep loop complete", scope="engine")
+
+        dump_seconds = 0.0
+        if output_path is not None:
+            with self.telemetry.span("dump", category="phase", run_id=run_id):
+                dump_started = time.perf_counter()
+                self.cluster.execute(
+                    generator.dump_plan(output_path, format_record)
                 )
-            except (DeadlineExceeded, JobCancelled):
-                self.cleanup(generator)
-                raise
-
-            injector = getattr(self.cluster, "fault_injector", None)
-            if injector is not None:
-                injector.disarm(reason="superstep loop complete", scope="engine")
-
-            dump_seconds = 0.0
-            if output_path is not None:
-                with telemetry.span("dump", category="phase", run_id=run_id):
-                    dump_started = time.perf_counter()
-                    self.cluster.execute(
-                        generator.dump_plan(output_path, format_record)
-                    )
-                    dump_seconds = time.perf_counter() - dump_started
+                dump_seconds = time.perf_counter() - dump_started
 
         outcome = JobOutcome(
             job=job,
             run_id=run_id,
             gs=gs,
             stats=stats,
-            load_seconds=0.0,
+            load_seconds=load_seconds,
             dump_seconds=dump_seconds,
-            recoveries=recoveries + 1,  # the crash itself was a recovery
+            recoveries=prior_recoveries + recoveries,
             output_path=output_path,
         )
-        self.cleanup(generator)
+        if keep_state:
+            outcome.generator = generator
+        else:
+            self.cleanup(generator)
         return outcome
 
     def _checkpointed_partitions(self, run_id):

@@ -9,6 +9,7 @@ bit-identity checks, verdict logic, report serialization — in seconds.
 import json
 
 from repro.bench import regression
+from repro.bench.reporting import write_report
 
 TINY = dict(
     vertices=40,
@@ -61,7 +62,7 @@ def test_worker_counts_are_deduplicated_and_sorted():
 def test_write_report_round_trips(tmp_path):
     report = run_tiny()
     path = str(tmp_path / "BENCH_parallel.json")
-    assert regression.write_report(report, path) == path
+    assert write_report(report, path) == path
     with open(path) as handle:
         assert json.load(handle) == report
 
@@ -94,3 +95,20 @@ def test_cli_bench_exit_status_tracks_verdict(tmp_path, capsys):
         report = json.load(handle)
     assert report["pass"] is True
     assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_cli_bench_out_is_honoured_and_defaults_per_gate(tmp_path, monkeypatch):
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    elastic = ["bench", "--elastic", "--vertices", "40", "--iterations", "4",
+               "--nodes", "2", "--io-latency", "0", "--repeats", "1",
+               "--max-overhead", "1000"]
+    # An explicit --out wins even when it names another gate's default.
+    main(elastic + ["--out", "BENCH_parallel.json"], out=lambda line: None)
+    with open(tmp_path / "BENCH_parallel.json") as handle:
+        assert json.load(handle)["benchmark"] == "elastic-rebalance-microbench"
+    assert not (tmp_path / "BENCH_elastic.json").exists()
+    main(elastic, out=lambda line: None)
+    with open(tmp_path / "BENCH_elastic.json") as handle:
+        assert json.load(handle)["benchmark"] == "elastic-rebalance-microbench"

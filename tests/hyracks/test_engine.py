@@ -193,3 +193,31 @@ class TestAccounting:
     def test_jobs_executed_counter(self, cluster):
         cluster.execute(word_count_job_for_two())
         assert cluster.jobs_executed == 1
+
+    def test_unused_node_retiring_mid_job_keeps_io_deltas_nonnegative(self, cluster):
+        # node2 did I/O earlier, the job never lands on it, and it retires
+        # while the job runs (what an autoscaler or a finishing concurrent
+        # job does): its counters must not be subtracted from this job's.
+        idle = cluster.nodes["node2"]
+        idle.files.record_run_write(5000)
+        idle.files.record_run_read(7000)
+        idle.buffer_cache.stats.record("misses", 3)
+        idle.buffer_cache.stats.record("writebacks", 2)
+
+        def drain_then_emit(ctx, partition):
+            if partition == 0:
+                cluster.drain_node("node2")
+            return [partition]
+
+        spec = JobSpec("drain-mid-job")
+        source = spec.add(GeneratorSourceOperator(drain_then_emit))
+        sink = spec.add(CollectSinkOperator("out"))
+        for operator in (source, sink):
+            operator.partition_constraint = AbsoluteLocationConstraint(
+                ["node0", "node1"]
+            )
+        spec.connect(OneToOneConnector(), source, sink)
+        result = cluster.execute(spec)
+        assert "node2" not in cluster.nodes  # it really retired mid-job
+        assert all(value >= 0 for value in result.disk_io.snapshot().values())
+        assert result.cache_misses >= 0 and result.cache_writebacks >= 0

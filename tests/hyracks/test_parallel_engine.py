@@ -1,28 +1,28 @@
-"""Parallel (thread-pool) superstep execution: exchanges and failure order.
+"""Parallel (thread-pool) superstep execution: hand-off and failure order.
 
-Covers the mechanics DESIGN.md §13 relies on: the bounded exchange queue
-(FIFO, backpressure, clean shutdown), the equivalence of the parallel
-Exchange path with the sequential ``route`` path for every connector
-family, and the engine-level contracts — bit-identical job results at any
-worker count, lowest-partition-wins failure surfacing, and worker-thread
-registration in the telemetry tracer.
+Covers the mechanics DESIGN.md §13 relies on: a job's producer→consumer
+hand-off delivers exactly ``connector.route`` for every connector family
+at any worker count, and the engine-level contracts — bit-identical job
+results, lowest-partition-wins failure surfacing, no thread outliving a
+failed job, and worker-thread registration in the telemetry tracer.
 """
 
+import random
 import threading
 import time
 
 import pytest
 
+from repro.common import serde
 from repro.common.errors import JobFailure
 from repro.hyracks.connectors import (
     BroadcastConnector,
-    ExchangeQueue,
     MToNPartitioningConnector,
     MToNPartitioningMergingConnector,
     MToOneAggregatorConnector,
     OneToOneConnector,
 )
-from repro.hyracks.engine import HyracksCluster
+from repro.hyracks.engine import HyracksCluster, JobContext
 from repro.hyracks.job import JobSpec
 from repro.hyracks.operators.func import (
     CollectSinkOperator,
@@ -30,137 +30,141 @@ from repro.hyracks.operators.func import (
     MapOperator,
 )
 from repro.hyracks.scheduler import (
+    CountConstraint,
     SequentialTaskRunner,
     ThreadPoolTaskRunner,
     make_task_runner,
 )
 
-
-class TestExchangeQueue:
-    def test_fifo_round_trip(self):
-        queue = ExchangeQueue(capacity_tuples=100)
-        queue.put(0, 0, [1, 2])
-        queue.put(1, 0, [3])
-        queue.put(0, 1, [4, 5, 6])
-        assert queue.buffered_tuples == 6
-        assert queue.get() == (0, 0, [1, 2])
-        assert queue.get() == (1, 0, [3])
-        assert queue.get() == (0, 1, [4, 5, 6])
-        assert queue.buffered_tuples == 0
-
-    def test_get_returns_none_after_close_and_drain(self):
-        queue = ExchangeQueue(capacity_tuples=10)
-        queue.put(0, 0, [1])
-        queue.close()
-        assert queue.get() == (0, 0, [1])  # buffered data survives close
-        assert queue.get() is None
-
-    def test_put_after_close_raises(self):
-        queue = ExchangeQueue(capacity_tuples=10)
-        queue.close()
-        with pytest.raises(RuntimeError, match="closed exchange queue"):
-            queue.put(0, 0, [1])
-
-    def test_oversized_batch_admitted_when_empty(self):
-        # A single chunk larger than the whole capacity must not deadlock.
-        queue = ExchangeQueue(capacity_tuples=2)
-        queue.put(0, 0, list(range(50)))
-        assert queue.buffered_tuples == 50
-
-    def test_backpressure_blocks_producer_until_drained(self):
-        queue = ExchangeQueue(capacity_tuples=4)
-        queue.put(0, 0, [1, 2, 3])
-        unblocked = threading.Event()
-
-        def producer():
-            queue.put(0, 0, [4, 5, 6])  # 3 + 3 > 4: must wait
-            unblocked.set()
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        assert not unblocked.wait(timeout=0.05)
-        assert queue.get() == (0, 0, [1, 2, 3])
-        assert unblocked.wait(timeout=2.0)
-        thread.join(timeout=2.0)
-        assert queue.backpressure_waits >= 1
-        assert queue.get() == (0, 0, [4, 5, 6])
+SEEDS = range(20)
+TRIPLE = serde.TupleSerde(serde.INT64, serde.INT64, serde.INT64)
 
 
-def _exchange_vs_route(connector, per_sender, num_consumers, chunk=2):
-    """Push the same batches through both paths; both results."""
-    routed = connector.route([list(b) for b in per_sender], num_consumers, None)
-    exchange = connector.open_exchange(
-        len(per_sender), num_consumers, None, capacity=8, chunk=chunk
-    )
-    threads = [
-        threading.Thread(target=exchange.send, args=(sender, list(batch)))
-        for sender, batch in enumerate(per_sender)
+def _first(t):
+    return t[0]
+
+
+#: name -> (connector factory, senders must be sorted, consumers == senders)
+CONNECTORS = {
+    "one_to_one": (OneToOneConnector, False, True),
+    "partitioning": (lambda: MToNPartitioningConnector(key_fn=_first), False, False),
+    "merging": (
+        lambda: MToNPartitioningMergingConnector(key_fn=_first, sort_key_fn=_first),
+        True,
+        False,
+    ),
+    "aggregator": (MToOneAggregatorConnector, False, False),
+    "broadcast": (BroadcastConnector, False, False),
+}
+
+
+def _random_batches(rng, num_senders, sort):
+    batches = [
+        [(rng.randrange(12), sender, i) for i in range(rng.randrange(30))]
+        for sender in range(num_senders)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return routed, exchange.collect()
+    return [sorted(batch, key=_first) for batch in batches] if sort else batches
 
 
-class TestExchangeMatchesRoute:
-    """The parallel path must assemble exactly what ``route`` assembles."""
+def _handoff_job(connector, batches, num_consumers):
+    """source (one clone per batch) --[connector]--> collect sink."""
+    spec = JobSpec("handoff")
+    source = spec.add(GeneratorSourceOperator(lambda ctx, p: batches[p]))
+    source.partition_constraint = CountConstraint(len(batches))
+    sink = spec.add(CollectSinkOperator("out"))
+    sink.partition_constraint = CountConstraint(num_consumers)
+    spec.connect(connector, source, sink)
+    return spec
 
-    def test_partitioning_connector(self):
-        connector = MToNPartitioningConnector(key_fn=lambda t: t[0])
-        per_sender = [
-            [(k, s * 100 + i) for i, k in enumerate(range(s, s + 9))]
-            for s in range(3)
-        ]
-        routed, exchanged = _exchange_vs_route(connector, per_sender, 4)
-        assert exchanged == routed
 
-    def test_merging_connector_produces_sorted_streams(self):
-        connector = MToNPartitioningMergingConnector(
-            key_fn=lambda t: t[0], sort_key_fn=lambda t: t[0]
-        )
-        per_sender = [
-            sorted((k, s) for k in range((s * 7) % 5, 20, s + 2))
-            for s in range(3)
-        ]
-        routed, exchanged = _exchange_vs_route(connector, per_sender, 2)
-        assert exchanged == routed
-        for stream in exchanged:
-            assert stream == sorted(stream, key=lambda t: t[0])
+@pytest.fixture(scope="module")
+def clusters(tmp_path_factory):
+    """One sequential and one 4-worker cluster, shared by the module."""
+    root = tmp_path_factory.mktemp("handoff")
+    with HyracksCluster(num_nodes=4, root_dir=str(root / "seq")) as sequential:
+        with HyracksCluster(
+            num_nodes=4, parallelism=4, root_dir=str(root / "par")
+        ) as parallel:
+            yield sequential, parallel
 
-    def test_merging_connector_rejects_unsorted_sender(self):
-        connector = MToNPartitioningMergingConnector(key_fn=lambda t: t[0])
+
+class TestHandoffMatchesRoute:
+    """Every consumer partition receives exactly what ``route`` assembles."""
+
+    @pytest.mark.parametrize("name", sorted(CONNECTORS))
+    def test_job_delivers_route_at_parallelism_1_and_4(self, clusters, name):
+        factory, sort, square = CONNECTORS[name]
+        for seed in SEEDS:
+            rng = random.Random("%s-%d" % (name, seed))
+            num_senders = rng.randint(1, 4)
+            num_consumers = num_senders if square else rng.randint(1, 4)
+            batches = _random_batches(rng, num_senders, sort)
+            expected = factory().route(batches, num_consumers, None)
+            for cluster in clusters:
+                result = cluster.execute(
+                    _handoff_job(factory(), batches, num_consumers)
+                )
+                delivered = [
+                    result.collected["out"][p] for p in range(num_consumers)
+                ]
+                assert delivered == expected, (name, seed, cluster.parallelism)
+
+    def test_job_charges_the_network_exactly_what_route_charges(self, clusters):
+        # One ``_account`` per (sender, consumer) pair, wherever it runs.
+        rng = random.Random(7)
+        batches = _random_batches(rng, 4, sort=True)
+        for make in (
+            lambda: MToNPartitioningConnector(key_fn=_first, tuple_serde=TRIPLE),
+            lambda: MToNPartitioningMergingConnector(
+                key_fn=_first, tuple_serde=TRIPLE
+            ),
+        ):
+            reference = JobContext("route")
+            make().route(batches, 3, reference)
+            assert reference.io.network_bytes > 0
+            for cluster in clusters:
+                result = cluster.execute(_handoff_job(make(), batches, 3))
+                assert result.network_io.snapshot() == reference.io.snapshot()
+
+    def test_two_edges_out_of_one_operator(self, clusters):
+        batches = _random_batches(random.Random(11), 4, sort=False)
+        for cluster in clusters:
+            spec = JobSpec("fan-out")
+            source = spec.add(GeneratorSourceOperator(lambda ctx, p: batches[p]))
+            source.partition_constraint = CountConstraint(len(batches))
+            shuffled = spec.add(CollectSinkOperator("shuffled"))
+            shuffled.partition_constraint = CountConstraint(3)
+            funnel = spec.add(CollectSinkOperator("funnel"))
+            funnel.partition_constraint = CountConstraint(1)
+            spec.connect(MToNPartitioningConnector(key_fn=_first), source, shuffled)
+            spec.connect(MToOneAggregatorConnector(), source, funnel)
+            result = cluster.execute(spec)
+            assert [result.collected["shuffled"][p] for p in range(3)] == (
+                MToNPartitioningConnector(key_fn=_first).route(batches, 3, None)
+            )
+            assert result.collected["funnel"][0] == [
+                item for batch in batches for item in batch
+            ]
+
+    def test_aggregator_concatenates_in_sender_order(self, clusters):
+        batches = [[(s, i) for i in range(4)] for s in range(3)]
+        for cluster in clusters:
+            result = cluster.execute(
+                _handoff_job(MToOneAggregatorConnector(), batches, 1)
+            )
+            # Sender partition-id order is the determinism contract.
+            assert [t[0] for t in result.collected["out"][0]] == (
+                [0] * 4 + [1] * 4 + [2] * 4
+            )
+
+    def test_merging_connector_rejects_unsorted_sender(self, clusters):
+        batches = [[(1, 0)], [(3, 0), (1, 0)]]
+        connector = MToNPartitioningMergingConnector(key_fn=_first)
         with pytest.raises(ValueError, match="sorted sender streams"):
-            connector.route([[(3, 0), (1, 0)]], 1, None)
-
-    def test_aggregator_connector(self):
-        connector = MToOneAggregatorConnector()
-        per_sender = [[(s, i) for i in range(4)] for s in range(3)]
-        routed, exchanged = _exchange_vs_route(connector, per_sender, 1)
-        assert exchanged == routed
-        # Sender partition-id order is the determinism contract.
-        assert [t[0] for t in exchanged[0]] == [0] * 4 + [1] * 4 + [2] * 4
-
-    def test_broadcast_connector(self):
-        connector = BroadcastConnector()
-        per_sender = [[(s, i) for i in range(3)] for s in range(2)]
-        routed, exchanged = _exchange_vs_route(connector, per_sender, 3)
-        assert exchanged == routed
-        assert all(stream == exchanged[0] for stream in exchanged)
-
-    def test_one_to_one_connector(self):
-        connector = OneToOneConnector()
-        per_sender = [[s, s, s] for s in range(3)]
-        routed, exchanged = _exchange_vs_route(connector, per_sender, 3)
-        assert exchanged == routed == per_sender
-
-    def test_exchange_close_is_idempotent(self):
-        connector = OneToOneConnector()
-        exchange = connector.open_exchange(1, 1, None)
-        exchange.send(0, [1, 2])
-        exchange.close()
-        exchange.close()
-        assert exchange.collect() == [[1, 2]]
+            connector.route(batches, 1, None)
+        for cluster in clusters:
+            with pytest.raises(ValueError, match="sorted sender streams"):
+                cluster.execute(_handoff_job(connector, batches, 1))
 
 
 class TestTaskRunners:
@@ -267,6 +271,33 @@ class TestParallelEngine:
         ) as cluster:
             with pytest.raises(ValueError, match="partition key 0"):
                 cluster.execute(spec)
+
+    def test_failed_job_leaves_only_the_worker_pool_behind(self, tmp_path):
+        def explode_late(t):
+            if t[0] >= 20:  # partitions 0 and 1 succeed, 2 and 3 fail
+                raise ValueError("partition key %d" % t[0])
+            return t
+
+        spec = JobSpec("explode-mid-operator")
+        source = spec.add(
+            GeneratorSourceOperator(lambda ctx, p: [(p * 10 + i, p) for i in range(5)])
+        )
+        stage = spec.add(MapOperator(explode_late))
+        sink = spec.add(CollectSinkOperator("out"))
+        spec.connect(OneToOneConnector(), source, stage)
+        spec.connect(MToNPartitioningConnector(key_fn=_first), stage, sink)
+        before = set(threading.enumerate())
+        with HyracksCluster(
+            num_nodes=4, parallelism=4, root_dir=str(tmp_path / "c")
+        ) as cluster:
+            with pytest.raises(ValueError, match="partition key"):
+                cluster.execute(spec)
+            started = set(threading.enumerate()) - before
+            assert threading.current_thread() in before
+            assert started and all(
+                thread.name.startswith("hyx-worker") for thread in started
+            )
+        assert set(threading.enumerate()) <= before
 
     def test_injected_worker_failure_becomes_job_failure(self, tmp_path):
         with HyracksCluster(

@@ -312,3 +312,30 @@ class TestHistory:
         finally:
             server.close()
             service.shutdown(timeout=WAIT)
+
+
+def test_serve_top_renders_against_a_live_service(monkeypatch):
+    """One-shot ``serve top`` render against a live service."""
+    import sys
+    monkeypatch.setattr(sys, "argv", ["repro"])
+    from repro.cli import build_parser, cmd_serve
+    from repro.graphs.generators import btc_graph
+    service = JobService(num_nodes=2, workers=1)
+    service.add_dataset("g", vertices=list(btc_graph(40, seed=3)))
+    service.start()
+    server = ServeHTTPServer(service, port=0)
+    host, port = server.start()
+    record = service.submit(
+        {"tenant": "alice", "algorithm": "cc", "dataset": "g"})
+    record.wait(120)
+    args = build_parser().parse_args(
+        ["serve", "top", "--url", "http://%s:%d" % (host, port),
+         "--count", "2", "--interval", "0.2"])
+    lines = []
+    code = cmd_serve(args, out=lines.append)
+    print("\n".join(lines))
+    server.close()
+    service.shutdown(timeout=120)
+    text = "\n".join(lines)
+    assert code == 0, code
+    assert "repro serve top" in text and "latency" in text, text

@@ -30,8 +30,6 @@ from repro.chaos.differential import (
     CellResult,
     DifferentialChecker,
     DifferentialReport,
-    PlanChoice,
-    all_plans,
     values_close,
 )
 from repro.chaos.faults import (
@@ -49,6 +47,7 @@ from repro.chaos.faults import (
 )
 from repro.chaos.reference import AlgorithmCase, algorithm_case, algorithm_names
 from repro.chaos.serve_drill import CRASH_PHASES, run_serve_drill
+from repro.pregelix.api import PlanChoice, all_plans
 
 __all__ = [
     "CRASH_PHASES",

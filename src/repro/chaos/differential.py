@@ -22,81 +22,11 @@ Faulted cells run with ``checkpoint_interval=1`` and a seeded
 checkpoint/blacklist recovery reproduces the fault-free answer.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 from repro.chaos.faults import FaultInjector, FaultPlan
-from repro.pregelix.api import (
-    ConnectorPolicy,
-    GroupByStrategy,
-    JoinStrategy,
-    VertexStorage,
-)
-
-#: Short plan-axis codes used on the CLI and in reports.
-_JOIN_CODES = {"foj": JoinStrategy.FULL_OUTER, "loj": JoinStrategy.LEFT_OUTER}
-_GROUPBY_CODES = {"sort": GroupByStrategy.SORT, "hashsort": GroupByStrategy.HASHSORT}
-_CONNECTOR_CODES = {"unmerged": ConnectorPolicy.UNMERGED, "merged": ConnectorPolicy.MERGED}
-_STORAGE_CODES = {"btree": VertexStorage.BTREE, "lsm": VertexStorage.LSM_BTREE}
-
-
-@dataclass(frozen=True)
-class PlanChoice:
-    """One of the sixteen physical plans."""
-
-    join: JoinStrategy
-    groupby: GroupByStrategy
-    connector: ConnectorPolicy
-    storage: VertexStorage
-
-    def signature(self):
-        def code(table, value):
-            return next(k for k, v in table.items() if v is value)
-
-        return "%s/%s/%s/%s" % (
-            code(_JOIN_CODES, self.join),
-            code(_GROUPBY_CODES, self.groupby),
-            code(_CONNECTOR_CODES, self.connector),
-            code(_STORAGE_CODES, self.storage),
-        )
-
-    @classmethod
-    def parse(cls, signature):
-        """Inverse of :meth:`signature` (``foj/sort/unmerged/btree``)."""
-        parts = signature.split("/")
-        if len(parts) != 4:
-            raise ValueError(
-                "plan signature must be join/groupby/connector/storage, got %r"
-                % signature
-            )
-        try:
-            return cls(
-                _JOIN_CODES[parts[0]],
-                _GROUPBY_CODES[parts[1]],
-                _CONNECTOR_CODES[parts[2]],
-                _STORAGE_CODES[parts[3]],
-            )
-        except KeyError as missing:
-            raise ValueError("unknown plan axis code %s in %r" % (missing, signature))
-
-    def apply(self, job):
-        job.join_strategy = self.join
-        job.groupby_strategy = self.groupby
-        job.connector_policy = self.connector
-        job.vertex_storage = self.storage
-        return job
-
-
-def all_plans():
-    """All sixteen physical plans, in a stable order."""
-    return [
-        PlanChoice(join, groupby, connector, storage)
-        for join, groupby, connector, storage in itertools.product(
-            JoinStrategy, GroupByStrategy, ConnectorPolicy, VertexStorage
-        )
-    ]
-
+from repro.pregelix.api import PlanChoice, all_plans
 
 @dataclass(frozen=True)
 class BudgetProfile:

@@ -25,22 +25,14 @@ import argparse
 import os
 import sys
 
-from repro.pregelix import ConnectorPolicy, GroupByStrategy, JoinStrategy, VertexStorage
-
-#: name -> (module path, job-builder kwargs drawn from CLI args)
-ALGORITHMS = {
-    "pagerank": ("repro.algorithms.pagerank", ("iterations",)),
-    "sssp": ("repro.algorithms.sssp", ("source_id",)),
-    "cc": ("repro.algorithms.connected_components", ()),
-    "reachability": ("repro.algorithms.reachability", ()),
-    "triangles": ("repro.algorithms.triangle_counting", ()),
-    "cliques": ("repro.algorithms.maximal_cliques", ()),
-    "sampling": ("repro.algorithms.graph_sampling", ()),
-    "bfs-tree": ("repro.algorithms.bfs_spanning_tree", ()),
-    "path-merging": ("repro.algorithms.graph_cleaning", ()),
-    "scc": ("repro.algorithms.scc", ()),
-    "list-ranking": ("repro.algorithms.list_ranking", ()),
-}
+from repro.algorithms import ALGORITHMS, algorithm_module
+from repro.common.errors import ReproError
+from repro.pregelix.api import (
+    CONNECTOR_CODES,
+    GROUPBY_CODES,
+    JOIN_CODES,
+    STORAGE_CODES,
+)
 
 FIGURES = [
     "table3",
@@ -432,9 +424,30 @@ def cmd_generate(args, out=print):
     return 0
 
 
-def cmd_run(args, out=print):
-    import importlib
+def _build_job(name, args):
+    """``(module, job)`` for algorithm ``name``: its ``build_job`` called
+    with the parameters this command line has a flag for, then the
+    ``--join/--groupby/--connector/--storage`` plan overrides."""
+    module = algorithm_module(name)
+    job = module.build_job(**{
+        param: getattr(args, param)
+        for param in ALGORITHMS[name].params
+        if hasattr(args, param)
+    })
+    for flag, attribute, codes in (
+        ("join", "join_strategy", JOIN_CODES),
+        ("groupby", "groupby_strategy", GROUPBY_CODES),
+        ("connector", "connector_policy", CONNECTOR_CODES),
+        ("storage", "vertex_storage", STORAGE_CODES),
+    ):
+        code = getattr(args, flag, None)
+        if code:
+            setattr(job, attribute, codes[code])
+    return module, job
 
+
+def cmd_run(args, out=print):
+    from repro.graphs.io import export_part_files, ingest_part_files
     from repro.hdfs import MiniDFS
     from repro.hyracks.engine import HyracksCluster
     from repro.pregelix import PregelixDriver
@@ -454,31 +467,7 @@ def cmd_run(args, out=print):
             except ValueError:
                 out("error: --scale-at wants SUPERSTEP=N, got %r" % item)
                 return 2
-    module_name, kwarg_names = ALGORITHMS[args.algorithm]
-    module = importlib.import_module(module_name)
-    kwargs = {}
-    if "iterations" in kwarg_names:
-        kwargs["iterations"] = args.iterations
-    if "source_id" in kwarg_names:
-        kwargs["source_id"] = args.source_id
-    job = module.build_job(**kwargs)
-
-    if args.join:
-        job.join_strategy = (
-            JoinStrategy.LEFT_OUTER if args.join == "loj" else JoinStrategy.FULL_OUTER
-        )
-    if args.groupby:
-        job.groupby_strategy = (
-            GroupByStrategy.HASHSORT if args.groupby == "hashsort" else GroupByStrategy.SORT
-        )
-    if args.connector:
-        job.connector_policy = (
-            ConnectorPolicy.MERGED if args.connector == "merged" else ConnectorPolicy.UNMERGED
-        )
-    if args.storage:
-        job.vertex_storage = (
-            VertexStorage.LSM_BTREE if args.storage == "lsm" else VertexStorage.BTREE
-        )
+    module, job = _build_job(args.algorithm, args)
     if args.optimize:
         job.auto_optimize = True
     if args.checkpoint_interval:
@@ -493,16 +482,11 @@ def cmd_run(args, out=print):
     )
     try:
         dfs = MiniDFS(datanodes=cluster.node_ids())
-        part_files = sorted(
-            name for name in os.listdir(args.input)
-            if os.path.isfile(os.path.join(args.input, name))
-        )
-        if not part_files:
-            out("error: no input files in %s" % args.input)
+        try:
+            ingest_part_files(dfs, args.input, "/input")
+        except ReproError as error:
+            out("error: %s" % error)
             return 2
-        for name in part_files:
-            with open(os.path.join(args.input, name)) as handle:
-                dfs.write("/input/%s" % name, handle.read())
 
         driver = PregelixDriver(cluster, dfs)
         if args.input_format == "edges":
@@ -559,11 +543,7 @@ def cmd_run(args, out=print):
                 )
             )
         if args.output:
-            os.makedirs(args.output, exist_ok=True)
-            for path in dfs.list_files("/output"):
-                local = os.path.join(args.output, os.path.basename(path))
-                with open(local, "w") as handle:
-                    handle.write(dfs.read_text(path))
+            export_part_files(dfs, "/output", args.output)
             if not json_mode:
                 out("results written to %s" % args.output)
         if trace_path:
@@ -581,9 +561,9 @@ def cmd_run(args, out=print):
 
 
 def cmd_pipeline(args, out=print):
-    import importlib
     import json as json_module
 
+    from repro.graphs.io import export_part_files, ingest_part_files
     from repro.hdfs import MiniDFS
     from repro.hyracks.engine import HyracksCluster
     from repro.pregelix import PregelixDriver
@@ -595,14 +575,7 @@ def cmd_pipeline(args, out=print):
     parsers = {}
     formatters = {}
     for name in args.algorithms:
-        module_name, kwarg_names = ALGORITHMS[name]
-        module = importlib.import_module(module_name)
-        kwargs = {}
-        if "iterations" in kwarg_names:
-            kwargs["iterations"] = args.iterations
-        if "source_id" in kwarg_names:
-            kwargs["source_id"] = args.source_id
-        job = module.build_job(**kwargs)
+        module, job = _build_job(name, args)
         jobs.append(job)
         parse_line = getattr(module, "parse_line", None)
         if parse_line is not None:
@@ -617,16 +590,11 @@ def cmd_pipeline(args, out=print):
     )
     try:
         dfs = MiniDFS(datanodes=cluster.node_ids())
-        part_files = sorted(
-            name for name in os.listdir(args.input)
-            if os.path.isfile(os.path.join(args.input, name))
-        )
-        if not part_files:
-            out("error: no input files in %s" % args.input)
+        try:
+            ingest_part_files(dfs, args.input, "/input")
+        except ReproError as error:
+            out("error: %s" % error)
             return 2
-        for name in part_files:
-            with open(os.path.join(args.input, name)) as handle:
-                dfs.write("/input/%s" % name, handle.read())
 
         driver = PregelixDriver(cluster, dfs)
         segments = run_job_array(
@@ -671,11 +639,7 @@ def cmd_pipeline(args, out=print):
                 )
             )
         if args.output:
-            os.makedirs(args.output, exist_ok=True)
-            for path in dfs.list_files("/output"):
-                local = os.path.join(args.output, os.path.basename(path))
-                with open(local, "w") as handle:
-                    handle.write(dfs.read_text(path))
+            export_part_files(dfs, "/output", args.output)
             if not args.json:
                 out("results written to %s" % args.output)
         return 0
@@ -979,27 +943,11 @@ def cmd_figures(args, out=print):
 
 
 def cmd_explain(args, out=print):
-    import importlib
-
     from repro.hdfs import MiniDFS
     from repro.pregelix.physical import PartitionMap, PlanGenerator
     from repro.pregelix.types import GlobalState
 
-    module_name, _kwargs = ALGORITHMS[args.algorithm]
-    module = importlib.import_module(module_name)
-    job = module.build_job()
-    if args.join:
-        job.join_strategy = (
-            JoinStrategy.LEFT_OUTER if args.join == "loj" else JoinStrategy.FULL_OUTER
-        )
-    if args.groupby:
-        job.groupby_strategy = (
-            GroupByStrategy.HASHSORT if args.groupby == "hashsort" else GroupByStrategy.SORT
-        )
-    if args.connector:
-        job.connector_policy = (
-            ConnectorPolicy.MERGED if args.connector == "merged" else ConnectorPolicy.UNMERGED
-        )
+    _module, job = _build_job(args.algorithm, args)
     nodes = ["node%d" % i for i in range(args.nodes)]
     dfs = MiniDFS(datanodes=nodes)
     dfs.write_text_lines("/explain-input/part-0", ["0 _ 1:1.0", "1 _"])

@@ -9,6 +9,10 @@ weights as floats; :func:`typed_parser` builds parsers for other value
 types (e.g. integer component labels).
 """
 
+import os
+
+from repro.common.errors import ReproError
+
 
 def parse_adjacency_line(line, value_parser=float, weight_parser=float):
     """Parse one vertex line into ``(vid, value, edges)``."""
@@ -100,6 +104,29 @@ def write_graph_to_dfs(dfs, path, vertices, num_files=4):
     for i, lines in enumerate(buckets):
         dfs.write_text_lines("%s/part-%05d" % (path, i), lines)
     return count
+
+
+def ingest_part_files(dfs, local_dir, path):
+    """Copy every file in local directory ``local_dir`` verbatim under
+    DFS ``path``; raises :class:`ReproError` when there is none."""
+    part_files = sorted(
+        name for name in os.listdir(local_dir)
+        if os.path.isfile(os.path.join(local_dir, name))
+    )
+    if not part_files:
+        raise ReproError("no input files in %s" % local_dir)
+    for name in part_files:
+        with open(os.path.join(local_dir, name)) as handle:
+            dfs.write("%s/%s" % (path, name), handle.read())
+
+
+def export_part_files(dfs, path, local_dir):
+    """Copy every file under DFS ``path`` into local directory ``local_dir``."""
+    os.makedirs(local_dir, exist_ok=True)
+    for file_path in dfs.list_files(path):
+        local = os.path.join(local_dir, os.path.basename(file_path))
+        with open(local, "w") as handle:
+            handle.write(dfs.read_text(file_path))
 
 
 def read_graph_from_dfs(dfs, path, parse_line=parse_adjacency_line):

@@ -9,7 +9,9 @@ that select one of the sixteen tailored executions.
 """
 
 import enum
+import itertools
 from collections import namedtuple
+from dataclasses import dataclass
 
 from repro.common import serde
 from repro.common.errors import GraphMutationConflict, ReproError
@@ -333,6 +335,79 @@ class VertexStorage(enum.Enum):
 
     BTREE = "btree"
     LSM_BTREE = "lsm-btree"
+
+
+#: Short plan-axis codes: the CLI flags, ``repro chaos`` reports, and the
+#: serve journal's plan pin all spell a plan ``join/groupby/connector/storage``.
+JOIN_CODES = {"foj": JoinStrategy.FULL_OUTER, "loj": JoinStrategy.LEFT_OUTER}
+GROUPBY_CODES = {"sort": GroupByStrategy.SORT, "hashsort": GroupByStrategy.HASHSORT}
+CONNECTOR_CODES = {"unmerged": ConnectorPolicy.UNMERGED, "merged": ConnectorPolicy.MERGED}
+STORAGE_CODES = {"btree": VertexStorage.BTREE, "lsm": VertexStorage.LSM_BTREE}
+
+
+@dataclass(frozen=True)
+class PlanChoice:
+    """One of the sixteen physical plans."""
+
+    join: JoinStrategy
+    groupby: GroupByStrategy
+    connector: ConnectorPolicy
+    storage: VertexStorage
+
+    @classmethod
+    def of(cls, job):
+        """The plan ``job`` is currently set to run under."""
+        return cls(
+            job.join_strategy, job.groupby_strategy,
+            job.connector_policy, job.vertex_storage,
+        )
+
+    def signature(self):
+        def code(table, value):
+            return next(k for k, v in table.items() if v is value)
+
+        return "%s/%s/%s/%s" % (
+            code(JOIN_CODES, self.join),
+            code(GROUPBY_CODES, self.groupby),
+            code(CONNECTOR_CODES, self.connector),
+            code(STORAGE_CODES, self.storage),
+        )
+
+    @classmethod
+    def parse(cls, signature):
+        """Inverse of :meth:`signature` (``foj/sort/unmerged/btree``)."""
+        parts = signature.split("/")
+        if len(parts) != 4:
+            raise ValueError(
+                "plan signature must be join/groupby/connector/storage, got %r"
+                % signature
+            )
+        try:
+            return cls(
+                JOIN_CODES[parts[0]],
+                GROUPBY_CODES[parts[1]],
+                CONNECTOR_CODES[parts[2]],
+                STORAGE_CODES[parts[3]],
+            )
+        except KeyError as missing:
+            raise ValueError("unknown plan axis code %s in %r" % (missing, signature))
+
+    def apply(self, job):
+        job.join_strategy = self.join
+        job.groupby_strategy = self.groupby
+        job.connector_policy = self.connector
+        job.vertex_storage = self.storage
+        return job
+
+
+def all_plans():
+    """All sixteen physical plans, in a stable order."""
+    return [
+        PlanChoice(join, groupby, connector, storage)
+        for join, groupby, connector, storage in itertools.product(
+            JoinStrategy, GroupByStrategy, ConnectorPolicy, VertexStorage
+        )
+    ]
 
 
 class PregelixJob:

@@ -263,7 +263,7 @@ class Checkpointer:
     """
 
     def __init__(self, plan_generator, telemetry=None, retry=None, retain=MIN_RETAIN):
-        self.generator = plan_generator
+        self.gs_path = plan_generator.gs_path
         self.dfs = plan_generator.dfs
         self.job = plan_generator.job
         self.run_id = plan_generator.run_id
@@ -292,13 +292,14 @@ class Checkpointer:
         return "%s/%s" % (self.directory(superstep), MANIFEST_NAME)
 
     # ------------------------------------------------------------------
-    def checkpoint_plan(self, superstep):
+    def checkpoint_plan(self, superstep, generator):
         """Snapshot Vertex, Msg (and Vid) for ``superstep`` into HDFS.
 
-        Every blob lands under the staging prefix; nothing becomes
-        visible to recovery until :meth:`commit` publishes the manifest.
+        ``generator`` carries the partition map currently in force (it
+        changes under a run when it rebalances or recovers). Every blob
+        lands under the staging prefix; nothing becomes visible to
+        recovery until :meth:`commit` publishes the manifest.
         """
-        generator = self.generator
         spec = JobSpec("%s-ckpt-%d" % (self.job.name, superstep))
         vertex = spec.add(
             IndexCheckpointOperator(
@@ -344,7 +345,7 @@ class Checkpointer:
         if gs is not None:
             gs_data = encode_global_state(self.job.gs_codec(), gs)
         else:
-            gs_data = self._read(self.generator.gs_path)
+            gs_data = self._read(self.gs_path)
         self.dfs.write(self.staging_path(superstep, "gs"), gs_data)
 
         prefix = directory + "/" + STAGING_PREFIX
@@ -381,9 +382,6 @@ class Checkpointer:
             )
         self.gc()
 
-    # Backward-compatible name: "save the GS copy and commit".
-    save_gs = commit
-
     def committed_supersteps(self):
         """Supersteps with a published manifest, ascending (no verify)."""
         supersteps = set()
@@ -419,6 +417,12 @@ class Checkpointer:
                     % (manifest.get("superstep"), superstep)
                 )
         return problems
+
+    def num_partitions(self, superstep):
+        """How many partitions committed checkpoint ``superstep`` holds
+        (it stores one ``vertex`` blob per partition)."""
+        files = load_manifest(self.dfs, self.directory(superstep))["files"]
+        return sum(1 for name in files if name.startswith("vertex-p"))
 
     def latest_checkpoint(self):
         """Most recent *committed and verified* superstep, or ``None``.
@@ -524,7 +528,7 @@ class Checkpointer:
             raise CheckpointNotFound(path)
         # Also restore it as the primary copy.
         data = self._read(path)
-        self.dfs.write(self.generator.gs_path, data)
+        self.dfs.write(self.gs_path, data)
         return decode_global_state(self.job.gs_codec(), data)
 
     def _read(self, path):

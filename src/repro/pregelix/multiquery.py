@@ -461,7 +461,7 @@ class MultiQueryProgram:
     # boundary hook
     # ------------------------------------------------------------------
     def boundary_hook(self, chain=None):
-        """A ``wants_gs`` boundary hook: lane bookkeeping + chaining.
+        """The run's driver boundary hook: lane bookkeeping + chaining.
 
         Max-merges the superstep's lane-activity aggregate into
         :attr:`activity`, invokes ``chain(superstep)`` (the serve
@@ -478,7 +478,6 @@ class MultiQueryProgram:
                 chain(superstep)
             self.control.commit()
 
-        hook.wants_gs = True
         return hook
 
     # ------------------------------------------------------------------

@@ -10,11 +10,7 @@ cleaning rounds; the user trades reduced fault-tolerance (no checkpoint
 coverage across job boundaries) for speed.
 """
 
-import time
-
 from repro.common.errors import ReproError
-from repro.pregelix.physical import PlanGenerator
-from repro.pregelix.types import GlobalState, encode_global_state
 
 
 class PipelineOutcome:
@@ -120,65 +116,18 @@ def run_pipeline(driver, jobs, input_path, output_path=None, parse_line=None, fo
 
     Loads once with the first job's configuration, runs each job's
     superstep loop against the shared indexes, reactivating all vertices
-    in between, and dumps once at the end.
+    in between, and dumps once at the end — the driver's run skeleton
+    (:meth:`~repro.pregelix.runtime.PregelixDriver.run_jobs`) with more
+    than one job in it.
     """
-    from repro.pregelix.runtime import JobOutcome, _default_formats, _run_ids, _sanitize
-
     check_compatibility(jobs)
-    parse_line, format_record = _default_formats(parse_line, format_record)
-    run_id = "pipeline-%s-%04d" % (_sanitize(jobs[0].name), next(_run_ids))
-
-    from repro.pregelix.physical import PartitionMap
-
-    partition_map = PartitionMap.over_nodes(
-        driver.cluster.alive_node_ids(),
-        driver.cluster.scheduler.default_partitions_per_node,
+    outcomes = driver.run_jobs(
+        jobs,
+        input_path,
+        output_path=output_path,
+        parse_line=parse_line,
+        format_record=format_record,
     )
-
-    first_generator = PlanGenerator(jobs[0], driver.dfs, run_id, partition_map)
-    load_started = time.perf_counter()
-    load_result = driver.cluster.execute(
-        first_generator.loading_plan(input_path, parse_line)
+    return PipelineOutcome(
+        outcomes, outcomes[0].load_seconds, outcomes[-1].dump_seconds
     )
-    load_seconds = time.perf_counter() - load_started
-    gs = load_result.collected["gs"][0][0]
-
-    outcomes = []
-    generator = first_generator
-    for position, job in enumerate(jobs):
-        generator = PlanGenerator(job, driver.dfs, run_id, partition_map)
-        if position > 0:
-            # Fresh Pregel semantics for the next job: all vertices
-            # active, superstep counter reset, counts carried over.
-            driver.cluster.execute(generator.reactivation_plan())
-            gs = GlobalState(
-                halt=False,
-                aggregate=None,
-                superstep=0,
-                num_vertices=gs.num_vertices,
-                num_edges=gs.num_edges,
-            )
-            driver.dfs.write(
-                generator.gs_path, encode_global_state(job.gs_codec(), gs)
-            )
-        gs, generator, stats, recoveries = driver._superstep_loop(job, generator, gs)
-        outcomes.append(
-            JobOutcome(
-                job=job,
-                run_id=run_id,
-                gs=gs,
-                stats=stats,
-                load_seconds=load_seconds if position == 0 else 0.0,
-                dump_seconds=0.0,
-                recoveries=recoveries,
-                output_path=None,
-            )
-        )
-
-    dump_seconds = 0.0
-    if output_path is not None:
-        dump_started = time.perf_counter()
-        driver.cluster.execute(generator.dump_plan(output_path, format_record))
-        dump_seconds = time.perf_counter() - dump_started
-    driver.cleanup(generator)
-    return PipelineOutcome(outcomes, load_seconds, dump_seconds)

@@ -21,7 +21,7 @@ from repro.common.errors import (
     SchedulingError,
     WorkerFailure,
 )
-from repro.pregelix.checkpoint import MANIFEST_NAME, Checkpointer, load_manifest
+from repro.pregelix.checkpoint import Checkpointer
 from repro.pregelix.failure import (
     FailureManager,
     HeartbeatMonitor,
@@ -31,6 +31,7 @@ from repro.pregelix.failure import (
 )
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 from repro.pregelix.stats import StatisticsCollector, pregelix_sim_cost
+from repro.pregelix.types import GlobalState, encode_global_state
 
 _run_ids = itertools.count(1)
 
@@ -101,54 +102,34 @@ class PregelixDriver:
         :param parse_line: input-line parser; defaults to the adjacency
             text format of :mod:`repro.graphs.io`.
         :param format_record: output formatter for the final vertices.
-        :param keep_state: keep the loaded vertex index and run state
-            around (used by job pipelining) instead of cleaning up.
+        :param keep_state: leave the finished run's indexes, DFS state
+            (checkpoints included) and placement pin in place and hand
+            the final plan generator back as ``outcome.generator``; the
+            caller owns ``cleanup(outcome.generator)``. ``repro
+            checkpoints`` and the checkpoint tests audit a finished
+            run's checkpoints this way.
         :param scale_at: ``{superstep: target_nodes}`` — resize the
             cluster when that superstep boundary is reached; the run
             rebalances onto the new node set at the same boundary.
         :param run_id: explicit run id (the serve layer pre-allocates
             one so it can be journaled before execution starts);
             ``None`` draws from the driver's counter.
-        :param boundary_hook: called as ``hook(superstep)`` at every
+        :param boundary_hook: called as ``hook(superstep, gs)`` at every
             superstep boundary before the next superstep is attempted —
             the cooperative enforcement point for deadlines, cancels,
-            and crash drills. Exceptions it raises that are not part of
-            the recoverable set unwind the run without checkpoint
-            recovery absorbing them. A hook carrying a truthy
-            ``wants_gs`` attribute is called ``hook(superstep, gs)``
-            instead, so observers (e.g. multi-query lane tracking) can
-            read the superstep's global aggregate without a DFS race.
+            and crash drills, and (through ``gs``, the driver's
+            in-memory global state) the place observers such as
+            multi-query lane tracking read the superstep's global
+            aggregate without a DFS race. Exceptions it raises that are
+            not part of the recoverable set unwind the run without
+            checkpoint recovery absorbing them.
         """
-        parse_line, format_record = _default_formats(parse_line, format_record)
         if run_id is None:
             run_id = "%s-%04d" % (_sanitize(job.name), next(_run_ids))
-        generator = PlanGenerator(
-            job, self.dfs, run_id, self._pin_initial_map(run_id)
-        )
-        telemetry = self.telemetry
-
-        # Scoped tracer context: every span below (supersteps, engine
-        # job/task spans, storage ops — including on pool worker
-        # threads) is stamped with this run's id without plumbing it
-        # through the engine call graph.
-        with telemetry.tracer.context(run_id=run_id), telemetry.span(
-            "pregelix:%s" % job.name, category="pregelix", run_id=run_id
-        ):
-            with telemetry.span("load", category="phase", run_id=run_id) as load_span:
-                load_started = time.perf_counter()
-                load_result = self.cluster.execute(
-                    generator.loading_plan(input_path, parse_line)
-                )
-                load_seconds = time.perf_counter() - load_started
-                gs = load_result.collected["gs"][0][0]
-                self._advance_sim_load(input_path, gs, load_span)
-
-            return self._finish(
-                job, generator, gs, run_id, output_path, format_record,
-                load_seconds=load_seconds, prior_recoveries=0,
-                keep_state=keep_state, scale_at=scale_at,
-                boundary_hook=boundary_hook,
-            )
+        return self._execute(
+            [job], run_id, input_path, output_path, parse_line, format_record,
+            keep_state=keep_state, scale_at=scale_at, boundary_hook=boundary_hook,
+        )[0]
 
     def read_output(self, output_path):
         """The final vertex lines written by a run's dump plan."""
@@ -173,139 +154,193 @@ class PregelixDriver:
         replay knows a job was ``started`` under ``run_id`` but never
         ``finished``, so the restarted service asks the driver to pick
         the run back up. The newest *verified* checkpoint under
-        ``/pregelix/<run_id>/ckpt`` is restored through the standard
-        PR-3 recovery plan and the superstep loop continues from there;
-        when no verified checkpoint exists (the crash predates the first
-        commit, or the DFS died with the process) the job is simply
-        re-run from ``input_path`` under the same run id — results are
-        deterministic per plan class, so both paths end bit-identical.
+        ``/pregelix/<run_id>/ckpt`` is restored in place of the load
+        and the superstep loop continues from there; when no verified
+        checkpoint exists (the crash predates the first commit, or the
+        DFS died with the process) the job is simply loaded again from
+        ``input_path`` under the same run id — results are deterministic
+        per plan class, so both paths end bit-identical.
+        """
+        return self._execute(
+            [job], run_id, input_path, output_path, parse_line, format_record,
+            boundary_hook=boundary_hook, resume=True,
+        )[0]
+
+    def run_jobs(self, jobs, input_path, output_path=None, parse_line=None,
+                 format_record=None):
+        """Run pipeline-compatible ``jobs`` back to back over one resident
+        ``Vertex`` relation (paper Section 5.6): one :class:`JobOutcome`
+        per job, the load charged to the first and the dump to the last.
+        :func:`repro.pregelix.pipelining.run_pipeline` is the checked
+        front door.
+        """
+        run_id = "pipeline-%s-%04d" % (_sanitize(jobs[0].name), next(_run_ids))
+        return self._execute(
+            jobs, run_id, input_path, output_path, parse_line, format_record
+        )
+
+    # ------------------------------------------------------------------
+    # the run skeleton
+    # ------------------------------------------------------------------
+    def _execute(self, jobs, run_id, input_path, output_path, parse_line,
+                 format_record, keep_state=False, scale_at=None,
+                 boundary_hook=None, resume=False):
+        """The one skeleton every run follows.
+
+        State in place (the load plan — or, when ``resume`` finds a
+        verified checkpoint, the restore step) → for each job: the job
+        boundary if it is not the first, then the superstep loop → the
+        optional dump → one :class:`JobOutcome` per job → cleanup, all
+        inside one ``run_id`` tracer context and under one placement
+        pin. :meth:`run` is the one-job case, :meth:`resume` the
+        restore-instead-of-load case, :meth:`run_jobs` the N-job case.
         """
         parse_line, format_record = _default_formats(parse_line, format_record)
-        num_partitions = self._checkpointed_partitions(run_id)
-        if num_partitions is None:
-            return self.run(
-                job, input_path, output_path=output_path,
-                parse_line=parse_line, format_record=format_record,
-                run_id=run_id, boundary_hook=boundary_hook,
-            )
-        partition_map = self._pin_initial_map(run_id, num_partitions=num_partitions)
-        generator = PlanGenerator(job, self.dfs, run_id, partition_map)
         telemetry = self.telemetry
-        retry = RetryPolicy(telemetry=telemetry)
-        retain = getattr(job, "checkpoint_retain", None) or 2
-        checkpointer = Checkpointer(
-            generator, telemetry=telemetry, retry=retry, retain=retain
-        )
-        superstep = checkpointer.latest_checkpoint()
-        if superstep is None:
-            # Committed directories exist but none verifies — re-run.
-            self.cluster.release_placement(run_id)
-            return self.run(
-                job, input_path, output_path=output_path,
-                parse_line=parse_line, format_record=format_record,
-                run_id=run_id, boundary_hook=boundary_hook,
-            )
+        # Scoped tracer context: every span below (supersteps, engine
+        # job/task spans, storage ops — including on pool worker
+        # threads) is stamped with this run's id without plumbing it
+        # through the engine call graph.
         with telemetry.tracer.context(run_id=run_id), telemetry.span(
-            "pregelix:%s" % job.name, category="pregelix", run_id=run_id
+            "pregelix:%s" % jobs[0].name, category="pregelix", run_id=run_id
         ):
-            with telemetry.span("resume", category="recovery", run_id=run_id):
-                self.cluster.execute(
-                    checkpointer.recovery_plan(superstep, generator)
+            partition_map = self._pin_initial_map(run_id)
+            outcomes = []
+            for job in jobs:
+                generator = PlanGenerator(job, self.dfs, run_id, partition_map)
+                checkpointer = Checkpointer(
+                    generator, telemetry=telemetry,
+                    retry=RetryPolicy(telemetry=telemetry),
+                    retain=job.checkpoint_retain,
                 )
-                gs = checkpointer.restore_gs(superstep)
-            telemetry.event(
-                "recovery.resume", category="recovery", run_id=run_id,
-                superstep=superstep, partitions=num_partitions,
-            )
-            # The crash that made this a resume was itself a recovery.
-            return self._finish(
-                job, generator, gs, run_id, output_path, format_record,
-                load_seconds=0.0, prior_recoveries=1, keep_state=False,
-                scale_at=None, boundary_hook=boundary_hook,
-            )
+                load_seconds, recoveries = 0.0, 0
+                superstep = None
+                if resume and not outcomes:
+                    superstep = checkpointer.latest_checkpoint()
+                if outcomes:
+                    gs = self._job_boundary(generator, checkpointer, gs)
+                elif superstep is None:
+                    gs, load_seconds = self._load(generator, input_path, parse_line)
+                else:
+                    gs, generator = self._resume(generator, checkpointer, superstep)
+                    # The crash that made this a resume was itself a recovery.
+                    recoveries = 1
+                try:
+                    gs, generator, stats, recovered = self._superstep_loop(
+                        generator, checkpointer, gs, scale_at, boundary_hook
+                    )
+                except (DeadlineExceeded, JobCancelled):
+                    # A cooperative stop is a *clean* unwind: drop the run's
+                    # indexes and scratch so the worker slot frees without
+                    # leaking state. (A simulated service crash, by contrast,
+                    # propagates untouched — its checkpoints must survive
+                    # for the restarted service to resume from.)
+                    self.cleanup(generator)
+                    raise
+                partition_map = generator.partition_map
+                outcomes.append(JobOutcome(
+                    job=job, run_id=run_id, gs=gs, stats=stats,
+                    load_seconds=load_seconds, dump_seconds=0.0,
+                    recoveries=recoveries + recovered, output_path=None,
+                ))
 
-    def _finish(self, job, generator, gs, run_id, output_path, format_record,
-                load_seconds, prior_recoveries, keep_state, scale_at,
-                boundary_hook):
-        """Everything after a run's state is in place: the superstep loop,
-        the optional dump phase, the :class:`JobOutcome`, and cleanup.
-        Called inside the run's ``pregelix:<job>`` span by :meth:`run`
-        (after the load phase) and :meth:`resume` (after the restore)."""
-        try:
-            gs, generator, stats, recoveries = self._superstep_loop(
-                job, generator, gs, scale_at=scale_at,
-                boundary_hook=boundary_hook,
-            )
-        except (DeadlineExceeded, JobCancelled):
-            # A cooperative stop is a *clean* unwind: drop the run's
-            # indexes and scratch so the worker slot frees without
-            # leaking state. (A simulated service crash, by contrast,
-            # propagates untouched — its checkpoints must survive
-            # for the restarted service to resume from.)
-            self.cleanup(generator)
-            raise
-
-        injector = getattr(self.cluster, "fault_injector", None)
-        if injector is not None:
-            # The chaos harness targets the iterative phase; leftover
-            # faults must not tear the final result dump.
-            injector.disarm(reason="superstep loop complete", scope="engine")
-
-        dump_seconds = 0.0
-        if output_path is not None:
-            with self.telemetry.span("dump", category="phase", run_id=run_id):
-                dump_started = time.perf_counter()
-                self.cluster.execute(
-                    generator.dump_plan(output_path, format_record)
+            if self.cluster.fault_injector is not None:
+                # The chaos harness targets the iterative phase; leftover
+                # faults must not tear the final result dump.
+                self.cluster.fault_injector.disarm(
+                    reason="superstep loop complete", scope="engine"
                 )
-                dump_seconds = time.perf_counter() - dump_started
+            last = outcomes[-1]
+            if output_path is not None:
+                with telemetry.span("dump", category="phase", run_id=run_id):
+                    dump_started = time.perf_counter()
+                    self.cluster.execute(
+                        generator.dump_plan(output_path, format_record)
+                    )
+                    last.dump_seconds = time.perf_counter() - dump_started
+                last.output_path = output_path
+            if keep_state:
+                last.generator = generator
+            else:
+                self.cleanup(generator)
+            return outcomes
 
-        outcome = JobOutcome(
-            job=job,
-            run_id=run_id,
-            gs=gs,
-            stats=stats,
-            load_seconds=load_seconds,
-            dump_seconds=dump_seconds,
-            recoveries=prior_recoveries + recoveries,
-            output_path=output_path,
+    def _load(self, generator, input_path, parse_line):
+        """The load phase: bulk load ``Vertex`` from ``input_path``."""
+        with self.telemetry.span(
+            "load", category="phase", run_id=generator.run_id
+        ) as load_span:
+            load_started = time.perf_counter()
+            load_result = self.cluster.execute(
+                generator.loading_plan(input_path, parse_line)
+            )
+            load_seconds = time.perf_counter() - load_started
+            gs = load_result.collected["gs"][0][0]
+            self._advance_sim_load(input_path, gs, load_span)
+        return gs, load_seconds
+
+    def _resume(self, generator, checkpointer, superstep):
+        """State in place from verified checkpoint ``superstep`` instead
+        of the load: re-pin at the partition count the checkpoint was
+        written with (restored partitions must line up), then restore."""
+        run_id = generator.run_id
+        partition_map = self._pin_initial_map(
+            run_id, checkpointer.num_partitions(superstep)
         )
-        if keep_state:
-            outcome.generator = generator
-        else:
-            self.cleanup(generator)
-        return outcome
-
-    def _checkpointed_partitions(self, run_id):
-        """Partition count recorded by the newest readable manifest.
-
-        The count is derivable — every committed checkpoint stores one
-        ``vertex-p%05d`` blob per partition — and must be recovered
-        *before* a partition map exists, so this reads manifests
-        directly instead of going through a :class:`Checkpointer`.
-        Returns ``None`` when no manifest is readable (nothing was ever
-        committed, or the DFS did not survive the crash).
-        """
-        root = "/pregelix/%s/ckpt" % run_id
-        prefix = root + "/"
-        steps = set()
-        for path in self.dfs.list_files(root):
-            step, _, what = path[len(prefix):].partition("/")
-            if step.isdigit() and what == MANIFEST_NAME:
-                steps.add(int(step))
-        for step in sorted(steps, reverse=True):
-            try:
-                manifest = load_manifest(self.dfs, "%s/%06d" % (root, step))
-            except Exception:
-                continue
-            count = sum(
-                1
-                for name in manifest.get("files", {})
-                if name.startswith("vertex-p")
+        with self.telemetry.span("resume", category="recovery", run_id=run_id):
+            generator = self._restore(
+                generator, checkpointer, superstep, partition_map
             )
-            if count:
-                return count
-        return None
+            gs = checkpointer.restore_gs(superstep)
+        self.telemetry.event(
+            "recovery.resume", category="recovery", run_id=run_id,
+            superstep=superstep, partitions=partition_map.num_partitions,
+        )
+        return gs, generator
+
+    def _job_boundary(self, generator, checkpointer, gs):
+        """Between two pipelined jobs: fresh Pregel semantics for the
+        next one — all vertices active, superstep counter reset, counts
+        carried over — over the relation the previous job left resident.
+
+        Superstep numbers restart, so the previous job's checkpoints go
+        first: the paper's stated trade is no checkpoint coverage across
+        job boundaries, and recovery must only see the current job's.
+        """
+        self.dfs.delete(checkpointer.root(), recursive=True)
+        self.cluster.execute(generator.reactivation_plan())
+        gs = GlobalState(
+            halt=False,
+            aggregate=None,
+            superstep=0,
+            num_vertices=gs.num_vertices,
+            num_edges=gs.num_edges,
+        )
+        self.dfs.write(
+            generator.gs_path, encode_global_state(generator.job.gs_codec(), gs)
+        )
+        return gs
+
+    def _restore(self, generator, checkpointer, superstep, partition_map):
+        """Move the run onto ``partition_map`` from checkpoint ``superstep``.
+
+        The one restore step behind resume (same map, new process),
+        rebalancing (the map current membership wants) and failure
+        recovery (a map over the survivors): bulk load the checkpointed
+        partitions on their new owners, leave nothing of the run on
+        nodes the map vacated — a drained node must hold nothing before
+        it can retire — and re-pin the run. Returns the plan generator
+        for the new map; the caller's stays valid if anything raises.
+        """
+        restored = PlanGenerator(
+            generator.job, self.dfs, generator.run_id, partition_map
+        )
+        self.cluster.execute(checkpointer.recovery_plan(superstep, restored))
+        vacated = set(generator.partition_map.locations) - set(partition_map.locations)
+        for node_id in vacated:
+            self._drop_node_run_state(node_id, generator)
+        self.cluster.register_placement(generator.run_id, partition_map.locations)
+        return restored
 
     # ------------------------------------------------------------------
     # partition maps on an elastic cluster
@@ -326,7 +361,7 @@ class PregelixDriver:
         if not nodes:
             raise SchedulingError("cluster has no alive nodes")
         if num_partitions is None:
-            num_partitions = getattr(cluster, "virtual_partitions", None) or (
+            num_partitions = cluster.virtual_partitions or (
                 len(nodes) * cluster.scheduler.default_partitions_per_node
             )
         offset = 0
@@ -340,8 +375,8 @@ class PregelixDriver:
         An autoscaler may retire a node between map construction and the
         pin; registration validates membership, so losing that race just
         means rebuilding over the survivors. ``num_partitions`` overrides
-        the cluster-derived count — resume passes the count recorded in
-        the checkpoint manifest so restored partitions line up.
+        the cluster-derived count — resume passes the count the checkpoint
+        it restores was written with.
         """
         while True:
             partition_map = self._balanced_map(run_id, num_partitions=num_partitions)
@@ -352,21 +387,23 @@ class PregelixDriver:
             return partition_map
 
     # ------------------------------------------------------------------
-    # the superstep loop (shared with job pipelining)
+    # the superstep loop
     # ------------------------------------------------------------------
-    def _superstep_loop(self, job, generator, gs, scale_at=None,
-                        boundary_hook=None):
+    def _superstep_loop(self, generator, checkpointer, gs, scale_at,
+                        boundary_hook):
+        """Iterate ``generator.job`` from ``gs`` to its global halt.
+
+        Returns ``(gs, generator, stats, recoveries)``; the generator
+        comes back because rebalancing and recovery replace it.
+        """
+        job = generator.job
         telemetry = self.telemetry
-        retry = RetryPolicy(telemetry=telemetry)
+        retry = checkpointer.retry
         if getattr(self.dfs, "retry_policy", None) is None:
             # DFS-level retry absorbs transient write faults in place —
             # the only safe layer to retry once a plan has started
             # mutating vertex state.
             self.dfs.retry_policy = retry
-        retain = getattr(job, "checkpoint_retain", None) or 2
-        checkpointer = Checkpointer(
-            generator, telemetry=telemetry, retry=retry, retain=retain
-        )
         failures = FailureManager(self.cluster, telemetry=telemetry)
         heartbeats = HeartbeatMonitor(self.cluster, telemetry=telemetry)
         stats = StatisticsCollector(registry=telemetry.registry)
@@ -381,7 +418,6 @@ class PregelixDriver:
             )
             stats.optimizer_trace = optimizer.trace
             self._record_replan(optimizer.trace.decisions[-1], superstep=0)
-        injector = getattr(self.cluster, "fault_injector", None)
         scale_at = dict(scale_at) if scale_at else {}
         while True:
             try:
@@ -421,13 +457,8 @@ class PregelixDriver:
                     # killed at its own final boundary. Anything the
                     # hook raises outside the recoverable set below
                     # unwinds the run instead of re-entering recovery.
-                    if getattr(boundary_hook, "wants_gs", False):
-                        boundary_hook(gs.superstep, gs)
-                    else:
-                        boundary_hook(gs.superstep)
-                generator, checkpointer = self._maybe_rebalance(
-                    job, generator, checkpointer, gs, retry, retain, injector, stats
-                )
+                    boundary_hook(gs.superstep, gs)
+                generator = self._rebalance(generator, checkpointer, gs, stats)
                 with telemetry.span(
                     "superstep:%d" % (gs.superstep + 1),
                     category="superstep",
@@ -438,7 +469,7 @@ class PregelixDriver:
                     # retry whole; mid-plan transients are not, and are
                     # handled by DFS-level retry or checkpoint replay.
                     result = retry.call(
-                        lambda: self._attempt_superstep(injector, generator, gs),
+                        lambda: self._attempt_superstep(generator, gs),
                         describe="superstep %d" % (gs.superstep + 1),
                         classify=_retryable_at_boundary,
                     )
@@ -463,13 +494,7 @@ class PregelixDriver:
                         category="checkpoint",
                         run_id=generator.run_id,
                     ):
-                        self.cluster.execute(
-                            checkpointer.checkpoint_plan(gs.superstep)
-                        )
-                        # Commit from the in-memory GS tuple — the DFS
-                        # primary copy may have been corrupted by a
-                        # storage fault; the driver's copy cannot be.
-                        checkpointer.commit(gs.superstep, gs=gs)
+                        self._checkpoint(generator, checkpointer, gs)
             except (JobFailure, WorkerFailure, SchedulingError) as failure:
                 failure = self._classify_failure(failure, generator)
                 if not failures.is_recoverable(failure):
@@ -478,15 +503,7 @@ class PregelixDriver:
                 with telemetry.span(
                     "recovery", category="recovery", run_id=generator.run_id
                 ):
-                    gs, generator = self._recover(
-                        job, generator, checkpointer, failures
-                    )
-                self.cluster.register_placement(
-                    generator.run_id, generator.partition_map.locations
-                )
-                checkpointer = Checkpointer(
-                    generator, telemetry=telemetry, retry=retry, retain=retain
-                )
+                    gs, generator = self._recover(generator, checkpointer, failures)
                 recoveries += 1
                 telemetry.event(
                     "failure.recovered",
@@ -497,41 +514,50 @@ class PregelixDriver:
         stats.record_cluster(self.cluster)
         return gs, generator, stats, recoveries
 
-    def _attempt_superstep(self, injector, generator, gs):
+    def _attempt_superstep(self, generator, gs):
         """One try at superstep ``gs.superstep + 1``: arm faults, execute.
 
         Kept as a unit so boundary retry re-arms the injector — a
         one-shot ``superstep.begin`` fault consumed on attempt N must
         not leave attempt N+1 observing a half-armed schedule.
         """
-        if injector is not None:
-            injector.begin_superstep(gs.superstep + 1)
+        if self.cluster.fault_injector is not None:
+            self.cluster.fault_injector.begin_superstep(gs.superstep + 1)
         return self.cluster.execute(generator.superstep_plan(gs))
+
+    def _checkpoint(self, generator, checkpointer, gs):
+        """Snapshot the run at ``gs.superstep`` and commit it."""
+        self.cluster.execute(checkpointer.checkpoint_plan(gs.superstep, generator))
+        # Commit from the in-memory GS tuple — the DFS primary copy may
+        # have been corrupted by a storage fault; the driver's copy
+        # cannot be.
+        checkpointer.commit(gs.superstep, gs=gs)
 
     # ------------------------------------------------------------------
     # superstep-boundary rebalancing (elastic membership)
     # ------------------------------------------------------------------
-    def _maybe_rebalance(self, job, generator, checkpointer, gs, retry, retain,
-                         injector, stats):
+    def _rebalance(self, generator, checkpointer, gs, stats):
         """Hand partitions off to the current node set, if it changed.
 
         Membership changes (``add_node``/``drain_node``/``scale_to``)
         take effect here and only here: the boundary forces a verified
-        checkpoint at the current superstep, restores it onto the new
-        assignment via the standard recovery path, and swaps the plan
-        generator. The partition *count* never changes, so the restored
-        run is bit-identical to one that never moved. A failure anywhere
-        in the handoff propagates to the normal recovery handler, which
-        falls back to the latest verified checkpoint.
+        checkpoint at the current superstep and restores it onto the new
+        assignment (:meth:`_restore`); the returned plan generator
+        replaces the caller's. The partition *count* never changes, so
+        the restored run is bit-identical to one that never moved. A
+        failure anywhere in the handoff propagates to the normal
+        recovery handler, which falls back to the latest verified
+        checkpoint.
         """
         desired = self._balanced_map(
             generator.run_id,
             num_partitions=generator.partition_map.num_partitions,
         )
-        old_locations = list(generator.partition_map.locations)
+        old_locations = generator.partition_map.locations
         if desired.locations == old_locations:
-            return generator, checkpointer
+            return generator
         telemetry = self.telemetry
+        injector = self.cluster.fault_injector
         moved = sum(1 for a, b in zip(old_locations, desired.locations) if a != b)
         with telemetry.span(
             "rebalance:%d" % gs.superstep,
@@ -550,20 +576,10 @@ class PregelixDriver:
             )
             if injector is not None:
                 injector.check("rebalance", phase="checkpoint")
-            self.cluster.execute(checkpointer.checkpoint_plan(gs.superstep))
-            checkpointer.commit(gs.superstep, gs=gs)
-            new_generator = PlanGenerator(job, self.dfs, generator.run_id, desired)
+            self._checkpoint(generator, checkpointer, gs)
             if injector is not None:
                 injector.check("rebalance", phase="restore")
-            self.cluster.execute(
-                checkpointer.recovery_plan(gs.superstep, new_generator)
-            )
-            for node_id in set(old_locations) - set(desired.locations):
-                self._drop_node_run_state(node_id, generator)
-            self.cluster.register_placement(generator.run_id, desired.locations)
-            new_checkpointer = Checkpointer(
-                new_generator, telemetry=telemetry, retry=retry, retain=retain
-            )
+            generator = self._restore(generator, checkpointer, gs.superstep, desired)
             seconds = time.perf_counter() - started
             span.annotate(moved_partitions=moved, seconds=seconds)
             telemetry.event(
@@ -576,7 +592,7 @@ class PregelixDriver:
                 seconds=round(seconds, 6),
             )
             stats.record_rebalance(gs.superstep, seconds, moved)
-        return new_generator, new_checkpointer
+        return generator
 
     # ------------------------------------------------------------------
     # telemetry helpers
@@ -636,13 +652,13 @@ class PregelixDriver:
             return JobFailure(str(failure), cause=WorkerFailure(dead[0]))
         raise failure
 
-    def _recover(self, job, generator, checkpointer, failures):
+    def _recover(self, generator, checkpointer, failures):
         """Reload the latest checkpoint onto the surviving machines.
 
         Recovery itself may be hit by another recoverable failure (a
         second machine dies, or a fault fires during the restore plan);
         each such loss blacklists the machine and recovery restarts on
-        the remaining survivors.
+        the remaining survivors. Returns ``(gs, generator)``.
         """
         superstep = checkpointer.latest_checkpoint()
         if superstep is None:
@@ -656,24 +672,20 @@ class PregelixDriver:
                     "no healthy machines left to recover %s" % generator.run_id
                 )
             # Prefer schedulable survivors: a draining node should not
-            # receive recovered partitions it would only hand off again
-            # (and could retire under an unregistered map).
+            # receive recovered partitions it would only hand off again.
             schedulable = set(self.cluster.schedulable_node_ids())
             preferred = [n for n in healthy if n in schedulable] or healthy
             new_map = PartitionMap(
                 [preferred[i % len(preferred)] for i in range(generator.partition_map.num_partitions)]
             )
-            new_generator = PlanGenerator(job, self.dfs, generator.run_id, new_map)
             try:
-                self.cluster.execute(checkpointer.recovery_plan(superstep, new_generator))
+                generator = self._restore(generator, checkpointer, superstep, new_map)
             except JobFailure as failure:
                 if not failures.is_recoverable(failure):
                     raise
                 failures.record(failure)
                 continue
-            break
-        gs = checkpointer.restore_gs(superstep)
-        return gs, new_generator
+            return checkpointer.restore_gs(superstep), generator
 
     # ------------------------------------------------------------------
     # cleanup

@@ -14,20 +14,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.algorithms import ALGORITHMS
 from repro.common.errors import ReproError
 
 #: Algorithms the service can execute: name -> (module path, accepted
-#: request params). Mirrors the CLI table; kept here so the serve layer
-#: does not import the CLI.
+#: request params) — the servable rows of :data:`repro.algorithms.ALGORITHMS`.
 SERVABLE_ALGORITHMS = {
-    "pagerank": ("repro.algorithms.pagerank", ("iterations",)),
-    "sssp": ("repro.algorithms.sssp", ("source_id",)),
-    "cc": ("repro.algorithms.connected_components", ()),
-    "reachability": ("repro.algorithms.reachability", ("sources",)),
-    "triangles": ("repro.algorithms.triangle_counting", ()),
-    "bfs-tree": ("repro.algorithms.bfs_spanning_tree", ("root",)),
-    "scc": ("repro.algorithms.scc", ()),
-    "list-ranking": ("repro.algorithms.list_ranking", ()),
+    name: (entry.module, entry.params)
+    for name, entry in ALGORITHMS.items()
+    if entry.servable
 }
 
 

@@ -26,6 +26,8 @@ import json
 import threading
 from collections import OrderedDict
 
+from repro.pregelix.api import PlanChoice
+
 #: Result-document fields covered by :func:`result_digest` — exactly the
 #: deterministic payload the differential harness proves bit-identical
 #: per (budget, group-by, connector) class. Timings, run ids, and
@@ -161,14 +163,10 @@ class PlanCache:
 
     def remember(self, dataset_digest, algorithm, job):
         with self._lock:
-            self._plans[(dataset_digest, algorithm)] = {
-                "join": job.join_strategy,
-                "groupby": job.groupby_strategy,
-                "connector": job.connector_policy,
-                "storage": job.vertex_storage,
-            }
+            self._plans[(dataset_digest, algorithm)] = PlanChoice.of(job)
 
     def lookup(self, dataset_digest, algorithm):
+        """The remembered :class:`~repro.pregelix.api.PlanChoice`, or ``None``."""
         with self._lock:
             return self._plans.get((dataset_digest, algorithm))
 
@@ -177,10 +175,7 @@ class PlanCache:
         plan = self.lookup(dataset_digest, algorithm)
         if plan is None:
             return False
-        job.join_strategy = plan["join"]
-        job.groupby_strategy = plan["groupby"]
-        job.connector_policy = plan["connector"]
-        job.vertex_storage = plan["storage"]
+        plan.apply(job)
         return True
 
     def __len__(self):

@@ -1,11 +1,10 @@
 """Resident datasets: graphs loaded once into the service's DFS."""
 
 import hashlib
-import os
 from dataclasses import dataclass
 
 from repro.common.errors import ReproError
-from repro.graphs.io import write_graph_to_dfs
+from repro.graphs.io import ingest_part_files, write_graph_to_dfs
 
 
 @dataclass
@@ -44,15 +43,7 @@ def load_dataset(dfs, name, vertices=None, local_dir=None, num_files=1):
     if vertices is not None:
         write_graph_to_dfs(dfs, path, iter(vertices), num_files=num_files)
     else:
-        part_files = sorted(
-            entry for entry in os.listdir(local_dir)
-            if os.path.isfile(os.path.join(local_dir, entry))
-        )
-        if not part_files:
-            raise ReproError("no input files in %s" % local_dir)
-        for entry in part_files:
-            with open(os.path.join(local_dir, entry)) as handle:
-                dfs.write("%s/%s" % (path, entry), handle.read())
+        ingest_part_files(dfs, local_dir, path)
     digest = hashlib.sha256()
     files = sorted(dfs.list_files(path))
     for file_path in files:

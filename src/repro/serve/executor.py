@@ -15,10 +15,10 @@ alone, which is their retry).
 
 import collections
 import contextlib
-import importlib
 import threading
 import time
 
+from repro.algorithms import algorithm_module
 from repro.common.errors import DeadlineExceeded, JobCancelled
 from repro.pregelix.failure import failure_cause, is_transient
 from repro.pregelix.multiquery import MultiQueryProgram
@@ -26,7 +26,6 @@ from repro.pregelix.runtime import PregelixDriver
 from repro.serve import plans
 from repro.serve.api import (
     ERROR_KIND_TIMEOUT,
-    SERVABLE_ALGORITHMS,
     JobState,
     ServiceCrashed,
     result_document,
@@ -355,7 +354,7 @@ class Executor:
         service = self.service
         leader = lanes[0]
         algorithm = leader.request.algorithm
-        module = importlib.import_module(SERVABLE_ALGORITHMS[algorithm][0])
+        module = algorithm_module(algorithm)
         driver = PregelixDriver(service.cluster, service.dfs)
         if len(lanes) > 1:
             program = MultiQueryProgram(
@@ -437,7 +436,7 @@ class Executor:
         lanes = list(members)
         leader = lanes[0]
 
-        def hook(superstep):
+        def hook(superstep, gs=None):
             for record in members:
                 record.note_boundary()
             if lifecycle.crashed:

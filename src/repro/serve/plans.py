@@ -9,25 +9,10 @@ the result-cache lookup all build their job here, so they cannot
 disagree about which plan a request would run under.
 """
 
-import importlib
-
+from repro.algorithms import ALGORITHMS, algorithm_module
 from repro.common.errors import ReproError
-from repro.serve.api import SERVABLE_ALGORITHMS
+from repro.pregelix.api import PlanChoice
 from repro.serve.cache import ResultCache, plan_class
-
-
-def _plan_choice():
-    # Imported on first use: repro.chaos drags in the fault and drill
-    # harness, which `repro serve` start-up should not pay for.
-    from repro.chaos.differential import PlanChoice
-
-    return PlanChoice
-
-
-def parse_plan(signature):
-    """A ``join/groupby/connector/storage`` signature as a plan choice;
-    raises :class:`ValueError` on a malformed one."""
-    return _plan_choice().parse(signature)
 
 
 def build_job(request, dataset, plan_cache, plan_signature=None):
@@ -39,21 +24,19 @@ def build_job(request, dataset, plan_cache, plan_signature=None):
         committed checkpoints under, despite the restarted process's
         empty plan cache.
     """
-    module_name, param_names = SERVABLE_ALGORITHMS[request.algorithm]
-    module = importlib.import_module(module_name)
-    unknown = set(request.params) - set(param_names)
+    unknown = set(request.params) - set(ALGORITHMS[request.algorithm].params)
     if unknown:
         raise ReproError(
             "algorithm %r takes no parameter(s) %s"
             % (request.algorithm, ", ".join(sorted(unknown)))
         )
-    job = module.build_job(**request.params)
+    job = algorithm_module(request.algorithm).build_job(**request.params)
     if request.max_supersteps is not None:
         job.max_supersteps = int(request.max_supersteps)
     if request.plan is not None:
-        parse_plan(request.plan).apply(job)
+        PlanChoice.parse(request.plan).apply(job)
     elif plan_signature is not None:
-        parse_plan(plan_signature).apply(job)
+        PlanChoice.parse(plan_signature).apply(job)
     elif request.optimize:
         job.auto_optimize = True
     else:
@@ -63,10 +46,7 @@ def build_job(request, dataset, plan_cache, plan_signature=None):
 
 def plan_signature(job):
     """The job's resolved plan as a short, parseable signature."""
-    return _plan_choice()(
-        job.join_strategy, job.groupby_strategy,
-        job.connector_policy, job.vertex_storage,
-    ).signature()
+    return PlanChoice.of(job).signature()
 
 
 def cache_key(request, dataset, job):

@@ -28,6 +28,7 @@ import time
 from repro.common.errors import ReproError
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
+from repro.pregelix.api import PlanChoice
 from repro.pregelix.failure import HeartbeatMonitor, RetryPolicy
 from repro.serve.autoscale import Autoscaler, AutoscalePolicy
 from repro.serve import plans
@@ -503,7 +504,7 @@ class JobService(ServiceDocuments):
             )
         if request.plan is not None:
             try:
-                plans.parse_plan(request.plan)
+                PlanChoice.parse(request.plan)
             except ValueError as error:
                 return Rejection(
                     code=REJECT_BAD_REQUEST,

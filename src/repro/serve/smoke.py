@@ -6,7 +6,6 @@ only when every check held. They share one check ledger, one JSON HTTP
 client and one poll-until helper (:class:`_Smoke`).
 """
 
-import importlib
 import json
 import os
 import shutil
@@ -20,13 +19,14 @@ import urllib.error
 import urllib.request
 
 import repro
+from repro.algorithms import algorithm_module
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.serve.admission import TenantQuota
-from repro.serve.api import SERVABLE_ALGORITHMS, JobState
+from repro.serve.api import JobState
 from repro.serve.http import ServeHTTPServer
 from repro.serve.service import JobService
 
@@ -98,7 +98,7 @@ def serve_smoke(args, out=print):
     try:
         dfs = MiniDFS(datanodes=cluster.node_ids())
         write_graph_to_dfs(dfs, "/in/g", iter(vertices), num_files=3)
-        module = importlib.import_module(SERVABLE_ALGORITHMS["cc"][0])
+        module = algorithm_module("cc")
         driver = PregelixDriver(cluster, dfs)
         driver.run(
             module.build_job(),

@@ -215,3 +215,31 @@ class TestDatasetRegistry:
         assert n == 10 and e == 9
         assert avg == pytest.approx(0.9)
         assert size > 0
+
+
+class TestPartFileDirectories:
+    def test_ingest_then_export_round_trips(self, tmp_path):
+        from repro.graphs.io import export_part_files, ingest_part_files
+        from repro.hdfs import MiniDFS
+
+        source = tmp_path / "in"
+        source.mkdir()
+        (source / "part-00000").write_text("0 _ 1:1.0\n")
+        (source / "part-00001").write_text("1 _\n")
+        (source / "nested").mkdir()  # directories are not part files
+        dfs = MiniDFS(datanodes=["node0"])
+        ingest_part_files(dfs, str(source), "/data/g")
+        assert dfs.list_files("/data/g") == [
+            "/data/g/part-00000", "/data/g/part-00001"
+        ]
+        export_part_files(dfs, "/data/g", str(tmp_path / "out" / "deep"))
+        assert (tmp_path / "out" / "deep" / "part-00000").read_text() == "0 _ 1:1.0\n"
+        assert (tmp_path / "out" / "deep" / "part-00001").read_text() == "1 _\n"
+
+    def test_ingest_of_an_empty_directory_raises(self, tmp_path):
+        from repro.common.errors import ReproError
+        from repro.graphs.io import ingest_part_files
+        from repro.hdfs import MiniDFS
+
+        with pytest.raises(ReproError, match="no input files in"):
+            ingest_part_files(MiniDFS(datanodes=["node0"]), str(tmp_path), "/x")

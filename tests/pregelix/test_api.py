@@ -223,3 +223,33 @@ class TestPregelixJob:
         gs = GlobalState(halt=True, aggregate=None, superstep=5, num_vertices=10, num_edges=20)
         codec = job.gs_codec()
         assert decode_global_state(codec, encode_global_state(codec, gs)) == gs
+
+
+class TestPlanEncoding:
+    """The 16-plan short-code encoding lives beside the enums; every
+    spelling of a plan the system persists or prints is pinned here."""
+
+    def test_three_spellings_of_one_plan(self):
+        from repro.algorithms import sssp
+        from repro.pregelix.api import PlanChoice
+        from repro.serve import plans
+        from repro.serve.cache import plan_class
+
+        job = sssp.build_job(vertex_storage=VertexStorage.LSM_BTREE)
+        # the journal's plan pin
+        assert plans.plan_signature(job) == "loj/hashsort/unmerged/lsm"
+        # the result document's `plan`
+        assert job.plan_signature() == (
+            "left-outer-join/hashsort/m-to-n-partitioning/lsm-btree"
+        )
+        # the result cache's bit-identity class
+        assert plan_class(job) == "hashsort/m-to-n-partitioning"
+        assert PlanChoice.parse("loj/hashsort/unmerged/lsm") == PlanChoice.of(job)
+
+    def test_chaos_re_exports_the_same_objects(self):
+        import repro.chaos
+        from repro.pregelix import api
+
+        assert repro.chaos.PlanChoice is api.PlanChoice
+        assert repro.chaos.all_plans is api.all_plans
+        assert len(api.all_plans()) == 16

@@ -74,3 +74,19 @@ class TestPipelineOutcome:
         }
         assert values[5] == 0.0
         assert len(outcome.outcomes) == 2
+
+
+class TestBoundaryHook:
+    def test_hook_gets_every_boundary_and_the_in_memory_gs(self, driver, dfs):
+        """One call shape, `hook(superstep, gs)`, before each superstep
+        and never after the job's final one."""
+        write_graph_to_dfs(dfs, "/in/b", chain_graph(10), num_files=2)
+        seen = []
+        outcome = driver.run(
+            pagerank.build_job(iterations=3), "/in/b",
+            boundary_hook=lambda superstep, gs: seen.append(
+                (superstep, gs.superstep, gs.halt)
+            ),
+        )
+        assert outcome.supersteps == 3
+        assert seen == [(0, 0, False), (1, 1, False), (2, 2, False)]

@@ -121,7 +121,7 @@ class TestResultCache:
         digest = service.datasets["g"].digest
         remembered = service.plan_cache.lookup(digest, "cc")
         assert remembered is not None
-        assert remembered["storage"].value == "lsm-btree"
+        assert remembered.storage.value == "lsm-btree"
 
 
 class TestRejections:

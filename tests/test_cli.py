@@ -96,12 +96,30 @@ class TestRun:
         assert code == 0
         assert any("vertices: 15" in line for line in lines)
 
-    def test_missing_input_directory(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "pipeline"])
+    def test_missing_input_directory(self, tmp_path, command):
         empty = str(tmp_path / "empty")
         os.makedirs(empty)
-        code, lines = run_cli(["run", "sssp", "--input", empty])
+        code, lines = run_cli([command, "sssp", "--input", empty])
         assert code == 2
-        assert any("no input files" in line for line in lines)
+        assert lines == ["error: no input files in %s" % empty]
+
+    def test_pipeline_of_one_writes_what_run_writes(self, chain_dir, tmp_path):
+        """The CI recipe: `repro pipeline X` and `repro run X` agree."""
+        outputs = {}
+        for command in ("run", "pipeline"):
+            out_dir = str(tmp_path / command)
+            code, _lines = run_cli(
+                [command, "pagerank", "--input", chain_dir, "--output", out_dir,
+                 "--nodes", "3", "--iterations", "3"]
+            )
+            assert code == 0
+            outputs[command] = {
+                name: open(os.path.join(out_dir, name)).read()
+                for name in sorted(os.listdir(out_dir))
+            }
+        assert outputs["pipeline"] == outputs["run"]
+        assert len(outputs["run"]) == 3
 
 
 class TestTrace:

@@ -11,14 +11,33 @@ A serde converts a single value to ``bytes`` and back:
     >>> INT64.loads(INT64.dumps(42))
     42
 
-Composite serdes (:class:`TupleSerde`, :class:`ListSerde`,
-:class:`OptionalSerde`) length-prefix nested variable-size fields so they
-can be concatenated inside record encodings.
+Layout (frozen: pages, run files and checkpoints hold these bytes).
+:class:`TupleSerde` writes every field behind a big-endian ``>I`` length,
+:class:`ListSerde` a ``>I`` count and then every element behind its
+length, :class:`PackedListSerde` a count and then bare fixed-width
+elements, :class:`FixedPairSerde` two bare fields, :class:`OptionalSerde`
+a flag byte and then the value.
+
+How the bytes are produced is decided once, at construction, from the
+``fixed_size`` of the parts. A run of fixed-width parts, together with
+the length prefixes around it, is one :class:`struct.Struct` — the
+prefixes are constants among its arguments — so ``TupleSerde(INT64,
+FLOAT64)`` is one ``pack(8, vid + bias, 8, x)`` and one ``unpack``; only
+variable-width parts are encoded by their own serde, and decoded from a
+``memoryview`` slice with no copy. ``sizeof`` is arithmetic throughout
+and always equals ``len(dumps(value))``.
+
+Every composite ``loads`` accounts for every byte it was given: a length
+that overruns the buffer, a count that does not match it, a prefix of a
+fixed-width field that is not that width, or bytes left over raise
+:class:`~repro.common.errors.StorageError`.
 """
 
+import functools
 import struct
 
-_I64 = struct.Struct(">q")
+from repro.common.errors import StorageError
+
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
@@ -31,6 +50,17 @@ _SIGN_BIAS = 1 << 63
 class Serde:
     """Codec interface: ``dumps`` a value to bytes, ``loads`` it back."""
 
+    #: Encoded width in bytes when every value has the same one.
+    fixed_size = None
+
+    #: Layout rule, frozen with the formats: :class:`OptionalSerde` pads
+    #: NULL to full width, and vertex rows pack their edge list, only over
+    #: the codecs that declared a width when those layouts were set
+    #: (INT64, FLOAT64, BOOL, :class:`FixedPairSerde`). ``fixed_size`` has
+    #: since been stated by every codec; widening this rule with it would
+    #: change stored bytes.
+    layout_fixed = False
+
     def dumps(self, value):
         raise NotImplementedError
 
@@ -38,14 +68,34 @@ class Serde:
         raise NotImplementedError
 
     def sizeof(self, value):
-        """Serialized size in bytes (used by memory accounting)."""
-        return len(self.dumps(value))
+        """Serialized size in bytes, computed without encoding (used by
+        memory and network accounting)."""
+        raise NotImplementedError
+
+    def sizeof_many(self, items):
+        """Total serialized size of a batch (a list) of values."""
+        if self.fixed_size is not None:
+            return self.fixed_size * len(items)
+        return sum(map(self.sizeof, items))
+
+    # Fixed-width codecs describe their image to the composites that
+    # compile them into a larger struct (see _compile).
+    def _pack_fields(self, expr):
+        """``[(struct code, argument source)]`` encoding the value that
+        the source expression ``expr`` evaluates to."""
+        raise NotImplementedError
+
+    def _unpack_expr(self, shape):
+        """Source expression rebuilding the value from the unpacked
+        names it takes, in order, from ``shape``."""
+        raise NotImplementedError
 
 
 class Int64Serde(Serde):
     """Signed 64-bit integers, order-preserving big-endian encoding."""
 
     fixed_size = 8
+    layout_fixed = True
 
     def dumps(self, value):
         return _U64.pack(value + _SIGN_BIAS)
@@ -56,11 +106,18 @@ class Int64Serde(Serde):
     def sizeof(self, value):
         return 8
 
+    def _pack_fields(self, expr):
+        return [("Q", "%s + %d" % (expr, _SIGN_BIAS))]
+
+    def _unpack_expr(self, shape):
+        return "%s - %d" % (shape.take(), _SIGN_BIAS)
+
 
 class Float64Serde(Serde):
     """IEEE-754 doubles."""
 
     fixed_size = 8
+    layout_fixed = True
 
     def dumps(self, value):
         return _F64.pack(value)
@@ -71,20 +128,35 @@ class Float64Serde(Serde):
     def sizeof(self, value):
         return 8
 
+    def _pack_fields(self, expr):
+        return [("d", expr)]
+
+    def _unpack_expr(self, shape):
+        return shape.take()
+
 
 class BoolSerde(Serde):
     """Single-byte booleans."""
 
     fixed_size = 1
+    layout_fixed = True
 
     def dumps(self, value):
         return b"\x01" if value else b"\x00"
 
     def loads(self, data):
+        if len(data) != 1:
+            _corrupt("boolean of %d bytes" % len(data))
         return data != b"\x00"
 
     def sizeof(self, value):
         return 1
+
+    def _pack_fields(self, expr):
+        return [("?", expr)]
+
+    def _unpack_expr(self, shape):
+        return shape.take()
 
 
 class StringSerde(Serde):
@@ -94,7 +166,12 @@ class StringSerde(Serde):
         return value.encode("utf-8")
 
     def loads(self, data):
-        return bytes(data).decode("utf-8")
+        return str(data, "utf-8")
+
+    def sizeof(self, value):
+        # The one codec that cannot size without encoding: the UTF-8
+        # width of a character is not a function of the string's length.
+        return len(value.encode("utf-8"))
 
 
 class BytesSerde(Serde):
@@ -110,82 +187,469 @@ class BytesSerde(Serde):
         return len(value)
 
 
+class FixedBytesSerde(Serde):
+    """Raw byte strings of one known width (index keys)."""
+
+    def __init__(self, width):
+        self.fixed_size = int(width)
+
+    def dumps(self, value):
+        if len(value) != self.fixed_size:
+            _bad_width(value, self.fixed_size)
+        return bytes(value)
+
+    def loads(self, data):
+        if len(data) != self.fixed_size:
+            _corrupt("%d bytes where %d were expected" % (len(data), self.fixed_size))
+        return bytes(data)
+
+    def sizeof(self, value):
+        return self.fixed_size
+
+    def _pack_fields(self, expr):
+        # struct's "Ns" pads or cuts silently; a key of the wrong width
+        # must not be stored as a different key.
+        width = self.fixed_size
+        return [(
+            "%ds" % width,
+            "(%s if len(%s) == %d else bad_width(%s, %d))"
+            % (expr, expr, width, expr, width),
+        )]
+
+    def _unpack_expr(self, shape):
+        return shape.take()
+
+
 class NullSerde(Serde):
     """Zero-byte codec for fields that are always ``None``."""
+
+    fixed_size = 0
 
     def dumps(self, value):
         return b""
 
     def loads(self, data):
+        if len(data):
+            _corrupt("%d bytes where a NULL was expected" % len(data))
         return None
 
     def sizeof(self, value):
         return 0
 
+    def _pack_fields(self, expr):
+        return []
 
-class OptionalSerde(Serde):
-    """Wraps another serde, spending one byte on a null flag.
+    def _unpack_expr(self, shape):
+        return "None"
 
-    When the inner type is fixed-size, NULLs are padded to the same
-    width, so a vertex value flipping from NULL to a real value (every
-    algorithm's superstep 1) does not change the record size — which
-    would otherwise force a page split for every vertex in the index.
+
+# ----------------------------------------------------------------------
+# compiling a shape
+# ----------------------------------------------------------------------
+def _corrupt(what):
+    raise StorageError("damaged serialized value: %s" % what)
+
+
+def _bad_arity(value, expected):
+    raise ValueError("expected %d fields, got %d" % (expected, len(value)))
+
+
+def _bad_width(value, expected):
+    raise ValueError(
+        "expected a %d-byte string, got %d bytes" % (expected, len(value))
+    )
+
+
+def _guarded(expr, arity):
+    """Source for ``expr`` that raises unless it has ``arity`` items."""
+    return "(%s if len(%s) == %d else bad_arity(%s, %d))" % (
+        expr, expr, arity, expr, arity
+    )
+
+
+#: What packs to all-zero bytes, per struct code (NULL padding).
+_ZEROS = {"Q": "0", "I": "0", "d": "0.0", "?": "False", "s": 'b""'}
+
+
+def _indent(lines):
+    return ["    " + line for line in lines]
+
+
+class _Shape:
+    """The names the source of one compiled codec refers to."""
+
+    def __init__(self):
+        self.bound = []    # objects the code calls: b0, b1, ...
+        self.formats = []  # struct formats: t0, t1, ...
+        self.taken = 0     # unpacked values: v1, v2, ...
+        self.checks = []   # conditions every undamaged image satisfies
+
+    def bind(self, obj):
+        self.bound.append(obj)
+        return "b%d" % (len(self.bound) - 1)
+
+    def struct(self, codes):
+        self.formats.append(">" + "".join(codes))
+        return "t%d" % (len(self.formats) - 1)
+
+    def take(self):
+        self.taken += 1
+        return "v%d" % self.taken
+
+    def taken_since(self, mark):
+        return ["v%d" % i for i in range(mark + 1, self.taken + 1)]
+
+    def build(self, functions):
+        """The ``(dumps, loads, sizeof)`` that the lines of ``functions``
+        define."""
+        lines = ["t%d = Struct(%r)" % item for item in enumerate(self.formats)]
+        lines.append(
+            "def build(%s):" % ", ".join("b%d" % i for i in range(len(self.bound)))
+        )
+        lines += _indent(functions + ["return dumps, loads, sizeof"])
+        return _builder("\n".join(lines))(*self.bound)
+
+
+@functools.lru_cache(maxsize=512)
+def _builder(source):
+    """The ``build`` function that ``source`` defines. Plans construct the
+    same few shapes again every superstep; the source *is* the shape (the
+    sub-codecs it calls are arguments of ``build``), so each shape is
+    compiled once."""
+    namespace = {
+        "Struct": struct.Struct,
+        "pack_count": _U32.pack,
+        "unpack_count": _U32.unpack_from,
+        "new_tuple": tuple.__new__,
+        "struct_error": struct.error,
+        "corrupt": _corrupt,
+        "bad_arity": _bad_arity,
+        "bad_width": _bad_width,
+    }
+    exec(source, namespace)
+    return namespace["build"]
+
+
+def _compile(parts, result, arity=None):
+    """``(dumps, loads, sizeof, fixed_size)`` for a sequence of parts.
+
+    A part is ``("prefix", width)`` — the ``>I`` length in front of a
+    fixed-width field, a constant —, ``("fixed", serde, expr)`` — a
+    fixed-width codec packed in line from ``expr``, the source expression
+    of its value — or ``("variable", serde, expr)`` — a length and then
+    whatever ``serde.dumps`` gives. Prefixes and fixed parts that touch
+    form one struct. ``result`` is a ``%`` template over the decoded
+    fixed and variable parts; ``arity`` is the length ``value`` must have.
     """
+    shape = _Shape()
+    variable = any(kind == "variable" for kind, *_ in parts)
+    encode = []    # statements of dumps before its return
+    pieces = []    # the bytes-valued expressions it concatenates
+    walk = []      # statements of loads that consume the buffer
+    decoded = []   # source of each decoded part
+    sizes = []     # terms of sizeof
+    run = []       # (code, argument) of the struct being collected
+    names = []     # what unpacking it binds
 
-    def __init__(self, inner):
-        self.inner = inner
-        self._pad = getattr(inner, "fixed_size", None)
+    def close_run():
+        codes = [code for code, _ in run]
+        packer = shape.struct(codes)
+        width = struct.calcsize(">" + "".join(codes))
+        pieces.append("%s.pack(%s)" % (packer, ", ".join(arg for _, arg in run)))
+        if variable:
+            walk.append("%s, = %s.unpack_from(view, off)" % (", ".join(names), packer))
+            walk.append("off += %d" % width)
+        else:
+            walk.append("%s, = %s.unpack(data)" % (", ".join(names), packer))
+        sizes.append(str(width))
+        del run[:], names[:]
 
-    def dumps(self, value):
-        if value is None:
-            if self._pad is not None:
-                return b"\x00" * (1 + self._pad)
-            return b"\x00"
-        return b"\x01" + self.inner.dumps(value)
+    for kind, *rest in parts:
+        mark = shape.taken
+        if kind == "prefix":
+            (width,) = rest
+            run.append(("I", str(width)))
+            shape.checks.append("%s == %d" % (shape.take(), width))
+        elif kind == "fixed":
+            serde, expr = rest
+            run.extend(serde._pack_fields(expr))
+            decoded.append(serde._unpack_expr(shape))
+        else:
+            serde, expr = rest
+            codec, index, length = shape.bind(serde), len(decoded), shape.take()
+            encode.append("e%d = %s.dumps(%s)" % (index, codec, expr))
+            run.append(("I", "len(e%d)" % index))
+            names.append(length)
+            close_run()
+            pieces.append("e%d" % index)
+            walk += [
+                "end = off + %s" % length,
+                "if end > size:",
+                "    corrupt('a length of %%d overruns the buffer' %% %s)" % length,
+                "r%d = %s.loads(view[off:end])" % (index, codec),
+                "off = end",
+            ]
+            decoded.append("r%d" % index)
+            sizes.append("%s.sizeof(%s)" % (codec, expr))
+            continue
+        names.extend(shape.taken_since(mark))
+    if run:
+        close_run()
 
-    def loads(self, data):
-        if data[:1] == b"\x00":
-            return None
-        return self.inner.loads(data[1:])
+    dumps = ["def dumps(value):"]
+    if arity is not None:
+        dumps += ["    if len(value) != %d:" % arity,
+                  "        bad_arity(value, %d)" % arity]
+    dumps += _indent(encode)
+    if len(pieces) == 1:
+        dumps.append("    return " + pieces[0])
+    else:
+        dumps.append('    return b"".join((%s))' % "".join(p + ", " for p in pieces))
 
-    def sizeof(self, value):
-        if self._pad is not None:
-            return 1 + self._pad
-        return len(self.dumps(value))
+    loads = ["def loads(data):"]
+    checks = list(shape.checks)
+    if variable:
+        loads += ["    view = memoryview(data)", "    size = len(view)", "    off = 0"]
+        checks.insert(0, "off == size")
+    if walk:
+        loads += ["    try:"] + _indent(_indent(walk))
+        loads += ["    except struct_error as exc:", "        corrupt(exc)"]
+    else:
+        checks.insert(0, "not len(data)")
+    if checks:
+        loads += [
+            "    if not (%s):" % " and ".join(checks),
+            "        corrupt('framing does not add up to the %d bytes given' % len(data))",
+        ]
+    loads.append("    return " + result % tuple(decoded))
+
+    sizeof = ["def sizeof(value):", "    return " + (" + ".join(sizes) or "0")]
+    fixed_size = None if variable else sum(int(term) for term in sizes)
+    return shape.build(dumps + loads + sizeof) + (fixed_size,)
 
 
-class TupleSerde(Serde):
-    """Fixed-arity heterogeneous tuples; each field is length-prefixed."""
+def _compile_repeated(element, framed):
+    """``(dumps, loads, sizeof, None)`` for a ``>I`` count and then that
+    many records of one fixed-width ``element`` codec, each behind its
+    (constant) length when ``framed``: one ``pack`` per record, one
+    ``iter_unpack`` per list.
+    """
+    shape = _Shape()
+    fields = element._pack_fields("e")
+    if framed:
+        fields.insert(0, ("I", str(element.fixed_size)))
+        shape.checks.append("%s == %d" % (shape.take(), element.fixed_size))
+    rebuilt = element._unpack_expr(shape)
+    record = shape.struct(code for code, _ in fields)
+    width = struct.calcsize(shape.formats[-1])
+    if not width:
+        raise ValueError("a packed list needs elements wider than 0 bytes")
+    if shape.checks:
+        rebuilt = "%s if %s else corrupt('an element length')" % (
+            rebuilt, " and ".join(shape.checks)
+        )
+    return shape.build([
+        "def dumps(value):",
+        "    return pack_count(len(value)) + b''.join([",
+        "        %s.pack(%s) for e in value])" % (record, ", ".join(a for _, a in fields)),
+        "def loads(data):",
+        "    view = memoryview(data)",
+        "    try:",
+        "        count, = unpack_count(view, 0)",
+        "        if 4 + %d * count != len(view):" % width,
+        "            corrupt('a count of %d does not match %d bytes' % (count, len(view)))",
+        "        return [%s for %s, in %s.iter_unpack(view[4:])]"
+        % (rebuilt, ", ".join(shape.taken_since(0)), record),
+        "    except struct_error as exc:",
+        "        corrupt(exc)",
+        "def sizeof(value):",
+        "    return 4 + %d * len(value)" % width,
+    ]) + (None,)
 
-    def __init__(self, *field_serdes):
-        self.field_serdes = field_serdes
 
-    def dumps(self, value):
-        if len(value) != len(self.field_serdes):
-            raise ValueError(
-                "expected %d fields, got %d" % (len(self.field_serdes), len(value))
-            )
-        parts = []
-        for serde, field in zip(self.field_serdes, value):
-            encoded = serde.dumps(field)
+def _framed_list(element):
+    """The same layout as ``_compile_repeated(element, framed=True)`` for
+    a variable-width ``element`` codec: element by element."""
+
+    def dumps(value):
+        parts = [_U32.pack(len(value))]
+        for item in value:
+            encoded = element.dumps(item)
             parts.append(_U32.pack(len(encoded)))
             parts.append(encoded)
         return b"".join(parts)
 
-    def loads(self, data):
+    def loads(data):
         view = memoryview(data)
+        size = len(view)
+        items = []
+        try:
+            (count,) = _U32.unpack_from(view, 0)
+            offset = 4
+            for _ in range(count):
+                (length,) = _U32.unpack_from(view, offset)
+                offset += 4
+                if offset + length > size:
+                    _corrupt("a length of %d overruns the buffer" % length)
+                items.append(element.loads(view[offset : offset + length]))
+                offset += length
+        except struct.error as exc:
+            _corrupt(exc)
+        if offset != size:
+            _corrupt("%d bytes after the last element" % (size - offset))
+        return items
+
+    def sizeof(value):
+        return 4 + 4 * len(value) + element.sizeof_many(value)
+
+    return dumps, loads, sizeof, None
+
+
+def _flagged(inner):
+    """A flag byte, then the ``inner`` codec's bytes unless NULL."""
+
+    def dumps(value):
+        if value is None:
+            return b"\x00"
+        return b"\x01" + inner.dumps(value)
+
+    def loads(data):
+        view = memoryview(data)
+        if len(view) and view[0]:
+            return inner.loads(view[1:])
+        if len(view) != 1:
+            _corrupt("NULL flag in a value of %d bytes" % len(view))
+        return None
+
+    def sizeof(value):
+        return 1 if value is None else 1 + inner.sizeof(value)
+
+    return dumps, loads, sizeof, None
+
+
+# ----------------------------------------------------------------------
+# composites
+# ----------------------------------------------------------------------
+class _Composite(Serde):
+    """A codec whose shape was compiled when it was constructed.
+
+    ``dumps``/``loads``/``sizeof`` stay ordinary class attributes (that
+    is where instrumentation wraps them); the compiled functions sit
+    behind them.
+    """
+
+    def _adopt(self, compiled):
+        self._dumps, self._loads, self._sizeof, self.fixed_size = compiled
+
+    def dumps(self, value):
+        return self._dumps(value)
+
+    def loads(self, data):
+        return self._loads(data)
+
+    def sizeof(self, value):
+        return self._sizeof(value)
+
+
+class OptionalSerde(_Composite):
+    """Wraps another serde, spending one byte on a null flag.
+
+    When the inner type is one of the ``layout_fixed`` codecs, NULLs are
+    padded to the same width, so a vertex value flipping from NULL to a
+    real value (every algorithm's superstep 1) does not change the record
+    size — which would otherwise force a page split for every vertex in
+    the index.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        if inner.layout_fixed:
+            self._adopt(_compile([("fixed", self, "value")], "%s"))
+        else:
+            self._adopt(_flagged(inner))
+
+    def _pack_fields(self, expr):
+        present = "%s is not None" % expr
+        return [("?", present)] + [
+            (code, "(%s if %s else %s)" % (arg, present, _ZEROS[code[-1]]))
+            for code, arg in self.inner._pack_fields(expr)
+        ]
+
+    def _unpack_expr(self, shape):
+        flag = shape.take()
+        mark = len(shape.checks)
+        inner = self.inner._unpack_expr(shape)
+        # Under a NULL the padding is zeros, whatever the inner framing.
+        shape.checks[mark:] = [
+            "(not %s or %s)" % (flag, check) for check in shape.checks[mark:]
+        ]
+        return "(%s if %s else None)" % (inner, flag)
+
+
+class TupleSerde(_Composite):
+    """Fixed-arity heterogeneous tuples; each field behind its length."""
+
+    def __init__(self, *field_serdes):
+        self.field_serdes = field_serdes
+        parts = []
+        for index, field in enumerate(field_serdes):
+            item = "value[%d]" % index
+            if field.fixed_size is None:
+                parts.append(("variable", field, item))
+            else:
+                parts += [("prefix", field.fixed_size), ("fixed", field, item)]
+        result = "(%s)" % ("%s, " * len(field_serdes))
+        self._adopt(_compile(parts, result, arity=len(field_serdes)))
+
+    def _pack_fields(self, expr):
         fields = []
-        offset = 0
-        for serde in self.field_serdes:
-            (length,) = _U32.unpack_from(view, offset)
-            offset += 4
-            fields.append(serde.loads(bytes(view[offset : offset + length])))
-            offset += length
-        return tuple(fields)
+        item = _guarded(expr, len(self.field_serdes)) + "[%d]"
+        for index, field in enumerate(self.field_serdes):
+            fields.append(("I", str(field.fixed_size)))
+            fields.extend(field._pack_fields(item % index))
+            item = expr + "[%d]"
+        return fields
+
+    def _unpack_expr(self, shape):
+        items = []
+        for field in self.field_serdes:
+            shape.checks.append("%s == %d" % (shape.take(), field.fixed_size))
+            items.append(field._unpack_expr(shape) + ", ")
+        return "(%s)" % "".join(items)
 
 
-class PackedListSerde(Serde):
-    """Homogeneous lists of *fixed-size* elements, packed back to back.
+class FixedPairSerde(_Composite):
+    """A two-field tuple of fixed-width fields, with no framing at all.
+
+    :param pair_type: the ``tuple`` subclass (e.g. a namedtuple) that
+        ``loads`` returns.
+    """
+
+    layout_fixed = True
+
+    def __init__(self, first, second, pair_type=tuple):
+        if first.fixed_size is None or second.fixed_size is None:
+            raise ValueError("a fixed pair needs two fixed-width codecs")
+        self.first = first
+        self.second = second
+        self.pair_type = pair_type
+        self._adopt(_compile([("fixed", self, "value")], "%s"))
+
+    def _pack_fields(self, expr):
+        first = self.first._pack_fields(_guarded(expr, 2) + "[0]")
+        return first + self.second._pack_fields(expr + "[1]")
+
+    def _unpack_expr(self, shape):
+        pair = "(%s, %s)" % (
+            self.first._unpack_expr(shape), self.second._unpack_expr(shape)
+        )
+        if self.pair_type is tuple:
+            return pair
+        return "new_tuple(%s, %s)" % (shape.bind(self.pair_type), pair)
+
+
+class PackedListSerde(_Composite):
+    """Homogeneous lists of *fixed-width* elements, packed back to back.
 
     Skips the per-element length prefixes of :class:`ListSerde`: the
     layout is a 4-byte count followed by ``count * element_size`` bytes.
@@ -193,89 +657,22 @@ class PackedListSerde(Serde):
     serialized footprint.
     """
 
-    def __init__(self, element_serde, element_size):
+    def __init__(self, element_serde):
+        if element_serde.fixed_size is None:
+            raise ValueError("a packed list needs a fixed-width element codec")
         self.element_serde = element_serde
-        self.element_size = int(element_size)
-
-    def dumps(self, value):
-        parts = [_U32.pack(len(value))]
-        for element in value:
-            encoded = self.element_serde.dumps(element)
-            if len(encoded) != self.element_size:
-                raise ValueError(
-                    "packed list element encoded to %d bytes, expected %d"
-                    % (len(encoded), self.element_size)
-                )
-            parts.append(encoded)
-        return b"".join(parts)
-
-    def loads(self, data):
-        view = memoryview(data)
-        (count,) = _U32.unpack_from(view, 0)
-        size = self.element_size
-        elements = []
-        offset = 4
-        for _ in range(count):
-            elements.append(self.element_serde.loads(bytes(view[offset : offset + size])))
-            offset += size
-        return elements
-
-    def sizeof(self, value):
-        return 4 + len(value) * self.element_size
+        self._adopt(_compile_repeated(element_serde, framed=False))
 
 
-class FixedPairSerde(Serde):
-    """A two-field tuple of fixed-size fields, with no framing at all."""
-
-    def __init__(self, first, second, first_size, second_size):
-        self.first = first
-        self.second = second
-        self.first_size = int(first_size)
-        self.second_size = int(second_size)
-
-    @property
-    def fixed_size(self):
-        return self.first_size + self.second_size
-
-    def dumps(self, value):
-        a, b = value
-        return self.first.dumps(a) + self.second.dumps(b)
-
-    def loads(self, data):
-        return (
-            self.first.loads(data[: self.first_size]),
-            self.second.loads(data[self.first_size :]),
-        )
-
-    def sizeof(self, value):
-        return self.fixed_size
-
-
-class ListSerde(Serde):
+class ListSerde(_Composite):
     """Homogeneous lists; count-prefixed, each element length-prefixed."""
 
     def __init__(self, element_serde):
         self.element_serde = element_serde
-
-    def dumps(self, value):
-        parts = [_U32.pack(len(value))]
-        for element in value:
-            encoded = self.element_serde.dumps(element)
-            parts.append(_U32.pack(len(encoded)))
-            parts.append(encoded)
-        return b"".join(parts)
-
-    def loads(self, data):
-        view = memoryview(data)
-        (count,) = _U32.unpack_from(view, 0)
-        offset = 4
-        elements = []
-        for _ in range(count):
-            (length,) = _U32.unpack_from(view, offset)
-            offset += 4
-            elements.append(self.element_serde.loads(bytes(view[offset : offset + length])))
-            offset += length
-        return elements
+        if element_serde.fixed_size is None:
+            self._adopt(_framed_list(element_serde))
+        else:
+            self._adopt(_compile_repeated(element_serde, framed=True))
 
 
 class PairSerde(TupleSerde):
@@ -292,6 +689,8 @@ BOOL = BoolSerde()
 STRING = StringSerde()
 BYTES = BytesSerde()
 NULL = NullSerde()
+#: The 8-byte :func:`encode_key` image, as a field of a tuple.
+KEY = FixedBytesSerde(8)
 
 
 def encode_key(vid):

@@ -65,7 +65,7 @@ class _AccountingMixin:
             return
         remote = producer_partition != consumer_partition
         if self.tuple_serde is not None:
-            nbytes = sum(self.tuple_serde.sizeof(item) for item in tuples)
+            nbytes = self.tuple_serde.sizeof_many(tuples)
         else:
             nbytes = 0
         if remote:

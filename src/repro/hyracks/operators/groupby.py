@@ -17,8 +17,9 @@ storage and index joins require vid-sorted streams.
 import heapq
 
 from repro.common.errors import StorageError
+from repro.common.serde import ListSerde
 from repro.hyracks.job import OperatorDescriptor
-from repro.hyracks.operators.sort import DEFAULT_SORT_MEMORY
+from repro.hyracks.operators.sort import DEFAULT_SORT_MEMORY, budgeted_batches
 from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
 
 
@@ -51,7 +52,9 @@ class GroupAggregator:
         return None
 
     def state_size(self, state):
-        """Approximate state size in bytes, for hash-table budgeting."""
+        """State size in bytes, for hash-table budgeting. Under a
+        fixed-width state serde it must not change once a state has
+        absorbed an item (the hash group-by then sizes new keys only)."""
         serde = self.state_serde()
         if serde is None:
             raise StorageError("aggregator has no state serde to size with")
@@ -70,6 +73,7 @@ class ListAggregator(GroupAggregator):
         self.value_fn = value_fn
         self.output_fn = output_fn
         self.value_serde = value_serde
+        self._state_serde = None if value_serde is None else ListSerde(value_serde)
 
     def create(self):
         return []
@@ -86,11 +90,7 @@ class ListAggregator(GroupAggregator):
         return self.output_fn(key, state)
 
     def state_serde(self):
-        if self.value_serde is None:
-            return None
-        from repro.common.serde import ListSerde
-
-        return ListSerde(self.value_serde)
+        return self._state_serde
 
 
 class _SpillingGroupByBase(OperatorDescriptor):
@@ -160,15 +160,13 @@ class SortGroupByOperator(_SpillingGroupByBase):
 
     def grouped_stream(self, ctx, stream):
         runs = []
-        buffer = []
-        buffered_bytes = 0
-        for item in stream:
-            buffer.append((self.key_fn(item), item))
-            buffered_bytes += self.tuple_serde.sizeof(item)
-            if buffered_bytes >= self.memory_limit:
-                runs.append(self._spill_states(ctx, self._aggregate_sorted(buffer)))
-                buffer = []
-                buffered_bytes = 0
+        batches = budgeted_batches(
+            stream, self.key_fn, self.tuple_serde, self.memory_limit
+        )
+        buffer = next(batches)
+        for following in batches:
+            runs.append(self._spill_states(ctx, self._aggregate_sorted(buffer)))
+            buffer = following
         in_memory = self._aggregate_sorted(buffer) if buffer else []
         if not runs:
             for key, state in in_memory:
@@ -202,21 +200,28 @@ class HashSortGroupByOperator(_SpillingGroupByBase):
         super().__init__(key_fn, aggregator, memory_limit_bytes, name or "HashSortGroupBy")
 
     def grouped_stream(self, ctx, stream):
+        aggregator = self.aggregator
+        state_size = aggregator.state_size
+        state_serde = aggregator.state_serde()
+        # Fixed-width states do not grow: only a new key adds bytes.
+        grows = state_serde is None or state_serde.fixed_size is None
         runs = []
         table = {}
         table_bytes = 0
         for item in stream:
             key = self.key_fn(item)
             state = table.get(key)
-            if state is None:
-                state = self.aggregator.create()
+            new_key = state is None
+            if new_key:
+                state = aggregator.create()
                 table_bytes += len(key)
-                before = self.aggregator.state_size(state)
+            if new_key or grows:
+                before = state_size(state)
+                state = aggregator.step(state, item)
+                table_bytes += state_size(state) - before
             else:
-                before = self.aggregator.state_size(state)
-            state = self.aggregator.step(state, item)
+                state = aggregator.step(state, item)
             table[key] = state
-            table_bytes += self.aggregator.state_size(state) - before
             if table_bytes >= self.memory_limit:
                 runs.append(self._spill_states(ctx, sorted(table.items())))
                 table = {}

@@ -8,12 +8,46 @@ the same graceful degradation story as the rest of the storage layer.
 """
 
 import heapq
+import itertools
 
 from repro.hyracks.job import OperatorDescriptor
 from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
 
 #: The paper's default per-operator sort/group-by buffer (64 MB).
 DEFAULT_SORT_MEMORY = 64 << 20
+
+
+def budgeted_batches(stream, key_fn, tuple_serde, memory_limit):
+    """Cut ``stream`` into lists of ``(key_fn(item), item)``.
+
+    A batch is cut as soon as the serialized bytes of its tuples reach
+    ``memory_limit``; the last batch yielded is whatever was left over
+    (possibly nothing) and is the only one under the limit. A fixed-width
+    ``tuple_serde`` turns the byte budget into a tuple count, so nothing
+    is sized per tuple.
+    """
+    stream = iter(stream)
+    width = tuple_serde.fixed_size
+    if width:
+        per_batch = max(1, -(-memory_limit // width))
+        while True:
+            batch = [
+                (key_fn(item), item) for item in itertools.islice(stream, per_batch)
+            ]
+            yield batch
+            if len(batch) < per_batch:
+                return
+    batch = []
+    batch_bytes = 0
+    sizeof = tuple_serde.sizeof
+    for item in stream:
+        batch.append((key_fn(item), item))
+        batch_bytes += sizeof(item)
+        if batch_bytes >= memory_limit:
+            yield batch
+            batch = []
+            batch_bytes = 0
+    yield batch
 
 
 class ExternalSortOperator(OperatorDescriptor):
@@ -45,16 +79,14 @@ class ExternalSortOperator(OperatorDescriptor):
     def sorted_stream(self, ctx, stream):
         """Yield the tuples of ``stream`` in sort-key order."""
         runs = []
-        buffer = []
-        buffered_bytes = 0
+        batches = budgeted_batches(
+            stream, self.sort_key_fn, self.tuple_serde, self.memory_limit
+        )
         try:
-            for item in stream:
-                buffer.append((self.sort_key_fn(item), item))
-                buffered_bytes += self.tuple_serde.sizeof(item)
-                if buffered_bytes >= self.memory_limit:
-                    runs.append(self._spill(ctx, buffer))
-                    buffer = []
-                    buffered_bytes = 0
+            buffer = next(batches)
+            for following in batches:
+                runs.append(self._spill(ctx, buffer))
+                buffer = following
             if not runs:
                 buffer.sort(key=lambda pair: pair[0])
                 for _key, item in buffer:

@@ -21,6 +21,8 @@ _ENTRY_HEADER = struct.Struct(">II")  # key length, value length
 ENTRY_OVERHEAD = 12
 #: Fixed per-page bookkeeping charge (header).
 PAGE_OVERHEAD = _HEADER.size
+#: What one entry adds to the page image besides its key and value.
+_ENTRY_BYTES = _ENTRY_HEADER.size
 
 
 class PageKind:
@@ -49,6 +51,7 @@ class Page:
         "keys",
         "values",
         "next_page_no",
+        "_nbytes",
         "dirty",
         "pin_count",
         "latch",
@@ -60,6 +63,9 @@ class Page:
         self.capacity = capacity
         self.keys = []
         self.values = []
+        # Kept current by every method that changes keys/values (nothing
+        # outside this class does).
+        self._nbytes = PAGE_OVERHEAD
         self.next_page_no = -1
         self.dirty = False
         self.pin_count = 0
@@ -76,14 +82,11 @@ class Page:
     @property
     def nbytes(self):
         """Exact size of this page's on-disk image."""
-        total = PAGE_OVERHEAD
-        for key, value in zip(self.keys, self.values):
-            total += ENTRY_OVERHEAD - 4 + len(key) + len(value)
-        return total
+        return self._nbytes
 
     def fits(self, key, value):
         """Whether inserting ``(key, value)`` keeps the page within capacity."""
-        return self.nbytes + ENTRY_OVERHEAD - 4 + len(key) + len(value) <= self.capacity
+        return self._nbytes + _ENTRY_BYTES + len(key) + len(value) <= self.capacity
 
     @property
     def num_entries(self):
@@ -119,11 +122,13 @@ class Page:
         """Insert or replace; returns True if this was a replacement."""
         index = bisect.bisect_left(self.keys, key)
         if index < len(self.keys) and self.keys[index] == key:
+            self._nbytes += len(value) - len(self.values[index])
             self.values[index] = value
             self.dirty = True
             return True
         self.keys.insert(index, key)
         self.values.insert(index, value)
+        self._nbytes += _ENTRY_BYTES + len(key) + len(value)
         self.dirty = True
         return False
 
@@ -132,6 +137,7 @@ class Page:
         index = self.find(key)
         if index is None:
             return False
+        self._nbytes -= _ENTRY_BYTES + len(key) + len(self.values[index])
         del self.keys[index]
         del self.values[index]
         self.dirty = True
@@ -150,6 +156,11 @@ class Page:
         right.values = self.values[midpoint:]
         del self.keys[midpoint:]
         del self.values[midpoint:]
+        moved = _ENTRY_BYTES * len(right.keys) + sum(
+            map(len, right.keys + right.values)
+        )
+        right._nbytes = PAGE_OVERHEAD + moved
+        self._nbytes -= moved
         right.next_page_no = self.next_page_no
         self.next_page_no = right.page_id.page_no
         self.dirty = True
@@ -189,6 +200,7 @@ class Page:
             offset += key_len
             page.values.append(bytes(data[offset : offset + value_len]))
             offset += value_len
+        page._nbytes = offset
         return page
 
     def __repr__(self):

@@ -96,15 +96,20 @@ class NamedValuesSerde(serde.Serde):
 
     def __init__(self, value_serdes):
         self.names = sorted(value_serdes)
+        self._header = ",".join(self.names)
         self.tuple_serde = serde.TupleSerde(
             serde.STRING, *[value_serdes[name] for name in self.names]
         )
 
+    def _ordered(self, value):
+        return (self._header, *[value[name] for name in self.names])
+
     def dumps(self, value):
-        ordered = [",".join(self.names)]
-        ordered.extend(value[name] for name in self.names)
-        return self.tuple_serde.dumps(tuple(ordered))
+        return self.tuple_serde.dumps(self._ordered(value))
 
     def loads(self, data):
         fields = self.tuple_serde.loads(data)
         return dict(zip(self.names, fields[1:]))
+
+    def sizeof(self, value):
+        return self.tuple_serde.sizeof(self._ordered(value))

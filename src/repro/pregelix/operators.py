@@ -157,7 +157,7 @@ class ComputeOperator(OperatorDescriptor):
             program._bind(
                 vid,
                 record.value,
-                list(record.edges),
+                record.edges,
                 superstep,
                 self.gs.aggregate,
                 self.gs.num_vertices,

@@ -59,7 +59,7 @@ from repro.pregelix.operators import (
     MsgWriteOperator,
     VertexMutationOperator,
 )
-from repro.pregelix.types import GlobalState, encode_global_state
+from repro.pregelix.types import GlobalState, edge_list_serde, encode_global_state
 
 
 class PartitionMap:
@@ -111,9 +111,9 @@ class PartitionMap:
 class _SenderCombineAggregator(GroupAggregator):
     """Sender-side (stage one) combine: fold raw messages into states."""
 
-    def __init__(self, combiner, msg_serde):
+    def __init__(self, combiner, bundle_serde):
         self.combiner = combiner
-        self.msg_serde = msg_serde
+        self.bundle_serde = bundle_serde
 
     def create(self):
         return self.combiner.init()
@@ -128,7 +128,7 @@ class _SenderCombineAggregator(GroupAggregator):
         return (key, state)
 
     def state_serde(self):
-        return self.combiner.bundle_serde(self.msg_serde)
+        return self.bundle_serde
 
 
 class _ReceiverCombineAggregator(GroupAggregator):
@@ -136,9 +136,9 @@ class _ReceiverCombineAggregator(GroupAggregator):
 
     _EMPTY = object()
 
-    def __init__(self, combiner, msg_serde):
+    def __init__(self, combiner, bundle_serde):
         self.combiner = combiner
-        self.msg_serde = msg_serde
+        self.bundle_serde = bundle_serde
 
     def create(self):
         return self._EMPTY
@@ -163,12 +163,12 @@ class _ReceiverCombineAggregator(GroupAggregator):
         return (key, bundle)
 
     def state_serde(self):
-        return self.combiner.bundle_serde(self.msg_serde)
+        return self.bundle_serde
 
     def state_size(self, state):
         if state is self._EMPTY:
             return 1
-        return self.state_serde().sizeof(state)
+        return self.bundle_serde.sizeof(state)
 
 
 class _VertexEdgeCountAggregator:
@@ -317,17 +317,10 @@ class PlanGenerator:
 
     def _raw_vertex_serde(self):
         """Serde for loader tuples ``(vid, value, edges)``."""
-        edge_serde = self.job.edge_serde
-        edge_value_size = getattr(edge_serde, "fixed_size", None)
-        if edge_value_size is not None:
-            edges = serde.PackedListSerde(
-                serde.FixedPairSerde(serde.INT64, edge_serde, 8, edge_value_size),
-                8 + edge_value_size,
-            )
-        else:
-            edges = serde.ListSerde(serde.PairSerde(serde.INT64, edge_serde))
         return serde.TupleSerde(
-            serde.INT64, serde.OptionalSerde(self.job.value_serde), edges
+            serde.INT64,
+            serde.OptionalSerde(self.job.value_serde),
+            edge_list_serde(self.job.edge_serde),
         )
 
     def _pin(self, operator):
@@ -382,10 +375,7 @@ class PlanGenerator:
 
         def to_record(raw):
             vid, value, edges = raw
-            return (
-                encode_key(vid),
-                codec.dumps((False, value, [tuple(e) for e in edges])),
-            )
+            return (encode_key(vid), codec.dumps((False, value, edges)))
 
         to_vertex = spec.add(self._pin(MapOperator(to_record, name="EncodeVertex")))
         spec.connect(OneToOneConnector(), merge, to_vertex)
@@ -453,7 +443,7 @@ class PlanGenerator:
         spec.connect(OneToOneConnector(), join, compute)
 
         # --- message combination: two-stage group-by (Figure 7) --------
-        receiver_out = self._message_groupby(spec, compute)
+        receiver_out = self._message_groupby(spec, compute, bundle_codec)
         msg_write = spec.add(
             self._pin(MsgWriteOperator(self.run_id, superstep, bundle_codec))
         )
@@ -509,16 +499,15 @@ class PlanGenerator:
         )
         return spec
 
-    def _message_groupby(self, spec, compute):
+    def _message_groupby(self, spec, compute, bundle_serde):
         """Attach the selected two-stage group-by; return the last operator."""
         job = self.job
         combiner = job.combiner
-        sender_agg = _SenderCombineAggregator(combiner, job.msg_serde)
-        receiver_agg = _ReceiverCombineAggregator(combiner, job.msg_serde)
+        sender_agg = _SenderCombineAggregator(combiner, bundle_serde)
+        receiver_agg = _ReceiverCombineAggregator(combiner, bundle_serde)
         raw_msg_serde = serde.TupleSerde(serde.INT64, job.msg_serde)
-        combined_serde = serde.TupleSerde(
-            serde.BYTES, combiner.bundle_serde(job.msg_serde)
-        )
+        # The key of a combined message is always the encode_key image.
+        combined_serde = serde.TupleSerde(serde.KEY, bundle_serde)
         memory = job.groupby_memory_bytes
 
         if job.groupby_strategy == GroupByStrategy.SORT:

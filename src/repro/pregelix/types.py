@@ -12,6 +12,7 @@ defines the :class:`GlobalState` record stored in HDFS.
 from dataclasses import dataclass, field, replace
 
 from repro.common import serde
+from repro.pregelix.api import Edge
 
 
 @dataclass
@@ -27,27 +28,33 @@ class VertexRecord:
         return replace(self, edges=list(self.edges))
 
 
+def edge_list_serde(edge_serde):
+    """Serde for a vertex row's ``[(target, value), ...]`` edge list.
+
+    Edge lists dominate vertex rows, so ``layout_fixed`` edge values are
+    packed without per-element framing (16 bytes per edge for float
+    weights) and decode straight to :class:`~repro.pregelix.api.Edge`.
+    """
+    if edge_serde.layout_fixed:
+        return serde.PackedListSerde(
+            serde.FixedPairSerde(serde.INT64, edge_serde, pair_type=Edge)
+        )
+    return serde.ListSerde(serde.PairSerde(serde.INT64, edge_serde))
+
+
 def vertex_value_serde(value_serde, edge_serde):
     """Serde for the stored portion of a vertex row: (halt, value, edges).
 
     The vid is the index key and is not repeated in the value bytes.
-    Edge lists dominate vertex rows, so fixed-size edge values are packed
-    without per-element framing (16 bytes per edge for float weights).
     """
-    edge_value_size = getattr(edge_serde, "fixed_size", None)
-    if edge_value_size is not None:
-        edges = serde.PackedListSerde(
-            serde.FixedPairSerde(serde.INT64, edge_serde, 8, edge_value_size),
-            8 + edge_value_size,
-        )
-    else:
-        edges = serde.ListSerde(serde.PairSerde(serde.INT64, edge_serde))
-    return serde.TupleSerde(serde.BOOL, serde.OptionalSerde(value_serde), edges)
+    return serde.TupleSerde(
+        serde.BOOL, serde.OptionalSerde(value_serde), edge_list_serde(edge_serde)
+    )
 
 
 def encode_vertex(codec, record):
     """Serialize a :class:`VertexRecord`'s stored fields."""
-    return codec.dumps((record.halt, record.value, [tuple(e) for e in record.edges]))
+    return codec.dumps((record.halt, record.value, record.edges))
 
 
 def decode_vertex(codec, vid, data):

@@ -9,7 +9,7 @@ from repro.common import serde
 class TestPackedListSerde:
     def codec(self):
         return serde.PackedListSerde(
-            serde.FixedPairSerde(serde.INT64, serde.FLOAT64, 8, 8), 16
+            serde.FixedPairSerde(serde.INT64, serde.FLOAT64)
         )
 
     def test_roundtrip(self):
@@ -27,10 +27,11 @@ class TestPackedListSerde:
         assert codec.sizeof(value) == 4 + 7 * 16
         assert len(codec.dumps(value)) == codec.sizeof(value)
 
-    def test_wrong_element_size_rejected(self):
-        codec = serde.PackedListSerde(serde.STRING, 4)
+    def test_variable_width_element_rejected(self):
         with pytest.raises(ValueError):
-            codec.dumps(["toolongvalue"])
+            serde.PackedListSerde(serde.STRING)
+        with pytest.raises(ValueError):
+            serde.FixedPairSerde(serde.INT64, serde.STRING)
 
     @given(
         st.lists(
@@ -48,13 +49,13 @@ class TestPackedListSerde:
 
 class TestFixedPairSerde:
     def test_roundtrip_and_size(self):
-        codec = serde.FixedPairSerde(serde.INT64, serde.FLOAT64, 8, 8)
+        codec = serde.FixedPairSerde(serde.INT64, serde.FLOAT64)
         assert codec.fixed_size == 16
         assert codec.loads(codec.dumps((9, 2.5))) == (9, 2.5)
         assert codec.sizeof((9, 2.5)) == 16
 
     def test_mixed_widths(self):
-        codec = serde.FixedPairSerde(serde.INT64, serde.BOOL, 8, 1)
+        codec = serde.FixedPairSerde(serde.INT64, serde.BOOL)
         assert codec.fixed_size == 9
         assert codec.loads(codec.dumps((3, True))) == (3, True)
 
@@ -82,7 +83,9 @@ class TestFixedSizeMarkers:
         assert serde.INT64.fixed_size == 8
         assert serde.FLOAT64.fixed_size == 8
         assert serde.BOOL.fixed_size == 1
-        assert not hasattr(serde.STRING, "fixed_size")
+        assert serde.STRING.fixed_size is None
+        assert serde.TupleSerde(serde.INT64, serde.FLOAT64).fixed_size == 24
+        assert serde.TupleSerde(serde.INT64, serde.STRING).fixed_size is None
 
     def test_vertex_serde_uses_packing_for_fixed_edges(self):
         from repro.pregelix.types import vertex_value_serde

@@ -116,7 +116,7 @@ def test_string_and_bytes_boundary_lengths(seed):
 def test_packed_edge_list_roundtrip(seed):
     rng = random.Random(seed)
     codec = serde.PackedListSerde(
-        serde.FixedPairSerde(serde.INT64, serde.FLOAT64, 8, 8), 16
+        serde.FixedPairSerde(serde.INT64, serde.FLOAT64)
     )
     for _ in range(100):
         degree = rng.choice([0, 1, rng.randrange(0, 64)])

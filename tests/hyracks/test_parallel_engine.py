@@ -35,6 +35,7 @@ from repro.hyracks.scheduler import (
     ThreadPoolTaskRunner,
     make_task_runner,
 )
+from repro.telemetry import Telemetry
 
 SEEDS = range(20)
 TRIPLE = serde.TupleSerde(serde.INT64, serde.INT64, serde.INT64)
@@ -125,6 +126,49 @@ class TestHandoffMatchesRoute:
             for cluster in clusters:
                 result = cluster.execute(_handoff_job(make(), batches, 3))
                 assert result.network_io.snapshot() == reference.io.snapshot()
+
+    @pytest.mark.parametrize("name", sorted(CONNECTORS))
+    def test_a_batch_is_charged_the_sum_of_its_tuples(self, name):
+        # ``_account`` sizes a batch at once (a multiplication when the
+        # tuple serde is fixed-width); the charge is the per-tuple sum.
+        _factory, sort, square = CONNECTORS[name]
+        text = serde.TupleSerde(serde.INT64, serde.STRING)
+        for tuple_serde, widen in (
+            (TRIPLE, lambda t: t),
+            (text, lambda t: (t[0], "é" * t[2])),
+        ):
+            connector = {
+                "one_to_one": OneToOneConnector,
+                "partitioning": lambda: MToNPartitioningConnector(_first, tuple_serde),
+                "merging": lambda: MToNPartitioningMergingConnector(
+                    _first, tuple_serde=tuple_serde
+                ),
+                "aggregator": lambda: MToOneAggregatorConnector(tuple_serde),
+                "broadcast": lambda: BroadcastConnector(tuple_serde),
+            }[name]()
+            rng = random.Random(name)
+            batches = [
+                [widen(t) for t in batch] for batch in _random_batches(rng, 4, sort)
+            ]
+            consumers = 4 if square else 3
+            ctx = JobContext("route", telemetry=Telemetry())
+            connector.route(batches, consumers, ctx)
+            remote = total = messages = 0
+            for sender, batch in enumerate(batches):
+                for dest, tuples in enumerate(connector.split(sender, batch, consumers)):
+                    nbytes = sum(len(tuple_serde.dumps(t)) for t in tuples)
+                    total += nbytes
+                    if sender != dest:
+                        remote += nbytes
+                        messages += len(tuples)
+            if name == "one_to_one":  # a local pipe accounts nothing
+                remote = total = messages = 0
+            assert ctx.io.network_bytes == remote
+            assert ctx.io.network_messages == messages
+            counted = ctx.telemetry.registry.counter(
+                "connector.bytes", kind=type(connector).__name__
+            ).value
+            assert counted == total
 
     def test_two_edges_out_of_one_operator(self, clusters):
         batches = _random_batches(random.Random(11), 4, sort=False)

@@ -1,15 +1,67 @@
 """Tests for slotted pages, the buffer cache, and run files."""
 
+import random
+
 import pytest
 
 from repro.common.errors import StorageError
 from repro.hyracks.storage.buffer_cache import BufferCache
-from repro.hyracks.storage.pages import Page, PageId, PageKind
+from repro.hyracks.storage.pages import (
+    ENTRY_OVERHEAD,
+    PAGE_OVERHEAD,
+    Page,
+    PageId,
+    PageKind,
+)
 from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
 
 
 def make_page(capacity=4096, kind=PageKind.LEAF):
     return Page(PageId(0, 0), kind, capacity)
+
+
+def recomputed_nbytes(page):
+    """The page image's size, summed entry by entry."""
+    return PAGE_OVERHEAD + sum(
+        ENTRY_OVERHEAD - 4 + len(key) + len(value) for key, value in page.entries()
+    )
+
+
+class TestPageRunningSize:
+    """``nbytes`` is a running total; every mutation keeps it exact."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 1234, 987654321])
+    def test_random_mutations_keep_nbytes_exact(self, seed):
+        rng = random.Random(seed)
+        pages = [make_page(capacity=1 << 20)]
+        for step in range(600):
+            page = rng.choice(pages)
+            roll = rng.random()
+            key = b"%03d" % rng.randrange(200)
+            if roll < 0.6:  # insert, or replace with another width
+                page.put(key, bytes(rng.randrange(0, 40)))
+            elif roll < 0.85:
+                page.remove(key)
+            elif page.num_entries >= 2:
+                right = Page(PageId(0, len(pages)), page.kind, page.capacity)
+                page.split_into(right)
+                pages.append(right)
+            for touched in pages:
+                assert touched.nbytes == recomputed_nbytes(touched)
+        for page in pages:
+            image = page.to_bytes()
+            assert page.nbytes == len(image)
+            reloaded = Page.from_bytes(page.page_id, image.ljust(4096, b"\0"), page.capacity)
+            assert reloaded.nbytes == len(image)
+            assert reloaded.fits(b"k", b"v") == page.fits(b"k", b"v")
+
+    def test_fits_is_the_image_size_against_capacity(self):
+        page = make_page(capacity=PAGE_OVERHEAD + 2 * (ENTRY_OVERHEAD - 4 + 4))
+        assert page.fits(b"ab", b"cd")
+        page.put(b"ab", b"cd")
+        assert page.fits(b"ef", b"gh") and not page.fits(b"ef", b"ghi")
+        page.put(b"ef", b"gh")
+        assert page.nbytes == page.capacity == len(page.to_bytes())
 
 
 class TestPage:

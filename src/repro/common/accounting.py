@@ -7,13 +7,15 @@ process-centric baselines charge vertex and message state (and die when
 it does not fit), while the Pregelix storage layer charges only its buffer
 cache and group-by buffers (and spills past them).
 
-All three classes are thread-safe: job pipelining
-(:mod:`repro.pregelix.pipelining`) can drive concurrent updates from
-overlapping jobs. :class:`Counters` and :class:`IOCounters` can also be
-*bound* to a :class:`~repro.telemetry.registry.MetricsRegistry`, after
-which every update is mirrored into the registry — they survive as thin
-adapters over the telemetry subsystem so existing call sites keep
-working unchanged.
+Where a number lives: each holder here is the one home of the counts
+it keeps, and it knows nothing about who reads them. A node's
+:class:`IOCounters` and a job's :class:`IOCounters`/:class:`Counters`
+are read by the engine (``repro.hyracks.engine``), which diffs the node
+holders into a ``JobResult`` and exports both kinds as metrics; nothing
+is written twice.
+
+All three classes are thread-safe: parallel clones and overlapping
+served jobs update them concurrently.
 """
 
 import threading
@@ -108,20 +110,16 @@ class MemoryBudget:
 class IOCounters:
     """Disk and network byte/operation counters for one component.
 
-    Thread-safe; optionally mirrors into a telemetry registry via
-    :meth:`bind` (labels distinguish e.g. nodes).
+    A node's holder sees only disk traffic (its file manager, scans
+    and checkpoints record into it); a job's holder sees what its
+    connectors ship, plus the disk round trip of sender-side
+    materialization. Thread-safe.
     """
 
-    _FIELDS = (
-        "disk_reads",
-        "disk_writes",
-        "disk_read_bytes",
-        "disk_write_bytes",
-        "network_bytes",
-        "network_messages",
-    )
+    DISK_FIELDS = ("disk_reads", "disk_writes", "disk_read_bytes", "disk_write_bytes")
+    FIELDS = DISK_FIELDS + ("network_bytes", "network_messages")
 
-    def __init__(self, registry=None, prefix="io", **labels):
+    def __init__(self):
         self.disk_reads = 0
         self.disk_writes = 0
         self.disk_read_bytes = 0
@@ -129,58 +127,25 @@ class IOCounters:
         self.network_bytes = 0
         self.network_messages = 0
         self._lock = threading.Lock()
-        self._mirror = None
-        if registry is not None:
-            self.bind(registry, prefix=prefix, **labels)
-
-    def bind(self, registry, prefix="io", **labels):
-        """Mirror every subsequent update into ``registry`` counters."""
-        self._mirror = {
-            field: registry.counter("%s.%s" % (prefix, field), **labels)
-            for field in self._FIELDS
-        }
-        return self
-
-    def _mirror_add(self, field, amount):
-        if self._mirror is not None and amount:
-            self._mirror[field].inc(amount)
 
     def record_read(self, nbytes):
-        nbytes = int(nbytes)
         with self._lock:
             self.disk_reads += 1
-            self.disk_read_bytes += nbytes
-        self._mirror_add("disk_reads", 1)
-        self._mirror_add("disk_read_bytes", nbytes)
+            self.disk_read_bytes += int(nbytes)
 
     def record_write(self, nbytes):
-        nbytes = int(nbytes)
         with self._lock:
             self.disk_writes += 1
-            self.disk_write_bytes += nbytes
-        self._mirror_add("disk_writes", 1)
-        self._mirror_add("disk_write_bytes", nbytes)
+            self.disk_write_bytes += int(nbytes)
 
     def record_network(self, nbytes, messages=1):
-        nbytes = int(nbytes)
-        messages = int(messages)
         with self._lock:
-            self.network_bytes += nbytes
-            self.network_messages += messages
-        self._mirror_add("network_bytes", nbytes)
-        self._mirror_add("network_messages", messages)
-
-    def merge(self, other):
-        added = other.snapshot()
-        with self._lock:
-            for field in self._FIELDS:
-                setattr(self, field, getattr(self, field) + added[field])
-        for field in self._FIELDS:
-            self._mirror_add(field, added[field])
+            self.network_bytes += int(nbytes)
+            self.network_messages += int(messages)
 
     def snapshot(self):
         with self._lock:
-            return {field: getattr(self, field) for field in self._FIELDS}
+            return {field: getattr(self, field) for field in self.FIELDS}
 
     def __repr__(self):
         return "IOCounters(%r)" % (self.snapshot(),)
@@ -189,54 +154,24 @@ class IOCounters:
 class Counters:
     """A free-form named-counter bag (the statistics collector's currency).
 
-    Thread-safe; when bound to a telemetry registry, ``add`` mirrors into
-    registry counters and ``set`` into registry gauges.
+    One per job: operators ``add`` into it, the engine hands it out on
+    the :class:`JobResult`. Thread-safe.
     """
 
-    def __init__(self, registry=None, prefix="counters", **labels):
+    def __init__(self):
         self._values = {}
         self._lock = threading.Lock()
-        self._registry = None
-        self._prefix = prefix
-        self._labels = {}
-        if registry is not None:
-            self.bind(registry, prefix=prefix, **labels)
-
-    def bind(self, registry, prefix="counters", **labels):
-        """Mirror every subsequent update into ``registry``."""
-        self._registry = registry
-        self._prefix = prefix
-        self._labels = labels
-        return self
-
-    def _full(self, name):
-        return "%s.%s" % (self._prefix, name)
 
     def add(self, name, amount=1):
         with self._lock:
             self._values[name] = self._values.get(name, 0) + amount
-        if self._registry is not None and amount:
-            self._registry.counter(self._full(name), **self._labels).inc(amount)
-
-    def set(self, name, value):
-        with self._lock:
-            self._values[name] = value
-        if self._registry is not None:
-            self._registry.gauge(self._full(name), **self._labels).set(value)
 
     def get(self, name, default=0):
         return self._values.get(name, default)
 
-    def merge(self, other):
-        for name, value in other.snapshot().items():
-            self.add(name, value)
-
     def snapshot(self):
         with self._lock:
             return dict(self._values)
-
-    def __contains__(self, name):
-        return name in self._values
 
     def __repr__(self):
         return "Counters(%r)" % (self._values,)

@@ -20,11 +20,11 @@ thread pool, and because nothing in that hand-off depends on completion
 order the result is bit-identical to the sequential run.
 """
 
+import collections
 import os
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 
 from repro.common.accounting import Counters, IOCounters, MemoryBudget
 from repro.common.errors import JobFailure, SchedulingError, WorkerFailure
@@ -48,9 +48,7 @@ class NodeContext:
 
         self.node_id = node_id
         self.telemetry = telemetry
-        self.io = IOCounters()
-        if telemetry is not None:
-            self.io.bind(telemetry.registry, prefix="node.io", node=node_id)
+        self.io = IOCounters()  # this node's disk traffic
         self.files = FileManager(
             os.path.join(root_dir, str(node_id)),
             self.io,
@@ -60,6 +58,14 @@ class NodeContext:
         self.buffer_cache = BufferCache(
             cache_bytes, page_size, self.files, telemetry=telemetry, node_id=node_id
         )
+        if telemetry is not None:
+            # The two resident holders are exported by reference: the
+            # registry reads them, nothing is counted twice.
+            expose, stats = telemetry.registry.expose, self.buffer_cache.stats
+            for field in IOCounters.DISK_FIELDS:
+                expose("node.io.%s" % field, self.io, field, node=node_id)
+            for field in stats.FIELDS:
+                expose("storage.cache.%s" % field, stats, field, node=node_id)
         self.services = {}
         self.alive = True
         #: Draining nodes stay alive and keep serving their pinned
@@ -98,8 +104,13 @@ class NodeContext:
                 self._fail_after_tasks -= 1
 
     def reset_storage(self):
-        """Wipe local state (what losing a machine loses)."""
+        """Wipe local state (what losing a machine loses).
+
+        The cache's counters are history, not state: they carry over, so
+        an exported count never goes backwards.
+        """
         self.services.clear()
+        stats = self.buffer_cache.stats
         self.buffer_cache.__init__(
             self.buffer_cache.capacity,
             self.buffer_cache.page_size,
@@ -107,6 +118,7 @@ class NodeContext:
             telemetry=self.telemetry,
             node_id=self.node_id,
         )
+        self.buffer_cache.stats = stats
         self.buffer_cache.fault_injector = self.fault_injector
         self.budget.reset()
 
@@ -159,9 +171,6 @@ class JobContext:
         self.telemetry = telemetry
         self.io = IOCounters()  # network traffic (connector accounting)
         self.counters = Counters()
-        if telemetry is not None:
-            self.io.bind(telemetry.registry, prefix="engine.network")
-            self.counters.bind(telemetry.registry, prefix="engine.counters")
         self.collected = {}
         #: >0 turns on latency realism: connectors sleep for the cost
         #: model's transfer seconds (scaled), so parallel runs can overlap
@@ -242,7 +251,7 @@ class HyracksCluster:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.parallelism = max(int(parallelism or 1), 1)
         self.io_latency_scale = float(io_latency_scale)
-        self.nodes = OrderedDict()
+        self.nodes = collections.OrderedDict()
         for i in range(num_nodes):
             node_id = "node%d" % i
             self.nodes[node_id] = NodeContext(
@@ -469,8 +478,7 @@ class HyracksCluster:
         # cannot retire mid-job, while any other node may be reaped (and
         # vanish from ``self.nodes``) between the two snapshots.
         job_nodes = [self.nodes[node_id] for node_id in used_nodes]
-        disk_before = self._disk_snapshot(job_nodes)
-        cache_before = self._cache_snapshot(job_nodes)
+        before = self._node_totals(job_nodes)
         operator_seconds = {}
         # edge -> staged[consumer][sender] tuple lists, from the moment
         # the producer's clones returned until the consumer assembles.
@@ -518,28 +526,31 @@ class HyracksCluster:
                     ]
         with self._jobs_executed_lock:
             self.jobs_executed += 1
-        self.telemetry.registry.counter("engine.jobs_executed").inc()
-        disk_after = self._disk_snapshot(job_nodes)
-        disk_delta = IOCounters()
-        disk_delta.disk_reads = disk_after.disk_reads - disk_before.disk_reads
-        disk_delta.disk_writes = disk_after.disk_writes - disk_before.disk_writes
-        disk_delta.disk_read_bytes = (
-            disk_after.disk_read_bytes - disk_before.disk_read_bytes
-        )
-        disk_delta.disk_write_bytes = (
-            disk_after.disk_write_bytes - disk_before.disk_write_bytes
-        )
-        cache_after = self._cache_snapshot(job_nodes)
+        # The job's own totals go to the registry once, from its private
+        # holders: overlapping jobs on shared nodes cannot double-count.
+        registry = self.telemetry.registry
+        registry.counter("engine.jobs_executed").inc()
+        for field, amount in job_ctx.io.snapshot().items():
+            registry.counter("engine.network.%s" % field).inc(amount)
+        for name, amount in job_ctx.counters.snapshot().items():
+            if amount:
+                registry.counter("engine.counters.%s" % name).inc(amount)
+        # Disk and cache use is what the job's nodes did meanwhile.
+        used = self._node_totals(job_nodes)
+        used.subtract(before)
+        disk_io = IOCounters()
+        for field in IOCounters.DISK_FIELDS:
+            setattr(disk_io, field, used[field])
         return JobResult(
             name=job_spec.name,
             collected=job_ctx.collected,
             counters=job_ctx.counters,
             network_io=job_ctx.io,
-            disk_io=disk_delta,
+            disk_io=disk_io,
             elapsed=time.perf_counter() - started,
             operator_seconds=operator_seconds,
-            cache_misses=cache_after[0] - cache_before[0],
-            cache_writebacks=cache_after[1] - cache_before[1],
+            cache_misses=used["misses"],
+            cache_writebacks=used["writebacks"],
         )
 
     def _make_clone_task(self, operator, partition, node, num_partitions,
@@ -627,20 +638,13 @@ class HyracksCluster:
             raise error
 
     @staticmethod
-    def _cache_snapshot(nodes):
-        misses = 0
-        writebacks = 0
+    def _node_totals(nodes):
+        """Disk and cache counts summed over ``nodes``, as one flat Counter."""
+        totals = collections.Counter()
         for node in nodes:
-            misses += node.buffer_cache.stats.misses
-            writebacks += node.buffer_cache.stats.writebacks
-        return misses, writebacks
-
-    @staticmethod
-    def _disk_snapshot(nodes):
-        total = IOCounters()
-        for node in nodes:
-            total.merge(node.io)
-        return total
+            totals.update(node.io.snapshot())
+            totals.update(node.buffer_cache.stats.snapshot())
+        return totals
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -18,6 +18,12 @@ never captures a half-applied update. Lock order is metadata → page
 latch; callers must release a page latch before calling back into the
 cache (which the pin → latch → mutate → unlatch → unpin discipline of the
 access methods guarantees).
+
+Where the numbers live: ``BufferCache.stats`` is the one home of the
+hit/miss/eviction/writeback counts, bumped under the metadata latch.
+The engine diffs it into each ``JobResult`` and exports it per node; the
+cache itself only emits the rare ``cache.evict``/``cache.spill`` events
+through its optional ``telemetry`` handle.
 """
 
 import threading
@@ -28,44 +34,24 @@ from repro.hyracks.storage.pages import Page, PageId
 
 
 class BufferCacheStats:
-    """Hit/miss/eviction counters exposed to the statistics collector.
+    """Hit/miss/eviction/writeback counts of one :class:`BufferCache`.
 
-    When given a telemetry registry the counters are mirrored into it
-    (labeled by node), so traces and exports see the same numbers the
-    collector snapshots.
+    Four plain ints with no lock of their own: the cache bumps them
+    under its metadata latch, which every update site already holds.
+    Readers (the engine's per-job deltas, the statistics collector, the
+    metrics export) take :meth:`snapshot` or read a field.
     """
 
-    _FIELDS = ("hits", "misses", "evictions", "writebacks")
+    FIELDS = ("hits", "misses", "evictions", "writebacks")
 
-    def __init__(self, registry=None, **labels):
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
-        self._lock = threading.Lock()
-        self._mirror = None
-        if registry is not None:
-            self._mirror = {
-                field: registry.counter("storage.cache.%s" % field, **labels)
-                for field in self._FIELDS
-            }
-
-    def record(self, field, amount=1):
-        # getattr/setattr is a read-modify-write; without the lock two
-        # threads recording the same field can lose increments.
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
-        if self._mirror is not None:
-            self._mirror[field].inc(amount)
 
     def snapshot(self):
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "writebacks": self.writebacks,
-            }
+        return {field: getattr(self, field) for field in self.FIELDS}
 
 
 class BufferCache:
@@ -96,12 +82,7 @@ class BufferCache:
         self.node_id = node_id
         #: Optional chaos hook, installed by FaultInjector.attach.
         self.fault_injector = None
-        if telemetry is not None and node_id is not None:
-            self.stats = BufferCacheStats(telemetry.registry, node=node_id)
-        elif telemetry is not None:
-            self.stats = BufferCacheStats(telemetry.registry)
-        else:
-            self.stats = BufferCacheStats()
+        self.stats = BufferCacheStats()  # bumped under _latch only
         self._pages = OrderedDict()  # PageId -> Page, LRU order (oldest first)
         self._cached_bytes = 0
         self._next_page_no = {}  # file_id -> next unallocated page number
@@ -154,11 +135,11 @@ class BufferCache:
         with self._latch:
             page = self._pages.get(page_id)
             if page is not None:
-                self.stats.record("hits")
+                self.stats.hits += 1
                 self._pages.move_to_end(page_id)
                 page.pin_count += 1
             else:
-                self.stats.record("misses")
+                self.stats.misses += 1
                 if self.fault_injector is not None:
                     self.fault_injector.check(
                         "page.read",
@@ -231,7 +212,7 @@ class BufferCache:
                 self._writeback(page)
             del self._pages[pid]
             self._cached_bytes -= self.page_size
-            self.stats.record("evictions")
+            self.stats.evictions += 1
             if self.telemetry is not None:
                 self.telemetry.event(
                     "cache.evict",
@@ -258,7 +239,7 @@ class BufferCache:
             page.page_id.file_id, page.page_id.page_no, image, self.page_size
         )
         self._on_disk.add(page.page_id)
-        self.stats.record("writebacks")
+        self.stats.writebacks += 1
         if self.telemetry is not None:
             self.telemetry.event(
                 "cache.spill",

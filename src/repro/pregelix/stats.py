@@ -6,33 +6,26 @@ and combined), plus cluster-wide snapshots such as the live machine set
 and buffer-cache behaviour. The benchmark harness reads these to produce
 the paper's figures.
 
-Since the telemetry subsystem landed, the collector is a *consumer* of
-the metrics registry: every ``record_superstep`` call publishes its
-counters into a ``pregelix``-scoped branch of the registry, and
-:meth:`StatisticsCollector.summary` is computed back out of the registry
-— the per-superstep table of :meth:`report` is unchanged, so figures and
-benchmarks are unaffected.
+Where the numbers live: a superstep's counts are produced by the
+engine's holders and handed over on its ``JobResult``;
+:class:`SuperstepStats` — the one field table — says where on a
+``JobResult`` each count is read from, and the collector's ``supersteps``
+list is what every summary, report and figure is computed from. Each
+recorded superstep is also added, once, to the ``pregelix``-scoped
+branch of the metrics registry for export; the collector never reads it
+back, so collectors sharing a registry (every run on one cluster, every
+job of a service) stay independent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.common import costmodel
 from repro.telemetry.registry import MetricsRegistry
 
-#: SuperstepStats fields mirrored 1:1 into pregelix-scoped counters.
-_COUNTER_FIELDS = (
-    "network_bytes",
-    "network_messages",
-    "disk_read_bytes",
-    "disk_write_bytes",
-    "vertices_processed",
-    "messages_sent",
-    "combined_messages",
-    "join_tuples",
-    "index_probes",
-    "cache_misses",
-    "cache_writebacks",
-)
+
+def _counter(holder=None):
+    """A counter field, read from ``JobResult.<holder>`` (or the result)."""
+    return field(default=0, metadata={"holder": holder})
 
 
 @dataclass
@@ -41,18 +34,31 @@ class SuperstepStats:
 
     superstep: int
     elapsed: float
-    network_bytes: int
-    network_messages: int
-    disk_read_bytes: int
-    disk_write_bytes: int
-    vertices_processed: int
-    messages_sent: int
-    combined_messages: int
-    join_tuples: int = 0
-    index_probes: int = 0
-    cache_misses: int = 0
-    cache_writebacks: int = 0
+    network_bytes: int = _counter("network_io")
+    network_messages: int = _counter("network_io")
+    disk_read_bytes: int = _counter("disk_io")
+    disk_write_bytes: int = _counter("disk_io")
+    vertices_processed: int = _counter("counters")
+    messages_sent: int = _counter("counters")
+    combined_messages: int = _counter("counters")
+    join_tuples: int = _counter("counters")
+    index_probes: int = _counter("counters")
+    cache_misses: int = _counter()
+    cache_writebacks: int = _counter()
     operator_seconds: dict = field(default_factory=dict)
+
+
+#: SuperstepStats counter name -> the JobResult holder it is read from.
+_COUNTERS = {
+    spec.name: spec.metadata["holder"]
+    for spec in fields(SuperstepStats)
+    if "holder" in spec.metadata
+}
+
+
+def _read(job_result, name, holder):
+    source = getattr(job_result, holder) if holder else job_result
+    return source.get(name) if holder == "counters" else getattr(source, name)
 
 
 class StatisticsCollector:
@@ -75,26 +81,19 @@ class StatisticsCollector:
         self._elapsed = self.registry.histogram("superstep_seconds")
 
     def record_superstep(self, superstep, job_result):
+        counts = {
+            name: _read(job_result, name, holder)
+            for name, holder in _COUNTERS.items()
+        }
         record = SuperstepStats(
             superstep=superstep,
             elapsed=job_result.elapsed,
-            network_bytes=job_result.network_io.network_bytes,
-            network_messages=job_result.network_io.network_messages,
-            disk_read_bytes=job_result.disk_io.disk_read_bytes,
-            disk_write_bytes=job_result.disk_io.disk_write_bytes,
-            vertices_processed=job_result.counters.get("vertices_processed"),
-            messages_sent=job_result.counters.get("messages_sent"),
-            combined_messages=job_result.counters.get("combined_messages"),
-            join_tuples=job_result.counters.get("join_tuples"),
-            index_probes=job_result.counters.get("index_probes"),
-            cache_misses=job_result.cache_misses,
-            cache_writebacks=job_result.cache_writebacks,
             operator_seconds=dict(job_result.operator_seconds),
+            **counts,
         )
         self.supersteps.append(record)
         self._elapsed.observe(record.elapsed)
-        for name in _COUNTER_FIELDS:
-            amount = getattr(record, name)
+        for name, amount in counts.items():
             if amount:
                 self.registry.counter(name).inc(amount)
         for operator, seconds in record.operator_seconds.items():
@@ -115,9 +114,6 @@ class StatisticsCollector:
             for node_id, node in cluster.nodes.items()
         }
         self.registry.gauge("live_machines").set(len(self.live_machines))
-        for node_id, snapshot in self.buffer_cache.items():
-            for name, value in snapshot.items():
-                self.registry.gauge("buffer_cache.%s" % name, node=node_id).set(value)
 
     # ------------------------------------------------------------------
     # summaries
@@ -158,15 +154,14 @@ class StatisticsCollector:
         return totals
 
     def summary(self):
-        """The headline numbers, read back out of the metrics registry."""
-        elapsed = self._elapsed
+        """The headline numbers of this run."""
         return {
-            "supersteps": elapsed.count,
-            "total_elapsed": elapsed.total,
-            "avg_iteration_seconds": elapsed.mean,
-            "messages_sent": self.registry.value("messages_sent"),
-            "network_bytes": self.registry.value("network_bytes"),
-            "spill_bytes": self.registry.value("disk_write_bytes"),
+            "supersteps": self.num_supersteps,
+            "total_elapsed": self.total_elapsed,
+            "avg_iteration_seconds": self.avg_iteration_seconds,
+            "messages_sent": self.total_messages_sent,
+            "network_bytes": self.total_network_bytes,
+            "spill_bytes": self.total_spill_bytes,
         }
 
     def report(self, out=print):

@@ -3,8 +3,10 @@
 The observability spine of the reproduction (DESIGN.md "Telemetry"):
 
 * :mod:`repro.telemetry.registry` — hierarchical labeled metrics
-  (counters, gauges, histograms) that the statistics collector and the
-  accounting adapters feed.
+  (counters, gauges, histograms). It owns the counts written into it
+  (serve, LSM, ``pregelix.*``, per-job engine totals, each written once)
+  and *reads* the ones that live in a resident holder (a node's I/O
+  counters, a buffer cache's stats) through ``expose``.
 * :mod:`repro.telemetry.tracing` — nested spans (job → superstep →
   operator task → storage op) with wall-clock and simulated-time stamps.
 * :mod:`repro.telemetry.events` — a ring-buffered structured event log
@@ -35,6 +37,7 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    ReadCounter,
     ScopedRegistry,
 )
 from repro.telemetry.session import Telemetry, ensure_telemetry
@@ -48,6 +51,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "ReadCounter",
     "RingBufferSink",
     "ScopedRegistry",
     "SimClock",

@@ -7,10 +7,14 @@ one registry serves the whole simulated cluster without per-component
 counter classes. ``scoped("pregelix")`` returns a view that prefixes
 names, which is how each subsystem gets its own branch of the hierarchy.
 
-The pre-existing :class:`~repro.common.accounting.Counters` and
-:class:`~repro.common.accounting.IOCounters` classes survive as thin
-adapters: when bound to a registry they mirror every update here, so the
-statistics collector and any exporter see one coherent metric space.
+Every number has one home. Counts the registry owns (serve, LSM,
+``pregelix.*``, per-job engine totals) are written here once, by the
+code that produces them. Counts that live in a resident structure — a
+node's :class:`~repro.common.accounting.IOCounters`, a buffer cache's
+stats — stay there: :meth:`MetricsRegistry.expose` registers a
+:class:`ReadCounter` whose ``value`` reads the holder's field at export
+time, so the hot path pays nothing for being observable and the
+exported number cannot drift from the one the system acts on.
 """
 
 import bisect
@@ -60,6 +64,32 @@ class Counter:
         return "Counter(%s=%r)" % (format_metric_key(self.name, self.labels), self._value)
 
 
+class ReadCounter:
+    """A counter that lives elsewhere: ``value`` reads ``holder.field``.
+
+    A series exposed again by a successor holder (a bench sweep runs
+    fresh clusters, each with a ``node0``, on one session) reports the
+    sum over its holders, so an exported counter never goes backwards.
+    """
+
+    kind = "counter"
+
+    def __init__(self, name, labels=()):
+        self.name = name
+        self.labels = labels
+        self._sources = []
+
+    def watch(self, holder, field):
+        self._sources.append((holder, field))
+
+    @property
+    def value(self):
+        return sum(getattr(holder, field) for holder, field in self._sources)
+
+    def __repr__(self):
+        return "ReadCounter(%s=%r)" % (format_metric_key(self.name, self.labels), self.value)
+
+
 class Gauge:
     """A value that can move in both directions (e.g. cached bytes)."""
 
@@ -95,8 +125,9 @@ class Histogram:
 
     ``total`` accumulates observations in arrival order, so a histogram
     fed the per-superstep elapsed times reproduces ``sum(list)`` exactly
-    (bit-for-bit float equality) — which is what lets the statistics
-    collector compute its summary from the registry without drift.
+    (bit-for-bit float equality) — so the exported
+    ``pregelix.superstep_seconds`` sum equals the statistics collectors'
+    own list-derived totals without drift.
     Bucket counting is additive bookkeeping on the side: it never
     touches the exact-sum path.
 
@@ -205,9 +236,6 @@ class Histogram:
         )
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
     """Get-or-create store of named, labeled metrics."""
 
@@ -218,31 +246,35 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # creation
     # ------------------------------------------------------------------
-    def _get_or_create(self, kind, name, labels, options=None):
+    def _get_or_create(self, cls, name, labels, options=None):
         key = (name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = _KINDS[kind](name, key[1], **(options or {}))
+                metric = cls(name, key[1], **(options or {}))
                 self._metrics[key] = metric
-            elif metric.kind != kind:
+            elif type(metric) is not cls:
                 raise TypeError(
                     "metric %r already registered as %s, requested %s"
-                    % (format_metric_key(name, key[1]), metric.kind, kind)
+                    % (format_metric_key(name, key[1]), type(metric).__name__, cls.__name__)
                 )
             return metric
 
     def counter(self, name, **labels):
-        return self._get_or_create("counter", name, labels)
+        return self._get_or_create(Counter, name, labels)
 
     def gauge(self, name, **labels):
-        return self._get_or_create("gauge", name, labels)
+        return self._get_or_create(Gauge, name, labels)
+
+    def expose(self, name, holder, field, **labels):
+        """Export ``holder.field`` as counter ``name``, read on demand."""
+        self._get_or_create(ReadCounter, name, labels).watch(holder, field)
 
     def histogram(self, name, buckets=None, **labels):
         """``buckets`` (first caller wins) sets the bound scheme; it is
         registry plumbing, never a label."""
         options = {"buckets": buckets} if buckets is not None else None
-        return self._get_or_create("histogram", name, labels, options)
+        return self._get_or_create(Histogram, name, labels, options)
 
     def scoped(self, prefix):
         """A view of this registry that prefixes every name with ``prefix.``."""

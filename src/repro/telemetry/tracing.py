@@ -15,6 +15,7 @@ guarantees Chrome-trace ``B``/``E`` events always come in matched pairs.
 
 import itertools
 import threading
+from collections import deque
 import time
 from contextlib import contextmanager
 
@@ -112,7 +113,9 @@ class Tracer:
         self.sim_clock = sim_clock
         self.max_spans = int(max_spans)
         self.enabled = enabled
-        self.spans = []  # completed, in finish order
+        # Completed, in finish order; a ring, so a full buffer evicts its
+        # oldest span in O(1) (a long-lived service runs full).
+        self.spans = deque(maxlen=self.max_spans)
         self.dropped = 0
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -222,11 +225,9 @@ class Tracer:
         if not self.enabled:
             return
         with self._lock:
+            if len(self.spans) == self.max_spans:
+                self.dropped += 1
             self.spans.append(span)
-            if len(self.spans) > self.max_spans:
-                overflow = len(self.spans) - self.max_spans
-                del self.spans[:overflow]
-                self.dropped += overflow
 
     @contextmanager
     def span(self, name, category="span", **args):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.common.accounting import Counters, IOCounters, MemoryBudget
 from repro.common.errors import MemoryBudgetExceeded
-from repro.telemetry import MetricsRegistry
 
 
 class TestMemoryBudget:
@@ -87,15 +86,6 @@ class TestIOCounters:
         assert snap["network_bytes"] == 50
         assert snap["network_messages"] == 3
 
-    def test_merge(self):
-        a, b = IOCounters(), IOCounters()
-        a.record_read(10)
-        b.record_read(5)
-        b.record_write(7)
-        a.merge(b)
-        assert a.disk_read_bytes == 15
-        assert a.disk_write_bytes == 7
-
 
 class TestCounters:
     def test_add_get(self):
@@ -104,22 +94,7 @@ class TestCounters:
         counters.add("messages", 2)
         assert counters.get("messages") == 7
         assert counters.get("missing") == 0
-        assert "messages" in counters
-
-    def test_merge(self):
-        a, b = Counters(), Counters()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 3)
-        a.merge(b)
-        assert a.get("x") == 3
-        assert a.get("y") == 3
-
-    def test_set_overrides(self):
-        counters = Counters()
-        counters.add("x", 5)
-        counters.set("x", 1)
-        assert counters.get("x") == 1
+        assert counters.snapshot() == {"messages": 7}
 
 
 class TestThreadSafety:
@@ -153,39 +128,3 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert counters.get("messages") == 8000
-
-
-class TestRegistryBinding:
-    def test_io_counters_mirror_when_bound(self):
-        registry = MetricsRegistry()
-        io = IOCounters(registry, prefix="node.io", node="node0")
-        io.record_read(100)
-        io.record_write(50)
-        io.record_network(25, messages=2)
-        assert registry.value("node.io.disk_read_bytes", node="node0") == 100
-        assert registry.value("node.io.disk_writes", node="node0") == 1
-        assert registry.value("node.io.network_messages", node="node0") == 2
-
-    def test_io_merge_mirrors_into_registry(self):
-        registry = MetricsRegistry()
-        bound = IOCounters(registry, prefix="total")
-        unbound = IOCounters()
-        unbound.record_read(64)
-        bound.merge(unbound)
-        assert bound.disk_read_bytes == 64
-        assert registry.value("total.disk_read_bytes") == 64
-
-    def test_unbound_counters_touch_no_registry(self):
-        io = IOCounters()
-        io.record_read(10)  # must not raise, no registry involved
-        assert io._mirror is None
-
-    def test_counters_add_and_set_mirror(self):
-        registry = MetricsRegistry()
-        counters = Counters(registry, prefix="engine.counters")
-        counters.add("messages_sent", 7)
-        counters.set("live_partitions", 3)
-        assert registry.value("engine.counters.messages_sent") == 7
-        assert registry.value("engine.counters.live_partitions") == 3
-        counters.set("live_partitions", 2)  # gauges move both ways
-        assert registry.value("engine.counters.live_partitions") == 2

@@ -6,7 +6,7 @@ audited path by hammering it from many threads and asserting the exact
 count a serial run would produce — a lost update fails deterministically
 enough in 8×1000 iterations to catch a reintroduced race.
 
-Audited paths: telemetry counters/gauges/histograms, BufferCacheStats,
+Audited paths: telemetry counters/gauges/histograms, BufferCache stats,
 MemoryBudget, FaultInjector.check, NodeContext.check_failure,
 MiniDFS block placement, and FileManager id allocation.
 """
@@ -76,20 +76,47 @@ def test_registry_histogram_observations_are_atomic():
     assert histogram.summary()["count"] == NUM_THREADS * ITERATIONS
 
 
-def test_buffer_cache_stats_record_is_atomic():
-    from repro.hyracks.storage.buffer_cache import BufferCacheStats
+def test_buffer_cache_stats_lose_nothing_under_concurrent_pins(tmp_path):
+    # BufferCacheStats has no lock of its own: the cache bumps it under
+    # the metadata latch. Every pin is exactly one hit or one miss, and
+    # with a working set 4x the cache every thread forces the others'
+    # pages out, so evictions and writebacks are counted concurrently too.
+    import sys
 
-    stats = BufferCacheStats()
+    from repro.hyracks.storage.buffer_cache import BufferCache
+    from repro.hyracks.storage.pages import PageKind
+
+    page_size, cached_pages, num_pages = 512, 4, 16
+    cache = BufferCache(
+        cached_pages * page_size, page_size, FileManager(str(tmp_path / "pins"))
+    )
+    file_id = cache.create_file("pins")
+    page_ids = []
+    for _ in range(num_pages):
+        page = cache.new_page(file_id, PageKind.DATA)
+        page_ids.append(page.page_id)
+        cache.unpin(page, dirty=True)
+    before = cache.stats.snapshot()
 
     def work(thread_id):
-        for _ in range(ITERATIONS):
-            stats.record("hits")
-            stats.record("misses", 2)
+        for i in range(ITERATIONS):
+            page = cache.pin(page_ids[(thread_id * 5 + i) % num_pages])
+            cache.unpin(page, dirty=i % 3 == 0)
 
-    hammer(work)
-    snapshot = stats.snapshot()
-    assert snapshot["hits"] == NUM_THREADS * ITERATIONS
-    assert snapshot["misses"] == 2 * NUM_THREADS * ITERATIONS
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        hammer(work)
+    finally:
+        sys.setswitchinterval(interval)
+    after = cache.stats.snapshot()
+    pins = NUM_THREADS * ITERATIONS
+    assert (after["hits"] - before["hits"]) + (after["misses"] - before["misses"]) == pins
+    # Every page ever admitted (the new ones plus one per miss) that is
+    # not resident now was evicted exactly once.
+    assert cache.num_cached_pages <= cached_pages
+    assert after["evictions"] == num_pages + after["misses"] - cache.num_cached_pages
+    assert after["writebacks"] <= after["evictions"]
 
 
 def test_memory_budget_balanced_allocate_release():

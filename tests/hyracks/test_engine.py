@@ -201,8 +201,8 @@ class TestAccounting:
         idle = cluster.nodes["node2"]
         idle.files.record_run_write(5000)
         idle.files.record_run_read(7000)
-        idle.buffer_cache.stats.record("misses", 3)
-        idle.buffer_cache.stats.record("writebacks", 2)
+        idle.buffer_cache.stats.misses += 3
+        idle.buffer_cache.stats.writebacks += 2
 
         def drain_then_emit(ctx, partition):
             if partition == 0:

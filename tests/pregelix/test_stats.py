@@ -1,4 +1,4 @@
-"""Statistics collector unit tests: registry mirroring and reporting."""
+"""Statistics collector unit tests: the field table, summaries, reporting."""
 
 import pytest
 
@@ -56,9 +56,15 @@ class TestRecordSuperstep:
         assert record.disk_write_bytes == 1024
         assert record.join_tuples == 60
         assert record.cache_misses == 7
+        # ... and the rest of the field table, each from its own holder.
+        assert (record.network_messages, record.disk_read_bytes) == (3, 512)
+        assert (record.vertices_processed, record.combined_messages) == (40, 25)
+        assert (record.index_probes, record.cache_writebacks) == (0, 2)
+        assert record.elapsed == 0.5
+        assert set(record.operator_seconds) == {"Join", "GroupBy"}
         assert stats.supersteps == [record]
 
-    def test_registry_mirroring(self):
+    def test_supersteps_published_to_registry(self):
         registry = MetricsRegistry()
         stats = StatisticsCollector(registry=registry)
         stats.record_superstep(1, fake_result(1, messages=10))
@@ -83,8 +89,8 @@ class TestRecordSuperstep:
 class TestSummary:
     def test_summary_matches_list_derived_properties_exactly(self):
         stats = StatisticsCollector()
-        # Deliberately awkward floats: arrival-order accumulation in the
-        # histogram must reproduce sum(list) bit-for-bit.
+        # Deliberately awkward floats: the exported histogram accumulates
+        # in arrival order, so it reproduces sum(list) bit-for-bit.
         for step, elapsed in enumerate((0.1, 0.2, 0.30000000004, 1e-9), start=1):
             stats.record_superstep(step, fake_result(step, elapsed=elapsed))
         summary = stats.summary()
@@ -94,6 +100,27 @@ class TestSummary:
         assert summary["messages_sent"] == stats.total_messages_sent
         assert summary["network_bytes"] == stats.total_network_bytes
         assert summary["spill_bytes"] == stats.total_spill_bytes
+        assert stats.registry.get("superstep_seconds").total == stats.total_elapsed
+
+    def test_collectors_sharing_a_registry_summarize_only_their_own_run(self):
+        # Every run on a cluster and every job of a service shares one
+        # registry; a summary read back from it would include the others.
+        registry = MetricsRegistry()
+        first = StatisticsCollector(registry=registry)
+        second = StatisticsCollector(registry=registry)
+        for step in (1, 2, 3):
+            first.record_superstep(step, fake_result(step, messages=10))
+        second.record_superstep(1, fake_result(1, elapsed=0.25, messages=7))
+        for stats, supersteps, messages in ((first, 3, 30), (second, 1, 7)):
+            summary = stats.summary()
+            assert summary["supersteps"] == stats.num_supersteps == supersteps
+            assert summary["total_elapsed"] == stats.total_elapsed
+            assert summary["messages_sent"] == stats.total_messages_sent == messages
+            assert summary["network_bytes"] == stats.total_network_bytes
+            assert summary["spill_bytes"] == stats.total_spill_bytes
+        # The shared registry holds the total over both runs.
+        assert registry.value("pregelix.messages_sent") == 37
+        assert registry.get("pregelix.superstep_seconds").count == 4
 
     def test_empty_collector(self):
         stats = StatisticsCollector()
@@ -104,15 +131,18 @@ class TestSummary:
 
 
 class TestRecordCluster:
-    def test_cluster_snapshot_and_gauges(self, tmp_path):
+    def test_cluster_snapshot(self, tmp_path):
         registry = MetricsRegistry()
         stats = StatisticsCollector(registry=registry)
         with HyracksCluster(num_nodes=2, root_dir=str(tmp_path / "c")) as cluster:
             stats.record_cluster(cluster)
         assert stats.live_machines == ["node0", "node1"]
         assert registry.value("pregelix.live_machines") == 2
-        assert "node0" in stats.buffer_cache
-        assert registry.get("pregelix.buffer_cache.hits", node="node0") is not None
+        assert set(stats.buffer_cache["node0"]) == {
+            "hits", "misses", "evictions", "writebacks"
+        }
+        # The cache counts are exported once, by the node (storage.cache.*).
+        assert registry.get("pregelix.buffer_cache.hits", node="node0") is None
 
 
 class TestReport:

@@ -3,8 +3,8 @@
 These are the acceptance tests for the telemetry subsystem: one PageRank
 run on a real (small-cache) cluster must produce a Chrome trace with
 nested pregelix → superstep → job → task spans plus buffer-cache and LSM
-storage events, and the statistics collector's summary must be exactly
-reproducible from the metrics registry.
+storage events, and the registry's ``pregelix.*`` series must total the
+statistics collectors of every run on the cluster exactly.
 """
 
 import json
@@ -114,21 +114,45 @@ class TestTracedPageRank:
         categories = {e["cat"] for e in events}
         assert {"pregelix", "superstep", "job", "task", "storage"} <= categories
 
-    def test_summary_reproduced_exactly_from_registry(self, traced_run):
-        telemetry, outcome = traced_run
-        stats = outcome.stats
-        summary = stats.summary()
-        # Registry-derived values equal the list-derived properties
-        # exactly (not approximately): same floats, same ints.
-        assert summary["supersteps"] == stats.num_supersteps
-        assert summary["total_elapsed"] == stats.total_elapsed
-        assert summary["avg_iteration_seconds"] == stats.avg_iteration_seconds
-        assert summary["messages_sent"] == stats.total_messages_sent
-        assert summary["network_bytes"] == stats.total_network_bytes
-        assert summary["spill_bytes"] == stats.total_spill_bytes
-        # And the raw registry agrees with the scoped reads.
+    def test_registry_totals_cover_all_runs_each_summary_its_own(self, tmp_path):
+        telemetry = Telemetry()
+        with HyracksCluster(
+            num_nodes=2, root_dir=str(tmp_path / "two-runs"), telemetry=telemetry
+        ) as cluster:
+            dfs = MiniDFS(datanodes=cluster.node_ids())
+            write_graph_to_dfs(dfs, "/in/web", webmap_graph(60, seed=5), num_files=2)
+            driver = PregelixDriver(cluster, dfs)
+            runs = [
+                driver.run(pagerank.build_job(iterations=n), "/in/web").stats
+                for n in (3, 2)
+            ]
+        # Every run on a cluster shares its registry: pregelix.* is the
+        # total over all of them (exactly: same floats, same ints) ...
         registry = telemetry.registry
-        assert registry.value("pregelix.messages_sent") == stats.total_messages_sent
+        elapsed = registry.get("pregelix.superstep_seconds")
+        assert elapsed.count == sum(stats.num_supersteps for stats in runs) == 5
+        assert registry.value("pregelix.messages_sent") == sum(
+            stats.total_messages_sent for stats in runs
+        )
+        assert registry.value("pregelix.network_bytes") == sum(
+            stats.total_network_bytes for stats in runs
+        )
+        total = 0
+        for stats in runs:
+            for record in stats.supersteps:
+                total += record.elapsed
+        assert elapsed.total == total
+        # ... while each collector's summary is its own run only.
+        for stats in runs:
+            summary = stats.summary()
+            assert summary["supersteps"] == stats.num_supersteps
+            assert summary["total_elapsed"] == stats.total_elapsed
+            assert summary["avg_iteration_seconds"] == stats.avg_iteration_seconds
+            assert summary["messages_sent"] == stats.total_messages_sent
+            assert summary["network_bytes"] == stats.total_network_bytes
+            assert summary["spill_bytes"] == stats.total_spill_bytes
+        assert runs[0].summary()["supersteps"] == 3
+        assert runs[1].summary()["supersteps"] == 2
 
     def test_engine_counters_flow_into_registry(self, traced_run):
         telemetry, outcome = traced_run

@@ -83,6 +83,41 @@ class TestMetricKinds:
         assert MetricsRegistry().histogram("h").mean == 0.0
 
 
+class TestReadCounter:
+    def test_value_is_the_holders_field_not_a_copy(self):
+        from repro.common.accounting import IOCounters
+        from repro.telemetry import render_prometheus
+
+        registry = MetricsRegistry()
+        io = IOCounters()
+        registry.expose("node.io.disk_read_bytes", io, "disk_read_bytes", node="n0")
+        assert registry.value("node.io.disk_read_bytes", node="n0") == 0
+        io.record_read(4096)
+        assert registry.value("node.io.disk_read_bytes", node="n0") == 4096
+        # Every reader sees it as an ordinary counter.
+        assert registry.snapshot() == {"node.io.disk_read_bytes{node=n0}": 4096}
+        assert 'node_io_disk_read_bytes_total{node="n0"} 4096' in render_prometheus(
+            registry
+        )
+
+    def test_successor_holder_adds_up_and_kind_conflicts_raise(self):
+        from repro.common.accounting import IOCounters
+
+        registry = MetricsRegistry()
+        first, second = IOCounters(), IOCounters()
+        registry.expose("reads", first, "disk_reads")
+        first.record_read(1)
+        registry.expose("reads", second, "disk_reads")  # never goes backwards
+        second.record_read(1)
+        second.record_read(1)
+        assert registry.value("reads") == 3
+        with pytest.raises(TypeError):
+            registry.counter("reads")  # one home: nobody else may write it
+        registry.counter("writes")
+        with pytest.raises(TypeError):
+            registry.expose("writes", first, "disk_writes")
+
+
 class TestHistogramBuckets:
     def test_bucket_counts_are_cumulative(self):
         registry = MetricsRegistry()

@@ -97,6 +97,36 @@ class TestRetention:
         assert tracer.dropped == 2
         assert [s.name for s in tracer.finished_spans()] == ["s2", "s3", "s4"]
 
+        # The same from two threads into a ring that runs full for most of
+        # the run (what a long-lived service's tracer does).
+        tracer = Tracer(max_spans=50)
+        per_thread = 400
+
+        def worker(thread_id):
+            for i in range(per_thread):
+                with tracer.span("t%d-%d" % (thread_id, i)):
+                    pass
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        retained = tracer.finished_spans()
+        assert isinstance(retained, list)  # a snapshot, safe to slice and index
+        assert len(tracer) == len(retained) == 50
+        assert tracer.dropped == 2 * per_thread - 50
+        # The window is the newest spans: per thread, a contiguous tail of
+        # what it finished, in finish order.
+        for thread_id in range(2):
+            mine = [
+                int(s.name.split("-")[1])
+                for s in retained
+                if s.name.startswith("t%d-" % thread_id)
+            ]
+            assert mine == list(range(per_thread - len(mine), per_thread))
+
     def test_disabled_tracer_keeps_nothing(self):
         tracer = Tracer(enabled=False)
         with tracer.span("x") as span:

@@ -116,5 +116,11 @@ class JobCancelled(ReproError):
         super().__init__(message)
 
 
+class ProcessCrashed(ReproError):
+    """The process hosting a run died (simulated). A dead process cleans
+    nothing — its checkpoints must stay for a successor to resume from —
+    so code that releases state on failure lets this through untouched."""
+
+
 class GraphMutationConflict(ReproError):
     """Unresolvable conflicting vertex mutations reached the resolver."""

@@ -3,7 +3,7 @@
 Three patterns from the paper are implemented:
 
 * :class:`MToNPartitioningConnector` — repartition by a key function;
-  fully pipelined by default. Used with the re-grouping group-bys.
+  fully pipelined. Used with the re-grouping group-bys.
 * :class:`MToNPartitioningMergingConnector` — same routing, but assumes
   each sender's stream is sorted and *merges* at the receiver so the
   downstream pre-clustered group-by sees globally sorted input. The paper
@@ -108,14 +108,8 @@ class MToNPartitioningConnector(ConnectorDescriptor, _AccountingMixin):
         ``hash(key) % n`` (the paper's default hash partitioning).
     """
 
-    def __init__(
-        self,
-        key_fn,
-        tuple_serde=None,
-        partition_fn=None,
-        materialization=ConnectorDescriptor.PIPELINED,
-    ):
-        super().__init__(materialization)
+    def __init__(self, key_fn, tuple_serde=None, partition_fn=None):
+        super().__init__(ConnectorDescriptor.PIPELINED)
         self.key_fn = key_fn
         self.tuple_serde = tuple_serde
         self.partition_fn = partition_fn or (lambda key, n: hash(key) % n)
@@ -132,9 +126,8 @@ class MToNPartitioningMergingConnector(ConnectorDescriptor, _AccountingMixin):
 
     Senders must emit streams already sorted by ``sort_key_fn``; each
     receiver heap-merges the per-sender streams, so its output is sorted
-    without any re-grouping work downstream. Default materialization is
-    sender-side materializing, matching Section 5.3.1's deadlock-avoidance
-    policy.
+    without any re-grouping work downstream. Always sender-side
+    materializing, matching Section 5.3.1's deadlock-avoidance policy.
     """
 
     def __init__(self, key_fn, sort_key_fn=None, tuple_serde=None, partition_fn=None):
@@ -190,12 +183,3 @@ class BroadcastConnector(ConnectorDescriptor, _AccountingMixin):
 
     def split(self, sender, batch, num_consumers):
         return [list(batch) for _ in range(num_consumers)]
-
-
-def vid_partitioner(num_partitions):
-    """The default Pregelix partitioning function: hash of the vertex id."""
-
-    def partition(vid, n=num_partitions):
-        return hash(vid) % n
-
-    return partition

@@ -3,7 +3,6 @@
 from repro.hyracks.operators.func import (
     CollectSinkOperator,
     FilterOperator,
-    FlatMapOperator,
     GeneratorSourceOperator,
     MapOperator,
     UnionOperator,
@@ -35,7 +34,6 @@ from repro.hyracks.operators.scan import HDFSScanOperator, HDFSWriteOperator
 __all__ = [
     "CollectSinkOperator",
     "FilterOperator",
-    "FlatMapOperator",
     "GeneratorSourceOperator",
     "MapOperator",
     "UnionOperator",

@@ -29,21 +29,6 @@ class MapOperator(OperatorDescriptor):
         return {self.OUT: [self.fn(item) for item in stream]}
 
 
-class FlatMapOperator(OperatorDescriptor):
-    """Applies ``fn`` (returning an iterable) and flattens the results."""
-
-    def __init__(self, fn, name=None):
-        super().__init__(name or "FlatMap")
-        self.fn = fn
-
-    def run(self, ctx, partition, inputs):
-        (stream,) = inputs
-        output = []
-        for item in stream:
-            output.extend(self.fn(item))
-        return {self.OUT: output}
-
-
 class FilterOperator(OperatorDescriptor):
     """Keeps tuples for which ``predicate`` is truthy."""
 

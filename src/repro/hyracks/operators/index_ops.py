@@ -2,8 +2,10 @@
 
 Indexes live in each node's *runtime context* (the per-worker service
 registry that, as in the paper, outlives individual jobs — the ``Vertex``
-index must persist across the per-superstep jobs). They are addressed by
-``(name, partition)``.
+index must persist across the per-superstep jobs), addressed by
+``(name, partition)``; only this module knows where that registry is.
+"Index" is anything with ``bulk_load``/``scan``/``destroy``: a B-tree, an
+LSM B-tree, or a :class:`~repro.hyracks.storage.run_file.RunFile`.
 """
 
 from repro.common.errors import StorageError
@@ -17,23 +19,45 @@ def register_index(ctx, name, partition, index):
     ctx.services.setdefault(_REGISTRY, {})[(name, partition)] = index
 
 
+def find_index(ctx, name, partition):
+    """The registered index, or ``None`` when nothing was ever loaded."""
+    return ctx.services.get(_REGISTRY, {}).get((name, partition))
+
+
 def get_index(ctx, name, partition):
     """Look up a registered index; raises if missing."""
-    try:
-        return ctx.services[_REGISTRY][(name, partition)]
-    except KeyError:
+    index = find_index(ctx, name, partition)
+    if index is None:
         raise StorageError(
             "no index %r partition %d registered on node %s"
             % (name, partition, ctx.node.node_id)
-        ) from None
+        )
+    return index
 
 
 def drop_index(ctx, name, partition):
     """Remove and destroy a registered index, if present."""
-    registry = ctx.services.get(_REGISTRY, {})
-    index = registry.pop((name, partition), None)
-    if index is not None and hasattr(index, "destroy"):
+    index = ctx.services.get(_REGISTRY, {}).pop((name, partition), None)
+    if index is not None:
         index.destroy()
+
+
+def drop_indexes(node, names):
+    """Drop every partition of the ``names`` indexes ``node`` holds."""
+    # Snapshot with list(dict): atomic under the GIL, unlike a
+    # comprehension — concurrent jobs (repro.serve) register their own
+    # run-scoped indexes while another run is released.
+    for name, partition in list(node.services.get(_REGISTRY, {})):
+        if name in names:
+            drop_index(node, name, partition)
+
+
+def load_index(ctx, name, partition, index_factory, pairs):
+    """Replace ``(name, partition)`` by a fresh index of sorted ``pairs``."""
+    drop_index(ctx, name, partition)
+    index = index_factory(ctx, partition)
+    index.bulk_load(pairs)
+    register_index(ctx, name, partition, index)
 
 
 class IndexScanOperator(OperatorDescriptor):
@@ -65,10 +89,7 @@ class IndexBulkLoadOperator(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         (stream,) = inputs
-        drop_index(ctx, self.index_name, partition)
-        index = self.index_factory(ctx, partition)
-        index.bulk_load(stream)
-        register_index(ctx, self.index_name, partition, index)
+        load_index(ctx, self.index_name, partition, self.index_factory, stream)
         return {}
 
 

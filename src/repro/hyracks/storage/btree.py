@@ -66,7 +66,14 @@ class BTree(Index):
             raise TypeError("keys must be bytes")
         stored = self._encode_value(key, value)
         leaf, path = self._descend(key, for_write=True)
-        if leaf.find(key) is not None:
+        index = leaf.find(key)
+        if index is not None:
+            if leaf.nbytes - len(leaf.values[index]) + len(stored) <= leaf.capacity:
+                # The new image fits where the old one is: replace it in
+                # its slot — the page a remove + re-insert would leave.
+                leaf.put(key, stored)
+                self.cache.unpin(leaf, dirty=True)
+                return
             leaf.remove(key)
             self._count -= 1
         self._insert_into_leaf(leaf, path, key, stored)

@@ -11,13 +11,14 @@ Thread safety (parallel execution, DESIGN.md §13): a single metadata
 latch serializes all map/LRU/pin-count bookkeeping, so concurrent
 pin/unpin/evict/spill keep the cache's invariants — one Page object per
 cached PageId, cached-bytes equals pages × page-size, no eviction of a
-pinned page, no double-eviction. Page *content* is protected separately
-by each page's own latch: mutators hold ``page.latch`` while editing
-entries, and writeback serializes the image under that latch, so a spill
-never captures a half-applied update. Lock order is metadata → page
-latch; callers must release a page latch before calling back into the
-cache (which the pin → latch → mutate → unlatch → unpin discipline of the
-access methods guarantees).
+pinned page, no double-eviction. Page *content* needs no lock of its own
+while pinned: a pinned page is never evicted or written back, an index
+partition is only ever touched by one operator clone at a time, and
+``flush_file``/``flush_all`` are not called while clones run. Writeback
+still serializes the image under the page's latch, so a caller that does
+share a pinned page across threads can take ``page.latch`` around its
+edits (metadata → page latch order; release it before calling back into
+the cache) and never have a half-applied update spilled.
 
 Where the numbers live: ``BufferCache.stats`` is the one home of the
 hit/miss/eviction/writeback counts, bumped under the metadata latch.

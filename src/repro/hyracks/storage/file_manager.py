@@ -147,14 +147,6 @@ class FileManager:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def bytes_on_disk(self):
-        """Total bytes currently stored under this node's root."""
-        total = 0
-        for dirpath, _dirnames, filenames in os.walk(self.root):
-            for filename in filenames:
-                total += os.path.getsize(os.path.join(dirpath, filename))
-        return total
-
     def close(self):
         for paged in list(self._paged_files.values()):
             paged.close()

@@ -69,11 +69,12 @@ class Page:
         self.next_page_no = -1
         self.dirty = False
         self.pin_count = 0
-        # Content latch for parallel execution: hold it while mutating
-        # entries; the buffer cache takes it while serializing the page
-        # for writeback so a spill never captures a half-applied update.
-        # Protocol (DESIGN.md §13): latch only while pinned, release
-        # before calling back into the cache.
+        # Content latch: the buffer cache takes it while serializing the
+        # page for writeback. The access methods do not — a pinned page
+        # is never written back and has one clone using it (DESIGN.md
+        # §13); a caller sharing a pinned page across threads holds it
+        # while mutating entries and releases it before calling back
+        # into the cache.
         self.latch = threading.RLock()
 
     # ------------------------------------------------------------------

@@ -4,6 +4,10 @@ A run file is a flat local file of length-prefixed ``(key, value)`` byte
 records written once and scanned sequentially — exactly the shape of an
 external sort run or of the sorted per-partition ``Msg`` relation the
 paper stores "in temporary local files" between supersteps.
+
+This is the one framing of a ``(key, value)`` byte pair: a run file and
+a checkpoint blob (:func:`pack_pairs`/:func:`iter_pairs`) are the same
+bytes.
 """
 
 import os
@@ -11,6 +15,28 @@ import struct
 
 _RECORD_HEADER = struct.Struct(">II")
 _BUFFER_LIMIT = 1 << 20
+
+
+def pack_pairs(pairs):
+    """Frame ``(key, value)`` byte pairs into one blob."""
+    parts = []
+    for key, value in pairs:
+        parts += (_RECORD_HEADER.pack(len(key), len(value)), key, value)
+    return b"".join(parts)
+
+
+def iter_pairs(blob):
+    """Inverse of :func:`pack_pairs`."""
+    offset = 0
+    view = memoryview(blob)
+    while offset < len(view):
+        key_len, value_len = _RECORD_HEADER.unpack_from(view, offset)
+        offset += _RECORD_HEADER.size
+        key = bytes(view[offset : offset + key_len])
+        offset += key_len
+        value = bytes(view[offset : offset + value_len])
+        offset += value_len
+        yield key, value
 
 
 class RunFileWriter:
@@ -84,3 +110,25 @@ class RunFileReader:
     def delete(self):
         if os.path.exists(self.path):
             os.remove(self.path)
+
+
+class RunFile:
+    """One sorted run as a stored relation partition: the three calls
+    the plans make on one (``bulk_load``, ``scan``, ``destroy``), shaped
+    as :class:`~repro.hyracks.storage.index.Index` shapes them, so the
+    index operators take a run as they take a B-tree."""
+
+    def __init__(self, path, file_manager):
+        self.path = path
+        self.files = file_manager
+
+    def bulk_load(self, pairs):
+        with RunFileWriter(self.path, self.files) as writer:
+            for key, value in pairs:
+                writer.append(key, value)
+
+    def scan(self):
+        return iter(RunFileReader(self.path, self.files))
+
+    def destroy(self):
+        self.files.delete_path(self.path)

@@ -6,7 +6,10 @@ plan) to HDFS, alongside a copy of GS. After a machine loss, the failure
 manager reloads the latest checkpoint onto the surviving nodes with a
 recovery plan that scans the checkpointed data and bulk loads fresh
 indexes — checkpointing ``Msg`` is what lets user programs stay unaware
-of failures.
+of failures. Both plans are one loop over the run's node-local relations
+(:meth:`~repro.pregelix.relations.RunRelations.node_local`) with one
+operator pair: a blob is the run-file framing of the partition's
+``(key, value)`` pairs, whether a B-tree or a sorted run holds them.
 
 The paper assumes DFS checkpoints are durable and complete; this module
 enforces it with an **atomic commit protocol**:
@@ -30,19 +33,14 @@ committed generations so a corrupted newest checkpoint still leaves a
 verified fallback.
 """
 
-import io
 import json
-import struct
 import zlib
 
 from repro.common.errors import CheckpointNotFound, ChecksumError
 from repro.hyracks.job import JobSpec, OperatorDescriptor
-from repro.hyracks.operators.index_ops import get_index
-from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
-from repro.pregelix.operators import runtime_state
-from repro.pregelix.types import decode_global_state, encode_global_state
-
-_FRAME = struct.Struct(">II")
+from repro.hyracks.operators.index_ops import find_index, load_index
+from repro.hyracks.storage.index import Index
+from repro.hyracks.storage.run_file import iter_pairs, pack_pairs
 
 #: The commit marker published by rename; its presence == committed.
 MANIFEST_NAME = "MANIFEST"
@@ -54,57 +52,41 @@ STAGING_PREFIX = "_tmp."
 MIN_RETAIN = 2
 
 
-def pack_pairs(pairs):
-    """Frame ``(key, value)`` byte pairs into one checkpoint blob."""
-    buffer = io.BytesIO()
-    for key, value in pairs:
-        buffer.write(_FRAME.pack(len(key), len(value)))
-        buffer.write(key)
-        buffer.write(value)
-    return buffer.getvalue()
-
-
-def iter_pairs(blob):
-    """Inverse of :func:`pack_pairs`."""
-    offset = 0
-    view = memoryview(blob)
-    while offset < len(view):
-        key_len, value_len = _FRAME.unpack_from(view, offset)
-        offset += _FRAME.size
-        key = bytes(view[offset : offset + key_len])
-        offset += key_len
-        value = bytes(view[offset : offset + value_len])
-        offset += value_len
-        yield key, value
-
-
 class IndexCheckpointOperator(OperatorDescriptor):
-    """Scans an index partition and writes it to HDFS as one blob."""
+    """Scans a registered relation partition — an index or a sorted run —
+    and writes it to HDFS as one blob; a partition nothing was ever
+    loaded into is the empty relation. ``label`` is what the fault site
+    and the telemetry event call the relation (default: its name)."""
 
-    def __init__(self, index_name, dfs, path_for_partition, name=None):
+    def __init__(self, index_name, dfs, path_for_partition, label=None, name=None):
         super().__init__(name or "IndexCheckpoint(%s)" % index_name)
         self.index_name = index_name
         self.dfs = dfs
         self.path_for_partition = path_for_partition
+        self.label = label or index_name
 
     def run(self, ctx, partition, inputs):
-        index = get_index(ctx, self.index_name, partition)
-        blob = pack_pairs(index.scan())
+        index = find_index(ctx, self.index_name, partition)
+        blob = pack_pairs(index.scan()) if index is not None else b""
         if ctx.fault_injector is not None:
             ctx.fault_injector.check(
                 "checkpoint.write",
                 node=ctx.node.node_id,
-                index=self.index_name,
+                index=self.label,
                 partition=partition,
             )
         self.dfs.write(self.path_for_partition(partition), blob)
-        ctx.io.record_read(len(blob))
+        if isinstance(index, Index):
+            # An index is scanned through the buffer cache, which charges
+            # only its misses: charge the copy as one sequential read. A
+            # run's reader has charged the file manager for its own.
+            ctx.io.record_read(len(blob))
         telemetry = getattr(ctx, "telemetry", None)
         if telemetry is not None:
             telemetry.event(
                 "checkpoint.write",
                 category="checkpoint",
-                index=self.index_name,
+                index=self.label,
                 partition=partition,
                 bytes=len(blob),
             )
@@ -112,7 +94,8 @@ class IndexCheckpointOperator(OperatorDescriptor):
 
 
 class IndexRestoreOperator(OperatorDescriptor):
-    """Reads a checkpoint blob and bulk loads a fresh index from it."""
+    """Reads a checkpoint blob and bulk loads a fresh partition from it,
+    in place of whatever the node held under that name."""
 
     def __init__(self, index_name, index_factory, dfs, path_for_partition, name=None):
         super().__init__(name or "IndexRestore(%s)" % index_name)
@@ -122,69 +105,10 @@ class IndexRestoreOperator(OperatorDescriptor):
         self.path_for_partition = path_for_partition
 
     def run(self, ctx, partition, inputs):
-        from repro.hyracks.operators.index_ops import drop_index, register_index
-
         blob = self.dfs.read(self.path_for_partition(partition))
-        drop_index(ctx, self.index_name, partition)
-        index = self.index_factory(ctx, partition)
-        index.bulk_load(iter_pairs(blob))
-        register_index(ctx, self.index_name, partition, index)
-        return {}
-
-
-class MsgCheckpointOperator(OperatorDescriptor):
-    """Copies the partition's local ``Msg`` run file into HDFS."""
-
-    def __init__(self, run_id, dfs, path_for_partition, name=None):
-        super().__init__(name or "MsgCheckpoint")
-        self.run_id = run_id
-        self.dfs = dfs
-        self.path_for_partition = path_for_partition
-
-    def run(self, ctx, partition, inputs):
-        state = runtime_state(ctx, self.run_id)
-        path = state["msg_files"].get(partition)
-        pairs = RunFileReader(path, ctx.files) if path else []
-        blob = pack_pairs(pairs)
-        if ctx.fault_injector is not None:
-            ctx.fault_injector.check(
-                "checkpoint.write",
-                node=ctx.node.node_id,
-                index="msg",
-                partition=partition,
-            )
-        self.dfs.write(self.path_for_partition(partition), blob)
-        telemetry = getattr(ctx, "telemetry", None)
-        if telemetry is not None:
-            telemetry.event(
-                "checkpoint.write",
-                category="checkpoint",
-                index="msg",
-                partition=partition,
-                bytes=len(blob),
-            )
-        return {}
-
-
-class MsgRestoreOperator(OperatorDescriptor):
-    """Rewrites the checkpointed ``Msg`` data as a local run file."""
-
-    def __init__(self, run_id, superstep, dfs, path_for_partition, name=None):
-        super().__init__(name or "MsgRestore")
-        self.run_id = run_id
-        self.superstep = superstep
-        self.dfs = dfs
-        self.path_for_partition = path_for_partition
-
-    def run(self, ctx, partition, inputs):
-        blob = self.dfs.read(self.path_for_partition(partition))
-        path = ctx.files.create_temp_path(
-            "msg-%s-p%d-restored-s%d" % (self.run_id, partition, self.superstep)
+        load_index(
+            ctx, self.index_name, partition, self.index_factory, iter_pairs(blob)
         )
-        with RunFileWriter(path, ctx.files) as writer:
-            for key, value in iter_pairs(blob):
-                writer.append(key, value)
-        runtime_state(ctx, self.run_id)["msg_files"][partition] = path
         return {}
 
 
@@ -263,7 +187,7 @@ class Checkpointer:
     """
 
     def __init__(self, plan_generator, telemetry=None, retry=None, retain=MIN_RETAIN):
-        self.gs_path = plan_generator.gs_path
+        self.relations = plan_generator.relations
         self.dfs = plan_generator.dfs
         self.job = plan_generator.job
         self.run_id = plan_generator.run_id
@@ -272,7 +196,7 @@ class Checkpointer:
         self.retain = max(int(retain), MIN_RETAIN)
 
     def root(self):
-        return "/pregelix/%s/ckpt" % self.run_id
+        return self.relations.root + "/ckpt"
 
     def directory(self, superstep):
         return "%s/%06d" % (self.root(), superstep)
@@ -301,52 +225,33 @@ class Checkpointer:
         recovery until :meth:`commit` publishes the manifest.
         """
         spec = JobSpec("%s-ckpt-%d" % (self.job.name, superstep))
-        vertex = spec.add(
-            IndexCheckpointOperator(
-                generator.vertex_index,
-                self.dfs,
-                lambda p, s=superstep: self.staging_path(s, "vertex", p),
-            )
-        )
-        vertex.partition_constraint = generator.partition_map.constraint()
-        msg = spec.add(
-            MsgCheckpointOperator(
-                self.run_id,
-                self.dfs,
-                lambda p, s=superstep: self.staging_path(s, "msg", p),
-            )
-        )
-        msg.partition_constraint = generator.partition_map.constraint()
-        if self.job.needs_vid:
-            vid = spec.add(
+        for kind, name, _factory in generator.relations.node_local():
+            operator = spec.add(
                 IndexCheckpointOperator(
-                    generator.vid_index,
+                    name,
                     self.dfs,
-                    lambda p, s=superstep: self.staging_path(s, "vid", p),
+                    lambda p, kind=kind: self.staging_path(superstep, kind, p),
+                    label=kind,
                 )
             )
-            vid.partition_constraint = generator.partition_map.constraint()
+            operator.partition_constraint = generator.partition_map.constraint()
         return spec
 
     # ------------------------------------------------------------------
     # the commit protocol
     # ------------------------------------------------------------------
-    def commit(self, superstep, gs=None):
+    def commit(self, superstep, gs):
         """Publish checkpoint ``superstep``: GS copy, manifest, rename.
 
-        ``gs`` is the in-memory :class:`~repro.pregelix.types.GlobalState`
-        to snapshot; when omitted the primary DFS copy is read instead
-        (the in-memory tuple is preferred — it cannot have been corrupted
-        by a storage fault). The manifest rename is the single commit
-        point; everything before it is invisible to recovery. Committing
-        also garbage-collects superseded checkpoint generations.
+        ``gs`` is the driver's in-memory
+        :class:`~repro.pregelix.types.GlobalState` — unlike the primary
+        DFS copy it cannot have been corrupted by a storage fault. The
+        manifest rename is the single commit point; everything before it
+        is invisible to recovery. Committing also garbage-collects
+        superseded checkpoint generations.
         """
         directory = self.directory(superstep)
-        if gs is not None:
-            gs_data = encode_global_state(self.job.gs_codec(), gs)
-        else:
-            gs_data = self._read(self.gs_path)
-        self.dfs.write(self.staging_path(superstep, "gs"), gs_data)
+        gs_data = self.relations.write_gs(gs, self.staging_path(superstep, "gs"))
 
         prefix = directory + "/" + STAGING_PREFIX
         staged = [p for p in self.dfs.list_files(directory) if p.startswith(prefix)]
@@ -490,35 +395,16 @@ class Checkpointer:
         names stay identical because the run id is unchanged.
         """
         spec = JobSpec("%s-recover-%d" % (self.job.name, superstep))
-        constraint = new_generator.partition_map.constraint()
-        vertex = spec.add(
-            IndexRestoreOperator(
-                new_generator.vertex_index,
-                new_generator._index_factory(),
-                self.dfs,
-                lambda p, s=superstep: self.path(s, "vertex", p),
-            )
-        )
-        vertex.partition_constraint = constraint
-        msg = spec.add(
-            MsgRestoreOperator(
-                self.run_id,
-                superstep,
-                self.dfs,
-                lambda p, s=superstep: self.path(s, "msg", p),
-            )
-        )
-        msg.partition_constraint = constraint
-        if self.job.needs_vid:
-            vid = spec.add(
+        for kind, name, factory in new_generator.relations.node_local():
+            operator = spec.add(
                 IndexRestoreOperator(
-                    new_generator.vid_index,
-                    new_generator._vid_factory(),
+                    name,
+                    factory,
                     self.dfs,
-                    lambda p, s=superstep: self.path(s, "vid", p),
+                    lambda p, kind=kind: self.path(superstep, kind, p),
                 )
             )
-            vid.partition_constraint = constraint
+            operator.partition_constraint = new_generator.partition_map.constraint()
         return spec
 
     def restore_gs(self, superstep):
@@ -527,9 +413,7 @@ class Checkpointer:
         if not self.dfs.exists(path):
             raise CheckpointNotFound(path)
         # Also restore it as the primary copy.
-        data = self._read(path)
-        self.dfs.write(self.gs_path, data)
-        return decode_global_state(self.job.gs_codec(), data)
+        return self.relations.adopt_gs(self._read(path))
 
     def _read(self, path):
         """A driver-side DFS read, retried when a policy is attached."""

@@ -2,52 +2,39 @@
 
 These are the boxes of the paper's Figures 3–5 and 8 that are not plain
 relational operators: the ``compute`` UDF call (with the vertex-update
-push-down), the ``Msg`` relation's scan/write against local sorted run
-files, the mutation resolve-and-apply operator, and the global-state
-update. Everything here is generated into job specs by
-:mod:`repro.pregelix.physical`.
+push-down), the ``Msg`` relation's scan/write against the partition's
+sorted run, the mutation resolve-and-apply operator, and the
+global-state update. Everything here is generated into job specs by
+:mod:`repro.pregelix.physical`; where the relations live and what their
+rows look like is asked of the run's
+:class:`~repro.pregelix.relations.RunRelations`.
 """
 
 from repro.common.serde import decode_key, encode_key
 from repro.hyracks.job import OperatorDescriptor
-from repro.hyracks.operators.index_ops import get_index
-from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
-from repro.pregelix.types import VertexRecord, decode_vertex, encode_vertex
-
-_SERVICE = "pregelix"
-
-
-def runtime_state(ctx, run_id):
-    """The per-node Pregelix runtime context for one job run."""
-    return ctx.services.setdefault(_SERVICE, {}).setdefault(
-        run_id, {"msg_files": {}}
-    )
-
-
-def clear_runtime_state(ctx_services, run_id):
-    ctx_services.get(_SERVICE, {}).pop(run_id, None)
+from repro.hyracks.operators.index_ops import find_index, get_index, load_index
+from repro.pregelix.relations import VID_VALUE
+from repro.pregelix.types import VertexRecord
 
 
 class MsgScanOperator(OperatorDescriptor):
-    """Scans the partition's sorted ``Msg`` run file from the last superstep.
+    """Scans the partition's sorted ``Msg`` run from the last superstep.
 
     Emits ``(key_bytes, bundle)`` in vid order; empty when no messages
     were addressed to this partition (superstep 1, or quiesced regions).
     """
 
-    def __init__(self, run_id, bundle_codec, name=None):
+    def __init__(self, relations, bundle_codec, name=None):
         super().__init__(name or "MsgScan")
-        self.run_id = run_id
+        self.relations = relations
         self.bundle_codec = bundle_codec
 
     def run(self, ctx, partition, inputs):
-        state = runtime_state(ctx, self.run_id)
-        path = state["msg_files"].get(partition)
-        if path is None:
+        run = find_index(ctx, self.relations.msg, partition)
+        if run is None:
             return {self.OUT: []}
         output = [
-            (key, self.bundle_codec.loads(data))
-            for key, data in RunFileReader(path, ctx.files)
+            (key, self.bundle_codec.loads(data)) for key, data in run.scan()
         ]
         return {self.OUT: output}
 
@@ -56,32 +43,22 @@ class MsgWriteOperator(OperatorDescriptor):
     """Writes combined messages as the next superstep's ``Msg`` partition.
 
     Input must be ``(key_bytes, bundle)`` sorted by key (all four group-by
-    strategies guarantee it). The fresh run file replaces the previous
-    superstep's file in the runtime context.
+    strategies guarantee it). The fresh run replaces the previous
+    superstep's, whose file is deleted.
     """
 
-    def __init__(self, run_id, superstep, bundle_codec, name=None):
+    def __init__(self, relations, bundle_codec, name=None):
         super().__init__(name or "MsgWrite")
-        self.run_id = run_id
-        self.superstep = superstep
+        self.relations = relations
         self.bundle_codec = bundle_codec
 
     def run(self, ctx, partition, inputs):
         (stream,) = inputs
-        state = runtime_state(ctx, self.run_id)
-        old_path = state["msg_files"].get(partition)
-        path = ctx.files.create_temp_path(
-            "msg-%s-p%d-s%d" % (self.run_id, partition, self.superstep)
+        pairs = [(key, self.bundle_codec.dumps(bundle)) for key, bundle in stream]
+        load_index(
+            ctx, self.relations.msg, partition, self.relations.new_msg, pairs
         )
-        count = 0
-        with RunFileWriter(path, ctx.files) as writer:
-            for key, bundle in stream:
-                writer.append(key, self.bundle_codec.dumps(bundle))
-                count += 1
-        state["msg_files"][partition] = path
-        if old_path:
-            ctx.files.delete_path(old_path)
-        ctx.job.counters.add("combined_messages", count)
+        ctx.job.counters.add("combined_messages", len(pairs))
         return {}
 
 
@@ -98,8 +75,8 @@ class ComputeOperator(OperatorDescriptor):
     * port ``halt`` — per-vertex global-halt contributions;
     * port ``agg`` — global-aggregate contributions;
     * port ``mut`` — requested graph mutations;
-    * port ``live`` — ``(key, b"")`` rows of still-active vertices, which
-      the left-outer-join plan bulk loads into the next ``Vid`` index;
+    * port ``live`` — ``Vid`` rows of still-active vertices, which the
+      left-outer-join plan bulk loads into the next ``Vid`` index;
     * port ``stats`` — one ``(vertices_created, edge_delta)`` per clone.
     """
 
@@ -110,18 +87,18 @@ class ComputeOperator(OperatorDescriptor):
     LIVE = "live"
     STATS = "stats"
 
-    def __init__(self, job, run_id, vertex_index, gs, emit_live, name=None):
-        super().__init__(name or "Compute(%s)" % job.name)
-        self.job = job
-        self.run_id = run_id
-        self.vertex_index = vertex_index
+    def __init__(self, relations, gs, emit_live, name=None):
+        super().__init__(name or "Compute(%s)" % relations.job.name)
+        self.job = relations.job
+        self.relations = relations
         self.gs = gs
         self.emit_live = emit_live
-        self.vertex_codec = job.vertex_codec()
 
     def run(self, ctx, partition, inputs):
         (joined,) = inputs
-        index = get_index(ctx, self.vertex_index, partition)
+        relations = self.relations
+        index = get_index(ctx, relations.vertex, partition)
+        decode_vertex, encode_vertex = relations.decode_vertex, relations.encode_vertex
         program = self.job.vertex_class()
         program.configure(self.job.config)
         combiner = self.job.combiner
@@ -148,7 +125,7 @@ class ComputeOperator(OperatorDescriptor):
                 record = VertexRecord(vid=vid)
                 created += 1
             else:
-                record = decode_vertex(self.vertex_codec, vid, vertex_bytes)
+                record = decode_vertex(vid, vertex_bytes)
                 if record.halt and bundle is None:
                     continue  # the selection predicate prunes it
             processed += 1
@@ -171,14 +148,14 @@ class ComputeOperator(OperatorDescriptor):
                 value=program._value,
                 edges=program._edges,
             )
-            index.insert(key, encode_vertex(self.vertex_codec, updated))
+            index.insert(key, encode_vertex(updated))
             edge_delta += len(updated.edges) - edges_before
             messages_out.extend(program._outbox)
             halt_out.append(program._halted and not program._outbox)
             agg_out.extend(program._agg_contribs)
             mut_out.extend(program._mutations)
             if self.emit_live and not program._halted:
-                live_out.append((key, b""))
+                live_out.append((key, VID_VALUE))
 
         ctx.job.counters.add("vertices_processed", processed)
         ctx.job.counters.add("messages_sent", len(messages_out))
@@ -205,21 +182,21 @@ class VertexMutationOperator(OperatorDescriptor):
 
     STATS = "stats"
 
-    def __init__(self, job, vertex_index, vid_index=None, name=None):
+    def __init__(self, relations, maintain_vid, name=None):
         super().__init__(name or "VertexMutation")
-        self.job = job
-        self.vertex_index = vertex_index
-        self.vid_index = vid_index
-        self.vertex_codec = job.vertex_codec()
+        self.job = relations.job
+        self.relations = relations
+        self.maintain_vid = maintain_vid
 
     def run(self, ctx, partition, inputs):
         (stream,) = inputs
         mutations = list(stream)
         if not mutations:
             return {self.STATS: [(0, 0, 0)]}
-        index = get_index(ctx, self.vertex_index, partition)
+        relations = self.relations
+        index = get_index(ctx, relations.vertex, partition)
         vid_index = (
-            get_index(ctx, self.vid_index, partition) if self.vid_index else None
+            get_index(ctx, relations.vid, partition) if self.maintain_vid else None
         )
         by_vid = {}
         for mutation in mutations:
@@ -238,18 +215,18 @@ class VertexMutationOperator(OperatorDescriptor):
                 _op, value, edges = outcome
                 record = VertexRecord(vid=vid, halt=False, value=value, edges=edges or [])
                 if existing is not None:
-                    old = decode_vertex(self.vertex_codec, vid, existing)
+                    old = relations.decode_vertex(vid, existing)
                     edge_delta -= len(old.edges)
                 else:
                     vertex_delta += 1
-                index.insert(key, encode_vertex(self.vertex_codec, record))
+                index.insert(key, relations.encode_vertex(record))
                 edge_delta += len(record.edges)
                 activations += 1  # inserted vertices start active
                 if vid_index is not None:
-                    vid_index.insert(key, b"")
+                    vid_index.insert(key, VID_VALUE)
             elif outcome[0] == "delete":
                 if existing is not None:
-                    old = decode_vertex(self.vertex_codec, vid, existing)
+                    old = relations.decode_vertex(vid, existing)
                     edge_delta -= len(old.edges)
                     vertex_delta -= 1
                     index.delete(key)
@@ -291,13 +268,11 @@ class GlobalGSOperator(OperatorDescriptor):
     surfaced in the job result under ``"gs"`` for the driver.
     """
 
-    def __init__(self, job, dfs, gs_path, previous_gs, name=None):
+    def __init__(self, relations, previous_gs, name=None):
         super().__init__(name or "GlobalGS")
-        self.job = job
-        self.dfs = dfs
-        self.gs_path = gs_path
+        self.relations = relations
         self.previous_gs = previous_gs
-        self.aggregators = job.aggregator_set()
+        self.aggregators = relations.job.aggregator_set()
 
     def run(self, ctx, partition, inputs):
         partials, compute_stats, mutation_stats = inputs
@@ -329,8 +304,6 @@ class GlobalGSOperator(OperatorDescriptor):
             num_vertices=self.previous_gs.num_vertices + vertex_delta,
             num_edges=self.previous_gs.num_edges + edge_delta,
         )
-        from repro.pregelix.types import encode_global_state
-
-        self.dfs.write(self.gs_path, encode_global_state(self.job.gs_codec(), new_gs))
+        self.relations.write_gs(new_gs)
         ctx.job.collected["gs"] = {0: [new_gs]}
         return {}

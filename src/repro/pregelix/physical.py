@@ -17,6 +17,10 @@ Sticky scheduling: every per-partition operator carries an absolute
 location constraint pinning partition ``i`` to the node that stores
 vertex partition ``i``, so ``Msg`` and ``Vertex`` stay co-partitioned and
 the join needs no extra repartitioning (Section 5.3.4).
+
+The plans are *over* the run's relations; their names, storage and row
+layouts are the :class:`~repro.pregelix.relations.RunRelations`' that
+every generator holds as ``relations``.
 """
 
 from repro.common import serde
@@ -35,7 +39,11 @@ from repro.hyracks.operators.groupby import (
     PreclusteredGroupByOperator,
     SortGroupByOperator,
 )
-from repro.hyracks.operators.index_ops import IndexBulkLoadOperator, IndexScanOperator
+from repro.hyracks.operators.index_ops import (
+    IndexBulkLoadOperator,
+    IndexScanOperator,
+    get_index,
+)
 from repro.hyracks.operators.join import (
     IndexFullOuterJoinOperator,
     IndexLeftOuterJoinOperator,
@@ -48,9 +56,7 @@ from repro.hyracks.scheduler import (
     ChoiceLocationConstraint,
     CountConstraint,
 )
-from repro.hyracks.storage.btree import BTree
-from repro.hyracks.storage.lsm_btree import LSMBTree
-from repro.pregelix.api import ConnectorPolicy, GroupByStrategy, JoinStrategy, VertexStorage
+from repro.pregelix.api import ConnectorPolicy, GroupByStrategy, JoinStrategy
 from repro.pregelix.operators import (
     ComputeOperator,
     GlobalGSOperator,
@@ -59,7 +65,8 @@ from repro.pregelix.operators import (
     MsgWriteOperator,
     VertexMutationOperator,
 )
-from repro.pregelix.types import GlobalState, edge_list_serde, encode_global_state
+from repro.pregelix.relations import VID_VALUE, RunRelations
+from repro.pregelix.types import GlobalState, edge_list_serde
 
 
 class PartitionMap:
@@ -73,16 +80,17 @@ class PartitionMap:
         if not locations:
             raise ValueError("partition map needs at least one partition")
         self.locations = list(locations)
-
-    @property
-    def num_partitions(self):
-        return len(self.locations)
+        self.num_partitions = len(self.locations)
 
     def constraint(self):
         return AbsoluteLocationConstraint(self.locations)
 
-    def partition_of(self, vid):
-        """The paper's default: hash partitioning on the vertex id."""
+    def partition_of(self, vid, num_consumers=None):
+        """The paper's default: hash partitioning on the vertex id.
+
+        A partitioning connector passes along how many consumers it
+        feeds; they are pinned by this map, so that is this count.
+        """
         return hash(vid) % self.num_partitions
 
     @classmethod
@@ -220,11 +228,9 @@ class _MergeSameVidOperator(OperatorDescriptor):
 class _InitGSOperator(OperatorDescriptor):
     """Writes the initial GS tuple after loading (superstep 0)."""
 
-    def __init__(self, job, dfs, gs_path):
+    def __init__(self, relations):
         super().__init__("InitGS")
-        self.job = job
-        self.dfs = dfs
-        self.gs_path = gs_path
+        self.relations = relations
 
     def run(self, ctx, partition, inputs):
         (stats,) = inputs
@@ -236,7 +242,7 @@ class _InitGSOperator(OperatorDescriptor):
             num_vertices=num_vertices,
             num_edges=num_edges,
         )
-        self.dfs.write(self.gs_path, encode_global_state(self.job.gs_codec(), gs))
+        self.relations.write_gs(gs)
         ctx.job.collected["gs"] = {0: [gs]}
         return {}
 
@@ -246,25 +252,21 @@ class _ReactivateOperator(OperatorDescriptor):
 
     LIVE = "live"
 
-    def __init__(self, job, vertex_index):
+    def __init__(self, relations):
         super().__init__("Reactivate")
-        self.job = job
-        self.vertex_index = vertex_index
-        self.codec = job.vertex_codec()
+        self.relations = relations
 
     def run(self, ctx, partition, inputs):
-        from repro.hyracks.operators.index_ops import get_index
-        from repro.pregelix.types import decode_vertex, encode_vertex
-
-        index = get_index(ctx, self.vertex_index, partition)
+        relations = self.relations
+        index = get_index(ctx, relations.vertex, partition)
         live = []
         updates = []
         for key, value in index.scan():
-            record = decode_vertex(self.codec, decode_key(key), value)
+            record = relations.decode_vertex(decode_key(key), value)
             if record.halt:
                 record.halt = False
-                updates.append((key, encode_vertex(self.codec, record)))
-            live.append((key, b""))
+                updates.append((key, relations.encode_vertex(record)))
+            live.append((key, VID_VALUE))
         for key, value in updates:
             index.insert(key, value)
         return {self.LIVE: live}
@@ -278,43 +280,11 @@ class PlanGenerator:
         self.dfs = dfs
         self.run_id = run_id
         self.partition_map = partition_map
-        self.vertex_index = "vertex:%s" % run_id
-        self.vid_index = "vid:%s" % run_id
-        self.gs_path = "/pregelix/%s/gs" % run_id
+        self.relations = RunRelations(job, dfs, run_id)
 
     # ------------------------------------------------------------------
     # shared pieces
     # ------------------------------------------------------------------
-    def _vid_partition_fn(self):
-        num = self.partition_map.num_partitions
-
-        def partition(vid, n=num):
-            return hash(vid) % n
-
-        return partition
-
-    def _index_factory(self):
-        storage = self.job.vertex_storage
-        name_prefix = self.vertex_index.replace(":", "-")
-
-        def factory(ctx, partition):
-            if storage == VertexStorage.LSM_BTREE:
-                return LSMBTree(
-                    ctx.buffer_cache,
-                    name="%s-p%d" % (name_prefix, partition),
-                )
-            return BTree(ctx.buffer_cache, name="%s-p%d.dat" % (name_prefix, partition))
-
-        return factory
-
-    def _vid_factory(self):
-        name_prefix = self.vid_index.replace(":", "-")
-
-        def factory(ctx, partition):
-            return BTree(ctx.buffer_cache, name="%s-p%d.dat" % (name_prefix, partition))
-
-        return factory
-
     def _raw_vertex_serde(self):
         """Serde for loader tuples ``(vid, value, edges)``."""
         return serde.TupleSerde(
@@ -326,6 +296,13 @@ class PlanGenerator:
     def _pin(self, operator):
         operator.partition_constraint = self.partition_map.constraint()
         return operator
+
+    def _vid_load(self, spec):
+        """Add the operator that rebuilds ``Vid`` from sorted live rows."""
+        relations = self.relations
+        return spec.add(
+            self._pin(IndexBulkLoadOperator(relations.vid, relations.new_vid))
+        )
 
     # ------------------------------------------------------------------
     # loading plan
@@ -362,7 +339,7 @@ class PlanGenerator:
             MToNPartitioningConnector(
                 key_fn=lambda t: t[0],
                 tuple_serde=raw_serde,
-                partition_fn=self._vid_partition_fn(),
+                partition_fn=self.partition_map.partition_of,
             ),
             scan,
             sort,
@@ -371,30 +348,22 @@ class PlanGenerator:
         merge = spec.add(self._pin(_MergeSameVidOperator()))
         spec.connect(OneToOneConnector(), sort, merge)
 
-        codec = job.vertex_codec()
-
-        def to_record(raw):
-            vid, value, edges = raw
-            return (encode_key(vid), codec.dumps((False, value, edges)))
-
-        to_vertex = spec.add(self._pin(MapOperator(to_record, name="EncodeVertex")))
+        relations = self.relations
+        to_vertex = spec.add(
+            self._pin(MapOperator(relations.loaded_vertex, name="EncodeVertex"))
+        )
         spec.connect(OneToOneConnector(), merge, to_vertex)
         load = spec.add(
-            self._pin(IndexBulkLoadOperator(self.vertex_index, self._index_factory()))
+            self._pin(IndexBulkLoadOperator(relations.vertex, relations.new_vertex))
         )
         spec.connect(OneToOneConnector(), to_vertex, load)
 
         if job.needs_vid:
             to_vid = spec.add(
-                self._pin(
-                    MapOperator(lambda raw: (encode_key(raw[0]), b""), name="EncodeVid")
-                )
+                self._pin(MapOperator(relations.loaded_vid, name="EncodeVid"))
             )
             spec.connect(OneToOneConnector(), merge, to_vid)
-            vid_load = spec.add(
-                self._pin(IndexBulkLoadOperator(self.vid_index, self._vid_factory()))
-            )
-            spec.connect(OneToOneConnector(), to_vid, vid_load)
+            spec.connect(OneToOneConnector(), to_vid, self._vid_load(spec))
 
         from repro.hyracks.operators.aggregate import (
             GlobalAggregateOperator,
@@ -407,7 +376,7 @@ class PlanGenerator:
         merge_stats = spec.add(GlobalAggregateOperator(counter, name="GlobalCount"))
         merge_stats.partition_constraint = CountConstraint(1)
         spec.connect(MToOneAggregatorConnector(), local_stats, merge_stats)
-        init_gs = spec.add(_InitGSOperator(job, self.dfs, self.gs_path))
+        init_gs = spec.add(_InitGSOperator(relations))
         init_gs.partition_constraint = CountConstraint(1)
         spec.connect(OneToOneConnector(), merge_stats, init_gs)
         return spec
@@ -422,21 +391,20 @@ class PlanGenerator:
         spec = JobSpec("%s-superstep-%d" % (job.name, superstep))
         bundle_codec = job.bundle_codec()
 
-        msg_scan = spec.add(self._pin(MsgScanOperator(self.run_id, bundle_codec)))
+        relations = self.relations
+        msg_scan = spec.add(self._pin(MsgScanOperator(relations, bundle_codec)))
         emit_live = job.needs_vid
-        compute = ComputeOperator(
-            job, self.run_id, self.vertex_index, gs, emit_live=emit_live
-        )
+        compute = ComputeOperator(relations, gs, emit_live=emit_live)
 
         if job.join_strategy == JoinStrategy.FULL_OUTER:
-            join = spec.add(self._pin(IndexFullOuterJoinOperator(self.vertex_index)))
+            join = spec.add(self._pin(IndexFullOuterJoinOperator(relations.vertex)))
             spec.connect(OneToOneConnector(), msg_scan, join)
         else:
-            vid_scan = spec.add(self._pin(IndexScanOperator(self.vid_index, name="VidScan")))
+            vid_scan = spec.add(self._pin(IndexScanOperator(relations.vid, name="VidScan")))
             choose = spec.add(self._pin(MergeChooseOperator()))
             spec.connect(OneToOneConnector(), msg_scan, choose)
             spec.connect(OneToOneConnector(), vid_scan, choose)
-            join = spec.add(self._pin(IndexLeftOuterJoinOperator(self.vertex_index)))
+            join = spec.add(self._pin(IndexLeftOuterJoinOperator(relations.vertex)))
             spec.connect(OneToOneConnector(), choose, join)
 
         spec.add(self._pin(compute))
@@ -444,9 +412,7 @@ class PlanGenerator:
 
         # --- message combination: two-stage group-by (Figure 7) --------
         receiver_out = self._message_groupby(spec, compute, bundle_codec)
-        msg_write = spec.add(
-            self._pin(MsgWriteOperator(self.run_id, superstep, bundle_codec))
-        )
+        msg_write = spec.add(self._pin(MsgWriteOperator(relations, bundle_codec)))
         spec.connect(OneToOneConnector(), receiver_out, msg_write)
 
         # --- Vid maintenance for the left outer join plan ---------------
@@ -454,27 +420,19 @@ class PlanGenerator:
         # the mutation operator patches it; the engine executes ready
         # operators in edge-attachment order).
         if emit_live:
-            vid_load = spec.add(
-                self._pin(IndexBulkLoadOperator(self.vid_index, self._vid_factory()))
-            )
             spec.connect(
-                OneToOneConnector(), compute, vid_load, port=ComputeOperator.LIVE
+                OneToOneConnector(), compute, self._vid_load(spec),
+                port=ComputeOperator.LIVE,
             )
 
         # --- graph mutations (Figure 5) ---------------------------------
         mutation = spec.add(
-            self._pin(
-                VertexMutationOperator(
-                    job,
-                    self.vertex_index,
-                    vid_index=self.vid_index if emit_live else None,
-                )
-            )
+            self._pin(VertexMutationOperator(relations, maintain_vid=emit_live))
         )
         spec.connect(
             MToNPartitioningConnector(
                 key_fn=lambda m: m[1],
-                partition_fn=self._vid_partition_fn(),
+                partition_fn=self.partition_map.partition_of,
             ),
             compute,
             mutation,
@@ -485,7 +443,7 @@ class PlanGenerator:
         local_gs = spec.add(self._pin(LocalGSOperator(job)))
         spec.connect(OneToOneConnector(), compute, local_gs, port=ComputeOperator.HALT)
         spec.connect(OneToOneConnector(), compute, local_gs, port=ComputeOperator.AGG)
-        global_gs = spec.add(GlobalGSOperator(job, self.dfs, self.gs_path, gs))
+        global_gs = spec.add(GlobalGSOperator(relations, gs))
         global_gs.partition_constraint = CountConstraint(1)
         spec.connect(MToOneAggregatorConnector(), local_gs, global_gs)
         spec.connect(
@@ -528,7 +486,7 @@ class PlanGenerator:
         spec.add(self._pin(sender))
         spec.connect(OneToOneConnector(), compute, sender, port=ComputeOperator.MSG)
 
-        partition_fn = self._vid_partition_fn()
+        partition_fn = self.partition_map.partition_of
         if job.connector_policy == ConnectorPolicy.MERGED:
             connector = MToNPartitioningMergingConnector(
                 key_fn=lambda t: decode_key(t[0]),
@@ -573,16 +531,11 @@ class PlanGenerator:
         """Scan the final Vertex relation and write it back to HDFS."""
         job = self.job
         spec = JobSpec("%s-dump" % job.name)
-        codec = job.vertex_codec()
-        scan = spec.add(self._pin(IndexScanOperator(self.vertex_index)))
-
-        def decode(pair):
-            from repro.pregelix.types import decode_vertex
-
-            key, value = pair
-            return decode_vertex(codec, decode_key(key), value)
-
-        to_record = spec.add(self._pin(MapOperator(decode, name="DecodeVertex")))
+        relations = self.relations
+        scan = spec.add(self._pin(IndexScanOperator(relations.vertex)))
+        to_record = spec.add(
+            self._pin(MapOperator(relations.vertex_record, name="DecodeVertex"))
+        )
         spec.connect(OneToOneConnector(), scan, to_record)
         write = spec.add(
             self._pin(
@@ -602,12 +555,10 @@ class PlanGenerator:
     def reactivation_plan(self):
         """Between pipelined jobs: reactivate all vertices, rebuild Vid."""
         spec = JobSpec("%s-reactivate" % self.job.name)
-        reactivate = spec.add(self._pin(_ReactivateOperator(self.job, self.vertex_index)))
+        reactivate = spec.add(self._pin(_ReactivateOperator(self.relations)))
         if self.job.needs_vid:
-            vid_load = spec.add(
-                self._pin(IndexBulkLoadOperator(self.vid_index, self._vid_factory()))
-            )
             spec.connect(
-                OneToOneConnector(), reactivate, vid_load, port=_ReactivateOperator.LIVE
+                OneToOneConnector(), reactivate, self._vid_load(spec),
+                port=_ReactivateOperator.LIVE,
             )
         return spec

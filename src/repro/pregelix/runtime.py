@@ -8,6 +8,7 @@ recoverable failures (machine interruptions, disk I/O errors) trigger
 checkpoint replay on the surviving machines.
 """
 
+import contextlib
 import itertools
 import time
 import zlib
@@ -18,6 +19,7 @@ from repro.common.errors import (
     DeadlineExceeded,
     JobCancelled,
     JobFailure,
+    ProcessCrashed,
     SchedulingError,
     WorkerFailure,
 )
@@ -30,8 +32,9 @@ from repro.pregelix.failure import (
     is_transient,
 )
 from repro.pregelix.physical import PartitionMap, PlanGenerator
+from repro.pregelix.relations import RunRelations
 from repro.pregelix.stats import StatisticsCollector, pregelix_sim_cost
-from repro.pregelix.types import GlobalState, encode_global_state
+from repro.pregelix.types import GlobalState
 
 _run_ids = itertools.count(1)
 
@@ -190,10 +193,16 @@ class PregelixDriver:
         State in place (the load plan — or, when ``resume`` finds a
         verified checkpoint, the restore step) → for each job: the job
         boundary if it is not the first, then the superstep loop → the
-        optional dump → one :class:`JobOutcome` per job → cleanup, all
-        inside one ``run_id`` tracer context and under one placement
-        pin. :meth:`run` is the one-job case, :meth:`resume` the
+        optional dump → one :class:`JobOutcome` per job, all inside one
+        ``run_id`` tracer context and under one placement pin.
+        :meth:`run` is the one-job case, :meth:`resume` the
         restore-instead-of-load case, :meth:`run_jobs` the N-job case.
+
+        Every way out goes through ``RunRelations.release``: success
+        and a cooperative stop drop everything; any other failure drops
+        what this process holds (indexes, run files, the pin) and keeps
+        GS and the checkpoints for a retry. Only ``keep_state`` and a
+        dead process leave the run in place.
         """
         parse_line, format_record = _default_formats(parse_line, format_record)
         telemetry = self.telemetry
@@ -203,7 +212,7 @@ class PregelixDriver:
         # through the engine call graph.
         with telemetry.tracer.context(run_id=run_id), telemetry.span(
             "pregelix:%s" % jobs[0].name, category="pregelix", run_id=run_id
-        ):
+        ), self._released_on_failure(jobs[0], run_id):
             partition_map = self._pin_initial_map(run_id)
             outcomes = []
             for job in jobs:
@@ -225,18 +234,9 @@ class PregelixDriver:
                     gs, generator = self._resume(generator, checkpointer, superstep)
                     # The crash that made this a resume was itself a recovery.
                     recoveries = 1
-                try:
-                    gs, generator, stats, recovered = self._superstep_loop(
-                        generator, checkpointer, gs, scale_at, boundary_hook
-                    )
-                except (DeadlineExceeded, JobCancelled):
-                    # A cooperative stop is a *clean* unwind: drop the run's
-                    # indexes and scratch so the worker slot frees without
-                    # leaking state. (A simulated service crash, by contrast,
-                    # propagates untouched — its checkpoints must survive
-                    # for the restarted service to resume from.)
-                    self.cleanup(generator)
-                    raise
+                gs, generator, stats, recovered = self._superstep_loop(
+                    generator, checkpointer, gs, scale_at, boundary_hook
+                )
                 partition_map = generator.partition_map
                 outcomes.append(JobOutcome(
                     job=job, run_id=run_id, gs=gs, stats=stats,
@@ -264,6 +264,20 @@ class PregelixDriver:
             else:
                 self.cleanup(generator)
             return outcomes
+
+    @contextlib.contextmanager
+    def _released_on_failure(self, job, run_id):
+        """The exit rule for a run that does not complete."""
+        try:
+            yield
+        except ProcessCrashed:
+            raise  # a dead process cleans nothing; its successor resumes
+        except Exception as error:
+            RunRelations(job, self.dfs, run_id).release(
+                self.cluster,
+                durable=isinstance(error, (DeadlineExceeded, JobCancelled)),
+            )
+            raise
 
     def _load(self, generator, input_path, parse_line):
         """The load phase: bulk load ``Vertex`` from ``input_path``."""
@@ -316,9 +330,7 @@ class PregelixDriver:
             num_vertices=gs.num_vertices,
             num_edges=gs.num_edges,
         )
-        self.dfs.write(
-            generator.gs_path, encode_global_state(generator.job.gs_codec(), gs)
-        )
+        generator.relations.write_gs(gs)
         return gs
 
     def _restore(self, generator, checkpointer, superstep, partition_map):
@@ -337,8 +349,7 @@ class PregelixDriver:
         )
         self.cluster.execute(checkpointer.recovery_plan(superstep, restored))
         vacated = set(generator.partition_map.locations) - set(partition_map.locations)
-        for node_id in vacated:
-            self._drop_node_run_state(node_id, generator)
+        generator.relations.release(self.cluster, nodes=vacated)
         self.cluster.register_placement(generator.run_id, partition_map.locations)
         return restored
 
@@ -691,41 +702,9 @@ class PregelixDriver:
     # cleanup
     # ------------------------------------------------------------------
     def cleanup(self, generator):
-        """Drop a run's indexes and message files from every node."""
-        run_id = generator.run_id
-        for node_id in list(self.cluster.nodes):
-            self._drop_node_run_state(node_id, generator)
-        self.dfs.delete("/pregelix/%s" % run_id, recursive=True)
-        self.cluster.release_placement(run_id)
-
-    def _drop_node_run_state(self, node_id, generator):
-        """Drop one node's share of a run: indexes and message files.
-
-        Used by cleanup for every node, and by rebalancing for nodes a
-        partition map vacated — a drained node must hold nothing of the
-        run before it can retire.
-        """
-        node = self.cluster.nodes.get(node_id)
-        if node is None:
-            return
-        registry = node.services.get("indexes", {})
-        # Snapshot with list(dict): atomic under the GIL, unlike a
-        # comprehension — concurrent jobs (repro.serve) register
-        # their own run-scoped indexes while this run cleans up.
-        doomed = [
-            key
-            for key in list(registry)
-            if key[0] in (generator.vertex_index, generator.vid_index)
-        ]
-        for key in doomed:
-            index = registry.pop(key, None)
-            if hasattr(index, "destroy"):
-                index.destroy()
-        pregelix_state = node.services.get("pregelix", {}).pop(generator.run_id, None)
-        if pregelix_state:
-            for path in pregelix_state.get("msg_files", {}).values():
-                if path:
-                    node.files.delete_path(path)
+        """Release everything a finished run holds (what ``keep_state``
+        handed to the caller): node state, DFS state, placement pin."""
+        generator.relations.release(self.cluster)
 
 
 def _retryable_at_boundary(error):

@@ -4,9 +4,10 @@
 ``Msg (vid, payload)`` — combined messages addressed to ``vid``.
 ``GS (halt, aggregate, superstep)`` — the single-row global state.
 
-Vertex rows are stored serialized inside the per-partition index; this
-module builds their serdes from the user-selected value/edge serdes, and
-defines the :class:`GlobalState` record stored in HDFS.
+This module is the schema: the record types, their serdes built from
+the user-selected value/edge serdes, and the row codecs. Where a run's
+relations live and who reads or writes a row is
+:mod:`repro.pregelix.relations`, the only caller of the codecs here.
 """
 
 from dataclasses import dataclass, field, replace

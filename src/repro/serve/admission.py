@@ -95,9 +95,6 @@ class AdmissionController:
     def quota(self, tenant):
         return self.quotas.get(tenant, self.default_quota)
 
-    def set_quota(self, tenant, quota):
-        self.quotas[tenant] = quota
-
     # ------------------------------------------------------------------
     # budget views
     # ------------------------------------------------------------------

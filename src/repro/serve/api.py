@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.algorithms import ALGORITHMS
-from repro.common.errors import ReproError
+from repro.common.errors import ProcessCrashed, ReproError
 
 #: Algorithms the service can execute: name -> (module path, accepted
 #: request params) — the servable rows of :data:`repro.algorithms.ALGORITHMS`.
@@ -84,7 +84,7 @@ class AdmissionRejected(ReproError):
         super().__init__("%s: %s" % (rejection.code, rejection.reason))
 
 
-class ServiceCrashed(ReproError):
+class ServiceCrashed(ProcessCrashed):
     """The simulated service process died (the ``service.crash`` site).
 
     Deliberately outside the driver's recoverable set: a crashed

@@ -22,6 +22,7 @@ from repro.algorithms import algorithm_module
 from repro.common.errors import DeadlineExceeded, JobCancelled
 from repro.pregelix.failure import failure_cause, is_transient
 from repro.pregelix.multiquery import MultiQueryProgram
+from repro.pregelix.relations import RunRelations
 from repro.pregelix.runtime import PregelixDriver
 from repro.serve import plans
 from repro.serve.api import (
@@ -343,10 +344,14 @@ class Executor:
             raise
         finally:
             # The run's DFS scratch is not needed once the documents are
-            # built; its indexes/message files were cleaned by the driver
-            # already. A dead process, though, cleans nothing.
+            # built, and the driver already released what the run held
+            # on the nodes. What a *failed* run keeps for a resume — GS
+            # and its checkpoints — is released here: the next attempt
+            # runs under a new run id, so nobody will come back for it.
+            # A dead process, though, cleans nothing.
             if not crashed:
                 service.dfs.delete(scratch, recursive=True)
+                RunRelations(job, service.dfs, run_id).release(service.cluster)
 
     def _dataflow(self, lanes, members, job, dataset, run_id, output_path):
         """Drive the engine: the only place a lone job and a shared run

@@ -40,7 +40,7 @@ from repro.telemetry.registry import (
     ReadCounter,
     ScopedRegistry,
 )
-from repro.telemetry.session import Telemetry, ensure_telemetry
+from repro.telemetry.session import Telemetry
 from repro.telemetry.tracing import SimClock, Span, Tracer
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "chrome_trace_events",
-    "ensure_telemetry",
     "iter_records",
     "metric_record",
     "print_summary",

@@ -86,8 +86,3 @@ class Telemetry:
             len(self.tracer),
             len(self.events),
         )
-
-
-def ensure_telemetry(telemetry):
-    """``telemetry`` if given, else a fresh enabled session."""
-    return telemetry if telemetry is not None else Telemetry()

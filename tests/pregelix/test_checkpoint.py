@@ -15,7 +15,8 @@ from repro.pregelix import (
     JoinStrategy,
     PregelixDriver,
 )
-from repro.pregelix.checkpoint import Checkpointer, iter_pairs, pack_pairs
+from repro.hyracks.storage.run_file import iter_pairs, pack_pairs
+from repro.pregelix.checkpoint import Checkpointer
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 
 

@@ -23,10 +23,8 @@ class TestCleanup:
         for node in cluster.nodes.values():
             registry = node.services.get("indexes", {})
             assert not any(
-                key[0].startswith("vertex:") or key[0].startswith("vid:")
-                for key in registry
+                key[0].startswith(("vertex:", "vid:", "msg:")) for key in registry
             )
-            assert not node.services.get("pregelix", {}).get(outcome.run_id)
         assert not dfs.list_files("/pregelix/%s" % outcome.run_id)
 
     def test_default_run_cleans_up(self, cluster, dfs, driver):
@@ -34,7 +32,7 @@ class TestCleanup:
         outcome = driver.run(sssp.build_job(source_id=0), "/in/h")
         assert not hasattr(outcome, "generator")
         for node in cluster.nodes.values():
-            assert not node.services.get("pregelix", {})
+            assert not node.services.get("indexes")
 
     def test_repeated_runs_do_not_leak_dfs_state(self, dfs, driver):
         write_graph_to_dfs(dfs, "/in/r", chain_graph(10), num_files=2)

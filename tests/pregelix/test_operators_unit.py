@@ -6,7 +6,7 @@ from repro.algorithms import pagerank
 from repro.common import serde
 from repro.common.serde import encode_key
 from repro.hyracks.engine import HyracksCluster, JobContext, TaskContext
-from repro.hyracks.operators.index_ops import get_index, register_index
+from repro.hyracks.operators.index_ops import find_index, get_index, register_index
 from repro.hyracks.storage.btree import BTree
 from repro.pregelix import PregelixJob, Vertex
 from repro.pregelix.operators import (
@@ -15,9 +15,9 @@ from repro.pregelix.operators import (
     MsgScanOperator,
     MsgWriteOperator,
     VertexMutationOperator,
-    runtime_state,
 )
-from repro.pregelix.types import GlobalState, VertexRecord, encode_vertex
+from repro.pregelix.relations import RunRelations
+from repro.pregelix.types import GlobalState, VertexRecord
 
 
 @pytest.fixture
@@ -31,50 +31,52 @@ def ctx(unit_cluster):
     return TaskContext(unit_cluster.nodes["node0"], JobContext("unit"), 0, 1)
 
 
-def make_vertex_index(ctx, job, records, name="vertex:unit"):
-    codec = job.vertex_codec()
+def make_vertex_index(ctx, relations, records):
     tree = BTree(ctx.buffer_cache)
     tree.bulk_load(
-        (encode_key(record.vid), encode_vertex(codec, record))
+        (encode_key(record.vid), relations.encode_vertex(record))
         for record in sorted(records, key=lambda r: r.vid)
     )
-    register_index(ctx, name, 0, tree)
+    register_index(ctx, relations.vertex, 0, tree)
     return tree
+
+
+def msg_relations(run_id):
+    return RunRelations(pagerank.build_job(), None, run_id)
 
 
 class TestMsgFileRoundtrip:
     def test_write_then_scan(self, ctx):
-        job = pagerank.build_job()
-        codec = job.bundle_codec()
-        write = MsgWriteOperator("run1", 1, codec)
+        relations = msg_relations("run1")
+        codec = relations.job.bundle_codec()
+        write = MsgWriteOperator(relations, codec)
         data = [(encode_key(1), 0.5), (encode_key(2), 1.5)]
         write.run(ctx, 0, [data])
-        scan = MsgScanOperator("run1", codec)
+        scan = MsgScanOperator(relations, codec)
         assert scan.run(ctx, 0, [])[scan.OUT] == data
 
     def test_scan_missing_file_is_empty(self, ctx):
-        job = pagerank.build_job()
-        scan = MsgScanOperator("ghost-run", job.bundle_codec())
+        relations = msg_relations("ghost-run")
+        scan = MsgScanOperator(relations, relations.job.bundle_codec())
         assert scan.run(ctx, 0, [])[scan.OUT] == []
 
     def test_write_replaces_previous_superstep_file(self, ctx):
-        job = pagerank.build_job()
-        codec = job.bundle_codec()
-        MsgWriteOperator("run2", 1, codec).run(ctx, 0, [[(encode_key(1), 1.0)]])
-        first_path = runtime_state(ctx, "run2")["msg_files"][0]
-        MsgWriteOperator("run2", 2, codec).run(ctx, 0, [[(encode_key(2), 2.0)]])
-        second_path = runtime_state(ctx, "run2")["msg_files"][0]
+        relations = msg_relations("run2")
+        codec = relations.job.bundle_codec()
+        MsgWriteOperator(relations, codec).run(ctx, 0, [[(encode_key(1), 1.0)]])
+        first_path = find_index(ctx, relations.msg, 0).path
+        MsgWriteOperator(relations, codec).run(ctx, 0, [[(encode_key(2), 2.0)]])
+        second_path = find_index(ctx, relations.msg, 0).path
         assert first_path != second_path
         import os
 
         assert not os.path.exists(first_path)
-        scan = MsgScanOperator("run2", codec)
+        scan = MsgScanOperator(relations, codec)
         assert scan.run(ctx, 0, [])[scan.OUT] == [(encode_key(2), 2.0)]
 
     def test_counters_track_combined_messages(self, ctx):
-        job = pagerank.build_job()
-        codec = job.bundle_codec()
-        MsgWriteOperator("run3", 1, codec).run(
+        relations = msg_relations("run3")
+        MsgWriteOperator(relations, relations.job.bundle_codec()).run(
             ctx, 0, [[(encode_key(i), 1.0) for i in range(5)]]
         )
         assert ctx.job.counters.get("combined_messages") == 5
@@ -88,22 +90,22 @@ class CountingVertex(Vertex):
 
 class TestComputeOperator:
     def test_filter_prunes_halted_without_messages(self, ctx):
-        job = PregelixJob("unit", CountingVertex)
+        relations = RunRelations(PregelixJob("unit", CountingVertex), None, "unit")
         make_vertex_index(
             ctx,
-            job,
+            relations,
             [
                 VertexRecord(vid=1, halt=True, value=0.0),
                 VertexRecord(vid=2, halt=False, value=0.0),
             ],
         )
-        compute = ComputeOperator(job, "r", "vertex:unit", GlobalState(), emit_live=False)
+        compute = ComputeOperator(relations, GlobalState(), emit_live=False)
         joined = [
             (encode_key(1), None, b"ignored"),  # halted + no message
             (encode_key(2), None, b"x"),
         ]
         # Provide real stored bytes for the active vertex.
-        index = get_index(ctx, "vertex:unit", 0)
+        index = get_index(ctx, relations.vertex, 0)
         joined = [
             (encode_key(1), None, index.lookup(encode_key(1))),
             (encode_key(2), None, index.lookup(encode_key(2))),
@@ -117,26 +119,24 @@ class TestComputeOperator:
             def compute(self, messages):
                 self.value = 0.0  # never votes to halt
 
-        job = PregelixJob("unit2", StayAlive)
-        index = make_vertex_index(
-            ctx, job, [VertexRecord(vid=3)], name="vertex:unit2"
-        )
+        relations = RunRelations(PregelixJob("unit2", StayAlive), None, "unit2")
+        index = make_vertex_index(ctx, relations, [VertexRecord(vid=3)])
         joined = [(encode_key(3), None, index.lookup(encode_key(3)))]
-        live_on = ComputeOperator(job, "r", "vertex:unit2", GlobalState(), emit_live=True)
+        live_on = ComputeOperator(relations, GlobalState(), emit_live=True)
         out = live_on.run(ctx, 0, [joined])
         assert out[ComputeOperator.LIVE] == [(encode_key(3), b"")]
-        live_off = ComputeOperator(job, "r", "vertex:unit2", GlobalState(), emit_live=False)
+        live_off = ComputeOperator(relations, GlobalState(), emit_live=False)
         out = live_off.run(ctx, 0, [joined])
         assert out[ComputeOperator.LIVE] == []
 
 
 class TestMutationOperator:
     def test_insert_and_delete(self, ctx):
-        job = PregelixJob("unit3", CountingVertex)
+        relations = RunRelations(PregelixJob("unit3", CountingVertex), None, "unit3")
         index = make_vertex_index(
-            ctx, job, [VertexRecord(vid=1), VertexRecord(vid=2)], name="vertex:unit3"
+            ctx, relations, [VertexRecord(vid=1), VertexRecord(vid=2)]
         )
-        op = VertexMutationOperator(job, "vertex:unit3")
+        op = VertexMutationOperator(relations, maintain_vid=False)
         out = op.run(
             ctx,
             0,
@@ -148,8 +148,8 @@ class TestMutationOperator:
         assert stats == (0, 0, 1)  # +1 insert, -1 delete, 1 activation
 
     def test_empty_input_emits_zero_stats(self, ctx):
-        job = PregelixJob("unit4", CountingVertex)
-        op = VertexMutationOperator(job, "vertex:none")
+        relations = RunRelations(PregelixJob("unit4", CountingVertex), None, "none")
+        op = VertexMutationOperator(relations, maintain_vid=False)
         assert op.run(ctx, 0, [[]])[VertexMutationOperator.STATS] == [(0, 0, 0)]
 
 

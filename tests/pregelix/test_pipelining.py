@@ -243,7 +243,6 @@ class TestPipelineIsARun:
         assert not dfs.list_files("/pregelix/%s" % run_id)
         for node in cluster.nodes.values():
             assert not node.services.get("indexes")
-            assert not node.services.get("pregelix")
             assert not [
                 name for name in os.listdir(node.files.root) if run_id in name
             ]

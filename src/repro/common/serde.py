@@ -675,6 +675,15 @@ class ListSerde(_Composite):
             self._adopt(_compile_repeated(element_serde, framed=True))
 
 
+def list_count(data):
+    """The element count that the image of a :class:`ListSerde` or
+    :class:`PackedListSerde` value begins with."""
+    try:
+        return _U32.unpack_from(data)[0]
+    except struct.error as exc:
+        _corrupt(exc)
+
+
 class PairSerde(TupleSerde):
     """Two-field tuple, a common shape for (vid, weight) edges."""
 

@@ -6,7 +6,7 @@
 * :class:`IndexLeftOuterJoinOperator` probes the ``Vertex`` index once
   per incoming tuple, skipping the full scan — a large win when messages
   are sparse (single source shortest paths), at the cost of a
-  root-to-leaf search per probe.
+  root-to-leaf search per leaf the sorted probes land on.
 * :class:`MergeChooseOperator` implements the ``Merge (choose())`` box of
   the left-outer-join plan: it merges the message stream with the ``Vid``
   live-vertex stream, preferring the message tuple on key collisions.
@@ -62,9 +62,10 @@ class IndexLeftOuterJoinOperator(OperatorDescriptor):
     def run(self, ctx, partition, inputs):
         (stream,) = inputs
         index = get_index(ctx, self.index_name, partition)
-        output = []
-        for key, payload in stream:
-            output.append((key, payload, index.lookup(key)))
+        # The stream is in key order: consecutive probes mostly land on
+        # the leaf the last one found.
+        with index.positioned():
+            output = [(key, payload, index.lookup(key)) for key, payload in stream]
         ctx.job.counters.add("index_probes", len(output))
         return {self.OUT: output}
 

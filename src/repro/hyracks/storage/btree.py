@@ -24,9 +24,22 @@ past the last key it returned instead of trusting stale page links.
 Deletes do not rebalance (no page merging); emptied pages stay in the
 chain. That matches the workload: Pregel graph mutations are a trickle
 compared to updates, and the LSM variant exists for delete-heavy jobs.
+
+Positioned access
+-----------------
+Inside a :meth:`BTree.positioned` scope the leaf of the last ``lookup``
+or ``insert`` stays pinned, and the next call whose key lies within that
+leaf's ``[keys[0], keys[-1]]`` starts from it instead of from the root —
+the paper's vertex update as a mini-operator on the leaf the index join
+already holds (Section 5.3.2). A pass in key order then pins each leaf
+once, not once per key. Everything else (a key outside the leaf, an
+insert that is not an overwrite in place) gives the leaf up and runs the
+ordinary descent. Safe because one operator clone at a time uses an
+index partition (DESIGN.md §13).
 """
 
 import bisect
+import contextlib
 import struct
 
 from repro.common.errors import StorageError
@@ -51,6 +64,8 @@ class BTree(Index):
         self.file_id = buffer_cache.create_file(name)
         self.smo_counter = 0
         self._count = 0
+        self._positioned = False  # inside a positioned() scope
+        self._held = None  # the leaf lookup/insert is at (pinned), if any
         root = self.cache.new_page(self.file_id, PageKind.LEAF)
         self.root_page_no = root.page_id.page_no
         self.cache.unpin(root, dirty=True)
@@ -64,22 +79,41 @@ class BTree(Index):
     def insert(self, key, value):
         if not isinstance(key, (bytes, bytearray)):
             raise TypeError("keys must be bytes")
-        stored = self._encode_value(key, value)
-        leaf, path = self._descend(key, for_write=True)
-        index = leaf.find(key)
-        if index is not None:
-            if leaf.nbytes - len(leaf.values[index]) + len(stored) <= leaf.capacity:
+        if not isinstance(value, (bytes, bytearray)):
+            raise TypeError("values must be bytes")
+        try:
+            leaf, path = self._seek(key, for_write=True)
+            index = leaf.find(key)
+            old = None if index is None else leaf.values[index]
+            if (
+                old is not None
+                and old[:1] == _OVERFLOW_MARK
+                and self._rewrite_overflow_chain(old, value)
+            ):
+                return  # the leaf's pointer to the chain still holds
+            stored = self._encode_value(key, value)
+            if old is not None and leaf.nbytes - len(old) + len(stored) <= leaf.capacity:
                 # The new image fits where the old one is: replace it in
                 # its slot — the page a remove + re-insert would leave.
                 leaf.put(key, stored)
-                self.cache.unpin(leaf, dirty=True)
                 return
-            leaf.remove(key)
-            self._count -= 1
-        self._insert_into_leaf(leaf, path, key, stored)
-        self._count += 1
+            if path is None:
+                # The entry moves and the leaf may split, which takes the
+                # path that a leaf held from an earlier call does not carry.
+                self._release()
+                leaf, path = self._seek(key, for_write=True)
+            self._held = None  # _insert_into_leaf unpins it
+            if old is not None:
+                leaf.remove(key)
+                self._count -= 1
+            self._insert_into_leaf(leaf, path, key, stored)
+            self._count += 1
+        finally:
+            if not self._positioned:
+                self._release()
 
     def delete(self, key):
+        self._release()
         leaf, _path = self._descend(key, for_write=True)
         try:
             removed = leaf.remove(key)
@@ -90,16 +124,27 @@ class BTree(Index):
         return removed
 
     def lookup(self, key):
-        leaf, _path = self._descend(key, for_write=False)
         try:
+            leaf, _path = self._seek(key, for_write=False)
             index = leaf.find(key)
             if index is None:
                 return None
             return self._decode_value(leaf.values[index])
         finally:
-            self.cache.unpin(leaf)
+            if not self._positioned:
+                self._release()
+
+    @contextlib.contextmanager
+    def positioned(self):
+        self._positioned = True
+        try:
+            yield
+        finally:
+            self._positioned = False
+            self._release()
 
     def scan(self, low=None, high=None):
+        self._release()
         page_no = self._leftmost_leaf() if low is None else self._leaf_for(low)
         resume_key = low
         resume_exclusive = False
@@ -137,6 +182,7 @@ class BTree(Index):
                 resume_exclusive = False
 
     def bulk_load(self, pairs):
+        self._release()
         if self._count:
             raise StorageError("bulk_load requires an empty B-tree")
         level = []  # (first_key, page_no) of each leaf, left to right
@@ -172,12 +218,32 @@ class BTree(Index):
 
     def destroy(self):
         """Drop the tree's file entirely (used when rebuilding an index)."""
+        self._release()
         self.cache.delete_file(self.file_id)
         self._count = 0
 
     # ------------------------------------------------------------------
     # descent and split machinery
     # ------------------------------------------------------------------
+    def _seek(self, key, for_write):
+        """The pinned leaf responsible for ``key``, now ``_held``, and the
+        path to it — ``None`` when it is the leaf that was held already."""
+        leaf = self._held
+        if leaf is not None:
+            keys = leaf.keys
+            if keys and keys[0] <= key <= keys[-1]:
+                return leaf, None
+            self._release()
+        leaf, path = self._descend(key, for_write)
+        self._held = leaf
+        return leaf, path
+
+    def _release(self):
+        """Unpin the held leaf, if any (what changed it marked it dirty)."""
+        leaf, self._held = self._held, None
+        if leaf is not None:
+            self.cache.unpin(leaf)
+
     def _descend(self, key, for_write):
         """Walk to the leaf for ``key``; returns (pinned leaf, parent path)."""
         path = []
@@ -299,12 +365,15 @@ class BTree(Index):
         first_page_no, total = _OVERFLOW_HEADER.unpack(stored[1:])
         return self._read_overflow_chain(first_page_no, total)
 
+    def _chunks(self, value):
+        """``value`` cut into what one overflow page holds."""
+        size = self._chunk_limit
+        return [value[i : i + size] for i in range(0, len(value), size)]
+
     def _write_overflow_chain(self, value):
-        chunk_size = self._chunk_limit
-        chunks = [value[i : i + chunk_size] for i in range(0, len(value), chunk_size)]
         first_page_no = -1
         previous = None
-        for chunk in chunks:
+        for chunk in self._chunks(value):
             page = self.cache.new_page(self.file_id, PageKind.DATA)
             page.put(b"", chunk)
             if previous is None:
@@ -316,6 +385,23 @@ class BTree(Index):
         if previous is not None:
             self.cache.unpin(previous, dirty=True)
         return first_page_no
+
+    def _rewrite_overflow_chain(self, pointer, value):
+        """Write ``value`` over the chain the stored ``pointer`` leads to,
+        when the value there is as long: the same chunks on the same
+        pages, so the pointer still holds and no page is allocated.
+        Returns whether it did. (A chain of another length is left behind
+        unreferenced, as every replaced chain was: the file has no free
+        list.)"""
+        page_no, total = _OVERFLOW_HEADER.unpack(pointer[1:])
+        if total != len(value):
+            return False
+        for chunk in self._chunks(bytes(value)):
+            page = self.cache.pin(PageId(self.file_id, page_no))
+            page.put(b"", chunk)
+            page_no = page.next_page_no
+            self.cache.unpin(page, dirty=True)
+        return True
 
     def _read_overflow_chain(self, first_page_no, total):
         parts = []

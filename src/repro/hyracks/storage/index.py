@@ -6,6 +6,8 @@ in-place-update-heavy algorithms like PageRank, LSM B-trees for
 mutation-heavy workloads like the Genomix path-merging assembler.
 """
 
+import contextlib
+
 #: Sentinel value marking a deleted key inside LSM components.
 TOMBSTONE = b"\x00__repro_tombstone__"
 
@@ -40,6 +42,19 @@ class Index:
         Only valid on an empty index.
         """
         raise NotImplementedError
+
+    def positioned(self):
+        """A ``with`` scope for a pass of ``lookup``/``insert`` calls in
+        key order (the index joins and the compute mini-operator).
+
+        Inside it an implementation may keep its place between calls
+        instead of searching from the top each time; results and stored
+        bytes are those of the same calls made outside. Whatever it holds
+        is released when the scope exits, however it exits. One caller
+        at a time per index — the engine's one clone per index partition
+        (DESIGN.md §13). The default keeps no place.
+        """
+        return contextlib.nullcontext()
 
     def __len__(self):
         raise NotImplementedError

@@ -33,6 +33,7 @@ class Vertex:
         self._vid = None
         self._value = None
         self._edges = []
+        self._read_edges = None
         self._halted = False
         self._outbox = []
         self._agg_contribs = []
@@ -70,16 +71,20 @@ class Vertex:
     @property
     def edges(self):
         """The mutable outgoing edge list (``Edge(target, value)``)."""
-        return self._edges
+        edges = self._edges
+        if edges is None:
+            # Bound to edges nobody has read yet (see _bind).
+            edges = self._edges = self._read_edges()
+        return edges
 
     def set_edges(self, edges):
         self._edges = [Edge(*e) for e in edges]
 
     def add_edge(self, target, value=None):
-        self._edges.append(Edge(target, value))
+        self.edges.append(Edge(target, value))
 
     def remove_edges_to(self, target):
-        self._edges = [e for e in self._edges if e.target != target]
+        self._edges = [e for e in self.edges if e.target != target]
 
     @property
     def superstep(self):
@@ -119,7 +124,7 @@ class Vertex:
         self._outbox.append((target, payload))
 
     def send_message_to_all_edges(self, payload):
-        for edge in self._edges:
+        for edge in self.edges:
             self._outbox.append((edge.target, payload))
 
     def vote_to_halt(self):
@@ -146,9 +151,18 @@ class Vertex:
     # framework binding (internal)
     # ------------------------------------------------------------------
     def _bind(self, vid, value, edges, superstep, global_aggregate, num_vertices, num_edges):
+        """Bind to one vertex. ``edges`` is its edge list, copied here, or
+        a function returning a list of ``Edge`` that the program may keep:
+        called when the program first reads :attr:`edges`, and never if it
+        does not (``_edges`` then stays ``None``) — most vertices of most
+        supersteps leave a stored edge list undecoded, or a list shared
+        with other programs uncopied."""
         self._vid = vid
         self._value = value
-        self._edges = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
+        if callable(edges):
+            self._edges, self._read_edges = None, edges
+        else:
+            self._edges = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
         self._halted = False
         self._outbox = []
         self._agg_contribs = []

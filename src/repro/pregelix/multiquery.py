@@ -302,6 +302,11 @@ class MultiQueryVertex(Vertex):
             program.configure(lane_config)
             self._lanes.append(program)
 
+    def _lane_edges(self):
+        """A lane's own copy of the edge list the lanes share, made when
+        (and if) the lane reads its edges."""
+        return self.edges.copy()
+
     def compute(self, messages):
         lane_bundles = None
         for bundle in messages:
@@ -320,7 +325,6 @@ class MultiQueryVertex(Vertex):
                 )
             vector = [(False, None)] * len(self._lanes)
         cancelled = self._control.cancelled
-        edges = self.edges
         new_vector = []
         for lane, (halted, value) in enumerate(vector):
             if lane in cancelled:
@@ -336,7 +340,7 @@ class MultiQueryVertex(Vertex):
             else:
                 incoming = ()
             program._bind(
-                self.vertex_id, value, list(edges), self.superstep,
+                self.vertex_id, value, self._lane_edges, self.superstep,
                 None, self.num_vertices, self.num_edges,
             )
             program.compute(iter(incoming))
@@ -350,7 +354,7 @@ class MultiQueryVertex(Vertex):
                     "lane %d contributed to a global aggregator: aggregating "
                     "programs are not batchable" % (lane,)
                 )
-            if program._edges != edges:
+            if program._edges is not None and program._edges != self.edges:
                 raise MultiQueryError(
                     "lane %d mutated the edge list at vertex %d: edges are "
                     "shared across lanes" % (lane, self.vertex_id)

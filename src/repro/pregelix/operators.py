@@ -67,17 +67,20 @@ class ComputeOperator(OperatorDescriptor):
 
     Consumes the join output ``(key, bundle, vertex_bytes)``, applies the
     activity filter ``V.halt = false || M.payload != NULL``, runs the
-    user's vertex program, and routes its five-way output:
+    user's vertex program and writes the vertex back to the ``Vertex``
+    index — the paper pushes this update into the join as a
+    mini-operator, and so does the index's positioned scope: a pass in
+    key order works on the leaf it is at. A row is opened in pieces and
+    written back spliced (:class:`~repro.pregelix.relations.OpenedRow`).
+    Everything else the program produced leaves on six ports:
 
-    * vertex updates — applied directly to the ``Vertex`` index (the
-      paper pushes this into the join as a mini-operator);
-    * port ``msg`` — outbound ``(dest_vid, payload)`` messages;
-    * port ``halt`` — per-vertex global-halt contributions;
-    * port ``agg`` — global-aggregate contributions;
-    * port ``mut`` — requested graph mutations;
-    * port ``live`` — ``Vid`` rows of still-active vertices, which the
+    * ``msg`` — outbound ``(dest_vid, payload)`` messages;
+    * ``halt`` — per-vertex global-halt contributions;
+    * ``agg`` — global-aggregate contributions;
+    * ``mut`` — requested graph mutations;
+    * ``live`` — ``Vid`` rows of still-active vertices, which the
       left-outer-join plan bulk loads into the next ``Vid`` index;
-    * port ``stats`` — one ``(vertices_created, edge_delta)`` per clone.
+    * ``stats`` — one ``(vertices_created, edge_delta)`` per clone.
     """
 
     MSG = "msg"
@@ -96,13 +99,14 @@ class ComputeOperator(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         (joined,) = inputs
-        relations = self.relations
-        index = get_index(ctx, relations.vertex, partition)
-        decode_vertex, encode_vertex = relations.decode_vertex, relations.encode_vertex
+        index = get_index(ctx, self.relations.vertex, partition)
+        row = self.relations.opened_row()
         program = self.job.vertex_class()
         program.configure(self.job.config)
-        combiner = self.job.combiner
-        superstep = self.gs.superstep + 1
+        expand = self.job.combiner.expand
+        emit_live = self.emit_live
+        gs = self.gs
+        superstep = gs.superstep + 1
 
         messages_out = []
         halt_out = []
@@ -113,53 +117,45 @@ class ComputeOperator(OperatorDescriptor):
         edge_delta = 0
         processed = 0
 
-        join_tuples = 0
-        for key, bundle, vertex_bytes in joined:
-            join_tuples += 1
-            vid = decode_key(key)
-            if vertex_bytes is None:
-                if bundle is None:
-                    continue
-                # Left-outer case: a message addressed to a vertex that
-                # does not exist; create it with NULL fields (Figure 2).
-                record = VertexRecord(vid=vid)
-                created += 1
-            else:
-                record = decode_vertex(vid, vertex_bytes)
-                if record.halt and bundle is None:
+        with index.positioned():
+            for key, bundle, vertex_bytes in joined:
+                if vertex_bytes is None:
+                    if bundle is None:
+                        continue
+                    # Left-outer case: a message addressed to a vertex that
+                    # does not exist; create it with NULL fields (Figure 2).
+                    value = row.create()
+                    created += 1
+                elif bundle is None and row.halted(vertex_bytes):
                     continue  # the selection predicate prunes it
-            processed += 1
-            incoming = iter(combiner.expand(bundle)) if bundle is not None else iter(())
-            edges_before = len(record.edges)
-            program._bind(
-                vid,
-                record.value,
-                record.edges,
-                superstep,
-                self.gs.aggregate,
-                self.gs.num_vertices,
-                self.gs.num_edges,
-            )
-            program.compute(incoming)
+                else:
+                    value = row.open(vertex_bytes)
+                processed += 1
+                incoming = iter(expand(bundle)) if bundle is not None else iter(())
+                program._bind(
+                    decode_key(key),
+                    value,
+                    row.read_edges,
+                    superstep,
+                    gs.aggregate,
+                    gs.num_vertices,
+                    gs.num_edges,
+                )
+                program.compute(incoming)
 
-            updated = VertexRecord(
-                vid=vid,
-                halt=program._halted,
-                value=program._value,
-                edges=program._edges,
-            )
-            index.insert(key, encode_vertex(updated))
-            edge_delta += len(updated.edges) - edges_before
-            messages_out.extend(program._outbox)
-            halt_out.append(program._halted and not program._outbox)
-            agg_out.extend(program._agg_contribs)
-            mut_out.extend(program._mutations)
-            if self.emit_live and not program._halted:
-                live_out.append((key, VID_VALUE))
+                stored, delta = row.close(program)
+                index.insert(key, stored)
+                edge_delta += delta
+                messages_out.extend(program._outbox)
+                halt_out.append(program._halted and not program._outbox)
+                agg_out.extend(program._agg_contribs)
+                mut_out.extend(program._mutations)
+                if emit_live and not program._halted:
+                    live_out.append((key, VID_VALUE))
 
         ctx.job.counters.add("vertices_processed", processed)
         ctx.job.counters.add("messages_sent", len(messages_out))
-        ctx.job.counters.add("join_tuples", join_tuples)
+        ctx.job.counters.add("join_tuples", len(joined))
         return {
             self.MSG: messages_out,
             self.HALT: halt_out,

@@ -21,19 +21,24 @@ relation. A partition nobody has written yet is an empty relation.
 """
 
 from functools import partial
+from operator import is_
 
-from repro.common.serde import decode_key, encode_key
+from repro.common.serde import decode_key, encode_key, list_count
 from repro.hyracks.operators.index_ops import drop_indexes
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.lsm_btree import LSMBTree
 from repro.hyracks.storage.run_file import RunFile
-from repro.pregelix.api import VertexStorage
+from repro.pregelix.api import Edge, VertexStorage
 from repro.pregelix.types import (
+    ACTIVE_HEAD,
+    VERTEX_FRAME,
     VertexRecord,
     decode_global_state,
     decode_vertex,
+    edge_list_serde,
     encode_global_state,
     encode_vertex,
+    opened_vertex_serde,
 )
 
 #: What a ``Vid`` row stores under its key: nothing — presence is the fact.
@@ -60,6 +65,10 @@ class RunRelations:
         self.decode_vertex = partial(decode_vertex, codec)
         #: ``VertexRecord -> stored bytes``
         self.encode_vertex = partial(encode_vertex, codec)
+        # What an OpenedRow works with.
+        self._opened_codec = opened_vertex_serde(job.value_serde)
+        self._edge_codec = edge_list_serde(job.edge_serde)
+        self._no_edges = self._edge_codec.dumps([])
 
     # ------------------------------------------------------------------
     # rows
@@ -80,6 +89,10 @@ class RunRelations:
         """The :class:`VertexRecord` of a stored ``(key, bytes)`` row."""
         key, data = row
         return self.decode_vertex(decode_key(key), data)
+
+    def opened_row(self):
+        """A fresh :class:`OpenedRow` (one per ``Compute`` clone)."""
+        return OpenedRow(self)
 
     # ------------------------------------------------------------------
     # node-local storage
@@ -143,6 +156,87 @@ class RunRelations:
             if durable:
                 self.dfs.delete(self.root, recursive=True)
             cluster.release_placement(self.run_id)
+
+
+class OpenedRow:
+    """The ``Vertex`` row ``Compute`` is at, opened in pieces.
+
+    A superstep changes ``halt`` and ``value`` of most rows it touches
+    and the edges of almost none, so a row is not decoded into a
+    :class:`VertexRecord` and encoded back. :meth:`open` verifies its
+    framing and decodes ``halt`` and ``value``; the edge list stays its
+    *image* — the bytes it is stored as — unless the program reads it
+    (:meth:`read_edges`, what ``Vertex._bind`` is handed), and
+    :meth:`close` puts a fresh ``(halt, value)`` in front of an edge
+    image again. One instance per clone, moved from row to row.
+
+    The splice rule — when :meth:`close` reuses the stored edge image
+    verbatim instead of encoding the program's list: the program never
+    obtained the list; or the edge codec is ``layout_fixed`` (decoded
+    edges are then immutable tuples of scalars: the same objects encode
+    to the same bytes) and the program's list still holds exactly the
+    objects that were decoded, in order. Identity, not ``==``: ``-0.0 ==
+    0.0`` and they are different bytes. So appending, assigning an item,
+    ``set_edges``, ``add_edge``, ``remove_edges_to`` and every codec
+    that is not ``layout_fixed`` (edge values may be mutated in place)
+    encode the list; either way the row is ``encode_vertex`` of the
+    full record, byte for byte.
+    """
+
+    def __init__(self, relations):
+        self._row = relations._opened_codec
+        self._edge_list = relations._edge_codec
+        self._no_edges = relations._no_edges
+        self._spliceable = relations.job.edge_serde.layout_fixed
+        self.image = None  # the stored edge list of the row it is at
+        self.decoded = None  # what read_edges decoded from it, if it did
+
+    def halted(self, data):
+        """Whether the stored row voted to halt. A halted row without a
+        message is not opened — but no row passes with its framing
+        unverified."""
+        if data.startswith(ACTIVE_HEAD):
+            return False
+        VERTEX_FRAME.loads(data)
+        return True
+
+    def open(self, data):
+        """Move to the stored row ``data``; returns its value."""
+        _halt, value, self.image = self._row.loads(data)
+        self.decoded = None
+        return value
+
+    def create(self):
+        """Move to a row that does not exist yet (a message addressed it,
+        Figure 2): NULL value, no edges; returns its value."""
+        self.image = self._no_edges
+        self.decoded = None
+        return None
+
+    def read_edges(self):
+        """The edge list, decoded now: a list the caller owns."""
+        self.decoded = decoded = self._edge_list.loads(self.image)
+        if not self._spliceable:
+            # Only the packed codec decodes straight to ``Edge``.
+            decoded = map(Edge._make, decoded)
+        return list(decoded)
+
+    def close(self, program):
+        """``(stored bytes, edge count delta)`` of the row as ``program``
+        leaves it (see the splice rule above)."""
+        edges = program._edges
+        decoded = self.decoded
+        if edges is None or (
+            self._spliceable
+            and decoded is not None
+            and len(edges) == len(decoded)
+            and all(map(is_, edges, decoded))
+        ):
+            image, edge_delta = self.image, 0
+        else:
+            image = self._edge_list.dumps(edges)
+            edge_delta = len(edges) - list_count(self.image)
+        return self._row.dumps((program._halted, program._value, image)), edge_delta
 
 
 def _file_stem(name, partition):

@@ -43,14 +43,30 @@ def edge_list_serde(edge_serde):
     return serde.ListSerde(serde.PairSerde(serde.INT64, edge_serde))
 
 
-def vertex_value_serde(value_serde, edge_serde):
-    """Serde for the stored portion of a vertex row: (halt, value, edges).
+def _row_serde(value_serde, edges):
+    # THE row layout. The vid is the index key and is not repeated here.
+    return serde.TupleSerde(serde.BOOL, serde.OptionalSerde(value_serde), edges)
 
-    The vid is the index key and is not repeated in the value bytes.
-    """
-    return serde.TupleSerde(
-        serde.BOOL, serde.OptionalSerde(value_serde), edge_list_serde(edge_serde)
-    )
+
+def vertex_value_serde(value_serde, edge_serde):
+    """Serde for the stored portion of a vertex row: (halt, value, edges)."""
+    return _row_serde(value_serde, edge_list_serde(edge_serde))
+
+
+def opened_vertex_serde(value_serde):
+    """The same row with the edge list left as the bytes it is stored as
+    (its *image*, what :func:`edge_list_serde` dumps): ``(halt, value,
+    edge image)``. Every field sits behind its length, so a row is opened
+    and written back without decoding an edge."""
+    return _row_serde(value_serde, serde.BYTES)
+
+
+#: The same row with the value left as its image too — ``(halt, value
+#: image, edge image)``: what verifies the framing of a row nobody reads.
+VERTEX_FRAME = serde.TupleSerde(serde.BOOL, serde.BYTES, serde.BYTES)
+
+#: What the row of a vertex that has not voted to halt begins with.
+ACTIVE_HEAD = serde.TupleSerde(serde.BOOL).dumps((False,))
 
 
 def encode_vertex(codec, record):

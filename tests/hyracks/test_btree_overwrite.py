@@ -7,12 +7,19 @@ driven by the same seeded sequences of inserts, same-width overwrites,
 growing and shrinking overwrites and deletes: every page image, the
 structural-modification history and the scan must be identical, and the
 scan must equal a dict model's.
+
+The same harness holds positioned access (``BTree.positioned``) to the
+same standard: a sequence run inside scopes leaves the pages, answers
+and counts of the same sequence run outside, and nothing pinned once a
+scope has exited — however it exited.
 """
 
 import random
+import struct
 
 import pytest
 
+from repro.common.errors import StorageError
 from repro.common.serde import encode_key
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.buffer_cache import BufferCache
@@ -22,9 +29,26 @@ from repro.hyracks.storage.pages import PageId
 
 
 class RemoveThenInsertBTree(BTree):
-    """The overwrite path before the in-slot replacement."""
+    """The overwrite path before the in-slot replacement: find → remove →
+    re-insert from the root, every time. The one thing it does not keep
+    is the bug that path had — a fresh overflow chain for every overwrite
+    of a large value: a value as long as the one it replaces goes over
+    the old chain's pages."""
 
     def insert(self, key, value):
+        leaf, _path = self._descend(key, for_write=False)
+        index = leaf.find(key)
+        pointer = b"" if index is None else leaf.values[index]
+        self.cache.unpin(leaf)
+        if pointer[:1] == b"\x01":
+            page_no, total = struct.unpack(">qI", pointer[1:])
+            if total == len(value):
+                for start in range(0, total, self._chunk_limit):
+                    page = self.cache.pin(PageId(self.file_id, page_no))
+                    page.put(b"", value[start : start + self._chunk_limit])
+                    page_no = page.next_page_no
+                    self.cache.unpin(page, dirty=True)
+                return
         stored = self._encode_value(key, value)
         leaf, path = self._descend(key, for_write=True)
         if leaf.find(key) is not None:
@@ -128,3 +152,224 @@ def test_lsm_components_are_the_pages_remove_then_insert_built(
     assert new.flushes == old.flushes > 0
     assert page_images(new_cache) == page_images(old_cache)
     assert list(new.scan()) == list(old.scan()) == sorted(model.items())
+
+
+# ----------------------------------------------------------------------
+# overflowing records
+# ----------------------------------------------------------------------
+def num_pages(tree):
+    return tree.cache._next_page_no[tree.file_id]
+
+
+def test_overwriting_an_overflowing_record_reuses_its_chain(tmp_path):
+    cache = make_cache(tmp_path, "t", 4096)
+    tree = BTree(cache)
+    key, other = encode_key(7), encode_key(9)
+    tree.insert(other, b"small")
+    tree.insert(key, bytes(6000))
+    pages = num_pages(tree)
+    assert pages == 3  # the leaf and a chain of two
+    for fill in range(1, 6):
+        image = bytes([fill]) * 6000
+        tree.insert(key, image)
+        assert num_pages(tree) == pages
+        assert tree.lookup(key) == image
+        assert list(tree.scan()) == [(key, image), (other, b"small")]
+    assert len(tree) == 2
+    # Another length is another chunking: a fresh chain, and the old one
+    # stays behind unreferenced (the file has no free list).
+    tree.insert(key, bytes(6001))
+    assert num_pages(tree) == pages + 2
+    assert tree.lookup(key) == bytes(6001)
+    tree.insert(key, b"inline again")
+    assert num_pages(tree) == pages + 2
+    assert list(tree.scan()) == [(key, b"inline again"), (other, b"small")]
+
+
+# ----------------------------------------------------------------------
+# positioned access
+# ----------------------------------------------------------------------
+def pinned(cache):
+    return {pid: page.pin_count for pid, page in cache._pages.items() if page.pin_count}
+
+
+def positioned_ops(rng, page_size, count):
+    """Passes in key order, as the index joins and ``compute`` make them:
+    short steps forward with a jump anywhere now and then, over a key
+    space only partly populated (absent keys, inserts that split), with
+    overwrites of the same width, growing ones and overflowing ones, and
+    deletes and scans in between."""
+    widths = {}
+    vid = 0
+    # The widest inline record: a leaf splits at its middle *entry*, and a
+    # half that got all the wide ones must still take one more.
+    wide = {256: 32, 4096: 200}[page_size]
+    for _ in range(count):
+        vid = rng.randrange(300) if rng.random() < 0.08 else min(vid + rng.randrange(3), 299)
+        key = encode_key(vid)
+        roll = rng.random()
+        if roll < 0.35:
+            yield ("lookup", key)
+        elif roll < 0.40:
+            widths.pop(vid, None)
+            yield ("delete", key)
+        elif roll < 0.43:
+            yield ("scan", key, encode_key(vid + rng.randrange(40)))
+        elif roll < 0.46:
+            yield ("scan step", rng.randrange(1, 30))
+        else:
+            if roll < 0.85 and vid in widths:
+                width = widths[vid]
+            else:
+                width = rng.choice([0, 8, 24, 25, wide, wide, page_size // 2])
+            widths[vid] = width
+            yield ("insert", key, bytes(rng.randrange(256) for _ in range(width)))
+
+
+class Driven:
+    """One tree taking the ops, and what each of them answered."""
+
+    def __init__(self, tree):
+        self.tree = tree
+        self.cursor = iter(())
+
+    def apply(self, op):
+        kind, args = op[0], op[1:]
+        if kind == "scan":
+            return list(self.tree.scan(*args))
+        if kind == "scan step":
+            # A scan left open across the ops that follow it.
+            taken = []
+            for _ in range(args[0]):
+                item = next(self.cursor, None)
+                if item is None:
+                    self.cursor = self.tree.scan()
+                    break
+                taken.append(item)
+            return taken
+        return getattr(self.tree, kind)(*args)
+
+
+@pytest.mark.parametrize("page_size", [256, 4096])
+@pytest.mark.parametrize("seed", range(6))
+def test_a_positioned_pass_leaves_the_pages_the_plain_calls_leave(
+    tmp_path, page_size, seed
+):
+    rng = random.Random(seed)
+    plain_cache = make_cache(tmp_path, "plain", page_size)
+    scoped_cache = make_cache(tmp_path, "scoped", page_size)
+    plain, scoped = Driven(BTree(plain_cache)), Driven(BTree(scoped_cache))
+    model = {}
+    ops = list(positioned_ops(rng, page_size, 2500))
+    held_at_some_point = False
+    while ops:
+        cut = rng.randrange(1, 120)
+        segment, ops = ops[:cut], ops[cut:]
+        expected = []
+        for op in segment:
+            expected.append(plain.apply(op))
+            if op[0] == "insert":
+                model[op[1]] = op[2]
+            elif op[0] == "delete":
+                assert expected[-1] == (model.pop(op[1], None) is not None)
+            elif op[0] == "lookup":
+                assert expected[-1] == model.get(op[1])
+        with scoped.tree.positioned():
+            assert [scoped.apply(op) for op in segment] == expected
+            held_at_some_point |= bool(pinned(scoped_cache))
+        assert pinned(scoped_cache) == {}
+        assert scoped.tree.smo_counter == plain.tree.smo_counter
+        assert len(scoped.tree) == len(plain.tree) == len(model)
+        assert page_images(scoped_cache) == page_images(plain_cache)
+    assert held_at_some_point
+    assert list(scoped.tree.scan()) == list(plain.tree.scan()) == sorted(model.items())
+
+
+class Boom(Exception):
+    pass
+
+
+class FailingReads:
+    """A fault injector that fails the page read after ``allowed`` ones."""
+
+    def __init__(self, allowed):
+        self.allowed = allowed
+        self.reads = 0
+
+    def check(self, site, **_info):
+        if site == "page.read":
+            self.reads += 1
+            if self.reads > self.allowed:
+                raise Boom("injected read fault")
+
+
+def grown_tree(cache, count=400):
+    tree = BTree(cache)
+    tree.bulk_load((encode_key(vid), b"v" * 40) for vid in range(0, 2 * count, 2))
+    return tree
+
+
+def test_a_positioned_scope_holds_one_leaf_and_nothing_after_any_exit(tmp_path):
+    # No capacity: a page is resident only while pinned, every pin reads.
+    cache = BufferCache(0, 256, FileManager(str(tmp_path / "t")))
+    tree = grown_tree(cache)
+    with tree.positioned():
+        assert tree.lookup(encode_key(10)) == b"v" * 40
+        assert sorted(pinned(cache).values()) == [1]
+        tree.insert(encode_key(12), b"w" * 40)  # same leaf or the next
+        assert tree.lookup(encode_key(700)) == b"v" * 40
+        assert tree.lookup(encode_key(701)) is None
+        assert sorted(pinned(cache).values()) == [1]
+    assert pinned(cache) == {}
+
+    # ... the caller raising with a leaf held,
+    with pytest.raises(Boom):
+        with tree.positioned():
+            tree.lookup(encode_key(10))
+            assert pinned(cache)
+            raise Boom
+    assert pinned(cache) == {}
+
+    # ... a page read failing under a held leaf: each read of a descent,
+    # of an overflow chain looked up and of one overwritten in place,
+    tree.insert(encode_key(500), bytes(300))
+
+    def probes():
+        with tree.positioned():
+            tree.lookup(encode_key(10))
+            cache.fault_injector = injector
+            tree.lookup(encode_key(500))
+            tree.insert(encode_key(500), bytes(300))
+            tree.lookup(encode_key(798))
+
+    injector = FailingReads(allowed=1000)
+    probes()
+    reads = injector.reads
+    assert reads > 6
+    for allowed in range(reads):
+        injector = FailingReads(allowed)
+        with pytest.raises(Boom):
+            probes()
+        cache.fault_injector = None
+        assert pinned(cache) == {}
+    assert tree.lookup(encode_key(10)) == b"v" * 40
+
+    # ... and outside a scope the calls hold nothing between them.
+    tree.lookup(encode_key(10))
+    tree.insert(encode_key(10), b"x" * 40)
+    assert pinned(cache) == {}
+
+    # Whole-structure calls give the leaf up first: dropping the file
+    # under a pinned page is an error the cache raises.
+    with tree.positioned():
+        tree.lookup(encode_key(10))
+        assert tree.delete(encode_key(10))
+        assert pinned(cache) == {}
+        tree.lookup(encode_key(20))
+        assert len(list(tree.scan())) == len(tree)
+        assert pinned(cache) == {}
+        tree.lookup(encode_key(20))
+        tree.destroy()
+    assert pinned(cache) == {}
+    with pytest.raises(StorageError):
+        tree.lookup(encode_key(20))

@@ -1,0 +1,297 @@
+"""A ``Vertex`` row opened in pieces is the row decoded and encoded whole.
+
+``Compute`` no longer decodes a stored row into a ``VertexRecord`` and
+encodes it back: :class:`~repro.pregelix.relations.OpenedRow` decodes
+``halt`` and ``value``, hands the program its edges only if it reads
+them, and writes back a fresh head in front of the *stored* edge bytes
+whenever the splice rule says they cannot have changed. The contract is
+the one the compiled codecs have: the bytes of
+:mod:`tests.common.reference_serde`, the encoder every stored page and
+checkpoint was written with. A seeded property over value/edge codecs ×
+what a program can do to its edges holds the written-back row to
+``encode`` of the full record byte for byte, and the edge count delta to
+the difference of the list lengths; and no damaged row gets past either
+way a row is read — opened, or pruned on its halt byte.
+"""
+
+import random
+
+import pytest
+
+from repro.common import serde
+from repro.common.errors import StorageError
+from repro.common.serde import encode_key
+from repro.hyracks.engine import HyracksCluster, JobContext, TaskContext
+from repro.hyracks.operators.index_ops import register_index
+from repro.hyracks.storage.btree import BTree
+from repro.pregelix import PregelixJob, Vertex
+from repro.pregelix.api import Edge
+from repro.pregelix.operators import ComputeOperator
+from repro.pregelix.relations import RunRelations
+from repro.pregelix.types import GlobalState, VertexRecord
+
+from tests.common import reference_serde as ref
+from tests.common.test_serde_compiled import (
+    random_float,
+    random_list,
+    random_text,
+    random_vid,
+    reference_edges,
+)
+
+#: label -> (compiled, reference, generator) per value codec and per edge
+#: value codec: fixed and variable values; packed (``layout_fixed``) and
+#: framed edge lists, one of them with edge values a program can mutate.
+VALUES = {
+    "float": (serde.FLOAT64, ref.FLOAT64, random_float),
+    "int": (serde.INT64, ref.INT64, random_vid),
+    "text": (serde.STRING, ref.STRING, random_text),
+    # Fixed-width but not layout_fixed: NULL is not padded.
+    "pair": (
+        serde.TupleSerde(serde.INT64, serde.FLOAT64),
+        ref.TupleSerde(ref.INT64, ref.FLOAT64),
+        lambda rng: (random_vid(rng), random_float(rng)),
+    ),
+}
+EDGES = {
+    "float": (serde.FLOAT64, ref.FLOAT64, random_float),
+    "bool": (serde.BOOL, ref.BOOL, lambda rng: rng.random() < 0.5),
+    "text": (serde.STRING, ref.STRING, random_text),
+    "list": (
+        serde.ListSerde(serde.INT64),
+        ref.ListSerde(ref.INT64),
+        lambda rng: random_list(rng, random_vid),
+    ),
+}
+
+
+class Scripted(Vertex):
+    """Does to its value, halt vote and edges what ``self.script`` says."""
+
+    script = None
+
+    def compute(self, messages):
+        self.script(self)
+
+
+def behaviours(new_value, new_edge, rng):
+    """``name -> script`` for everything a program can do to its edges.
+    Each also sets a fresh value and votes to halt half of the time."""
+
+    def head(program):
+        program.value = new_value
+        if rng.random() < 0.5:
+            program.vote_to_halt()
+
+    def never_reads(program):
+        head(program)
+
+    def reads_only(program):
+        head(program)
+        len(program.edges)
+        program.send_message_to_all_edges(1.0)
+        for edge in program.edges:
+            edge.target, edge.value
+
+    def appends_in_place(program):
+        head(program)
+        program.edges.append(new_edge)
+
+    def assigns_an_item_in_place(program):
+        head(program)
+        if program.edges:
+            program.edges[rng.randrange(len(program.edges))] = new_edge
+
+    def assigns_an_equal_item_in_place(program):
+        # 0.0 == -0.0 and True == 1: equal lists, different bytes.
+        head(program)
+        for position, (target, value) in enumerate(program.edges):
+            if value == 0 and value is not False:
+                program.edges[position] = Edge(target, -value if value else -0.0)
+
+    def adds_an_edge(program):
+        head(program)
+        program.add_edge(*new_edge)
+
+    def sets_edges_unread(program):
+        head(program)
+        program.set_edges([new_edge, new_edge])
+
+    def sets_the_edges_it_read(program):
+        head(program)
+        program.set_edges(list(program.edges))
+
+    def removes_edges_to(program):
+        head(program)
+        targets = [edge.target for edge in program.edges] or [0]
+        program.remove_edges_to(rng.choice(targets + [-5]))
+
+    def pops_and_puts_back(program):
+        head(program)
+        if program.edges:
+            program.edges.append(program.edges.pop())
+
+    def reverses_in_place(program):
+        head(program)
+        program.edges.reverse()
+
+    def mutates_an_edge_value(program):
+        head(program)
+        for edge in program.edges:
+            if isinstance(edge.value, list):
+                edge.value.append(7)
+
+    return {
+        script.__name__: script
+        for script in (
+            never_reads, reads_only, appends_in_place, assigns_an_item_in_place,
+            assigns_an_equal_item_in_place, adds_an_edge, sets_edges_unread,
+            sets_the_edges_it_read, removes_edges_to, pops_and_puts_back,
+            reverses_in_place, mutates_an_edge_value,
+        )
+    }
+
+
+class CountingCodec:
+    """The edge list codec, counting what is asked of it."""
+
+    def __init__(self, codec):
+        self.codec = codec
+        self.calls = []
+
+    def dumps(self, value):
+        self.calls.append("dumps")
+        return self.codec.dumps(value)
+
+    def loads(self, data):
+        self.calls.append("loads")
+        return self.codec.loads(data)
+
+
+def random_edges(rng, gedge):
+    edges = random_list(rng, lambda rng: (random_vid(rng), gedge(rng)))
+    if edges and rng.random() < 0.3:
+        # Zeros of both signs: what compares equal and encodes differently.
+        target, value = edges[0]
+        edges[0] = (target, rng.choice([0.0, -0.0]) if isinstance(value, float) else value)
+    return edges
+
+
+@pytest.mark.parametrize("edge_kind", sorted(EDGES))
+@pytest.mark.parametrize("value_kind", sorted(VALUES))
+@pytest.mark.parametrize("seed", range(3))
+def test_the_row_written_back_is_the_whole_record_encoded(seed, value_kind, edge_kind):
+    rng = random.Random(repr((seed, value_kind, edge_kind)))
+    value, rvalue, gvalue = VALUES[value_kind]
+    edge, redge, gedge = EDGES[edge_kind]
+    reference = ref.TupleSerde(ref.BOOL, ref.OptionalSerde(rvalue), reference_edges(redge))
+    job = PregelixJob("rows", Scripted, value_serde=value, edge_serde=edge)
+    relations = RunRelations(job, None, "rows")
+    counting = relations._edge_codec = CountingCodec(relations._edge_codec)
+    row = relations.opened_row()  # one per clone: moved from row to row
+    program = Scripted()
+    for _ in range(40):
+        def optional():
+            return None if rng.random() < 0.2 else gvalue(rng)
+
+        scripts = behaviours(optional(), Edge(random_vid(rng), gedge(rng)), rng)
+        for name in sorted(scripts):
+            halt = rng.random() < 0.5
+            before = random_edges(rng, gedge)
+            stored = reference.dumps((halt, optional(), before))
+            assert relations.encode_vertex(
+                relations.decode_vertex(1, stored)
+            ) == stored
+            bundle_is_none = rng.random() < 0.5
+            if bundle_is_none and halt:
+                assert row.halted(stored)
+                continue
+            assert not (bundle_is_none and row.halted(stored))
+            program.script = scripts[name]
+            del counting.calls[:]
+            program._bind(1, row.open(stored), row.read_edges, 2, None, 10, 10)
+            program.compute(iter(()))
+            written, edge_delta = row.close(program)
+            calls = list(counting.calls)
+            after = program.edges
+            assert written == reference.dumps(
+                (program._halted, program._value, [tuple(e) for e in after])
+            ), name
+            assert edge_delta == len(after) - len(before), name
+            assert all(isinstance(e, Edge) for e in after)
+            # What the splice rule promises, where a script pins it down:
+            if name == "never_reads":
+                assert calls == []
+            elif name in ("reads_only", "pops_and_puts_back"):
+                assert calls == (["loads"] if edge.layout_fixed else ["loads", "dumps"])
+            elif name in ("appends_in_place", "adds_an_edge") or (
+                name == "sets_the_edges_it_read" and before  # new, equal objects
+            ):
+                assert calls == ["loads", "dumps"]
+            elif name == "sets_edges_unread":
+                assert calls == ["dumps"]
+
+
+def test_a_created_vertex_starts_from_no_edges():
+    job = PregelixJob("rows", Scripted)
+    relations = RunRelations(job, None, "rows")
+    row = relations.opened_row()
+    program = Scripted()
+    for script, edges in [
+        (lambda p: p.vote_to_halt(), []),
+        (lambda p: len(p.edges), []),
+        (lambda p: p.add_edge(4, 0.5), [(4, 0.5)]),
+        (lambda p: p.set_edges([(4, 0.5), (5, 1.5)]), [(4, 0.5), (5, 1.5)]),
+    ]:
+        program.script = script
+        program._bind(9, row.create(), row.read_edges, 2, None, 10, 10)
+        program.compute(iter(()))
+        written, edge_delta = row.close(program)
+        assert written == relations.encode_vertex(
+            VertexRecord(9, program._halted, None, edges)
+        )
+        assert edge_delta == len(edges)
+
+
+# ----------------------------------------------------------------------
+# no damaged row is read, opened or pruned
+# ----------------------------------------------------------------------
+class Halts(Vertex):
+    def compute(self, messages):
+        self.vote_to_halt()
+
+
+@pytest.fixture
+def ctx(tmp_path):
+    with HyracksCluster(num_nodes=1, root_dir=str(tmp_path / "n")) as cluster:
+        yield TaskContext(cluster.nodes["node0"], JobContext("unit"), 0, 1)
+
+
+@pytest.mark.parametrize("value_kind", ["float", "text"])
+@pytest.mark.parametrize("edge_kind", ["float", "text"])
+def test_a_damaged_row_is_neither_opened_nor_pruned(ctx, value_kind, edge_kind):
+    rng = random.Random(value_kind + edge_kind)
+    value, _rvalue, gvalue = VALUES[value_kind]
+    edge, _redge, gedge = EDGES[edge_kind]
+    job = PregelixJob("damaged", Halts, value_serde=value, edge_serde=edge)
+    relations = RunRelations(job, None, "damaged")
+    register_index(ctx, relations.vertex, 0, BTree(ctx.buffer_cache))
+    compute = ComputeOperator(relations, GlobalState(), emit_live=False)
+    key = encode_key(1)
+    for halt in (False, True):
+        intact = relations.encode_vertex(
+            VertexRecord(1, halt, gvalue(rng), [(2, gedge(rng)), (3, gedge(rng))])
+        )
+        damaged = [intact[:cut] for cut in range(len(intact))]
+        damaged += [intact + bytes(extra) for extra in range(1, 9)]
+        damaged += [intact + b"\xff" * extra for extra in range(1, 9)]
+        # through open (a message arrived) and, for a halted row, through
+        # the prune (none did); an active row without one is opened too
+        for bundle in ([1.0], None):
+            compute.run(ctx, 0, [[(key, bundle, intact)]])
+            for data in damaged:
+                with pytest.raises(StorageError):
+                    compute.run(ctx, 0, [[(key, bundle, data)]])
+    # halted and without a message: pruned, so never processed
+    assert ctx.job.counters.get("vertices_processed") == 3
+    assert not any(page.pin_count for page in ctx.buffer_cache._pages.values())

@@ -130,6 +130,55 @@ class TestComputeOperator:
         assert out[ComputeOperator.LIVE] == []
 
 
+def shape(tree):
+    """``(height, leaves)`` of a B-tree, walked down its left edge and
+    along the leaf chain."""
+    from repro.hyracks.storage.pages import PageId, PageKind
+
+    def page(page_no):
+        pinned = tree.cache.pin(PageId(tree.file_id, page_no))
+        tree.cache.unpin(pinned)
+        return pinned
+
+    height, at = 1, page(tree.root_page_no)
+    while at.kind != PageKind.LEAF:
+        height, at = height + 1, page(int.from_bytes(at.values[0], "big"))
+    leaves = 1
+    while at.next_page_no != -1:
+        leaves, at = leaves + 1, page(at.next_page_no)
+    return height, leaves
+
+
+@pytest.mark.parametrize("plan", ["every vertex", "every third vertex"])
+def test_compute_touches_each_leaf_once(ctx, plan):
+    """One clone's pass over its ``Vertex`` partition costs one descent
+    per leaf it lands on, not two per vertex: asserted at two sizes, the
+    pins of the larger are nowhere near eight times those of the smaller
+    times the vertices per leaf."""
+    relations = RunRelations(PregelixJob("touch", CountingVertex), None, "touch")
+    pins = {}
+    for count in (500, 4000):
+        index = make_vertex_index(
+            ctx, relations,
+            [VertexRecord(vid=vid, value=0.0, edges=[(vid + 1, 1.0)])
+             for vid in range(count)],
+        )
+        height, leaves = shape(index)
+        assert leaves >= 5 and count >= 20 * leaves
+        step = 1 if plan == "every vertex" else 3
+        joined = [(key, [1.0], data) for key, data in list(index.scan())[::step]]
+        stats = ctx.buffer_cache.stats
+        before = stats.hits + stats.misses
+        ComputeOperator(relations, GlobalState(), emit_live=False).run(ctx, 0, [joined])
+        pins[count] = stats.hits + stats.misses - before
+        assert pins[count] <= height * leaves
+        assert ctx.job.counters.get("vertices_processed") >= len(joined)
+        assert not any(page.pin_count for page in ctx.buffer_cache._pages.values())
+        assert [decoded.value for decoded in map(relations.vertex_record, index.scan())] == [
+            1.0 if vid % step == 0 else 0.0 for vid in range(count)
+        ]
+
+
 class TestMutationOperator:
     def test_insert_and_delete(self, ctx):
         relations = RunRelations(PregelixJob("unit3", CountingVertex), None, "unit3")

@@ -2,11 +2,13 @@
 
 A seeded property over exit path × join strategy × vertex storage:
 however a run ends, afterwards no node's service registry names it, no
-file of it is left under any node's root, the cluster holds no
-placement pin for it, and a node that was drained while the run had it
-pinned retires. Only ``keep_state=True`` (the caller takes over) and a
-dead process (which cleans nothing) leave the run in place — and from
-what the dead process left, ``resume`` still lands bit-identical.
+file of it is left under any node's root, no page of it is pinned in a
+buffer cache (the index joins and ``compute`` hold a B-tree leaf between
+calls), the cluster holds no placement pin for it, and a node that was
+drained while the run had it pinned retires. Only ``keep_state=True``
+(the caller takes over) and a dead process (which cleans nothing) leave
+the run in place — and from what the dead process left, ``resume``
+still lands bit-identical.
 
 Plus the unit half of "``Msg`` is a relation like the other two": the
 ``msg-pNNNNN`` blobs a previous commit wrote restore and re-checkpoint
@@ -59,6 +61,11 @@ def held(cluster):
             for registry in node.services.values()
             for key in registry
         ]
+        found += [
+            "%s pins %r" % (node_id, page_id)
+            for page_id, page in node.buffer_cache._pages.items()
+            if page.pin_count
+        ]
     for directory, _dirs, files in os.walk(cluster.root_dir):
         found += [os.path.join(directory, name) for name in files]
     found += ["pin %s" % run_id for run_id in cluster._placements]
@@ -83,7 +90,8 @@ class World:
         self.nodes = rng.choice([2, 3])
         self.at = rng.choice([1, 2, 3])  # the superstep/boundary that fails
         self.cluster = HyracksCluster(
-            num_nodes=self.nodes, root_dir=str(tmp_path / "cluster")
+            num_nodes=self.nodes, root_dir=str(tmp_path / "cluster"),
+            **CLUSTERS.get(case, {})
         )
         self.dfs = MiniDFS(datanodes=self.cluster.node_ids())
         write_graph_to_dfs(
@@ -94,6 +102,7 @@ class World:
         self.driver = PregelixDriver(self.cluster, self.dfs)
         self.drained = "node%d" % rng.randrange(self.nodes)
         self.plan = dict(join_strategy=JOINS[join], vertex_storage=STORAGES[storage])
+        self.hit = rng.randrange(1, 13)  # which check of an injected site fails
 
     def job(self, **overrides):
         return pagerank.build_job(iterations=5, **self.plan, **overrides)
@@ -165,6 +174,35 @@ def exit_second_pipelined_job(world):
     )
 
 
+def exit_injected_fault(site):
+    """A fault injected at one of the chaos harness's sites in a later
+    superstep — under a held B-tree leaf, when the site is a page read
+    of a probe or a write-back — of a kind nobody recovers from."""
+
+    def leave(world):
+        class FailingSite:
+            superstep = hits = 0
+
+            def begin_superstep(self, superstep):
+                self.superstep = superstep
+
+            def disarm(self, **_):
+                pass
+
+            def check(self, checked, node=None, **info):
+                if checked == site and self.superstep > world.at:
+                    self.hits += 1
+                    if self.hits == world.hit:
+                        world.fail(WorkerFailure(node, kind="meltdown"))
+
+        injector = world.cluster.fault_injector = FailingSite()
+        for node in world.cluster.nodes.values():
+            node.fault_injector = node.buffer_cache.fault_injector = injector
+        world.driver.run(world.job(), "/in/g", run_id=RUN_ID)
+
+    return leave
+
+
 def exit_rebalance_handoff(world):
     class FailingHandoff:
         """An injector that breaks the hand-off after its checkpoint."""
@@ -193,14 +231,29 @@ EXITS = {
     "cancel": (exit_cancel, JobCancelled),
     "compute-raises": (exit_compute_raises, RuntimeError),
     "unrecoverable": (exit_unrecoverable, JobFailure),
+    "operator-fault": (exit_injected_fault("operator.next"), JobFailure),
+    "page-read-fault": (exit_injected_fault("page.read"), JobFailure),
     "pipelined-job-2": (exit_second_pipelined_job, RuntimeError),
     "rebalance-handoff": (exit_rebalance_handoff, RuntimeError),
 }
 
 
-@pytest.mark.parametrize("storage", sorted(STORAGES))
-@pytest.mark.parametrize("join", sorted(JOINS))
-@pytest.mark.parametrize("case", sorted(EXITS))
+#: Pages are only read back from disk when the cache is too small for the
+#: run: a few small pages, so that probes and write-backs miss.
+CLUSTERS = {"page-read-fault": dict(page_size=256, buffer_cache_bytes=3 * 256)}
+
+
+@pytest.mark.parametrize(
+    "case,join,storage",
+    [
+        (case, join, storage)
+        for case in sorted(EXITS)
+        for join in sorted(JOINS)
+        for storage in sorted(STORAGES)
+        # An LSM run of this size never reads a page back.
+        if (case, storage) != ("page-read-fault", "lsm")
+    ],
+)
 def test_every_exit_releases_the_run(tmp_path, case, join, storage):
     leave, error = EXITS[case]
     world = World(tmp_path, case, join, storage)

@@ -710,3 +710,15 @@ def encode_key(vid):
 def decode_key(data):
     """Inverse of :func:`encode_key`."""
     return INT64.loads(data)
+
+
+def decode_keys(keys):
+    """:func:`decode_key` over a whole batch: the vids of a list of
+    :func:`encode_key` images, from one ``unpack`` over the joined
+    images. Every key must be exactly 8 bytes — a 7-byte key next to a
+    9-byte one must not decode as two other vids."""
+    odd_widths = set(map(len, keys)) - {8}
+    if odd_widths:
+        _corrupt("a key of %d bytes where 8 were expected" % min(odd_widths))
+    biased = struct.unpack(">%dQ" % len(keys), b"".join(keys))
+    return [value - _SIGN_BIAS for value in biased]

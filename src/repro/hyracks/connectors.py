@@ -24,6 +24,15 @@ routed streams do not depend on how many clones ran at once (DESIGN.md
 §13). :meth:`~ConnectorDescriptor.route` is the same hand-off in one
 call, for callers that already hold every sender's output.
 
+A partitioning connector routes a **batch per call**: its
+``destinations_fn(batch, n)`` names the consumer of every tuple of a
+sender's output at once — the Pregelix plans pass one that decodes all
+the batch's key images with a single ``unpack`` and hashes the vids
+(:meth:`~repro.pregelix.physical.PartitionMap.partitions_of_keyed`) —
+and the merging connector checks a sender's sortedness in one pass over
+the sort keys. A per-tuple ``key_fn``/``partition_fn`` pair is still all
+a connector needs; it is what ``destinations_fn`` defaults to.
+
 Byte accounting: a connector constructed with a ``tuple_serde`` measures
 the serialized volume it moves and charges the job's network counters —
 that is the signal behind the paper's observation that combiners become
@@ -34,6 +43,8 @@ threads mirrors a real cluster's network overlap.
 """
 
 import heapq
+import itertools
+import operator
 import time
 
 from repro.common import costmodel
@@ -99,56 +110,74 @@ class _AccountingMixin:
             time.sleep(costmodel.network_seconds(nbytes) * latency_scale)
 
 
-class MToNPartitioningConnector(ConnectorDescriptor, _AccountingMixin):
+class _PartitioningMixin(_AccountingMixin):
+    """Routing shared by the two partitioning connectors: a batch is
+    routed by one call that names the consumer of each of its tuples."""
+
+    def _route_by(self, key_fn, partition_fn, destinations_fn):
+        if key_fn is None and destinations_fn is None:
+            raise ValueError("a partitioning connector needs key_fn or destinations_fn")
+        self.key_fn = key_fn
+        self.partition_fn = partition_fn or (lambda key, n: hash(key) % n)
+        self.destinations_fn = destinations_fn or self._destinations_per_tuple
+
+    def _destinations_per_tuple(self, batch, num_consumers):
+        key_fn, partition_fn = self.key_fn, self.partition_fn
+        return [partition_fn(key_fn(item), num_consumers) for item in batch]
+
+    def _scatter(self, batch, num_consumers):
+        per_dest = [[] for _ in range(num_consumers)]
+        for dest, item in zip(self.destinations_fn(batch, num_consumers), batch):
+            per_dest[dest].append(item)
+        return per_dest
+
+
+class MToNPartitioningConnector(ConnectorDescriptor, _PartitioningMixin):
     """Hash-partition tuples to consumers with a user partitioning function.
 
     :param key_fn: extracts the partitioning key from a tuple.
     :param tuple_serde: optional serde used purely for byte accounting.
     :param partition_fn: maps ``(key, n)`` to a partition; defaults to
         ``hash(key) % n`` (the paper's default hash partitioning).
+    :param destinations_fn: maps ``(batch, n)`` to the partition of every
+        tuple of a batch (a list), in order; defaults to ``partition_fn``
+        of ``key_fn`` tuple by tuple, which it supersedes.
     """
 
-    def __init__(self, key_fn, tuple_serde=None, partition_fn=None):
+    def __init__(self, key_fn=None, tuple_serde=None, partition_fn=None,
+                 destinations_fn=None):
         super().__init__(ConnectorDescriptor.PIPELINED)
-        self.key_fn = key_fn
         self.tuple_serde = tuple_serde
-        self.partition_fn = partition_fn or (lambda key, n: hash(key) % n)
+        self._route_by(key_fn, partition_fn, destinations_fn)
 
     def split(self, sender, batch, num_consumers):
-        per_dest = [[] for _ in range(num_consumers)]
-        for item in batch:
-            per_dest[self.partition_fn(self.key_fn(item), num_consumers)].append(item)
-        return per_dest
+        return self._scatter(batch, num_consumers)
 
 
-class MToNPartitioningMergingConnector(ConnectorDescriptor, _AccountingMixin):
+class MToNPartitioningMergingConnector(ConnectorDescriptor, _PartitioningMixin):
     """Partitioning connector that merge-sorts at the receiver side.
 
-    Senders must emit streams already sorted by ``sort_key_fn``; each
-    receiver heap-merges the per-sender streams, so its output is sorted
-    without any re-grouping work downstream. Always sender-side
-    materializing, matching Section 5.3.1's deadlock-avoidance policy.
+    Senders must emit streams already sorted by ``sort_key_fn`` (which
+    defaults to ``key_fn``); each receiver heap-merges the per-sender
+    streams, so its output is sorted without any re-grouping work
+    downstream. Always sender-side materializing, matching Section
+    5.3.1's deadlock-avoidance policy. Routing is
+    :class:`MToNPartitioningConnector`'s.
     """
 
-    def __init__(self, key_fn, sort_key_fn=None, tuple_serde=None, partition_fn=None):
+    def __init__(self, key_fn=None, sort_key_fn=None, tuple_serde=None,
+                 partition_fn=None, destinations_fn=None):
         super().__init__(ConnectorDescriptor.SENDER_SIDE_MATERIALIZED)
-        self.key_fn = key_fn
         self.sort_key_fn = sort_key_fn or key_fn
         self.tuple_serde = tuple_serde
-        self.partition_fn = partition_fn or (lambda key, n: hash(key) % n)
+        self._route_by(key_fn, partition_fn, destinations_fn)
 
     def split(self, sender, batch, num_consumers):
-        per_dest = [[] for _ in range(num_consumers)]
-        previous = None
-        for item in batch:
-            sort_key = self.sort_key_fn(item)
-            if previous is not None and sort_key < previous:
-                raise ValueError(
-                    "merging connector requires sorted sender streams"
-                )
-            previous = sort_key
-            per_dest[self.partition_fn(self.key_fn(item), num_consumers)].append(item)
-        return per_dest
+        sort_keys = list(map(self.sort_key_fn, batch))
+        # sort_keys[i + 1] < sort_keys[i] anywhere, in one pass.
+        if any(map(operator.lt, itertools.islice(sort_keys, 1, None), sort_keys)):
+            raise ValueError("merging connector requires sorted sender streams")
+        return self._scatter(batch, num_consumers)
 
     def assemble(self, staged):
         return [

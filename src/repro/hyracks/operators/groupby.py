@@ -7,20 +7,41 @@
   of distinct keys is small — e.g. few distinct message receivers), and
   sorts only when spilling or emitting.
 * **Preclustered**: assumes the input is already clustered by key and
-  aggregates in one constant-memory pass (used below merging connectors).
+  aggregates in one pass (used below merging connectors).
 
 All strategies emit groups in key order (preclustered preserves its input
 order, which is sorted by assumption), because the downstream ``Msg``
 storage and index joins require vid-sorted streams.
+
+Two keys, one order. Tuples are sorted, hashed and compared by **their
+own key** — ``key_fn(item)``, whatever the tuple carries (the int vid of
+a raw message) — and a group is *named* once, when it closes, by the
+aggregator's :attr:`~GroupAggregator.group_key` (the vid's 8-byte key
+image): that written key is what ``finish`` receives and what spilled
+runs store and are merged by. Unless an aggregator sets ``group_key`` a
+group is written under its tuples' key; one that does must preserve
+order, so that a stable sort on the tuples' key leaves arrival order
+inside a group — and with it every fold, spill boundary and merge
+tie-break — exactly where sorting on the written key put them. No hop
+works per tuple in Python beyond the one ``step`` (or combiner) call:
+keys come from a C-level ``key_fn``, a sorted batch is folded by one flat
+loop (:meth:`~GroupAggregator.fold_clustered`), and runs are written and
+read a batch per call.
 """
 
 import heapq
+import operator
+from itertools import starmap
 
 from repro.common.errors import StorageError
 from repro.common.serde import ListSerde
 from repro.hyracks.job import OperatorDescriptor
 from repro.hyracks.operators.sort import DEFAULT_SORT_MEMORY, budgeted_batches
 from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
+
+# The two fields of a named group ``(written key, state)``.
+_KEY = operator.itemgetter(0)
+_STATE = operator.itemgetter(1)
 
 
 class GroupAggregator:
@@ -43,6 +64,12 @@ class GroupAggregator:
         """Combine two partial states."""
         raise NotImplementedError
 
+    #: Names a closed group: maps the key its tuples carry to the key the
+    #: group is written under — what ``finish`` receives and what spilled
+    #: runs store and are merged by. ``None`` writes a group under its
+    #: tuples' own key; a callable must preserve order.
+    group_key = None
+
     def finish(self, key, state):
         """Produce the output tuple for a completed group."""
         raise NotImplementedError
@@ -50,6 +77,26 @@ class GroupAggregator:
     def state_serde(self):
         """Serde used to spill partial states; ``None`` forbids spilling."""
         return None
+
+    def fold_clustered(self, key_fn, items):
+        """``create``/``step`` over a whole batch: fold every run of
+        adjacent items with equal ``key_fn(item)`` and yield
+        ``(written key, state)`` as the run closes. An aggregator may
+        override it to reach its fold without the per-tuple indirection,
+        never to fold differently."""
+        create, step = self.create, self.step
+        group_key = self.group_key
+        current = state = None
+        for item in items:
+            key = key_fn(item)
+            if key != current:
+                if current is not None:
+                    yield (group_key(current) if group_key else current), state
+                current = key
+                state = create()
+            state = step(state, item)
+        if current is not None:
+            yield (group_key(current) if group_key else current), state
 
     def state_size(self, state):
         """State size in bytes, for hash-table budgeting. Under a
@@ -110,42 +157,51 @@ class _SpillingGroupByBase(OperatorDescriptor):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _spill_states(self, ctx, sorted_states):
+    def _spill_states(self, ctx, named_states):
         serde = self.aggregator.state_serde()
         if serde is None:
             raise StorageError(
                 "%s exceeded its memory budget but the aggregator cannot spill"
                 % self.name
             )
+        named_states = list(named_states)
         path = ctx.files.create_temp_path("groupby-run")
         with RunFileWriter(path, ctx.files) as writer:
-            for key, state in sorted_states:
-                writer.append(key, serde.dumps(state))
+            writer.extend(zip(
+                map(_KEY, named_states),
+                map(serde.dumps, map(_STATE, named_states)),
+            ))
         return path
 
-    def _merge_all(self, ctx, runs, in_memory_sorted):
+    def _grouped(self, ctx, runs, in_memory):
+        """The finished groups of the spilled ``runs`` and the sorted
+        ``(written key, state)`` pairs still ``in_memory``."""
+        if runs:
+            in_memory = self._merge_runs(ctx, runs, in_memory)
+        return starmap(self.aggregator.finish, in_memory)
+
+    def _merge_runs(self, ctx, runs, in_memory):
         serde = self.aggregator.state_serde()
+        merge = self.aggregator.merge
 
         def replay(path):
             for key, data in RunFileReader(path, ctx.files):
                 yield key, serde.loads(data)
 
         streams = [replay(path) for path in runs]
-        if in_memory_sorted:
-            streams.append(iter(in_memory_sorted))
-        merged = heapq.merge(*streams, key=lambda pair: pair[0])
+        streams.append(in_memory)
         current_key = None
         current_state = None
         try:
-            for key, state in merged:
+            for key, state in heapq.merge(*streams, key=_KEY):
                 if key == current_key:
-                    current_state = self.aggregator.merge(current_state, state)
+                    current_state = merge(current_state, state)
                 else:
                     if current_key is not None:
-                        yield self.aggregator.finish(current_key, current_state)
+                        yield current_key, current_state
                     current_key, current_state = key, state
             if current_key is not None:
-                yield self.aggregator.finish(current_key, current_state)
+                yield current_key, current_state
         finally:
             for path in runs:
                 ctx.files.delete_path(path)
@@ -160,37 +216,18 @@ class SortGroupByOperator(_SpillingGroupByBase):
 
     def grouped_stream(self, ctx, stream):
         runs = []
-        batches = budgeted_batches(
-            stream, self.key_fn, self.tuple_serde, self.memory_limit
-        )
+        batches = budgeted_batches(stream, self.tuple_serde, self.memory_limit)
         buffer = next(batches)
         for following in batches:
-            runs.append(self._spill_states(ctx, self._aggregate_sorted(buffer)))
+            runs.append(self._spill_states(ctx, self._fold_sorted(buffer)))
             buffer = following
-        in_memory = self._aggregate_sorted(buffer) if buffer else []
-        if not runs:
-            for key, state in in_memory:
-                yield self.aggregator.finish(key, state)
-            return
-        for output in self._merge_all(ctx, runs, in_memory):
-            yield output
+        yield from self._grouped(ctx, runs, self._fold_sorted(buffer))
 
-    def _aggregate_sorted(self, buffer):
-        """Sort raw tuples and fold adjacent equal keys into states."""
-        buffer.sort(key=lambda pair: pair[0])
-        aggregated = []
-        current_key = None
-        current_state = None
-        for key, item in buffer:
-            if key != current_key:
-                if current_key is not None:
-                    aggregated.append((current_key, current_state))
-                current_key = key
-                current_state = self.aggregator.create()
-            current_state = self.aggregator.step(current_state, item)
-        if current_key is not None:
-            aggregated.append((current_key, current_state))
-        return aggregated
+    def _fold_sorted(self, buffer):
+        """Sort raw tuples by their own key (stable: arrival order inside
+        a key) and fold adjacent equal keys into named states."""
+        buffer.sort(key=self.key_fn)
+        return self.aggregator.fold_clustered(self.key_fn, buffer)
 
 
 class HashSortGroupByOperator(_SpillingGroupByBase):
@@ -201,38 +238,46 @@ class HashSortGroupByOperator(_SpillingGroupByBase):
 
     def grouped_stream(self, ctx, stream):
         aggregator = self.aggregator
+        key_fn = self.key_fn
+        create, step = aggregator.create, aggregator.step
+        group_key = aggregator.group_key
         state_size = aggregator.state_size
         state_serde = aggregator.state_serde()
         # Fixed-width states do not grow: only a new key adds bytes.
         grows = state_serde is None or state_serde.fixed_size is None
         runs = []
         table = {}
+        # The written key of every key of ``table``, in the table's own
+        # (first-seen) order: a key is named, and its name charged to the
+        # budget, once per table.
+        names = []
         table_bytes = 0
         for item in stream:
-            key = self.key_fn(item)
+            key = key_fn(item)
             state = table.get(key)
             new_key = state is None
             if new_key:
-                state = aggregator.create()
-                table_bytes += len(key)
+                state = create()
+                name = group_key(key) if group_key else key
+                names.append(name)
+                table_bytes += len(name)
             if new_key or grows:
                 before = state_size(state)
-                state = aggregator.step(state, item)
+                state = step(state, item)
                 table_bytes += state_size(state) - before
             else:
-                state = aggregator.step(state, item)
+                state = step(state, item)
             table[key] = state
             if table_bytes >= self.memory_limit:
-                runs.append(self._spill_states(ctx, sorted(table.items())))
+                runs.append(self._spill_states(ctx, _named_sorted(names, table)))
                 table = {}
+                names = []
                 table_bytes = 0
-        in_memory = sorted(table.items())
-        if not runs:
-            for key, state in in_memory:
-                yield self.aggregator.finish(key, state)
-            return
-        for output in self._merge_all(ctx, runs, in_memory):
-            yield output
+        yield from self._grouped(ctx, runs, _named_sorted(names, table))
+
+
+def _named_sorted(names, table):
+    return sorted(zip(names, table.values()), key=_KEY)
 
 
 class PreclusteredGroupByOperator(OperatorDescriptor):
@@ -248,21 +293,12 @@ class PreclusteredGroupByOperator(OperatorDescriptor):
         return {self.OUT: list(self.grouped_stream(stream))}
 
     def grouped_stream(self, stream):
-        current_key = None
-        current_state = None
+        finish = self.aggregator.finish
         seen = set()
-        for item in stream:
-            key = self.key_fn(item)
-            if key != current_key:
-                if current_key is not None:
-                    yield self.aggregator.finish(current_key, current_state)
-                    seen.add(current_key)
-                if key in seen:
-                    raise StorageError(
-                        "preclustered group-by saw key %r in two clusters" % (key,)
-                    )
-                current_key = key
-                current_state = self.aggregator.create()
-            current_state = self.aggregator.step(current_state, item)
-        if current_key is not None:
-            yield self.aggregator.finish(current_key, current_state)
+        for key, state in self.aggregator.fold_clustered(self.key_fn, stream):
+            if key in seen:
+                raise StorageError(
+                    "preclustered group-by saw key %r in two clusters" % (key,)
+                )
+            seen.add(key)
+            yield finish(key, state)

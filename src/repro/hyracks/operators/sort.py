@@ -9,6 +9,7 @@ the same graceful degradation story as the rest of the storage layer.
 
 import heapq
 import itertools
+import operator
 
 from repro.hyracks.job import OperatorDescriptor
 from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
@@ -16,9 +17,13 @@ from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
 #: The paper's default per-operator sort/group-by buffer (64 MB).
 DEFAULT_SORT_MEMORY = 64 << 20
 
+# The two fields of a replayed run record ``(sort key, tuple)``.
+_KEY = operator.itemgetter(0)
+_ITEM = operator.itemgetter(1)
 
-def budgeted_batches(stream, key_fn, tuple_serde, memory_limit):
-    """Cut ``stream`` into lists of ``(key_fn(item), item)``.
+
+def budgeted_batches(stream, tuple_serde, memory_limit):
+    """Cut ``stream`` into lists of its items.
 
     A batch is cut as soon as the serialized bytes of its tuples reach
     ``memory_limit``; the last batch yielded is whatever was left over
@@ -31,9 +36,7 @@ def budgeted_batches(stream, key_fn, tuple_serde, memory_limit):
     if width:
         per_batch = max(1, -(-memory_limit // width))
         while True:
-            batch = [
-                (key_fn(item), item) for item in itertools.islice(stream, per_batch)
-            ]
+            batch = list(itertools.islice(stream, per_batch))
             yield batch
             if len(batch) < per_batch:
                 return
@@ -41,7 +44,7 @@ def budgeted_batches(stream, key_fn, tuple_serde, memory_limit):
     batch_bytes = 0
     sizeof = tuple_serde.sizeof
     for item in stream:
-        batch.append((key_fn(item), item))
+        batch.append(item)
         batch_bytes += sizeof(item)
         if batch_bytes >= memory_limit:
             yield batch
@@ -79,34 +82,35 @@ class ExternalSortOperator(OperatorDescriptor):
     def sorted_stream(self, ctx, stream):
         """Yield the tuples of ``stream`` in sort-key order."""
         runs = []
-        batches = budgeted_batches(
-            stream, self.sort_key_fn, self.tuple_serde, self.memory_limit
-        )
+        batches = budgeted_batches(stream, self.tuple_serde, self.memory_limit)
         try:
             buffer = next(batches)
             for following in batches:
                 runs.append(self._spill(ctx, buffer))
                 buffer = following
             if not runs:
-                buffer.sort(key=lambda pair: pair[0])
-                for _key, item in buffer:
-                    yield item
+                buffer.sort(key=self.sort_key_fn)
+                yield from buffer
                 return
             if buffer:
                 runs.append(self._spill(ctx, buffer))
             streams = [self._replay(ctx, path) for path in runs]
-            for _key, item in heapq.merge(*streams, key=lambda pair: pair[0]):
-                yield item
+            yield from map(_ITEM, heapq.merge(*streams, key=_KEY))
         finally:
             for path in runs:
                 ctx.files.delete_path(path)
 
     def _spill(self, ctx, buffer):
-        buffer.sort(key=lambda pair: pair[0])
+        # Keys once per tuple; the run is written in the (stable) order
+        # of the positions sorted by them.
+        keys = list(map(self.sort_key_fn, buffer))
+        order = sorted(range(len(buffer)), key=keys.__getitem__)
         path = ctx.files.create_temp_path("sort-run")
         with RunFileWriter(path, ctx.files) as writer:
-            for key, item in buffer:
-                writer.append(key, self.tuple_serde.dumps(item))
+            writer.extend(zip(
+                map(keys.__getitem__, order),
+                map(self.tuple_serde.dumps, map(buffer.__getitem__, order)),
+            ))
         return path
 
     def _replay(self, ctx, path):

@@ -7,14 +7,23 @@ paper stores "in temporary local files" between supersteps.
 
 This is the one framing of a ``(key, value)`` byte pair: a run file and
 a checkpoint blob (:func:`pack_pairs`/:func:`iter_pairs`) are the same
-bytes.
+bytes, framed by :func:`pack_pairs` and read back by one parser, which
+refuses data that ends inside a record.
 """
 
+import itertools
 import os
 import struct
 
+from repro.common.errors import StorageError
+
 _RECORD_HEADER = struct.Struct(">II")
-_BUFFER_LIMIT = 1 << 20
+#: Records framed and written per call by :meth:`RunFileWriter.extend`.
+_WRITE_BATCH = 4096
+#: Bytes a reader takes from its file per call. One chunk — or one record,
+#: if a record is larger — is all an open run holds in memory, so a merge
+#: of spilled runs is bounded by their number, never by their length.
+_READ_CHUNK = 64 << 10
 
 
 def pack_pairs(pairs):
@@ -25,18 +34,40 @@ def pack_pairs(pairs):
     return b"".join(parts)
 
 
+def _parse(data):
+    """The parser of the framing. Yields the records that lie wholly
+    inside ``data`` (a ``bytes``) and returns ``(end, short)``: where the
+    last of them ended, and how many bytes the record starting there is
+    short of — 0 exactly when ``data`` ends on a record boundary."""
+    unpack_header = _RECORD_HEADER.unpack_from
+    header_size = _RECORD_HEADER.size
+    size = len(data)
+    offset = 0
+    while offset < size:
+        body = offset + header_size
+        if body > size:
+            return offset, body - size
+        key_len, value_len = unpack_header(data, offset)
+        value_at = body + key_len
+        end = value_at + value_len
+        if end > size:
+            return offset, end - size
+        yield data[body:value_at], data[value_at:end]
+        offset = end
+    return offset, 0
+
+
+def _cut_inside_a_record(what, short):
+    raise StorageError(
+        "%s is cut inside a record (at least %d bytes missing)" % (what, short)
+    )
+
+
 def iter_pairs(blob):
     """Inverse of :func:`pack_pairs`."""
-    offset = 0
-    view = memoryview(blob)
-    while offset < len(view):
-        key_len, value_len = _RECORD_HEADER.unpack_from(view, offset)
-        offset += _RECORD_HEADER.size
-        key = bytes(view[offset : offset + key_len])
-        offset += key_len
-        value = bytes(view[offset : offset + value_len])
-        offset += value_len
-        yield key, value
+    _end, short = yield from _parse(bytes(blob))
+    if short:
+        _cut_inside_a_record("a blob of framed pairs", short)
 
 
 class RunFileWriter:
@@ -46,34 +77,29 @@ class RunFileWriter:
         self.path = path
         self.files = file_manager
         self._handle = open(path, "wb")
-        self._buffer = []
-        self._buffered_bytes = 0
-        self.records_written = 0
         self.bytes_written = 0
 
     def append(self, key, value):
-        record = _RECORD_HEADER.pack(len(key), len(value)) + key + value
-        self._buffer.append(record)
-        self._buffered_bytes += len(record)
-        self.records_written += 1
-        self.bytes_written += len(record)
-        if self._buffered_bytes >= _BUFFER_LIMIT:
-            self._flush()
+        self.extend(((key, value),))
+
+    def extend(self, pairs):
+        """Append a batch of records, framed and written
+        :data:`_WRITE_BATCH` at a time."""
+        pairs = iter(pairs)
+        while True:
+            blob = pack_pairs(itertools.islice(pairs, _WRITE_BATCH))
+            if not blob:
+                return
+            self._handle.write(blob)
+            self.bytes_written += len(blob)
 
     def close(self):
         if self._handle.closed:
             return
-        self._flush()
         self._handle.close()
         if self.files is not None:
             # Through the manager so latency realism charges the spill.
             self.files.record_run_write(self.bytes_written)
-
-    def _flush(self):
-        if self._buffer:
-            self._handle.write(b"".join(self._buffer))
-            self._buffer = []
-            self._buffered_bytes = 0
 
     def __enter__(self):
         return self
@@ -94,18 +120,21 @@ class RunFileReader:
         if not os.path.exists(self.path):
             return
         total = 0
+        data = b""
+        short = 0
         with open(self.path, "rb") as handle:
             while True:
-                header = handle.read(_RECORD_HEADER.size)
-                if not header:
+                more = handle.read(max(_READ_CHUNK, short))
+                if not more:
                     break
-                key_len, value_len = _RECORD_HEADER.unpack(header)
-                key = handle.read(key_len)
-                value = handle.read(value_len)
-                total += _RECORD_HEADER.size + key_len + value_len
-                yield key, value
+                data += more
+                end, short = yield from _parse(data)
+                total += end
+                data = data[end:]
         if self.files is not None and total:
             self.files.record_run_read(total)
+        if short:
+            _cut_inside_a_record("run file %s" % self.path, short)
 
     def delete(self):
         if os.path.exists(self.path):
@@ -124,8 +153,7 @@ class RunFile:
 
     def bulk_load(self, pairs):
         with RunFileWriter(self.path, self.files) as writer:
-            for key, value in pairs:
-                writer.append(key, value)
+            writer.extend(pairs)
 
     def scan(self):
         return iter(RunFileReader(self.path, self.files))

@@ -10,6 +10,7 @@ that select one of the sixteen tailored executions.
 
 import enum
 import itertools
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from repro.common import serde
 from repro.common.errors import GraphMutationConflict, ReproError
 
 Edge = namedtuple("Edge", ["target", "value"])
+_TARGET = operator.attrgetter("target")
 
 
 class Vertex:
@@ -124,8 +126,9 @@ class Vertex:
         self._outbox.append((target, payload))
 
     def send_message_to_all_edges(self, payload):
-        for edge in self.edges:
-            self._outbox.append((edge.target, payload))
+        self._outbox.extend(
+            zip(map(_TARGET, self.edges), itertools.repeat(payload))
+        )
 
     def vote_to_halt(self):
         """Deactivate this vertex until a message reactivates it."""

@@ -23,8 +23,10 @@ layouts are the :class:`~repro.pregelix.relations.RunRelations`' that
 every generator holds as ``relations``.
 """
 
+import operator
+
 from repro.common import serde
-from repro.common.serde import decode_key, encode_key
+from repro.common.serde import decode_key, decode_keys, encode_key
 from repro.hyracks.connectors import (
     MToNPartitioningConnector,
     MToNPartitioningMergingConnector,
@@ -68,6 +70,11 @@ from repro.pregelix.operators import (
 from repro.pregelix.relations import VID_VALUE, RunRelations
 from repro.pregelix.types import GlobalState, edge_list_serde
 
+# What a message tuple leads with: the destination vid of a raw
+# ``(vid, payload)``, its ``encode_key`` image in a combined
+# ``(key, bundle)``.
+_LEAD = operator.itemgetter(0)
+
 
 class PartitionMap:
     """The sticky vertex-partition-to-node assignment.
@@ -93,6 +100,14 @@ class PartitionMap:
         """
         return hash(vid) % self.num_partitions
 
+    def partitions_of_keyed(self, batch, num_consumers=None):
+        """:meth:`partition_of` for every tuple of a batch led by the
+        ``encode_key`` image of its vid: one decode for the whole batch,
+        then the same ``hash()`` (so ``hash(-1) == -2`` and vids beyond
+        2**61 land where the per-tuple call puts them)."""
+        n = self.num_partitions
+        return [hash(vid) % n for vid in decode_keys(list(map(_LEAD, batch)))]
+
     @classmethod
     def over_nodes(cls, node_ids, partitions_per_node=1):
         locations = []
@@ -117,7 +132,12 @@ class PartitionMap:
 
 
 class _SenderCombineAggregator(GroupAggregator):
-    """Sender-side (stage one) combine: fold raw messages into states."""
+    """Sender-side (stage one) combine: fold raw ``(vid, payload)``
+    messages into states. Messages are grouped by their vid and a group
+    is written under its :func:`encode_key` image — the one place a
+    message's key is encoded, once per group."""
+
+    group_key = staticmethod(encode_key)
 
     def __init__(self, combiner, bundle_serde):
         self.combiner = combiner
@@ -128,6 +148,21 @@ class _SenderCombineAggregator(GroupAggregator):
 
     def step(self, state, item):
         return self.combiner.accumulate(state, item[1])
+
+    def fold_clustered(self, key_fn, items):
+        init, accumulate = self.combiner.init, self.combiner.accumulate
+        group_key = self.group_key
+        current = state = None
+        for item in items:
+            key = key_fn(item)
+            if key != current:
+                if current is not None:
+                    yield group_key(current), state
+                current = key
+                state = init()
+            state = accumulate(state, item[1])
+        if current is not None:
+            yield group_key(current), state
 
     def merge(self, left, right):
         return self.combiner.merge(left, right)
@@ -156,6 +191,23 @@ class _ReceiverCombineAggregator(GroupAggregator):
         if state is self._EMPTY:
             return partial
         return self.combiner.merge(state, partial)
+
+    def fold_clustered(self, key_fn, items):
+        # A group's first partial is its state, and the key its partials
+        # came under is the key it is written under (no ``group_key``).
+        merge = self.combiner.merge
+        current = state = None
+        for item in items:
+            key = key_fn(item)
+            if key != current:
+                if current is not None:
+                    yield current, state
+                current = key
+                state = item[1]
+            else:
+                state = merge(state, item[1])
+        if current is not None:
+            yield current, state
 
     def merge(self, left, right):
         if left is self._EMPTY:
@@ -470,7 +522,7 @@ class PlanGenerator:
 
         if job.groupby_strategy == GroupByStrategy.SORT:
             sender = SortGroupByOperator(
-                key_fn=lambda t: encode_key(t[0]),
+                key_fn=_LEAD,
                 aggregator=sender_agg,
                 tuple_serde=raw_msg_serde,
                 memory_limit_bytes=memory,
@@ -478,7 +530,7 @@ class PlanGenerator:
             )
         else:
             sender = HashSortGroupByOperator(
-                key_fn=lambda t: encode_key(t[0]),
+                key_fn=_LEAD,
                 aggregator=sender_agg,
                 memory_limit_bytes=memory,
                 name="SenderHashSortGroupBy",
@@ -486,28 +538,26 @@ class PlanGenerator:
         spec.add(self._pin(sender))
         spec.connect(OneToOneConnector(), compute, sender, port=ComputeOperator.MSG)
 
-        partition_fn = self.partition_map.partition_of
+        destinations_fn = self.partition_map.partitions_of_keyed
         if job.connector_policy == ConnectorPolicy.MERGED:
             connector = MToNPartitioningMergingConnector(
-                key_fn=lambda t: decode_key(t[0]),
-                sort_key_fn=lambda t: t[0],
+                sort_key_fn=_LEAD,
                 tuple_serde=combined_serde,
-                partition_fn=partition_fn,
+                destinations_fn=destinations_fn,
             )
             receiver = PreclusteredGroupByOperator(
-                key_fn=lambda t: t[0],
+                key_fn=_LEAD,
                 aggregator=receiver_agg,
                 name="ReceiverPreclusteredGroupBy",
             )
         else:
             connector = MToNPartitioningConnector(
-                key_fn=lambda t: decode_key(t[0]),
                 tuple_serde=combined_serde,
-                partition_fn=partition_fn,
+                destinations_fn=destinations_fn,
             )
             if job.groupby_strategy == GroupByStrategy.SORT:
                 receiver = SortGroupByOperator(
-                    key_fn=lambda t: t[0],
+                    key_fn=_LEAD,
                     aggregator=receiver_agg,
                     tuple_serde=combined_serde,
                     memory_limit_bytes=memory,
@@ -515,7 +565,7 @@ class PlanGenerator:
                 )
             else:
                 receiver = HashSortGroupByOperator(
-                    key_fn=lambda t: t[0],
+                    key_fn=_LEAD,
                     aggregator=receiver_agg,
                     memory_limit_bytes=memory,
                     name="ReceiverHashSortGroupBy",

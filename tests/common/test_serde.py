@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common import serde
+from repro.common.errors import StorageError
 
 
 class TestInt64:
@@ -95,3 +96,24 @@ class TestKeyHelpers:
 
     def test_key_order(self):
         assert serde.encode_key(-3) < serde.encode_key(10)
+
+    @given(st.lists(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)))
+    def test_batch_decode_is_decode_key_per_key(self, vids):
+        keys = [serde.encode_key(vid) for vid in vids]
+        decoded = serde.decode_keys(keys)
+        assert decoded == [serde.decode_key(key) for key in keys] == vids
+
+    @given(
+        st.lists(st.binary(min_size=8, max_size=8)),
+        st.binary(max_size=20).filter(lambda key: len(key) != 8),
+        st.lists(st.binary(min_size=8, max_size=8)),
+    )
+    def test_batch_decode_rejects_any_key_that_is_not_eight_bytes(
+        self, before, bad, after
+    ):
+        with pytest.raises(StorageError):
+            serde.decode_keys(before + [bad] + after)
+
+    def test_batch_decode_is_not_fooled_by_the_total_width(self):
+        with pytest.raises(StorageError):
+            serde.decode_keys([b"1234567", b"123456789"])

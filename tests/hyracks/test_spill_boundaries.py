@@ -8,7 +8,6 @@ per tuple, before/after sizes per state — produced: same number of runs,
 same bytes in each, same output.
 """
 
-import os
 import random
 import types
 
@@ -22,24 +21,13 @@ from repro.hyracks.operators.groupby import (
     SortGroupByOperator,
 )
 from repro.hyracks.operators.sort import ExternalSortOperator
-from repro.hyracks.storage.file_manager import FileManager
 from repro.pregelix.api import DefaultListCombiner
 from repro.pregelix.physical import _ReceiverCombineAggregator
+from tests.hyracks import per_tuple_reference as reference_loops
+from tests.hyracks.per_tuple_reference import RecordingFiles
 
 BUDGET = 16 << 10
 MESSAGES = 5000
-
-
-class RecordingFiles(FileManager):
-    """Remembers the size of every temp file when it is deleted."""
-
-    def __init__(self, root):
-        super().__init__(root)
-        self.run_sizes = []
-
-    def delete_path(self, path):
-        self.run_sizes.append(os.path.getsize(path))
-        super().delete_path(path)
 
 
 class SumAggregator(GroupAggregator):
@@ -98,10 +86,10 @@ def reference_sorted_stream(operator, ctx, stream):
         buffer.append((operator.sort_key_fn(item), item))
         buffered_bytes += len(operator.tuple_serde.dumps(item))
         if buffered_bytes >= operator.memory_limit:
-            runs.append(operator._spill(ctx, buffer))
+            runs.append(reference_loops.sort_spill(ctx, buffer, operator.tuple_serde))
             buffer, buffered_bytes = [], 0
     if buffer and runs:
-        runs.append(operator._spill(ctx, buffer))
+        runs.append(reference_loops.sort_spill(ctx, buffer, operator.tuple_serde))
         buffer = []
     for path in runs:
         ctx.files.delete_path(path)
@@ -114,7 +102,10 @@ def reference_sort_groupby_runs(operator, ctx, stream):
         buffer.append((operator.key_fn(item), item))
         buffered_bytes += len(operator.tuple_serde.dumps(item))
         if buffered_bytes >= operator.memory_limit:
-            runs.append(operator._spill_states(ctx, operator._aggregate_sorted(buffer)))
+            runs.append(reference_loops.spill_states(
+                ctx, operator.name, operator.aggregator,
+                reference_loops.aggregate_sorted(operator.aggregator, buffer),
+            ))
             buffer, buffered_bytes = [], 0
     for path in runs:
         ctx.files.delete_path(path)
@@ -140,7 +131,9 @@ def reference_hashsort_runs(operator, ctx, stream):
         table[key] = state
         table_bytes += size(state) - before
         if table_bytes >= operator.memory_limit:
-            runs.append(operator._spill_states(ctx, sorted(table.items())))
+            runs.append(reference_loops.spill_states(
+                ctx, operator.name, aggregator, sorted(table.items())
+            ))
             table, table_bytes = {}, 0
     for path in runs:
         ctx.files.delete_path(path)

@@ -13,6 +13,7 @@ from repro.hyracks.storage.pages import (
     PageId,
     PageKind,
 )
+from repro.hyracks.storage import run_file
 from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
 
 
@@ -269,6 +270,89 @@ class TestRunFiles:
         reader = RunFileReader(path)
         reader.delete()
         assert list(reader) == []
+
+
+MIXED_RECORDS = [
+    (b"k1", b"v1"),
+    (b"", b"value-without-a-key"),
+    (b"key-without-a-value", b""),
+    (b"", b""),
+    (b"k7654321", b"value-2" * 9),
+    (b"\x00\x00\x00\x02", b"\x00\x00\x00\x01ab"),  # bytes that look like a header
+    (b"last", b"z"),
+]
+
+
+class TestRunFileCutInsideARecord:
+    """A run (or a checkpoint blob: same framing, same parser) that does
+    not end on a record boundary is damaged, not shorter data."""
+
+    def boundaries(self):
+        ends, offset = [0], 0
+        for key, value in MIXED_RECORDS:
+            offset += 8 + len(key) + len(value)
+            ends.append(offset)
+        return ends
+
+    @pytest.mark.parametrize("chunk", [7, 16, 64 << 10])
+    def test_every_truncation_is_a_clean_prefix_or_an_error(
+        self, file_manager, monkeypatch, chunk
+    ):
+        monkeypatch.setattr(run_file, "_READ_CHUNK", chunk)
+        blob = run_file.pack_pairs(MIXED_RECORDS)
+        boundaries = self.boundaries()
+        assert boundaries[-1] == len(blob)
+        path = file_manager.create_temp_path()
+        for cut in range(len(blob) + 1):
+            with open(path, "wb") as handle:
+                handle.write(blob[:cut])
+            whole = max(end for end in boundaries if end <= cut)
+            read_before = file_manager.io.disk_read_bytes
+            records = []
+            if cut in boundaries:
+                records.extend(RunFileReader(path, file_manager))
+            else:
+                with pytest.raises(StorageError):
+                    records.extend(RunFileReader(path, file_manager))
+            # Never a shortened key or value: whole records only, and
+            # only their bytes are charged as read.
+            assert records == MIXED_RECORDS[: boundaries.index(whole)]
+            assert file_manager.io.disk_read_bytes - read_before == whole
+
+    def test_a_blob_of_pairs_is_parsed_the_same_way(self):
+        blob = run_file.pack_pairs(MIXED_RECORDS)
+        boundaries = self.boundaries()
+        for cut in range(len(blob) + 1):
+            if cut in boundaries:
+                assert list(run_file.iter_pairs(blob[:cut])) == (
+                    MIXED_RECORDS[: boundaries.index(cut)]
+                )
+            else:
+                with pytest.raises(StorageError):
+                    list(run_file.iter_pairs(blob[:cut]))
+        assert list(run_file.iter_pairs(memoryview(blob))) == MIXED_RECORDS
+
+    def test_a_record_larger_than_the_read_chunk(self, file_manager, monkeypatch):
+        monkeypatch.setattr(run_file, "_READ_CHUNK", 32)
+        records = [(b"a", b"x" * 1000), (b"b" * 100, b""), (b"c", b"y")]
+        path = file_manager.create_temp_path()
+        with RunFileWriter(path, file_manager) as writer:
+            writer.extend(records)
+        assert list(RunFileReader(path, file_manager)) == records
+
+    def test_batches_and_single_appends_frame_the_same_bytes(self, file_manager):
+        paths = [file_manager.create_temp_path() for _ in range(2)]
+        with RunFileWriter(paths[0], file_manager) as writer:
+            for key, value in MIXED_RECORDS:
+                writer.append(key, value)
+        with RunFileWriter(paths[1], file_manager) as writer:
+            writer.extend(iter(MIXED_RECORDS))
+        images = []
+        for path in paths:
+            with open(path, "rb") as handle:
+                images.append(handle.read())
+        assert images[0] == images[1] == run_file.pack_pairs(MIXED_RECORDS)
+        assert file_manager.io.disk_write_bytes == 2 * len(images[0])
 
 
 class TestReplacementPolicies:

@@ -1,0 +1,115 @@
+"""A budget of Python-level calls for the message path the plan builds.
+
+The path from ``compute`` to ``MsgWrite`` handles a batch per call: the
+sender group-by pays one Python-level call per raw message (the
+combiner's ``accumulate``) plus a constant per *group* (open the state,
+encode the key once, emit), and a partitioning connector pays a constant
+per *batch*. When every hop worked per tuple these were six calls per
+message and four per routed tuple. The operators are taken from the plan
+``PlanGenerator`` generates, so a per-tuple ``encode_key``/``decode_key``
+or a sort-key lambda wired back into ``_message_groupby`` fails here.
+
+Counted under ``sys.setprofile``: ``"call"`` events are Python frames
+entered (a generator resumed counts; C functions are ``"c_call"``).
+"""
+
+import random
+import sys
+import types
+
+import pytest
+
+from repro.algorithms import pagerank
+from repro.common.serde import encode_key
+from repro.hyracks.operators.groupby import PreclusteredGroupByOperator
+from repro.pregelix import ConnectorPolicy, GroupByStrategy
+from repro.pregelix.physical import PartitionMap, PlanGenerator
+from repro.pregelix.types import GlobalState
+
+DESTINATIONS = 1250
+#: Python-level calls a closed group may cost the sender, whatever its size.
+PER_GROUP = 8
+#: ... and a batch, whatever its size (the operator's own frames).
+PER_BATCH = 12
+
+
+def python_calls(function):
+    calls = [0]
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = function()
+    finally:
+        sys.setprofile(None)
+    # The profiler sees ``function`` itself and the closing setprofile.
+    return calls[0] - 2, result
+
+
+def message_path(dfs, **plan):
+    """``(sender group-by, connector, receiver group-by)`` of a superstep plan."""
+    job = pagerank.build_job(**plan)
+    partition_map = PartitionMap(["node0", "node1", "node2", "node3"])
+    spec = PlanGenerator(job, dfs, "budget-run", partition_map).superstep_plan(
+        GlobalState()
+    )
+    (sender,) = [op for op in spec.operators if op.name.startswith("Sender")]
+    (edge,) = [edge for edge in spec.edges if edge.producer is sender]
+    return sender, edge.connector, edge.consumer
+
+
+def raw_messages(count):
+    rng = random.Random(count)
+    return [(rng.randrange(DESTINATIONS), rng.random()) for _ in range(count)]
+
+
+def test_sender_sort_groupby_pays_one_call_per_message(dfs):
+    sender, _, _ = message_path(dfs, groupby_strategy=GroupByStrategy.SORT)
+    ctx = types.SimpleNamespace(files=None)
+    measured = {}
+    for count in (10000, 20000):
+        messages = raw_messages(count)
+        calls, groups = python_calls(
+            lambda: list(sender.grouped_stream(ctx, messages))
+        )
+        assert len(groups) == DESTINATIONS
+        assert calls <= count + PER_GROUP * DESTINATIONS + PER_BATCH
+        measured[count] = calls
+    # Twice the messages to the same destinations: one call more per message.
+    assert measured[20000] - measured[10000] <= 10000
+
+
+@pytest.mark.parametrize("policy", list(ConnectorPolicy))
+def test_partitioning_connectors_pay_a_constant_per_batch(dfs, policy):
+    _, connector, _ = message_path(dfs, connector_policy=policy)
+    measured = []
+    for count in (1250, 10000):
+        batch = [(encode_key(vid), 0.5) for vid in range(-count // 2, count // 2)]
+        calls, per_dest = python_calls(lambda: connector.split(0, batch, 4))
+        assert sorted(item for tuples in per_dest for item in tuples) == batch
+        assert calls <= PER_BATCH
+        measured.append(calls)
+    assert measured[0] == measured[1]
+
+
+@pytest.mark.parametrize("plan", [
+    {"groupby_strategy": GroupByStrategy.SORT},
+    {"connector_policy": ConnectorPolicy.MERGED},
+], ids=["sort", "preclustered"])
+def test_the_receiver_pays_one_call_per_merged_partial(dfs, plan):
+    """Stage two merges partial states: ``combiner.merge`` once per tuple
+    beyond a group's first, nothing per tuple for its key."""
+    _, _, receiver = message_path(dfs, **plan)
+    count = 4 * DESTINATIONS
+    arrived = sorted(
+        (encode_key(vid % DESTINATIONS), float(vid)) for vid in range(count)
+    )
+    arguments = [arrived]
+    if not isinstance(receiver, PreclusteredGroupByOperator):
+        arguments.insert(0, types.SimpleNamespace(files=None))
+    calls, groups = python_calls(lambda: list(receiver.grouped_stream(*arguments)))
+    assert len(groups) == DESTINATIONS
+    assert calls <= (count - DESTINATIONS) + PER_GROUP * DESTINATIONS + PER_BATCH

@@ -17,12 +17,9 @@ churn also makes it visibly slower per iteration (paper Figure 11).
 from repro.common import costmodel
 from repro.baselines.base import (
     JVM_OBJECT_OVERHEAD,
-    BaselineOutcome,
     BoundVertexState,
     ProcessCentricBase,
-    finish_aggregation,
     message_serialized_size,
-    vertex_serialized_size,
 )
 
 #: Fraction of the vertex heap footprint the "preliminary" out-of-core
@@ -46,223 +43,95 @@ class GiraphLikeEngine(ProcessCentricBase):
         # The message store is serialized in both modes; ooc drops the
         # in-heap bookkeeping on top.
         self._message_factor = MESSAGE_STORE_FACTOR if mode == "mem" else 1.0
+        self.inboxes = [dict() for _ in range(self.num_workers)]  # vid -> payloads
+        self.inbox_charges = [0] * self.num_workers
 
     # ------------------------------------------------------------------
-    def run(self, job, dfs, input_path, parse_line=None, max_supersteps=None):
-        started = self.now()
-        partitions = self.read_input(dfs, input_path, parse_line)
-        workers = []
-        codec = job.vertex_codec()
-        for worker, rows in enumerate(partitions):
-            store = {}
-            for vid, value, edges in rows:
-                nbytes = vertex_serialized_size(job, vid, value, edges)
-                if self.mode == "mem":
-                    self.charge(worker, nbytes * JVM_OBJECT_OVERHEAD, "vertices")
-                    store[vid] = BoundVertexState(vid, value, edges)
-                else:
-                    self.charge(
-                        worker,
-                        nbytes * JVM_OBJECT_OVERHEAD * OOC_RESIDENT_FRACTION,
-                        "vertex store working set",
-                    )
-                    store[vid] = codec.dumps((False, value, [tuple(e) for e in edges]))
-            workers.append(store)
-        load_seconds = self.now() - started
-
-        num_vertices = sum(len(store) for store in workers)
-        num_edges = sum(len(edges) for rows in partitions for _v, _val, edges in rows)
-
-        inboxes = [dict() for _ in range(self.num_workers)]  # vid -> payloads
-        inbox_charges = [0] * self.num_workers
-        superstep_seconds = []
-        superstep_costs = []
-        aggregate = None
-        superstep = 0
-        max_supersteps = max_supersteps or job.max_supersteps
-        program = self.make_program(job)
-
-        while True:
-            superstep += 1
-            if max_supersteps is not None and superstep > max_supersteps:
-                superstep -= 1
-                break
-            tick = self.now()
-            # target vid -> combiner state (or raw payload list).
-            outboxes = [dict() for _ in range(self.num_workers)]
-            contributions = []
-            any_active = False
-            mutations = []
-            touched = 0
-            computes = 0
-            messages_out = 0
-            for worker, store in enumerate(workers):
-                inbox = inboxes[worker]
-                touched += len(store)
-                for vid in list(store.keys()):
-                    state = self._materialize(codec, store, vid)
-                    payloads = inbox.get(vid)
-                    if state.halted and not payloads:
-                        continue
-                    computes += 1
-                    self.call_compute(
-                        program,
-                        state,
-                        payloads or (),
-                        superstep,
-                        aggregate,
-                        num_vertices,
-                        num_edges,
-                    )
-                    messages_out += len(program._outbox)
-                    self._store_back(codec, store, vid, state)
-                    if not state.halted or program._outbox:
-                        any_active = True
-                    contributions.extend(program._agg_contribs)
-                    mutations.extend(program._mutations)
-                    for target, payload in program._outbox:
-                        # Sender-side combining, as real Giraph does.
-                        box = outboxes[self.worker_of(target)]
-                        combined = box.get(target)
-                        if combined is None:
-                            combined = job.combiner.init()
-                        box[target] = job.combiner.accumulate(combined, payload)
-            # Exchange barrier: drop last superstep's inbox, charge the
-            # combined bundles now buffered at each receiver.
-            for worker in range(self.num_workers):
-                if inbox_charges[worker]:
-                    self.release(worker, inbox_charges[worker])
-                inbox_charges[worker] = 0
-            inboxes = [dict() for _ in range(self.num_workers)]
-            pending = 0
-            bundle_bytes = 0
-            for dest_worker, box in enumerate(outboxes):
-                for target, state in box.items():
-                    payloads = list(
-                        job.combiner.expand(job.combiner.finish(state))
-                    )
-                    raw_bytes = sum(
-                        message_serialized_size(job, payload) for payload in payloads
-                    )
-                    bundle_bytes += raw_bytes
-                    nbytes = raw_bytes * self._message_factor
-                    self.charge(dest_worker, nbytes, "message store")
-                    inbox_charges[dest_worker] += nbytes
-                    inboxes[dest_worker][target] = payloads
-                    pending += len(payloads)
-            num_vertices, num_edges = self._apply_mutations(
-                job, codec, workers, mutations, num_vertices, num_edges
+    # the vertex store: heap objects, or serialized rows in ooc mode
+    # ------------------------------------------------------------------
+    def charge_vertex(self, worker, nbytes, state):
+        if self.mode == "mem":
+            self.charge(worker, nbytes * JVM_OBJECT_OVERHEAD, "vertices")
+        else:
+            self.charge(
+                worker,
+                nbytes * JVM_OBJECT_OVERHEAD * OOC_RESIDENT_FRACTION,
+                "vertex store working set",
             )
-            if mutations:
-                any_active = True
-            aggregate = finish_aggregation(job, contributions)
-            superstep_costs.append(
-                self._superstep_cost(
-                    codec, workers, touched, computes, messages_out, bundle_bytes
+
+    def keep(self, worker, state):
+        entry = state
+        if self.mode == "ooc":  # serialize on store-back
+            entry = self.codec.dumps(state.row())
+        self.stores[worker][state.vid] = entry
+
+    def state_of(self, worker, vid):
+        entry = self.stores[worker][vid]
+        if self.mode == "ooc":  # deserialize on access
+            halt, value, edges = self.codec.loads(entry)
+            entry = BoundVertexState(vid, value, edges, halted=halt)
+        return entry
+
+    # ------------------------------------------------------------------
+    # the message store: per-worker inboxes of sender-combined bundles
+    # ------------------------------------------------------------------
+    def begin_superstep(self):
+        # Per destination worker: target vid -> combiner state.
+        self.outboxes = [dict() for _ in range(self.num_workers)]
+
+    def deliveries(self, worker):
+        inbox = self.inboxes[worker]
+        for vid in list(self.stores[worker]):
+            yield self.state_of(worker, vid), inbox.get(vid)
+
+    def send(self, worker, target, payload):
+        # Sender-side combining, as real Giraph does.
+        combiner = self.job.combiner
+        box = self.outboxes[self.worker_of(target)]
+        combined = box.get(target)
+        if combined is None:
+            combined = combiner.init()
+        box[target] = combiner.accumulate(combined, payload)
+
+    def barrier(self):
+        # Drop last superstep's inbox, charge the combined bundles now
+        # buffered at each receiver.
+        job = self.job
+        for worker, charged in enumerate(self.inbox_charges):
+            if charged:
+                self.release(worker, charged)
+        self.inbox_charges = [0] * self.num_workers
+        self.inboxes = [dict() for _ in range(self.num_workers)]
+        bundle_bytes = 0
+        for dest_worker, box in enumerate(self.outboxes):
+            for target, state in box.items():
+                payloads = list(job.combiner.expand(job.combiner.finish(state)))
+                raw_bytes = sum(
+                    message_serialized_size(job, payload) for payload in payloads
                 )
-            )
-            superstep_seconds.append(self.now() - tick)
-            if not any_active and pending == 0:
-                break
+                bundle_bytes += raw_bytes
+                nbytes = raw_bytes * self._message_factor
+                self.charge(dest_worker, nbytes, "message store")
+                self.inbox_charges[dest_worker] += nbytes
+                self.inboxes[dest_worker][target] = payloads
+        return bundle_bytes * self.remote_fraction()
 
-        final = {}
-        for worker, store in enumerate(workers):
-            for vid in store:
-                final[vid] = self._materialize(codec, store, vid).value
-        return BaselineOutcome(
-            engine=self.name,
-            supersteps=superstep,
-            load_seconds=load_seconds,
-            superstep_seconds=superstep_seconds,
-            vertices=final,
-            aggregate=aggregate,
-            peak_memory_bytes=self.peak_memory(),
-            load_cost=self.load_cost_components(dfs, input_path, num_vertices),
-            superstep_costs=superstep_costs,
-        )
-
-    # ------------------------------------------------------------------
-    def _superstep_cost(self, codec, workers, touched, computes, messages, bundle_bytes):
-        """(cpu, disk, net) simulated seconds for one superstep.
-
-        Every resident vertex object is touched (the process-centric
+    def work(self, touched, computes, messages):
+        """Every resident vertex object is touched (the process-centric
         store has no live-vertex index); compute calls and message
-        objects add on top; the whole CPU side degrades super-linearly
-        with heap pressure. In ooc mode each touched vertex also pays
+        objects add on top. In ooc mode each touched vertex also pays
         serialize/deserialize churn and the spilled store pays a disk
         round trip per superstep.
         """
-        workers_count = self.num_workers
         cpu = (
             touched * costmodel.GIRAPH_VERTEX_TOUCH
             + computes * costmodel.BASELINE_COMPUTE
             + messages * costmodel.GIRAPH_MESSAGE
         )
-        disk = 0.0
-        if self.mode == "ooc":
-            cpu += touched * costmodel.OOC_SERDE_CHURN
-            store_bytes = sum(
-                len(entry)
-                for store in workers
-                for entry in store.values()
-                if isinstance(entry, (bytes, bytearray))
-            )
-            disk = costmodel.disk_seconds(2 * store_bytes, workers_count)
-        cpu = cpu / workers_count * costmodel.pressure_penalty(
-            self.heap_pressure(), 1.0
-        )
-        net = costmodel.network_seconds(
-            bundle_bytes * self.remote_fraction(), workers_count
-        )
-        return (cpu, disk, net)
-
-    def _materialize(self, codec, store, vid):
-        entry = store[vid]
-        if isinstance(entry, BoundVertexState):
-            return entry
-        halt, value, edges = codec.loads(entry)  # ooc: deserialize on access
-        return BoundVertexState(vid, value, edges, halted=halt)
-
-    def _store_back(self, codec, store, vid, state):
         if self.mode == "mem":
-            store[vid] = state
-        else:
-            store[vid] = codec.dumps(
-                (state.halted, state.value, [tuple(e) for e in state.edges])
-            )
-
-    def _apply_mutations(self, job, codec, workers, mutations, num_vertices, num_edges):
-        if not mutations:
-            return num_vertices, num_edges
-        by_vid = {}
-        for mutation in mutations:
-            by_vid.setdefault(mutation[1], []).append(mutation)
-        for vid, requests in by_vid.items():
-            worker = self.worker_of(vid)
-            store = workers[worker]
-            outcome = job.resolver.resolve(vid, requests, vid in store)
-            if outcome is None:
-                continue
-            if outcome[0] == "insert":
-                _op, value, edges = outcome
-                if vid in store:
-                    old = self._materialize(codec, store, vid)
-                    num_edges -= len(old.edges)
-                else:
-                    num_vertices += 1
-                    if self.mode == "mem":
-                        self.charge(
-                            worker,
-                            vertex_serialized_size(job, vid, value, edges or [])
-                            * JVM_OBJECT_OVERHEAD,
-                            "vertices",
-                        )
-                state = BoundVertexState(vid, value, edges or [])
-                self._store_back(codec, store, vid, state)
-                num_edges += len(state.edges)
-            elif outcome[0] == "delete" and vid in store:
-                old = self._materialize(codec, store, vid)
-                num_edges -= len(old.edges)
-                num_vertices -= 1
-                del store[vid]
-        return num_vertices, num_edges
+            return cpu, 0.0
+        cpu += touched * costmodel.OOC_SERDE_CHURN
+        store_bytes = sum(
+            len(entry) for store in self.stores for entry in store.values()
+        )
+        return cpu, costmodel.disk_seconds(2 * store_bytes, self.num_workers)

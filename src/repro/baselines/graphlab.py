@@ -15,16 +15,7 @@ ghost-synchronization charge, not a different algorithm.
 """
 
 from repro.common import costmodel
-from repro.baselines.base import (
-    NATIVE_OBJECT_OVERHEAD,
-    BaselineOutcome,
-    BoundVertexState,
-    ProcessCentricBase,
-    combine_messages,
-    finish_aggregation,
-    message_serialized_size,
-    vertex_serialized_size,
-)
+from repro.baselines.base import NATIVE_OBJECT_OVERHEAD, ProcessCentricBase
 
 #: Per-ghost bookkeeping (version vectors, sync buffers) in bytes.
 GHOST_SYNC_OVERHEAD = 8
@@ -39,141 +30,67 @@ class GraphLabLikeEngine(ProcessCentricBase):
     """Edge-partitioned GAS engine with ghost vertex replication."""
 
     name = "graphlab"
+    built_at_load = "ghost sets"
 
-    def run(self, job, dfs, input_path, parse_line=None, max_supersteps=None):
-        started = self.now()
-        partitions = self.read_input(dfs, input_path, parse_line)
-        stores = [dict() for _ in range(self.num_workers)]
-        ghost_sets = [set() for _ in range(self.num_workers)]
+    def charge_vertex(self, worker, nbytes, state):
+        self.charge(
+            worker,
+            nbytes * NATIVE_OBJECT_OVERHEAD * ADJACENCY_MIRROR_FACTOR,
+            "master vertices + mirrored adjacency",
+        )
+        self.charge(
+            worker, len(state.edges) * PER_EDGE_GATHER_BYTES, "gather state"
+        )
 
+    def load(self, partitions):
+        super().load(partitions)
         # Owners hold master copies; every worker owning an edge to or
         # from v (because the *mirrored* gather needs both directions)
         # holds a ghost of v.
-        for worker, rows in enumerate(partitions):
-            for vid, value, edges in rows:
-                nbytes = vertex_serialized_size(job, vid, value, edges)
-                self.charge(
-                    worker,
-                    nbytes * NATIVE_OBJECT_OVERHEAD * ADJACENCY_MIRROR_FACTOR,
-                    "master vertices + mirrored adjacency",
-                )
-                self.charge(
-                    worker, len(edges) * PER_EDGE_GATHER_BYTES, "gather state"
-                )
-                stores[worker][vid] = BoundVertexState(vid, value, edges)
-                for target, _weight in edges:
+        ghost_sets = [set() for _ in range(self.num_workers)]
+        for worker, store in enumerate(self.stores):
+            for vid, state in store.items():
+                for target, _weight in state.edges:
                     target_worker = self.worker_of(target)
                     if target_worker != worker:
                         ghost_sets[worker].add(target)
                         ghost_sets[target_worker].add(vid)
         for worker, ghosts in enumerate(ghost_sets):
-            ghosts.difference_update(stores[worker])
+            ghosts.difference_update(self.stores[worker])
             for _ghost in ghosts:
                 # A ghost carries the replicated vertex value plus sync
                 # bookkeeping; edge payloads stay with their owner.
                 self.charge(
                     worker,
-                    (8 + _value_size(job)) * NATIVE_OBJECT_OVERHEAD
+                    (8 + _value_size(self.job)) * NATIVE_OBJECT_OVERHEAD
                     + GHOST_SYNC_OVERHEAD,
                     "ghost vertices",
                 )
-        load_seconds = self.now() - started
-        resident_vertices = sum(len(store) for store in stores) + sum(
+        self.resident_vertices = sum(len(store) for store in self.stores) + sum(
             len(ghosts) for ghosts in ghost_sets
         )
 
-        num_vertices = sum(len(store) for store in stores)
-        num_edges = sum(len(s.edges) for store in stores for s in store.values())
+    def barrier(self):
+        # Ghost synchronization: charge the per-iteration sync buffers
+        # proportional to messages crossing worker boundaries.
+        share = self.sent_bytes // self.num_workers
+        for worker in range(self.num_workers):
+            self.charge(worker, share, "ghost sync")
+        for worker in range(self.num_workers):
+            self.release(worker, share)
+        return super().barrier()
 
-        inbox = {}
-        superstep_seconds = []
-        superstep_costs = []
-        aggregate = None
-        superstep = 0
-        max_supersteps = max_supersteps or job.max_supersteps
-        program = self.make_program(job)
-
-        while True:
-            superstep += 1
-            if max_supersteps is not None and superstep > max_supersteps:
-                superstep -= 1
-                break
-            tick = self.now()
-            outbox = {}
-            contributions = []
-            any_active = False
-            computes = 0
-            messages_out = 0
-            for store in stores:
-                for state in store.values():
-                    payloads = inbox.get(state.vid)
-                    if state.halted and not payloads:
-                        continue
-                    if payloads is not None and job.combiner is not None:
-                        payloads = job.combiner.expand(
-                            combine_messages(job.combiner, payloads)
-                        )
-                    computes += 1
-                    self.call_compute(
-                        program,
-                        state,
-                        payloads or (),
-                        superstep,
-                        aggregate,
-                        num_vertices,
-                        num_edges,
-                    )
-                    if not state.halted or program._outbox:
-                        any_active = True
-                    contributions.extend(program._agg_contribs)
-                    messages_out += len(program._outbox)
-                    for target, payload in program._outbox:
-                        outbox.setdefault(target, []).append(payload)
-            # Ghost synchronization: charge the per-iteration sync buffers
-            # proportional to messages crossing worker boundaries.
-            sync_bytes = 0
-            for target, payloads in outbox.items():
-                for payload in payloads:
-                    # Wire buffers hold serialized values, not objects.
-                    sync_bytes += message_serialized_size(job, payload)
-            for worker in range(self.num_workers):
-                self.charge(worker, sync_bytes // self.num_workers, "ghost sync")
-            for worker in range(self.num_workers):
-                self.release(worker, sync_bytes // self.num_workers)
-            inbox = outbox
-            aggregate = finish_aggregation(job, contributions)
-            # GAS engines touch only active vertices (direct arrays, no
-            # store traversal), which is why GraphLab is the fastest
-            # per-iteration engine on small inputs; heap pressure is what
-            # erases that advantage near its memory limit.
-            cpu = (
-                resident_vertices * costmodel.GRAPHLAB_TOUCH
-                + computes * costmodel.GRAPHLAB_COMPUTE
-                + messages_out * costmodel.GRAPHLAB_MESSAGE
-            ) / self.num_workers * costmodel.pressure_penalty(self.heap_pressure(), 1.0)
-            net = costmodel.network_seconds(
-                sync_bytes * self.remote_fraction(), self.num_workers
-            )
-            superstep_costs.append((cpu, 0.0, net))
-            superstep_seconds.append(self.now() - tick)
-            if not any_active and not outbox:
-                break
-
-        final = {}
-        for store in stores:
-            for vid, state in store.items():
-                final[vid] = state.value
-        return BaselineOutcome(
-            engine=self.name,
-            supersteps=superstep,
-            load_seconds=load_seconds,
-            superstep_seconds=superstep_seconds,
-            vertices=final,
-            aggregate=aggregate,
-            peak_memory_bytes=self.peak_memory(),
-            load_cost=self.load_cost_components(dfs, input_path, num_vertices),
-            superstep_costs=superstep_costs,
+    def work(self, touched, computes, messages):
+        # GAS engines touch only active vertices (direct arrays, no
+        # store traversal), which is why GraphLab is the fastest
+        # per-iteration engine on small inputs; heap pressure is what
+        # erases that advantage near its memory limit.
+        cpu = (
+            self.resident_vertices * costmodel.GRAPHLAB_TOUCH
+            + computes * costmodel.GRAPHLAB_COMPUTE
+            + messages * costmodel.GRAPHLAB_MESSAGE
         )
+        return cpu, 0.0
 
 
 def _value_size(job):

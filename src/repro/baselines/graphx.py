@@ -17,15 +17,7 @@ matter for the paper's results:
 """
 
 from repro.common import costmodel
-from repro.baselines.base import (
-    JVM_OBJECT_OVERHEAD,
-    BaselineOutcome,
-    BoundVertexState,
-    ProcessCentricBase,
-    combine_messages,
-    finish_aggregation,
-    vertex_serialized_size,
-)
+from repro.baselines.base import ProcessCentricBase
 
 #: Heap bytes per vertex across the simultaneously materialized vertex
 #: RDD generations, routing tables, and replicated-vertex views (boxed
@@ -44,115 +36,36 @@ class GraphXLikeEngine(ProcessCentricBase):
     """RDD-style join-based Pregel with heavyweight graph loading."""
 
     name = "graphx"
+    built_at_load = "edge triplets"
 
-    def run(self, job, dfs, input_path, parse_line=None, max_supersteps=None):
-        started = self.now()
-        partitions = self.read_input(dfs, input_path, parse_line)
+    def load(self, partitions):
+        self.triplets = [[] for _ in range(self.num_workers)]
+        super().load(partitions)
 
-        # Load path: charge the simultaneous materializations first; the
-        # engine dies here on vertex-heavy graphs (the paper's BTC-Tiny).
-        stores = [dict() for _ in range(self.num_workers)]
-        triplets = [[] for _ in range(self.num_workers)]
-        for worker, rows in enumerate(partitions):
-            for vid, value, edges in rows:
-                edge_bytes = (
-                    vertex_serialized_size(job, vid, value, edges)
-                    * EDGE_COLUMNAR_FACTOR
-                )
-                self.charge(
-                    worker, PER_VERTEX_RDD_BYTES + edge_bytes, "graph loading"
-                )
-                stores[worker][vid] = BoundVertexState(vid, value, edges)
-                for target, weight in edges:
-                    triplets[worker].append((vid, target, weight))
-        load_seconds = self.now() - started
-
-        num_vertices = sum(len(store) for store in stores)
-        num_edges = sum(len(t) for t in triplets)
-
-        inbox = {}
-        superstep_seconds = []
-        superstep_costs = []
-        aggregate = None
-        superstep = 0
-        max_supersteps = max_supersteps or job.max_supersteps
-        program = self.make_program(job)
-
-        while True:
-            superstep += 1
-            if max_supersteps is not None and superstep > max_supersteps:
-                superstep -= 1
-                break
-            tick = self.now()
-            outbox = {}
-            contributions = []
-            any_active = False
-            computes = 0
-            messages_out = 0
-            for worker, store in enumerate(stores):
-                for state in store.values():
-                    payloads = inbox.get(state.vid)
-                    if state.halted and not payloads:
-                        continue
-                    if payloads is not None and job.combiner is not None:
-                        payloads = job.combiner.expand(
-                            combine_messages(job.combiner, payloads)
-                        )
-                    computes += 1
-                    self.call_compute(
-                        program,
-                        state,
-                        payloads or (),
-                        superstep,
-                        aggregate,
-                        num_vertices,
-                        num_edges,
-                    )
-                    if not state.halted or program._outbox:
-                        any_active = True
-                    contributions.extend(program._agg_contribs)
-                    messages_out += len(program._outbox)
-                    for target, payload in program._outbox:
-                        outbox.setdefault(target, []).append(payload)
-            # The join-based runtime scans every triplet each iteration
-            # (mapReduceTriplets has no live-vertex index) — the work that
-            # makes GraphX slow on message-sparse algorithms.
-            scanned = 0
-            for worker in range(self.num_workers):
-                for _src, _dst, _weight in triplets[worker]:
-                    scanned += 1
-            inbox = outbox
-            aggregate = finish_aggregation(job, contributions)
-            cpu = (
-                scanned * costmodel.GRAPHX_EDGE_SCAN
-                + computes * costmodel.BASELINE_COMPUTE
-                + messages_out * costmodel.GRAPHX_MESSAGE
-            ) / self.num_workers * costmodel.pressure_penalty(self.heap_pressure(), 1.0)
-            from repro.baselines.base import message_serialized_size
-
-            net_bytes = sum(
-                message_serialized_size(job, payload)
-                for payloads in outbox.values()
-                for payload in payloads
-            ) * self.remote_fraction()
-            net = costmodel.network_seconds(net_bytes, self.num_workers)
-            superstep_costs.append((cpu, 0.0, net))
-            superstep_seconds.append(self.now() - tick)
-            if not any_active and not outbox:
-                break
-
-        final = {}
-        for store in stores:
-            for vid, state in store.items():
-                final[vid] = state.value
-        return BaselineOutcome(
-            engine=self.name,
-            supersteps=superstep,
-            load_seconds=load_seconds,
-            superstep_seconds=superstep_seconds,
-            vertices=final,
-            aggregate=aggregate,
-            peak_memory_bytes=self.peak_memory(),
-            load_cost=self.load_cost_components(dfs, input_path, num_vertices),
-            superstep_costs=superstep_costs,
+    def charge_vertex(self, worker, nbytes, state):
+        # Load path: the simultaneous materializations are charged
+        # first; the engine dies here on vertex-heavy graphs (the
+        # paper's BTC-Tiny).
+        self.charge(
+            worker,
+            PER_VERTEX_RDD_BYTES + nbytes * EDGE_COLUMNAR_FACTOR,
+            "graph loading",
         )
+
+    def admit(self, worker, state):
+        super().admit(worker, state)
+        self.triplets[worker].extend(
+            (state.vid, target, weight) for target, weight in state.edges
+        )
+
+    def work(self, touched, computes, messages):
+        # The join-based runtime scans every triplet each iteration
+        # (mapReduceTriplets has no live-vertex index) — the work that
+        # makes GraphX slow on message-sparse algorithms.
+        scanned = sum(len(triplets) for triplets in self.triplets)
+        cpu = (
+            scanned * costmodel.GRAPHX_EDGE_SCAN
+            + computes * costmodel.BASELINE_COMPUTE
+            + messages * costmodel.GRAPHX_MESSAGE
+        )
+        return cpu, 0.0

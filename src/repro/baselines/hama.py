@@ -15,12 +15,8 @@ import math
 from repro.common import costmodel
 from repro.baselines.base import (
     JVM_OBJECT_OVERHEAD,
-    BaselineOutcome,
-    BoundVertexState,
     ProcessCentricBase,
-    finish_aggregation,
     message_serialized_size,
-    vertex_serialized_size,
 )
 
 #: Per-message BSP envelope (headers, addressing) on top of the payload.
@@ -36,132 +32,75 @@ class HamaLikeEngine(ProcessCentricBase):
 
     name = "hama"
 
-    def run(self, job, dfs, input_path, parse_line=None, max_supersteps=None):
-        started = self.now()
-        partitions = self.read_input(dfs, input_path, parse_line)
-        stores = []  # per worker: sorted list of vids + parallel states
-        for worker, rows in enumerate(partitions):
+    def __init__(self, num_workers, worker_memory_bytes):
+        super().__init__(num_workers, worker_memory_bytes)
+        # Per worker: the raw (vid, payload) messages held for the next
+        # superstep, and the heap bytes charged for them.
+        self.queues = [[] for _ in range(self.num_workers)]
+        self.queue_bytes = [0] * self.num_workers
+
+    def read_input(self, dfs, input_path, parse_line=None):
+        partitions = super().read_input(dfs, input_path, parse_line)
+        for rows in partitions:  # vertex files are sorted by vid
             rows.sort(key=lambda row: row[0])
-            vids = []
-            states = []
-            for vid, value, edges in rows:
-                nbytes = vertex_serialized_size(job, vid, value, edges)
-                self.charge(
-                    worker,
-                    nbytes * JVM_OBJECT_OVERHEAD * HAMA_RUNTIME_OVERHEAD,
-                    "vertex store",
-                )
-                vids.append(vid)
-                states.append(BoundVertexState(vid, value, edges))
-            stores.append((vids, states))
-        load_seconds = self.now() - started
+        return partitions
 
-        num_vertices = sum(len(vids) for vids, _states in stores)
-        num_edges = sum(
-            len(state.edges) for _vids, states in stores for state in states
+    def charge_vertex(self, worker, nbytes, state):
+        self.charge(
+            worker,
+            nbytes * JVM_OBJECT_OVERHEAD * HAMA_RUNTIME_OVERHEAD,
+            "vertex store",
         )
 
-        queues = [[] for _ in range(self.num_workers)]  # raw (vid, payload)
-        queue_bytes = [0] * self.num_workers
-        superstep_seconds = []
-        superstep_costs = []
-        aggregate = None
-        superstep = 0
-        max_supersteps = max_supersteps or job.max_supersteps
-        program = self.make_program(job)
+    def begin_superstep(self):
+        # Hama sorts each worker's raw message queue by destination
+        # every superstep (no combiner support in this architecture).
+        self.delivered = self.queues
+        self.queues = [[] for _ in range(self.num_workers)]
+        self.sort_seconds = 0.0
+        for queue in self.delivered:
+            queue.sort(key=lambda pair: pair[0])
+            if queue:
+                m = len(queue)
+                self.sort_seconds += m * math.log2(max(m, 2)) * costmodel.HAMA_SORT
+        self.arriving_bytes = [0] * self.num_workers
+        self.remote_bytes = 0
 
-        while True:
-            superstep += 1
-            if max_supersteps is not None and superstep > max_supersteps:
-                superstep -= 1
-                break
-            tick = self.now()
-            # Hama sorts each worker's raw message queue by destination
-            # every superstep (no combiner support in this architecture).
-            delivered = []
-            sort_cost = 0.0
-            for worker in range(self.num_workers):
-                queues[worker].sort(key=lambda pair: pair[0])
-                if queues[worker]:
-                    m = len(queues[worker])
-                    sort_cost += m * math.log2(max(m, 2)) * costmodel.HAMA_SORT
-                delivered.append(queues[worker])
-            queues = [[] for _ in range(self.num_workers)]
-            new_queue_bytes = [0] * self.num_workers
+    def deliveries(self, worker):
+        store = self.stores[worker]
+        inbox = self.delivered[worker]
+        position = 0
+        for vid in sorted(store):
+            position = bisect.bisect_left(inbox, (vid,), lo=position)
+            payloads = []
+            cursor = position
+            while cursor < len(inbox) and inbox[cursor][0] == vid:
+                payloads.append(inbox[cursor][1])
+                cursor += 1
+            yield store[vid], payloads
 
-            contributions = []
-            any_active = False
-            pending = 0
-            computes = 0
-            net_bytes = 0
-            for worker, (vids, states) in enumerate(stores):
-                inbox = delivered[worker]
-                position = 0
-                for index, vid in enumerate(vids):
-                    position = bisect.bisect_left(inbox, (vid,), lo=position)
-                    payloads = []
-                    cursor = position
-                    while cursor < len(inbox) and inbox[cursor][0] == vid:
-                        payloads.append(inbox[cursor][1])
-                        cursor += 1
-                    state = states[index]
-                    if state.halted and not payloads:
-                        continue
-                    computes += 1
-                    self.call_compute(
-                        program,
-                        state,
-                        payloads,
-                        superstep,
-                        aggregate,
-                        num_vertices,
-                        num_edges,
-                    )
-                    if not state.halted or program._outbox:
-                        any_active = True
-                    contributions.extend(program._agg_contribs)
-                    for target, payload in program._outbox:
-                        dest = self.worker_of(target)
-                        nbytes = (
-                            message_serialized_size(job, payload)
-                            + MESSAGE_ENVELOPE_BYTES
-                        ) * JVM_OBJECT_OVERHEAD
-                        self.charge(dest, nbytes, "raw messages")
-                        new_queue_bytes[dest] += nbytes
-                        if dest != worker:
-                            net_bytes += message_serialized_size(job, payload)
-                        queues[dest].append((target, payload))
-                        pending += 1
-            for worker in range(self.num_workers):
-                if queue_bytes[worker]:
-                    self.release(worker, queue_bytes[worker])
-            queue_bytes = new_queue_bytes
-            aggregate = finish_aggregation(job, contributions)
-            touched = num_vertices
-            cpu = (
-                touched * costmodel.GIRAPH_VERTEX_TOUCH
-                + computes * costmodel.BASELINE_COMPUTE
-                + pending * costmodel.HAMA_MESSAGE
-                + sort_cost
-            ) / self.num_workers * costmodel.pressure_penalty(self.heap_pressure(), 1.0)
-            net = costmodel.network_seconds(net_bytes, self.num_workers)
-            superstep_costs.append((cpu, 0.0, net))
-            superstep_seconds.append(self.now() - tick)
-            if not any_active and pending == 0:
-                break
+    def send(self, worker, target, payload):
+        dest = self.worker_of(target)
+        wire_bytes = message_serialized_size(self.job, payload)
+        nbytes = (wire_bytes + MESSAGE_ENVELOPE_BYTES) * JVM_OBJECT_OVERHEAD
+        self.charge(dest, nbytes, "raw messages")
+        self.arriving_bytes[dest] += nbytes
+        if dest != worker:
+            self.remote_bytes += wire_bytes
+        self.queues[dest].append((target, payload))
 
-        final = {}
-        for _vids, states in stores:
-            for state in states:
-                final[state.vid] = state.value
-        return BaselineOutcome(
-            engine=self.name,
-            supersteps=superstep,
-            load_seconds=load_seconds,
-            superstep_seconds=superstep_seconds,
-            vertices=final,
-            aggregate=aggregate,
-            peak_memory_bytes=self.peak_memory(),
-            load_cost=self.load_cost_components(dfs, input_path, num_vertices),
-            superstep_costs=superstep_costs,
+    def barrier(self):
+        for worker, held in enumerate(self.queue_bytes):
+            if held:
+                self.release(worker, held)
+        self.queue_bytes = self.arriving_bytes
+        return self.remote_bytes
+
+    def work(self, touched, computes, messages):
+        cpu = (
+            touched * costmodel.GIRAPH_VERTEX_TOUCH
+            + computes * costmodel.BASELINE_COMPUTE
+            + messages * costmodel.HAMA_MESSAGE
+            + self.sort_seconds
         )
+        return cpu, 0.0

@@ -11,8 +11,8 @@ from repro.bench.harness import (
     ExperimentEnv,
     Measurement,
     paper_cluster_budget,
-    run_baseline,
     run_pregelix,
+    run_system,
 )
 from repro.bench.reporting import format_series, print_table
 
@@ -20,8 +20,8 @@ __all__ = [
     "ExperimentEnv",
     "Measurement",
     "paper_cluster_budget",
-    "run_baseline",
     "run_pregelix",
+    "run_system",
     "format_series",
     "print_table",
 ]

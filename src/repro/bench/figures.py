@@ -8,11 +8,7 @@ fails where, who wins, where the crossovers fall.
 
 from repro.algorithms import connected_components as cc
 from repro.algorithms import pagerank, sssp
-from repro.bench.harness import (
-    PAPER_MACHINES,
-    run_baseline,
-    run_pregelix,
-)
+from repro.bench.harness import run_pregelix, run_system
 from repro.bench.reporting import print_series, print_table
 from repro.graphs.datasets import DATASETS, SCALE_ORDER, graph_statistics
 from repro.pregelix import JoinStrategy
@@ -105,23 +101,14 @@ def run_time_sweep(env, workload, sizes=None, systems=None):
     for system in systems:
         measurements[system] = []
         for size in sizes:
-            if system == "pregelix":
-                m = run_pregelix(
-                    env,
-                    config["build"](),
-                    config["family"],
-                    size,
-                    parse_line=config["parse_line"],
-                )
-            else:
-                m = run_baseline(
-                    env,
-                    system,
-                    config["build"](),
-                    config["family"],
-                    size,
-                    parse_line=config["parse_line"],
-                )
+            m = run_system(
+                env,
+                system,
+                config["build"](),
+                config["family"],
+                size,
+                parse_line=config["parse_line"],
+            )
             measurements[system].append(m)
     return measurements
 
@@ -199,26 +186,15 @@ def figure12b(env, out=print):
         points = []
         base = None
         for machines in MACHINE_LADDER:
-            num_nodes = max(machines // 8, 1)
-            if system == "pregelix":
-                m = run_pregelix(
-                    env,
-                    pagerank.build_job(iterations=5),
-                    "webmap",
-                    "x-small",
-                    paper_machines=machines,
-                    num_nodes=num_nodes,
-                )
-            else:
-                m = run_baseline(
-                    env,
-                    system,
-                    pagerank.build_job(iterations=5),
-                    "webmap",
-                    "x-small",
-                    paper_machines=machines,
-                    num_nodes=num_nodes,
-                )
+            m = run_system(
+                env,
+                system,
+                pagerank.build_job(iterations=5),
+                "webmap",
+                "x-small",
+                paper_machines=machines,
+                num_nodes=max(machines // 8, 1),
+            )
             if not m.ok:
                 points.append((machines, "FAIL"))
                 continue
@@ -352,28 +328,21 @@ def figure15(env, paper_machines, sizes=None, out=print):
     """Pregelix left-outer-join plan vs Giraph/GraphLab/Hama on SSSP."""
     sizes = sizes or ALL_SIZES
     series = {}
-    points = []
-    for size in sizes:
-        job = sssp.build_job(source_id=0)  # LOJ is SSSP's default hint
-        m = run_pregelix(
-            env, job, "btc", size, paper_machines=paper_machines,
-            system_label="pregelix-loj",
-        )
-        points.append(m.point("sim_avg_iteration_seconds"))
-    series["pregelix-loj"] = points
-    for system in ("giraph-mem", "graphlab", "hama"):
-        points = []
-        for size in sizes:
-            m = run_baseline(
+    for system in ("pregelix", "giraph-mem", "graphlab", "hama"):
+        # LOJ is SSSP's default plan hint.
+        label = "pregelix-loj" if system == "pregelix" else system
+        series[label] = [
+            run_system(
                 env,
                 system,
                 sssp.build_job(source_id=0),
                 "btc",
                 size,
                 paper_machines=paper_machines,
-            )
-            points.append(m.point("sim_avg_iteration_seconds"))
-        series[system] = points
+                system_label=label,
+            ).point("sim_avg_iteration_seconds")
+            for size in sizes
+        ]
     print_series(
         "Figure 15: Pregelix-LOJ vs others, SSSP on BTC, %d machines"
         % paper_machines,
@@ -434,8 +403,10 @@ def section76_loc(out=print):
                 "Leveraged dataflow infrastructure (repro.hyracks + hdfs + common)",
                 report["leveraged_infrastructure"],
             ),
+            ("(core + infrastructure) / core", report["ratio"]),
             ("paper: Pregelix core", report["paper_pregelix_core"]),
             ("paper: Giraph-core (custom-constructed)", report["paper_giraph_core"]),
+            ("paper: Giraph-core / Pregelix core", report["paper_ratio"]),
         ],
         out=out,
     )

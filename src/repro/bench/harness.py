@@ -25,7 +25,7 @@ from repro.graphs.datasets import DATASETS, materialize
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
-from repro.pregelix.stats import pregelix_sim_cost  # noqa: F401  (re-export)
+from repro.pregelix.stats import pregelix_sim_cost
 
 GB = 1 << 30
 #: The paper's testbed: 32 workers, 8 GB RAM each.
@@ -120,6 +120,95 @@ def paper_cluster_budget(env, family, paper_machines=PAPER_MACHINES):
     return env.node_memory(family, paper_machines), env.num_nodes
 
 
+def fold_costs(load_cost, superstep_costs, scale, barrier):
+    """A run's ``(cpu, disk, net)`` tuples at simulation scale -> the
+    ``sim_*`` fields of its :class:`Measurement`, for every system."""
+    supersteps = [sum(cost) * scale + barrier for cost in superstep_costs]
+    return dict(
+        sim_total_seconds=sum(load_cost) * scale + sum(supersteps),
+        sim_avg_iteration_seconds=(
+            sum(supersteps) / len(supersteps) if supersteps else 0.0
+        ),
+        sim_costs=tuple(
+            sum(cost[i] for cost in superstep_costs) * scale + load_cost[i] * scale
+            for i in range(3)
+        ),
+    )
+
+
+def pregelix_costs(env, outcome, job, workers, input_path):
+    """``(load_cost, superstep_costs)`` of a finished Pregelix run, the
+    shape a :class:`~repro.baselines.BaselineOutcome` carries."""
+    load_cost = costmodel.load_cost(
+        outcome.gs.num_vertices, env.dfs.total_bytes(input_path), workers
+    )
+    return load_cost, [
+        pregelix_sim_cost(record, job, workers) for record in outcome.stats.supersteps
+    ]
+
+
+def run_system(
+    env,
+    system,
+    job,
+    family,
+    dataset_name,
+    parse_line=None,
+    format_record=None,
+    paper_machines=PAPER_MACHINES,
+    num_nodes=None,
+    system_label=None,
+    telemetry=None,
+):
+    """Run ``system`` ("pregelix" or a :data:`BASELINES` name) on one
+    dataset; running out of memory becomes a FAIL point.
+
+    ``format_record`` and ``telemetry`` (a :class:`repro.telemetry.Telemetry`)
+    reach the Pregelix cluster only: a sweep that passes one session
+    across calls gets all its runs on a single timeline.
+    """
+    spec, path, _nbytes = env.dataset(family, dataset_name)
+    num_nodes = num_nodes or env.num_nodes
+    node_memory = env.node_memory(family, paper_machines, num_nodes)
+    point = dict(
+        system=system_label or system,
+        dataset=dataset_name,
+        ratio=env.ratio(family, dataset_name, paper_machines),
+    )
+    scale = spec.paper_vertices / spec.num_vertices
+    try:
+        if system == "pregelix":
+            outcome = _run_pregelix_job(
+                env, job, path, node_memory, num_nodes,
+                parse_line, format_record, telemetry,
+            )
+            load_cost, superstep_costs = pregelix_costs(
+                env, outcome, job, paper_machines, path
+            )
+            barrier = costmodel.PREGELIX_BARRIER_SECONDS
+        else:
+            outcome = BASELINES[system](num_nodes, node_memory).run(
+                job, env.dfs, path, parse_line=parse_line,
+                max_supersteps=job.max_supersteps,
+            )
+            load_cost, superstep_costs = outcome.load_cost, outcome.superstep_costs
+            # Engines divide per-worker costs by the simulated node
+            # count; renormalize so the reported seconds correspond to
+            # the paper's machine count for this sweep point.
+            scale = scale * num_nodes / paper_machines
+            barrier = costmodel.SUPERSTEP_BARRIER_SECONDS
+    except (MemoryBudgetExceeded, JobFailure) as failure:
+        return Measurement(status="fail", fail_reason=str(failure), **point)
+    return Measurement(
+        status="ok",
+        total_seconds=outcome.total_seconds,
+        avg_iteration_seconds=outcome.avg_iteration_seconds,
+        supersteps=outcome.supersteps,
+        **fold_costs(load_cost, superstep_costs, scale, barrier),
+        **point,
+    )
+
+
 def run_pregelix(
     env,
     job,
@@ -132,136 +221,34 @@ def run_pregelix(
     system_label="pregelix",
     telemetry=None,
 ):
-    """Run one Pregelix measurement on a fresh cluster.
+    """One Pregelix measurement on a fresh cluster, labelled
+    ``system_label`` (the plan ablations run Pregelix under many names)."""
+    return run_system(
+        env, "pregelix", job, family, dataset_name,
+        parse_line=parse_line, format_record=format_record,
+        paper_machines=paper_machines, num_nodes=num_nodes,
+        system_label=system_label, telemetry=telemetry,
+    )
 
-    ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is handed to the
-    cluster so a sweep can be traced/exported; sweeps that pass one
-    session across calls get all their runs on a single timeline.
-    """
-    spec, path, nbytes = env.dataset(family, dataset_name)
-    num_nodes = num_nodes or env.num_nodes
-    node_memory = env.node_memory(family, paper_machines, num_nodes)
-    ratio = env.ratio(family, dataset_name, paper_machines)
-    groupby_memory = max(node_memory // 128, 1 << 13)
-    job.groupby_memory_bytes = groupby_memory
+
+def _run_pregelix_job(
+    env, job, path, node_memory, num_nodes, parse_line, format_record, telemetry
+):
+    job.groupby_memory_bytes = max(node_memory // 128, 1 << 13)
     # Buffer cache: the paper's default is RAM/4, holding its compact
     # binary vertex storage (~1.15x the text size). Our paged storage is
     # ~2.5-3x the text size, so format parity needs a proportionally
     # larger share of the simulated node memory (fit boundary at
     # dataset/RAM ~ 0.22, as on the paper's testbed).
-    cache_bytes = int(node_memory * 0.55)
     cluster = HyracksCluster(
         num_nodes=num_nodes,
         node_memory_bytes=node_memory,
-        buffer_cache_bytes=cache_bytes,
+        buffer_cache_bytes=int(node_memory * 0.55),
         telemetry=telemetry,
     )
     try:
-        driver = PregelixDriver(cluster, env.dfs)
-        outcome = driver.run(
+        return PregelixDriver(cluster, env.dfs).run(
             job, path, parse_line=parse_line, format_record=format_record
-        )
-        scale = spec.paper_vertices / spec.num_vertices
-        load_sim, superstep_sims, totals = pregelix_sim_seconds(
-            env, outcome, job, paper_machines, path, scale
-        )
-        sim_total = load_sim + sum(superstep_sims)
-        sim_avg = sum(superstep_sims) / len(superstep_sims) if superstep_sims else 0.0
-        return Measurement(
-            system=system_label,
-            dataset=dataset_name,
-            ratio=ratio,
-            status="ok",
-            total_seconds=outcome.total_seconds,
-            avg_iteration_seconds=outcome.avg_iteration_seconds,
-            sim_total_seconds=sim_total,
-            sim_avg_iteration_seconds=sim_avg,
-            sim_costs=totals,
-            supersteps=outcome.supersteps,
-        )
-    except (MemoryBudgetExceeded, JobFailure) as failure:
-        return Measurement(
-            system=system_label,
-            dataset=dataset_name,
-            ratio=ratio,
-            status="fail",
-            fail_reason=str(failure),
         )
     finally:
         cluster.close()
-
-
-def run_baseline(
-    env,
-    engine_name,
-    job,
-    family,
-    dataset_name,
-    parse_line=None,
-    paper_machines=PAPER_MACHINES,
-    num_nodes=None,
-):
-    """Run one baseline measurement; OOM becomes a FAIL point."""
-    spec, path, nbytes = env.dataset(family, dataset_name)
-    num_nodes = num_nodes or env.num_nodes
-    node_memory = env.node_memory(family, paper_machines, num_nodes)
-    ratio = env.ratio(family, dataset_name, paper_machines)
-    engine = BASELINES[engine_name](num_nodes, node_memory)
-    try:
-        outcome = engine.run(
-            job, env.dfs, path, parse_line=parse_line, max_supersteps=job.max_supersteps
-        )
-        # Engines divide per-worker costs by the simulated node count;
-        # renormalize so the reported seconds correspond to the paper's
-        # machine count for this sweep point.
-        scale = (
-            spec.paper_vertices / spec.num_vertices * num_nodes / paper_machines
-        )
-        load_sim, superstep_sims = outcome.sim_seconds(scale)
-        sim_total = load_sim + sum(superstep_sims)
-        sim_avg = sum(superstep_sims) / len(superstep_sims) if superstep_sims else 0.0
-        totals = tuple(
-            sum(cost[i] for cost in outcome.superstep_costs) * scale
-            + outcome.load_cost[i] * scale
-            for i in range(3)
-        )
-        return Measurement(
-            system=engine_name,
-            dataset=dataset_name,
-            ratio=ratio,
-            status="ok",
-            total_seconds=outcome.total_seconds,
-            avg_iteration_seconds=outcome.avg_iteration_seconds,
-            sim_total_seconds=sim_total,
-            sim_avg_iteration_seconds=sim_avg,
-            sim_costs=totals,
-            supersteps=outcome.supersteps,
-        )
-    except MemoryBudgetExceeded as failure:
-        return Measurement(
-            system=engine_name,
-            dataset=dataset_name,
-            ratio=ratio,
-            status="fail",
-            fail_reason=str(failure),
-        )
-
-
-def pregelix_sim_seconds(env, outcome, job, workers, input_path, scale):
-    """(load, [per-superstep], (cpu, disk, net) totals) at paper scale."""
-    input_bytes = env.dfs.total_bytes(input_path)
-    num_vertices = outcome.gs.num_vertices
-    load_cost = (
-        num_vertices * costmodel.LOAD_BUILD_VERTEX / workers,
-        costmodel.disk_seconds(input_bytes, workers),
-        0.0,
-    )
-    load_sim = sum(load_cost) * scale
-    superstep_sims = []
-    totals = [load_cost[0] * scale, load_cost[1] * scale, load_cost[2] * scale]
-    for record in outcome.stats.supersteps:
-        cost = pregelix_sim_cost(record, job, workers)
-        superstep_sims.append(sum(cost) * scale + costmodel.PREGELIX_BARRIER_SECONDS)
-        for i in range(3):
-            totals[i] += cost[i] * scale
-    return load_sim, superstep_sims, tuple(totals)

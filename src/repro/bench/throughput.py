@@ -18,11 +18,14 @@ panels) and *hurt* exactly at the in-memory-to-spilling boundary
 (panel (c)).
 """
 
+from repro.algorithms import pagerank
+from repro.bench.harness import BASELINES, PAPER_MACHINES, fold_costs
 from repro.common import costmodel
+from repro.common.errors import MemoryBudgetExceeded
 from repro.graphs.io import parse_adjacency_line
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix.physical import PartitionMap, PlanGenerator
-from repro.bench.harness import pregelix_sim_cost
+from repro.pregelix.stats import StatisticsCollector, pregelix_sim_cost
 
 
 class SteppedPregelixJob:
@@ -54,8 +57,6 @@ class SteppedPregelixJob:
             return False
         result = self.cluster.execute(self.generator.superstep_plan(self.gs))
         self.gs = result.collected["gs"][0][0]
-        from repro.pregelix.stats import StatisticsCollector
-
         stats = StatisticsCollector()
         stats.record_superstep(self.gs.superstep, result)
         self.costs.append(
@@ -84,9 +85,6 @@ def concurrent_pagerank_jph(
     spill traffic each job induced, the quantity the paper quotes when
     explaining each panel.
     """
-    from repro.algorithms import pagerank
-    from repro.bench.harness import PAPER_MACHINES
-
     paper_machines = paper_machines or PAPER_MACHINES
     spec, path, _nbytes = env.dataset(family, dataset_name)
     scale = spec.paper_vertices / spec.num_vertices
@@ -143,10 +141,6 @@ def baseline_concurrent_jph(env, engine_name, dataset_name, num_jobs, iterations
     workloads in any of the four cases. GraphX's admission control
     serializes jobs instead, so its jph never improves.
     """
-    from repro.algorithms import pagerank
-    from repro.bench.harness import BASELINES, PAPER_MACHINES
-    from repro.common.errors import MemoryBudgetExceeded
-
     spec, path, _nbytes = env.dataset(family, dataset_name)
     scale = (
         spec.paper_vertices / spec.num_vertices * env.num_nodes / PAPER_MACHINES
@@ -166,8 +160,12 @@ def baseline_concurrent_jph(env, engine_name, dataset_name, num_jobs, iterations
         outcome = engine.run(job, env.dfs, path, max_supersteps=iterations)
     except MemoryBudgetExceeded:
         return None
-    load, supersteps = outcome.sim_seconds(scale)
-    total = load + sum(supersteps)
+    total = fold_costs(
+        outcome.load_cost,
+        outcome.superstep_costs,
+        scale,
+        costmodel.SUPERSTEP_BARRIER_SECONDS,
+    )["sim_total_seconds"]
     return 3600.0 / total if total else None
 
 

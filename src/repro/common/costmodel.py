@@ -118,6 +118,16 @@ def network_seconds(nbytes, workers=1):
     return nbytes / (NETWORK_BANDWIDTH * max(workers, 1))
 
 
+def load_cost(num_vertices, input_bytes, workers):
+    """(cpu, disk, net) for the load phase, the same for every system:
+    parse and build each vertex, read the input once."""
+    return (
+        num_vertices * LOAD_BUILD_VERTEX / workers,
+        disk_seconds(input_bytes, workers),
+        0.0,
+    )
+
+
 def pressure_penalty(used_bytes, budget_bytes):
     """Super-linear slowdown of a heap at ``used/budget`` occupancy.
 

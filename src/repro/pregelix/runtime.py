@@ -621,10 +621,7 @@ class PregelixDriver:
         """Advance the sim clock by the cost model's load estimate."""
         workers = max(len(self.cluster.alive_node_ids()), 1)
         input_bytes = self.dfs.total_bytes(input_path)
-        sim = (
-            gs.num_vertices * costmodel.LOAD_BUILD_VERTEX / workers
-            + costmodel.disk_seconds(input_bytes, workers)
-        )
+        sim = sum(costmodel.load_cost(gs.num_vertices, input_bytes, workers))
         self.telemetry.sim_clock.advance(sim)
         span.annotate(sim_seconds=sim, input_bytes=input_bytes)
 

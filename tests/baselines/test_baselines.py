@@ -18,7 +18,7 @@ from repro.baselines import (
     GraphXLikeEngine,
     HamaLikeEngine,
 )
-from repro.common.errors import MemoryBudgetExceeded
+from repro.common.errors import MemoryBudgetExceeded, ReproError
 from repro.graphs.generators import btc_graph, chain_graph, webmap_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hdfs import MiniDFS
@@ -185,12 +185,17 @@ class TestOutcomeAccounting:
         )
         assert outcome.aggregate == 1
 
-    def test_mutations_supported(self, dfs):
+    @pytest.mark.parametrize("name,factory", ENGINE_FACTORIES)
+    def test_mutations_supported(self, dfs, name, factory):
+        """Mutations are applied, or refused loudly — never dropped."""
         from repro.algorithms import graph_cleaning as gc
 
         write_graph_to_dfs(dfs, "/in/path", chain_graph(8), num_files=2)
-        outcome = GiraphLikeEngine(2, BIG).run(
-            gc.build_job(), dfs, "/in/path", parse_line=gc.parse_line
-        )
-        assert len(outcome.vertices) == 1
+        engine = factory(2, BIG)
+        if engine.built_at_load:
+            with pytest.raises(ReproError, match=r"%s .* superstep \d+" % name):
+                engine.run(gc.build_job(), dfs, "/in/path", parse_line=gc.parse_line)
+            return
+        outcome = engine.run(gc.build_job(), dfs, "/in/path", parse_line=gc.parse_line)
         assert list(outcome.vertices.values()) == [8]
+        assert outcome.supersteps == 29

@@ -20,9 +20,13 @@ equivalent otherwise). Any divergence is reported with the exact
 Faulted cells run with ``checkpoint_interval=1`` and a seeded
 :class:`~repro.chaos.faults.FaultPlan`, so they also verify that
 checkpoint/blacklist recovery reproduces the fault-free answer.
+
+A cell also fails if a spilled sorted run (``sort-run``/``groupby-run``
+temp file) survives the run on any node, whatever faults interrupted it.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 from repro.chaos.faults import FaultInjector, FaultPlan
@@ -225,6 +229,14 @@ class DifferentialChecker:
             cell.recoveries = outcome.recoveries
             if injector is not None:
                 cell.faults_fired = len(injector.fired)
+            survivors = sorted(
+                "%s/%s" % (node_id, name)
+                for node_id, node in cluster.nodes.items()
+                for name in os.listdir(node.files.root)
+                if name.startswith(("sort-run-", "groupby-run-"))
+            )
+            if survivors:
+                cell.error = "spilled runs survive the run: " + ", ".join(survivors)
         except Exception as error:  # a divergence *is* the finding
             cell.error = "%s: %s" % (type(error).__name__, error)
         finally:

@@ -42,13 +42,13 @@ the cost model's transfer seconds, so wall-clock overlap across worker
 threads mirrors a real cluster's network overlap.
 """
 
-import heapq
 import itertools
 import operator
 import time
 
 from repro.common import costmodel
 from repro.hyracks.job import ConnectorDescriptor
+from repro.hyracks.storage.run_file import merge_sorted
 
 
 class OneToOneConnector(ConnectorDescriptor):
@@ -181,7 +181,7 @@ class MToNPartitioningMergingConnector(ConnectorDescriptor, _PartitioningMixin):
 
     def assemble(self, staged):
         return [
-            list(heapq.merge(*per_sender, key=self.sort_key_fn))
+            list(merge_sorted(per_sender, key=self.sort_key_fn))
             for per_sender in staged
         ]
 

@@ -29,6 +29,8 @@ import time
 from repro.common.accounting import Counters, IOCounters, MemoryBudget
 from repro.common.errors import JobFailure, SchedulingError, WorkerFailure
 from repro.hyracks.scheduler import Scheduler, make_task_runner
+from repro.hyracks.storage.buffer_cache import BufferCache
+from repro.hyracks.storage.file_manager import FileManager
 from repro.telemetry import Telemetry
 
 #: Default per-node RAM budget: 64 MB of simulated worker memory.
@@ -43,9 +45,6 @@ class NodeContext:
 
     def __init__(self, node_id, root_dir, memory_bytes, cache_bytes, page_size,
                  telemetry=None, io_latency_scale=0.0):
-        from repro.hyracks.storage.buffer_cache import BufferCache
-        from repro.hyracks.storage.file_manager import FileManager
-
         self.node_id = node_id
         self.telemetry = telemetry
         self.io = IOCounters()  # this node's disk traffic
@@ -104,22 +103,21 @@ class NodeContext:
                 self._fail_after_tasks -= 1
 
     def reset_storage(self):
-        """Wipe local state (what losing a machine loses).
+        """Wipe local state (what losing a machine loses): the registry,
+        every handle and file under the node's directory, the cache.
 
         The cache's counters are history, not state: they carry over, so
         an exported count never goes backwards.
         """
         self.services.clear()
-        stats = self.buffer_cache.stats
-        self.buffer_cache.__init__(
-            self.buffer_cache.capacity,
-            self.buffer_cache.page_size,
-            self.files,
-            telemetry=self.telemetry,
-            node_id=self.node_id,
+        self.files.wipe()
+        old = self.buffer_cache
+        self.buffer_cache = BufferCache(
+            old.capacity, old.page_size, self.files,
+            telemetry=self.telemetry, node_id=self.node_id,
         )
-        self.buffer_cache.stats = stats
-        self.buffer_cache.fault_injector = self.fault_injector
+        self.buffer_cache.stats = old.stats
+        self.buffer_cache.fault_injector = old.fault_injector
         self.budget.reset()
 
 
@@ -431,7 +429,6 @@ class HyracksCluster:
         for node_id, node in retired:
             node.alive = False
             node.reset_storage()
-            node.files.close()
             self.telemetry.event(
                 "cluster.scale", category="cluster", action="retire", node=node_id
             )

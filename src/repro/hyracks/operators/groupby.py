@@ -13,35 +13,21 @@ All strategies emit groups in key order (preclustered preserves its input
 order, which is sorted by assumption), because the downstream ``Msg``
 storage and index joins require vid-sorted streams.
 
-Two keys, one order. Tuples are sorted, hashed and compared by **their
-own key** — ``key_fn(item)``, whatever the tuple carries (the int vid of
-a raw message) — and a group is *named* once, when it closes, by the
-aggregator's :attr:`~GroupAggregator.group_key` (the vid's 8-byte key
-image): that written key is what ``finish`` receives and what spilled
-runs store and are merged by. Unless an aggregator sets ``group_key`` a
-group is written under its tuples' key; one that does must preserve
-order, so that a stable sort on the tuples' key leaves arrival order
-inside a group — and with it every fold, spill boundary and merge
-tie-break — exactly where sorting on the written key put them. No hop
-works per tuple in Python beyond the one ``step`` (or combiner) call:
-keys come from a C-level ``key_fn``, a sorted batch is folded by one flat
-loop (:meth:`~GroupAggregator.fold_clustered`), and runs are written and
-read a batch per call.
+Two keys, one order (DESIGN.md §4). Tuples are sorted, hashed and
+compared by **their own key**, ``key_fn(item)``; a group is *named* once,
+when it closes, by the aggregator's :attr:`~GroupAggregator.group_key`,
+which must preserve order: that written key is what ``finish`` receives
+and what spilled runs store and are merged by. No hop works per tuple in
+Python beyond the one ``step`` (or combiner) call.
 """
 
-import heapq
-import operator
 from itertools import starmap
 
 from repro.common.errors import StorageError
 from repro.common.serde import ListSerde
 from repro.hyracks.job import OperatorDescriptor
-from repro.hyracks.operators.sort import DEFAULT_SORT_MEMORY, budgeted_batches
-from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
-
-# The two fields of a named group ``(written key, state)``.
-_KEY = operator.itemgetter(0)
-_STATE = operator.itemgetter(1)
+from repro.hyracks.operators.sort import DEFAULT_SORT_MEMORY, spill_full_batches
+from repro.hyracks.storage.run_file import LEAD, SortedRuns
 
 
 class GroupAggregator:
@@ -141,7 +127,10 @@ class ListAggregator(GroupAggregator):
 
 
 class _SpillingGroupByBase(OperatorDescriptor):
-    """Shared spill/merge machinery for the two re-grouping strategies."""
+    """The external sort's skeleton with a fold. A strategy is how a batch
+    becomes sorted ``(written key, state)`` pairs: inside one :meth:`_runs`
+    scope, what it cannot keep goes to :meth:`_overflow`, the rest to
+    :meth:`_finished`."""
 
     def __init__(self, key_fn, aggregator, memory_limit_bytes, name):
         super().__init__(name)
@@ -153,58 +142,39 @@ class _SpillingGroupByBase(OperatorDescriptor):
         (stream,) = inputs
         return {self.OUT: list(self.grouped_stream(ctx, stream))}
 
-    def grouped_stream(self, ctx, stream):
-        raise NotImplementedError
+    def _runs(self, ctx):
+        return SortedRuns(ctx.files, "groupby-run", self.aggregator.state_serde())
 
-    # ------------------------------------------------------------------
-    def _spill_states(self, ctx, named_states):
-        serde = self.aggregator.state_serde()
-        if serde is None:
+    def _overflow(self, runs, named_states):
+        """Spill a batch of sorted named states that exceeded the budget."""
+        if runs.value_serde is None:
             raise StorageError(
                 "%s exceeded its memory budget but the aggregator cannot spill"
                 % self.name
             )
-        named_states = list(named_states)
-        path = ctx.files.create_temp_path("groupby-run")
-        with RunFileWriter(path, ctx.files) as writer:
-            writer.extend(zip(
-                map(_KEY, named_states),
-                map(serde.dumps, map(_STATE, named_states)),
-            ))
-        return path
+        runs.spill(named_states)
 
-    def _grouped(self, ctx, runs, in_memory):
+    def _finished(self, runs, in_memory):
         """The finished groups of the spilled ``runs`` and the sorted
         ``(written key, state)`` pairs still ``in_memory``."""
-        if runs:
-            in_memory = self._merge_runs(ctx, runs, in_memory)
+        if runs.paths:
+            in_memory = self._merge_equal(runs.merged(in_memory))
         return starmap(self.aggregator.finish, in_memory)
 
-    def _merge_runs(self, ctx, runs, in_memory):
-        serde = self.aggregator.state_serde()
+    def _merge_equal(self, named_states):
+        """Fold adjacent pairs of equal key with ``aggregator.merge``."""
         merge = self.aggregator.merge
-
-        def replay(path):
-            for key, data in RunFileReader(path, ctx.files):
-                yield key, serde.loads(data)
-
-        streams = [replay(path) for path in runs]
-        streams.append(in_memory)
         current_key = None
         current_state = None
-        try:
-            for key, state in heapq.merge(*streams, key=_KEY):
-                if key == current_key:
-                    current_state = merge(current_state, state)
-                else:
-                    if current_key is not None:
-                        yield current_key, current_state
-                    current_key, current_state = key, state
-            if current_key is not None:
-                yield current_key, current_state
-        finally:
-            for path in runs:
-                ctx.files.delete_path(path)
+        for key, state in named_states:
+            if key == current_key:
+                current_state = merge(current_state, state)
+            else:
+                if current_key is not None:
+                    yield current_key, current_state
+                current_key, current_state = key, state
+        if current_key is not None:
+            yield current_key, current_state
 
 
 class SortGroupByOperator(_SpillingGroupByBase):
@@ -215,13 +185,12 @@ class SortGroupByOperator(_SpillingGroupByBase):
         self.tuple_serde = tuple_serde
 
     def grouped_stream(self, ctx, stream):
-        runs = []
-        batches = budgeted_batches(stream, self.tuple_serde, self.memory_limit)
-        buffer = next(batches)
-        for following in batches:
-            runs.append(self._spill_states(ctx, self._fold_sorted(buffer)))
-            buffer = following
-        yield from self._grouped(ctx, runs, self._fold_sorted(buffer))
+        with self._runs(ctx) as runs:
+            buffer = spill_full_batches(
+                stream, self.tuple_serde, self.memory_limit,
+                lambda full: self._overflow(runs, self._fold_sorted(full)),
+            )
+            yield from self._finished(runs, self._fold_sorted(buffer))
 
     def _fold_sorted(self, buffer):
         """Sort raw tuples by their own key (stable: arrival order inside
@@ -245,39 +214,39 @@ class HashSortGroupByOperator(_SpillingGroupByBase):
         state_serde = aggregator.state_serde()
         # Fixed-width states do not grow: only a new key adds bytes.
         grows = state_serde is None or state_serde.fixed_size is None
-        runs = []
         table = {}
         # The written key of every key of ``table``, in the table's own
         # (first-seen) order: a key is named, and its name charged to the
         # budget, once per table.
         names = []
         table_bytes = 0
-        for item in stream:
-            key = key_fn(item)
-            state = table.get(key)
-            new_key = state is None
-            if new_key:
-                state = create()
-                name = group_key(key) if group_key else key
-                names.append(name)
-                table_bytes += len(name)
-            if new_key or grows:
-                before = state_size(state)
-                state = step(state, item)
-                table_bytes += state_size(state) - before
-            else:
-                state = step(state, item)
-            table[key] = state
-            if table_bytes >= self.memory_limit:
-                runs.append(self._spill_states(ctx, _named_sorted(names, table)))
-                table = {}
-                names = []
-                table_bytes = 0
-        yield from self._grouped(ctx, runs, _named_sorted(names, table))
+        with self._runs(ctx) as runs:
+            for item in stream:
+                key = key_fn(item)
+                state = table.get(key)
+                new_key = state is None
+                if new_key:
+                    state = create()
+                    name = group_key(key) if group_key else key
+                    names.append(name)
+                    table_bytes += len(name)
+                if new_key or grows:
+                    before = state_size(state)
+                    state = step(state, item)
+                    table_bytes += state_size(state) - before
+                else:
+                    state = step(state, item)
+                table[key] = state
+                if table_bytes >= self.memory_limit:
+                    self._overflow(runs, _named_sorted(names, table))
+                    table = {}
+                    names = []
+                    table_bytes = 0
+            yield from self._finished(runs, _named_sorted(names, table))
 
 
 def _named_sorted(names, table):
-    return sorted(zip(names, table.values()), key=_KEY)
+    return sorted(zip(names, table.values()), key=LEAD)
 
 
 class PreclusteredGroupByOperator(OperatorDescriptor):

@@ -19,8 +19,31 @@ from repro.hyracks.job import OperatorDescriptor
 from repro.hyracks.operators.index_ops import get_index
 
 
+def _outer_merge(left, right):
+    """Full outer merge of two streams of ``(key, value)`` in key order,
+    keys unique within each: yields ``(key, left value, right value)``
+    in key order, ``None`` for the side that lacks the key."""
+    left = iter(left)
+    right = iter(right)
+    a = next(left, None)
+    b = next(right, None)
+    while a is not None or b is not None:
+        if b is None or (a is not None and a[0] < b[0]):
+            yield a[0], a[1], None
+            a = next(left, None)
+        elif a is None or b[0] < a[0]:
+            yield b[0], None, b[1]
+            b = next(right, None)
+        else:
+            yield a[0], a[1], b[1]
+            a = next(left, None)
+            b = next(right, None)
+
+
 class IndexFullOuterJoinOperator(OperatorDescriptor):
-    """Full outer join of a sorted ``(key, payload)`` stream with an index."""
+    """Full outer join of a sorted ``(key, payload)`` stream with an index
+    (left-outer case: a message for a non-existent vertex; right-outer:
+    a vertex with no messages)."""
 
     def __init__(self, index_name, name=None):
         super().__init__(name or "IndexFullOuterJoin(%s)" % index_name)
@@ -29,27 +52,7 @@ class IndexFullOuterJoinOperator(OperatorDescriptor):
     def run(self, ctx, partition, inputs):
         (messages,) = inputs
         index = get_index(ctx, self.index_name, partition)
-        return {self.OUT: list(self._merge(messages, index.scan()))}
-
-    @staticmethod
-    def _merge(messages, index_entries):
-        messages = iter(messages)
-        index_entries = iter(index_entries)
-        message = next(messages, None)
-        entry = next(index_entries, None)
-        while message is not None or entry is not None:
-            if entry is None or (message is not None and message[0] < entry[0]):
-                # Left-outer case: a message for a non-existent vertex.
-                yield message[0], message[1], None
-                message = next(messages, None)
-            elif message is None or entry[0] < message[0]:
-                # Right-outer case: a vertex with no messages.
-                yield entry[0], None, entry[1]
-                entry = next(index_entries, None)
-            else:
-                yield message[0], message[1], entry[1]
-                message = next(messages, None)
-                entry = next(index_entries, None)
+        return {self.OUT: list(_outer_merge(messages, index.scan()))}
 
 
 class IndexLeftOuterJoinOperator(OperatorDescriptor):
@@ -77,7 +80,9 @@ class MergeChooseOperator(OperatorDescriptor):
     ``(key, _)`` live-vertex (``Vid``) tuples. The output is the sorted
     union of keys with a payload when one exists, ``None`` otherwise —
     exactly the transformed
-    ``V.halt = false || M.payload != NULL`` filter of the logical plan.
+    ``V.halt = false || M.payload != NULL`` filter of the logical plan:
+    the outer merge of the two, projected onto the message side
+    (``choose()``: the message tuple wins over the ``Vid`` tuple).
     """
 
     def __init__(self, name=None):
@@ -85,21 +90,5 @@ class MergeChooseOperator(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         messages, live = inputs
-        return {self.OUT: list(self._merge(iter(messages), iter(live)))}
-
-    @staticmethod
-    def _merge(messages, live):
-        message = next(messages, None)
-        vid = next(live, None)
-        while message is not None or vid is not None:
-            if vid is None or (message is not None and message[0] < vid[0]):
-                yield message[0], message[1]
-                message = next(messages, None)
-            elif message is None or vid[0] < message[0]:
-                yield vid[0], None
-                vid = next(live, None)
-            else:
-                # choose(): the message tuple wins over the Vid tuple.
-                yield message[0], message[1]
-                message = next(messages, None)
-                vid = next(live, None)
+        merged = _outer_merge(messages, live)
+        return {self.OUT: [(key, payload) for key, payload, _vid in merged]}

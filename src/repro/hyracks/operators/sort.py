@@ -1,35 +1,37 @@
 """External sort: memory-bounded run generation plus multiway merge.
 
-This is the substrate under the sort-based group-by and under index bulk
-loading. Tuples are collected until the operator's memory budget fills,
-sorted, and spilled as a run file; runs are then heap-merged. With
-in-memory inputs no run file is ever written, so small jobs stay fast —
-the same graceful degradation story as the rest of the storage layer.
+The base case of one skeleton (DESIGN.md §4): cut the input into
+batches that fit the memory budget, turn every full batch into sorted
+``(key, value)`` pairs and spill it as a run, merge the runs with what
+is still in memory — inside one
+:class:`~repro.hyracks.storage.run_file.SortedRuns` scope, which owns
+the files. The sort's batch policy sorts raw tuples and folds nothing;
+the re-grouping group-bys are the same skeleton with a fold. In-memory
+inputs never write a run, so small jobs stay fast.
 """
 
-import heapq
 import itertools
 import operator
 
 from repro.hyracks.job import OperatorDescriptor
-from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
+from repro.hyracks.storage.run_file import LEAD, SortedRuns
 
 #: The paper's default per-operator sort/group-by buffer (64 MB).
 DEFAULT_SORT_MEMORY = 64 << 20
 
-# The two fields of a replayed run record ``(sort key, tuple)``.
-_KEY = operator.itemgetter(0)
+# The tuple of a merged run pair ``(sort key, tuple)``.
 _ITEM = operator.itemgetter(1)
 
 
-def budgeted_batches(stream, tuple_serde, memory_limit):
-    """Cut ``stream`` into lists of its items.
+def spill_full_batches(stream, tuple_serde, memory_limit, spill):
+    """Cut ``stream`` into lists of its items, hand every full one to
+    ``spill`` and return the rest.
 
-    A batch is cut as soon as the serialized bytes of its tuples reach
-    ``memory_limit``; the last batch yielded is whatever was left over
-    (possibly nothing) and is the only one under the limit. A fixed-width
-    ``tuple_serde`` turns the byte budget into a tuple count, so nothing
-    is sized per tuple.
+    A batch is full as soon as the serialized bytes of its tuples reach
+    ``memory_limit``; what is returned is whatever was left over
+    (possibly nothing), the only batch under the limit and the one that
+    may stay in memory. A fixed-width ``tuple_serde`` turns the byte
+    budget into a tuple count, so nothing is sized per tuple.
     """
     stream = iter(stream)
     width = tuple_serde.fixed_size
@@ -37,9 +39,9 @@ def budgeted_batches(stream, tuple_serde, memory_limit):
         per_batch = max(1, -(-memory_limit // width))
         while True:
             batch = list(itertools.islice(stream, per_batch))
-            yield batch
             if len(batch) < per_batch:
-                return
+                return batch
+            spill(batch)
     batch = []
     batch_bytes = 0
     sizeof = tuple_serde.sizeof
@@ -47,10 +49,10 @@ def budgeted_batches(stream, tuple_serde, memory_limit):
         batch.append(item)
         batch_bytes += sizeof(item)
         if batch_bytes >= memory_limit:
-            yield batch
+            spill(batch)
             batch = []
             batch_bytes = 0
-    yield batch
+    return batch
 
 
 class ExternalSortOperator(OperatorDescriptor):
@@ -78,41 +80,22 @@ class ExternalSortOperator(OperatorDescriptor):
         (stream,) = inputs
         return {self.OUT: list(self.sorted_stream(ctx, stream))}
 
-    # The guts are reusable by the group-by operators.
     def sorted_stream(self, ctx, stream):
         """Yield the tuples of ``stream`` in sort-key order."""
-        runs = []
-        batches = budgeted_batches(stream, self.tuple_serde, self.memory_limit)
-        try:
-            buffer = next(batches)
-            for following in batches:
-                runs.append(self._spill(ctx, buffer))
-                buffer = following
-            if not runs:
+        with SortedRuns(ctx.files, "sort-run", self.tuple_serde) as runs:
+            buffer = spill_full_batches(
+                stream, self.tuple_serde, self.memory_limit,
+                lambda full: runs.spill(self._sorted_pairs(full)),
+            )
+            if not runs.paths:
                 buffer.sort(key=self.sort_key_fn)
                 yield from buffer
                 return
             if buffer:
-                runs.append(self._spill(ctx, buffer))
-            streams = [self._replay(ctx, path) for path in runs]
-            yield from map(_ITEM, heapq.merge(*streams, key=_KEY))
-        finally:
-            for path in runs:
-                ctx.files.delete_path(path)
+                runs.spill(self._sorted_pairs(buffer))
+            yield from map(_ITEM, runs.merged())
 
-    def _spill(self, ctx, buffer):
-        # Keys once per tuple; the run is written in the (stable) order
-        # of the positions sorted by them.
-        keys = list(map(self.sort_key_fn, buffer))
-        order = sorted(range(len(buffer)), key=keys.__getitem__)
-        path = ctx.files.create_temp_path("sort-run")
-        with RunFileWriter(path, ctx.files) as writer:
-            writer.extend(zip(
-                map(keys.__getitem__, order),
-                map(self.tuple_serde.dumps, map(buffer.__getitem__, order)),
-            ))
-        return path
-
-    def _replay(self, ctx, path):
-        for key, data in RunFileReader(path, ctx.files):
-            yield key, self.tuple_serde.loads(data)
+    def _sorted_pairs(self, buffer):
+        """``(sort key, tuple)`` in key order (stable: arrival order
+        inside a key), the key computed once per tuple."""
+        return sorted(zip(map(self.sort_key_fn, buffer), buffer), key=LEAD)

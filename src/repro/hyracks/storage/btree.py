@@ -282,7 +282,7 @@ class BTree(Index):
             self.cache.unpin(leaf, dirty=True)
             return
         right = self.cache.new_page(self.file_id, PageKind.LEAF)
-        separator = leaf.split_into(right)
+        separator = leaf.split_into(right, key, stored)
         self.smo_counter += 1
         target = right if key >= separator else leaf
         if not target.fits(key, stored):
@@ -305,7 +305,7 @@ class BTree(Index):
             self.cache.unpin(parent, dirty=True)
             return
         right = self.cache.new_page(self.file_id, PageKind.INTERIOR)
-        promoted = parent.split_into(right)
+        promoted = parent.split_into(right, separator, child_ref)
         self.smo_counter += 1
         target = right if separator >= promoted else parent
         if not target.fits(separator, child_ref):

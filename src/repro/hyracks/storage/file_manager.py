@@ -157,6 +157,11 @@ class FileManager:
         self.close()
         shutil.rmtree(self.root, ignore_errors=True)
 
+    def wipe(self):
+        """Close everything and empty the node's directory, which stays."""
+        self.destroy()
+        os.makedirs(self.root, exist_ok=True)
+
     def _require(self, file_id):
         try:
             return self._paged_files[file_id]

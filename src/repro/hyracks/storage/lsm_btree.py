@@ -13,13 +13,13 @@ drastically between supersteps or that mutate the graph heavily (e.g. the
 Genomix path-merging assembler).
 """
 
-import bisect
 import contextlib
 
 from repro.common.errors import StorageError
 from repro.hyracks.storage.bloom import BloomFilter
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.index import Index, TOMBSTONE
+from repro.hyracks.storage.run_file import merge_sorted
 
 
 class _Component:
@@ -102,11 +102,9 @@ class LSMBTree(Index):
             for key, value in self._memory.items()
             if (low is None or key >= low) and (high is None or key < high)
         )
-        sources = [iter(memory_items)]
-        sources.extend(
+        return self._merged_scan([memory_items] + [
             component.tree.scan(low, high) for component in self._components
-        )
-        return self._merged_scan(sources)
+        ])
 
     def bulk_load(self, pairs):
         if len(self):
@@ -114,10 +112,7 @@ class LSMBTree(Index):
         self._components.insert(0, self._build_component(pairs))
 
     def __len__(self):
-        live = 0
-        for _key, _value in self.scan():
-            live += 1
-        return live
+        return sum(1 for _pair in self.scan())
 
     def close(self):
         self.flush_memory_component()
@@ -146,25 +141,14 @@ class LSMBTree(Index):
         """Flush the memory component to a new immutable disk component."""
         if not self._memory:
             return
-        flushed_entries = len(self._memory)
-        flushed_bytes = self._memory_bytes
-        with self._storage_span("lsm.flush", entries=flushed_entries,
-                                bytes=flushed_bytes):
+        with self._storage_op("lsm.flush", "storage.lsm.flushes",
+                              entries=len(self._memory), bytes=self._memory_bytes):
             self._components.insert(
                 0, self._build_component(sorted(self._memory.items()))
             )
         self._memory = {}
         self._memory_bytes = 0
         self.flushes += 1
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "lsm.flush",
-                category="storage",
-                index=self.name,
-                entries=flushed_entries,
-                bytes=flushed_bytes,
-            )
-            self.telemetry.registry.counter("storage.lsm.flushes").inc()
         if len(self._components) > self.max_components:
             self._merge_components()
 
@@ -206,69 +190,34 @@ class LSMBTree(Index):
             keep = len(self._components) // 2
             survivors = self._components[:keep]
             victims = self._components[keep:]
-        with self._storage_span("lsm.merge", policy=self.merge_policy,
-                                victims=len(victims)):
+        with self._storage_op("lsm.merge", "storage.lsm.merges",
+                              policy=self.merge_policy, victims=len(victims)):
             merged = self._build_component(
-                list(
-                    self._merged_scan(
-                        [component.tree.scan() for component in victims],
-                        keep_tombstones=False,
-                    )
-                )
+                self._merged_scan([component.tree.scan() for component in victims])
             )
             self._components = survivors + [merged]
             for component in victims:
                 component.tree.destroy()
         self.merges += 1
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "lsm.merge",
-                category="storage",
-                index=self.name,
-                policy=self.merge_policy,
-                victims=len(victims),
-            )
-            self.telemetry.registry.counter("storage.lsm.merges").inc()
 
-    def _storage_span(self, name, **args):
-        """A storage-op tracer span, or a no-op without telemetry."""
-        if self.telemetry is not None:
-            return self.telemetry.span(name, category="storage", index=self.name, **args)
-        return contextlib.nullcontext()
+    @contextlib.contextmanager
+    def _storage_op(self, name, counter, **args):
+        """Span a flush or merge, then log and count it (if telemetry is on)."""
+        if self.telemetry is None:
+            yield
+            return
+        with self.telemetry.span(name, category="storage", index=self.name, **args):
+            yield
+        self.telemetry.event(name, category="storage", index=self.name, **args)
+        self.telemetry.registry.counter(counter).inc()
 
     @staticmethod
-    def _merged_scan(sources, keep_tombstones=False):
-        """Merge ordered sources, newest source wins per key.
-
-        ``sources`` are ordered newest-first; tombstoned keys are dropped
-        unless ``keep_tombstones``.
-        """
-        heads = []
-        iterators = []
-        for priority, source in enumerate(sources):
-            iterator = iter(source)
-            iterators.append(iterator)
-            first = next(iterator, None)
-            if first is not None:
-                heads.append((first[0], priority, first[1]))
-        # A simple sorted-head loop: the number of sources is small
-        # (memory + a handful of components), so re-sorting beats a heap's
-        # constant factor in practice at this scale.
-        while heads:
-            heads.sort()
-            key, priority, value = heads[0]
-            winner_value = value
-            survivors = []
-            for head_key, head_priority, head_value in heads:
-                if head_key == key:
-                    if head_priority < priority:
-                        priority = head_priority
-                        winner_value = head_value
-                    following = next(iterators[head_priority], None)
-                    if following is not None:
-                        survivors.append((following[0], head_priority, following[1]))
-                else:
-                    survivors.append((head_key, head_priority, head_value))
-            heads = survivors
-            if winner_value != TOMBSTONE or keep_tombstones:
-                yield key, winner_value
+    def _merged_scan(sources):
+        """Merge ordered sources, given newest first: the merge is stable,
+        so the first pair of a key is its winner. Tombstoned keys are dropped."""
+        previous = None
+        for key, value in merge_sorted(sources):
+            if key != previous:
+                previous = key
+                if value != TOMBSTONE:
+                    yield key, value

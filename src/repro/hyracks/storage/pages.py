@@ -8,6 +8,7 @@ reload them at stable offsets.
 """
 
 import bisect
+import itertools
 import struct
 import threading
 from collections import namedtuple
@@ -144,22 +145,30 @@ class Page:
         self.dirty = True
         return True
 
-    def split_into(self, right):
+    def split_into(self, right, key=None, value=b""):
         """Move the upper half of the entries into ``right``.
 
-        Returns the first key now stored in ``right`` (the separator the
-        parent must learn).
+        The cut is at the middle *entry* unless the half that ``(key,
+        value)``, the entry the split is for, belongs to would still
+        refuse it: only then is it where the halves' *bytes* balance
+        best. Returns the first key now stored in ``right`` (the
+        separator the parent must learn).
         """
         midpoint = len(self.keys) // 2
         if midpoint == 0:
             raise StorageError("cannot split a page with fewer than two entries")
+        moved = self._bytes_from(midpoint)
+        if key is not None:
+            extra = _ENTRY_BYTES + len(key) + len(value)
+            right_half = key >= self.keys[midpoint]
+            half = PAGE_OVERHEAD + moved if right_half else self._nbytes - moved
+            if half + extra > self.capacity:
+                midpoint = self._byte_cut(key, extra)
+                moved = self._bytes_from(midpoint)
         right.keys = self.keys[midpoint:]
         right.values = self.values[midpoint:]
         del self.keys[midpoint:]
         del self.values[midpoint:]
-        moved = _ENTRY_BYTES * len(right.keys) + sum(
-            map(len, right.keys + right.values)
-        )
         right._nbytes = PAGE_OVERHEAD + moved
         self._nbytes -= moved
         right.next_page_no = self.next_page_no
@@ -167,6 +176,29 @@ class Page:
         self.dirty = True
         right.dirty = True
         return right.keys[0]
+
+    def _bytes_from(self, index):
+        """What the entries from ``index`` on take of the page image."""
+        return _ENTRY_BYTES * (len(self.keys) - index) + sum(
+            map(len, self.keys[index:] + self.values[index:])
+        )
+
+    def _byte_cut(self, key, extra):
+        """The entry index to cut at so that the fuller half is smallest
+        once an entry of ``extra`` bytes under ``key`` joins its side."""
+        joins_right_below = bisect.bisect_right(self.keys, key)
+        body = self._nbytes - PAGE_OVERHEAD
+        below = list(itertools.accumulate(
+            _ENTRY_BYTES + len(k) + len(v) for k, v in self.entries()
+        ))
+
+        def fuller_half(cut):
+            left = below[cut - 1]
+            if cut < joins_right_below:
+                return max(left, body - left + extra)
+            return max(left + extra, body - left)
+
+        return min(range(1, len(self.keys)), key=fuller_half)
 
     def entries(self):
         """Iterate ``(key, value)`` pairs in key order."""

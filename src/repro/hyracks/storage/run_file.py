@@ -9,9 +9,16 @@ This is the one framing of a ``(key, value)`` byte pair: a run file and
 a checkpoint blob (:func:`pack_pairs`/:func:`iter_pairs`) are the same
 bytes, framed by :func:`pack_pairs` and read back by one parser, which
 refuses data that ends inside a record.
+
+It is also the one home of sorted runs: :class:`SortedRuns` creates,
+writes, replays, merges and deletes the runs an operator clone spills,
+and :func:`merge_sorted` is the k-way merge that they, the LSM B-tree's
+components and the merging connector's senders all go through.
 """
 
+import heapq
 import itertools
+import operator
 import os
 import struct
 
@@ -24,6 +31,18 @@ _WRITE_BATCH = 4096
 #: if a record is larger — is all an open run holds in memory, so a merge
 #: of spilled runs is bounded by their number, never by their length.
 _READ_CHUNK = 64 << 10
+
+#: The key of a keyed tuple ``(key, ...)``: what a sorted stream is
+#: ordered, merged and grouped by unless its owner says otherwise.
+LEAD = operator.itemgetter(0)
+_VALUE = operator.itemgetter(1)
+
+
+def merge_sorted(streams, key=LEAD):
+    """Merge streams each sorted by ``key`` into one that is, lazily.
+    Stable: equal keys come out in the order of ``streams`` (so
+    newest-first sources put a key's winner first), then of the stream."""
+    return heapq.merge(*streams, key=key)
 
 
 def pack_pairs(pairs):
@@ -139,6 +158,51 @@ class RunFileReader:
     def delete(self):
         if os.path.exists(self.path):
             os.remove(self.path)
+
+
+class SortedRuns:
+    """The sorted runs one operator clone spills, and their only owner.
+
+    A context manager to hold around *both* run generation and the
+    consumption of :meth:`merged`: it then deletes every file it created
+    (under ``create_temp_path(hint)``; the one being written included)
+    when the consumer exhausts the stream, abandons it, or anything
+    raises. ``files`` is not touched before the first :meth:`spill`.
+    """
+
+    def __init__(self, files, hint, value_serde):
+        self.files = files
+        self.hint = hint
+        self.value_serde = value_serde
+        self.paths = []
+
+    def spill(self, pairs):
+        """Write ``(key bytes, value)`` pairs, in key order, as one more run."""
+        pairs = list(pairs)
+        path = self.files.create_temp_path(self.hint)
+        self.paths.append(path)
+        with RunFileWriter(path, self.files) as writer:
+            writer.extend(zip(
+                map(LEAD, pairs),
+                map(self.value_serde.dumps, map(_VALUE, pairs)),
+            ))
+
+    def merged(self, tail=()):
+        """The pairs of every run, in the order spilled, and of ``tail``
+        (sorted pairs still in memory), merged."""
+        loads = self.value_serde.loads
+        streams = [
+            ((key, loads(data)) for key, data in RunFileReader(path, self.files))
+            for path in self.paths
+        ]
+        return merge_sorted(streams + [tail])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for path in self.paths:
+            self.files.delete_path(path)
 
 
 class RunFile:

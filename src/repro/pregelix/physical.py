@@ -23,8 +23,6 @@ layouts are the :class:`~repro.pregelix.relations.RunRelations`' that
 every generator holds as ``relations``.
 """
 
-import operator
-
 from repro.common import serde
 from repro.common.serde import decode_key, decode_keys, encode_key
 from repro.hyracks.connectors import (
@@ -58,6 +56,7 @@ from repro.hyracks.scheduler import (
     ChoiceLocationConstraint,
     CountConstraint,
 )
+from repro.hyracks.storage.run_file import LEAD
 from repro.pregelix.api import ConnectorPolicy, GroupByStrategy, JoinStrategy
 from repro.pregelix.operators import (
     ComputeOperator,
@@ -69,11 +68,6 @@ from repro.pregelix.operators import (
 )
 from repro.pregelix.relations import VID_VALUE, RunRelations
 from repro.pregelix.types import GlobalState, edge_list_serde
-
-# What a message tuple leads with: the destination vid of a raw
-# ``(vid, payload)``, its ``encode_key`` image in a combined
-# ``(key, bundle)``.
-_LEAD = operator.itemgetter(0)
 
 
 class PartitionMap:
@@ -106,7 +100,7 @@ class PartitionMap:
         then the same ``hash()`` (so ``hash(-1) == -2`` and vids beyond
         2**61 land where the per-tuple call puts them)."""
         n = self.num_partitions
-        return [hash(vid) % n for vid in decode_keys(list(map(_LEAD, batch)))]
+        return [hash(vid) % n for vid in decode_keys(list(map(LEAD, batch)))]
 
     @classmethod
     def over_nodes(cls, node_ids, partitions_per_node=1):
@@ -516,13 +510,14 @@ class PlanGenerator:
         sender_agg = _SenderCombineAggregator(combiner, bundle_serde)
         receiver_agg = _ReceiverCombineAggregator(combiner, bundle_serde)
         raw_msg_serde = serde.TupleSerde(serde.INT64, job.msg_serde)
-        # The key of a combined message is always the encode_key image.
+        # Every hop is keyed by what a message leads with (LEAD): the vid of
+        # a raw (vid, payload), always its encode_key image once combined.
         combined_serde = serde.TupleSerde(serde.KEY, bundle_serde)
         memory = job.groupby_memory_bytes
 
         if job.groupby_strategy == GroupByStrategy.SORT:
             sender = SortGroupByOperator(
-                key_fn=_LEAD,
+                key_fn=LEAD,
                 aggregator=sender_agg,
                 tuple_serde=raw_msg_serde,
                 memory_limit_bytes=memory,
@@ -530,7 +525,7 @@ class PlanGenerator:
             )
         else:
             sender = HashSortGroupByOperator(
-                key_fn=_LEAD,
+                key_fn=LEAD,
                 aggregator=sender_agg,
                 memory_limit_bytes=memory,
                 name="SenderHashSortGroupBy",
@@ -541,12 +536,12 @@ class PlanGenerator:
         destinations_fn = self.partition_map.partitions_of_keyed
         if job.connector_policy == ConnectorPolicy.MERGED:
             connector = MToNPartitioningMergingConnector(
-                sort_key_fn=_LEAD,
+                sort_key_fn=LEAD,
                 tuple_serde=combined_serde,
                 destinations_fn=destinations_fn,
             )
             receiver = PreclusteredGroupByOperator(
-                key_fn=_LEAD,
+                key_fn=LEAD,
                 aggregator=receiver_agg,
                 name="ReceiverPreclusteredGroupBy",
             )
@@ -557,7 +552,7 @@ class PlanGenerator:
             )
             if job.groupby_strategy == GroupByStrategy.SORT:
                 receiver = SortGroupByOperator(
-                    key_fn=_LEAD,
+                    key_fn=LEAD,
                     aggregator=receiver_agg,
                     tuple_serde=combined_serde,
                     memory_limit_bytes=memory,
@@ -565,7 +560,7 @@ class PlanGenerator:
                 )
             else:
                 receiver = HashSortGroupByOperator(
-                    key_fn=_LEAD,
+                    key_fn=LEAD,
                     aggregator=receiver_agg,
                     memory_limit_bytes=memory,
                     name="ReceiverHashSortGroupBy",

@@ -146,3 +146,14 @@ class TestDifferentialMatrix:
         # legitimate, but an exception must not escape run_cell and a
         # failed cell must carry its error instead of half a result.
         assert (cell.error is None) == (cell.lines is not None)
+
+    def test_a_surviving_spilled_run_fails_the_cell(self, chaos_graph, monkeypatch):
+        """The verdict covers what a run leaves on disk: runs that are
+        not cleaned up turn an otherwise correct cell into a finding."""
+        from repro.hyracks.storage.run_file import SortedRuns
+
+        monkeypatch.setattr(SortedRuns, "__exit__", lambda self, *exc: False)
+        checker = DifferentialChecker("sssp", chaos_graph)
+        plan = PlanChoice.parse("foj/sort/unmerged/btree")
+        cell = checker.run_cell(plan, budget="spill")
+        assert not cell.ok and "groupby-run-" in cell.error

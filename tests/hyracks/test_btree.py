@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro.common.accounting import IOCounters
 from repro.common.errors import StorageError
@@ -262,6 +262,61 @@ def test_btree_matches_dict_model(tmp_path_factory, operations):
             model.pop(k, None)
         else:
             assert tree.lookup(k) == model.get(k)
+    assert list(tree.scan()) == sorted(model.items())
+    assert len(tree) == len(model)
+    files.destroy()
+
+
+PAGE = 4096
+#: ``BTree._inline_limit`` at 4 KiB pages: key + value + 1 up to this stay
+#: in the leaf, wider values go to an overflow chain.
+INLINE_LIMIT = (PAGE - 13) // 3
+WIDEST_INLINE = INLINE_LIMIT - 8 - 1
+
+value_widths = st.one_of(
+    st.integers(min_value=0, max_value=24),
+    st.integers(min_value=0, max_value=WIDEST_INLINE),
+    st.sampled_from([WIDEST_INLINE - 1, WIDEST_INLINE]),
+    st.integers(min_value=WIDEST_INLINE + 1, max_value=3 * PAGE),
+)
+
+
+def test_a_leaf_whose_wide_records_fall_on_one_side_still_splits(buffer_cache):
+    """The middle-entry cut of a leaf of 8-byte records interleaved with
+    1,200-byte ones leaves a half that refuses the record being
+    inserted; the split re-cuts by bytes."""
+    tree = BTree(buffer_cache)
+    model = {}
+    for width, offset in ((8, 0), (1200, 1)):
+        for i in range(400):
+            model[key(2 * i + offset)] = bytes([i % 251]) * width
+            tree.insert(key(2 * i + offset), model[key(2 * i + offset)])
+    assert list(tree.scan()) == sorted(model.items())
+    assert len(tree) == 800
+
+
+record_keys = st.one_of(
+    st.integers(min_value=-200, max_value=200).map(key),
+    st.binary(min_size=1, max_size=700),
+)
+
+
+@seed(22)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(records=st.lists(st.tuples(record_keys, value_widths), min_size=1, max_size=250))
+def test_any_mix_of_record_widths_splits(tmp_path_factory, records):
+    """Property: whatever mix of narrow, widest-inline and overflowing
+    values arrives in whatever key order (overwrites included; keys of
+    mixed width too, so that interior pages hold uneven separators),
+    every split finds room and the tree scans as the sorted model."""
+    root = tmp_path_factory.mktemp("widths")
+    files = FileManager(str(root), IOCounters())
+    tree = BTree(BufferCache(PAGE * 8, PAGE, files))
+    assert tree._inline_limit == INLINE_LIMIT
+    model = {}
+    for position, (k, width) in enumerate(records):
+        model[k] = bytes([position % 251]) * width
+        tree.insert(k, model[k])
     assert list(tree.scan()) == sorted(model.items())
     assert len(tree) == len(model)
     files.destroy()

@@ -150,34 +150,46 @@ class TestBulkLoad:
         assert lsm.lookup(key(52)) == b"orig"
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     operations=st.lists(
         st.tuples(
-            st.sampled_from(["insert", "delete"]),
+            st.sampled_from(["insert", "insert", "delete", "flush"]),
             st.integers(min_value=0, max_value=60),
         ),
         max_size=200,
     ),
     budget=st.integers(min_value=64, max_value=2048),
+    policy=st.sampled_from(["full", "tiered"]),
+    bounds=st.tuples(st.integers(0, 60), st.integers(0, 60)),
 )
-def test_lsm_matches_dict_model(tmp_path_factory, operations, budget):
-    """Property: flush/merge timing never changes observable contents."""
+def test_lsm_matches_dict_model(tmp_path_factory, operations, budget, policy, bounds):
+    """Property: flush/merge timing never changes observable contents —
+    a scan is the sorted model (the newest write of a key wins, a
+    tombstoned key is gone) whatever components the merge went over."""
     root = tmp_path_factory.mktemp("lsmprop")
     files = FileManager(str(root), IOCounters())
     cache = BufferCache(1 << 20, 4096, files)
-    lsm = LSMBTree(cache, memory_budget_bytes=budget, max_components=2)
+    lsm = LSMBTree(
+        cache, memory_budget_bytes=budget, max_components=2, merge_policy=policy
+    )
     model = {}
-    for op, i in operations:
+    for step, (op, i) in enumerate(operations):
         k = key(i)
         if op == "insert":
-            value = b"v%d" % i
+            value = b"v%d.%d" % (i, step)
             lsm.insert(k, value)
             model[k] = value
-        else:
+        elif op == "delete":
             lsm.delete(k)
             model.pop(k, None)
-    assert dict(lsm.scan()) == model
+        else:
+            lsm.flush_memory_component()
+    assert list(lsm.scan()) == sorted(model.items())
+    low, high = key(min(bounds)), key(max(bounds))
+    assert list(lsm.scan(low, high)) == sorted(
+        (k, value) for k, value in model.items() if low <= k < high
+    )
     for k, value in model.items():
         assert lsm.lookup(k) == value
     files.destroy()

@@ -1,0 +1,230 @@
+"""Spilled runs have one owner, and it cleans up on every exit.
+
+Whatever interrupts a run-generating operator — a fold, a serde or a key
+function that raises while the k-th run is being cut or while the runs
+are merged, or a consumer that stops reading — no ``*-run-*.tmp`` file
+may stay in the node's directory: in ``repro serve`` every failed attempt
+of a poison job would otherwise keep its spill files until the process
+exits. The same module holds the laws of the one k-way merge every
+sorted stream goes through.
+"""
+
+import itertools
+import os
+import types
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from repro.common import serde
+from repro.common.serde import encode_key
+from repro.hyracks.operators.groupby import (
+    GroupAggregator,
+    HashSortGroupByOperator,
+    SortGroupByOperator,
+)
+from repro.hyracks.operators.sort import ExternalSortOperator
+from repro.hyracks.storage.file_manager import FileManager
+from repro.hyracks.storage.run_file import LEAD, merge_sorted
+
+TUPLES = 400
+TUPLE_SERDE = serde.TupleSerde(serde.INT64, serde.FLOAT64)  # 16 bytes
+STREAM = [((7 * i) % 97, float(i % 5)) for i in range(TUPLES)]
+
+
+class Boom(Exception):
+    pass
+
+
+class CountingFiles(FileManager):
+    def __init__(self, root):
+        super().__init__(root)
+        self.created = 0
+
+    def create_temp_path(self, hint="run"):
+        self.created += 1
+        return super().create_temp_path(hint)
+
+
+class Tripwire:
+    """Wraps a callable: raises :class:`Boom` from the first call made
+    once ``after_runs`` runs have been created."""
+
+    def __init__(self, files, after_runs, function):
+        self.files, self.after_runs, self.function = files, after_runs, function
+
+    def __call__(self, *args):
+        if self.files.created >= self.after_runs:
+            raise Boom()
+        return self.function(*args)
+
+
+class TrippedSerde:
+    """A serde whose one named method goes through a tripwire."""
+
+    def __init__(self, inner, method, tripwire):
+        self.inner, self.method, self.tripwire = inner, method, tripwire
+
+    def __getattr__(self, name):
+        if name == self.method:
+            return self.tripwire
+        return getattr(self.inner, name)
+
+
+class SumAggregator(GroupAggregator):
+    group_key = staticmethod(encode_key)
+
+    def __init__(self, trip):
+        self.trip = trip
+        self._serde = serde.FLOAT64
+        for method in ("dumps", "loads"):
+            if method in trip:
+                self._serde = TrippedSerde(
+                    serde.FLOAT64, method, trip[method](getattr(serde.FLOAT64, method))
+                )
+        self.step = trip.get("fold", lambda f: f)(self.step)
+        self.merge = trip.get("merge", lambda f: f)(self.merge)
+
+    def create(self):
+        return 0.0
+
+    def step(self, state, item):
+        return state + item[1]
+
+    def merge(self, left, right):
+        return left + right
+
+    def finish(self, key, state):
+        return key, state
+
+    def state_serde(self):
+        return self._serde
+
+
+def sort_operator(trip):
+    tuple_serde = TUPLE_SERDE
+    for method in ("dumps", "loads"):
+        if method in trip:
+            tuple_serde = TrippedSerde(
+                TUPLE_SERDE, method, trip[method](getattr(TUPLE_SERDE, method))
+            )
+    key_fn = trip.get("key_fn", lambda f: f)(lambda item: encode_key(item[0]))
+    operator = ExternalSortOperator(key_fn, tuple_serde, memory_limit_bytes=800)
+    return operator.sorted_stream
+
+
+def sort_groupby(trip):
+    key_fn = trip.get("key_fn", lambda f: f)(LEAD)
+    operator = SortGroupByOperator(
+        key_fn, SumAggregator(trip), TUPLE_SERDE, memory_limit_bytes=800
+    )
+    return operator.grouped_stream
+
+
+def hashsort_groupby(trip):
+    key_fn = trip.get("key_fn", lambda f: f)(LEAD)
+    operator = HashSortGroupByOperator(
+        key_fn, SumAggregator(trip), memory_limit_bytes=320
+    )
+    return operator.grouped_stream
+
+
+OPERATORS = {
+    "sort": (sort_operator, ("key_fn", "dumps", "loads")),
+    "sort-groupby": (sort_groupby, ("key_fn", "fold", "dumps", "loads", "merge")),
+    "hashsort-groupby": (hashsort_groupby, ("key_fn", "fold", "dumps", "loads", "merge")),
+}
+
+
+def runs_left(files):
+    return sorted(name for name in os.listdir(files.root) if "-run-" in name)
+
+
+def undisturbed(tmp_path, name):
+    """(output, runs spilled) of the operator when nothing fails."""
+    files = CountingFiles(str(tmp_path / "undisturbed"))
+    stream = OPERATORS[name][0]({})(types.SimpleNamespace(files=files), list(STREAM))
+    output = list(stream)
+    assert runs_left(files) == []
+    return output, files.created
+
+
+CASES = [
+    (name, failing)
+    for name, (_, failures) in sorted(OPERATORS.items())
+    for failing in failures
+]
+
+
+@pytest.mark.parametrize("name,failing", CASES)
+@pytest.mark.parametrize("consumer", ["exhausts", "abandons"])
+def test_no_run_survives_a_failure_at_any_spill(tmp_path, name, failing, consumer):
+    output, spilled = undisturbed(tmp_path, name)
+    assert spilled >= 3
+    raised = 0
+    for after_runs in range(spilled + 1):
+        files = CountingFiles(str(tmp_path / ("%s-%d" % (failing, after_runs))))
+        trip = {failing: lambda f: Tripwire(files, after_runs, f)}
+        ctx = types.SimpleNamespace(files=files)
+        stream = OPERATORS[name][0](trip)(ctx, list(STREAM))
+        try:
+            if consumer == "exhausts":
+                assert list(stream) == output
+            else:
+                taken = list(itertools.islice(stream, 1 + after_runs))
+                assert taken == output[: 1 + after_runs]
+                stream.close()
+        except Boom:
+            raised += 1
+        assert runs_left(files) == [], (after_runs, files.created)
+    # The tripwire did interrupt the operator, at more than one spill.
+    assert raised >= 2
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+@pytest.mark.parametrize("taken", [1, 5, 10 ** 6])
+def test_no_run_survives_a_consumer_that_stops_reading(tmp_path, name, taken):
+    output, _ = undisturbed(tmp_path, name)
+    files = CountingFiles(str(tmp_path / "abandoned"))
+    stream = OPERATORS[name][0]({})(types.SimpleNamespace(files=files), list(STREAM))
+    assert list(itertools.islice(stream, taken)) == output[:taken]
+    stream.close()
+    assert files.created >= 3
+    assert runs_left(files) == []
+
+
+# ----------------------------------------------------------------------
+# the k-way merge
+# ----------------------------------------------------------------------
+keyed_streams = st.lists(
+    st.lists(st.integers(min_value=0, max_value=12), max_size=30).map(sorted),
+    max_size=6,
+)
+
+
+@seed(22)
+@settings(max_examples=150, deadline=None)
+@given(keys_per_stream=keyed_streams)
+def test_merge_sorted_laws(keys_per_stream):
+    """Sorted; a permutation of its inputs; equal keys in source order,
+    and within a source in the source's order."""
+    streams = [
+        [(key, (source, position)) for position, key in enumerate(keys)]
+        for source, keys in enumerate(keys_per_stream)
+    ]
+    merged = list(merge_sorted(map(iter, streams)))
+    assert sorted(merged) == sorted(itertools.chain.from_iterable(streams))
+    assert merged == sorted(merged, key=lambda pair: (pair[0], pair[1]))
+
+
+@seed(23)
+@settings(max_examples=50, deadline=None)
+@given(keys_per_stream=keyed_streams)
+def test_merge_sorted_by_another_key(keys_per_stream):
+    streams = [
+        [(source, -key) for key in keys] for source, keys in enumerate(keys_per_stream)
+    ]
+    merged = list(merge_sorted(streams, key=lambda item: -item[1]))
+    assert merged == sorted(
+        itertools.chain.from_iterable(streams), key=lambda item: -item[1]
+    )

@@ -1,5 +1,7 @@
 """Checkpoint / recovery tests (paper Section 5.5)."""
 
+import os
+
 import pytest
 
 from repro.algorithms import pagerank, sssp
@@ -201,6 +203,11 @@ class TestKillRecoveryAcrossGroupBys:
         assert injector.fired[0].node == "node1"
         assert "node1" not in cluster.alive_node_ids()
         assert sorted(driver.read_output("/out/kill")) == expected
+        # The machine is lost with everything on it: no index or temp
+        # file stays behind in its directory, no handle stays open.
+        dead = cluster.nodes["node1"]
+        assert os.listdir(dead.files.root) == []
+        assert not dead.files._paged_files and not dead.services
         injector.detach()
 
 

@@ -155,13 +155,12 @@ class DifferentialChecker:
         num_nodes=3,
         num_faults=2,
         checkpoint_interval=1,
-        algorithm_params=None,
         fault_actions=None,
     ):
         from repro.chaos.reference import algorithm_case
 
         self.algorithm = algorithm
-        self.case = algorithm_case(algorithm, **(algorithm_params or {}))
+        self.case = algorithm_case(algorithm)
         self.vertices = list(vertices)
         self.num_nodes = num_nodes
         self.num_faults = num_faults

@@ -26,6 +26,7 @@ import os
 import sys
 
 from repro.algorithms import ALGORITHMS, algorithm_module
+from repro.bench.gates import GATES, run_gate, summary_lines
 from repro.common.errors import ReproError
 from repro.pregelix.api import (
     CONNECTOR_CODES,
@@ -54,7 +55,7 @@ FIGURES = [
 
 
 def _add_run_arguments(parser):
-    """The shared run/trace algorithm-execution arguments."""
+    """The algorithm-execution arguments of ``repro run``."""
     parser.add_argument("algorithm", choices=sorted(ALGORITHMS))
     parser.add_argument("--input", required=True, help="directory of part files")
     parser.add_argument("--input-format", choices=["adjacency", "edges"],
@@ -119,16 +120,6 @@ def build_parser():
                           "superstep boundary (repeatable); partitions "
                           "rebalance through a checkpoint/restore handoff "
                           "and the results stay bit-identical")
-
-    trace = sub.add_parser(
-        "trace",
-        help="run an algorithm with tracing and write a Chrome trace",
-    )
-    _add_run_arguments(trace)
-    trace.add_argument("--out", required=True, metavar="PATH",
-                       help="Chrome trace_event JSON output path")
-    trace.add_argument("--trace-jsonl", metavar="PATH", default=None,
-                       help="also dump spans/events/metrics as JSON lines")
 
     pipeline = sub.add_parser(
         "pipeline",
@@ -346,38 +337,11 @@ def build_parser():
 
     bench = sub.add_parser(
         "bench",
-        help="sequential-vs-parallel perf regression (BENCH_parallel.json)",
+        help="run one measured gate (DESIGN.md \"Gates\"); exits 1 on FAIL",
     )
+    bench.add_argument("gate", choices=sorted(GATES))
     bench.add_argument("--out", default=None,
-                       help="report path (JSON; default: the gate's own "
-                            "BENCH_parallel|elastic|batch.json)")
-    bench.add_argument("--vertices", type=int, default=None,
-                       help="microbench graph size")
-    bench.add_argument("--iterations", type=int, default=None)
-    bench.add_argument("--nodes", type=int, default=None)
-    bench.add_argument("--parallel", action="append", type=int, default=None,
-                       metavar="N",
-                       help="worker count(s) to measure (repeatable; "
-                            "default: 2 and 4)")
-    bench.add_argument("--io-latency", type=float, default=None,
-                       metavar="SCALE", help="latency-realism scale")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="runs per configuration (best-of)")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="required speedup of the highest worker count "
-                            "over sequential (CI gate)")
-    bench.add_argument("--elastic", action="store_true",
-                       help="measure superstep-boundary rebalance overhead "
-                            "instead (static vs scale-up vs scale-down; "
-                            "writes BENCH_elastic.json)")
-    bench.add_argument("--max-overhead", type=float, default=None,
-                       help="elastic gate: rebalance cost cap as a multiple "
-                            "of one average superstep")
-    bench.add_argument("--batch", action="store_true",
-                       help="measure multi-query batching instead: 8 sssp "
-                            "point queries solo vs one shared run, with a "
-                            "per-lane bit-identity check (writes "
-                            "BENCH_batch.json)")
+                       help="report path (JSON; default: BENCH_<gate>.json)")
 
     sub.add_parser("loc", help="the Section 7.6 lines-of-code comparison")
     return parser
@@ -453,10 +417,8 @@ def cmd_run(args, out=print):
     from repro.pregelix import PregelixDriver
     from repro.telemetry import Telemetry
 
-    trace_path = getattr(args, "trace", None)
-    trace_jsonl = getattr(args, "trace_jsonl", None)
     scale_at = None
-    if getattr(args, "scale_at", None):
+    if args.scale_at:
         scale_at = {}
         for item in args.scale_at:
             step, sep, target = item.partition("=")
@@ -477,8 +439,8 @@ def cmd_run(args, out=print):
     cluster = HyracksCluster(
         num_nodes=args.nodes,
         telemetry=telemetry,
-        parallelism=getattr(args, "parallel", 1),
-        io_latency_scale=getattr(args, "io_latency", 0.0),
+        parallelism=args.parallel,
+        io_latency_scale=args.io_latency,
     )
     try:
         dfs = MiniDFS(datanodes=cluster.node_ids())
@@ -503,8 +465,7 @@ def cmd_run(args, out=print):
             format_record=getattr(module, "format_record", None),
             scale_at=scale_at,
         )
-        json_mode = getattr(args, "json", False)
-        if json_mode:
+        if args.json:
             # The same document the job service returns from
             # GET /jobs/<id>/result — one formatter, two front ends.
             import json as json_module
@@ -544,17 +505,17 @@ def cmd_run(args, out=print):
             )
         if args.output:
             export_part_files(dfs, "/output", args.output)
-            if not json_mode:
+            if not args.json:
                 out("results written to %s" % args.output)
-        if trace_path:
-            telemetry.write_chrome_trace(trace_path)
+        if args.trace:
+            telemetry.write_chrome_trace(args.trace)
             out(
                 "trace written to %s (open in Perfetto or about://tracing)"
-                % trace_path
+                % args.trace
             )
-        if trace_jsonl:
-            count = telemetry.write_jsonl(trace_jsonl)
-            out("%d telemetry records written to %s" % (count, trace_jsonl))
+        if args.trace_jsonl:
+            count = telemetry.write_jsonl(args.trace_jsonl)
+            out("%d telemetry records written to %s" % (count, args.trace_jsonl))
         return 0
     finally:
         cluster.close()
@@ -1131,47 +1092,13 @@ def cmd_checkpoints(args, out=print):
         cluster.close()
 
 
-#: gate -> (repro.bench module, runner, default --out, {CLI arg: runner kwarg})
-_BENCH_GATES = {
-    "parallel": (
-        "regression", "run_regression", "BENCH_parallel.json",
-        {"vertices": "vertices", "iterations": "iterations",
-         "nodes": "num_nodes", "parallel": "workers",
-         "io_latency": "io_latency_scale", "repeats": "repeats",
-         "min_speedup": "min_speedup"},
-    ),
-    "elastic": (
-        "elastic", "run_elastic", "BENCH_elastic.json",
-        {"vertices": "vertices", "iterations": "iterations",
-         "nodes": "num_nodes", "io_latency": "io_latency_scale",
-         "repeats": "repeats", "max_overhead": "max_overhead"},
-    ),
-    "batch": (
-        "batch", "run_batch_bench", "BENCH_batch.json",
-        {"vertices": "vertices", "nodes": "num_nodes", "parallel": "workers",
-         "io_latency": "io_latency_scale", "repeats": "repeats",
-         "min_speedup": "min_speedup"},
-    ),
-}
-
-
 def cmd_bench(args, out=print):
-    import importlib
-
     from repro.bench.reporting import write_report
 
-    gate = "elastic" if args.elastic else "batch" if args.batch else "parallel"
-    module_name, runner, default_out, arg_to_kwarg = _BENCH_GATES[gate]
-    module = importlib.import_module("repro.bench." + module_name)
-    overrides = {
-        kwarg: getattr(args, arg)
-        for arg, kwarg in arg_to_kwarg.items()
-        if getattr(args, arg) is not None
-    }
-    report = getattr(module, runner)(**overrides)
-    path = args.out or default_out
-    write_report(report, path)
-    for line in module.summary_lines(report):
+    gate = GATES[args.gate]
+    report = run_gate(gate)
+    path = write_report(report, args.out or gate.default_out)
+    for line in summary_lines(report):
         out(line)
     out("report written to %s" % path)
     return 0 if report["pass"] else 1
@@ -1189,9 +1116,6 @@ def main(argv=None, out=print):
     if args.command == "generate":
         return cmd_generate(args, out=out)
     if args.command == "run":
-        return cmd_run(args, out=out)
-    if args.command == "trace":
-        args.trace = args.out
         return cmd_run(args, out=out)
     if args.command == "pipeline":
         return cmd_pipeline(args, out=out)

@@ -67,17 +67,6 @@ class MemoryBudget:
             if self._used > self._peak:
                 self._peak = self._used
 
-    def try_allocate(self, nbytes):
-        """Charge ``nbytes`` if it fits; return whether it did."""
-        nbytes = int(nbytes)
-        with self._lock:
-            if self._used + nbytes > self.capacity:
-                return False
-            self._used += nbytes
-            if self._used > self._peak:
-                self._peak = self._used
-            return True
-
     def release(self, nbytes):
         nbytes = int(nbytes)
         with self._lock:

@@ -197,18 +197,3 @@ class MToOneAggregatorConnector(ConnectorDescriptor, _AccountingMixin):
         per_dest = [[] for _ in range(num_consumers)]
         per_dest[0] = list(batch)
         return per_dest
-
-
-class BroadcastConnector(ConnectorDescriptor, _AccountingMixin):
-    """Replicates every tuple to every consumer partition.
-
-    Not in the paper's core plans, but used by the loader to distribute
-    small side information (e.g. partition maps) and handy for tests.
-    """
-
-    def __init__(self, tuple_serde=None):
-        super().__init__(ConnectorDescriptor.PIPELINED)
-        self.tuple_serde = tuple_serde
-
-    def split(self, sender, batch, num_consumers):
-        return [list(batch) for _ in range(num_consumers)]

@@ -23,11 +23,10 @@ class HeartbeatMonitor:
     so liveness decisions are visible in every trace.
     """
 
-    def __init__(self, cluster, interval_seconds=1.0, miss_threshold=1, telemetry=None):
+    def __init__(self, cluster, miss_threshold=1, telemetry=None):
         if miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
         self.cluster = cluster
-        self.interval_seconds = float(interval_seconds)
         self.miss_threshold = int(miss_threshold)
         self.telemetry = (
             telemetry if telemetry is not None else getattr(cluster, "telemetry", None)

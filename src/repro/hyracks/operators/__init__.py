@@ -21,7 +21,6 @@ from repro.hyracks.operators.aggregate import (
 )
 from repro.hyracks.operators.index_ops import (
     IndexBulkLoadOperator,
-    IndexInsertDeleteOperator,
     IndexScanOperator,
 )
 from repro.hyracks.operators.join import (
@@ -46,7 +45,6 @@ __all__ = [
     "LocalAggregateOperator",
     "GlobalAggregateOperator",
     "IndexBulkLoadOperator",
-    "IndexInsertDeleteOperator",
     "IndexScanOperator",
     "IndexFullOuterJoinOperator",
     "IndexLeftOuterJoinOperator",

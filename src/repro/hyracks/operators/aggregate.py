@@ -27,19 +27,6 @@ class ScalarAggregator:
         return state
 
 
-class BoolAndAggregator(ScalarAggregator):
-    """Logical AND over boolean contributions (the global halt state)."""
-
-    def create(self):
-        return True
-
-    def step(self, state, item):
-        return state and bool(item)
-
-    def merge(self, left, right):
-        return left and right
-
-
 class SumAggregator(ScalarAggregator):
     """Numeric sum (a common user aggregate)."""
 
@@ -48,57 +35,6 @@ class SumAggregator(ScalarAggregator):
 
     def step(self, state, item):
         return state + item
-
-    def merge(self, left, right):
-        return left + right
-
-
-class MinAggregator(ScalarAggregator):
-    """Minimum, ignoring ``None`` contributions."""
-
-    def create(self):
-        return None
-
-    def step(self, state, item):
-        if item is None:
-            return state
-        return item if state is None else min(state, item)
-
-    def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return min(left, right)
-
-
-class MaxAggregator(ScalarAggregator):
-    """Maximum, ignoring ``None`` contributions."""
-
-    def create(self):
-        return None
-
-    def step(self, state, item):
-        if item is None:
-            return state
-        return item if state is None else max(state, item)
-
-    def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return max(left, right)
-
-
-class CountAggregator(ScalarAggregator):
-    """Counts contributions."""
-
-    def create(self):
-        return 0
-
-    def step(self, state, item):
-        return state + 1
 
     def merge(self, left, right):
         return left + right

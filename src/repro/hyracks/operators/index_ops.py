@@ -91,31 +91,3 @@ class IndexBulkLoadOperator(OperatorDescriptor):
         (stream,) = inputs
         load_index(ctx, self.index_name, partition, self.index_factory, stream)
         return {}
-
-
-#: Mutation opcodes consumed by :class:`IndexInsertDeleteOperator`.
-OP_INSERT = "insert"
-OP_DELETE = "delete"
-
-
-class IndexInsertDeleteOperator(OperatorDescriptor):
-    """Applies ``(op, key, value)`` mutations to the registered index."""
-
-    def __init__(self, index_name, name=None):
-        super().__init__(name or "IndexInsertDelete(%s)" % index_name)
-        self.index_name = index_name
-
-    def run(self, ctx, partition, inputs):
-        (stream,) = inputs
-        mutations = list(stream)
-        if not mutations:
-            return {}
-        index = get_index(ctx, self.index_name, partition)
-        for op, key, value in mutations:
-            if op == OP_INSERT:
-                index.insert(key, value)
-            elif op == OP_DELETE:
-                index.delete(key)
-            else:
-                raise StorageError("unknown index mutation opcode %r" % (op,))
-        return {}

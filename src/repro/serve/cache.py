@@ -68,15 +68,14 @@ class LRUCache:
     :param capacity: max entries; inserting past it evicts the least
         recently used entry.
     :param telemetry: optional telemetry session; hits and misses are
-        counted as ``<metric_prefix>_hit`` / ``<metric_prefix>_miss``.
+        counted as ``serve.cache_hit`` / ``serve.cache_miss``.
     """
 
-    def __init__(self, capacity=64, telemetry=None, metric_prefix="serve.cache"):
+    def __init__(self, capacity=64, telemetry=None):
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = int(capacity)
         self.telemetry = telemetry
-        self.metric_prefix = metric_prefix
         self._entries = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -116,9 +115,7 @@ class LRUCache:
 
     def _count(self, kind):
         if self.telemetry is not None:
-            self.telemetry.registry.counter(
-                "%s_%s" % (self.metric_prefix, kind)
-            ).inc()
+            self.telemetry.registry.counter("serve.cache_" + kind).inc()
 
     def stats(self):
         with self._lock:

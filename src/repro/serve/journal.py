@@ -247,17 +247,18 @@ class Journal:
     :param fault_injector: chaos hook consulted at ``journal.append``.
     :param retry: a :class:`~repro.hdfs.retry.RetryPolicy` absorbing
         ``transient_io`` faults in place.
-    :param latency_window: appends in the rolling latency average that
-        overload shedding consults.
     """
 
+    #: appends in the rolling latency average overload shedding consults.
+    LATENCY_WINDOW = 32
+
     def __init__(self, storage, telemetry=None, fault_injector=None,
-                 retry=None, latency_window=32):
+                 retry=None):
         self.storage = storage
         self.telemetry = telemetry
         self.fault_injector = fault_injector
         self.retry = retry
-        self._latencies = deque(maxlen=max(int(latency_window), 1))
+        self._latencies = deque(maxlen=self.LATENCY_WINDOW)
         self._lock = threading.Lock()
         self._frozen = False
         self.records_appended = 0

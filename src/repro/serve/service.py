@@ -104,7 +104,6 @@ class JobService(ServiceDocuments):
         (queue depth, node counts, cache hit ratio, journal latency,
         per-tenant virtual time — the ``GET /stats/history`` window);
         ``None``/0 disables the sampler.
-    :param history_capacity: retained history samples (ring buffer).
     """
 
     def __init__(
@@ -132,7 +131,6 @@ class JobService(ServiceDocuments):
         batch_max=1,
         batch_window=0.25,
         history_interval=0.5,
-        history_capacity=600,
     ):
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         if cluster is None:
@@ -214,9 +212,7 @@ class JobService(ServiceDocuments):
             )
         self.history = None
         if history_interval:
-            self.history = HistorySampler(
-                self, interval=history_interval, capacity=history_capacity
-            )
+            self.history = HistorySampler(self, interval=history_interval)
 
     # ------------------------------------------------------------------
     # datasets

@@ -31,19 +31,19 @@ class StuckJobWatchdog:
     :param service: the owning :class:`~repro.serve.service.JobService`.
     :param multiple: how many rolling-average superstep durations a job
         may spend in one superstep before it is flagged.
-    :param min_supersteps: boundaries a job must have reported before
-        its average is trusted (young jobs have noisy means).
-    :param min_stall_seconds: absolute floor on the stall threshold so
-        fast jobs (sub-millisecond supersteps) aren't flagged by jitter.
     :param interval: scan period of the background thread.
     """
 
-    def __init__(self, service, multiple=8.0, min_supersteps=3,
-                 min_stall_seconds=1.0, interval=0.25):
+    #: boundaries a job must have reported before its average is trusted
+    #: (young jobs have noisy means).
+    min_supersteps = 3
+    #: absolute floor on the stall threshold so fast jobs (sub-millisecond
+    #: supersteps) aren't flagged by jitter.
+    min_stall_seconds = 1.0
+
+    def __init__(self, service, multiple=8.0, interval=0.25):
         self.service = service
         self.multiple = float(multiple)
-        self.min_supersteps = int(min_supersteps)
-        self.min_stall_seconds = float(min_stall_seconds)
         self.interval = float(interval)
         self.flagged = 0
         self._thread = None

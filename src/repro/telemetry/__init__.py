@@ -13,14 +13,13 @@ The observability spine of the reproduction (DESIGN.md "Telemetry"):
   for discrete occurrences (evictions, LSM flushes, checkpoints,
   failures, optimizer re-plans).
 * :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON (Perfetto
-  / ``about://tracing``), JSONL, ring buffer, and summary-table sinks.
+  / ``about://tracing``), JSONL, and summary-table sinks.
 * :mod:`repro.telemetry.session` — the :class:`Telemetry` facade wiring
   the three together, one per simulated cluster.
 """
 
 from repro.telemetry.events import Event, EventLog
 from repro.telemetry.export import (
-    RingBufferSink,
     chrome_trace,
     chrome_trace_events,
     iter_records,
@@ -52,7 +51,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ReadCounter",
-    "RingBufferSink",
     "ScopedRegistry",
     "SimClock",
     "Span",

@@ -1,4 +1,4 @@
-"""Telemetry sinks: Chrome trace JSON, JSONL, ring buffer, summary table.
+"""Telemetry sinks: Chrome trace JSON, JSONL, summary table.
 
 The Chrome exporter emits the ``trace_event`` format that
 ``about://tracing`` and Perfetto load directly: a ``B``/``E`` duration
@@ -13,9 +13,6 @@ import json
 
 #: pid used for every emitted trace event (one simulated cluster process).
 TRACE_PID = 1
-
-#: Sentinel distinguishing "metric never collected" from a stored 0.
-_UNSEEN = object()
 
 
 def _us(ts, timebase):
@@ -137,10 +134,10 @@ def write_chrome_trace(telemetry, path):
 
 
 # ---------------------------------------------------------------------
-# record streams (JSONL / ring buffer)
+# record streams (JSONL)
 # ---------------------------------------------------------------------
 def metric_record(metric):
-    """One metric as a flat export record (shared by every record sink)."""
+    """One metric as a flat export record."""
     record = {
         "type": "metric",
         "kind": metric.kind,
@@ -179,57 +176,6 @@ def write_jsonl(telemetry, path_or_file):
     finally:
         if owns:
             handle.close()
-
-
-class RingBufferSink:
-    """Holds the last ``capacity`` exported records in memory.
-
-    ``collect`` is incremental: a span or event already collected is
-    never re-appended on a later call (high-water marks over the
-    tracer's and event log's monotone emit counters), and a metric is
-    re-appended only when it changed since the previous collect — so a
-    periodic collector sees each record once, not once per tick.
-    """
-
-    def __init__(self, capacity=4096):
-        from collections import deque
-
-        self.capacity = int(capacity)
-        self._records = deque(maxlen=self.capacity)
-        self._spans_seen = 0   # finished + dropped spans already collected
-        self._events_seen = 0  # emitted events already collected
-        self._metric_marks = {}
-
-    def collect(self, telemetry):
-        tracer = telemetry.tracer
-        spans = tracer.finished_spans()
-        dropped = tracer.dropped
-        for span in spans[max(self._spans_seen - dropped, 0):]:
-            self._records.append(span.to_record())
-        self._spans_seen = dropped + len(spans)
-        events = list(telemetry.events)
-        dropped = telemetry.events.dropped
-        for event in events[max(self._events_seen - dropped, 0):]:
-            self._records.append(event.to_record())
-        self._events_seen = dropped + len(events)
-        for metric in telemetry.registry.iter_metrics():
-            key = (metric.name, metric.labels)
-            mark = (
-                (metric.count, metric.total)
-                if metric.kind == "histogram"
-                else metric.value
-            )
-            if self._metric_marks.get(key, _UNSEEN) == mark:
-                continue
-            self._metric_marks[key] = mark
-            self._records.append(metric_record(metric))
-        return len(self._records)
-
-    def records(self):
-        return list(self._records)
-
-    def __len__(self):
-        return len(self._records)
 
 
 # ---------------------------------------------------------------------

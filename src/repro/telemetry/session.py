@@ -15,7 +15,7 @@ they are the statistics collector's substrate and cost almost nothing),
 which keeps hot paths cheap when nobody asked for a trace.
 """
 
-from repro.telemetry.events import DEFAULT_CAPACITY, EventLog
+from repro.telemetry.events import EventLog
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import DEFAULT_MAX_SPANS, SimClock, Tracer
 
@@ -26,7 +26,6 @@ class Telemetry:
     def __init__(
         self,
         enabled=True,
-        event_capacity=DEFAULT_CAPACITY,
         max_spans=DEFAULT_MAX_SPANS,
         registry=None,
     ):
@@ -36,7 +35,7 @@ class Telemetry:
         self.tracer = Tracer(
             sim_clock=self.sim_clock, max_spans=max_spans, enabled=enabled
         )
-        self.events = EventLog(capacity=event_capacity, enabled=enabled)
+        self.events = EventLog(enabled=enabled)
 
     # ------------------------------------------------------------------
     # collection conveniences

@@ -1,114 +1,172 @@
-"""The perf-regression harness itself: report shape, verdicts, CLI exit.
+"""The gate loop itself, as properties that hold for every row of ``GATES``.
 
-The real CI gate runs the full microbench (``repro bench``); these tests
-use a miniature configuration (few vertices, zero latency scale, no
-speedup threshold) so they validate the harness mechanics — measurement,
-bit-identity checks, verdict logic, report serialization — in seconds.
+The real gates (``repro bench <gate>``) run at their default config in CI;
+here every row runs at a miniature one (tens of vertices, latency 0, one
+repeat), so what is checked is the mechanics — measurement, bit-identity,
+bounds, evidence, verdict, report, CLI exit — in seconds.
 """
 
+import dataclasses
+import itertools
 import json
 
-from repro.bench import regression
+import pytest
+
+from repro.bench.gates import GATES, measure, run_gate, summary_lines
 from repro.bench.reporting import write_report
 
-TINY = dict(
-    vertices=40,
-    iterations=2,
-    num_nodes=2,
-    io_latency_scale=0.0,
-    workers=(2,),
-    repeats=1,
-    graph_seed=3,
-)
+TINY = {
+    "parallel": dict(vertices=40, iterations=2, nodes=2, workers=(1, 2)),
+    "elastic": dict(vertices=40, iterations=4, nodes=2, scale_superstep=2),
+    "batch": dict(vertices=40, nodes=2, workers=(1, 2), sources=(0, 7, 19)),
+}
+REPORT_KEYS = {"gate", "benchmark", "config", "ratio", "sense", "cases",
+               "comparisons", "evidence", "pass"}
+
+every_gate = pytest.mark.parametrize("name", sorted(GATES))
 
 
-def run_tiny(min_speedup=0.0, **overrides):
-    config = dict(TINY, min_speedup=min_speedup)
+def tiny(name, reachable=True, **overrides):
+    """Row ``name`` in miniature, its bound trivially (un)reachable."""
+    gate = GATES[name]
+    floor = gate.sense == ">="
+    bound = (0.0 if floor else 1000.0) if reachable else (1000.0 if floor else -1.0)
+    config = dict(TINY[name], io_latency_scale=0.0, repeats=1, bound=bound)
     config.update(overrides)
-    return regression.run_regression(**config)
+    return dataclasses.replace(
+        gate, config=dataclasses.replace(gate.config, **config)
+    )
 
 
-def test_report_structure_and_bit_identity():
-    report = run_tiny()
-    assert report["benchmark"] == "parallel-superstep-microbench"
-    assert report["algorithm"] == "pagerank"
+def refingerprinted(gate, fingerprint_of):
+    """``gate`` whose cases report ``fingerprint_of(case, real fingerprint)``."""
+    def wrap(name, run):
+        def wrapped(driver, config):
+            details, fingerprint = run(driver, config)
+            return details, fingerprint_of(name, fingerprint)
+        return wrapped
+
+    return dataclasses.replace(gate, cases=lambda config: {
+        name: (options, wrap(name, run))
+        for name, (options, run) in gate.cases(config).items()
+    })
+
+
+def test_every_row_is_covered():
+    assert sorted(TINY) == sorted(GATES)
+
+
+@every_gate
+def test_one_report_schema_and_json_round_trip(name, tmp_path):
+    gate = tiny(name)
+    report = run_gate(gate)
+    assert set(report) == REPORT_KEYS
+    assert report["gate"] == name
     assert report["config"]["vertices"] == 40
-    sequential = report["sequential"]
-    assert sequential["parallelism"] == 1
-    assert sequential["seconds"] > 0
-    assert sequential["supersteps"] > 0
-    assert sequential["throughput_vertex_supersteps_per_sec"] > 0
-    (parallel,) = report["parallel"]
-    assert parallel["parallelism"] == 2
-    assert parallel["bit_identical_to_sequential"] is True
-    assert parallel["speedup"] > 0
-    # min_speedup=0: the verdict reduces to the determinism check.
-    assert report["pass"] is True
-
-
-def test_unreachable_speedup_threshold_fails_the_verdict():
-    # Without latency realism a single-core box cannot speed anything
-    # up 1000x, so the perf gate must report failure.
-    report = run_tiny(min_speedup=1000.0)
-    assert report["pass"] is False
-    assert all(r["bit_identical_to_sequential"] for r in report["parallel"])
-
-
-def test_worker_counts_are_deduplicated_and_sorted():
-    report = run_tiny(workers=(4, 2, 2, 1))
-    assert [r["parallelism"] for r in report["parallel"]] == [2, 4]
-
-
-def test_write_report_round_trips(tmp_path):
-    report = run_tiny()
-    path = str(tmp_path / "BENCH_parallel.json")
+    assert set(report["cases"]) == set(gate.cases(gate.config))
+    assert all(case["seconds"] > 0 for case in report["cases"].values())
+    assert [(c["variant"], c["baseline"], c["bound"] is not None)
+            for c in report["comparisons"]] == gate.comparisons(gate.config)
+    path = str(tmp_path / gate.default_out)
     assert write_report(report, path) == path
     with open(path) as handle:
         assert json.load(handle) == report
 
 
-def test_summary_lines_render_verdict():
-    report = run_tiny()
-    lines = regression.summary_lines(report)
-    assert any("sequential:" in line for line in lines)
-    assert any("parallel-2:" in line for line in lines)
-    assert lines[-1].startswith("  verdict: PASS")
-
-
-def test_cli_bench_exit_status_tracks_verdict(tmp_path, capsys):
-    from repro.cli import main
-
-    out = str(tmp_path / "bench.json")
-    argv = [
-        "bench",
-        "--out", out,
-        "--vertices", "40",
-        "--iterations", "2",
-        "--nodes", "2",
-        "--parallel", "2",
-        "--io-latency", "0",
-        "--repeats", "1",
-        "--min-speedup", "0",
+@every_gate
+def test_loose_bound_passes_unreachable_bound_fails(name):
+    assert run_gate(tiny(name))["pass"] is True
+    report = run_gate(tiny(name, reachable=False))
+    assert report["pass"] is False
+    assert report["evidence"] is True
+    assert all(c["bit_identical"] for c in report["comparisons"])
+    assert [c["within_bound"] for c in report["comparisons"]] == [
+        c["bound"] is None for c in report["comparisons"]
     ]
-    assert main(argv) == 0
-    with open(out) as handle:
-        report = json.load(handle)
-    assert report["pass"] is True
-    assert "verdict: PASS" in capsys.readouterr().out
 
 
-def test_cli_bench_out_is_honoured_and_defaults_per_gate(tmp_path, monkeypatch):
+@every_gate
+def test_repeats_that_disagree_raise(name):
+    serial = itertools.count()
+    gate = refingerprinted(tiny(name, repeats=2), lambda case, real: next(serial))
+    with pytest.raises(AssertionError, match="different outputs"):
+        run_gate(gate)
+
+
+@every_gate
+def test_diverged_variant_fails_whatever_its_ratio(name):
+    variant = GATES[name].comparisons(tiny(name).config)[0][0]
+    report = run_gate(refingerprinted(
+        tiny(name), lambda case, real: "other" if case == variant else real
+    ))
+    assert report["pass"] is False
+    assert all(c["within_bound"] for c in report["comparisons"])
+    assert [c["bit_identical"] for c in report["comparisons"]] == [
+        variant not in (c["variant"], c["baseline"])
+        for c in report["comparisons"]
+    ]
+    assert any("OUTPUT DIVERGED" in line for line in summary_lines(report))
+
+
+def test_elastic_resize_that_never_fires_fails_on_evidence():
+    report = run_gate(tiny("elastic", scale_superstep=99))
+    assert report["evidence"] is False
+    assert report["pass"] is False
+    assert all(c["bit_identical"] and c["within_bound"]
+               for c in report["comparisons"])
+    assert any(line.startswith("  evidence: MISSING")
+               for line in summary_lines(report))
+
+
+def test_only_the_highest_worker_count_of_parallel_is_bounded():
+    gate = GATES["parallel"]
+    assert gate.comparisons(gate.config) == [
+        ("p2", "p1", False), ("p4", "p1", True),
+    ]
+
+
+def test_measure_keeps_the_fastest_repeat():
+    runs = iter([({"seconds": 3.0}, "f"), ({"seconds": 1.0}, "f"),
+                 ({"seconds": 2.0}, "f")])
+    assert measure(lambda: next(runs), 3) == ({"seconds": 1.0}, "f")
+
+
+@every_gate
+def test_summary_ends_in_the_verdict(name):
+    for reachable, verdict in ((True, "PASS"), (False, "FAIL")):
+        lines = summary_lines(run_gate(tiny(name, reachable=reachable)))
+        assert lines[0].startswith(name + " gate")
+        assert lines[-1] == "  verdict: " + verdict
+
+
+@every_gate
+def test_cli_exit_status_and_report_path(name, tmp_path, monkeypatch, capsys):
     from repro.cli import main
 
     monkeypatch.chdir(tmp_path)
-    elastic = ["bench", "--elastic", "--vertices", "40", "--iterations", "4",
-               "--nodes", "2", "--io-latency", "0", "--repeats", "1",
-               "--max-overhead", "1000"]
-    # An explicit --out wins even when it names another gate's default.
-    main(elastic + ["--out", "BENCH_parallel.json"], out=lambda line: None)
-    with open(tmp_path / "BENCH_parallel.json") as handle:
-        assert json.load(handle)["benchmark"] == "elastic-rebalance-microbench"
-    assert not (tmp_path / "BENCH_elastic.json").exists()
-    main(elastic, out=lambda line: None)
-    with open(tmp_path / "BENCH_elastic.json") as handle:
-        assert json.load(handle)["benchmark"] == "elastic-rebalance-microbench"
+    monkeypatch.setitem(GATES, name, tiny(name))
+    assert main(["bench", name]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+    with open(tmp_path / ("BENCH_%s.json" % name)) as handle:
+        assert json.load(handle)["pass"] is True
+
+    monkeypatch.setitem(GATES, name, tiny(name, reachable=False))
+    assert main(["bench", name, "--out", "elsewhere.json"]) == 1
+    assert "verdict: FAIL" in capsys.readouterr().out
+    with open(tmp_path / "elsewhere.json") as handle:
+        assert json.load(handle)["gate"] == name
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCH_%s.json" % name, "elsewhere.json",
+    ]
+
+
+@pytest.mark.parametrize("argv", [["bench"], ["bench", "serial"],
+                                  ["bench", "--elastic"],
+                                  ["bench", "parallel", "--vertices", "40"]])
+def test_cli_rejects_what_is_not_a_gate(argv, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as error:
+        main(argv)
+    assert error.value.code == 2
+    capsys.readouterr()

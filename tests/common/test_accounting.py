@@ -33,12 +33,6 @@ class TestMemoryBudget:
             budget.allocate(11)
         assert budget.used == 0
 
-    def test_try_allocate(self):
-        budget = MemoryBudget(10)
-        assert budget.try_allocate(10)
-        assert not budget.try_allocate(1)
-        assert budget.used == 10
-
     def test_peak_tracking(self):
         budget = MemoryBudget(100)
         budget.allocate(80)

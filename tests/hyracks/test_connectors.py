@@ -5,7 +5,6 @@ import pytest
 from repro.common import serde
 from repro.hyracks.engine import JobContext
 from repro.hyracks.connectors import (
-    BroadcastConnector,
     MToNPartitioningConnector,
     MToNPartitioningMergingConnector,
     MToOneAggregatorConnector,
@@ -99,11 +98,3 @@ class TestAggregatorConnector:
         routed = connector.route([[(1,)], [(2,)], [(3,)]], 3, ctx)
         assert sorted(routed[0]) == [(1,), (2,), (3,)]
         assert routed[1] == [] and routed[2] == []
-
-
-class TestBroadcast:
-    def test_replicates_everywhere(self, ctx):
-        connector = BroadcastConnector()
-        routed = connector.route([[(1,)], [(2,)]], 3, ctx)
-        for batch in routed:
-            assert sorted(batch) == [(1,), (2,)]

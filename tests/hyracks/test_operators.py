@@ -9,12 +9,8 @@ from repro.common.errors import StorageError
 from repro.common.serde import encode_key
 from repro.hyracks.engine import HyracksCluster, JobContext, TaskContext
 from repro.hyracks.operators.aggregate import (
-    BoolAndAggregator,
-    CountAggregator,
     GlobalAggregateOperator,
     LocalAggregateOperator,
-    MaxAggregator,
-    MinAggregator,
     SumAggregator,
 )
 from repro.hyracks.operators.groupby import (
@@ -24,10 +20,7 @@ from repro.hyracks.operators.groupby import (
     SortGroupByOperator,
 )
 from repro.hyracks.operators.index_ops import (
-    OP_DELETE,
-    OP_INSERT,
     IndexBulkLoadOperator,
-    IndexInsertDeleteOperator,
     IndexScanOperator,
     get_index,
     register_index,
@@ -146,20 +139,8 @@ class TestGroupBy:
 
 
 class TestScalarAggregators:
-    def test_bool_and(self):
-        agg = BoolAndAggregator()
-        state = agg.create()
-        for value in (True, True, False):
-            state = agg.step(state, value)
-        assert state is False
-        assert agg.merge(True, True) is True
-
-    def test_sum_min_max_count(self):
+    def test_sum(self):
         assert SumAggregator().step(5, 3) == 8
-        assert MinAggregator().step(None, 9) == 9
-        assert MinAggregator().merge(4, None) == 4
-        assert MaxAggregator().step(2, 7) == 7
-        assert CountAggregator().step(3, "anything") == 4
 
     def test_two_stage_pipeline(self, ctx):
         local = LocalAggregateOperator(SumAggregator())
@@ -197,20 +178,6 @@ class TestIndexOperators:
         load.run(ctx, 0, [[(encode_key(2), b"new")]])
         assert get_index(ctx, "idx", 0).lookup(encode_key(1)) is None
         assert get_index(ctx, "idx", 0).lookup(encode_key(2)) == b"new"
-
-    def test_insert_delete(self, ctx):
-        build_vertex_index(ctx, [(1, b"a"), (2, b"b")], name="idx")
-        op = IndexInsertDeleteOperator("idx")
-        op.run(ctx, 0, [[(OP_INSERT, encode_key(3), b"c"), (OP_DELETE, encode_key(1), None)]])
-        index = get_index(ctx, "idx", 0)
-        assert index.lookup(encode_key(1)) is None
-        assert index.lookup(encode_key(3)) == b"c"
-
-    def test_unknown_opcode_raises(self, ctx):
-        build_vertex_index(ctx, [(1, b"a")], name="idx")
-        op = IndexInsertDeleteOperator("idx")
-        with pytest.raises(StorageError):
-            op.run(ctx, 0, [[("upsert", encode_key(1), b"x")]])
 
     def test_missing_index_raises(self, ctx):
         scan = IndexScanOperator("ghost")

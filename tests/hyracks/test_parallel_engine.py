@@ -16,7 +16,6 @@ import pytest
 from repro.common import serde
 from repro.common.errors import JobFailure
 from repro.hyracks.connectors import (
-    BroadcastConnector,
     MToNPartitioningConnector,
     MToNPartitioningMergingConnector,
     MToOneAggregatorConnector,
@@ -55,7 +54,6 @@ CONNECTORS = {
         False,
     ),
     "aggregator": (MToOneAggregatorConnector, False, False),
-    "broadcast": (BroadcastConnector, False, False),
 }
 
 
@@ -144,7 +142,6 @@ class TestHandoffMatchesRoute:
                     _first, tuple_serde=tuple_serde
                 ),
                 "aggregator": lambda: MToOneAggregatorConnector(tuple_serde),
-                "broadcast": lambda: BroadcastConnector(tuple_serde),
             }[name]()
             rng = random.Random(name)
             batches = [

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.telemetry import RingBufferSink, Telemetry, chrome_trace_events
+from repro.telemetry import Telemetry, chrome_trace_events
 
 
 def build_session():
@@ -102,45 +102,6 @@ class TestJsonl:
             r for r in records if r["type"] == "metric" and r["kind"] == "histogram"
         ]
         assert histograms and "summary" in histograms[0]
-
-
-class TestRingBufferSink:
-    def test_collect_bounded(self):
-        telemetry = build_session()
-        sink = RingBufferSink(capacity=5)
-        sink.collect(telemetry)
-        assert len(sink) == 5  # only the newest five records retained
-        assert all(isinstance(record, dict) for record in sink.records())
-
-    def test_repeated_collect_does_not_duplicate(self):
-        # Regression: collect() used to re-append the whole session every
-        # call, so a periodic flusher filled the ring with N copies of
-        # the oldest spans. Two collects with nothing new in between must
-        # leave the buffer unchanged.
-        telemetry = build_session()
-        sink = RingBufferSink(capacity=100)
-        sink.collect(telemetry)
-        first = list(sink.records())
-        sink.collect(telemetry)
-        assert list(sink.records()) == first
-
-    def test_incremental_collect_appends_only_new_records(self):
-        telemetry = build_session()
-        sink = RingBufferSink(capacity=100)
-        sink.collect(telemetry)
-        baseline = len(sink)
-        with telemetry.span("late-span"):
-            pass
-        telemetry.event("late.event", category="test")
-        telemetry.counter("engine.jobs_executed").inc()  # changed metric
-        sink.collect(telemetry)
-        added = [r for r in sink.records()[baseline:]]
-        names = [r.get("name") for r in added]
-        assert names.count("late-span") == 1
-        assert names.count("late.event") == 1
-        assert names.count("engine.jobs_executed") == 1
-        # An untouched metric is not re-emitted.
-        assert "pregelix.superstep_seconds" not in names
 
 
 class TestSummary:

@@ -144,17 +144,6 @@ class TestTrace:
         assert "superstep:1" in names
         assert document["otherData"]["sim_seconds"] > 0
 
-    def test_trace_subcommand(self, chain_dir, tmp_path):
-        trace_path = str(tmp_path / "out.json")
-        code, lines = run_cli(
-            ["trace", "sssp", "--input", chain_dir, "--nodes", "2",
-             "--out", trace_path]
-        )
-        assert code == 0
-        with open(trace_path) as handle:
-            document = json.load(handle)
-        assert document["traceEvents"]
-
     def test_trace_jsonl_sidecar(self, chain_dir, tmp_path):
         jsonl_path = str(tmp_path / "telemetry.jsonl")
         code, _lines = run_cli(

@@ -37,8 +37,18 @@ standard library. Rejections map admission codes onto HTTP statuses:
 A request body is size-capped by its declared ``Content-Length``
 (:data:`MAX_BODY_BYTES`): larger is 413, negative or non-numeric is
 400, both answered without reading the body.
-A job that failed by deadline answers its result query with 410 plus a
-``Retry-After`` hint (re-submission with a larger budget may succeed).
+A terminal job without a result document answers its result query with
+410: code ``no_result`` when it never produced one (plus a
+``Retry-After`` hint when it failed by deadline — re-submission with a
+larger budget may succeed), code ``expired`` when it succeeded but is no
+longer among the :data:`~repro.serve.lifecycle.RETAINED_RESULTS` most
+recently finished jobs (its ``result_digest`` stays on the job record;
+re-submitting the request re-serves it, from the result cache while that
+holds it).
+
+Transport: every response leaves as one write on a ``TCP_NODELAY``
+connection (see :meth:`_Handler._send`), and a connection that stays
+silent for :data:`READ_TIMEOUT_SECONDS` is closed.
 """
 
 import json
@@ -54,6 +64,7 @@ from repro.serve.api import (
     REJECT_QUARANTINED,
     REJECT_QUEUE_FULL,
     AdmissionRejected,
+    JobState,
     Rejection,
     ServiceCrashed,
 )
@@ -64,6 +75,9 @@ _TOO_MANY = (REJECT_OVER_MEMORY, REJECT_QUEUE_FULL, REJECT_DRAINING)
 #: Largest request body the server will read (submissions are a few
 #: hundred bytes; nothing legitimate comes close).
 MAX_BODY_BYTES = 1 << 20
+#: How long a connection may sit silent (between requests or part-way
+#: through one) before the server closes it and frees its thread.
+READ_TIMEOUT_SECONDS = 30
 
 
 class _BodyRefused(Exception):
@@ -80,6 +94,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_SECONDS
+    disable_nagle_algorithm = True
 
     @property
     def service(self):
@@ -134,30 +150,42 @@ class _Handler(BaseHTTPRequestHandler):
                         "job is %s; result not ready" % record.state.value,
                         details={"state": record.state.value},
                     )
-                elif record.result is None:
-                    headers = None
-                    if record.error_kind == ERROR_KIND_TIMEOUT:
-                        # Deadline-failed: worth retrying with a larger
-                        # budget once load drops.
-                        headers = {"Retry-After": "1"}
-                    self._error(
-                        410, "no_result",
-                        record.error or "job produced no result",
-                        details={"state": record.state.value,
-                                 "error_kind": record.error_kind},
-                        headers=headers,
-                    )
                 else:
-                    doc = dict(record.result)
-                    doc["job_id"] = record.job_id
-                    doc["cache_hit"] = record.cache_hit
-                    self._json(200, doc)
+                    self._result(record)
             elif len(parts) == 4 and parts[3] == "trace":
                 self._json(200, self.service.job_trace(parts[2]))
             else:
                 self._error(404, "not_found", "unknown path %r" % path)
         else:
             self._error(404, "not_found", "unknown path %r" % path)
+
+    def _result(self, record):
+        """Answer ``GET /jobs/<id>/result`` for a terminal ``record``."""
+        result = record.result  # read once: retention may drop it meanwhile
+        details = {"state": record.state.value}
+        if result is not None:
+            doc = dict(result)
+            doc["job_id"] = record.job_id
+            doc["cache_hit"] = record.cache_hit
+            self._json(200, doc)
+        elif record.state is JobState.SUCCEEDED:
+            details["result_digest"] = record.result_digest
+            self._error(
+                410, "expired",
+                "result document no longer retained; re-submit the request",
+                details=details,
+            )
+        else:
+            headers = None
+            if record.error_kind == ERROR_KIND_TIMEOUT:
+                # Deadline-failed: worth retrying with a larger budget
+                # once load drops.
+                headers = {"Retry-After": "1"}
+            details["error_kind"] = record.error_kind
+            self._error(
+                410, "no_result", record.error or "job produced no result",
+                details=details, headers=headers,
+            )
 
     def do_POST(self):
         try:
@@ -263,23 +291,29 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(status, {"error": rejection.to_dict()}, headers=headers)
 
     def _json(self, status, payload, headers=None):
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, json.dumps(payload).encode("utf-8"),
+                   "application/json", headers)
 
     def _text(self, status, body, content_type):
-        """One whole-body write (scrapers never observe torn lines)."""
-        body = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, body.encode("utf-8"), content_type)
+
+    def _send(self, status, body, content_type, headers=None):
+        """The whole response — status line, headers, body — in one
+        write, so no part of it waits in the kernel for the client's
+        ACK of an earlier part (and scrapers never observe torn
+        lines)."""
+        lines = [
+            "%s %d %s" % (self.protocol_version, status,
+                          self.responses[status][0]),
+            "Server: " + self.version_string(),
+            "Date: " + self.date_time_string(),
+            "Content-Type: " + content_type,
+            "Content-Length: %d" % len(body),
+        ]
+        lines.extend("%s: %s" % item for item in (headers or {}).items())
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self.log_request(status)
+        self.wfile.write(head.encode("latin-1") + body)
 
 
 class ServeHTTPServer:

@@ -8,7 +8,14 @@ restart), the ``service.crash`` chaos site, and the poison-job
 quarantine ledger. Nothing else in the serve tier writes the journal or
 marks a job terminal, so "what does a crash at this instant leave
 behind?" is answered by this module alone.
+
+It also decides what a terminal job keeps resident: its record
+(metadata, timings, ``result_digest``) for good, its result document
+only while it is among the :data:`RETAINED_RESULTS` most recently
+finalized jobs — live and after :meth:`~JobLifecycle.recover` alike.
 """
+
+from collections import deque
 
 from repro.common.errors import ReproError
 from repro.serve.api import (
@@ -27,6 +34,11 @@ from repro.serve.journal import (
     RECORD_SUBMITTED,
 )
 
+#: How many of the most recently finalized jobs keep their result
+#: document; an older one answers ``GET /jobs/<id>/result`` with
+#: ``410 expired``. The journal still holds every result.
+RETAINED_RESULTS = 64
+
 
 class JobLifecycle:
     """Job table + durable transitions for one :class:`JobService`.
@@ -44,6 +56,8 @@ class JobLifecycle:
         #: Set by the ``service.crash`` chaos site: the "process" died.
         self.crashed = False
         self._lock = lock
+        # The most recently finalized records, oldest first.
+        self._retained = deque()
         # Poison-job quarantine: request identity -> strike bookkeeping.
         self._poison_strikes = {}
         self._quarantine = {}
@@ -85,7 +99,8 @@ class JobLifecycle:
 
         * ``finished`` → a terminal record; a succeeded one re-seeds the
           result cache from its journaled key, so the job is never
-          re-executed.
+          re-executed, and keeps its result document under the same
+          retention rule as a live finalize.
         * ``cancelled`` → stays cancelled.
         * ``started`` with no terminal record → re-queued carrying its
           run id and plan signature; it resumes from its last verified
@@ -170,6 +185,13 @@ class JobLifecycle:
                     record.plan_signature = started.get("plan")
                     summary["resumed"] += 1
                 self.enqueue(record)
+        with self._lock:
+            # Journal order is the order the jobs were finalized in.
+            for payload in replay.records:
+                if payload.get("type") in (RECORD_FINISHED, RECORD_CANCELLED):
+                    record = self.jobs.get(payload.get("job_id"))
+                    if record is not None:
+                        self._retain(record)
         service.telemetry.event("serve.recover", category="serve", **summary)
         return summary
 
@@ -229,6 +251,10 @@ class JobLifecycle:
             if error is not None:
                 record.error = error
                 record.error_kind = error_kind
+            # The journal gets the document as it was at this instant,
+            # whatever retention does to the record afterwards.
+            result = record.result
+            self._retain(record)
             record.mark(state)
         tenant = record.request.tenant
         registry = self.service.telemetry.registry
@@ -247,8 +273,16 @@ class JobLifecycle:
                 registry.histogram(
                     "serve.latency.%s_seconds" % which, tenant=tenant
                 ).observe(breakdown[key])
-        self._journal_finished(record, state, reason=reason)
+        self._journal_finished(record, state, result, reason=reason)
         return True
+
+    def _retain(self, record):
+        """Count ``record`` as the newest finalized job and drop the
+        result document of the one that falls out of the window (caller
+        holds the lock)."""
+        self._retained.append(record)
+        if len(self._retained) > RETAINED_RESULTS:
+            self._retained.popleft().result = None
 
     def journal_submitted(self, record):
         """WAL the submission; a down journal sheds instead of enqueueing
@@ -287,7 +321,7 @@ class JobLifecycle:
             plan=record.plan_signature, attempt=record.attempts, **extra,
         )
 
-    def _journal_finished(self, record, state, reason=None):
+    def _journal_finished(self, record, state, result, reason=None):
         journal = self.service.journal
         if journal is None:
             return
@@ -305,7 +339,7 @@ class JobLifecycle:
                 "cache_hit": record.cache_hit,
             }
             if state is JobState.SUCCEEDED:
-                fields["result"] = record.result
+                fields["result"] = result
                 fields["digest"] = record.result_digest
                 if record.cache_key is not None:
                     fields["cache_key"] = list(record.cache_key)

@@ -3,20 +3,24 @@
 Both drive a real HTTP listener end to end and print one ``ok``/``FAIL``
 line per check, then a ``PASS``/``FAIL`` verdict; the exit code is 0
 only when every check held. They share one check ledger, one JSON HTTP
-client and one poll-until helper (:class:`_Smoke`).
+client and one poll-until helper (:class:`_Smoke`). The client is one
+keep-alive connection — the shape of a real polling client, and the one
+on which a response split over two writes stalls for a delayed ACK —
+and it times every round trip, so ``--smoke`` also guards the transport.
 """
 
 import json
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
+from http.client import HTTPConnection
+from urllib.parse import urlsplit
 
 import repro
 from repro.algorithms import algorithm_module
@@ -30,6 +34,9 @@ from repro.serve.api import JobState
 from repro.serve.http import ServeHTTPServer
 from repro.serve.service import JobService
 
+#: ``--smoke`` fails when the median keep-alive round trip is slower.
+ROUND_TRIP_P50_BOUND = 0.020
+
 
 class _Smoke:
     """Check ledger + JSON-over-HTTP client for one smoke run."""
@@ -39,6 +46,8 @@ class _Smoke:
         self.timeout = timeout
         self.base = None
         self.failures = []
+        self.round_trips = []
+        self._connection = None
 
     def check(self, label, ok, detail=""):
         self.out("%s %s%s" % ("ok  " if ok else "FAIL", label,
@@ -46,17 +55,27 @@ class _Smoke:
         if not ok:
             self.failures.append(label)
 
-    def http(self, method, path, body=None):
-        request = urllib.request.Request(
-            self.base + path, method=method,
-            data=json.dumps(body).encode() if body is not None else None,
+    def request(self, method, path, body=None):
+        """One timed round trip on the keep-alive connection; returns
+        ``(status, body bytes)``."""
+        if self._connection is None:
+            self._connection = HTTPConnection(
+                urlsplit(self.base).netloc, timeout=self.timeout
+            )
+        started = time.perf_counter()
+        self._connection.request(
+            method, path,
+            body=json.dumps(body) if body is not None else None,
             headers={"Content-Type": "application/json"},
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.status, json.loads(response.read())
-        except urllib.error.HTTPError as error:
-            return error.code, json.loads(error.read())
+        response = self._connection.getresponse()
+        data = response.read()
+        self.round_trips.append(time.perf_counter() - started)
+        return response.status, data
+
+    def http(self, method, path, body=None):
+        status, data = self.request(method, path, body)
+        return status, json.loads(data)
 
     def poll(self, path, done, interval=0.1):
         """GET ``path`` until ``done(document)`` or the deadline; returns
@@ -69,6 +88,8 @@ class _Smoke:
         return status, doc
 
     def verdict(self, name):
+        if self._connection is not None:
+            self._connection.close()
         self.out("%s: %s" % (name, "PASS" if not self.failures else
                              "FAIL (%s)" % ", ".join(self.failures)))
         return 0 if not self.failures else 1
@@ -211,10 +232,7 @@ def serve_smoke(args, out=print):
             ",".join(sorted(names)),
         )
 
-        with urllib.request.urlopen(
-            smoke.base + "/metrics", timeout=smoke.timeout
-        ) as response:
-            exposition = response.read().decode("utf-8")
+        exposition = smoke.request("GET", "/metrics")[1].decode("utf-8")
         lines = [
             line for line in exposition.splitlines()
             if line and not line.startswith("#")
@@ -262,6 +280,14 @@ def serve_smoke(args, out=print):
             and history.get("samples"),
             "status %s: taken=%s" % (status, history.get("taken")),
         )
+
+        # 5. The transport: these handlers do a millisecond of work, so a
+        # keep-alive round trip that takes longer is waiting on the wire.
+        p50 = statistics.median(smoke.round_trips)
+        out("round-trip p50 %.2f ms over %d keep-alive requests"
+            % (p50 * 1e3, len(smoke.round_trips)))
+        check("round-trip p50 under %d ms" % (ROUND_TRIP_P50_BOUND * 1e3),
+              p50 < ROUND_TRIP_P50_BOUND, "%.1f ms" % (p50 * 1e3))
     finally:
         server.close()
         drained = service.shutdown(drain=True, timeout=120)

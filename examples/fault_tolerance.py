@@ -11,6 +11,7 @@ free run.
 """
 
 from repro.algorithms import pagerank
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hdfs import MiniDFS
@@ -24,8 +25,11 @@ def run(kill_worker):
     write_graph_to_dfs(dfs, "/input/g", btc_graph(500, seed=9), num_files=4)
     driver = PregelixDriver(cluster, dfs)
     if kill_worker:
-        # node2 will power off after 60 more operator tasks.
-        cluster.nodes["node2"].inject_failure(after_tasks=60)
+        # node2 fails at the open of its 61st operator task; the
+        # failure manager blacklists it and powers it off.
+        FaultInjector(FaultPlan(
+            [FaultSpec("operator.open", node="node2", at_hit=61)]
+        )).attach(cluster)
     job = pagerank.build_job(iterations=10, checkpoint_interval=2)
     outcome = driver.run(job, "/input/g", output_path="/output/ranks")
     lines = sorted(driver.read_output("/output/ranks"))

@@ -16,10 +16,11 @@ Two halves:
   fault schedules and asserts bit-identical results plus agreement with
   an independent reference (:mod:`repro.chaos.reference`).
 
-Plus :mod:`repro.chaos.serve_drill` — crash/restart scenarios for the
-serving layer's ``service.crash`` and ``journal.append`` fault sites:
-the journaled service is killed at every lifecycle phase and must
-recover to bit-identical results.
+Plus :mod:`repro.chaos.serve_drill` — the serving layer's crash drill,
+one loop over the :data:`SCENARIOS` table of ``service.crash`` and
+``journal.append`` faults: the journaled service is killed at every
+lifecycle phase (or its journal damaged) and a restarted one must replay
+to the pinned summary and bit-identical results.
 
 Exposed on the command line as ``repro chaos``.
 """
@@ -46,11 +47,10 @@ from repro.chaos.faults import (
     check_fault,
 )
 from repro.chaos.reference import AlgorithmCase, algorithm_case, algorithm_names
-from repro.chaos.serve_drill import CRASH_PHASES, run_serve_drill
+from repro.chaos.serve_drill import SCENARIOS, run_serve_drill
 from repro.pregelix.api import PlanChoice, all_plans
 
 __all__ = [
-    "CRASH_PHASES",
     "CORE_ACTIONS",
     "FAULT_ACTIONS",
     "FAULT_SITES",
@@ -68,6 +68,7 @@ __all__ = [
     "FaultSpec",
     "FiredFault",
     "PlanChoice",
+    "SCENARIOS",
     "algorithm_case",
     "algorithm_names",
     "all_plans",

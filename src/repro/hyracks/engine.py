@@ -74,33 +74,11 @@ class NodeContext:
         self.draining = False
         self.inflight = 0
         self.fault_injector = None
-        self._fail_after_tasks = None
-        self._failure_kind = "interruption"
-        self._failure_lock = threading.Lock()
-
-    def inject_failure(self, after_tasks=0, kind="interruption"):
-        """Arrange for this node to die after ``after_tasks`` more tasks.
-
-        ``kind`` distinguishes machine interruptions from disk I/O
-        faults; both are recoverable by the Pregelix failure manager,
-        while unknown kinds are forwarded to the user (Section 5.7).
-        """
-        self._fail_after_tasks = int(after_tasks)
-        self._failure_kind = kind
 
     def check_failure(self):
-        # Clones of different operators sharing this node may check
-        # concurrently; the countdown is a read-modify-write, so take the
-        # lock to fire exactly one WorkerFailure per injected failure.
-        with self._failure_lock:
-            if not self.alive:
-                raise WorkerFailure(self.node_id)
-            if self._fail_after_tasks is not None:
-                if self._fail_after_tasks <= 0:
-                    self.alive = False
-                    self._fail_after_tasks = None
-                    raise WorkerFailure(self.node_id, kind=self._failure_kind)
-                self._fail_after_tasks -= 1
+        """A clone placed on a powered-off machine fails before it runs."""
+        if not self.alive:
+            raise WorkerFailure(self.node_id)
 
     def reset_storage(self):
         """Wipe local state (what losing a machine loses): the registry,
@@ -554,7 +532,7 @@ class HyracksCluster:
                          clone_inputs, out_edges, job_ctx, injector):
         """One partition clone as a zero-argument callable for a runner.
 
-        Failure check, injector probes at open/next/close, a task span
+        Dead-node check, injector probes at open/next/close, a task span
         around ``run``; then the clone splits its port outputs across
         each outgoing edge's consumers and accounts what it ships (bytes,
         simulated transfer latency) on whichever thread runs it, so that

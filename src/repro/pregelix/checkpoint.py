@@ -112,9 +112,6 @@ class IndexRestoreOperator(OperatorDescriptor):
         return {}
 
 
-# ---------------------------------------------------------------------
-# manifest helpers (shared by the Checkpointer and `repro checkpoints`)
-# ---------------------------------------------------------------------
 def load_manifest(dfs, directory):
     """Parse a superstep directory's committed manifest.
 
@@ -125,55 +122,6 @@ def load_manifest(dfs, directory):
     if not dfs.exists(path):
         raise CheckpointNotFound(path)
     return json.loads(dfs.read(path).decode("utf-8"))
-
-
-def verify_checkpoint(dfs, directory):
-    """Audit one superstep directory; returns a list of problems.
-
-    An empty list means the checkpoint is committed and intact: the
-    manifest parses, every listed file exists with the recorded size and
-    whole-file CRC32, and the DFS's own block checksums still match the
-    stored bytes.
-    """
-    directory = directory.rstrip("/")
-    try:
-        manifest = load_manifest(dfs, directory)
-    except CheckpointNotFound:
-        return ["no committed manifest"]
-    except (ChecksumError, ValueError) as error:
-        return ["manifest unreadable: %s" % error]
-    problems = []
-    files = manifest.get("files")
-    if not isinstance(files, dict) or not files:
-        return ["manifest lists no files"]
-    for name in sorted(files):
-        meta = files[name]
-        path = directory + "/" + name
-        if not dfs.exists(path):
-            problems.append("%s: missing" % name)
-            continue
-        status = dfs.status(path)
-        if status.length != meta.get("size"):
-            problems.append(
-                "%s: size %d != manifest %s (torn write?)"
-                % (name, status.length, meta.get("size"))
-            )
-            continue
-        bad_blocks = dfs.verify(path)
-        if bad_blocks:
-            problems.append(
-                "%s: block checksum mismatch (block %s)"
-                % (name, ", ".join(str(b) for b in bad_blocks))
-            )
-            continue
-        if dfs.content_checksum(path) != meta.get("crc32"):
-            # Stored bytes no longer match what the writer handed in —
-            # the signature of a torn write, whose consistent prefix
-            # passes every per-block CRC.
-            problems.append("%s: stored content crc32 differs from manifest" % name)
-    if "gs" not in files:
-        problems.append("manifest carries no gs entry")
-    return problems
 
 
 class Checkpointer:
@@ -287,40 +235,79 @@ class Checkpointer:
             )
         self.gc()
 
-    def committed_supersteps(self):
-        """Supersteps with a published manifest, ascending (no verify)."""
-        supersteps = set()
+    def _listing(self):
+        """``{superstep: paths below its directory}`` for every superstep
+        directory present, committed or not."""
+        listing = {}
         prefix = self.root() + "/"
         for path in self.dfs.list_files(self.root()):
-            remainder = path[len(prefix):]
-            step, _, what = remainder.partition("/")
-            if step.isdigit() and what == MANIFEST_NAME:
-                supersteps.add(int(step))
-        return sorted(supersteps)
+            step, _, what = path[len(prefix):].partition("/")
+            if step.isdigit():
+                listing.setdefault(int(step), set()).add(what)
+        return listing
+
+    def committed_supersteps(self):
+        """Supersteps with a published manifest, ascending (no verify)."""
+        return sorted(
+            step for step, names in self._listing().items() if MANIFEST_NAME in names
+        )
 
     def superstep_directories(self):
         """Every superstep directory present, committed or not."""
-        supersteps = set()
-        prefix = self.root() + "/"
-        for path in self.dfs.list_files(self.root()):
-            step = path[len(prefix):].partition("/")[0]
-            if step.isdigit():
-                supersteps.add(int(step))
-        return sorted(supersteps)
+        return sorted(self._listing())
 
     def verify(self, superstep):
-        """Problems with checkpoint ``superstep`` (empty list = intact)."""
-        problems = verify_checkpoint(self.dfs, self.directory(superstep))
-        if not problems:
-            try:
-                manifest = load_manifest(self.dfs, self.directory(superstep))
-            except (CheckpointNotFound, ChecksumError, ValueError):
-                return ["manifest vanished during verification"]
-            if manifest.get("superstep") != superstep:
+        """Audit checkpoint ``superstep``; returns a list of problems.
+
+        An empty list means the checkpoint is committed and intact: the
+        manifest parses and names this superstep and a ``gs`` entry,
+        every listed file exists with the recorded size and whole-file
+        CRC32, and the DFS's own block checksums still match the stored
+        bytes.
+        """
+        directory = self.directory(superstep)
+        try:
+            manifest = load_manifest(self.dfs, directory)
+        except CheckpointNotFound:
+            return ["no committed manifest"]
+        except (ChecksumError, ValueError) as error:
+            return ["manifest unreadable: %s" % error]
+        files = manifest.get("files")
+        if not isinstance(files, dict) or not files:
+            return ["manifest lists no files"]
+        problems = []
+        for name in sorted(files):
+            meta = files[name]
+            path = directory + "/" + name
+            if not self.dfs.exists(path):
+                problems.append("%s: missing" % name)
+                continue
+            status = self.dfs.status(path)
+            if status.length != meta.get("size"):
                 problems.append(
-                    "manifest says superstep %s, directory says %d"
-                    % (manifest.get("superstep"), superstep)
+                    "%s: size %d != manifest %s (torn write?)"
+                    % (name, status.length, meta.get("size"))
                 )
+                continue
+            bad_blocks = self.dfs.verify(path)
+            if bad_blocks:
+                problems.append(
+                    "%s: block checksum mismatch (block %s)"
+                    % (name, ", ".join(str(b) for b in bad_blocks))
+                )
+                continue
+            if self.dfs.content_checksum(path) != meta.get("crc32"):
+                # Stored bytes no longer match what the writer handed in —
+                # the signature of a torn write, whose consistent prefix
+                # passes every per-block CRC.
+                problems.append("%s: stored content crc32 differs from manifest" % name)
+        if "gs" not in files:
+            problems.append("manifest carries no gs entry")
+        if manifest.get("superstep") != superstep:
+            problems.append(
+                "manifest says superstep %s, directory says %d"
+                % (manifest.get("superstep"), superstep)
+            )
         return problems
 
     def num_partitions(self, superstep):

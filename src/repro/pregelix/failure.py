@@ -73,7 +73,8 @@ class FailureManager:
         return self.classify(failure) in (TRANSIENT, RECOVERABLE)
 
     def record(self, failure):
-        """Blacklist the failed machine; returns its node id.
+        """Blacklist the failed machine through :meth:`suspect`; returns
+        its node id.
 
         Failures whose cause carries no ``node_id`` (e.g. application
         exceptions that slipped past classification) cannot blacklist a
@@ -104,25 +105,15 @@ class FailureManager:
                     kind=getattr(cause, "kind", "unknown"),
                 )
             return None
-        self.blacklist.add(node_id)
-        node = self.cluster.nodes.get(node_id)
-        if node is not None and node.alive:
-            self.cluster.kill_node(node_id)
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "failure.blacklist",
-                category="failure",
-                node=node_id,
-                kind=getattr(failure.cause, "kind", "unknown"),
-            )
-            self.telemetry.registry.counter("pregelix.failures").inc()
+        self.suspect(node_id, reason=getattr(cause, "kind", "unknown"))
         return node_id
 
     def suspect(self, node_id, reason="heartbeat"):
-        """Blacklist a machine reported dead by liveness monitoring.
+        """Blacklist a machine and power it off; ``reason`` is the
+        evidence — missed beats, or the kind of a task failure
+        :meth:`record` attributed to it.
 
-        Idempotent; unlike :meth:`record` there is no failure object —
-        the evidence is missed beats, not a raised task error.
+        Idempotent: a machine already blacklisted is not blamed twice.
         """
         if node_id in self.blacklist:
             return

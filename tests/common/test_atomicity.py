@@ -7,17 +7,15 @@ count a serial run would produce — a lost update fails deterministically
 enough in 8×1000 iterations to catch a reintroduced race.
 
 Audited paths: telemetry counters/gauges/histograms, BufferCache stats,
-MemoryBudget, FaultInjector.check, NodeContext.check_failure,
-MiniDFS block placement, and FileManager id allocation.
+MemoryBudget, FaultInjector.check, MiniDFS block placement, and
+FileManager id allocation.
 """
 
 import threading
 
 from repro.chaos.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.common.accounting import MemoryBudget
-from repro.common.errors import WorkerFailure
 from repro.hdfs import MiniDFS
-from repro.hyracks.engine import NodeContext
 from repro.hyracks.storage.file_manager import FileManager
 from repro.telemetry.registry import MetricsRegistry
 
@@ -147,28 +145,6 @@ def test_fault_injector_fires_exactly_once():
     assert injector.checks == NUM_THREADS * (ITERATIONS // 4)
     assert plan.specs[0].hits == plan.specs[0].at_hit
     assert len(injector.fired) == 1
-
-
-def test_node_failure_countdown_fires_exactly_once(tmp_path):
-    node = NodeContext(
-        "node0",
-        root_dir=str(tmp_path / "n0"),
-        memory_bytes=1 << 20,
-        cache_bytes=1 << 16,
-        page_size=4096,
-    )
-    checks_per_thread = 50
-    node.inject_failure(after_tasks=NUM_THREADS * checks_per_thread)
-    # Concurrent countdown: exactly after_tasks checks pass unharmed...
-    hammer(lambda t: [node.check_failure() for _ in range(checks_per_thread)])
-    # ...and the very next one fires (a lost decrement would survive it).
-    failures = []
-    try:
-        node.check_failure()
-    except WorkerFailure as failure:
-        failures.append(failure)
-    assert len(failures) == 1
-    assert not node.alive
 
 
 def test_minidfs_placement_stays_evenly_spread():

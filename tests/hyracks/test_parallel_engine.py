@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.common import serde
 from repro.common.errors import JobFailure
 from repro.hyracks.connectors import (
@@ -344,7 +345,9 @@ class TestParallelEngine:
         with HyracksCluster(
             num_nodes=3, parallelism=3, root_dir=str(tmp_path / "c")
         ) as cluster:
-            cluster.nodes["node1"].inject_failure(after_tasks=1)
+            FaultInjector(FaultPlan(
+                [FaultSpec("operator.open", node="node1", at_hit=2)]
+            )).attach(cluster)
             with pytest.raises(JobFailure):
                 cluster.execute(_square_shuffle_job())
             events = cluster.telemetry.events.snapshot(name="node.failure")

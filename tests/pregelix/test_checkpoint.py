@@ -101,7 +101,9 @@ class TestRecovery:
         expected = run_reference(
             tmp_path_factory, lambda: pagerank.build_job(iterations=8)
         )
-        cluster.nodes["node1"].inject_failure(after_tasks=40)
+        FaultInjector(FaultPlan(
+            [FaultSpec("operator.open", node="node1", at_hit=41)]
+        )).attach(cluster)
         job = pagerank.build_job(iterations=8, checkpoint_interval=2)
         outcome = driver.run(job, "/in/g", output_path="/out/rec")
         assert outcome.recoveries >= 1
@@ -111,7 +113,9 @@ class TestRecovery:
     def test_loj_plan_recovers(self, env, tmp_path_factory):
         cluster, dfs, driver = env
         expected = run_reference(tmp_path_factory, lambda: sssp.build_job(source_id=0))
-        cluster.nodes["node2"].inject_failure(after_tasks=30)
+        FaultInjector(FaultPlan(
+            [FaultSpec("operator.open", node="node2", at_hit=31)]
+        )).attach(cluster)
         job = sssp.build_job(source_id=0, checkpoint_interval=1)
         outcome = driver.run(job, "/in/g", output_path="/out/rec2")
         assert outcome.recoveries >= 1
@@ -119,7 +123,9 @@ class TestRecovery:
 
     def test_failure_without_checkpoint_raises(self, env):
         cluster, dfs, driver = env
-        cluster.nodes["node0"].inject_failure(after_tasks=25)
+        FaultInjector(FaultPlan(
+            [FaultSpec("operator.open", node="node0", at_hit=26)]
+        )).attach(cluster)
         job = pagerank.build_job(iterations=8)  # no checkpoint interval
         with pytest.raises(CheckpointNotFound):
             driver.run(job, "/in/g")
@@ -214,7 +220,9 @@ class TestKillRecoveryAcrossGroupBys:
 class TestRecoveryPartitionMap:
     def test_recovery_replaces_partition_map(self, env):
         cluster, dfs, driver = env
-        cluster.nodes["node1"].inject_failure(after_tasks=40)
+        FaultInjector(FaultPlan(
+            [FaultSpec("operator.open", node="node1", at_hit=41)]
+        )).attach(cluster)
         job = pagerank.build_job(iterations=8, checkpoint_interval=2)
         outcome = driver.run(job, "/in/g", keep_state=True)
         locations = outcome.generator.partition_map.locations

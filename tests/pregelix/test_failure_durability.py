@@ -68,6 +68,20 @@ class TestClassification:
         assert len(events) == 1
         assert events[0].args["kind"] == "heartbeat"
 
+    def test_record_blames_a_machine_once(self, cluster):
+        """A task failure on a machine the heartbeat sweep already
+        blacklisted is the same machine loss, counted once."""
+        manager = FailureManager(cluster, telemetry=cluster.telemetry)
+        manager.record(JobFailure("m", cause=WorkerFailure("node2", kind="io")))
+        manager.suspect("node1", reason="heartbeat")
+        manager.record(JobFailure("m", cause=WorkerFailure("node1")))
+        assert manager.blacklist == {"node1", "node2"}
+        events = cluster.telemetry.events.snapshot(name="failure.blacklist")
+        assert [(e.args["node"], e.args["kind"]) for e in events] == [
+            ("node2", "io"), ("node1", "heartbeat"),
+        ]
+        assert cluster.telemetry.registry.counter("pregelix.failures").value == 2
+
     def test_healthy_nodes_sorted(self, cluster):
         manager = FailureManager(cluster)
         manager.blacklist.add("node1")
@@ -200,6 +214,7 @@ class TestHeartbeatMonitor:
         """End to end: a between-superstep power loss is caught by the
         heartbeat sweep, blacklisted, and recovered from checkpoint."""
         from repro.algorithms import pagerank
+        from repro.chaos import FaultInjector, FaultPlan, FaultSpec
         from repro.graphs.generators import chain_graph
         from repro.graphs.io import write_graph_to_dfs
         from repro.hdfs import MiniDFS
@@ -209,7 +224,9 @@ class TestHeartbeatMonitor:
         write_graph_to_dfs(dfs, "/in/g", chain_graph(12), num_files=3)
         driver = PregelixDriver(cluster, dfs)
         job = pagerank.build_job(iterations=6, checkpoint_interval=2)
-        cluster.nodes["node1"].inject_failure(after_tasks=40)
+        FaultInjector(FaultPlan(
+            [FaultSpec("operator.open", node="node1", at_hit=41)]
+        )).attach(cluster)
         outcome = driver.run(job, "/in/g", output_path="/out/r")
         assert outcome.recoveries >= 1
         assert cluster.telemetry.events.snapshot(name="heartbeat.dead")

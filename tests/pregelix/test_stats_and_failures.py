@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import pagerank, sssp
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.common.errors import WorkerFailure
 from repro.graphs.generators import btc_graph, chain_graph
 from repro.graphs.io import write_graph_to_dfs
@@ -31,20 +32,30 @@ class TestStatsReport:
 class TestFailureKinds:
     def test_io_failure_is_recoverable(self, cluster, dfs, driver):
         write_graph_to_dfs(dfs, "/in/g", btc_graph(120, seed=5), num_files=3)
-        cluster.nodes["node1"].inject_failure(after_tasks=40, kind="io")
+        FaultInjector(FaultPlan(
+            [FaultSpec("operator.open", action="io", node="node1", at_hit=41)]
+        )).attach(cluster)
         job = pagerank.build_job(iterations=6, checkpoint_interval=2)
         outcome = driver.run(job, "/in/g")
         assert outcome.recoveries >= 1
         assert "node1" not in cluster.alive_node_ids()
 
     def test_unknown_kind_is_forwarded(self, cluster, dfs, driver):
-        write_graph_to_dfs(dfs, "/in/h", btc_graph(120, seed=5), num_files=3)
-        cluster.nodes["node0"].inject_failure(after_tasks=40, kind="cosmic-rays")
+        """A worker failure of a kind the manager does not recover is
+        forwarded to the user, even with a checkpoint to replay from."""
         from repro.common.errors import JobFailure
+        from repro.pregelix import PregelixJob, Vertex
 
-        job = pagerank.build_job(iterations=6, checkpoint_interval=2)
-        with pytest.raises(JobFailure):
+        class CosmicRays(Vertex):
+            def compute(self, messages):
+                if self.superstep == 3:
+                    raise WorkerFailure("node0", kind="cosmic-rays")
+
+        write_graph_to_dfs(dfs, "/in/h", btc_graph(120, seed=5), num_files=3)
+        job = PregelixJob("cosmic-rays", CosmicRays, checkpoint_interval=2)
+        with pytest.raises(JobFailure) as caught:
             driver.run(job, "/in/h")
+        assert caught.value.cause.kind == "cosmic-rays"
 
     def test_failure_manager_classification(self, cluster):
         from repro.common.errors import JobFailure
@@ -54,6 +65,7 @@ class TestFailureKinds:
             ("interruption", True),
             ("io", True),
             ("application", False),
+            ("cosmic-rays", False),
         ):
             failure = JobFailure("boom", cause=WorkerFailure("node0", kind=kind))
             assert manager.is_recoverable(failure) is recoverable

@@ -27,10 +27,14 @@ def request_for(position):
 
 
 def resident(service):
-    return sum(
-        record.result is not None
-        for record in service.list_jobs() if record.state.terminal
-    )
+    # Under the job-state lock: a finalize retains the newest document
+    # and drops the oldest atomically, but an unlocked scan can count a
+    # document before the drop and the newest one after it (65 of 64).
+    with service._lock:
+        return sum(
+            record.result is not None
+            for record in service.list_jobs() if record.state.terminal
+        )
 
 
 def journal_bytes(directory):

@@ -17,7 +17,7 @@ reference is therefore a direct power iteration with the same update
 rule, compared under a small floating-point tolerance.
 """
 
-import heapq
+import bisect
 import math
 
 from repro.graphs import io as graph_io
@@ -236,15 +236,15 @@ def _dijkstra(vertices, source):
         for vid, _value, edges in vertices
     }
     distances = {}
-    frontier = [(0.0, source)]
+    frontier = [(-0.0, source)]  # (-distance, vid), sorted: nearest last
     while frontier:
-        dist, vid = heapq.heappop(frontier)
+        negated, vid = frontier.pop()
         if vid in distances:
             continue
-        distances[vid] = dist
+        dist = distances[vid] = -negated
         for dest, weight in adjacency.get(vid, ()):
             if dest not in distances:
-                heapq.heappush(frontier, (dist + weight, dest))
+                bisect.insort(frontier, (-(dist + weight), dest))
     return distances
 
 

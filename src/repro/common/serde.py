@@ -67,6 +67,10 @@ class Serde:
     def loads(self, data):
         raise NotImplementedError
 
+    def loads_many(self, images):
+        """``loads`` over a batch (a sequence) of images: a list."""
+        return list(map(self.loads, images))
+
     def sizeof(self, value):
         """Serialized size in bytes, computed without encoding (used by
         memory and network accounting)."""
@@ -103,6 +107,9 @@ class Int64Serde(Serde):
     def loads(self, data):
         return _U64.unpack(data)[0] - _SIGN_BIAS
 
+    def loads_many(self, images):
+        return [value - _SIGN_BIAS for value in _unpack_many("Q", 8, images)]
+
     def sizeof(self, value):
         return 8
 
@@ -124,6 +131,9 @@ class Float64Serde(Serde):
 
     def loads(self, data):
         return _F64.unpack(data)[0]
+
+    def loads_many(self, images):
+        return list(_unpack_many("d", 8, images))
 
     def sizeof(self, value):
         return 8
@@ -148,6 +158,9 @@ class BoolSerde(Serde):
         if len(data) != 1:
             _corrupt("boolean of %d bytes" % len(data))
         return data != b"\x00"
+
+    def loads_many(self, images):
+        return list(_unpack_many("?", 1, images))
 
     def sizeof(self, value):
         return 1
@@ -248,6 +261,16 @@ class NullSerde(Serde):
 # ----------------------------------------------------------------------
 def _corrupt(what):
     raise StorageError("damaged serialized value: %s" % what)
+
+
+def _unpack_many(code, width, images):
+    """One ``unpack`` over the joined images of a scalar of one struct
+    ``code``, ``width`` bytes wide. Every image must be exactly that wide:
+    a 7-byte image next to a 9-byte one must not decode as two others."""
+    odd_widths = set(map(len, images)) - {width}
+    if odd_widths:
+        _corrupt("a value of %d bytes where %d were expected" % (min(odd_widths), width))
+    return struct.unpack(">%d%s" % (len(images), code), b"".join(images))
 
 
 def _bad_arity(value, expected):
@@ -662,6 +685,27 @@ class PackedListSerde(_Composite):
             raise ValueError("a packed list needs a fixed-width element codec")
         self.element_serde = element_serde
         self._adopt(_compile_repeated(element_serde, framed=False))
+        self._firsts = None
+        if isinstance(element_serde, FixedPairSerde) and element_serde.first is INT64:
+            self._firsts = struct.Struct(">Q%dx" % element_serde.second.fixed_size)
+
+    def firsts(self, data):
+        """The leading INT64 of every element — the targets of an edge
+        list — read off the image: the count × width check :meth:`loads`
+        makes, then one ``iter_unpack`` that skips the rest of each
+        element. Elements must be :class:`FixedPairSerde` pairs led by
+        :data:`INT64`."""
+        firsts = self._firsts
+        if firsts is None:
+            raise TypeError("elements of %r are not pairs led by INT64" % self.element_serde)
+        view = memoryview(data)
+        try:
+            (count,) = _U32.unpack_from(view, 0)
+        except struct.error as exc:
+            _corrupt(exc)
+        if 4 + firsts.size * count != len(view):
+            _corrupt("a count of %d does not match %d bytes" % (count, len(view)))
+        return [first - _SIGN_BIAS for first, in firsts.iter_unpack(view[4:])]
 
 
 class ListSerde(_Composite):
@@ -710,15 +754,3 @@ def encode_key(vid):
 def decode_key(data):
     """Inverse of :func:`encode_key`."""
     return INT64.loads(data)
-
-
-def decode_keys(keys):
-    """:func:`decode_key` over a whole batch: the vids of a list of
-    :func:`encode_key` images, from one ``unpack`` over the joined
-    images. Every key must be exactly 8 bytes — a 7-byte key next to a
-    9-byte one must not decode as two other vids."""
-    odd_widths = set(map(len, keys)) - {8}
-    if odd_widths:
-        _corrupt("a key of %d bytes where 8 were expected" % min(odd_widths))
-    biased = struct.unpack(">%dQ" % len(keys), b"".join(keys))
-    return [value - _SIGN_BIAS for value in biased]

@@ -16,7 +16,7 @@ and :func:`merge_sorted` is the k-way merge that they, the LSM B-tree's
 components and the merging connector's senders all go through.
 """
 
-import heapq
+import bisect
 import itertools
 import operator
 import os
@@ -31,6 +31,10 @@ _WRITE_BATCH = 4096
 #: if a record is larger — is all an open run holds in memory, so a merge
 #: of spilled runs is bounded by their number, never by their length.
 _READ_CHUNK = 64 << 10
+#: Items :func:`merge_sorted` takes from a stream that is not a list per
+#: refill: what it may hold of a stream beyond the stream's current run of
+#: equal keys.
+_MERGE_CHUNK = 1024
 
 #: The key of a keyed tuple ``(key, ...)``: what a sorted stream is
 #: ordered, merged and grouped by unless its owner says otherwise.
@@ -41,8 +45,71 @@ _VALUE = operator.itemgetter(1)
 def merge_sorted(streams, key=LEAD):
     """Merge streams each sorted by ``key`` into one that is, lazily.
     Stable: equal keys come out in the order of ``streams`` (so
-    newest-first sources put a key's winner first), then of the stream."""
-    return heapq.merge(*streams, key=key)
+    newest-first sources put a key's winner first), then of the stream.
+
+    The merge works in rounds over chunks, not item by item: a list is one
+    complete chunk, any other stream is read :data:`_MERGE_CHUNK` items at
+    a time. A round emits every buffered item whose key is below the
+    *bound* — the smallest last key among the streams that may have more —
+    ordered by one stable ``list.sort`` of their concatenation in stream
+    order, then refills only the streams whose buffer is down to the
+    bound. No stream is read further ahead of the output than one chunk
+    plus its current run of equal keys, and no Python frame is entered per
+    item beyond what ``key`` costs."""
+    return itertools.chain.from_iterable(_merge_rounds(list(streams), key))
+
+
+def _merge_rounds(streams, key):
+    """The rounds of :func:`merge_sorted`: one sorted list each."""
+    chunk = _MERGE_CHUNK
+    buffers = [_Buffered(stream, key, chunk) for stream in streams]
+    while True:
+        filling = [buffer for buffer in buffers if buffer.stream is not None]
+        if not filling:
+            rest = []
+            for buffer in buffers:
+                rest += buffer.items[buffer.start:]
+            rest.sort(key=key)
+            yield rest
+            return
+        bound = min(buffer.keys[-1] for buffer in filling)
+        out = []
+        for buffer in buffers:
+            if buffer.keys is None:
+                buffer.keys = list(map(key, buffer.items))
+            cut = bisect.bisect_left(buffer.keys, bound, buffer.start)
+            out += buffer.items[buffer.start:cut]
+            buffer.start = cut
+        out.sort(key=key)
+        yield out
+        for buffer in filling:
+            if not bound < buffer.keys[-1]:
+                buffer.refill(key, chunk)
+
+
+class _Buffered:
+    """What a merge holds of one stream: buffered items, their keys (a
+    list stream's once a bound needs them), how many of the items are
+    emitted, and the stream while it may have more."""
+
+    __slots__ = ("items", "keys", "start", "stream")
+
+    def __init__(self, stream, key, chunk):
+        self.start = 0
+        if isinstance(stream, list):
+            self.items, self.keys, self.stream = stream, None, None
+        else:
+            self.items, self.keys, self.stream = [], [], iter(stream)
+            self.refill(key, chunk)
+
+    def refill(self, key, chunk):
+        """Drop the emitted items and append the next chunk of the stream."""
+        more = list(itertools.islice(self.stream, chunk))
+        self.items = self.items[self.start:] + more
+        self.keys = self.keys[self.start:] + list(map(key, more))
+        self.start = 0
+        if len(more) < chunk:
+            self.stream = None
 
 
 def pack_pairs(pairs):
@@ -54,26 +121,28 @@ def pack_pairs(pairs):
 
 
 def _parse(data):
-    """The parser of the framing. Yields the records that lie wholly
-    inside ``data`` (a ``bytes``) and returns ``(end, short)``: where the
-    last of them ended, and how many bytes the record starting there is
-    short of — 0 exactly when ``data`` ends on a record boundary."""
+    """The parser of the framing: ``(records, end, short)`` — the records
+    that lie wholly inside ``data`` (a ``bytes``), where the last of them
+    ended, and how many bytes the record starting there is short of — 0
+    exactly when ``data`` ends on a record boundary."""
     unpack_header = _RECORD_HEADER.unpack_from
     header_size = _RECORD_HEADER.size
     size = len(data)
+    records = []
+    append = records.append
     offset = 0
     while offset < size:
         body = offset + header_size
         if body > size:
-            return offset, body - size
+            return records, offset, body - size
         key_len, value_len = unpack_header(data, offset)
         value_at = body + key_len
         end = value_at + value_len
         if end > size:
-            return offset, end - size
-        yield data[body:value_at], data[value_at:end]
+            return records, offset, end - size
+        append((data[body:value_at], data[value_at:end]))
         offset = end
-    return offset, 0
+    return records, offset, 0
 
 
 def _cut_inside_a_record(what, short):
@@ -84,9 +153,10 @@ def _cut_inside_a_record(what, short):
 
 def iter_pairs(blob):
     """Inverse of :func:`pack_pairs`."""
-    _end, short = yield from _parse(bytes(blob))
+    records, _end, short = _parse(bytes(blob))
     if short:
         _cut_inside_a_record("a blob of framed pairs", short)
+    return iter(records)
 
 
 class RunFileWriter:
@@ -136,22 +206,34 @@ class RunFileReader:
         self.files = file_manager
 
     def __iter__(self):
-        if not os.path.exists(self.path):
-            return
+        return itertools.chain.from_iterable(self.chunks())
+
+    def chunks(self):
+        """The records, one list per read of the file. The bytes parsed
+        are charged to the file manager however the reading ends."""
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            # Every owner writes its run before reading it.
+            raise StorageError("run file %s is missing" % self.path) from None
         total = 0
         data = b""
         short = 0
-        with open(self.path, "rb") as handle:
-            while True:
-                more = handle.read(max(_READ_CHUNK, short))
-                if not more:
-                    break
-                data += more
-                end, short = yield from _parse(data)
-                total += end
-                data = data[end:]
-        if self.files is not None and total:
-            self.files.record_run_read(total)
+        try:
+            with handle:
+                while True:
+                    more = handle.read(max(_READ_CHUNK, short))
+                    if not more:
+                        break
+                    data += more
+                    records, end, short = _parse(data)
+                    total += end
+                    data = data[end:]
+                    if records:
+                        yield records
+        finally:
+            if self.files is not None and total:
+                self.files.record_run_read(total)
         if short:
             _cut_inside_a_record("run file %s" % self.path, short)
 
@@ -175,6 +257,7 @@ class SortedRuns:
         self.hint = hint
         self.value_serde = value_serde
         self.paths = []
+        self._replays = []
 
     def spill(self, pairs):
         """Write ``(key bytes, value)`` pairs, in key order, as one more run."""
@@ -190,17 +273,25 @@ class SortedRuns:
     def merged(self, tail=()):
         """The pairs of every run, in the order spilled, and of ``tail``
         (sorted pairs still in memory), merged."""
-        loads = self.value_serde.loads
-        streams = [
-            ((key, loads(data)) for key, data in RunFileReader(path, self.files))
-            for path in self.paths
-        ]
+        loads_many = self.value_serde.loads_many
+
+        def decoded(records):
+            keys, images = zip(*records)
+            return zip(keys, loads_many(images))
+
+        streams = []
+        for path in self.paths:
+            replay = RunFileReader(path, self.files).chunks()
+            self._replays.append(replay)
+            streams.append(itertools.chain.from_iterable(map(decoded, replay)))
         return merge_sorted(streams + [tail])
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        for replay in self._replays:
+            replay.close()  # charges what it read
         for path in self.paths:
             self.files.delete_path(path)
 

@@ -36,6 +36,7 @@ class Vertex:
         self._value = None
         self._edges = []
         self._read_edges = None
+        self._edge_targets = None
         self._halted = False
         self._outbox = []
         self._agg_contribs = []
@@ -126,9 +127,12 @@ class Vertex:
         self._outbox.append((target, payload))
 
     def send_message_to_all_edges(self, payload):
-        self._outbox.extend(
-            zip(map(_TARGET, self.edges), itertools.repeat(payload))
-        )
+        if self._edges is None and self._edge_targets is not None:
+            # Edges nobody has read: their targets, without the edges.
+            targets = self._edge_targets()
+        else:
+            targets = map(_TARGET, self.edges)
+        self._outbox.extend(zip(targets, itertools.repeat(payload)))
 
     def vote_to_halt(self):
         """Deactivate this vertex until a message reactivates it."""
@@ -153,15 +157,20 @@ class Vertex:
     # ------------------------------------------------------------------
     # framework binding (internal)
     # ------------------------------------------------------------------
-    def _bind(self, vid, value, edges, superstep, global_aggregate, num_vertices, num_edges):
+    def _bind(self, vid, value, edges, superstep, global_aggregate, num_vertices,
+              num_edges, edge_targets=None):
         """Bind to one vertex. ``edges`` is its edge list, copied here, or
         a function returning a list of ``Edge`` that the program may keep:
         called when the program first reads :attr:`edges`, and never if it
         does not (``_edges`` then stays ``None``) — most vertices of most
         supersteps leave a stored edge list undecoded, or a list shared
-        with other programs uncopied."""
+        with other programs uncopied. ``edge_targets``, given with such a
+        function, returns the targets of the edges it would return;
+        :meth:`send_message_to_all_edges` asks it while the program has
+        not read :attr:`edges`. Every bind replaces it."""
         self._vid = vid
         self._value = value
+        self._edge_targets = edge_targets
         if callable(edges):
             self._edges, self._read_edges = None, edges
         else:

@@ -140,6 +140,7 @@ class ComputeOperator(OperatorDescriptor):
                     gs.aggregate,
                     gs.num_vertices,
                     gs.num_edges,
+                    row.edge_targets,
                 )
                 program.compute(incoming)
 

@@ -24,7 +24,7 @@ every generator holds as ``relations``.
 """
 
 from repro.common import serde
-from repro.common.serde import decode_key, decode_keys, encode_key
+from repro.common.serde import INT64, decode_key, encode_key
 from repro.hyracks.connectors import (
     MToNPartitioningConnector,
     MToNPartitioningMergingConnector,
@@ -100,7 +100,7 @@ class PartitionMap:
         then the same ``hash()`` (so ``hash(-1) == -2`` and vids beyond
         2**61 land where the per-tuple call puts them)."""
         n = self.num_partitions
-        return [hash(vid) % n for vid in decode_keys(list(map(LEAD, batch)))]
+        return [hash(vid) % n for vid in INT64.loads_many(list(map(LEAD, batch)))]
 
     @classmethod
     def over_nodes(cls, node_ids, partitions_per_node=1):

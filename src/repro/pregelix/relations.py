@@ -21,7 +21,7 @@ relation. A partition nobody has written yet is an empty relation.
 """
 
 from functools import partial
-from operator import is_
+from operator import attrgetter, is_
 
 from repro.common.serde import decode_key, encode_key, list_count
 from repro.hyracks.operators.index_ops import drop_indexes
@@ -43,6 +43,8 @@ from repro.pregelix.types import (
 
 #: What a ``Vid`` row stores under its key: nothing — presence is the fact.
 VID_VALUE = b""
+
+_TARGET = attrgetter("target")
 
 
 class RunRelations:
@@ -168,7 +170,9 @@ class OpenedRow:
     *image* — the bytes it is stored as — unless the program reads it
     (:meth:`read_edges`, what ``Vertex._bind`` is handed), and
     :meth:`close` puts a fresh ``(halt, value)`` in front of an edge
-    image again. One instance per clone, moved from row to row.
+    image again. A program that sends to all its edges without reading
+    them gets their targets off the image (:meth:`edge_targets`). One
+    instance per clone, moved from row to row.
 
     The splice rule — when :meth:`close` reuses the stored edge image
     verbatim instead of encoding the program's list: the program never
@@ -220,6 +224,15 @@ class OpenedRow:
             # Only the packed codec decodes straight to ``Edge``.
             decoded = map(Edge._make, decoded)
         return list(decoded)
+
+    def edge_targets(self):
+        """The targets of the edge list, in order, with no ``Edge`` built:
+        one ``iter_unpack`` over a packed image (the codec is
+        ``layout_fixed``), :meth:`read_edges` otherwise. Leaves the image
+        to be spliced back."""
+        if self._spliceable:
+            return self._edge_list.firsts(self.image)
+        return list(map(_TARGET, self.read_edges()))
 
     def close(self, program):
         """``(stored bytes, edge count delta)`` of the row as ``program``

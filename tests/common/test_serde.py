@@ -100,7 +100,7 @@ class TestKeyHelpers:
     @given(st.lists(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)))
     def test_batch_decode_is_decode_key_per_key(self, vids):
         keys = [serde.encode_key(vid) for vid in vids]
-        decoded = serde.decode_keys(keys)
+        decoded = serde.INT64.loads_many(keys)
         assert decoded == [serde.decode_key(key) for key in keys] == vids
 
     @given(
@@ -112,8 +112,34 @@ class TestKeyHelpers:
         self, before, bad, after
     ):
         with pytest.raises(StorageError):
-            serde.decode_keys(before + [bad] + after)
+            serde.INT64.loads_many(before + [bad] + after)
 
     def test_batch_decode_is_not_fooled_by_the_total_width(self):
         with pytest.raises(StorageError):
-            serde.decode_keys([b"1234567", b"123456789"])
+            serde.INT64.loads_many([b"1234567", b"123456789"])
+
+
+LOADS_MANY = {
+    "int": (serde.INT64, st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)),
+    "float": (serde.FLOAT64, st.floats(allow_nan=False)),
+    "bool": (serde.BOOL, st.booleans()),
+    "text": (serde.STRING, st.text()),
+    "pair": (serde.TupleSerde(serde.INT64, serde.FLOAT64),
+             st.tuples(st.integers(-100, 100), st.floats(allow_nan=False))),
+}
+
+
+class TestLoadsMany:
+    @pytest.mark.parametrize("kind", sorted(LOADS_MANY))
+    @given(data=st.data())
+    def test_is_loads_per_image(self, kind, data):
+        codec, values = LOADS_MANY[kind]
+        images = [codec.dumps(value) for value in data.draw(st.lists(values))]
+        assert codec.loads_many(images) == [codec.loads(image) for image in images]
+
+    @pytest.mark.parametrize("codec", [serde.FLOAT64, serde.BOOL], ids=["float", "bool"])
+    def test_a_scalar_refuses_an_image_of_another_width(self, codec):
+        good = codec.dumps(codec.loads(bytes(codec.fixed_size)))
+        for bad in (b"", good + b"\x00", good[1:]):
+            with pytest.raises(StorageError):
+                codec.loads_many([good, bad, good])

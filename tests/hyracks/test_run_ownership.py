@@ -12,6 +12,7 @@ sorted stream goes through.
 import itertools
 import os
 import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -25,6 +26,7 @@ from repro.hyracks.operators.groupby import (
 )
 from repro.hyracks.operators.sort import ExternalSortOperator
 from repro.hyracks.storage.file_manager import FileManager
+from repro.hyracks.storage import run_file
 from repro.hyracks.storage.run_file import LEAD, merge_sorted
 
 TUPLES = 400
@@ -60,14 +62,19 @@ class Tripwire:
 
 
 class TrippedSerde:
-    """A serde whose one named method goes through a tripwire."""
+    """A serde whose one named method, and its batch form (``loads`` and
+    ``loads_many``), go through a tripwire."""
 
-    def __init__(self, inner, method, tripwire):
-        self.inner, self.method, self.tripwire = inner, method, tripwire
+    def __init__(self, inner, method, wrap):
+        self.inner = inner
+        self.tripped = {
+            name: wrap(getattr(inner, name))
+            for name in (method, method + "_many") if hasattr(inner, name)
+        }
 
     def __getattr__(self, name):
-        if name == self.method:
-            return self.tripwire
+        if name in self.tripped:
+            return self.tripped[name]
         return getattr(self.inner, name)
 
 
@@ -79,9 +86,7 @@ class SumAggregator(GroupAggregator):
         self._serde = serde.FLOAT64
         for method in ("dumps", "loads"):
             if method in trip:
-                self._serde = TrippedSerde(
-                    serde.FLOAT64, method, trip[method](getattr(serde.FLOAT64, method))
-                )
+                self._serde = TrippedSerde(serde.FLOAT64, method, trip[method])
         self.step = trip.get("fold", lambda f: f)(self.step)
         self.merge = trip.get("merge", lambda f: f)(self.merge)
 
@@ -105,9 +110,7 @@ def sort_operator(trip):
     tuple_serde = TUPLE_SERDE
     for method in ("dumps", "loads"):
         if method in trip:
-            tuple_serde = TrippedSerde(
-                TUPLE_SERDE, method, trip[method](getattr(TUPLE_SERDE, method))
-            )
+            tuple_serde = TrippedSerde(TUPLE_SERDE, method, trip[method])
     key_fn = trip.get("key_fn", lambda f: f)(lambda item: encode_key(item[0]))
     operator = ExternalSortOperator(key_fn, tuple_serde, memory_limit_bytes=800)
     return operator.sorted_stream
@@ -177,6 +180,11 @@ def test_no_run_survives_a_failure_at_any_spill(tmp_path, name, failing, consume
         except Boom:
             raised += 1
         assert runs_left(files) == [], (after_runs, files.created)
+        if failing == "merge":
+            # The merge of partial states raised once every run had been
+            # read (each fits one read chunk): all of it is charged,
+            # though no run was read to its end.
+            assert files.io.disk_read_bytes == files.io.disk_write_bytes > 0
     # The tripwire did interrupt the operator, at more than one spill.
     assert raised >= 2
 
@@ -191,6 +199,9 @@ def test_no_run_survives_a_consumer_that_stops_reading(tmp_path, name, taken):
     stream.close()
     assert files.created >= 3
     assert runs_left(files) == []
+    # The first merged item read every run (each fits one read chunk);
+    # what was read is charged however the merge ended.
+    assert files.io.disk_read_bytes == files.io.disk_write_bytes > 0
 
 
 # ----------------------------------------------------------------------
@@ -228,3 +239,65 @@ def test_merge_sorted_by_another_key(keys_per_stream):
     assert merged == sorted(
         itertools.chain.from_iterable(streams), key=lambda item: -item[1]
     )
+
+
+# The same laws where streams are longer than the merge's chunk: mixed
+# kinds of stream, runs of equal keys longer than a chunk, another key.
+class ReadAhead:
+    """A sorted stream that checks, whenever the merge takes an item, the
+    read-ahead law: no stream is read further ahead of the merged output
+    than one chunk plus its run of equal keys not yet emitted in full."""
+
+    def __init__(self, items, key, chunk):
+        self.items, self.key, self.chunk = items, key, chunk
+        self.taken = self.emitted = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.taken == len(self.items):
+            raise StopIteration
+        self.taken += 1
+        head = self.key(self.items[self.emitted])
+        run = sum(1 for item in self.items[self.emitted:] if self.key(item) == head)
+        assert self.taken - self.emitted <= self.chunk + run
+        return self.items[self.taken - 1]
+
+
+def one_by_one(items):
+    yield from items
+
+
+KEYS = {"lead": LEAD, "negated": lambda item: -item[0]}
+mixed_streams = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=4), max_size=14),
+        st.sampled_from([list, one_by_one, ReadAhead]),
+    ),
+    max_size=5,
+)
+
+
+@pytest.mark.parametrize("key_name", sorted(KEYS))
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@seed(26)
+@settings(max_examples=120, deadline=None)
+@given(shapes=mixed_streams)
+def test_merge_laws_across_chunk_edges(chunk, key_name, shapes):
+    key = KEYS[key_name]
+    streams, tagged = [], []
+    for source, (keys, kind) in enumerate(shapes):
+        ordered = sorted(keys, key=lambda k: key((k,)))
+        items = [(k, (source, position)) for position, k in enumerate(ordered)]
+        tagged += items
+        streams.append(ReadAhead(items, key, chunk) if kind is ReadAhead else kind(items))
+    merged = []
+    with mock.patch.object(run_file, "_MERGE_CHUNK", chunk):
+        for item in merge_sorted(streams, key=key):
+            merged.append(item)
+            stream = streams[item[1][0]]
+            if isinstance(stream, ReadAhead):
+                stream.emitted += 1
+    # Sorted by key; ties in source order, then in the source's order.
+    assert merged == sorted(tagged, key=lambda item: (key(item), item[1]))

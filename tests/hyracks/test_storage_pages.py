@@ -1,5 +1,6 @@
 """Tests for slotted pages, the buffer cache, and run files."""
 
+import os
 import random
 
 import pytest
@@ -240,9 +241,13 @@ class TestRunFiles:
         RunFileWriter(path, file_manager).close()
         assert list(RunFileReader(path, file_manager)) == []
 
-    def test_missing_file_reads_empty(self, file_manager):
-        reader = RunFileReader(file_manager.create_temp_path())
-        assert list(reader) == []
+    def test_missing_file_is_refused(self, file_manager):
+        # Every owner writes its run before reading it: a run that is not
+        # there was lost, and reading it as empty would drop its records.
+        reader = RunFileReader(file_manager.create_temp_path(), file_manager)
+        with pytest.raises(StorageError, match="missing"):
+            list(reader)
+        assert file_manager.io.disk_read_bytes == 0
 
     def test_large_volume(self, file_manager):
         path = file_manager.create_temp_path()
@@ -269,7 +274,9 @@ class TestRunFiles:
             writer.append(b"k", b"v")
         reader = RunFileReader(path)
         reader.delete()
-        assert list(reader) == []
+        assert not os.path.exists(path)
+        with pytest.raises(StorageError, match="missing"):
+            list(reader)
 
 
 MIXED_RECORDS = [

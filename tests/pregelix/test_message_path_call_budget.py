@@ -9,10 +9,16 @@ message and four per routed tuple. The operators are taken from the plan
 ``PlanGenerator`` generates, so a per-tuple ``encode_key``/``decode_key``
 or a sort-key lambda wired back into ``_message_groupby`` fails here.
 
+When the sender spills, a group closes once per batch it has messages
+in, and every such group past its first is a duplicate the merge folds:
+the budget is then a constant per closed group plus a constant per chunk
+a run is replayed or merged in — nothing per spilled record.
+
 Counted under ``sys.setprofile``: ``"call"`` events are Python frames
 entered (a generator resumed counts; C functions are ``"c_call"``).
 """
 
+import os
 import random
 import sys
 import types
@@ -22,6 +28,8 @@ import pytest
 from repro.algorithms import pagerank
 from repro.common.serde import encode_key
 from repro.hyracks.operators.groupby import PreclusteredGroupByOperator
+from repro.hyracks.storage import run_file
+from repro.hyracks.storage.file_manager import FileManager
 from repro.pregelix import ConnectorPolicy, GroupByStrategy
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 from repro.pregelix.types import GlobalState
@@ -31,6 +39,8 @@ DESTINATIONS = 1250
 PER_GROUP = 8
 #: ... and a batch, whatever its size (the operator's own frames).
 PER_BATCH = 12
+#: ... and a chunk of spilled records, replayed or merged.
+PER_CHUNK = 16
 
 
 def python_calls(function):
@@ -80,6 +90,30 @@ def test_sender_sort_groupby_pays_one_call_per_message(dfs):
         measured[count] = calls
     # Twice the messages to the same destinations: one call more per message.
     assert measured[20000] - measured[10000] <= 10000
+
+
+@pytest.mark.parametrize("count", [10000, 20000])
+def test_a_spilling_sender_pays_nothing_per_spilled_record(dfs, tmp_path, count):
+    memory = 64 << 10
+    sender, _, _ = message_path(
+        dfs, groupby_strategy=GroupByStrategy.SORT, groupby_memory_bytes=memory
+    )
+    files = FileManager(str(tmp_path / "node"))
+    messages = raw_messages(count)
+    per_batch = -(-memory // sender.tuple_serde.fixed_size)
+    batches = [messages[at:at + per_batch] for at in range(0, count, per_batch)]
+    runs = count // per_batch
+    assert runs >= 3
+    # Groups closed batch by batch: every group once, plus the duplicates.
+    closed = sum(len({vid for vid, _ in batch}) for batch in batches)
+    chunks = runs + 1 + closed // run_file._MERGE_CHUNK
+    calls, groups = python_calls(
+        lambda: list(sender.grouped_stream(types.SimpleNamespace(files=files), messages))
+    )
+    assert len(groups) == DESTINATIONS
+    assert calls <= count + PER_GROUP * closed + PER_CHUNK * chunks + PER_BATCH
+    assert files.io.disk_read_bytes == files.io.disk_write_bytes > 0
+    assert os.listdir(files.root) == []
 
 
 @pytest.mark.parametrize("policy", list(ConnectorPolicy))

@@ -26,6 +26,7 @@ from repro.hyracks.operators.index_ops import register_index
 from repro.hyracks.storage.btree import BTree
 from repro.pregelix import PregelixJob, Vertex
 from repro.pregelix.api import Edge
+from repro.pregelix.multiquery import MultiQueryVertex
 from repro.pregelix.operators import ComputeOperator
 from repro.pregelix.relations import RunRelations
 from repro.pregelix.types import GlobalState, VertexRecord
@@ -167,6 +168,10 @@ class CountingCodec:
         self.calls.append("loads")
         return self.codec.loads(data)
 
+    def firsts(self, data):
+        self.calls.append("firsts")
+        return self.codec.firsts(data)
+
 
 def random_edges(rng, gedge):
     edges = random_list(rng, lambda rng: (random_vid(rng), gedge(rng)))
@@ -251,6 +256,108 @@ def test_a_created_vertex_starts_from_no_edges():
             VertexRecord(9, program._halted, None, edges)
         )
         assert edge_delta == len(edges)
+
+
+# ----------------------------------------------------------------------
+# sending to all edges reads the targets off the image
+# ----------------------------------------------------------------------
+def bind_at(program, row, stored):
+    """Bind ``program`` to a stored row as ``Compute`` binds it."""
+    program._bind(1, row.open(stored), row.read_edges, 2, None, 10, 10, row.edge_targets)
+
+
+def mutates(program):
+    program.edges.reverse()
+    del program.edges[1:2]
+
+
+#: What a program does to its edges before it sends to all of them.
+BEFORE_SENDING = {
+    "ignores": lambda program: None,
+    "reads": lambda program: len(program.edges),
+    "mutates": mutates,
+}
+
+
+@pytest.mark.parametrize("edge_kind", sorted(EDGES))
+@pytest.mark.parametrize("value_kind", sorted(VALUES))
+def test_sending_to_edges_nobody_read_is_sending_to_the_edges(value_kind, edge_kind):
+    rng = random.Random(value_kind + edge_kind)
+    value, _rvalue, gvalue = VALUES[value_kind]
+    edge, _redge, gedge = EDGES[edge_kind]
+    job = PregelixJob("send", Scripted, value_serde=value, edge_serde=edge)
+    relations = RunRelations(job, None, "send")
+    counting = relations._edge_codec = CountingCodec(relations._edge_codec)
+    row = relations.opened_row()
+    program = Scripted()
+    for _ in range(30):
+        record = VertexRecord(1, False, gvalue(rng), random_edges(rng, gedge))
+        stored = relations.encode_vertex(record)
+        sent = {}
+        for name, before in sorted(BEFORE_SENDING.items()):
+            program.script = lambda p, before=before: (
+                before(p), p.send_message_to_all_edges("m")
+            )
+            del counting.calls[:]
+            bind_at(program, row, stored)
+            program.compute(iter(()))
+            written, _delta = row.close(program)
+            calls = list(counting.calls)
+            edges = program._edges
+            if edges is None:
+                edges = record.edges
+            assert program._outbox == [(target, "m") for target, _ in edges], name
+            assert written == relations.encode_vertex(
+                VertexRecord(1, False, program._value, edges)
+            ), name
+            sent[name] = program._outbox, written
+            if name == "ignores":
+                # Unread edges are neither built nor encoded again.
+                assert calls == (["firsts"] if edge.layout_fixed else ["loads"])
+        assert sent["ignores"] == sent["reads"]
+
+
+@pytest.mark.parametrize("edge_kind", sorted(EDGES))
+def test_a_damaged_edge_image_fails_the_send(edge_kind):
+    rng = random.Random(edge_kind)
+    edge, _redge, gedge = EDGES[edge_kind]
+    job = PregelixJob("damaged", Scripted, edge_serde=edge)
+    relations = RunRelations(job, None, "damaged")
+    row = relations.opened_row()
+    program = Scripted()
+    program.script = lambda p: p.send_message_to_all_edges(1.0)
+    image = relations._edge_codec.dumps([(2, gedge(rng)), (3, gedge(rng))])
+    damaged = [image[:cut] for cut in range(len(image))]
+    damaged += [image + bytes(extra) for extra in range(1, 17)]
+    damaged += [image + b"\xff" * extra for extra in range(1, 17)]
+    for data in damaged:
+        # The row's framing is intact: only its edge image is damaged.
+        bind_at(program, row, relations._opened_codec.dumps((False, 1.0, data)))
+        with pytest.raises(StorageError):
+            program.compute(iter(()))
+
+
+def test_a_rebound_program_never_sends_to_the_previous_rows_targets():
+    job = PregelixJob("rebound", Scripted)
+    relations = RunRelations(job, None, "rebound")
+    row = relations.opened_row()
+    stored = relations.encode_vertex(VertexRecord(1, False, 0.0, [(2, 1.0), (3, 1.0)]))
+    program = Scripted()
+    program.script = lambda p: p.send_message_to_all_edges(0.5)
+    wrapper = MultiQueryVertex()
+    wrapper._bind(7, None, lambda: [Edge(8, 1.0)], 2, None, 10, 10)
+    for rebind, targets in [
+        # a baseline binds a list
+        (lambda: program._bind(5, 0.0, [(6, 1.0)], 2, None, 10, 10), [6]),
+        # a multi-query lane binds the wrapper's edges
+        (lambda: program._bind(7, 0.0, wrapper._lane_edges, 2, None, 10, 10), [8]),
+    ]:
+        bind_at(program, row, stored)
+        program.compute(iter(()))
+        assert program._outbox == [(2, 0.5), (3, 0.5)]
+        rebind()
+        program.compute(iter(()))
+        assert program._outbox == [(target, 0.5) for target in targets]
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from repro.chaos.faults import (
     check_fault,
 )
 from repro.chaos.reference import AlgorithmCase, algorithm_case, algorithm_names
-from repro.chaos.serve_drill import SCENARIOS, run_serve_drill
 from repro.pregelix.api import PlanChoice, all_plans
 
 __all__ = [
@@ -76,3 +75,14 @@ __all__ = [
     "run_serve_drill",
     "values_close",
 ]
+
+
+def __getattr__(name):
+    # The serve drill builds its services from repro.serve.config; load it
+    # on first use so importing the engine-side halves (the benchmark's
+    # repro.chaos.reference) does not pull the serving tier in.
+    if name in ("SCENARIOS", "run_serve_drill"):
+        from repro.chaos import serve_drill
+
+        return getattr(serve_drill, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

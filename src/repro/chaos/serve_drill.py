@@ -36,6 +36,7 @@ from repro.chaos.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.common.errors import ReproError
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
+from repro.serve.config import ServeConfig
 
 #: What a restarted service's ``recover()`` reports, as a row pins it;
 #: ``torn`` says whether replay truncated a damaged journal tail.
@@ -92,6 +93,15 @@ SCENARIOS = (
     Scenario("batch/journal.append/torn_write",
              FaultSpec("journal.append", "torn_write", at_hit=9),
              BATCH, "dfs", Replay(3, 2, 0, 1, True)),
+)
+
+#: The drill-shaped service: one worker, a checkpoint every superstep
+#: (so a crash mid-run has one to resume from), no watchdog (a drill's
+#: stalls are injected, not wedged), a DFS journal that outlives the
+#: service object. Tests shrink or extend it with ``dataclasses.replace``.
+DRILL_CONFIG = ServeConfig(
+    workers=1, journal="dfs:/serve/journal.wal", checkpoint_interval=1,
+    watchdog=False, batch_window=0.4,
 )
 
 _WAIT_SECONDS = 120
@@ -217,11 +227,10 @@ class _Harness:
     def __enter__(self):
         self.cluster = HyracksCluster(num_nodes=self.num_nodes)
         self.dfs = MiniDFS(datanodes=self.cluster.node_ids())
+        self.journal = DRILL_CONFIG.journal
         if self.backend == "file":
             self._journal_dir = tempfile.mkdtemp(prefix="repro-chaos-journal-")
             self.journal = "file:%s" % self._journal_dir
-        else:
-            self.journal = "dfs:/serve/journal.wal"
         return self
 
     def __exit__(self, *exc):
@@ -236,9 +245,8 @@ class _Harness:
         from repro.serve import JobService
 
         service = JobService(
-            cluster=self.cluster, dfs=self.dfs, workers=1,
-            journal=self.journal, checkpoint_interval=1, watchdog=False,
-            batch_max=batch_max, batch_window=0.4,
+            DRILL_CONFIG, cluster=self.cluster, dfs=self.dfs,
+            journal=self.journal, batch_max=batch_max,
         )
         service.add_dataset("g", vertices=list(self.vertices))
         return service

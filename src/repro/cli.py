@@ -22,6 +22,7 @@ Examples::
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -34,6 +35,7 @@ from repro.pregelix.api import (
     JOIN_CODES,
     STORAGE_CODES,
 )
+from repro.serve.config import ServeConfig
 
 FIGURES = [
     "table3",
@@ -90,6 +92,25 @@ def _add_run_arguments(parser):
                         help="print the machine-readable result document "
                              "(the same JSON the job service returns from "
                              "GET /jobs/<id>/result) instead of prose")
+
+
+def _flag_type(parse):
+    """``parse`` with its ``ValueError`` reported by argparse as the
+    reason, not as a bare "invalid value"."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error))
+    return convert
+
+
+def _dataset_spec(spec):
+    """``--dataset NAME=DIR`` as ``(name, directory)``."""
+    name, sep, directory = spec.partition("=")
+    if not sep or not name or not directory:
+        raise argparse.ArgumentTypeError("expected NAME=DIR, got %r" % spec)
+    return name, directory
 
 
 def build_parser():
@@ -155,62 +176,18 @@ def build_parser():
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="listen port (0 picks an ephemeral port)")
-    serve.add_argument("--nodes", type=int, default=4,
-                       help="simulated machines in the resident cluster")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="dispatcher threads (job-level concurrency)")
-    serve.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="per-job operator-clone concurrency")
-    serve.add_argument("--node-memory-mb", type=int, default=None,
-                       help="per-node memory budget override (MiB)")
+    for knob in dataclasses.fields(ServeConfig):
+        spec = knob.metadata
+        if spec["flag"]:
+            serve.add_argument(
+                spec["flag"], dest=knob.name, help=spec["help"],
+                type=_flag_type(spec["type"]), metavar=spec["metavar"],
+                action=spec.get("action", "store"),
+            )
     serve.add_argument(
-        "--dataset", action="append", default=None, metavar="NAME=DIR",
+        "--dataset", action="append", type=_dataset_spec, metavar="NAME=DIR",
         help="pre-load a local part-file directory as a named dataset "
              "(repeatable)",
-    )
-    serve.add_argument(
-        "--quota", action="append", default=None,
-        metavar="TENANT=W[:R[:Q[:F]]]",
-        help="tenant quota as weight[:max_running[:max_queued"
-             "[:memory_fraction]]] (repeatable)",
-    )
-    serve.add_argument("--result-cache", type=int, default=64,
-                       help="result-cache entries (0 disables)")
-    serve.add_argument(
-        "--batch-max", type=int, default=1, metavar="N",
-        help="coalesce up to N compatible queued point queries into one "
-             "shared multi-query run (DESIGN.md §17; 1 disables batching)",
-    )
-    serve.add_argument(
-        "--batch-window", type=float, default=0.25, metavar="S",
-        help="seconds a batch leader waits for compatible queued jobs "
-             "before dispatching (only with --batch-max > 1)",
-    )
-    serve.add_argument("--autoscale", default=None, metavar="MIN:MAX",
-                       help="autoscale the resident cluster between MIN and "
-                            "MAX nodes (scale up on queue backlog, drain "
-                            "back down when idle)")
-    serve.add_argument(
-        "--journal", default=None, metavar="DIR",
-        help="durable job journal (a local directory or file; fsync'd, "
-             "so it survives kill -9). Enables restart recovery, forced "
-             "checkpointing of served jobs, and journal-latency shedding; "
-             "the journal is replayed on startup",
-    )
-    serve.add_argument(
-        "--default-deadline", type=float, default=None, metavar="S",
-        help="wall-clock budget applied to submissions that do not carry "
-             "their own deadline_seconds (enforced at superstep boundaries)",
-    )
-    serve.add_argument(
-        "--shed-queue-depth", type=int, default=None, metavar="N",
-        help="shed new submissions (503 + Retry-After) once the queue "
-             "holds N jobs",
-    )
-    serve.add_argument(
-        "--shed-append-seconds", type=float, default=None, metavar="S",
-        help="shed new submissions once the journal's rolling append "
-             "latency exceeds S seconds",
     )
     serve.add_argument(
         "--drain-timeout", type=float, default=300, metavar="S",
@@ -608,84 +585,51 @@ def cmd_pipeline(args, out=print):
         cluster.close()
 
 
-def _parse_serve_options(args):
-    """Datasets and quotas from their NAME=SPEC command-line forms."""
-    from repro.serve import TenantQuota
-
-    datasets = []
-    for spec in args.dataset or []:
-        name, sep, directory = spec.partition("=")
-        if not sep or not name or not directory:
-            raise ValueError("--dataset takes NAME=DIR, got %r" % spec)
-        datasets.append((name, directory))
-    quotas = {}
-    for spec in args.quota or []:
-        tenant, sep, quota = spec.partition("=")
-        if not sep or not tenant or not quota:
-            raise ValueError(
-                "--quota takes TENANT=W[:R[:Q[:F]]], got %r" % spec
-            )
-        quotas[tenant] = TenantQuota.parse(quota)
-    return datasets, quotas
-
-
 def cmd_serve(args, out=print):
     from repro.serve import JobService, ServeHTTPServer
 
+    try:
+        config = ServeConfig.from_args(args)
+    except ValueError as error:
+        out("error: %s" % error)
+        return 2
     if args.smoke or args.smoke_restart:
         from repro.serve import smoke  # not on the server start-up path
 
-        run = smoke.serve_smoke if args.smoke else smoke.serve_restart_smoke
-        return run(args, out=out)
+        if args.smoke:
+            return smoke.serve_smoke(args, config.workers, out=out)
+        return smoke.serve_restart_smoke(args, out=out)
     if args.action == "top":
         return _serve_top(args, out=out)
     if args.action == "recover" and not args.journal:
         out("error: 'repro serve recover' requires --journal DIR")
         return 2
 
+    service = None
     try:
-        datasets, quotas = _parse_serve_options(args)
-    except ValueError as error:
+        service = JobService(config)
+        for name, directory in args.dataset or ():
+            dataset = service.add_dataset(name, local_dir=directory)
+            out(
+                "dataset %s: %d bytes in %d files (digest %s)"
+                % (name, dataset.nbytes, dataset.num_files, dataset.digest)
+            )
+        if args.demo_dataset:
+            from repro.graphs.generators import btc_graph
+
+            dataset = service.add_dataset(
+                "demo", vertices=list(btc_graph(args.demo_dataset, seed=3))
+            )
+            out(
+                "dataset demo: %d generated vertices (digest %s)"
+                % (args.demo_dataset, dataset.digest)
+            )
+    except (ValueError, ReproError, OSError) as error:
+        if service is not None:
+            service.shutdown(drain=False)
         out("error: %s" % error)
         return 2
-    node_memory = (
-        args.node_memory_mb * 1024 * 1024
-        if args.node_memory_mb is not None
-        else None
-    )
-    service = JobService(
-        num_nodes=args.nodes,
-        workers=args.workers,
-        parallelism=args.parallel,
-        node_memory_bytes=node_memory,
-        quotas=quotas or None,
-        result_cache_capacity=args.result_cache,
-        autoscale=args.autoscale,
-        journal="file:%s" % os.path.abspath(args.journal)
-        if args.journal else None,
-        default_deadline_seconds=args.default_deadline,
-        shed_queue_depth=args.shed_queue_depth,
-        shed_append_seconds=args.shed_append_seconds,
-        batch_max=args.batch_max,
-        batch_window=args.batch_window,
-    )
-    for name, directory in datasets:
-        dataset = service.add_dataset(name, local_dir=directory)
-        out(
-            "dataset %s: %d bytes in %d files (digest %s)"
-            % (name, dataset.nbytes, dataset.num_files, dataset.digest)
-        )
-    if args.demo_dataset:
-        from repro.graphs.generators import btc_graph
-
-        dataset = service.add_dataset(
-            "demo", vertices=list(btc_graph(args.demo_dataset, seed=3))
-        )
-        out(
-            "dataset demo: %d generated vertices (digest %s)"
-            % (args.demo_dataset, dataset.digest)
-        )
-    if args.journal:
+    if config.journal:
         summary = service.recover()
         out(
             "journal replay: %(jobs)d job(s) — %(finished)d finished, "
@@ -706,11 +650,13 @@ def cmd_serve(args, out=print):
     service.start()
     server = ServeHTTPServer(service, host=args.host, port=args.port)
     host, port = server.start()
+    autoscale = config.autoscale
     out(
         "serving on http://%s:%d (%d nodes, %d workers%s; Ctrl-C to drain "
         "and stop)" % (
-            host, port, args.nodes, args.workers,
-            ", autoscale %s" % args.autoscale if args.autoscale else "",
+            host, port, config.num_nodes, config.workers,
+            ", autoscale %d:%d" % (autoscale.min_nodes, autoscale.max_nodes)
+            if autoscale else "",
         )
     )
     try:
@@ -846,7 +792,7 @@ def _serve_top(args, out=print):
                 error.read()
             finally:
                 error.close()
-            return None  # e.g. 404 when history sampling is disabled
+            return None  # the frame renders without that section
         except (urllib.error.URLError, OSError, ValueError) as error:
             raise ConnectionError("%s: %s" % (base + path, error))
 

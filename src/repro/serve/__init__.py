@@ -25,77 +25,40 @@ and ``GET /metrics`` exposes the shared registry in Prometheus text
 format (:mod:`repro.telemetry.prometheus`).
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    TenantQuota,
-    estimate_job_bytes,
-)
-from repro.serve.api import (
-    SERVABLE_ALGORITHMS,
-    AdmissionRejected,
-    JobRecord,
-    JobRequest,
-    JobState,
-    Rejection,
-    ServiceCrashed,
-    advance_job_ids,
-    result_document,
-)
-from repro.serve.autoscale import AutoscalePolicy, Autoscaler
-from repro.serve.cache import (
-    LRUCache,
-    PlanCache,
-    ResultCache,
-    plan_class,
-    result_digest,
-)
-from repro.serve.datasets import Dataset
-from repro.serve.history import HistorySampler
-from repro.serve.http import ServeHTTPServer
-from repro.serve.jobtrace import job_trace_document
-from repro.serve.journal import (
-    DFSJournalStorage,
-    Journal,
-    JournalReplay,
-    LocalJournalStorage,
-    open_journal,
-)
-from repro.serve.queue import FairShareQueue
-from repro.serve.service import JobService
-from repro.serve.watchdog import StuckJobWatchdog
+import importlib
 
-__all__ = [
-    "SERVABLE_ALGORITHMS",
-    "AdmissionController",
-    "AdmissionDecision",
-    "AdmissionRejected",
-    "AutoscalePolicy",
-    "Autoscaler",
-    "DFSJournalStorage",
-    "Dataset",
-    "FairShareQueue",
-    "HistorySampler",
-    "JobRecord",
-    "JobRequest",
-    "JobService",
-    "JobState",
-    "Journal",
-    "JournalReplay",
-    "LRUCache",
-    "LocalJournalStorage",
-    "PlanCache",
-    "Rejection",
-    "ResultCache",
-    "ServeHTTPServer",
-    "ServiceCrashed",
-    "StuckJobWatchdog",
-    "TenantQuota",
-    "advance_job_ids",
-    "estimate_job_bytes",
-    "job_trace_document",
-    "open_journal",
-    "plan_class",
-    "result_digest",
-    "result_document",
-]
+#: Public name -> the submodule that defines it, loaded on first use: a
+#: caller importing one submodule (the CLI parser and the chaos drill
+#: table read ``repro.serve.config``) does not pay for the HTTP tier.
+_EXPORTS = {
+    name: "repro.serve." + module
+    for module, names in (
+        ("admission", "AdmissionController AdmissionDecision TenantQuota "
+                      "estimate_job_bytes"),
+        ("api", "SERVABLE_ALGORITHMS AdmissionRejected JobRecord JobRequest "
+                "JobState Rejection ServiceCrashed advance_job_ids "
+                "result_document"),
+        ("autoscale", "AutoscalePolicy Autoscaler"),
+        ("cache", "LRUCache PlanCache ResultCache plan_class result_digest"),
+        ("config", "ServeConfig"),
+        ("datasets", "Dataset"),
+        ("history", "HistorySampler"),
+        ("http", "ServeHTTPServer"),
+        ("jobtrace", "job_trace_document"),
+        ("journal", "DFSJournalStorage Journal JournalReplay "
+                    "LocalJournalStorage open_journal"),
+        ("queue", "FairShareQueue"),
+        ("service", "JobService"),
+        ("watchdog", "StuckJobWatchdog"),
+    )
+    for name in names.split()
+}
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -45,12 +45,22 @@ class TenantQuota:
     #: Largest share of aggregate cluster memory one job may demand.
     memory_fraction: float = 1.0
 
+    def __post_init__(self):
+        if not self.weight > 0:
+            raise ValueError("quota weight must be > 0, got %r" % self.weight)
+        if not 0 < self.memory_fraction <= 1:
+            raise ValueError("quota memory_fraction must be in (0, 1], got %r"
+                             % self.memory_fraction)
+
     @classmethod
     def parse(cls, text):
         """``weight[:max_running[:max_queued[:memory_fraction]]]``."""
         parts = text.split(":")
-        kwargs = {}
         names = ("weight", "max_running", "max_queued", "memory_fraction")
+        if len(parts) > len(names):
+            raise ValueError("quota takes at most %s, got %r"
+                             % (":".join(names), text))
+        kwargs = {}
         casts = (float, int, int, float)
         for name, cast, part in zip(names, casts, parts):
             if part:
@@ -83,13 +93,13 @@ class AdmissionController:
     :param cluster: the :class:`~repro.hyracks.engine.HyracksCluster`
         whose per-node :class:`MemoryBudget`\\ s back the decisions.
     :param quotas: ``{tenant: TenantQuota}``; unknown tenants get
-        ``default_quota`` (open admission with sane caps).
+        ``TenantQuota()`` (open admission with sane caps).
     """
 
-    def __init__(self, cluster, quotas=None, default_quota=None, telemetry=None):
+    def __init__(self, cluster, quotas=None, telemetry=None):
         self.cluster = cluster
         self.quotas = dict(quotas or {})
-        self.default_quota = default_quota or TenantQuota()
+        self.default_quota = TenantQuota()
         self.telemetry = telemetry
 
     def quota(self, tenant):

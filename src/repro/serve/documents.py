@@ -61,7 +61,7 @@ class ServiceDocuments:
             "uptime_seconds": (
                 time.time() - self.started_at if self.started_at else 0.0
             ),
-            "workers": self.workers,
+            "workers": self.config.workers,
             "nodes": len(self.cluster.alive_node_ids()),
             "cluster": self.cluster_stats(),
             "jobs": dict(collections.Counter(r.state.value for r in records)),

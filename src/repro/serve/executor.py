@@ -33,6 +33,11 @@ from repro.serve.api import (
 )
 from repro.serve.cache import result_digest
 
+#: Executions of a lone job before a transient failure becomes its final
+#: FAILED state. Transients inside a run are already retried by the
+#: driver; this covers whole-run replays.
+JOB_ATTEMPTS = 2
+
 
 def failure_kind(error):
     """``transient`` / ``recoverable`` / ``fatal`` for a whole-run error.
@@ -178,7 +183,7 @@ class Executor:
         still-live member with ``timeout``, a user cancel retires only
         that member, a crash leaves the journal's per-member ``started``
         records to drive individual recovery. Any other failure is
-        retried: a lone job in place (up to ``job_attempts``, the
+        retried: a lone job in place (up to :data:`JOB_ATTEMPTS`, the
         watchdog's ``stuck`` verdict counting a poison strike), a shared
         run by handing its survivors back instead of failing N jobs for
         one engine fault. Returns the members left unfinished — the
@@ -203,7 +208,7 @@ class Executor:
         event(started, category="serve", algorithm=request.algorithm,
               deadline_seconds=leader.deadline_seconds, **who)
         dataset = service.datasets[request.dataset]
-        attempts = service.job_attempts if solo else 1
+        attempts = JOB_ATTEMPTS if solo else 1
         for attempt in range(1, attempts + 1):
             for record in live:
                 record.attempts = attempt
@@ -285,13 +290,14 @@ class Executor:
         # bit-identity class as the original despite the restarted
         # process's empty plan cache.
         job = service.build_job(request, plan_signature=leader.plan_signature)
+        interval = service.config.checkpoint_interval
         if (
             service.journal is not None
-            and service.checkpoint_interval
+            and interval
             and not getattr(job, "checkpoint_interval", 0)
         ):
             # Resume needs checkpoints to land on.
-            job.checkpoint_interval = service.checkpoint_interval
+            job.checkpoint_interval = interval
         plan_signature = plans.plan_signature(job)
         if shared:
             run_id = "serve-batch-%s-x%d" % (leader.job_id, len(lanes))

@@ -21,8 +21,7 @@ Endpoints (JSON in, JSON out)::
                             missing heartbeats)
     GET  /stats             service statistics snapshot
     GET  /stats/history     the health-history ring buffer (optionally
-                            ``?n=<last N samples>``); 404 when sampling
-                            is disabled
+                            ``?n=<last N samples>``)
     GET  /metrics           Prometheus text exposition (format 0.0.4)
                             of every counter, gauge, and histogram
     POST /cluster/scale     elastic resize: {"nodes": N} within the
@@ -114,10 +113,6 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/stats":
             self._json(200, self.service.stats())
         elif path == "/stats/history":
-            sampler = getattr(self.service, "history", None)
-            if sampler is None:
-                self._error(404, "no_history", "history sampling is disabled")
-                return
             last = None
             query = parse_qs(self.path.partition("?")[2])
             if query.get("n"):
@@ -126,7 +121,7 @@ class _Handler(BaseHTTPRequestHandler):
                 except ValueError:
                     self._error(400, "bad_request", "n must be an integer")
                     return
-            self._json(200, sampler.document(last=last))
+            self._json(200, self.service.history.document(last=last))
         elif path == "/metrics":
             from repro.telemetry.prometheus import CONTENT_TYPE, render_prometheus
 

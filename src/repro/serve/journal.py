@@ -372,45 +372,31 @@ class Journal:
 
 def open_journal(target, telemetry=None, fault_injector=None, retry=None,
                  dfs=None):
-    """Build a :class:`Journal` from what the caller has.
+    """Build a :class:`Journal` at ``target``, which names its backend:
 
-    :param target: an existing :class:`Journal` (returned as-is) or a
-        path string. ``dfs:<path>`` forces :class:`DFSJournalStorage`
-        (requires ``dfs``); ``file:<path>`` forces
-        :class:`LocalJournalStorage`. An unprefixed path goes to the DFS
-        when one is attached, it is absolute, and it does not name an
-        existing local directory — otherwise to a local file
-        (``journal.wal`` is appended to a directory path). The CLI's
-        ``--journal DIR`` passes ``file:`` so a kill -9 demo never lands
-        the WAL in the process-local MiniDFS by accident.
+    * ``file:<path>`` — :class:`LocalJournalStorage`, a real fsync'd file
+      that survives ``kill -9`` (``journal.wal`` is appended to a
+      directory or an extension-less path);
+    * ``dfs:<path>`` — :class:`DFSJournalStorage` in ``dfs``.
+
+    Anything else is refused rather than guessed at: an unprefixed path
+    that silently landed in the in-process MiniDFS would die with the
+    process it was meant to outlive.
     """
-    if isinstance(target, Journal):
-        return target
-    path = target
-    force_local = False
-    if isinstance(path, str) and path.startswith("dfs:"):
+    if isinstance(target, str) and target.startswith("dfs:"):
         if dfs is None:
             raise ReproError("journal target %r requires an attached DFS" % target)
-        storage = DFSJournalStorage(dfs, path[len("dfs:"):])
-        return Journal(
-            storage, telemetry=telemetry, fault_injector=fault_injector,
-            retry=retry,
-        )
-    if isinstance(path, str) and path.startswith("file:"):
-        path = path[len("file:"):]
-        force_local = True
-    if (
-        not force_local
-        and dfs is not None
-        and isinstance(path, str)
-        and path.startswith("/")
-        and not os.path.isdir(path)
-    ):
-        storage = DFSJournalStorage(dfs, path)
-    else:
+        storage = DFSJournalStorage(dfs, target[len("dfs:"):])
+    elif isinstance(target, str) and target.startswith("file:"):
+        path = target[len("file:"):]
         if os.path.isdir(path) or not os.path.splitext(path)[1]:
             path = os.path.join(path, "journal.wal")
         storage = LocalJournalStorage(path)
+    else:
+        raise ReproError(
+            "journal target %r must be file:<path> (a local file) or "
+            "dfs:<path> (a file in the attached DFS)" % (target,)
+        )
     return Journal(
         storage, telemetry=telemetry, fault_injector=fault_injector, retry=retry
     )

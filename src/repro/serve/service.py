@@ -22,6 +22,7 @@ dispatch → run → boundary → commit path every dequeued job takes (a
 lone job is a batch of one). See DESIGN.md §14.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -30,7 +31,7 @@ from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix.api import PlanChoice
 from repro.pregelix.failure import HeartbeatMonitor, RetryPolicy
-from repro.serve.autoscale import Autoscaler, AutoscalePolicy
+from repro.serve.autoscale import Autoscaler
 from repro.serve import plans
 from repro.serve.batching import BatchFormer
 from repro.serve.admission import REJECT, AdmissionController
@@ -50,6 +51,7 @@ from repro.serve.api import (
     next_job_id,
 )
 from repro.serve.cache import PlanCache, ResultCache, result_digest
+from repro.serve.config import ServeConfig
 from repro.serve.datasets import load_dataset
 from repro.serve.documents import ServiceDocuments
 from repro.serve.executor import Executor
@@ -60,88 +62,38 @@ from repro.serve.queue import FairShareQueue
 from repro.serve.watchdog import StuckJobWatchdog
 from repro.telemetry import Telemetry
 
+#: Fair-share aging at the service: pass units forgiven per second a
+#: tenant's head job has waited (DESIGN.md §14 "Fair share").
+AGING_RATE = 1.0
+
 
 class JobService(ServiceDocuments):
     """A long-running, multi-tenant Pregelix job service.
 
-    :param num_nodes: simulated machines in the owned cluster (ignored
-        when ``cluster`` is handed in).
-    :param workers: dispatcher threads — the job-level concurrency.
-    :param parallelism: per-job operator-clone concurrency (DESIGN.md §13).
-    :param quotas: ``{tenant: TenantQuota}``.
-    :param result_cache_capacity: LRU entries (0 disables result caching).
-    :param job_attempts: executions per job before a recoverable failure
-        becomes the job's final FAILED state (transients within a run are
-        already retried by the driver; this covers whole-run replays).
-    :param autoscale: an :class:`~repro.serve.autoscale.AutoscalePolicy`
-        or a ``"MIN:MAX"`` string — lets the service grow/shrink the
-        cluster with load (nodes join and drain at superstep boundaries;
-        results stay byte-identical because the partition *count* is
-        pinned at construction, see ``virtual_partitions``).
-    :param journal: crash-safety WAL — a
-        :class:`~repro.serve.journal.Journal`, a DFS path string
-        (``/serve/journal.wal``-style), or a local directory/file path
-        (survives ``kill -9``); ``None`` disables journaling.
-    :param default_deadline_seconds: wall-clock budget applied to
-        submissions that do not carry their own ``deadline_seconds``.
-    :param checkpoint_interval: superstep interval forced onto served
-        jobs when a journal is attached (resume needs checkpoints to
-        land on); jobs that already set one keep theirs. 0 disables.
-    :param shed_queue_depth: queue depth at which new submissions are
-        shed with a retryable ``overloaded`` rejection (None = never).
-    :param shed_append_seconds: rolling journal-append latency at which
-        submissions are shed (None = never).
-    :param watchdog: ``False`` disables the stuck-job watchdog;
-        ``None``/``True`` runs it with defaults; a
-        :class:`~repro.serve.watchdog.StuckJobWatchdog` is used as-is.
-    :param batch_max: coalesce up to this many compatible queued point
-        queries (same dataset × algorithm × plan bit-identity class ×
-        limits) into one multi-query dataflow run (DESIGN.md §17); 1
-        disables batching.
-    :param batch_window: seconds of queue time a batchable leader waits
-        for companions before dispatching.
-    :param history_interval: seconds between health-history samples
-        (queue depth, node counts, cache hit ratio, journal latency,
-        per-tenant virtual time — the ``GET /stats/history`` window);
-        ``None``/0 disables the sampler.
+    :param config: the :class:`~repro.serve.config.ServeConfig` (every
+        knob, its default and its range live there); keyword ``changes``
+        are applied to it with :func:`dataclasses.replace`, so
+        ``JobService(workers=1)`` reads as ``JobService(ServeConfig(workers=1))``.
+    :param cluster: a :class:`~repro.hyracks.engine.HyracksCluster` to
+        serve on instead of an owned one (the service does not close it).
+    :param dfs: a :class:`~repro.hdfs.MiniDFS` to keep datasets (and a
+        ``dfs:`` journal) in instead of a fresh one.
+    :param telemetry: a shared :class:`~repro.telemetry.Telemetry`.
     """
 
-    def __init__(
-        self,
-        num_nodes=4,
-        workers=2,
-        parallelism=1,
-        node_memory_bytes=None,
-        quotas=None,
-        default_quota=None,
-        aging_rate=1.0,
-        result_cache_capacity=64,
-        job_attempts=2,
-        telemetry=None,
-        cluster=None,
-        dfs=None,
-        autoscale=None,
-        autoscale_interval=0.25,
-        journal=None,
-        default_deadline_seconds=None,
-        checkpoint_interval=2,
-        shed_queue_depth=None,
-        shed_append_seconds=None,
-        watchdog=None,
-        batch_max=1,
-        batch_window=0.25,
-        history_interval=0.5,
-    ):
+    def __init__(self, config=ServeConfig(), *, cluster=None, dfs=None,
+                 telemetry=None, **changes):
+        if changes:
+            config = dataclasses.replace(config, **changes)
+        self.config = config
         self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self._owns_cluster = cluster is None
         if cluster is None:
-            kwargs = {"num_nodes": num_nodes, "telemetry": self.telemetry,
-                      "parallelism": parallelism}
-            if node_memory_bytes is not None:
-                kwargs["node_memory_bytes"] = int(node_memory_bytes)
-            cluster = HyracksCluster(**kwargs)
-            self._owns_cluster = True
-        else:
-            self._owns_cluster = False
+            cluster = HyracksCluster(
+                num_nodes=config.num_nodes, telemetry=self.telemetry,
+                parallelism=config.parallelism,
+                node_memory_bytes=config.node_memory_bytes,
+            )
         self.cluster = cluster
         if getattr(cluster, "virtual_partitions", None) is None:
             # Pin the data-partition count at the starting size: every
@@ -149,32 +101,20 @@ class JobService(ServiceDocuments):
             # set breathes, so results are byte-stable under scaling.
             cluster.virtual_partitions = cluster.num_partitions
         self.heartbeats = HeartbeatMonitor(cluster, telemetry=self.telemetry)
-        self.autoscaler = None
-        if autoscale is not None:
-            policy = (
-                autoscale
-                if isinstance(autoscale, AutoscalePolicy)
-                else AutoscalePolicy.parse(autoscale)
-            )
-            self.autoscaler = Autoscaler(self, policy, interval=autoscale_interval)
+        self.autoscaler = Autoscaler(self, config.autoscale) if config.autoscale else None
         self.dfs = dfs if dfs is not None else MiniDFS(datanodes=cluster.node_ids())
-        self.admission = AdmissionController(
-            cluster, quotas=quotas, default_quota=default_quota,
-            telemetry=self.telemetry,
-        )
-        self.queue = FairShareQueue(aging_rate=aging_rate)
+        self.admission = AdmissionController(cluster, config.quotas, self.telemetry)
+        self.queue = FairShareQueue(aging_rate=AGING_RATE)
         for tenant, quota in self.admission.quotas.items():
             self.queue.set_weight(tenant, quota.weight)
         self.result_cache = (
-            ResultCache(result_cache_capacity, telemetry=self.telemetry)
-            if result_cache_capacity
+            ResultCache(config.result_cache_capacity, telemetry=self.telemetry)
+            if config.result_cache_capacity
             else None
         )
         self.plan_cache = PlanCache()
-        self.job_attempts = max(int(job_attempts), 1)
         self.datasets = {}
         self.started_at = None
-        self.workers = max(int(workers), 1)
         self._threads = []
         # One lock serialises job-state transitions across the three
         # owners; each guards only its own fields with it.
@@ -183,14 +123,10 @@ class JobService(ServiceDocuments):
         self.lifecycle = JobLifecycle(self, self._lock)
         self.jobs = self.lifecycle.jobs
         self.executor = Executor(self, self._lock)
-        self.default_deadline_seconds = default_deadline_seconds
-        self.checkpoint_interval = checkpoint_interval
-        self.shed_queue_depth = shed_queue_depth
-        self.shed_append_seconds = shed_append_seconds
         self.journal = None
-        if journal is not None:
+        if config.journal is not None:
             self.journal = open_journal(
-                journal,
+                config.journal,
                 telemetry=self.telemetry,
                 # Resolved per append: chaos attaches its injector to the
                 # DFS after the service is constructed.
@@ -198,21 +134,13 @@ class JobService(ServiceDocuments):
                 retry=RetryPolicy(telemetry=self.telemetry),
                 dfs=self.dfs,
             )
-        self.watchdog = None
-        if watchdog is not False:
-            self.watchdog = (
-                watchdog
-                if isinstance(watchdog, StuckJobWatchdog)
-                else StuckJobWatchdog(self)
-            )
+        self.watchdog = StuckJobWatchdog(self) if config.watchdog else None
         self.batcher = None
-        if batch_max is not None and int(batch_max) > 1:
+        if config.batch_max > 1:
             self.batcher = BatchFormer(
-                self, batch_max=batch_max, batch_window=batch_window
+                self, batch_max=config.batch_max, batch_window=config.batch_window
             )
-        self.history = None
-        if history_interval:
-            self.history = HistorySampler(self, interval=history_interval)
+        self.history = HistorySampler(self)
 
     # ------------------------------------------------------------------
     # datasets
@@ -250,7 +178,7 @@ class JobService(ServiceDocuments):
                 raise ReproError("service already stopped")
             self._state = "serving"
             self.started_at = time.time()
-            for i in range(self.workers):
+            for i in range(self.config.workers):
                 thread = threading.Thread(
                     target=self.executor.worker_loop,
                     name="serve-worker-%d" % i,
@@ -268,10 +196,9 @@ class JobService(ServiceDocuments):
             self.autoscaler.start()
         if self.watchdog is not None:
             self.watchdog.start()
-        if self.history is not None:
-            self.history.start()
+        self.history.start()
         self.telemetry.event(
-            "serve.start", category="serve", workers=self.workers,
+            "serve.start", category="serve", workers=self.config.workers,
             nodes=len(self.cluster.nodes),
         )
         return self
@@ -301,8 +228,7 @@ class JobService(ServiceDocuments):
             self.autoscaler.stop()
         if self.watchdog is not None:
             self.watchdog.stop()
-        if self.history is not None:
-            self.history.stop()
+        self.history.stop()
         drained = self.drain(timeout=timeout) if drain else False
         with self._lock:
             self._state = "draining"
@@ -404,7 +330,7 @@ class JobService(ServiceDocuments):
         record.deadline_seconds = (
             request.deadline_seconds
             if request.deadline_seconds is not None
-            else self.default_deadline_seconds
+            else self.config.default_deadline_seconds
         )
 
         # Serve repeats straight from the cache — no admission, no queue.
@@ -461,13 +387,13 @@ class JobService(ServiceDocuments):
         """Overload shedding (DESIGN.md §16): a retryable rejection when
         the queue is too deep or the journal's rolling append latency
         says durable writes can no longer keep up with arrivals."""
-        depth, limit = len(self.queue), self.shed_queue_depth
+        depth, limit = len(self.queue), self.config.shed_queue_depth
         if limit is not None and depth >= limit:
             return _overloaded(
                 "queue depth %d at shed threshold %d" % (depth, limit), 1,
                 queue_depth=depth, threshold=limit,
             )
-        limit = self.shed_append_seconds
+        limit = self.config.shed_append_seconds
         if self.journal is not None and limit is not None:
             avg = self.journal.avg_append_seconds()
             if avg > limit:

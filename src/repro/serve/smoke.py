@@ -31,6 +31,7 @@ from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.serve.admission import TenantQuota
 from repro.serve.api import JobState
+from repro.serve.config import ServeConfig
 from repro.serve.http import ServeHTTPServer
 from repro.serve.service import JobService
 
@@ -99,10 +100,11 @@ def _terminal(record):
     return record.get("state") in ("succeeded", "failed")
 
 
-def serve_smoke(args, out=print):
+def serve_smoke(args, workers, out=print):
     """The CI smoke: end-to-end HTTP serving against a direct-driver run.
 
-    Three submissions over real HTTP — a normal job, an over-quota job
+    A three-node service with ``workers`` dispatchers takes three
+    submissions over real HTTP — a normal job, an over-quota job
     that must produce a structured 429-style rejection (never an OOM),
     and a repeat of the first that must be served from the result cache
     — then the observability surfaces and a clean drain. The served
@@ -132,16 +134,16 @@ def serve_smoke(args, out=print):
     finally:
         cluster.close()
 
-    service = JobService(
+    service = JobService(ServeConfig(
         num_nodes=3,
-        workers=args.workers,
+        workers=workers,
         quotas={
             "alice": TenantQuota(weight=2.0),
             # bob's memory fraction is so small every job is over budget:
             # the structured rejection path, never an engine OOM.
             "bob": TenantQuota(weight=1.0, memory_fraction=1e-9),
         },
-    )
+    ))
     service.add_dataset("btc", vertices=vertices)
     service.start()
     server = ServeHTTPServer(service, host="127.0.0.1", port=0)
@@ -384,7 +386,7 @@ def serve_restart_smoke(args, out=print):
 
         # 3. Restart: a fresh service over the same journal.
         service = JobService(
-            num_nodes=3, workers=1, journal="file:%s" % journal_dir
+            ServeConfig(num_nodes=3, workers=1, journal="file:%s" % journal_dir)
         )
         service.add_dataset(
             "demo", vertices=list(btc_graph(demo_vertices, seed=3))

@@ -335,8 +335,10 @@ def test_a_poison_job_leaves_nothing_of_any_attempt(monkeypatch):
     fresh run id per attempt; when it gives up, nothing of any attempt is
     left on the nodes or — checkpoints included — in the DFS."""
     from repro.algorithms import connected_components
+    from repro.chaos.serve_drill import DRILL_CONFIG
     from repro.common.errors import TransientIOError
     from repro.serve import JobService, JobState
+    from repro.serve.executor import JOB_ATTEMPTS
 
     def flaky_dump(record):
         raise TransientIOError("node0", site="dump")
@@ -344,11 +346,7 @@ def test_a_poison_job_leaves_nothing_of_any_attempt(monkeypatch):
     monkeypatch.setattr(connected_components, "format_record", flaky_dump)
     with HyracksCluster(num_nodes=2) as cluster:
         dfs = MiniDFS(datanodes=cluster.node_ids())
-        service = JobService(
-            cluster=cluster, dfs=dfs, workers=1, job_attempts=3,
-            journal="dfs:/serve/journal.wal", checkpoint_interval=1,
-            watchdog=False,
-        )
+        service = JobService(DRILL_CONFIG, cluster=cluster, dfs=dfs)
         service.add_dataset("g", vertices=list(btc_graph(40, seed=3)))
         service.start()
         try:
@@ -358,8 +356,9 @@ def test_a_poison_job_leaves_nothing_of_any_attempt(monkeypatch):
             assert record.wait(120) is JobState.FAILED
         finally:
             service.shutdown(timeout=120)
-        assert (record.attempts, record.error_kind) == (3, "transient")
-        assert len(record.trace_run_ids) == 3
+        assert JOB_ATTEMPTS == 2
+        assert (record.attempts, record.error_kind) == (2, "transient")
+        assert len(record.trace_run_ids) == 2
         assert held(cluster) == []
         assert dfs.list_files("/pregelix") == []
         assert dfs.list_files("/serve/jobs") == []

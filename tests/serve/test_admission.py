@@ -50,6 +50,13 @@ class TestQuotaParse:
         with pytest.raises(ValueError):
             TenantQuota.parse("fast")
 
+    @pytest.mark.parametrize("text", [
+        "0", "-1", "1:2:3:0", "1:2:3:4", "1:2:3:0.5:5", "1:2:3:4:5:6",
+    ])
+    def test_out_of_range_or_extra_fields_raise(self, text):
+        with pytest.raises(ValueError):
+            TenantQuota.parse(text)
+
 
 class TestDecide:
     def test_fitting_job_is_admitted(self, cluster):

@@ -188,8 +188,8 @@ class TestLivenessSurfacing:
 class TestServiceIntegration:
     def test_start_clamps_into_band_and_runs_jobs(self, serve_graph,
                                                   reference_results):
-        service = JobService(num_nodes=1, workers=2, autoscale="2:4",
-                             autoscale_interval=0.05)
+        service = JobService(num_nodes=1, workers=2,
+                             autoscale=AutoscalePolicy.parse("2:4"))
         try:
             service.add_dataset("g", vertices=serve_graph)
             service.start()

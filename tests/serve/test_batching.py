@@ -7,10 +7,12 @@ crash recovery (never a half-batch).
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos.serve_drill import DRILL_CONFIG
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.serve import JobService, JobState, ServiceCrashed
@@ -226,13 +228,10 @@ class TestMidBatchCrash:
         dfs = MiniDFS(datanodes=cluster.node_ids())
 
         def make_service(**overrides):
-            kwargs = dict(
-                cluster=cluster, dfs=dfs, workers=1,
-                journal="dfs:/serve/journal.wal", checkpoint_interval=1,
-                watchdog=False, batch_max=8, batch_window=0.4,
+            service = JobService(
+                replace(DRILL_CONFIG, batch_max=8), cluster=cluster, dfs=dfs,
+                **overrides
             )
-            kwargs.update(overrides)
-            service = JobService(**kwargs)
             service.add_dataset("g", vertices=list(serve_graph))
             return service
 

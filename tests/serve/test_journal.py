@@ -178,18 +178,15 @@ class TestJournal:
 
 
 class TestOpenJournal:
-    def test_existing_journal_passes_through(self, tmp_path):
-        journal = Journal(LocalJournalStorage(str(tmp_path / "j.wal")))
-        assert open_journal(journal) is journal
-
     def test_directory_gets_wal_filename(self, tmp_path):
-        journal = open_journal(str(tmp_path))
+        journal = open_journal("file:%s" % tmp_path)
         assert journal.storage.path == os.path.join(str(tmp_path), "journal.wal")
 
-    def test_absolute_path_with_dfs_goes_to_dfs(self, tmp_path):
+    def test_dfs_prefix_goes_to_dfs(self):
         dfs = MiniDFS(datanodes=["node0"])
-        journal = open_journal("/serve/journal.wal", dfs=dfs)
+        journal = open_journal("dfs:/serve/journal.wal", dfs=dfs)
         assert isinstance(journal.storage, DFSJournalStorage)
+        assert journal.storage.path == "/serve/journal.wal"
 
     def test_file_prefix_forces_local_even_with_dfs(self, tmp_path):
         dfs = MiniDFS(datanodes=["node0"])
@@ -203,7 +200,18 @@ class TestOpenJournal:
         with pytest.raises(ReproError):
             open_journal("dfs:/serve/journal.wal")
 
-    def test_existing_local_dir_wins_over_dfs(self, tmp_path):
+    @pytest.mark.parametrize("target", [
+        "/serve/journal.wal",  # absolute, no such local directory
+        "{tmp}",  # an existing local directory
+        "journal.wal",  # relative
+    ])
+    def test_unprefixed_target_is_refused(self, tmp_path, target):
         dfs = MiniDFS(datanodes=["node0"])
-        journal = open_journal(str(tmp_path), dfs=dfs)
-        assert isinstance(journal.storage, LocalJournalStorage)
+        with pytest.raises(ReproError, match="file:<path>.*dfs:<path>"):
+            open_journal(target.format(tmp=tmp_path), dfs=dfs)
+        assert dfs.list_files("/") == []
+
+    def test_journal_instance_is_refused(self, tmp_path):
+        journal = Journal(LocalJournalStorage(str(tmp_path / "j.wal")))
+        with pytest.raises(ReproError):
+            open_journal(journal)

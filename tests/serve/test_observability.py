@@ -8,13 +8,12 @@ the Prometheus scrape under concurrent load, its agreement with the
 
 import json
 import time
-import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serve import JobService, JobState, ServeHTTPServer
-from repro.serve.history import HistorySampler
+from repro.serve.history import DEFAULT_INTERVAL, HistorySampler
 from repro.serve.jobtrace import select_job_spans
 from tests.telemetry.test_export import assert_well_formed_chrome
 from tests.telemetry.test_prometheus import parse_exposition
@@ -31,7 +30,7 @@ def submit(service, algorithm="cc", tenant="alice", **overrides):
 
 @pytest.fixture
 def service(serve_graph):
-    svc = JobService(num_nodes=3, workers=2, history_interval=0.05)
+    svc = JobService(num_nodes=3, workers=2)
     svc.add_dataset("g", vertices=serve_graph)
     svc.start()
     yield svc
@@ -171,7 +170,7 @@ class TestSpanBreakdown:
 
 class TestMetricsEndpoint:
     def test_scrape_under_concurrent_jobs(self, serve_graph):
-        service = JobService(num_nodes=3, workers=4, history_interval=None)
+        service = JobService(num_nodes=3, workers=4)
         service.add_dataset("g", vertices=serve_graph)
         service.start()
         server = ServeHTTPServer(service, port=0)
@@ -279,7 +278,7 @@ class TestHistory:
                     break
                 time.sleep(0.05)
             assert doc["taken"] >= 3
-            assert doc["interval_seconds"] == 0.05
+            assert doc["interval_seconds"] == DEFAULT_INTERVAL
             latest = doc["samples"][-1]
             for key in ("ts", "queue_depth", "virtual_time_by_tenant",
                         "nodes_schedulable", "journal_append_seconds"):
@@ -291,27 +290,6 @@ class TestHistory:
             assert len(windowed["samples"]) <= 2
         finally:
             server.close()
-
-    def test_disabled_history_404s(self, serve_graph):
-        service = JobService(num_nodes=2, workers=1, history_interval=None)
-        service.add_dataset("g", vertices=serve_graph)
-        service.start()
-        server = ServeHTTPServer(service, port=0)
-        host, port = server.start()
-        try:
-            assert service.history is None
-            request = urllib.request.Request(
-                "http://%s:%d/stats/history" % (host, port)
-            )
-            try:
-                urllib.request.urlopen(request, timeout=30)
-                raise AssertionError("expected a 404")
-            except urllib.error.HTTPError as error:
-                assert error.code == 404
-                assert json.loads(error.read())["error"]["code"] == "no_history"
-        finally:
-            server.close()
-            service.shutdown(timeout=WAIT)
 
 
 def test_serve_top_renders_against_a_live_service(monkeypatch):

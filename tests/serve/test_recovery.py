@@ -3,13 +3,13 @@
 import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos.serve_drill import DRILL_CONFIG
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.serve import JobService, JobState, ServiceCrashed
 from repro.serve.journal import RECORD_SUBMITTED
 
 WAIT = 120
-JOURNAL = "dfs:/serve/journal.wal"
 
 
 @pytest.fixture
@@ -19,12 +19,7 @@ def harness(serve_graph):
 
     def make_service(**overrides):
         """One 'process start' over the shared cluster/DFS/journal."""
-        kwargs = dict(
-            cluster=cluster, dfs=dfs, workers=1, journal=JOURNAL,
-            checkpoint_interval=1, watchdog=False,
-        )
-        kwargs.update(overrides)
-        service = JobService(**kwargs)
+        service = JobService(DRILL_CONFIG, cluster=cluster, dfs=dfs, **overrides)
         service.add_dataset("g", vertices=list(serve_graph))
         return service
 

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import AutoscalePolicy, ServeConfig, TenantQuota
 
 
 def run_cli(argv):
@@ -441,25 +443,49 @@ class TestServeCommand:
         assert "repeat is a cache hit" in text
 
     def test_dataset_spec_parsing(self):
-        from repro.cli import _parse_serve_options
-
         parser = build_parser()
         args = parser.parse_args(
             ["serve", "--dataset", "web=/tmp/web",
              "--quota", "alice=2:1:5:0.5", "--quota", "bob=1"]
         )
-        datasets, quotas = _parse_serve_options(args)
-        assert datasets == [("web", "/tmp/web")]
+        assert args.dataset == [("web", "/tmp/web")]
+        quotas = ServeConfig.from_args(args).quotas
         assert quotas["alice"].max_running == 1
         assert quotas["alice"].memory_fraction == 0.5
         assert quotas["bob"].weight == 1.0
 
     def test_bad_dataset_spec_is_an_error(self):
-        from repro.cli import _parse_serve_options
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--dataset", "nodir"])
 
-        args = build_parser().parse_args(["serve", "--dataset", "nodir"])
-        with pytest.raises(ValueError):
-            _parse_serve_options(args)
+    @pytest.mark.parametrize("flags", [
+        ["--autoscale", "4"],
+        ["--result-cache", "-1"],
+        ["--quota", "bob=0"],
+        ["--quota", "bob=1:2:3:4:5:6"],
+        ["--quota", "bob=1:2:3:4"],
+        ["--dataset", "g=/nonexistent"],
+        ["--workers", "0"],
+        ["--shed-queue-depth", "-3"],
+        ["--smoke", "--workers", "0"],
+        ["--smoke-restart", "--result-cache", "-1"],
+    ], ids=" ".join)
+    def test_bad_flag_exits_2_with_one_error_line(self, flags, capsys):
+        try:
+            code, lines = run_cli(["serve", "--port", "0"] + flags)
+        except SystemExit as exit:  # argparse refused the value itself
+            code, lines = exit.code, capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len([line for line in lines if "error:" in line]) == 1, lines
+
+    def test_recover_over_an_empty_journal(self, tmp_path):
+        # The argv shape perfbench's serve.recover_s spawns.
+        code, lines = run_cli(
+            ["serve", "recover", "--journal", str(tmp_path), "--nodes", "2",
+             "--workers", "1", "--demo-dataset", "20"]
+        )
+        assert code == 0
+        assert any(line.startswith("journal replay: 0 job(s)") for line in lines)
 
     def test_top_action_parses(self):
         args = build_parser().parse_args(
@@ -506,3 +532,99 @@ class TestServeCommand:
         # Sparklines scale to the window peak and tolerate None gaps.
         assert _sparkline([]) == ""
         assert _sparkline([0.0, None, 1.0])[-1] == _sparkline([5, 10])[-1]
+
+
+class TestServeConfigFlags:
+    """``ServeConfig`` is the one declaration of a service knob: each
+    field's flag, type and default live on the field."""
+
+    #: field -> (flag value, parsed field value)
+    SAMPLES = {
+        "num_nodes": ("3", 3),
+        "workers": ("5", 5),
+        "parallelism": ("2", 2),
+        "node_memory_bytes": ("8", 8 << 20),
+        "quotas": ("bob=2:1", {"bob": TenantQuota(weight=2.0, max_running=1)}),
+        "result_cache_capacity": ("0", 0),
+        "autoscale": ("2:4", AutoscalePolicy(2, 4)),
+        "journal": ("wal-dir", "file:" + os.path.abspath("wal-dir")),
+        "default_deadline_seconds": ("1.5", 1.5),
+        "shed_queue_depth": ("7", 7),
+        "shed_append_seconds": ("0.25", 0.25),
+        "batch_max": ("4", 4),
+        "batch_window": ("0.1", 0.1),
+    }
+    #: set by the chaos drill and tests only: no flag
+    API_ONLY = {"checkpoint_interval", "watchdog"}
+
+    @staticmethod
+    def plain(value):
+        """``AutoscalePolicy`` compares by identity; compare its fields."""
+        return value.to_dict() if isinstance(value, AutoscalePolicy) else value
+
+    def test_each_field_has_one_flag_that_round_trips(self):
+        knobs = {knob.name: knob for knob in dataclasses.fields(ServeConfig)}
+        assert set(self.SAMPLES) | self.API_ONLY == set(knobs)
+        assert not set(self.SAMPLES) & self.API_ONLY
+        flags = [knob.metadata["flag"] for knob in knobs.values()]
+        flagged = [flag for flag in flags if flag]
+        assert len(flagged) == len(set(flagged)) == len(self.SAMPLES)
+        default = ServeConfig()
+        for name, (text, expected) in self.SAMPLES.items():
+            args = build_parser().parse_args(
+                ["serve", knobs[name].metadata["flag"], text]
+            )
+            config = ServeConfig.from_args(args)
+            assert self.plain(getattr(config, name)) == self.plain(expected), name
+            # ... and that flag moved nothing else.
+            assert dataclasses.replace(
+                config, **{name: getattr(default, name)}
+            ) == default, name
+
+    def test_unknown_service_keyword_is_a_type_error(self):
+        from repro.serve import JobService
+
+        with pytest.raises(TypeError):
+            JobService(bogus=1)
+
+    @pytest.mark.parametrize("changes", [
+        {"workers": 0}, {"num_nodes": 0}, {"result_cache_capacity": -1},
+        {"shed_queue_depth": -3}, {"batch_max": 0}, {"batch_window": -0.1},
+        {"checkpoint_interval": -1},
+    ], ids=repr)
+    def test_api_refuses_what_the_cli_refuses(self, changes):
+        with pytest.raises(ValueError):
+            ServeConfig(**changes)
+
+    @pytest.mark.parametrize("changes", [
+        {"autoscale": "2:4"}, {"watchdog": None},
+    ], ids=repr)
+    def test_one_type_per_field(self, changes):
+        with pytest.raises(TypeError):
+            ServeConfig(**changes)
+
+    def test_serve_burst_argv(self, tmp_path):
+        """The flag set perfbench's ``serve_burst`` spawns ``repro serve``
+        with."""
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--nodes", "3", "--workers", "2",
+             "--demo-dataset", "300", "--journal", str(tmp_path),
+             "--batch-max", "8", "--batch-window", "0.05",
+             "--result-cache", "256"]
+        )
+        assert (args.port, args.demo_dataset) == (0, 300)
+        assert ServeConfig.from_args(args) == ServeConfig(
+            num_nodes=3, workers=2, journal="file:%s" % tmp_path,
+            batch_max=8, batch_window=0.05, result_cache_capacity=256,
+        )
+
+    def test_serve_recover_argv(self, tmp_path):
+        """The flag set perfbench's ``serve.recover_s`` runs."""
+        args = build_parser().parse_args(
+            ["serve", "recover", "--journal", str(tmp_path), "--nodes", "3",
+             "--workers", "2", "--demo-dataset", "300"]
+        )
+        assert (args.action, args.demo_dataset) == ("recover", 300)
+        assert ServeConfig.from_args(args) == ServeConfig(
+            num_nodes=3, workers=2, journal="file:%s" % tmp_path,
+        )

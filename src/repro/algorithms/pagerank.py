@@ -39,9 +39,11 @@ class PageRankVertex(Vertex):
                 + self.damping * incoming
             )
         if self.superstep < self.iterations:
-            if self.edges:
-                share = self.value / len(self.edges)
-                self.send_message_to_all_edges(share)
+            # Out-degree and targets come off the stored edge list: no
+            # edge is decoded, and the row is written back spliced.
+            out_degree = self.num_out_edges
+            if out_degree:
+                self.send_message_to_all_edges(self.value / out_degree)
         else:
             self.vote_to_halt()
 

@@ -685,27 +685,32 @@ class PackedListSerde(_Composite):
             raise ValueError("a packed list needs a fixed-width element codec")
         self.element_serde = element_serde
         self._adopt(_compile_repeated(element_serde, framed=False))
+        self._width = element_serde.fixed_size
         self._firsts = None
         if isinstance(element_serde, FixedPairSerde) and element_serde.first is INT64:
             self._firsts = struct.Struct(">Q%dx" % element_serde.second.fixed_size)
 
+    def count(self, data):
+        """The element count of the image ``data``, read off it with the
+        count × width check :meth:`loads` makes: no element is decoded."""
+        try:
+            (count,) = _U32.unpack_from(data, 0)
+        except struct.error as exc:
+            _corrupt(exc)
+        if 4 + self._width * count != len(data):
+            _corrupt("a count of %d does not match %d bytes" % (count, len(data)))
+        return count
+
     def firsts(self, data):
         """The leading INT64 of every element — the targets of an edge
-        list — read off the image: the count × width check :meth:`loads`
-        makes, then one ``iter_unpack`` that skips the rest of each
-        element. Elements must be :class:`FixedPairSerde` pairs led by
-        :data:`INT64`."""
+        list — read off the image: :meth:`count`'s check, then one
+        ``iter_unpack`` that skips the rest of each element. Elements
+        must be :class:`FixedPairSerde` pairs led by :data:`INT64`."""
         firsts = self._firsts
         if firsts is None:
             raise TypeError("elements of %r are not pairs led by INT64" % self.element_serde)
-        view = memoryview(data)
-        try:
-            (count,) = _U32.unpack_from(view, 0)
-        except struct.error as exc:
-            _corrupt(exc)
-        if 4 + firsts.size * count != len(view):
-            _corrupt("a count of %d does not match %d bytes" % (count, len(view)))
-        return [first - _SIGN_BIAS for first, in firsts.iter_unpack(view[4:])]
+        self.count(data)
+        return [first - _SIGN_BIAS for first, in firsts.iter_unpack(memoryview(data)[4:])]
 
 
 class ListSerde(_Composite):
@@ -717,15 +722,6 @@ class ListSerde(_Composite):
             self._adopt(_framed_list(element_serde))
         else:
             self._adopt(_compile_repeated(element_serde, framed=True))
-
-
-def list_count(data):
-    """The element count that the image of a :class:`ListSerde` or
-    :class:`PackedListSerde` value begins with."""
-    try:
-        return _U32.unpack_from(data)[0]
-    except struct.error as exc:
-        _corrupt(exc)
 
 
 class PairSerde(TupleSerde):

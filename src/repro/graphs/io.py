@@ -36,21 +36,13 @@ def format_vertex_record(record, value_formatter=None):
         value = value_formatter(record.value)
     else:
         value = _format_number(record.value)
-    edges = " ".join(
-        "%d:%s" % (edge[0], _format_number(edge[1]) if edge[1] is not None else "")
-        for edge in record.edges
-    )
-    return ("%d %s %s" % (record.vid, value, edges)).rstrip()
+    return ("%d %s %s" % (record.vid, value, _format_edges(record.edges))).rstrip()
 
 
 def format_graph_line(vid, value, edges):
     """Format a raw ``(vid, value, edges)`` tuple (generator output)."""
     value_text = "_" if value is None else _format_number(value)
-    edge_text = " ".join(
-        "%d:%s" % (dest, _format_number(weight) if weight is not None else "")
-        for dest, weight in edges
-    )
-    return ("%d %s %s" % (vid, value_text, edge_text)).rstrip()
+    return ("%d %s %s" % (vid, value_text, _format_edges(edges))).rstrip()
 
 
 def parse_edge_line(line, weight_parser=float):
@@ -147,3 +139,14 @@ def _format_number(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _format_edges(edges):
+    """``<dest>:<weight>`` per edge, space-separated, the weight as
+    :func:`_format_number` writes it and empty when NULL: one
+    comprehension, no call per edge."""
+    return " ".join([
+        "%d:" % dest if weight is None
+        else ("%d:%r" if isinstance(weight, float) else "%d:%s") % (dest, weight)
+        for dest, weight in edges
+    ])

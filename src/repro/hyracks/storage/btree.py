@@ -32,10 +32,12 @@ or ``insert`` stays pinned, and the next call whose key lies within that
 leaf's ``[keys[0], keys[-1]]`` starts from it instead of from the root —
 the paper's vertex update as a mini-operator on the leaf the index join
 already holds (Section 5.3.2). A pass in key order then pins each leaf
-once, not once per key. Everything else (a key outside the leaf, an
-insert that is not an overwrite in place) gives the leaf up and runs the
-ordinary descent. Safe because one operator clone at a time uses an
-index partition (DESIGN.md §13).
+once, not once per key, and an inline image written over a key on it
+that the page still fits is one bisect and one ``Page.replace``.
+Everything else
+(a key outside the leaf, an insert that is not an overwrite in place)
+gives the leaf up and runs the ordinary descent. Safe because one
+operator clone at a time uses an index partition (DESIGN.md §13).
 """
 
 import bisect
@@ -81,6 +83,23 @@ class BTree(Index):
             raise TypeError("keys must be bytes")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("values must be bytes")
+        leaf = self._held
+        if leaf is not None:
+            # Positioned overwrite: one bisect finds the key on the leaf
+            # held, and an inline image that still fits replaces the old
+            # one in its slot. Anything else goes the long way. The old
+            # image needs no check: an overflowing one has a length no
+            # inline value has, and the long path too puts an inline
+            # value of another length in the slot.
+            keys = leaf.keys
+            index = bisect.bisect_left(keys, key)
+            if (
+                index < len(keys)
+                and keys[index] == key
+                and len(key) + len(value) + 1 <= self._inline_limit
+                and leaf.replace(index, _INLINE_MARK + value)
+            ):
+                return
         try:
             leaf, path = self._seek(key, for_write=True)
             index = leaf.find(key)
@@ -92,10 +111,9 @@ class BTree(Index):
             ):
                 return  # the leaf's pointer to the chain still holds
             stored = self._encode_value(key, value)
-            if old is not None and leaf.nbytes - len(old) + len(stored) <= leaf.capacity:
-                # The new image fits where the old one is: replace it in
-                # its slot — the page a remove + re-insert would leave.
-                leaf.put(key, stored)
+            if old is not None and leaf.replace(index, stored):
+                # The new image fits where the old one is: it replaced it
+                # in its slot — the page a remove + re-insert would leave.
                 return
             if path is None:
                 # The entry moves and the leaf may split, which takes the

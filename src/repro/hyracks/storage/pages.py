@@ -134,6 +134,17 @@ class Page:
         self.dirty = True
         return False
 
+    def replace(self, index, value):
+        """Give entry ``index`` the value ``value`` in its slot, if the
+        page still fits; returns whether it did."""
+        nbytes = self._nbytes + len(value) - len(self.values[index])
+        if nbytes > self.capacity:
+            return False
+        self._nbytes = nbytes
+        self.values[index] = value
+        self.dirty = True
+        return True
+
     def remove(self, key):
         """Delete ``key``; returns True when it was present."""
         index = self.find(key)

@@ -36,7 +36,7 @@ class Vertex:
         self._value = None
         self._edges = []
         self._read_edges = None
-        self._edge_targets = None
+        self._row = None
         self._halted = False
         self._outbox = []
         self._agg_contribs = []
@@ -79,6 +79,15 @@ class Vertex:
             # Bound to edges nobody has read yet (see _bind).
             edges = self._edges = self._read_edges()
         return edges
+
+    @property
+    def num_out_edges(self):
+        """How many outgoing edges the bound vertex has (Pregel's
+        ``getNumEdges``). While the program has not read :attr:`edges`,
+        the count is read off the stored row and no edge is decoded."""
+        if self._edges is None and self._row is not None:
+            return self._row.edge_count()
+        return len(self.edges)
 
     def set_edges(self, edges):
         self._edges = [Edge(*e) for e in edges]
@@ -127,9 +136,9 @@ class Vertex:
         self._outbox.append((target, payload))
 
     def send_message_to_all_edges(self, payload):
-        if self._edges is None and self._edge_targets is not None:
+        if self._edges is None and self._row is not None:
             # Edges nobody has read: their targets, without the edges.
-            targets = self._edge_targets()
+            targets = self._row.edge_targets()
         else:
             targets = map(_TARGET, self.edges)
         self._outbox.extend(zip(targets, itertools.repeat(payload)))
@@ -158,22 +167,27 @@ class Vertex:
     # framework binding (internal)
     # ------------------------------------------------------------------
     def _bind(self, vid, value, edges, superstep, global_aggregate, num_vertices,
-              num_edges, edge_targets=None):
-        """Bind to one vertex. ``edges`` is its edge list, copied here, or
-        a function returning a list of ``Edge`` that the program may keep:
-        called when the program first reads :attr:`edges`, and never if it
+              num_edges):
+        """Bind to one vertex. ``edges`` is its edge list, copied here; or
+        a function returning a list of ``Edge`` that the program may keep,
+        called when the program first reads :attr:`edges` and never if it
         does not (``_edges`` then stays ``None``) — most vertices of most
         supersteps leave a stored edge list undecoded, or a list shared
-        with other programs uncopied. ``edge_targets``, given with such a
-        function, returns the targets of the edges it would return;
-        :meth:`send_message_to_all_edges` asks it while the program has
-        not read :attr:`edges`. Every bind replaces it."""
+        with other programs uncopied; or the stored row the vertex is at
+        (an :class:`~repro.pregelix.relations.OpenedRow`), whose
+        ``read_edges`` is that function and whose ``edge_count`` and
+        ``edge_targets`` :attr:`num_out_edges` and
+        :meth:`send_message_to_all_edges` ask while the program has not
+        read :attr:`edges`. Every bind replaces it."""
         self._vid = vid
         self._value = value
-        self._edge_targets = edge_targets
-        if callable(edges):
-            self._edges, self._read_edges = None, edges
+        read_edges = getattr(edges, "read_edges", None)
+        if read_edges is not None:
+            self._edges, self._read_edges, self._row = None, read_edges, edges
+        elif callable(edges):
+            self._edges, self._read_edges, self._row = None, edges, None
         else:
+            self._row = None
             self._edges = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
         self._halted = False
         self._outbox = []

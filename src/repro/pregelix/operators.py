@@ -135,12 +135,11 @@ class ComputeOperator(OperatorDescriptor):
                 program._bind(
                     decode_key(key),
                     value,
-                    row.read_edges,
+                    row,
                     superstep,
                     gs.aggregate,
                     gs.num_vertices,
                     gs.num_edges,
-                    row.edge_targets,
                 )
                 program.compute(incoming)
 

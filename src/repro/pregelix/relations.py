@@ -21,9 +21,9 @@ relation. A partition nobody has written yet is an empty relation.
 """
 
 from functools import partial
-from operator import attrgetter, is_
+from operator import is_, itemgetter
 
-from repro.common.serde import decode_key, encode_key, list_count
+from repro.common.serde import decode_key, encode_key
 from repro.hyracks.operators.index_ops import drop_indexes
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.lsm_btree import LSMBTree
@@ -44,7 +44,8 @@ from repro.pregelix.types import (
 #: What a ``Vid`` row stores under its key: nothing — presence is the fact.
 VID_VALUE = b""
 
-_TARGET = attrgetter("target")
+#: The target of a decoded ``(target, value)`` edge pair.
+_TARGET = itemgetter(0)
 
 
 class RunRelations:
@@ -168,11 +169,12 @@ class OpenedRow:
     :class:`VertexRecord` and encoded back. :meth:`open` verifies its
     framing and decodes ``halt`` and ``value``; the edge list stays its
     *image* — the bytes it is stored as — unless the program reads it
-    (:meth:`read_edges`, what ``Vertex._bind`` is handed), and
+    (:meth:`read_edges`; ``Vertex._bind`` is handed the row), and
     :meth:`close` puts a fresh ``(halt, value)`` in front of an edge
-    image again. A program that sends to all its edges without reading
-    them gets their targets off the image (:meth:`edge_targets`). One
-    instance per clone, moved from row to row.
+    image again. A program that counts its edges or sends to all of them
+    without reading them gets the count and the targets off the image
+    (:meth:`edge_count`, :meth:`edge_targets`). One instance per clone,
+    moved from row to row.
 
     The splice rule — when :meth:`close` reuses the stored edge image
     verbatim instead of encoding the program's list: the program never
@@ -193,7 +195,7 @@ class OpenedRow:
         self._no_edges = relations._no_edges
         self._spliceable = relations.job.edge_serde.layout_fixed
         self.image = None  # the stored edge list of the row it is at
-        self.decoded = None  # what read_edges decoded from it, if it did
+        self.decoded = None  # what the codec decoded from it, if it did
 
     def halted(self, data):
         """Whether the stored row voted to halt. A halted row without a
@@ -217,26 +219,43 @@ class OpenedRow:
         self.decoded = None
         return None
 
+    def _decoded(self):
+        """What the edge codec decodes the image to, decoded once per row."""
+        decoded = self.decoded
+        if decoded is None:
+            decoded = self.decoded = self._edge_list.loads(self.image)
+        return decoded
+
     def read_edges(self):
-        """The edge list, decoded now: a list the caller owns."""
-        self.decoded = decoded = self._edge_list.loads(self.image)
+        """The edge list: a list of ``Edge`` the caller owns."""
+        decoded = self._decoded()
         if not self._spliceable:
             # Only the packed codec decodes straight to ``Edge``.
             decoded = map(Edge._make, decoded)
         return list(decoded)
 
+    def edge_count(self):
+        """How many edges the image holds, with no ``Edge`` built: the
+        count × width check of a packed image (the codec is
+        ``layout_fixed``), one decode — which validates it — otherwise."""
+        if self.decoded is None and self._spliceable:
+            return self._edge_list.count(self.image)
+        return len(self._decoded())
+
     def edge_targets(self):
         """The targets of the edge list, in order, with no ``Edge`` built:
         one ``iter_unpack`` over a packed image (the codec is
-        ``layout_fixed``), :meth:`read_edges` otherwise. Leaves the image
-        to be spliced back."""
+        ``layout_fixed``), one decode otherwise. Leaves the image to be
+        spliced back."""
         if self._spliceable:
             return self._edge_list.firsts(self.image)
-        return list(map(_TARGET, self.read_edges()))
+        return list(map(_TARGET, self._decoded()))
 
     def close(self, program):
         """``(stored bytes, edge count delta)`` of the row as ``program``
-        leaves it (see the splice rule above)."""
+        leaves it (see the splice rule above). An image the program's
+        list replaces is counted through :meth:`edge_count`, so a damaged
+        one raises instead of miscounting."""
         edges = program._edges
         decoded = self.decoded
         if edges is None or (
@@ -247,8 +266,8 @@ class OpenedRow:
         ):
             image, edge_delta = self.image, 0
         else:
+            edge_delta = len(edges) - self.edge_count()
             image = self._edge_list.dumps(edges)
-            edge_delta = len(edges) - list_count(self.image)
         return self._row.dumps((program._halted, program._value, image)), edge_delta
 
 

@@ -1,5 +1,7 @@
 """Tests for graph generators, IO, sampling, and the dataset registry."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from repro.graphs.io import (
 )
 from repro.graphs.sampling import random_walk_sample, scale_up_copy
 from repro.hdfs import MiniDFS
+from repro.pregelix.api import Edge
 from repro.pregelix.types import VertexRecord
 
 
@@ -82,6 +85,37 @@ class TestGenerators:
             list(btc_graph(-1))
 
 
+#: Weights whose text is easy to get wrong: both zeros, the infinities,
+#: NaN, the smallest subnormal, and ints and bools, which print with str.
+FLOAT_WEIGHTS = [-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 5e-324, None]
+OTHER_WEIGHTS = [0, -7, 1 << 40, True, False]
+
+
+def random_weight(rng, floats_only):
+    if rng.random() < 0.3:
+        return rng.uniform(-1e6, 1e6)
+    return rng.choice(FLOAT_WEIGHTS + ([] if floats_only else OTHER_WEIGHTS))
+
+
+def generator_format(record, value_formatter=None):
+    """The per-edge generator the edge formatter replaced, byte for byte."""
+
+    def number(value):
+        return repr(value) if isinstance(value, float) else str(value)
+
+    if record.value is None:
+        value = "_"
+    elif value_formatter is not None:
+        value = value_formatter(record.value)
+    else:
+        value = number(record.value)
+    edges = " ".join(
+        "%d:%s" % (edge[0], number(edge[1]) if edge[1] is not None else "")
+        for edge in record.edges
+    )
+    return ("%d %s %s" % (record.vid, value, edges)).rstrip()
+
+
 class TestIO:
     def test_line_roundtrip(self):
         line = format_graph_line(3, 1.5, [(4, 0.5), (9, 2.0)])
@@ -134,6 +168,26 @@ class TestIO:
         for vid, value, edges in rows:
             parsed = parse_adjacency_line(format_graph_line(vid, value, edges))
             assert parsed == (vid, value, edges)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_edges_are_formatted_as_the_generator_formatted_them(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            floats_only = rng.random() < 0.5
+            edges = [
+                Edge(rng.randrange(-5, 1 << 40), random_weight(rng, floats_only))
+                for _ in range(rng.randrange(6))
+            ]
+            value = random_weight(rng, floats_only)
+            record = VertexRecord(vid=rng.randrange(1 << 40), value=value, edges=edges)
+            for formatter in (None, lambda v: "<%r>" % (v,)):
+                line = format_vertex_record(record, formatter)
+                assert line == generator_format(record, formatter)
+            assert format_graph_line(record.vid, value, edges) == generator_format(record)
+            if floats_only:
+                # What a float/NULL line parses back to formats to the line.
+                line = format_vertex_record(record)
+                assert format_graph_line(*parse_adjacency_line(line)) == line
 
 
 class TestSampling:

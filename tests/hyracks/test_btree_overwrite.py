@@ -20,12 +20,12 @@ import struct
 import pytest
 
 from repro.common.errors import StorageError
-from repro.common.serde import encode_key
+from repro.common.serde import decode_key, encode_key
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.buffer_cache import BufferCache
 from repro.hyracks.storage.file_manager import FileManager
 from repro.hyracks.storage.lsm_btree import LSMBTree
-from repro.hyracks.storage.pages import PageId
+from repro.hyracks.storage.pages import Page, PageId
 
 
 class RemoveThenInsertBTree(BTree):
@@ -373,3 +373,80 @@ def test_a_positioned_scope_holds_one_leaf_and_nothing_after_any_exit(tmp_path):
     assert pinned(cache) == {}
     with pytest.raises(StorageError):
         tree.lookup(encode_key(20))
+
+
+class Replaces:
+    """Counts ``Page.replace`` calls and how many of them replaced."""
+
+    def __init__(self, monkeypatch):
+        self.calls = self.replaced = 0
+        original = Page.replace
+
+        def replace(page, index, value):
+            self.calls += 1
+            done = original(page, index, value)
+            self.replaced += done
+            return done
+
+        monkeypatch.setattr(Page, "replace", replace)
+
+
+@pytest.mark.parametrize("page_size", [256, 4096])
+@pytest.mark.parametrize("seed", range(4))
+def test_overwrites_at_the_held_leafs_bounds_leave_the_plain_pages(
+    tmp_path, monkeypatch, page_size, seed
+):
+    """Inserts aimed at the leaf a lookup holds: its first and last keys
+    and the keys just outside them (absent ones and the neighbours'),
+    same-width and growing past what the full page still fits, inline to
+    overflow and back, from ``bytes`` and ``bytearray`` — the pages,
+    splits and answers of the same calls made unscoped. A key or value
+    that is not bytes is refused without giving the held leaf up."""
+    rng = random.Random(seed)
+    plain_cache = make_cache(tmp_path, "plain", page_size)
+    scoped_cache = make_cache(tmp_path, "scoped", page_size)
+    plain, scoped = BTree(plain_cache), BTree(scoped_cache)
+    widest_inline = scoped._inline_limit - 9  # an 8-byte key and the mark
+    widths = [0, 8, 24, widest_inline, widest_inline + 1, page_size // 2]
+    rows = [
+        (encode_key(vid), bytes([vid % 256]) * rng.choice(widths[:4]))
+        for vid in range(0, 400, 2)
+    ]
+    plain.bulk_load(rows)  # full leaves: a growing overwrite may not fit
+    scoped.bulk_load(rows)
+    model = dict(rows)
+    replaces = Replaces(monkeypatch)
+    for _ in range(40):
+        with scoped.positioned():
+            for _ in range(rng.randrange(1, 30)):
+                anchor = encode_key(rng.randrange(0, 400, 2))
+                assert scoped.lookup(anchor) == plain.lookup(anchor) == model[anchor]
+                held = scoped._held
+                first, last = decode_key(held.keys[0]), decode_key(held.keys[-1])
+                key = encode_key(rng.choice([first, last, first - 1, first - 2, last + 1, last + 2]))
+                old = model.get(key)
+                if old is not None and rng.random() < 0.4:
+                    width = len(old)
+                else:
+                    width = rng.choice(widths)
+                value = bytes(rng.randrange(256) for _ in range(width))
+                if rng.random() < 0.3:
+                    value = bytearray(value)
+                if rng.random() < 0.1:
+                    for bad_key, bad_value in [
+                        ("k", b"v"), (7, b"v"), (key, "v"), (key, None), (key, memoryview(b"v")),
+                    ]:
+                        with pytest.raises(TypeError):
+                            scoped.insert(bad_key, bad_value)
+                    assert scoped._held is held and held.pin_count == 1
+                plain.insert(key, value)
+                scoped.insert(key, value)
+                model[key] = bytes(value)
+        assert pinned(scoped_cache) == {}
+        assert scoped.smo_counter == plain.smo_counter
+        assert len(scoped) == len(plain) == len(model)
+        assert page_images(scoped_cache) == page_images(plain_cache)
+    assert list(scoped.scan()) == list(plain.scan()) == sorted(model.items())
+    # Both ways out of the slot were taken: in place, and split.
+    assert replaces.calls > replaces.replaced > 0
+    assert scoped.smo_counter > 0

@@ -14,6 +14,10 @@ in, and every such group past its first is a duplicate the merge folds:
 the budget is then a constant per closed group plus a constant per chunk
 a run is replayed or merged in — nothing per spilled record.
 
+Where the path starts, ``Compute`` pays nothing per edge of a program
+that only counts its edges and sends to all of them (PageRank): the
+count and the targets come off the stored edge image.
+
 Counted under ``sys.setprofile``: ``"call"`` events are Python frames
 entered (a generator resumed counts; C functions are ``"c_call"``).
 """
@@ -27,12 +31,17 @@ import pytest
 
 from repro.algorithms import pagerank
 from repro.common.serde import encode_key
+from repro.hyracks.engine import HyracksCluster, JobContext, TaskContext
 from repro.hyracks.operators.groupby import PreclusteredGroupByOperator
+from repro.hyracks.operators.index_ops import register_index
 from repro.hyracks.storage import run_file
+from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.file_manager import FileManager
 from repro.pregelix import ConnectorPolicy, GroupByStrategy
+from repro.pregelix.operators import ComputeOperator
 from repro.pregelix.physical import PartitionMap, PlanGenerator
-from repro.pregelix.types import GlobalState
+from repro.pregelix.relations import RunRelations
+from repro.pregelix.types import GlobalState, VertexRecord
 
 DESTINATIONS = 1250
 #: Python-level calls a closed group may cost the sender, whatever its size.
@@ -43,11 +52,11 @@ PER_BATCH = 12
 PER_CHUNK = 16
 
 
-def python_calls(function):
+def python_calls(function, events=("call",)):
     calls = [0]
 
     def profiler(frame, event, arg):
-        if event == "call":
+        if event in events:
             calls[0] += 1
 
     sys.setprofile(profiler)
@@ -147,3 +156,38 @@ def test_the_receiver_pays_one_call_per_merged_partial(dfs, plan):
     calls, groups = python_calls(lambda: list(receiver.grouped_stream(*arguments)))
     assert len(groups) == DESTINATIONS
     assert calls <= (count - DESTINATIONS) + PER_GROUP * DESTINATIONS + PER_BATCH
+
+
+@pytest.fixture
+def ctx(tmp_path):
+    # Pages wide enough that each pass below stays on one leaf.
+    with HyracksCluster(num_nodes=1, root_dir=str(tmp_path / "n"), page_size=64 << 10) as cluster:
+        yield TaskContext(cluster.nodes["node0"], JobContext("budget"), 0, 1)
+
+
+def test_a_pagerank_compute_pays_nothing_per_edge(ctx):
+    """The same calls per vertex at out-degree 1 and 50, C calls
+    included: decoding an edge list into ``Edge`` tuples pays one
+    ``tuple.__new__`` per edge."""
+    vertices = 32
+    measured = {}
+    for degree in (1, 50):
+        relations = RunRelations(pagerank.build_job(), None, "budget-%d" % degree)
+        edges = [(target, 1.0) for target in range(degree)]
+        rows = [
+            (encode_key(vid), relations.encode_vertex(VertexRecord(vid, False, 0.5, edges)))
+            for vid in range(vertices)
+        ]
+        index = BTree(ctx.buffer_cache)
+        index.bulk_load(rows)
+        register_index(ctx, relations.vertex, 0, index)
+        gs = GlobalState(superstep=1, num_vertices=vertices, num_edges=vertices * degree)
+        compute = ComputeOperator(relations, gs, emit_live=False)
+        joined = [(key, 0.25, data) for key, data in rows]
+        calls, out = python_calls(
+            lambda: compute.run(ctx, 0, [joined]), events=("call", "c_call")
+        )
+        assert len(out[ComputeOperator.MSG]) == vertices * degree
+        assert out[ComputeOperator.STATS] == [(0, 0)]
+        measured[degree] = calls
+    assert measured[1] == measured[50]

@@ -10,11 +10,14 @@ the one the compiled codecs have: the bytes of
 checkpoint was written with. A seeded property over value/edge codecs ×
 what a program can do to its edges holds the written-back row to
 ``encode`` of the full record byte for byte, and the edge count delta to
-the difference of the list lengths; and no damaged row gets past either
-way a row is read — opened, or pruned on its halt byte.
+the difference of the list lengths. A program that counts or sends to
+its edges without reading them gets the count and the targets off the
+image. No damaged row gets past either way a row is read — opened, or
+pruned on its halt byte — and no damaged edge image is counted.
 """
 
 import random
+import struct
 
 import pytest
 
@@ -172,6 +175,10 @@ class CountingCodec:
         self.calls.append("firsts")
         return self.codec.firsts(data)
 
+    def count(self, data):
+        self.calls.append("count")
+        return self.codec.count(data)
+
 
 def random_edges(rng, gedge):
     edges = random_list(rng, lambda rng: (random_vid(rng), gedge(rng)))
@@ -214,7 +221,7 @@ def test_the_row_written_back_is_the_whole_record_encoded(seed, value_kind, edge
             assert not (bundle_is_none and row.halted(stored))
             program.script = scripts[name]
             del counting.calls[:]
-            program._bind(1, row.open(stored), row.read_edges, 2, None, 10, 10)
+            program._bind(1, row.open(stored), row, 2, None, 10, 10)
             program.compute(iter(()))
             written, edge_delta = row.close(program)
             calls = list(counting.calls)
@@ -234,7 +241,8 @@ def test_the_row_written_back_is_the_whole_record_encoded(seed, value_kind, edge
             ):
                 assert calls == ["loads", "dumps"]
             elif name == "sets_edges_unread":
-                assert calls == ["dumps"]
+                # The image it replaces is counted, never trusted unread.
+                assert calls == (["count", "dumps"] if edge.layout_fixed else ["loads", "dumps"])
 
 
 def test_a_created_vertex_starts_from_no_edges():
@@ -249,8 +257,10 @@ def test_a_created_vertex_starts_from_no_edges():
         (lambda p: p.set_edges([(4, 0.5), (5, 1.5)]), [(4, 0.5), (5, 1.5)]),
     ]:
         program.script = script
-        program._bind(9, row.create(), row.read_edges, 2, None, 10, 10)
+        program._bind(9, row.create(), row, 2, None, 10, 10)
+        assert program.num_out_edges == 0
         program.compute(iter(()))
+        assert program.num_out_edges == len(edges)
         written, edge_delta = row.close(program)
         assert written == relations.encode_vertex(
             VertexRecord(9, program._halted, None, edges)
@@ -263,7 +273,7 @@ def test_a_created_vertex_starts_from_no_edges():
 # ----------------------------------------------------------------------
 def bind_at(program, row, stored):
     """Bind ``program`` to a stored row as ``Compute`` binds it."""
-    program._bind(1, row.open(stored), row.read_edges, 2, None, 10, 10, row.edge_targets)
+    program._bind(1, row.open(stored), row, 2, None, 10, 10)
 
 
 def mutates(program):
@@ -317,6 +327,16 @@ def test_sending_to_edges_nobody_read_is_sending_to_the_edges(value_kind, edge_k
         assert sent["ignores"] == sent["reads"]
 
 
+def damaged_images(image):
+    """Every cut of a two-edge ``image``, extensions of it, and the image
+    under other counts (a header saying 256 was once counted as is)."""
+    damaged = [image[:cut] for cut in range(len(image))]
+    damaged += [image + bytes(extra) for extra in range(1, 17)]
+    damaged += [image + b"\xff" * extra for extra in range(1, 17)]
+    damaged += [struct.pack(">I", count) + image[4:] for count in (0, 1, 3, 256)]
+    return damaged
+
+
 @pytest.mark.parametrize("edge_kind", sorted(EDGES))
 def test_a_damaged_edge_image_fails_the_send(edge_kind):
     rng = random.Random(edge_kind)
@@ -327,10 +347,7 @@ def test_a_damaged_edge_image_fails_the_send(edge_kind):
     program = Scripted()
     program.script = lambda p: p.send_message_to_all_edges(1.0)
     image = relations._edge_codec.dumps([(2, gedge(rng)), (3, gedge(rng))])
-    damaged = [image[:cut] for cut in range(len(image))]
-    damaged += [image + bytes(extra) for extra in range(1, 17)]
-    damaged += [image + b"\xff" * extra for extra in range(1, 17)]
-    for data in damaged:
+    for data in damaged_images(image):
         # The row's framing is intact: only its edge image is damaged.
         bind_at(program, row, relations._opened_codec.dumps((False, 1.0, data)))
         with pytest.raises(StorageError):
@@ -345,19 +362,97 @@ def test_a_rebound_program_never_sends_to_the_previous_rows_targets():
     program = Scripted()
     program.script = lambda p: p.send_message_to_all_edges(0.5)
     wrapper = MultiQueryVertex()
-    wrapper._bind(7, None, lambda: [Edge(8, 1.0)], 2, None, 10, 10)
+    wrapper._bind(7, None, lambda: [Edge(8, 1.0), Edge(9, 1.0), Edge(6, 1.0)], 2, None, 10, 10)
     for rebind, targets in [
         # a baseline binds a list
         (lambda: program._bind(5, 0.0, [(6, 1.0)], 2, None, 10, 10), [6]),
         # a multi-query lane binds the wrapper's edges
-        (lambda: program._bind(7, 0.0, wrapper._lane_edges, 2, None, 10, 10), [8]),
+        (lambda: program._bind(7, 0.0, wrapper._lane_edges, 2, None, 10, 10), [8, 9, 6]),
     ]:
         bind_at(program, row, stored)
         program.compute(iter(()))
         assert program._outbox == [(2, 0.5), (3, 0.5)]
+        assert program.num_out_edges == 2
         rebind()
         program.compute(iter(()))
         assert program._outbox == [(target, 0.5) for target in targets]
+        assert program.num_out_edges == len(targets)
+
+
+# ----------------------------------------------------------------------
+# counting the edges reads the count off the image
+# ----------------------------------------------------------------------
+def changes(new_edge, stored_edges):
+    """``name -> what a program does to its edges before it counts them``."""
+    return {
+        "ignores": lambda program: None,
+        "reads": lambda program: program.edges,
+        "sets_edges": lambda program: program.set_edges([new_edge] * 3),
+        "adds_an_edge": lambda program: program.add_edge(*new_edge),
+        "removes_edges_to": lambda program: program.remove_edges_to(
+            stored_edges[0][0] if stored_edges else new_edge.target
+        ),
+    }
+
+
+@pytest.mark.parametrize("edge_kind", sorted(EDGES))
+@pytest.mark.parametrize("value_kind", sorted(VALUES))
+def test_counting_edges_nobody_read_is_counting_the_edges(value_kind, edge_kind):
+    rng = random.Random("count" + value_kind + edge_kind)
+    value, _rvalue, gvalue = VALUES[value_kind]
+    edge, _redge, gedge = EDGES[edge_kind]
+    job = PregelixJob("count", Scripted, value_serde=value, edge_serde=edge)
+    relations = RunRelations(job, None, "count")
+    counting = relations._edge_codec = CountingCodec(relations._edge_codec)
+    row = relations.opened_row()
+    program = Scripted()
+    for _ in range(30):
+        record = VertexRecord(1, False, gvalue(rng), random_edges(rng, gedge))
+        stored = relations.encode_vertex(record)
+        new_edge = Edge(random_vid(rng), gedge(rng))
+        for name, change in sorted(changes(new_edge, record.edges).items()):
+            counted = []
+            program.script = lambda p, change=change: (
+                change(p), counted.append(p.num_out_edges)
+            )
+            del counting.calls[:]
+            bind_at(program, row, stored)
+            program.compute(iter(()))
+            calls = list(counting.calls)
+            if name == "ignores":
+                # No edge built; a packed image is not even decoded.
+                assert program._edges is None
+                if edge.layout_fixed:
+                    assert row.decoded is None and calls == ["count"]
+                else:
+                    assert calls == ["loads"]
+                assert counted == [len(record.edges)]
+            assert counted == [len(program.edges)], name
+
+
+@pytest.mark.parametrize("edge_kind", sorted(EDGES))
+@pytest.mark.parametrize("value_kind", sorted(VALUES))
+def test_a_damaged_edge_image_is_neither_counted_nor_replaced(value_kind, edge_kind):
+    rng = random.Random("damaged" + value_kind + edge_kind)
+    value, _rvalue, gvalue = VALUES[value_kind]
+    edge, _redge, gedge = EDGES[edge_kind]
+    job = PregelixJob("damaged", Scripted, value_serde=value, edge_serde=edge)
+    relations = RunRelations(job, None, "damaged")
+    row = relations.opened_row()
+    program = Scripted()
+    image = relations._edge_codec.dumps([(2, gedge(rng)), (3, gedge(rng))])
+    for data in damaged_images(image):
+        stored = relations._opened_codec.dumps((False, gvalue(rng), data))
+        for script in (
+            lambda p: p.num_out_edges,
+            # Replaced unread: the edge delta counts the image it replaces.
+            lambda p: p.set_edges([(9, gedge(rng))]),
+        ):
+            program.script = script
+            bind_at(program, row, stored)
+            with pytest.raises(StorageError):
+                program.compute(iter(()))
+                row.close(program)
 
 
 # ----------------------------------------------------------------------

@@ -3,18 +3,12 @@
 A gate guards a property the system is built on by *measuring* it: a few
 cases of one fixed microbenchmark run on fresh clusters, each variant is
 compared with its baseline — same output bit for bit, and one derived
-ratio against one bound — and the row passes or fails as a whole. The
-three rows of :data:`GATES`:
+ratio against one bound — and the row passes or fails as a whole. Every
+case is CPU-bound wall clock: nothing sleeps for simulated transfers.
+The two rows of :data:`GATES`:
 
-``parallel``
-    PageRank under latency realism (``io_latency_scale``: every simulated
-    disk/network transfer blocks for the cost model's seconds) at 1, 2 and
-    4 workers. Sequential execution pays the waits one after another,
-    worker threads overlap them — the effect the paper's scalability
-    figures (Fig. 12) rest on. Ratio: sequential ÷ parallel seconds; only
-    the highest worker count is bounded.
 ``elastic``
-    The same PageRank with static membership, a scale-up and a scale-down
+    PageRank with static membership, a scale-up and a scale-down
     at one superstep boundary. The hand-off reuses the checkpoint/restore
     path (§5.5), so joining or retiring a node must cost about a
     superstep, not a reload. Ratio: seconds inside ``cluster.rebalance``
@@ -23,15 +17,12 @@ three rows of :data:`GATES`:
     across the resize. Evidence: each elastic case did rebalance.
 ``batch``
     Eight sssp point queries run back to back (solo) and as lanes of one
-    :class:`~repro.pregelix.multiquery.MultiQueryProgram` run, at 1 and 4
-    workers. Ratio: solo ÷ batched seconds, bounded in every mode by a
-    *break-even margin* (sharing supersteps must beat back-to-back by more
-    than the 25 % by which ``BENCHMARK.json`` tells two times apart), not
-    by how slow solo once was. Latency realism is off: byte-proportional
-    sleeps charge message traffic, which batching cannot share, at the
-    rate of the per-superstep scan/join cost it exists to share. The
-    fingerprint is one ``result_digest`` per query, so "bit-identical"
-    is per lane, and solo is compared across the two modes as well.
+    :class:`~repro.pregelix.multiquery.MultiQueryProgram` run. Ratio: solo
+    ÷ batched seconds, bounded by a *break-even margin* (sharing
+    supersteps must beat back-to-back by more than the 25 % by which
+    ``BENCHMARK.json`` tells two times apart), not by how slow solo once
+    was. The fingerprint is one ``result_digest`` per query, so
+    "bit-identical" is per lane.
 
 The verdict rule is stated once, in :func:`run_gate`; DESIGN.md "Gates"
 gives the table with its bounds.
@@ -53,11 +44,9 @@ class Config:
     vertices: int
     nodes: int
     graph_seed: int
-    io_latency_scale: float
     bound: float
     repeats: int = 2
-    iterations: int = None  # PageRank rows
-    workers: tuple = None  # parallel: baseline first; batch: one mode each
+    iterations: int = None  # elastic: PageRank supersteps
     scale_superstep: int = None  # elastic: the boundary the variants resize at
     sources: tuple = None  # batch: one sssp point query per source
 
@@ -74,8 +63,7 @@ class Gate:
     #: calls into ``details["seconds"]`` — building the cluster and the
     #: graph and reading the output back stay outside the clock.
     cases: Callable
-    #: config -> [(variant, baseline, bounded)]
-    comparisons: Callable
+    comparisons: tuple  # (variant, baseline) case-name pairs
     ratio_name: str
     ratio: Callable  # (variant details, baseline details) -> float
     sense: str  # ">=": the ratio is a gain and the bound a floor; "<=": a cost, a cap
@@ -105,15 +93,14 @@ def run_gate(gate):
 
     ``report["pass"]`` — the verdict, and the exit status of ``repro
     bench`` — holds when there is something to compare, every variant is
-    bit-identical to its baseline, every *bounded* comparison is within
-    the bound, and the row's evidence check (if it has one) holds.
+    bit-identical to its baseline and within the bound, and the row's
+    evidence check (if it has one) holds.
     """
     config = gate.config
 
     def one_run(options, run):
         with graph_driver(
-            config.nodes, config.vertices, config.graph_seed,
-            io_latency_scale=config.io_latency_scale, **options
+            config.nodes, config.vertices, config.graph_seed, **options
         ) as driver:
             return run(driver, config)
 
@@ -123,16 +110,17 @@ def run_gate(gate):
             partial(one_run, options, run), config.repeats
         )
     comparisons = []
-    for variant, baseline, bounded in gate.comparisons(config):
+    for variant, baseline in gate.comparisons:
         ratio = round(gate.ratio(cases[variant], cases[baseline]), 3)
-        within = ratio >= config.bound if gate.sense == ">=" else ratio <= config.bound
         comparisons.append({
             "variant": variant,
             "baseline": baseline,
             "ratio": ratio,
-            "bound": config.bound if bounded else None,
+            "bound": config.bound,
             "bit_identical": fingerprints[variant] == fingerprints[baseline],
-            "within_bound": within or not bounded,
+            "within_bound": (
+                ratio >= config.bound if gate.sense == ">=" else ratio <= config.bound
+            ),
         })
     evidence = gate.evidence is None or bool(gate.evidence(cases))
     return {
@@ -176,12 +164,12 @@ def summary_lines(report):
         ))
     lines.append("  ratio: " + report["ratio"])
     for c in report["comparisons"]:
-        lines.append("  %s vs %s: %.2fx (%s) %s%s" % (
+        lines.append("  %s vs %s: %.2fx (bound %s %.2fx) %s%s" % (
             c["variant"],
             c["baseline"],
             c["ratio"],
-            "not bounded" if c["bound"] is None
-            else "bound %s %.2fx" % (report["sense"], c["bound"]),
+            report["sense"],
+            c["bound"],
             "bit-identical" if c["bit_identical"] else "OUTPUT DIVERGED",
             "" if c["within_bound"] else " OUT OF BOUND",
         ))
@@ -271,30 +259,11 @@ def _handoff_share(variant, baseline):
 # ---------------------------------------------------------------------
 GATES = {gate.name: gate for gate in (
     Gate(
-        name="parallel",
-        benchmark="PageRank under latency realism, worker threads against "
-                  "sequential",
-        config=Config(vertices=1200, iterations=4, nodes=4, graph_seed=3,
-                      io_latency_scale=400.0, workers=(1, 2, 4), bound=1.5),
-        cases=lambda config: {
-            "p%d" % count: ({"parallelism": count}, _pagerank)
-            for count in config.workers
-        },
-        comparisons=lambda config: [
-            ("p%d" % count, "p%d" % config.workers[0],
-             count == config.workers[-1])
-            for count in config.workers[1:]
-        ],
-        ratio_name="speed-up (baseline seconds / variant seconds)",
-        ratio=_speedup,
-        sense=">=",
-    ),
-    Gate(
         name="elastic",
         benchmark="PageRank resized at a superstep boundary against static "
                   "membership",
         config=Config(vertices=600, iterations=6, nodes=3, graph_seed=3,
-                      io_latency_scale=200.0, scale_superstep=3, bound=1.0),
+                      scale_superstep=3, bound=1.0),
         cases=lambda config: {
             name: ({"virtual_partitions": 2 * config.nodes},
                    partial(_pagerank, scale_to=target))
@@ -302,9 +271,7 @@ GATES = {gate.name: gate for gate in (
                                  ("scale-up", config.nodes + 1),
                                  ("scale-down", config.nodes - 1))
         },
-        comparisons=lambda config: [
-            ("scale-up", "static", True), ("scale-down", "static", True),
-        ],
+        comparisons=(("scale-up", "static"), ("scale-down", "static")),
         ratio_name="hand-off share (variant rebalance seconds / baseline "
                    "average superstep)",
         ratio=_handoff_share,
@@ -318,21 +285,10 @@ GATES = {gate.name: gate for gate in (
         name="batch",
         benchmark="sssp point queries as lanes of one run against back to "
                   "back",
-        config=Config(vertices=360, nodes=3, graph_seed=9,
-                      io_latency_scale=0.0, workers=(1, 4), bound=1.25,
+        config=Config(vertices=360, nodes=3, graph_seed=9, bound=1.25,
                       sources=(0, 17, 42, 99, 140, 203, 271, 333)),
-        cases=lambda config: {
-            "%s-p%d" % (name, count): ({"parallelism": count}, run)
-            for count in config.workers
-            for name, run in (("solo", _solo), ("batched", _batched))
-        },
-        comparisons=lambda config: [
-            ("batched-p%d" % count, "solo-p%d" % count, True)
-            for count in config.workers
-        ] + [
-            ("solo-p%d" % count, "solo-p%d" % config.workers[0], False)
-            for count in config.workers[1:]
-        ],
+        cases=lambda config: {"solo": ({}, _solo), "batched": ({}, _batched)},
+        comparisons=(("batched", "solo"),),
         ratio_name="speed-up (baseline seconds / variant seconds)",
         ratio=_speedup,
         sense=">=",

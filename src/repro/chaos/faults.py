@@ -310,7 +310,7 @@ class FaultInjector:
         self.current_superstep = 0
         self.fired = []
         self.checks = 0
-        # Parallel clones hit sites concurrently; checks/hits/fired are
+        # Concurrent jobs hit sites concurrently; checks/hits/fired are
         # read-modify-writes, so matching must be serialized or one fault
         # could fire twice (two threads passing ``hits >= at_hit``).
         self._lock = threading.RLock()

@@ -75,15 +75,6 @@ def _add_run_arguments(parser):
     parser.add_argument("--storage", choices=["btree", "lsm"], default=None)
     parser.add_argument("--optimize", action="store_true",
                         help="enable the cost-based plan optimizer")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="partition clones run concurrently per operator "
-                             "(1 = sequential; output is bit-identical "
-                             "either way)")
-    parser.add_argument("--io-latency", type=float, default=0.0,
-                        metavar="SCALE",
-                        help="latency realism: simulated disk/network "
-                             "transfers block for cost-model seconds x "
-                             "SCALE (0 disables)")
     parser.add_argument("--checkpoint-interval", type=int, default=None)
     parser.add_argument("--stats", action="store_true",
                         help="print the per-superstep statistics table "
@@ -158,7 +149,6 @@ def build_parser():
     pipeline.add_argument("--nodes", type=int, default=4)
     pipeline.add_argument("--iterations", type=int, default=10)
     pipeline.add_argument("--source-id", type=int, default=0)
-    pipeline.add_argument("--parallel", type=int, default=1, metavar="N")
     pipeline.add_argument("--json", action="store_true",
                           help="print per-job result documents as JSON")
 
@@ -413,12 +403,7 @@ def cmd_run(args, out=print):
         job.checkpoint_interval = args.checkpoint_interval
 
     telemetry = Telemetry()
-    cluster = HyracksCluster(
-        num_nodes=args.nodes,
-        telemetry=telemetry,
-        parallelism=args.parallel,
-        io_latency_scale=args.io_latency,
-    )
+    cluster = HyracksCluster(num_nodes=args.nodes, telemetry=telemetry)
     try:
         dfs = MiniDFS(datanodes=cluster.node_ids())
         try:
@@ -523,9 +508,7 @@ def cmd_pipeline(args, out=print):
             formatters[job.name] = format_record
 
     telemetry = Telemetry()
-    cluster = HyracksCluster(
-        num_nodes=args.nodes, telemetry=telemetry, parallelism=args.parallel
-    )
+    cluster = HyracksCluster(num_nodes=args.nodes, telemetry=telemetry)
     try:
         dfs = MiniDFS(datanodes=cluster.node_ids())
         try:

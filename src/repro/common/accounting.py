@@ -14,8 +14,8 @@ are read by the engine (``repro.hyracks.engine``), which diffs the node
 holders into a ``JobResult`` and exports both kinds as metrics; nothing
 is written twice.
 
-All three classes are thread-safe: parallel clones and overlapping
-served jobs update them concurrently.
+All three classes are thread-safe: overlapping served jobs update them
+concurrently.
 """
 
 import threading

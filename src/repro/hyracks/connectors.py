@@ -14,15 +14,13 @@ Three patterns from the paper are implemented:
 
 Plus the trivial :class:`OneToOneConnector` for local pipelines.
 
-Every connector redistributes in two halves. Each producer clone, on
-whichever thread runs it, calls :meth:`~ConnectorDescriptor.split` on its
-own output (one tuple list per consumer) and ``_account`` for what it
-ships; each consumer's input is then built by
-:meth:`~ConnectorDescriptor.assemble` from the per-``(consumer, sender)``
-lists. ``assemble`` always consumes senders in partition-id order, so the
-routed streams do not depend on how many clones ran at once (DESIGN.md
-§13). :meth:`~ConnectorDescriptor.route` is the same hand-off in one
-call, for callers that already hold every sender's output.
+Every connector redistributes in two halves. Each producer clone calls
+:meth:`~ConnectorDescriptor.split` on its own output (one tuple list per
+consumer) and ``_account`` for what it ships; each consumer's input is
+then built by :meth:`~ConnectorDescriptor.assemble` from the
+per-``(consumer, sender)`` lists, consuming senders in partition-id order
+(DESIGN.md §13). :meth:`~ConnectorDescriptor.route` is the same hand-off
+in one call, for callers that already hold every sender's output.
 
 A partitioning connector routes a **batch per call**: its
 ``destinations_fn(batch, n)`` names the consumer of every tuple of a
@@ -36,17 +34,12 @@ a connector needs; it is what ``destinations_fn`` defaults to.
 Byte accounting: a connector constructed with a ``tuple_serde`` measures
 the serialized volume it moves and charges the job's network counters —
 that is the signal behind the paper's observation that combiners become
-less effective as the cluster grows. When the job runs with latency
-realism (``io_latency_scale``), remote tuples also *block* the sender for
-the cost model's transfer seconds, so wall-clock overlap across worker
-threads mirrors a real cluster's network overlap.
+less effective as the cluster grows.
 """
 
 import itertools
 import operator
-import time
 
-from repro.common import costmodel
 from repro.hyracks.job import ConnectorDescriptor
 from repro.hyracks.storage.run_file import merge_sorted
 
@@ -102,12 +95,6 @@ class _AccountingMixin:
                     bytes=nbytes,
                     tuples=len(tuples),
                 )
-        latency_scale = getattr(ctx, "io_latency_scale", 0.0)
-        if latency_scale and remote and nbytes:
-            # Latency realism: the sender blocks for the cost model's
-            # transfer time, overlapping across worker threads the way a
-            # real cluster's NICs overlap.
-            time.sleep(costmodel.network_seconds(nbytes) * latency_scale)
 
 
 class _PartitioningMixin(_AccountingMixin):

@@ -12,12 +12,12 @@ Substitution note (see DESIGN.md): clones run in one Python process
 rather than as JVM tasks on separate machines. All byte-level behaviour —
 budgets, spills, network volume — is accounted per node, so
 dataset-size-versus-RAM phenomena survive the substitution; wall-clock
-numbers are simulation-scale. Producer clones split and account their
-own output per outgoing connector; consumers assemble their input from
-the per-sender lists in partition-id order (DESIGN.md §13). With
-``parallelism > 1`` an operator's clones run concurrently on a worker
-thread pool, and because nothing in that hand-off depends on completion
-order the result is bit-identical to the sequential run.
+numbers are simulation-scale. An operator's clones run one after another
+on the calling thread, in partition order; each splits and accounts its
+own output per outgoing connector, and consumers assemble their input
+from the per-sender lists in partition-id order (DESIGN.md §13). The
+only concurrency is between whole jobs: the serving tier runs several
+``execute`` calls at once against the shared nodes.
 """
 
 import collections
@@ -28,7 +28,7 @@ import time
 
 from repro.common.accounting import Counters, IOCounters, MemoryBudget
 from repro.common.errors import JobFailure, SchedulingError, WorkerFailure
-from repro.hyracks.scheduler import Scheduler, make_task_runner
+from repro.hyracks.scheduler import Scheduler
 from repro.hyracks.storage.buffer_cache import BufferCache
 from repro.hyracks.storage.file_manager import FileManager
 from repro.telemetry import Telemetry
@@ -44,15 +44,11 @@ class NodeContext:
     """One shared-nothing worker: budget, local disk, cache, services."""
 
     def __init__(self, node_id, root_dir, memory_bytes, cache_bytes, page_size,
-                 telemetry=None, io_latency_scale=0.0):
+                 telemetry=None):
         self.node_id = node_id
         self.telemetry = telemetry
         self.io = IOCounters()  # this node's disk traffic
-        self.files = FileManager(
-            os.path.join(root_dir, str(node_id)),
-            self.io,
-            latency_scale=io_latency_scale,
-        )
+        self.files = FileManager(os.path.join(root_dir, str(node_id)), self.io)
         self.budget = MemoryBudget(memory_bytes, name=str(node_id))
         self.buffer_cache = BufferCache(
             cache_bytes, page_size, self.files, telemetry=telemetry, node_id=node_id
@@ -142,16 +138,12 @@ class TaskContext:
 class JobContext:
     """Master-side per-job state shared by connectors and sinks."""
 
-    def __init__(self, name, telemetry=None, io_latency_scale=0.0):
+    def __init__(self, name, telemetry=None):
         self.name = name
         self.telemetry = telemetry
         self.io = IOCounters()  # network traffic (connector accounting)
         self.counters = Counters()
         self.collected = {}
-        #: >0 turns on latency realism: connectors sleep for the cost
-        #: model's transfer seconds (scaled), so parallel runs can overlap
-        #: waits the way a real cluster overlaps its NICs and disks.
-        self.io_latency_scale = float(io_latency_scale)
 
 
 class JobResult:
@@ -188,14 +180,10 @@ class HyracksCluster:
         quarter of node memory, the paper's default.
     :param partitions_per_node: data partitions per worker (the paper
         assigns one per core).
-    :param parallelism: partition clones executed concurrently per
-        operator. 1 (the default) runs them one after another on the
-        calling thread; any larger value runs them on a persistent worker
-        thread pool. Data moves between operators the same way, and the
-        result is bit-identical, at every value.
-    :param io_latency_scale: >0 makes simulated I/O and network transfers
-        take real wall-clock time (cost-model seconds × scale) in *both*
-        modes, so sequential-vs-parallel timing comparisons are honest.
+    :param parallelism: must be 1 and ``io_latency_scale`` must be 0:
+        clones run one after another on the calling thread and simulated
+        transfers never sleep. Both are accepted only so that callers
+        still passing those values keep working.
     :param virtual_partitions: fix the cluster's data-partition count
         independently of its (elastic) node count. With it set, every
         run keeps the same ``hash(vid) % num_partitions`` function no
@@ -217,6 +205,12 @@ class HyracksCluster:
         io_latency_scale=0.0,
         virtual_partitions=None,
     ):
+        if parallelism != 1 or io_latency_scale:
+            raise ValueError(
+                "clones run one after another without simulated sleeps: "
+                "parallelism must be 1 and io_latency_scale 0, got %r and %r"
+                % (parallelism, io_latency_scale)
+            )
         if buffer_cache_bytes is None:
             buffer_cache_bytes = int(node_memory_bytes * DEFAULT_CACHE_FRACTION)
         self.root_dir = root_dir or tempfile.mkdtemp(prefix="repro-hyracks-")
@@ -225,8 +219,6 @@ class HyracksCluster:
         self.buffer_cache_bytes = int(buffer_cache_bytes)
         self.page_size = int(page_size)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.parallelism = max(int(parallelism or 1), 1)
-        self.io_latency_scale = float(io_latency_scale)
         self.nodes = collections.OrderedDict()
         for i in range(num_nodes):
             node_id = "node%d" % i
@@ -237,10 +229,8 @@ class HyracksCluster:
                 buffer_cache_bytes,
                 page_size,
                 telemetry=self.telemetry,
-                io_latency_scale=self.io_latency_scale,
             )
         self.scheduler = Scheduler(partitions_per_node)
-        self.task_runner = make_task_runner(self.parallelism, self.telemetry)
         self.jobs_executed = 0
         # Concurrent execute() calls (repro.serve runs whole jobs in
         # parallel) make the counter bump a read-modify-write.
@@ -323,7 +313,6 @@ class HyracksCluster:
                 self.buffer_cache_bytes,
                 self.page_size,
                 telemetry=self.telemetry,
-                io_latency_scale=self.io_latency_scale,
             )
             # A chaos injector armed before the node joined must see it.
             node.fault_injector = self.fault_injector
@@ -444,11 +433,7 @@ class HyracksCluster:
             self.reap_draining_nodes()
 
     def _execute_placed(self, job_spec, placement, used_nodes, started):
-        job_ctx = JobContext(
-            job_spec.name,
-            telemetry=self.telemetry,
-            io_latency_scale=self.io_latency_scale,
-        )
+        job_ctx = JobContext(job_spec.name, telemetry=self.telemetry)
         # Only the job's own nodes: they hold ``inflight > 0`` so they
         # cannot retire mid-job, while any other node may be reaped (and
         # vanish from ``self.nodes``) between the two snapshots.
@@ -472,28 +457,37 @@ class HyracksCluster:
                 ]
                 operator.initialize(job_ctx)
                 injector = self.fault_injector
-                tasks = [
-                    self._make_clone_task(
-                        operator,
-                        partition,
-                        self.nodes[locations[partition]],
-                        num_partitions,
-                        [routed[partition] for routed in routed_inputs],
-                        out_edges,
-                        job_ctx,
-                        injector,
-                    )
-                    for partition in range(num_partitions)
-                ]
-                outcomes = self.task_runner.map(tasks)
-                self._raise_first_failure(outcomes, operator, locations)
+                spent, sent = 0.0, []
+                # Partition order: each consumer's sender lists are in
+                # partition-id order, and the first failing clone stops
+                # the operator (later partitions never start).
+                for partition, node_id in enumerate(locations):
+                    try:
+                        seconds, per_edge = self._run_clone(
+                            operator,
+                            partition,
+                            self.nodes[node_id],
+                            num_partitions,
+                            [routed[partition] for routed in routed_inputs],
+                            out_edges,
+                            job_ctx,
+                            injector,
+                        )
+                    except WorkerFailure as error:
+                        self.telemetry.event(
+                            "node.failure",
+                            category="failure",
+                            node=node_id,
+                            kind=error.kind,
+                            operator=operator.name,
+                        )
+                        raise JobFailure(str(error), cause=error) from error
+                    spent += seconds
+                    sent.append(per_edge)
                 operator.finalize(job_ctx)
-                operator_seconds[operator.name] = operator_seconds.get(
-                    operator.name, 0.0
-                ) + sum(outcome.value[0] for outcome in outcomes)
-                # Outcomes come back in partition order, so each
-                # consumer's sender lists are in partition-id order.
-                sent = [outcome.value[1] for outcome in outcomes]
+                operator_seconds[operator.name] = (
+                    operator_seconds.get(operator.name, 0.0) + spent
+                )
                 for index, (edge, num_consumers) in enumerate(out_edges):
                     staged[edge] = [
                         [per_edge[index][dest] for per_edge in sent]
@@ -528,89 +522,60 @@ class HyracksCluster:
             cache_writebacks=used["writebacks"],
         )
 
-    def _make_clone_task(self, operator, partition, node, num_partitions,
-                         clone_inputs, out_edges, job_ctx, injector):
-        """One partition clone as a zero-argument callable for a runner.
+    def _run_clone(self, operator, partition, node, num_partitions,
+                   clone_inputs, out_edges, job_ctx, injector):
+        """Run one partition clone.
 
         Dead-node check, injector probes at open/next/close, a task span
         around ``run``; then the clone splits its port outputs across
-        each outgoing edge's consumers and accounts what it ships (bytes,
-        simulated transfer latency) on whichever thread runs it, so that
-        work overlaps across partitions under a parallel runner. Returns
-        ``(run seconds, [per-consumer lists of out_edges[i]])``.
+        each outgoing edge's consumers and accounts what it ships.
+        Returns ``(run seconds, [per-consumer lists of out_edges[i]])``.
         """
-
-        def clone():
-            clone_started = time.perf_counter()
-            ctx = TaskContext(node, job_ctx, partition, num_partitions)
-            node.check_failure()
-            if injector is not None:
-                injector.check(
-                    "operator.open",
-                    node=node.node_id,
-                    operator=operator.name,
-                    partition=partition,
-                )
-            with self.telemetry.span(
-                operator.name,
-                category="task",
-                partition=partition,
+        clone_started = time.perf_counter()
+        ctx = TaskContext(node, job_ctx, partition, num_partitions)
+        node.check_failure()
+        if injector is not None:
+            injector.check(
+                "operator.open",
                 node=node.node_id,
-            ):
-                result = operator.run(ctx, partition, clone_inputs) or {}
-            if injector is not None:
-                # "next": output produced, not yet handed on — a fault
-                # here loses the clone's work exactly like a crash
-                # mid-stream would.
-                injector.check(
-                    "operator.next",
-                    node=node.node_id,
-                    operator=operator.name,
-                    partition=partition,
-                    tuples=sum(len(t) for t in result.values()),
-                )
-            elapsed = time.perf_counter() - clone_started
-            sent = []
-            for edge, num_consumers in out_edges:
-                per_dest = edge.connector.split(
-                    partition, result.get(edge.port, []), num_consumers
-                )
-                for dest, tuples in enumerate(per_dest):
-                    edge.connector._account(job_ctx, partition, dest, tuples)
-                sent.append(per_dest)
-            if injector is not None:
-                injector.check(
-                    "operator.close",
-                    node=node.node_id,
-                    operator=operator.name,
-                    partition=partition,
-                )
-            return elapsed, sent
-
-        return clone
-
-    def _raise_first_failure(self, outcomes, operator, locations):
-        """Surface the lowest-partition failure of one operator's clones.
-
-        Sequential runners stop at the first failure, so that outcome is
-        the only one; parallel runners let every clone settle and the
-        lowest partition id wins, keeping the surfaced error independent
-        of thread completion order.
-        """
-        for outcome in outcomes:
-            if not outcome.failed:
-                continue
-            error = outcome.error
-            if isinstance(error, WorkerFailure):
-                self.telemetry.event(
-                    "node.failure",
-                    category="failure",
-                    node=locations[outcome.partition],
-                    kind=error.kind,
-                    operator=operator.name,
-                )
-                raise JobFailure(str(error), cause=error) from error
-            raise error
+                operator=operator.name,
+                partition=partition,
+            )
+        with self.telemetry.span(
+            operator.name,
+            category="task",
+            partition=partition,
+            node=node.node_id,
+        ):
+            result = operator.run(ctx, partition, clone_inputs) or {}
+        if injector is not None:
+            # "next": output produced, not yet handed on — a fault
+            # here loses the clone's work exactly like a crash
+            # mid-stream would.
+            injector.check(
+                "operator.next",
+                node=node.node_id,
+                operator=operator.name,
+                partition=partition,
+                tuples=sum(len(t) for t in result.values()),
+            )
+        elapsed = time.perf_counter() - clone_started
+        sent = []
+        for edge, num_consumers in out_edges:
+            per_dest = edge.connector.split(
+                partition, result.get(edge.port, []), num_consumers
+            )
+            for dest, tuples in enumerate(per_dest):
+                edge.connector._account(job_ctx, partition, dest, tuples)
+            sent.append(per_dest)
+        if injector is not None:
+            injector.check(
+                "operator.close",
+                node=node.node_id,
+                operator=operator.name,
+                partition=partition,
+            )
+        return elapsed, sent
 
     @staticmethod
     def _node_totals(nodes):
@@ -627,7 +592,6 @@ class HyracksCluster:
     def close(self):
         import shutil
 
-        self.task_runner.close()
         for node in self.nodes.values():
             node.files.close()
         if self._owns_root:

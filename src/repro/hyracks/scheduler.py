@@ -1,4 +1,4 @@
-"""Constraint-based task placement and task execution (paper Section 4).
+"""Constraint-based task placement (paper Section 4).
 
 Hyracks lets a client attach scheduling constraints to each operator; the
 scheduler is a small constraint solver that produces a placement
@@ -7,135 +7,11 @@ join and group-by clones sticky on the nodes that store the corresponding
 ``Vertex`` partitions across all supersteps (Section 5.3.4), and *choice*
 constraints to place HDFS scans near their blocks (Section 5.7).
 
-Besides *where* clones run, this module also decides *how* they run: a
-:class:`TaskRunner` executes the per-partition clones of one operator.
-:class:`SequentialTaskRunner` preserves the historical single-threaded
-order; :class:`ThreadPoolTaskRunner` runs clones concurrently on a
-persistent worker pool — the simulated counterpart of Hyracks running one
-task per core per node. Both return results in partition order, so the
-engine's merge points see inputs ordered by partition id regardless of
-completion order (the determinism invariant DESIGN.md §13 relies on).
+The scheduler decides only *where* clones run; the engine runs one
+operator's clones one after another in partition order (DESIGN.md §13).
 """
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 from repro.common.errors import SchedulingError
-
-
-class TaskOutcome:
-    """What running one clone produced: a value or the error it raised."""
-
-    __slots__ = ("partition", "value", "error")
-
-    def __init__(self, partition, value=None, error=None):
-        self.partition = partition
-        self.value = value
-        self.error = error
-
-    @property
-    def failed(self):
-        return self.error is not None
-
-
-class TaskRunner:
-    """Executes one operator's partition clones; see subclasses."""
-
-    #: How many clones can make progress at once.
-    concurrency = 1
-
-    def map(self, tasks):
-        """Run every callable in ``tasks``; return a list of
-        :class:`TaskOutcome` in task (= partition) order.
-
-        Errors are captured per task, never raised here: the engine
-        decides which failure wins (the lowest partition id, matching
-        the sequential engine's first-failure semantics).
-        """
-        raise NotImplementedError
-
-    def close(self):
-        """Release worker threads (no-op for sequential runners)."""
-
-
-class SequentialTaskRunner(TaskRunner):
-    """Runs clones one after another on the calling thread.
-
-    Matches the pre-parallel engine exactly: a failing clone stops the
-    operator, and clones for later partitions never run.
-    """
-
-    def map(self, tasks):
-        outcomes = []
-        for partition, task in enumerate(tasks):
-            try:
-                outcomes.append(TaskOutcome(partition, value=task()))
-            except Exception as error:  # captured, classified by the engine
-                outcomes.append(TaskOutcome(partition, error=error))
-                break
-        return outcomes
-
-
-class ThreadPoolTaskRunner(TaskRunner):
-    """Runs clones concurrently on a persistent thread pool.
-
-    :param num_threads: pool size ("cores" of the simulated cluster).
-    :param telemetry: optional :class:`~repro.telemetry.Telemetry`; worker
-        threads register a stable ``hyx-worker-N`` name with its tracer so
-        Chrome traces label the per-thread rows.
-
-    Unlike the sequential runner, every submitted clone runs to
-    completion even when a sibling fails — a real cluster's tasks do not
-    observe each other's failures mid-flight either; the engine raises
-    the lowest-partition failure once all clones settled.
-    """
-
-    def __init__(self, num_threads, telemetry=None):
-        if num_threads < 1:
-            raise SchedulingError("thread pool needs at least one thread")
-        self.concurrency = int(num_threads)
-        self.telemetry = telemetry
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.concurrency,
-            thread_name_prefix="hyx-worker",
-            initializer=self._register_worker,
-        )
-
-    def _register_worker(self):
-        if self.telemetry is not None:
-            self.telemetry.tracer.register_thread(threading.current_thread().name)
-
-    def map(self, tasks):
-        # Carry the submitting thread's tracer context (job_id/run_id
-        # correlation args) into the workers, so spans recorded by
-        # parallel clones are attributable to the job that spawned them.
-        tracer = self.telemetry.tracer if self.telemetry is not None else None
-        context = tracer.current_context() if tracer is not None else None
-
-        def guarded(partition, task):
-            try:
-                if context:
-                    with tracer.context(**context):
-                        return TaskOutcome(partition, value=task())
-                return TaskOutcome(partition, value=task())
-            except Exception as error:
-                return TaskOutcome(partition, error=error)
-
-        futures = [
-            self._executor.submit(guarded, partition, task)
-            for partition, task in enumerate(tasks)
-        ]
-        return [future.result() for future in futures]
-
-    def close(self):
-        self._executor.shutdown(wait=True)
-
-
-def make_task_runner(parallelism, telemetry=None):
-    """A runner for ``parallelism`` concurrent clones (1 = sequential)."""
-    if parallelism is None or int(parallelism) <= 1:
-        return SequentialTaskRunner()
-    return ThreadPoolTaskRunner(int(parallelism), telemetry=telemetry)
 
 
 class PartitionConstraint:

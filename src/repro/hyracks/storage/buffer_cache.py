@@ -7,7 +7,7 @@ used unpinned page is evicted, written back if dirty, and transparently
 reloaded on the next pin. In-memory workloads never touch disk;
 out-of-core workloads degrade smoothly instead of failing.
 
-Thread safety (parallel execution, DESIGN.md §13): a single metadata
+Thread safety (concurrent served jobs, DESIGN.md §13): a single metadata
 latch serializes all map/LRU/pin-count bookkeeping, so concurrent
 pin/unpin/evict/spill keep the cache's invariants — one Page object per
 cached PageId, cached-bytes equals pages × page-size, no eviction of a
@@ -88,8 +88,8 @@ class BufferCache:
         self._cached_bytes = 0
         self._next_page_no = {}  # file_id -> next unallocated page number
         self._on_disk = set()  # PageIds that have an on-disk image
-        # Metadata latch: serializes map/LRU/pin-count bookkeeping under
-        # parallel execution (reentrant: _admit -> _evict_to_fit nest).
+        # Metadata latch: serializes map/LRU/pin-count bookkeeping across
+        # concurrent jobs (reentrant: _admit -> _evict_to_fit nest).
         self._latch = threading.RLock()
 
     # ------------------------------------------------------------------

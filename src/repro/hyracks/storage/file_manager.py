@@ -6,26 +6,18 @@ random page reads/writes; run files support sequential append/scan. All
 traffic is recorded in the node's :class:`~repro.common.IOCounters`, which
 the benchmark harness reads to report spill volumes.
 
-Thread safety: under parallel execution several clones of one node's
-operators touch the same manager at once. Id allocation is lock-guarded
-(two clones must never receive the same file id or temp path), and each
-paged file serializes its seek+read/write pairs behind a per-file lock so
+Thread safety: concurrent jobs (the serving tier runs several at once)
+touch the same node's manager. Id allocation is lock-guarded (two jobs
+must never receive the same file id or temp path), and each paged file
+serializes its seek+read/write pairs behind a per-file lock so
 concurrent page accesses cannot interleave a seek from one thread with
 the transfer of another.
-
-Latency realism: with ``latency_scale > 0`` every recorded transfer also
-*blocks* the calling thread for the cost model's disk seconds (scaled).
-Sequential and parallel runs charge identical simulated waits; only
-parallel runs can overlap them — the same asymmetry a real cluster's
-disks give concurrent tasks.
 """
 
 import os
 import shutil
 import threading
-import time
 
-from repro.common import costmodel
 from repro.common.accounting import IOCounters
 from repro.common.errors import StorageError
 
@@ -48,28 +40,16 @@ class FileManager:
     :param root: directory all files for this node live beneath.
     :param io_counters: optional shared counters; a private set is created
         when omitted.
-    :param latency_scale: >0 makes every disk transfer sleep for the cost
-        model's seconds × scale (latency realism; see module docstring).
     """
 
-    def __init__(self, root, io_counters=None, latency_scale=0.0):
+    def __init__(self, root, io_counters=None):
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
         self.io = io_counters if io_counters is not None else IOCounters()
-        self.latency_scale = float(latency_scale)
         self._paged_files = {}
         self._ids_lock = threading.Lock()
         self._next_file_id = 0
         self._next_temp_id = 0
-
-    def _charge_latency(self, nbytes, paged):
-        if self.latency_scale and nbytes:
-            seconds = (
-                costmodel.paged_disk_seconds(nbytes)
-                if paged
-                else costmodel.disk_seconds(nbytes)
-            )
-            time.sleep(seconds * self.latency_scale)
 
     # ------------------------------------------------------------------
     # paged files (index storage)
@@ -96,7 +76,6 @@ class FileManager:
             paged.handle.write(data.ljust(page_size, b"\x00"))
             paged.num_pages = max(paged.num_pages, page_no + 1)
         self.io.record_write(page_size)
-        self._charge_latency(page_size, paged=True)
 
     def read_page(self, file_id, page_no, page_size):
         """Read one page image back."""
@@ -109,7 +88,6 @@ class FileManager:
                 "page %d of file %d was never written" % (page_no, file_id)
             )
         self.io.record_read(page_size)
-        self._charge_latency(page_size, paged=True)
         return data
 
     def delete_paged_file(self, file_id):
@@ -131,14 +109,12 @@ class FileManager:
         return os.path.join(self.root, "%s-%06d.tmp" % (hint, temp_id))
 
     def record_run_write(self, nbytes):
-        """Account (and latency-charge) a sequential spill write."""
+        """Account a sequential spill write."""
         self.io.record_write(nbytes)
-        self._charge_latency(nbytes, paged=False)
 
     def record_run_read(self, nbytes):
-        """Account (and latency-charge) a sequential spill read."""
+        """Account a sequential spill read."""
         self.io.record_read(nbytes)
-        self._charge_latency(nbytes, paged=False)
 
     def delete_path(self, path):
         if os.path.exists(path):

@@ -187,7 +187,6 @@ class RunFileWriter:
             return
         self._handle.close()
         if self.files is not None:
-            # Through the manager so latency realism charges the spill.
             self.files.record_run_write(self.bytes_written)
 
     def __enter__(self):

@@ -6,7 +6,8 @@ its ``repro serve`` flag, help, argparse ``type`` and ``metavar``, and
 ``low``, the inclusive lower bound ``__post_init__`` enforces, so the
 CLI adds the flags in one loop and :meth:`ServeConfig.from_args` reads
 them back in one loop. ``checkpoint_interval`` and ``watchdog`` have no
-flag: only the chaos drill and tests set them. Knobs nobody sets are
+flag: only the chaos drill and tests set them. ``parallelism`` has no
+flag either and accepts only 1. Knobs nobody sets are
 constants of the module that reads them (DESIGN.md §14 "Configuration").
 """
 
@@ -49,9 +50,10 @@ class ServeConfig:
     workers: int = field(default=2, metadata=_knob(
         "dispatcher threads (job-level concurrency)",
         "--workers", int, "N", low=1))
+    #: Always 1: a job's operator clones run one after another, and the
+    #: field stays only for callers that still pass it (DESIGN.md §13).
     parallelism: int = field(default=1, metadata=_knob(
-        "per-job operator-clone concurrency (DESIGN.md §13)",
-        "--parallel", int, "N", low=1))
+        "per-job operator-clone concurrency; 1 is the only value"))
     #: Bytes; the flag takes MiB.
     node_memory_bytes: int = field(default=DEFAULT_NODE_MEMORY, metadata=_knob(
         "per-node memory budget in MiB (default %d)" % (DEFAULT_NODE_MEMORY >> 20),
@@ -108,6 +110,8 @@ class ServeConfig:
             if low is not None and value is not None and value < low:
                 raise ValueError("%s must be >= %s, got %r" % (
                     knob.metadata["flag"] or knob.name, low, value))
+        if self.parallelism != 1:
+            raise ValueError("parallelism must be 1, got %r" % (self.parallelism,))
         if not isinstance(self.autoscale, (AutoscalePolicy, type(None))):
             raise TypeError("autoscale must be an AutoscalePolicy or None")
         if not isinstance(self.watchdog, bool):

@@ -10,6 +10,8 @@ threads. Each job gets its own driver and a run-id-scoped temp
 namespace (indexes, message files, DFS scratch) over the *shared*,
 thread-safe buffer caches and file managers from DESIGN.md §13 — so
 concurrent jobs are bit-identical to the same jobs run back to back.
+These dispatcher threads are the only concurrency in the system: within
+one job, the engine runs an operator's clones one after another.
 
 The class is the front door and the wiring; the state behind it is
 split by owner. This module keeps construction, datasets,
@@ -91,7 +93,6 @@ class JobService(ServiceDocuments):
         if cluster is None:
             cluster = HyracksCluster(
                 num_nodes=config.num_nodes, telemetry=self.telemetry,
-                parallelism=config.parallelism,
                 node_memory_bytes=config.node_memory_bytes,
             )
         self.cluster = cluster

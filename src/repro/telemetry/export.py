@@ -44,20 +44,10 @@ def chrome_trace_events(telemetry, spans=None, events=None, synthetic=()):
     candidates.extend(item["start"] for item in synthetic)
     timebase = min(candidates) if candidates else 0.0
     raw = []
-    # Thread-name metadata first, so viewers label per-thread rows with
-    # the worker names parallel execution registered (hyx-worker-N).
-    metadata = [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": TRACE_PID,
-            "tid": tid,
-            "args": {"name": name},
-        }
-        for tid, name in sorted(telemetry.tracer.thread_names.items())
-    ]
+    # Thread-name metadata first, so viewers label the lifecycle row.
+    metadata = []
     if synthetic:
-        metadata.insert(0, {
+        metadata.append({
             "name": "thread_name",
             "ph": "M",
             "pid": TRACE_PID,

@@ -120,19 +120,6 @@ class Tracer:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._local = threading.local()
-        self.thread_names = {}  # tid -> stable display name for exports
-
-    def register_thread(self, name, tid=None):
-        """Label a thread in exported traces (e.g. ``hyx-worker-3``).
-
-        Chrome-trace export emits a ``thread_name`` metadata event per
-        registered thread so per-thread rows show worker names instead of
-        bare ids. Defaults to the calling thread.
-        """
-        with self._lock:
-            self.thread_names[tid if tid is not None else threading.get_ident()] = str(
-                name
-            )
 
     # ------------------------------------------------------------------
     # span lifecycle
@@ -156,17 +143,6 @@ class Tracer:
         if stack is None:
             stack = self._local.context = []
         return stack
-
-    def current_context(self):
-        """A copy of the merged context args active on this thread.
-
-        Thread pools capture this on the submitting thread and re-enter
-        it with :meth:`context` around each task, so worker-thread spans
-        carry the same correlation ids (``job_id``/``run_id``) as the
-        thread that dispatched them.
-        """
-        stack = self._context_stack()
-        return dict(stack[-1]) if stack else {}
 
     @contextmanager
     def context(self, **args):

@@ -1,9 +1,9 @@
 """The gate loop itself, as properties that hold for every row of ``GATES``.
 
 The real gates (``repro bench <gate>``) run at their default config in CI;
-here every row runs at a miniature one (tens of vertices, latency 0, one
-repeat), so what is checked is the mechanics — measurement, bit-identity,
-bounds, evidence, verdict, report, CLI exit — in seconds.
+here every row runs at a miniature one (tens of vertices, one repeat), so
+what is checked is the mechanics — measurement, bit-identity, bounds,
+evidence, verdict, report, CLI exit — in seconds.
 """
 
 import dataclasses
@@ -16,9 +16,8 @@ from repro.bench.gates import GATES, measure, run_gate, summary_lines
 from repro.bench.reporting import write_report
 
 TINY = {
-    "parallel": dict(vertices=40, iterations=2, nodes=2, workers=(1, 2)),
     "elastic": dict(vertices=40, iterations=4, nodes=2, scale_superstep=2),
-    "batch": dict(vertices=40, nodes=2, workers=(1, 2), sources=(0, 7, 19)),
+    "batch": dict(vertices=40, nodes=2, sources=(0, 7, 19)),
 }
 REPORT_KEYS = {"gate", "benchmark", "config", "ratio", "sense", "cases",
                "comparisons", "evidence", "pass"}
@@ -31,7 +30,7 @@ def tiny(name, reachable=True, **overrides):
     gate = GATES[name]
     floor = gate.sense == ">="
     bound = (0.0 if floor else 1000.0) if reachable else (1000.0 if floor else -1.0)
-    config = dict(TINY[name], io_latency_scale=0.0, repeats=1, bound=bound)
+    config = dict(TINY[name], repeats=1, bound=bound)
     config.update(overrides)
     return dataclasses.replace(
         gate, config=dataclasses.replace(gate.config, **config)
@@ -65,8 +64,9 @@ def test_one_report_schema_and_json_round_trip(name, tmp_path):
     assert report["config"]["vertices"] == 40
     assert set(report["cases"]) == set(gate.cases(gate.config))
     assert all(case["seconds"] > 0 for case in report["cases"].values())
-    assert [(c["variant"], c["baseline"], c["bound"] is not None)
-            for c in report["comparisons"]] == gate.comparisons(gate.config)
+    assert tuple((c["variant"], c["baseline"])
+                 for c in report["comparisons"]) == gate.comparisons
+    assert all(c["bound"] == gate.config.bound for c in report["comparisons"])
     path = str(tmp_path / gate.default_out)
     assert write_report(report, path) == path
     with open(path) as handle:
@@ -80,9 +80,7 @@ def test_loose_bound_passes_unreachable_bound_fails(name):
     assert report["pass"] is False
     assert report["evidence"] is True
     assert all(c["bit_identical"] for c in report["comparisons"])
-    assert [c["within_bound"] for c in report["comparisons"]] == [
-        c["bound"] is None for c in report["comparisons"]
-    ]
+    assert not any(c["within_bound"] for c in report["comparisons"])
 
 
 @every_gate
@@ -95,7 +93,7 @@ def test_repeats_that_disagree_raise(name):
 
 @every_gate
 def test_diverged_variant_fails_whatever_its_ratio(name):
-    variant = GATES[name].comparisons(tiny(name).config)[0][0]
+    variant = GATES[name].comparisons[0][0]
     report = run_gate(refingerprinted(
         tiny(name), lambda case, real: "other" if case == variant else real
     ))
@@ -118,11 +116,12 @@ def test_elastic_resize_that_never_fires_fails_on_evidence():
                for line in summary_lines(report))
 
 
-def test_only_the_highest_worker_count_of_parallel_is_bounded():
-    gate = GATES["parallel"]
-    assert gate.comparisons(gate.config) == [
-        ("p2", "p1", False), ("p4", "p1", True),
-    ]
+@every_gate
+def test_a_row_with_nothing_to_compare_fails(name):
+    report = run_gate(dataclasses.replace(tiny(name), comparisons=()))
+    assert report["comparisons"] == []
+    assert report["pass"] is False
+    assert summary_lines(report)[-1] == "  verdict: FAIL"
 
 
 def test_measure_keeps_the_fastest_repeat():
@@ -162,7 +161,8 @@ def test_cli_exit_status_and_report_path(name, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["bench"], ["bench", "serial"],
                                   ["bench", "--elastic"],
-                                  ["bench", "parallel", "--vertices", "40"]])
+                                  ["bench", "parallel"],
+                                  ["bench", "elastic", "--vertices", "40"]])
 def test_cli_rejects_what_is_not_a_gate(argv, capsys):
     from repro.cli import main
 

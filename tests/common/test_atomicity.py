@@ -1,7 +1,7 @@
 """Satellite regression tests for the concurrency audit (DESIGN.md §13).
 
-Parallel clone execution turned several previously single-threaded
-read-modify-write paths into shared state. Each test here pins one
+Concurrent served jobs share several read-modify-write paths on the
+same nodes. Each test here pins one
 audited path by hammering it from many threads and asserting the exact
 count a serial run would produce — a lost update fails deterministically
 enough in 8×1000 iterations to catch a reintroduced race.

@@ -1,12 +1,10 @@
-"""Satellite property tests: sequential vs parallel runtime equivalence.
+"""Property tests: the sort and group-by strategies keep their input.
 
 For seeded random inputs, the external sort and all four group-by
 strategies of the paper's taxonomy — {sort, hashsort} × {re-grouping
-partitioning connector, pre-clustered merging connector} — must produce
-**bit-identical per-partition outputs** when the same job runs on a
-sequential cluster and a thread-pool cluster (same ``(budget, group-by,
-connector)`` class, DESIGN.md §13), and every strategy must preserve the
-input's combined ``(key, value)`` multiset.
+partitioning connector, pre-clustered merging connector} — must preserve
+the input's combined ``(key, value)`` multiset, put each key on one
+partition, and agree with each other on every key's values.
 
 Memory budgets are deliberately tiny so each run exercises the spill and
 multi-run merge paths, not just the in-memory fast path.
@@ -195,11 +193,9 @@ GROUP_BY_STRATEGIES = {
 }
 
 
-def run_collected(build_job, seed, parallelism, tmp_path, tag):
+def run_collected(build_job, seed, tmp_path, tag):
     with HyracksCluster(
-        num_nodes=NUM_NODES,
-        parallelism=parallelism,
-        root_dir=str(tmp_path / ("%s-p%d" % (tag, parallelism))),
+        num_nodes=NUM_NODES, root_dir=str(tmp_path / tag)
     ) as cluster:
         result = cluster.execute(build_job(seed))
     return result.collected["out"]
@@ -216,23 +212,18 @@ def flatten_groups(collected):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("strategy", sorted(GROUP_BY_STRATEGIES))
-def test_group_by_strategy_parallel_equals_sequential(strategy, seed, tmp_path):
-    build_job = GROUP_BY_STRATEGIES[strategy]
-    sequential = run_collected(build_job, seed, 1, tmp_path, strategy)
-    parallel = run_collected(build_job, seed, 4, tmp_path, strategy)
-    assert parallel == sequential  # bit-identical per-partition outputs
-    assert flatten_groups(sequential) == expected_multiset(seed)
+def test_group_by_strategy_keeps_the_input_multiset(strategy, seed, tmp_path):
+    collected = run_collected(GROUP_BY_STRATEGIES[strategy], seed, tmp_path, strategy)
+    assert flatten_groups(collected) == expected_multiset(seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_external_sort_parallel_equals_sequential(seed, tmp_path):
-    sequential = run_collected(external_sort_job, seed, 1, tmp_path, "xsort")
-    parallel = run_collected(external_sort_job, seed, 4, tmp_path, "xsort")
-    assert parallel == sequential
-    for tuples in sequential.values():
+def test_external_sort_sorts_and_keeps_the_input_multiset(seed, tmp_path):
+    collected = run_collected(external_sort_job, seed, tmp_path, "xsort")
+    for tuples in collected.values():
         assert tuples == sorted(tuples)
     combined = Counter(
-        pair for tuples in sequential.values() for pair in tuples
+        pair for tuples in collected.values() for pair in tuples
     )
     assert combined == expected_multiset(seed)
 
@@ -242,7 +233,7 @@ def test_strategies_agree_on_grouped_content(seed, tmp_path):
     """All four strategies produce the same key → value-multiset map."""
     per_strategy = {}
     for strategy, build_job in GROUP_BY_STRATEGIES.items():
-        collected = run_collected(build_job, seed, 4, tmp_path, "x" + strategy)
+        collected = run_collected(build_job, seed, tmp_path, "x" + strategy)
         grouped = {}
         for partition in collected.values():
             for key, values in partition:

@@ -2,8 +2,8 @@
 
 Every batched lane must produce a result document whose digest equals
 the digest of a solo run of the same query — across random graphs,
-random batch compositions (duplicate queries allowed), all four
-group-by × connector plan classes, and parallel execution.
+random batch compositions (duplicate queries allowed) and all four
+group-by × connector plan classes.
 """
 
 import random
@@ -48,11 +48,9 @@ PLAN_CLASSES = [
 ]
 
 
-def _driver(tmp_path, tag, parallelism=1):
+def _driver(tmp_path, tag):
     cluster = HyracksCluster(
-        num_nodes=3,
-        parallelism=parallelism,
-        root_dir=str(tmp_path / ("cluster-%s" % tag)),
+        num_nodes=3, root_dir=str(tmp_path / ("cluster-%s" % tag))
     )
     dfs = MiniDFS(datanodes=cluster.node_ids())
     return cluster, PregelixDriver(cluster, dfs)
@@ -69,8 +67,8 @@ def _apply_plan(job, plan):
 
 
 def _solo_digest(tmp_path, vertices, module, name, params, plan=None,
-                 parallelism=1, tag="solo"):
-    cluster, driver = _driver(tmp_path, tag, parallelism)
+                 tag="solo"):
+    cluster, driver = _driver(tmp_path, tag)
     try:
         _load(driver, vertices)
         job = _apply_plan(module.build_job(**params), plan)
@@ -88,8 +86,8 @@ def _solo_digest(tmp_path, vertices, module, name, params, plan=None,
 
 
 def _batched_digests(tmp_path, vertices, module, name, param_sets, plan=None,
-                     parallelism=1, tag="batch"):
-    cluster, driver = _driver(tmp_path, tag, parallelism)
+                     tag="batch"):
+    cluster, driver = _driver(tmp_path, tag)
     try:
         _load(driver, vertices)
         template = _apply_plan(module.build_job(**param_sets[0]), plan)
@@ -153,26 +151,19 @@ def test_random_batches_match_solo(tmp_path, round_seed):
         )
 
 
-def test_parallel_4_batches_match_sequential_solo(tmp_path):
-    """A full 8-lane batch under parallelism=4 stays in the solo class."""
+def test_full_8_lane_batch_matches_solo(tmp_path):
+    """A full 8-lane batch, duplicate sources included, stays in the solo class."""
     vertices = list(btc_graph(48, seed=5))
     sources = (0, 7, 7, 13, 22, 31, 40, 47)
     param_sets = [{"source_id": s} for s in sources]
-    batched = _batched_digests(
-        tmp_path, vertices, sssp, "sssp", param_sets, parallelism=4
-    )
+    batched = _batched_digests(tmp_path, vertices, sssp, "sssp", param_sets)
     for lane, source in enumerate(sources):
-        solo_seq = _solo_digest(
+        solo = _solo_digest(
             tmp_path, vertices, sssp, "sssp", {"source_id": source},
-            tag="seq-%d" % lane,
+            tag="solo-%d" % lane,
         )
-        solo_par = _solo_digest(
-            tmp_path, vertices, sssp, "sssp", {"source_id": source},
-            parallelism=4, tag="par-%d" % lane,
-        )
-        assert solo_par == solo_seq, "solo parallel-4 broke determinism"
-        assert batched[lane] == solo_seq, (
-            "parallel-4 lane %d (source %d) diverged from solo" % (lane, source)
+        assert batched[lane] == solo, (
+            "lane %d (source %d) diverged from solo" % (lane, source)
         )
 
 

@@ -6,7 +6,7 @@ equal the live holder at any moment; a job's private holders are added
 to ``engine.network.*`` / ``engine.counters.*`` once per ``JobResult``,
 so those series must equal the sums over every result the cluster
 returned. Checked as a seeded property over cluster shapes rather than
-on one example: sequential and parallel, in-memory and out-of-core,
+on one example: one or two partitions per node, in-memory and out-of-core,
 across a node loss, and under two served jobs overlapping on shared
 nodes (where before/after deltas of shared counters double-count).
 """
@@ -110,15 +110,18 @@ def random_run(rng, driver, dfs, plan):
     return driver.run(job, path, output_path=path + ".out", **options)
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("partitions_per_node", [1, 2])
 @pytest.mark.parametrize(
     "shape,plan", [(IN_MEMORY, {}), (OUT_OF_CORE, OUT_OF_CORE_PLAN)],
     ids=["in-memory", "out-of-core"],
 )
-def test_registry_equals_the_holders_after_any_run(tmp_path, parallelism, shape, plan):
-    rng = random.Random(1600 + parallelism + len(shape))
+def test_registry_equals_the_holders_after_any_run(
+    tmp_path, partitions_per_node, shape, plan
+):
+    rng = random.Random(1600 + partitions_per_node + len(shape))
     with HyracksCluster(
-        num_nodes=3, root_dir=str(tmp_path / "c"), parallelism=parallelism, **shape
+        num_nodes=3, root_dir=str(tmp_path / "c"),
+        partitions_per_node=partitions_per_node, **shape
     ) as cluster:
         results = record_results(cluster)
         dfs = MiniDFS(datanodes=cluster.node_ids())

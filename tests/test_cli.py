@@ -25,6 +25,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nope", "--input", "x"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "pagerank", "--input", "x", "--parallel", "4"],
+        ["run", "pagerank", "--input", "x", "--io-latency", "200"],
+        ["pipeline", "pagerank", "--input", "x", "--parallel", "4"],
+        ["serve", "--parallel=4"],
+    ], ids=" ".join)
+    def test_clone_concurrency_flags_are_gone(self, argv, capsys):
+        # Clones run one after another and nothing sleeps for simulated
+        # time: an old command line fails loudly instead of being ignored.
+        with pytest.raises(SystemExit) as error:
+            build_parser().parse_args(argv)
+        assert error.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+
     def test_figures_choices(self):
         args = build_parser().parse_args(["figures", "table3", "figure12a"])
         assert args.which == ["table3", "figure12a"]
@@ -542,7 +556,6 @@ class TestServeConfigFlags:
     SAMPLES = {
         "num_nodes": ("3", 3),
         "workers": ("5", 5),
-        "parallelism": ("2", 2),
         "node_memory_bytes": ("8", 8 << 20),
         "quotas": ("bob=2:1", {"bob": TenantQuota(weight=2.0, max_running=1)}),
         "result_cache_capacity": ("0", 0),
@@ -554,8 +567,8 @@ class TestServeConfigFlags:
         "batch_max": ("4", 4),
         "batch_window": ("0.1", 0.1),
     }
-    #: set by the chaos drill and tests only: no flag
-    API_ONLY = {"checkpoint_interval", "watchdog"}
+    #: set by the chaos drill and tests only (``parallelism``: 1 only): no flag
+    API_ONLY = {"checkpoint_interval", "watchdog", "parallelism"}
 
     @staticmethod
     def plain(value):
@@ -590,7 +603,7 @@ class TestServeConfigFlags:
     @pytest.mark.parametrize("changes", [
         {"workers": 0}, {"num_nodes": 0}, {"result_cache_capacity": -1},
         {"shed_queue_depth": -3}, {"batch_max": 0}, {"batch_window": -0.1},
-        {"checkpoint_interval": -1},
+        {"checkpoint_interval": -1}, {"parallelism": 0}, {"parallelism": 4},
     ], ids=repr)
     def test_api_refuses_what_the_cli_refuses(self, changes):
         with pytest.raises(ValueError):

@@ -46,6 +46,11 @@ _U32 = struct.Struct(">I")
 #: encoding matches numeric order (needed for B-tree key comparisons).
 _SIGN_BIAS = 1 << 63
 
+#: ``bytes.translate`` table flipping the top bit of a byte: what turns
+#: the leading byte of a big-endian two's-complement INT64 into (and
+#: back from) that of its biased image.
+_FLIP_SIGN = bytes(byte ^ 0x80 for byte in range(256))
+
 
 class Serde:
     """Codec interface: ``dumps`` a value to bytes, ``loads`` it back."""
@@ -678,6 +683,10 @@ class PackedListSerde(_Composite):
     layout is a 4-byte count followed by ``count * element_size`` bytes.
     This matters for vertex rows, where the edge list dominates the
     serialized footprint.
+
+    Lists of ``(INT64, FLOAT64)`` pairs — weighted edges — are ``flat``:
+    :meth:`dumps_flat` and :meth:`loads_flat` move them as one flat
+    sequence with one ``struct`` call and no pair built.
     """
 
     def __init__(self, element_serde):
@@ -687,8 +696,10 @@ class PackedListSerde(_Composite):
         self._adopt(_compile_repeated(element_serde, framed=False))
         self._width = element_serde.fixed_size
         self._firsts = None
-        if isinstance(element_serde, FixedPairSerde) and element_serde.first is INT64:
+        pair = isinstance(element_serde, FixedPairSerde) and element_serde.first is INT64
+        if pair:
             self._firsts = struct.Struct(">Q%dx" % element_serde.second.fixed_size)
+        self.flat = pair and element_serde.second is FLOAT64
 
     def count(self, data):
         """The element count of the image ``data``, read off it with the
@@ -712,9 +723,40 @@ class PackedListSerde(_Composite):
         self.count(data)
         return [first - _SIGN_BIAS for first, in firsts.iter_unpack(memoryview(data)[4:])]
 
+    def dumps_flat(self, flat):
+        """The image of the pairs ``(flat[0], flat[1]), (flat[2],
+        flat[3]), ...`` — the bytes :meth:`dumps` gives them —: one
+        ``pack`` with each INT64 as a signed integer, then the sign bit
+        of each flipped, which is INT64's bias. The list must be
+        :attr:`flat`; a value either codec refuses raises
+        ``struct.error``."""
+        if not self.flat:
+            self._not_flat()
+        count = len(flat) >> 1
+        image = bytearray(struct.pack(">I" + "qd" * count, count, *flat))
+        image[4::16] = image[4::16].translate(_FLIP_SIGN)
+        return bytes(image)
+
+    def loads_flat(self, data):
+        """The pairs of the image ``data`` as one flat tuple ``(first,
+        second, first, second, ...)``: :meth:`count`'s check, then the
+        sign bits flipped back and one ``unpack``."""
+        if not self.flat:
+            self._not_flat()
+        count = self.count(data)
+        image = bytearray(data)
+        image[4::16] = image[4::16].translate(_FLIP_SIGN)
+        return struct.unpack_from(">" + "qd" * count, image, 4)
+
+    def _not_flat(self):
+        raise TypeError("elements of %r are not (INT64, FLOAT64) pairs" % self.element_serde)
+
 
 class ListSerde(_Composite):
     """Homogeneous lists; count-prefixed, each element length-prefixed."""
+
+    #: Never moved as one flat sequence (see :class:`PackedListSerde`).
+    flat = False
 
     def __init__(self, element_serde):
         self.element_serde = element_serde
@@ -722,6 +764,30 @@ class ListSerde(_Composite):
             self._adopt(_framed_list(element_serde))
         else:
             self._adopt(_compile_repeated(element_serde, framed=True))
+
+    def count(self, data):
+        """The element count of the image ``data``: the count × framed
+        width check of fixed-width elements, one decode otherwise."""
+        width = self.element_serde.fixed_size
+        if width is None:
+            return len(self.loads(data))
+        try:
+            (count,) = _U32.unpack_from(data, 0)
+        except struct.error as exc:
+            _corrupt(exc)
+        if 4 + (4 + width) * count != len(data):
+            _corrupt("a count of %d does not match %d bytes" % (count, len(data)))
+        return count
+
+
+def join_lists(images):
+    """The image of the lists whose images are ``images`` (a sequence),
+    concatenated: the counts summed, the bodies joined. Both list layouts
+    are a ``>I`` count and then the elements; no element is checked."""
+    if len(images) == 1:
+        return images[0]
+    count = sum(_U32.unpack_from(image, 0)[0] for image in images)
+    return _U32.pack(count) + b"".join(image[4:] for image in images)
 
 
 class PairSerde(TupleSerde):

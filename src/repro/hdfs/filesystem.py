@@ -176,7 +176,8 @@ class MiniDFS:
     # data operations
     # ------------------------------------------------------------------
     def write(self, path, data):
-        """Create (or replace) ``path`` with ``data`` bytes.
+        """Create (or replace) ``path`` with ``data`` bytes (a ``str`` is
+        written as UTF-8); returns how many bytes that is.
 
         Consults the attached fault injector first: a ``transient_io``
         fault raises before any byte lands (and is absorbed by the
@@ -199,6 +200,7 @@ class MiniDFS:
             self.corrupt(path)
         elif action == "torn_write":
             self.tear(path)
+        return len(data)
 
     def append(self, path, data):
         """Append ``data`` to an existing file (creating it if missing).
@@ -303,7 +305,8 @@ class MiniDFS:
         return self.read(path).decode("utf-8")
 
     def write_text_lines(self, path, lines):
-        self.write(path, "\n".join(lines) + ("\n" if lines else ""))
+        """Write ``lines``, each ended by a newline; returns the bytes."""
+        return self.write(path, "\n".join(lines) + ("\n" if lines else ""))
 
     def read_text_lines(self, path):
         text = self.read_text(path)

@@ -1,8 +1,9 @@
 """HDFS scan and write operators.
 
 The scan reads whole files (the loader writes one file per input split,
-sidestepping mid-line block boundaries) and parses each line with a
-user-supplied function. Locality is handled one level up: the plan
+sidestepping mid-line block boundaries) and parses each file's lines
+with a user-supplied function. Both operators charge the bytes the file
+holds, as read or written. Locality is handled one level up: the plan
 generator derives a :class:`ChoiceLocationConstraint` from the files'
 block locations so each clone runs next to a replica.
 """
@@ -16,27 +17,22 @@ class HDFSScanOperator(OperatorDescriptor):
     :param dfs: the :class:`~repro.hdfs.MiniDFS` instance.
     :param splits: ``splits[p]`` is the list of file paths partition ``p``
         reads.
-    :param parse_line: ``parse_line(str) -> tuple or None`` (None skips).
+    :param parse_lines: ``parse_lines(list of str) -> list of tuples``,
+        the tuples of one file's lines.
     """
 
-    def __init__(self, dfs, splits, parse_line, name=None):
+    def __init__(self, dfs, splits, parse_lines, name=None):
         super().__init__(name or "HDFSScan")
         self.dfs = dfs
         self.splits = [list(paths) for paths in splits]
-        self.parse_line = parse_line
+        self.parse_lines = parse_lines
 
     def run(self, ctx, partition, inputs):
         output = []
         for path in self.splits[partition]:
-            nbytes = 0
-            for line in self.dfs.read_text_lines(path):
-                nbytes += len(line) + 1
-                if not line.strip():
-                    continue
-                parsed = self.parse_line(line)
-                if parsed is not None:
-                    output.append(parsed)
-            ctx.io.record_read(nbytes)
+            data = self.dfs.read(path)
+            output += self.parse_lines(data.decode("utf-8").splitlines())
+            ctx.io.record_read(len(data))
         return {self.OUT: output}
 
     @staticmethod
@@ -65,6 +61,5 @@ class HDFSWriteOperator(OperatorDescriptor):
         (stream,) = inputs
         lines = [self.format_tuple(item) for item in stream]
         path = self.path_for_partition(partition)
-        self.dfs.write_text_lines(path, lines)
-        ctx.io.record_write(sum(len(line) + 1 for line in lines))
+        ctx.io.record_write(self.dfs.write_text_lines(path, lines))
         return {}

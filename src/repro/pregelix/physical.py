@@ -23,8 +23,11 @@ layouts are the :class:`~repro.pregelix.relations.RunRelations`' that
 every generator holds as ``relations``.
 """
 
+from itertools import groupby
+
 from repro.common import serde
 from repro.common.serde import INT64, decode_key, encode_key
+from repro.graphs import io as graph_io
 from repro.hyracks.connectors import (
     MToNPartitioningConnector,
     MToNPartitioningMergingConnector,
@@ -67,7 +70,7 @@ from repro.pregelix.operators import (
     VertexMutationOperator,
 )
 from repro.pregelix.relations import VID_VALUE, RunRelations
-from repro.pregelix.types import GlobalState, edge_list_serde
+from repro.pregelix.types import GlobalState
 
 
 class PartitionMap:
@@ -226,14 +229,18 @@ class _ReceiverCombineAggregator(GroupAggregator):
 
 
 class _VertexEdgeCountAggregator:
-    """Counts (vertices, edges) over raw loaded vertex tuples."""
+    """Counts (vertices, edges) over loader tuples, each edge count read
+    off the edge image (``edge_codec.count``, which checks it)."""
+
+    def __init__(self, edge_codec):
+        self.count = edge_codec.count
 
     def create(self):
         return (0, 0)
 
     def step(self, state, item):
         vertices, edges = state
-        return (vertices + 1, edges + len(item[2]))
+        return (vertices + 1, edges + self.count(item[2]))
 
     def merge(self, left, right):
         return (left[0] + right[0], left[1] + right[1])
@@ -243,11 +250,13 @@ class _VertexEdgeCountAggregator:
 
 
 class _MergeSameVidOperator(OperatorDescriptor):
-    """Merges consecutive raw tuples that share a vid (sorted input).
+    """Merges consecutive loader tuples that share a key (sorted input).
 
-    Lets edge-list inputs (one ``(src, None, [edge])`` tuple per line)
-    load directly: after the per-partition sort, all of a vertex's edges
-    are adjacent and fold into one row. The first non-null value wins.
+    Lets edge-list inputs (one ``(src, None, [edge])`` line each) load
+    directly: after the per-partition sort, all of a vertex's edges are
+    adjacent and fold into one row, their images joined in arrival order
+    (``serde.join_lists``). The first non-null value wins; a key that
+    occurs once passes as it is.
     """
 
     def __init__(self):
@@ -256,18 +265,17 @@ class _MergeSameVidOperator(OperatorDescriptor):
     def run(self, ctx, partition, inputs):
         (stream,) = inputs
         output = []
-        current = None
-        for vid, value, edges in stream:
-            if current is not None and current[0] == vid:
-                current[2].extend(edges)
-                if current[1] is None:
-                    current[1] = value
-            else:
-                if current is not None:
-                    output.append(tuple(current))
-                current = [vid, value, list(edges)]
-        if current is not None:
-            output.append(tuple(current))
+        for key, group in groupby(stream, LEAD):
+            group = list(group)
+            if len(group) == 1:
+                output.append(group[0])
+                continue
+            values = [value for _key, value, _image in group if value is not None]
+            output.append((
+                key,
+                values[0] if values else None,
+                serde.join_lists([image for _key, _value, image in group]),
+            ))
         return {self.OUT: output}
 
 
@@ -332,11 +340,11 @@ class PlanGenerator:
     # shared pieces
     # ------------------------------------------------------------------
     def _raw_vertex_serde(self):
-        """Serde for loader tuples ``(vid, value, edges)``."""
+        """Serde for loader tuples ``(key image, value, edge image)``: the
+        bytes it writes are those of ``(vid, value, edges)`` under
+        ``(INT64, value, edge list)``."""
         return serde.TupleSerde(
-            serde.INT64,
-            serde.OptionalSerde(self.job.value_serde),
-            edge_list_serde(self.job.edge_serde),
+            serde.KEY, serde.OptionalSerde(self.job.value_serde), serde.BYTES
         )
 
     def _pin(self, operator):
@@ -354,8 +362,13 @@ class PlanGenerator:
     # loading plan
     # ------------------------------------------------------------------
     def loading_plan(self, input_path, parse_line):
-        """Scan HDFS, hash-partition by vid, sort, bulk load the index."""
+        """Scan HDFS, hash-partition by vid, sort, bulk load the index.
+
+        A loader tuple is the row's images, ``(key image, value, edge
+        image)``, from the scan on (``graph_io.image_parser``): no edge is
+        a Python object between the text and the B-tree."""
         job = self.job
+        relations = self.relations
         spec = JobSpec("%s-load" % job.name)
         files = self.dfs.list_files(input_path)
         if not files:
@@ -363,7 +376,9 @@ class PlanGenerator:
         num = self.partition_map.num_partitions
         splits = [files[p::num] for p in range(num)]
 
-        scan = spec.add(HDFSScanOperator(self.dfs, splits, parse_line))
+        scan = spec.add(HDFSScanOperator(
+            self.dfs, splits, graph_io.image_parser(parse_line, relations.edge_codec)
+        ))
         scan.partition_constraint = ChoiceLocationConstraint(
             HDFSScanOperator.locality_choices(self.dfs, splits),
             # Elastic clusters can retire every datanode a split was
@@ -375,7 +390,7 @@ class PlanGenerator:
         sort = spec.add(
             self._pin(
                 ExternalSortOperator(
-                    sort_key_fn=lambda t: encode_key(t[0]),
+                    sort_key_fn=LEAD,
                     tuple_serde=raw_serde,
                     memory_limit_bytes=job.groupby_memory_bytes,
                 )
@@ -383,9 +398,8 @@ class PlanGenerator:
         )
         spec.connect(
             MToNPartitioningConnector(
-                key_fn=lambda t: t[0],
                 tuple_serde=raw_serde,
-                partition_fn=self.partition_map.partition_of,
+                destinations_fn=self.partition_map.partitions_of_keyed,
             ),
             scan,
             sort,
@@ -394,7 +408,6 @@ class PlanGenerator:
         merge = spec.add(self._pin(_MergeSameVidOperator()))
         spec.connect(OneToOneConnector(), sort, merge)
 
-        relations = self.relations
         to_vertex = spec.add(
             self._pin(MapOperator(relations.loaded_vertex, name="EncodeVertex"))
         )
@@ -416,7 +429,7 @@ class PlanGenerator:
             LocalAggregateOperator,
         )
 
-        counter = _VertexEdgeCountAggregator()
+        counter = _VertexEdgeCountAggregator(relations.edge_codec)
         local_stats = spec.add(self._pin(LocalAggregateOperator(counter, name="LocalCount")))
         spec.connect(OneToOneConnector(), merge, local_stats)
         merge_stats = spec.add(GlobalAggregateOperator(counter, name="GlobalCount"))
@@ -573,21 +586,27 @@ class PlanGenerator:
     # result writing
     # ------------------------------------------------------------------
     def dump_plan(self, output_path, format_record):
-        """Scan the final Vertex relation and write it back to HDFS."""
+        """Scan the final Vertex relation and write it back to HDFS.
+
+        A row is formatted from ``(vid, value, edge image)``
+        (``graph_io.image_formatter``); only a custom ``format_record``
+        gets a decoded :class:`~repro.pregelix.types.VertexRecord`."""
         job = self.job
         spec = JobSpec("%s-dump" % job.name)
         relations = self.relations
+        format_tuple = graph_io.image_formatter(format_record, relations.edge_codec)
+        decode = relations.stored_vertex
+        if format_tuple is None:
+            decode, format_tuple = relations.vertex_record, format_record
         scan = spec.add(self._pin(IndexScanOperator(relations.vertex)))
-        to_record = spec.add(
-            self._pin(MapOperator(relations.vertex_record, name="DecodeVertex"))
-        )
+        to_record = spec.add(self._pin(MapOperator(decode, name="DecodeVertex")))
         spec.connect(OneToOneConnector(), scan, to_record)
         write = spec.add(
             self._pin(
                 HDFSWriteOperator(
                     self.dfs,
                     path_for_partition=lambda p: "%s/part-%05d" % (output_path, p),
-                    format_tuple=format_record,
+                    format_tuple=format_tuple,
                 )
             )
         )

@@ -23,7 +23,7 @@ relation. A partition nobody has written yet is an empty relation.
 from functools import partial
 from operator import is_, itemgetter
 
-from repro.common.serde import decode_key, encode_key
+from repro.common.serde import decode_key
 from repro.hyracks.operators.index_ops import drop_indexes
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.lsm_btree import LSMBTree
@@ -32,7 +32,6 @@ from repro.pregelix.api import Edge, VertexStorage
 from repro.pregelix.types import (
     ACTIVE_HEAD,
     VERTEX_FRAME,
-    VertexRecord,
     decode_global_state,
     decode_vertex,
     edge_list_serde,
@@ -68,30 +67,37 @@ class RunRelations:
         self.decode_vertex = partial(decode_vertex, codec)
         #: ``VertexRecord -> stored bytes``
         self.encode_vertex = partial(encode_vertex, codec)
+        #: What an edge list is stored as: the codec of its image.
+        self.edge_codec = edge_list_serde(job.edge_serde)
         # What an OpenedRow works with.
         self._opened_codec = opened_vertex_serde(job.value_serde)
-        self._edge_codec = edge_list_serde(job.edge_serde)
-        self._no_edges = self._edge_codec.dumps([])
+        self._no_edges = self.edge_codec.dumps([])
 
     # ------------------------------------------------------------------
     # rows
     # ------------------------------------------------------------------
-    def loaded_vertex(self, raw):
-        """The ``Vertex`` row of a loader tuple ``(vid, value, edges)``:
-        every vertex starts active."""
-        vid, value, edges = raw
-        return encode_key(vid), self.encode_vertex(
-            VertexRecord(vid, False, value, edges)
-        )
+    def loaded_vertex(self, loaded):
+        """The ``Vertex`` row of a loader tuple ``(key image, value, edge
+        image)``: every vertex starts active, and its edge image is
+        stored as it is (the row is ``encode_vertex``'s, byte for byte)."""
+        key, value, image = loaded
+        return key, self._opened_codec.dumps((False, value, image))
 
-    def loaded_vid(self, raw):
-        """The ``Vid`` row of a loader tuple."""
-        return encode_key(raw[0]), VID_VALUE
+    def loaded_vid(self, loaded):
+        """The ``Vid`` row of a loader tuple: its key, as it is."""
+        return loaded[0], VID_VALUE
 
     def vertex_record(self, row):
         """The :class:`VertexRecord` of a stored ``(key, bytes)`` row."""
         key, data = row
         return self.decode_vertex(decode_key(key), data)
+
+    def stored_vertex(self, row):
+        """``(vid, value, edge image)`` of a stored ``(key, bytes)`` row:
+        its framing verified, its edge list left as the image."""
+        key, data = row
+        _halt, value, image = self._opened_codec.loads(data)
+        return decode_key(key), value, image
 
     def opened_row(self):
         """A fresh :class:`OpenedRow` (one per ``Compute`` clone)."""
@@ -191,7 +197,7 @@ class OpenedRow:
 
     def __init__(self, relations):
         self._row = relations._opened_codec
-        self._edge_list = relations._edge_codec
+        self._edge_list = relations.edge_codec
         self._no_edges = relations._no_edges
         self._spliceable = relations.job.edge_serde.layout_fixed
         self.image = None  # the stored edge list of the row it is at

@@ -89,6 +89,24 @@ class TestSemanticEquivalence:
                 assert outcome.vertices[vid] == pytest.approx(dist)
 
 
+    @pytest.mark.parametrize("name,factory", ENGINE_FACTORIES)
+    def test_a_parser_may_skip_lines(self, name, factory):
+        """``parse_line`` answering ``None`` skips the line, as the
+        Pregelix scan does."""
+        from repro.graphs.io import format_graph_line, parse_adjacency_line
+
+        def skip_comments(line):
+            return None if line.startswith("#") else parse_adjacency_line(line)
+
+        cdfs = MiniDFS(datanodes=["n0"])
+        lines = ["# a chain of 6"] + [format_graph_line(*row) for row in chain_graph(6)]
+        cdfs.write_text_lines("/in/commented/part-0", lines)
+        outcome = factory(2, BIG).run(
+            sssp.build_job(source_id=0), cdfs, "/in/commented", parse_line=skip_comments
+        )
+        assert outcome.vertices == {vid: float(vid) for vid in range(6)}
+
+
 class TestMemoryModels:
     def find_failure_budget(self, factory, dfs, path, job_factory, budgets):
         """Largest budget (from the sorted list) at which the engine dies."""

@@ -204,13 +204,16 @@ def plan_codecs():
             ref.TupleSerde(ref.BOOL, ref.OptionalSerde(rvalue), reference_edges(redge)),
             lambda rng, o=optional, e=edges: (rng.random() < 0.5, o(rng), e(rng)),
         )
+        # A loader tuple carries the row's images: (key, value, edge image).
         codecs["raw vertex " + label] = (
             physical.PlanGenerator(
                 PregelixJob("j", Vertex, value_serde=value, edge_serde=edge),
                 None, "r", None,
             )._raw_vertex_serde(),
-            ref.TupleSerde(ref.INT64, ref.OptionalSerde(rvalue), reference_edges(redge)),
-            lambda rng, o=optional, e=edges: (random_vid(rng), o(rng), e(rng)),
+            ref.TupleSerde(ref.BYTES, ref.OptionalSerde(rvalue), ref.BYTES),
+            lambda rng, o=optional, e=edges, r=reference_edges(redge): (
+                serde.encode_key(random_vid(rng)), o(rng), r.dumps(e(rng))
+            ),
         )
     for label, (msg, rmsg, gmsg) in [("float", floats), ("text", texts)]:
         codecs["raw message " + label] = (

@@ -138,6 +138,18 @@ class TestIO:
         with pytest.raises(ValueError):
             parse_adjacency_line("42")
 
+    def test_read_graph_skips_what_the_parser_skips(self):
+        dfs = MiniDFS(datanodes=["a"])
+        dfs.write_text_lines("/g/part-0", ["# comment", "1 _ 2:1.0", "", "2 0.5"])
+
+        def skip_comments(line):
+            return None if line.startswith("#") else parse_adjacency_line(line)
+
+        assert read_graph_from_dfs(dfs, "/g", skip_comments) == [
+            (1, None, [(2, 1.0)]),
+            (2, 0.5, []),
+        ]
+
     def test_dfs_write_read_roundtrip(self):
         dfs = MiniDFS(datanodes=["a", "b"])
         vertices = list(chain_graph(10))

@@ -199,7 +199,7 @@ def test_the_row_written_back_is_the_whole_record_encoded(seed, value_kind, edge
     reference = ref.TupleSerde(ref.BOOL, ref.OptionalSerde(rvalue), reference_edges(redge))
     job = PregelixJob("rows", Scripted, value_serde=value, edge_serde=edge)
     relations = RunRelations(job, None, "rows")
-    counting = relations._edge_codec = CountingCodec(relations._edge_codec)
+    counting = relations.edge_codec = CountingCodec(relations.edge_codec)
     row = relations.opened_row()  # one per clone: moved from row to row
     program = Scripted()
     for _ in range(40):
@@ -297,7 +297,7 @@ def test_sending_to_edges_nobody_read_is_sending_to_the_edges(value_kind, edge_k
     edge, _redge, gedge = EDGES[edge_kind]
     job = PregelixJob("send", Scripted, value_serde=value, edge_serde=edge)
     relations = RunRelations(job, None, "send")
-    counting = relations._edge_codec = CountingCodec(relations._edge_codec)
+    counting = relations.edge_codec = CountingCodec(relations.edge_codec)
     row = relations.opened_row()
     program = Scripted()
     for _ in range(30):
@@ -346,7 +346,7 @@ def test_a_damaged_edge_image_fails_the_send(edge_kind):
     row = relations.opened_row()
     program = Scripted()
     program.script = lambda p: p.send_message_to_all_edges(1.0)
-    image = relations._edge_codec.dumps([(2, gedge(rng)), (3, gedge(rng))])
+    image = relations.edge_codec.dumps([(2, gedge(rng)), (3, gedge(rng))])
     for data in damaged_images(image):
         # The row's framing is intact: only its edge image is damaged.
         bind_at(program, row, relations._opened_codec.dumps((False, 1.0, data)))
@@ -403,7 +403,7 @@ def test_counting_edges_nobody_read_is_counting_the_edges(value_kind, edge_kind)
     edge, _redge, gedge = EDGES[edge_kind]
     job = PregelixJob("count", Scripted, value_serde=value, edge_serde=edge)
     relations = RunRelations(job, None, "count")
-    counting = relations._edge_codec = CountingCodec(relations._edge_codec)
+    counting = relations.edge_codec = CountingCodec(relations.edge_codec)
     row = relations.opened_row()
     program = Scripted()
     for _ in range(30):
@@ -440,7 +440,7 @@ def test_a_damaged_edge_image_is_neither_counted_nor_replaced(value_kind, edge_k
     relations = RunRelations(job, None, "damaged")
     row = relations.opened_row()
     program = Scripted()
-    image = relations._edge_codec.dumps([(2, gedge(rng)), (3, gedge(rng))])
+    image = relations.edge_codec.dumps([(2, gedge(rng)), (3, gedge(rng))])
     for data in damaged_images(image):
         stored = relations._opened_codec.dumps((False, gvalue(rng), data))
         for script in (

@@ -34,6 +34,8 @@ fixed-width field that is not that width, or bytes left over raise
 """
 
 import functools
+import itertools
+import operator
 import struct
 
 from repro.common.errors import StorageError
@@ -72,6 +74,10 @@ class Serde:
     def loads(self, data):
         raise NotImplementedError
 
+    def dumps_many(self, values):
+        """``dumps`` over a batch of values: an iterator of images."""
+        return map(self.dumps, values)
+
     def loads_many(self, images):
         """``loads`` over a batch (a sequence) of images: a list."""
         return list(map(self.loads, images))
@@ -109,6 +115,9 @@ class Int64Serde(Serde):
     def dumps(self, value):
         return _U64.pack(value + _SIGN_BIAS)
 
+    def dumps_many(self, values):
+        return map(_U64.pack, map(operator.add, values, itertools.repeat(_SIGN_BIAS)))
+
     def loads(self, data):
         return _U64.unpack(data)[0] - _SIGN_BIAS
 
@@ -133,6 +142,9 @@ class Float64Serde(Serde):
 
     def dumps(self, value):
         return _F64.pack(value)
+
+    def dumps_many(self, values):
+        return map(_F64.pack, values)
 
     def loads(self, data):
         return _F64.unpack(data)[0]

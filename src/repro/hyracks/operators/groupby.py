@@ -17,11 +17,21 @@ Two keys, one order (DESIGN.md §4). Tuples are sorted, hashed and
 compared by **their own key**, ``key_fn(item)``; a group is *named* once,
 when it closes, by the aggregator's :attr:`~GroupAggregator.group_key`,
 which must preserve order: that written key is what ``finish`` receives
-and what spilled runs store and are merged by. No hop works per tuple in
-Python beyond the one ``step`` (or combiner) call.
+and what spilled runs store and are merged by.
+
+A fold is a batch per call. The sort strategies fold a sorted batch with
+``fold_clustered``, the merge of spilled runs folds one merged round at a
+time with ``merge_rounds``, and HashSort fills its table a chunk of items
+per ``hash_fold`` call when the state is fixed-width — so an aggregator
+whose folds are written out (the message combiners over a built-in
+``Combiner``) pays no Python call per tuple, and a group goes out in a
+batch, not through a generator resumed per group. An aggregator that
+defines only ``create``/``step``/``merge`` gets the per-tuple loops,
+which are the contract.
 """
 
-from itertools import starmap
+import functools
+from itertools import chain, starmap
 
 from repro.common.errors import StorageError
 from repro.common.serde import ListSerde
@@ -93,6 +103,45 @@ class GroupAggregator:
             raise StorageError("aggregator has no state serde to size with")
         return serde.sizeof(state)
 
+    def merge_rounds(self, rounds):
+        """``merge`` over the rounds of a merge of spilled runs: sorted
+        lists of ``(key, state)``, each going on where the one before
+        stopped (a key's run may span lists). One list of ``(key,
+        merged)`` per list, holding the runs that closed in it, and one
+        more for the run still open at the end. A run's first state is
+        where its merge starts."""
+        merge = self.merge
+        current = state = None
+        for items in rounds:
+            closed = []
+            for key, partial in items:
+                if key == current:
+                    state = merge(state, partial)
+                else:
+                    if current is not None:
+                        closed.append((current, state))
+                    current, state = key, partial
+            yield closed
+        if current is not None:
+            yield [(current, state)]
+
+    def name_keys(self, keys):
+        """``group_key`` over a batch of keys."""
+        group_key = self.group_key
+        return keys if group_key is None else map(group_key, keys)
+
+    #: True when ``finish(key, state)`` is ``(key, state)``: the operators
+    #: then emit named states as they are, with no call per group.
+    finish_is_identity = False
+
+    #: ``None``, or ``hash_fold(table, items, room)``: ``step`` over
+    #: items drawn from the iterator ``items`` into a table keyed by their
+    #: lead, up to the item that adds the ``room``-th new key, returning
+    #: how many keys it added, as ``Combiner.hash_fold`` does it — the
+    #: HashSort group-by's path for fixed-width states. An aggregator that offers it and names its
+    #: groups (``group_key``) writes every key at one width.
+    hash_fold = None
+
 
 class ListAggregator(GroupAggregator):
     """The paper's default combine: gather all payloads into a list.
@@ -156,25 +205,14 @@ class _SpillingGroupByBase(OperatorDescriptor):
 
     def _finished(self, runs, in_memory):
         """The finished groups of the spilled ``runs`` and the sorted
-        ``(written key, state)`` pairs still ``in_memory``."""
+        ``(written key, state)`` pairs still ``in_memory``, in batches:
+        ``in_memory`` alone, or the merged runs folded round by round
+        (``aggregator.merge_rounds``)."""
+        aggregator = self.aggregator
+        batches = (in_memory,)
         if runs.paths:
-            in_memory = self._merge_equal(runs.merged(in_memory))
-        return starmap(self.aggregator.finish, in_memory)
-
-    def _merge_equal(self, named_states):
-        """Fold adjacent pairs of equal key with ``aggregator.merge``."""
-        merge = self.aggregator.merge
-        current_key = None
-        current_state = None
-        for key, state in named_states:
-            if key == current_key:
-                current_state = merge(current_state, state)
-            else:
-                if current_key is not None:
-                    yield current_key, current_state
-                current_key, current_state = key, state
-        if current_key is not None:
-            yield current_key, current_state
+            batches = aggregator.merge_rounds(runs.merged_rounds(in_memory))
+        return _finished_batches(aggregator, batches)
 
 
 class SortGroupByOperator(_SpillingGroupByBase):
@@ -185,12 +223,19 @@ class SortGroupByOperator(_SpillingGroupByBase):
         self.tuple_serde = tuple_serde
 
     def grouped_stream(self, ctx, stream):
+        return _flat(self._grouped_batches(ctx, stream))
+
+    def _grouped_batches(self, ctx, stream):
         with self._runs(ctx) as runs:
             buffer = spill_full_batches(
                 stream, self.tuple_serde, self.memory_limit,
                 lambda full: self._overflow(runs, self._fold_sorted(full)),
             )
-            yield from self._finished(runs, self._fold_sorted(buffer))
+            in_memory = self._fold_sorted(buffer)
+            # The sorted tuples go once an eager fold (a combiner's) has
+            # read them, before its groups are handed on (peak memory).
+            del buffer
+            yield from self._finished(runs, in_memory)
 
     def _fold_sorted(self, buffer):
         """Sort raw tuples by their own key (stable: arrival order inside
@@ -200,12 +245,85 @@ class SortGroupByOperator(_SpillingGroupByBase):
 
 
 class HashSortGroupByOperator(_SpillingGroupByBase):
-    """HashSort group-by: hash-aggregate in memory, sort only to spill."""
+    """HashSort group-by: hash-aggregate in memory, sort only to spill.
+
+    The table spills as soon as it holds ``memory_limit`` bytes: every
+    key's written key and state, its states sized as they change (under
+    a fixed-width state serde, only when a key is new)."""
 
     def __init__(self, key_fn, aggregator, memory_limit_bytes=DEFAULT_SORT_MEMORY, name=None):
         super().__init__(key_fn, aggregator, memory_limit_bytes, name or "HashSortGroupBy")
 
     def grouped_stream(self, ctx, stream):
+        return _flat(self._grouped_batches(ctx, stream))
+
+    def _grouped_batches(self, ctx, stream):
+        items = stream if isinstance(stream, list) else list(stream)
+        with self._runs(ctx) as runs:
+            if self._hash_foldable(items):
+                in_memory = self._hash_folded(runs, items)
+            else:
+                in_memory = self._stepped(runs, items)
+            yield from self._finished(runs, in_memory)
+
+    def _hash_foldable(self, items):
+        """Whether ``aggregator.hash_fold`` may fill the table: items
+        keyed by their lead, a fixed-width state, and written keys of one
+        width (the items' own, when the aggregator names none)."""
+        aggregator = self.aggregator
+        state_serde = aggregator.state_serde()
+        return (
+            aggregator.hash_fold is not None
+            and self.key_fn is LEAD
+            and state_serde is not None
+            and state_serde.fixed_size is not None
+            and (aggregator.group_key is not None
+                 or len(set(map(len, map(LEAD, items)))) <= 1)
+        )
+
+    def _hash_folded(self, runs, items):
+        """The table filled by ``aggregator.hash_fold``, a chunk of items
+        per call, all drawn from one iterator. Only a new key adds bytes,
+        and every one as many: the first key is measured, and a chunk ends
+        at the key that fills the table, so it spills after the item the
+        byte count spilled at."""
+        hash_fold = self.aggregator.hash_fold
+        items = iter(items)
+        table = {}
+        if not hash_fold(table, items, 1):
+            return []
+        capacity = self._capacity(table)
+        held = added = room = 1
+        while True:
+            if held == capacity:
+                self._overflow(runs, self._named_table(table))
+                table = {}
+                held = 0
+            if added < room:  # the items ran out
+                return self._named_table(table)
+            room = _UNBOUNDED if capacity is None else capacity - held
+            added = hash_fold(table, items, room)
+            held += added
+
+    def _capacity(self, table):
+        """How many keys fill the table (``None``: no number does), from
+        the bytes its one key adds: its written key, and its state less a
+        fresh one."""
+        aggregator = self.aggregator
+        ((key, state),) = table.items()
+        (name,) = aggregator.name_keys([key])
+        charge = len(name) + aggregator.state_size(state) - aggregator.state_size(
+            aggregator.create()
+        )
+        if charge > 0:
+            return max(1, -(-self.memory_limit // charge))
+        return 1 if charge >= self.memory_limit else None
+
+    def _named_table(self, table):
+        return _named_sorted(self.aggregator.name_keys(table), table)
+
+    def _stepped(self, runs, stream):
+        """The table filled item by item through ``step``."""
         aggregator = self.aggregator
         key_fn = self.key_fn
         create, step = aggregator.create, aggregator.step
@@ -220,33 +338,60 @@ class HashSortGroupByOperator(_SpillingGroupByBase):
         # budget, once per table.
         names = []
         table_bytes = 0
-        with self._runs(ctx) as runs:
-            for item in stream:
-                key = key_fn(item)
-                state = table.get(key)
-                new_key = state is None
-                if new_key:
-                    state = create()
-                    name = group_key(key) if group_key else key
-                    names.append(name)
-                    table_bytes += len(name)
-                if new_key or grows:
-                    before = state_size(state)
-                    state = step(state, item)
-                    table_bytes += state_size(state) - before
-                else:
-                    state = step(state, item)
-                table[key] = state
-                if table_bytes >= self.memory_limit:
-                    self._overflow(runs, _named_sorted(names, table))
-                    table = {}
-                    names = []
-                    table_bytes = 0
-            yield from self._finished(runs, _named_sorted(names, table))
+        for item in stream:
+            key = key_fn(item)
+            state = table.get(key, _MISSING)
+            new_key = state is _MISSING
+            if new_key:
+                state = create()
+                name = group_key(key) if group_key else key
+                names.append(name)
+                table_bytes += len(name)
+            if new_key or grows:
+                before = state_size(state)
+                state = step(state, item)
+                table_bytes += state_size(state) - before
+            else:
+                state = step(state, item)
+            table[key] = state
+            if table_bytes >= self.memory_limit:
+                self._overflow(runs, _named_sorted(names, table))
+                table = {}
+                names = []
+                table_bytes = 0
+        return _named_sorted(names, table)
 
 
 def _named_sorted(names, table):
     return sorted(zip(names, table.values()), key=LEAD)
+
+
+#: A ``room`` no chunk of items fills.
+_UNBOUNDED = float("inf")
+
+#: What the HashSort table holds for a key it has not seen (a state may
+#: be ``None``).
+_MISSING = object()
+
+
+def _finished_batches(aggregator, batches):
+    """``aggregator.finish`` over batches of named states."""
+    if aggregator.finish_is_identity:
+        return batches
+    return map(functools.partial(starmap, aggregator.finish), batches)
+
+
+class _Flat(chain):
+    """A flat iterator over the batches of a generator."""
+
+
+def _flat(batches):
+    """The items of ``batches`` (a generator of iterables) one by one, with
+    no Python frame per item, and ``close`` to close the generator when a
+    consumer stops reading early (what releases the spilled runs)."""
+    items = _Flat.from_iterable(batches)
+    items.close = batches.close
+    return items
 
 
 class PreclusteredGroupByOperator(OperatorDescriptor):
@@ -262,12 +407,24 @@ class PreclusteredGroupByOperator(OperatorDescriptor):
         return {self.OUT: list(self.grouped_stream(stream))}
 
     def grouped_stream(self, stream):
-        finish = self.aggregator.finish
-        seen = set()
-        for key, state in self.aggregator.fold_clustered(self.key_fn, stream):
-            if key in seen:
-                raise StorageError(
-                    "preclustered group-by saw key %r in two clusters" % (key,)
-                )
-            seen.add(key)
-            yield finish(key, state)
+        """The finished groups; a key may not come back once its cluster
+        has closed."""
+        return _flat(self._grouped_batches(stream))
+
+    def _grouped_batches(self, stream):
+        groups = list(self.aggregator.fold_clustered(self.key_fn, stream))
+        if len(set(map(LEAD, groups))) < len(groups):
+            groups = _refusing_a_second_cluster(groups)
+        yield from _finished_batches(self.aggregator, (groups,))
+
+
+def _refusing_a_second_cluster(groups):
+    """``groups`` up to the first key seen before, which raises."""
+    seen = set()
+    for key, state in groups:
+        if key in seen:
+            raise StorageError(
+                "preclustered group-by saw key %r in two clusters" % (key,)
+            )
+        seen.add(key)
+        yield key, state

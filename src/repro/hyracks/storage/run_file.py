@@ -17,6 +17,7 @@ components and the merging connector's senders all go through.
 """
 
 import bisect
+import functools
 import itertools
 import operator
 import os
@@ -113,24 +114,55 @@ class _Buffered:
 
 
 def pack_pairs(pairs):
-    """Frame ``(key, value)`` byte pairs into one blob."""
-    parts = []
-    for key, value in pairs:
-        parts += (_RECORD_HEADER.pack(len(key), len(value)), key, value)
-    return b"".join(parts)
+    """Frame ``(key, value)`` byte pairs into one blob: every header
+    packed, and every record laid out, by C-level maps over the batch."""
+    if not isinstance(pairs, list):
+        pairs = list(pairs)
+    keys, values = map(LEAD, pairs), map(_VALUE, pairs)
+    headers = map(
+        _RECORD_HEADER.pack,
+        map(len, map(LEAD, pairs)), map(len, map(_VALUE, pairs)),
+    )
+    return b"".join(itertools.chain.from_iterable(zip(headers, keys, values)))
+
+
+@functools.lru_cache(maxsize=64)
+def _uniform_records(key_len, value_len):
+    """The struct of one record whose key and value are ``key_len`` and
+    ``value_len`` bytes: its header skipped, its key and value unpacked."""
+    return struct.Struct(">%dx%ds%ds" % (_RECORD_HEADER.size, key_len, value_len))
 
 
 def _parse(data):
     """The parser of the framing: ``(records, end, short)`` — the records
     that lie wholly inside ``data`` (a ``bytes``), where the last of them
     ended, and how many bytes the record starting there is short of — 0
-    exactly when ``data`` ends on a record boundary."""
+    exactly when ``data`` ends on a record boundary.
+
+    A chunk whose records all have the first one's header (spilled
+    states and ``Msg`` runs of a fixed-width codec) is unpacked by one
+    ``iter_unpack`` once every one of those headers is checked, a byte
+    position of all of them per compare; any other header sends the
+    chunk to the record-by-record loop, from its first byte."""
     unpack_header = _RECORD_HEADER.unpack_from
     header_size = _RECORD_HEADER.size
     size = len(data)
     records = []
-    append = records.append
     offset = 0
+    if size >= header_size:
+        key_len, value_len = unpack_header(data, 0)
+        width = header_size + key_len + value_len
+        count = size // width
+        span = count * width
+        if count > 1 and all(
+            data[at:span:width] == data[at:at + 1] * count
+            for at in range(header_size)
+        ):
+            records = list(
+                _uniform_records(key_len, value_len).iter_unpack(memoryview(data)[:span])
+            )
+            offset = span
+    append = records.append
     while offset < size:
         body = offset + header_size
         if body > size:
@@ -143,6 +175,18 @@ def _parse(data):
         append((data[body:value_at], data[value_at:end]))
         offset = end
     return records, offset, 0
+
+
+def _decoded(chunks, loads_many):
+    """The ``(key, value)`` pairs of chunks of ``(key, image)`` records,
+    each chunk's images decoded by one ``loads_many``."""
+    return itertools.chain.from_iterable(
+        map(functools.partial(_decoded_chunk, loads_many), chunks)
+    )
+
+
+def _decoded_chunk(loads_many, records):
+    return zip(map(LEAD, records), loads_many(list(map(_VALUE, records))))
 
 
 def _cut_inside_a_record(what, short):
@@ -266,24 +310,23 @@ class SortedRuns:
         with RunFileWriter(path, self.files) as writer:
             writer.extend(zip(
                 map(LEAD, pairs),
-                map(self.value_serde.dumps, map(_VALUE, pairs)),
+                self.value_serde.dumps_many(map(_VALUE, pairs)),
             ))
 
     def merged(self, tail=()):
         """The pairs of every run, in the order spilled, and of ``tail``
         (sorted pairs still in memory), merged."""
-        loads_many = self.value_serde.loads_many
+        return itertools.chain.from_iterable(self.merged_rounds(tail))
 
-        def decoded(records):
-            keys, images = zip(*records)
-            return zip(keys, loads_many(images))
-
+    def merged_rounds(self, tail=()):
+        """:meth:`merged` as the rounds of :func:`merge_sorted`: sorted
+        lists, each going on where the one before stopped."""
         streams = []
         for path in self.paths:
             replay = RunFileReader(path, self.files).chunks()
             self._replays.append(replay)
-            streams.append(itertools.chain.from_iterable(map(decoded, replay)))
-        return merge_sorted(streams + [tail])
+            streams.append(_decoded(replay, self.value_serde.loads_many))
+        return _merge_rounds(streams + [tail], LEAD)
 
     def __enter__(self):
         return self
@@ -311,6 +354,11 @@ class RunFile:
 
     def scan(self):
         return iter(RunFileReader(self.path, self.files))
+
+    def scan_decoded(self, loads_many):
+        """:meth:`scan` with every value decoded, by one ``loads_many``
+        per chunk read."""
+        return _decoded(RunFileReader(self.path, self.files).chunks(), loads_many)
 
     def destroy(self):
         self.files.delete_path(self.path)

@@ -219,8 +219,8 @@ class MultiQueryCombiner(Combiner):
     def __init__(self, inner, inner_msg_serde):
         self.inner = inner
         self.inner_msg_serde = inner_msg_serde
-        # bundle_serde() is on the groupby memory-accounting hot path
-        # (called once per accumulated tuple), so build the serde once.
+        # Every superstep plan asks for bundle_serde() (once, for both
+        # group-bys and the Msg codec); build the serde once per combiner.
         self._bundle_serde = LaneMapSerde(
             self.inner.bundle_serde(self.inner_msg_serde)
         )

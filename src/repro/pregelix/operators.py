@@ -10,11 +10,17 @@ rows look like is asked of the run's
 :class:`~repro.pregelix.relations.RunRelations`.
 """
 
+import operator
+
 from repro.common.serde import decode_key, encode_key
 from repro.hyracks.job import OperatorDescriptor
 from repro.hyracks.operators.index_ops import find_index, get_index, load_index
+from repro.hyracks.storage.run_file import LEAD
 from repro.pregelix.relations import VID_VALUE
 from repro.pregelix.types import VertexRecord
+
+# The bundle of a combined ``(key, bundle)``.
+_BUNDLE = operator.itemgetter(1)
 
 
 class MsgScanOperator(OperatorDescriptor):
@@ -33,10 +39,7 @@ class MsgScanOperator(OperatorDescriptor):
         run = find_index(ctx, self.relations.msg, partition)
         if run is None:
             return {self.OUT: []}
-        output = [
-            (key, self.bundle_codec.loads(data)) for key, data in run.scan()
-        ]
-        return {self.OUT: output}
+        return {self.OUT: list(run.scan_decoded(self.bundle_codec.loads_many))}
 
 
 class MsgWriteOperator(OperatorDescriptor):
@@ -54,7 +57,9 @@ class MsgWriteOperator(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         (stream,) = inputs
-        pairs = [(key, self.bundle_codec.dumps(bundle)) for key, bundle in stream]
+        pairs = list(zip(
+            map(LEAD, stream), self.bundle_codec.dumps_many(map(_BUNDLE, stream))
+        ))
         load_index(
             ctx, self.relations.msg, partition, self.relations.new_msg, pairs
         )

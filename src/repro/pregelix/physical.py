@@ -23,7 +23,7 @@ layouts are the :class:`~repro.pregelix.relations.RunRelations`' that
 every generator holds as ``relations``.
 """
 
-from itertools import groupby
+from itertools import chain, groupby
 
 from repro.common import serde
 from repro.common.serde import INT64, decode_key, encode_key
@@ -60,7 +60,7 @@ from repro.hyracks.scheduler import (
     CountConstraint,
 )
 from repro.hyracks.storage.run_file import LEAD
-from repro.pregelix.api import ConnectorPolicy, GroupByStrategy, JoinStrategy
+from repro.pregelix.api import Combiner, ConnectorPolicy, GroupByStrategy, JoinStrategy
 from repro.pregelix.operators import (
     ComputeOperator,
     GlobalGSOperator,
@@ -132,13 +132,20 @@ class _SenderCombineAggregator(GroupAggregator):
     """Sender-side (stage one) combine: fold raw ``(vid, payload)``
     messages into states. Messages are grouped by their vid and a group
     is written under its :func:`encode_key` image — the one place a
-    message's key is encoded, once per group."""
+    message's key is encoded, once per group, a batch of groups per
+    ``INT64.dumps_many``. Folds go to the combiner's batch folds, a
+    sorted batch or a hash-table chunk per call (items are grouped by
+    their lead: ``key_fn`` is ``LEAD``); its per-message
+    ``init``/``accumulate`` fill a HashSort table of variable-width
+    states."""
 
     group_key = staticmethod(encode_key)
+    finish_is_identity = True
 
     def __init__(self, combiner, bundle_serde):
         self.combiner = combiner
         self.bundle_serde = bundle_serde
+        self.hash_fold = combiner.hash_fold
 
     def create(self):
         return self.combiner.init()
@@ -147,22 +154,17 @@ class _SenderCombineAggregator(GroupAggregator):
         return self.combiner.accumulate(state, item[1])
 
     def fold_clustered(self, key_fn, items):
-        init, accumulate = self.combiner.init, self.combiner.accumulate
-        group_key = self.group_key
-        current = state = None
-        for item in items:
-            key = key_fn(item)
-            if key != current:
-                if current is not None:
-                    yield group_key(current), state
-                current = key
-                state = init()
-            state = accumulate(state, item[1])
-        if current is not None:
-            yield group_key(current), state
+        vids, states = self.combiner.fold_sorted(items)
+        return zip(INT64.dumps_many(vids), states)
+
+    def name_keys(self, keys):
+        return INT64.dumps_many(keys)
 
     def merge(self, left, right):
         return self.combiner.merge(left, right)
+
+    def merge_rounds(self, rounds):
+        return self.combiner.merge_rounds(rounds)
 
     def finish(self, key, state):
         return (key, state)
@@ -172,13 +174,20 @@ class _SenderCombineAggregator(GroupAggregator):
 
 
 class _ReceiverCombineAggregator(GroupAggregator):
-    """Receiver-side (stage two) combine: merge partial states."""
+    """Receiver-side (stage two) combine: merge partial states, a group's
+    first partial being its state — through the combiner's batch merges,
+    a sorted batch, a merged round of spilled runs or a hash-table chunk
+    per call."""
 
     _EMPTY = object()
 
     def __init__(self, combiner, bundle_serde):
         self.combiner = combiner
         self.bundle_serde = bundle_serde
+        self.hash_fold = combiner.hash_merge
+        # A group always holds a partial when it closes, so an unchanged
+        # ``Combiner.finish`` makes a bundle of the state as it is.
+        self.finish_is_identity = type(combiner).finish is Combiner.finish
 
     def create(self):
         return self._EMPTY
@@ -190,21 +199,10 @@ class _ReceiverCombineAggregator(GroupAggregator):
         return self.combiner.merge(state, partial)
 
     def fold_clustered(self, key_fn, items):
-        # A group's first partial is its state, and the key its partials
-        # came under is the key it is written under (no ``group_key``).
-        merge = self.combiner.merge
-        current = state = None
-        for item in items:
-            key = key_fn(item)
-            if key != current:
-                if current is not None:
-                    yield current, state
-                current = key
-                state = item[1]
-            else:
-                state = merge(state, item[1])
-        if current is not None:
-            yield current, state
+        # Partials are grouped by their lead, the key they came under and
+        # the key a group is written under (no ``group_key``). The rounds
+        # are taken eagerly, so ``items`` can go before they are handed on.
+        return chain.from_iterable(list(self.combiner.merge_rounds((items,))))
 
     def merge(self, left, right):
         if left is self._EMPTY:
@@ -212,6 +210,10 @@ class _ReceiverCombineAggregator(GroupAggregator):
         if right is self._EMPTY:
             return left
         return self.combiner.merge(left, right)
+
+    def merge_rounds(self, rounds):
+        # Spilled states are partials: none is ``_EMPTY``.
+        return self.combiner.merge_rounds(rounds)
 
     def finish(self, key, state):
         bundle = self.combiner.finish(

@@ -35,6 +35,26 @@ def write_run(ctx, hint, records):
     return path
 
 
+def parse(data):
+    """``run_file._parse`` as it was: one header unpacked, and one record
+    sliced, at a time."""
+    size = len(data)
+    records = []
+    offset = 0
+    while offset < size:
+        body = offset + _RECORD_HEADER.size
+        if body > size:
+            return records, offset, body - size
+        key_len, value_len = _RECORD_HEADER.unpack_from(data, offset)
+        value_at = body + key_len
+        end = value_at + value_len
+        if end > size:
+            return records, offset, end - size
+        records.append((data[body:value_at], data[value_at:end]))
+        offset = end
+    return records, offset, 0
+
+
 def read_run(ctx, path):
     """Three reads per record."""
     total = 0

@@ -12,7 +12,6 @@ loops as they were.
 
 import copy
 import heapq
-import operator
 import random
 import types
 
@@ -31,7 +30,13 @@ from repro.hyracks.operators.groupby import (
     PreclusteredGroupByOperator,
     SortGroupByOperator,
 )
-from repro.pregelix.api import DefaultListCombiner, MinCombiner, SumCombiner
+from repro.hyracks.storage.run_file import LEAD
+from repro.pregelix.api import (
+    DefaultListCombiner,
+    MaxCombiner,
+    MinCombiner,
+    SumCombiner,
+)
 from repro.pregelix.multiquery import LanePairSerde, MultiQueryCombiner
 from repro.pregelix.physical import (
     PartitionMap,
@@ -40,7 +45,6 @@ from repro.pregelix.physical import (
 )
 from tests.hyracks import per_tuple_reference as reference
 
-LEAD = operator.itemgetter(0)
 SEEDS = (1, 2, 3)
 BUDGETS = {"roomy": 64 << 20, "16KiB": 16 << 10, "1KiB": 1 << 10}
 #: Vids the key encoding and ``hash()`` treat specially.
@@ -60,6 +64,21 @@ def min_case(rng):
     return MinCombiner(), serde.FLOAT64, lambda: rng.choice(values)
 
 
+def max_case(rng):
+    """The mirror of ``min``: ``max`` keeps whichever extreme came first."""
+    values = (0.0, -0.0, 1.5, 1.5, 2.25, -3.0, 4.0, 4.0)
+    return MaxCombiner(), serde.FLOAT64, lambda: rng.choice(values)
+
+
+def edges_case(rng):
+    """Values whose order a fold must not change: NaN (it wins no
+    comparison, so it stays only where it came first), zeros of either
+    sign, infinities and subnormals."""
+    values = (float("nan"), 0.0, -0.0, float("inf"), float("-inf"),
+              5e-324, -5e-324, 2.2250738585072009e-308, 1.0)
+    return MinCombiner(), serde.FLOAT64, lambda: rng.choice(values)
+
+
 def list_case(rng):
     """The default combiner: variable-width bundles in arrival order."""
     return DefaultListCombiner(), serde.FLOAT64, rng.random
@@ -74,8 +93,8 @@ def multiquery_case(rng):
     )
 
 
-CASES = {"sum": sum_case, "min": min_case, "list": list_case,
-         "multiquery": multiquery_case}
+CASES = {"sum": sum_case, "min": min_case, "max": max_case,
+         "edges": edges_case, "list": list_case, "multiquery": multiquery_case}
 
 
 class Case:
@@ -442,3 +461,112 @@ def test_an_aggregator_that_cannot_spill_fails_as_before(tmp_path):
         list(HashSortGroupByOperator(
             key_fn, CannotSpill(), 1 << 10
         ).grouped_stream(actual, messages))
+
+
+# ---------------------------------------------------------------------
+# a state that is None
+# ---------------------------------------------------------------------
+class KeepLast(GroupAggregator):
+    """The last payload of a key, which may be ``None``."""
+
+    def create(self):
+        return None
+
+    def step(self, state, item):
+        return item[1]
+
+    def merge(self, left, right):
+        return right
+
+    def finish(self, key, state):
+        return (key, state)
+
+    def state_serde(self):
+        return serde.OptionalSerde(serde.INT64)
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+def test_hashsort_keeps_a_key_whose_state_is_none(tmp_path, budget):
+    """A ``None`` state is a state: the key is not new again, so it is
+    neither named twice nor paired with another key's state."""
+    items = [(b"a", None), (b"b", 1), (b"a", 2), (b"c", 3)]
+    want = [(b"a", 2), (b"b", 1), (b"c", 3)]
+    ctx = types.SimpleNamespace(files=reference.RecordingFiles(str(tmp_path)))
+    tuple_serde = serde.TupleSerde(serde.BYTES, serde.OptionalSerde(serde.INT64))
+    limit = BUDGETS[budget]
+    assert list(SortGroupByOperator(
+        LEAD, KeepLast(), tuple_serde, limit
+    ).grouped_stream(ctx, list(items))) == want
+    assert list(HashSortGroupByOperator(
+        LEAD, KeepLast(), limit
+    ).grouped_stream(ctx, list(items))) == want
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("combiner", [MinCombiner, MaxCombiner])
+def test_hashsort_combines_a_none_message_on_both_sides(tmp_path, combiner, budget):
+    """Min and max start from ``None``, and a nullable message keeps a
+    state ``None``: both HashSort sides fold as their sort siblings do."""
+    limit = BUDGETS[budget]
+    nullable = serde.OptionalSerde(serde.FLOAT64)
+    messages = [(1, None), (2, 1.0), (1, 2.0), (3, 3.0), (2, None), (4, None)]
+    ctx = types.SimpleNamespace(files=reference.RecordingFiles(str(tmp_path)))
+    sender = _SenderCombineAggregator(combiner(), nullable)
+    want = list(SortGroupByOperator(
+        LEAD, sender, serde.TupleSerde(serde.INT64, nullable), limit
+    ).grouped_stream(ctx, list(messages[:4])))
+    assert [key for key, _ in want] == [encode_key(vid) for vid in (1, 2, 3)]
+    got = list(HashSortGroupByOperator(
+        LEAD, sender, limit
+    ).grouped_stream(ctx, list(messages[:4])))
+    assert repr(got) == repr(want)
+
+    receiver = _ReceiverCombineAggregator(combiner(), nullable)
+    partials = [(encode_key(vid), payload) for vid, payload in messages]
+    want = list(SortGroupByOperator(
+        LEAD, receiver, serde.TupleSerde(serde.KEY, nullable), limit
+    ).grouped_stream(ctx, list(partials)))
+    assert [key for key, _ in want] == [encode_key(vid) for vid in (1, 2, 3, 4)]
+    got = list(HashSortGroupByOperator(
+        LEAD, receiver, limit
+    ).grouped_stream(ctx, list(partials)))
+    assert repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------
+# a spilling HashSort reads its stream once
+# ---------------------------------------------------------------------
+class CountedReads(list):
+    """A stream that counts the items read from it, over every iterator."""
+
+    reads = 0
+
+    def __iter__(self):
+        for item in list.__iter__(self):
+            self.reads += 1
+            yield item
+
+
+@pytest.mark.parametrize("combiner", [SumCombiner, MinCombiner])
+def test_a_spilling_hashsort_reads_its_stream_once(tmp_path, combiner):
+    """Every chunk of ``hash_fold`` goes on from where the last one
+    stopped, so a table that spills again and again costs no more reads
+    of the stream than one that never does (the receiver's width check
+    reads it once more)."""
+    rng = random.Random(5)
+    messages = [(rng.randrange(1250), rng.uniform(-1.0, 1.0)) for _ in range(MESSAGES)]
+    partials = [(encode_key(vid), payload) for vid, payload in messages]
+    sides = (
+        (_SenderCombineAggregator, messages, 1),
+        (_ReceiverCombineAggregator, partials, 2),
+    )
+    for aggregator, items, passes in sides:
+        files = reference.RecordingFiles(str(tmp_path))
+        ctx = types.SimpleNamespace(files=files)
+        stream = CountedReads(items)
+        groups = list(HashSortGroupByOperator(
+            LEAD, aggregator(combiner(), serde.FLOAT64), 1 << 10
+        ).grouped_stream(ctx, stream))
+        assert len(groups) == len({vid for vid, _ in messages})
+        assert len(files.run_sizes) > 10
+        assert stream.reads == passes * len(items)

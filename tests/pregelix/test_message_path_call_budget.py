@@ -1,18 +1,19 @@
 """A budget of Python-level calls for the message path the plan builds.
 
-The path from ``compute`` to ``MsgWrite`` handles a batch per call: the
-sender group-by pays one Python-level call per raw message (the
-combiner's ``accumulate``) plus a constant per *group* (open the state,
-encode the key once, emit), and a partitioning connector pays a constant
-per *batch*. When every hop worked per tuple these were six calls per
-message and four per routed tuple. The operators are taken from the plan
+The path from ``compute`` to ``MsgWrite`` handles a batch per call. A
+built-in scalar combiner (sum, min, max) folds a whole batch per call —
+``fold_sorted`` on the sender, ``merge_rounds`` on the receiver and in
+the merge of spilled runs, ``hash_fold``/``hash_merge`` in the HashSort
+table — so the group-bys pay **nothing** per message, per partial or per
+group: a constant per batch, and when the sender spills, a constant per
+run plus a constant per chunk a run is replayed or merged in. Any other
+combiner (the default list, the serving tier's multi-query lanes) folds
+through the per-message defaults, which is the contract: the calls its
+own ``accumulate``/``merge`` make per message plus a constant per group,
+as when every built-in combiner paid that. A partitioning connector pays
+a constant per *batch*. The operators are taken from the plan
 ``PlanGenerator`` generates, so a per-tuple ``encode_key``/``decode_key``
 or a sort-key lambda wired back into ``_message_groupby`` fails here.
-
-When the sender spills, a group closes once per batch it has messages
-in, and every such group past its first is a duplicate the merge folds:
-the budget is then a constant per closed group plus a constant per chunk
-a run is replayed or merged in — nothing per spilled record.
 
 Where the path starts, ``Compute`` pays nothing per edge of a program
 that only counts its edges and sends to all of them (PageRank): the
@@ -22,6 +23,8 @@ Counted under ``sys.setprofile``: ``"call"`` events are Python frames
 entered (a generator resumed counts; C functions are ``"c_call"``).
 """
 
+import gc
+import operator
 import os
 import random
 import sys
@@ -30,26 +33,93 @@ import types
 import pytest
 
 from repro.algorithms import pagerank
+from repro.common import serde
 from repro.common.serde import encode_key
 from repro.hyracks.engine import HyracksCluster, JobContext, TaskContext
-from repro.hyracks.operators.groupby import PreclusteredGroupByOperator
+from repro.hyracks.operators.groupby import (
+    PreclusteredGroupByOperator,
+    SortGroupByOperator,
+)
 from repro.hyracks.operators.index_ops import register_index
 from repro.hyracks.storage import run_file
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.file_manager import FileManager
 from repro.pregelix import ConnectorPolicy, GroupByStrategy
+from repro.pregelix.api import (
+    DefaultListCombiner,
+    MaxCombiner,
+    MinCombiner,
+    SumCombiner,
+)
+from repro.pregelix.multiquery import LanePairSerde, MultiQueryCombiner
 from repro.pregelix.operators import ComputeOperator
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 from repro.pregelix.relations import RunRelations
 from repro.pregelix.types import GlobalState, VertexRecord
 
 DESTINATIONS = 1250
-#: Python-level calls a closed group may cost the sender, whatever its size.
+#: Python-level calls a closed group may cost a combiner that folds
+#: through the per-message defaults, whatever the group's size.
 PER_GROUP = 8
 #: ... and a batch, whatever its size (the operator's own frames).
 PER_BATCH = 12
+#: ... and a batch under a built-in combiner: the operator's frames, the
+#: batch fold's and one ``INT64.dumps_many`` naming the groups.
+PER_FOLDED_BATCH = 32
 #: ... and a chunk of spilled records, replayed or merged.
 PER_CHUNK = 16
+#: ... and a spilled run under a built-in combiner: framed, written,
+#: opened, replayed and deleted.
+PER_RUN = 64
+#: Frames that size one variable-width tuple for a sort's byte budget.
+SIZED = 4
+
+
+class Combined:
+    """One combiner as a plan gets it: a factory, its message serde, a
+    payload per message, and the Python calls its own methods make per
+    message folded (or partial merged) — none for a built-in one."""
+
+    def __init__(self, make, msg_serde, payload, per_message):
+        self.make, self.msg_serde = make, msg_serde
+        self.payload, self.per_message = payload, per_message
+
+    @property
+    def built_in(self):
+        return self.per_message == 0
+
+    def partial(self, rng):
+        """A state as the sender ships it: one message folded."""
+        combiner = self.make()
+        return combiner.accumulate(combiner.init(), self.payload(rng))
+
+    def per_group(self):
+        return 0 if self.built_in else PER_GROUP
+
+    def per_batch(self):
+        return PER_FOLDED_BATCH if self.built_in else PER_BATCH
+
+
+COMBINERS = {
+    "sum": Combined(SumCombiner, serde.FLOAT64, lambda rng: rng.random(), 0),
+    "min": Combined(MinCombiner, serde.FLOAT64, lambda rng: rng.random(), 0),
+    "max": Combined(MaxCombiner, serde.FLOAT64, lambda rng: rng.random(), 0),
+    # ``accumulate`` (``merge``).
+    "list": Combined(DefaultListCombiner, serde.FLOAT64, lambda rng: rng.random(), 1),
+    # The lane's ``accumulate`` (``merge``), and the inner combiner's
+    # ``init`` (for a new lane) and ``accumulate`` (``merge``).
+    "multiquery": Combined(
+        lambda: MultiQueryCombiner(SumCombiner(), serde.FLOAT64),
+        LanePairSerde(serde.FLOAT64),
+        lambda rng: (rng.randrange(4), rng.random()),
+        3,
+    ),
+}
+
+
+def sized(tuple_serde):
+    """Frames a sort pays per tuple to size it: none at a fixed width."""
+    return 0 if tuple_serde.fixed_size else SIZED
 
 
 def python_calls(function, events=("call",)):
@@ -59,18 +129,24 @@ def python_calls(function, events=("call",)):
         if event in events:
             calls[0] += 1
 
+    # What a collection would finalize (a generator an earlier test left
+    # open) is not the path's: collect first, and not during the count.
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = function()
     finally:
         sys.setprofile(None)
+        gc.enable()
     # The profiler sees ``function`` itself and the closing setprofile.
     return calls[0] - 2, result
 
 
-def message_path(dfs, **plan):
+def message_path(dfs, combined=COMBINERS["sum"], **plan):
     """``(sender group-by, connector, receiver group-by)`` of a superstep plan."""
     job = pagerank.build_job(**plan)
+    job.combiner, job.msg_serde = combined.make(), combined.msg_serde
     partition_map = PartitionMap(["node0", "node1", "node2", "node3"])
     spec = PlanGenerator(job, dfs, "budget-run", partition_map).superstep_plan(
         GlobalState()
@@ -80,35 +156,58 @@ def message_path(dfs, **plan):
     return sender, edge.connector, edge.consumer
 
 
-def raw_messages(count):
+def raw_messages(count, combined=COMBINERS["sum"]):
     rng = random.Random(count)
-    return [(rng.randrange(DESTINATIONS), rng.random()) for _ in range(count)]
+    return [
+        (rng.randrange(DESTINATIONS), combined.payload(rng)) for _ in range(count)
+    ]
 
 
-def test_sender_sort_groupby_pays_one_call_per_message(dfs):
-    sender, _, _ = message_path(dfs, groupby_strategy=GroupByStrategy.SORT)
+# HashSort sizes a growing state (a list, a lane dict) before and after
+# every step: only the fixed-width states of the built-ins are budgeted.
+HASHSORTED = sorted(name for name in COMBINERS if COMBINERS[name].built_in)
+SENDERS = [(name, GroupByStrategy.SORT) for name in sorted(COMBINERS)] + [
+    (name, GroupByStrategy.HASHSORT) for name in HASHSORTED
+]
+
+
+@pytest.mark.parametrize("name,strategy", SENDERS)
+def test_the_sender_pays_its_combiner_per_message(dfs, name, strategy):
+    combined = COMBINERS[name]
+    sender, _, _ = message_path(dfs, combined, groupby_strategy=strategy)
+    per_message = combined.per_message
+    if strategy == GroupByStrategy.SORT:
+        per_message += sized(sender.tuple_serde)
     ctx = types.SimpleNamespace(files=None)
     measured = {}
     for count in (10000, 20000):
-        messages = raw_messages(count)
+        messages = raw_messages(count, combined)
         calls, groups = python_calls(
             lambda: list(sender.grouped_stream(ctx, messages))
         )
         assert len(groups) == DESTINATIONS
-        assert calls <= count + PER_GROUP * DESTINATIONS + PER_BATCH
+        assert calls <= (
+            per_message * count + combined.per_group() * DESTINATIONS
+            + combined.per_batch()
+        )
         measured[count] = calls
-    # Twice the messages to the same destinations: one call more per message.
-    assert measured[20000] - measured[10000] <= 10000
+    # Twice the messages to the same destinations.
+    assert measured[20000] - measured[10000] <= per_message * 10000
+    if combined.built_in:
+        assert measured[20000] == measured[10000]
 
 
+@pytest.mark.parametrize("name", ["sum", "min", "max", "list"])
 @pytest.mark.parametrize("count", [10000, 20000])
-def test_a_spilling_sender_pays_nothing_per_spilled_record(dfs, tmp_path, count):
+def test_a_spilling_sender_pays_nothing_per_spilled_record(dfs, tmp_path, name, count):
+    combined = COMBINERS[name]
     memory = 64 << 10
     sender, _, _ = message_path(
-        dfs, groupby_strategy=GroupByStrategy.SORT, groupby_memory_bytes=memory
+        dfs, combined, groupby_strategy=GroupByStrategy.SORT,
+        groupby_memory_bytes=memory,
     )
     files = FileManager(str(tmp_path / "node"))
-    messages = raw_messages(count)
+    messages = raw_messages(count, combined)
     per_batch = -(-memory // sender.tuple_serde.fixed_size)
     batches = [messages[at:at + per_batch] for at in range(0, count, per_batch)]
     runs = count // per_batch
@@ -120,7 +219,10 @@ def test_a_spilling_sender_pays_nothing_per_spilled_record(dfs, tmp_path, count)
         lambda: list(sender.grouped_stream(types.SimpleNamespace(files=files), messages))
     )
     assert len(groups) == DESTINATIONS
-    assert calls <= count + PER_GROUP * closed + PER_CHUNK * chunks + PER_BATCH
+    if combined.built_in:
+        assert calls <= PER_RUN * runs + PER_CHUNK * chunks + PER_FOLDED_BATCH
+    else:
+        assert calls <= count + PER_GROUP * closed + PER_CHUNK * chunks + PER_BATCH
     assert files.io.disk_read_bytes == files.io.disk_write_bytes > 0
     assert os.listdir(files.root) == []
 
@@ -138,24 +240,42 @@ def test_partitioning_connectors_pay_a_constant_per_batch(dfs, policy):
     assert measured[0] == measured[1]
 
 
-@pytest.mark.parametrize("plan", [
-    {"groupby_strategy": GroupByStrategy.SORT},
-    {"connector_policy": ConnectorPolicy.MERGED},
-], ids=["sort", "preclustered"])
-def test_the_receiver_pays_one_call_per_merged_partial(dfs, plan):
-    """Stage two merges partial states: ``combiner.merge`` once per tuple
-    beyond a group's first, nothing per tuple for its key."""
-    _, _, receiver = message_path(dfs, **plan)
+RECEIVER_PLANS = {
+    "sort": {"groupby_strategy": GroupByStrategy.SORT},
+    "hashsort": {"groupby_strategy": GroupByStrategy.HASHSORT},
+    "preclustered": {"connector_policy": ConnectorPolicy.MERGED},
+}
+RECEIVERS = [
+    (name, plan) for plan in ("sort", "preclustered") for name in sorted(COMBINERS)
+] + [(name, "hashsort") for name in HASHSORTED]
+
+
+@pytest.mark.parametrize("name,plan", RECEIVERS)
+def test_the_receiver_pays_its_combiner_per_merged_partial(dfs, name, plan):
+    """Stage two merges partial states: nothing per tuple under a built-in
+    combiner; ``combiner.merge`` once per tuple beyond a group's first
+    otherwise, and nothing per tuple for its key."""
+    combined = COMBINERS[name]
+    plan = RECEIVER_PLANS[plan]
+    _, _, receiver = message_path(dfs, combined, **plan)
+    rng = random.Random(5)
     count = 4 * DESTINATIONS
     arrived = sorted(
-        (encode_key(vid % DESTINATIONS), float(vid)) for vid in range(count)
+        ((encode_key(vid % DESTINATIONS), combined.partial(rng)) for vid in range(count)),
+        key=operator.itemgetter(0),
     )
     arguments = [arrived]
     if not isinstance(receiver, PreclusteredGroupByOperator):
         arguments.insert(0, types.SimpleNamespace(files=None))
     calls, groups = python_calls(lambda: list(receiver.grouped_stream(*arguments)))
     assert len(groups) == DESTINATIONS
-    assert calls <= (count - DESTINATIONS) + PER_GROUP * DESTINATIONS + PER_BATCH
+    bound = (
+        combined.per_message * (count - DESTINATIONS)
+        + combined.per_group() * DESTINATIONS + combined.per_batch()
+    )
+    if isinstance(receiver, SortGroupByOperator):
+        bound += sized(receiver.tuple_serde) * count
+    assert calls <= bound
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ The engines run the *same* user vertex programs (the
 semantics — combiners, global aggregators, halting, reactivation, graph
 mutations — so their outputs are comparable with Pregelix's.
 :meth:`ProcessCentricBase.run` is that loop, once; an engine is the
-hooks where the systems really differ (DESIGN.md §5): what holding a
+hooks where the systems really differ (DESIGN.md §9): what holding a
 vertex charges, how a worker's vertices meet their incoming messages,
 what a send and the barrier charge and release, and the per-superstep
 ``(cpu, disk, net)`` work. That is where the paper's failure thresholds

@@ -113,6 +113,13 @@ def run_time_sweep(env, workload, sizes=None, systems=None):
     return measurements
 
 
+def figures10_11(env, workload, out=print):
+    """Figures 10 and 11 for ``workload``, from one run-time sweep."""
+    measurements = run_time_sweep(env, workload)
+    figure10(measurements, workload, out=out)
+    figure11(measurements, workload, out=out)
+
+
 def figure10(measurements, workload, out=print):
     """Overall execution time vs dataset/RAM ratio (one sub-figure)."""
     series = {

@@ -1,6 +1,6 @@
 """Shared machinery for the figure/table experiments.
 
-Scaling rule (see DESIGN.md §3): the paper's cluster is 32 machines with
+Scaling rule (see DESIGN.md §1): the paper's cluster is 32 machines with
 8 GB RAM each. We compute ``scale = our_large_bytes / paper_large_bytes``
 from the materialized Large dataset of each family, and give every
 simulated *paper machine* ``8 GB x scale`` of RAM. A sweep that the paper

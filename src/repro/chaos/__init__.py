@@ -25,64 +25,34 @@ to the pinned summary and bit-identical results.
 Exposed on the command line as ``repro chaos``.
 """
 
-from repro.chaos.differential import (
-    BUDGETS,
-    BudgetProfile,
-    CellResult,
-    DifferentialChecker,
-    DifferentialReport,
-    values_close,
-)
-from repro.chaos.faults import (
-    CORE_ACTIONS,
-    FAULT_ACTIONS,
-    FAULT_SITES,
-    MUTATION_ACTIONS,
-    TRANSIENT_SITES,
-    ChaosError,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    FiredFault,
-    check_fault,
-)
-from repro.chaos.reference import AlgorithmCase, algorithm_case, algorithm_names
-from repro.pregelix.api import PlanChoice, all_plans
+import importlib
 
-__all__ = [
-    "CORE_ACTIONS",
-    "FAULT_ACTIONS",
-    "FAULT_SITES",
-    "MUTATION_ACTIONS",
-    "TRANSIENT_SITES",
-    "AlgorithmCase",
-    "BUDGETS",
-    "BudgetProfile",
-    "CellResult",
-    "ChaosError",
-    "DifferentialChecker",
-    "DifferentialReport",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "FiredFault",
-    "PlanChoice",
-    "SCENARIOS",
-    "algorithm_case",
-    "algorithm_names",
-    "all_plans",
-    "check_fault",
-    "run_serve_drill",
-    "values_close",
-]
+#: Public name -> the module that defines it, loaded on first use: the
+#: CLI parser reads ``repro.chaos.reference`` for its ``--algorithm``
+#: choices, and the batch benchmark imports it too, without paying for
+#: the matrix, the injector or the serving tier the drill pulls in.
+_EXPORTS = {
+    name: "repro." + module
+    for module, names in (
+        ("chaos.differential", "BUDGETS BudgetProfile CellResult "
+                               "DifferentialChecker DifferentialReport "
+                               "values_close"),
+        ("chaos.faults", "CORE_ACTIONS FAULT_ACTIONS FAULT_SITES "
+                         "MUTATION_ACTIONS TRANSIENT_SITES ChaosError "
+                         "FaultInjector FaultPlan FaultSpec FiredFault "
+                         "check_fault"),
+        ("chaos.reference", "AlgorithmCase algorithm_case algorithm_names"),
+        ("chaos.serve_drill", "SCENARIOS run_serve_drill"),
+        ("pregelix.api", "PlanChoice all_plans"),
+    )
+    for name in names.split()
+}
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
-    # The serve drill builds its services from repro.serve.config; load it
-    # on first use so importing the engine-side halves (the benchmark's
-    # repro.chaos.reference) does not pull the serving tier in.
-    if name in ("SCENARIOS", "run_serve_drill"):
-        from repro.chaos import serve_drill
-
-        return getattr(serve_drill, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    if name not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

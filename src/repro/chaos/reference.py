@@ -224,7 +224,8 @@ def algorithm_case(name, **params):
 
 
 def algorithm_names():
-    return sorted(_CASES)
+    """The chaos algorithms, in table order (``repro chaos``'s default order)."""
+    return list(_CASES)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Chaos drill for the serving layer's two fault sites (DESIGN.md §16).
+"""Chaos drill for the serving layer's two fault sites (DESIGN.md §7).
 
 The differential matrix (:mod:`repro.chaos.differential`) proves the
 *engine* converges to the reference under injected faults; this drill

@@ -23,6 +23,7 @@ Examples::
 
 import argparse
 import dataclasses
+import importlib
 import os
 import sys
 
@@ -34,55 +35,51 @@ from repro.pregelix.api import (
     GROUPBY_CODES,
     JOIN_CODES,
     STORAGE_CODES,
+    PlanChoice,
 )
 from repro.serve.config import ServeConfig
 
-FIGURES = [
-    "table3",
-    "table4",
-    "figure10-pagerank",
-    "figure10-sssp",
-    "figure10-cc",
-    "figure12a",
-    "figure12b",
-    "figure12c",
-    "figure13",
-    "figure14-sssp",
-    "figure14-pagerank",
-    "figure14-cc",
-    "figure15-24",
-    "figure15-32",
-    "connector-tradeoff",
-]
+#: ``repro figures NAME``: its renderer in :mod:`repro.bench.figures` and
+#: the arguments that follow ``env``.
+FIGURES = {
+    "table3": ("table3",),
+    "table4": ("table4",),
+    "figure10-pagerank": ("figures10_11", "pagerank"),
+    "figure10-sssp": ("figures10_11", "sssp"),
+    "figure10-cc": ("figures10_11", "cc"),
+    "figure12a": ("figure12a",),
+    "figure12b": ("figure12b",),
+    "figure12c": ("figure12c",),
+    "figure13": ("figure13",),
+    "figure14-sssp": ("figure14", "sssp"),
+    "figure14-pagerank": ("figure14", "pagerank"),
+    "figure14-cc": ("figure14", "cc"),
+    "figure15-24": ("figure15", 24),
+    "figure15-32": ("figure15", 32),
+    "connector-tradeoff": ("connector_tradeoff",),
+}
 
+#: ``repro generate --family NAME``: the graph it writes, from
+#: :mod:`repro.graphs.generators` and the parsed arguments.
+GRAPH_FAMILIES = {
+    "webmap": lambda gen, args: gen.webmap_graph(
+        args.vertices, avg_out_degree=args.avg_degree or 6.0, seed=args.seed),
+    "btc": lambda gen, args: gen.btc_graph(
+        args.vertices, avg_degree=args.avg_degree or 8.94, seed=args.seed),
+    "chain": lambda gen, args: gen.chain_graph(args.vertices),
+    "paths": lambda gen, args: gen.de_bruijn_path_graph(
+        max(args.vertices // 12, 1), 12, seed=args.seed),
+}
 
-def _add_run_arguments(parser):
-    """The algorithm-execution arguments of ``repro run``."""
-    parser.add_argument("algorithm", choices=sorted(ALGORITHMS))
-    parser.add_argument("--input", required=True, help="directory of part files")
-    parser.add_argument("--input-format", choices=["adjacency", "edges"],
-                        default="adjacency",
-                        help="adjacency lines (vid value dst:w ...) or "
-                             "edge-list lines (src dst [w])")
-    parser.add_argument("--output", help="directory for result part files")
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--iterations", type=int, default=10)
-    parser.add_argument("--source-id", type=int, default=0)
-    parser.add_argument("--join", choices=["foj", "loj"], default=None,
-                        help="override the job's join strategy hint")
-    parser.add_argument("--groupby", choices=["sort", "hashsort"], default=None)
-    parser.add_argument("--connector", choices=["merged", "unmerged"], default=None)
-    parser.add_argument("--storage", choices=["btree", "lsm"], default=None)
-    parser.add_argument("--optimize", action="store_true",
-                        help="enable the cost-based plan optimizer")
-    parser.add_argument("--checkpoint-interval", type=int, default=None)
-    parser.add_argument("--stats", action="store_true",
-                        help="print the per-superstep statistics table "
-                             "and the telemetry summary")
-    parser.add_argument("--json", action="store_true",
-                        help="print the machine-readable result document "
-                             "(the same JSON the job service returns from "
-                             "GET /jobs/<id>/result) instead of prose")
+#: The physical-plan hints a command line may override (PAPER.md §5): the
+#: flag is ``--<axis>``, the axis a :class:`PlanChoice` field, the codes
+#: those of :mod:`repro.pregelix.api`.
+PLAN_AXES = {
+    "join": JOIN_CODES,
+    "groupby": GROUPBY_CODES,
+    "connector": CONNECTOR_CODES,
+    "storage": STORAGE_CODES,
+}
 
 
 def _flag_type(parse):
@@ -96,6 +93,49 @@ def _flag_type(parse):
     return convert
 
 
+def _at_least(low, parse=int):
+    """A flag type: ``parse`` of the text, refused below the inclusive
+    bound ``low`` (the ``low`` a ``ServeConfig`` field carries)."""
+    def convert(text):
+        value = parse(text)
+        if value < low:
+            raise ValueError("must be >= %s, got %r" % (low, value))
+        return value
+    return _flag_type(convert)
+
+
+def _names_in(module, table, what):
+    """A flag type for ``a,b,...``: the names as a tuple, each one of
+    ``module.table`` (imported on first use, not with the parser)."""
+    def convert(text):
+        names = tuple(name.strip() for name in text.split(","))
+        known = getattr(importlib.import_module(module), table)
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise ValueError("unknown %s %s (choose from %s)" % (
+                what, ", ".join(map(repr, unknown)), ", ".join(known)))
+        return names
+    return _flag_type(convert)
+
+
+def _plan_signatures(text):
+    return [PlanChoice.parse(signature.strip()) for signature in text.split(",")]
+
+
+def _scale_step(spec):
+    """``--scale-at SUPERSTEP=N`` as ``(superstep, nodes)``, N >= 1."""
+    step, sep, target = spec.partition("=")
+    try:
+        if not sep:
+            raise ValueError(spec)
+        step, target = int(step), int(target)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected SUPERSTEP=N, got %r" % spec)
+    if target < 1:
+        raise argparse.ArgumentTypeError("N must be >= 1, got %r" % spec)
+    return step, target
+
+
 def _dataset_spec(spec):
     """``--dataset NAME=DIR`` as ``(name, directory)``."""
     name, sep, directory = spec.partition("=")
@@ -104,57 +144,93 @@ def _dataset_spec(spec):
     return name, directory
 
 
+def _add_plan_arguments(parser, axes=tuple(PLAN_AXES)):
+    for axis in axes:
+        parser.add_argument("--" + axis, choices=list(PLAN_AXES[axis]),
+                            default=None,
+                            help="override the job's %s hint" % axis)
+
+
+def _add_session_arguments(parser):
+    """The flags ``run`` and ``pipeline`` share (see :func:`_session`)."""
+    parser.add_argument("--input", required=True, help="directory of part files")
+    parser.add_argument("--output", help="directory for result part files")
+    parser.add_argument("--nodes", type=_at_least(1), default=4)
+    parser.add_argument("--iterations", type=int, default=10)
+    parser.add_argument("--source-id", type=int, default=0)
+    parser.add_argument("--json", action="store_true",
+                        help="print the machine-readable result document "
+                             "(the same JSON the job service returns from "
+                             "GET /jobs/<id>/result; one per job for a "
+                             "pipeline) instead of prose")
+
+
 def build_parser():
+    # Not a module import: the parser needs only the chaos algorithm
+    # table, and ``repro.chaos`` loads its matrix, injector and drill on
+    # first use, so ``repro serve`` start-up pays for the table alone.
+    from repro.chaos.reference import algorithm_names
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Pregelix reproduction command line"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    generate = sub.add_parser("generate", help="generate a synthetic graph")
-    generate.add_argument("--family", choices=["webmap", "btc", "chain", "paths"],
+    def command(name, handler, help):
+        subparser = sub.add_parser(name, help=help)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    generate = command("generate", cmd_generate, "generate a synthetic graph")
+    generate.add_argument("--family", choices=list(GRAPH_FAMILIES),
                           default="webmap")
-    generate.add_argument("--vertices", type=int, default=2000)
+    generate.add_argument("--vertices", type=_at_least(1), default=2000)
     generate.add_argument("--avg-degree", type=float, default=None)
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--files", type=int, default=4)
+    generate.add_argument("--files", type=_at_least(1), default=4)
     generate.add_argument("--out", required=True, help="output directory")
 
-    run = sub.add_parser("run", help="run a built-in algorithm")
-    _add_run_arguments(run)
+    run = command("run", cmd_run, "run a built-in algorithm")
+    run.add_argument("algorithm", choices=sorted(ALGORITHMS))
+    _add_session_arguments(run)
+    run.add_argument("--input-format", choices=["adjacency", "edges"],
+                     default="adjacency",
+                     help="adjacency lines (vid value dst:w ...) or "
+                          "edge-list lines (src dst [w])")
+    _add_plan_arguments(run)
+    run.add_argument("--optimize", action="store_true",
+                     help="enable the cost-based plan optimizer")
+    run.add_argument("--checkpoint-interval", type=int, default=None)
+    run.add_argument("--stats", action="store_true",
+                     help="print the per-superstep statistics table "
+                          "and the telemetry summary")
     run.add_argument("--trace", metavar="PATH", default=None,
                      help="write a Chrome trace_event JSON of the run "
                           "(open in Perfetto or about://tracing)")
     run.add_argument("--trace-jsonl", metavar="PATH", default=None,
                      help="dump every span/event/metric as JSON lines")
-    run.add_argument("--scale-at", action="append", default=None,
-                     metavar="SUPERSTEP=N",
+    run.add_argument("--scale-at", action="append", type=_scale_step,
+                     default=None, metavar="SUPERSTEP=N",
                      help="resize the cluster to N nodes at the given "
                           "superstep boundary (repeatable); partitions "
                           "rebalance through a checkpoint/restore handoff "
                           "and the results stay bit-identical")
 
-    pipeline = sub.add_parser(
-        "pipeline",
-        help="run a job array back to back over one resident vertex "
-             "relation (paper Section 5.6)",
+    pipeline = command(
+        "pipeline", cmd_pipeline,
+        "run a job array back to back over one resident vertex "
+        "relation (paper Section 5.6)",
     )
     pipeline.add_argument(
         "algorithms", nargs="+", choices=sorted(ALGORITHMS),
         metavar="algorithm",
         help="algorithms to chain, in order (repeatable names allowed)",
     )
-    pipeline.add_argument("--input", required=True,
-                          help="directory of part files")
-    pipeline.add_argument("--output", help="directory for result part files")
-    pipeline.add_argument("--nodes", type=int, default=4)
-    pipeline.add_argument("--iterations", type=int, default=10)
-    pipeline.add_argument("--source-id", type=int, default=0)
-    pipeline.add_argument("--json", action="store_true",
-                          help="print per-job result documents as JSON")
+    _add_session_arguments(pipeline)
 
-    serve = sub.add_parser(
-        "serve",
-        help="start the multi-tenant job service over HTTP (DESIGN.md §14)",
+    serve = command(
+        "serve", cmd_serve,
+        "start the multi-tenant job service over HTTP (DESIGN.md §6)",
     )
     serve.add_argument(
         "action", nargs="?", choices=["recover", "top"], default=None,
@@ -221,40 +297,39 @@ def build_parser():
              "results, exit 0/1",
     )
 
-    figures = sub.add_parser("figures", help="regenerate paper experiments")
-    figures.add_argument("which", nargs="+", choices=FIGURES + ["all"])
-    figures.add_argument("--nodes", type=int, default=4)
+    figures = command("figures", cmd_figures, "regenerate paper experiments")
+    figures.add_argument("which", nargs="+", choices=list(FIGURES) + ["all"])
+    figures.add_argument("--nodes", type=_at_least(1), default=4)
 
-    explain = sub.add_parser(
-        "explain", help="print the physical plans for an algorithm's job"
+    explain = command(
+        "explain", cmd_explain, "print the physical plans for an algorithm's job"
     )
     explain.add_argument("algorithm", choices=sorted(ALGORITHMS))
-    explain.add_argument("--join", choices=["foj", "loj"], default=None)
-    explain.add_argument("--groupby", choices=["sort", "hashsort"], default=None)
-    explain.add_argument("--connector", choices=["merged", "unmerged"], default=None)
-    explain.add_argument("--nodes", type=int, default=4)
+    _add_plan_arguments(explain, ("join", "groupby", "connector"))
+    explain.add_argument("--nodes", type=_at_least(1), default=4)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="differential plan testing under seeded fault injection",
+    chaos = command(
+        "chaos", cmd_chaos,
+        "differential plan testing under seeded fault injection",
     )
     chaos.add_argument(
-        "--algorithm", action="append", choices=["sssp", "cc", "pagerank"],
+        "--algorithm", action="append", choices=algorithm_names(),
         default=None,
         help="algorithm(s) to check (repeatable; default: all three)",
     )
-    chaos.add_argument("--vertices", type=int, default=120,
+    chaos.add_argument("--vertices", type=_at_least(1), default=120,
                        help="size of the generated BTC-style test graph")
     chaos.add_argument("--graph-seed", type=int, default=3)
-    chaos.add_argument("--nodes", type=int, default=3,
+    chaos.add_argument("--nodes", type=_at_least(1), default=3,
                        help="simulated machines per cell")
     chaos.add_argument(
-        "--plans", default=None,
+        "--plans", type=_flag_type(_plan_signatures), default=None,
         help="comma-separated plan signatures (join/groupby/connector/"
              "storage, e.g. loj/hashsort/unmerged/lsm); default: all 16",
     )
     chaos.add_argument(
         "--budgets", default=None,
+        type=_names_in("repro.chaos.differential", "BUDGETS", "budget"),
         help="comma-separated memory budgets (roomy, spill); default: both",
     )
     chaos.add_argument(
@@ -264,6 +339,7 @@ def build_parser():
     )
     chaos.add_argument(
         "--actions", default=None,
+        type=_names_in("repro.chaos.faults", "FAULT_ACTIONS", "fault action"),
         help="comma-separated fault action pool for seeded schedules "
              "(interruption, io, kill, delay, transient_io, corrupt, "
              "torn_write); default: the core pool without the "
@@ -279,19 +355,19 @@ def build_parser():
     chaos.add_argument("--verbose", action="store_true",
                        help="print every cell as it completes")
 
-    checkpoints = sub.add_parser(
-        "checkpoints",
-        help="audit checkpoint durability: run a job, verify every manifest",
+    checkpoints = command(
+        "checkpoints", cmd_checkpoints,
+        "audit checkpoint durability: run a job, verify every manifest",
     )
     checkpoints.add_argument("action", choices=["verify"])
     checkpoints.add_argument(
-        "--algorithm", choices=["sssp", "cc", "pagerank"], default="sssp"
+        "--algorithm", choices=algorithm_names(), default="sssp"
     )
-    checkpoints.add_argument("--vertices", type=int, default=80,
+    checkpoints.add_argument("--vertices", type=_at_least(1), default=80,
                              help="size of the generated BTC-style test graph")
     checkpoints.add_argument("--graph-seed", type=int, default=3)
-    checkpoints.add_argument("--nodes", type=int, default=3)
-    checkpoints.add_argument("--interval", type=int, default=2,
+    checkpoints.add_argument("--nodes", type=_at_least(1), default=3)
+    checkpoints.add_argument("--interval", type=_at_least(1), default=2,
                              help="checkpoint every N supersteps")
     checkpoints.add_argument("--retain", type=int, default=3,
                              help="committed checkpoint generations kept by GC")
@@ -302,15 +378,15 @@ def build_parser():
              "CRC; tear = truncate to a clean prefix)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run one measured gate (DESIGN.md \"Gates\"); exits 1 on FAIL",
+    bench = command(
+        "bench", cmd_bench,
+        "run one measured gate (DESIGN.md \"Gates\"); exits 1 on FAIL",
     )
     bench.add_argument("gate", choices=sorted(GATES))
     bench.add_argument("--out", default=None,
                        help="report path (JSON; default: BENCH_<gate>.json)")
 
-    sub.add_parser("loc", help="the Section 7.6 lines-of-code comparison")
+    command("loc", cmd_loc, "the Section 7.6 lines-of-code comparison")
     return parser
 
 
@@ -318,27 +394,10 @@ def build_parser():
 # subcommands
 # ---------------------------------------------------------------------
 def cmd_generate(args, out=print):
-    from repro.graphs.generators import (
-        btc_graph,
-        chain_graph,
-        de_bruijn_path_graph,
-        webmap_graph,
-    )
+    from repro.graphs import generators
     from repro.graphs.io import format_graph_line
 
-    if args.family == "webmap":
-        vertices = webmap_graph(
-            args.vertices, avg_out_degree=args.avg_degree or 6.0, seed=args.seed
-        )
-    elif args.family == "btc":
-        vertices = btc_graph(
-            args.vertices, avg_degree=args.avg_degree or 8.94, seed=args.seed
-        )
-    elif args.family == "chain":
-        vertices = chain_graph(args.vertices)
-    else:
-        vertices = de_bruijn_path_graph(max(args.vertices // 12, 1), 12, seed=args.seed)
-
+    vertices = GRAPH_FAMILIES[args.family](generators, args)
     os.makedirs(args.out, exist_ok=True)
     handles = [
         open(os.path.join(args.out, "part-%05d" % i), "w") for i in range(args.files)
@@ -357,52 +416,34 @@ def cmd_generate(args, out=print):
 
 def _build_job(name, args):
     """``(module, job)`` for algorithm ``name``: its ``build_job`` called
-    with the parameters this command line has a flag for, then the
-    ``--join/--groupby/--connector/--storage`` plan overrides."""
+    with the parameters this command line has a flag for, under the plan
+    hints its ``--join/--groupby/--connector/--storage`` flags override."""
     module = algorithm_module(name)
     job = module.build_job(**{
         param: getattr(args, param)
         for param in ALGORITHMS[name].params
         if hasattr(args, param)
     })
-    for flag, attribute, codes in (
-        ("join", "join_strategy", JOIN_CODES),
-        ("groupby", "groupby_strategy", GROUPBY_CODES),
-        ("connector", "connector_policy", CONNECTOR_CODES),
-        ("storage", "vertex_storage", STORAGE_CODES),
-    ):
-        code = getattr(args, flag, None)
-        if code:
-            setattr(job, attribute, codes[code])
+    overrides = {
+        axis: codes[getattr(args, axis)]
+        for axis, codes in PLAN_AXES.items()
+        if getattr(args, axis, None)
+    }
+    dataclasses.replace(PlanChoice.of(job), **overrides).apply(job)
     return module, job
 
 
-def cmd_run(args, out=print):
+def _session(args, execute, out, telemetry=None):
+    """The session ``run`` and ``pipeline`` share: a ``--nodes`` cluster
+    whose DFS holds the ``--input`` part files, ``execute(driver,
+    output_path)`` (which prints its own report), then the ``--output``
+    part files exported. Returns the exit status: 2 when ``--input``
+    cannot be ingested."""
     from repro.graphs.io import export_part_files, ingest_part_files
     from repro.hdfs import MiniDFS
     from repro.hyracks.engine import HyracksCluster
     from repro.pregelix import PregelixDriver
-    from repro.telemetry import Telemetry
 
-    scale_at = None
-    if args.scale_at:
-        scale_at = {}
-        for item in args.scale_at:
-            step, sep, target = item.partition("=")
-            try:
-                if not sep:
-                    raise ValueError(item)
-                scale_at[int(step)] = int(target)
-            except ValueError:
-                out("error: --scale-at wants SUPERSTEP=N, got %r" % item)
-                return 2
-    module, job = _build_job(args.algorithm, args)
-    if args.optimize:
-        job.auto_optimize = True
-    if args.checkpoint_interval:
-        job.checkpoint_interval = args.checkpoint_interval
-
-    telemetry = Telemetry()
     cluster = HyracksCluster(num_nodes=args.nodes, telemetry=telemetry)
     try:
         dfs = MiniDFS(datanodes=cluster.node_ids())
@@ -411,21 +452,40 @@ def cmd_run(args, out=print):
         except ReproError as error:
             out("error: %s" % error)
             return 2
+        execute(PregelixDriver(cluster, dfs), "/output" if args.output else None)
+        if args.output:
+            export_part_files(dfs, "/output", args.output)
+            if not args.json:
+                out("results written to %s" % args.output)
+        return 0
+    finally:
+        cluster.close()
 
-        driver = PregelixDriver(cluster, dfs)
-        if args.input_format == "edges":
-            from repro.graphs.io import parse_edge_line
 
-            parse_line = parse_edge_line
-        else:
-            parse_line = getattr(module, "parse_line", None)
+def cmd_run(args, out=print):
+    from repro.telemetry import Telemetry
+
+    module, job = _build_job(args.algorithm, args)
+    if args.optimize:
+        job.auto_optimize = True
+    if args.checkpoint_interval:
+        job.checkpoint_interval = args.checkpoint_interval
+    if args.input_format == "edges":
+        from repro.graphs.io import parse_edge_line
+
+        parse_line = parse_edge_line
+    else:
+        parse_line = getattr(module, "parse_line", None)
+    telemetry = Telemetry()
+
+    def execute(driver, output_path):
         outcome = driver.run(
             job,
             "/input",
-            output_path="/output" if args.output else None,
+            output_path=output_path,
             parse_line=parse_line,
             format_record=getattr(module, "format_record", None),
-            scale_at=scale_at,
+            scale_at=dict(args.scale_at) if args.scale_at else None,
         )
         if args.json:
             # The same document the job service returns from
@@ -434,65 +494,58 @@ def cmd_run(args, out=print):
 
             from repro.serve.api import result_document
 
-            results = driver.read_output("/output") if args.output else None
+            results = driver.read_output(output_path) if output_path else None
             out(json_module.dumps(
                 result_document(args.algorithm, job, outcome, results=results),
                 indent=2, sort_keys=True,
             ))
-        else:
-            out(
-                "%s: %d supersteps in %.2fs (avg %.3fs); plan %s"
-                % (
-                    args.algorithm,
-                    outcome.supersteps,
-                    outcome.total_seconds,
-                    outcome.avg_iteration_seconds,
-                    job.plan_signature(),
-                )
+            return
+        out(
+            "%s: %d supersteps in %.2fs (avg %.3fs); plan %s"
+            % (
+                args.algorithm,
+                outcome.supersteps,
+                outcome.total_seconds,
+                outcome.avg_iteration_seconds,
+                job.plan_signature(),
             )
-            if outcome.gs.aggregate is not None:
-                out("global aggregate: %r" % (outcome.gs.aggregate,))
-            if args.stats:
-                outcome.stats.report(out=out)
-                from repro.telemetry import print_summary
+        )
+        if outcome.gs.aggregate is not None:
+            out("global aggregate: %r" % (outcome.gs.aggregate,))
+        if args.stats:
+            outcome.stats.report(out=out)
+            from repro.telemetry import print_summary
 
-                print_summary(telemetry, out=out)
-            out(
-                "vertices: %d, edges: %d, messages sent: %d"
-                % (
-                    outcome.gs.num_vertices,
-                    outcome.gs.num_edges,
-                    outcome.stats.total_messages_sent,
-                )
+            print_summary(telemetry, out=out)
+        out(
+            "vertices: %d, edges: %d, messages sent: %d"
+            % (
+                outcome.gs.num_vertices,
+                outcome.gs.num_edges,
+                outcome.stats.total_messages_sent,
             )
-        if args.output:
-            export_part_files(dfs, "/output", args.output)
-            if not args.json:
-                out("results written to %s" % args.output)
-        if args.trace:
-            telemetry.write_chrome_trace(args.trace)
-            out(
-                "trace written to %s (open in Perfetto or about://tracing)"
-                % args.trace
-            )
-        if args.trace_jsonl:
-            count = telemetry.write_jsonl(args.trace_jsonl)
-            out("%d telemetry records written to %s" % (count, args.trace_jsonl))
-        return 0
-    finally:
-        cluster.close()
+        )
+
+    code = _session(args, execute, out, telemetry)
+    if code:
+        return code
+    if args.trace:
+        telemetry.write_chrome_trace(args.trace)
+        out(
+            "trace written to %s (open in Perfetto or about://tracing)"
+            % args.trace
+        )
+    if args.trace_jsonl:
+        count = telemetry.write_jsonl(args.trace_jsonl)
+        out("%d telemetry records written to %s" % (count, args.trace_jsonl))
+    return 0
 
 
 def cmd_pipeline(args, out=print):
     import json as json_module
 
-    from repro.graphs.io import export_part_files, ingest_part_files
-    from repro.hdfs import MiniDFS
-    from repro.hyracks.engine import HyracksCluster
-    from repro.pregelix import PregelixDriver
     from repro.pregelix.pipelining import run_job_array
     from repro.serve.api import result_document
-    from repro.telemetry import Telemetry
 
     jobs = []
     parsers = {}
@@ -507,26 +560,17 @@ def cmd_pipeline(args, out=print):
         if format_record is not None:
             formatters[job.name] = format_record
 
-    telemetry = Telemetry()
-    cluster = HyracksCluster(num_nodes=args.nodes, telemetry=telemetry)
-    try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        try:
-            ingest_part_files(dfs, args.input, "/input")
-        except ReproError as error:
-            out("error: %s" % error)
-            return 2
-
-        driver = PregelixDriver(cluster, dfs)
+    def execute(driver, output_path):
         segments = run_job_array(
             driver,
             jobs,
             "/input",
-            output_path="/output" if args.output else None,
+            output_path=output_path,
             parsers=parsers,
             formatters=formatters,
         )
         flat = [outcome for segment in segments for outcome in segment.outcomes]
+        total_seconds = sum(segment.total_seconds for segment in segments)
         if args.json:
             out(json_module.dumps(
                 {
@@ -535,37 +579,28 @@ def cmd_pipeline(args, out=print):
                         for name, outcome in zip(args.algorithms, flat)
                     ],
                     "segments": len(segments),
-                    "total_seconds": sum(s.total_seconds for s in segments),
+                    "total_seconds": total_seconds,
                 },
                 indent=2, sort_keys=True,
             ))
-        else:
-            for name, outcome in zip(args.algorithms, flat):
-                out(
-                    "%s: %d supersteps in %.2fs (plan %s)"
-                    % (
-                        name,
-                        outcome.supersteps,
-                        outcome.stats.total_elapsed,
-                        outcome.job.plan_signature(),
-                    )
-                )
+            return
+        for name, outcome in zip(args.algorithms, flat):
             out(
-                "pipeline: %d jobs in %d segment(s), %.2fs total "
-                "(loaded once per segment, no HDFS round trips inside one)"
+                "%s: %d supersteps in %.2fs (plan %s)"
                 % (
-                    len(flat),
-                    len(segments),
-                    sum(s.total_seconds for s in segments),
+                    name,
+                    outcome.supersteps,
+                    outcome.stats.total_elapsed,
+                    outcome.job.plan_signature(),
                 )
             )
-        if args.output:
-            export_part_files(dfs, "/output", args.output)
-            if not args.json:
-                out("results written to %s" % args.output)
-        return 0
-    finally:
-        cluster.close()
+        out(
+            "pipeline: %d jobs in %d segment(s), %.2fs total "
+            "(loaded once per segment, no HDFS round trips inside one)"
+            % (len(flat), len(segments), total_seconds)
+        )
+
+    return _session(args, execute, out)
 
 
 def cmd_serve(args, out=print):
@@ -804,35 +839,14 @@ def cmd_figures(args, out=print):
     from repro.bench.harness import ExperimentEnv
 
     env = ExperimentEnv(num_nodes=args.nodes)
-    selection = FIGURES if "all" in args.which else args.which
-    for which in selection:
-        if which == "table3":
-            fig.table3(env, out=out)
-        elif which == "table4":
-            fig.table4(env, out=out)
-        elif which.startswith("figure10-") or which.startswith("figure11-"):
-            workload = which.split("-", 1)[1]
-            measurements = fig.run_time_sweep(env, workload)
-            fig.figure10(measurements, workload, out=out)
-            fig.figure11(measurements, workload, out=out)
-        elif which == "figure12a":
-            fig.figure12a(env, out=out)
-        elif which == "figure12b":
-            fig.figure12b(env, out=out)
-        elif which == "figure12c":
-            fig.figure12c(env, out=out)
-        elif which == "figure13":
-            fig.figure13(env, out=out)
-        elif which.startswith("figure14-"):
-            fig.figure14(env, which.split("-", 1)[1], out=out)
-        elif which.startswith("figure15-"):
-            fig.figure15(env, paper_machines=int(which.split("-")[1]), out=out)
-        elif which == "connector-tradeoff":
-            fig.connector_tradeoff(env, out=out)
+    for which in FIGURES if "all" in args.which else args.which:
+        renderer, *params = FIGURES[which]
+        getattr(fig, renderer)(env, *params, out=out)
     return 0
 
 
 def cmd_explain(args, out=print):
+    from repro.graphs.io import format_vertex_record, parse_adjacency_line
     from repro.hdfs import MiniDFS
     from repro.pregelix.physical import PartitionMap, PlanGenerator
     from repro.pregelix.types import GlobalState
@@ -843,40 +857,31 @@ def cmd_explain(args, out=print):
     dfs.write_text_lines("/explain-input/part-0", ["0 _ 1:1.0", "1 _"])
     generator = PlanGenerator(job, dfs, "explain", PartitionMap(nodes))
     out("plan signature: %s" % job.plan_signature())
-    out("")
-    out("-- loading plan --")
-    from repro.graphs.io import parse_adjacency_line
-
-    for line in generator.loading_plan("/explain-input", parse_adjacency_line).describe():
-        out("  " + line)
-    out("")
-    out("-- superstep plan --")
-    for line in generator.superstep_plan(GlobalState()).describe():
-        out("  " + line)
-    out("")
-    out("-- dump plan --")
-    from repro.graphs.io import format_vertex_record
-
-    for line in generator.dump_plan("/explain-out", format_vertex_record).describe():
-        out("  " + line)
+    for name, plan in (
+        ("loading", generator.loading_plan("/explain-input", parse_adjacency_line)),
+        ("superstep", generator.superstep_plan(GlobalState())),
+        ("dump", generator.dump_plan("/explain-out", format_vertex_record)),
+    ):
+        out("")
+        out("-- %s plan --" % name)
+        for line in plan.describe():
+            out("  " + line)
     return 0
 
 
 def cmd_chaos(args, out=print):
-    from repro.chaos import DifferentialChecker, FaultPlan, PlanChoice, all_plans
+    from repro.chaos import (
+        BUDGETS,
+        DifferentialChecker,
+        FaultPlan,
+        algorithm_names,
+        all_plans,
+    )
     from repro.graphs.generators import btc_graph
 
-    algorithms = args.algorithm or ["sssp", "cc", "pagerank"]
-    plans = (
-        [PlanChoice.parse(sig.strip()) for sig in args.plans.split(",")]
-        if args.plans
-        else all_plans()
-    )
-    budgets = (
-        tuple(b.strip() for b in args.budgets.split(","))
-        if args.budgets
-        else ("roomy", "spill")
-    )
+    algorithms = args.algorithm or algorithm_names()
+    plans = args.plans or all_plans()
+    budgets = args.budgets or tuple(BUDGETS)
     fault_seeds = [None] + (args.fault_seed if args.fault_seed is not None else [7])
     if args.no_faults:
         fault_seeds = [None]
@@ -884,18 +889,14 @@ def cmd_chaos(args, out=print):
         algorithms = args.algorithm or ["sssp"]
         # The four corners of the plan space: every axis flips at least once.
         plans = [
-            PlanChoice.parse(sig)
-            for sig in (
+            PlanChoice.parse(signature)
+            for signature in (
                 "foj/sort/unmerged/btree",
                 "foj/hashsort/merged/lsm",
                 "loj/sort/merged/lsm",
                 "loj/hashsort/unmerged/btree",
             )
         ]
-
-    fault_actions = (
-        tuple(a.strip() for a in args.actions.split(",")) if args.actions else None
-    )
 
     vertices = list(btc_graph(args.vertices, seed=args.graph_seed))
     if args.show_schedule:
@@ -904,14 +905,14 @@ def cmd_chaos(args, out=print):
             if seed is None:
                 continue
             for line in FaultPlan.random(
-                seed, node_ids, actions=fault_actions
+                seed, node_ids, actions=args.actions
             ).describe():
                 out(line)
 
     failures = 0
     for algorithm in algorithms:
         checker = DifferentialChecker(
-            algorithm, vertices, num_nodes=args.nodes, fault_actions=fault_actions
+            algorithm, vertices, num_nodes=args.nodes, fault_actions=args.actions
         )
         report = checker.run_matrix(
             plans=plans,
@@ -946,24 +947,15 @@ def cmd_chaos(args, out=print):
 
 def cmd_checkpoints(args, out=print):
     """Run a checkpointed job, then audit every checkpoint's manifest."""
+    from repro.bench.reporting import graph_driver
     from repro.chaos.reference import algorithm_case
-    from repro.graphs.generators import btc_graph
-    from repro.graphs.io import write_graph_to_dfs
-    from repro.hdfs import MiniDFS
-    from repro.hyracks.engine import HyracksCluster
     from repro.pregelix.checkpoint import Checkpointer
-    from repro.pregelix.runtime import PregelixDriver
 
     case = algorithm_case(args.algorithm)
-    vertices = list(btc_graph(args.vertices, seed=args.graph_seed))
-    cluster = HyracksCluster(num_nodes=args.nodes)
-    try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in/g", iter(vertices), num_files=args.nodes)
+    with graph_driver(args.nodes, args.vertices, args.graph_seed) as driver:
         job = case.build_job()
         job.checkpoint_interval = args.interval
         job.checkpoint_retain = args.retain
-        driver = PregelixDriver(cluster, dfs)
         outcome = driver.run(
             job,
             "/in/g",
@@ -988,9 +980,9 @@ def cmd_checkpoints(args, out=print):
                 return 1
             target = checkpointer.path(committed[-1], "gs")
             if args.damage == "corrupt":
-                dfs.corrupt(target)
+                driver.dfs.corrupt(target)
             else:
-                dfs.tear(target)
+                driver.dfs.tear(target)
             out("injected %s into %s" % (args.damage, target))
         failed = 0
         for superstep in checkpointer.superstep_directories():
@@ -1017,8 +1009,6 @@ def cmd_checkpoints(args, out=print):
             out("damage detection: %s" % ("OK" if detected else "MISSED"))
             return 0 if detected else 1
         return 0 if failed == 0 else 1
-    finally:
-        cluster.close()
 
 
 def cmd_bench(args, out=print):
@@ -1042,27 +1032,7 @@ def cmd_loc(args, out=print):
 
 def main(argv=None, out=print):
     args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args, out=out)
-    if args.command == "run":
-        return cmd_run(args, out=out)
-    if args.command == "pipeline":
-        return cmd_pipeline(args, out=out)
-    if args.command == "serve":
-        return cmd_serve(args, out=out)
-    if args.command == "figures":
-        return cmd_figures(args, out=out)
-    if args.command == "explain":
-        return cmd_explain(args, out=out)
-    if args.command == "chaos":
-        return cmd_chaos(args, out=out)
-    if args.command == "checkpoints":
-        return cmd_checkpoints(args, out=out)
-    if args.command == "bench":
-        return cmd_bench(args, out=out)
-    if args.command == "loc":
-        return cmd_loc(args, out=out)
-    return 2
+    return args.handler(args, out=out)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ Every connector redistributes in two halves. Each producer clone calls
 consumer) and ``_account`` for what it ships; each consumer's input is
 then built by :meth:`~ConnectorDescriptor.assemble` from the
 per-``(consumer, sender)`` lists, consuming senders in partition-id order
-(DESIGN.md §13). :meth:`~ConnectorDescriptor.route` is the same hand-off
+(DESIGN.md §4). :meth:`~ConnectorDescriptor.route` is the same hand-off
 in one call, for callers that already hold every sender's output.
 
 A partitioning connector routes a **batch per call**: its

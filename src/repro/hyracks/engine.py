@@ -15,7 +15,7 @@ dataset-size-versus-RAM phenomena survive the substitution; wall-clock
 numbers are simulation-scale. An operator's clones run one after another
 on the calling thread, in partition order; each splits and accounts its
 own output per outgoing connector, and consumers assemble their input
-from the per-sender lists in partition-id order (DESIGN.md §13). The
+from the per-sender lists in partition-id order (DESIGN.md §4). The
 only concurrency is between whole jobs: the serving tier runs several
 ``execute`` calls at once against the shared nodes.
 """

@@ -1,6 +1,6 @@
 """External sort: memory-bounded run generation plus multiway merge.
 
-The base case of one skeleton (DESIGN.md §4): cut the input into
+The base case of one skeleton (DESIGN.md §3): cut the input into
 batches that fit the memory budget, turn every full batch into sorted
 ``(key, value)`` pairs and spill it as a run, merge the runs with what
 is still in memory — inside one

@@ -37,7 +37,7 @@ that the page still fits is one bisect and one ``Page.replace``.
 Everything else
 (a key outside the leaf, an insert that is not an overwrite in place)
 gives the leaf up and runs the ordinary descent. Safe because one
-operator clone at a time uses an index partition (DESIGN.md §13).
+operator clone at a time uses an index partition (DESIGN.md §3).
 """
 
 import bisect

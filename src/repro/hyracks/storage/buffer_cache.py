@@ -7,7 +7,7 @@ used unpinned page is evicted, written back if dirty, and transparently
 reloaded on the next pin. In-memory workloads never touch disk;
 out-of-core workloads degrade smoothly instead of failing.
 
-Thread safety (concurrent served jobs, DESIGN.md §13): a single metadata
+Thread safety (concurrent served jobs, DESIGN.md §3): a single metadata
 latch serializes all map/LRU/pin-count bookkeeping, so concurrent
 pin/unpin/evict/spill keep the cache's invariants — one Page object per
 cached PageId, cached-bytes equals pages × page-size, no eviction of a

@@ -52,7 +52,7 @@ class Index:
         bytes are those of the same calls made outside. Whatever it holds
         is released when the scope exits, however it exits. One caller
         at a time per index — the engine's one clone per index partition
-        (DESIGN.md §13). The default keeps no place.
+        (DESIGN.md §3). The default keeps no place.
         """
         return contextlib.nullcontext()
 

@@ -73,7 +73,7 @@ class Page:
         # Content latch: the buffer cache takes it while serializing the
         # page for writeback. The access methods do not — a pinned page
         # is never written back and has one clone using it (DESIGN.md
-        # §13); a caller sharing a pinned page across threads holds it
+        # §3); a caller sharing a pinned page across threads holds it
         # while mutating entries and releases it before calling back
         # into the cache.
         self.latch = threading.RLock()

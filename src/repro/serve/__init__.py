@@ -1,6 +1,6 @@
 """repro.serve — a multi-tenant job service over one shared cluster.
 
-The serving layer (DESIGN.md §14): a long-running
+The serving layer (DESIGN.md §6): a long-running
 :class:`~repro.serve.service.JobService` keeps a
 :class:`~repro.hyracks.engine.HyracksCluster` and its datasets resident
 and executes submitted Pregel jobs concurrently, instead of the one-shot
@@ -11,13 +11,13 @@ scheduling (:mod:`repro.serve.queue`), one dispatch → run → commit path
 result cache (:mod:`repro.serve.cache`); :mod:`repro.serve.http` exposes
 the whole thing over plain HTTP.
 
-Crash safety (DESIGN.md §16): :mod:`repro.serve.lifecycle` writes every
+Crash safety (DESIGN.md §6): :mod:`repro.serve.lifecycle` writes every
 job lifecycle transition ahead to :mod:`repro.serve.journal` so a
 restarted service recovers every journaled job; :mod:`repro.serve.watchdog` flags wedged runs; the
 service enforces per-job deadlines cooperatively and sheds load when
 the queue or the journal falls behind.
 
-Observability (DESIGN.md §18): every job carries a distributed trace
+Observability (DESIGN.md §8): every job carries a distributed trace
 assembled on demand (:mod:`repro.serve.jobtrace`, ``GET
 /jobs/<id>/trace``); :mod:`repro.serve.history` ring-buffers the
 service's vitals for ``GET /stats/history`` and ``repro serve top``;

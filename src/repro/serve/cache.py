@@ -7,7 +7,7 @@ exploit that:
 * :class:`ResultCache` — an LRU over finished result documents keyed by
   ``(dataset digest, algorithm, canonical params, plan class)``. The
   *plan class* is the bit-identity class established by the differential
-  harness (DESIGN.md §11): results are bit-identical across join
+  harness (DESIGN.md §7): results are bit-identical across join
   strategies and storage structures, so only the group-by strategy and
   connector policy participate in the key — a cached full-outer-join run
   legitimately serves a left-outer-join request.

@@ -8,7 +8,7 @@ CLI adds the flags in one loop and :meth:`ServeConfig.from_args` reads
 them back in one loop. ``checkpoint_interval`` and ``watchdog`` have no
 flag: only the chaos drill and tests set them. ``parallelism`` has no
 flag either and accepts only 1. Knobs nobody sets are
-constants of the module that reads them (DESIGN.md §14 "Configuration").
+constants of the module that reads them (DESIGN.md §6 "Configuration").
 """
 
 import os
@@ -51,7 +51,7 @@ class ServeConfig:
         "dispatcher threads (job-level concurrency)",
         "--workers", int, "N", low=1))
     #: Always 1: a job's operator clones run one after another, and the
-    #: field stays only for callers that still pass it (DESIGN.md §13).
+    #: field stays only for callers that still pass it (DESIGN.md §4).
     parallelism: int = field(default=1, metadata=_knob(
         "per-job operator-clone concurrency; 1 is the only value"))
     #: Bytes; the flag takes MiB.
@@ -92,10 +92,10 @@ class ServeConfig:
         "shed new submissions once the journal's rolling append latency "
         "exceeds S seconds", "--shed-append-seconds", float, "S", low=0))
     watchdog: bool = field(default=True, metadata=_knob(
-        "run the stuck-job watchdog (DESIGN.md §16)"))
+        "run the stuck-job watchdog (DESIGN.md §6)"))
     batch_max: int = field(default=1, metadata=_knob(
         "coalesce up to N compatible queued point queries into one shared "
-        "multi-query run (DESIGN.md §17; 1 disables batching)",
+        "multi-query run (DESIGN.md §6; 1 disables batching)",
         "--batch-max", int, "N", low=1))
     batch_window: float = field(default=0.25, metadata=_knob(
         "seconds a batch leader waits for compatible queued jobs before "

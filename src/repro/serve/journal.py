@@ -1,4 +1,4 @@
-"""The durable job journal: an append-only, CRC-framed WAL (DESIGN.md §16).
+"""The durable job journal: an append-only, CRC-framed WAL (DESIGN.md §6).
 
 The serve layer's crash-safety rests on one file: every job lifecycle
 transition — ``submitted`` (with the full request), ``started`` (with

@@ -8,7 +8,7 @@ share the loaded infrastructure). It owns a single
 and executes submitted jobs concurrently on a pool of dispatcher
 threads. Each job gets its own driver and a run-id-scoped temp
 namespace (indexes, message files, DFS scratch) over the *shared*,
-thread-safe buffer caches and file managers from DESIGN.md §13 — so
+thread-safe buffer caches and file managers from DESIGN.md §3 — so
 concurrent jobs are bit-identical to the same jobs run back to back.
 These dispatcher threads are the only concurrency in the system: within
 one job, the engine runs an operator's clones one after another.
@@ -21,7 +21,7 @@ admission → queue), cancellation and the stats/health documents.
 the write-ahead journal records and restart recovery;
 :mod:`repro.serve.executor` owns capacity accounting and the one
 dispatch → run → boundary → commit path every dequeued job takes (a
-lone job is a batch of one). See DESIGN.md §14.
+lone job is a batch of one). See DESIGN.md §6.
 """
 
 import dataclasses
@@ -65,7 +65,7 @@ from repro.serve.watchdog import StuckJobWatchdog
 from repro.telemetry import Telemetry
 
 #: Fair-share aging at the service: pass units forgiven per second a
-#: tenant's head job has waited (DESIGN.md §14 "Fair share").
+#: tenant's head job has waited (DESIGN.md §6 "Fair share").
 AGING_RATE = 1.0
 
 
@@ -385,7 +385,7 @@ class JobService(ServiceDocuments):
         return record
 
     def _shed_check(self):
-        """Overload shedding (DESIGN.md §16): a retryable rejection when
+        """Overload shedding (DESIGN.md §6): a retryable rejection when
         the queue is too deep or the journal's rolling append latency
         says durable writes can no longer keep up with arrivals."""
         depth, limit = len(self.queue), self.config.shed_queue_depth

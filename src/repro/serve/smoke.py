@@ -214,7 +214,7 @@ def serve_smoke(args, workers, out=print):
             json.dumps(stats.get("jobs", {})),
         )
 
-        # 4. The observability surfaces (DESIGN.md §18): the per-job
+        # 4. The observability surfaces (DESIGN.md §8): the per-job
         # trace, the Prometheus exposition, and the health history.
         status, trace = http("GET", "/jobs/%s/trace" % job_id)
         events = trace.get("traceEvents", []) if status == 200 else []

@@ -1,4 +1,4 @@
-"""Satellite regression tests for the concurrency audit (DESIGN.md §13).
+"""Satellite regression tests for the concurrency audit (DESIGN.md §3).
 
 Concurrent served jobs share several read-modify-write paths on the
 same nodes. Each test here pins one

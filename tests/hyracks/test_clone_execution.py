@@ -1,6 +1,6 @@
 """How the engine runs an operator's clones: hand-off and failure order.
 
-Covers the mechanics DESIGN.md §13 relies on: a job's producer→consumer
+Covers the mechanics DESIGN.md §4 relies on: a job's producer→consumer
 hand-off delivers exactly ``connector.route`` for every connector family,
 clones run one after another in partition order on the calling thread,
 the first failing clone stops the operator, and a cluster refuses the

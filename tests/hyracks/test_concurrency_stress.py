@@ -3,7 +3,7 @@
 The pool is far larger than the cache budget, so every thread constantly
 forces pin misses, dirty writebacks, and evictions of pages other threads
 just used. The assertions are the cache's safety contract under
-concurrency (DESIGN.md §13):
+concurrency (DESIGN.md §3):
 
 * **no lost pages** — every committed update is still readable at the
   end, even though each page was spilled and reloaded many times;

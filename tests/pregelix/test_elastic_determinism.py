@@ -1,6 +1,6 @@
 """Seeded property suite: elastic rebalancing never changes the answer.
 
-The determinism claim of DESIGN.md §15: for a fixed ``(budget,
+The determinism claim of DESIGN.md §5: for a fixed ``(budget,
 group-by, connector)`` class, a run whose cluster scales up or down at
 *any* superstep boundary produces output byte-for-byte identical to a
 run on static membership. The partition count is fixed at load, so

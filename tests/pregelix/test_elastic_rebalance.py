@@ -1,6 +1,6 @@
 """Elastic membership: join/drain/retire mechanics and the boundary handoff.
 
-The contract under test (DESIGN.md §15): ``add_node``/``drain_node``/
+The contract under test (DESIGN.md §5): ``add_node``/``drain_node``/
 ``scale_to`` change *membership* immediately but change *placement* only
 at the next superstep boundary, where the driver hands partitions off
 through the checkpoint/restore path. Draining nodes stay alive — and

@@ -2,7 +2,7 @@
 
 With the data-partition count fixed (``virtual_partitions``), a run on
 one node and a run spread over six execute the same clones over the same
-per-partition streams, merged in partition order (DESIGN.md §13), so the
+per-partition streams, merged in partition order (DESIGN.md §4), so the
 dumped output of every algorithm must be byte-for-byte the same — floats
 included, so even a last-ulp divergence from reordered message
 combination fails the test. Elastic scaling relies on exactly this.

@@ -1,4 +1,4 @@
-"""Batched point queries in the serve layer (DESIGN.md §17).
+"""Batched point queries in the serve layer (DESIGN.md §6).
 
 Covers batch formation, per-member result fan-out (digests identical to
 solo runs), result/plan cache seeding under batched completion,

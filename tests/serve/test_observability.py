@@ -1,4 +1,4 @@
-"""Live-service observability (DESIGN.md §18).
+"""Live-service observability (DESIGN.md §8).
 
 Per-job distributed traces assembled out of the shared telemetry
 session (solo and batched), the span breakdown on the job document,

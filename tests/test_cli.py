@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -7,6 +8,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.pregelix.api import PlanChoice
 from repro.serve import AutoscalePolicy, ServeConfig, TenantQuota
 
 
@@ -42,6 +44,68 @@ class TestParser:
     def test_figures_choices(self):
         args = build_parser().parse_args(["figures", "table3", "figure12a"])
         assert args.which == ["table3", "figure12a"]
+
+
+class TestSurface:
+    """The option surface of every subcommand, pinned: a flag added,
+    removed or renamed, or a choice or default moved, fails here."""
+
+    PINNED = os.path.join(os.path.dirname(__file__), "cli_surface.json")
+
+    @staticmethod
+    def surface(parser):
+        """``{command: sorted "option choices=... default=..." lines}``."""
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        return {
+            name: sorted(
+                "%s choices=%s default=%r" % (
+                    " ".join(action.option_strings) or action.dest,
+                    ",".join(sorted(action.choices))
+                    if action.choices is not None else "-",
+                    action.default,
+                )
+                for action in command._actions
+            )
+            for name, command in sub.choices.items()
+        }
+
+    def test_option_surface_is_pinned(self):
+        with open(self.PINNED) as handle:
+            assert self.surface(build_parser()) == json.load(handle)
+
+
+class TestBadValues:
+    """A bad value exits 2 with one ``error:`` line, before anything runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--plans", "bogus"],
+        ["chaos", "--plans", "foj/sort/unmerged/btree,loj/x/merged/lsm"],
+        ["chaos", "--budgets", "bogus"],
+        ["chaos", "--actions", "bogus"],
+        ["chaos", "--nodes", "0"],
+        ["chaos", "--vertices", "0"],
+        ["run", "sssp", "--input", "x", "--nodes", "0"],
+        ["run", "sssp", "--input", "x", "--scale-at", "2"],
+        ["run", "sssp", "--input", "x", "--scale-at", "2=0"],
+        ["pipeline", "sssp", "--input", "x", "--nodes", "0"],
+        ["explain", "sssp", "--nodes", "0"],
+        ["figures", "table3", "--nodes", "0"],
+        ["checkpoints", "verify", "--nodes", "0"],
+        ["checkpoints", "verify", "--vertices", "0"],
+        ["checkpoints", "verify", "--interval", "0"],
+        ["generate", "--files", "0", "--out", "unused"],
+        ["generate", "--vertices", "0", "--out", "unused"],
+    ], ids=" ".join)
+    def test_exits_2_with_one_error_line(self, argv, capsys):
+        lines = []
+        with pytest.raises(SystemExit) as exit:
+            main(argv, out=lines.append)
+        assert exit.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert lines == []  # refused before anything ran
 
 
 class TestGenerate:
@@ -97,6 +161,15 @@ class TestRun:
         assert code == 0
         assert any("full-outer-join/sort/m-to-n-partitioning-merging/lsm-btree" in line
                    for line in lines)
+
+    def test_plan_flags_move_only_their_axes(self):
+        from repro.cli import _build_job
+
+        argv = ["run", "sssp", "--input", "x", "--groupby", "sort",
+                "--storage", "lsm"]
+        _module, job = _build_job("sssp", build_parser().parse_args(argv))
+        # sssp's own hints are loj/hashsort/unmerged/btree.
+        assert PlanChoice.of(job).signature() == "loj/sort/unmerged/lsm"
 
     def test_run_with_optimizer(self, chain_dir):
         code, lines = run_cli(
@@ -283,9 +356,16 @@ class TestChaos:
         assert any("budget=roomy" in line for line in lines)
         assert any("1 plans x 1 budgets x 1 schedules" in line for line in lines)
 
-    def test_bad_plan_signature_rejected(self):
-        with pytest.raises(ValueError):
+    def test_bad_plan_signature_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit:
             run_cli(["chaos", "--plans", "bogus"])
+        assert exit.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == [
+            "repro chaos: error: argument --plans: plan signature must be "
+            "join/groupby/connector/storage, got 'bogus'"
+        ]
 
     def test_durability_action_pool(self):
         code, lines = run_cli(

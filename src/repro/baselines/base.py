@@ -165,7 +165,7 @@ class ProcessCentricBase:
                         num_edges,
                     )
                     program.compute(iter(payloads or ()))
-                    state.value = program._value
+                    state.value = program.value
                     state.edges = program._edges
                     state.halted = program._halted
                     self.keep(worker, state)

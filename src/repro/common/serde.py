@@ -710,7 +710,7 @@ class PackedListSerde(_Composite):
         self._firsts = None
         pair = isinstance(element_serde, FixedPairSerde) and element_serde.first is INT64
         if pair:
-            self._firsts = struct.Struct(">Q%dx" % element_serde.second.fixed_size)
+            self._firsts = "q%dx" % element_serde.second.fixed_size
         self.flat = pair and element_serde.second is FLOAT64
 
     def count(self, data):
@@ -726,14 +726,17 @@ class PackedListSerde(_Composite):
 
     def firsts(self, data):
         """The leading INT64 of every element — the targets of an edge
-        list — read off the image: :meth:`count`'s check, then one
-        ``iter_unpack`` that skips the rest of each element. Elements
-        must be :class:`FixedPairSerde` pairs led by :data:`INT64`."""
-        firsts = self._firsts
-        if firsts is None:
+        list — read off the image as a tuple: :meth:`count`'s check, then
+        the sign bits flipped back (as :meth:`loads_flat` does) and one
+        ``unpack`` that skips the rest of each element. Elements must be
+        :class:`FixedPairSerde` pairs led by :data:`INT64`."""
+        first = self._firsts
+        if first is None:
             raise TypeError("elements of %r are not pairs led by INT64" % self.element_serde)
-        self.count(data)
-        return [first - _SIGN_BIAS for first, in firsts.iter_unpack(memoryview(data)[4:])]
+        count = self.count(data)
+        image = bytearray(data)
+        image[4::self._width] = image[4::self._width].translate(_FLIP_SIGN)
+        return struct.unpack_from(">" + first * count, image, 4)
 
     def dumps_flat(self, flat):
         """The image of the pairs ``(flat[0], flat[1]), (flat[2],

@@ -7,6 +7,8 @@ clones run. The engine clones each operator once per partition and wires
 clones together according to the connectors, exactly like Hyracks.
 """
 
+from itertools import chain
+
 from repro.common.errors import SchedulingError
 
 
@@ -69,10 +71,7 @@ class ConnectorDescriptor:
         The default concatenates senders in partition-id order; the
         merging connector overrides with a heap merge.
         """
-        return [
-            [item for tuples in per_sender for item in tuples]
-            for per_sender in staged
-        ]
+        return [list(chain.from_iterable(per_sender)) for per_sender in staged]
 
     def route(self, producer_outputs, num_consumers, ctx):
         """Redistribute producer partition outputs to consumer partitions.

@@ -15,8 +15,14 @@ Join outputs are ``(key, payload, vertex_value)`` with ``None`` standing
 in for SQL NULL on the non-matching side.
 """
 
+from itertools import repeat
+from operator import itemgetter
+
 from repro.hyracks.job import OperatorDescriptor
 from repro.hyracks.operators.index_ops import get_index
+
+_KEY = itemgetter(0)
+_VALUE = itemgetter(1)
 
 
 def _outer_merge(left, right):
@@ -40,6 +46,25 @@ def _outer_merge(left, right):
             b = next(right, None)
 
 
+def _full_outer_join(messages, scanned):
+    """:func:`_outer_merge` of the list ``messages`` with the list
+    ``scanned`` (an index's rows: unique keys), built by C-level maps
+    instead of a step per row: each scanned key pops its payload off a
+    dict of the messages, and the payloads left over — messages to keys
+    the index lacks — are sorted back in by key. Keys repeated among the
+    messages take the merge."""
+    payloads = dict(messages)
+    if len(payloads) != len(messages):
+        return list(_outer_merge(messages, scanned))
+    keys = list(map(_KEY, scanned))
+    bundles = map(payloads.pop, keys, repeat(None)) if payloads else repeat(None)
+    joined = list(zip(keys, bundles, map(_VALUE, scanned)))
+    if payloads:
+        joined += zip(payloads.keys(), payloads.values(), repeat(None))
+        joined.sort(key=_KEY)
+    return joined
+
+
 class IndexFullOuterJoinOperator(OperatorDescriptor):
     """Full outer join of a sorted ``(key, payload)`` stream with an index
     (left-outer case: a message for a non-existent vertex; right-outer:
@@ -52,7 +77,7 @@ class IndexFullOuterJoinOperator(OperatorDescriptor):
     def run(self, ctx, partition, inputs):
         (messages,) = inputs
         index = get_index(ctx, self.index_name, partition)
-        return {self.OUT: list(_outer_merge(messages, index.scan()))}
+        return {self.OUT: _full_outer_join(messages, list(index.scan()))}
 
 
 class IndexLeftOuterJoinOperator(OperatorDescriptor):

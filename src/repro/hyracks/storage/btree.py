@@ -83,23 +83,6 @@ class BTree(Index):
             raise TypeError("keys must be bytes")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("values must be bytes")
-        leaf = self._held
-        if leaf is not None:
-            # Positioned overwrite: one bisect finds the key on the leaf
-            # held, and an inline image that still fits replaces the old
-            # one in its slot. Anything else goes the long way. The old
-            # image needs no check: an overflowing one has a length no
-            # inline value has, and the long path too puts an inline
-            # value of another length in the slot.
-            keys = leaf.keys
-            index = bisect.bisect_left(keys, key)
-            if (
-                index < len(keys)
-                and keys[index] == key
-                and len(key) + len(value) + 1 <= self._inline_limit
-                and leaf.replace(index, _INLINE_MARK + value)
-            ):
-                return
         try:
             leaf, path = self._seek(key, for_write=True)
             index = leaf.find(key)
@@ -129,6 +112,38 @@ class BTree(Index):
         finally:
             if not self._positioned:
                 self._release()
+
+    def insert_sorted(self, pairs):
+        """:meth:`insert` of each pair, in key order. A key on the held
+        leaf whose inline image still fits is written over in its slot
+        after one bisect, without a call of :meth:`insert`: the page it
+        leaves is the one :meth:`insert` leaves. The old image needs no
+        check: an overflowing one has a length no inline value has.
+        Everything else — a key new to the tree, a key off the held leaf,
+        an overflowing or non-bytes key or value, a split — is
+        :meth:`insert` itself. Only a :meth:`positioned` scope holds a
+        leaf."""
+        insert = self.insert
+        limit = self._inline_limit
+        bisect_left = bisect.bisect_left
+        leaf = self._held
+        for key, value in pairs:
+            if (
+                leaf is not None
+                and isinstance(key, (bytes, bytearray))
+                and isinstance(value, (bytes, bytearray))
+                and len(key) + len(value) + 1 <= limit
+            ):
+                keys = leaf.keys
+                index = bisect_left(keys, key)
+                if (
+                    index < len(keys)
+                    and keys[index] == key
+                    and leaf.replace(index, _INLINE_MARK + value)
+                ):
+                    continue
+            insert(key, value)
+            leaf = self._held
 
     def delete(self, key):
         self._release()
@@ -162,32 +177,41 @@ class BTree(Index):
             self._release()
 
     def scan(self, low=None, high=None):
+        # A leaf at a time: its entries in [resume, high) are copied off
+        # the pinned page, their values decoded in one pass, and yielded
+        # from a zip — no frame of this generator per entry.
         self._release()
+        decode = self._decode_value
         page_no = self._leftmost_leaf() if low is None else self._leaf_for(low)
         resume_key = low
         resume_exclusive = False
         while page_no != -1:
             page = self.cache.pin(PageId(self.file_id, page_no))
-            keys = list(page.keys)
-            values = list(page.values)
-            next_page_no = page.next_page_no
-            self.cache.unpin(page)
-            version = self.smo_counter
-
+            keys = page.keys
             if resume_key is None:
                 start = 0
             elif resume_exclusive:
                 start = bisect.bisect_right(keys, resume_key)
             else:
                 start = bisect.bisect_left(keys, resume_key)
+            stop = len(keys) if high is None else bisect.bisect_left(keys, high, start)
+            ended = stop < len(keys)  # a key at or past ``high`` is here
+            keys = keys[start:stop]
+            values = page.values[start:stop]
+            next_page_no = page.next_page_no
+            self.cache.unpin(page)
+            version = self.smo_counter
 
-            last_key = resume_key
-            for i in range(start, len(keys)):
-                if high is not None and keys[i] >= high:
-                    return
-                last_key = keys[i]
-                yield keys[i], self._decode_value(values[i])
-
+            if keys:
+                yield from zip(keys, [
+                    value[1:] if value[:1] == _INLINE_MARK else decode(value)
+                    for value in values
+                ])
+                last_key = keys[-1]
+            else:
+                last_key = resume_key
+            if ended:
+                return
             if self.smo_counter != version and last_key is not None:
                 # A split moved entries while the consumer held the floor;
                 # re-locate the first key strictly past what we returned.

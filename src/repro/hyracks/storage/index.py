@@ -19,6 +19,15 @@ class Index:
         """Insert or overwrite ``key``."""
         raise NotImplementedError
 
+    def insert_sorted(self, pairs):
+        """:meth:`insert` each ``(key, value)`` of the list ``pairs``, in
+        key order (the compute mini-operator's write-back): the stored
+        bytes are those of the same inserts made one by one in a
+        :meth:`positioned` scope. The default makes them."""
+        insert = self.insert
+        for key, value in pairs:
+            insert(key, value)
+
     def delete(self, key):
         """Remove ``key``; silently ignores missing keys."""
         raise NotImplementedError

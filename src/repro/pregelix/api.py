@@ -37,7 +37,8 @@ class Vertex:
 
     def __init__(self):
         self._vid = None
-        self._value = None
+        #: The bound vertex's value; the program reads and assigns it.
+        self.value = None
         self._edges = []
         self._read_edges = None
         self._row = None
@@ -66,14 +67,6 @@ class Vertex:
     @property
     def vertex_id(self):
         return self._vid
-
-    @property
-    def value(self):
-        return self._value
-
-    @value.setter
-    def value(self, new_value):
-        self._value = new_value
 
     @property
     def edges(self):
@@ -170,21 +163,42 @@ class Vertex:
     # ------------------------------------------------------------------
     # framework binding (internal)
     # ------------------------------------------------------------------
-    def _bind(self, vid, value, edges, superstep, global_aggregate, num_vertices,
-              num_edges):
-        """Bind to one vertex. ``edges`` is its edge list, copied here; or
-        a function returning a list of ``Edge`` that the program may keep,
-        called when the program first reads :attr:`edges` and never if it
-        does not (``_edges`` then stays ``None``) — most vertices of most
-        supersteps leave a stored edge list undecoded, or a list shared
-        with other programs uncopied; or the stored row the vertex is at
-        (an :class:`~repro.pregelix.relations.OpenedRow`), whose
+    def _bind_superstep(self, superstep, global_aggregate, num_vertices,
+                        num_edges, outbox, agg_contribs, mutations):
+        """Bind to one superstep: what every vertex of it reads, and the
+        lists its actions append to — ``outbox`` the ``(target,
+        payload)`` messages, ``agg_contribs`` the ``(name, contribution)``
+        pairs, ``mutations`` the mutation requests. The caller owns the
+        lists, and every vertex bound after this call adds to them."""
+        self._superstep = superstep
+        self._global_aggregate = global_aggregate
+        self._num_vertices = num_vertices
+        self._num_edges = num_edges
+        self._outbox = outbox
+        self._agg_contribs = agg_contribs
+        self._mutations = mutations
+
+    def _bind_vertex(self, vid, value, edges):
+        """Bind to one vertex, active until it votes to halt. ``edges`` is
+        its edge list, copied here; or a function returning a list of
+        ``Edge`` that the program may keep, called when the program first
+        reads :attr:`edges` and never if it does not (``_edges`` then
+        stays ``None``) — most vertices of most supersteps leave a stored
+        edge list undecoded, or a list shared with other programs
+        uncopied; or the stored row the vertex is at (an
+        :class:`~repro.pregelix.relations.OpenedRow`), whose
         ``read_edges`` is that function and whose ``edge_count`` and
         ``edge_targets`` :attr:`num_out_edges` and
         :meth:`send_message_to_all_edges` ask while the program has not
-        read :attr:`edges`. Every bind replaces it."""
+        read :attr:`edges`. Every bind replaces it.
+
+        ``ComputeOperator`` binds its opened row once per partition and
+        then, per vertex, sets again only what this sets apart from the
+        row (``_read_edges`` and ``_row``): ``_vid``, ``value``,
+        ``_edges`` and ``_halted``. A field added here is added there
+        too; ``test_operators_unit.py`` checks that the two agree."""
         self._vid = vid
-        self._value = value
+        self.value = value
         read_edges = getattr(edges, "read_edges", None)
         if read_edges is not None:
             self._edges, self._read_edges, self._row = None, read_edges, edges
@@ -194,13 +208,16 @@ class Vertex:
             self._row = None
             self._edges = [e if isinstance(e, Edge) else Edge(*e) for e in edges]
         self._halted = False
-        self._outbox = []
-        self._agg_contribs = []
-        self._mutations = []
-        self._superstep = superstep
-        self._global_aggregate = global_aggregate
-        self._num_vertices = num_vertices
-        self._num_edges = num_edges
+
+    def _bind(self, vid, value, edges, superstep, global_aggregate, num_vertices,
+              num_edges):
+        """Bind to one vertex of a superstep of its own: what it sends,
+        contributes and requests is then ``_outbox``, ``_agg_contribs``
+        and ``_mutations`` alone."""
+        self._bind_superstep(
+            superstep, global_aggregate, num_vertices, num_edges, [], [], []
+        )
+        self._bind_vertex(vid, value, edges)
 
 
 class Combiner:

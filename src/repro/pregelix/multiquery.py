@@ -363,7 +363,7 @@ class MultiQueryVertex(Vertex):
                 self.send_message(target, (lane, payload))
             if program._outbox or not program._halted:
                 self.aggregate((lane, self.superstep))
-            new_vector.append((program._halted, program._value))
+            new_vector.append((program._halted, program.value))
         self.value = new_vector
         if all(halted for halted, _ in new_vector):
             self.vote_to_halt()

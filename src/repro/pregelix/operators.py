@@ -12,7 +12,7 @@ rows look like is asked of the run's
 
 import operator
 
-from repro.common.serde import decode_key, encode_key
+from repro.common.serde import INT64, encode_key
 from repro.hyracks.job import OperatorDescriptor
 from repro.hyracks.operators.index_ops import find_index, get_index, load_index
 from repro.hyracks.storage.run_file import LEAD
@@ -21,6 +21,13 @@ from repro.pregelix.types import VertexRecord
 
 # The bundle of a combined ``(key, bundle)``.
 _BUNDLE = operator.itemgetter(1)
+
+#: How many rows ``Compute`` writes back per ``Index.insert_sorted``. The
+#: images pending meanwhile keep the ones they replace alive, so a chunk
+#: stays small: at 256 or 512 rows a 5,000-vertex PageRank run peaked
+#: 0.3–0.4 MB higher than writing each row at once, at 64 or less within
+#: the run-to-run spread.
+WRITE_BACK_CHUNK = 64
 
 
 class MsgScanOperator(OperatorDescriptor):
@@ -75,12 +82,14 @@ class ComputeOperator(OperatorDescriptor):
     user's vertex program and writes the vertex back to the ``Vertex``
     index — the paper pushes this update into the join as a
     mini-operator, and so does the index's positioned scope: a pass in
-    key order works on the leaf it is at. A row is opened in pieces and
-    written back spliced (:class:`~repro.pregelix.relations.OpenedRow`).
-    Everything else the program produced leaves on six ports:
+    key order works on the leaf it is at, one sorted chunk of rows per
+    ``Index.insert_sorted``. A row is opened in pieces and written back
+    spliced (:class:`~repro.pregelix.relations.OpenedRow`). The program
+    is bound once per partition and appends to the partition's output
+    lists. Everything else it produced leaves on six ports:
 
     * ``msg`` — outbound ``(dest_vid, payload)`` messages;
-    * ``halt`` — per-vertex global-halt contributions;
+    * ``halt`` — the partition's global-halt contribution, one flag;
     * ``agg`` — global-aggregate contributions;
     * ``mut`` — requested graph mutations;
     * ``live`` — ``Vid`` rows of still-active vertices, which the
@@ -111,59 +120,75 @@ class ComputeOperator(OperatorDescriptor):
         expand = self.job.combiner.expand
         emit_live = self.emit_live
         gs = self.gs
-        superstep = gs.superstep + 1
 
         messages_out = []
-        halt_out = []
         agg_out = []
         mut_out = []
         live_out = []
+        # The program appends straight to the partition's lists, and the
+        # opened row stays bound across vertices: per vertex, only what
+        # ``_bind_vertex`` sets for a row is set again (below).
+        program._bind_superstep(
+            gs.superstep + 1, gs.aggregate, gs.num_vertices, gs.num_edges,
+            messages_out, agg_out, mut_out,
+        )
+        program._bind_vertex(None, None, row)
+        active = False
         created = 0
         edge_delta = 0
         processed = 0
 
         with index.positioned():
-            for key, bundle, vertex_bytes in joined:
-                if vertex_bytes is None:
-                    if bundle is None:
-                        continue
-                    # Left-outer case: a message addressed to a vertex that
-                    # does not exist; create it with NULL fields (Figure 2).
-                    value = row.create()
-                    created += 1
-                elif bundle is None and row.halted(vertex_bytes):
-                    continue  # the selection predicate prunes it
-                else:
-                    value = row.open(vertex_bytes)
-                processed += 1
-                incoming = iter(expand(bundle)) if bundle is not None else iter(())
-                program._bind(
-                    decode_key(key),
-                    value,
-                    row,
-                    superstep,
-                    gs.aggregate,
-                    gs.num_vertices,
-                    gs.num_edges,
-                )
-                program.compute(incoming)
-
-                stored, delta = row.close(program)
-                index.insert(key, stored)
-                edge_delta += delta
-                messages_out.extend(program._outbox)
-                halt_out.append(program._halted and not program._outbox)
-                agg_out.extend(program._agg_contribs)
-                mut_out.extend(program._mutations)
-                if emit_live and not program._halted:
-                    live_out.append((key, VID_VALUE))
+            for start in range(0, len(joined), WRITE_BACK_CHUNK):
+                # Keys are decoded a chunk at a time, as rows are written
+                # back: nothing the size of the partition is held beside
+                # ``joined``.
+                chunk = joined[start:start + WRITE_BACK_CHUNK]
+                written = []
+                for (key, bundle, vertex_bytes), vid in zip(
+                    chunk, INT64.loads_many(list(map(LEAD, chunk)))
+                ):
+                    if vertex_bytes is None:
+                        if bundle is None:
+                            continue
+                        # Left-outer case: a message addressed to a vertex
+                        # that does not exist; create it with NULL fields
+                        # (Figure 2).
+                        value = row.create()
+                        created += 1
+                    elif bundle is None and row.halted(vertex_bytes):
+                        continue  # the selection predicate prunes it
+                    else:
+                        value = row.open(vertex_bytes)
+                    processed += 1
+                    program._vid = vid
+                    program.value = value
+                    program._edges = None
+                    program._halted = False
+                    program.compute(
+                        iter(expand(bundle)) if bundle is not None else iter(())
+                    )
+                    stored, delta = row.close(program)
+                    written.append((key, stored))
+                    edge_delta += delta
+                    if not program._halted:
+                        active = True
+                        if emit_live:
+                            live_out.append((key, VID_VALUE))
+                index.insert_sorted(written)
+        # The lists leave on the ports. A program caught in a reference
+        # cycle (a multi-query vertex and its lanes are one) would keep
+        # them alive until the cyclic collector ran.
+        program._bind_superstep(None, None, None, None, None, None, None)
 
         ctx.job.counters.add("vertices_processed", processed)
         ctx.job.counters.add("messages_sent", len(messages_out))
         ctx.job.counters.add("join_tuples", len(joined))
         return {
             self.MSG: messages_out,
-            self.HALT: halt_out,
+            # The partition halts when no vertex it processed stayed
+            # active or sent a message (and when it processed none).
+            self.HALT: [not active and not messages_out],
             self.AGG: agg_out,
             self.MUT: mut_out,
             self.LIVE: live_out,

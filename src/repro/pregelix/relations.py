@@ -274,7 +274,7 @@ class OpenedRow:
         else:
             edge_delta = len(edges) - self.edge_count()
             image = self._edge_list.dumps(edges)
-        return self._row.dumps((program._halted, program._value, image)), edge_delta
+        return self._row.dumps((program._halted, program.value, image)), edge_delta
 
 
 def _file_stem(name, partition):

@@ -1,6 +1,7 @@
 """Edge-list images read and built without an element per edge: the
-count off the header, lists joined image to image, and the flat pair
-sequence of a packed (INT64, FLOAT64) list."""
+count off the header, the targets off a packed image, lists joined
+image to image, and the flat pair sequence of a packed (INT64, FLOAT64)
+list."""
 
 import random
 
@@ -69,3 +70,31 @@ def test_only_int_float_pairs_are_flat():
         codec.dumps_flat([1, 2])
     with pytest.raises(TypeError):
         codec.loads_flat(codec.dumps([]))
+
+
+@pytest.mark.parametrize(
+    "value", [serde.NULL, serde.BOOL, serde.FLOAT64, serde.INT64, serde.FixedBytesSerde(3)]
+)
+def test_firsts_are_the_targets(value):
+    codec = serde.PackedListSerde(serde.FixedPairSerde(serde.INT64, value))
+    rng = random.Random(value.fixed_size)
+    weights = {
+        serde.NULL: lambda: None,
+        serde.BOOL: lambda: rng.random() < 0.5,
+        serde.FLOAT64: rng.random,
+        serde.INT64: lambda: rng.randint(-(2 ** 63), 2 ** 63 - 1),
+    }.get(value, lambda: bytes(rng.randrange(256) for _ in range(3)))
+    for _ in range(100):
+        edges = [
+            (rng.choice([0, -1, 2 ** 63 - 1, -(2 ** 63), rng.randint(-(2 ** 63), 2 ** 63 - 1)]),
+             weights())
+            for _ in range(rng.randint(0, 12))
+        ]
+        image = codec.dumps(edges)
+        assert list(codec.firsts(image)) == [target for target, _ in edges]
+    for damaged in (image[:-1], image + b"\x00", image[:2]):
+        with pytest.raises(StorageError):
+            codec.firsts(damaged)
+    scalars = serde.PackedListSerde(serde.INT64)
+    with pytest.raises(TypeError):
+        scalars.firsts(scalars.dumps([1]))

@@ -1,5 +1,6 @@
 """Correctness tests for the page-based B+-tree, including property tests."""
 
+import bisect
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from repro.common.serde import encode_key
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.buffer_cache import BufferCache
 from repro.hyracks.storage.file_manager import FileManager
+from repro.hyracks.storage.pages import PageId
 
 
 @pytest.fixture
@@ -117,6 +119,95 @@ def encode_even(k):
     from repro.common.serde import decode_key
 
     return decode_key(k) % 2 == 0
+
+
+def per_item_scan(tree, low=None, high=None):
+    """The scan as it stepped one entry per resume: the reference the
+    leaf-step ``BTree.scan`` keeps (the same leaves read, the same re-seek
+    past the last key returned when a split happened under the cursor)."""
+    tree._release()
+    page_no = tree._leftmost_leaf() if low is None else tree._leaf_for(low)
+    resume_key, resume_exclusive = low, False
+    while page_no != -1:
+        page = tree.cache.pin(PageId(tree.file_id, page_no))
+        keys, values = list(page.keys), list(page.values)
+        next_page_no = page.next_page_no
+        tree.cache.unpin(page)
+        version = tree.smo_counter
+        if resume_key is None:
+            start = 0
+        elif resume_exclusive:
+            start = bisect.bisect_right(keys, resume_key)
+        else:
+            start = bisect.bisect_left(keys, resume_key)
+        last_key = resume_key
+        for i in range(start, len(keys)):
+            if high is not None and keys[i] >= high:
+                return
+            last_key = keys[i]
+            yield keys[i], tree._decode_value(values[i])
+        if tree.smo_counter != version and last_key is not None:
+            page_no = tree._leaf_for(last_key)
+            resume_key, resume_exclusive = last_key, True
+        else:
+            page_no, resume_key, resume_exclusive = next_page_no, None, False
+
+
+def twin_trees(tmp_path, page_size):
+    return [
+        BTree(BufferCache(1 << 20, page_size, FileManager(str(tmp_path / name))))
+        for name in ("leaf-step", "per-item")
+    ]
+
+
+@pytest.mark.parametrize("page_size", [256, 4096])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_leaf_step_scan_is_the_per_item_scan(tmp_path, page_size, seed):
+    """Bounds anywhere (inside, between and past the keys, empty and
+    inverted ranges) over leaves with inline and overflowing values."""
+    rng = random.Random(seed)
+    trees = twin_trees(tmp_path, page_size)
+    for vid in rng.sample(range(0, 3000, 3), 600):
+        value = bytes(rng.randrange(256) for _ in range(rng.choice([0, 9, 30, page_size])))
+        for tree in trees:
+            tree.insert(key(vid), value)
+    leaf_step, per_item = trees
+    bounds = [None] + [key(rng.randrange(-10, 3010)) for _ in range(30)]
+    for low in bounds[:12]:
+        for high in bounds:
+            expected = list(per_item_scan(per_item, low, high))
+            assert list(leaf_step.scan(low, high)) == expected
+
+
+@pytest.mark.parametrize("page_size", [256, 4096])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_leaf_step_scan_survives_splits_as_the_per_item_scan(tmp_path, page_size, seed):
+    """A scan left open while its consumer overwrites what it was handed
+    and inserts fresh keys around it — splits under the cursor, on the
+    leaf it is reading and on leaves it has not reached."""
+    rng = random.Random(seed)
+    trees = twin_trees(tmp_path, page_size)
+    for tree in trees:
+        tree.bulk_load((key(vid), b"x" * 20) for vid in range(0, 2000, 4))
+    low, high = rng.choice([(None, None), (key(300), None), (key(101), key(1700))])
+    fresh = rng.sample(range(2000), 900)
+    script = [(rng.random(), fresh.pop(), rng.choice([20, 60])) for _ in range(len(fresh))]
+    seen = []
+    cursors = [trees[0].scan(low, high), per_item_scan(trees[1], low, high)]
+    for tree, cursor in zip(trees, cursors):
+        moves = iter(script)
+        taken = []
+        for k, _value in cursor:
+            taken.append(k)
+            roll, vid, width = next(moves, (1.0, None, None))
+            if roll < 0.3:
+                tree.insert(k, b"y" * 20)  # same width: in place
+            elif roll < 0.9:
+                tree.insert(key(vid), b"z" * width)
+        seen.append((taken, tree.smo_counter))
+    assert seen[0] == seen[1]
+    assert seen[0][1] > 0
+    assert list(trees[0].scan()) == list(trees[1].scan())
 
 
 class TestSplitsAndScale:

@@ -450,3 +450,103 @@ def test_overwrites_at_the_held_leafs_bounds_leave_the_plain_pages(
     # Both ways out of the slot were taken: in place, and split.
     assert replaces.calls > replaces.replaced > 0
     assert scoped.smo_counter > 0
+
+
+# ----------------------------------------------------------------------
+# sorted write-back
+# ----------------------------------------------------------------------
+def sorted_batches(rng, page_size, count):
+    """Batches of ``(key, value)`` in key order, as ``Compute`` writes a
+    chunk back: mostly keys the tree holds (overwrites of the same width,
+    growing and shrinking ones, inline ↔ overflowing ones), some new to
+    it (vertices a message created; inserts that split), and empty ones."""
+    widths = {}
+    wide = {256: 32, 4096: 200}[page_size]
+    for _ in range(count):
+        vids = sorted(rng.sample(range(600), rng.choice([0, 1, 3, 40, 150])))
+        batch = []
+        for vid in vids:
+            if vid in widths and rng.random() < 0.6:
+                width = widths[vid]
+            else:
+                width = rng.choice([0, 8, 24, 25, wide, page_size // 2, page_size])
+            widths[vid] = width
+            value = bytes(rng.randrange(256) for _ in range(width))
+            batch.append((encode_key(vid), bytearray(value) if rng.random() < 0.1 else value))
+        yield batch
+
+
+def written_one_by_one(tree, batch):
+    with tree.positioned():
+        for key, value in batch:
+            tree.insert(key, value)
+
+
+@pytest.mark.parametrize("page_size", [256, 4096])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_sorted_batch_leaves_the_pages_positioned_inserts_leave(
+    tmp_path, monkeypatch, page_size, seed
+):
+    rng = random.Random(seed)
+    plain_cache = make_cache(tmp_path, "plain", page_size)
+    sorted_cache = make_cache(tmp_path, "sorted", page_size)
+    plain, batched = BTree(plain_cache), BTree(sorted_cache)
+    rows = [(encode_key(vid), b"v" * (vid % 30)) for vid in range(0, 600, 3)]
+    plain.bulk_load(rows)
+    batched.bulk_load(rows)
+    model = dict(rows)
+    replaces = Replaces(monkeypatch)
+    for batch in sorted_batches(rng, page_size, 60):
+        written_one_by_one(plain, batch)
+        if rng.random() < 0.5:
+            batched.insert_sorted(batch)
+        else:
+            with batched.positioned():
+                batched.insert_sorted(batch)
+        model.update((key, bytes(value)) for key, value in batch)
+        assert pinned(sorted_cache) == {}
+        assert batched.smo_counter == plain.smo_counter
+        assert len(batched) == len(plain) == len(model)
+        assert page_images(sorted_cache) == page_images(plain_cache)
+    assert list(batched.scan()) == list(plain.scan()) == sorted(model.items())
+    assert replaces.replaced > 0 and batched.smo_counter > 0
+
+
+@pytest.mark.parametrize("page_size", [256, 4096])
+@pytest.mark.parametrize("seed", range(2))
+def test_an_lsm_sorted_batch_is_its_inserts(tmp_path, page_size, seed):
+    rng = random.Random(seed)
+    plain_cache = make_cache(tmp_path, "plain", page_size)
+    sorted_cache = make_cache(tmp_path, "sorted", page_size)
+    budget = 6 * page_size
+    plain = LSMBTree(plain_cache, memory_budget_bytes=budget, name="t")
+    batched = LSMBTree(sorted_cache, memory_budget_bytes=budget, name="t")
+    model = {}
+    for batch in sorted_batches(rng, page_size, 40):
+        written_one_by_one(plain, batch)
+        batched.insert_sorted(batch)
+        model.update((key, bytes(value)) for key, value in batch)
+    assert batched.flushes == plain.flushes > 0
+    assert page_images(sorted_cache) == page_images(plain_cache)
+    assert list(batched.scan()) == list(plain.scan()) == sorted(model.items())
+
+
+@pytest.mark.parametrize("make", [BTree, LSMBTree])
+def test_a_sorted_batch_rejects_what_insert_rejects(tmp_path, make):
+    plain_cache = make_cache(tmp_path, "plain", 256)
+    sorted_cache = make_cache(tmp_path, "sorted", 256)
+    plain, batched = make(plain_cache), make(sorted_cache)
+    rows = [(encode_key(vid), b"v" * 8) for vid in range(0, 60, 2)]
+    plain.bulk_load(rows)
+    batched.bulk_load(rows)
+    for bad in [("k", b"v"), (7, b"v"), (encode_key(31), "v"), (encode_key(32), None)]:
+        batch = [(encode_key(10), b"w" * 8), (encode_key(11), b"new"), bad,
+                 (encode_key(40), b"late")]
+        with pytest.raises(TypeError) as one_by_one:
+            written_one_by_one(plain, batch)
+        with pytest.raises(TypeError) as at_once:
+            batched.insert_sorted(batch)
+        assert str(at_once.value) == str(one_by_one.value)
+        assert pinned(sorted_cache) == {}
+        assert page_images(sorted_cache) == page_images(plain_cache)
+        assert list(batched.scan()) == list(plain.scan())

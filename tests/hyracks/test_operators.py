@@ -29,6 +29,8 @@ from repro.hyracks.operators.join import (
     IndexFullOuterJoinOperator,
     IndexLeftOuterJoinOperator,
     MergeChooseOperator,
+    _full_outer_join,
+    _outer_merge,
 )
 from repro.hyracks.operators.sort import ExternalSortOperator
 from repro.hyracks.storage.btree import BTree
@@ -203,6 +205,47 @@ class TestJoins:
         op = IndexFullOuterJoinOperator("vertex")
         out = op.run(ctx, 0, [[]])[op.OUT]
         assert out == [(encode_key(1), None, b"v1")]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_full_outer_join_is_the_merge(self, ctx, seed):
+        """Random sorted sides — messages to keys the index lacks
+        interleaved with keys no message reaches, either side empty —
+        join as ``_outer_merge`` does; so does a message key repeated,
+        which takes the merge itself."""
+        rng = random.Random(seed)
+        for _ in range(20):
+            universe = rng.sample(range(-500, 500), rng.randrange(0, 80))
+            indexed = sorted(rng.sample(universe, rng.randrange(0, len(universe) + 1)))
+            addressed = sorted(rng.sample(universe, rng.randrange(0, len(universe) + 1)))
+            scanned = [(encode_key(vid), b"v%d" % vid) for vid in indexed]
+            messages = [
+                (encode_key(vid), rng.choice([b"m%d" % vid, None])) for vid in addressed
+            ]
+            if messages and rng.random() < 0.3:
+                at = rng.randrange(len(messages))
+                messages.insert(at, (messages[at][0], b"again"))
+            expected = list(_outer_merge(messages, scanned))
+            assert _full_outer_join(messages, scanned) == expected
+        build_vertex_index(ctx, [(vid, b"v%d" % vid) for vid in (2, 4, 6)])
+        op = IndexFullOuterJoinOperator("vertex")
+        repeated = [(encode_key(4), b"a"), (encode_key(4), b"b"), (encode_key(5), b"c")]
+        assert op.run(ctx, 0, [repeated])[op.OUT] == [
+            (encode_key(2), None, b"v2"),
+            (encode_key(4), b"a", b"v4"),
+            (encode_key(4), b"b", None),
+            (encode_key(5), b"c", None),
+            (encode_key(6), None, b"v6"),
+        ]
+
+    def test_full_outer_join_empty_index(self, ctx):
+        build_vertex_index(ctx, [])
+        op = IndexFullOuterJoinOperator("vertex")
+        messages = [(encode_key(1), b"m1"), (encode_key(2), b"m2")]
+        assert op.run(ctx, 0, [messages])[op.OUT] == [
+            (encode_key(1), b"m1", None),
+            (encode_key(2), b"m2", None),
+        ]
+        assert op.run(ctx, 0, [[]])[op.OUT] == []
 
     def test_left_outer_join_probes(self, ctx):
         build_vertex_index(ctx, [(1, b"v1"), (2, b"v2")])

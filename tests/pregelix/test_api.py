@@ -102,6 +102,30 @@ class TestVertexBinding:
         assert vertex._outbox == []
         assert not vertex._halted
 
+    @pytest.mark.parametrize(
+        "name", ["vertex_id", "superstep", "num_vertices", "num_edges", "global_aggregate"]
+    )
+    def test_framework_state_is_read_only(self, name):
+        vertex = self.make_bound()
+        before = getattr(vertex, name)
+        with pytest.raises(AttributeError):
+            setattr(vertex, name, 3)
+        assert getattr(vertex, name) == before
+
+    def test_a_superstep_bind_collects_every_vertex_into_its_lists(self):
+        vertex = EchoVertex()
+        outbox, contributions, mutations = [], [], []
+        vertex._bind_superstep(5, 1.0, 10, 20, outbox, contributions, mutations)
+        for vid in (1, 2):
+            vertex._bind_vertex(vid, 0.0, [(vid + 1, None)])
+            vertex.send_message_to_all_edges(vid)
+            vertex.aggregate(vid)
+            vertex.remove_vertex(vid)
+            assert (vertex.vertex_id, vertex.superstep, vertex.num_edges) == (vid, 5, 20)
+        assert outbox == [(2, 1), (3, 2)]
+        assert contributions == [(None, 1), (None, 2)]
+        assert mutations == [("delete", 1, None, None), ("delete", 2, None, None)]
+
     def test_compute_must_be_overridden(self):
         with pytest.raises(NotImplementedError):
             Vertex().compute(iter(()))

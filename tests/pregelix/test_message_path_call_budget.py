@@ -17,7 +17,8 @@ or a sort-key lambda wired back into ``_message_groupby`` fails here.
 
 Where the path starts, ``Compute`` pays nothing per edge of a program
 that only counts its edges and sends to all of them (PageRank): the
-count and the targets come off the stored edge image.
+count and the targets come off the stored edge image. Per vertex it pays
+the program's own frames and a few of its row's, not the framework's.
 
 Counted under ``sys.setprofile``: ``"call"`` events are Python frames
 entered (a generator resumed counts; C functions are ``"c_call"``).
@@ -52,7 +53,7 @@ from repro.pregelix.api import (
     SumCombiner,
 )
 from repro.pregelix.multiquery import LanePairSerde, MultiQueryCombiner
-from repro.pregelix.operators import ComputeOperator
+from repro.pregelix.operators import WRITE_BACK_CHUNK, ComputeOperator
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 from repro.pregelix.relations import RunRelations
 from repro.pregelix.types import GlobalState, VertexRecord
@@ -285,6 +286,26 @@ def ctx(tmp_path):
         yield TaskContext(cluster.nodes["node0"], JobContext("budget"), 0, 1)
 
 
+def pagerank_compute(ctx, vertices, degree):
+    """A PageRank ``Compute`` clone of superstep 2 over ``vertices`` rows
+    of out-degree ``degree``, and the join output it consumes (a message
+    for every vertex)."""
+    relations = RunRelations(
+        pagerank.build_job(), None, "budget-%d-%d" % (vertices, degree)
+    )
+    edges = [(target, 1.0) for target in range(degree)]
+    rows = [
+        (encode_key(vid), relations.encode_vertex(VertexRecord(vid, False, 0.5, edges)))
+        for vid in range(vertices)
+    ]
+    index = BTree(ctx.buffer_cache)
+    index.bulk_load(rows)
+    register_index(ctx, relations.vertex, 0, index)
+    gs = GlobalState(superstep=1, num_vertices=vertices, num_edges=vertices * degree)
+    compute = ComputeOperator(relations, gs, emit_live=False)
+    return compute, [(key, 0.25, data) for key, data in rows]
+
+
 def test_a_pagerank_compute_pays_nothing_per_edge(ctx):
     """The same calls per vertex at out-degree 1 and 50, C calls
     included: decoding an edge list into ``Edge`` tuples pays one
@@ -292,18 +313,7 @@ def test_a_pagerank_compute_pays_nothing_per_edge(ctx):
     vertices = 32
     measured = {}
     for degree in (1, 50):
-        relations = RunRelations(pagerank.build_job(), None, "budget-%d" % degree)
-        edges = [(target, 1.0) for target in range(degree)]
-        rows = [
-            (encode_key(vid), relations.encode_vertex(VertexRecord(vid, False, 0.5, edges)))
-            for vid in range(vertices)
-        ]
-        index = BTree(ctx.buffer_cache)
-        index.bulk_load(rows)
-        register_index(ctx, relations.vertex, 0, index)
-        gs = GlobalState(superstep=1, num_vertices=vertices, num_edges=vertices * degree)
-        compute = ComputeOperator(relations, gs, emit_live=False)
-        joined = [(key, 0.25, data) for key, data in rows]
+        compute, joined = pagerank_compute(ctx, vertices, degree)
         calls, out = python_calls(
             lambda: compute.run(ctx, 0, [joined]), events=("call", "c_call")
         )
@@ -311,3 +321,28 @@ def test_a_pagerank_compute_pays_nothing_per_edge(ctx):
         assert out[ComputeOperator.STATS] == [(0, 0)]
         measured[degree] = calls
     assert measured[1] == measured[50]
+
+
+#: Python frames ``Compute`` enters per PageRank vertex: the program's own
+#: (``compute``, the accessors it reads, counting and sending to its
+#: edges, the message bundle expanded), the row opened and closed, and
+#: one slot replaced on the held leaf. The framework binds the program
+#: once per partition.
+PER_PAGERANK_VERTEX = 22
+#: ... and per chunk of rows written back: the chunk's keys decoded
+#: (``INT64.loads_many``, its comprehension and ``_unpack_many``) and the
+#: ``insert_sorted`` call.
+PER_WRITE_BACK_CHUNK = 4
+
+
+def test_a_pagerank_compute_pays_a_frame_budget_per_vertex(ctx):
+    measured = {}
+    for vertices in (64, 128):
+        compute, joined = pagerank_compute(ctx, vertices, 2)
+        calls, out = python_calls(lambda: compute.run(ctx, 0, [joined]))
+        assert len(out[ComputeOperator.MSG]) == 2 * vertices
+        measured[vertices] = calls, -(-vertices // WRITE_BACK_CHUNK)
+    (calls_64, chunks_64), (calls_128, chunks_128) = measured[64], measured[128]
+    assert calls_128 - calls_64 <= (
+        PER_PAGERANK_VERTEX * 64 + PER_WRITE_BACK_CHUNK * (chunks_128 - chunks_64)
+    )

@@ -227,7 +227,7 @@ def test_the_row_written_back_is_the_whole_record_encoded(seed, value_kind, edge
             calls = list(counting.calls)
             after = program.edges
             assert written == reference.dumps(
-                (program._halted, program._value, [tuple(e) for e in after])
+                (program._halted, program.value, [tuple(e) for e in after])
             ), name
             assert edge_delta == len(after) - len(before), name
             assert all(isinstance(e, Edge) for e in after)
@@ -318,7 +318,7 @@ def test_sending_to_edges_nobody_read_is_sending_to_the_edges(value_kind, edge_k
                 edges = record.edges
             assert program._outbox == [(target, "m") for target, _ in edges], name
             assert written == relations.encode_vertex(
-                VertexRecord(1, False, program._value, edges)
+                VertexRecord(1, False, program.value, edges)
             ), name
             sent[name] = program._outbox, written
             if name == "ignores":

@@ -114,6 +114,104 @@ class TestComputeOperator:
         assert ctx.job.counters.get("vertices_processed") == 1
         assert out[ComputeOperator.HALT] == [True]
 
+    def test_a_partition_halts_only_when_nothing_stays_active_or_sends(self, ctx):
+        class HaltButSendOnce(Vertex):
+            def compute(self, messages):
+                self.vote_to_halt()
+                if self.vertex_id == 2:
+                    self.send_message(1, 1.0)
+
+        relations = RunRelations(PregelixJob("halts", HaltButSendOnce), None, "halts")
+        index = make_vertex_index(ctx, relations, [VertexRecord(vid=v) for v in (1, 2, 3)])
+        joined = [(encode_key(v), None, index.lookup(encode_key(v))) for v in (1, 2, 3)]
+        compute = ComputeOperator(relations, GlobalState(), emit_live=False)
+        out = compute.run(ctx, 0, [joined])
+        assert out[ComputeOperator.MSG] == [(1, 1.0)]
+        assert out[ComputeOperator.HALT] == [False]
+        # Every row halted now, and no message: nothing is processed.
+        joined = [(encode_key(v), None, index.lookup(encode_key(v))) for v in (1, 2, 3)]
+        out = compute.run(ctx, 0, [joined])
+        assert out[ComputeOperator.MSG] == []
+        assert out[ComputeOperator.HALT] == [True]
+        assert compute.run(ctx, 0, [[]])[ComputeOperator.HALT] == [True]
+
+        class ActiveButSilent(Vertex):
+            def compute(self, messages):
+                if self.vertex_id != 3:
+                    self.vote_to_halt()
+
+        relations = RunRelations(PregelixJob("silent", ActiveButSilent), None, "silent")
+        index = make_vertex_index(ctx, relations, [VertexRecord(vid=v) for v in (1, 3)])
+        joined = [(encode_key(v), None, index.lookup(encode_key(v))) for v in (1, 3)]
+        out = ComputeOperator(relations, GlobalState(), emit_live=False).run(ctx, 0, [joined])
+        assert out[ComputeOperator.MSG] == []
+        assert out[ComputeOperator.HALT] == [False]
+
+    def test_compute_resets_per_vertex_what_bind_vertex_sets_for_a_row(self, ctx):
+        # Compute binds the opened row once per partition and then sets
+        # per vertex only the fields ``Vertex._bind_vertex`` sets apart
+        # from the row: a field added to one must be added to the other.
+        assigned = []
+
+        class Recording(Vertex):
+            computing = False
+
+            def __setattr__(self, name, value):
+                if not type(self).computing:
+                    assigned.append(name)
+                object.__setattr__(self, name, value)
+
+            def compute(self, messages):
+                assigned.append(None)  # a vertex's bind ends here
+                type(self).computing = True
+                self.value = float(self.vertex_id)
+                self.vote_to_halt()
+                type(self).computing = False
+
+        relations = RunRelations(PregelixJob("bind", Recording), None, "bind")
+        row = relations.opened_row()
+        probe = Recording()
+        probe._bind_vertex(None, None, row)
+        first = dict(vars(probe))
+        del assigned[:]
+        probe._bind_vertex(7, 1.0, row)
+        row_fields = {"_read_edges", "_row"}
+        # What the row alone decides is the same for every vertex bound to it.
+        assert all(vars(probe)[name] == first[name] for name in row_fields)
+        per_vertex = set(assigned) - row_fields
+        assert per_vertex and row_fields <= set(assigned)
+
+        index = make_vertex_index(ctx, relations, [VertexRecord(vid=v) for v in (1, 2, 3)])
+        joined = [(encode_key(v), (1.0,), index.lookup(encode_key(v))) for v in (1, 2, 3)]
+        del assigned[:]
+        ComputeOperator(relations, GlobalState(), emit_live=False).run(ctx, 0, [joined])
+        binds = " ".join(name or "|" for name in assigned).split("|")
+        assert len(binds) == 4  # three computes
+        for between in binds[1:-1]:
+            assert set(between.split()) == per_vertex
+
+    def test_the_program_keeps_none_of_the_lists_its_ports_carry(self, ctx):
+        # A program in a reference cycle (a multi-query vertex and its
+        # lanes) outlives the run until the cyclic collector runs; the
+        # partition's outputs must not live that long with it.
+        programs = []
+
+        class Cyclic(Vertex):
+            def compute(self, messages):
+                self.me = self
+                programs.append(self)
+                self.send_message(1, 1.0)
+                self.aggregate(1)
+                self.remove_vertex(self.vertex_id)
+
+        relations = RunRelations(PregelixJob("cyclic", Cyclic), None, "cyclic")
+        index = make_vertex_index(ctx, relations, [VertexRecord(vid=v) for v in (1, 2)])
+        joined = [(encode_key(v), None, index.lookup(encode_key(v))) for v in (1, 2)]
+        out = ComputeOperator(relations, GlobalState(), emit_live=True).run(ctx, 0, [joined])
+        assert len(out[ComputeOperator.MSG]) == 2 and len(out[ComputeOperator.MUT]) == 2
+        held = list(vars(programs[0]).values())
+        assert not any(field is port for port in out.values() for field in held)
+
     def test_live_port_only_when_enabled(self, ctx):
         class StayAlive(Vertex):
             def compute(self, messages):

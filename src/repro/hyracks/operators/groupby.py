@@ -22,15 +22,18 @@ and what spilled runs store and are merged by.
 A fold is a batch per call. The sort strategies fold a sorted batch with
 ``fold_clustered``, the merge of spilled runs folds one merged round at a
 time with ``merge_rounds``, and HashSort fills its table a chunk of items
-per ``hash_fold`` call when the state is fixed-width — so an aggregator
-whose folds are written out (the message combiners over a built-in
-``Combiner``) pays no Python call per tuple, and a group goes out in a
-batch, not through a generator resumed per group. An aggregator that
-defines only ``create``/``step``/``merge`` gets the per-tuple loops,
-which are the contract.
+per ``hash_fold`` call when the state is fixed-width. A group goes out in
+a batch, not through a generator resumed per group. The message
+combiners' folds are three skeletons written once below (a sorted run, a
+round of a merge, a hash-table chunk), compiled over a combiner's fold
+fragments: a fragment written inline pays no Python call per tuple. An
+aggregator that defines only ``create``/``step``/``merge`` gets the
+per-tuple loops, which are the contract.
 """
 
 import functools
+import textwrap
+from collections import namedtuple
 from itertools import chain, starmap
 
 from repro.common.errors import StorageError
@@ -109,21 +112,10 @@ class GroupAggregator:
         stopped (a key's run may span lists). One list of ``(key,
         merged)`` per list, holding the runs that closed in it, and one
         more for the run still open at the end. A run's first state is
-        where its merge starts."""
-        merge = self.merge
-        current = state = None
-        for items in rounds:
-            closed = []
-            for key, partial in items:
-                if key == current:
-                    state = merge(state, partial)
-                else:
-                    if current is not None:
-                        closed.append((current, state))
-                    current, state = key, partial
-            yield closed
-        if current is not None:
-            yield [(current, state)]
+        where its merge starts. This is the rounds skeleton (below) over
+        ``self.merge``."""
+        build = _compiled(_MERGED_ROUNDS, "item", None, "merge(state, item)")
+        return build(None, None, self.merge)(rounds)
 
     def name_keys(self, keys):
         """``group_key`` over a batch of keys."""
@@ -137,9 +129,11 @@ class GroupAggregator:
     #: ``None``, or ``hash_fold(table, items, room)``: ``step`` over
     #: items drawn from the iterator ``items`` into a table keyed by their
     #: lead, up to the item that adds the ``room``-th new key, returning
-    #: how many keys it added, as ``Combiner.hash_fold`` does it — the
-    #: HashSort group-by's path for fixed-width states. An aggregator that offers it and names its
-    #: groups (``group_key``) writes every key at one width.
+    #: how many keys it added — the hash-chunk skeleton (below), as a
+    #: combiner's ``hash_fold``/``hash_merge`` compile it. It is the
+    #: HashSort group-by's path for fixed-width states. An aggregator that
+    #: offers it and names its groups (``group_key``) writes every key at
+    #: one width.
     hash_fold = None
 
 
@@ -173,6 +167,119 @@ class ListAggregator(GroupAggregator):
 
     def state_serde(self):
         return self._state_serde
+
+
+# ---------------------------------------------------------------------
+# The batch folds: one skeleton per shape the group-bys call
+# ---------------------------------------------------------------------
+#: How a fold grows a group's state, as Python source. ``open`` is an
+#: expression of ``item``, the message that opens a group; ``step`` (a
+#: message folded in) and ``merge`` (a partial folded in) are each
+#: ``(when, value)``: the state becomes ``value`` when ``when`` holds
+#: (``None``: always), both expressions of ``state`` and ``item``. The
+#: source may call ``init``, ``accumulate`` and ``merge``, the folding
+#: object's own methods. A partial opens a group as it is (``item``).
+FoldSource = namedtuple("FoldSource", ["open", "step", "merge"])
+
+#: ``fold_sorted(items)``: every run of adjacent ``(vid, item)`` items
+#: with equal vids folded, ``(vids, states)``, two lists holding one entry
+#: per run, in order (two lists, not a pair per run: a batch's groups cost
+#: two list slots each until they are named).
+_SORTED_RUN = """
+def fold(items):
+    vids, states = [], []
+    open_, close = vids.append, states.append
+    current = state = None
+    for vid, item in items:
+        if vid != current:
+            if current is not None:
+                close(state)
+            open_(vid)
+            current, state = vid, {open}
+        {fold}
+            state = {value}
+    if current is not None:
+        close(state)
+    return vids, states
+"""
+
+#: ``merge_rounds(rounds)``: sorted lists of ``(key, item)``, each going
+#: on where the one before stopped (a key's run may span lists): one list
+#: of closed ``(key, state)`` per list, and one more for the run still
+#: open at the end.
+_MERGED_ROUNDS = """
+def fold(rounds):
+    current = state = None
+    for items in rounds:
+        closed = []
+        append = closed.append
+        for key, item in items:
+            if key != current:
+                if current is not None:
+                    append((current, state))
+                current, state = key, {open}
+            {fold}
+                state = {value}
+        yield closed
+    if current is not None:
+        yield [(current, state)]
+"""
+
+#: ``hash_fold(table, items, room)``: ``(key, item)`` items, drawn from
+#: the iterator ``items``, folded into ``table`` (key -> state), stopping
+#: right after the item that adds the ``room``-th key new to it: how many
+#: keys it added, fewer than ``room`` only when ``items`` ran out. Made
+#: for fixed-width states, whose size only a new key changes; a state is
+#: stored only when the fold changes it.
+_HASH_CHUNK = """
+def fold(table, items, room):
+    get = table.get
+    added = 0
+    for key, item in items:
+        state = get(key, MISSING)
+        if state is MISSING:
+            table[key] = {open}
+            added += 1
+            if added == room:
+                break
+        {fold}
+            table[key] = {value}
+    return added
+"""
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(skeleton, open_, when, value):
+    """``build(init, accumulate, merge)``, which gives ``skeleton``'s fold
+    over the fragments, calling the three it is given. Plans fold with the
+    same few sources again every superstep; each is compiled once."""
+    source = skeleton.format(
+        open=open_, value=value, fold="else:" if when is None else "elif %s:" % when
+    )
+    namespace = {"MISSING": _MISSING}
+    exec(
+        "def build(init, accumulate, merge):%s    return fold\n"
+        % textwrap.indent(source, "    "),
+        namespace,
+    )
+    return namespace["build"]
+
+
+def batch_folds(source, init, accumulate, merge):
+    """The four batch folds of a :class:`FoldSource`, bound to the
+    ``init``, ``accumulate`` and ``merge`` it may call: ``fold_sorted``
+    and ``hash_fold`` open and step with messages, ``merge_rounds`` and
+    ``hash_merge`` merge partials."""
+    shapes = {
+        "fold_sorted": (_SORTED_RUN, source.open, source.step),
+        "merge_rounds": (_MERGED_ROUNDS, "item", source.merge),
+        "hash_fold": (_HASH_CHUNK, source.open, source.step),
+        "hash_merge": (_HASH_CHUNK, "item", source.merge),
+    }
+    return {
+        name: _compiled(skeleton, open_, *fold)(init, accumulate, merge)
+        for name, (skeleton, open_, fold) in shapes.items()
+    }
 
 
 class _SpillingGroupByBase(OperatorDescriptor):

@@ -16,13 +16,10 @@ from dataclasses import dataclass
 
 from repro.common import serde
 from repro.common.errors import GraphMutationConflict, ReproError
-from repro.hyracks.operators.groupby import GroupAggregator
+from repro.hyracks.operators.groupby import FoldSource, batch_folds
 
 Edge = namedtuple("Edge", ["target", "value"])
 _TARGET = operator.attrgetter("target")
-#: What a combiner's hash table holds for a vid it has not seen (a state
-#: may be ``None``).
-_MISSING = object()
 
 
 class Vertex:
@@ -220,6 +217,36 @@ class Vertex:
         self._bind_vertex(vid, value, edges)
 
 
+class _BatchFold:
+    """One of a combiner's four batch folds. The first use compiles them
+    for the instance's type and binds them to the instance, as instance
+    attributes, so a plan reads them with no call."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, combiner, owner=None):
+        if combiner is None:
+            return self
+        folds = batch_folds(
+            _fold_source(type(combiner)),
+            combiner.init, combiner.accumulate, combiner.merge,
+        )
+        vars(combiner).update(folds)
+        return folds[self.name]
+
+
+def _fold_source(cls):
+    """The fold fragments of the class that declares ``cls``'s, while
+    ``cls``'s ``init``, ``accumulate`` and ``merge`` are that class's;
+    else the per-message ones."""
+    declaring = next(c for c in cls.__mro__ if "fold_source" in vars(c))
+    if all(getattr(cls, name) is getattr(declaring, name)
+           for name in ("init", "accumulate", "merge")):
+        return declaring.fold_source
+    return Combiner.fold_source
+
+
 class Combiner:
     """Message combiner: pre-aggregates messages per destination.
 
@@ -227,7 +254,31 @@ class Combiner:
     (sender side and receiver side, paper Section 5.3.1). ``finish``
     produces the stored *bundle*; ``expand`` turns a bundle back into the
     message iterator handed to ``compute``.
+
+    The group-bys fold a batch per call: ``fold_sorted``,
+    ``merge_rounds``, ``hash_fold`` and ``hash_merge`` are the skeletons
+    of :func:`~repro.hyracks.operators.groupby.batch_folds`, compiled over
+    :attr:`fold_source` and bound to the instance when it first folds. A
+    class writes its fold inline there, not as methods; the group-bys use
+    it only while ``init``, ``accumulate`` and ``merge`` are the ones it
+    was written for, so a subclass that overrides one of them folds
+    through the per-message calls.
     """
+
+    #: How a message opens a state, how a message folds in and how a
+    #: partial folds in (a :class:`~repro.hyracks.operators.groupby.
+    #: FoldSource`): here ``init``/``accumulate``/``merge`` called per
+    #: message, the contract every inline fold keeps.
+    fold_source = FoldSource(
+        "accumulate(init(), item)",
+        (None, "accumulate(state, item)"),
+        (None, "merge(state, item)"),
+    )
+
+    fold_sorted = _BatchFold()
+    merge_rounds = _BatchFold()
+    hash_fold = _BatchFold()
+    hash_merge = _BatchFold()
 
     def init(self):
         raise NotImplementedError
@@ -248,74 +299,6 @@ class Combiner:
     def bundle_serde(self, msg_serde):
         """Serde for stored bundles; defaults to the message serde."""
         return msg_serde
-
-    # The batch folds the group-bys call, once per batch. Each default is
-    # the per-message loop over ``init``/``accumulate``/``merge``, and
-    # that loop is the contract: an override may reach the operator
-    # without a call per message, never fold differently.
-    def fold_sorted(self, items):
-        """Fold every run of adjacent ``(vid, payload)`` items with equal
-        vids: ``(vids, states)``, two lists holding one entry per run, in
-        order (two lists, not a pair per run: a batch's groups cost two
-        list slots each until they are named)."""
-        init, accumulate = self.init, self.accumulate
-        vids, states = [], []
-        current = state = None
-        for vid, payload in items:
-            if vid != current:
-                if current is not None:
-                    states.append(state)
-                vids.append(vid)
-                current = vid
-                state = init()
-            state = accumulate(state, payload)
-        if current is not None:
-            states.append(state)
-        return vids, states
-
-    #: ``merge`` over sorted lists of ``(key, partial)``, each list going
-    #: on where the one before stopped (a key's run may span lists): one
-    #: list of closed ``(key, merged)`` per list, and one more for the run
-    #: still open at the end. A run's first partial is its state. The
-    #: loop is a group-by aggregator's, over this combiner's ``merge``.
-    merge_rounds = GroupAggregator.merge_rounds
-
-    def hash_fold(self, table, items, room):
-        """Fold ``(vid, payload)`` items, drawn from the iterator
-        ``items``, into ``table`` (vid -> state), stopping right after
-        the item that adds the ``room``-th vid new to it: how many vids
-        it added, fewer than ``room`` only when ``items`` ran out. Made
-        for fixed-width states, whose size only a new vid changes."""
-        init, accumulate = self.init, self.accumulate
-        get = table.get
-        added = 0
-        for vid, payload in items:
-            state = get(vid, _MISSING)
-            if state is _MISSING:
-                table[vid] = accumulate(init(), payload)
-                added += 1
-                if added == room:
-                    break
-            else:
-                table[vid] = accumulate(state, payload)
-        return added
-
-    def hash_merge(self, table, items, room):
-        """:meth:`hash_fold` over ``(key, partial)`` items: a key's first
-        partial is its state, and the rest ``merge`` into it."""
-        merge = self.merge
-        get = table.get
-        added = 0
-        for key, partial in items:
-            state = get(key, _MISSING)
-            if state is _MISSING:
-                table[key] = partial
-                added += 1
-                if added == room:
-                    break
-            else:
-                table[key] = merge(state, partial)
-        return added
 
 
 class DefaultListCombiner(Combiner):
@@ -339,22 +322,29 @@ class DefaultListCombiner(Combiner):
         return serde.ListSerde(msg_serde)
 
 
-# The built-in scalar combiners write their operator into the batch
-# folds: no Python call per message. Those folds do not call ``init``,
-# ``accumulate`` or ``merge``, so a subclass that overrides one of them
-# overrides the batch folds too (or subclasses :class:`Combiner`).
+def _extreme_fold(better):
+    """The fold of an extreme: a message or partial replaces the state
+    only when it compares ``better`` (``<``/``>``) to it, and a ``None``
+    state or partial holds no message yet."""
+    return FoldSource(
+        "item",
+        ("state is None or item %s state" % better, "item"),
+        ("item is not None and (state is None or item %s state)" % better, "item"),
+    )
+
+
 class _ExtremeCombiner(Combiner):
     """Keep one extreme message. A subclass sets ``_pick``, the
-    per-message operator (``min``/``max``), and ``_better``, the
-    comparison it makes (``operator.lt``/``operator.gt``).
+    per-message operator (``min``/``max``), and its fold, the comparison
+    ``_pick`` makes written inline (:func:`_extreme_fold`).
 
-    ``_pick(state, payload)`` keeps ``state`` unless ``_better(payload,
-    state)``, so the batch folds replace a state only then: the first
+    ``_pick(state, payload)`` keeps ``state`` unless ``payload`` compares
+    better, so the inline fold replaces a state only then: the first
     extreme of a run wins, a NaN is kept or passed over as it is, and a
     ``None`` payload next to a state raises the same ``TypeError``. A
     ``None`` state or partial holds no message yet."""
 
-    _pick = _better = None
+    _pick = None
 
     def init(self):
         return None
@@ -369,89 +359,22 @@ class _ExtremeCombiner(Combiner):
             return left
         return self._pick(left, right)
 
-    def fold_sorted(self, items):
-        better = self._better
-        vids, states = [], []
-        open_, close = vids.append, states.append
-        current = state = None
-        for vid, payload in items:
-            if vid == current:
-                if state is None or better(payload, state):
-                    state = payload
-            else:
-                if current is not None:
-                    close(state)
-                open_(vid)
-                current, state = vid, payload
-        if current is not None:
-            close(state)
-        return vids, states
-
-    def merge_rounds(self, rounds):
-        better = self._better
-        current = state = None
-        for items in rounds:
-            closed = []
-            append = closed.append
-            for key, partial in items:
-                if key == current:
-                    if partial is not None and (state is None or better(partial, state)):
-                        state = partial
-                else:
-                    if current is not None:
-                        append((current, state))
-                    current, state = key, partial
-            yield closed
-        if current is not None:
-            yield [(current, state)]
-
-    def hash_fold(self, table, items, room):
-        better = self._better
-        get = table.get
-        added = 0
-        for vid, payload in items:
-            state = get(vid, _MISSING)
-            if state is _MISSING:
-                table[vid] = payload
-                added += 1
-                if added == room:
-                    break
-            elif state is None or better(payload, state):
-                table[vid] = payload
-        return added
-
-    def hash_merge(self, table, items, room):
-        better = self._better
-        get = table.get
-        added = 0
-        for key, partial in items:
-            state = get(key, _MISSING)
-            if state is _MISSING:
-                table[key] = partial
-                added += 1
-                if added == room:
-                    break
-            elif partial is not None and (state is None or better(partial, state)):
-                table[key] = partial
-        return added
-
 
 class MinCombiner(_ExtremeCombiner):
-    """Keep only the minimum message (e.g. shortest-path distances). A
-    subclass that overrides ``init``, ``accumulate`` or ``merge``
-    overrides the batch folds too."""
+    """Keep only the minimum message (e.g. shortest-path distances),
+    folded with an inline ``<``."""
 
-    _pick, _better = min, operator.lt
+    _pick = min
+    fold_source = _extreme_fold("<")
 
 
 class SumCombiner(Combiner):
-    """Sum all messages (e.g. PageRank contributions). A subclass that
-    overrides ``init``, ``accumulate`` or ``merge`` overrides the batch
-    folds too.
+    """Sum all messages (e.g. PageRank contributions), folded with an
+    inline ``+``: left to right from ``init()`` (``0.0 + payload`` opens
+    a run, so a lone ``-0.0`` is ``0.0``), as the per-message loop does;
+    ``sum()`` would not (it compensates from Python 3.12 on)."""
 
-    The batch folds add left to right from ``init()`` (``0.0 + payload``
-    opens a run, so a lone ``-0.0`` is ``0.0``), as the per-message loop
-    does; ``sum()`` would not (it compensates from Python 3.12 on)."""
+    fold_source = FoldSource("0.0 + item", (None, "state + item"), (None, "state + item"))
 
     def init(self):
         return 0.0
@@ -462,73 +385,13 @@ class SumCombiner(Combiner):
     def merge(self, left, right):
         return left + right
 
-    def fold_sorted(self, items):
-        vids, states = [], []
-        open_, close = vids.append, states.append
-        current = state = None
-        for vid, payload in items:
-            if vid == current:
-                state = state + payload
-            else:
-                if current is not None:
-                    close(state)
-                open_(vid)
-                current, state = vid, 0.0 + payload
-        if current is not None:
-            close(state)
-        return vids, states
-
-    def merge_rounds(self, rounds):
-        current = state = None
-        for items in rounds:
-            closed = []
-            append = closed.append
-            for key, partial in items:
-                if key == current:
-                    state = state + partial
-                else:
-                    if current is not None:
-                        append((current, state))
-                    current, state = key, partial
-            yield closed
-        if current is not None:
-            yield [(current, state)]
-
-    def hash_fold(self, table, items, room):
-        get = table.get
-        added = 0
-        for vid, payload in items:
-            state = get(vid, _MISSING)
-            if state is _MISSING:
-                table[vid] = 0.0 + payload
-                added += 1
-                if added == room:
-                    break
-            else:
-                table[vid] = state + payload
-        return added
-
-    def hash_merge(self, table, items, room):
-        get = table.get
-        added = 0
-        for key, partial in items:
-            state = get(key, _MISSING)
-            if state is _MISSING:
-                table[key] = partial
-                added += 1
-                if added == room:
-                    break
-            else:
-                table[key] = state + partial
-        return added
-
 
 class MaxCombiner(_ExtremeCombiner):
-    """Keep only the maximum message (e.g. max-id label propagation). A
-    subclass that overrides ``init``, ``accumulate`` or ``merge``
-    overrides the batch folds too."""
+    """Keep only the maximum message (e.g. max-id label propagation),
+    folded with an inline ``>``."""
 
-    _pick, _better = max, operator.gt
+    _pick = max
+    fold_source = _extreme_fold(">")
 
 
 class GlobalAggregator:

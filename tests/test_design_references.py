@@ -84,3 +84,15 @@ def test_reference_resolves(where, number, title):
         assert any(title.lower() in heading.lower() for heading in headings), (
             "%s cites %r, not a heading of DESIGN.md%s"
             % (where, title, " §%d" % number if number else ""))
+
+
+#: DESIGN.md describes the system in at most this many lines: a change
+#: edits the section that owns a fact instead of appending one.
+DESIGN_MAX_LINES = 900
+
+
+def test_design_stays_within_its_line_cap():
+    with open(os.path.join(ROOT, "DESIGN.md")) as handle:
+        lines = sum(1 for _ in handle)
+    assert lines <= DESIGN_MAX_LINES, (
+        "DESIGN.md is %d lines, over its cap of %d" % (lines, DESIGN_MAX_LINES))

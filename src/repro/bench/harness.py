@@ -115,11 +115,6 @@ class ExperimentEnv:
         return nbytes / aggregate
 
 
-def paper_cluster_budget(env, family, paper_machines=PAPER_MACHINES):
-    """(node_memory_bytes, num_nodes) for the default sweep cluster."""
-    return env.node_memory(family, paper_machines), env.num_nodes
-
-
 def fold_costs(load_cost, superstep_costs, scale, barrier):
     """A run's ``(cpu, disk, net)`` tuples at simulation scale -> the
     ``sim_*`` fields of its :class:`Measurement`, for every system."""

@@ -29,7 +29,7 @@ import sys
 
 from repro.algorithms import ALGORITHMS, algorithm_module
 from repro.bench.gates import GATES, run_gate, summary_lines
-from repro.common.errors import ReproError
+from repro.common.errors import JobFailure, ReproError
 from repro.pregelix.api import (
     CONNECTOR_CODES,
     GROUPBY_CODES,
@@ -142,6 +142,15 @@ def _dataset_spec(spec):
     if not sep or not name or not directory:
         raise argparse.ArgumentTypeError("expected NAME=DIR, got %r" % spec)
     return name, directory
+
+
+def _serve_url(text):
+    """``--url``: a base URL :class:`~repro.serve.client.ServeClient`
+    accepts (it connects on its first request, not here)."""
+    from repro.serve.client import ServeClient
+
+    ServeClient(text, timeout=None)
+    return text
 
 
 def _add_plan_arguments(parser, axes=tuple(PLAN_AXES)):
@@ -266,7 +275,7 @@ def build_parser():
              "'demo' (handy for the kill -9 recovery walkthrough)",
     )
     serve.add_argument(
-        "--url", default=None, metavar="URL",
+        "--url", type=_flag_type(_serve_url), default=None, metavar="URL",
         help="base URL of the service to watch with 'serve top' "
              "(default http://HOST:PORT from --host/--port)",
     )
@@ -438,7 +447,8 @@ def _session(args, execute, out, telemetry=None):
     whose DFS holds the ``--input`` part files, ``execute(driver,
     output_path)`` (which prints its own report), then the ``--output``
     part files exported. Returns the exit status: 2 when ``--input``
-    cannot be ingested."""
+    cannot be ingested, 1 when the job fails (one ``error:`` line
+    each)."""
     from repro.graphs.io import export_part_files, ingest_part_files
     from repro.hdfs import MiniDFS
     from repro.hyracks.engine import HyracksCluster
@@ -449,10 +459,15 @@ def _session(args, execute, out, telemetry=None):
         dfs = MiniDFS(datanodes=cluster.node_ids())
         try:
             ingest_part_files(dfs, args.input, "/input")
-        except ReproError as error:
+        except (ReproError, OSError) as error:
             out("error: %s" % error)
             return 2
-        execute(PregelixDriver(cluster, dfs), "/output" if args.output else None)
+        try:
+            execute(PregelixDriver(cluster, dfs),
+                    "/output" if args.output else None)
+        except JobFailure as error:
+            out("error: %s" % error)
+            return 1
         if args.output:
             export_part_files(dfs, "/output", args.output)
             if not args.json:
@@ -796,22 +811,18 @@ def _serve_top(args, out=print):
     """
     import json as json_module
     import time
-    import urllib.error
-    import urllib.request
+
+    from repro.serve.client import ServeClient
 
     base = (args.url or "http://%s:%d" % (args.host, args.port)).rstrip("/")
+    client = ServeClient(base, timeout=10)
 
     def fetch(path):
         try:
-            with urllib.request.urlopen(base + path, timeout=10) as response:
-                return json_module.loads(response.read())
-        except urllib.error.HTTPError as error:
-            try:
-                error.read()
-            finally:
-                error.close()
-            return None  # the frame renders without that section
-        except (urllib.error.URLError, OSError, ValueError) as error:
+            status, _headers, data = client.request("GET", path)
+            # A refused section renders the frame without it.
+            return json_module.loads(data) if status == 200 else None
+        except (OSError, ValueError) as error:
             raise ConnectionError("%s: %s" % (base + path, error))
 
     rounds = 0
@@ -832,6 +843,8 @@ def _serve_top(args, out=print):
             time.sleep(max(args.interval, 0.05))
     except KeyboardInterrupt:
         return 0
+    finally:
+        client.close()
 
 
 def cmd_figures(args, out=print):

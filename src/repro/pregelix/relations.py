@@ -20,9 +20,11 @@ registry is :mod:`repro.hyracks.operators.index_ops`, which knows no
 relation. A partition nobody has written yet is an empty relation.
 """
 
+import struct
 from functools import partial
 from operator import is_, itemgetter
 
+from repro.common.errors import JobFailure
 from repro.common.serde import decode_key
 from repro.hyracks.operators.index_ops import drop_indexes
 from repro.hyracks.storage.btree import BTree
@@ -274,7 +276,16 @@ class OpenedRow:
         else:
             edge_delta = len(edges) - self.edge_count()
             image = self._edge_list.dumps(edges)
-        return self._row.dumps((program._halted, program.value, image)), edge_delta
+        try:
+            row = self._row.dumps((program._halted, program.value, image))
+        except struct.error as error:
+            # The halt flag and the edge image always encode: the value
+            # is what outgrew its serde (an INT64 past 2**63, say).
+            raise JobFailure(
+                "vertex %r: field 'value' does not fit the job's value "
+                "serde (%s)" % (program._vid, error), cause=error,
+            ) from error
+        return row, edge_delta
 
 
 def _file_stem(name, partition):

@@ -9,7 +9,8 @@ admission control (:mod:`repro.serve.admission`), weighted fair-share
 scheduling (:mod:`repro.serve.queue`), one dispatch → run → commit path
 (:mod:`repro.serve.executor` — a lone job is a batch of one), and a
 result cache (:mod:`repro.serve.cache`); :mod:`repro.serve.http` exposes
-the whole thing over plain HTTP.
+the whole thing over plain HTTP, and :mod:`repro.serve.client` is its
+client.
 
 Crash safety (DESIGN.md §6): :mod:`repro.serve.lifecycle` writes every
 job lifecycle transition ahead to :mod:`repro.serve.journal` so a
@@ -40,6 +41,7 @@ _EXPORTS = {
                 "result_document"),
         ("autoscale", "AutoscalePolicy Autoscaler"),
         ("cache", "LRUCache PlanCache ResultCache plan_class result_digest"),
+        ("client", "ServeClient"),
         ("config", "ServeConfig"),
         ("datasets", "Dataset"),
         ("history", "HistorySampler"),

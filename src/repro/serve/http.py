@@ -45,13 +45,16 @@ recently finished jobs (its ``result_digest`` stays on the job record;
 re-submitting the request re-serves it, from the result cache while that
 holds it).
 
-Transport: every response leaves as one write on a ``TCP_NODELAY``
-connection (see :meth:`_Handler._send`), and a connection that stays
-silent for :data:`READ_TIMEOUT_SECONDS` is closed.
+Transport: every response — the stdlib's own refusals included — leaves
+as one write on a ``TCP_NODELAY`` connection (see :meth:`_Handler._send`);
+a response after which the server closes the connection says
+``Connection: close``, and a connection that stays silent for
+:data:`READ_TIMEOUT_SECONDS` is closed.
 """
 
 import json
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
@@ -280,6 +283,16 @@ class _Handler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ValueError("invalid JSON body: %s" % error)
 
+    def send_error(self, code, message=None, explain=None):
+        """What the stdlib refuses itself — a bad request line (400), a
+        URI over 64 KiB (414), over 100 headers or a 64 KiB header line
+        (431), a method no ``do_*`` serves (501) — leaves through
+        :meth:`_error` like every other error, and closes the
+        connection: what is left of the request was never read."""
+        self.close_connection = True
+        status = HTTPStatus(code)
+        self._error(status.value, status.name.lower(), message or status.phrase)
+
     def _error(self, status, code, reason, details=None, headers=None):
         """Every error body shares the rejection document's shape."""
         rejection = Rejection(code=code, reason=reason, details=details or {})
@@ -305,6 +318,8 @@ class _Handler(BaseHTTPRequestHandler):
             "Content-Type: " + content_type,
             "Content-Length: %d" % len(body),
         ]
+        if self.close_connection:
+            lines.append("Connection: close")
         lines.extend("%s: %s" % item for item in (headers or {}).items())
         head = "\r\n".join(lines) + "\r\n\r\n"
         self.log_request(status)

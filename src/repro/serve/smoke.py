@@ -1,12 +1,13 @@
 """The two CI smokes behind ``repro serve --smoke`` / ``--smoke-restart``.
 
-Both drive a real HTTP listener end to end and print one ``ok``/``FAIL``
+Both drive a real HTTP listener end to end through one
+:class:`~repro.serve.client.ServeClient` and print one ``ok``/``FAIL``
 line per check, then a ``PASS``/``FAIL`` verdict; the exit code is 0
-only when every check held. They share one check ledger, one JSON HTTP
-client and one poll-until helper (:class:`_Smoke`). The client is one
-keep-alive connection — the shape of a real polling client, and the one
-on which a response split over two writes stalls for a delayed ACK —
-and it times every round trip, so ``--smoke`` also guards the transport.
+only when every check held (:class:`_Smoke`, the check ledger). The
+client is one keep-alive connection — the shape of a real polling
+client, and the one on which a response split over two writes stalls
+for a delayed ACK — and it times every round trip, so ``--smoke`` also
+guards the transport.
 """
 
 import json
@@ -19,8 +20,6 @@ import sys
 import tempfile
 import threading
 import time
-from http.client import HTTPConnection
-from urllib.parse import urlsplit
 
 import repro
 from repro.algorithms import algorithm_module
@@ -31,24 +30,22 @@ from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.serve.admission import TenantQuota
 from repro.serve.api import JobState
+from repro.serve.client import ServeClient
 from repro.serve.config import ServeConfig
 from repro.serve.http import ServeHTTPServer
 from repro.serve.service import JobService
+from repro.telemetry.prometheus import parse_exposition
 
 #: ``--smoke`` fails when the median keep-alive round trip is slower.
 ROUND_TRIP_P50_BOUND = 0.020
 
 
 class _Smoke:
-    """Check ledger + JSON-over-HTTP client for one smoke run."""
+    """The check ledger of one smoke run."""
 
-    def __init__(self, out, timeout):
+    def __init__(self, out):
         self.out = out
-        self.timeout = timeout
-        self.base = None
         self.failures = []
-        self.round_trips = []
-        self._connection = None
 
     def check(self, label, ok, detail=""):
         self.out("%s %s%s" % ("ok  " if ok else "FAIL", label,
@@ -56,41 +53,7 @@ class _Smoke:
         if not ok:
             self.failures.append(label)
 
-    def request(self, method, path, body=None):
-        """One timed round trip on the keep-alive connection; returns
-        ``(status, body bytes)``."""
-        if self._connection is None:
-            self._connection = HTTPConnection(
-                urlsplit(self.base).netloc, timeout=self.timeout
-            )
-        started = time.perf_counter()
-        self._connection.request(
-            method, path,
-            body=json.dumps(body) if body is not None else None,
-            headers={"Content-Type": "application/json"},
-        )
-        response = self._connection.getresponse()
-        data = response.read()
-        self.round_trips.append(time.perf_counter() - started)
-        return response.status, data
-
-    def http(self, method, path, body=None):
-        status, data = self.request(method, path, body)
-        return status, json.loads(data)
-
-    def poll(self, path, done, interval=0.1):
-        """GET ``path`` until ``done(document)`` or the deadline; returns
-        the last ``(status, document)``."""
-        deadline = time.monotonic() + self.timeout
-        status, doc = self.http("GET", path)
-        while not done(doc) and time.monotonic() < deadline:
-            time.sleep(interval)
-            status, doc = self.http("GET", path)
-        return status, doc
-
     def verdict(self, name):
-        if self._connection is not None:
-            self._connection.close()
         self.out("%s: %s" % (name, "PASS" if not self.failures else
                              "FAIL (%s)" % ", ".join(self.failures)))
         return 0 if not self.failures else 1
@@ -112,8 +75,8 @@ def serve_smoke(args, workers, out=print):
     :class:`~repro.pregelix.runtime.PregelixDriver` run of the same
     algorithm over the same graph.
     """
-    smoke = _Smoke(out, args.smoke_deadline)
-    check, http = smoke.check, smoke.http
+    smoke = _Smoke(out)
+    check = smoke.check
     vertices = list(btc_graph(60, seed=3))
 
     # The reference: a one-shot driver run on its own cluster.
@@ -147,8 +110,10 @@ def serve_smoke(args, workers, out=print):
     service.add_dataset("btc", vertices=vertices)
     service.start()
     server = ServeHTTPServer(service, host="127.0.0.1", port=0)
-    smoke.base = "http://%s:%d" % server.start()
-    out("smoke service on %s" % smoke.base)
+    base = "http://%s:%d" % server.start()
+    out("smoke service on %s" % base)
+    client = ServeClient(base, args.smoke_deadline)
+    http = client.json
 
     try:
         status, health = http("GET", "/healthz")
@@ -162,7 +127,7 @@ def serve_smoke(args, workers, out=print):
         check("submit", status == 202 and "job_id" in record,
               "status %s: %s" % (status, record))
         job_id = record.get("job_id", "")
-        _, record = smoke.poll("/jobs/%s" % job_id, _terminal)
+        _, record = client.poll("/jobs/%s" % job_id, _terminal)
         check("job completes", record.get("state") == "succeeded",
               "state %s" % record.get("state"))
         status, result = http("GET", "/jobs/%s/result" % job_id)
@@ -234,20 +199,14 @@ def serve_smoke(args, workers, out=print):
             ",".join(sorted(names)),
         )
 
-        exposition = smoke.request("GET", "/metrics")[1].decode("utf-8")
-        lines = [
-            line for line in exposition.splitlines()
-            if line and not line.startswith("#")
-        ]
-        torn = [
-            line for line in lines
-            if " " not in line
-            or line.count("{") != line.count("}")
-            or (line.count('"') % 2) != 0
-        ]
-        series = {line.split("{")[0].split(" ")[0] for line in lines}
-        check("metrics exposition parses", lines and not torn,
-              "torn: %r" % torn[:3])
+        exposition = client.request("GET", "/metrics")[2].decode("utf-8")
+        samples, torn = {}, ""
+        try:
+            samples = parse_exposition(exposition)
+        except ValueError as error:
+            torn = str(error)
+        series = {key.split("{")[0] for key in samples}
+        check("metrics exposition parses", samples and not torn, torn)
         check(
             "metrics has serve counters and latency histogram",
             {"serve_submitted_total", "serve_latency_e2e_seconds_bucket",
@@ -258,8 +217,8 @@ def serve_smoke(args, workers, out=print):
         # /metrics and /stats read the same histogram objects, so the
         # distributions they report must agree.
         scraped_count = sum(
-            float(line.rsplit(" ", 1)[1]) for line in lines
-            if line.startswith("serve_latency_e2e_seconds_count")
+            value for key, value in samples.items()
+            if key.startswith("serve_latency_e2e_seconds_count")
         )
         stats_count = sum(
             tenant.get("e2e", {}).get("count", 0)
@@ -273,7 +232,7 @@ def serve_smoke(args, workers, out=print):
 
         # The sampler ticks every 0.5s; a fast smoke may beat the first
         # tick, so poll until one lands (bounded by the deadline).
-        status, history = smoke.poll(
+        status, history = client.poll(
             "/stats/history", lambda doc: doc.get("taken"), interval=0.2
         )
         check(
@@ -285,12 +244,13 @@ def serve_smoke(args, workers, out=print):
 
         # 5. The transport: these handlers do a millisecond of work, so a
         # keep-alive round trip that takes longer is waiting on the wire.
-        p50 = statistics.median(smoke.round_trips)
+        p50 = statistics.median(client.round_trips)
         out("round-trip p50 %.2f ms over %d keep-alive requests"
-            % (p50 * 1e3, len(smoke.round_trips)))
+            % (p50 * 1e3, len(client.round_trips)))
         check("round-trip p50 under %d ms" % (ROUND_TRIP_P50_BOUND * 1e3),
               p50 < ROUND_TRIP_P50_BOUND, "%.1f ms" % (p50 * 1e3))
     finally:
+        client.close()
         server.close()
         drained = service.shutdown(drain=True, timeout=120)
     check("drained cleanly", drained is True)
@@ -310,8 +270,8 @@ def serve_restart_smoke(args, out=print):
     result digest bit-identical to an uninterrupted run of the same
     request.
     """
-    smoke = _Smoke(out, args.smoke_deadline)
-    check, http, deadline = smoke.check, smoke.http, args.smoke_deadline
+    smoke = _Smoke(out)
+    check, deadline = smoke.check, args.smoke_deadline
     demo_vertices = args.demo_dataset or 60
     journal_dir = tempfile.mkdtemp(prefix="repro-restart-smoke-")
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -330,13 +290,13 @@ def serve_restart_smoke(args, out=print):
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         env=env, text=True,
     )
-    child_lines = []
+    child_lines, bases = [], []
 
     def _read_child():
         for line in child.stdout:
             child_lines.append(line.rstrip("\n"))
-            if line.startswith("serving on http://") and smoke.base is None:
-                smoke.base = line.split()[2]
+            if line.startswith("serving on http://") and not bases:
+                bases.append(line.split()[2])
 
     reader = threading.Thread(target=_read_child, daemon=True)
     reader.start()
@@ -348,21 +308,23 @@ def serve_restart_smoke(args, out=print):
     }
     try:
         waited = 0.0
-        while smoke.base is None and child.poll() is None and waited < deadline:
+        while not bases and child.poll() is None and waited < deadline:
             time.sleep(0.1)
             waited += 0.1
-        check("child service came up", smoke.base is not None,
+        check("child service came up", bool(bases),
               "child exited %s: %s" % (child.poll(), child_lines[-5:]))
-        if smoke.base is None:
+        if not bases:
             return 1
-        out("restart smoke: child on %s (pid %d)" % (smoke.base, child.pid))
+        out("restart smoke: child on %s (pid %d)" % (bases[0], child.pid))
+        client = ServeClient(bases[0], deadline)
+        http = client.json
 
         # 1. One job runs to completion before the crash.
         status, record = http("POST", "/jobs", fast_request)
         check("fast job admitted", status == 202,
               "status %s: %s" % (status, record))
         finished_id = record.get("job_id")
-        _, record = smoke.poll("/jobs/%s" % finished_id, _terminal)
+        _, record = client.poll("/jobs/%s" % finished_id, _terminal)
         finished_digest = record.get("result_digest")
         check("fast job succeeded pre-crash",
               record.get("state") == "succeeded" and finished_digest,
@@ -373,7 +335,7 @@ def serve_restart_smoke(args, out=print):
         check("slow job admitted", status == 202,
               "status %s: %s" % (status, record))
         running_id = record.get("job_id")
-        _, record = smoke.poll(
+        _, record = client.poll(
             "/jobs/%s" % running_id,
             lambda doc: doc.get("state") == "running", interval=0.05,
         )
@@ -382,6 +344,7 @@ def serve_restart_smoke(args, out=print):
               "state %s" % record.get("state"))
         os.kill(child.pid, signal.SIGKILL)
         child.wait(timeout=30)
+        client.close()
         out("restart smoke: child killed (-9) with %s running" % running_id)
 
         # 3. Restart: a fresh service over the same journal.

@@ -10,7 +10,8 @@ conventional ``_total`` suffix, and histograms expand to cumulative
 agree within one scrape.
 
 The whole body is built as one string and written in a single send by
-the HTTP layer, so concurrent scrapes never observe torn lines.
+the HTTP layer, so concurrent scrapes never observe torn lines;
+:func:`parse_exposition` reads a body back and refuses a torn one.
 """
 
 import re
@@ -20,6 +21,7 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 _INVALID_LABEL_CHARS = re.compile(r"[^a-zA-Z0-9_]")
+_SAMPLE_LINE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? \S+$")
 
 
 def sanitize_metric_name(name):
@@ -115,3 +117,19 @@ def render_prometheus(registry):
                 "%s%s %s" % (family, _labels_text(labels), format_value(metric.value))
             )
     return "\n".join(lines) + "\n"
+
+
+def parse_exposition(text):
+    """``{series-with-labels: float value}`` for every sample line of an
+    exposition body; ``ValueError`` when a line is torn or malformed."""
+    if not text.endswith("\n"):
+        raise ValueError("exposition body does not end with a newline")
+    samples = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        if not _SAMPLE_LINE.match(line):
+            raise ValueError("malformed sample line: %r" % line)
+        series, value = line.rsplit(" ", 1)
+        samples[series] = float(value)
+    return samples

@@ -1,7 +1,7 @@
 """The wire under the HTTP front end: one write per response on a
-``TCP_NODELAY`` connection, and no thread held by a silent client."""
+``TCP_NODELAY`` connection, the stdlib's refusals included, and no
+thread held by a silent client."""
 
-from http.client import HTTPConnection
 import json
 import socket
 import statistics
@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+from repro.cli import build_parser, cmd_serve
 from repro.serve import JobService, JobState, ServeHTTPServer
+from repro.serve.client import ServeClient
 from repro.serve.http import MAX_BODY_BYTES, READ_TIMEOUT_SECONDS, _Handler
 
 WAIT = 30
@@ -44,6 +46,12 @@ class _ProbeHandler(_Handler):
         self.server.nodelay.append(self.connection.getsockopt(
             socket.IPPROTO_TCP, socket.TCP_NODELAY
         ))
+
+
+class _Impatient(_ProbeHandler):
+    """Closes a connection after 0.1 s of silence."""
+
+    timeout = 0.1
 
 
 @pytest.fixture
@@ -174,20 +182,78 @@ class TestOneWritePerResponse:
     def test_keep_alive_round_trip_is_the_handlers_work(self, wired):
         """Two writes per response cost a delayed ACK (~40 ms) on every
         request after the first of a keep-alive connection."""
-        _httpd, (host, port) = wired
-        connection = HTTPConnection(host, port, timeout=WAIT)
-        seconds = []
+        httpd, address = wired
+        client = ServeClient("http://%s:%d" % address, timeout=WAIT)
         try:
             for _ in range(30):
-                started = time.perf_counter()
-                connection.request("GET", "/healthz")
-                response = connection.getresponse()
-                response.read()
-                seconds.append(time.perf_counter() - started)
-                assert response.status == 200
+                assert client.request("GET", "/healthz")[0] == 200
         finally:
-            connection.close()
-        assert statistics.median(seconds) < 0.010, sorted(seconds)
+            client.close()
+        assert len(httpd.nodelay) == 1  # one connection carried all 30
+        seconds = sorted(client.round_trips)
+        assert statistics.median(seconds) < 0.010, seconds
+
+
+def one_refusal(httpd, address, request):
+    """Send the raw ``request``; returns the status and error document of
+    the answer after checking it is one write that closes the
+    connection."""
+    client = RawClient(address)
+    try:
+        before = len(httpd.writes)
+        client.sock.sendall(request)
+        status, headers, body, raw = client.read_response()
+        assert httpd.writes[before:] == [raw]
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert client.closed_by_server()
+    finally:
+        client.close()
+    error = json.loads(body)["error"]
+    assert set(error) == {"code", "reason", "details"}
+    return status, error
+
+
+class TestRefusals:
+    """What the server refuses before a handler runs is answered like
+    every other error: one write, one structured document."""
+
+    @pytest.mark.parametrize("declared,status,code", [
+        (str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+        ("-5", 400, "bad_request"),
+        ("lots", 400, "bad_request"),
+    ])
+    @pytest.mark.parametrize("path", ["/jobs", "/cluster/scale"])
+    def test_declared_body_size_is_checked_before_reading(
+        self, wired, path, declared, status, code
+    ):
+        # Only the headers are sent: the answer must not wait for (or
+        # read) a body of the declared size.
+        httpd, address = wired
+        request = "POST %s HTTP/1.1\r\nHost: test\r\nContent-Length: %s\r\n\r\n"
+        answered, error = one_refusal(
+            httpd, address, (request % (path, declared)).encode())
+        assert (answered, error["code"]) == (status, code)
+
+    @pytest.mark.parametrize("request_bytes,status,code", [
+        (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+        (b"GET / HTTP/1.x\r\n\r\n", 400, "bad_request"),
+        (b"GET /" + b"a" * 65532, 414, "request_uri_too_long"),
+        (b"GET / HTTP/1.1\r\n" + b"".join(
+            b"X-%d: y\r\n" % i for i in range(101)) + b"\r\n",
+         431, "request_header_fields_too_large"),
+        (b"GET / HTTP/1.1\r\nX-Long: " + b"y" * 65537,
+         431, "request_header_fields_too_large"),
+        (b"DELETE /jobs/x HTTP/1.1\r\nHost: test\r\n\r\n",
+         501, "not_implemented"),
+    ], ids=["request-line", "version", "uri-too-long", "too-many-headers",
+            "header-line-too-long", "unsupported-method"])
+    def test_stdlib_refusal_is_structured(
+        self, wired, request_bytes, status, code
+    ):
+        httpd, address = wired
+        answered, error = one_refusal(httpd, address, request_bytes)
+        assert (answered, error["code"]) == (status, code)
 
 
 class TestIdleConnection:
@@ -219,3 +285,31 @@ class TestIdleConnection:
             assert client.closed_by_server()
         finally:
             client.close()
+
+    def test_serve_top_renders_across_idle_closes(self, wired):
+        """The server closes ``serve top``'s connection between frames;
+        each next GET is re-sent once on a fresh connection."""
+        httpd, address = wired
+        httpd.RequestHandlerClass = _Impatient
+        args = build_parser().parse_args(
+            ["serve", "top", "--url", "http://%s:%d" % address,
+             "--count", "3", "--interval", "0.4"])
+        lines = []
+        assert cmd_serve(args, out=lines.append) == 0, lines
+        assert sum(line.startswith("repro serve top") for line in lines) == 3
+        assert len(httpd.nodelay) >= 3  # at least one connection per frame
+
+    def test_post_on_an_idle_closed_connection_is_not_resent(self, wired):
+        httpd, address = wired
+        httpd.RequestHandlerClass = _Impatient
+        client = ServeClient("http://%s:%d" % address, timeout=WAIT)
+        try:
+            assert client.request("GET", "/healthz")[0] == 200
+            time.sleep(0.4)  # the server closes the connection meanwhile
+            with pytest.raises(ConnectionError):
+                client.request("POST", "/jobs", body={
+                    "tenant": "alice", "algorithm": "cc", "dataset": "g"})
+        finally:
+            client.close()
+        assert httpd.service.list_jobs() == []
+        assert len(httpd.nodelay) == 1  # never sent on a second connection

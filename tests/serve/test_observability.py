@@ -6,17 +6,16 @@ the Prometheus scrape under concurrent load, its agreement with the
 ``/stats`` latency section, and the health-history ring buffer.
 """
 
-import json
 import time
-import urllib.request
 
 import pytest
 
 from repro.serve import JobService, JobState, ServeHTTPServer
+from repro.serve.client import ServeClient
 from repro.serve.history import DEFAULT_INTERVAL, HistorySampler
 from repro.serve.jobtrace import select_job_spans
+from repro.telemetry.prometheus import parse_exposition, render_prometheus
 from tests.telemetry.test_export import assert_well_formed_chrome
-from tests.telemetry.test_prometheus import parse_exposition
 
 WAIT = 120
 
@@ -174,8 +173,7 @@ class TestMetricsEndpoint:
         service.add_dataset("g", vertices=serve_graph)
         service.start()
         server = ServeHTTPServer(service, port=0)
-        host, port = server.start()
-        base = "http://%s:%d" % (host, port)
+        client = ServeClient("http://%s:%d" % server.start(), timeout=30)
         try:
             records = [
                 submit(service, "pagerank",
@@ -183,12 +181,10 @@ class TestMetricsEndpoint:
                 for i in range(8)
             ]
             def scrape():
-                with urllib.request.urlopen(
-                    base + "/metrics", timeout=30
-                ) as response:
-                    assert response.status == 200
-                    assert "0.0.4" in response.headers["Content-Type"]
-                    return response.read().decode("utf-8")
+                status, headers, body = client.request("GET", "/metrics")
+                assert status == 200
+                assert "0.0.4" in headers["Content-Type"]
+                return body.decode("utf-8")
 
             scrapes = [scrape()]
             while not all(r.state.terminal for r in records):
@@ -213,6 +209,7 @@ class TestMetricsEndpoint:
             )
             assert final["engine_jobs_executed_total"] >= 1
         finally:
+            client.close()
             server.close()
             service.shutdown(timeout=WAIT)
 
@@ -223,8 +220,6 @@ class TestMetricsEndpoint:
         latency = service.stats()["latency"]
         summary = latency["alice"]["e2e"]
         assert summary["count"] == 2
-        from repro.telemetry.prometheus import render_prometheus
-
         samples = parse_exposition(
             render_prometheus(service.telemetry.registry)
         )
@@ -262,33 +257,22 @@ class TestHistory:
 
     def test_http_history_endpoint(self, service, serve_graph):
         server = ServeHTTPServer(service, port=0)
-        host, port = server.start()
-        base = "http://%s:%d" % (host, port)
+        client = ServeClient("http://%s:%d" % server.start(), timeout=30)
         try:
             record = submit(service, "cc")
             assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
-            deadline = time.time() + 30
-            doc = None
-            while time.time() < deadline:
-                with urllib.request.urlopen(
-                    base + "/stats/history", timeout=30
-                ) as response:
-                    doc = json.loads(response.read())
-                if doc["taken"] >= 3:
-                    break
-                time.sleep(0.05)
+            _status, doc = client.poll(
+                "/stats/history", lambda doc: doc["taken"] >= 3, interval=0.05)
             assert doc["taken"] >= 3
             assert doc["interval_seconds"] == DEFAULT_INTERVAL
             latest = doc["samples"][-1]
             for key in ("ts", "queue_depth", "virtual_time_by_tenant",
                         "nodes_schedulable", "journal_append_seconds"):
                 assert key in latest
-            with urllib.request.urlopen(
-                base + "/stats/history?n=2", timeout=30
-            ) as response:
-                windowed = json.loads(response.read())
+            _status, windowed = client.json("GET", "/stats/history?n=2")
             assert len(windowed["samples"]) <= 2
         finally:
+            client.close()
             server.close()
 
 

@@ -2,7 +2,6 @@
 only while it is among the ``RETAINED_RESULTS`` most recently finalized
 jobs — live and after a restart alike."""
 
-from http.client import HTTPConnection
 import json
 import os
 import sys
@@ -10,6 +9,7 @@ import threading
 import time
 
 from repro.serve import JobRequest, JobService, JobState, ServeHTTPServer
+from repro.serve.client import ServeClient
 from repro.serve.lifecycle import RETAINED_RESULTS
 
 WAIT = 60
@@ -49,21 +49,15 @@ def answers(service, job_ids):
     """``{job_id: (job document, result status, result document)}`` over
     one keep-alive connection to a throwaway listener."""
     with ServeHTTPServer(service, port=0) as server:
-        connection = HTTPConnection(*server.address, timeout=WAIT)
-
-        def get(path):
-            connection.request("GET", path)
-            response = connection.getresponse()
-            return response.status, json.loads(response.read())
-
+        client = ServeClient("http://%s:%d" % server.address, timeout=WAIT)
         try:
             return {
-                job_id: (get("/jobs/" + job_id)[1],)
-                + get("/jobs/%s/result" % job_id)
+                job_id: (client.json("GET", "/jobs/" + job_id)[1],)
+                + client.json("GET", "/jobs/%s/result" % job_id)
                 for job_id in job_ids
             }
         finally:
-            connection.close()
+            client.close()
 
 
 def new_service(serve_graph, journal_dir):
@@ -200,16 +194,14 @@ def test_concurrent_finalizers_and_readers_keep_the_bound(serve_graph):
             service.submit(request)  # a cache hit: finalized inline
 
     def reader(address):
-        connection = HTTPConnection(*address, timeout=WAIT)
+        client = ServeClient("http://%s:%d" % address, timeout=WAIT)
         try:
             while not stop.is_set():
                 for record in service.list_jobs()[-2 * RETAINED_RESULTS::7]:
-                    connection.request("GET", "/jobs/%s/result" % record.job_id)
-                    response = connection.getresponse()
-                    response.read()
-                    seen.append(response.status)
+                    seen.append(client.request(
+                        "GET", "/jobs/%s/result" % record.job_id)[0])
         finally:
-            connection.close()
+            client.close()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -4,32 +4,18 @@ import math
 import re
 import threading
 
+import pytest
+
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.prometheus import (
     CONTENT_TYPE,
     escape_label_value,
     format_value,
+    parse_exposition,
     render_prometheus,
     sanitize_label_name,
     sanitize_metric_name,
 )
-
-_SAMPLE_LINE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? \S+$"
-)
-
-
-def parse_exposition(text):
-    """``{series-with-labels: float value}`` for every sample line."""
-    samples = {}
-    assert text.endswith("\n")
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        assert _SAMPLE_LINE.match(line), "malformed sample line: %r" % line
-        series, value = line.rsplit(" ", 1)
-        samples[series] = float(value)
-    return samples
 
 
 class TestSanitization:
@@ -120,6 +106,29 @@ class TestRender:
 
     def test_content_type_advertises_004(self):
         assert "version=0.0.4" in CONTENT_TYPE
+
+
+class TestParse:
+    def test_reads_back_what_render_wrote(self):
+        registry = MetricsRegistry()
+        registry.counter("serve.submitted", tenant="alice").inc(2)
+        registry.gauge("weird").set(float("inf"))
+        samples = parse_exposition(render_prometheus(registry))
+        assert samples == {
+            'serve_submitted_total{tenant="alice"}': 2,
+            "weird": float("inf"),
+        }
+
+    @pytest.mark.parametrize("text", [
+        "serve_queue_depth 7",  # no final newline: cut short
+        "serve_queue_depth\n",  # no value
+        'serve_submitted_total{tenant="alice" 3\n',  # unbalanced braces
+        "serve_queue_depth 7 8\n",  # two lines run together
+        "serve_queue_depth seven\n",  # not a number
+    ])
+    def test_torn_or_malformed_body_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_exposition(text)
 
 
 class TestScrapeUnderConcurrency:

@@ -96,6 +96,8 @@ class TestBadValues:
         ["checkpoints", "verify", "--interval", "0"],
         ["generate", "--files", "0", "--out", "unused"],
         ["generate", "--vertices", "0", "--out", "unused"],
+        ["serve", "top", "--url", "https://localhost:8080"],
+        ["serve", "top", "--url", "http://localhost:port"],
     ], ids=" ".join)
     def test_exits_2_with_one_error_line(self, argv, capsys):
         lines = []
@@ -192,6 +194,25 @@ class TestRun:
         code, lines = run_cli([command, "sssp", "--input", empty])
         assert code == 2
         assert lines == ["error: no input files in %s" % empty]
+        missing = str(tmp_path / "missing")
+        code, lines = run_cli([command, "sssp", "--input", missing])
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert missing in lines[0]
+
+    @pytest.mark.parametrize("command", ["run", "pipeline"])
+    def test_failed_job_exits_1_with_one_error_line(self, tmp_path, command):
+        # On a cycle every rank doubles each round until it outgrows the
+        # INT64 value serde.
+        cycle = tmp_path / "cycle"
+        cycle.mkdir()
+        (cycle / "part-0").write_text("0 _ 1:1.0\n1 _ 2:1.0\n2 _ 0:1.0\n")
+        code, lines = run_cli(
+            [command, "list-ranking", "--input", str(cycle), "--nodes", "1"])
+        assert code == 1
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: vertex ")
+        assert "'value'" in lines[0]
 
     def test_pipeline_of_one_writes_what_run_writes(self, chain_dir, tmp_path):
         """The CI recipe: `repro pipeline X` and `repro run X` agree."""
@@ -257,6 +278,17 @@ class TestLoc:
         code, lines = run_cli(["loc"])
         assert code == 0
         assert any("Pregel-specific core" in line for line in lines)
+
+    def test_experiments_md_quotes_every_line_verbatim(self):
+        """EXPERIMENTS.md §7.6 is the command's output, pasted: the rule
+        CI's ``figures`` job applies too."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "EXPERIMENTS.md")) as handle:
+            document = handle.read()
+        _code, lines = run_cli(["loc"])
+        stale = [line.rstrip() for line in lines
+                 if line.strip() and line.rstrip() not in document]
+        assert not stale, "EXPERIMENTS.md section 7.6 is stale: %s" % stale
 
 
 class TestEdgeListInput:

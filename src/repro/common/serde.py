@@ -339,14 +339,13 @@ class _Shape:
     def taken_since(self, mark):
         return ["v%d" % i for i in range(mark + 1, self.taken + 1)]
 
-    def build(self, functions):
-        """The ``(dumps, loads, sizeof)`` that the lines of ``functions``
-        define."""
+    def build(self, functions, names=("dumps", "loads", "sizeof")):
+        """The functions ``names`` that the lines of ``functions`` define."""
         lines = ["t%d = Struct(%r)" % item for item in enumerate(self.formats)]
         lines.append(
             "def build(%s):" % ", ".join("b%d" % i for i in range(len(self.bound)))
         )
-        lines += _indent(functions + ["return dumps, loads, sizeof"])
+        lines += _indent(functions + ["return " + ", ".join(names)])
         return _builder("\n".join(lines))(*self.bound)
 
 
@@ -371,13 +370,16 @@ def _builder(source):
 
 
 def _compile(parts, result, arity=None):
-    """``(dumps, loads, sizeof, fixed_size)`` for a sequence of parts.
+    """``(dumps, loads, sizeof, fixed_size, dumps_many, loads_many)`` for a
+    sequence of parts; the batch forms run the same statements per item
+    inside one frame, with the same checks and errors.
 
     A part is ``("prefix", width)`` — the ``>I`` length in front of a
     fixed-width field, a constant —, ``("fixed", serde, expr)`` — a
     fixed-width codec packed in line from ``expr``, the source expression
     of its value — or ``("variable", serde, expr)`` — a length and then
-    whatever ``serde.dumps`` gives. Prefixes and fixed parts that touch
+    whatever ``serde.dumps`` gives (``bytes(...)`` in line for a
+    :class:`BytesSerde`, both ways). Prefixes and fixed parts that touch
     form one struct. ``result`` is a ``%`` template over the decoded
     fixed and variable parts; ``arity`` is the length ``value`` must have.
     """
@@ -416,8 +418,15 @@ def _compile(parts, result, arity=None):
             decoded.append(serde._unpack_expr(shape))
         else:
             serde, expr = rest
-            codec, index, length = shape.bind(serde), len(decoded), shape.take()
-            encode.append("e%d = %s.dumps(%s)" % (index, codec, expr))
+            index, length = len(decoded), shape.take()
+            if type(serde) is BytesSerde:
+                dump, load, size = "bytes(%s)", "bytes(%s)", "len(%s)"
+            else:
+                codec = shape.bind(serde)
+                dump, load, size = (codec + call for call in (
+                    ".dumps(%s)", ".loads(%s)", ".sizeof(%s)"
+                ))
+            encode.append("e%d = %s" % (index, dump % expr))
             run.append(("I", "len(e%d)" % index))
             names.append(length)
             close_run()
@@ -426,46 +435,69 @@ def _compile(parts, result, arity=None):
                 "end = off + %s" % length,
                 "if end > size:",
                 "    corrupt('a length of %%d overruns the buffer' %% %s)" % length,
-                "r%d = %s.loads(view[off:end])" % (index, codec),
+                "r%d = %s" % (index, load % "view[off:end]"),
                 "off = end",
             ]
             decoded.append("r%d" % index)
-            sizes.append("%s.sizeof(%s)" % (codec, expr))
+            sizes.append(size % expr)
             continue
         names.extend(shape.taken_since(mark))
     if run:
         close_run()
 
-    dumps = ["def dumps(value):"]
+    check = []
     if arity is not None:
-        dumps += ["    if len(value) != %d:" % arity,
-                  "        bad_arity(value, %d)" % arity]
-    dumps += _indent(encode)
+        check = ["if len(value) != %d:" % arity, "    bad_arity(value, %d)" % arity]
     if len(pieces) == 1:
-        dumps.append("    return " + pieces[0])
+        image = pieces[0]
     else:
-        dumps.append('    return b"".join((%s))' % "".join(p + ", " for p in pieces))
+        image = 'b"".join((%s))' % "".join(p + ", " for p in pieces)
+    dumps = ["def dumps(value):"] + _indent(check + encode + ["return " + image])
+    dumps_many = [
+        "def dumps_many(values):",
+        "    images = []",
+        "    for value in values:",
+    ] + _indent(_indent(check + encode + ["images.append(%s)" % image])) + [
+        "    return images",
+    ]
 
-    loads = ["def loads(data):"]
+    opening = []  # what loads does to ``data`` before its walk
     checks = list(shape.checks)
     if variable:
-        loads += ["    view = memoryview(data)", "    size = len(view)", "    off = 0"]
+        opening = ["view = memoryview(data)", "size = len(view)", "off = 0"]
         checks.insert(0, "off == size")
+    if not walk:
+        checks.insert(0, "not len(data)")
+    closing = []
+    if checks:
+        closing = [
+            "if not (%s):" % " and ".join(checks),
+            "    corrupt('framing does not add up to the %d bytes given' % len(data))",
+        ]
+    value = result % tuple(decoded)
+    loads = ["def loads(data):"] + _indent(opening)
     if walk:
         loads += ["    try:"] + _indent(_indent(walk))
         loads += ["    except struct_error as exc:", "        corrupt(exc)"]
-    else:
-        checks.insert(0, "not len(data)")
-    if checks:
-        loads += [
-            "    if not (%s):" % " and ".join(checks),
-            "        corrupt('framing does not add up to the %d bytes given' % len(data))",
-        ]
-    loads.append("    return " + result % tuple(decoded))
+    loads += _indent(closing + ["return " + value])
+    loads_many = [
+        "def loads_many(images):",
+        "    values = []",
+        "    try:",
+        "        for data in images:",
+    ] + _indent(_indent(_indent(opening + walk + closing + ["values.append(%s)" % value]))) + [
+        "    except struct_error as exc:",
+        "        corrupt(exc)",
+        "    return values",
+    ]
 
     sizeof = ["def sizeof(value):", "    return " + (" + ".join(sizes) or "0")]
     fixed_size = None if variable else sum(int(term) for term in sizes)
-    return shape.build(dumps + loads + sizeof) + (fixed_size,)
+    dumps, loads, sizeof, dumps_many, loads_many = shape.build(
+        dumps + loads + sizeof + dumps_many + loads_many,
+        ("dumps", "loads", "sizeof", "dumps_many", "loads_many"),
+    )
+    return dumps, loads, sizeof, fixed_size, dumps_many, loads_many
 
 
 def _compile_repeated(element, framed):
@@ -575,11 +607,15 @@ class _Composite(Serde):
 
     ``dumps``/``loads``/``sizeof`` stay ordinary class attributes (that
     is where instrumentation wraps them); the compiled functions sit
-    behind them.
+    behind them. A shape :func:`_compile` built also has its batch forms,
+    and they *are* the instance's ``dumps_many``/``loads_many``: one frame
+    per batch.
     """
 
     def _adopt(self, compiled):
-        self._dumps, self._loads, self._sizeof, self.fixed_size = compiled
+        self._dumps, self._loads, self._sizeof, self.fixed_size = compiled[:4]
+        if len(compiled) > 4:
+            self.dumps_many, self.loads_many = compiled[4:]
 
     def dumps(self, value):
         return self._dumps(value)

@@ -20,6 +20,14 @@ class ScalarAggregator:
     def step(self, state, item):
         raise NotImplementedError
 
+    def step_many(self, state, items):
+        """:meth:`step` over a list of items. An aggregator that can fold
+        a batch without a call per item overrides it."""
+        step = self.step
+        for item in items:
+            state = step(state, item)
+        return state
+
     def merge(self, left, right):
         raise NotImplementedError
 
@@ -49,10 +57,8 @@ class LocalAggregateOperator(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         (stream,) = inputs
-        state = self.aggregator.create()
-        for item in stream:
-            state = self.aggregator.step(state, item)
-        return {self.OUT: [state]}
+        aggregator = self.aggregator
+        return {self.OUT: [aggregator.step_many(aggregator.create(), list(stream))]}
 
 
 class GlobalAggregateOperator(OperatorDescriptor):

@@ -29,6 +29,19 @@ class MapOperator(OperatorDescriptor):
         return {self.OUT: [self.fn(item) for item in stream]}
 
 
+class BatchMapOperator(OperatorDescriptor):
+    """Applies ``fn`` to the input at once: ``fn(list of tuples) -> list``,
+    for maps that cost one call per partition instead of one per tuple."""
+
+    def __init__(self, fn, name=None):
+        super().__init__(name or "BatchMap")
+        self.fn = fn
+
+    def run(self, ctx, partition, inputs):
+        (stream,) = inputs
+        return {self.OUT: self.fn(list(stream))}
+
+
 class FilterOperator(OperatorDescriptor):
     """Keeps tuples for which ``predicate`` is truthy."""
 

@@ -3,10 +3,11 @@
 * :class:`IndexFullOuterJoinOperator` merges the vid-sorted combined
   message stream with a single sequential scan of the ``Vertex`` index —
   cheap when most vertices receive messages or are live (PageRank).
-* :class:`IndexLeftOuterJoinOperator` probes the ``Vertex`` index once
-  per incoming tuple, skipping the full scan — a large win when messages
+* :class:`IndexLeftOuterJoinOperator` probes the ``Vertex`` index with
+  the incoming keys, skipping the full scan — a large win when messages
   are sparse (single source shortest paths), at the cost of a
-  root-to-leaf search per leaf the sorted probes land on.
+  root-to-leaf search per leaf the sorted probes land on
+  (``Index.lookup_sorted``).
 * :class:`MergeChooseOperator` implements the ``Merge (choose())`` box of
   the left-outer-join plan: it merges the message stream with the ``Vid``
   live-vertex stream, preferring the message tuple on key collisions.
@@ -15,7 +16,7 @@ Join outputs are ``(key, payload, vertex_value)`` with ``None`` standing
 in for SQL NULL on the non-matching side.
 """
 
-from itertools import repeat
+from itertools import filterfalse, repeat
 from operator import itemgetter
 
 from repro.hyracks.job import OperatorDescriptor
@@ -65,6 +66,23 @@ def _full_outer_join(messages, scanned):
     return joined
 
 
+def _choose_merge(messages, live):
+    """The ``(key, payload)`` projection of :func:`_outer_merge` of the
+    list ``messages`` with the list ``live`` (an index's rows: unique
+    keys), built by C-level maps instead of a step per key: the live keys
+    no message is addressed to join the messages with a ``None``
+    payload, and one sort by key puts them in place. Keys repeated among
+    the messages take the merge."""
+    payloads = dict(messages)
+    if len(payloads) != len(messages):
+        return [(key, payload) for key, payload, _vid in _outer_merge(messages, live)]
+    idle = filterfalse(payloads.__contains__, map(_KEY, live))
+    merged = list(messages)
+    merged += zip(idle, repeat(None))
+    merged.sort(key=_KEY)
+    return merged
+
+
 class IndexFullOuterJoinOperator(OperatorDescriptor):
     """Full outer join of a sorted ``(key, payload)`` stream with an index
     (left-outer case: a message for a non-existent vertex; right-outer:
@@ -81,7 +99,9 @@ class IndexFullOuterJoinOperator(OperatorDescriptor):
 
 
 class IndexLeftOuterJoinOperator(OperatorDescriptor):
-    """Probe-based left outer join: one index search per input tuple."""
+    """Probe-based left outer join: the input's keys looked up in one
+    ``lookup_sorted`` call (the stream is in key order, so consecutive
+    probes mostly land on the leaf the last one found)."""
 
     def __init__(self, index_name, name=None):
         super().__init__(name or "IndexLeftOuterJoin(%s)" % index_name)
@@ -90,10 +110,8 @@ class IndexLeftOuterJoinOperator(OperatorDescriptor):
     def run(self, ctx, partition, inputs):
         (stream,) = inputs
         index = get_index(ctx, self.index_name, partition)
-        # The stream is in key order: consecutive probes mostly land on
-        # the leaf the last one found.
-        with index.positioned():
-            output = [(key, payload, index.lookup(key)) for key, payload in stream]
+        keys = list(map(_KEY, stream))
+        output = list(zip(keys, map(_VALUE, stream), index.lookup_sorted(keys)))
         ctx.job.counters.add("index_probes", len(output))
         return {self.OUT: output}
 
@@ -115,5 +133,4 @@ class MergeChooseOperator(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         messages, live = inputs
-        merged = _outer_merge(messages, live)
-        return {self.OUT: [(key, payload) for key, payload, _vid in merged]}
+        return {self.OUT: _choose_merge(messages, live)}

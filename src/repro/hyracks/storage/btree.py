@@ -42,7 +42,9 @@ operator clone at a time uses an index partition (DESIGN.md §3).
 
 import bisect
 import contextlib
+import operator
 import struct
+from itertools import islice, repeat
 
 from repro.common.errors import StorageError
 from repro.hyracks.storage.index import Index
@@ -52,6 +54,10 @@ _CHILD = struct.Struct(">q")
 _OVERFLOW_HEADER = struct.Struct(">qI")  # first overflow page, total length
 _OVERFLOW_MARK = b"\x01"
 _INLINE_MARK = b"\x00"
+_KEY, _VALUE = operator.itemgetter(0), operator.itemgetter(1)
+#: Rows ``bulk_load`` takes from its input at a time: all it holds of the
+#: input beyond the leaf it fills.
+_BULK_LOAD_BATCH = 1024
 
 
 class BTree(Index):
@@ -167,6 +173,40 @@ class BTree(Index):
             if not self._positioned:
                 self._release()
 
+    def lookup_sorted(self, keys):
+        """:meth:`lookup` of each key of the sorted list ``keys``, walking
+        the held leaf: the keys from the first one a leaf answers up to
+        its last key are bisected on it in one pass, and the next key
+        re-seeks from the root — exactly where :meth:`lookup` in a
+        :meth:`positioned` scope gives the leaf up, so the same pages are
+        pinned in the same order."""
+        values = []
+        start = 0
+        total = len(keys)
+        decode = self._decode_value
+        bisect_left = bisect.bisect_left
+        try:
+            while start < total:
+                leaf, _path = self._seek(keys[start], for_write=False)
+                leaf_keys = leaf.keys
+                stop = start + 1
+                if stop < total and leaf_keys and leaf_keys[0] <= keys[stop]:
+                    stop = bisect.bisect_right(keys, leaf_keys[-1], stop)
+                probes = keys[start:stop]
+                leaf_values = leaf.values
+                width = len(leaf_keys)
+                values += [
+                    None if at == width or leaf_keys[at] != key
+                    else leaf_values[at][1:] if leaf_values[at][:1] == _INLINE_MARK
+                    else decode(leaf_values[at])
+                    for key, at in zip(probes, map(bisect_left, repeat(leaf_keys), probes))
+                ]
+                start = stop
+            return values
+        finally:
+            if not self._positioned:
+                self._release()
+
     @contextlib.contextmanager
     def positioned(self):
         self._positioned = True
@@ -224,29 +264,61 @@ class BTree(Index):
                 resume_exclusive = False
 
     def bulk_load(self, pairs):
+        """Load the empty tree from the iterable ``pairs`` in strictly
+        increasing key order, :data:`_BULK_LOAD_BATCH` rows at a time: a
+        batch's keys are checked and its inline images made in one pass
+        each, and a leaf takes the rows it fits from a slice
+        (:meth:`Page.fill`). A value that overflows has its chain written
+        at its turn, so every page — and its number — is the one a load
+        row by row leaves."""
         self._release()
         if self._count:
             raise StorageError("bulk_load requires an empty B-tree")
         level = []  # (first_key, page_no) of each leaf, left to right
         page = None
-        previous_key = None
-        for key, value in pairs:
-            if previous_key is not None and key <= previous_key:
+        previous = []  # the last key of the batch before
+        offer = 64  # rows a leaf is offered at once: once one is full, its count + 1
+        limit = self._inline_limit
+        pairs = iter(pairs)
+        while True:
+            batch = list(islice(pairs, _BULK_LOAD_BATCH))
+            if not batch:
+                break
+            keys = list(map(_KEY, batch))
+            ordered = previous + keys
+            if not all(map(operator.lt, ordered, islice(ordered, 1, None))):
                 raise StorageError("bulk_load input must have strictly increasing keys")
-            previous_key = key
-            stored = self._encode_value(key, value)
-            if page is None:
-                # Reuse the pre-allocated empty root leaf as the first leaf.
-                page = self.cache.pin(PageId(self.file_id, self.root_page_no))
-                level.append((key, page.page_id.page_no))
-            elif not page.fits(key, stored):
-                fresh = self.cache.new_page(self.file_id, PageKind.LEAF)
-                page.next_page_no = fresh.page_id.page_no
-                self.cache.unpin(page, dirty=True)
-                page = fresh
-                level.append((key, page.page_id.page_no))
-            page.put(key, stored)
-            self._count += 1
+            previous = keys[-1:]
+            if not all(map(isinstance, map(_VALUE, batch), repeat((bytes, bytearray)))):
+                raise TypeError("values must be bytes")
+            images = [
+                _INLINE_MARK + value if len(key) + len(value) < limit else None
+                for key, value in batch
+            ]
+            start = 0
+            total = len(batch)
+            while start < total:
+                if images[start] is None:
+                    images[start] = self._encode_value(*batch[start])
+                    stop = start + 1
+                else:
+                    stop = min(total, start + offer)
+                    if None in images[start:stop]:
+                        stop = images.index(None, start, stop)
+                if page is None:
+                    # Reuse the pre-allocated empty root leaf as the first leaf.
+                    page = self.cache.pin(PageId(self.file_id, self.root_page_no))
+                    level.append((keys[start], page.page_id.page_no))
+                start += page.fill(keys[start:stop], images[start:stop])
+                if start < stop:
+                    # The leaf refused a row: the next one starts with it.
+                    offer = len(page.keys) + 1
+                    fresh = self.cache.new_page(self.file_id, PageKind.LEAF)
+                    page.next_page_no = fresh.page_id.page_no
+                    self.cache.unpin(page, dirty=True)
+                    page = fresh
+                    level.append((keys[start], page.page_id.page_no))
+            self._count += total
         if page is not None:
             self.cache.unpin(page, dirty=True)
         if len(level) > 1:

@@ -36,6 +36,14 @@ class Index:
         """Return the value for ``key``, or ``None`` when absent."""
         raise NotImplementedError
 
+    def lookup_sorted(self, keys):
+        """:meth:`lookup` of each key of the list ``keys``, in key order (an
+        index join's probes): a list of one value or ``None`` per key, as
+        the same lookups in a :meth:`positioned` scope give. The default
+        makes them."""
+        with self.positioned():
+            return list(map(self.lookup, keys))
+
     def scan(self, low=None, high=None):
         """Iterate ``(key, value)`` in key order over ``[low, high)``.
 

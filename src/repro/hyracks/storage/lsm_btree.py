@@ -14,12 +14,16 @@ Genomix path-merging assembler).
 """
 
 import contextlib
+from itertools import chain, islice, repeat
+from operator import itemgetter, lt
 
 from repro.common.errors import StorageError
 from repro.hyracks.storage.bloom import BloomFilter
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.index import Index, TOMBSTONE
-from repro.hyracks.storage.run_file import merge_sorted
+from repro.hyracks.storage.run_file import merge_sorted_rounds
+
+_KEY, _VALUE = itemgetter(0), itemgetter(1)
 
 
 class _Component:
@@ -75,6 +79,32 @@ class LSMBTree(Index):
             raise TypeError("values must be bytes")
         self._put(bytes(key), bytes(value))
 
+    def insert_sorted(self, pairs):
+        """:meth:`insert` of each pair of the list ``pairs``. A batch of
+        bytes keys in strictly increasing order that cannot reach the
+        flush threshold — even were no key already in memory — goes into
+        the memory component with one ``dict.update``, its bytes
+        accounted as the inserts one by one would. Any other batch is
+        :meth:`insert` per pair, so a flush lands where it always did."""
+        keys = list(map(_KEY, pairs))
+        values = list(map(_VALUE, pairs))
+        if all(map(isinstance, chain(keys, values), repeat((bytes, bytearray)))) and all(
+            map(lt, keys, islice(keys, 1, None))
+        ):
+            added = sum(map(len, keys)) + sum(map(len, values))
+            if self._memory_bytes + added < self.memory_budget:
+                memory = self._memory
+                keys = list(map(bytes, keys))
+                present = memory.keys() & keys
+                replaced = sum(map(len, present)) + sum(
+                    map(len, map(memory.__getitem__, present))
+                )
+                memory.update(zip(keys, map(bytes, values)))
+                self._memory_bytes += added - replaced
+                return
+        for key, value in pairs:
+            self.insert(key, value)
+
     def delete(self, key):
         existed = self.lookup(key) is not None
         self._put(bytes(key), TOMBSTONE)
@@ -97,11 +127,14 @@ class LSMBTree(Index):
         # Snapshot the memory component so in-flight updates (the compute
         # mini-operator writes during the join scan) cannot corrupt the
         # cursor; disk components are immutable by construction.
-        memory_items = sorted(
-            (key, value)
-            for key, value in self._memory.items()
-            if (low is None or key >= low) and (high is None or key < high)
-        )
+        if low is None and high is None:
+            memory_items = sorted(self._memory.items())
+        else:
+            memory_items = sorted(
+                (key, value)
+                for key, value in self._memory.items()
+                if (low is None or key >= low) and (high is None or key < high)
+            )
         return self._merged_scan([memory_items] + [
             component.tree.scan(low, high) for component in self._components
         ])
@@ -214,10 +247,18 @@ class LSMBTree(Index):
     @staticmethod
     def _merged_scan(sources):
         """Merge ordered sources, given newest first: the merge is stable,
-        so the first pair of a key is its winner. Tombstoned keys are dropped."""
-        previous = None
-        for key, value in merge_sorted(sources):
-            if key != previous:
-                previous = key
-                if value != TOMBSTONE:
-                    yield key, value
+        so the first pair of a key is its winner. Tombstoned keys are
+        dropped. A round of :func:`merge_sorted_rounds` holds every pair
+        of the keys it holds, so each round is filtered on its own, in
+        one comprehension; the cursor only hands its pairs on."""
+        for pairs in merge_sorted_rounds(sources):
+            yield from _winners(pairs)
+
+
+def _winners(pairs):
+    """The first pair of each key of the key-sorted list ``pairs``, unless
+    its value is a tombstone."""
+    return [
+        pair for pair, previous in zip(pairs, chain((None,), map(_KEY, pairs)))
+        if pair[0] != previous and pair[1] != TOMBSTONE
+    ]

@@ -12,6 +12,7 @@ import itertools
 import struct
 import threading
 from collections import namedtuple
+from operator import add
 
 from repro.common.errors import StorageError
 
@@ -133,6 +134,27 @@ class Page:
         self._nbytes += _ENTRY_BYTES + len(key) + len(value)
         self.dirty = True
         return False
+
+    def fill(self, keys, values):
+        """Append the entries of the lists ``keys`` and ``values`` — keys
+        above every key on the page, in order — while each still fits
+        (:meth:`fits`' rule, entry by entry); an empty page takes the
+        first whatever its size. Returns how many it took: the greedy cut
+        of a bulk load, with one running sum instead of a call per
+        entry."""
+        used = list(itertools.accumulate(map(
+            add, map(add, map(len, keys), map(len, values)),
+            itertools.repeat(_ENTRY_BYTES),
+        )))
+        taken = bisect.bisect_right(used, self.capacity - self._nbytes)
+        if not taken and not self.keys and keys:
+            taken = 1
+        if taken:
+            self.keys += keys[:taken]
+            self.values += values[:taken]
+            self._nbytes += used[taken - 1]
+            self.dirty = True
+        return taken
 
     def replace(self, index, value):
         """Give entry ``index`` the value ``value`` in its slot, if the

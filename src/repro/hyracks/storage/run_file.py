@@ -57,11 +57,12 @@ def merge_sorted(streams, key=LEAD):
     bound. No stream is read further ahead of the output than one chunk
     plus its current run of equal keys, and no Python frame is entered per
     item beyond what ``key`` costs."""
-    return itertools.chain.from_iterable(_merge_rounds(list(streams), key))
+    return itertools.chain.from_iterable(merge_sorted_rounds(streams, key))
 
 
-def _merge_rounds(streams, key):
-    """The rounds of :func:`merge_sorted`: one sorted list each."""
+def merge_sorted_rounds(streams, key=LEAD):
+    """The rounds of :func:`merge_sorted`: one sorted list each, each
+    holding every item of the keys it holds."""
     chunk = _MERGE_CHUNK
     buffers = [_Buffered(stream, key, chunk) for stream in streams]
     while True:
@@ -326,7 +327,7 @@ class SortedRuns:
             replay = RunFileReader(path, self.files).chunks()
             self._replays.append(replay)
             streams.append(_decoded(replay, self.value_serde.loads_many))
-        return _merge_rounds(streams + [tail], LEAD)
+        return merge_sorted_rounds(streams + [tail])
 
     def __enter__(self):
         return self

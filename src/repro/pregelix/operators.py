@@ -83,8 +83,10 @@ class ComputeOperator(OperatorDescriptor):
     index — the paper pushes this update into the join as a
     mini-operator, and so does the index's positioned scope: a pass in
     key order works on the leaf it is at, one sorted chunk of rows per
-    ``Index.insert_sorted``. A row is opened in pieces and written back
-    spliced (:class:`~repro.pregelix.relations.OpenedRow`). The program
+    ``Index.insert_sorted``. A chunk's rows are decoded with one
+    ``loads_many`` and encoded with one ``dumps_many``; a row is opened in
+    pieces, written back spliced, and not written at all when it leaves
+    as it came (:class:`~repro.pregelix.relations.OpenedRow`). The program
     is bound once per partition and appends to the partition's output
     lists. Everything else it produced leaves on six ports:
 
@@ -140,11 +142,15 @@ class ComputeOperator(OperatorDescriptor):
 
         with index.positioned():
             for start in range(0, len(joined), WRITE_BACK_CHUNK):
-                # Keys are decoded a chunk at a time, as rows are written
-                # back: nothing the size of the partition is held beside
-                # ``joined``.
+                # Keys and stored rows are decoded a chunk at a time, as
+                # rows are written back: nothing the size of the partition
+                # is held beside ``joined``.
                 chunk = joined[start:start + WRITE_BACK_CHUNK]
-                written = []
+                stored = iter(row.decode(
+                    [data for _key, _bundle, data in chunk if data is not None]
+                ))
+                keys = []
+                rows = []
                 for (key, bundle, vertex_bytes), vid in zip(
                     chunk, INT64.loads_many(list(map(LEAD, chunk)))
                 ):
@@ -156,10 +162,13 @@ class ComputeOperator(OperatorDescriptor):
                         # (Figure 2).
                         value = row.create()
                         created += 1
-                    elif bundle is None and row.halted(vertex_bytes):
-                        continue  # the selection predicate prunes it
                     else:
-                        value = row.open(vertex_bytes)
+                        fields = next(stored)
+                        if bundle is None and fields[0]:
+                            continue  # the selection predicate prunes it
+                        row.stored = fields
+                        row.decoded = None
+                        value = fields[1]
                     processed += 1
                     program._vid = vid
                     program.value = value
@@ -168,14 +177,16 @@ class ComputeOperator(OperatorDescriptor):
                     program.compute(
                         iter(expand(bundle)) if bundle is not None else iter(())
                     )
-                    stored, delta = row.close(program)
-                    written.append((key, stored))
+                    fields, delta = row.close(program)
+                    if fields is not None:
+                        keys.append(key)
+                        rows.append(fields)
                     edge_delta += delta
                     if not program._halted:
                         active = True
                         if emit_live:
                             live_out.append((key, VID_VALUE))
-                index.insert_sorted(written)
+                index.insert_sorted(row.encode(keys, rows))
         # The lists leave on the ports. A program caught in a reference
         # cycle (a multi-query vertex and its lanes are one) would keep
         # them alive until the cyclic collector ran.

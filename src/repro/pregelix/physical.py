@@ -24,6 +24,7 @@ every generator holds as ``relations``.
 """
 
 from itertools import chain, groupby
+from operator import itemgetter
 
 from repro.common import serde
 from repro.common.serde import INT64, decode_key, encode_key
@@ -35,7 +36,8 @@ from repro.hyracks.connectors import (
     OneToOneConnector,
 )
 from repro.hyracks.job import JobSpec, OperatorDescriptor
-from repro.hyracks.operators.func import MapOperator
+from repro.hyracks.operators.aggregate import ScalarAggregator
+from repro.hyracks.operators.func import BatchMapOperator, MapOperator
 from repro.hyracks.operators.groupby import (
     GroupAggregator,
     HashSortGroupByOperator,
@@ -71,6 +73,9 @@ from repro.pregelix.operators import (
 )
 from repro.pregelix.relations import VID_VALUE, RunRelations
 from repro.pregelix.types import GlobalState
+
+#: The edge image of a loader tuple ``(key image, value, edge image)``.
+_IMAGE = itemgetter(2)
 
 
 class PartitionMap:
@@ -230,7 +235,7 @@ class _ReceiverCombineAggregator(GroupAggregator):
         return self.bundle_serde.sizeof(state)
 
 
-class _VertexEdgeCountAggregator:
+class _VertexEdgeCountAggregator(ScalarAggregator):
     """Counts (vertices, edges) over loader tuples, each edge count read
     off the edge image (``edge_codec.count``, which checks it)."""
 
@@ -241,8 +246,11 @@ class _VertexEdgeCountAggregator:
         return (0, 0)
 
     def step(self, state, item):
+        return self.step_many(state, [item])
+
+    def step_many(self, state, items):
         vertices, edges = state
-        return (vertices + 1, edges + self.count(item[2]))
+        return (vertices + len(items), edges + sum(map(self.count, map(_IMAGE, items))))
 
     def merge(self, left, right):
         return (left[0] + right[0], left[1] + right[1])
@@ -411,7 +419,7 @@ class PlanGenerator:
         spec.connect(OneToOneConnector(), sort, merge)
 
         to_vertex = spec.add(
-            self._pin(MapOperator(relations.loaded_vertex, name="EncodeVertex"))
+            self._pin(BatchMapOperator(relations.loaded_vertices, name="EncodeVertex"))
         )
         spec.connect(OneToOneConnector(), merge, to_vertex)
         load = spec.add(
@@ -421,7 +429,7 @@ class PlanGenerator:
 
         if job.needs_vid:
             to_vid = spec.add(
-                self._pin(MapOperator(relations.loaded_vid, name="EncodeVid"))
+                self._pin(BatchMapOperator(relations.loaded_vids, name="EncodeVid"))
             )
             spec.connect(OneToOneConnector(), merge, to_vid)
             spec.connect(OneToOneConnector(), to_vid, self._vid_load(spec))

@@ -22,6 +22,7 @@ relation. A partition nobody has written yet is an empty relation.
 
 import struct
 from functools import partial
+from itertools import repeat
 from operator import is_, itemgetter
 
 from repro.common.errors import JobFailure
@@ -32,8 +33,6 @@ from repro.hyracks.storage.lsm_btree import LSMBTree
 from repro.hyracks.storage.run_file import RunFile
 from repro.pregelix.api import Edge, VertexStorage
 from repro.pregelix.types import (
-    ACTIVE_HEAD,
-    VERTEX_FRAME,
     decode_global_state,
     decode_vertex,
     edge_list_serde,
@@ -47,6 +46,8 @@ VID_VALUE = b""
 
 #: The target of a decoded ``(target, value)`` edge pair.
 _TARGET = itemgetter(0)
+#: The key, value and edge image of a loader tuple.
+_KEY, _VALUE, _IMAGE = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class RunRelations:
@@ -78,16 +79,18 @@ class RunRelations:
     # ------------------------------------------------------------------
     # rows
     # ------------------------------------------------------------------
-    def loaded_vertex(self, loaded):
-        """The ``Vertex`` row of a loader tuple ``(key image, value, edge
-        image)``: every vertex starts active, and its edge image is
-        stored as it is (the row is ``encode_vertex``'s, byte for byte)."""
-        key, value, image = loaded
-        return key, self._opened_codec.dumps((False, value, image))
+    def loaded_vertices(self, loaded):
+        """The ``Vertex`` rows of a list of loader tuples ``(key image,
+        value, edge image)``, one ``dumps_many``: every vertex starts
+        active, and its edge image is stored as it is (each row is
+        ``encode_vertex``'s, byte for byte)."""
+        heads = zip(repeat(False), map(_VALUE, loaded), map(_IMAGE, loaded))
+        return list(zip(map(_KEY, loaded), self._opened_codec.dumps_many(heads)))
 
-    def loaded_vid(self, loaded):
-        """The ``Vid`` row of a loader tuple: its key, as it is."""
-        return loaded[0], VID_VALUE
+    def loaded_vids(self, loaded):
+        """The ``Vid`` rows of a list of loader tuples: their keys, as
+        they are."""
+        return list(zip(map(_KEY, loaded), repeat(VID_VALUE)))
 
     def vertex_record(self, row):
         """The :class:`VertexRecord` of a stored ``(key, bytes)`` row."""
@@ -174,15 +177,20 @@ class OpenedRow:
 
     A superstep changes ``halt`` and ``value`` of most rows it touches
     and the edges of almost none, so a row is not decoded into a
-    :class:`VertexRecord` and encoded back. :meth:`open` verifies its
-    framing and decodes ``halt`` and ``value``; the edge list stays its
-    *image* — the bytes it is stored as — unless the program reads it
-    (:meth:`read_edges`; ``Vertex._bind`` is handed the row), and
-    :meth:`close` puts a fresh ``(halt, value)`` in front of an edge
-    image again. A program that counts its edges or sends to all of them
-    without reading them gets the count and the targets off the image
-    (:meth:`edge_count`, :meth:`edge_targets`). One instance per clone,
-    moved from row to row.
+    :class:`VertexRecord` and encoded back. :meth:`decode` opens the
+    stored rows of a write-back chunk with one ``loads_many`` — which
+    verifies the framing of every one of them, the rows the halt filter
+    prunes included — into ``(halt, value, edge image)``: the edge list
+    stays its *image*, the bytes it is stored as, unless the program
+    reads it (:meth:`read_edges`; ``Vertex._bind`` is handed the row). A
+    program that counts its edges or sends to all of them without
+    reading them gets the count and the targets off the image
+    (:meth:`edge_count`, :meth:`edge_targets`). One instance per clone:
+    ``Compute`` moves it to a stored row by setting :attr:`stored` to
+    what :meth:`decode` gave for it and :attr:`decoded` to ``None``, and
+    to a new one with :meth:`create`. :meth:`close` says what the row is
+    written back as, and :meth:`encode` encodes a chunk of those with one
+    ``dumps_many``.
 
     The splice rule — when :meth:`close` reuses the stored edge image
     verbatim instead of encoding the program's list: the program never
@@ -195,35 +203,35 @@ class OpenedRow:
     that is not ``layout_fixed`` (edge values may be mutated in place)
     encode the list; either way the row is ``encode_vertex`` of the
     full record, byte for byte.
+
+    The no-write rule — when :meth:`close` writes nothing back: the edge
+    image is spliced, the halt flag is the stored one, and the value is
+    the object that was decoded under a ``layout_fixed`` value codec
+    (immutable scalars and tuples of them: the same object encodes to
+    the same bytes). The row would be written back as the bytes it is
+    stored as. A value of any other codec (a lane vector is mutated in
+    place) is always written.
     """
 
     def __init__(self, relations):
         self._row = relations._opened_codec
         self._edge_list = relations.edge_codec
-        self._no_edges = relations._no_edges
         self._spliceable = relations.job.edge_serde.layout_fixed
-        self.image = None  # the stored edge list of the row it is at
-        self.decoded = None  # what the codec decoded from it, if it did
+        self._unchanged_if_same = relations.job.value_serde.layout_fixed
+        #: A row nobody stored yet: no halt flag to keep, no edges.
+        self._created = (None, None, relations._no_edges)
+        self.stored = None  # (halt, value, edge image) of the row it is at
+        self.decoded = None  # what the edge codec decoded from the image, if it did
 
-    def halted(self, data):
-        """Whether the stored row voted to halt. A halted row without a
-        message is not opened — but no row passes with its framing
-        unverified."""
-        if data.startswith(ACTIVE_HEAD):
-            return False
-        VERTEX_FRAME.loads(data)
-        return True
-
-    def open(self, data):
-        """Move to the stored row ``data``; returns its value."""
-        _halt, value, self.image = self._row.loads(data)
-        self.decoded = None
-        return value
+    def decode(self, images):
+        """``(halt, value, edge image)`` of each stored row ``images``
+        holds (a list), framing verified: one ``loads_many``."""
+        return self._row.loads_many(images)
 
     def create(self):
         """Move to a row that does not exist yet (a message addressed it,
         Figure 2): NULL value, no edges; returns its value."""
-        self.image = self._no_edges
+        self.stored = self._created
         self.decoded = None
         return None
 
@@ -231,7 +239,7 @@ class OpenedRow:
         """What the edge codec decodes the image to, decoded once per row."""
         decoded = self.decoded
         if decoded is None:
-            decoded = self.decoded = self._edge_list.loads(self.image)
+            decoded = self.decoded = self._edge_list.loads(self.stored[2])
         return decoded
 
     def read_edges(self):
@@ -247,7 +255,7 @@ class OpenedRow:
         count × width check of a packed image (the codec is
         ``layout_fixed``), one decode — which validates it — otherwise."""
         if self.decoded is None and self._spliceable:
-            return self._edge_list.count(self.image)
+            return self._edge_list.count(self.stored[2])
         return len(self._decoded())
 
     def edge_targets(self):
@@ -256,36 +264,53 @@ class OpenedRow:
         ``layout_fixed``), one decode otherwise. Leaves the image to be
         spliced back."""
         if self._spliceable:
-            return self._edge_list.firsts(self.image)
+            return self._edge_list.firsts(self.stored[2])
         return list(map(_TARGET, self._decoded()))
 
     def close(self, program):
-        """``(stored bytes, edge count delta)`` of the row as ``program``
-        leaves it (see the splice rule above). An image the program's
-        list replaces is counted through :meth:`edge_count`, so a damaged
-        one raises instead of miscounting."""
+        """``(fields, edge count delta)`` of the row as ``program`` leaves
+        it: ``fields`` is the ``(halt, value, edge image)`` to write back
+        (see the splice rule above), or ``None`` under the no-write rule.
+        An image the program's list replaces is counted through
+        :meth:`edge_count`, so a damaged one raises instead of
+        miscounting."""
         edges = program._edges
         decoded = self.decoded
+        halt, value, image = self.stored
         if edges is None or (
             self._spliceable
             and decoded is not None
             and len(edges) == len(decoded)
             and all(map(is_, edges, decoded))
         ):
-            image, edge_delta = self.image, 0
-        else:
-            edge_delta = len(edges) - self.edge_count()
-            image = self._edge_list.dumps(edges)
+            if (
+                program._halted == halt
+                and program.value is value
+                and self._unchanged_if_same
+            ):
+                return None, 0
+            return (program._halted, program.value, image), 0
+        edge_delta = len(edges) - self.edge_count()
+        return (program._halted, program.value, self._edge_list.dumps(edges)), edge_delta
+
+    def encode(self, keys, rows):
+        """``(key, stored bytes)`` of each of ``rows`` (what :meth:`close`
+        gave) under its key in ``keys``: one ``dumps_many``. The halt flag
+        and the edge image always encode, so a ``struct.error`` is a value
+        that outgrew its serde (an INT64 past 2**63, say): the rows are
+        encoded one by one to name its vertex."""
         try:
-            row = self._row.dumps((program._halted, program.value, image))
-        except struct.error as error:
-            # The halt flag and the edge image always encode: the value
-            # is what outgrew its serde (an INT64 past 2**63, say).
-            raise JobFailure(
-                "vertex %r: field 'value' does not fit the job's value "
-                "serde (%s)" % (program._vid, error), cause=error,
-            ) from error
-        return row, edge_delta
+            return list(zip(keys, self._row.dumps_many(rows)))
+        except struct.error:
+            for key, row in zip(keys, rows):
+                try:
+                    self._row.dumps(row)
+                except struct.error as error:
+                    raise JobFailure(
+                        "vertex %r: field 'value' does not fit the job's value "
+                        "serde (%s)" % (decode_key(key), error), cause=error,
+                    ) from error
+            raise
 
 
 def _file_stem(name, partition):

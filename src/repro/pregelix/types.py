@@ -61,14 +61,6 @@ def opened_vertex_serde(value_serde):
     return _row_serde(value_serde, serde.BYTES)
 
 
-#: The same row with the value left as its image too — ``(halt, value
-#: image, edge image)``: what verifies the framing of a row nobody reads.
-VERTEX_FRAME = serde.TupleSerde(serde.BOOL, serde.BYTES, serde.BYTES)
-
-#: What the row of a vertex that has not voted to halt begins with.
-ACTIVE_HEAD = serde.TupleSerde(serde.BOOL).dumps((False,))
-
-
 def encode_vertex(codec, record):
     """Serialize a :class:`VertexRecord`'s stored fields."""
     return codec.dumps((record.halt, record.value, record.edges))

@@ -18,7 +18,11 @@ or a sort-key lambda wired back into ``_message_groupby`` fails here.
 Where the path starts, ``Compute`` pays nothing per edge of a program
 that only counts its edges and sends to all of them (PageRank): the
 count and the targets come off the stored edge image. Per vertex it pays
-the program's own frames and a few of its row's, not the framework's.
+the program's own frames and a few of its row's, not the framework's:
+rows are decoded and encoded a write-back chunk per call. The vertex
+relation's other passes pay nothing per row either: the left-outer
+join's probes on a held leaf, and a bulk load's inline rows (a constant
+per leaf it fills).
 
 Counted under ``sys.setprofile``: ``"call"`` events are Python frames
 entered (a generator resumed counts; C functions are ``"c_call"``).
@@ -42,9 +46,11 @@ from repro.hyracks.operators.groupby import (
     SortGroupByOperator,
 )
 from repro.hyracks.operators.index_ops import register_index
+from repro.hyracks.operators.join import IndexLeftOuterJoinOperator
 from repro.hyracks.storage import run_file
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.file_manager import FileManager
+from repro.hyracks.storage.pages import PageId, PageKind
 from repro.pregelix import ConnectorPolicy, GroupByStrategy
 from repro.pregelix.api import (
     DefaultListCombiner,
@@ -325,14 +331,17 @@ def test_a_pagerank_compute_pays_nothing_per_edge(ctx):
 
 #: Python frames ``Compute`` enters per PageRank vertex: the program's own
 #: (``compute``, the accessors it reads, counting and sending to its
-#: edges, the message bundle expanded), the row opened and closed, and
-#: one slot replaced on the held leaf. The framework binds the program
-#: once per partition.
-PER_PAGERANK_VERTEX = 22
+#: edges, the message bundle expanded), the row closed, and one slot
+#: replaced on the held leaf. The framework binds the program once per
+#: partition.
+PER_PAGERANK_VERTEX = 14
 #: ... and per chunk of rows written back: the chunk's keys decoded
-#: (``INT64.loads_many``, its comprehension and ``_unpack_many``) and the
-#: ``insert_sorted`` call.
-PER_WRITE_BACK_CHUNK = 4
+#: (``INT64.loads_many``, its comprehension and ``_unpack_many``), its
+#: stored rows listed and decoded (``OpenedRow.decode`` and the row
+#: codec's ``loads_many``), the rows to write encoded
+#: (``OpenedRow.encode`` and ``dumps_many``), and the ``insert_sorted``
+#: call.
+PER_WRITE_BACK_CHUNK = 9
 
 
 def test_a_pagerank_compute_pays_a_frame_budget_per_vertex(ctx):
@@ -346,3 +355,50 @@ def test_a_pagerank_compute_pays_a_frame_budget_per_vertex(ctx):
     assert calls_128 - calls_64 <= (
         PER_PAGERANK_VERTEX * 64 + PER_WRITE_BACK_CHUNK * (chunks_128 - chunks_64)
     )
+
+
+def single_leaf_tree(ctx, rows):
+    """A B-tree of ``rows`` inline rows under the even keys, all on its
+    root leaf."""
+    tree = BTree(ctx.buffer_cache)
+    tree.bulk_load((encode_key(2 * vid), b"row %d" % vid) for vid in range(rows))
+    root = ctx.buffer_cache.pin(PageId(tree.file_id, tree.root_page_no))
+    ctx.buffer_cache.unpin(root)
+    assert root.kind == PageKind.LEAF and len(root.keys) == rows
+    return tree
+
+
+def test_a_left_outer_join_pays_nothing_per_probe_on_a_held_leaf(ctx):
+    join = IndexLeftOuterJoinOperator("probed")
+    measured = {}
+    for probes in (100, 400):
+        register_index(ctx, "probed", 0, single_leaf_tree(ctx, 1000))
+        # Every other probe misses: an odd key, between two stored ones.
+        stream = [(encode_key(vid), 0.5) for vid in range(probes)]
+        calls, out = python_calls(lambda: join.run(ctx, 0, [stream]))
+        assert [value is None for _key, _payload, value in out[join.OUT]] == [
+            vid % 2 == 1 for vid in range(probes)
+        ]
+        measured[probes] = calls
+    assert measured[100] == measured[400]
+
+
+#: Python frames a bulk load pays per leaf it fills: the page offered its
+#: rows (``Page.fill``), and the next leaf allocated and the full one
+#: unpinned through the buffer cache.
+PER_LOADED_LEAF = 12
+
+
+def test_a_bulk_load_pays_nothing_per_inline_row(tmp_path):
+    measured = {}
+    with HyracksCluster(num_nodes=1, root_dir=str(tmp_path / "n")) as cluster:
+        cache = cluster.nodes["node0"].buffer_cache
+        for rows in (1000, 2000):  # inside one batch
+            pairs = [(encode_key(vid), b"row %d" % vid) for vid in range(rows)]
+            tree = BTree(cache)
+            calls, _ = python_calls(lambda: tree.bulk_load(pairs))
+            leaves = cache._next_page_no[tree.file_id] - 1  # the root is interior
+            measured[rows] = calls, leaves
+    (calls_1000, leaves_1000), (calls_2000, leaves_2000) = measured[1000], measured[2000]
+    assert leaves_2000 > leaves_1000 >= 5
+    assert calls_2000 - calls_1000 <= PER_LOADED_LEAF * (leaves_2000 - leaves_1000)

@@ -2,18 +2,20 @@
 
 ``Compute`` no longer decodes a stored row into a ``VertexRecord`` and
 encodes it back: :class:`~repro.pregelix.relations.OpenedRow` decodes
-``halt`` and ``value``, hands the program its edges only if it reads
-them, and writes back a fresh head in front of the *stored* edge bytes
-whenever the splice rule says they cannot have changed. The contract is
-the one the compiled codecs have: the bytes of
-:mod:`tests.common.reference_serde`, the encoder every stored page and
-checkpoint was written with. A seeded property over value/edge codecs ×
-what a program can do to its edges holds the written-back row to
-``encode`` of the full record byte for byte, and the edge count delta to
-the difference of the list lengths. A program that counts or sends to
-its edges without reading them gets the count and the targets off the
-image. No damaged row gets past either way a row is read — opened, or
-pruned on its halt byte — and no damaged edge image is counted.
+``halt`` and ``value`` a chunk of rows at a time, hands the program its
+edges only if it reads them, writes back a fresh head in front of the
+*stored* edge bytes whenever the splice rule says they cannot have
+changed, and writes nothing when the no-write rule says the row leaves
+as it came. The contract is the one the compiled codecs have: the bytes
+of :mod:`tests.common.reference_serde`, the encoder every stored page
+and checkpoint was written with. A seeded property over value/edge
+codecs × what a program can do to its edges holds the row as it is
+stored afterwards to ``encode`` of the full record byte for byte, and
+the edge count delta to the difference of the list lengths. A program
+that counts or sends to its edges without reading them gets the count
+and the targets off the image. No damaged row gets past either way a row
+is read — opened, or pruned on its halt flag — and no damaged edge image
+is counted.
 """
 
 import random
@@ -22,16 +24,17 @@ import struct
 import pytest
 
 from repro.common import serde
-from repro.common.errors import StorageError
-from repro.common.serde import encode_key
+from repro.common.errors import JobFailure, StorageError
+from repro.common.serde import decode_key, encode_key
 from repro.hyracks.engine import HyracksCluster, JobContext, TaskContext
 from repro.hyracks.operators.index_ops import register_index
 from repro.hyracks.storage.btree import BTree
+from repro.hyracks.storage.pages import PageId
 from repro.pregelix import PregelixJob, Vertex
 from repro.pregelix.api import Edge
-from repro.pregelix.multiquery import MultiQueryVertex
+from repro.pregelix.multiquery import LaneVectorSerde, MultiQueryVertex
 from repro.pregelix.operators import ComputeOperator
-from repro.pregelix.relations import RunRelations
+from repro.pregelix.relations import OpenedRow, RunRelations
 from repro.pregelix.types import GlobalState, VertexRecord
 
 from tests.common import reference_serde as ref
@@ -180,6 +183,25 @@ class CountingCodec:
         return self.codec.count(data)
 
 
+def open_at(row, stored):
+    """Move ``row`` to the stored row ``stored`` as ``Compute`` moves it;
+    returns its value."""
+    (row.stored,) = row.decode([stored])
+    row.decoded = None
+    return row.stored[1]
+
+
+def stored_after(row, program, stored):
+    """``(the bytes the row is stored as once closed, edge delta)``: what
+    :meth:`OpenedRow.close` gave, encoded, or ``stored`` when it wrote
+    nothing back."""
+    fields, edge_delta = row.close(program)
+    if fields is None:
+        return stored, edge_delta
+    ((_key, written),) = row.encode([encode_key(1)], [fields])
+    return written, edge_delta
+
+
 def random_edges(rng, gedge):
     edges = random_list(rng, lambda rng: (random_vid(rng), gedge(rng)))
     if edges and rng.random() < 0.3:
@@ -215,17 +237,18 @@ def test_the_row_written_back_is_the_whole_record_encoded(seed, value_kind, edge
                 relations.decode_vertex(1, stored)
             ) == stored
             bundle_is_none = rng.random() < 0.5
+            assert row.decode([stored])[0][0] is halt
             if bundle_is_none and halt:
-                assert row.halted(stored)
-                continue
-            assert not (bundle_is_none and row.halted(stored))
+                continue  # pruned on its halt flag
             program.script = scripts[name]
             del counting.calls[:]
-            program._bind(1, row.open(stored), row, 2, None, 10, 10)
+            program._bind(1, open_at(row, stored), row, 2, None, 10, 10)
             program.compute(iter(()))
-            written, edge_delta = row.close(program)
+            written, edge_delta = stored_after(row, program, stored)
             calls = list(counting.calls)
-            after = program.edges
+            after = program._edges
+            if after is None:  # never obtained: the stored list, untouched
+                after = [Edge(*edge) for edge in before]
             assert written == reference.dumps(
                 (program._halted, program.value, [tuple(e) for e in after])
             ), name
@@ -261,7 +284,9 @@ def test_a_created_vertex_starts_from_no_edges():
         assert program.num_out_edges == 0
         program.compute(iter(()))
         assert program.num_out_edges == len(edges)
-        written, edge_delta = row.close(program)
+        fields, edge_delta = row.close(program)
+        assert fields is not None  # nothing is stored yet: always written
+        ((_key, written),) = row.encode([encode_key(9)], [fields])
         assert written == relations.encode_vertex(
             VertexRecord(9, program._halted, None, edges)
         )
@@ -273,7 +298,7 @@ def test_a_created_vertex_starts_from_no_edges():
 # ----------------------------------------------------------------------
 def bind_at(program, row, stored):
     """Bind ``program`` to a stored row as ``Compute`` binds it."""
-    program._bind(1, row.open(stored), row, 2, None, 10, 10)
+    program._bind(1, open_at(row, stored), row, 2, None, 10, 10)
 
 
 def mutates(program):
@@ -311,7 +336,7 @@ def test_sending_to_edges_nobody_read_is_sending_to_the_edges(value_kind, edge_k
             del counting.calls[:]
             bind_at(program, row, stored)
             program.compute(iter(()))
-            written, _delta = row.close(program)
+            written, _delta = stored_after(row, program, stored)
             calls = list(counting.calls)
             edges = program._edges
             if edges is None:
@@ -496,4 +521,149 @@ def test_a_damaged_row_is_neither_opened_nor_pruned(ctx, value_kind, edge_kind):
                     compute.run(ctx, 0, [[(key, bundle, data)]])
     # halted and without a message: pruned, so never processed
     assert ctx.job.counters.get("vertices_processed") == 3
+    assert not any(page.pin_count for page in ctx.buffer_cache._pages.values())
+
+
+# ----------------------------------------------------------------------
+# the no-write rule: a row that leaves as it came is not written
+# ----------------------------------------------------------------------
+class WritesEveryRow(OpenedRow):
+    """The row before the no-write rule: everything processed is written."""
+
+    def close(self, program):
+        fields, edge_delta = super().close(program)
+        if fields is None:
+            fields = (program._halted, program.value, self.stored[2])
+        return fields, edge_delta
+
+
+class Churns(Vertex):
+    """Does to its row what ``ACTIONS[vid % len(ACTIONS)]`` says."""
+
+    def compute(self, messages):
+        ACTIONS[self.vertex_id % len(ACTIONS)][1](self)
+
+
+#: ``(name, action, whether the row must be written)`` — halt votes are
+#: the stored ones unless the name says the vote flips.
+ACTIONS = [
+    ("keeps", lambda p: None, False),
+    ("reads its edges", lambda p: len(p.edges), False),
+    ("counts and sends", lambda p: p.send_message_to_all_edges(p.num_out_edges), False),
+    ("assigns the value it has", lambda p: setattr(p, "value", p.value), False),
+    # Equal, and the same bytes, but another object: identity decides.
+    ("assigns an equal copy", lambda p: setattr(p, "value", float(repr(p.value))), True),
+    # -0.0 after 0.0: equal, and other bytes.
+    ("negates its value", lambda p: setattr(p, "value", -p.value), True),
+    ("flips its halt vote", lambda p: None, True),
+    ("adds an edge", lambda p: p.add_edge(9, 0.5), True),
+    ("sets equal edges", lambda p: p.set_edges(list(p.edges)), True),
+]
+
+
+def halted_before(vid):
+    """The stored halt flag of ``vid``: each action meets both."""
+    return (vid // len(ACTIONS)) % 2 == 1
+
+
+class ChurnsAndVotes(Churns):
+    def compute(self, messages):
+        super().compute(messages)
+        name = ACTIONS[self.vertex_id % len(ACTIONS)][0]
+        if halted_before(self.vertex_id) != (name == "flips its halt vote"):
+            self.vote_to_halt()
+
+
+def churned_partition(ctx, name, vertices, opened_row=None):
+    relations = RunRelations(PregelixJob(name, ChurnsAndVotes), None, name)
+    if opened_row is not None:
+        relations.opened_row = lambda: opened_row(relations)
+    rows = [
+        (encode_key(vid), relations.encode_vertex(VertexRecord(
+            vid, halted_before(vid), 0.0 if vid % 3 else 1.5, [(vid + 1, 1.0), (vid + 2, -0.0)],
+        )))
+        for vid in range(vertices)
+    ]
+    tree = BTree(ctx.buffer_cache)
+    tree.bulk_load(rows)
+    register_index(ctx, relations.vertex, 0, tree)
+    written = []
+    insert_sorted = tree.insert_sorted
+    tree.insert_sorted = lambda pairs: (written.extend(pairs), insert_sorted(pairs))
+    # A message for every other vertex: the rest are active or pruned.
+    joined = [(key, [1.0] if i % 2 else None, data) for i, (key, data) in enumerate(rows)]
+    compute = ComputeOperator(relations, GlobalState(superstep=1), emit_live=True)
+    return tree, written, compute.run(ctx, 0, [joined])
+
+
+def tree_images(tree):
+    cache = tree.cache
+    images = []
+    for page_no in range(cache._next_page_no[tree.file_id]):
+        page = cache.pin(PageId(tree.file_id, page_no))
+        images.append(page.to_bytes())
+        cache.unpin(page)
+    return tree.root_page_no, images
+
+
+def test_a_row_that_leaves_as_it_came_is_not_written(ctx):
+    """After one superstep the pages are those of writing every processed
+    row back, and so is everything on the ports; what is written is
+    exactly the rows whose halt flag, value object or edges changed."""
+    vertices = 600  # several leaves, several write-back chunks
+    tree, written, out = churned_partition(ctx, "skips", vertices)
+    every, written_all, out_all = churned_partition(ctx, "writes", vertices, WritesEveryRow)
+    assert tree_images(tree) == tree_images(every)
+    assert out == out_all
+    processed = {
+        vid for vid in range(vertices) if vid % 2 or not halted_before(vid)
+    }
+    assert sorted(decode_key(key) for key, _data in written_all) == sorted(processed)
+    expected = {vid for vid in processed if ACTIONS[vid % len(ACTIONS)][2]}
+    assert {decode_key(key) for key, _data in written} == expected
+    assert len(written) < len(written_all)
+    assert not any(page.pin_count for page in ctx.buffer_cache._pages.values())
+
+
+class MutatesItsLanes(Vertex):
+    def compute(self, messages):
+        self.value[0] = (True, self.value[0][1] + 1.0)  # in place: the same list
+
+
+def test_a_value_mutated_in_place_is_always_written(ctx):
+    """A lane vector is not ``layout_fixed``: the value object is the one
+    decoded, and still its bytes changed."""
+    lanes = LaneVectorSerde(serde.FLOAT64)
+    job = PregelixJob("lanes", MutatesItsLanes, value_serde=lanes)
+    relations = RunRelations(job, None, "lanes")
+    key = encode_key(4)
+    tree = BTree(ctx.buffer_cache)
+    tree.bulk_load([(key, relations.encode_vertex(VertexRecord(4, False, [(False, 1.0)], [])))])
+    register_index(ctx, relations.vertex, 0, tree)
+    compute = ComputeOperator(relations, GlobalState(superstep=1), emit_live=False)
+    compute.run(ctx, 0, [[(key, None, tree.lookup(key))]])
+    assert relations.vertex_record((key, tree.lookup(key))).value == [(True, 2.0)]
+
+
+class Doubles(Vertex):
+    def compute(self, messages):
+        self.value *= 2
+
+
+def test_a_value_that_outgrows_its_serde_names_its_vertex(ctx):
+    """Rows are encoded a chunk at a time; the failure still names the one
+    vertex whose value does not fit, wherever it is in the chunk."""
+    relations = RunRelations(PregelixJob("grows", Doubles, value_serde=serde.INT64), None, "grows")
+    rows = [
+        (encode_key(vid), relations.encode_vertex(
+            VertexRecord(vid, False, 2 ** 62 if vid == 37 else vid, [])
+        ))
+        for vid in range(60)
+    ]
+    tree = BTree(ctx.buffer_cache)
+    tree.bulk_load(rows)
+    register_index(ctx, relations.vertex, 0, tree)
+    compute = ComputeOperator(relations, GlobalState(superstep=1), emit_live=False)
+    with pytest.raises(JobFailure, match="vertex 37: field 'value'"):
+        compute.run(ctx, 0, [[(key, None, data) for key, data in rows]])
     assert not any(page.pin_count for page in ctx.buffer_cache._pages.values())

@@ -194,10 +194,15 @@ def test_concurrent_finalizers_and_readers_keep_the_bound(serve_graph):
             service.submit(request)  # a cache hit: finalized inline
 
     def reader(address):
+        # Only records already terminal: a listed job still running
+        # answers 409, the documented answer and no race. Newest first,
+        # so each pass reads a document that is still resident (a 200).
         client = ServeClient("http://%s:%d" % address, timeout=WAIT)
         try:
             while not stop.is_set():
-                for record in service.list_jobs()[-2 * RETAINED_RESULTS::7]:
+                recent = service.list_jobs()[-2 * RETAINED_RESULTS:]
+                finished = [record for record in recent if record.state.terminal]
+                for record in finished[::-7]:
                     seen.append(client.request(
                         "GET", "/jobs/%s/result" % record.job_id)[0])
         finally:

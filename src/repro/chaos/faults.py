@@ -35,6 +35,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.common.errors import JobFailure, ReproError, TransientIOError, WorkerFailure
+from repro.telemetry import Telemetry
 
 #: The fault-point taxonomy: every named place a fault can fire.
 FAULT_SITES = (
@@ -300,9 +301,11 @@ class FaultInjector:
     recovery story covers.
     """
 
-    def __init__(self, plan, telemetry=None):
+    def __init__(self, plan):
         self.plan = plan
-        self.telemetry = telemetry
+        #: The attached cluster's session (:meth:`attach`); until then a
+        #: private disabled one.
+        self.telemetry = Telemetry(enabled=False)
         self.cluster = None
         self.dfs = None
         self.armed = True
@@ -321,8 +324,7 @@ class FaultInjector:
     def attach(self, cluster, dfs=None):
         """Install this injector on ``cluster`` (and optionally a DFS)."""
         self.cluster = cluster
-        if self.telemetry is None:
-            self.telemetry = getattr(cluster, "telemetry", None)
+        self.telemetry = cluster.telemetry
         cluster.fault_injector = self
         for node in cluster.nodes.values():
             node.fault_injector = self
@@ -330,13 +332,12 @@ class FaultInjector:
         if dfs is not None:
             self.dfs = dfs
             dfs.fault_injector = self
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "chaos.armed",
-                category="chaos",
-                seed=self.plan.seed,
-                faults=len(self.plan),
-            )
+        self.telemetry.event(
+            "chaos.armed",
+            category="chaos",
+            seed=self.plan.seed,
+            faults=len(self.plan),
+        )
         return self
 
     def detach(self):
@@ -361,7 +362,7 @@ class FaultInjector:
         not tear the result dump but the serving process the run belongs
         to is still very much crashable.
         """
-        if self.armed and self.telemetry is not None:
+        if self.armed:
             self.telemetry.event(
                 "chaos.disarmed", category="chaos", reason=reason, scope=scope
             )
@@ -445,24 +446,22 @@ class FaultInjector:
             superstep=self.current_superstep,
         )
         self.fired.append(record)
-        if self.telemetry is not None:
-            reserved = {"spec", "site", "action", "node", "hit", "superstep"}
-            extra = {k: v for k, v in info.items() if k not in reserved}
-            self.telemetry.event(
-                "chaos.fault",
-                category="chaos",
-                spec=index,
-                site=spec.site,
-                action=spec.action,
-                node=target,
-                hit=spec.at_hit,
-                superstep=self.current_superstep,
-                **extra,
-            )
-            self.telemetry.registry.counter("chaos.faults_fired").inc()
+        reserved = {"spec", "site", "action", "node", "hit", "superstep"}
+        extra = {k: v for k, v in info.items() if k not in reserved}
+        self.telemetry.event(
+            "chaos.fault",
+            category="chaos",
+            spec=index,
+            site=spec.site,
+            action=spec.action,
+            node=target,
+            hit=spec.at_hit,
+            superstep=self.current_superstep,
+            **extra,
+        )
+        self.telemetry.registry.counter("chaos.faults_fired").inc()
         if spec.action == "delay":
-            if self.telemetry is not None and spec.delay_seconds:
-                self.telemetry.sim_clock.advance(spec.delay_seconds)
+            self.telemetry.sim_clock.advance(spec.delay_seconds)
             return spec.action
         if spec.action in MUTATION_ACTIONS:
             return spec.action  # applied by the storage layer, no raise

@@ -977,7 +977,9 @@ def cmd_checkpoints(args, out=print):
             format_record=case.format_record,
             keep_state=True,
         )
-        checkpointer = Checkpointer(outcome.generator, retain=args.retain)
+        checkpointer = Checkpointer(
+            outcome.generator, driver.telemetry, retain=args.retain
+        )
         committed = checkpointer.committed_supersteps()
         out(
             "run %s: %d supersteps, committed checkpoints: %s"

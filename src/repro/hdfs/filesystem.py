@@ -25,15 +25,19 @@ Fault injection / retry: when a
 :class:`~repro.chaos.faults.FaultInjector` is attached as
 ``fault_injector``, every :meth:`write` consults the ``dfs.write`` site
 first; a ``transient_io`` fault raises
-:class:`~repro.common.errors.TransientIOError`, which the optional
+:class:`~repro.common.errors.TransientIOError`, which the DFS's own
 ``retry_policy`` (see :class:`repro.hdfs.retry.RetryPolicy`) absorbs
 with seeded exponential backoff — the way a real HDFS client retries a
-flaky pipeline before surfacing the error.
+flaky pipeline before surfacing the error. The policy is there from
+construction, so the load's first write is covered as much as a
+checkpoint's; its retries land in the injector's telemetry session.
 """
 
 import threading
 import zlib
 from dataclasses import dataclass
+
+from repro.hdfs.retry import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,8 @@ class MiniDFS:
         #: Optional chaos hook (see repro.chaos.faults.FaultInjector);
         #: consulted at the ``dfs.write`` site on every write.
         self.fault_injector = None
-        #: Optional retry wrapper around writes (duck-typed: needs a
-        #: ``call(fn, describe=...)`` method, e.g. pregelix RetryPolicy).
-        self.retry_policy = None
+        #: Retry around the ``dfs.write`` fault check.
+        self.retry_policy = RetryPolicy()
 
     # ------------------------------------------------------------------
     # namespace operations
@@ -181,7 +184,7 @@ class MiniDFS:
 
         Consults the attached fault injector first: a ``transient_io``
         fault raises before any byte lands (and is absorbed by the
-        ``retry_policy`` when one is attached); ``corrupt`` /
+        ``retry_policy`` until its attempts run out); ``corrupt`` /
         ``torn_write`` faults let the write complete, then damage the
         stored state the way failing hardware would.
         """
@@ -431,16 +434,14 @@ class MiniDFS:
     # ------------------------------------------------------------------
     def _check_write_fault(self, path, num_bytes):
         """Consult the chaos injector; returns a mutation action or None."""
-        if self.fault_injector is None:
+        injector = self.fault_injector
+        if injector is None:
             return None
-        if self.retry_policy is not None:
-            return self.retry_policy.call(
-                lambda: self.fault_injector.check(
-                    "dfs.write", path=path, bytes=num_bytes
-                ),
-                describe="dfs.write %s" % path,
-            )
-        return self.fault_injector.check("dfs.write", path=path, bytes=num_bytes)
+        return self.retry_policy.call(
+            lambda: injector.check("dfs.write", path=path, bytes=num_bytes),
+            describe="dfs.write %s" % path,
+            telemetry=injector.telemetry,
+        )
 
     def _place_block(self):
         # Concurrent writers round-robin through the same cursor; the

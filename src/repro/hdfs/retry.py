@@ -17,6 +17,7 @@ Every retry is emitted as a ``retry.attempt`` telemetry event.
 import random
 
 from repro.common.errors import JobFailure, WorkerFailure
+from repro.telemetry import Telemetry
 
 
 def failure_cause(failure):
@@ -39,7 +40,9 @@ class RetryPolicy:
     ``base * multiplier**attempt``, capped at ``max_seconds``, stretched
     by up to ``jitter`` drawn from ``random.Random(seed)`` — is fully
     determined by the seed, and every sleep advances the telemetry sim
-    clock, so a retried run replays bit-identically.
+    clock, so a retried run replays bit-identically. Retries land in
+    ``telemetry`` (the owner's session, or a private disabled one when
+    none is given) unless ``call`` names another.
     """
 
     def __init__(
@@ -60,7 +63,7 @@ class RetryPolicy:
         self.max_seconds = float(max_seconds)
         self.jitter = float(jitter)
         self.seed = seed
-        self.telemetry = telemetry
+        self.telemetry = telemetry or Telemetry(enabled=False)
         self._rng = random.Random(seed)
         self.attempts_made = 0
         self.retries_made = 0
@@ -78,7 +81,7 @@ class RetryPolicy:
         """Run ``fn`` with retries; re-raises on a non-matching error or
         once ``max_attempts`` is exhausted."""
         classify = classify if classify is not None else is_transient
-        telemetry = telemetry if telemetry is not None else self.telemetry
+        telemetry = telemetry or self.telemetry
         attempt = 0
         while True:
             attempt += 1
@@ -90,14 +93,13 @@ class RetryPolicy:
                     raise
                 delay = self.backoff_seconds(attempt)
                 self.retries_made += 1
-                if telemetry is not None:
-                    telemetry.event(
-                        "retry.attempt",
-                        category="failure",
-                        what=describe,
-                        attempt=attempt,
-                        backoff_seconds=round(delay, 6),
-                        error=str(error),
-                    )
-                    telemetry.registry.counter("failure.retries").inc()
-                    telemetry.sim_clock.advance(delay)
+                telemetry.event(
+                    "retry.attempt",
+                    category="failure",
+                    what=describe,
+                    attempt=attempt,
+                    backoff_seconds=round(delay, 6),
+                    error=str(error),
+                )
+                telemetry.registry.counter("failure.retries").inc()
+                telemetry.sim_clock.advance(delay)

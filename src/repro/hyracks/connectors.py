@@ -74,27 +74,25 @@ class _AccountingMixin:
             nbytes = 0
         if remote:
             ctx.io.record_network(nbytes, messages=len(tuples))
-        telemetry = getattr(ctx, "telemetry", None)
-        if telemetry is not None:
-            kind = type(self).__name__
-            telemetry.registry.counter("connector.tuples", kind=kind).inc(len(tuples))
-            if nbytes:
-                telemetry.registry.counter("connector.bytes", kind=kind).inc(nbytes)
+        telemetry = ctx.telemetry
+        kind = type(self).__name__
+        telemetry.registry.counter("connector.tuples", kind=kind).inc(len(tuples))
+        if nbytes:
+            telemetry.registry.counter("connector.bytes", kind=kind).inc(nbytes)
         if self.materialization == ConnectorDescriptor.SENDER_SIDE_MATERIALIZED:
             # The sender writes its outgoing stream to a local temp file
             # and trickles it out; count the extra disk round trip.
             ctx.io.record_write(nbytes)
             ctx.io.record_read(nbytes)
-            if telemetry is not None:
-                telemetry.event(
-                    "connector.materialize",
-                    category="connector",
-                    kind=type(self).__name__,
-                    sender=producer_partition,
-                    receiver=consumer_partition,
-                    bytes=nbytes,
-                    tuples=len(tuples),
-                )
+            telemetry.event(
+                "connector.materialize",
+                category="connector",
+                kind=kind,
+                sender=producer_partition,
+                receiver=consumer_partition,
+                bytes=nbytes,
+                tuples=len(tuples),
+            )
 
 
 class _PartitioningMixin(_AccountingMixin):

@@ -44,7 +44,7 @@ class NodeContext:
     """One shared-nothing worker: budget, local disk, cache, services."""
 
     def __init__(self, node_id, root_dir, memory_bytes, cache_bytes, page_size,
-                 telemetry=None):
+                 telemetry):
         self.node_id = node_id
         self.telemetry = telemetry
         self.io = IOCounters()  # this node's disk traffic
@@ -53,14 +53,13 @@ class NodeContext:
         self.buffer_cache = BufferCache(
             cache_bytes, page_size, self.files, telemetry=telemetry, node_id=node_id
         )
-        if telemetry is not None:
-            # The two resident holders are exported by reference: the
-            # registry reads them, nothing is counted twice.
-            expose, stats = telemetry.registry.expose, self.buffer_cache.stats
-            for field in IOCounters.DISK_FIELDS:
-                expose("node.io.%s" % field, self.io, field, node=node_id)
-            for field in stats.FIELDS:
-                expose("storage.cache.%s" % field, stats, field, node=node_id)
+        # The two resident holders are exported by reference: the
+        # registry reads them, nothing is counted twice.
+        expose, stats = telemetry.registry.expose, self.buffer_cache.stats
+        for field in IOCounters.DISK_FIELDS:
+            expose("node.io.%s" % field, self.io, field, node=node_id)
+        for field in stats.FIELDS:
+            expose("storage.cache.%s" % field, stats, field, node=node_id)
         self.services = {}
         self.alive = True
         #: Draining nodes stay alive and keep serving their pinned
@@ -136,11 +135,15 @@ class TaskContext:
 
 
 class JobContext:
-    """Master-side per-job state shared by connectors and sinks."""
+    """Master-side per-job state shared by connectors and sinks.
+
+    ``telemetry`` is the executing cluster's session; a context built
+    standalone records into a private disabled one.
+    """
 
     def __init__(self, name, telemetry=None):
         self.name = name
-        self.telemetry = telemetry
+        self.telemetry = telemetry or Telemetry(enabled=False)
         self.io = IOCounters()  # network traffic (connector accounting)
         self.counters = Counters()
         self.collected = {}
@@ -218,7 +221,7 @@ class HyracksCluster:
         self.node_memory_bytes = int(node_memory_bytes)
         self.buffer_cache_bytes = int(buffer_cache_bytes)
         self.page_size = int(page_size)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.telemetry = telemetry or Telemetry()
         self.nodes = collections.OrderedDict()
         for i in range(num_nodes):
             node_id = "node%d" % i

@@ -24,7 +24,8 @@ Where the numbers live: ``BufferCache.stats`` is the one home of the
 hit/miss/eviction/writeback counts, bumped under the metadata latch.
 The engine diffs it into each ``JobResult`` and exports it per node; the
 cache itself only emits the rare ``cache.evict``/``cache.spill`` events
-through its optional ``telemetry`` handle.
+into its ``telemetry`` session: its node's, or a private disabled one
+when the cache is built standalone.
 """
 
 import threading
@@ -32,6 +33,7 @@ from collections import OrderedDict
 
 from repro.common.errors import StorageError
 from repro.hyracks.storage.pages import Page, PageId
+from repro.telemetry import Telemetry
 
 
 class BufferCacheStats:
@@ -62,24 +64,18 @@ class BufferCache:
         eagerly" (still correct, maximally disk-bound).
     :param page_size: fixed on-disk page image size.
     :param file_manager: the node-local :class:`FileManager` pages spill to.
-    :param replacement: ``"lru"`` (default) or ``"mru"``. LRU suffers
-        sequential flooding under the cyclic full scans the full-outer
-        join issues every superstep (a working set one page over capacity
-        misses on *every* access); MRU is the classic scan-resistant
-        answer, keeping a stable prefix of the scan resident.
+    :param telemetry: the owning node's session; a standalone cache
+        records into a private disabled one.
     """
 
-    def __init__(self, capacity_bytes, page_size, file_manager, replacement="lru",
-                 telemetry=None, node_id=None):
+    def __init__(self, capacity_bytes, page_size, file_manager, telemetry=None,
+                 node_id=None):
         if page_size <= 0:
             raise ValueError("page_size must be positive")
-        if replacement not in ("lru", "mru"):
-            raise ValueError("replacement must be 'lru' or 'mru'")
         self.capacity = int(capacity_bytes)
         self.page_size = int(page_size)
-        self.replacement = replacement
         self.files = file_manager
-        self.telemetry = telemetry
+        self.telemetry = telemetry or Telemetry(enabled=False)
         self.node_id = node_id
         #: Optional chaos hook, installed by FaultInjector.attach.
         self.fault_injector = None
@@ -153,8 +149,7 @@ class BufferCache:
                 )
                 page = Page.from_bytes(page_id, data, self.page_size)
                 # Pin before admitting: the eviction pass a full cache runs
-                # during admission must never select the page being returned
-                # (under MRU the fresh page is the first candidate).
+                # during admission must never select the page being returned.
                 page.pin_count = 1
                 self._admit(page)
             return page
@@ -200,10 +195,7 @@ class BufferCache:
     def _evict_to_fit(self):
         if self._cached_bytes <= self.capacity:
             return
-        candidates = list(self._pages)
-        if self.replacement == "mru":
-            candidates.reverse()
-        for pid in candidates:
+        for pid in list(self._pages):
             if self._cached_bytes <= self.capacity:
                 break
             page = self._pages[pid]
@@ -214,14 +206,13 @@ class BufferCache:
             del self._pages[pid]
             self._cached_bytes -= self.page_size
             self.stats.evictions += 1
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "cache.evict",
-                    category="storage",
-                    node=self.node_id,
-                    file_id=pid.file_id,
-                    page_no=pid.page_no,
-                )
+            self.telemetry.event(
+                "cache.evict",
+                category="storage",
+                node=self.node_id,
+                file_id=pid.file_id,
+                page_no=pid.page_no,
+            )
         # All remaining pages may be pinned; that is legal (a burst of
         # pins can exceed capacity), eviction resumes at the next unpin.
 
@@ -241,12 +232,11 @@ class BufferCache:
         )
         self._on_disk.add(page.page_id)
         self.stats.writebacks += 1
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "cache.spill",
-                category="storage",
-                node=self.node_id,
-                file_id=page.page_id.file_id,
-                page_no=page.page_id.page_no,
-                bytes=self.page_size,
-            )
+        self.telemetry.event(
+            "cache.spill",
+            category="storage",
+            node=self.node_id,
+            file_id=page.page_id.file_id,
+            page_no=page.page_id.page_no,
+            bytes=self.page_size,
+        )

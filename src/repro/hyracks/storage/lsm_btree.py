@@ -42,24 +42,16 @@ class LSMBTree(Index):
 
     :param buffer_cache: node buffer cache backing the disk components.
     :param memory_budget_bytes: flush threshold for the memory component.
-    :param max_components: disk-component count that triggers a merge.
-    :param merge_policy: ``"full"`` merges every component into one
-        (lowest read cost, highest write amplification); ``"tiered"``
-        merges only the oldest half (the classic write-optimized
-        tradeoff), leaving newer components untouched.
+    :param max_components: disk-component count that triggers a merge,
+        which merges every component into one. Flushes and merges are
+        recorded in the cache's telemetry session.
     """
 
-    def __init__(self, buffer_cache, memory_budget_bytes=1 << 20, max_components=4, name=None, merge_policy="full", telemetry=None):
-        if merge_policy not in ("full", "tiered"):
-            raise ValueError("merge_policy must be 'full' or 'tiered'")
+    def __init__(self, buffer_cache, memory_budget_bytes=1 << 20, max_components=4, name=None):
         self.cache = buffer_cache
-        self.telemetry = (
-            telemetry if telemetry is not None
-            else getattr(buffer_cache, "telemetry", None)
-        )
+        self.telemetry = buffer_cache.telemetry
         self.memory_budget = int(memory_budget_bytes)
         self.max_components = int(max_components)
-        self.merge_policy = merge_policy
         self.name = name or "lsm"
         self._memory = {}
         self._memory_bytes = 0
@@ -213,32 +205,22 @@ class LSMBTree(Index):
         return _Component(tree, bloom)
 
     def _merge_components(self):
-        if self.merge_policy == "full":
-            victims = self._components
-            survivors = []
-        else:
-            # Tiered: merge the oldest half. The merged set includes the
-            # oldest component, so its tombstones shadow nothing below
-            # and can be dropped safely.
-            keep = len(self._components) // 2
-            survivors = self._components[:keep]
-            victims = self._components[keep:]
+        # Every component is merged, the oldest included, so tombstones
+        # shadow nothing below and are dropped.
+        victims = self._components
         with self._storage_op("lsm.merge", "storage.lsm.merges",
-                              policy=self.merge_policy, victims=len(victims)):
+                              policy="full", victims=len(victims)):
             merged = self._build_component(
                 self._merged_scan([component.tree.scan() for component in victims])
             )
-            self._components = survivors + [merged]
+            self._components = [merged]
             for component in victims:
                 component.tree.destroy()
         self.merges += 1
 
     @contextlib.contextmanager
     def _storage_op(self, name, counter, **args):
-        """Span a flush or merge, then log and count it (if telemetry is on)."""
-        if self.telemetry is None:
-            yield
-            return
+        """Span a flush or merge, then log and count it."""
         with self.telemetry.span(name, category="storage", index=self.name, **args):
             yield
         self.telemetry.event(name, category="storage", index=self.name, **args)

@@ -37,6 +37,7 @@ import json
 import zlib
 
 from repro.common.errors import CheckpointNotFound, ChecksumError
+from repro.hdfs.retry import RetryPolicy
 from repro.hyracks.job import JobSpec, OperatorDescriptor
 from repro.hyracks.operators.index_ops import find_index, load_index
 from repro.hyracks.storage.index import Index
@@ -81,15 +82,13 @@ class IndexCheckpointOperator(OperatorDescriptor):
             # only its misses: charge the copy as one sequential read. A
             # run's reader has charged the file manager for its own.
             ctx.io.record_read(len(blob))
-        telemetry = getattr(ctx, "telemetry", None)
-        if telemetry is not None:
-            telemetry.event(
-                "checkpoint.write",
-                category="checkpoint",
-                index=self.label,
-                partition=partition,
-                bytes=len(blob),
-            )
+        ctx.telemetry.event(
+            "checkpoint.write",
+            category="checkpoint",
+            index=self.label,
+            partition=partition,
+            bytes=len(blob),
+        )
         return {}
 
 
@@ -127,20 +126,23 @@ def load_manifest(dfs, directory):
 class Checkpointer:
     """Builds checkpoint and recovery plans for one Pregelix run.
 
-    :param retry: optional :class:`~repro.pregelix.failure.RetryPolicy`
-        advanced around driver-side DFS reads during commit (partition
-        blob writes already retry inside :class:`~repro.hdfs.MiniDFS`).
+    :param telemetry: the driver's session, which checkpoint events and
+        the retries of :attr:`retry` land in.
     :param retain: committed checkpoint generations kept by GC; clamped
         to at least :data:`MIN_RETAIN` so fallback always has a target.
+
+    :attr:`retry` is the :class:`~repro.hdfs.retry.RetryPolicy` around
+    driver-side DFS reads and superstep-boundary faults (partition blob
+    writes already retry inside :class:`~repro.hdfs.MiniDFS`).
     """
 
-    def __init__(self, plan_generator, telemetry=None, retry=None, retain=MIN_RETAIN):
+    def __init__(self, plan_generator, telemetry, retain=MIN_RETAIN):
         self.relations = plan_generator.relations
         self.dfs = plan_generator.dfs
         self.job = plan_generator.job
         self.run_id = plan_generator.run_id
         self.telemetry = telemetry
-        self.retry = retry
+        self.retry = RetryPolicy(telemetry=telemetry)
         self.retain = max(int(retain), MIN_RETAIN)
 
     def root(self):
@@ -224,15 +226,14 @@ class Checkpointer:
             staging_manifest, json.dumps(manifest, sort_keys=True).encode("utf-8")
         )
         self.dfs.rename(staging_manifest, self.manifest_path(superstep), overwrite=True)
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "checkpoint.commit",
-                category="checkpoint",
-                run_id=self.run_id,
-                superstep=superstep,
-                files=len(files),
-                bytes=total_bytes,
-            )
+        self.telemetry.event(
+            "checkpoint.commit",
+            category="checkpoint",
+            run_id=self.run_id,
+            superstep=superstep,
+            files=len(files),
+            bytes=total_bytes,
+        )
         self.gc()
 
     def _listing(self):
@@ -330,7 +331,7 @@ class Checkpointer:
         for superstep in reversed(candidates):
             problems = self.verify(superstep)
             if not problems:
-                if superstep != newest and self.telemetry is not None:
+                if superstep != newest:
                     self.telemetry.event(
                         "recovery.fallback",
                         category="checkpoint",
@@ -339,15 +340,14 @@ class Checkpointer:
                         skipped=newest - superstep,
                     )
                 return superstep
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "checkpoint.verify_failed",
-                    category="checkpoint",
-                    run_id=self.run_id,
-                    superstep=superstep,
-                    problems=len(problems),
-                    first_problem=problems[0],
-                )
+            self.telemetry.event(
+                "checkpoint.verify_failed",
+                category="checkpoint",
+                run_id=self.run_id,
+                superstep=superstep,
+                problems=len(problems),
+                first_problem=problems[0],
+            )
         return None
 
     def gc(self):
@@ -365,7 +365,7 @@ class Checkpointer:
                 continue
             self.dfs.delete(self.directory(superstep), recursive=True)
             removed.append(superstep)
-        if removed and self.telemetry is not None:
+        if removed:
             self.telemetry.event(
                 "checkpoint.gc",
                 category="checkpoint",
@@ -403,9 +403,7 @@ class Checkpointer:
         return self.relations.adopt_gs(self._read(path))
 
     def _read(self, path):
-        """A driver-side DFS read, retried when a policy is attached."""
-        if self.retry is not None:
-            return self.retry.call(
-                lambda: self.dfs.read(path), describe="checkpoint.read %s" % path
-            )
-        return self.dfs.read(path)
+        """A driver-side DFS read, retried in place."""
+        return self.retry.call(
+            lambda: self.dfs.read(path), describe="checkpoint.read %s" % path
+        )

@@ -41,14 +41,12 @@ TRANSIENT, RECOVERABLE, FATAL = "transient", "recoverable", "fatal"
 
 
 class FailureManager:
-    """Tracks blacklisted machines and classifies failures."""
+    """Tracks blacklisted machines and classifies failures, reporting
+    into its cluster's telemetry session."""
 
-    def __init__(self, cluster, telemetry=None):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.telemetry = (
-            telemetry if telemetry is not None
-            else getattr(cluster, "telemetry", None)
-        )
+        self.telemetry = cluster.telemetry
         self.blacklist = set()
 
     def classify(self, failure):
@@ -87,23 +85,21 @@ class FailureManager:
         cause = getattr(failure, "cause", None)
         node_id = getattr(cause, "node_id", None)
         if getattr(cause, "kind", None) == "transient_io":
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "failure.transient_exhausted",
-                    category="failure",
-                    node=node_id,
-                    site=getattr(cause, "site", ""),
-                    error=str(failure),
-                )
+            self.telemetry.event(
+                "failure.transient_exhausted",
+                category="failure",
+                node=node_id,
+                site=getattr(cause, "site", ""),
+                error=str(failure),
+            )
             return None
         if node_id is None:
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "failure.unattributed",
-                    category="failure",
-                    error=str(failure),
-                    kind=getattr(cause, "kind", "unknown"),
-                )
+            self.telemetry.event(
+                "failure.unattributed",
+                category="failure",
+                error=str(failure),
+                kind=getattr(cause, "kind", "unknown"),
+            )
             return None
         self.suspect(node_id, reason=getattr(cause, "kind", "unknown"))
         return node_id
@@ -121,14 +117,13 @@ class FailureManager:
         node = self.cluster.nodes.get(node_id)
         if node is not None and node.alive:
             self.cluster.kill_node(node_id)
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "failure.blacklist",
-                category="failure",
-                node=node_id,
-                kind=reason,
-            )
-            self.telemetry.registry.counter("pregelix.failures").inc()
+        self.telemetry.event(
+            "failure.blacklist",
+            category="failure",
+            node=node_id,
+            kind=reason,
+        )
+        self.telemetry.registry.counter("pregelix.failures").inc()
 
     def healthy_nodes(self):
         """Alive, non-blacklisted machines available for recovery.

@@ -27,7 +27,6 @@ from repro.pregelix.checkpoint import Checkpointer
 from repro.pregelix.failure import (
     FailureManager,
     HeartbeatMonitor,
-    RetryPolicy,
     failure_cause,
     is_transient,
 )
@@ -218,9 +217,7 @@ class PregelixDriver:
             for job in jobs:
                 generator = PlanGenerator(job, self.dfs, run_id, partition_map)
                 checkpointer = Checkpointer(
-                    generator, telemetry=telemetry,
-                    retry=RetryPolicy(telemetry=telemetry),
-                    retain=job.checkpoint_retain,
+                    generator, telemetry, retain=job.checkpoint_retain
                 )
                 load_seconds, recoveries = 0.0, 0
                 superstep = None
@@ -410,13 +407,8 @@ class PregelixDriver:
         job = generator.job
         telemetry = self.telemetry
         retry = checkpointer.retry
-        if getattr(self.dfs, "retry_policy", None) is None:
-            # DFS-level retry absorbs transient write faults in place —
-            # the only safe layer to retry once a plan has started
-            # mutating vertex state.
-            self.dfs.retry_policy = retry
-        failures = FailureManager(self.cluster, telemetry=telemetry)
-        heartbeats = HeartbeatMonitor(self.cluster, telemetry=telemetry)
+        failures = FailureManager(self.cluster)
+        heartbeats = HeartbeatMonitor(self.cluster)
         stats = StatisticsCollector(registry=telemetry.registry)
         recoveries = 0
         optimizer = None

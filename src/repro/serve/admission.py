@@ -96,11 +96,10 @@ class AdmissionController:
         ``TenantQuota()`` (open admission with sane caps).
     """
 
-    def __init__(self, cluster, quotas=None, telemetry=None):
+    def __init__(self, cluster, quotas=None):
         self.cluster = cluster
         self.quotas = dict(quotas or {})
         self.default_quota = TenantQuota()
-        self.telemetry = telemetry
 
     def quota(self, tenant):
         return self.quotas.get(tenant, self.default_quota)
@@ -119,7 +118,7 @@ class AdmissionController:
         return [
             node
             for node in self.cluster.nodes.values()
-            if node.alive and not getattr(node, "draining", False)
+            if node.alive and not node.draining
         ]
 
     def aggregate_capacity(self):

@@ -27,6 +27,7 @@ import threading
 from collections import OrderedDict
 
 from repro.pregelix.api import PlanChoice
+from repro.telemetry import Telemetry
 
 #: Result-document fields covered by :func:`result_digest` — exactly the
 #: deterministic payload the differential harness proves bit-identical
@@ -67,15 +68,16 @@ class LRUCache:
 
     :param capacity: max entries; inserting past it evicts the least
         recently used entry.
-    :param telemetry: optional telemetry session; hits and misses are
-        counted as ``serve.cache_hit`` / ``serve.cache_miss``.
+    :param telemetry: the service's session (a private disabled one when
+        none is given); hits and misses are counted as
+        ``serve.cache_hit`` / ``serve.cache_miss``.
     """
 
     def __init__(self, capacity=64, telemetry=None):
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = int(capacity)
-        self.telemetry = telemetry
+        self.telemetry = telemetry or Telemetry(enabled=False)
         self._entries = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -114,8 +116,7 @@ class LRUCache:
             return len(doomed)
 
     def _count(self, kind):
-        if self.telemetry is not None:
-            self.telemetry.registry.counter("serve.cache_" + kind).inc()
+        self.telemetry.registry.counter("serve.cache_" + kind).inc()
 
     def stats(self):
         with self._lock:

@@ -49,6 +49,7 @@ from collections import OrderedDict, deque
 
 from repro.common.errors import ChecksumError, ReproError
 from repro.serve.api import ServiceCrashed
+from repro.telemetry import Telemetry
 
 #: Two magic bytes open every frame; a mismatch marks the torn tail.
 MAGIC = b"RJ"
@@ -244,6 +245,8 @@ class Journal:
     :param storage: a :class:`DFSJournalStorage` or
         :class:`LocalJournalStorage` (anything with the same five
         methods).
+    :param telemetry: the service's session; a journal opened
+        standalone records into a private disabled one.
     :param fault_injector: chaos hook consulted at ``journal.append``.
     :param retry: a :class:`~repro.hdfs.retry.RetryPolicy` absorbing
         ``transient_io`` faults in place.
@@ -255,7 +258,7 @@ class Journal:
     def __init__(self, storage, telemetry=None, fault_injector=None,
                  retry=None):
         self.storage = storage
-        self.telemetry = telemetry
+        self.telemetry = telemetry or Telemetry(enabled=False)
         self.fault_injector = fault_injector
         self.retry = retry
         self._latencies = deque(maxlen=self.LATENCY_WINDOW)
@@ -293,12 +296,11 @@ class Journal:
                 self.storage.damage_tear(size_before + len(frame) // 2)
             elif mutation == "corrupt":
                 self.storage.damage_corrupt()
-        if self.telemetry is not None:
-            self.telemetry.event(
-                "serve.journal.append", category="serve", record=record_type,
-                job_id=job_id, bytes=len(frame),
-            )
-            self.telemetry.registry.counter("serve.journal.appends").inc()
+        self.telemetry.event(
+            "serve.journal.append", category="serve", record=record_type,
+            job_id=job_id, bytes=len(frame),
+        )
+        self.telemetry.registry.counter("serve.journal.appends").inc()
         return payload
 
     def _check_fault(self, record_type, job_id, nbytes):
@@ -331,16 +333,14 @@ class Journal:
         if torn > 0:
             self.storage.truncate(valid)
             self.torn_tails_repaired += 1
-            if self.telemetry is not None:
-                self.telemetry.event(
-                    "serve.journal.torn_tail", category="serve",
-                    torn_bytes=torn, kept_records=len(records),
-                )
-        if self.telemetry is not None:
             self.telemetry.event(
-                "serve.journal.replay", category="serve",
-                records=len(records), torn_bytes=max(torn, 0),
+                "serve.journal.torn_tail", category="serve",
+                torn_bytes=torn, kept_records=len(records),
             )
+        self.telemetry.event(
+            "serve.journal.replay", category="serve",
+            records=len(records), torn_bytes=max(torn, 0),
+        )
         return JournalReplay(records, max(torn, 0), valid)
 
     # ------------------------------------------------------------------

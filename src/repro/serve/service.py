@@ -62,7 +62,6 @@ from repro.serve.journal import open_journal
 from repro.serve.lifecycle import JobLifecycle
 from repro.serve.queue import FairShareQueue
 from repro.serve.watchdog import StuckJobWatchdog
-from repro.telemetry import Telemetry
 
 #: Fair-share aging at the service: pass units forgiven per second a
 #: tenant's head job has waited (DESIGN.md §6 "Fair share").
@@ -80,31 +79,32 @@ class JobService(ServiceDocuments):
         serve on instead of an owned one (the service does not close it).
     :param dfs: a :class:`~repro.hdfs.MiniDFS` to keep datasets (and a
         ``dfs:`` journal) in instead of a fresh one.
-    :param telemetry: a shared :class:`~repro.telemetry.Telemetry`.
+
+    The service reports into its cluster's telemetry session.
     """
 
     def __init__(self, config=ServeConfig(), *, cluster=None, dfs=None,
-                 telemetry=None, **changes):
+                 **changes):
         if changes:
             config = dataclasses.replace(config, **changes)
         self.config = config
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._owns_cluster = cluster is None
         if cluster is None:
             cluster = HyracksCluster(
-                num_nodes=config.num_nodes, telemetry=self.telemetry,
+                num_nodes=config.num_nodes,
                 node_memory_bytes=config.node_memory_bytes,
             )
         self.cluster = cluster
-        if getattr(cluster, "virtual_partitions", None) is None:
+        self.telemetry = cluster.telemetry
+        if cluster.virtual_partitions is None:
             # Pin the data-partition count at the starting size: every
             # job keeps the same hash(vid) % N no matter how the node
             # set breathes, so results are byte-stable under scaling.
             cluster.virtual_partitions = cluster.num_partitions
-        self.heartbeats = HeartbeatMonitor(cluster, telemetry=self.telemetry)
+        self.heartbeats = HeartbeatMonitor(cluster)
         self.autoscaler = Autoscaler(self, config.autoscale) if config.autoscale else None
         self.dfs = dfs if dfs is not None else MiniDFS(datanodes=cluster.node_ids())
-        self.admission = AdmissionController(cluster, config.quotas, self.telemetry)
+        self.admission = AdmissionController(cluster, config.quotas)
         self.queue = FairShareQueue(aging_rate=AGING_RATE)
         for tenant, quota in self.admission.quotas.items():
             self.queue.set_weight(tenant, quota.weight)

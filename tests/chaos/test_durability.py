@@ -102,9 +102,7 @@ class TestCorruptedCheckpointFallback:
         cluster, dfs, driver = env
         job = pagerank.build_job(iterations=4, checkpoint_interval=1)
         outcome = driver.run(job, "/in/g", keep_state=True)
-        checkpointer = Checkpointer(
-            outcome.generator, telemetry=cluster.telemetry
-        )
+        checkpointer = Checkpointer(outcome.generator, cluster.telemetry)
         committed = checkpointer.committed_supersteps()
         assert committed  # retention kept at least the newest generations
         for superstep in committed:
@@ -121,7 +119,7 @@ class TestCorruptedCheckpointFallback:
         cluster, dfs, driver = env
         job = pagerank.build_job(iterations=6, checkpoint_interval=1)
         outcome = driver.run(job, "/in/g", keep_state=True)
-        checkpointer = Checkpointer(outcome.generator)
+        checkpointer = Checkpointer(outcome.generator, cluster.telemetry)
         # interval=1 over 6 supersteps commits 1..5 (none at halt), but
         # GC keeps only the newest two generations.
         assert checkpointer.committed_supersteps() == [4, 5]
@@ -207,6 +205,27 @@ class TestTransientFaults:
         assert retries and retries[0].args["what"].startswith("dfs.write")
         assert retries[0].args["backoff_seconds"] > 0
         assert sorted(driver.read_output("/out/tr")) == expected
+        injector.detach()
+
+    def test_transient_on_the_loads_first_write_absorbed(
+        self, env, tmp_path_factory
+    ):
+        """The DFS retries from construction: hit 1 is the load's GS
+        write, before any checkpointer exists."""
+        cluster, dfs, driver = env
+        expected = run_reference(
+            tmp_path_factory, lambda: pagerank.build_job(iterations=4)
+        )
+        plan = FaultPlan([FaultSpec(site="dfs.write", action="transient_io", at_hit=1)])
+        injector = FaultInjector(plan).attach(cluster, dfs=dfs)
+        outcome = driver.run(
+            pagerank.build_job(iterations=4), "/in/g", output_path="/out/tl"
+        )
+        assert injector.fired and outcome.recoveries == 0
+        retries = cluster.telemetry.events.snapshot(name="retry.attempt")
+        assert [e.args["what"].split()[0] for e in retries] == ["dfs.write"]
+        assert cluster.telemetry.registry.value("failure.retries") == 1
+        assert sorted(driver.read_output("/out/tl")) == expected
         injector.detach()
 
     def test_superstep_begin_transient_retries_whole_plan(

@@ -205,7 +205,7 @@ class TestFaultInjector:
 
     def test_firing_emits_telemetry(self, cluster):
         plan = FaultPlan([FaultSpec(site="page.write", action="io", at_hit=1)])
-        injector = FaultInjector(plan, telemetry=cluster.telemetry).attach(cluster)
+        injector = FaultInjector(plan).attach(cluster)
         injector.begin_superstep(1)
         with pytest.raises(WorkerFailure):
             injector.check("page.write", node="node0")

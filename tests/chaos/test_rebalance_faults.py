@@ -43,9 +43,7 @@ def run_pagerank(root_dir, plan=None, scale_at=None):
         driver = PregelixDriver(cluster, dfs)
         injector = None
         if plan is not None:
-            injector = FaultInjector(plan, telemetry=cluster.telemetry).attach(
-                cluster, dfs=dfs
-            )
+            injector = FaultInjector(plan).attach(cluster, dfs=dfs)
         job = pagerank.build_job(iterations=6, checkpoint_interval=1)
         outcome = driver.run(
             job, "/in/g", output_path="/out/r",

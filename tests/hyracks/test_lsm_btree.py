@@ -160,19 +160,16 @@ class TestBulkLoad:
         max_size=200,
     ),
     budget=st.integers(min_value=64, max_value=2048),
-    policy=st.sampled_from(["full", "tiered"]),
     bounds=st.tuples(st.integers(0, 60), st.integers(0, 60)),
 )
-def test_lsm_matches_dict_model(tmp_path_factory, operations, budget, policy, bounds):
+def test_lsm_matches_dict_model(tmp_path_factory, operations, budget, bounds):
     """Property: flush/merge timing never changes observable contents —
     a scan is the sorted model (the newest write of a key wins, a
     tombstoned key is gone) whatever components the merge went over."""
     root = tmp_path_factory.mktemp("lsmprop")
     files = FileManager(str(root), IOCounters())
     cache = BufferCache(1 << 20, 4096, files)
-    lsm = LSMBTree(
-        cache, memory_budget_bytes=budget, max_components=2, merge_policy=policy
-    )
+    lsm = LSMBTree(cache, memory_budget_bytes=budget, max_components=2)
     model = {}
     for step, (op, i) in enumerate(operations):
         k = key(i)
@@ -194,67 +191,3 @@ def test_lsm_matches_dict_model(tmp_path_factory, operations, budget, policy, bo
         assert lsm.lookup(k) == value
     files.destroy()
 
-
-class TestMergePolicies:
-    def test_invalid_policy_rejected(self, buffer_cache):
-        with pytest.raises(ValueError):
-            LSMBTree(buffer_cache, merge_policy="leveled")
-
-    def test_tiered_keeps_newer_components(self, buffer_cache):
-        lsm = LSMBTree(
-            buffer_cache,
-            memory_budget_bytes=1 << 8,
-            max_components=4,
-            merge_policy="tiered",
-        )
-        for i in range(3000):
-            lsm.insert(key(i), b"v%05d" % i)
-        lsm.flush_memory_component()
-        assert lsm.merges > 0
-        # Tiered merging never collapses everything into one component.
-        assert lsm.num_disk_components >= 2
-
-    def test_tiered_and_full_agree_on_contents(self, buffer_cache):
-        import random as _random
-
-        rng = _random.Random(5)
-        operations = []
-        for i in range(2500):
-            if rng.random() < 0.2:
-                operations.append(("delete", rng.randrange(300)))
-            else:
-                operations.append(("insert", rng.randrange(300)))
-        results = []
-        for policy in ("full", "tiered"):
-            lsm = LSMBTree(
-                buffer_cache,
-                memory_budget_bytes=1 << 9,
-                max_components=3,
-                merge_policy=policy,
-                name="mp-%s" % policy,
-            )
-            for op, i in operations:
-                if op == "insert":
-                    lsm.insert(key(i), b"v%d" % i)
-                else:
-                    lsm.delete(key(i))
-            results.append(dict(lsm.scan()))
-        assert results[0] == results[1]
-
-    def test_tiered_tombstones_respected_across_tiers(self, buffer_cache):
-        lsm = LSMBTree(
-            buffer_cache,
-            memory_budget_bytes=1 << 20,
-            max_components=3,
-            merge_policy="tiered",
-        )
-        lsm.insert(key(1), b"old")
-        lsm.flush_memory_component()
-        lsm.delete(key(1))
-        lsm.flush_memory_component()
-        lsm.insert(key(2), b"x")
-        lsm.flush_memory_component()
-        lsm.insert(key(3), b"y")
-        lsm.flush_memory_component()  # count exceeds max -> tiered merge
-        assert lsm.lookup(key(1)) is None
-        assert dict(lsm.scan()) == {key(2): b"x", key(3): b"y"}

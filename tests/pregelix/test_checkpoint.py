@@ -63,7 +63,7 @@ class TestCheckpointing:
         job = pagerank.build_job(iterations=6, checkpoint_interval=2)
         outcome = driver.run(job, "/in/g", keep_state=True)
         generator = outcome.generator
-        checkpointer = Checkpointer(generator)
+        checkpointer = Checkpointer(generator, cluster.telemetry)
         assert checkpointer.latest_checkpoint() == 4
         assert dfs.exists(checkpointer.manifest_path(2))
         assert dfs.exists(checkpointer.path(4, "vertex", 0))
@@ -80,7 +80,7 @@ class TestCheckpointing:
     def test_no_checkpoint_without_interval(self, env):
         cluster, dfs, driver = env
         outcome = driver.run(pagerank.build_job(iterations=4), "/in/g", keep_state=True)
-        checkpointer = Checkpointer(outcome.generator)
+        checkpointer = Checkpointer(outcome.generator, cluster.telemetry)
         assert checkpointer.latest_checkpoint() is None
         driver.cleanup(outcome.generator)
 
@@ -88,7 +88,7 @@ class TestCheckpointing:
         cluster, dfs, driver = env
         job = sssp.build_job(source_id=0, checkpoint_interval=1)
         outcome = driver.run(job, "/in/g", keep_state=True)
-        checkpointer = Checkpointer(outcome.generator)
+        checkpointer = Checkpointer(outcome.generator, cluster.telemetry)
         latest = checkpointer.latest_checkpoint()
         assert latest is not None
         assert dfs.exists(checkpointer.path(latest, "vid", 0))
@@ -149,7 +149,7 @@ class TestRecovery:
             "/in/g",
             keep_state=True,
         )
-        checkpointer = Checkpointer(outcome.generator)
+        checkpointer = Checkpointer(outcome.generator, cluster.telemetry)
         # Simulate a torn checkpoint at superstep 6: files but no manifest.
         dfs.write(checkpointer.path(6, "vertex", 0), b"")
         assert 6 not in checkpointer.committed_supersteps()

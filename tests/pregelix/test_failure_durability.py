@@ -47,7 +47,7 @@ class TestClassification:
         assert not manager.is_recoverable(app)
 
     def test_exhausted_transient_recovers_without_blacklist(self, cluster):
-        manager = FailureManager(cluster, telemetry=cluster.telemetry)
+        manager = FailureManager(cluster)
         failure = JobFailure(
             "flaky", cause=TransientIOError("node2", site="dfs.write")
         )
@@ -59,7 +59,7 @@ class TestClassification:
         assert events[0].args["site"] == "dfs.write"
 
     def test_suspect_blacklists_and_kills_once(self, cluster):
-        manager = FailureManager(cluster, telemetry=cluster.telemetry)
+        manager = FailureManager(cluster)
         manager.suspect("node1", reason="heartbeat")
         manager.suspect("node1", reason="heartbeat")  # idempotent
         assert manager.blacklist == {"node1"}
@@ -71,7 +71,7 @@ class TestClassification:
     def test_record_blames_a_machine_once(self, cluster):
         """A task failure on a machine the heartbeat sweep already
         blacklisted is the same machine loss, counted once."""
-        manager = FailureManager(cluster, telemetry=cluster.telemetry)
+        manager = FailureManager(cluster)
         manager.record(JobFailure("m", cause=WorkerFailure("node2", kind="io")))
         manager.suspect("node1", reason="heartbeat")
         manager.record(JobFailure("m", cause=WorkerFailure("node1")))
@@ -181,12 +181,12 @@ class TestHeartbeatMonitor:
         assert set(monitor.last_beat) == set(cluster.nodes)
 
     def test_dead_node_declared_after_threshold(self, cluster):
-        monitor = HeartbeatMonitor(cluster, miss_threshold=2)
+        monitor = HeartbeatMonitor(cluster)
         monitor.observe()
         cluster.kill_node("node1")
-        assert monitor.observe() == []  # first miss: not declared yet
-        assert cluster.telemetry.events.snapshot(name="heartbeat.missed")
-        assert monitor.observe() == ["node1"]  # second miss: declared
+        assert monitor.observe() == ["node1"]  # first miss: declared
+        missed = cluster.telemetry.events.snapshot(name="heartbeat.missed")
+        assert [(e.args["node"], e.args["missed"]) for e in missed] == [("node1", 1)]
         assert monitor.dead == {"node1"}
         dead_events = cluster.telemetry.events.snapshot(name="heartbeat.dead")
         assert [e.args["node"] for e in dead_events] == ["node1"]
@@ -205,10 +205,6 @@ class TestHeartbeatMonitor:
         assert monitor.observe() == []
         assert monitor.dead == set()
         assert monitor.missed["node0"] == 0
-
-    def test_threshold_validation(self, cluster):
-        with pytest.raises(ValueError):
-            HeartbeatMonitor(cluster, miss_threshold=0)
 
     def test_driver_blacklists_heartbeat_deaths(self, cluster):
         """End to end: a between-superstep power loss is caught by the

@@ -324,7 +324,7 @@ def test_keep_state_hands_the_run_to_the_caller(tmp_path):
         for name in (relations.vertex, relations.vid, relations.msg):
             assert any(repr(name) in item for item in left)
         assert "pin %s" % RUN_ID in left
-        assert Checkpointer(outcome.generator).committed_supersteps()
+        assert Checkpointer(outcome.generator, cluster.telemetry).committed_supersteps()
         world.driver.cleanup(outcome.generator)
         assert held(cluster) == []
         assert world.dfs.list_files("/pregelix") == []

@@ -1,0 +1,143 @@
+"""Every reporting component holds a telemetry session from construction.
+
+A component gets its session from its owner: the cluster's for the
+engine, storage, driver, service and fault injector, or a private
+disabled one for a class built on its own. No report site asks whether
+it has a session. This file checks both halves: the source holds no
+such fork, and each class that can be built standalone records into its
+own session, without raising, on the paths that emit events.
+"""
+
+import os
+import re
+from operator import itemgetter
+
+import pytest
+
+from repro.chaos import FaultInjector, FaultPlan
+from repro.common import serde
+from repro.common.accounting import IOCounters
+from repro.common.errors import TransientIOError
+from repro.hdfs import MiniDFS, RetryPolicy
+from repro.hyracks.connectors import MToNPartitioningMergingConnector
+from repro.hyracks.engine import HyracksCluster, JobContext
+from repro.hyracks.storage.buffer_cache import BufferCache
+from repro.hyracks.storage.file_manager import FileManager
+from repro.hyracks.storage.lsm_btree import LSMBTree
+from repro.hyracks.storage.pages import PageKind
+from repro.pregelix.failure import FailureManager
+from repro.serve import JobService
+from repro.serve.journal import RECORD_SUBMITTED, open_journal
+from repro.telemetry import Telemetry
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
+#: A report site asking whether it has a session at all.
+SESSION_FORK = re.compile(r'telemetry is (not )?None|getattr\([^)]*"telemetry", None\)')
+
+
+def test_no_module_asks_whether_it_has_a_session():
+    hits = []
+    for root, _dirs, names in os.walk(SRC):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as handle:
+                for number, line in enumerate(handle, 1):
+                    if SESSION_FORK.search(line):
+                        hits.append("%s:%d" % (os.path.relpath(path, SRC), number))
+    assert hits == []
+
+
+def private_session(component):
+    """The disabled session a standalone ``component`` built for itself."""
+    session = component.telemetry
+    assert isinstance(session, Telemetry) and not session.enabled
+    return session
+
+
+@pytest.fixture
+def files(tmp_path):
+    manager = FileManager(str(tmp_path / "node"), IOCounters())
+    yield manager
+    manager.destroy()
+
+
+def test_buffer_cache_evicts_and_spills_into_its_own_session(files):
+    cache = BufferCache(2 * 4096, 4096, files)
+    file_id = cache.create_file()
+    for i in range(6):
+        page = cache.new_page(file_id, PageKind.LEAF)
+        page.put(b"k%d" % i, b"v")
+        cache.unpin(page, dirty=True)
+    assert cache.stats.evictions == cache.stats.writebacks == 4
+    assert private_session(cache) is not BufferCache(4096, 4096, files).telemetry
+
+
+def test_lsm_flushes_and_merges_into_its_caches_session(files):
+    cache = BufferCache(1 << 20, 4096, files)
+    lsm = LSMBTree(cache, memory_budget_bytes=256, max_components=2)
+    for i in range(300):
+        lsm.insert(b"%05d" % i, b"value")
+    lsm.flush_memory_component()
+    assert lsm.telemetry is cache.telemetry
+    registry = private_session(lsm).registry
+    assert registry.value("storage.lsm.flushes") == lsm.flushes > 0
+    assert registry.value("storage.lsm.merges") == lsm.merges > 0
+
+
+def test_connector_accounts_under_a_bare_job_context():
+    ctx = JobContext("bare")
+    connector = MToNPartitioningMergingConnector(
+        key_fn=itemgetter(0), tuple_serde=serde.PairSerde(serde.INT64, serde.INT64)
+    )
+    connector.route([[(0, 1), (1, 2)], [(2, 3)]], 2, ctx)
+    registry = private_session(ctx).registry
+    kind = "MToNPartitioningMergingConnector"
+    assert registry.value("connector.tuples", kind=kind) == 3
+    assert registry.value("connector.bytes", kind=kind) > 0
+
+
+def test_retry_policy_retries_into_its_own_session():
+    policy = RetryPolicy(seed=1)
+    attempts = []
+
+    def flaky():
+        attempts.append(None)
+        if len(attempts) == 1:
+            raise TransientIOError("node0", site="dfs.write")
+        return "ok"
+
+    assert policy.call(flaky, describe="flaky") == "ok"
+    session = private_session(policy)
+    assert session.registry.value("failure.retries") == 1
+    assert session.sim_clock.seconds > 0
+
+
+def test_journal_append_counts_in_its_own_session(tmp_path):
+    journal = open_journal("file:%s" % tmp_path)
+    journal.append(RECORD_SUBMITTED, "job-1")
+    assert private_session(journal).registry.value("serve.journal.appends") == 1
+
+
+def test_fault_injector_takes_the_clusters_session_at_attach():
+    injector = FaultInjector(FaultPlan())
+    private_session(injector)
+    with HyracksCluster(num_nodes=2) as cluster:
+        dfs = MiniDFS(datanodes=cluster.node_ids())
+        injector.attach(cluster, dfs=dfs)
+        assert injector.telemetry is cluster.telemetry
+        assert cluster.telemetry.events.snapshot(name="chaos.armed")
+        injector.detach()
+
+
+def test_components_over_a_handed_cluster_share_its_session():
+    with HyracksCluster(num_nodes=2) as cluster:
+        service = JobService(cluster=cluster)
+        session = cluster.telemetry
+        assert service.telemetry is session
+        assert service.heartbeats.telemetry is session
+        assert FailureManager(cluster).telemetry is session

@@ -450,6 +450,36 @@ class TestCheckpoints:
         # The damaged newest checkpoint is not the one recovery would use.
         assert "recovery would use: checkpoint" in text
 
+    @pytest.mark.parametrize("damage", ["corrupt", "tear"])
+    def test_verify_events_land_in_the_drivers_session(self, damage, monkeypatch):
+        import contextlib
+
+        from repro.bench import reporting
+
+        drivers = []
+        graph_driver = reporting.graph_driver
+
+        @contextlib.contextmanager
+        def recording(*args, **kwargs):
+            with graph_driver(*args, **kwargs) as driver:
+                drivers.append(driver)
+                yield driver
+
+        monkeypatch.setattr(reporting, "graph_driver", recording)
+        code, _ = run_cli(
+            [
+                "checkpoints", "verify",
+                "--vertices", "60",
+                "--interval", "2",
+                "--damage", damage,
+            ]
+        )
+        assert code == 0
+        events = drivers[0].telemetry.events
+        [failed] = events.snapshot(name="checkpoint.verify_failed")
+        [fallback] = events.snapshot(name="recovery.fallback")
+        assert fallback.args["superstep"] < failed.args["superstep"]
+
 
 class TestRunJson:
     @pytest.fixture

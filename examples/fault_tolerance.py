@@ -11,7 +11,7 @@ free run.
 """
 
 from repro.algorithms import pagerank
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hdfs import MiniDFS
@@ -27,9 +27,9 @@ def run(kill_worker):
     if kill_worker:
         # node2 fails at the open of its 61st operator task; the
         # failure manager blacklists it and powers it off.
-        FaultInjector(FaultPlan(
+        cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", node="node2", at_hit=61)]
-        )).attach(cluster)
+        ))
     job = pagerank.build_job(iterations=10, checkpoint_interval=2)
     outcome = driver.run(job, "/input/g", output_path="/output/ranks")
     lines = sorted(driver.read_output("/output/ranks"))

@@ -5,8 +5,9 @@ Two halves:
 * :mod:`repro.chaos.faults` — a deterministic, replayable fault
   injector. A :class:`FaultPlan` (optionally drawn from
   ``random.Random(seed)``) lists :class:`FaultSpec` injection points;
-  a :class:`FaultInjector` attached to a
-  :class:`~repro.hyracks.engine.HyracksCluster` fires them at superstep
+  the :class:`FaultInjector` every
+  :class:`~repro.hyracks.engine.HyracksCluster` holds, once armed with
+  a plan, fires them at superstep
   boundaries, operator open/next/close, buffer-cache page I/O, and
   checkpoint writes — raising worker failures, killing nodes, or
   delaying the simulated clock, with every firing recorded in telemetry.
@@ -39,8 +40,7 @@ _EXPORTS = {
                                "values_close"),
         ("chaos.faults", "CORE_ACTIONS FAULT_ACTIONS FAULT_SITES "
                          "MUTATION_ACTIONS TRANSIENT_SITES ChaosError "
-                         "FaultInjector FaultPlan FaultSpec FiredFault "
-                         "check_fault"),
+                         "FaultInjector FaultPlan FaultSpec FiredFault"),
         ("chaos.reference", "AlgorithmCase algorithm_case algorithm_names"),
         ("chaos.serve_drill", "SCENARIOS run_serve_drill"),
         ("pregelix.api", "PlanChoice all_plans"),

@@ -29,7 +29,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from repro.chaos.faults import FaultInjector, FaultPlan
+from repro.chaos.faults import FaultPlan
 from repro.pregelix.api import PlanChoice, all_plans
 
 @dataclass(frozen=True)
@@ -195,9 +195,9 @@ class DifferentialChecker:
             fault_seed=fault_seed,
             fault_actions=self.fault_actions if fault_seed is not None else None,
         )
-        injector = None
+        injector = cluster.fault_injector
         try:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
+            dfs = MiniDFS(datanodes=cluster.node_ids(), fault_injector=injector)
             from repro.graphs.io import write_graph_to_dfs
 
             write_graph_to_dfs(
@@ -215,7 +215,7 @@ class DifferentialChecker:
                         num_faults=self.num_faults,
                         actions=self.fault_actions,
                     )
-                injector = FaultInjector(schedule).attach(cluster, dfs=dfs)
+                injector.arm(schedule)
             driver = PregelixDriver(cluster, dfs)
             outcome = driver.run(
                 job,
@@ -226,8 +226,7 @@ class DifferentialChecker:
             )
             cell.lines = tuple(sorted(driver.read_output("/out/r")))
             cell.recoveries = outcome.recoveries
-            if injector is not None:
-                cell.faults_fired = len(injector.fired)
+            cell.faults_fired = len(injector.fired)
             survivors = sorted(
                 "%s/%s" % (node_id, name)
                 for node_id, node in cluster.nodes.items()

@@ -18,20 +18,23 @@ the surviving machines) are only trustworthy if they can be exercised
   scenario is *one integer*: the same seed always produces the same
   plan, and because the simulated engine executes deterministically, the
   same plan always fires at the same execution points;
-* a :class:`FaultInjector` that arms a plan on a cluster.  Every check
-  and every fired fault is counted, and fired faults are recorded as
-  ``chaos.fault`` telemetry events, so a trace shows exactly when each
-  fault hit.
+* a :class:`FaultInjector`: every
+  :class:`~repro.hyracks.engine.HyracksCluster` builds one, unarmed, and
+  hands it to every host it builds; ``arm`` loads a plan into it.  Every
+  check and every fired fault is counted, and fired faults are recorded
+  as ``chaos.fault`` telemetry events, so a trace shows exactly when
+  each fault hit.
 
-Hook sites call :meth:`FaultInjector.check`; the injector either returns
-(no matching spec), raises :class:`~repro.common.errors.WorkerFailure`
-(which the engine wraps into a recoverable
-:class:`~repro.common.errors.JobFailure`), kills a machine through the
-cluster, or advances the simulated clock for a delay.
+Hook sites call :meth:`FaultInjector.check` unconditionally; the
+injector either returns (unarmed, or no matching spec), raises
+:class:`~repro.common.errors.WorkerFailure` (which the engine wraps into
+a recoverable :class:`~repro.common.errors.JobFailure`), kills a machine
+through the cluster, or advances the simulated clock for a delay.
 """
 
 import random
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 from repro.common.errors import JobFailure, ReproError, TransientIOError, WorkerFailure
@@ -118,6 +121,15 @@ _MUTATION_SITES = ("dfs.write", "journal.append")
 #: a service outlives the runs it executes, so a crash scheduled at the
 #: "finishing" phase or on a post-run journal append must still fire.
 SERVICE_SITES = ("journal.append", "service.crash")
+
+#: What :meth:`FaultPlan.random` draws from: the node-attributed
+#: engine/storage sites, hit numbers up to RANDOM_MAX_HIT, armed from
+#: RANDOM_MIN_SUPERSTEP; a drawn delay adds RANDOM_DELAY_SECONDS.
+RANDOM_SITES = tuple(s for s in FAULT_SITES[1:] if s not in _NON_DEFAULT_SITES)
+RANDOM_MAX_HIT = 20
+RANDOM_MIN_SUPERSTEP = 2
+RANDOM_DELAY_SECONDS = 0.05
+
 
 class ChaosError(ReproError):
     """A fault plan or injector was configured inconsistently."""
@@ -211,43 +223,27 @@ class FaultPlan:
         return [header] + ["  %d: %s" % (i, s.describe()) for i, s in enumerate(self.specs)]
 
     @classmethod
-    def random(
-        cls,
-        seed,
-        node_ids,
-        num_faults=2,
-        sites=None,
-        actions=None,
-        max_hit=20,
-        min_superstep=2,
-        max_kills=None,
-        delay_seconds=0.05,
-    ):
+    def random(cls, seed, node_ids, num_faults=2, actions=None):
         """Derive a whole fault schedule from one integer seed.
 
         Every choice — site, node, occurrence, action — comes from
         ``random.Random(seed)``, so the schedule is fully replayable.
-        Defaults keep schedules *survivable*: faults arm only from
-        ``min_superstep`` (after the first committed checkpoint when the
-        job checkpoints every superstep) and machine-losing faults are
-        capped below the cluster size so recovery always has survivors.
+        Schedules are *survivable*: faults arm only from
+        :data:`RANDOM_MIN_SUPERSTEP` (after the first committed
+        checkpoint when the job checkpoints every superstep) and
+        machine-losing faults are capped two below the cluster size so
+        recovery always has survivors.
         """
         node_ids = list(node_ids)
         if not node_ids:
             raise ChaosError("fault plan needs at least one node id")
-        sites = list(
-            sites
-            if sites is not None
-            else [s for s in FAULT_SITES[1:] if s not in _NON_DEFAULT_SITES]
-        )  # node-attributed engine/storage sites
         actions = list(actions if actions is not None else CORE_ACTIONS)
-        if max_kills is None:
-            max_kills = max(len(node_ids) - 2, 0)
+        max_kills = max(len(node_ids) - 2, 0)
         rng = random.Random(seed)
         specs = []
         lethal = 0
         for _ in range(num_faults):
-            site = rng.choice(sites)
+            site = rng.choice(RANDOM_SITES)
             action = rng.choice(actions)
             if action in MUTATION_ACTIONS:
                 site = "dfs.write"  # the only site these are meaningful at
@@ -263,9 +259,9 @@ class FaultPlan:
                     site=site,
                     action=action,
                     node=rng.choice(node_ids),
-                    at_hit=rng.randint(1, max_hit),
-                    min_superstep=min_superstep,
-                    delay_seconds=delay_seconds if action == "delay" else 0.0,
+                    at_hit=rng.randint(1, RANDOM_MAX_HIT),
+                    min_superstep=RANDOM_MIN_SUPERSTEP,
+                    delay_seconds=RANDOM_DELAY_SECONDS if action == "delay" else 0.0,
                 )
             )
         return cls(specs, seed=seed)
@@ -284,31 +280,39 @@ class FiredFault:
 
 
 class FaultInjector:
-    """Arms a :class:`FaultPlan` on a simulated cluster.
+    """The chaos hook every site of one cluster consults.
 
     Usage::
 
         plan = FaultPlan.random(seed=7, node_ids=cluster.node_ids())
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         driver.run(job, ...)          # faults fire deterministically
         injector.fired                # what happened, in order
 
-    The injector is consulted from the engine (operator clones), the
-    buffer cache (page I/O), the checkpoint operators (blob writes), and
-    the driver (superstep boundaries). The driver disarms it once the
+    A :class:`~repro.hyracks.engine.HyracksCluster` builds one unarmed
+    injector and hands it to every host it builds — each node and its
+    buffer cache (operator clones, page I/O, checkpoint writes), the
+    driver (superstep boundaries, rebalances) and, through the service,
+    the DFS and the journal. A host built standalone holds a private
+    unarmed one. Unarmed, :meth:`check` and :meth:`begin_superstep`
+    return at once. The driver disarms the engine sites once the
     superstep loop completes so the final dump is not torn by leftover
     faults — the harness targets the iterative phase the paper's
     recovery story covers.
     """
 
-    def __init__(self, plan):
-        self.plan = plan
-        #: The attached cluster's session (:meth:`attach`); until then a
-        #: private disabled one.
-        self.telemetry = Telemetry(enabled=False)
-        self.cluster = None
-        self.dfs = None
-        self.armed = True
+    def __init__(self, cluster=None):
+        #: The cluster a ``kill`` powers machines off in, and whose
+        #: session records every firing; standalone, none and a private
+        #: disabled session. Held weakly: the cluster holds the injector,
+        #: and a strong reference back would keep every dropped cluster
+        #: and its cached pages alive until a full garbage collection.
+        self.cluster = weakref.proxy(cluster) if cluster is not None else None
+        self.telemetry = (
+            cluster.telemetry if cluster is not None else Telemetry(enabled=False)
+        )
+        self.plan = FaultPlan()
+        self.armed = False
         self._engine_disarmed = False
         self.current_superstep = 0
         self.fired = []
@@ -318,39 +322,21 @@ class FaultInjector:
         # could fire twice (two threads passing ``hits >= at_hit``).
         self._lock = threading.RLock()
 
-    # ------------------------------------------------------------------
-    # wiring
-    # ------------------------------------------------------------------
-    def attach(self, cluster, dfs=None):
-        """Install this injector on ``cluster`` (and optionally a DFS)."""
-        self.cluster = cluster
-        self.telemetry = cluster.telemetry
-        cluster.fault_injector = self
-        for node in cluster.nodes.values():
-            node.fault_injector = self
-            node.buffer_cache.fault_injector = self
-        if dfs is not None:
-            self.dfs = dfs
-            dfs.fault_injector = self
+    def arm(self, plan):
+        """Load ``plan`` and start firing it from a clean count."""
+        with self._lock:
+            self.plan = plan
+            self.checks = 0
+            self.fired = []
+            self.current_superstep = 0
+            self._engine_disarmed = False
+            self.armed = True
         self.telemetry.event(
             "chaos.armed",
             category="chaos",
-            seed=self.plan.seed,
-            faults=len(self.plan),
+            seed=plan.seed,
+            faults=len(plan),
         )
-        return self
-
-    def detach(self):
-        """Remove the injector from the attached cluster (and DFS)."""
-        if self.cluster is not None:
-            self.cluster.fault_injector = None
-            for node in self.cluster.nodes.values():
-                node.fault_injector = None
-                node.buffer_cache.fault_injector = None
-            self.cluster = None
-        if self.dfs is not None:
-            self.dfs.fault_injector = None
-            self.dfs = None
         return self
 
     def disarm(self, reason="", scope="all"):
@@ -376,6 +362,8 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def begin_superstep(self, superstep):
         """Driver hook: entering ``superstep``. May raise JobFailure."""
+        if not self.armed:
+            return
         self.current_superstep = superstep
         # A new superstep means a new run's loop is live again: an
         # engine-scoped disarm only ever protects the dump phase between
@@ -497,10 +485,3 @@ class FaultInjector:
             ],
             "pending": [s.describe() for s in self.plan if not s.fired],
         }
-
-
-def check_fault(owner, site, node=None, **info):
-    """Consult ``owner.fault_injector`` if one is attached (hook helper)."""
-    injector = getattr(owner, "fault_injector", None)
-    if injector is not None:
-        injector.check(site, node=node, **info)

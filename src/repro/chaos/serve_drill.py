@@ -32,7 +32,7 @@ import shutil
 import tempfile
 import time
 
-from repro.chaos.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos.faults import FaultPlan, FaultSpec
 from repro.common.errors import ReproError
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
@@ -155,8 +155,9 @@ def _drill(row, vertices, num_nodes, baselines):
 
     problems = []
     with _Harness(vertices, num_nodes, row.journal) as harness:
-        injector = FaultInjector(FaultPlan([dataclasses.replace(row.fault)]))
-        injector.attach(harness.cluster, dfs=harness.dfs)
+        injector = harness.cluster.fault_injector.arm(
+            FaultPlan([dataclasses.replace(row.fault)])
+        )
         first = harness.service(batch_max=len(row.requests))
         first.start()
         try:
@@ -226,7 +227,10 @@ class _Harness:
 
     def __enter__(self):
         self.cluster = HyracksCluster(num_nodes=self.num_nodes)
-        self.dfs = MiniDFS(datanodes=self.cluster.node_ids())
+        self.dfs = MiniDFS(
+            datanodes=self.cluster.node_ids(),
+            fault_injector=self.cluster.fault_injector,
+        )
         self.journal = DRILL_CONFIG.journal
         if self.backend == "file":
             self._journal_dir = tempfile.mkdtemp(prefix="repro-chaos-journal-")

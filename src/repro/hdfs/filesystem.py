@@ -21,10 +21,10 @@ hardware does — bit flips leave the recorded checksum stale, torn writes
 leave a self-consistent prefix — so the two failure modes are caught by
 *different* layers (block CRCs vs. checkpoint-manifest sizes).
 
-Fault injection / retry: when a
-:class:`~repro.chaos.faults.FaultInjector` is attached as
-``fault_injector``, every :meth:`write` consults the ``dfs.write`` site
-first; a ``transient_io`` fault raises
+Fault injection / retry: every :meth:`write` first consults the
+``dfs.write`` site of the DFS's
+:class:`~repro.chaos.faults.FaultInjector` — the cluster's, handed in at
+construction, or a private unarmed one. A ``transient_io`` fault raises
 :class:`~repro.common.errors.TransientIOError`, which the DFS's own
 ``retry_policy`` (see :class:`repro.hdfs.retry.RetryPolicy`) absorbs
 with seeded exponential backoff — the way a real HDFS client retries a
@@ -37,6 +37,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 
+from repro.chaos.faults import FaultInjector
 from repro.hdfs.retry import RetryPolicy
 
 
@@ -96,9 +97,13 @@ class MiniDFS:
     :param datanodes: node identifiers replicas are spread across.
     :param block_size: split granularity in bytes.
     :param replication: replicas per block (capped at ``len(datanodes)``).
+    :param fault_injector: the cluster's chaos hook, consulted at the
+        ``dfs.write`` site on every write; standalone, a private unarmed
+        one.
     """
 
-    def __init__(self, datanodes=("node0",), block_size=1 << 16, replication=3):
+    def __init__(self, datanodes=("node0",), block_size=1 << 16, replication=3,
+                 fault_injector=None):
         if not datanodes:
             raise ValueError("MiniDFS needs at least one datanode")
         if block_size <= 0:
@@ -114,11 +119,9 @@ class MiniDFS:
         # against dict resizes. Re-entrant because aggregate operations
         # (total_bytes, verify_tree) call list_files while holding it.
         self._ns_lock = threading.RLock()
-        #: Optional chaos hook (see repro.chaos.faults.FaultInjector);
-        #: consulted at the ``dfs.write`` site on every write.
-        self.fault_injector = None
+        self.fault_injector = fault_injector or FaultInjector()
         #: Retry around the ``dfs.write`` fault check.
-        self.retry_policy = RetryPolicy()
+        self.retry_policy = RetryPolicy(telemetry=self.fault_injector.telemetry)
 
     # ------------------------------------------------------------------
     # namespace operations
@@ -434,13 +437,9 @@ class MiniDFS:
     # ------------------------------------------------------------------
     def _check_write_fault(self, path, num_bytes):
         """Consult the chaos injector; returns a mutation action or None."""
-        injector = self.fault_injector
-        if injector is None:
-            return None
         return self.retry_policy.call(
-            lambda: injector.check("dfs.write", path=path, bytes=num_bytes),
+            lambda: self.fault_injector.check("dfs.write", path=path, bytes=num_bytes),
             describe="dfs.write %s" % path,
-            telemetry=injector.telemetry,
         )
 
     def _place_block(self):

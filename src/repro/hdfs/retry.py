@@ -8,7 +8,7 @@ for the simulation, shared by :class:`~repro.hdfs.MiniDFS` (around
 writes) and the Pregelix driver (around superstep-boundary faults and
 checkpoint reads).
 
-Determinism: the jitter stream comes from ``random.Random(seed)`` and
+Determinism: the jitter stream comes from a fixed seed and
 backoff "sleeps" advance the telemetry *sim clock* instead of real time,
 so a retried run is fast and replays bit-identically from the seed.
 Every retry is emitted as a ``retry.attempt`` telemetry event.
@@ -37,51 +37,38 @@ class RetryPolicy:
 
     ``call`` runs a callable, retrying while the raised error satisfies
     ``classify`` (default: :func:`is_transient`). The backoff sequence —
-    ``base * multiplier**attempt``, capped at ``max_seconds``, stretched
-    by up to ``jitter`` drawn from ``random.Random(seed)`` — is fully
-    determined by the seed, and every sleep advances the telemetry sim
+    ``BASE_SECONDS * MULTIPLIER**attempt``, capped at ``MAX_SECONDS``,
+    stretched by up to ``JITTER`` drawn from ``random.Random(SEED)`` —
+    is fully determined, and every sleep advances the telemetry sim
     clock, so a retried run replays bit-identically. Retries land in
-    ``telemetry`` (the owner's session, or a private disabled one when
-    none is given) unless ``call`` names another.
+    ``telemetry``: the owner's session, or a private disabled one when
+    none is given.
     """
 
-    def __init__(
-        self,
-        max_attempts=4,
-        base_seconds=0.05,
-        multiplier=2.0,
-        max_seconds=2.0,
-        jitter=0.25,
-        seed=0,
-        telemetry=None,
-    ):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.max_attempts = int(max_attempts)
-        self.base_seconds = float(base_seconds)
-        self.multiplier = float(multiplier)
-        self.max_seconds = float(max_seconds)
-        self.jitter = float(jitter)
-        self.seed = seed
+    MAX_ATTEMPTS = 4
+    BASE_SECONDS = 0.05
+    MULTIPLIER = 2.0
+    MAX_SECONDS = 2.0
+    JITTER = 0.25
+    SEED = 0
+
+    def __init__(self, telemetry=None):
         self.telemetry = telemetry or Telemetry(enabled=False)
-        self._rng = random.Random(seed)
+        self._rng = random.Random(self.SEED)
         self.attempts_made = 0
         self.retries_made = 0
 
     def backoff_seconds(self, attempt):
         """Simulated sleep before retrying after the Nth (1-based) failure."""
         delay = min(
-            self.base_seconds * self.multiplier ** (attempt - 1), self.max_seconds
+            self.BASE_SECONDS * self.MULTIPLIER ** (attempt - 1), self.MAX_SECONDS
         )
-        if self.jitter:
-            delay *= 1.0 + self.jitter * self._rng.random()
-        return delay
+        return delay * (1.0 + self.JITTER * self._rng.random())
 
-    def call(self, fn, describe="", classify=None, telemetry=None):
+    def call(self, fn, describe="", classify=None):
         """Run ``fn`` with retries; re-raises on a non-matching error or
-        once ``max_attempts`` is exhausted."""
+        once ``MAX_ATTEMPTS`` is exhausted."""
         classify = classify if classify is not None else is_transient
-        telemetry = telemetry or self.telemetry
         attempt = 0
         while True:
             attempt += 1
@@ -89,11 +76,11 @@ class RetryPolicy:
             try:
                 return fn()
             except Exception as error:
-                if attempt >= self.max_attempts or not classify(error):
+                if attempt >= self.MAX_ATTEMPTS or not classify(error):
                     raise
                 delay = self.backoff_seconds(attempt)
                 self.retries_made += 1
-                telemetry.event(
+                self.telemetry.event(
                     "retry.attempt",
                     category="failure",
                     what=describe,
@@ -101,5 +88,5 @@ class RetryPolicy:
                     backoff_seconds=round(delay, 6),
                     error=str(error),
                 )
-                telemetry.registry.counter("failure.retries").inc()
-                telemetry.sim_clock.advance(delay)
+                self.telemetry.registry.counter("failure.retries").inc()
+                self.telemetry.sim_clock.advance(delay)

@@ -26,6 +26,7 @@ import tempfile
 import threading
 import time
 
+from repro.chaos.faults import FaultInjector
 from repro.common.accounting import Counters, IOCounters, MemoryBudget
 from repro.common.errors import JobFailure, SchedulingError, WorkerFailure
 from repro.hyracks.scheduler import Scheduler
@@ -44,14 +45,16 @@ class NodeContext:
     """One shared-nothing worker: budget, local disk, cache, services."""
 
     def __init__(self, node_id, root_dir, memory_bytes, cache_bytes, page_size,
-                 telemetry):
+                 telemetry, fault_injector):
         self.node_id = node_id
         self.telemetry = telemetry
+        self.fault_injector = fault_injector
         self.io = IOCounters()  # this node's disk traffic
         self.files = FileManager(os.path.join(root_dir, str(node_id)), self.io)
         self.budget = MemoryBudget(memory_bytes, name=str(node_id))
         self.buffer_cache = BufferCache(
-            cache_bytes, page_size, self.files, telemetry=telemetry, node_id=node_id
+            cache_bytes, page_size, self.files, telemetry=telemetry,
+            node_id=node_id, fault_injector=fault_injector,
         )
         # The two resident holders are exported by reference: the
         # registry reads them, nothing is counted twice.
@@ -68,7 +71,6 @@ class NodeContext:
         #: them. Both fields are guarded by the cluster's membership lock.
         self.draining = False
         self.inflight = 0
-        self.fault_injector = None
 
     def check_failure(self):
         """A clone placed on a powered-off machine fails before it runs."""
@@ -88,9 +90,9 @@ class NodeContext:
         self.buffer_cache = BufferCache(
             old.capacity, old.page_size, self.files,
             telemetry=self.telemetry, node_id=self.node_id,
+            fault_injector=self.fault_injector,
         )
         self.buffer_cache.stats = old.stats
-        self.buffer_cache.fault_injector = old.fault_injector
         self.budget.reset()
 
 
@@ -222,6 +224,9 @@ class HyracksCluster:
         self.buffer_cache_bytes = int(buffer_cache_bytes)
         self.page_size = int(page_size)
         self.telemetry = telemetry or Telemetry()
+        #: The one chaos hook every node, cache and service host of this
+        #: cluster consults; unarmed until ``fault_injector.arm(plan)``.
+        self.fault_injector = FaultInjector(self)
         self.nodes = collections.OrderedDict()
         for i in range(num_nodes):
             node_id = "node%d" % i
@@ -232,14 +237,13 @@ class HyracksCluster:
                 buffer_cache_bytes,
                 page_size,
                 telemetry=self.telemetry,
+                fault_injector=self.fault_injector,
             )
         self.scheduler = Scheduler(partitions_per_node)
         self.jobs_executed = 0
         # Concurrent execute() calls (repro.serve runs whole jobs in
         # parallel) make the counter bump a read-modify-write.
         self._jobs_executed_lock = threading.Lock()
-        #: Optional chaos hook (see repro.chaos.faults.FaultInjector).
-        self.fault_injector = None
         self.virtual_partitions = (
             int(virtual_partitions) if virtual_partitions else None
         )
@@ -316,10 +320,8 @@ class HyracksCluster:
                 self.buffer_cache_bytes,
                 self.page_size,
                 telemetry=self.telemetry,
+                fault_injector=self.fault_injector,
             )
-            # A chaos injector armed before the node joined must see it.
-            node.fault_injector = self.fault_injector
-            node.buffer_cache.fault_injector = self.fault_injector
             self.nodes[node_id] = node
             self.membership_epoch += 1
         self.telemetry.event(
@@ -459,7 +461,6 @@ class HyracksCluster:
                     for edge in job_spec.outputs_of(operator)
                 ]
                 operator.initialize(job_ctx)
-                injector = self.fault_injector
                 spent, sent = 0.0, []
                 # Partition order: each consumer's sender lists are in
                 # partition-id order, and the first failing clone stops
@@ -474,7 +475,6 @@ class HyracksCluster:
                             [routed[partition] for routed in routed_inputs],
                             out_edges,
                             job_ctx,
-                            injector,
                         )
                     except WorkerFailure as error:
                         self.telemetry.event(
@@ -526,7 +526,7 @@ class HyracksCluster:
         )
 
     def _run_clone(self, operator, partition, node, num_partitions,
-                   clone_inputs, out_edges, job_ctx, injector):
+                   clone_inputs, out_edges, job_ctx):
         """Run one partition clone.
 
         Dead-node check, injector probes at open/next/close, a task span
@@ -537,13 +537,13 @@ class HyracksCluster:
         clone_started = time.perf_counter()
         ctx = TaskContext(node, job_ctx, partition, num_partitions)
         node.check_failure()
-        if injector is not None:
-            injector.check(
-                "operator.open",
-                node=node.node_id,
-                operator=operator.name,
-                partition=partition,
-            )
+        injector = self.fault_injector
+        injector.check(
+            "operator.open",
+            node=node.node_id,
+            operator=operator.name,
+            partition=partition,
+        )
         with self.telemetry.span(
             operator.name,
             category="task",
@@ -551,17 +551,15 @@ class HyracksCluster:
             node=node.node_id,
         ):
             result = operator.run(ctx, partition, clone_inputs) or {}
-        if injector is not None:
-            # "next": output produced, not yet handed on — a fault
-            # here loses the clone's work exactly like a crash
-            # mid-stream would.
-            injector.check(
-                "operator.next",
-                node=node.node_id,
-                operator=operator.name,
-                partition=partition,
-                tuples=sum(len(t) for t in result.values()),
-            )
+        # "next": output produced, not yet handed on — a fault here
+        # loses the clone's work exactly like a crash mid-stream would.
+        injector.check(
+            "operator.next",
+            node=node.node_id,
+            operator=operator.name,
+            partition=partition,
+            tuples=sum(len(t) for t in result.values()),
+        )
         elapsed = time.perf_counter() - clone_started
         sent = []
         for edge, num_consumers in out_edges:
@@ -571,13 +569,12 @@ class HyracksCluster:
             for dest, tuples in enumerate(per_dest):
                 edge.connector._account(job_ctx, partition, dest, tuples)
             sent.append(per_dest)
-        if injector is not None:
-            injector.check(
-                "operator.close",
-                node=node.node_id,
-                operator=operator.name,
-                partition=partition,
-            )
+        injector.check(
+            "operator.close",
+            node=node.node_id,
+            operator=operator.name,
+            partition=partition,
+        )
         return elapsed, sent
 
     @staticmethod

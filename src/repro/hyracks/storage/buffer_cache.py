@@ -31,6 +31,7 @@ when the cache is built standalone.
 import threading
 from collections import OrderedDict
 
+from repro.chaos.faults import FaultInjector
 from repro.common.errors import StorageError
 from repro.hyracks.storage.pages import Page, PageId
 from repro.telemetry import Telemetry
@@ -66,10 +67,13 @@ class BufferCache:
     :param file_manager: the node-local :class:`FileManager` pages spill to.
     :param telemetry: the owning node's session; a standalone cache
         records into a private disabled one.
+    :param fault_injector: the owning cluster's chaos hook, consulted at
+        ``page.read`` and ``page.write``; a standalone cache holds a
+        private unarmed one.
     """
 
     def __init__(self, capacity_bytes, page_size, file_manager, telemetry=None,
-                 node_id=None):
+                 node_id=None, fault_injector=None):
         if page_size <= 0:
             raise ValueError("page_size must be positive")
         self.capacity = int(capacity_bytes)
@@ -77,8 +81,7 @@ class BufferCache:
         self.files = file_manager
         self.telemetry = telemetry or Telemetry(enabled=False)
         self.node_id = node_id
-        #: Optional chaos hook, installed by FaultInjector.attach.
-        self.fault_injector = None
+        self.fault_injector = fault_injector or FaultInjector()
         self.stats = BufferCacheStats()  # bumped under _latch only
         self._pages = OrderedDict()  # PageId -> Page, LRU order (oldest first)
         self._cached_bytes = 0
@@ -137,13 +140,12 @@ class BufferCache:
                 page.pin_count += 1
             else:
                 self.stats.misses += 1
-                if self.fault_injector is not None:
-                    self.fault_injector.check(
-                        "page.read",
-                        node=self.node_id,
-                        file_id=page_id.file_id,
-                        page_no=page_id.page_no,
-                    )
+                self.fault_injector.check(
+                    "page.read",
+                    node=self.node_id,
+                    file_id=page_id.file_id,
+                    page_no=page_id.page_no,
+                )
                 data = self.files.read_page(
                     page_id.file_id, page_id.page_no, self.page_size
                 )
@@ -217,13 +219,12 @@ class BufferCache:
         # pins can exceed capacity), eviction resumes at the next unpin.
 
     def _writeback(self, page):
-        if self.fault_injector is not None:
-            self.fault_injector.check(
-                "page.write",
-                node=self.node_id,
-                file_id=page.page_id.file_id,
-                page_no=page.page_id.page_no,
-            )
+        self.fault_injector.check(
+            "page.write",
+            node=self.node_id,
+            file_id=page.page_id.file_id,
+            page_no=page.page_id.page_no,
+        )
         with page.latch:  # never serialize a half-applied update
             image = page.to_bytes()
             page.dirty = False

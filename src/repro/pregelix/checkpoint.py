@@ -69,13 +69,12 @@ class IndexCheckpointOperator(OperatorDescriptor):
     def run(self, ctx, partition, inputs):
         index = find_index(ctx, self.index_name, partition)
         blob = pack_pairs(index.scan()) if index is not None else b""
-        if ctx.fault_injector is not None:
-            ctx.fault_injector.check(
-                "checkpoint.write",
-                node=ctx.node.node_id,
-                index=self.label,
-                partition=partition,
-            )
+        ctx.fault_injector.check(
+            "checkpoint.write",
+            node=ctx.node.node_id,
+            index=self.label,
+            partition=partition,
+        )
         self.dfs.write(self.path_for_partition(partition), blob)
         if isinstance(index, Index):
             # An index is scanned through the buffer cache, which charges

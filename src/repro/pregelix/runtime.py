@@ -241,12 +241,11 @@ class PregelixDriver:
                     recoveries=recoveries + recovered, output_path=None,
                 ))
 
-            if self.cluster.fault_injector is not None:
-                # The chaos harness targets the iterative phase; leftover
-                # faults must not tear the final result dump.
-                self.cluster.fault_injector.disarm(
-                    reason="superstep loop complete", scope="engine"
-                )
+            # The chaos harness targets the iterative phase; leftover
+            # faults must not tear the final result dump.
+            self.cluster.fault_injector.disarm(
+                reason="superstep loop complete", scope="engine"
+            )
             last = outcomes[-1]
             if output_path is not None:
                 with telemetry.span("dump", category="phase", run_id=run_id):
@@ -518,14 +517,14 @@ class PregelixDriver:
         return gs, generator, stats, recoveries
 
     def _attempt_superstep(self, generator, gs):
-        """One try at superstep ``gs.superstep + 1``: arm faults, execute.
+        """One try at superstep ``gs.superstep + 1``: enter it at the
+        fault injector, execute.
 
-        Kept as a unit so boundary retry re-arms the injector — a
-        one-shot ``superstep.begin`` fault consumed on attempt N must
-        not leave attempt N+1 observing a half-armed schedule.
+        Kept as a unit so a boundary retry re-enters the superstep at
+        the injector — a one-shot ``superstep.begin`` fault consumed on
+        attempt N must not leave attempt N+1 seeing a half-spent schedule.
         """
-        if self.cluster.fault_injector is not None:
-            self.cluster.fault_injector.begin_superstep(gs.superstep + 1)
+        self.cluster.fault_injector.begin_superstep(gs.superstep + 1)
         return self.cluster.execute(generator.superstep_plan(gs))
 
     def _checkpoint(self, generator, checkpointer, gs):
@@ -577,11 +576,9 @@ class PregelixDriver:
                 moved_partitions=moved,
                 nodes=len(set(desired.locations)),
             )
-            if injector is not None:
-                injector.check("rebalance", phase="checkpoint")
+            injector.check("rebalance", phase="checkpoint")
             self._checkpoint(generator, checkpointer, gs)
-            if injector is not None:
-                injector.check("rebalance", phase="restore")
+            injector.check("rebalance", phase="restore")
             generator = self._restore(generator, checkpointer, gs.superstep, desired)
             seconds = time.perf_counter() - started
             span.annotate(moved_partitions=moved, seconds=seconds)

@@ -47,7 +47,9 @@ import time
 import zlib
 from collections import OrderedDict, deque
 
+from repro.chaos.faults import FaultInjector
 from repro.common.errors import ChecksumError, ReproError
+from repro.hdfs.retry import RetryPolicy
 from repro.serve.api import ServiceCrashed
 from repro.telemetry import Telemetry
 
@@ -247,20 +249,22 @@ class Journal:
         methods).
     :param telemetry: the service's session; a journal opened
         standalone records into a private disabled one.
-    :param fault_injector: chaos hook consulted at ``journal.append``.
-    :param retry: a :class:`~repro.hdfs.retry.RetryPolicy` absorbing
-        ``transient_io`` faults in place.
+    :param fault_injector: the service's cluster's chaos hook, consulted
+        at ``journal.append``; standalone, a private unarmed one.
+
+    ``transient_io`` faults are absorbed in place by the journal's own
+    :class:`~repro.hdfs.retry.RetryPolicy`, which retries into
+    ``telemetry``.
     """
 
     #: appends in the rolling latency average overload shedding consults.
     LATENCY_WINDOW = 32
 
-    def __init__(self, storage, telemetry=None, fault_injector=None,
-                 retry=None):
+    def __init__(self, storage, telemetry=None, fault_injector=None):
         self.storage = storage
         self.telemetry = telemetry or Telemetry(enabled=False)
-        self.fault_injector = fault_injector
-        self.retry = retry
+        self.fault_injector = fault_injector or FaultInjector()
+        self.retry = RetryPolicy(telemetry=self.telemetry)
         self._latencies = deque(maxlen=self.LATENCY_WINDOW)
         self._lock = threading.Lock()
         self._frozen = False
@@ -285,7 +289,13 @@ class Journal:
         with self._lock:
             if self._frozen:
                 raise ServiceCrashed("journal")
-            mutation = self._check_fault(record_type, job_id, len(frame))
+            mutation = self.retry.call(
+                lambda: self.fault_injector.check(
+                    "journal.append", record=record_type,
+                    job_id=job_id, bytes=len(frame),
+                ),
+                describe="journal.append %s" % job_id,
+            )
             started = time.perf_counter()
             size_before = self.storage.size()
             self.storage.append(frame)
@@ -302,23 +312,6 @@ class Journal:
         )
         self.telemetry.registry.counter("serve.journal.appends").inc()
         return payload
-
-    def _check_fault(self, record_type, job_id, nbytes):
-        injector = self.fault_injector
-        if callable(injector) and not hasattr(injector, "check"):
-            injector = injector()  # lazily resolved (chaos attaches late)
-        if injector is None:
-            return None
-
-        def check():
-            return injector.check(
-                "journal.append", record=record_type,
-                job_id=job_id, bytes=nbytes,
-            )
-
-        if self.retry is not None:
-            return self.retry.call(check, describe="journal.append %s" % job_id)
-        return check()
 
     # ------------------------------------------------------------------
     def replay(self):
@@ -370,8 +363,7 @@ class Journal:
         }
 
 
-def open_journal(target, telemetry=None, fault_injector=None, retry=None,
-                 dfs=None):
+def open_journal(target, telemetry=None, fault_injector=None, dfs=None):
     """Build a :class:`Journal` at ``target``, which names its backend:
 
     * ``file:<path>`` — :class:`LocalJournalStorage`, a real fsync'd file
@@ -397,6 +389,4 @@ def open_journal(target, telemetry=None, fault_injector=None, retry=None,
             "journal target %r must be file:<path> (a local file) or "
             "dfs:<path> (a file in the attached DFS)" % (target,)
         )
-    return Journal(
-        storage, telemetry=telemetry, fault_injector=fault_injector, retry=retry
-    )
+    return Journal(storage, telemetry=telemetry, fault_injector=fault_injector)

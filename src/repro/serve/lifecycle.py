@@ -205,13 +205,10 @@ class JobLifecycle:
         (``queued`` / ``dispatch`` / ``running`` / ``finishing``) so a
         drill can pick exactly where the process dies.
         """
-        injector = getattr(self.service.dfs, "fault_injector", None)
-        if injector is None:
-            injector = getattr(self.service.cluster, "fault_injector", None)
-        if injector is None:
-            return
         try:
-            injector.check("service.crash", node=phase, **info)
+            self.service.cluster.fault_injector.check(
+                "service.crash", node=phase, **info
+            )
         except ReproError as failure:
             self._simulate_crash(phase)
             raise ServiceCrashed(phase) from failure

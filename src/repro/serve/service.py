@@ -32,7 +32,7 @@ from repro.common.errors import ReproError
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix.api import PlanChoice
-from repro.pregelix.failure import HeartbeatMonitor, RetryPolicy
+from repro.pregelix.failure import HeartbeatMonitor
 from repro.serve.autoscale import Autoscaler
 from repro.serve import plans
 from repro.serve.batching import BatchFormer
@@ -103,7 +103,9 @@ class JobService(ServiceDocuments):
             cluster.virtual_partitions = cluster.num_partitions
         self.heartbeats = HeartbeatMonitor(cluster)
         self.autoscaler = Autoscaler(self, config.autoscale) if config.autoscale else None
-        self.dfs = dfs if dfs is not None else MiniDFS(datanodes=cluster.node_ids())
+        self.dfs = dfs if dfs is not None else MiniDFS(
+            datanodes=cluster.node_ids(), fault_injector=cluster.fault_injector
+        )
         self.admission = AdmissionController(cluster, config.quotas)
         self.queue = FairShareQueue(aging_rate=AGING_RATE)
         for tenant, quota in self.admission.quotas.items():
@@ -129,10 +131,7 @@ class JobService(ServiceDocuments):
             self.journal = open_journal(
                 config.journal,
                 telemetry=self.telemetry,
-                # Resolved per append: chaos attaches its injector to the
-                # DFS after the service is constructed.
-                fault_injector=lambda: getattr(self.dfs, "fault_injector", None),
-                retry=RetryPolicy(telemetry=self.telemetry),
+                fault_injector=cluster.fault_injector,
                 dfs=self.dfs,
             )
         self.watchdog = StuckJobWatchdog(self) if config.watchdog else None

@@ -36,16 +36,14 @@ class Telemetry:
             sim_clock=self.sim_clock, max_spans=max_spans, enabled=enabled
         )
         self.events = EventLog(enabled=enabled)
+        # The two entry points every instrumentation site calls are the
+        # collectors' own bound methods: a disabled event costs one call.
+        self.span = self.tracer.span
+        self.event = self.events.emit
 
     # ------------------------------------------------------------------
     # collection conveniences
     # ------------------------------------------------------------------
-    def span(self, name, category="span", **args):
-        return self.tracer.span(name, category=category, **args)
-
-    def event(self, name, category="event", **args):
-        return self.events.emit(name, category=category, **args)
-
     def counter(self, name, **labels):
         return self.registry.counter(name, **labels)
 

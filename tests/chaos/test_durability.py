@@ -14,7 +14,7 @@ The acceptance story for the durability work, end to end:
 import pytest
 
 from repro.algorithms import pagerank
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec, PlanChoice
+from repro.chaos import FaultPlan, FaultSpec, PlanChoice
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hdfs import MiniDFS
@@ -25,7 +25,7 @@ from repro.pregelix import PregelixDriver
 @pytest.fixture
 def env(tmp_path):
     cluster = HyracksCluster(num_nodes=3, root_dir=str(tmp_path / "c"))
-    dfs = MiniDFS(datanodes=cluster.node_ids())
+    dfs = MiniDFS(datanodes=cluster.node_ids(), fault_injector=cluster.fault_injector)
     write_graph_to_dfs(dfs, "/in/g", btc_graph(120, seed=5), num_files=3)
     driver = PregelixDriver(cluster, dfs)
     yield cluster, dfs, driver
@@ -76,9 +76,7 @@ class TestCorruptedCheckpointFallback:
         expected = run_reference(
             tmp_path_factory, lambda: pagerank.build_job(iterations=6)
         )
-        injector = FaultInjector(self._damage_then_kill(damage)).attach(
-            cluster, dfs=dfs
-        )
+        injector = cluster.fault_injector.arm(self._damage_then_kill(damage))
         job = pagerank.build_job(iterations=6, checkpoint_interval=1)
         outcome = driver.run(job, "/in/g", output_path="/out/rec")
         assert outcome.recoveries >= 1
@@ -94,7 +92,6 @@ class TestCorruptedCheckpointFallback:
         assert fallbacks and fallbacks[0].args["superstep"] == 2
         # ... and the recovered run reproduces the fault-free answer.
         assert sorted(driver.read_output("/out/rec")) == expected
-        injector.detach()
 
     def test_all_checkpoints_damaged_means_none_selectable(self, env):
         from repro.pregelix.checkpoint import Checkpointer
@@ -149,14 +146,13 @@ class TestKilledMidCheckpoint:
                 )
             ]
         )
-        injector = FaultInjector(plan).attach(cluster, dfs=dfs)
+        injector = cluster.fault_injector.arm(plan)
         job = pagerank.build_job(iterations=6, checkpoint_interval=1)
         outcome = driver.run(job, "/in/g", output_path="/out/mid")
         assert outcome.recoveries >= 1
         fallbacks = cluster.telemetry.events.snapshot(name="recovery.fallback")
         assert not fallbacks  # newest *committed* checkpoint was intact
         assert sorted(driver.read_output("/out/mid")) == expected
-        injector.detach()
 
     def test_differential_cell_stays_in_its_equivalence_class(
         self, differential_checker
@@ -195,7 +191,7 @@ class TestTransientFaults:
         plan = FaultPlan(
             [FaultSpec(site="dfs.write", action="transient_io", at_hit=2, min_superstep=2)]
         )
-        injector = FaultInjector(plan).attach(cluster, dfs=dfs)
+        injector = cluster.fault_injector.arm(plan)
         job = pagerank.build_job(iterations=4, checkpoint_interval=1)
         outcome = driver.run(job, "/in/g", output_path="/out/tr")
         # Absorbed by DFS-level retry: no recovery, no machine lost.
@@ -205,7 +201,6 @@ class TestTransientFaults:
         assert retries and retries[0].args["what"].startswith("dfs.write")
         assert retries[0].args["backoff_seconds"] > 0
         assert sorted(driver.read_output("/out/tr")) == expected
-        injector.detach()
 
     def test_transient_on_the_loads_first_write_absorbed(
         self, env, tmp_path_factory
@@ -217,7 +212,7 @@ class TestTransientFaults:
             tmp_path_factory, lambda: pagerank.build_job(iterations=4)
         )
         plan = FaultPlan([FaultSpec(site="dfs.write", action="transient_io", at_hit=1)])
-        injector = FaultInjector(plan).attach(cluster, dfs=dfs)
+        injector = cluster.fault_injector.arm(plan)
         outcome = driver.run(
             pagerank.build_job(iterations=4), "/in/g", output_path="/out/tl"
         )
@@ -226,7 +221,6 @@ class TestTransientFaults:
         assert [e.args["what"].split()[0] for e in retries] == ["dfs.write"]
         assert cluster.telemetry.registry.value("failure.retries") == 1
         assert sorted(driver.read_output("/out/tl")) == expected
-        injector.detach()
 
     def test_superstep_begin_transient_retries_whole_plan(
         self, env, tmp_path_factory
@@ -245,7 +239,7 @@ class TestTransientFaults:
                 )
             ]
         )
-        injector = FaultInjector(plan).attach(cluster, dfs=dfs)
+        injector = cluster.fault_injector.arm(plan)
         job = pagerank.build_job(iterations=4, checkpoint_interval=2)
         outcome = driver.run(job, "/in/g", output_path="/out/trb")
         assert outcome.recoveries == 0
@@ -253,7 +247,6 @@ class TestTransientFaults:
         assert retries and retries[0].args["what"] == "superstep 3"
         assert outcome.supersteps == 4  # the retried superstep completed
         assert sorted(driver.read_output("/out/trb")) == expected
-        injector.detach()
 
 
 class TestSeededDurabilitySchedules:

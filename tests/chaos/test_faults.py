@@ -7,7 +7,6 @@ from repro.chaos import (
     FAULT_ACTIONS,
     FAULT_SITES,
     ChaosError,
-    FaultInjector,
     FaultPlan,
     FaultSpec,
 )
@@ -87,7 +86,7 @@ class TestFaultPlan:
             assert lethal <= len(nodes) - 2
 
     def test_min_superstep_defaults_survivable(self):
-        plan = FaultPlan.random(5, ["node0"], num_faults=3, max_kills=0)
+        plan = FaultPlan.random(5, ["node0"], num_faults=3)
         assert all(spec.min_superstep >= 2 for spec in plan)
 
     def test_empty_nodes_rejected(self):
@@ -96,19 +95,52 @@ class TestFaultPlan:
 
 
 class TestFaultInjector:
-    def test_attach_wires_cluster_and_nodes(self, cluster):
-        injector = FaultInjector(FaultPlan()).attach(cluster)
-        assert cluster.fault_injector is injector
+    def test_cluster_holds_one_unarmed_injector(self, cluster):
+        injector = cluster.fault_injector
+        assert injector.cluster.nodes is cluster.nodes
+        assert injector.telemetry is cluster.telemetry
         for node in cluster.nodes.values():
             assert node.fault_injector is injector
             assert node.buffer_cache.fault_injector is injector
-        injector.detach()
-        assert cluster.fault_injector is None
-        assert all(n.fault_injector is None for n in cluster.nodes.values())
+        assert not injector.armed
+        injector.begin_superstep(3)
+        assert injector.check("page.read", node="node0") is None
+        assert injector.checks == 0 and injector.current_superstep == 0
+        assert cluster.telemetry.events.snapshot(name="chaos.armed") == []
+
+    def test_arm_starts_from_a_clean_count(self, cluster):
+        injector = cluster.fault_injector
+        injector.arm(FaultPlan([FaultSpec(site="operator.open", action="io")]))
+        injector.begin_superstep(4)
+        with pytest.raises(WorkerFailure):
+            injector.check("operator.open", node="node0")
+        injector.disarm(reason="engine", scope="engine")
+        plan = FaultPlan([FaultSpec(site="page.read", action="io")], seed=5)
+        assert injector.arm(plan) is injector
+        assert (injector.plan, injector.checks, injector.fired) == (plan, 0, [])
+        assert injector.current_superstep == 0 and not injector._engine_disarmed
+        with pytest.raises(WorkerFailure):
+            injector.check("page.read", node="node0")
+        armed = cluster.telemetry.events.snapshot(name="chaos.armed")
+        assert [e.args["seed"] for e in armed] == [None, 5]
+
+    def test_standalone_hosts_hold_private_unarmed_injectors(self, tmp_path):
+        from repro.hdfs import MiniDFS
+        from repro.hyracks.storage.buffer_cache import BufferCache
+        from repro.hyracks.storage.file_manager import FileManager
+        from repro.serve.journal import open_journal
+
+        dfs = MiniDFS()
+        cache = BufferCache(1 << 16, 4096, FileManager(str(tmp_path / "f")))
+        journal = open_journal("file:%s" % tmp_path)
+        injectors = [dfs.fault_injector, cache.fault_injector, journal.fault_injector]
+        assert len({id(i) for i in injectors}) == 3
+        assert all(i.cluster is None and not i.armed for i in injectors)
+        assert dfs.retry_policy.telemetry is dfs.fault_injector.telemetry
 
     def test_fires_at_exact_hit(self, cluster):
         plan = FaultPlan([FaultSpec(site="operator.open", action="io", at_hit=3)])
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(1)
         injector.check("operator.open", node="node0")
         injector.check("operator.open", node="node0")
@@ -120,7 +152,7 @@ class TestFaultInjector:
 
     def test_spec_fires_once(self, cluster):
         plan = FaultPlan([FaultSpec(site="operator.open", action="io", at_hit=1)])
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(1)
         with pytest.raises(WorkerFailure):
             injector.check("operator.open", node="node0")
@@ -131,7 +163,7 @@ class TestFaultInjector:
         plan = FaultPlan(
             [FaultSpec(site="page.read", action="io", node="node1", at_hit=1)]
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(1)
         injector.check("page.read", node="node0")  # wrong node: no hit
         assert plan.specs[0].hits == 0
@@ -143,7 +175,7 @@ class TestFaultInjector:
         plan = FaultPlan(
             [FaultSpec(site="operator.next", action="io", at_hit=1, min_superstep=3)]
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(1)
         injector.check("operator.next", node="node0")
         injector.begin_superstep(2)
@@ -157,7 +189,7 @@ class TestFaultInjector:
         plan = FaultPlan(
             [FaultSpec(site="operator.open", action="kill", node="node2", at_hit=1)]
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(2)
         # The check runs on node0; node2 dies silently.
         injector.check("operator.open", node="node0")
@@ -168,7 +200,7 @@ class TestFaultInjector:
         plan = FaultPlan(
             [FaultSpec(site="operator.open", action="kill", node="node1", at_hit=1)]
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(2)
         with pytest.raises(WorkerFailure):
             injector.check("operator.open", node="node1")
@@ -182,7 +214,7 @@ class TestFaultInjector:
                 )
             ]
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(1)
         before = cluster.telemetry.sim_clock.seconds
         injector.check("operator.close", node="node0")
@@ -191,13 +223,13 @@ class TestFaultInjector:
 
     def test_superstep_begin_wraps_into_job_failure(self, cluster):
         plan = FaultPlan([FaultSpec(site="superstep.begin", action="interruption")])
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         with pytest.raises(JobFailure):
             injector.begin_superstep(1)
 
     def test_disarmed_injector_is_inert(self, cluster):
         plan = FaultPlan([FaultSpec(site="operator.open", action="io", at_hit=1)])
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.disarm(reason="test")
         injector.begin_superstep(5)
         injector.check("operator.open", node="node0")
@@ -205,7 +237,7 @@ class TestFaultInjector:
 
     def test_firing_emits_telemetry(self, cluster):
         plan = FaultPlan([FaultSpec(site="page.write", action="io", at_hit=1)])
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(1)
         with pytest.raises(WorkerFailure):
             injector.check("page.write", node="node0")
@@ -222,7 +254,7 @@ class TestFaultInjector:
             ],
             seed=123,
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         injector.begin_superstep(1)
         with pytest.raises(WorkerFailure):
             injector.check("operator.open", node="node0")
@@ -247,7 +279,7 @@ class TestHooksReachInjector:
         plan = FaultPlan(
             [FaultSpec(site="operator.open", action="io", at_hit=2, min_superstep=2)]
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         job = sssp.build_job(source_id=0, checkpoint_interval=1)
         driver = PregelixDriver(cluster, dfs)
         outcome = driver.run(job, "/in/g", output_path="/out/r")
@@ -271,7 +303,7 @@ class TestHooksReachInjector:
                 )
             ]
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         job = pagerank.build_job(iterations=4, checkpoint_interval=1)
         driver = PregelixDriver(cluster, dfs)
         outcome = driver.run(job, "/in/g")

@@ -17,7 +17,7 @@ exact plans they produced before the site existed.
 import pytest
 
 from repro.algorithms import pagerank
-from repro.chaos import ChaosError, FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import ChaosError, FaultPlan, FaultSpec
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hdfs import MiniDFS
@@ -36,14 +36,16 @@ def run_pagerank(root_dir, plan=None, scale_at=None):
         virtual_partitions=VIRTUAL_PARTITIONS,
     )
     try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
+        dfs = MiniDFS(
+            datanodes=cluster.node_ids(), fault_injector=cluster.fault_injector
+        )
         write_graph_to_dfs(
             dfs, "/in/g", btc_graph(VERTICES, seed=GRAPH_SEED), num_files=3
         )
         driver = PregelixDriver(cluster, dfs)
-        injector = None
+        injector = cluster.fault_injector
         if plan is not None:
-            injector = FaultInjector(plan).attach(cluster, dfs=dfs)
+            injector.arm(plan)
         job = pagerank.build_job(iterations=6, checkpoint_interval=1)
         outcome = driver.run(
             job, "/in/g", output_path="/out/r",

@@ -10,7 +10,7 @@ after recovery. ``run_id`` is the one intentionally run-scoped field
 import pytest
 
 from repro.algorithms import pagerank, sssp
-from repro.chaos import FaultInjector, FaultPlan
+from repro.chaos import FaultPlan
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hdfs import MiniDFS
@@ -29,7 +29,7 @@ def run_faulted(tmp_path, seed, job_factory, num_faults=2):
         dfs = MiniDFS(datanodes=cluster.node_ids())
         write_graph_to_dfs(dfs, "/in/g", btc_graph(100, seed=4), num_files=3)
         plan = FaultPlan.random(seed, cluster.node_ids(), num_faults=num_faults)
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         driver = PregelixDriver(cluster, dfs)
         outcome = driver.run(job_factory(), "/in/g", output_path="/out/r")
         lines = tuple(sorted(driver.read_output("/out/r")))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import SCENARIOS, FaultInjector, FaultPlan, run_serve_drill, serve_drill
+from repro.chaos import SCENARIOS, run_serve_drill, serve_drill
 from repro.graphs.generators import btc_graph
 from repro.hyracks.engine import HyracksCluster
 
@@ -45,25 +45,26 @@ def test_only_a_crash_after_the_first_checkpoint_resumes_from_it(drill):
     assert resumed == ["service.crash@running#3"]
 
 
-class _PhaseRecorder(FaultInjector):
-    """Fires nothing; remembers each phase ``service.crash`` is checked at."""
+def _record_phases(injector):
+    """Patch ``injector.check`` to remember each phase ``service.crash``
+    is checked at; returns the set it fills."""
+    phases = set()
+    check = injector.check
 
-    def __init__(self):
-        super().__init__(FaultPlan())
-        self.phases = set()
-
-    def check(self, site, node=None, **info):
+    def recording_check(site, node=None, **info):
         if site == "service.crash":
-            self.phases.add(node)
-        return super().check(site, node=node, **info)
+            phases.add(node)
+        return check(site, node=node, **info)
+
+    injector.check = recording_check
+    return phases
 
 
 def test_every_crash_phase_has_a_row():
     vertices = list(btc_graph(48, seed=11))
-    recorder = _PhaseRecorder()
     requests = serve_drill.SOLO + serve_drill.BATCH
     with serve_drill._Harness(vertices, 3, "dfs") as harness:
-        recorder.attach(harness.cluster, dfs=harness.dfs)
+        phases = _record_phases(harness.cluster.fault_injector)
         service = harness.service(batch_max=len(serve_drill.BATCH))
         service.start()
         records = [service.submit(serve_drill._request(r)) for r in requests]
@@ -71,6 +72,6 @@ def test_every_crash_phase_has_a_row():
         service.shutdown(drain=True, timeout=120)
     assert [state.value for state in states] == ["succeeded"] * len(requests)
     assert service.stats()["batch"]["formed"] == 1
-    assert recorder.phases == {"queued", "dispatch", "running", "finishing"}
+    assert phases == {"queued", "dispatch", "running", "finishing"}
     drilled = {row.fault.node for row in SCENARIOS if row.fault.site == "service.crash"}
-    assert drilled == recorder.phases
+    assert drilled == phases

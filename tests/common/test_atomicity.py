@@ -132,7 +132,7 @@ def test_memory_budget_balanced_allocate_release():
 
 def test_fault_injector_fires_exactly_once():
     plan = FaultPlan([FaultSpec(site="operator.open", action="delay", at_hit=17)])
-    injector = FaultInjector(plan)
+    injector = FaultInjector().arm(plan)
 
     def work(thread_id):
         for _ in range(ITERATIONS // 4):

@@ -47,26 +47,3 @@ def differential_checker(chaos_graph):
         return DifferentialChecker(algorithm, chaos_graph, **kwargs)
 
     return make
-
-
-@pytest.fixture
-def fault_injector():
-    """``fault_injector(cluster, seed=7)`` -> an armed FaultInjector.
-
-    Detaches automatically at teardown so one test's faults can never
-    leak into another test's cluster use.
-    """
-    from repro.chaos import FaultInjector, FaultPlan
-
-    injectors = []
-
-    def arm(cluster, seed=7, plan=None, **plan_kwargs):
-        if plan is None:
-            plan = FaultPlan.random(seed, cluster.node_ids(), **plan_kwargs)
-        injector = FaultInjector(plan).attach(cluster)
-        injectors.append(injector)
-        return injector
-
-    yield arm
-    for injector in injectors:
-        injector.detach()

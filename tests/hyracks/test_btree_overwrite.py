@@ -290,7 +290,7 @@ class Boom(Exception):
 
 
 class FailingReads:
-    """A fault injector that fails the page read after ``allowed`` ones."""
+    """A fault check that fails the page read after ``allowed`` ones."""
 
     def __init__(self, allowed):
         self.allowed = allowed
@@ -337,7 +337,7 @@ def test_a_positioned_scope_holds_one_leaf_and_nothing_after_any_exit(tmp_path):
     def probes():
         with tree.positioned():
             tree.lookup(encode_key(10))
-            cache.fault_injector = injector
+            cache.fault_injector.check = injector.check
             tree.lookup(encode_key(500))
             tree.insert(encode_key(500), bytes(300))
             tree.lookup(encode_key(798))
@@ -350,7 +350,7 @@ def test_a_positioned_scope_holds_one_leaf_and_nothing_after_any_exit(tmp_path):
         injector = FailingReads(allowed)
         with pytest.raises(Boom):
             probes()
-        cache.fault_injector = None
+        del cache.fault_injector.check
         assert pinned(cache) == {}
     assert tree.lookup(encode_key(10)) == b"v" * 40
 

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.common import serde
 from repro.common.errors import JobFailure
 from repro.hyracks.connectors import (
@@ -289,9 +289,9 @@ class TestCloneExecution:
 
     def test_injected_worker_failure_becomes_job_failure(self, tmp_path):
         with HyracksCluster(num_nodes=3, root_dir=str(tmp_path / "c")) as cluster:
-            FaultInjector(FaultPlan(
+            cluster.fault_injector.arm(FaultPlan(
                 [FaultSpec("operator.open", node="node1", at_hit=2)]
-            )).attach(cluster)
+            ))
             with pytest.raises(JobFailure):
                 cluster.execute(_square_shuffle_job())
             events = cluster.telemetry.events.snapshot(name="node.failure")

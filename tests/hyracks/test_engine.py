@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.common.errors import JobFailure, SchedulingError
 from repro.hyracks.connectors import (
     MToNPartitioningConnector,
@@ -140,9 +140,9 @@ class TestFailures:
             cluster.execute(spec)
 
     def test_injected_failure_fails_job(self, cluster):
-        FaultInjector(FaultPlan(
+        cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", action="kill", node="node0", at_hit=1)]
-        )).attach(cluster)
+        ))
         with pytest.raises(JobFailure):
             cluster.execute(word_count_job())
         assert "node0" not in cluster.alive_node_ids()

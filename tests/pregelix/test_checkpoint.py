@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.algorithms import pagerank, sssp
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.common.errors import CheckpointNotFound, JobFailure
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
@@ -101,9 +101,9 @@ class TestRecovery:
         expected = run_reference(
             tmp_path_factory, lambda: pagerank.build_job(iterations=8)
         )
-        FaultInjector(FaultPlan(
+        cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", node="node1", at_hit=41)]
-        )).attach(cluster)
+        ))
         job = pagerank.build_job(iterations=8, checkpoint_interval=2)
         outcome = driver.run(job, "/in/g", output_path="/out/rec")
         assert outcome.recoveries >= 1
@@ -113,9 +113,9 @@ class TestRecovery:
     def test_loj_plan_recovers(self, env, tmp_path_factory):
         cluster, dfs, driver = env
         expected = run_reference(tmp_path_factory, lambda: sssp.build_job(source_id=0))
-        FaultInjector(FaultPlan(
+        cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", node="node2", at_hit=31)]
-        )).attach(cluster)
+        ))
         job = sssp.build_job(source_id=0, checkpoint_interval=1)
         outcome = driver.run(job, "/in/g", output_path="/out/rec2")
         assert outcome.recoveries >= 1
@@ -123,9 +123,9 @@ class TestRecovery:
 
     def test_failure_without_checkpoint_raises(self, env):
         cluster, dfs, driver = env
-        FaultInjector(FaultPlan(
+        cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", node="node0", at_hit=26)]
-        )).attach(cluster)
+        ))
         job = pagerank.build_job(iterations=8)  # no checkpoint interval
         with pytest.raises(CheckpointNotFound):
             driver.run(job, "/in/g")
@@ -196,7 +196,7 @@ class TestKillRecoveryAcrossGroupBys:
                 )
             ]
         )
-        injector = FaultInjector(plan).attach(cluster)
+        injector = cluster.fault_injector.arm(plan)
         job = pagerank.build_job(
             iterations=6,
             checkpoint_interval=1,
@@ -214,15 +214,14 @@ class TestKillRecoveryAcrossGroupBys:
         dead = cluster.nodes["node1"]
         assert os.listdir(dead.files.root) == []
         assert not dead.files._paged_files and not dead.services
-        injector.detach()
 
 
 class TestRecoveryPartitionMap:
     def test_recovery_replaces_partition_map(self, env):
         cluster, dfs, driver = env
-        FaultInjector(FaultPlan(
+        cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", node="node1", at_hit=41)]
-        )).attach(cluster)
+        ))
         job = pagerank.build_job(iterations=8, checkpoint_interval=2)
         outcome = driver.run(job, "/in/g", keep_state=True)
         locations = outcome.generator.partition_map.locations

@@ -120,14 +120,33 @@ class TestMembership:
             cluster.add_node()
             assert cluster.num_partitions == 6
 
-    def test_injector_mirrored_onto_joined_node(self, cluster):
-        from repro.chaos import FaultInjector, FaultPlan
+    def test_joined_node_and_rebuilt_cache_fire_the_armed_plan(self, tmp_path):
+        """A node joined after ``arm`` and a cache ``kill_node`` rebuilt
+        both hold the cluster's one injector, so its page.read specs
+        fire there."""
+        from repro.chaos import FaultPlan, FaultSpec
+        from repro.common.errors import WorkerFailure
+        from repro.hyracks.storage.pages import PageKind
 
-        injector = FaultInjector(FaultPlan()).attach(cluster)
-        node_id = cluster.add_node()
-        node = cluster.nodes[node_id]
-        assert node.fault_injector is injector
-        assert node.buffer_cache.fault_injector is injector
+        # No cache room: every unpinned page is written back and evicted,
+        # so the next pin is a miss that reads it.
+        with HyracksCluster(
+            num_nodes=2, buffer_cache_bytes=0, root_dir=str(tmp_path / "c")
+        ) as cluster:
+            injector = cluster.fault_injector.arm(FaultPlan([
+                FaultSpec("page.read", action="io", node=node_id)
+                for node_id in ("node9", "node0")
+            ]))
+            cluster.add_node("node9")
+            cluster.kill_node("node0")
+            for node_id in ("node9", "node0"):
+                cache = cluster.nodes[node_id].buffer_cache
+                assert cache.fault_injector is injector
+                page = cache.new_page(cache.create_file(), PageKind.LEAF)
+                cache.unpin(page, dirty=True)
+                with pytest.raises(WorkerFailure):
+                    cache.pin(page.page_id)
+            assert [f.node for f in injector.fired] == ["node9", "node0"]
 
 
 #: Over-decomposition for the driver tests: with more partitions than

@@ -10,7 +10,7 @@ vertex partitions.
 import pytest
 
 from repro.algorithms import pagerank, sssp
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.graphs.generators import btc_graph, webmap_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hdfs import MiniDFS
@@ -94,9 +94,9 @@ class TestMultiplePartitionsPerNode:
             lambda: pagerank.build_job(iterations=6),
             vertices,
         )
-        FaultInjector(FaultPlan(
+        multicore_cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", node="node1", at_hit=161)]
-        )).attach(multicore_cluster)
+        ))
         job = pagerank.build_job(iterations=6, checkpoint_interval=2)
         outcome = multicore_driver.run(job, "/in3", output_path="/out3")
         assert outcome.recoveries >= 1

@@ -25,6 +25,7 @@ import zlib
 import pytest
 
 from repro.algorithms import pagerank
+from repro.chaos import FaultPlan
 from repro.common.errors import (
     DeadlineExceeded,
     JobCancelled,
@@ -180,44 +181,30 @@ def exit_injected_fault(site):
     of a probe or a write-back — of a kind nobody recovers from."""
 
     def leave(world):
-        class FailingSite:
-            superstep = hits = 0
+        # Armed with no specs, the injector still tracks the superstep.
+        injector = world.cluster.fault_injector.arm(FaultPlan())
+        hits = 0
 
-            def begin_superstep(self, superstep):
-                self.superstep = superstep
+        def check(checked, node=None, **info):
+            nonlocal hits
+            if checked == site and injector.current_superstep > world.at:
+                hits += 1
+                if hits == world.hit:
+                    world.fail(WorkerFailure(node, kind="meltdown"))
 
-            def disarm(self, **_):
-                pass
-
-            def check(self, checked, node=None, **info):
-                if checked == site and self.superstep > world.at:
-                    self.hits += 1
-                    if self.hits == world.hit:
-                        world.fail(WorkerFailure(node, kind="meltdown"))
-
-        injector = world.cluster.fault_injector = FailingSite()
-        for node in world.cluster.nodes.values():
-            node.fault_injector = node.buffer_cache.fault_injector = injector
+        injector.check = check
         world.driver.run(world.job(), "/in/g", run_id=RUN_ID)
 
     return leave
 
 
 def exit_rebalance_handoff(world):
-    class FailingHandoff:
-        """An injector that breaks the hand-off after its checkpoint."""
+    def check(site, node=None, **info):
+        """Breaks the hand-off after its checkpoint."""
+        if site == "rebalance" and info["phase"] == "restore":
+            world.fail(RuntimeError("lost during hand-off"))
 
-        def begin_superstep(self, superstep):
-            pass
-
-        def disarm(self, **_):
-            pass
-
-        def check(self, site, **info):
-            if site == "rebalance" and info["phase"] == "restore":
-                world.fail(RuntimeError("lost during hand-off"))
-
-    world.cluster.fault_injector = FailingHandoff()
+    world.cluster.fault_injector.check = check
     # Scaling down drains a pinned node, so the boundary must hand off.
     world.driver.run(
         world.job(), "/in/g", run_id=RUN_ID,

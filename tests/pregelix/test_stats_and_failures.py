@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import pagerank, sssp
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.common.errors import WorkerFailure
 from repro.graphs.generators import btc_graph, chain_graph
 from repro.graphs.io import write_graph_to_dfs
@@ -32,9 +32,9 @@ class TestStatsReport:
 class TestFailureKinds:
     def test_io_failure_is_recoverable(self, cluster, dfs, driver):
         write_graph_to_dfs(dfs, "/in/g", btc_graph(120, seed=5), num_files=3)
-        FaultInjector(FaultPlan(
+        cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", action="io", node="node1", at_hit=41)]
-        )).attach(cluster)
+        ))
         job = pagerank.build_job(iterations=6, checkpoint_interval=2)
         outcome = driver.run(job, "/in/g")
         assert outcome.recoveries >= 1

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.chaos.serve_drill import DRILL_CONFIG
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
@@ -243,7 +243,7 @@ class TestMidBatchCrash:
             FaultSpec(site="service.crash", action="io", node=phase,
                       at_hit=at_hit, min_superstep=0),
         ])
-        injector = FaultInjector(plan).attach(cluster, dfs=dfs)
+        injector = cluster.fault_injector.arm(plan)
         service = make_service()
         service.start()
         try:
@@ -254,7 +254,7 @@ class TestMidBatchCrash:
         while service.state != "crashed" and time.monotonic() < deadline:
             time.sleep(0.02)
         assert service.state == "crashed", "crash never fired at %r" % phase
-        injector.detach()
+        injector.disarm(reason="process dead")
         return service, records
 
     @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.chaos import FaultPlan, FaultSpec
 from repro.chaos.serve_drill import DRILL_CONFIG
 from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
@@ -41,7 +41,7 @@ def crash(cluster, dfs, make_service, phase, at_hit=1):
         FaultSpec(site="service.crash", action="io", node=phase,
                   at_hit=at_hit, min_superstep=0),
     ])
-    injector = FaultInjector(plan).attach(cluster, dfs=dfs)
+    injector = cluster.fault_injector.arm(plan)
     service = make_service()
     service.start()
     try:
@@ -52,7 +52,7 @@ def crash(cluster, dfs, make_service, phase, at_hit=1):
     while service.state != "crashed" and time.monotonic() < deadline:
         time.sleep(0.02)
     assert service.state == "crashed", "crash never fired at %r" % phase
-    injector.detach()
+    injector.disarm(reason="process dead")
     return service
 
 
@@ -210,3 +210,28 @@ class TestReplayBookkeeping:
         assert recovered.wait(WAIT) is JobState.SUCCEEDED
         assert recovered.result_digest == record.result_digest
         second.shutdown(drain=True, timeout=WAIT)
+
+
+class TestClusterInjectorReachesTheServicesHosts:
+    def test_faults_armed_on_the_cluster_fire_in_the_services_own_dfs_and_journal(
+        self, serve_graph
+    ):
+        """A service that builds its own DFS hands it, and its journal,
+        the cluster's injector: both faults fire, the job still
+        succeeds and the torn tail shows up on the next replay."""
+        with HyracksCluster(num_nodes=3) as cluster:
+            service = JobService(DRILL_CONFIG, cluster=cluster)
+            service.add_dataset("g", vertices=list(serve_graph))
+            injector = cluster.fault_injector.arm(FaultPlan([
+                FaultSpec("journal.append", "torn_write", at_hit=2),
+                FaultSpec("dfs.write", "transient_io", at_hit=1),
+            ]))
+            service.start()
+            record = service.submit(dict(REQUEST))
+            assert record.wait(timeout=WAIT) is JobState.SUCCEEDED
+            service.shutdown(drain=True, timeout=WAIT)
+            fired = sorted((f.site, f.action) for f in injector.fired)
+            assert fired == [
+                ("dfs.write", "transient_io"), ("journal.append", "torn_write"),
+            ]
+            assert service.journal.replay().torn_bytes > 0

@@ -1,11 +1,14 @@
-"""Every reporting component holds a telemetry session from construction.
+"""Every reporting component holds a telemetry session, and every fault
+site its fault injector, from construction.
 
 A component gets its session from its owner: the cluster's for the
 engine, storage, driver, service and fault injector, or a private
-disabled one for a class built on its own. No report site asks whether
-it has a session. This file checks both halves: the source holds no
-such fork, and each class that can be built standalone records into its
-own session, without raising, on the paths that emit events.
+disabled one for a class built on its own. The cluster's one injector
+reaches its nodes, caches and the service's DFS and journal the same
+way. No report site asks whether it has a session, and no fault site
+whether it has an injector. This file checks both halves: the source
+holds no such fork, and each class that can be built standalone records
+into its own session, without raising, on the paths that emit events.
 """
 
 import os
@@ -14,7 +17,7 @@ from operator import itemgetter
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.common import serde
 from repro.common.accounting import IOCounters
 from repro.common.errors import TransientIOError
@@ -34,12 +37,21 @@ SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
     "src",
 )
-#: A report site asking whether it has a session at all.
-SESSION_FORK = re.compile(r'telemetry is (not )?None|getattr\([^)]*"telemetry", None\)')
+#: A site asking whether it has a session, or a fault injector (or a
+#: journal retry policy), at all.
+FORKS = {
+    "session": re.compile(
+        r'telemetry is (not )?None|getattr\([^)]*"telemetry", None\)'
+    ),
+    "injector": re.compile(
+        r"injector is (not )?None|getattr\([^)]*fault_injector"
+        r"|callable\(injector|self\.retry is (not )?None"
+    ),
+}
 
 
-def test_no_module_asks_whether_it_has_a_session():
-    hits = []
+def test_no_module_asks_whether_it_has_a_session_or_an_injector():
+    hits = {fork: [] for fork in FORKS}
     for root, _dirs, names in os.walk(SRC):
         for name in sorted(names):
             if not name.endswith(".py"):
@@ -47,9 +59,12 @@ def test_no_module_asks_whether_it_has_a_session():
             path = os.path.join(root, name)
             with open(path, encoding="utf-8") as handle:
                 for number, line in enumerate(handle, 1):
-                    if SESSION_FORK.search(line):
-                        hits.append("%s:%d" % (os.path.relpath(path, SRC), number))
-    assert hits == []
+                    for fork, pattern in FORKS.items():
+                        if pattern.search(line):
+                            hits[fork].append(
+                                "%s:%d" % (os.path.relpath(path, SRC), number)
+                            )
+    assert hits == {fork: [] for fork in FORKS}
 
 
 def private_session(component):
@@ -102,7 +117,7 @@ def test_connector_accounts_under_a_bare_job_context():
 
 
 def test_retry_policy_retries_into_its_own_session():
-    policy = RetryPolicy(seed=1)
+    policy = RetryPolicy()
     attempts = []
 
     def flaky():
@@ -123,15 +138,17 @@ def test_journal_append_counts_in_its_own_session(tmp_path):
     assert private_session(journal).registry.value("serve.journal.appends") == 1
 
 
-def test_fault_injector_takes_the_clusters_session_at_attach():
-    injector = FaultInjector(FaultPlan())
-    private_session(injector)
+def test_fault_injector_holds_the_clusters_session_from_construction():
+    private_session(FaultInjector())
     with HyracksCluster(num_nodes=2) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        injector.attach(cluster, dfs=dfs)
+        injector = cluster.fault_injector
         assert injector.telemetry is cluster.telemetry
+        dfs = MiniDFS(datanodes=cluster.node_ids(), fault_injector=injector)
+        assert dfs.retry_policy.telemetry is cluster.telemetry
+        injector.arm(FaultPlan([FaultSpec("dfs.write", "transient_io")]))
         assert cluster.telemetry.events.snapshot(name="chaos.armed")
-        injector.detach()
+        dfs.write("/f", b"x")
+        assert cluster.telemetry.registry.value("failure.retries") == 1
 
 
 def test_components_over_a_handed_cluster_share_its_session():
@@ -141,3 +158,9 @@ def test_components_over_a_handed_cluster_share_its_session():
         assert service.telemetry is session
         assert service.heartbeats.telemetry is session
         assert FailureManager(cluster).telemetry is session
+
+
+def test_event_and_span_are_the_collectors_own_methods():
+    for session in (Telemetry(), Telemetry(enabled=False)):
+        assert session.event == session.events.emit
+        assert session.span == session.tracer.span

@@ -13,7 +13,6 @@ from repro.algorithms import graph_cleaning, pagerank, sssp
 from repro.bench.harness import run_pregelix
 from repro.graphs.io import write_graph_to_dfs
 from repro.graphs.generators import de_bruijn_path_graph
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import (
     ConnectorPolicy,
@@ -60,7 +59,7 @@ def test_storage_ablation_mutation_heavy(benchmark):
     def run_with(storage):
         cluster = HyracksCluster(num_nodes=2)
         try:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
+            dfs = cluster.dfs
             write_graph_to_dfs(
                 dfs, "/in/genome", de_bruijn_path_graph(6, 8, seed=4), num_files=2
             )
@@ -112,7 +111,8 @@ def test_buffercache_crossover(env, benchmark):
             buffer_cache_bytes=max(int(node_memory * fraction), 8 * 4096),
         )
         try:
-            driver = PregelixDriver(cluster, env.dfs)
+            env.stage(path, cluster)
+            driver = PregelixDriver(cluster, cluster.dfs)
             job = pagerank.build_job(iterations=5)
             outcome = driver.run(job, path)
             scale = spec.paper_vertices / spec.num_vertices
@@ -145,7 +145,7 @@ def test_checkpoint_overhead(benchmark):
     def run_with(checkpoint_interval):
         cluster = HyracksCluster(num_nodes=2)
         try:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
+            dfs = cluster.dfs
             from repro.graphs.generators import btc_graph
 
             write_graph_to_dfs(dfs, "/in/g", btc_graph(400, seed=3), num_files=2)

@@ -17,7 +17,6 @@ next superstep (used here for normalized early stopping).
 from repro.common import serde
 from repro.graphs.generators import webmap_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import (
     GlobalAggregator,
@@ -66,7 +65,7 @@ class InfluenceVertex(Vertex):
 
 def main():
     cluster = HyracksCluster(num_nodes=4)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
+    dfs = cluster.dfs
     write_graph_to_dfs(dfs, "/input/social", webmap_graph(1500, seed=42))
 
     job = PregelixJob(

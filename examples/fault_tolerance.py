@@ -14,14 +14,13 @@ from repro.algorithms import pagerank
 from repro.chaos import FaultPlan, FaultSpec
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
 
 def run(kill_worker):
     cluster = HyracksCluster(num_nodes=4)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
+    dfs = cluster.dfs
     write_graph_to_dfs(dfs, "/input/g", btc_graph(500, seed=9), num_files=4)
     driver = PregelixDriver(cluster, dfs)
     if kill_worker:

@@ -14,7 +14,6 @@ import random
 
 from repro.algorithms import scc
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -52,7 +51,7 @@ def follower_network(num_accounts=400, num_communities=6, seed=4):
 
 def main():
     cluster = HyracksCluster(num_nodes=4)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
+    dfs = cluster.dfs
     write_graph_to_dfs(dfs, "/input/followers", follower_network())
     driver = PregelixDriver(cluster, dfs)
 

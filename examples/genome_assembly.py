@@ -15,7 +15,6 @@ from repro.algorithms import connected_components as cc
 from repro.algorithms import graph_cleaning
 from repro.graphs.generators import de_bruijn_path_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.pregelix.pipelining import run_pipeline
@@ -23,7 +22,7 @@ from repro.pregelix.pipelining import run_pipeline
 
 def main():
     cluster = HyracksCluster(num_nodes=3)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
+    dfs = cluster.dfs
 
     # A De Bruijn-shaped graph: 40 reads of length 12, plus branch tips.
     count = write_graph_to_dfs(

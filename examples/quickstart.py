@@ -9,7 +9,6 @@ a graph, run the built-in PageRank job, and read the ranks back.
 from repro.algorithms import pagerank
 from repro.graphs.generators import webmap_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -17,7 +16,7 @@ from repro.pregelix import PregelixDriver
 def main():
     # A 4-worker shared-nothing cluster and its distributed file system.
     cluster = HyracksCluster(num_nodes=4)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
+    dfs = cluster.dfs
 
     # Generate a 2,000-vertex power-law web graph into the DFS.
     count = write_graph_to_dfs(dfs, "/input/web", webmap_graph(2000, seed=7))

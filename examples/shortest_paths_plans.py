@@ -12,7 +12,6 @@ group-by + non-merging connector) and compares the work each plan did.
 from repro.algorithms import sssp
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import GroupByStrategy, JoinStrategy, PregelixDriver
 
@@ -36,7 +35,7 @@ def run_plan(driver, join_strategy, groupby_strategy, label):
 
 def main():
     cluster = HyracksCluster(num_nodes=4)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
+    dfs = cluster.dfs
     write_graph_to_dfs(dfs, "/input/btc", btc_graph(3000, seed=11))
     driver = PregelixDriver(cluster, dfs)
 

@@ -13,14 +13,12 @@ Typical usage::
     from repro.algorithms import pagerank
     from repro.graphs.generators import webmap_graph
     from repro.graphs.io import write_graph_to_dfs
-    from repro.hdfs import MiniDFS
     from repro.hyracks.engine import HyracksCluster
     from repro.pregelix import PregelixDriver
 
     cluster = HyracksCluster(num_nodes=4)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
-    write_graph_to_dfs(dfs, "/in", webmap_graph(2000))
-    outcome = PregelixDriver(cluster, dfs).run(
+    write_graph_to_dfs(cluster.dfs, "/in", webmap_graph(2000))
+    outcome = PregelixDriver(cluster, cluster.dfs).run(
         pagerank.build_job(iterations=10), "/in", output_path="/out"
     )
 

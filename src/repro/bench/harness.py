@@ -22,7 +22,6 @@ from repro.baselines import (
 )
 from repro.common.errors import JobFailure, MemoryBudgetExceeded
 from repro.graphs.datasets import DATASETS, materialize
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.pregelix.stats import pregelix_sim_cost
@@ -75,12 +74,16 @@ class Measurement:
 
 
 class ExperimentEnv:
-    """Materialized datasets plus the paper-equivalent memory scaling."""
+    """Materialized datasets plus the paper-equivalent memory scaling.
+
+    The baselines read the datasets here; a Pregelix run reads the copy
+    :meth:`stage` puts in its own cluster's DFS.
+    """
 
     def __init__(self, num_nodes=4, seed=0):
         self.num_nodes = num_nodes
-        self.node_ids = ["node%d" % i for i in range(num_nodes)]
-        self.dfs = MiniDFS(datanodes=self.node_ids, block_size=1 << 14)
+        with HyracksCluster(num_nodes=num_nodes) as cluster:
+            self.dfs = cluster.dfs
         self.seed = seed
         self._scales = {}
 
@@ -90,6 +93,11 @@ class ExperimentEnv:
         spec = DATASETS[(family, name)]
         path = materialize(spec, self.dfs, seed=self.seed, num_files=self.num_nodes)
         return spec, path, self.dfs.total_bytes(path)
+
+    def stage(self, path, cluster):
+        """Copy the files under ``path`` into ``cluster.dfs``."""
+        for name in self.dfs.list_files(path):
+            cluster.dfs.write(name, self.dfs.read(name))
 
     def scale(self, family):
         """``our_large_bytes / paper_large_bytes`` for one family."""
@@ -242,7 +250,8 @@ def _run_pregelix_job(
         telemetry=telemetry,
     )
     try:
-        return PregelixDriver(cluster, env.dfs).run(
+        env.stage(path, cluster)
+        return PregelixDriver(cluster, cluster.dfs).run(
             job, path, parse_line=parse_line, format_record=format_record
         )
     finally:

@@ -65,17 +65,15 @@ def graph_driver(num_nodes, vertices, graph_seed, **cluster_options):
     ``/in/g`` (one file per node); the cluster closes on exit."""
     from repro.graphs.generators import btc_graph
     from repro.graphs.io import write_graph_to_dfs
-    from repro.hdfs import MiniDFS
     from repro.hyracks.engine import HyracksCluster
     from repro.pregelix.runtime import PregelixDriver
 
     cluster = HyracksCluster(num_nodes=num_nodes, **cluster_options)
     try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
         write_graph_to_dfs(
-            dfs, "/in/g", iter(btc_graph(vertices, seed=graph_seed)),
+            cluster.dfs, "/in/g", iter(btc_graph(vertices, seed=graph_seed)),
             num_files=num_nodes,
         )
-        yield PregelixDriver(cluster, dfs)
+        yield PregelixDriver(cluster, cluster.dfs)
     finally:
         cluster.close()

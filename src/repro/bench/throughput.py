@@ -31,12 +31,11 @@ from repro.pregelix.stats import StatisticsCollector, pregelix_sim_cost
 class SteppedPregelixJob:
     """A Pregelix run the caller advances one superstep at a time."""
 
-    def __init__(self, cluster, dfs, job, input_path, run_id, parse_line=None):
+    def __init__(self, cluster, job, input_path, run_id, parse_line=None):
         self.cluster = cluster
-        self.dfs = dfs
         self.job = job
         partition_map = PartitionMap.over_nodes(cluster.alive_node_ids())
-        self.generator = PlanGenerator(job, dfs, run_id, partition_map)
+        self.generator = PlanGenerator(job, cluster.dfs, run_id, partition_map)
         load_result = cluster.execute(
             self.generator.loading_plan(input_path, parse_line or parse_adjacency_line)
         )
@@ -95,6 +94,7 @@ def concurrent_pagerank_jph(
         buffer_cache_bytes=int(node_memory * 0.55),
     )
     try:
+        env.stage(path, cluster)
         disk_before = _disk_bytes(cluster)
         jobs = []
         for j in range(num_jobs):
@@ -102,7 +102,7 @@ def concurrent_pagerank_jph(
             job.groupby_memory_bytes = max(node_memory // 128, 1 << 13)
             jobs.append(
                 SteppedPregelixJob(
-                    cluster, env.dfs, job, path, run_id="tp-%s-%d" % (dataset_name, j)
+                    cluster, job, path, run_id="tp-%s-%d" % (dataset_name, j)
                 )
             )
         # Interleave supersteps round-robin: cache contention is real.

@@ -177,7 +177,6 @@ class DifferentialChecker:
         :class:`~repro.chaos.faults.FaultPlan` (used by targeted
         durability tests that need a specific fault at a specific site).
         """
-        from repro.hdfs import MiniDFS
         from repro.hyracks.engine import HyracksCluster
         from repro.pregelix.runtime import PregelixDriver
 
@@ -197,11 +196,10 @@ class DifferentialChecker:
         )
         injector = cluster.fault_injector
         try:
-            dfs = MiniDFS(datanodes=cluster.node_ids(), fault_injector=injector)
             from repro.graphs.io import write_graph_to_dfs
 
             write_graph_to_dfs(
-                dfs, "/in/g", iter(self.vertices), num_files=self.num_nodes
+                cluster.dfs, "/in/g", iter(self.vertices), num_files=self.num_nodes
             )
             job = plan.apply(self.case.build_job())
             job.groupby_memory_bytes = profile.groupby_memory_bytes
@@ -216,7 +214,7 @@ class DifferentialChecker:
                         actions=self.fault_actions,
                     )
                 injector.arm(schedule)
-            driver = PregelixDriver(cluster, dfs)
+            driver = PregelixDriver(cluster, cluster.dfs)
             outcome = driver.run(
                 job,
                 "/in/g",

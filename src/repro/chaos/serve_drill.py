@@ -34,7 +34,6 @@ import time
 
 from repro.chaos.faults import FaultPlan, FaultSpec
 from repro.common.errors import ReproError
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.serve.config import ServeConfig
 
@@ -217,20 +216,16 @@ def _key(job_request):
 
 
 class _Harness:
-    """One scenario's shared cluster, DFS and journal; services come and go."""
+    """One scenario's shared cluster and journal; services come and go."""
 
     def __init__(self, vertices, num_nodes, journal):
         self.vertices = vertices
         self.num_nodes = num_nodes
         self.backend = journal
-        self.cluster = self.dfs = self.journal = self._journal_dir = None
+        self.cluster = self.journal = self._journal_dir = None
 
     def __enter__(self):
         self.cluster = HyracksCluster(num_nodes=self.num_nodes)
-        self.dfs = MiniDFS(
-            datanodes=self.cluster.node_ids(),
-            fault_injector=self.cluster.fault_injector,
-        )
         self.journal = DRILL_CONFIG.journal
         if self.backend == "file":
             self._journal_dir = tempfile.mkdtemp(prefix="repro-chaos-journal-")
@@ -244,13 +239,13 @@ class _Harness:
         return False
 
     def service(self, batch_max):
-        """A fresh JobService over the shared cluster/DFS/journal —
+        """A fresh JobService over the shared cluster and journal —
         construction models one process start."""
         from repro.serve import JobService
 
         service = JobService(
-            DRILL_CONFIG, cluster=self.cluster, dfs=self.dfs,
-            journal=self.journal, batch_max=batch_max,
+            DRILL_CONFIG, cluster=self.cluster, journal=self.journal,
+            batch_max=batch_max,
         )
         service.add_dataset("g", vertices=list(self.vertices))
         return service

@@ -450,13 +450,12 @@ def _session(args, execute, out, telemetry=None):
     cannot be ingested, 1 when the job fails (one ``error:`` line
     each)."""
     from repro.graphs.io import export_part_files, ingest_part_files
-    from repro.hdfs import MiniDFS
     from repro.hyracks.engine import HyracksCluster
     from repro.pregelix import PregelixDriver
 
     cluster = HyracksCluster(num_nodes=args.nodes, telemetry=telemetry)
+    dfs = cluster.dfs
     try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
         try:
             ingest_part_files(dfs, args.input, "/input")
         except (ReproError, OSError) as error:
@@ -860,15 +859,15 @@ def cmd_figures(args, out=print):
 
 def cmd_explain(args, out=print):
     from repro.graphs.io import format_vertex_record, parse_adjacency_line
-    from repro.hdfs import MiniDFS
+    from repro.hyracks.engine import HyracksCluster
     from repro.pregelix.physical import PartitionMap, PlanGenerator
     from repro.pregelix.types import GlobalState
 
     _module, job = _build_job(args.algorithm, args)
-    nodes = ["node%d" % i for i in range(args.nodes)]
-    dfs = MiniDFS(datanodes=nodes)
-    dfs.write_text_lines("/explain-input/part-0", ["0 _ 1:1.0", "1 _"])
-    generator = PlanGenerator(job, dfs, "explain", PartitionMap(nodes))
+    with HyracksCluster(num_nodes=args.nodes) as cluster:
+        cluster.dfs.write_text_lines("/explain-input/part-0", ["0 _ 1:1.0", "1 _"])
+        partitions = PartitionMap(cluster.node_ids())
+        generator = PlanGenerator(job, cluster.dfs, "explain", partitions)
     out("plan signature: %s" % job.plan_signature())
     for name, plan in (
         ("loading", generator.loading_plan("/explain-input", parse_adjacency_line)),

@@ -2,7 +2,8 @@
 
 A :class:`HyracksCluster` owns a set of worker :class:`NodeContext`\\ s —
 each with a private memory budget, file manager, and buffer cache — plus
-a master-side scheduler. :meth:`HyracksCluster.execute` runs a
+a master-side scheduler and the :class:`~repro.hdfs.MiniDFS` its jobs
+read from and write to. :meth:`HyracksCluster.execute` runs a
 :class:`~repro.hyracks.job.JobSpec`: operators execute in topological
 order, one clone per partition, with connectors redistributing tuples in
 between; every clone sees only its own node's local services and storage,
@@ -29,6 +30,7 @@ import time
 from repro.chaos.faults import FaultInjector
 from repro.common.accounting import Counters, IOCounters, MemoryBudget
 from repro.common.errors import JobFailure, SchedulingError, WorkerFailure
+from repro.hdfs import MiniDFS
 from repro.hyracks.scheduler import Scheduler
 from repro.hyracks.storage.buffer_cache import BufferCache
 from repro.hyracks.storage.file_manager import FileManager
@@ -239,6 +241,8 @@ class HyracksCluster:
                 telemetry=self.telemetry,
                 fault_injector=self.fault_injector,
             )
+        #: Blocks spread over the starting nodes; every write checks the injector.
+        self.dfs = MiniDFS(self.node_ids(), fault_injector=self.fault_injector)
         self.scheduler = Scheduler(partitions_per_node)
         self.jobs_executed = 0
         # Concurrent execute() calls (repro.serve runs whole jobs in

@@ -356,8 +356,8 @@ class Executor:
             # runs under a new run id, so nobody will come back for it.
             # A dead process, though, cleans nothing.
             if not crashed:
-                service.dfs.delete(scratch, recursive=True)
-                RunRelations(job, service.dfs, run_id).release(service.cluster)
+                service.cluster.dfs.delete(scratch, recursive=True)
+                RunRelations(job, service.cluster.dfs, run_id).release(service.cluster)
 
     def _dataflow(self, lanes, members, job, dataset, run_id, output_path):
         """Drive the engine: the only place a lone job and a shared run
@@ -366,7 +366,7 @@ class Executor:
         leader = lanes[0]
         algorithm = leader.request.algorithm
         module = algorithm_module(algorithm)
-        driver = PregelixDriver(service.cluster, service.dfs)
+        driver = PregelixDriver(service.cluster, service.cluster.dfs)
         if len(lanes) > 1:
             program = MultiQueryProgram(
                 module, [record.request.params for record in lanes],

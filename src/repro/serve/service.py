@@ -2,14 +2,14 @@
 
 :class:`JobService` turns the one-shot driver into a long-running server
 (the Quegel move: a Pregel engine becomes a query service once jobs
-share the loaded infrastructure). It owns a single
-:class:`~repro.hyracks.engine.HyracksCluster` and
-:class:`~repro.hdfs.MiniDFS`, keeps named datasets resident in the DFS,
-and executes submitted jobs concurrently on a pool of dispatcher
-threads. Each job gets its own driver and a run-id-scoped temp
-namespace (indexes, message files, DFS scratch) over the *shared*,
-thread-safe buffer caches and file managers from DESIGN.md §3 — so
-concurrent jobs are bit-identical to the same jobs run back to back.
+share the loaded infrastructure). It serves on a single
+:class:`~repro.hyracks.engine.HyracksCluster`, keeps named datasets
+resident in that cluster's :class:`~repro.hdfs.MiniDFS`, and executes
+submitted jobs concurrently on a pool of dispatcher threads. Each job
+gets its own driver and a run-id-scoped temp namespace (indexes,
+message files, DFS scratch) over the *shared*, thread-safe buffer
+caches and file managers from DESIGN.md §3 — so concurrent jobs are
+bit-identical to the same jobs run back to back.
 These dispatcher threads are the only concurrency in the system: within
 one job, the engine runs an operator's clones one after another.
 
@@ -29,7 +29,6 @@ import threading
 import time
 
 from repro.common.errors import ReproError
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix.api import PlanChoice
 from repro.pregelix.failure import HeartbeatMonitor
@@ -77,14 +76,12 @@ class JobService(ServiceDocuments):
         ``JobService(workers=1)`` reads as ``JobService(ServeConfig(workers=1))``.
     :param cluster: a :class:`~repro.hyracks.engine.HyracksCluster` to
         serve on instead of an owned one (the service does not close it).
-    :param dfs: a :class:`~repro.hdfs.MiniDFS` to keep datasets (and a
-        ``dfs:`` journal) in instead of a fresh one.
 
-    The service reports into its cluster's telemetry session.
+    The service keeps its datasets (and a ``dfs:`` journal) in its
+    cluster's DFS and reports into its cluster's telemetry session.
     """
 
-    def __init__(self, config=ServeConfig(), *, cluster=None, dfs=None,
-                 **changes):
+    def __init__(self, config=ServeConfig(), *, cluster=None, **changes):
         if changes:
             config = dataclasses.replace(config, **changes)
         self.config = config
@@ -103,9 +100,6 @@ class JobService(ServiceDocuments):
             cluster.virtual_partitions = cluster.num_partitions
         self.heartbeats = HeartbeatMonitor(cluster)
         self.autoscaler = Autoscaler(self, config.autoscale) if config.autoscale else None
-        self.dfs = dfs if dfs is not None else MiniDFS(
-            datanodes=cluster.node_ids(), fault_injector=cluster.fault_injector
-        )
         self.admission = AdmissionController(cluster, config.quotas)
         self.queue = FairShareQueue(aging_rate=AGING_RATE)
         for tenant, quota in self.admission.quotas.items():
@@ -132,7 +126,7 @@ class JobService(ServiceDocuments):
                 config.journal,
                 telemetry=self.telemetry,
                 fault_injector=cluster.fault_injector,
-                dfs=self.dfs,
+                dfs=cluster.dfs,
             )
         self.watchdog = StuckJobWatchdog(self) if config.watchdog else None
         self.batcher = None
@@ -153,7 +147,7 @@ class JobService(ServiceDocuments):
         """
         if num_files is None:
             num_files = max(len(self.cluster.alive_node_ids()), 1)
-        dataset = load_dataset(self.dfs, name, vertices, local_dir, num_files)
+        dataset = load_dataset(self.cluster.dfs, name, vertices, local_dir, num_files)
         with self._lock:
             self.datasets[name] = dataset
         self.telemetry.event(

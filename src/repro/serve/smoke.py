@@ -25,7 +25,6 @@ import repro
 from repro.algorithms import algorithm_module
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.serve.admission import TenantQuota
@@ -82,10 +81,9 @@ def serve_smoke(args, workers, out=print):
     # The reference: a one-shot driver run on its own cluster.
     cluster = HyracksCluster(num_nodes=3)
     try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in/g", iter(vertices), num_files=3)
+        write_graph_to_dfs(cluster.dfs, "/in/g", iter(vertices), num_files=3)
         module = algorithm_module("cc")
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         driver.run(
             module.build_job(),
             "/in/g",

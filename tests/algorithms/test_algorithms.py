@@ -14,7 +14,6 @@ from repro.algorithms import (
 )
 from repro.graphs.generators import btc_graph, chain_graph, de_bruijn_path_graph
 from repro.graphs.io import format_graph_line, write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -27,7 +26,7 @@ def cluster(tmp_path):
 
 @pytest.fixture
 def dfs(cluster):
-    return MiniDFS(datanodes=cluster.node_ids())
+    return cluster.dfs
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from repro.algorithms.euler_tour import (
     compute_preorder,
     preorder_from_ranks,
 )
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -93,8 +92,7 @@ class TestPreorderMath:
 @pytest.fixture
 def driver(tmp_path):
     with HyracksCluster(num_nodes=2, root_dir=str(tmp_path / "c")) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        yield PregelixDriver(cluster, dfs)
+        yield PregelixDriver(cluster, cluster.dfs)
 
 
 class TestEndToEnd:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.algorithms import list_ranking, scc
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -20,7 +19,7 @@ def cluster(tmp_path):
 
 @pytest.fixture
 def dfs(cluster):
-    return MiniDFS(datanodes=cluster.node_ids())
+    return cluster.dfs
 
 
 @pytest.fixture

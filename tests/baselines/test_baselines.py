@@ -73,7 +73,7 @@ class TestSemanticEquivalence:
         from repro.pregelix import PregelixDriver
 
         with HyracksCluster(num_nodes=3, root_dir=str(tmp_path / "c")) as cluster:
-            pdfs = MiniDFS(datanodes=cluster.node_ids())
+            pdfs = cluster.dfs
             write_graph_to_dfs(pdfs, "/in/btc", btc_graph(120, seed=2), num_files=3)
             driver = PregelixDriver(cluster, pdfs)
             driver.run(sssp.build_job(source_id=0), "/in/btc", output_path="/out/px")

@@ -271,17 +271,15 @@ class TestHooksReachInjector:
         from repro.algorithms import sssp
         from repro.graphs.generators import chain_graph
         from repro.graphs.io import write_graph_to_dfs
-        from repro.hdfs import MiniDFS
         from repro.pregelix import PregelixDriver
 
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in/g", chain_graph(12), num_files=3)
+        write_graph_to_dfs(cluster.dfs, "/in/g", chain_graph(12), num_files=3)
         plan = FaultPlan(
             [FaultSpec(site="operator.open", action="io", at_hit=2, min_superstep=2)]
         )
         injector = cluster.fault_injector.arm(plan)
         job = sssp.build_job(source_id=0, checkpoint_interval=1)
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         outcome = driver.run(job, "/in/g", output_path="/out/r")
         assert len(injector.fired) == 1
         assert outcome.recoveries == 1
@@ -291,11 +289,9 @@ class TestHooksReachInjector:
         from repro.algorithms import pagerank
         from repro.graphs.generators import chain_graph
         from repro.graphs.io import write_graph_to_dfs
-        from repro.hdfs import MiniDFS
         from repro.pregelix import PregelixDriver
 
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in/g", chain_graph(12), num_files=3)
+        write_graph_to_dfs(cluster.dfs, "/in/g", chain_graph(12), num_files=3)
         plan = FaultPlan(
             [
                 FaultSpec(
@@ -305,7 +301,7 @@ class TestHooksReachInjector:
         )
         injector = cluster.fault_injector.arm(plan)
         job = pagerank.build_job(iterations=4, checkpoint_interval=1)
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         outcome = driver.run(job, "/in/g")
         assert [f.site for f in injector.fired] == ["checkpoint.write"]
         assert outcome.recoveries >= 1

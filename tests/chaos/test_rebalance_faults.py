@@ -20,7 +20,6 @@ from repro.algorithms import pagerank
 from repro.chaos import ChaosError, FaultPlan, FaultSpec
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -36,13 +35,10 @@ def run_pagerank(root_dir, plan=None, scale_at=None):
         virtual_partitions=VIRTUAL_PARTITIONS,
     )
     try:
-        dfs = MiniDFS(
-            datanodes=cluster.node_ids(), fault_injector=cluster.fault_injector
-        )
         write_graph_to_dfs(
-            dfs, "/in/g", btc_graph(VERTICES, seed=GRAPH_SEED), num_files=3
+            cluster.dfs, "/in/g", btc_graph(VERTICES, seed=GRAPH_SEED), num_files=3
         )
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         injector = cluster.fault_injector
         if plan is not None:
             injector.arm(plan)

@@ -13,7 +13,6 @@ from repro.algorithms import pagerank, sssp
 from repro.chaos import FaultPlan
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -26,11 +25,10 @@ FIRING_SEED = 5
 def run_faulted(tmp_path, seed, job_factory, num_faults=2):
     cluster = HyracksCluster(num_nodes=3, root_dir=str(tmp_path))
     try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in/g", btc_graph(100, seed=4), num_files=3)
+        write_graph_to_dfs(cluster.dfs, "/in/g", btc_graph(100, seed=4), num_files=3)
         plan = FaultPlan.random(seed, cluster.node_ids(), num_faults=num_faults)
         injector = cluster.fault_injector.arm(plan)
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         outcome = driver.run(job_factory(), "/in/g", output_path="/out/r")
         lines = tuple(sorted(driver.read_output("/out/r")))
         events = [
@@ -79,7 +77,7 @@ class TestReplay:
         faulted = run_faulted(tmp_path / "f", FIRING_SEED, job_factory)
         cluster = HyracksCluster(num_nodes=3, root_dir=str(tmp_path / "clean"))
         try:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
+            dfs = cluster.dfs
             write_graph_to_dfs(dfs, "/in/g", btc_graph(100, seed=4), num_files=3)
             driver = PregelixDriver(cluster, dfs)
             driver.run(job_factory(), "/in/g", output_path="/out/r")

@@ -28,7 +28,6 @@ from repro.graphs.io import (
     typed_parser,
     write_graph_to_dfs,
 )
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.hyracks.operators.index_ops import find_index
 from repro.pregelix import PregelixDriver, PregelixJob, Vertex
@@ -228,9 +227,8 @@ def test_a_custom_formatter_gets_the_decoded_record(tmp_path):
         return "%d %s" % (record.vid, len(record.edges))
 
     with HyracksCluster(num_nodes=2, root_dir=str(tmp_path)) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in", btc_graph(20, seed=1), num_files=2)
-        driver = PregelixDriver(cluster, dfs)
+        write_graph_to_dfs(cluster.dfs, "/in", btc_graph(20, seed=1), num_files=2)
+        driver = PregelixDriver(cluster, cluster.dfs)
         driver.run(sssp.build_job(source_id=0), "/in", output_path="/out",
                    format_record=format_record)
         lines = driver.read_output("/out")
@@ -257,9 +255,8 @@ def test_the_dumped_output_is_unchanged(algorithm, tmp_path):
     params, digest = GOLDEN_DUMPS[algorithm]
     module = algorithm_module(algorithm)
     with HyracksCluster(num_nodes=3, root_dir=str(tmp_path)) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in", btc_graph(60, seed=5), num_files=3)
-        driver = PregelixDriver(cluster, dfs)
+        write_graph_to_dfs(cluster.dfs, "/in", btc_graph(60, seed=5), num_files=3)
+        driver = PregelixDriver(cluster, cluster.dfs)
         driver.run(
             module.build_job(**params), "/in", output_path="/out",
             parse_line=getattr(module, "parse_line", None),
@@ -276,7 +273,7 @@ EDGES = [(3, 1, 1.5), (0, 2, 2.0), (3, 0, 0.25), (1, 3, 1.0), (0, 1, 4.0),
 def test_an_edge_list_loads_the_rows_it_loaded_before(tmp_path):
     lines = ["%d %d %r" % edge for edge in EDGES] + ["5 6"]
     with HyracksCluster(num_nodes=3, root_dir=str(tmp_path)) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
+        dfs = cluster.dfs
         for part in range(3):
             dfs.write_text_lines("/in/part-%d" % part, lines[part::3])
         partition_map = PartitionMap.over_nodes(cluster.node_ids())

@@ -69,16 +69,14 @@ class TestEndToEndWithPregelix:
     def test_networkx_graph_through_sssp(self, tmp_path):
         from repro.algorithms import sssp
         from repro.graphs.io import write_graph_to_dfs
-        from repro.hdfs import MiniDFS
         from repro.hyracks.engine import HyracksCluster
         from repro.pregelix import PregelixDriver
 
         nx_graph = nx.path_graph(8, create_using=nx.DiGraph)
         vertices, id_map = from_networkx(nx_graph)
         with HyracksCluster(num_nodes=2, root_dir=str(tmp_path / "c")) as cluster:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
-            write_graph_to_dfs(dfs, "/in", iter(vertices), num_files=2)
-            driver = PregelixDriver(cluster, dfs)
+            write_graph_to_dfs(cluster.dfs, "/in", iter(vertices), num_files=2)
+            driver = PregelixDriver(cluster, cluster.dfs)
             driver.run(
                 sssp.build_job(source_id=id_map[0]), "/in", output_path="/out"
             )

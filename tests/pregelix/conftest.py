@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -15,7 +14,7 @@ def cluster(tmp_path):
 
 @pytest.fixture
 def dfs(cluster):
-    return MiniDFS(datanodes=cluster.node_ids())
+    return cluster.dfs
 
 
 @pytest.fixture

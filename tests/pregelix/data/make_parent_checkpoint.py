@@ -19,7 +19,6 @@ import os
 from repro.algorithms import pagerank
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix.runtime import PregelixDriver
 
@@ -33,7 +32,7 @@ class Crash(Exception):
 
 def run(crash):
     with HyracksCluster(num_nodes=NODES) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
+        dfs = cluster.dfs
         write_graph_to_dfs(
             dfs, "/in/g", btc_graph(VERTICES, seed=GRAPH_SEED), num_files=NODES
         )

@@ -9,7 +9,6 @@ from repro.chaos import FaultPlan, FaultSpec
 from repro.common.errors import CheckpointNotFound, JobFailure
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import (
     ConnectorPolicy,
@@ -38,19 +37,17 @@ class TestBlobFraming:
 @pytest.fixture
 def env(tmp_path):
     cluster = HyracksCluster(num_nodes=3, root_dir=str(tmp_path / "c"))
-    dfs = MiniDFS(datanodes=cluster.node_ids())
-    write_graph_to_dfs(dfs, "/in/g", btc_graph(120, seed=5), num_files=3)
-    driver = PregelixDriver(cluster, dfs)
-    yield cluster, dfs, driver
+    write_graph_to_dfs(cluster.dfs, "/in/g", btc_graph(120, seed=5), num_files=3)
+    driver = PregelixDriver(cluster, cluster.dfs)
+    yield cluster, cluster.dfs, driver
     cluster.close()
 
 
 def run_reference(tmp_path_factory, job_factory):
     root = tmp_path_factory.mktemp("ref")
     cluster = HyracksCluster(num_nodes=3, root_dir=str(root))
-    dfs = MiniDFS(datanodes=cluster.node_ids())
-    write_graph_to_dfs(dfs, "/in/g", btc_graph(120, seed=5), num_files=3)
-    driver = PregelixDriver(cluster, dfs)
+    write_graph_to_dfs(cluster.dfs, "/in/g", btc_graph(120, seed=5), num_files=3)
+    driver = PregelixDriver(cluster, cluster.dfs)
     driver.run(job_factory(), "/in/g", output_path="/out/ref")
     lines = sorted(driver.read_output("/out/ref"))
     cluster.close()

@@ -21,7 +21,6 @@ import pytest
 from repro.chaos.reference import algorithm_case
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import ConnectorPolicy, GroupByStrategy, PregelixDriver
 
@@ -50,9 +49,8 @@ def run_case(algorithm, groupby, connector, root_dir, scale_at=None):
         virtual_partitions=VIRTUAL_PARTITIONS,
     )
     try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
         write_graph_to_dfs(
-            dfs,
+            cluster.dfs,
             "/in/g",
             iter(btc_graph(VERTICES, seed=GRAPH_SEED)),
             num_files=NUM_NODES,
@@ -60,7 +58,7 @@ def run_case(algorithm, groupby, connector, root_dir, scale_at=None):
         job = case.build_job()
         job.groupby_strategy = groupby
         job.connector_policy = connector
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         outcome = driver.run(
             job,
             "/in/g",

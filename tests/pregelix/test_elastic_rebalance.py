@@ -14,7 +14,6 @@ from repro.algorithms import pagerank
 from repro.common.errors import SchedulingError
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.hyracks.heartbeat import HeartbeatMonitor
 from repro.pregelix import PregelixDriver
@@ -155,11 +154,10 @@ VIRTUAL_PARTITIONS = 6
 
 
 def run_pagerank(cluster, scale_at=None, iterations=5):
-    dfs = MiniDFS(datanodes=cluster.node_ids())
     write_graph_to_dfs(
-        dfs, "/in/g", iter(btc_graph(VERTICES, seed=GRAPH_SEED)), num_files=3
+        cluster.dfs, "/in/g", iter(btc_graph(VERTICES, seed=GRAPH_SEED)), num_files=3
     )
-    driver = PregelixDriver(cluster, dfs)
+    driver = PregelixDriver(cluster, cluster.dfs)
     job = pagerank.build_job(iterations=iterations)
     outcome = driver.run(job, "/in/g", output_path="/out/r", scale_at=scale_at)
     return tuple(sorted(driver.read_output("/out/r"))), outcome

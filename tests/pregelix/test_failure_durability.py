@@ -206,12 +206,10 @@ class TestHeartbeatMonitor:
         from repro.chaos import FaultPlan, FaultSpec
         from repro.graphs.generators import chain_graph
         from repro.graphs.io import write_graph_to_dfs
-        from repro.hdfs import MiniDFS
         from repro.pregelix import PregelixDriver
 
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in/g", chain_graph(12), num_files=3)
-        driver = PregelixDriver(cluster, dfs)
+        write_graph_to_dfs(cluster.dfs, "/in/g", chain_graph(12), num_files=3)
+        driver = PregelixDriver(cluster, cluster.dfs)
         job = pagerank.build_job(iterations=6, checkpoint_interval=2)
         cluster.fault_injector.arm(FaultPlan(
             [FaultSpec("operator.open", node="node1", at_hit=41)]

@@ -13,7 +13,6 @@ from repro.algorithms import pagerank, sssp
 from repro.chaos import FaultPlan, FaultSpec
 from repro.graphs.generators import btc_graph, webmap_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 
@@ -28,16 +27,14 @@ def multicore_cluster(tmp_path):
 
 @pytest.fixture
 def multicore_driver(multicore_cluster):
-    dfs = MiniDFS(datanodes=multicore_cluster.node_ids())
-    return PregelixDriver(multicore_cluster, dfs)
+    return PregelixDriver(multicore_cluster, multicore_cluster.dfs)
 
 
 def reference_run(tmp_path_factory, job_factory, vertices):
     root = tmp_path_factory.mktemp("ref")
     with HyracksCluster(num_nodes=2, root_dir=str(root)) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in", iter(vertices), num_files=2)
-        driver = PregelixDriver(cluster, dfs)
+        write_graph_to_dfs(cluster.dfs, "/in", iter(vertices), num_files=2)
+        driver = PregelixDriver(cluster, cluster.dfs)
         driver.run(job_factory(), "/in", output_path="/out")
         return sorted(driver.read_output("/out"))
 

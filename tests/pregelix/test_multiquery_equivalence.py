@@ -13,7 +13,6 @@ import pytest
 from repro.algorithms import bfs_spanning_tree, reachability, sssp
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.pregelix.api import ConnectorPolicy, GroupByStrategy
@@ -52,8 +51,7 @@ def _driver(tmp_path, tag):
     cluster = HyracksCluster(
         num_nodes=3, root_dir=str(tmp_path / ("cluster-%s" % tag))
     )
-    dfs = MiniDFS(datanodes=cluster.node_ids())
-    return cluster, PregelixDriver(cluster, dfs)
+    return cluster, PregelixDriver(cluster, cluster.dfs)
 
 
 def _load(driver, vertices):

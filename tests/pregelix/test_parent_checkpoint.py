@@ -14,7 +14,6 @@ import os
 from repro.algorithms import pagerank
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix.runtime import PregelixDriver
 
@@ -26,17 +25,16 @@ def test_resume_from_a_checkpoint_the_parent_commit_wrote():
     with open(path) as handle:
         fixture = json.load(handle)
     with HyracksCluster(num_nodes=parent.NODES) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
         write_graph_to_dfs(
-            dfs, "/in/g", btc_graph(parent.VERTICES, seed=parent.GRAPH_SEED),
+            cluster.dfs, "/in/g", btc_graph(parent.VERTICES, seed=parent.GRAPH_SEED),
             num_files=parent.NODES,
         )
         for name, blob in fixture["files"].items():
-            dfs.write(name, base64.b64decode(blob))
+            cluster.dfs.write(name, base64.b64decode(blob))
         job = pagerank.build_job(
             iterations=parent.ITERATIONS, checkpoint_interval=parent.INTERVAL
         )
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         outcome = driver.resume(job, "/in/g", parent.RUN_ID, output_path="/out/r")
         # Restored, not reloaded: only the supersteps after the newest
         # checkpoint (superstep 4) ran.

@@ -10,7 +10,6 @@ from repro.algorithms import graph_cleaning, pagerank, sssp
 from repro.common.errors import CheckpointNotFound, ReproError
 from repro.graphs.generators import btc_graph, de_bruijn_path_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import ConnectorPolicy, GroupByStrategy, PregelixDriver
 from repro.pregelix.pipelining import check_compatibility, run_pipeline
@@ -68,7 +67,7 @@ class TestPipelineExecution:
             num_nodes=4, root_dir=str(tmp_path / "c"),
             virtual_partitions=virtual_partitions,
         ) as cluster:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
+            dfs = cluster.dfs
             driver = PregelixDriver(cluster, dfs)
             write_graph_to_dfs(dfs, "/in/one", btc_graph(80, seed=8), num_files=3)
             before = cluster.jobs_executed
@@ -131,9 +130,8 @@ def _pagerank_pair(checkpoint_interval=0):
 @contextlib.contextmanager
 def _four_node_cluster(root):
     with HyracksCluster(num_nodes=4, root_dir=str(root)) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in/g", btc_graph(80, seed=8), num_files=3)
-        yield cluster, dfs, PregelixDriver(cluster, dfs)
+        write_graph_to_dfs(cluster.dfs, "/in/g", btc_graph(80, seed=8), num_files=3)
+        yield cluster, cluster.dfs, PregelixDriver(cluster, cluster.dfs)
 
 
 @pytest.fixture

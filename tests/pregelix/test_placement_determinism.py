@@ -13,7 +13,6 @@ import pytest
 from repro.chaos.reference import algorithm_case
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix.runtime import PregelixDriver
 
@@ -30,14 +29,13 @@ def run_algorithm(case, num_nodes, tmp_path):
         root_dir=str(tmp_path / ("%s-n%d" % (case.name, num_nodes))),
     )
     try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
         write_graph_to_dfs(
-            dfs,
+            cluster.dfs,
             "/in/g",
             iter(btc_graph(VERTICES, seed=GRAPH_SEED)),
             num_files=3,
         )
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         outcome = driver.run(
             case.build_job(),
             "/in/g",

@@ -94,7 +94,7 @@ class World:
             num_nodes=self.nodes, root_dir=str(tmp_path / "cluster"),
             **CLUSTERS.get(case, {})
         )
-        self.dfs = MiniDFS(datanodes=self.cluster.node_ids())
+        self.dfs = self.cluster.dfs
         write_graph_to_dfs(
             self.dfs, "/in/g",
             btc_graph(rng.randrange(24, 60), seed=rng.randrange(100)),
@@ -332,8 +332,7 @@ def test_a_poison_job_leaves_nothing_of_any_attempt(monkeypatch):
 
     monkeypatch.setattr(connected_components, "format_record", flaky_dump)
     with HyracksCluster(num_nodes=2) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        service = JobService(DRILL_CONFIG, cluster=cluster, dfs=dfs)
+        service = JobService(DRILL_CONFIG, cluster=cluster)
         service.add_dataset("g", vertices=list(btc_graph(40, seed=3)))
         service.start()
         try:
@@ -347,8 +346,8 @@ def test_a_poison_job_leaves_nothing_of_any_attempt(monkeypatch):
         assert (record.attempts, record.error_kind) == (2, "transient")
         assert len(record.trace_run_ids) == 2
         assert held(cluster) == []
-        assert dfs.list_files("/pregelix") == []
-        assert dfs.list_files("/serve/jobs") == []
+        assert cluster.dfs.list_files("/pregelix") == []
+        assert cluster.dfs.list_files("/serve/jobs") == []
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.serve.api import SERVABLE_ALGORITHMS
@@ -29,9 +28,8 @@ def run_direct(vertices, algorithm, params, num_nodes=3):
     module = importlib.import_module(SERVABLE_ALGORITHMS[algorithm][0])
     cluster = HyracksCluster(num_nodes=num_nodes)
     try:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        write_graph_to_dfs(dfs, "/in/g", iter(vertices), num_files=num_nodes)
-        driver = PregelixDriver(cluster, dfs)
+        write_graph_to_dfs(cluster.dfs, "/in/g", iter(vertices), num_files=num_nodes)
+        driver = PregelixDriver(cluster, cluster.dfs)
         driver.run(
             module.build_job(**params),
             "/in/g",

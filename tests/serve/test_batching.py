@@ -13,7 +13,6 @@ import pytest
 
 from repro.chaos import FaultPlan, FaultSpec
 from repro.chaos.serve_drill import DRILL_CONFIG
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.serve import JobService, JobState, ServiceCrashed
 from repro.serve.batching import BATCHABLE_ALGORITHMS, BatchFormer
@@ -225,20 +224,18 @@ class TestMidBatchCrash:
     @pytest.fixture
     def harness(self, serve_graph):
         cluster = HyracksCluster(num_nodes=3)
-        dfs = MiniDFS(datanodes=cluster.node_ids())
 
         def make_service(**overrides):
             service = JobService(
-                replace(DRILL_CONFIG, batch_max=8), cluster=cluster, dfs=dfs,
-                **overrides
+                replace(DRILL_CONFIG, batch_max=8), cluster=cluster, **overrides
             )
             service.add_dataset("g", vertices=list(serve_graph))
             return service
 
-        yield cluster, dfs, make_service
+        yield cluster, make_service
         cluster.close()
 
-    def _crash_mid_batch(self, cluster, dfs, make_service, phase, at_hit):
+    def _crash_mid_batch(self, cluster, make_service, phase, at_hit):
         plan = FaultPlan([
             FaultSpec(site="service.crash", action="io", node=phase,
                       at_hit=at_hit, min_superstep=0),
@@ -264,9 +261,9 @@ class TestMidBatchCrash:
     def test_crash_recovers_every_member_never_half_a_batch(
         self, harness, solo_digests, phase, at_hit
     ):
-        cluster, dfs, make_service = harness
+        cluster, make_service = harness
         crashed, records = self._crash_mid_batch(
-            cluster, dfs, make_service, phase, at_hit
+            cluster, make_service, phase, at_hit
         )
         # journal marked every batched dispatch, so recovery knows these
         # STARTED records must restart fresh (solo), never resume a

@@ -13,7 +13,6 @@ import threading
 import pytest
 
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.serve import JobService, JobState, TenantQuota
@@ -75,8 +74,7 @@ class TestBareDriverConcurrency:
         BufferCache/FileManager without the service in the way."""
         cluster = HyracksCluster(num_nodes=3)
         try:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
-            write_graph_to_dfs(dfs, "/in/g", iter(serve_graph), num_files=3)
+            write_graph_to_dfs(cluster.dfs, "/in/g", iter(serve_graph), num_files=3)
             outputs = {}
             errors = []
 
@@ -85,7 +83,7 @@ class TestBareDriverConcurrency:
                     module = importlib.import_module(
                         SERVABLE_ALGORITHMS[algorithm][0]
                     )
-                    driver = PregelixDriver(cluster, dfs)
+                    driver = PregelixDriver(cluster, cluster.dfs)
                     driver.run(
                         module.build_job(**params),
                         "/in/g",
@@ -121,11 +119,10 @@ class TestBareDriverConcurrency:
         state leaks between runs through the shared caches)."""
         cluster = HyracksCluster(num_nodes=3)
         try:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
-            write_graph_to_dfs(dfs, "/in/g", iter(serve_graph), num_files=3)
+            write_graph_to_dfs(cluster.dfs, "/in/g", iter(serve_graph), num_files=3)
             module = importlib.import_module(SERVABLE_ALGORITHMS["cc"][0])
             for index in range(round_trip + 1):
-                driver = PregelixDriver(cluster, dfs)
+                driver = PregelixDriver(cluster, cluster.dfs)
                 driver.run(
                     module.build_job(),
                     "/in/g",

@@ -4,7 +4,6 @@ import pytest
 
 from repro.chaos import FaultPlan, FaultSpec
 from repro.chaos.serve_drill import DRILL_CONFIG
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.serve import JobService, JobState, ServiceCrashed
 from repro.serve.journal import RECORD_SUBMITTED
@@ -15,15 +14,14 @@ WAIT = 120
 @pytest.fixture
 def harness(serve_graph):
     cluster = HyracksCluster(num_nodes=3)
-    dfs = MiniDFS(datanodes=cluster.node_ids())
 
     def make_service(**overrides):
-        """One 'process start' over the shared cluster/DFS/journal."""
-        service = JobService(DRILL_CONFIG, cluster=cluster, dfs=dfs, **overrides)
+        """One 'process start' over the shared cluster and journal."""
+        service = JobService(DRILL_CONFIG, cluster=cluster, **overrides)
         service.add_dataset("g", vertices=list(serve_graph))
         return service
 
-    yield cluster, dfs, make_service
+    yield cluster, make_service
     cluster.close()
 
 
@@ -33,7 +31,7 @@ REQUEST = {
 }
 
 
-def crash(cluster, dfs, make_service, phase, at_hit=1):
+def crash(cluster, make_service, phase, at_hit=1):
     """Run one service until the injected crash at ``phase`` fires."""
     import time
 
@@ -65,8 +63,8 @@ class TestCrashRecovery:
     def test_crash_then_restart_completes_bit_identical(
         self, harness, phase, at_hit, expect
     ):
-        cluster, dfs, make_service = harness
-        crash(cluster, dfs, make_service, phase, at_hit)
+        cluster, make_service = harness
+        crash(cluster, make_service, phase, at_hit)
 
         second = make_service()
         summary = second.recover()
@@ -86,8 +84,8 @@ class TestCrashRecovery:
         second.shutdown(drain=True, timeout=WAIT)
 
     def test_crashed_service_refuses_restart_in_place(self, harness):
-        cluster, dfs, make_service = harness
-        service = crash(cluster, dfs, make_service, "running")
+        cluster, make_service = harness
+        service = crash(cluster, make_service, "running")
         from repro.common.errors import ReproError
 
         with pytest.raises(ReproError, match="fresh JobService"):
@@ -95,8 +93,8 @@ class TestCrashRecovery:
         assert service.drain(timeout=1) is False
 
     def test_resumed_job_pins_the_journaled_plan(self, harness):
-        cluster, dfs, make_service = harness
-        crash(cluster, dfs, make_service, "running", at_hit=2)
+        cluster, make_service = harness
+        crash(cluster, make_service, "running", at_hit=2)
         second = make_service()
         second.recover()
         (record,) = second.jobs.values()
@@ -111,7 +109,7 @@ class TestCrashRecovery:
 
 class TestFinishedJobs:
     def test_finished_job_never_reexecuted(self, harness):
-        cluster, _dfs, make_service = harness
+        cluster, make_service = harness
         first = make_service()
         first.start()
         record = first.submit(dict(REQUEST))
@@ -138,7 +136,7 @@ class TestFinishedJobs:
         second.shutdown(drain=True, timeout=WAIT)
 
     def test_failed_job_stays_failed(self, harness):
-        _cluster, _dfs, make_service = harness
+        _cluster, make_service = harness
         first = make_service()
         first.start()
         record = first.submit(dict(
@@ -159,7 +157,7 @@ class TestFinishedJobs:
 
 class TestReplayBookkeeping:
     def test_job_ids_advance_past_journaled_ids(self, harness):
-        _cluster, _dfs, make_service = harness
+        _cluster, make_service = harness
         first = make_service()
         first.start()
         record = first.submit(dict(REQUEST))
@@ -177,7 +175,7 @@ class TestReplayBookkeeping:
         second.shutdown(drain=True, timeout=WAIT)
 
     def test_unparseable_submission_is_skipped_not_fatal(self, harness):
-        _cluster, _dfs, make_service = harness
+        _cluster, make_service = harness
         first = make_service()
         first.journal.append(RECORD_SUBMITTED, "job-090909",
                              request={"bogus": True})
@@ -187,7 +185,7 @@ class TestReplayBookkeeping:
         first.shutdown(drain=False)
 
     def test_torn_tail_reported_in_recover_summary(self, harness):
-        _cluster, _dfs, make_service = harness
+        _cluster, make_service = harness
         first = make_service()
         first.start()
         record = first.submit(dict(REQUEST))
@@ -216,9 +214,9 @@ class TestClusterInjectorReachesTheServicesHosts:
     def test_faults_armed_on_the_cluster_fire_in_the_services_own_dfs_and_journal(
         self, serve_graph
     ):
-        """A service that builds its own DFS hands it, and its journal,
-        the cluster's injector: both faults fire, the job still
-        succeeds and the torn tail shows up on the next replay."""
+        """The service's DFS is its cluster's, and its journal holds the
+        cluster's injector: both faults fire, the job still succeeds and
+        the torn tail shows up on the next replay."""
         with HyracksCluster(num_nodes=3) as cluster:
             service = JobService(DRILL_CONFIG, cluster=cluster)
             service.add_dataset("g", vertices=list(serve_graph))
@@ -235,3 +233,53 @@ class TestClusterInjectorReachesTheServicesHosts:
                 ("dfs.write", "transient_io"), ("journal.append", "torn_write"),
             ]
             assert service.journal.replay().torn_bytes > 0
+
+    def test_a_bench_driver_fires_the_clusters_dfs_write_spec(self):
+        from repro.algorithms import pagerank
+        from repro.bench.reporting import graph_driver
+
+        with graph_driver(3, 40, 1) as driver:
+            injector = driver.cluster.fault_injector.arm(dfs_write())
+            driver.run(pagerank.build_job(iterations=3), "/in/g", output_path="/o")
+        assert [f.site for f in injector.fired] == ["dfs.write"]
+
+    def test_repro_run_fires_the_clusters_dfs_write_spec(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.hyracks import engine
+
+        main(["generate", "--family", "chain", "--vertices", "15",
+              "--out", str(tmp_path)], out=lambda line: None)
+        injectors = []
+
+        class Armed(engine.HyracksCluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                injectors.append(self.fault_injector.arm(dfs_write()))
+
+        monkeypatch.setattr(engine, "HyracksCluster", Armed)
+        argv = ["run", "pagerank", "--input", str(tmp_path), "--nodes", "3"]
+        assert main(argv, out=lambda line: None) == 0
+        [injector] = injectors
+        assert [f.site for f in injector.fired] == ["dfs.write"]
+
+    def test_a_restarted_service_writes_the_first_ones_dfs(self, serve_graph):
+        """Two process starts over one cluster, as the drill makes them:
+        the second replays the first's ``dfs:`` journal and its writes
+        fire the cluster's spec."""
+        with HyracksCluster(num_nodes=3) as cluster:
+            first = JobService(DRILL_CONFIG, cluster=cluster)
+            first.add_dataset("g", vertices=list(serve_graph))
+            first.start()
+            assert first.submit(dict(REQUEST)).wait(WAIT) is JobState.SUCCEEDED
+            first.shutdown(drain=True, timeout=WAIT)
+            injector = cluster.fault_injector.arm(dfs_write())
+            second = JobService(DRILL_CONFIG, cluster=cluster)
+            assert second.recover()["finished"] == 1
+            second.add_dataset("g", vertices=list(serve_graph))
+            second.shutdown(drain=False)
+        assert [f.site for f in injector.fired] == ["dfs.write"]
+
+
+def dfs_write():
+    """A plan whose one transient ``dfs.write`` fault the DFS's retry absorbs."""
+    return FaultPlan([FaultSpec("dfs.write", "transient_io", at_hit=1)])

@@ -14,7 +14,6 @@ import pytest
 from repro.algorithms import pagerank
 from repro.graphs.generators import webmap_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.hyracks.storage.lsm_btree import LSMBTree
 from repro.pregelix import PregelixDriver
@@ -35,7 +34,7 @@ def traced_run(tmp_path):
         buffer_cache_bytes=2 * 4096,
         telemetry=telemetry,
     ) as cluster:
-        dfs = MiniDFS(datanodes=cluster.node_ids())
+        dfs = cluster.dfs
         write_graph_to_dfs(dfs, "/in/web", webmap_graph(120, seed=7), num_files=2)
         driver = PregelixDriver(cluster, dfs)
         outcome = driver.run(
@@ -119,7 +118,7 @@ class TestTracedPageRank:
         with HyracksCluster(
             num_nodes=2, root_dir=str(tmp_path / "two-runs"), telemetry=telemetry
         ) as cluster:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
+            dfs = cluster.dfs
             write_graph_to_dfs(dfs, "/in/web", webmap_graph(60, seed=5), num_files=2)
             driver = PregelixDriver(cluster, dfs)
             runs = [
@@ -177,7 +176,7 @@ class TestDisabledTelemetry:
         with HyracksCluster(
             num_nodes=2, root_dir=str(tmp_path / "cluster"), telemetry=telemetry
         ) as cluster:
-            dfs = MiniDFS(datanodes=cluster.node_ids())
+            dfs = cluster.dfs
             write_graph_to_dfs(dfs, "/in/web", webmap_graph(40, seed=3), num_files=2)
             driver = PregelixDriver(cluster, dfs)
             outcome = driver.run(pagerank.build_job(iterations=2), "/in/web")

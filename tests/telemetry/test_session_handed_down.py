@@ -4,11 +4,12 @@ site its fault injector, from construction.
 A component gets its session from its owner: the cluster's for the
 engine, storage, driver, service and fault injector, or a private
 disabled one for a class built on its own. The cluster's one injector
-reaches its nodes, caches and the service's DFS and journal the same
-way. No report site asks whether it has a session, and no fault site
-whether it has an injector. This file checks both halves: the source
-holds no such fork, and each class that can be built standalone records
-into its own session, without raising, on the paths that emit events.
+reaches its nodes, caches, DFS and the service's journal the same way;
+the cluster builds its DFS, so no caller wires one beside it. No report
+site asks whether it has a session, and no fault site whether it has an
+injector. This file checks both halves: the source holds no such fork,
+and each class that can be built standalone records into its own
+session, without raising, on the paths that emit events.
 """
 
 import os
@@ -21,7 +22,7 @@ from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.common import serde
 from repro.common.accounting import IOCounters
 from repro.common.errors import TransientIOError
-from repro.hdfs import MiniDFS, RetryPolicy
+from repro.hdfs import RetryPolicy
 from repro.hyracks.connectors import MToNPartitioningMergingConnector
 from repro.hyracks.engine import HyracksCluster, JobContext
 from repro.hyracks.storage.buffer_cache import BufferCache
@@ -38,7 +39,7 @@ SRC = os.path.join(
     "src",
 )
 #: A site asking whether it has a session, or a fault injector (or a
-#: journal retry policy), at all.
+#: journal retry policy), at all; or building a DFS beside a cluster.
 FORKS = {
     "session": re.compile(
         r'telemetry is (not )?None|getattr\([^)]*"telemetry", None\)'
@@ -47,7 +48,10 @@ FORKS = {
         r"injector is (not )?None|getattr\([^)]*fault_injector"
         r"|callable\(injector|self\.retry is (not )?None"
     ),
+    "dfs": re.compile(r"MiniDFS\("),
 }
+#: Where a fork is the thing itself: the DFS and the cluster that builds it.
+HOMES = {"dfs": ("hdfs" + os.sep, os.path.join("hyracks", "engine.py"))}
 
 
 def test_no_module_asks_whether_it_has_a_session_or_an_injector():
@@ -57,13 +61,14 @@ def test_no_module_asks_whether_it_has_a_session_or_an_injector():
             if not name.endswith(".py"):
                 continue
             path = os.path.join(root, name)
+            module = os.path.relpath(path, os.path.join(SRC, "repro"))
             with open(path, encoding="utf-8") as handle:
                 for number, line in enumerate(handle, 1):
                     for fork, pattern in FORKS.items():
-                        if pattern.search(line):
-                            hits[fork].append(
-                                "%s:%d" % (os.path.relpath(path, SRC), number)
-                            )
+                        if pattern.search(line) and not module.startswith(
+                            HOMES.get(fork, ())
+                        ):
+                            hits[fork].append("%s:%d" % (module, number))
     assert hits == {fork: [] for fork in FORKS}
 
 
@@ -143,11 +148,10 @@ def test_fault_injector_holds_the_clusters_session_from_construction():
     with HyracksCluster(num_nodes=2) as cluster:
         injector = cluster.fault_injector
         assert injector.telemetry is cluster.telemetry
-        dfs = MiniDFS(datanodes=cluster.node_ids(), fault_injector=injector)
-        assert dfs.retry_policy.telemetry is cluster.telemetry
+        assert cluster.dfs.retry_policy.telemetry is cluster.telemetry
         injector.arm(FaultPlan([FaultSpec("dfs.write", "transient_io")]))
         assert cluster.telemetry.events.snapshot(name="chaos.armed")
-        dfs.write("/f", b"x")
+        cluster.dfs.write("/f", b"x")
         assert cluster.telemetry.registry.value("failure.retries") == 1
 
 

@@ -20,7 +20,6 @@ from repro.algorithms import connected_components, pagerank, sssp
 from repro.common.accounting import IOCounters
 from repro.graphs.generators import btc_graph, webmap_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.hdfs import MiniDFS
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
 from repro.pregelix.api import ConnectorPolicy, VertexStorage
@@ -124,10 +123,9 @@ def test_registry_equals_the_holders_after_any_run(
         partitions_per_node=partitions_per_node, **shape
     ) as cluster:
         results = record_results(cluster)
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        driver = PregelixDriver(cluster, dfs)
+        driver = PregelixDriver(cluster, cluster.dfs)
         for _ in range(3):
-            random_run(rng, driver, dfs, plan)
+            random_run(rng, driver, cluster.dfs, plan)
             assert_single_home(cluster, results)
         if shape is OUT_OF_CORE:
             # The case is what it claims to be: pages were evicted and
@@ -146,9 +144,8 @@ def test_node_loss_neither_rewinds_nor_detaches_the_exported_cache_counts(tmp_pa
     ) as cluster:
         results = record_results(cluster)
         registry = cluster.telemetry.registry
-        dfs = MiniDFS(datanodes=cluster.node_ids())
-        driver = PregelixDriver(cluster, dfs)
-        random_run(rng, driver, dfs, OUT_OF_CORE_PLAN)
+        driver = PregelixDriver(cluster, cluster.dfs)
+        random_run(rng, driver, cluster.dfs, OUT_OF_CORE_PLAN)
         before = {
             field: registry.value("storage.cache.%s" % field, node="node1")
             for field in ("hits", "misses", "evictions", "writebacks")
@@ -159,7 +156,7 @@ def test_node_loss_neither_rewinds_nor_detaches_the_exported_cache_counts(tmp_pa
             assert registry.value("storage.cache.%s" % field, node="node1") == count
         assert_single_home(cluster, results)
         cluster.revive_node("node1")
-        random_run(rng, driver, dfs, OUT_OF_CORE_PLAN)
+        random_run(rng, driver, cluster.dfs, OUT_OF_CORE_PLAN)
         # Still attached to the live cache: the revived node's new pins
         # show up in the exported series.
         assert registry.value("storage.cache.hits", node="node1") > before["hits"]

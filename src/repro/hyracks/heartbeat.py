@@ -26,26 +26,23 @@ class HeartbeatMonitor:
         self.cluster = cluster
         self.telemetry = cluster.telemetry
         self.last_beat = {}
-        self.missed = {}
         self.dead = set()
 
     def observe(self):
         """One liveness sweep; returns nodes newly declared dead.
 
-        Alive nodes beat and clear their miss counters (a revived node
-        is welcomed back); a silent node is declared once.
+        Alive nodes beat (a revived node is welcomed back); a silent
+        node is declared once.
         """
         now = self.telemetry.sim_clock.seconds
         newly_dead = []
         for node_id, node in self.cluster.nodes.items():
             if node.alive:
                 self.last_beat[node_id] = now
-                self.missed[node_id] = 0
                 self.dead.discard(node_id)
                 continue
             if node_id in self.dead:
                 continue
-            self.missed[node_id] = 1
             self.telemetry.event(
                 "heartbeat.missed",
                 category="failure",

@@ -16,10 +16,9 @@ all day produces byte-identical results to one that never moved.
   serving pinned partitions until every run has handed off, then retire;
 * a ``cooldown_ticks`` pause after every action damps oscillation.
 
-The :class:`Autoscaler` can run on its own thread (``start``/``stop``)
-or be ticked manually — tests drive :meth:`Autoscaler.tick` directly for
-determinism. Each tick also sweeps the service's heartbeat monitor, so
-per-node liveness in ``/stats`` stays fresh even while the service idles.
+The service's housekeeping thread calls :meth:`Autoscaler.tick`; tests
+call it directly for determinism. Draining nodes are retired by the
+cluster itself.
 """
 
 import threading
@@ -62,48 +61,19 @@ class Autoscaler:
     """Drives a :class:`~repro.serve.service.JobService`'s cluster size.
 
     :param service: the owning JobService (provides queue depth, the
-        executing-job count, the cluster, and the heartbeat monitor).
+        executing-job count and the cluster).
     :param policy: an :class:`AutoscalePolicy`.
-    :param interval: seconds between ticks when running threaded.
     """
 
-    def __init__(self, service, policy, interval=0.25):
+    def __init__(self, service, policy):
         self.service = service
         self.policy = policy
-        self.interval = float(interval)
         self.scale_ups = 0
         self.scale_downs = 0
         self._idle_ticks = 0
         self._cooldown = 0
-        self._stop = threading.Event()
-        self._thread = None
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    def start(self):
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="serve-autoscaler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self):
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _loop(self):
-        while not self._stop.wait(self.interval):
-            try:
-                self.tick()
-            except Exception:  # pragma: no cover - scaling must never kill serving
-                pass
-
-    # ------------------------------------------------------------------
     def tick(self, backlog=None, executing=None):
         """One scaling decision; returns ``("up"|"down", node_id)`` or None.
 
@@ -115,9 +85,6 @@ class Autoscaler:
         """
         service = self.service
         cluster = service.cluster
-        # Liveness sweep + retirement sweep ride along on every tick.
-        service.heartbeats.observe()
-        cluster.reap_draining_nodes()
         if backlog is None:
             backlog = len(service.queue)
         if executing is None:
@@ -172,5 +139,4 @@ class Autoscaler:
                 "scale_downs": self.scale_downs,
                 "idle_ticks": self._idle_ticks,
                 "cooldown": self._cooldown,
-                "running": self._thread is not None,
             }

@@ -18,19 +18,20 @@ class ServiceDocuments:
     """Stats / health / trace projections of a job service."""
 
     def cluster_stats(self):
-        """Per-node membership + liveness (the ``/stats`` cluster section)."""
-        self.heartbeats.observe()
-        self.cluster.reap_draining_nodes()
+        """Per-node membership + liveness (the ``/stats`` cluster section).
+
+        A node that is down has missed its heartbeat; declaring it dead
+        is the driver's decision (DESIGN.md §5), not this document's.
+        """
         nodes = []
         for node_id, node in list(self.cluster.nodes.items()):
-            missed = self.heartbeats.missed.get(node_id, 0)
             nodes.append({
                 "node": node_id,
                 "alive": node.alive,
                 "draining": node.draining,
                 "inflight": node.inflight,
-                "missed_heartbeats": missed,
-                "suspect": node_id in self.heartbeats.dead or missed > 0,
+                "missed_heartbeats": 0 if node.alive else 1,
+                "suspect": not node.alive,
             })
         doc = {
             "nodes": nodes,
@@ -41,7 +42,10 @@ class ServiceDocuments:
             "virtual_partitions": self.cluster.virtual_partitions,
         }
         if self.autoscaler is not None:
-            doc["autoscaler"] = self.autoscaler.state()
+            doc["autoscaler"] = dict(
+                self.autoscaler.state(),
+                running=self.housekeeping_state()["running"],
+            )
         return doc
 
     def stats(self):
@@ -87,7 +91,9 @@ class ServiceDocuments:
             if source is not None:
                 doc[section] = source.stats()
         if self.watchdog is not None:
-            doc["watchdog"] = self.watchdog.state()
+            doc["watchdog"] = dict(
+                self.watchdog.state(), **self.housekeeping_state()
+            )
         doc["jobs_executed"] = self.cluster.jobs_executed
         doc["latency"] = self.latency_stats()
         return doc
@@ -133,9 +139,8 @@ class ServiceDocuments:
         """The ``/healthz`` payload: liveness plus per-node degradation.
 
         ``ok`` means the service can serve at all; ``degraded`` flags
-        suspect machines — a node with missed heartbeats or one declared
-        dead — without failing the probe, so orchestrators keep routing
-        while operators get paged.
+        suspect machines — a node that is down — without failing the
+        probe, so orchestrators keep routing while operators get paged.
         """
         cluster_doc = self.cluster_stats()
         suspects = [n["node"] for n in cluster_doc["nodes"] if n["suspect"]]

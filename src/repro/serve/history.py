@@ -1,76 +1,46 @@
 """Ring-buffered health history for the job service.
 
-A :class:`HistorySampler` snapshots the service's operational vitals on
-a fixed cadence — queue depth (total and per tenant), running/executing
-job counts, schedulable vs draining nodes, result-cache hit ratio,
-rolling journal-append latency, and each tenant's fair-share virtual
-time — into a bounded deque. ``GET /stats/history`` serves the retained
+A :class:`HistorySampler` snapshots the service's operational vitals
+every :data:`INTERVAL_SECONDS` — queue depth (total and per tenant),
+running/executing job counts, schedulable vs draining nodes,
+result-cache hit ratio, rolling journal-append latency, and each
+tenant's fair-share virtual time — into a bounded deque. ``GET /stats/history`` serves the retained
 window and ``repro serve top`` renders it live, so an operator can see
 *trends* (a queue filling up, a tenant starving, append latency
 creeping toward the shed threshold) instead of one instant.
 
-Sampling is read-only and failure-isolated: a throwing sample is
-dropped, never propagated into the serving path.
+Sampling is read-only; the service's housekeeping thread drops a
+sample that throws instead of letting it reach the serving path.
 """
 
 import threading
 import time
 from collections import deque
 
-DEFAULT_INTERVAL = 0.5
+#: Seconds between samples: the housekeeping thread samples on every
+#: ``INTERVAL_SECONDS / serve.service.TICK_SECONDS``-th tick.
+INTERVAL_SECONDS = 0.5
 DEFAULT_CAPACITY = 600
 
 
 class HistorySampler:
-    """Samples one health snapshot per tick into a bounded ring.
+    """Samples one health snapshot per call into a bounded ring.
 
     :param service: the :class:`~repro.serve.service.JobService` to watch.
-    :param interval: seconds between samples.
     :param capacity: retained samples (oldest dropped first).
-    :param clock: wall-clock source for the sample timestamps.
     """
 
-    def __init__(self, service, interval=DEFAULT_INTERVAL,
-                 capacity=DEFAULT_CAPACITY, clock=time.time):
+    def __init__(self, service, capacity=DEFAULT_CAPACITY):
         self.service = service
-        self.interval = max(float(interval), 0.01)
         self.capacity = int(capacity)
-        self._clock = clock
         self._samples = deque(maxlen=self.capacity)
         self._taken = 0
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread = None
 
-    # ------------------------------------------------------------------
-    def start(self):
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="serve-history", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self):
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
-
-    def _loop(self):
-        while not self._stop.wait(self.interval):
-            try:
-                self.sample()
-            except Exception:
-                continue  # a failed sample must never hurt serving
-
-    # ------------------------------------------------------------------
     def sample(self):
         """Take one snapshot now; returns the sample dict."""
         service = self.service
-        sample = {"ts": self._clock()}
+        sample = {"ts": time.time()}
         load = service.executor.load()
         sample["state"] = service.state
         sample["running"] = len(load["running"])
@@ -101,11 +71,11 @@ class HistorySampler:
         return sample
 
     def samples(self, last=None):
-        """The retained samples, oldest first (optionally the last N)."""
+        """The retained samples, oldest first (optionally the last N >= 0)."""
         with self._lock:
             items = list(self._samples)
         if last is not None:
-            items = items[-max(int(last), 0):] if int(last) else []
+            items = items[-last:] if last else []
         return items
 
     def document(self, last=None):
@@ -114,7 +84,7 @@ class HistorySampler:
             taken = self._taken
             retained = len(self._samples)
         return {
-            "interval_seconds": self.interval,
+            "interval_seconds": INTERVAL_SECONDS,
             "capacity": self.capacity,
             "taken": taken,
             "retained": retained,

@@ -18,10 +18,10 @@ Endpoints (JSON in, JSON out)::
     GET  /jobs              all job records (most recent first)
     GET  /healthz           liveness: 200 while serving/draining (the
                             payload flags ``degraded`` when any node is
-                            missing heartbeats)
+                            down)
     GET  /stats             service statistics snapshot
     GET  /stats/history     the health-history ring buffer (optionally
-                            ``?n=<last N samples>``)
+                            ``?n=<last N samples>``, N >= 0)
     GET  /metrics           Prometheus text exposition (format 0.0.4)
                             of every counter, gauge, and histogram
     POST /cluster/scale     elastic resize: {"nodes": N} within the
@@ -121,8 +121,11 @@ class _Handler(BaseHTTPRequestHandler):
             if query.get("n"):
                 try:
                     last = int(query["n"][0])
+                    if last < 0:
+                        raise ValueError(last)
                 except ValueError:
-                    self._error(400, "bad_request", "n must be an integer")
+                    self._error(400, "bad_request",
+                                "n must be a non-negative integer")
                     return
             self._json(200, self.service.history.document(last=last))
         elif path == "/metrics":

@@ -10,8 +10,9 @@ gets its own driver and a run-id-scoped temp namespace (indexes,
 message files, DFS scratch) over the *shared*, thread-safe buffer
 caches and file managers from DESIGN.md §3 — so concurrent jobs are
 bit-identical to the same jobs run back to back.
-These dispatcher threads are the only concurrency in the system: within
-one job, the engine runs an operator's clones one after another.
+These dispatcher threads, one housekeeping thread (autoscaler, watchdog,
+history) and the HTTP listener are the only concurrency in the system:
+within one job, the engine runs an operator's clones one after another.
 
 The class is the front door and the wiring; the state behind it is
 split by owner. This module keeps construction, datasets,
@@ -31,7 +32,6 @@ import time
 from repro.common.errors import ReproError
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix.api import PlanChoice
-from repro.pregelix.failure import HeartbeatMonitor
 from repro.serve.autoscale import Autoscaler
 from repro.serve import plans
 from repro.serve.batching import BatchFormer
@@ -56,7 +56,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.datasets import load_dataset
 from repro.serve.documents import ServiceDocuments
 from repro.serve.executor import Executor
-from repro.serve.history import HistorySampler
+from repro.serve.history import INTERVAL_SECONDS, HistorySampler
 from repro.serve.journal import open_journal
 from repro.serve.lifecycle import JobLifecycle
 from repro.serve.queue import FairShareQueue
@@ -65,6 +65,11 @@ from repro.serve.watchdog import StuckJobWatchdog
 #: Fair-share aging at the service: pass units forgiven per second a
 #: tenant's head job has waited (DESIGN.md §6 "Fair share").
 AGING_RATE = 1.0
+
+#: The housekeeping thread's period: the autoscaler and the watchdog run
+#: every tick, the history sampler every ``HISTORY_TICKS``-th.
+TICK_SECONDS = 0.25
+HISTORY_TICKS = int(INTERVAL_SECONDS / TICK_SECONDS)
 
 
 class JobService(ServiceDocuments):
@@ -98,7 +103,6 @@ class JobService(ServiceDocuments):
             # job keeps the same hash(vid) % N no matter how the node
             # set breathes, so results are byte-stable under scaling.
             cluster.virtual_partitions = cluster.num_partitions
-        self.heartbeats = HeartbeatMonitor(cluster)
         self.autoscaler = Autoscaler(self, config.autoscale) if config.autoscale else None
         self.admission = AdmissionController(cluster, config.quotas)
         self.queue = FairShareQueue(aging_rate=AGING_RATE)
@@ -113,6 +117,8 @@ class JobService(ServiceDocuments):
         self.datasets = {}
         self.started_at = None
         self._threads = []
+        self._housekeeper = None
+        self._stop_housekeeping = threading.Event()
         # One lock serialises job-state transitions across the three
         # owners; each guards only its own fields with it.
         self._lock = threading.RLock()
@@ -187,10 +193,10 @@ class JobService(ServiceDocuments):
             target = min(max(current, policy.min_nodes), policy.max_nodes)
             if target != current:
                 self.cluster.scale_to(target)
-            self.autoscaler.start()
-        if self.watchdog is not None:
-            self.watchdog.start()
-        self.history.start()
+        self._housekeeper = threading.Thread(
+            target=self._housekeep, name="serve-housekeeping", daemon=True
+        )
+        self._housekeeper.start()
         self.telemetry.event(
             "serve.start", category="serve", workers=self.config.workers,
             nodes=len(self.cluster.nodes),
@@ -218,11 +224,9 @@ class JobService(ServiceDocuments):
 
     def shutdown(self, drain=True, timeout=None):
         """Drain (optionally), stop the workers, release the cluster."""
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
-        if self.watchdog is not None:
-            self.watchdog.stop()
-        self.history.stop()
+        self._stop_housekeeping.set()
+        if self._housekeeper is not None:
+            self._housekeeper.join(timeout=5.0)
         drained = self.drain(timeout=timeout) if drain else False
         with self._lock:
             self._state = "draining"
@@ -250,6 +254,34 @@ class JobService(ServiceDocuments):
     def clear_quarantine(self, key=None):
         """Operator hook: forgive one poison key (or all of them)."""
         return self.lifecycle.clear_quarantine(key)
+
+    def _housekeep(self):
+        """The housekeeping thread: one pass of the periodic duties every
+        ``TICK_SECONDS``; a duty that throws is skipped for that tick."""
+        tick = 0
+        while not self._stop_housekeeping.wait(TICK_SECONDS):
+            tick += 1
+            duties = []
+            if self.autoscaler is not None:  # may be attached after __init__
+                duties.append(self.autoscaler.tick)
+            if self.watchdog is not None:
+                duties.append(self.watchdog.scan)
+            if tick % HISTORY_TICKS == 0:
+                duties.append(self.history.sample)
+            for duty in duties:
+                try:
+                    duty()
+                except Exception:  # periodic work must never stop serving
+                    pass
+
+    def housekeeping_state(self):
+        """The housekeeping tick and whether its thread is alive (the
+        ``interval``/``running`` of the watchdog and autoscaler sections)."""
+        thread = self._housekeeper
+        return {
+            "interval": TICK_SECONDS,
+            "running": thread is not None and thread.is_alive(),
+        }
 
     def observe_queue_depth(self):
         self.telemetry.registry.gauge("serve.queue_depth").set(len(self.queue))

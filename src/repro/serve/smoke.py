@@ -228,8 +228,8 @@ def serve_smoke(args, workers, out=print):
             "%s scraped vs %s in /stats" % (scraped_count, stats_count),
         )
 
-        # The sampler ticks every 0.5s; a fast smoke may beat the first
-        # tick, so poll until one lands (bounded by the deadline).
+        # History is sampled every 0.5s; a fast smoke may beat the first
+        # sample, so poll until one lands (bounded by the deadline).
         status, history = client.poll(
             "/stats/history", lambda doc: doc.get("taken"), interval=0.2
         )
@@ -238,6 +238,13 @@ def serve_smoke(args, workers, out=print):
             status == 200 and history.get("taken", 0) >= 1
             and history.get("samples"),
             "status %s: taken=%s" % (status, history.get("taken")),
+        )
+        status, refusal = http("GET", "/stats/history?n=-1")
+        check(
+            "stats history refuses a negative window",
+            status == 400
+            and refusal.get("error", {}).get("code") == "bad_request",
+            "status %s: %s" % (status, refusal),
         )
 
         # 5. The transport: these handlers do a millisecond of work, so a

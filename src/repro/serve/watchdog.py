@@ -2,8 +2,8 @@
 
 A served job reports every superstep boundary into its
 :class:`~repro.serve.api.JobRecord` (``note_boundary``), which maintains
-a rolling mean seconds-per-superstep. The watchdog periodically compares
-each executing job's time since its last boundary against a multiple of
+a rolling mean seconds-per-superstep. On every housekeeping tick the
+watchdog compares each executing job's time since its last boundary against a multiple of
 that mean: a job that has gone ``multiple`` × its own average without
 reaching a boundary is *stuck* — wedged in one superstep while holding a
 worker slot — and gets a cooperative cancel through the existing cancel
@@ -21,7 +21,6 @@ legitimately slow algorithm is never flagged just for being slow; only a
 job that deviates from *its own* established rhythm is.
 """
 
-import threading
 import time
 
 
@@ -31,7 +30,6 @@ class StuckJobWatchdog:
     :param service: the owning :class:`~repro.serve.service.JobService`.
     :param multiple: how many rolling-average superstep durations a job
         may spend in one superstep before it is flagged.
-    :param interval: scan period of the background thread.
     """
 
     #: boundaries a job must have reported before its average is trusted
@@ -41,39 +39,11 @@ class StuckJobWatchdog:
     #: supersteps) aren't flagged by jitter.
     min_stall_seconds = 1.0
 
-    def __init__(self, service, multiple=8.0, interval=0.25):
+    def __init__(self, service, multiple=8.0):
         self.service = service
         self.multiple = float(multiple)
-        self.interval = float(interval)
         self.flagged = 0
-        self._thread = None
-        self._stop = threading.Event()
 
-    # ------------------------------------------------------------------
-    def start(self):
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="serve-watchdog", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self):
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _loop(self):
-        while not self._stop.wait(self.interval):
-            try:
-                self.scan()
-            except Exception:  # a scan bug must never kill the thread
-                pass
-
-    # ------------------------------------------------------------------
     def scan(self, now=None):
         """One pass over the executing jobs; returns the ids flagged."""
         now = time.monotonic() if now is None else now
@@ -101,7 +71,5 @@ class StuckJobWatchdog:
             "multiple": self.multiple,
             "min_supersteps": self.min_supersteps,
             "min_stall_seconds": self.min_stall_seconds,
-            "interval": self.interval,
             "flagged": self.flagged,
-            "running": self._thread is not None,
         }

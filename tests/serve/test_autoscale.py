@@ -115,7 +115,7 @@ class TestTicks:
         scaler = make_scaler(idle_service)
         state = scaler.state()
         assert state["policy"]["min_nodes"] == 2
-        assert state["scale_ups"] == 0 and not state["running"]
+        assert state["scale_ups"] == 0
 
 
 class TestManualScale:
@@ -169,6 +169,21 @@ class TestLivenessSurfacing:
         node1 = next(n for n in doc["nodes"] if n["node"] == "node1")
         assert node1["suspect"] and node1["missed_heartbeats"] >= 1
 
+    def test_documents_read_liveness_without_side_effects(self, idle_service):
+        """``/stats`` and ``/healthz`` only read: a downed node shows as
+        suspect, but neither document declares it dead or reaps."""
+        cluster = idle_service.cluster
+        cluster.kill_node("node1")
+        events = len(idle_service.telemetry.events)
+        epoch = cluster.membership_epoch
+        nodes = idle_service.stats()["cluster"]["nodes"]
+        node1 = next(n for n in nodes if n["node"] == "node1")
+        assert node1["suspect"] is True and node1["missed_heartbeats"] == 1
+        health = idle_service.health_document()
+        assert health["suspect_nodes"] == ["node1"]
+        assert len(idle_service.telemetry.events) == events
+        assert cluster.membership_epoch == epoch
+
     def test_healthz_degrades_without_failing(self, idle_service):
         idle_service.start()
         assert idle_service.health_document()["degraded"] is False
@@ -205,4 +220,5 @@ class TestServiceIntegration:
             )
         finally:
             service.shutdown(timeout=WAIT)
-            assert service.autoscaler.state()["running"] is False
+            autoscaler = service.stats()["cluster"]["autoscaler"]
+            assert autoscaler["running"] is False

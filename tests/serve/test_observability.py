@@ -12,7 +12,7 @@ import pytest
 
 from repro.serve import JobService, JobState, ServeHTTPServer
 from repro.serve.client import ServeClient
-from repro.serve.history import DEFAULT_INTERVAL, HistorySampler
+from repro.serve.history import INTERVAL_SECONDS, HistorySampler
 from repro.serve.jobtrace import select_job_spans
 from repro.telemetry.prometheus import parse_exposition, render_prometheus
 from tests.telemetry.test_export import assert_well_formed_chrome
@@ -236,7 +236,7 @@ class TestMetricsEndpoint:
 
 class TestHistory:
     def test_sampler_unit_sample(self, service):
-        sampler = HistorySampler(service, interval=3600)  # never auto-fires
+        sampler = HistorySampler(service)
         sample = sampler.sample()
         assert sample["state"] == "serving"
         assert sample["queue_depth"] == 0
@@ -247,7 +247,7 @@ class TestHistory:
         assert sampler.document()["taken"] == 1
 
     def test_ring_is_bounded(self, service):
-        sampler = HistorySampler(service, interval=3600, capacity=4)
+        sampler = HistorySampler(service, capacity=4)
         for _ in range(9):
             sampler.sample()
         doc = sampler.document()
@@ -264,13 +264,27 @@ class TestHistory:
             _status, doc = client.poll(
                 "/stats/history", lambda doc: doc["taken"] >= 3, interval=0.05)
             assert doc["taken"] >= 3
-            assert doc["interval_seconds"] == DEFAULT_INTERVAL
+            assert doc["interval_seconds"] == INTERVAL_SECONDS
             latest = doc["samples"][-1]
             for key in ("ts", "queue_depth", "virtual_time_by_tenant",
                         "nodes_schedulable", "journal_append_seconds"):
                 assert key in latest
             _status, windowed = client.json("GET", "/stats/history?n=2")
             assert len(windowed["samples"]) <= 2
+        finally:
+            client.close()
+            server.close()
+
+    @pytest.mark.parametrize("n", ["-3", "two"])
+    def test_http_history_refuses_a_bad_window(self, service, n):
+        service.history.sample()
+        server = ServeHTTPServer(service, port=0)
+        client = ServeClient("http://%s:%d" % server.start(), timeout=30)
+        try:
+            status, doc = client.json("GET", "/stats/history?n=" + n)
+            assert status == 400 and doc["error"]["code"] == "bad_request"
+            _status, doc = client.json("GET", "/stats/history?n=0")
+            assert doc["samples"] == []
         finally:
             client.close()
             server.close()

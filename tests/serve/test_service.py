@@ -13,6 +13,7 @@ import repro.serve
 from repro.common.errors import TransientIOError
 from repro.serve import (
     AdmissionRejected,
+    AutoscalePolicy,
     JobRequest,
     JobService,
     JobState,
@@ -419,6 +420,24 @@ class TestCancelStatusDocument:
             service.executor._run = original
         for record in blockers:
             record.wait(WAIT)
+
+
+class TestThreads:
+    def test_one_housekeeping_thread_beside_the_dispatchers(self):
+        before = set(threading.enumerate())
+        svc = JobService(num_nodes=2, workers=2, watchdog=True,
+                         autoscale=AutoscalePolicy(2, 3))
+        svc.start()
+        try:
+            started = sorted(
+                t.name for t in threading.enumerate() if t not in before
+            )
+            assert started == [
+                "serve-housekeeping", "serve-worker-0", "serve-worker-1"
+            ]
+        finally:
+            svc.shutdown(timeout=WAIT)
+        assert not [t for t in threading.enumerate() if t not in before]
 
 
 class TestStatsSurfaces:

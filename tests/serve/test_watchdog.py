@@ -91,7 +91,6 @@ class TestScan:
         state = watchdog.state()
         assert state["multiple"] == 4.0
         assert state["flagged"] == 0
-        assert state["running"] is False
 
 
 @pytest.fixture

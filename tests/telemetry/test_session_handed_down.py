@@ -160,7 +160,6 @@ def test_components_over_a_handed_cluster_share_its_session():
         service = JobService(cluster=cluster)
         session = cluster.telemetry
         assert service.telemetry is session
-        assert service.heartbeats.telemetry is session
         assert FailureManager(cluster).telemetry is session
 
 

@@ -15,8 +15,9 @@ Layout (frozen: pages, run files and checkpoints hold these bytes).
 :class:`TupleSerde` writes every field behind a big-endian ``>I`` length,
 :class:`ListSerde` a ``>I`` count and then every element behind its
 length, :class:`PackedListSerde` a count and then bare fixed-width
-elements, :class:`FixedPairSerde` two bare fields, :class:`OptionalSerde`
-a flag byte and then the value.
+elements, :class:`FixedPairSerde` two bare fields, :class:`ArraySerde`
+a fixed number of bare fixed-width elements, :class:`OptionalSerde` a
+flag byte and then the value.
 
 How the bytes are produced is decided once, at construction, from the
 ``fixed_size`` of the parts. A run of fixed-width parts, together with
@@ -63,8 +64,9 @@ class Serde:
     #: Layout rule, frozen with the formats: :class:`OptionalSerde` pads
     #: NULL to full width, and vertex rows pack their edge list, only over
     #: the codecs that declared a width when those layouts were set
-    #: (INT64, FLOAT64, BOOL, :class:`FixedPairSerde`). ``fixed_size`` has
-    #: since been stated by every codec; widening this rule with it would
+    #: (INT64, FLOAT64, BOOL, :class:`FixedPairSerde`), and
+    #: :class:`ArraySerde`, which came later. ``fixed_size`` has since
+    #: been stated by every codec; widening this rule with it would
     #: change stored bytes.
     layout_fixed = False
 
@@ -95,9 +97,10 @@ class Serde:
 
     # Fixed-width codecs describe their image to the composites that
     # compile them into a larger struct (see _compile).
-    def _pack_fields(self, expr):
+    def _pack_fields(self, expr, shape):
         """``[(struct code, argument source)]`` encoding the value that
-        the source expression ``expr`` evaluates to."""
+        the source expression ``expr`` evaluates to; an object the
+        source calls is bound through ``shape``."""
         raise NotImplementedError
 
     def _unpack_expr(self, shape):
@@ -127,7 +130,7 @@ class Int64Serde(Serde):
     def sizeof(self, value):
         return 8
 
-    def _pack_fields(self, expr):
+    def _pack_fields(self, expr, shape):
         return [("Q", "%s + %d" % (expr, _SIGN_BIAS))]
 
     def _unpack_expr(self, shape):
@@ -155,7 +158,7 @@ class Float64Serde(Serde):
     def sizeof(self, value):
         return 8
 
-    def _pack_fields(self, expr):
+    def _pack_fields(self, expr, shape):
         return [("d", expr)]
 
     def _unpack_expr(self, shape):
@@ -182,8 +185,31 @@ class BoolSerde(Serde):
     def sizeof(self, value):
         return 1
 
-    def _pack_fields(self, expr):
+    def _pack_fields(self, expr, shape):
         return [("?", expr)]
+
+    def _unpack_expr(self, shape):
+        return shape.take()
+
+
+class UInt8Serde(Serde):
+    """Unsigned integers below 256 in one byte (small tags)."""
+
+    fixed_size = 1
+
+    def dumps(self, value):
+        return bytes((value,))
+
+    def loads(self, data):
+        if len(data) != 1:
+            _corrupt("byte of %d bytes" % len(data))
+        return data[0]
+
+    def sizeof(self, value):
+        return 1
+
+    def _pack_fields(self, expr, shape):
+        return [("B", expr)]
 
     def _unpack_expr(self, shape):
         return shape.take()
@@ -236,7 +262,7 @@ class FixedBytesSerde(Serde):
     def sizeof(self, value):
         return self.fixed_size
 
-    def _pack_fields(self, expr):
+    def _pack_fields(self, expr, shape):
         # struct's "Ns" pads or cuts silently; a key of the wrong width
         # must not be stored as a different key.
         width = self.fixed_size
@@ -266,7 +292,7 @@ class NullSerde(Serde):
     def sizeof(self, value):
         return 0
 
-    def _pack_fields(self, expr):
+    def _pack_fields(self, expr, shape):
         return []
 
     def _unpack_expr(self, shape):
@@ -308,7 +334,7 @@ def _guarded(expr, arity):
 
 
 #: What packs to all-zero bytes, per struct code (NULL padding).
-_ZEROS = {"Q": "0", "I": "0", "d": "0.0", "?": "False", "s": 'b""'}
+_ZEROS = {"Q": "0", "I": "0", "B": "0", "d": "0.0", "?": "False", "s": 'b""'}
 
 
 def _indent(lines):
@@ -414,7 +440,7 @@ def _compile(parts, result, arity=None):
             shape.checks.append("%s == %d" % (shape.take(), width))
         elif kind == "fixed":
             serde, expr = rest
-            run.extend(serde._pack_fields(expr))
+            run.extend(serde._pack_fields(expr, shape))
             decoded.append(serde._unpack_expr(shape))
         else:
             serde, expr = rest
@@ -507,7 +533,7 @@ def _compile_repeated(element, framed):
     ``iter_unpack`` per list.
     """
     shape = _Shape()
-    fields = element._pack_fields("e")
+    fields = element._pack_fields("e", shape)
     if framed:
         fields.insert(0, ("I", str(element.fixed_size)))
         shape.checks.append("%s == %d" % (shape.take(), element.fixed_size))
@@ -644,11 +670,11 @@ class OptionalSerde(_Composite):
         else:
             self._adopt(_flagged(inner))
 
-    def _pack_fields(self, expr):
+    def _pack_fields(self, expr, shape):
         present = "%s is not None" % expr
         return [("?", present)] + [
             (code, "(%s if %s else %s)" % (arg, present, _ZEROS[code[-1]]))
-            for code, arg in self.inner._pack_fields(expr)
+            for code, arg in self.inner._pack_fields(expr, shape)
         ]
 
     def _unpack_expr(self, shape):
@@ -677,12 +703,12 @@ class TupleSerde(_Composite):
         result = "(%s)" % ("%s, " * len(field_serdes))
         self._adopt(_compile(parts, result, arity=len(field_serdes)))
 
-    def _pack_fields(self, expr):
+    def _pack_fields(self, expr, shape):
         fields = []
         item = _guarded(expr, len(self.field_serdes)) + "[%d]"
         for index, field in enumerate(self.field_serdes):
             fields.append(("I", str(field.fixed_size)))
-            fields.extend(field._pack_fields(item % index))
+            fields.extend(field._pack_fields(item % index, shape))
             item = expr + "[%d]"
         return fields
 
@@ -711,9 +737,9 @@ class FixedPairSerde(_Composite):
         self.pair_type = pair_type
         self._adopt(_compile([("fixed", self, "value")], "%s"))
 
-    def _pack_fields(self, expr):
-        first = self.first._pack_fields(_guarded(expr, 2) + "[0]")
-        return first + self.second._pack_fields(expr + "[1]")
+    def _pack_fields(self, expr, shape):
+        first = self.first._pack_fields(_guarded(expr, 2) + "[0]", shape)
+        return first + self.second._pack_fields(expr + "[1]", shape)
 
     def _unpack_expr(self, shape):
         pair = "(%s, %s)" % (
@@ -722,6 +748,59 @@ class FixedPairSerde(_Composite):
         if self.pair_type is tuple:
             return pair
         return "new_tuple(%s, %s)" % (shape.bind(self.pair_type), pair)
+
+
+class ArraySerde(_Composite):
+    """Sequences of exactly ``length`` fixed-width elements, back to back
+    with no count and no framing: one struct packs or unpacks the whole
+    sequence, and ``loads`` returns a tuple. An array is ``layout_fixed``
+    (a NULL pads to full width, and the same object encodes to the same
+    bytes): it is newer than the formats that rule was frozen with.
+
+    A composite holding an array packs and unpacks it as its bytes, with
+    a call to the array's own compiled codec: the ``length`` elements are
+    compiled once, into the array, not again into every shape around it.
+    """
+
+    layout_fixed = True
+
+    def __init__(self, element_serde, length):
+        if element_serde.fixed_size is None:
+            raise ValueError("an array needs a fixed-width element codec")
+        if length < 1:
+            raise ValueError("an array holds at least one element")
+        self.element_serde = element_serde
+        self.length = int(length)
+        self._adopt(_compile([("fixed", _Unrolled(self), "value")], "%s"))
+
+    def _pack_fields(self, expr, shape):
+        return [("%ds" % self.fixed_size, "%s(%s)" % (shape.bind(self._dumps), expr))]
+
+    def _unpack_expr(self, shape):
+        return "%s(%s)" % (shape.bind(self._loads), shape.take())
+
+
+class _Unrolled:
+    """An array's elements as the parts of its own shape. Its length is
+    checked once, by a zero-width field ahead of the elements."""
+
+    def __init__(self, array):
+        self.array = array
+
+    def _pack_fields(self, expr, shape):
+        array = self.array
+        fields = [("0s", "(b'' if len(%s) == %d else bad_arity(%s, %d))"
+                   % (expr, array.length, expr, array.length))]
+        for index in range(array.length):
+            fields.extend(array.element_serde._pack_fields("%s[%d]" % (expr, index), shape))
+        return fields
+
+    def _unpack_expr(self, shape):
+        array = self.array
+        shape.take()  # the zero-width field's b""
+        return "(%s)" % "".join(
+            array.element_serde._unpack_expr(shape) + ", " for _ in range(array.length)
+        )
 
 
 class PackedListSerde(_Composite):
@@ -852,6 +931,7 @@ class PairSerde(TupleSerde):
 INT64 = Int64Serde()
 FLOAT64 = Float64Serde()
 BOOL = BoolSerde()
+UINT8 = UInt8Serde()
 STRING = StringSerde()
 BYTES = BytesSerde()
 NULL = NullSerde()

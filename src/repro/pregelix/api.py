@@ -229,17 +229,18 @@ class _BatchFold:
         if combiner is None:
             return self
         folds = batch_folds(
-            _fold_source(type(combiner)),
+            fold_source_of(type(combiner)),
             combiner.init, combiner.accumulate, combiner.merge,
         )
         vars(combiner).update(folds)
         return folds[self.name]
 
 
-def _fold_source(cls):
-    """The fold fragments of the class that declares ``cls``'s, while
-    ``cls``'s ``init``, ``accumulate`` and ``merge`` are that class's;
-    else the per-message ones."""
+def fold_source_of(cls):
+    """The fold fragments a combiner class ``cls`` folds with: those of
+    the class that declares ``cls``'s, while ``cls``'s ``init``,
+    ``accumulate`` and ``merge`` are that class's; else the per-message
+    ones."""
     declaring = next(c for c in cls.__mro__ if "fold_source" in vars(c))
     if all(getattr(cls, name) is getattr(declaring, name)
            for name in ("init", "accumulate", "merge")):

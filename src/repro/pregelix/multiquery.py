@@ -11,10 +11,12 @@ concurrent queries in *shared* supersteps amortizes those fixed costs.
 algorithm, same dataset, different per-query params) into one job:
 
 - vertex state becomes a per-query *column vector* — one
-  ``(halted, value)`` slot per lane;
-- messages carry a query-id *lane* tag and are combined per-lane with
-  the inner combiner (exact for order-independent combiners like
-  min/max, which is why only point-query families are batchable);
+  ``(halted, value)`` slot per lane, a fixed-width tuple;
+- messages carry a one-byte query-id *lane* tag and are combined per
+  lane with the inner combiner into a fixed-width tuple of per-lane
+  bundles (exact for order-independent combiners like min/max, which is
+  why only point-query families are batchable) — so the group-bys fold
+  lanes through their batch paths, as they fold a solo run's messages;
 - halting is per-query: a lane retires when every vertex in that lane
   has voted to halt and sent nothing; the run ends when all lanes are
   quiescent or ``max_supersteps`` hits.
@@ -30,16 +32,28 @@ connector) bit-identity class.
 Restrictions (enforced, not assumed): inner programs must not mutate
 the graph or contribute to global aggregators, and the input graph must
 be *closed* (no auto-created vertices mid-run) — otherwise per-lane
-``num_vertices`` would diverge from the solo runs.
+``num_vertices`` would diverge from the solo runs. At construction a
+batch refuses an inner value, message or bundle codec that is not
+fixed-width, an inner combiner with a ``finish`` of its own, and an
+inner vertex class that overrides how it sends messages.
 """
 
 import json
-import struct
+import re
+from itertools import compress, repeat
+from operator import attrgetter, is_not, itemgetter
 
 from repro.common import serde
 from repro.common.errors import ReproError
 from repro.graphs.io import format_vertex_record, parse_adjacency_line
-from repro.pregelix.api import GlobalAggregator, Combiner, PregelixJob, Vertex
+from repro.hyracks.operators.groupby import FoldSource, batch_folds
+from repro.pregelix.api import (
+    Combiner,
+    GlobalAggregator,
+    PregelixJob,
+    Vertex,
+    fold_source_of,
+)
 from repro.pregelix.types import VertexRecord
 
 #: config keys the wrapper vertex reads (objects, never serialized).
@@ -92,160 +106,146 @@ class LaneControl:
 #: single digits), and MAX_LANES keeps the encodings honest.
 MAX_LANES = 255
 
-_U32 = struct.Struct(">I")
+
+def _fixed(codec, what):
+    """``codec``, which lanes pack into one fixed-width struct."""
+    if codec.fixed_size is None:
+        raise MultiQueryError(
+            "the inner %s codec %r is not fixed-width: lanes are packed as "
+            "fixed-width vectors" % (what, codec)
+        )
+    return codec
 
 
-class LaneVectorSerde(serde.Serde):
-    """The per-query column vector: a list of ``(halted, value)`` slots.
-
-    Packed by hand rather than composed from ``ListSerde`` +
-    ``TupleSerde`` + ``OptionalSerde``: the vector is rewritten for
-    every vertex every superstep, and generic framing would cost ~18
-    bytes per lane against the ~9 the data needs. Layout: a count byte,
-    then per lane a flag byte (bit 0 halted, bit 1 value present)
-    followed, when present, by a length-prefixed inner value.
-    """
-
-    def __init__(self, inner_value_serde):
-        self.inner = inner_value_serde
-
-    def dumps(self, value):
-        parts = [bytes((len(value),))]
-        for halted, inner_value in value:
-            flag = (1 if halted else 0) | (0 if inner_value is None else 2)
-            parts.append(bytes((flag,)))
-            if inner_value is not None:
-                encoded = self.inner.dumps(inner_value)
-                parts.append(_U32.pack(len(encoded)))
-                parts.append(encoded)
-        return b"".join(parts)
-
-    def loads(self, data):
-        count = data[0]
-        offset = 1
-        vector = []
-        for _ in range(count):
-            flag = data[offset]
-            offset += 1
-            inner_value = None
-            if flag & 2:
-                (length,) = _U32.unpack_from(data, offset)
-                offset += 4
-                inner_value = self.inner.loads(data[offset:offset + length])
-                offset += length
-            vector.append((bool(flag & 1), inner_value))
-        return vector
-
-    def sizeof(self, value):
-        total = 1
-        for _, inner_value in value:
-            total += 1
-            if inner_value is not None:
-                total += 4 + self.inner.sizeof(inner_value)
-        return total
+def _optional(codec, what):
+    """``OptionalSerde(codec)``, fixed-width or refused: a NULL pads to
+    full width only over a ``layout_fixed`` codec."""
+    return _fixed(serde.OptionalSerde(_fixed(codec, what)), what)
 
 
-class LanePairSerde(serde.Serde):
-    """``(lane, payload)`` messages: one tag byte + the raw payload.
-
-    Messages dominate a point query's network bytes; wrapping them in a
-    ``TupleSerde(INT64, payload)`` would add 16 bytes of framing per
-    message — tripling sssp's 8-byte messages and erasing the batching
-    win the bench gate guards. The tag byte costs 1.
-    """
-
-    def __init__(self, payload_serde):
-        self.payload = payload_serde
-
-    def dumps(self, value):
-        lane, payload = value
-        return bytes((lane,)) + self.payload.dumps(payload)
-
-    def loads(self, data):
-        return (data[0], self.payload.loads(data[1:]))
-
-    def sizeof(self, value):
-        return 1 + self.payload.sizeof(value[1])
+def lane_column_serde(value_serde, num_lanes):
+    """The per-query column vector: ``(halted, value)`` slots, one per
+    lane, each a flag byte and the inner value's NULL-padded image — one
+    struct for the whole vertex value, decoded to a tuple."""
+    slot = serde.FixedPairSerde(serde.BOOL, _optional(value_serde, "value"))
+    return serde.ArraySerde(slot, num_lanes)
 
 
-class LaneMapSerde(serde.Serde):
-    """``{lane: value}`` dicts as sorted, compactly-framed pairs.
+def lane_message_serde(msg_serde):
+    """``(lane, payload)`` messages: one tag byte + the payload's image.
+    Messages dominate a point query's network bytes; the tag costs 1."""
+    return serde.FixedPairSerde(serde.UINT8, _fixed(msg_serde, "message"))
 
-    Layout: a count byte, then per entry a lane byte and a
-    length-prefixed value. Sorting makes the encoding canonical (dict
-    insertion order must not leak into checkpoint or spill bytes).
-    """
 
-    def __init__(self, value_serde):
-        self.value_serde = value_serde
+def _renamed(fragment, **names):
+    """The expression ``fragment`` with each of ``state`` and ``item``
+    replaced by the source ``names`` gives for it."""
+    def rename(match):
+        return names[match.group(0)]
 
-    def dumps(self, value):
-        parts = [bytes((len(value),))]
-        for lane in sorted(value):
-            encoded = self.value_serde.dumps(value[lane])
-            parts.append(bytes((lane,)))
-            parts.append(_U32.pack(len(encoded)))
-            parts.append(encoded)
-        return b"".join(parts)
+    return "(%s)" % re.sub(r"\b(state|item)\b", rename, fragment)
 
-    def loads(self, data):
-        count = data[0]
-        offset = 1
-        entries = {}
-        for _ in range(count):
-            lane = data[offset]
-            offset += 1
-            (length,) = _U32.unpack_from(data, offset)
-            offset += 4
-            entries[lane] = self.value_serde.loads(data[offset:offset + length])
-            offset += length
-        return entries
 
-    def sizeof(self, value):
-        total = 1
-        for inner_value in value.values():
-            total += 5 + self.value_serde.sizeof(inner_value)
-        return total
+def _lane_fold_source(inner, num_lanes):
+    """The lane combiner's :class:`FoldSource`: ``inner``'s fragments
+    applied to one slot of a ``num_lanes`` tuple, written inline. A
+    message ``item`` is ``(lane, payload)``; the slot it folds into is
+    ``state[item[0]]``, ``None`` until the lane's first message. A state
+    is rebuilt around the one slot that changes (tuples: no fold mutates
+    a state another holds); a partial merges slot by slot, unrolled."""
+    source = fold_source_of(type(inner))
+    opened = _renamed(source.open, item="item[1]")
+    when, value = source.step
+    stepped = _renamed(value, state="lane_state", item="item[1]")
+
+    def folded(empty):
+        """The slot's new inner state, ``empty`` the test that the lane
+        has no message yet (whose message then opens it)."""
+        if stepped == opened:
+            return opened
+        return "(%s if %s else %s)" % (opened, empty, stepped)
+
+    rebuilt = "state[:%s] + (%s,) + state[lane + 1:]"
+    if when is None:
+        empty = "(lane_state := state[lane]) is None"
+        step = (None, rebuilt % ("(lane := item[0])", folded(empty)))
+    else:
+        step = (
+            "(lane_state := state[(lane := item[0])]) is None or %s"
+            % _renamed(when, state="lane_state", item="item[1]"),
+            rebuilt % ("lane", folded("lane_state is None")),
+        )
+    when, value = source.merge
+    slots = []
+    for lane in range(num_lanes):
+        mine, theirs = "state[%d]" % lane, "item[%d]" % lane
+        merged = _renamed(value, state=mine, item=theirs)
+        if when is not None:
+            merged = "(%s if %s else %s)" % (
+                merged, _renamed(when, state=mine, item=theirs), mine
+            )
+        slots.append("(%s if %s is None else %s if %s is None else %s), " % (
+            mine, theirs, theirs, mine, merged
+        ))
+    return FoldSource(
+        "(None,) * (lane := item[0]) + (%s,) + (None,) * (%d - lane)" % (opened, num_lanes - 1),
+        step,
+        (None, "(%s)" % "".join(slots)),
+    )
 
 
 class MultiQueryCombiner(Combiner):
     """Applies the inner combiner independently within each lane.
 
-    Bundles are ``{lane: inner_bundle}`` dicts; ``expand`` hands the
-    whole dict to the wrapper vertex as a single message so it can route
-    each lane's bundle to that lane's inner program.
+    A state (and bundle) is a tuple of ``num_lanes`` slots, each ``None``
+    or that lane's inner bundle: fixed-width (:meth:`bundle_serde`), so
+    both group-bys take their batch paths — HashSort ``hash_fold`` /
+    ``hash_merge``, sort ``fold_sorted`` / ``merge_rounds`` — and they
+    fold the inner combiner's own fragments inline, with no call per
+    message (:func:`_lane_fold_source`). ``expand`` hands the whole tuple
+    to the wrapper vertex as a single message so it can route each lane's
+    bundle to that lane's inner program. A lane's bundle is its inner
+    state: an inner combiner with a ``finish`` of its own is refused.
     """
 
-    def __init__(self, inner, inner_msg_serde):
+    def __init__(self, inner, inner_msg_serde, num_lanes):
+        if type(inner).finish is not Combiner.finish:
+            raise MultiQueryError(
+                "combiner %r finishes its states: a lane's bundle is its "
+                "inner state" % type(inner).__name__
+            )
         self.inner = inner
-        self.inner_msg_serde = inner_msg_serde
+        self.num_lanes = num_lanes
+        self._empty = (None,) * num_lanes
         # Every superstep plan asks for bundle_serde() (once, for both
         # group-bys and the Msg codec); build the serde once per combiner.
-        self._bundle_serde = LaneMapSerde(
-            self.inner.bundle_serde(self.inner_msg_serde)
+        self._bundle_serde = serde.ArraySerde(
+            _optional(inner.bundle_serde(inner_msg_serde), "bundle"), num_lanes
         )
+        # The inline folds call the inner combiner, where a fragment does.
+        vars(self).update(batch_folds(
+            _lane_fold_source(inner, num_lanes),
+            inner.init, inner.accumulate, inner.merge,
+        ))
 
     def init(self):
-        return {}
+        return self._empty
 
     def accumulate(self, state, payload):
         lane, inner_payload = payload
-        previous = state.get(lane)
-        if previous is None and lane not in state:
-            previous = self.inner.init()
-        state[lane] = self.inner.accumulate(previous, inner_payload)
-        return state
+        inner = self.inner
+        previous = state[lane]
+        if previous is None:
+            previous = inner.init()
+        folded = inner.accumulate(previous, inner_payload)
+        return state[:lane] + (folded,) + state[lane + 1:]
 
     def merge(self, left, right):
-        for lane, inner_state in right.items():
-            if lane in left:
-                left[lane] = self.inner.merge(left[lane], inner_state)
-            else:
-                left[lane] = inner_state
-        return left
-
-    def finish(self, state):
-        return {lane: self.inner.finish(s) for lane, s in state.items()}
+        merge = self.inner.merge
+        return tuple(
+            mine if theirs is None else theirs if mine is None else merge(mine, theirs)
+            for mine, theirs in zip(left, right)
+        )
 
     def expand(self, bundle):
         return [bundle]
@@ -257,30 +257,59 @@ class MultiQueryCombiner(Combiner):
 class LaneActivityAggregator(GlobalAggregator):
     """Tracks, per lane, the highest superstep with pending work.
 
-    The wrapper vertex contributes ``(lane, superstep)`` whenever a lane
-    either sent messages or left a vertex unhalted — exactly the two
-    conditions under which a solo run of that lane would execute another
-    superstep. A lane's solo superstep count is then
-    ``min(last_active + 1, total)``.
+    The wrapper vertex contributes ``(lane, superstep)`` once per
+    partition for every lane that either sent messages or left a vertex
+    unhalted there — exactly the two conditions under which a solo run of
+    that lane would execute another superstep. The value holds
+    ``num_lanes`` supersteps (0: never active); a lane's solo superstep
+    count is then ``min(last_active + 1, total)``.
     """
 
+    def __init__(self, num_lanes):
+        self.num_lanes = num_lanes
+
     def init(self):
-        return {}
+        return [0] * self.num_lanes
 
     def accumulate(self, state, contribution):
         lane, superstep = contribution
-        if superstep > state.get(lane, 0):
+        if superstep > state[lane]:
             state[lane] = superstep
         return state
 
     def merge(self, left, right):
-        for lane, superstep in right.items():
-            if superstep > left.get(lane, 0):
-                left[lane] = superstep
-        return left
+        return list(map(max, left, right))
 
     def value_serde(self):
-        return LaneMapSerde(serde.INT64)
+        return serde.ArraySerde(serde.INT64, self.num_lanes)
+
+
+#: The messages of a lane with none: an exhausted iterator stays so.
+_NO_MESSAGES = iter(())
+
+#: The halted flag of a ``(halted, value)`` slot.
+_HALTED = itemgetter(0)
+
+_TARGET = attrgetter("target")
+
+
+def _lane_senders(program, lane, outbox):
+    """``send_message`` and ``send_message_to_all_edges`` for the lane
+    program ``program``: ``Vertex``'s two, appending to ``outbox`` (the
+    partition's) with every payload tagged ``(lane, payload)``."""
+    append, extend = outbox.append, outbox.extend
+
+    def send_message(target, payload):
+        append((target, (lane, payload)))
+
+    def send_message_to_all_edges(payload):
+        if program._edges is None and program._row is not None:
+            targets = program._row.edge_targets()
+        else:
+            targets = map(_TARGET, program.edges)
+        extend(zip(targets, repeat((lane, payload))))
+
+    return send_message, send_message_to_all_edges
 
 
 class MultiQueryVertex(Vertex):
@@ -290,82 +319,186 @@ class MultiQueryVertex(Vertex):
     class, per-lane config dicts, the inner combiner for bundle
     expansion, and the shared :class:`LaneControl`), so this single
     class serves any batch.
+
+    The lane programs are bound with the wrapper — once per partition
+    under ``ComputeOperator`` — and to the wrapper's edges: the stored
+    row itself when the wrapper is bound to one (a lane reads, counts and
+    sends to its edges off the row, as a solo program does), else a copy
+    of the wrapper's list. A lane sends through its own
+    ``send_message``/``send_message_to_all_edges`` (:func:`_lane_senders`),
+    straight into the wrapper's outbox, tagged; its mutations and
+    aggregates go to lists it shares with the other lanes, which stay
+    empty or refuse the batch. Per vertex a lane is moved to it as
+    ``ComputeOperator`` moves the wrapper, and its activity is
+    contributed the first time it is active in the partition. Unbinding
+    the wrapper unbinds the lanes, which drops their senders and the
+    cycle through :meth:`_lane_edges`, with whatever the partition made.
     """
+
+    #: The lane programs (:meth:`configure` makes them).
+    _lanes = ()
 
     def configure(self, config):
         self._control = config[CONTROL_KEY]
-        self._inner_combiner = config[INNER_COMBINER_KEY]
+        inner_combiner = config[INNER_COMBINER_KEY]
+        # ``None``: a bundle is the lane's one message (``Combiner.expand``).
+        self._expand = None
+        if type(inner_combiner).expand is not Combiner.expand:
+            self._expand = inner_combiner.expand
         inner_class = config[INNER_CLASS_KEY]
         self._lanes = []
         for lane_config in config[LANE_CONFIGS_KEY]:
             program = inner_class()
             program.configure(lane_config)
             self._lanes.append(program)
+        self._fresh = ((False, None),) * len(self._lanes)
+        self._no_messages = (None,) * len(self._lanes)
+        #: The lanes not yet active in this partition.
+        self._unreported = None
+        #: What the lanes requested or contributed: refused when not empty.
+        self._lane_mutations = self._lane_aggregates = None
+
+    def _bind_superstep(self, superstep, global_aggregate, num_vertices,
+                        num_edges, outbox, agg_contribs, mutations):
+        super()._bind_superstep(
+            superstep, global_aggregate, num_vertices, num_edges, outbox,
+            agg_contribs, mutations,
+        )
+        if outbox is None:
+            for program in self._lanes:
+                program._bind_superstep(None, None, None, None, None, None, None)
+                program._bind_vertex(None, None, ())
+                program._read_edges = None
+                vars(program).pop("send_message", None)
+                vars(program).pop("send_message_to_all_edges", None)
+            self._unreported = self._lane_mutations = self._lane_aggregates = None
+            return
+        self._lane_mutations, self._lane_aggregates = [], []
+        for lane, program in enumerate(self._lanes):
+            program._bind_superstep(
+                superstep, None, num_vertices, num_edges, None,
+                self._lane_aggregates, self._lane_mutations,
+            )
+            program.send_message, program.send_message_to_all_edges = (
+                _lane_senders(program, lane, outbox)
+            )
+        self._unreported = set(range(len(self._lanes)))
+
+    def _bind_vertex(self, vid, value, edges):
+        super()._bind_vertex(vid, value, edges)
+        shared = self._lane_edges if self._row is None else self._row
+        for program in self._lanes:
+            program._bind_vertex(vid, None, shared)
 
     def _lane_edges(self):
         """A lane's own copy of the edge list the lanes share, made when
         (and if) the lane reads its edges."""
         return self.edges.copy()
 
+    def _edited(self, lane_edges):
+        """Whether a lane's edge list differs from the one the lanes share:
+        the stored row's edges as decoded for the lane that read them
+        (which leaves the wrapper's own list, and its row's splice check,
+        untouched), else the wrapper's."""
+        row = self._row
+        shared = None if row is None else row.decoded
+        if shared is None:
+            shared = self.edges
+        return lane_edges != shared
+
+    def _refuse(self, lane, program):
+        """Raise for what ``program`` did at this vertex that lanes cannot
+        share: a mutation, an aggregate or an edit of the edge list."""
+        if program._mutations:
+            raise MultiQueryError(
+                "lane %d requested a graph mutation at vertex %d: "
+                "mutating programs are not batchable" % (lane, self._vid)
+            )
+        if program._agg_contribs:
+            raise MultiQueryError(
+                "lane %d contributed to a global aggregator: aggregating "
+                "programs are not batchable" % (lane,)
+            )
+        raise MultiQueryError(
+            "lane %d mutated the edge list at vertex %d: edges are "
+            "shared across lanes" % (lane, self._vid)
+        )
+
     def compute(self, messages):
-        lane_bundles = None
-        for bundle in messages:
-            lane_bundles = bundle
-            break
-        if lane_bundles is None:
-            lane_bundles = {}
+        bundle = next(messages, None)
         vector = self.value
+        superstep = self._superstep
+        new_vector = None  # the vector copied, once a lane's slot changes
         if vector is None:
-            if self.superstep > 1:
+            if superstep > 1:
                 raise MultiQueryError(
                     "vertex %d auto-created at superstep %d: multi-query "
                     "batches require a closed graph (per-lane num_vertices "
                     "would diverge from the solo runs)"
-                    % (self.vertex_id, self.superstep)
+                    % (self._vid, superstep)
                 )
-            vector = [(False, None)] * len(self._lanes)
+            vector = self._fresh
+            new_vector = list(vector)
+        if bundle is None:
+            bundle = self._no_messages
+        later = superstep > 1
+        if later and all(map(_HALTED, vector)):
+            # Only a lane with a message runs: found without a Python
+            # step per lane.
+            todo = compress(range(len(vector)), map(is_not, bundle, self._no_messages))
+        else:
+            todo = range(len(vector))
         cancelled = self._control.cancelled
-        new_vector = []
-        for lane, (halted, value) in enumerate(vector):
-            if lane in cancelled:
-                new_vector.append((True, value))
+        unreported = self._unreported
+        expand = self._expand
+        lanes = self._lanes
+        mutations, aggregates = self._lane_mutations, self._lane_aggregates
+        outbox = self._outbox
+        sent = len(outbox)
+        vid = self._vid
+        awake = False
+        for lane in todo:
+            halted, value = vector[lane]
+            lane_bundle = bundle[lane]
+            if lane_bundle is None and halted and later:
                 continue
-            has_messages = lane in lane_bundles
-            if self.superstep > 1 and halted and not has_messages:
-                new_vector.append((halted, value))
+            if cancelled and lane in cancelled:
+                if not halted:
+                    if new_vector is None:
+                        new_vector = list(vector)
+                    new_vector[lane] = (True, value)
                 continue
-            program = self._lanes[lane]
-            if has_messages:
-                incoming = self._inner_combiner.expand(lane_bundles[lane])
+            program = lanes[lane]
+            program._vid = vid
+            program.value = value
+            program._edges = None
+            program._halted = False
+            if lane_bundle is None:
+                program.compute(_NO_MESSAGES)
+            elif expand is None:
+                program.compute(iter((lane_bundle,)))
             else:
-                incoming = ()
-            program._bind(
-                self.vertex_id, value, self._lane_edges, self.superstep,
-                None, self.num_vertices, self.num_edges,
-            )
-            program.compute(iter(incoming))
-            if program._mutations:
-                raise MultiQueryError(
-                    "lane %d requested a graph mutation at vertex %d: "
-                    "mutating programs are not batchable" % (lane, self.vertex_id)
-                )
-            if program._agg_contribs:
-                raise MultiQueryError(
-                    "lane %d contributed to a global aggregator: aggregating "
-                    "programs are not batchable" % (lane,)
-                )
-            if program._edges is not None and program._edges != self.edges:
-                raise MultiQueryError(
-                    "lane %d mutated the edge list at vertex %d: edges are "
-                    "shared across lanes" % (lane, self.vertex_id)
-                )
-            for target, payload in program._outbox:
-                self.send_message(target, (lane, payload))
-            if program._outbox or not program._halted:
-                self.aggregate((lane, self.superstep))
-            new_vector.append((program._halted, program.value))
-        self.value = new_vector
-        if all(halted for halted, _ in new_vector):
+                program.compute(iter(expand(lane_bundle)))
+            if mutations or aggregates or (
+                program._edges is not None and self._edited(program._edges)
+            ):
+                self._refuse(lane, program)
+            now_halted = program._halted
+            if len(outbox) != sent or not now_halted:
+                sent = len(outbox)
+                awake = awake or not now_halted
+                if lane in unreported:
+                    unreported.discard(lane)
+                    self.aggregate((lane, superstep))
+            if now_halted != halted or program.value is not value:
+                if new_vector is None:
+                    new_vector = list(vector)
+                new_vector[lane] = (now_halted, program.value)
+        # An unchanged vector stays the object it was decoded as, and its
+        # row is not written back (the column is ``layout_fixed``).
+        if new_vector is not None:
+            self.value = tuple(new_vector)
+        if not awake:
             self.vote_to_halt()
 
 
@@ -399,6 +532,13 @@ class MultiQueryProgram:
                 "algorithm %r registers a global aggregator and cannot be "
                 "batched" % template.name
             )
+        inner = template.vertex_class
+        if (inner.send_message is not Vertex.send_message
+                or inner.send_message_to_all_edges is not Vertex.send_message_to_all_edges):
+            raise MultiQueryError(
+                "vertex class %r overrides how it sends: a lane's messages "
+                "are tagged as they are sent" % inner.__name__
+            )
         self.template = template
         self.control = LaneControl(self.num_lanes)
         #: driver-side accumulation of per-lane last-active supersteps
@@ -417,11 +557,13 @@ class MultiQueryProgram:
         self.job = PregelixJob(
             name="multi-%s-x%d" % (template.name, self.num_lanes),
             vertex_class=MultiQueryVertex,
-            value_serde=LaneVectorSerde(template.value_serde),
+            value_serde=lane_column_serde(template.value_serde, self.num_lanes),
             edge_serde=template.edge_serde,
-            msg_serde=LanePairSerde(template.msg_serde),
-            combiner=MultiQueryCombiner(template.combiner, template.msg_serde),
-            aggregator=LaneActivityAggregator(),
+            msg_serde=lane_message_serde(template.msg_serde),
+            combiner=MultiQueryCombiner(
+                template.combiner, template.msg_serde, self.num_lanes
+            ),
+            aggregator=LaneActivityAggregator(self.num_lanes),
             join_strategy=template.join_strategy,
             groupby_strategy=template.groupby_strategy,
             connector_policy=template.connector_policy,
@@ -439,7 +581,7 @@ class MultiQueryProgram:
     def parse_line(self, line):
         """Wrapped input parser: replicate the value into every lane."""
         vid, value, edges = self._inner_parse(line)
-        return vid, [(False, value)] * self.num_lanes, edges
+        return vid, ((False, value),) * self.num_lanes, edges
 
     def format_record(self, record):
         """Wrapped output formatter: a JSON line carrying all lanes.
@@ -474,8 +616,7 @@ class MultiQueryProgram:
         """
 
         def hook(superstep, gs):
-            aggregate = gs.aggregate or {}
-            for lane, last in aggregate.items():
+            for lane, last in enumerate(gs.aggregate or ()):
                 if last > self.activity.get(lane, 0):
                     self.activity[lane] = last
             if chain is not None:

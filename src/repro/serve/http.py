@@ -35,7 +35,11 @@ standard library. Rejections map admission codes onto HTTP statuses:
 ``Retry-After`` hint for the retryable ones), everything else → 400.
 A request body is size-capped by its declared ``Content-Length``
 (:data:`MAX_BODY_BYTES`): larger is 413, negative or non-numeric is
-400, both answered without reading the body.
+400, both answered without reading the body. The connection then closes
+lingering: the response is sent and the write side shut, and what the
+client still sends is read and dropped (at most :data:`LINGER_BYTES`,
+for at most :data:`LINGER_SECONDS`), so the close does not reset a
+client that is still sending the body before it reads the refusal.
 A terminal job without a result document answers its result query with
 410: code ``no_result`` when it never produced one (plus a
 ``Retry-After`` hint when it failed by deadline — re-submission with a
@@ -53,7 +57,9 @@ a response after which the server closes the connection says
 """
 
 import json
+import socket
 import threading
+import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
@@ -80,6 +86,10 @@ MAX_BODY_BYTES = 1 << 20
 #: How long a connection may sit silent (between requests or part-way
 #: through one) before the server closes it and frees its thread.
 READ_TIMEOUT_SECONDS = 30
+#: The most a refused request's unread body is drained before its
+#: connection closes, in bytes and in seconds (see ``_linger``).
+LINGER_BYTES = 16 * MAX_BODY_BYTES
+LINGER_SECONDS = 5.0
 
 
 class _BodyRefused(Exception):
@@ -196,6 +206,30 @@ class _Handler(BaseHTTPRequestHandler):
             # cannot carry another request.
             self.close_connection = True
             self._error(refused.status, refused.code, str(refused))
+            self._linger()
+
+    def _linger(self):
+        """Shut the write side — the refusal is out — and drop what the
+        client still sends until it stops, :data:`LINGER_BYTES` or
+        :data:`LINGER_SECONDS`: closing a socket with unread bytes
+        resets the connection, and a client still sending its body
+        would lose the refusal to the reset."""
+        connection = self.connection
+        deadline = time.monotonic() + LINGER_SECONDS
+        left = LINGER_BYTES
+        try:
+            connection.shutdown(socket.SHUT_WR)
+            while left > 0:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                connection.settimeout(remaining)
+                chunk = connection.recv(min(left, 1 << 16))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:
+            pass  # the client went away or stalled: close anyway
 
     def _post(self):
         path = self.path.split("?", 1)[0].rstrip("/")

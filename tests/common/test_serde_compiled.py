@@ -16,7 +16,7 @@ import pytest
 from repro.common import serde
 from repro.common.errors import StorageError
 from repro.pregelix import aggregators, multiquery, physical, types
-from repro.pregelix.api import DefaultListCombiner, PregelixJob, Vertex
+from repro.pregelix.api import DefaultListCombiner, MinCombiner, PregelixJob, Vertex
 
 from tests.common import reference_serde as ref
 from tests.common.test_serde_seeded import SEEDS, random_vid
@@ -39,6 +39,37 @@ def random_bytes(rng, length=None):
     return bytes(rng.getrandbits(8) for _ in range(length))
 
 
+class ReferenceArray(ref.Serde):
+    """``ArraySerde``: ``length`` reference images of ``width`` bytes back
+    to back, decoded to a tuple."""
+
+    def __init__(self, element, width, length):
+        self.element, self.width, self.length = element, width, length
+        self.fixed_size = width * length  # a NULL array pads (layout_fixed)
+
+    def dumps(self, value):
+        if len(value) != self.length:
+            raise ValueError("expected %d fields, got %d" % (self.length, len(value)))
+        return b"".join(self.element.dumps(item) for item in value)
+
+    def loads(self, data):
+        width = self.width
+        return tuple(
+            self.element.loads(bytes(data[lane * width:(lane + 1) * width]))
+            for lane in range(self.length)
+        )
+
+
+class ReferenceUInt8(ref.Serde):
+    """``UINT8``: the byte itself (no ``fixed_size``: not layout_fixed)."""
+
+    def dumps(self, value):
+        return bytes((value,))
+
+    def loads(self, data):
+        return data[0]
+
+
 LEAVES = [
     (serde.INT64, ref.INT64, random_vid),
     (serde.FLOAT64, ref.FLOAT64, random_float),
@@ -48,15 +79,12 @@ LEAVES = [
     (serde.NULL, ref.NULL, lambda rng: None),
     # A fixed-width key travels as the bytes it is.
     (serde.KEY, ref.BYTES, lambda rng: random_bytes(rng, 8)),
+    (serde.UINT8, ReferenceUInt8(), lambda rng: rng.randrange(256)),
 ]
 
 
 def random_list(rng, item):
     return [item(rng) for _ in range(rng.choice([0, 0, 1, rng.randrange(0, 9)]))]
-
-
-def random_lanes(rng):
-    return rng.sample(range(multiquery.MAX_LANES), rng.randrange(0, 5))
 
 
 def fixed_shape(rng, depth):
@@ -71,8 +99,7 @@ def random_shape(rng, depth=3):
     if depth == 0 or rng.random() < 0.25:
         return rng.choice(LEAVES)
     kind = rng.choice(
-        ["optional", "tuple", "pair", "list", "packed", "fixed-pair",
-         "lane-vector", "lane-pair", "lane-map"]
+        ["optional", "tuple", "pair", "list", "packed", "fixed-pair", "array"]
     )
     if kind == "tuple":
         fields = [random_shape(rng, depth - 1) for _ in range(rng.randrange(0, 5))]
@@ -92,6 +119,14 @@ def random_shape(rng, depth=3):
                 ref.FixedPairSerde(ra, rb, a.fixed_size, b.fixed_size),
             )
         return codecs + (lambda rng: (ga(rng), gb(rng)),)
+    if kind == "array":
+        inner, rinner, gen = fixed_shape(rng, depth - 1)
+        length = rng.randrange(1, 9)
+        return (
+            serde.ArraySerde(inner, length),
+            ReferenceArray(rinner, inner.fixed_size, length),
+            lambda rng: [gen(rng) for _ in range(length)],
+        )
     if kind == "packed":
         while True:
             inner, rinner, gen = fixed_shape(rng, depth - 1)
@@ -109,28 +144,9 @@ def random_shape(rng, depth=3):
             ref.OptionalSerde(rinner),
             lambda rng: None if rng.random() < 0.3 else gen(rng),
         )
-    if kind == "list":
-        return (
-            serde.ListSerde(inner), ref.ListSerde(rinner),
-            lambda rng: random_list(rng, gen),
-        )
-    # The multiquery lane codecs frame by hand and delegate the rest.
-    if kind == "lane-vector":
-        return (
-            multiquery.LaneVectorSerde(inner), multiquery.LaneVectorSerde(rinner),
-            lambda rng: [
-                (rng.random() < 0.5, None if rng.random() < 0.3 else gen(rng))
-                for _ in random_lanes(rng)
-            ],
-        )
-    if kind == "lane-pair":
-        return (
-            multiquery.LanePairSerde(inner), multiquery.LanePairSerde(rinner),
-            lambda rng: (rng.randrange(multiquery.MAX_LANES), gen(rng)),
-        )
     return (
-        multiquery.LaneMapSerde(inner), multiquery.LaneMapSerde(rinner),
-        lambda rng: {lane: gen(rng) for lane in random_lanes(rng)},
+        serde.ListSerde(inner), ref.ListSerde(rinner),
+        lambda rng: random_list(rng, gen),
     )
 
 
@@ -251,6 +267,29 @@ def plan_codecs():
                 serde.encode_key(random_vid(rng)), random_list(rng, g)
             ),
         )
+    # The multi-query lanes: the (halted, value) column, the tagged
+    # message and the lane bundle, as a batch of 6 sssp queries has them.
+    lanes = 6
+    codecs["lane column float"] = (
+        multiquery.lane_column_serde(serde.FLOAT64, lanes),
+        ReferenceArray(
+            ref.FixedPairSerde(ref.BOOL, ref.OptionalSerde(ref.FLOAT64), 1, 9), 10, lanes
+        ),
+        lambda rng: [
+            (rng.random() < 0.5, None if rng.random() < 0.3 else random_float(rng))
+            for _ in range(lanes)
+        ],
+    )
+    codecs["lane message float"] = (
+        multiquery.lane_message_serde(serde.FLOAT64),
+        ref.FixedPairSerde(ReferenceUInt8(), ref.FLOAT64, 1, 8),
+        lambda rng: (rng.randrange(multiquery.MAX_LANES), random_float(rng)),
+    )
+    codecs["lane bundle int"] = (
+        multiquery.MultiQueryCombiner(MinCombiner(), serde.INT64, lanes).bundle_serde(None),
+        ReferenceArray(ref.OptionalSerde(ref.INT64), 9, lanes),
+        lambda rng: [None if rng.random() < 0.6 else random_vid(rng) for _ in range(lanes)],
+    )
     named = aggregators.NamedValuesSerde({"b": serde.FLOAT64, "a": serde.INT64})
 
     class ReferenceNamed(ref.Serde):
@@ -335,9 +374,8 @@ def test_no_codec_sizes_a_value_by_encoding_it(monkeypatch):
         (edges, [(1, 0.5), (2, 1.5)]),
         (serde.ListSerde(serde.FLOAT64), [0.5, 1.5]),
         (serde.ListSerde(serde.PairSerde(serde.INT64, serde.STRING)), [(1, "a")]),
-        (multiquery.LaneVectorSerde(serde.FLOAT64), [(True, None), (False, 1.5)]),
-        (multiquery.LanePairSerde(serde.FLOAT64), (3, 1.5)),
-        (multiquery.LaneMapSerde(serde.ListSerde(serde.FLOAT64)), {2: [0.5]}),
+        (serde.UINT8, 7),
+        (serde.ArraySerde(serde.OptionalSerde(serde.FLOAT64), 3), (None, 1.5, None)),
         (aggregators.NamedValuesSerde({"a": serde.INT64}), {"a": 1}),
     ]
     expected = [(codec, value, len(codec.dumps(value))) for codec, value in samples]

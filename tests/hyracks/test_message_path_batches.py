@@ -3,7 +3,7 @@
 From the sender group-by to the receiver's, every hop now handles a batch
 per call and a key is encoded once per group. What must not have moved is
 everything observable: the output tuples (compared by ``repr``, so the
-sign of a zero, the order of a list bundle and of a lane dict count), the
+sign of a zero and the order of a list bundle count), the
 run files (how many, and every byte of each), the I/O charged for them,
 the per-consumer lists a connector makes, and the exceptions.
 :mod:`tests.hyracks.per_tuple_reference` is the oracle: the per-tuple
@@ -37,7 +37,7 @@ from repro.pregelix.api import (
     MinCombiner,
     SumCombiner,
 )
-from repro.pregelix.multiquery import LanePairSerde, MultiQueryCombiner
+from repro.pregelix.multiquery import MultiQueryCombiner, lane_message_serde
 from repro.pregelix.physical import (
     PartitionMap,
     _ReceiverCombineAggregator,
@@ -85,10 +85,10 @@ def list_case(rng):
 
 
 def multiquery_case(rng):
-    """Lane dicts of float sums, as the serving tier batches queries."""
+    """Lane tuples of float sums, as the serving tier batches queries."""
     return (
-        MultiQueryCombiner(SumCombiner(), serde.FLOAT64),
-        LanePairSerde(serde.FLOAT64),
+        MultiQueryCombiner(SumCombiner(), serde.FLOAT64, 5),
+        lane_message_serde(serde.FLOAT64),
         lambda: (rng.randrange(5), rng.uniform(-1.0, 1.0)),
     )
 

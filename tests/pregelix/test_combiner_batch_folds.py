@@ -3,9 +3,10 @@
 The group-bys call ``fold_sorted``, ``merge_rounds``, ``hash_fold`` and
 ``hash_merge``: the skeletons of ``batch_folds``, compiled over a
 combiner's fold fragments. ``SumCombiner``, ``MinCombiner`` and
-``MaxCombiner`` write theirs inline; the default list combiner and the
-multi-query lanes (here over ``MinCombiner``) fold through the
-per-message calls. Each is held, over seeded random inputs, to
+``MaxCombiner`` write theirs inline, and the multi-query lanes (here over
+``MinCombiner``) write the inner combiner's inline around a tuple of
+lanes; the default list combiner folds through the per-message calls.
+Each is held, over seeded random inputs, to
 ``init``/``accumulate``/``merge`` called once per message as below — and
 to the compiled default folds, which are that loop — by ``repr`` (the
 sign of a zero, a NaN, an int against a float count) and by the
@@ -48,7 +49,7 @@ COMBINERS = {
     "min": MinCombiner,
     "max": MaxCombiner,
     "list": DefaultListCombiner,
-    "multiquery": lambda: MultiQueryCombiner(MinCombiner(), serde.FLOAT64),
+    "multiquery": lambda: MultiQueryCombiner(MinCombiner(), serde.FLOAT64, 3),
 }
 #: The combiners whose messages and partials are both scalars.
 SCALARS = ["max", "min", "sum"]

@@ -6,12 +6,14 @@ built-in scalar combiner (sum, min, max) folds a whole batch per call —
 the merge of spilled runs, ``hash_fold``/``hash_merge`` in the HashSort
 table — so the group-bys pay **nothing** per message, per partial or per
 group: a constant per batch, and when the sender spills, a constant per
-run plus a constant per chunk a run is replayed or merged in. Any other
-combiner (the default list, the serving tier's multi-query lanes) folds
+run plus a constant per chunk a run is replayed or merged in. So do the
+serving tier's multi-query lanes, whose fixed-width lane tuples fold the
+inner combiner's fragments inline. The default list combiner folds
 through the per-message defaults, which is the contract: the calls its
 own ``accumulate``/``merge`` make per message plus a constant per group,
 as when every built-in combiner paid that. A partitioning connector pays
-a constant per *batch*. The operators are taken from the plan
+a constant per *batch*. A batch of point queries run as lanes of one
+dataflow makes fewer Python calls than the queries run alone. The operators are taken from the plan
 ``PlanGenerator`` generates, so a per-tuple ``encode_key``/``decode_key``
 or a sort-key lambda wired back into ``_message_groupby`` fails here.
 
@@ -37,9 +39,11 @@ import types
 
 import pytest
 
-from repro.algorithms import pagerank
+from repro.algorithms import pagerank, sssp
 from repro.common import serde
 from repro.common.serde import encode_key
+from repro.graphs.generators import btc_graph
+from repro.graphs.io import write_graph_to_dfs
 from repro.hyracks.engine import HyracksCluster, JobContext, TaskContext
 from repro.hyracks.operators.groupby import (
     PreclusteredGroupByOperator,
@@ -51,14 +55,18 @@ from repro.hyracks.storage import run_file
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.file_manager import FileManager
 from repro.hyracks.storage.pages import PageId, PageKind
-from repro.pregelix import ConnectorPolicy, GroupByStrategy
+from repro.pregelix import ConnectorPolicy, GroupByStrategy, PregelixDriver
 from repro.pregelix.api import (
     DefaultListCombiner,
     MaxCombiner,
     MinCombiner,
     SumCombiner,
 )
-from repro.pregelix.multiquery import LanePairSerde, MultiQueryCombiner
+from repro.pregelix.multiquery import (
+    MultiQueryCombiner,
+    MultiQueryProgram,
+    lane_message_serde,
+)
 from repro.pregelix.operators import WRITE_BACK_CHUNK, ComputeOperator
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 from repro.pregelix.relations import RunRelations
@@ -113,13 +121,12 @@ COMBINERS = {
     "max": Combined(MaxCombiner, serde.FLOAT64, lambda rng: rng.random(), 0),
     # ``accumulate`` (``merge``).
     "list": Combined(DefaultListCombiner, serde.FLOAT64, lambda rng: rng.random(), 1),
-    # The lane's ``accumulate`` (``merge``), and the inner combiner's
-    # ``init`` (for a new lane) and ``accumulate`` (``merge``).
+    # The serving tier's sssp lanes: ``MinCombiner`` inline, per lane.
     "multiquery": Combined(
-        lambda: MultiQueryCombiner(SumCombiner(), serde.FLOAT64),
-        LanePairSerde(serde.FLOAT64),
+        lambda: MultiQueryCombiner(MinCombiner(), serde.FLOAT64, 4),
+        lane_message_serde(serde.FLOAT64),
         lambda rng: (rng.randrange(4), rng.random()),
-        3,
+        0,
     ),
 }
 
@@ -170,8 +177,8 @@ def raw_messages(count, combined=COMBINERS["sum"]):
     ]
 
 
-# HashSort sizes a growing state (a list, a lane dict) before and after
-# every step: only the fixed-width states of the built-ins are budgeted.
+# HashSort sizes a growing state (a list) before and after every step:
+# only the fixed-width states of the built-ins and the lanes are budgeted.
 HASHSORTED = sorted(name for name in COMBINERS if COMBINERS[name].built_in)
 SENDERS = [(name, GroupByStrategy.SORT) for name in sorted(COMBINERS)] + [
     (name, GroupByStrategy.HASHSORT) for name in HASHSORTED
@@ -204,7 +211,7 @@ def test_the_sender_pays_its_combiner_per_message(dfs, name, strategy):
         assert measured[20000] == measured[10000]
 
 
-@pytest.mark.parametrize("name", ["sum", "min", "max", "list"])
+@pytest.mark.parametrize("name", ["sum", "min", "max", "list", "multiquery"])
 @pytest.mark.parametrize("count", [10000, 20000])
 def test_a_spilling_sender_pays_nothing_per_spilled_record(dfs, tmp_path, name, count):
     combined = COMBINERS[name]
@@ -402,3 +409,25 @@ def test_a_bulk_load_pays_nothing_per_inline_row(tmp_path):
     (calls_1000, leaves_1000), (calls_2000, leaves_2000) = measured[1000], measured[2000]
     assert leaves_2000 > leaves_1000 >= 5
     assert calls_2000 - calls_1000 <= PER_LOADED_LEAF * (leaves_2000 - leaves_1000)
+
+
+def test_lanes_make_fewer_calls_than_their_queries_alone(tmp_path):
+    """Six sssp queries as lanes of one run against the same six run one
+    after another, on the serving benchmark's dataset: the lanes share
+    every per-superstep and per-vertex cost but their own programs'."""
+    sources = [0, 17, 42, 99, 140, 203]
+    with HyracksCluster(num_nodes=3, root_dir=str(tmp_path / "c")) as cluster:
+        driver = PregelixDriver(cluster, cluster.dfs)
+        write_graph_to_dfs(cluster.dfs, "/in", iter(btc_graph(600, seed=3)), num_files=3)
+
+        def solo():
+            for source in sources:
+                driver.run(sssp.build_job(source_id=source), "/in", "/solo")
+
+        def lanes():
+            program = MultiQueryProgram(sssp, [{"source_id": s} for s in sources])
+            program.run(driver, "/in", "/lanes")
+
+        solo_calls, _ = python_calls(solo)
+        lane_calls, _ = python_calls(lanes)
+    assert lane_calls < solo_calls

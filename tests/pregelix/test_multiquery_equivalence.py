@@ -15,13 +15,13 @@ from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hyracks.engine import HyracksCluster
 from repro.pregelix import PregelixDriver
-from repro.pregelix.api import ConnectorPolicy, GroupByStrategy
+from repro.pregelix.api import ConnectorPolicy, DefaultListCombiner, GroupByStrategy
 from repro.pregelix.multiquery import (
-    LaneMapSerde,
-    LanePairSerde,
-    LaneVectorSerde,
+    MultiQueryCombiner,
     MultiQueryError,
     MultiQueryProgram,
+    lane_column_serde,
+    lane_message_serde,
 )
 from repro.common import serde
 from repro.serve.api import result_document
@@ -200,24 +200,24 @@ def test_cancelled_lane_does_not_disturb_survivors(tmp_path):
 
 
 def test_lane_serdes_round_trip():
-    vector_serde = LaneVectorSerde(serde.FLOAT64)
-    vector = [(False, None), (True, 2.5), (True, None), (False, 0.0)]
+    vector_serde = lane_column_serde(serde.FLOAT64, 4)
+    vector = ((False, None), (True, 2.5), (True, None), (False, 0.0))
     encoded = vector_serde.dumps(vector)
     assert vector_serde.loads(encoded) == vector
-    assert vector_serde.sizeof(vector) == len(encoded)
+    assert vector_serde.sizeof(vector) == len(encoded) == 4 * (1 + 1 + 8)
 
-    pair_serde = LanePairSerde(serde.FLOAT64)
+    pair_serde = lane_message_serde(serde.FLOAT64)
     encoded = pair_serde.dumps((7, 1.25))
     assert pair_serde.loads(encoded) == (7, 1.25)
     assert pair_serde.sizeof((7, 1.25)) == len(encoded) == 9
 
-    map_serde = LaneMapSerde(serde.FLOAT64)
-    bundle = {3: 0.5, 0: -1.0, 7: 9.75}
-    encoded = map_serde.dumps(bundle)
-    assert map_serde.loads(encoded) == bundle
-    assert map_serde.sizeof(bundle) == len(encoded)
-    # encoding is canonical regardless of dict insertion order
-    assert map_serde.dumps({7: 9.75, 0: -1.0, 3: 0.5}) == encoded
+    bundle_serde = MultiQueryCombiner(
+        sssp.build_job().combiner, serde.FLOAT64, 8
+    ).bundle_serde(None)
+    bundle = (-1.0, None, None, 0.5, None, None, None, 9.75)
+    encoded = bundle_serde.dumps(bundle)
+    assert bundle_serde.loads(encoded) == bundle
+    assert bundle_serde.sizeof(bundle) == len(encoded) == 8 * (1 + 8)
 
 
 def test_batch_construction_guards():
@@ -231,3 +231,18 @@ def test_batch_construction_guards():
     if job.aggregator is not None:
         with pytest.raises(MultiQueryError):
             MultiQueryProgram(pagerank, [{}], template_job=job)
+    # Lanes are fixed-width vectors: a value, message or bundle codec
+    # without one width is refused before anything runs.
+    for field, codec in [
+        ("value_serde", serde.STRING),
+        ("value_serde", serde.TupleSerde(serde.INT64, serde.INT64)),
+        ("msg_serde", serde.ListSerde(serde.FLOAT64)),
+    ]:
+        job = sssp.build_job()
+        setattr(job, field, codec)
+        with pytest.raises(MultiQueryError, match="not fixed-width"):
+            MultiQueryProgram(sssp, [{"source_id": 0}], template_job=job)
+    job = sssp.build_job()
+    job.combiner = DefaultListCombiner()
+    with pytest.raises(MultiQueryError, match="not fixed-width"):
+        MultiQueryProgram(sssp, [{"source_id": 0}], template_job=job)

@@ -32,7 +32,7 @@ from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.pages import PageId
 from repro.pregelix import PregelixJob, Vertex
 from repro.pregelix.api import Edge
-from repro.pregelix.multiquery import LaneVectorSerde, MultiQueryVertex
+from repro.pregelix.multiquery import MultiQueryVertex
 from repro.pregelix.operators import ComputeOperator
 from repro.pregelix.relations import OpenedRow, RunRelations
 from repro.pregelix.types import GlobalState, VertexRecord
@@ -631,9 +631,9 @@ class MutatesItsLanes(Vertex):
 
 
 def test_a_value_mutated_in_place_is_always_written(ctx):
-    """A lane vector is not ``layout_fixed``: the value object is the one
-    decoded, and still its bytes changed."""
-    lanes = LaneVectorSerde(serde.FLOAT64)
+    """A list of slots is not ``layout_fixed``: the value object is the
+    one decoded, and still its bytes changed."""
+    lanes = serde.ListSerde(serde.FixedPairSerde(serde.BOOL, serde.FLOAT64))
     job = PregelixJob("lanes", MutatesItsLanes, value_serde=lanes)
     relations = RunRelations(job, None, "lanes")
     key = encode_key(4)

@@ -101,6 +101,17 @@ class TestEndpoints:
         status, doc = client.json("POST", "/jobs", body={"tenant": "a"})
         assert status == 400 and doc["error"]["code"] == "bad_request"
 
+    def test_an_over_cap_body_is_refused_every_time(self, served):
+        """The server answers 413 from the declared length, then drains
+        the body it refused before closing: a client still sending the
+        body reads the refusal, not a reset, request after request."""
+        _service, client = served
+        for _ in range(50):
+            status, _headers, body = client.request(
+                "POST", "/jobs", raw=b" " * (4 * MAX_BODY_BYTES))
+            assert status == 413
+            assert json.loads(body)["error"]["code"] == "payload_too_large"
+
     def test_body_at_the_limit_is_read(self, served):
         _service, client = served
         padding = b" " * (MAX_BODY_BYTES - 2)

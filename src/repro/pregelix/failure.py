@@ -4,71 +4,63 @@ Analyzes job failures: machine interruptions and I/O errors are
 recoverable (the node is blacklisted and the driver replays from the
 latest checkpoint); application exceptions are forwarded to the user.
 
-Beyond the paper's binary recoverable/fatal split, the manager
-**classifies** failures three ways: transient faults (a flaky DFS write)
+Beyond the paper's binary recoverable/fatal split, :func:`failure_kind`
+classifies failures three ways: transient faults (a flaky DFS write)
 are distinguished from permanent-but-recoverable machine losses and from
 application bugs. Transients are first absorbed in place by the
 infrastructure's :class:`~repro.hdfs.retry.RetryPolicy` (seeded
 exponential backoff); only exhausted ones reach this manager, and they
 trigger checkpoint replay *without* blacklisting anybody — the machine
-is healthy, its I/O path was flaky. Liveness comes from the engine's
-:class:`~repro.hyracks.heartbeat.HeartbeatMonitor`; the driver reports
-machines it declares dead through :meth:`FailureManager.suspect`.
+is healthy, its I/O path was flaky. A machine is lost when one of the
+run's pinned locations is no longer alive (:meth:`FailureManager.lost`);
+the driver asks at every superstep boundary and when a pinned plan
+cannot be scheduled.
 """
 
-from repro.common.errors import JobFailure
-from repro.hdfs.retry import RetryPolicy, failure_cause, is_transient
-from repro.hyracks.heartbeat import HeartbeatMonitor
+from repro.hdfs.retry import failure_cause, is_transient
 
-__all__ = [
-    "FATAL",
-    "RECOVERABLE",
-    "RECOVERABLE_KINDS",
-    "TRANSIENT",
-    "FailureManager",
-    "HeartbeatMonitor",
-    "RetryPolicy",
-    "failure_cause",
-    "is_transient",
-]
+__all__ = ["RECOVERABLE_KINDS", "FailureManager", "failure_kind"]
 
 #: Failure kinds the manager will try to recover from. ``transient_io``
 #: reaches the recovery path only after in-place retries are exhausted.
 RECOVERABLE_KINDS = ("interruption", "io", "transient_io")
 
-#: Classification buckets (see FailureManager.classify).
-TRANSIENT, RECOVERABLE, FATAL = "transient", "recoverable", "fatal"
+
+def failure_kind(error):
+    """``"transient"`` / ``"recoverable"`` / ``"fatal"`` for ``error``.
+
+    Transient faults deserve in-place retry with backoff; recoverable
+    ones (machine interruptions, disk I/O errors) warrant checkpoint
+    replay; everything else is an application error forwarded to the
+    user.
+    """
+    if is_transient(error):
+        return "transient"
+    cause = failure_cause(error)
+    if cause is not None and cause.kind in RECOVERABLE_KINDS:
+        return "recoverable"
+    return "fatal"
 
 
 class FailureManager:
-    """Tracks blacklisted machines and classifies failures, reporting
-    into its cluster's telemetry session."""
+    """One run's failure owner: blames lost machines (once each),
+    reporting into its cluster's telemetry session, and lists the
+    survivors recovery may use."""
 
     def __init__(self, cluster):
         self.cluster = cluster
         self.telemetry = cluster.telemetry
         self.blacklist = set()
 
-    def classify(self, failure):
-        """``transient`` / ``recoverable`` / ``fatal`` for ``failure``.
-
-        Transient faults deserve in-place retry with backoff; recoverable
-        ones (machine interruptions, disk I/O errors, and transients that
-        exhausted their retries) warrant checkpoint replay; everything
-        else is an application error forwarded to the user.
-        """
-        if is_transient(failure):
-            return TRANSIENT
-        cause = failure_cause(failure)
-        if cause is not None and cause.kind in RECOVERABLE_KINDS:
-            return RECOVERABLE
-        return FATAL
-
-    def is_recoverable(self, failure):
-        """Whether ``failure`` warrants checkpoint recovery."""
-        if not isinstance(failure, JobFailure):
-            return False
-        return self.classify(failure) in (TRANSIENT, RECOVERABLE)
+    def lost(self, locations):
+        """The machines among ``locations`` (a pinned partition map's)
+        that are no longer alive, first-pinned first, each once."""
+        lost = []
+        for loc in locations:
+            node = self.cluster.nodes.get(loc)
+            if (node is None or not node.alive) and loc not in lost:
+                lost.append(loc)
+        return lost
 
     def record(self, failure):
         """Blacklist the failed machine through :meth:`suspect`; returns
@@ -106,8 +98,9 @@ class FailureManager:
 
     def suspect(self, node_id, reason="heartbeat"):
         """Blacklist a machine and power it off; ``reason`` is the
-        evidence — missed beats, or the kind of a task failure
-        :meth:`record` attributed to it.
+        evidence — ``heartbeat`` for a pinned machine found dead at a
+        superstep boundary, or the kind of a task failure :meth:`record`
+        attributed to it.
 
         Idempotent: a machine already blacklisted is not blamed twice.
         """

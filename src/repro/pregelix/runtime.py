@@ -23,13 +23,9 @@ from repro.common.errors import (
     SchedulingError,
     WorkerFailure,
 )
+from repro.hdfs.retry import failure_cause, is_transient
 from repro.pregelix.checkpoint import Checkpointer
-from repro.pregelix.failure import (
-    FailureManager,
-    HeartbeatMonitor,
-    failure_cause,
-    is_transient,
-)
+from repro.pregelix.failure import FailureManager, failure_kind
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 from repro.pregelix.relations import RunRelations
 from repro.pregelix.stats import StatisticsCollector, pregelix_sim_cost
@@ -407,7 +403,6 @@ class PregelixDriver:
         telemetry = self.telemetry
         retry = checkpointer.retry
         failures = FailureManager(self.cluster)
-        heartbeats = HeartbeatMonitor(self.cluster)
         stats = StatisticsCollector(registry=telemetry.registry)
         recoveries = 0
         optimizer = None
@@ -423,26 +418,19 @@ class PregelixDriver:
         scale_at = dict(scale_at) if scale_at else {}
         while True:
             try:
-                # Liveness sweep: one superstep boundary is one heartbeat
-                # interval. A machine that stopped beating is blacklisted
-                # here, without waiting for a task failure or a plan-pin
-                # scheduling error to surface the loss.
-                for node_id in heartbeats.observe():
-                    failures.suspect(node_id, reason="heartbeat")
-                dead = [
-                    loc
-                    for loc in generator.partition_map.locations
-                    if loc in heartbeats.dead
-                ]
-                if dead:
-                    # A pinned machine was lost without surfacing a task
-                    # failure (e.g. powered off just after its last clone
-                    # of the superstep ran). Its partitions are gone;
-                    # recover before declaring the loop complete or
-                    # continuing.
+                # Liveness check: one superstep boundary is one heartbeat
+                # interval. A pinned machine lost without surfacing a task
+                # failure (e.g. powered off just after its last clone of
+                # the superstep ran) is blamed here; its partitions are
+                # gone, so recover before declaring the loop complete or
+                # continuing.
+                lost = failures.lost(generator.partition_map.locations)
+                if lost:
+                    for node_id in lost:
+                        failures.suspect(node_id, reason="heartbeat")
                     raise JobFailure(
-                        "machine %s lost between supersteps" % dead[0],
-                        cause=WorkerFailure(dead[0]),
+                        "machine %s lost between supersteps" % lost[0],
+                        cause=WorkerFailure(lost[0]),
                     )
                 if gs.superstep in scale_at:
                     # CLI-driven elasticity: resize the cluster at this
@@ -498,8 +486,8 @@ class PregelixDriver:
                     ):
                         self._checkpoint(generator, checkpointer, gs)
             except (JobFailure, WorkerFailure, SchedulingError) as failure:
-                failure = self._classify_failure(failure, generator)
-                if not failures.is_recoverable(failure):
+                failure = self._classify_failure(failure, generator, failures)
+                if failure_kind(failure) == "fatal":
                     raise failure
                 failures.record(failure)
                 with telemetry.span(
@@ -627,7 +615,7 @@ class PregelixDriver:
             messages=record.messages_sent,
         )
 
-    def _classify_failure(self, failure, generator):
+    def _classify_failure(self, failure, generator, failures):
         """Map a mid-loop error to the :class:`JobFailure` it stands for.
 
         A :class:`SchedulingError` after a machine died between jobs is
@@ -643,10 +631,9 @@ class PregelixDriver:
             # or a boundary fault that exhausted its retries) — no
             # engine wrapped it, so wrap it here.
             return JobFailure(str(failure), cause=failure)
-        alive = set(self.cluster.alive_node_ids())
-        dead = [loc for loc in generator.partition_map.locations if loc not in alive]
-        if dead:
-            return JobFailure(str(failure), cause=WorkerFailure(dead[0]))
+        lost = failures.lost(generator.partition_map.locations)
+        if lost:
+            return JobFailure(str(failure), cause=WorkerFailure(lost[0]))
         raise failure
 
     def _recover(self, generator, checkpointer, failures):
@@ -678,7 +665,7 @@ class PregelixDriver:
             try:
                 generator = self._restore(generator, checkpointer, superstep, new_map)
             except JobFailure as failure:
-                if not failures.is_recoverable(failure):
+                if failure_kind(failure) == "fatal":
                     raise
                 failures.record(failure)
                 continue

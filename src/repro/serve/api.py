@@ -131,10 +131,23 @@ class JobRequest:
         missing = [key for key in ("tenant", "algorithm", "dataset") if not doc.get(key)]
         if missing:
             raise ValueError("missing required field(s): %s" % ", ".join(missing))
+        for key in ("tenant", "algorithm", "dataset", "plan"):
+            if doc.get(key) is not None and not isinstance(doc[key], str):
+                raise ValueError("%s must be a string" % key)
+        for key in ("optimize", "use_cache"):
+            if key in doc and not isinstance(doc[key], bool):
+                raise ValueError("%s must be true or false" % key)
+        steps = doc.get("max_supersteps")
+        if steps is not None and (
+            isinstance(steps, bool) or not isinstance(steps, int) or steps < 1
+        ):
+            raise ValueError("max_supersteps must be a positive integer")
         params = doc.get("params") or {}
         if not isinstance(params, dict):
             raise ValueError("params must be an object")
         deadline = doc.get("deadline_seconds")
+        if isinstance(deadline, bool):
+            raise ValueError("deadline_seconds must be a number")
         if deadline is not None:
             try:
                 deadline = float(deadline)
@@ -143,14 +156,14 @@ class JobRequest:
             if deadline <= 0:
                 raise ValueError("deadline_seconds must be positive")
         return cls(
-            tenant=str(doc["tenant"]),
-            algorithm=str(doc["algorithm"]),
-            dataset=str(doc["dataset"]),
+            tenant=doc["tenant"],
+            algorithm=doc["algorithm"],
+            dataset=doc["dataset"],
             params=dict(params),
             plan=doc.get("plan"),
-            optimize=bool(doc.get("optimize", False)),
-            use_cache=bool(doc.get("use_cache", True)),
-            max_supersteps=doc.get("max_supersteps"),
+            optimize=doc.get("optimize", False),
+            use_cache=doc.get("use_cache", True),
+            max_supersteps=steps,
             deadline_seconds=deadline,
         )
 

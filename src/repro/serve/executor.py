@@ -20,7 +20,7 @@ import time
 
 from repro.algorithms import algorithm_module
 from repro.common.errors import DeadlineExceeded, JobCancelled
-from repro.pregelix.failure import failure_cause, is_transient
+from repro.pregelix.failure import failure_kind
 from repro.pregelix.multiquery import MultiQueryProgram
 from repro.pregelix.relations import RunRelations
 from repro.pregelix.runtime import PregelixDriver
@@ -37,22 +37,6 @@ from repro.serve.cache import result_digest
 #: FAILED state. Transients inside a run are already retried by the
 #: driver; this covers whole-run replays.
 JOB_ATTEMPTS = 2
-
-
-def failure_kind(error):
-    """``transient`` / ``recoverable`` / ``fatal`` for a whole-run error.
-
-    Reuses the driver's classification: transients that exhausted the
-    driver's in-place retries are worth one whole-run replay (the
-    machine is healthy); attributed machine losses already went through
-    checkpoint recovery inside the driver, so if they still surface
-    here the run is not salvageable and the job fails.
-    """
-    if is_transient(error):
-        return "transient"
-    if failure_cause(error) is not None:
-        return "recoverable"
-    return "fatal"
 
 
 class Executor:
@@ -256,6 +240,9 @@ class Executor:
                         lifecycle.finalize(leader, JobState.FAILED,
                                            error=str(error), error_kind="stuck")
             except Exception as error:  # one run's failure never kills the service
+                # Only a transient earns a whole-run replay (the machine
+                # is healthy); a machine loss already went through the
+                # driver's checkpoint recovery, so here it is final.
                 kind = failure_kind(error)
                 event(failed, category="serve", kind=kind, attempt=attempt,
                       error=str(error), **who)

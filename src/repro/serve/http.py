@@ -266,7 +266,7 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 body = self._read_body()
                 target = int(body["nodes"])
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, OverflowError):
                 self._error(
                     400, "bad_request",
                     'body must be JSON like {"nodes": N}',

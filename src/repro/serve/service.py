@@ -71,6 +71,11 @@ AGING_RATE = 1.0
 TICK_SECONDS = 0.25
 HISTORY_TICKS = int(INTERVAL_SECONDS / TICK_SECONDS)
 
+#: The largest manual ``scale_to`` target without an autoscaler: each
+#: added node is a ``NodeContext`` (a directory, a buffer cache, registry
+#: exposures) built on the caller's thread. Twice the paper's 32 machines.
+MAX_SCALE_NODES = 64
+
 
 class JobService(ServiceDocuments):
     """A long-running, multi-tenant Pregelix job service.
@@ -558,6 +563,10 @@ class JobService(ServiceDocuments):
                     "target %d outside the autoscale range %d:%d"
                     % (target, policy.min_nodes, policy.max_nodes)
                 )
+        elif target > MAX_SCALE_NODES:
+            raise ValueError(
+                "target %d above the %d node limit" % (target, MAX_SCALE_NODES)
+            )
         added, draining = self.cluster.scale_to(target)
         self.telemetry.event(
             "serve.scale", category="serve", direction="manual", target=target,

@@ -3,9 +3,9 @@
 The contract under test (DESIGN.md §5): ``add_node``/``drain_node``/
 ``scale_to`` change *membership* immediately but change *placement* only
 at the next superstep boundary, where the driver hands partitions off
-through the checkpoint/restore path. Draining nodes stay alive — and
-heartbeat-healthy — until every pinned run has handed off, then retire
-with their storage wiped.
+through the checkpoint/restore path. Draining nodes stay alive — never
+a run's lost machine — until every pinned run has handed off, then
+retire with their storage wiped.
 """
 
 import pytest
@@ -15,8 +15,8 @@ from repro.common.errors import SchedulingError
 from repro.graphs.generators import btc_graph
 from repro.graphs.io import write_graph_to_dfs
 from repro.hyracks.engine import HyracksCluster
-from repro.hyracks.heartbeat import HeartbeatMonitor
 from repro.pregelix import PregelixDriver
+from repro.pregelix.failure import FailureManager
 
 VERTICES = 60
 GRAPH_SEED = 3
@@ -102,13 +102,10 @@ class TestMembership:
         with pytest.raises(SchedulingError):
             cluster.register_placement("run1", ("node0", "node2"))
 
-    def test_heartbeat_treats_draining_as_healthy(self, cluster):
-        monitor = HeartbeatMonitor(cluster)
+    def test_draining_pinned_node_is_not_lost(self, cluster):
         cluster.register_placement("run1", ("node2",))
         cluster.drain_node("node2")
-        for _ in range(4):
-            assert monitor.observe() == []
-        assert "node2" not in monitor.dead
+        assert FailureManager(cluster).lost(("node2",)) == []
 
     def test_virtual_partitions_pin_the_count(self, tmp_path):
         with HyracksCluster(

@@ -1,12 +1,11 @@
-"""Unit tests for the durability substrate: retry, heartbeats, classes."""
+"""Unit tests for the durability substrate: retry, liveness, classes."""
 
 import pytest
 
 from repro.common.errors import JobFailure, TransientIOError, WorkerFailure
 from repro.hdfs.retry import RetryPolicy, failure_cause, is_transient
 from repro.hyracks.engine import HyracksCluster
-from repro.hyracks.heartbeat import HeartbeatMonitor
-from repro.pregelix.failure import FATAL, RECOVERABLE, TRANSIENT, FailureManager
+from repro.pregelix.failure import FailureManager, failure_kind
 from repro.telemetry import Telemetry
 
 
@@ -32,19 +31,22 @@ class TestClassification:
         assert not is_transient(WorkerFailure("node0", kind="io"))
         assert not is_transient(ValueError("nope"))
 
-    def test_manager_three_way_classify(self, cluster):
-        manager = FailureManager(cluster)
-        transient = JobFailure("t", cause=TransientIOError("node0"))
-        machine = JobFailure("m", cause=WorkerFailure("node1", kind="interruption"))
-        disk = JobFailure("d", cause=WorkerFailure("node1", kind="io"))
-        app = JobFailure("a", cause=WorkerFailure("node1", kind="application"))
-        assert manager.classify(transient) == TRANSIENT
-        assert manager.classify(machine) == RECOVERABLE
-        assert manager.classify(disk) == RECOVERABLE
-        assert manager.classify(app) == FATAL
-        assert manager.is_recoverable(transient)
-        assert manager.is_recoverable(machine)
-        assert not manager.is_recoverable(app)
+    @pytest.mark.parametrize("error, kind", [
+        (JobFailure("t", cause=TransientIOError("node0")), "transient"),
+        (TransientIOError("node0", site="dfs.write"), "transient"),
+        (JobFailure("m", cause=WorkerFailure("node1")), "recoverable"),
+        (JobFailure("m", cause=WorkerFailure("node1", kind="interruption")), "recoverable"),
+        (JobFailure("d", cause=WorkerFailure("node1", kind="io")), "recoverable"),
+        (WorkerFailure("node1", kind="io"), "recoverable"),
+        (JobFailure("a", cause=WorkerFailure("node1", kind="application")), "fatal"),
+        (JobFailure("c", cause=WorkerFailure("node0", kind="cosmic-rays")), "fatal"),
+        (JobFailure("v", cause=ValueError()), "fatal"),
+        (JobFailure("no cause"), "fatal"),
+        (ValueError("app bug"), "fatal"),
+    ])
+    def test_failure_kind(self, error, kind):
+        """The one classifier the driver and the serve tier share."""
+        assert failure_kind(error) == kind
 
     def test_exhausted_transient_recovers_without_blacklist(self, cluster):
         manager = FailureManager(cluster)
@@ -69,8 +71,8 @@ class TestClassification:
         assert events[0].args["kind"] == "heartbeat"
 
     def test_record_blames_a_machine_once(self, cluster):
-        """A task failure on a machine the heartbeat sweep already
-        blacklisted is the same machine loss, counted once."""
+        """A task failure on a machine a superstep boundary already
+        blamed is the same machine loss, counted once."""
         manager = FailureManager(cluster)
         manager.record(JobFailure("m", cause=WorkerFailure("node2", kind="io")))
         manager.suspect("node1", reason="heartbeat")
@@ -166,41 +168,74 @@ class TestRetryPolicy:
         assert result == "ok" and state["calls"] == 2
 
 
-class TestHeartbeatMonitor:
-    def test_alive_cluster_beats_quietly(self, cluster):
-        monitor = HeartbeatMonitor(cluster)
-        assert monitor.observe() == []
-        assert monitor.dead == set()
-        assert set(monitor.last_beat) == set(cluster.nodes)
-
-    def test_dead_node_declared_after_threshold(self, cluster):
-        monitor = HeartbeatMonitor(cluster)
-        monitor.observe()
-        cluster.kill_node("node1")
-        assert monitor.observe() == ["node1"]  # first miss: declared
-        missed = cluster.telemetry.events.snapshot(name="heartbeat.missed")
-        assert [(e.args["node"], e.args["missed"]) for e in missed] == [("node1", 1)]
-        assert monitor.dead == {"node1"}
-        dead_events = cluster.telemetry.events.snapshot(name="heartbeat.dead")
-        assert [e.args["node"] for e in dead_events] == ["node1"]
-
-    def test_declared_node_not_redeclared(self, cluster):
-        monitor = HeartbeatMonitor(cluster)
+class TestLostMachines:
+    def test_lost_lists_dead_pinned_locations_once(self, cluster):
+        manager = FailureManager(cluster)
+        pinned = ("node0", "node2", "node1", "node2")
+        assert manager.lost(pinned) == []
         cluster.kill_node("node2")
-        assert monitor.observe() == ["node2"]
-        assert monitor.observe() == []  # no duplicate declarations
+        cluster.kill_node("node1")
+        assert manager.lost(pinned) == ["node2", "node1"]
+        assert manager.lost(("node0", "node9")) == ["node9"]  # retired
 
-    def test_revived_node_welcomed_back(self, cluster):
-        monitor = HeartbeatMonitor(cluster)
-        cluster.kill_node("node0")
-        assert monitor.observe() == ["node0"]
-        cluster.nodes["node0"].alive = True  # simulated restart
-        assert monitor.observe() == []
-        assert monitor.dead == set()
+    def test_machine_dead_before_the_run_is_never_blamed(self, cluster):
+        """A machine already down when a run pins its map is not the
+        run's loss: runs after it blame nobody and recover nothing."""
+        from repro.algorithms import pagerank
+        from repro.graphs.generators import chain_graph
+        from repro.graphs.io import write_graph_to_dfs
+        from repro.pregelix import PregelixDriver
+
+        cluster.kill_node("node2")
+        write_graph_to_dfs(cluster.dfs, "/in/g", chain_graph(12), num_files=3)
+        driver = PregelixDriver(cluster, cluster.dfs)
+        for run in range(3):
+            outcome = driver.run(
+                pagerank.build_job(iterations=3), "/in/g",
+                output_path="/out/r%d" % run,
+            )
+            assert outcome.recoveries == 0
+        assert cluster.telemetry.registry.counter("pregelix.failures").value == 0
+        assert cluster.telemetry.events.snapshot(name="failure.blacklist") == []
+
+    @staticmethod
+    def _pagerank_output(cluster, fault=None):
+        from repro.algorithms import pagerank
+        from repro.chaos import FaultPlan
+        from repro.graphs.generators import chain_graph
+        from repro.graphs.io import write_graph_to_dfs
+        from repro.pregelix import PregelixDriver
+
+        write_graph_to_dfs(cluster.dfs, "/in/g", chain_graph(12), num_files=3)
+        driver = PregelixDriver(cluster, cluster.dfs)
+        job = pagerank.build_job(iterations=6, checkpoint_interval=1)
+        if fault is not None:
+            cluster.fault_injector.arm(FaultPlan([fault]))
+        outcome = driver.run(job, "/in/g", output_path="/out/r")
+        return outcome, sorted(driver.read_output("/out/r"))
+
+    def test_loss_caught_only_at_a_boundary(self, cluster, tmp_path):
+        """node1 powers off at its last operator of superstep 2, so no
+        task fails: the next boundary finds the pinned machine gone,
+        blames it once as ``heartbeat``, and recovery replays the latest
+        checkpoint to the fault-free output."""
+        from repro.chaos import FaultSpec
+
+        outcome, output = self._pagerank_output(cluster, FaultSpec(
+            "operator.open", action="kill", node="node1", at_hit=31,
+            min_superstep=2,
+        ))
+        assert outcome.recoveries >= 1
+        blamed = cluster.telemetry.events.snapshot(name="failure.blacklist")
+        assert [(e.args["node"], e.args["kind"]) for e in blamed] == [
+            ("node1", "heartbeat"),
+        ]
+        with HyracksCluster(num_nodes=3, root_dir=str(tmp_path / "clean")) as clean:
+            assert output == self._pagerank_output(clean)[1]
 
     def test_driver_blacklists_heartbeat_deaths(self, cluster):
-        """End to end: a between-superstep power loss is caught by the
-        heartbeat sweep, blacklisted, and recovered from checkpoint."""
+        """End to end: a between-superstep power loss is blamed on the
+        machine, blacklisted, and recovered from checkpoint."""
         from repro.algorithms import pagerank
         from repro.chaos import FaultPlan, FaultSpec
         from repro.graphs.generators import chain_graph
@@ -215,4 +250,5 @@ class TestHeartbeatMonitor:
         ))
         outcome = driver.run(job, "/in/g", output_path="/out/r")
         assert outcome.recoveries >= 1
-        assert cluster.telemetry.events.snapshot(name="heartbeat.dead")
+        blamed = cluster.telemetry.events.snapshot(name="failure.blacklist")
+        assert [e.args["node"] for e in blamed] == ["node1"]

@@ -57,26 +57,6 @@ class TestFailureKinds:
             driver.run(job, "/in/h")
         assert caught.value.cause.kind == "cosmic-rays"
 
-    def test_failure_manager_classification(self, cluster):
-        from repro.common.errors import JobFailure
-
-        manager = FailureManager(cluster)
-        for kind, recoverable in (
-            ("interruption", True),
-            ("io", True),
-            ("application", False),
-            ("cosmic-rays", False),
-        ):
-            failure = JobFailure("boom", cause=WorkerFailure("node0", kind=kind))
-            assert manager.is_recoverable(failure) is recoverable
-
-    def test_non_worker_cause_not_recoverable(self, cluster):
-        from repro.common.errors import JobFailure
-
-        manager = FailureManager(cluster)
-        assert not manager.is_recoverable(JobFailure("boom", cause=ValueError()))
-        assert not manager.is_recoverable(ValueError())
-
     def test_blacklist_excluded_from_healthy(self, cluster):
         from repro.common.errors import JobFailure
 

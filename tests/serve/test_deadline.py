@@ -117,7 +117,7 @@ class TestDeadlineDefaults:
 
 
 class TestDeadlineValidation:
-    @pytest.mark.parametrize("bad", [0, -1, "soon"])
+    @pytest.mark.parametrize("bad", [0, -1, "soon", True])
     def test_bad_deadline_rejected_at_parse(self, bad):
         with pytest.raises(ValueError):
             JobRequest.from_dict({

@@ -9,6 +9,7 @@ import pytest
 from repro.serve import JobService, JobState, ServeHTTPServer, TenantQuota
 from repro.serve.client import ROUND_TRIPS_KEPT, ServeClient
 from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.service import MAX_SCALE_NODES
 
 WAIT = 120
 
@@ -74,6 +75,26 @@ class TestEndpoints:
         status, doc = client.json("POST", "/jobs", raw=b"{not json")
         assert status == 400
         assert "error" in doc
+
+    @pytest.mark.parametrize("field, value", [
+        ("plan", 5), ("plan", ["loj"]),
+        ("optimize", "no"), ("use_cache", "false"),
+        ("tenant", ["x"]),
+        ("max_supersteps", -1), ("max_supersteps", 0),
+        ("max_supersteps", 2.5), ("max_supersteps", True),
+        ("max_supersteps", "3"),
+    ])
+    def test_mistyped_field_is_400(self, served, field, value):
+        """A field of the wrong type is refused at parse, not coerced
+        (``"no"`` would run optimized, ``"3"`` and ``3`` would be two
+        cache keys) and not left to crash the handler thread."""
+        _service, client = served
+        body = {"tenant": "alice", "algorithm": "cc", "dataset": "g"}
+        body[field] = value
+        status, doc = client.json("POST", "/jobs", body=body)
+        assert status == 400
+        assert doc["error"]["code"] == "bad_request"
+        assert field in doc["error"]["reason"]
 
     def test_unsupported_method_is_a_structured_501(self, served):
         _service, client = served
@@ -172,11 +193,19 @@ class TestEndpoints:
         assert status == 200 and doc["draining"] == ["node3"]
 
     def test_cluster_scale_rejects_bad_bodies(self, served):
-        _service, client = served
+        service, client = served
+        nodes = len(service.cluster.nodes)
         status, doc = client.json("POST", "/cluster/scale", body={"nodes": "x"})
+        assert status == 400 and doc["error"]["code"] == "bad_request"
+        status, doc = client.json("POST", "/cluster/scale",
+                                  raw=b'{"nodes": Infinity}')
         assert status == 400 and doc["error"]["code"] == "bad_request"
         status, doc = client.json("POST", "/cluster/scale", body={"nodes": 0})
         assert status == 400 and doc["error"]["code"] == "bad_scale"
+        status, doc = client.json("POST", "/cluster/scale",
+                                  body={"nodes": MAX_SCALE_NODES + 1})
+        assert status == 400 and doc["error"]["code"] == "bad_scale"
+        assert len(service.cluster.nodes) == nodes
 
     def test_result_of_cached_repeat(self, served):
         service, client = served

@@ -22,7 +22,8 @@ Faulted cells run with ``checkpoint_interval=1`` and a seeded
 checkpoint/blacklist recovery reproduces the fault-free answer.
 
 A cell also fails if a spilled sorted run (``sort-run``/``groupby-run``
-temp file) survives the run on any node, whatever faults interrupted it.
+temp file) or a ``Msg`` run file survives the run on any node, whatever
+faults interrupted it.
 """
 
 import math
@@ -36,10 +37,12 @@ from repro.pregelix.api import PlanChoice, all_plans
 class BudgetProfile:
     """Memory sizing for one matrix column.
 
-    ``spill`` shrinks the per-node buffer cache to a handful of pages and
-    the group-by/sort budget to under a kilobyte, forcing page eviction,
-    run-file spills, and multiway merges even on test-sized graphs — the
-    out-of-core machinery must not change a single output bit.
+    ``spill`` shrinks the per-node buffer cache to a handful of pages, the
+    group-by/sort budget to under a kilobyte and the node memory to
+    nothing, forcing page eviction, run-file spills (every ``Msg``
+    partition included) and multiway merges even on test-sized graphs —
+    the out-of-core machinery must not change a single output bit.
+    ``roomy`` keeps ``Msg`` in memory.
     """
 
     name: str
@@ -52,6 +55,7 @@ BUDGETS = {
     "roomy": BudgetProfile("roomy"),
     "spill": BudgetProfile(
         "spill",
+        node_memory_bytes=0,
         buffer_cache_bytes=8 * 4096,
         groupby_memory_bytes=512,
     ),
@@ -229,10 +233,10 @@ class DifferentialChecker:
                 "%s/%s" % (node_id, name)
                 for node_id, node in cluster.nodes.items()
                 for name in os.listdir(node.files.root)
-                if name.startswith(("sort-run-", "groupby-run-"))
+                if name.startswith(("sort-run-", "groupby-run-", "msg-"))
             )
             if survivors:
-                cell.error = "spilled runs survive the run: " + ", ".join(survivors)
+                cell.error = "run files survive the run: " + ", ".join(survivors)
         except Exception as error:  # a divergence *is* the finding
             cell.error = "%s: %s" % (type(error).__name__, error)
         finally:

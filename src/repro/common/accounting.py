@@ -4,8 +4,9 @@ The paper's central experimental axis is *dataset size / aggregated RAM*.
 To reproduce it on one machine we give every simulated worker a byte
 budget. Engines differ only in what they charge against the budget:
 process-centric baselines charge vertex and message state (and die when
-it does not fit), while the Pregelix storage layer charges only its buffer
-cache and group-by buffers (and spills past them).
+it does not fit), while the Pregelix storage layer charges the ``Msg``
+images it keeps resident and writes a run file for what the budget
+refuses.
 
 Where a number lives: each holder here is the one home of the counts
 it keeps, and it knows nothing about who reads them. A node's
@@ -42,6 +43,7 @@ class MemoryBudget:
         self.name = name
         self._used = 0
         self._peak = 0
+        self._epoch = 0  # bumped by every reset
         self._lock = threading.Lock()
 
     @property
@@ -58,7 +60,8 @@ class MemoryBudget:
         return self.capacity - self._used
 
     def allocate(self, nbytes, what=""):
-        """Charge ``nbytes``; raise :class:`MemoryBudgetExceeded` if over."""
+        """Charge ``nbytes``; raise :class:`MemoryBudgetExceeded` if over.
+        Returns the charge's epoch, for :meth:`release`."""
         nbytes = int(nbytes)
         with self._lock:
             if self._used + nbytes > self.capacity:
@@ -66,10 +69,16 @@ class MemoryBudget:
             self._used += nbytes
             if self._used > self._peak:
                 self._peak = self._used
+            return self._epoch
 
-    def release(self, nbytes):
+    def release(self, nbytes, epoch=None):
+        """Give back ``nbytes``. With the ``epoch`` :meth:`allocate`
+        returned, a charge that a :meth:`reset` has forgotten since is
+        not given back a second time."""
         nbytes = int(nbytes)
         with self._lock:
+            if epoch is not None and epoch != self._epoch:
+                return
             if nbytes > self._used:
                 raise ValueError(
                     "releasing %d bytes but only %d allocated" % (nbytes, self._used)
@@ -86,6 +95,7 @@ class MemoryBudget:
         with self._lock:
             self._used = 0
             self._peak = 0
+            self._epoch += 1
 
     def __repr__(self):
         return "MemoryBudget(%s: %d/%d bytes, peak %d)" % (

@@ -47,6 +47,19 @@ def format_vertex_record(record, value_formatter=None):
     return ("%d %s %s" % (record.vid, value, _format_edges(record.edges))).rstrip()
 
 
+def format_vertex_values(vid, values, edges):
+    """The :func:`format_vertex_record` line of vertex ``vid`` with
+    ``edges`` and each of ``values`` in turn, the edge text formatted
+    once."""
+    edge_text = _format_edges(edges)
+    return [
+        ("%d %s %s" % (
+            vid, "_" if value is None else _format_number(value), edge_text
+        )).rstrip()
+        for value in values
+    ]
+
+
 def format_graph_line(vid, value, edges):
     """Format a raw ``(vid, value, edges)`` tuple (generator output)."""
     value_text = "_" if value is None else _format_number(value)

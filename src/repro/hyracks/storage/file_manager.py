@@ -23,14 +23,17 @@ from repro.common.errors import StorageError
 
 
 class _PagedFile:
+    """A paged file, opened by its first page write: an index whose
+    pages never leave the buffer cache creates no file."""
+
     def __init__(self, path):
         self.path = path
-        self.handle = open(path, "w+b")
+        self.handle = None
         self.num_pages = 0
         self.lock = threading.Lock()
 
     def close(self):
-        if not self.handle.closed:
+        if self.handle is not None and not self.handle.closed:
             self.handle.close()
 
 
@@ -55,7 +58,8 @@ class FileManager:
     # paged files (index storage)
     # ------------------------------------------------------------------
     def create_paged_file(self, name=None):
-        """Open a new paged file; returns its integer file id."""
+        """A new paged file, opened by its first page write; returns its
+        integer file id."""
         with self._ids_lock:
             file_id = self._next_file_id
             self._next_file_id += 1
@@ -72,6 +76,8 @@ class FileManager:
             )
         paged = self._require(file_id)
         with paged.lock:
+            if paged.handle is None:
+                paged.handle = open(paged.path, "w+b")
             paged.handle.seek(page_no * page_size)
             paged.handle.write(data.ljust(page_size, b"\x00"))
             paged.num_pages = max(paged.num_pages, page_no + 1)
@@ -81,8 +87,10 @@ class FileManager:
         """Read one page image back."""
         paged = self._require(file_id)
         with paged.lock:
-            paged.handle.seek(page_no * page_size)
-            data = paged.handle.read(page_size)
+            data = b""
+            if paged.handle is not None:
+                paged.handle.seek(page_no * page_size)
+                data = paged.handle.read(page_size)
         if not data:
             raise StorageError(
                 "page %d of file %d was never written" % (page_no, file_id)
@@ -92,7 +100,7 @@ class FileManager:
 
     def delete_paged_file(self, file_id):
         paged = self._paged_files.pop(file_id, None)
-        if paged is None:
+        if paged is None or paged.handle is None:
             return
         paged.close()
         if os.path.exists(paged.path):

@@ -3,7 +3,9 @@
 A run file is a flat local file of length-prefixed ``(key, value)`` byte
 records written once and scanned sequentially — exactly the shape of an
 external sort run or of the sorted per-partition ``Msg`` relation the
-paper stores "in temporary local files" between supersteps.
+paper stores "in temporary local files" between supersteps. A ``Msg``
+partition (:class:`RunFile`) keeps those bytes in memory instead while
+the node's memory budget takes them.
 
 This is the one framing of a ``(key, value)`` byte pair: a run file and
 a checkpoint blob (:func:`pack_pairs`/:func:`iter_pairs`) are the same
@@ -23,7 +25,7 @@ import operator
 import os
 import struct
 
-from repro.common.errors import StorageError
+from repro.common.errors import MemoryBudgetExceeded, StorageError
 
 _RECORD_HEADER = struct.Struct(">II")
 #: Records framed and written per call by :meth:`RunFileWriter.extend`.
@@ -343,23 +345,68 @@ class RunFile:
     """One sorted run as a stored relation partition: the three calls
     the plans make on one (``bulk_load``, ``scan``, ``destroy``), shaped
     as :class:`~repro.hyracks.storage.index.Index` shapes them, so the
-    index operators take a run as they take a B-tree."""
+    index operators take a run as they take a B-tree.
 
-    def __init__(self, path, file_manager):
-        self.path = path
+    The run is its *image*, the bytes :func:`pack_pairs` frames its pairs
+    into. The image stays in memory while ``budget`` (the node's
+    :class:`~repro.common.accounting.MemoryBudget`) takes a charge of its
+    length, and goes to a run file (``create_temp_path(hint)``, then
+    :attr:`path`) only when the budget refuses it; either way it is read
+    back by the one parser. :meth:`destroy` gives the charge back or
+    deletes the file."""
+
+    def __init__(self, file_manager, hint, budget):
         self.files = file_manager
+        self.hint = hint
+        self.budget = budget
+        #: The image while it is resident, ``None`` otherwise.
+        self.image = None
+        #: The run file, once the image went to one.
+        self.path = None
+        self._epoch = None  # of the budget charge the image holds
 
     def bulk_load(self, pairs):
-        with RunFileWriter(self.path, self.files) as writer:
-            writer.extend(pairs)
+        self._hold(pack_pairs(pairs))
+
+    def adopt(self, image):
+        """Take ``image``, a blob of framed pairs, as the run."""
+        iter_pairs(image)  # raises if it is cut inside a record
+        self._hold(bytes(image))
+
+    def _hold(self, image):
+        try:
+            self._epoch = self.budget.allocate(len(image), what="msg")
+        except MemoryBudgetExceeded:
+            self.path = self.files.create_temp_path(self.hint)
+            with open(self.path, "wb") as handle:
+                handle.write(image)
+            self.files.record_run_write(len(image))
+        else:
+            self.image = image
+
+    def packed(self):
+        """The run as one blob of the framing: the image itself while it
+        is resident, the file read back otherwise."""
+        if self.image is not None:
+            return self.image
+        return pack_pairs(self.scan())
 
     def scan(self):
-        return iter(RunFileReader(self.path, self.files))
+        return itertools.chain.from_iterable(self._chunks())
 
     def scan_decoded(self, loads_many):
         """:meth:`scan` with every value decoded, by one ``loads_many``
         per chunk read."""
-        return _decoded(RunFileReader(self.path, self.files).chunks(), loads_many)
+        return _decoded(self._chunks(), loads_many)
+
+    def _chunks(self):
+        if self.image is not None:
+            return (_parse(self.image)[0],)
+        return RunFileReader(self.path, self.files).chunks()
 
     def destroy(self):
-        self.files.delete_path(self.path)
+        if self.image is not None:
+            self.budget.release(len(self.image), self._epoch)
+            self.image = None
+        elif self.path is not None:
+            self.files.delete_path(self.path)

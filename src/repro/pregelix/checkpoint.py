@@ -39,7 +39,7 @@ import zlib
 from repro.common.errors import CheckpointNotFound, ChecksumError
 from repro.hdfs.retry import RetryPolicy
 from repro.hyracks.job import JobSpec, OperatorDescriptor
-from repro.hyracks.operators.index_ops import find_index, load_index
+from repro.hyracks.operators.index_ops import drop_index, find_index, register_index
 from repro.hyracks.storage.index import Index
 from repro.hyracks.storage.run_file import iter_pairs, pack_pairs
 
@@ -68,7 +68,12 @@ class IndexCheckpointOperator(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         index = find_index(ctx, self.index_name, partition)
-        blob = pack_pairs(index.scan()) if index is not None else b""
+        if index is None:
+            blob = b""
+        elif isinstance(index, Index):
+            blob = pack_pairs(index.scan())
+        else:
+            blob = index.packed()
         ctx.fault_injector.check(
             "checkpoint.write",
             node=ctx.node.node_id,
@@ -79,7 +84,8 @@ class IndexCheckpointOperator(OperatorDescriptor):
         if isinstance(index, Index):
             # An index is scanned through the buffer cache, which charges
             # only its misses: charge the copy as one sequential read. A
-            # run's reader has charged the file manager for its own.
+            # run's image is the blob, and a spilled run's reader has
+            # charged the file manager for its own.
             ctx.io.record_read(len(blob))
         ctx.telemetry.event(
             "checkpoint.write",
@@ -93,7 +99,8 @@ class IndexCheckpointOperator(OperatorDescriptor):
 
 class IndexRestoreOperator(OperatorDescriptor):
     """Reads a checkpoint blob and bulk loads a fresh partition from it,
-    in place of whatever the node held under that name."""
+    in place of whatever the node held under that name; a sorted run
+    adopts the blob as its image."""
 
     def __init__(self, index_name, index_factory, dfs, path_for_partition, name=None):
         super().__init__(name or "IndexRestore(%s)" % index_name)
@@ -104,9 +111,13 @@ class IndexRestoreOperator(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         blob = self.dfs.read(self.path_for_partition(partition))
-        load_index(
-            ctx, self.index_name, partition, self.index_factory, iter_pairs(blob)
-        )
+        drop_index(ctx, self.index_name, partition)
+        index = self.index_factory(ctx, partition)
+        if isinstance(index, Index):
+            index.bulk_load(iter_pairs(blob))
+        else:
+            index.adopt(blob)
+        register_index(ctx, self.index_name, partition, index)
         return {}
 
 

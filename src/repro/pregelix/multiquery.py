@@ -45,7 +45,11 @@ from operator import attrgetter, is_not, itemgetter
 
 from repro.common import serde
 from repro.common.errors import ReproError
-from repro.graphs.io import format_vertex_record, parse_adjacency_line
+from repro.graphs.io import (
+    format_vertex_record,
+    format_vertex_values,
+    parse_adjacency_line,
+)
 from repro.hyracks.operators.groupby import FoldSource, batch_folds
 from repro.pregelix.api import (
     Combiner,
@@ -287,8 +291,8 @@ class LaneActivityAggregator(GlobalAggregator):
 #: The messages of a lane with none: an exhausted iterator stays so.
 _NO_MESSAGES = iter(())
 
-#: The halted flag of a ``(halted, value)`` slot.
-_HALTED = itemgetter(0)
+#: The halted flag and the value of a ``(halted, value)`` slot.
+_HALTED, _LANE_VALUE = itemgetter(0), itemgetter(1)
 
 _TARGET = attrgetter("target")
 
@@ -650,24 +654,35 @@ class MultiQueryProgram:
 
         Returns a list (one entry per lane) of line lists, each rendered
         with the inner algorithm's formatter — byte-identical to what a
-        solo run of that lane would have dumped.
+        solo run of that lane would have dumped. Under the default
+        formatter a vertex's edge text is formatted once for all lanes.
         """
         per_lane = [[] for _ in range(self.num_lanes)]
+        inner = self._inner_format
         for line in lines:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            if len(obj["lanes"]) != self.num_lanes:
+            lanes = obj["lanes"]
+            if len(lanes) != self.num_lanes:
                 raise MultiQueryError(
                     "vertex %d carries %d lanes, expected %d"
-                    % (obj["vid"], len(obj["lanes"]), self.num_lanes)
+                    % (obj["vid"], len(lanes), self.num_lanes)
                 )
             edges = [(e[0], e[1]) for e in obj["edges"]]
-            for lane, (halted, value) in enumerate(obj["lanes"]):
-                record = VertexRecord(
-                    vid=obj["vid"], halt=halted, value=value, edges=edges
+            if inner is format_vertex_record:
+                formatted = format_vertex_values(
+                    obj["vid"], map(_LANE_VALUE, lanes), edges
                 )
-                per_lane[lane].append(self._inner_format(record))
+            else:
+                formatted = [
+                    inner(VertexRecord(
+                        vid=obj["vid"], halt=halted, value=value, edges=edges
+                    ))
+                    for halted, value in lanes
+                ]
+            for lane_lines, text in zip(per_lane, formatted):
+                lane_lines.append(text)
         return per_lane
 
     def lane_document(self, lane, algorithm, outcome, lane_lines,

@@ -23,6 +23,7 @@ layouts are the :class:`~repro.pregelix.relations.RunRelations`' that
 every generator holds as ``relations``.
 """
 
+import copy
 from itertools import chain, groupby
 from operator import itemgetter
 
@@ -337,7 +338,8 @@ class _ReactivateOperator(OperatorDescriptor):
 
 
 class PlanGenerator:
-    """Builds every physical plan for one Pregelix job run."""
+    """Builds every physical plan for one Pregelix job run. The codecs
+    of the message path are compiled once, here, not per superstep."""
 
     def __init__(self, job, dfs, run_id, partition_map):
         self.job = job
@@ -345,6 +347,19 @@ class PlanGenerator:
         self.run_id = run_id
         self.partition_map = partition_map
         self.relations = RunRelations(job, dfs, run_id)
+        #: A stored bundle: what ``Msg`` and the receiver group-by hold.
+        self.bundle_codec = job.bundle_codec()
+        self._raw_msg_serde = serde.TupleSerde(serde.INT64, job.msg_serde)
+        # Every hop is keyed by what a message leads with (LEAD): the vid of
+        # a raw (vid, payload), always its encode_key image once combined.
+        self._combined_serde = serde.TupleSerde(serde.KEY, self.bundle_codec)
+
+    def moved_to(self, partition_map):
+        """This run's generator over ``partition_map``: the relations and
+        the compiled codecs shared."""
+        moved = copy.copy(self)
+        moved.partition_map = partition_map
+        return moved
 
     # ------------------------------------------------------------------
     # shared pieces
@@ -458,7 +473,7 @@ class PlanGenerator:
         job = self.job
         superstep = gs.superstep + 1
         spec = JobSpec("%s-superstep-%d" % (job.name, superstep))
-        bundle_codec = job.bundle_codec()
+        bundle_codec = self.bundle_codec
 
         relations = self.relations
         msg_scan = spec.add(self._pin(MsgScanOperator(relations, bundle_codec)))
@@ -480,7 +495,7 @@ class PlanGenerator:
         spec.connect(OneToOneConnector(), join, compute)
 
         # --- message combination: two-stage group-by (Figure 7) --------
-        receiver_out = self._message_groupby(spec, compute, bundle_codec)
+        receiver_out = self._message_groupby(spec, compute)
         msg_write = spec.add(self._pin(MsgWriteOperator(relations, bundle_codec)))
         spec.connect(OneToOneConnector(), receiver_out, msg_write)
 
@@ -526,16 +541,14 @@ class PlanGenerator:
         )
         return spec
 
-    def _message_groupby(self, spec, compute, bundle_serde):
+    def _message_groupby(self, spec, compute):
         """Attach the selected two-stage group-by; return the last operator."""
         job = self.job
         combiner = job.combiner
-        sender_agg = _SenderCombineAggregator(combiner, bundle_serde)
-        receiver_agg = _ReceiverCombineAggregator(combiner, bundle_serde)
-        raw_msg_serde = serde.TupleSerde(serde.INT64, job.msg_serde)
-        # Every hop is keyed by what a message leads with (LEAD): the vid of
-        # a raw (vid, payload), always its encode_key image once combined.
-        combined_serde = serde.TupleSerde(serde.KEY, bundle_serde)
+        sender_agg = _SenderCombineAggregator(combiner, self.bundle_codec)
+        receiver_agg = _ReceiverCombineAggregator(combiner, self.bundle_codec)
+        raw_msg_serde = self._raw_msg_serde
+        combined_serde = self._combined_serde
         memory = job.groupby_memory_bytes
 
         if job.groupby_strategy == GroupByStrategy.SORT:

@@ -7,8 +7,9 @@ everything else in this package is plans over them:
   B-tree registered on the owning node as ``vertex:<run>``;
 * ``Vid``: vid → nothing; a B-tree registered as ``vid:<run>``
   (left-outer-join plans only);
-* ``Msg``: vid → combined payload; a sorted run file registered as
-  ``msg:<run>``;
+* ``Msg``: vid → combined payload; a sorted run registered as
+  ``msg:<run>``, held in memory within the node's budget and written to
+  a run file past it;
 * ``GS``: one tuple at ``/pregelix/<run>/gs`` in the DFS.
 
 :class:`RunRelations` is their one owner: it alone knows the names, the
@@ -75,6 +76,7 @@ class RunRelations:
         # What an OpenedRow works with.
         self._opened_codec = opened_vertex_serde(job.value_serde)
         self._no_edges = self.edge_codec.dumps([])
+        self._gs_codec = job.gs_codec()
 
     # ------------------------------------------------------------------
     # rows
@@ -133,8 +135,7 @@ class RunRelations:
         return BTree(ctx.buffer_cache, name=_file_stem(self.vid, partition) + ".dat")
 
     def new_msg(self, ctx, partition):
-        path = ctx.files.create_temp_path(_file_stem(self.msg, partition))
-        return RunFile(path, ctx.files)
+        return RunFile(ctx.files, _file_stem(self.msg, partition), ctx.budget)
 
     # ------------------------------------------------------------------
     # GS
@@ -142,21 +143,22 @@ class RunRelations:
     def write_gs(self, gs, path=None):
         """Write GS (the primary copy, or a checkpoint's at ``path``);
         returns the bytes."""
-        data = encode_global_state(self.job.gs_codec(), gs)
+        data = encode_global_state(self._gs_codec, gs)
         self.dfs.write(path or self.gs_path, data)
         return data
 
     def adopt_gs(self, data):
         """Make checkpointed GS bytes the primary copy; returns the tuple."""
         self.dfs.write(self.gs_path, data)
-        return decode_global_state(self.job.gs_codec(), data)
+        return decode_global_state(self._gs_codec, data)
 
     # ------------------------------------------------------------------
     # lifetime
     # ------------------------------------------------------------------
     def release(self, cluster, nodes=None, durable=True):
         """Drop what the run holds. With ``nodes``, those nodes' share:
-        their partitions and the files behind them (a rebalance vacated
+        their partitions, the files behind them and the memory their
+        ``Msg`` images hold (a rebalance vacated
         them; a drained node must hold nothing before it can retire).
         Otherwise every node's share and the placement pin, and — when
         ``durable`` — GS and the checkpoints in the DFS, which a failed

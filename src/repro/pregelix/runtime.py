@@ -336,9 +336,7 @@ class PregelixDriver:
         it can retire — and re-pin the run. Returns the plan generator
         for the new map; the caller's stays valid if anything raises.
         """
-        restored = PlanGenerator(
-            generator.job, self.dfs, generator.run_id, partition_map
-        )
+        restored = generator.moved_to(partition_map)
         self.cluster.execute(checkpointer.recovery_plan(superstep, restored))
         vacated = set(generator.partition_map.locations) - set(partition_map.locations)
         generator.relations.release(self.cluster, nodes=vacated)

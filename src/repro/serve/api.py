@@ -100,6 +100,16 @@ class ServiceCrashed(ProcessCrashed):
         )
 
 
+#: The ``build_job`` parameters a request may set that take an integer,
+#: and the one that takes a list of them.
+_INT_PARAMS = ("iterations", "source_id", "root")
+_INT_LIST_PARAMS = ("sources",)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class JobRequest:
     """One tenant's ask: run ``algorithm`` over a pre-loaded ``dataset``.
@@ -166,6 +176,18 @@ class JobRequest:
             max_supersteps=steps,
             deadline_seconds=deadline,
         )
+
+    def check_params(self):
+        """Raise ``ValueError`` naming the first parameter whose value
+        has the wrong type: a bool, float, string or list where an
+        integer belongs is refused, not coerced."""
+        for name, value in sorted(self.params.items()):
+            if name in _INT_PARAMS and not _is_int(value):
+                raise ValueError("param %s must be an integer" % name)
+            if name in _INT_LIST_PARAMS and not (
+                isinstance(value, list) and all(map(_is_int, value))
+            ):
+                raise ValueError("param %s must be a list of integers" % name)
 
     def to_dict(self):
         return {

@@ -107,6 +107,8 @@ class JobLifecycle:
           checkpoint (or restarts fresh under the same pinned plan when
           no checkpoint committed).
         * ``submitted`` only → simply re-queued.
+        * no ``submitted`` record, or one whose request submit would
+          refuse (a field or a parameter of the wrong type) → skipped.
 
         Also advances the job-id counter past every journaled id.
         Returns a summary document.
@@ -129,6 +131,7 @@ class JobLifecycle:
                 continue  # cannot reconstruct a request that never logged
             try:
                 request = JobRequest.from_dict(submitted.get("request"))
+                request.check_params()
             except ValueError:
                 summary["skipped"] += 1
                 continue

@@ -467,6 +467,7 @@ class JobService(ServiceDocuments):
         try:
             # Front-load parameter errors: a job that cannot even be
             # constructed must never consume a queue slot.
+            request.check_params()
             self.build_job(request)
         except (ReproError, TypeError, ValueError) as error:
             return Rejection(

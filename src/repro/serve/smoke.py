@@ -256,6 +256,17 @@ def serve_smoke(args, workers, out=print):
             and refusal.get("error", {}).get("code") == "bad_request",
             "status %s: %s" % (status, refusal),
         )
+        status, refusal = http(
+            "POST", "/jobs",
+            {"tenant": "alice", "algorithm": "sssp", "dataset": "btc",
+             "params": {"source_id": 2.5}},
+        )
+        check(
+            "submit refuses a non-integer param",
+            status == 400
+            and refusal.get("error", {}).get("code") == "bad_request",
+            "status %s: %s" % (status, refusal),
+        )
 
         # 5. The transport: these handlers do a millisecond of work, so a
         # keep-alive round trip that takes longer is waiting on the wire.

@@ -157,3 +157,16 @@ class TestDifferentialMatrix:
         plan = PlanChoice.parse("foj/sort/unmerged/btree")
         cell = checker.run_cell(plan, budget="spill")
         assert not cell.ok and "groupby-run-" in cell.error
+
+    def test_a_surviving_msg_run_file_fails_the_cell(self, chaos_graph, monkeypatch):
+        """Under ``spill`` every ``Msg`` partition is a run file; one left
+        behind after the run released it fails the cell as a sorted run
+        does. Under ``roomy`` the same leak leaves no file to find."""
+        from repro.hyracks.storage.run_file import RunFile
+
+        monkeypatch.setattr(RunFile, "destroy", lambda self: None)
+        checker = DifferentialChecker("sssp", chaos_graph)
+        plan = PlanChoice.parse("foj/sort/unmerged/btree")
+        cell = checker.run_cell(plan, budget="spill")
+        assert not cell.ok and "msg-" in cell.error
+        assert checker.run_cell(plan, budget="roomy").ok

@@ -1,6 +1,7 @@
 """Correctness tests for the page-based B+-tree, including property tests."""
 
 import bisect
+import os
 import random
 
 import pytest
@@ -411,3 +412,40 @@ def test_any_mix_of_record_widths_splits(tmp_path_factory, records):
     assert list(tree.scan()) == sorted(model.items())
     assert len(tree) == len(model)
     files.destroy()
+
+
+class TestFileOnFirstWrite:
+    """A paged file is opened by its first page write-back: a tree whose
+    pages never leave the cache has no file, and one whose pages do has
+    the file, reads it back and removes it on ``destroy``."""
+
+    PAIRS = [(key(i), b"value-%04d" % i * 8) for i in range(600)]
+
+    def test_a_tree_never_evicted_creates_no_file(self, buffer_cache, file_manager):
+        tree = BTree(buffer_cache, name="resident.dat")
+        tree.bulk_load(self.PAIRS)
+        assert list(tree.scan()) == self.PAIRS
+        assert buffer_cache.stats.evictions == 0
+        assert os.listdir(file_manager.root) == []
+        tree.destroy()
+        assert os.listdir(file_manager.root) == []
+        assert file_manager.io.snapshot()["disk_writes"] == 0
+
+    def test_an_evicted_tree_has_its_file_and_reads_back(
+        self, tiny_buffer_cache, file_manager
+    ):
+        tree = BTree(tiny_buffer_cache, name="spilled.dat")
+        tree.bulk_load(self.PAIRS)
+        assert tiny_buffer_cache.stats.evictions > 0
+        assert os.listdir(file_manager.root) == ["spilled.dat"]
+        assert list(tree.scan()) == self.PAIRS
+        assert [tree.lookup(k) for k, _ in self.PAIRS] == [v for _, v in self.PAIRS]
+        tree.destroy()
+        assert os.listdir(file_manager.root) == []
+
+    def test_a_page_never_written_is_not_read(self, file_manager):
+        file_id = file_manager.create_paged_file("never.dat")
+        with pytest.raises(StorageError, match="never written"):
+            file_manager.read_page(file_id, 0, 4096)
+        file_manager.delete_paged_file(file_id)
+        assert os.listdir(file_manager.root) == []

@@ -6,6 +6,7 @@ random batch compositions (duplicate queries allowed) and all four
 group-by × connector plan classes.
 """
 
+import json
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from repro.pregelix.multiquery import (
 )
 from repro.common import serde
 from repro.serve.api import result_document
-from repro.serve.cache import result_digest
+from repro.serve.cache import DIGEST_FIELDS, result_digest
 
 ALGORITHMS = {
     "sssp": (sssp, lambda rng, n: {"source_id": rng.randrange(n)}),
@@ -66,6 +67,12 @@ def _apply_plan(job, plan):
 
 def _solo_digest(tmp_path, vertices, module, name, params, plan=None,
                  tag="solo"):
+    doc = _solo_document(tmp_path, vertices, module, name, params, plan, tag)
+    return result_digest(doc), doc["supersteps"]
+
+
+def _solo_document(tmp_path, vertices, module, name, params, plan=None,
+                   tag="solo"):
     cluster, driver = _driver(tmp_path, tag)
     try:
         _load(driver, vertices)
@@ -80,11 +87,19 @@ def _solo_digest(tmp_path, vertices, module, name, params, plan=None,
         )
     finally:
         cluster.close()
-    return result_digest(doc), doc["supersteps"]
+    return doc
 
 
 def _batched_digests(tmp_path, vertices, module, name, param_sets, plan=None,
                      tag="batch"):
+    docs = _batched_documents(
+        tmp_path, vertices, module, name, param_sets, plan, tag
+    )
+    return [(result_digest(doc), doc["supersteps"]) for doc in docs]
+
+
+def _batched_documents(tmp_path, vertices, module, name, param_sets, plan=None,
+                       tag="batch"):
     cluster, driver = _driver(tmp_path, tag)
     try:
         _load(driver, vertices)
@@ -97,7 +112,7 @@ def _batched_digests(tmp_path, vertices, module, name, param_sets, plan=None,
         ]
     finally:
         cluster.close()
-    return [(result_digest(doc), doc["supersteps"]) for doc in docs]
+    return docs
 
 
 @pytest.mark.parametrize("plan", PLAN_CLASSES,
@@ -163,6 +178,27 @@ def test_full_8_lane_batch_matches_solo(tmp_path):
         assert batched[lane] == solo, (
             "lane %d (source %d) diverged from solo" % (lane, source)
         )
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 6])
+def test_lane_documents_are_the_solo_documents_byte_for_byte(tmp_path, lanes):
+    """Each lane's lines — a vertex's edge text formatted once for all
+    of its lanes — and every other digest field are the solo run's,
+    byte for byte and in the same order."""
+    vertices = list(btc_graph(48, seed=17))
+    sources = (0, 11, 11, 23, 35, 47)[:lanes]
+    batched = _batched_documents(
+        tmp_path, vertices, sssp, "sssp", [{"source_id": s} for s in sources]
+    )
+    for lane, source in enumerate(sources):
+        solo = _solo_document(
+            tmp_path, vertices, sssp, "sssp", {"source_id": source},
+            tag="solo-%d" % lane,
+        )
+        for name in DIGEST_FIELDS:
+            assert json.dumps(batched[lane][name]) == json.dumps(solo[name]), (
+                "lane %d of %d: %s differs from solo" % (lane, lanes, name)
+            )
 
 
 def test_cancelled_lane_does_not_disturb_survivors(tmp_path):

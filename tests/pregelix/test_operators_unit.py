@@ -1,5 +1,7 @@
 """Unit tests for the Pregelix-specific operators in isolation."""
 
+import os
+
 import pytest
 
 from repro.algorithms import pagerank
@@ -31,6 +33,17 @@ def ctx(unit_cluster):
     return TaskContext(unit_cluster.nodes["node0"], JobContext("unit"), 0, 1)
 
 
+@pytest.fixture
+def zero_memory_ctx(tmp_path):
+    """A node whose memory budget refuses every ``Msg`` image: each
+    partition is a run file."""
+    with HyracksCluster(
+        num_nodes=1, root_dir=str(tmp_path / "z"), node_memory_bytes=0,
+        buffer_cache_bytes=64 << 10,
+    ) as cluster:
+        yield TaskContext(cluster.nodes["node0"], JobContext("unit"), 0, 1)
+
+
 def make_vertex_index(ctx, relations, records):
     tree = BTree(ctx.buffer_cache)
     tree.bulk_load(
@@ -60,7 +73,21 @@ class TestMsgFileRoundtrip:
         scan = MsgScanOperator(relations, relations.job.bundle_codec())
         assert scan.run(ctx, 0, [])[scan.OUT] == []
 
-    def test_write_replaces_previous_superstep_file(self, ctx):
+    def test_write_replaces_previous_superstep_image(self, ctx):
+        relations = msg_relations("run2")
+        codec = relations.job.bundle_codec()
+        MsgWriteOperator(relations, codec).run(ctx, 0, [[(encode_key(1), 1.0)]])
+        first = find_index(ctx, relations.msg, 0).image
+        assert ctx.budget.used == len(first)
+        MsgWriteOperator(relations, codec).run(
+            ctx, 0, [[(encode_key(2), 2.0), (encode_key(3), 3.0)]]
+        )
+        assert ctx.budget.used == len(find_index(ctx, relations.msg, 0).image)
+        assert ctx.budget.used > len(first)
+        assert os.listdir(ctx.files.root) == []
+
+    def test_write_replaces_previous_superstep_file(self, zero_memory_ctx):
+        ctx = zero_memory_ctx
         relations = msg_relations("run2")
         codec = relations.job.bundle_codec()
         MsgWriteOperator(relations, codec).run(ctx, 0, [[(encode_key(1), 1.0)]])
@@ -68,8 +95,6 @@ class TestMsgFileRoundtrip:
         MsgWriteOperator(relations, codec).run(ctx, 0, [[(encode_key(2), 2.0)]])
         second_path = find_index(ctx, relations.msg, 0).path
         assert first_path != second_path
-        import os
-
         assert not os.path.exists(first_path)
         scan = MsgScanOperator(relations, codec)
         assert scan.run(ctx, 0, [])[scan.OUT] == [(encode_key(2), 2.0)]

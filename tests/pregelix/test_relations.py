@@ -2,18 +2,21 @@
 
 A seeded property over exit path × join strategy × vertex storage:
 however a run ends, afterwards no node's service registry names it, no
-file of it is left under any node's root, no page of it is pinned in a
-buffer cache (the index joins and ``compute`` hold a B-tree leaf between
-calls), the cluster holds no placement pin for it, and a node that was
-drained while the run had it pinned retires. Only ``keep_state=True``
+file of it is left under any node's root, no byte of any node's memory
+budget is charged (a resident ``Msg`` image holds a charge), no page of
+it is pinned in a buffer cache (the index joins and ``compute`` hold a
+B-tree leaf between calls), the cluster holds no placement pin for it,
+and a node that was drained while the run had it pinned retires. Only ``keep_state=True``
 (the caller takes over) and a dead process (which cleans nothing) leave
 the run in place — and from what the dead process left, ``resume``
 still lands bit-identical.
 
 Plus the unit half of "``Msg`` is a relation like the other two": the
 ``msg-pNNNNN`` blobs a previous commit wrote restore and re-checkpoint
-byte-identically through the operator pair the indexes use, with the
-disk charges the dedicated ``Msg`` operators used to make.
+byte-identically through the operator pair the indexes use — held in
+memory with no disk charge while the node's budget takes them, and with
+the disk charges the dedicated ``Msg`` operators used to make when it
+refuses them.
 """
 
 import base64
@@ -67,6 +70,8 @@ def held(cluster):
             for page_id, page in node.buffer_cache._pages.items()
             if page.pin_count
         ]
+        if node.budget.used:
+            found.append("%s charges %d bytes" % (node_id, node.budget.used))
     for directory, _dirs, files in os.walk(cluster.root_dir):
         found += [os.path.join(directory, name) for name in files]
     found += ["pin %s" % run_id for run_id in cluster._placements]
@@ -225,9 +230,15 @@ EXITS = {
 }
 
 
+#: A node whose memory budget refuses every ``Msg`` image: each one is
+#: a run file.
+ZERO_MEMORY = dict(node_memory_bytes=0, buffer_cache_bytes=64 << 10)
 #: Pages are only read back from disk when the cache is too small for the
 #: run: a few small pages, so that probes and write-backs miss.
-CLUSTERS = {"page-read-fault": dict(page_size=256, buffer_cache_bytes=3 * 256)}
+CLUSTERS = {
+    "page-read-fault": dict(page_size=256, buffer_cache_bytes=3 * 256),
+    "crash-zero-memory": ZERO_MEMORY,
+}
 
 
 @pytest.mark.parametrize(
@@ -261,12 +272,13 @@ def test_every_exit_releases_the_run(tmp_path, case, join, storage):
             assert any(path.endswith("/gs") for path in durable)
 
 
+@pytest.mark.parametrize("memory", ["roomy", "zero-memory"])
 @pytest.mark.parametrize("storage", sorted(STORAGES))
 @pytest.mark.parametrize("join", sorted(JOINS))
 def test_a_dead_process_cleans_nothing_and_resume_lands_identical(
-    tmp_path, join, storage
+    tmp_path, join, storage, memory
 ):
-    world = World(tmp_path, "crash", join, storage)
+    world = World(tmp_path, "crash-" + memory, join, storage)
     with world.cluster as cluster:
         straight = world.driver.run(
             world.job(), "/in/g", output_path="/out/straight"
@@ -286,7 +298,13 @@ def test_a_dead_process_cleans_nothing_and_resume_lands_identical(
         for name in (relations.vertex, relations.msg):
             assert any(repr(name) in item for item in left)
         assert "pin %s" % RUN_ID in left
-        assert any(RUN_ID in item and os.sep in item for item in left)  # files
+        if memory == "roomy":
+            # The Msg images stay charged; nothing of the run is on disk.
+            assert any(" charges " in item for item in left)
+            assert not any(os.sep in item for item in left)
+        else:
+            assert any(RUN_ID in item and os.sep in item for item in left)  # files
+            assert not any(" charges " in item for item in left)
         assert world.dfs.exists(relations.root + "/ckpt/000002/MANIFEST")
 
         resumed = world.driver.resume(job, "/in/g", RUN_ID, output_path="/out/r")
@@ -379,33 +397,54 @@ def disk(ctx):
 
 
 @pytest.mark.parametrize("blob", parent_msg_blobs() + [b""])
-def test_msg_blobs_round_trip_through_the_index_operators(node_ctx, blob):
-    ctx = node_ctx
-    dfs = MiniDFS(datanodes=["node0"])
-    relations = RunRelations(pagerank.build_job(), dfs, "unit")
-    dfs.write("/ckpt/in", blob)
-    restore = IndexRestoreOperator(
-        relations.msg, relations.new_msg, dfs, lambda p: "/ckpt/in"
+@pytest.mark.parametrize("memory", ["roomy", "zero"])
+def test_msg_blobs_round_trip_through_the_index_operators(tmp_path, blob, memory):
+    cluster = HyracksCluster(
+        num_nodes=1, root_dir=str(tmp_path / "n"),
+        **({} if memory == "roomy" else ZERO_MEMORY)
     )
-    checkpoint = IndexCheckpointOperator(relations.msg, dfs, lambda p: "/ckpt/out")
+    with cluster:
+        ctx = TaskContext(cluster.nodes["node0"], JobContext("unit"), 0, 1)
+        dfs = MiniDFS(datanodes=["node0"])
+        relations = RunRelations(pagerank.build_job(), dfs, "unit")
+        dfs.write("/ckpt/in", blob)
+        restore = IndexRestoreOperator(
+            relations.msg, relations.new_msg, dfs, lambda p: "/ckpt/in"
+        )
+        checkpoint = IndexCheckpointOperator(relations.msg, dfs, lambda p: "/ckpt/out")
 
-    restore.run(ctx, 0, [])
-    # The dedicated Msg restore wrote one run file: one write charge of
-    # the blob's size, even for an empty run.
-    assert disk(ctx) == (0, 0, 1, len(blob))
-    checkpoint.run(ctx, 0, [])
-    assert dfs.read("/ckpt/out") == blob
-    # ... and the dedicated Msg checkpoint read it back through the run
-    # file reader: one read charge of the same size, none for an empty run.
-    assert disk(ctx) == (1 if blob else 0, len(blob), 1, len(blob))
+        restore.run(ctx, 0, [])
+        if memory == "roomy" or not blob:
+            # The blob is the run's image: charged to the node's budget,
+            # checkpointed as it is, and never on disk. An empty image
+            # fits any budget, one of 0 bytes too.
+            assert ctx.budget.used == len(blob)
+            checkpoint.run(ctx, 0, [])
+            assert dfs.read("/ckpt/out") == blob
+            assert disk(ctx) == (0, 0, 0, 0)
+            assert os.listdir(ctx.files.root) == []
+            restore.run(ctx, 0, [])
+            assert ctx.budget.used == len(blob)  # the replaced image gave its charge back
+            assert os.listdir(ctx.files.root) == []
+            return
 
-    # Restoring in place replaces the run instead of leaking its file.
-    first = find_index(ctx, relations.msg, 0).path
-    restore.run(ctx, 0, [])
-    assert not os.path.exists(first)
-    assert os.listdir(ctx.files.root) == [
-        os.path.basename(find_index(ctx, relations.msg, 0).path)
-    ]
+        # The dedicated Msg restore wrote one run file: one write charge
+        # of the blob's size.
+        assert disk(ctx) == (0, 0, 1, len(blob))
+        assert ctx.budget.used == 0
+        checkpoint.run(ctx, 0, [])
+        assert dfs.read("/ckpt/out") == blob
+        # ... and the dedicated Msg checkpoint read it back through the run
+        # file reader: one read charge of the same size.
+        assert disk(ctx) == (1, len(blob), 1, len(blob))
+
+        # Restoring in place replaces the run instead of leaking its file.
+        first = find_index(ctx, relations.msg, 0).path
+        restore.run(ctx, 0, [])
+        assert not os.path.exists(first)
+        assert os.listdir(ctx.files.root) == [
+            os.path.basename(find_index(ctx, relations.msg, 0).path)
+        ]
 
 
 def test_an_absent_msg_partition_checkpoints_as_the_empty_relation(node_ctx):

@@ -96,6 +96,29 @@ class TestEndpoints:
         assert doc["error"]["code"] == "bad_request"
         assert field in doc["error"]["reason"]
 
+    @pytest.mark.parametrize("algorithm, params", [
+        ("pagerank", {"iterations": "x"}), ("pagerank", {"iterations": 2.0}),
+        ("sssp", {"source_id": [1]}), ("sssp", {"source_id": True}),
+        ("sssp", {"source_id": 2.5}), ("sssp", {"source_id": "1"}),
+        ("bfs-tree", {"root": None}),
+        ("reachability", {"sources": 1}),
+        ("reachability", {"sources": [1, False]}),
+        ("reachability", {"sources": [1.0]}),
+    ])
+    def test_mistyped_param_is_400(self, served, algorithm, params):
+        """A parameter of the wrong type is refused at submit, before it
+        is journaled or queued, not left to fail the job it builds."""
+        service, client = served
+        before = len(service.list_jobs())
+        body = {"tenant": "alice", "algorithm": algorithm, "dataset": "g",
+                "params": params}
+        status, doc = client.json("POST", "/jobs", body=body)
+        assert status == 400
+        assert doc["error"]["code"] == "bad_request"
+        (name,) = params
+        assert name in doc["error"]["reason"]
+        assert len(service.list_jobs()) == before
+
     def test_unsupported_method_is_a_structured_501(self, served):
         _service, client = served
         status, headers, body = client.request("DELETE", "/jobs/x")

@@ -184,6 +184,18 @@ class TestReplayBookkeeping:
         assert "job-090909" not in first.jobs
         first.shutdown(drain=False)
 
+    def test_a_request_submit_would_refuse_is_skipped(self, harness):
+        """A journaled submission whose parameter has the wrong type
+        (journaled before submit checked it) is refused at replay too."""
+        _cluster, make_service = harness
+        first = make_service()
+        first.journal.append(RECORD_SUBMITTED, "job-090910",
+                             request=dict(REQUEST, params={"iterations": "x"}))
+        summary = first.recover()
+        assert summary["skipped"] == 1
+        assert "job-090910" not in first.jobs
+        first.shutdown(drain=False)
+
     def test_torn_tail_reported_in_recover_summary(self, harness):
         _cluster, make_service = harness
         first = make_service()

@@ -12,15 +12,17 @@ Three patterns from the paper are implemented:
 * :class:`MToOneAggregatorConnector` — funnels every partition into one,
   used by the second stage of global aggregation.
 
-Plus the trivial :class:`OneToOneConnector` for local pipelines.
+Plus :class:`OneToOneConnector` for local pipelines: the engine fuses
+the operators it joins into one stage and hands their lists straight on.
 
-Every connector redistributes in two halves. Each producer clone calls
-:meth:`~ConnectorDescriptor.split` on its own output (one tuple list per
-consumer) and ``_account`` for what it ships; each consumer's input is
-then built by :meth:`~ConnectorDescriptor.assemble` from the
-per-``(consumer, sender)`` lists, consuming senders in partition-id order
-(DESIGN.md §4). :meth:`~ConnectorDescriptor.route` is the same hand-off
-in one call, for callers that already hold every sender's output.
+Across a stage boundary a connector redistributes in two halves. Each
+producer clone calls :meth:`~ConnectorDescriptor.split` on its own output
+(one tuple list per consumer) and ``_account`` for what it ships; each
+consumer's input is then built by :meth:`~ConnectorDescriptor.assemble`
+from the per-``(consumer, sender)`` lists, consuming senders in
+partition-id order (DESIGN.md §4). :meth:`~ConnectorDescriptor.route` is
+the same hand-off in one call, for callers that already hold every
+sender's output.
 
 A partitioning connector routes a **batch per call**: its
 ``destinations_fn(batch, n)`` names the consumer of every tuple of a
@@ -45,7 +47,12 @@ from repro.hyracks.storage.run_file import merge_sorted
 
 
 class OneToOneConnector(ConnectorDescriptor):
-    """Partition ``i`` of the producer feeds partition ``i`` of the consumer."""
+    """Partition ``i`` of the producer feeds partition ``i`` of the consumer.
+
+    Inside a stage the engine never calls :meth:`split`: it is what
+    :meth:`route` and a one-to-one edge left at a stage boundary (its ends
+    placed apart, or fusing it would close a cycle) hand over with.
+    """
 
     def validate(self, num_senders, num_consumers):
         if num_senders != num_consumers:
@@ -58,9 +65,6 @@ class OneToOneConnector(ConnectorDescriptor):
         per_dest = [[] for _ in range(num_consumers)]
         per_dest[sender] = list(batch)
         return per_dest
-
-    def _account(self, ctx, producer_partition, consumer_partition, tuples):
-        """Local pipe: no serde, no network, nothing to account."""
 
 
 class _AccountingMixin:
@@ -117,7 +121,7 @@ class _PartitioningMixin(_AccountingMixin):
         return per_dest
 
 
-class MToNPartitioningConnector(ConnectorDescriptor, _PartitioningMixin):
+class MToNPartitioningConnector(_PartitioningMixin, ConnectorDescriptor):
     """Hash-partition tuples to consumers with a user partitioning function.
 
     :param key_fn: extracts the partitioning key from a tuple.
@@ -139,7 +143,7 @@ class MToNPartitioningConnector(ConnectorDescriptor, _PartitioningMixin):
         return self._scatter(batch, num_consumers)
 
 
-class MToNPartitioningMergingConnector(ConnectorDescriptor, _PartitioningMixin):
+class MToNPartitioningMergingConnector(_PartitioningMixin, ConnectorDescriptor):
     """Partitioning connector that merge-sorts at the receiver side.
 
     Senders must emit streams already sorted by ``sort_key_fn`` (which
@@ -171,7 +175,7 @@ class MToNPartitioningMergingConnector(ConnectorDescriptor, _PartitioningMixin):
         ]
 
 
-class MToOneAggregatorConnector(ConnectorDescriptor, _AccountingMixin):
+class MToOneAggregatorConnector(_AccountingMixin, ConnectorDescriptor):
     """Reduces every producer partition into consumer partition 0."""
 
     def __init__(self, tuple_serde=None):

@@ -4,21 +4,22 @@ A :class:`HyracksCluster` owns a set of worker :class:`NodeContext`\\ s —
 each with a private memory budget, file manager, and buffer cache — plus
 a master-side scheduler and the :class:`~repro.hdfs.MiniDFS` its jobs
 read from and write to. :meth:`HyracksCluster.execute` runs a
-:class:`~repro.hyracks.job.JobSpec`: operators execute in topological
-order, one clone per partition, with connectors redistributing tuples in
-between; every clone sees only its own node's local services and storage,
-preserving the shared-nothing discipline.
+:class:`~repro.hyracks.job.JobSpec` as stages: the operators one-to-one
+connectors join run back to back in one clone per partition, and the
+other connectors redistribute tuples between stages; every clone sees
+only its own node's local services and storage, preserving the
+shared-nothing discipline.
 
 Substitution note (see DESIGN.md): clones run in one Python process
 rather than as JVM tasks on separate machines. All byte-level behaviour —
 budgets, spills, network volume — is accounted per node, so
 dataset-size-versus-RAM phenomena survive the substitution; wall-clock
-numbers are simulation-scale. An operator's clones run one after another
+numbers are simulation-scale. A stage's clones run one after another
 on the calling thread, in partition order; each splits and accounts its
-own output per outgoing connector, and consumers assemble their input
-from the per-sender lists in partition-id order (DESIGN.md §4). The
-only concurrency is between whole jobs: the serving tier runs several
-``execute`` calls at once against the shared nodes.
+output per connector that leaves the stage, and consumers assemble their
+input from the per-sender lists in partition-id order (DESIGN.md §4).
+The only concurrency is between whole jobs: the serving tier runs
+several ``execute`` calls at once against the shared nodes.
 """
 
 import collections
@@ -99,7 +100,7 @@ class NodeContext:
 
 
 class TaskContext:
-    """What one operator clone sees while running."""
+    """What the operators of one stage clone see while running."""
 
     __slots__ = ("node", "job", "partition", "num_partitions")
 
@@ -449,57 +450,13 @@ class HyracksCluster:
         job_nodes = [self.nodes[node_id] for node_id in used_nodes]
         before = self._node_totals(job_nodes)
         operator_seconds = {}
-        # edge -> staged[consumer][sender] tuple lists, from the moment
-        # the producer's clones returned until the consumer assembles.
+        # boundary edge -> staged[consumer][sender] tuple lists, from the
+        # moment the producer's stage returned until the consumer's
+        # stage assembles them.
         staged = {}
         with self.telemetry.span("job:%s" % job_spec.name, category="job"):
-            for operator in job_spec.topological_order():
-                locations = placement[operator.op_id]
-                num_partitions = len(locations)
-                routed_inputs = [
-                    edge.connector.assemble(staged.pop(edge))
-                    for edge in job_spec.inputs_of(operator)
-                ]
-                out_edges = [
-                    (edge, len(placement[edge.consumer.op_id]))
-                    for edge in job_spec.outputs_of(operator)
-                ]
-                operator.initialize(job_ctx)
-                spent, sent = 0.0, []
-                # Partition order: each consumer's sender lists are in
-                # partition-id order, and the first failing clone stops
-                # the operator (later partitions never start).
-                for partition, node_id in enumerate(locations):
-                    try:
-                        seconds, per_edge = self._run_clone(
-                            operator,
-                            partition,
-                            self.nodes[node_id],
-                            num_partitions,
-                            [routed[partition] for routed in routed_inputs],
-                            out_edges,
-                            job_ctx,
-                        )
-                    except WorkerFailure as error:
-                        self.telemetry.event(
-                            "node.failure",
-                            category="failure",
-                            node=node_id,
-                            kind=error.kind,
-                            operator=operator.name,
-                        )
-                        raise JobFailure(str(error), cause=error) from error
-                    spent += seconds
-                    sent.append(per_edge)
-                operator.finalize(job_ctx)
-                operator_seconds[operator.name] = (
-                    operator_seconds.get(operator.name, 0.0) + spent
-                )
-                for index, (edge, num_consumers) in enumerate(out_edges):
-                    staged[edge] = [
-                        [per_edge[index][dest] for per_edge in sent]
-                        for dest in range(num_consumers)
-                    ]
+            for stage in job_spec.stages(placement):
+                self._run_stage(stage, staged, job_ctx, operator_seconds)
         with self._jobs_executed_lock:
             self.jobs_executed += 1
         # The job's own totals go to the registry once, from its private
@@ -529,57 +486,92 @@ class HyracksCluster:
             cache_writebacks=used["writebacks"],
         )
 
-    def _run_clone(self, operator, partition, node, num_partitions,
-                   clone_inputs, out_edges, job_ctx):
-        """Run one partition clone.
+    def _run_stage(self, stage, staged, job_ctx, operator_seconds):
+        """Run one clone of ``stage`` per partition, in partition order.
 
-        Dead-node check, injector probes at open/next/close, a task span
-        around ``run``; then the clone splits its port outputs across
-        each outgoing edge's consumers and accounts what it ships.
-        Returns ``(run seconds, [per-consumer lists of out_edges[i]])``.
+        A clone runs the stage's operators back to back under one task
+        span, handing each internal edge's list straight to its consumer;
+        the first failing clone stops the stage. An edge leaving the
+        stage is split per sender into ``staged``.
         """
-        clone_started = time.perf_counter()
-        ctx = TaskContext(node, job_ctx, partition, num_partitions)
+        operators = stage.operators
+        routed = {
+            edge: edge.connector.assemble(staged.pop(edge)) for edge in stage.entering
+        }
+        sent = {edge: [] for edge in stage.leaving}
+        seconds = [0.0] * len(operators)
+        for operator in operators:
+            operator.initialize(job_ctx)
+        for partition, node_id in enumerate(stage.locations):
+            ctx = TaskContext(
+                self.nodes[node_id], job_ctx, partition, len(stage.locations)
+            )
+            piped = {}  # internal edge -> its list, until its consumer runs
+            timings = {}  # this clone's seconds per operator name
+            with self.telemetry.span(
+                stage.name, category="task", partition=partition, node=node_id,
+                operators=timings,
+            ):
+                try:
+                    for index, operator in enumerate(operators):
+                        inputs = [
+                            piped.pop(edge) if edge in piped else routed[edge][partition]
+                            for edge in stage.inputs[index]
+                        ]
+                        spent = self._run_operator(stage, index, ctx, inputs, piped, sent)
+                        seconds[index] += spent
+                        timings[operator.name] = timings.get(operator.name, 0.0) + spent
+                except WorkerFailure as error:
+                    self.telemetry.event(
+                        "node.failure",
+                        category="failure",
+                        node=node_id,
+                        kind=error.kind,
+                        operator=operator.name,
+                    )
+                    raise JobFailure(str(error), cause=error) from error
+        for operator, spent in zip(operators, seconds):
+            operator.finalize(job_ctx)
+            operator_seconds[operator.name] = (
+                operator_seconds.get(operator.name, 0.0) + spent
+            )
+        for edge, per_sender in sent.items():
+            staged[edge] = [list(per_consumer) for per_consumer in zip(*per_sender)]
+
+    def _run_operator(self, stage, index, ctx, inputs, piped, sent):
+        """Run operator ``index`` of a stage clone; return its seconds.
+
+        Dead-node check and injector probes at open/next/close around
+        ``run``. Each internal edge gets its own list in ``piped`` (a port
+        feeding several gets copies); an edge leaving the stage is split
+        across its consumers, each part accounted, into ``sent``.
+        """
+        started = time.perf_counter()
+        operator, node, partition = stage.operators[index], ctx.node, ctx.partition
+        name, node_id, check = operator.name, node.node_id, self.fault_injector.check
         node.check_failure()
-        injector = self.fault_injector
-        injector.check(
-            "operator.open",
-            node=node.node_id,
-            operator=operator.name,
-            partition=partition,
-        )
-        with self.telemetry.span(
-            operator.name,
-            category="task",
-            partition=partition,
-            node=node.node_id,
-        ):
-            result = operator.run(ctx, partition, clone_inputs) or {}
+        check("operator.open", node=node_id, operator=name, partition=partition)
+        result = operator.run(ctx, partition, inputs) or {}
         # "next": output produced, not yet handed on — a fault here
         # loses the clone's work exactly like a crash mid-stream would.
-        injector.check(
-            "operator.next",
-            node=node.node_id,
-            operator=operator.name,
-            partition=partition,
-            tuples=sum(len(t) for t in result.values()),
+        check(
+            "operator.next", node=node_id, operator=name, partition=partition,
+            tuples=sum(map(len, result.values())),
         )
-        elapsed = time.perf_counter() - clone_started
-        sent = []
-        for edge, num_consumers in out_edges:
-            per_dest = edge.connector.split(
-                partition, result.get(edge.port, []), num_consumers
-            )
-            for dest, tuples in enumerate(per_dest):
-                edge.connector._account(job_ctx, partition, dest, tuples)
-            sent.append(per_dest)
-        injector.check(
-            "operator.close",
-            node=node.node_id,
-            operator=operator.name,
-            partition=partition,
-        )
-        return elapsed, sent
+        elapsed = time.perf_counter() - started
+        handed = set()
+        for edge in stage.outputs[index]:
+            tuples = result.get(edge.port, [])
+            if edge in sent:
+                per_dest = edge.connector.split(partition, tuples, stage.leaving[edge])
+                for dest, part in enumerate(per_dest):
+                    edge.connector._account(ctx.job, partition, dest, part)
+                sent[edge].append(per_dest)
+            else:
+                piped[edge] = list(tuples) if edge.port in handed else tuples
+                handed.add(edge.port)
+        check("operator.close", node=node_id, operator=name, partition=partition)
+        return elapsed
 
     @staticmethod
     def _node_totals(nodes):

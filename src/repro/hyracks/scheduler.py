@@ -8,7 +8,7 @@ join and group-by clones sticky on the nodes that store the corresponding
 constraints to place HDFS scans near their blocks (Section 5.7).
 
 The scheduler decides only *where* clones run; the engine runs one
-operator's clones one after another in partition order (DESIGN.md §4).
+stage's clones one after another in partition order (DESIGN.md §4).
 """
 
 from repro.common.errors import SchedulingError

@@ -17,6 +17,7 @@ back, so collectors sharing a registry (every run on one cluster, every
 job of a service) stay independent.
 """
 
+import re
 from dataclasses import dataclass, field, fields
 
 from repro.common import costmodel
@@ -54,6 +55,18 @@ _COUNTERS = {
     for spec in fields(SuperstepStats)
     if "holder" in spec.metadata
 }
+
+
+#: The run part of a relation name inside an operator's, as in
+#: ``IndexLeftOuterJoin(vertex:sssp-0001)``.
+_RUN_OF_RELATION = re.compile(r":[^()]*(?=\))")
+
+
+def operator_kind(name):
+    """An operator's metric label: its kind and relation, never its run
+    (``IndexLeftOuterJoin(vertex)``), so a long-lived service exports a
+    fixed set of series however many runs it serves."""
+    return _RUN_OF_RELATION.sub("", name)
 
 
 def _read(job_result, name, holder):
@@ -97,7 +110,9 @@ class StatisticsCollector:
             if amount:
                 self.registry.counter(name).inc(amount)
         for operator, seconds in record.operator_seconds.items():
-            self.registry.counter("operator_seconds", operator=operator).inc(seconds)
+            self.registry.counter(
+                "operator_seconds", operator=operator_kind(operator)
+            ).inc(seconds)
         return record
 
     def record_rebalance(self, superstep, seconds, moved_partitions):

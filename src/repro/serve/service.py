@@ -12,7 +12,7 @@ caches and file managers from DESIGN.md §3 — so concurrent jobs are
 bit-identical to the same jobs run back to back.
 These dispatcher threads, one housekeeping thread (autoscaler, watchdog,
 history) and the HTTP listener are the only concurrency in the system:
-within one job, the engine runs an operator's clones one after another.
+within one job, the engine runs a stage's clones one after another.
 
 The class is the front door and the wiring; the state behind it is
 split by owner. This module keeps construction, datasets,

@@ -1,9 +1,9 @@
-"""How the engine runs an operator's clones: hand-off and failure order.
+"""How the engine runs a stage's clones: hand-off and failure order.
 
 Covers the mechanics DESIGN.md §4 relies on: a job's producer→consumer
 hand-off delivers exactly ``connector.route`` for every connector family,
 clones run one after another in partition order on the calling thread,
-the first failing clone stops the operator, and a cluster refuses the
+the first failing clone stops the stage, and a cluster refuses the
 concurrency and latency-sleep settings it no longer has.
 """
 
@@ -284,7 +284,9 @@ class TestCloneExecution:
             cluster.execute(_square_shuffle_job())
             spans = cluster.telemetry.tracer.finished_spans()
         tasks = [span for span in spans if span.category == "task"]
-        assert len(tasks) == 3 * 3  # three operators, three clones each
+        # The source's three clones, then three of Map -> CollectSink,
+        # which a one-to-one edge joins into one stage.
+        assert len(tasks) == 3 + 3
         assert {span.tid for span in spans} == {threading.get_ident()}
 
     def test_injected_worker_failure_becomes_job_failure(self, tmp_path):

@@ -213,6 +213,41 @@ class TestMetricsEndpoint:
             server.close()
             service.shutdown(timeout=WAIT)
 
+    def test_served_jobs_add_no_series(self, serve_graph):
+        # A metric label names an operator's kind and relation, never
+        # the run (``IndexLeftOuterJoin(vertex)``): once warm, a service
+        # exports the same series however many jobs it serves.
+        service = JobService(num_nodes=3, workers=1)
+        service.add_dataset("g", vertices=serve_graph)
+        service.start()
+        server = ServeHTTPServer(service, port=0)
+        client = ServeClient("http://%s:%d" % server.start(), timeout=30)
+
+        def serve(jobs):
+            for i in range(jobs):
+                record = submit(service, "sssp", params={"source_id": i % 40})
+                assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
+
+        def metric_names():
+            status, _headers, body = client.request("GET", "/metrics")
+            assert status == 200
+            samples = parse_exposition(body.decode("utf-8"))
+            return {key.split("{")[0] for key in samples}
+
+        try:
+            serve(5)
+            series, names = len(service.telemetry.registry), metric_names()
+            serve(200)
+            assert len(service.telemetry.registry) == series
+            assert metric_names() == names
+            assert service.telemetry.registry.value(
+                "pregelix.operator_seconds", operator="IndexLeftOuterJoin(vertex)"
+            ) > 0
+        finally:
+            client.close()
+            server.close()
+            service.shutdown(timeout=WAIT)
+
     def test_scrape_agrees_with_stats_latency(self, service):
         for _ in range(2):
             record = submit(service, "cc")

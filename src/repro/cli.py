@@ -490,7 +490,9 @@ def cmd_run(args, out=print):
         parse_line = parse_edge_line
     else:
         parse_line = getattr(module, "parse_line", None)
-    telemetry = Telemetry()
+    # A trace file shows each stage clone as a task span; nothing else
+    # reads them, so a plain run records none.
+    telemetry = Telemetry(task_spans=bool(args.trace or args.trace_jsonl))
 
     def execute(driver, output_path):
         outcome = driver.run(

@@ -68,6 +68,22 @@ class OneToOneConnector(ConnectorDescriptor):
 
 
 class _AccountingMixin:
+    _counters = (None, {})  # (registry, metric name -> this kind's counter)
+
+    def _counter(self, registry, name):
+        """``name{kind=<this connector's class>}`` in ``registry``, looked
+        up once per connector and registry."""
+        owner, counters = self._counters
+        if owner is not registry:
+            counters = {}
+            self._counters = (registry, counters)
+        counter = counters.get(name)
+        if counter is None:
+            counter = counters[name] = registry.counter(
+                name, kind=type(self).__name__
+            )
+        return counter
+
     def _account(self, ctx, producer_partition, consumer_partition, tuples):
         if ctx is None or not tuples:
             return
@@ -79,10 +95,10 @@ class _AccountingMixin:
         if remote:
             ctx.io.record_network(nbytes, messages=len(tuples))
         telemetry = ctx.telemetry
-        kind = type(self).__name__
-        telemetry.registry.counter("connector.tuples", kind=kind).inc(len(tuples))
+        registry = telemetry.registry
+        self._counter(registry, "connector.tuples").inc(len(tuples))
         if nbytes:
-            telemetry.registry.counter("connector.bytes", kind=kind).inc(nbytes)
+            self._counter(registry, "connector.bytes").inc(nbytes)
         if self.materialization == ConnectorDescriptor.SENDER_SIDE_MATERIALIZED:
             # The sender writes its outgoing stream to a local temp file
             # and trickles it out; count the extra disk round trip.
@@ -91,7 +107,7 @@ class _AccountingMixin:
             telemetry.event(
                 "connector.materialize",
                 category="connector",
-                kind=kind,
+                kind=type(self).__name__,
                 sender=producer_partition,
                 receiver=consumer_partition,
                 bytes=nbytes,

@@ -23,6 +23,7 @@ several ``execute`` calls at once against the shared nodes.
 """
 
 import collections
+import contextlib
 import os
 import tempfile
 import threading
@@ -42,6 +43,8 @@ DEFAULT_NODE_MEMORY = 64 << 20
 #: Default buffer-cache share of node memory (the paper uses RAM/4).
 DEFAULT_CACHE_FRACTION = 0.25
 DEFAULT_PAGE_SIZE = 4096
+#: What a stage clone runs under when its session keeps no task spans.
+_NO_SPAN = contextlib.nullcontext()
 
 
 class NodeContext:
@@ -469,11 +472,14 @@ class HyracksCluster:
             if amount:
                 registry.counter("engine.counters.%s" % name).inc(amount)
         # Disk and cache use is what the job's nodes did meanwhile.
-        used = self._node_totals(job_nodes)
-        used.subtract(before)
         disk_io = IOCounters()
-        for field in IOCounters.DISK_FIELDS:
-            setattr(disk_io, field, used[field])
+        (
+            disk_io.disk_reads, disk_io.disk_writes, disk_io.disk_read_bytes,
+            disk_io.disk_write_bytes, cache_misses, cache_writebacks,
+        ) = [
+            after - prior
+            for after, prior in zip(self._node_totals(job_nodes), before)
+        ]
         return JobResult(
             name=job_spec.name,
             collected=job_ctx.collected,
@@ -482,19 +488,22 @@ class HyracksCluster:
             disk_io=disk_io,
             elapsed=time.perf_counter() - started,
             operator_seconds=operator_seconds,
-            cache_misses=used["misses"],
-            cache_writebacks=used["writebacks"],
+            cache_misses=cache_misses,
+            cache_writebacks=cache_writebacks,
         )
 
     def _run_stage(self, stage, staged, job_ctx, operator_seconds):
         """Run one clone of ``stage`` per partition, in partition order.
 
-        A clone runs the stage's operators back to back under one task
-        span, handing each internal edge's list straight to its consumer;
-        the first failing clone stops the stage. An edge leaving the
-        stage is split per sender into ``staged``.
+        A clone runs the stage's operators back to back, handing each
+        internal edge's list straight to its consumer; the first failing
+        clone stops the stage. An edge leaving the stage is split per
+        sender into ``staged``. Each operator's seconds go to
+        ``operator_seconds``; a clone opens a task span only in a session
+        that asks for them (``Telemetry.task_spans``).
         """
         operators = stage.operators
+        task_spans = self.telemetry.task_spans
         routed = {
             edge: edge.connector.assemble(staged.pop(edge)) for edge in stage.entering
         }
@@ -507,11 +516,12 @@ class HyracksCluster:
                 self.nodes[node_id], job_ctx, partition, len(stage.locations)
             )
             piped = {}  # internal edge -> its list, until its consumer runs
-            timings = {}  # this clone's seconds per operator name
-            with self.telemetry.span(
+            timings = {} if task_spans else None  # seconds per operator name
+            span = self.telemetry.span(
                 stage.name, category="task", partition=partition, node=node_id,
                 operators=timings,
-            ):
+            ) if task_spans else _NO_SPAN
+            with span:
                 try:
                     for index, operator in enumerate(operators):
                         inputs = [
@@ -520,7 +530,8 @@ class HyracksCluster:
                         ]
                         spent = self._run_operator(stage, index, ctx, inputs, piped, sent)
                         seconds[index] += spent
-                        timings[operator.name] = timings.get(operator.name, 0.0) + spent
+                        if task_spans:
+                            timings[operator.name] = timings.get(operator.name, 0.0) + spent
                 except WorkerFailure as error:
                     self.telemetry.event(
                         "node.failure",
@@ -575,12 +586,18 @@ class HyracksCluster:
 
     @staticmethod
     def _node_totals(nodes):
-        """Disk and cache counts summed over ``nodes``, as one flat Counter."""
-        totals = collections.Counter()
+        """Disk reads, writes, read bytes, write bytes, cache misses and
+        cache writebacks, each summed over ``nodes``."""
+        reads = writes = read_bytes = write_bytes = misses = writebacks = 0
         for node in nodes:
-            totals.update(node.io.snapshot())
-            totals.update(node.buffer_cache.stats.snapshot())
-        return totals
+            io, cache = node.io, node.buffer_cache.stats
+            reads += io.disk_reads
+            writes += io.disk_writes
+            read_bytes += io.disk_read_bytes
+            write_bytes += io.disk_write_bytes
+            misses += cache.misses
+            writebacks += cache.writebacks
+        return reads, writes, read_bytes, write_bytes, misses, writebacks
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -28,7 +28,11 @@ from repro.pregelix.checkpoint import Checkpointer
 from repro.pregelix.failure import FailureManager, failure_kind
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 from repro.pregelix.relations import RunRelations
-from repro.pregelix.stats import StatisticsCollector, pregelix_sim_cost
+from repro.pregelix.stats import (
+    StatisticsCollector,
+    pregelix_sim_cost,
+    seconds_by_kind,
+)
 from repro.pregelix.types import GlobalState
 
 _run_ids = itertools.count(1)
@@ -464,6 +468,11 @@ class PregelixDriver:
                     gs = result.collected["gs"][0][0]
                     record = stats.record_superstep(gs.superstep, result)
                     self._advance_sim_superstep(job, record, ss_span)
+                    # Where the superstep's time went, per operator kind:
+                    # a stage clone opens no span of its own by default.
+                    ss_span.annotate(
+                        operators=seconds_by_kind(record.operator_seconds)
+                    )
                 if optimizer is not None and not gs.halt:
                     optimizer.apply(
                         job,

@@ -17,11 +17,10 @@ back, so collectors sharing a registry (every run on one cluster, every
 job of a service) stay independent.
 """
 
-import re
 from dataclasses import dataclass, field, fields
 
 from repro.common import costmodel
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, operator_kind
 
 
 def _counter(holder=None):
@@ -57,16 +56,13 @@ _COUNTERS = {
 }
 
 
-#: The run part of a relation name inside an operator's, as in
-#: ``IndexLeftOuterJoin(vertex:sssp-0001)``.
-_RUN_OF_RELATION = re.compile(r":[^()]*(?=\))")
-
-
-def operator_kind(name):
-    """An operator's metric label: its kind and relation, never its run
-    (``IndexLeftOuterJoin(vertex)``), so a long-lived service exports a
-    fixed set of series however many runs it serves."""
-    return _RUN_OF_RELATION.sub("", name)
+def seconds_by_kind(operator_seconds):
+    """``operator_seconds`` keyed by :func:`operator_kind`, never by run."""
+    kinds = {}
+    for name, seconds in operator_seconds.items():
+        kind = operator_kind(name)
+        kinds[kind] = kinds.get(kind, 0.0) + seconds
+    return kinds
 
 
 def _read(job_result, name, holder):
@@ -109,10 +105,8 @@ class StatisticsCollector:
         for name, amount in counts.items():
             if amount:
                 self.registry.counter(name).inc(amount)
-        for operator, seconds in record.operator_seconds.items():
-            self.registry.counter(
-                "operator_seconds", operator=operator_kind(operator)
-            ).inc(seconds)
+        for kind, seconds in seconds_by_kind(record.operator_seconds).items():
+            self.registry.counter("operator_seconds", operator=kind).inc(seconds)
         return record
 
     def record_rebalance(self, superstep, seconds, moved_partitions):

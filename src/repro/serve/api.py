@@ -301,6 +301,10 @@ class JobRecord:
         # solo attempts and shared batch runs alike.
         self.trace_marks = {"submitted": time.perf_counter()}
         self.trace_run_ids = set()
+        # Tracer.next_id() when the job was submitted (1, the first id
+        # ever, until set): a span ring that has evicted this id or a
+        # later one may have lost spans of this job.
+        self.trace_first_span_id = 1
 
     def mark_trace(self, name, stamp=None):
         """Record a lifecycle trace stamp; the first occurrence wins

@@ -17,7 +17,11 @@ and adds synthetic queue-wait / run / fan-out lifecycle spans built
 from the record's ``perf_counter`` trace marks, rendered on a dedicated
 ``job-lifecycle`` row. The result is a well-formed Chrome ``trace_event``
 document (``GET /jobs/<id>/trace``) showing exactly one job: its time
-in the queue, its driver phases, its supersteps, and its operator tasks.
+in the queue, its driver phases, and its supersteps, each with its
+seconds per operator kind (its ``operators`` arg; a stage clone records
+a ``task`` span only in a session built with ``task_spans=True``).
+``otherData.truncated`` says whether the shared span ring has evicted
+any span recorded since the job was submitted.
 """
 
 from repro.telemetry.export import chrome_trace_events
@@ -85,5 +89,10 @@ def job_trace_document(telemetry, record):
             "run_ids": run_ids,
             "state": record.state.value,
             "spans": record.span_breakdown(),
+            # The shared span ring evicted some span recorded since the
+            # job was submitted, which may have been one of its own.
+            "truncated": (
+                telemetry.tracer.evicted_id >= record.trace_first_span_id
+            ),
         },
     }

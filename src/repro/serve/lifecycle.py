@@ -136,6 +136,7 @@ class JobLifecycle:
                 summary["skipped"] += 1
                 continue
             record = JobRecord(job_id=job_id, request=request)
+            record.trace_first_span_id = service.telemetry.tracer.next_id()
             record.recovered = True
             record.deadline_seconds = submitted.get("deadline_seconds")
             record.estimated_bytes = int(submitted.get("estimated_bytes") or 0)

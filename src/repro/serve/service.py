@@ -358,6 +358,7 @@ class JobService(ServiceDocuments):
 
         dataset = self.datasets[request.dataset]
         record = JobRecord(job_id=next_job_id(), request=request)
+        record.trace_first_span_id = self.telemetry.tracer.next_id()
         record.deadline_seconds = (
             request.deadline_seconds
             if request.deadline_seconds is not None

@@ -196,6 +196,19 @@ def serve_smoke(args, workers, out=print):
             and any(n.startswith("superstep:") for n in names),
             ",".join(sorted(names)),
         )
+        # A stage clone records no span of its own here: each superstep
+        # span carries its seconds per operator kind instead.
+        check(
+            "a superstep span times Compute",
+            any(
+                e.get("name", "").startswith("superstep:")
+                and any(
+                    kind.startswith("Compute")
+                    for kind in e.get("args", {}).get("operators", {})
+                )
+                for e in opens
+            ),
+        )
 
         exposition = client.request("GET", "/metrics")[2].decode("utf-8")
         samples, torn = {}, ""

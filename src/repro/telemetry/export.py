@@ -172,8 +172,13 @@ def write_jsonl(telemetry, path_or_file):
 # the human-readable summary table
 # ---------------------------------------------------------------------
 def summary_lines(telemetry):
-    """A compact operator/metric/event summary (the ``--stats`` footer)."""
-    from repro.telemetry.registry import format_metric_key
+    """A compact operator/metric/event summary (the ``--stats`` footer).
+
+    Spans are totalled by category and name, the name without its
+    operators' run ids and cut at its first remaining ``:``
+    (``superstep:3`` counts as ``superstep``).
+    """
+    from repro.telemetry.registry import format_metric_key, operator_kind
 
     lines = ["-- telemetry summary --"]
     metrics = telemetry.registry.iter_metrics()
@@ -208,7 +213,7 @@ def summary_lines(telemetry):
             )
     span_totals = {}
     for span in telemetry.tracer.finished_spans():
-        key = (span.category, span.name.split(":")[0])
+        key = (span.category, operator_kind(span.name).split(":")[0])
         count, total = span_totals.get(key, (0, 0.0))
         span_totals[key] = (count + 1, total + (span.duration or 0.0))
     if span_totals:

@@ -18,6 +18,7 @@ exported number cannot drift from the one the system acts on.
 """
 
 import bisect
+import re
 import threading
 
 #: Default histogram bucket upper bounds (seconds). Roughly exponential,
@@ -39,6 +40,19 @@ def format_metric_key(name, labels):
     if not labels:
         return name
     return "%s{%s}" % (name, ",".join("%s=%s" % (k, v) for k, v in labels))
+
+
+#: The run part of a relation name inside an operator's, as in
+#: ``IndexLeftOuterJoin(vertex:sssp-0001)``.
+_RUN_OF_RELATION = re.compile(r":[^()]*(?=\))")
+
+
+def operator_kind(name):
+    """An operator's metric label: its kind and relation, never its run
+    (``IndexLeftOuterJoin(vertex)``), so a long-lived service exports a
+    fixed set of series however many runs it serves. A stage's name
+    (``A(x:run)+B``) loses every operator's run."""
+    return _RUN_OF_RELATION.sub("", name)
 
 
 class Counter:

@@ -13,6 +13,12 @@ offers the convenience entry points instrumentation sites use::
 ``enabled=False`` turns spans and events into no-ops (metrics stay on —
 they are the statistics collector's substrate and cost almost nothing),
 which keeps hot paths cheap when nobody asked for a trace.
+
+``task_spans=True`` adds one ``task`` span per stage clone. It is off
+unless a trace file was asked for: a long-lived session (the job
+service's) would otherwise keep a span per clone of every superstep it
+ever ran, while each superstep span already carries that superstep's
+seconds per operator.
 """
 
 from repro.telemetry.events import EventLog
@@ -28,8 +34,10 @@ class Telemetry:
         enabled=True,
         max_spans=DEFAULT_MAX_SPANS,
         registry=None,
+        task_spans=False,
     ):
         self.enabled = enabled
+        self.task_spans = task_spans
         self.registry = registry if registry is not None else MetricsRegistry()
         self.sim_clock = SimClock()
         self.tracer = Tracer(

@@ -1,7 +1,7 @@
 """Nested span tracing stamped with wall-clock and simulated time.
 
 A :class:`Tracer` produces :class:`Span`\\ s arranged in the natural
-execution hierarchy — job → superstep → operator task → storage op — by
+execution hierarchy — job → superstep → stage task → storage op — by
 keeping a per-thread stack of open spans. Every span records wall-clock
 ``perf_counter`` timestamps; when the tracer carries a :class:`SimClock`
 (advanced by the Pregelix driver from the cost model), spans additionally
@@ -11,6 +11,9 @@ and what the paper's hardware would have.
 Completed spans are retained (bounded by ``max_spans``, oldest dropped
 first) and exported whole by :mod:`repro.telemetry.export`, which is what
 guarantees Chrome-trace ``B``/``E`` events always come in matched pairs.
+Span ids only grow, so a reader that noted :meth:`Tracer.next_id` before
+some work knows that work lost spans to the ring when
+``evicted_id >= that id``.
 """
 
 import itertools
@@ -117,7 +120,10 @@ class Tracer:
         # oldest span in O(1) (a long-lived service runs full).
         self.spans = deque(maxlen=self.max_spans)
         self.dropped = 0
+        #: The highest id of a span the ring has evicted (0: none yet).
+        self.evicted_id = 0
         self._ids = itertools.count(1)
+        self._last_id = 0
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -173,8 +179,9 @@ class Tracer:
             merged = dict(context[-1])
             merged.update(args)
             args = merged
+        span_id = self._last_id = next(self._ids)
         span = Span(
-            span_id=next(self._ids),
+            span_id=span_id,
             name=name,
             category=category,
             args=args,
@@ -203,7 +210,14 @@ class Tracer:
         with self._lock:
             if len(self.spans) == self.max_spans:
                 self.dropped += 1
+                # A ring with no room (max_spans=0) evicts the span itself.
+                oldest = self.spans[0] if self.spans else span
+                self.evicted_id = max(self.evicted_id, oldest.span_id)
             self.spans.append(span)
+
+    def next_id(self):
+        """A lower bound on the id of every span started after this call."""
+        return self._last_id + 1
 
     @contextmanager
     def span(self, name, category="span", **args):

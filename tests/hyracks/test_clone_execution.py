@@ -280,7 +280,10 @@ class TestCloneExecution:
         assert collected[1] == collected[0] and collected[2] == collected[0]
 
     def test_every_span_is_on_the_calling_thread(self, tmp_path):
-        with HyracksCluster(num_nodes=3, root_dir=str(tmp_path / "c")) as cluster:
+        with HyracksCluster(
+            num_nodes=3, root_dir=str(tmp_path / "c"),
+            telemetry=Telemetry(task_spans=True),
+        ) as cluster:
             cluster.execute(_square_shuffle_job())
             spans = cluster.telemetry.tracer.finished_spans()
         tasks = [span for span in spans if span.category == "task"]

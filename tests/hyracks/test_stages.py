@@ -25,6 +25,7 @@ from repro.hyracks.operators.func import (
     MapOperator,
     UnionOperator,
 )
+from repro.telemetry import Telemetry
 
 NODES = 3
 
@@ -40,7 +41,10 @@ def _rows(ctx, partition):
 
 @pytest.fixture
 def cluster(tmp_path):
-    with HyracksCluster(num_nodes=NODES, root_dir=str(tmp_path / "c")) as cluster:
+    with HyracksCluster(
+        num_nodes=NODES, root_dir=str(tmp_path / "c"),
+        telemetry=Telemetry(task_spans=True),
+    ) as cluster:
         yield cluster
 
 
@@ -224,7 +228,10 @@ def test_a_small_superstep_makes_at_most_16_clones(tmp_path):
     from repro.graphs.io import write_graph_to_dfs
     from repro.pregelix import PregelixDriver
 
-    with HyracksCluster(num_nodes=4, root_dir=str(tmp_path / "c")) as cluster:
+    with HyracksCluster(
+        num_nodes=4, root_dir=str(tmp_path / "c"),
+        telemetry=Telemetry(task_spans=True),
+    ) as cluster:
         write_graph_to_dfs(cluster.dfs, "/in/g", iter(chain_graph(30)), num_files=4)
         PregelixDriver(cluster, cluster.dfs).run(
             sssp.build_job(source_id=0), "/in/g", output_path="/out/r"

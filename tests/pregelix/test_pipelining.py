@@ -222,6 +222,7 @@ class TestPipelineIsARun:
 
     def test_every_task_span_carries_the_pipeline_run_id(self, four_nodes):
         cluster, _dfs, driver = four_nodes
+        cluster.telemetry.task_spans = True
         outcome = run_pipeline(
             driver, _pagerank_pair(), "/in/g", output_path="/out/p"
         )

@@ -10,10 +10,12 @@ import time
 
 import pytest
 
+from repro.hyracks.engine import HyracksCluster
 from repro.serve import JobService, JobState, ServeHTTPServer
 from repro.serve.client import ServeClient
 from repro.serve.history import INTERVAL_SECONDS, HistorySampler
 from repro.serve.jobtrace import select_job_spans
+from repro.telemetry import Telemetry
 from repro.telemetry.prometheus import parse_exposition, render_prometheus
 from tests.telemetry.test_export import assert_well_formed_chrome
 
@@ -46,6 +48,16 @@ def batched_service(serve_graph):
     svc.shutdown(timeout=WAIT)
 
 
+def serve_sssp(service, jobs):
+    """Serve ``jobs`` sssp queries one after another; their supersteps."""
+    supersteps = 0
+    for i in range(jobs):
+        record = submit(service, "sssp", params={"source_id": i % 40})
+        assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
+        supersteps += record.result["supersteps"]
+    return supersteps
+
+
 def span_names(trace):
     return [e["name"] for e in trace["traceEvents"] if e.get("ph") == "B"]
 
@@ -70,6 +82,21 @@ class TestJobTrace:
         assert record.run_id in meta["run_ids"]
         assert meta["state"] == "succeeded"
         assert meta["spans"]["end_to_end_seconds"] is not None
+        assert meta["truncated"] is False
+
+    def test_trace_says_when_the_span_ring_dropped_its_spans(self, serve_graph):
+        cluster = HyracksCluster(num_nodes=3, telemetry=Telemetry(max_spans=8))
+        service = JobService(num_nodes=3, workers=1, cluster=cluster)
+        service.add_dataset("g", vertices=serve_graph)
+        service.start()
+        try:
+            record = submit(service, "cc")
+            assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
+            trace = service.job_trace(record.job_id)
+        finally:
+            service.shutdown(timeout=WAIT)
+            cluster.close()
+        assert trace["otherData"]["truncated"] is True
 
     def test_trace_contains_only_that_jobs_spans(self, service):
         first = submit(service, "cc")
@@ -223,11 +250,6 @@ class TestMetricsEndpoint:
         server = ServeHTTPServer(service, port=0)
         client = ServeClient("http://%s:%d" % server.start(), timeout=30)
 
-        def serve(jobs):
-            for i in range(jobs):
-                record = submit(service, "sssp", params={"source_id": i % 40})
-                assert record.wait(WAIT) is JobState.SUCCEEDED, record.error
-
         def metric_names():
             status, _headers, body = client.request("GET", "/metrics")
             assert status == 200
@@ -235,9 +257,9 @@ class TestMetricsEndpoint:
             return {key.split("{")[0] for key in samples}
 
         try:
-            serve(5)
+            serve_sssp(service, 5)
             series, names = len(service.telemetry.registry), metric_names()
-            serve(200)
+            serve_sssp(service, 200)
             assert len(service.telemetry.registry) == series
             assert metric_names() == names
             assert service.telemetry.registry.value(
@@ -247,6 +269,29 @@ class TestMetricsEndpoint:
             client.close()
             server.close()
             service.shutdown(timeout=WAIT)
+
+    def test_served_jobs_keep_no_task_spans(self, serve_graph):
+        # What a served job leaves in the span ring grows with its
+        # supersteps, not with its stage clones: about 3 spans a
+        # superstep (the superstep's, its engine job's, a share of the
+        # per-job ones) where a task span per clone made it about 15.
+        spans_per_superstep = 4
+        service = JobService(num_nodes=3, workers=1)
+        service.add_dataset("g", vertices=serve_graph)
+        service.start()
+        try:
+            serve_sssp(service, 5)
+            retained = len(service.telemetry.tracer)
+            supersteps = serve_sssp(service, 200)
+            spans = service.telemetry.tracer.finished_spans()
+        finally:
+            service.shutdown(timeout=WAIT)
+        assert not [span for span in spans if span.category == "task"]
+        assert len(spans) - retained <= spans_per_superstep * supersteps
+        steps = [span for span in spans if span.category == "superstep"]
+        assert len(steps) >= supersteps
+        for span in steps:
+            assert any(kind.startswith("Compute") for kind in span.args["operators"])
 
     def test_scrape_agrees_with_stats_latency(self, service):
         for _ in range(2):

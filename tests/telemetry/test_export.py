@@ -117,3 +117,17 @@ class TestSummary:
         assert "spans (wall seconds by category/name):" in text
         assert "superstep/superstep" in text
         assert "simulated seconds: 6.000000" in text
+
+    def test_stage_span_keeps_every_operator_without_run_ids(self):
+        # A stage clone's span names all its operators, some with a
+        # relation qualified by the run: two runs' clones share one row.
+        telemetry = Telemetry()
+        for run in ("sssp-0001", "serve-job-000084-a1"):
+            name = "MsgScan+IndexLeftOuterJoin(vertex:%s)+Compute(sssp)+IndexBulkLoad(vid:%s)"
+            with telemetry.span(name % (run, run), category="task"):
+                pass
+        rows = [line.split() for line in telemetry.summary_lines() if "task/" in line]
+        assert [row[:2] for row in rows] == [[
+            "task/MsgScan+IndexLeftOuterJoin(vertex)+Compute(sssp)+IndexBulkLoad(vid)",
+            "n=2",
+        ]]

@@ -24,8 +24,9 @@ from tests.telemetry.test_export import assert_well_formed_chrome
 
 @pytest.fixture
 def traced_run(tmp_path):
-    """One PageRank run on a cache-starved cluster, with tracing on."""
-    telemetry = Telemetry()
+    """One PageRank run on a cache-starved cluster, with tracing on
+    (task spans included, as a trace file records them)."""
+    telemetry = Telemetry(task_spans=True)
     # A tiny buffer cache forces page evictions and dirty-page spills,
     # so the trace carries the storage events the paper's runs show.
     with HyracksCluster(

@@ -127,6 +127,25 @@ class TestRetention:
             ]
             assert mine == list(range(per_thread - len(mine), per_thread))
 
+    def test_evicted_id_tells_what_work_lost_spans(self):
+        tracer = Tracer(max_spans=3)
+        for i in range(3):
+            with tracer.span("before-%d" % i):
+                pass
+        mark = tracer.next_id()
+        with tracer.span("work"):
+            pass
+        assert tracer.evicted_id == 1 < mark  # the work's span is kept
+        for i in range(3):
+            with tracer.span("after-%d" % i):
+                pass
+        assert tracer.evicted_id >= mark
+        # A ring with no room evicts every span as it finishes.
+        tracer = Tracer(max_spans=0)
+        with tracer.span("gone") as span:
+            pass
+        assert len(tracer) == 0 and tracer.evicted_id == span.span_id
+
     def test_disabled_tracer_keeps_nothing(self):
         tracer = Tracer(enabled=False)
         with tracer.span("x") as span:

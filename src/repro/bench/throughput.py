@@ -34,7 +34,9 @@ class SteppedPregelixJob:
     def __init__(self, cluster, job, input_path, run_id, parse_line=None):
         self.cluster = cluster
         self.job = job
-        partition_map = PartitionMap.over_nodes(cluster.alive_node_ids())
+        partition_map = PartitionMap.balanced(
+            cluster.alive_node_ids(), cluster.num_partitions
+        )
         self.generator = PlanGenerator(job, cluster.dfs, run_id, partition_map)
         load_result = cluster.execute(
             self.generator.loading_plan(input_path, parse_line or parse_adjacency_line)

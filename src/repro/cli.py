@@ -209,7 +209,7 @@ def build_parser():
     _add_plan_arguments(run)
     run.add_argument("--optimize", action="store_true",
                      help="enable the cost-based plan optimizer")
-    run.add_argument("--checkpoint-interval", type=int, default=None)
+    run.add_argument("--checkpoint-interval", type=_at_least(1), default=None)
     run.add_argument("--stats", action="store_true",
                      help="print the per-superstep statistics table "
                           "and the telemetry summary")
@@ -477,7 +477,9 @@ def _session(args, execute, out, telemetry=None):
 
 
 def cmd_run(args, out=print):
-    from repro.telemetry import Telemetry
+    from repro.telemetry import (
+        Telemetry, print_summary, write_chrome_trace, write_jsonl,
+    )
 
     module, job = _build_job(args.algorithm, args)
     if args.optimize:
@@ -530,8 +532,6 @@ def cmd_run(args, out=print):
             out("global aggregate: %r" % (outcome.gs.aggregate,))
         if args.stats:
             outcome.stats.report(out=out)
-            from repro.telemetry import print_summary
-
             print_summary(telemetry, out=out)
         out(
             "vertices: %d, edges: %d, messages sent: %d"
@@ -546,13 +546,13 @@ def cmd_run(args, out=print):
     if code:
         return code
     if args.trace:
-        telemetry.write_chrome_trace(args.trace)
+        write_chrome_trace(telemetry, args.trace)
         out(
             "trace written to %s (open in Perfetto or about://tracing)"
             % args.trace
         )
     if args.trace_jsonl:
-        count = telemetry.write_jsonl(args.trace_jsonl)
+        count = write_jsonl(telemetry, args.trace_jsonl)
         out("%d telemetry records written to %s" % (count, args.trace_jsonl))
     return 0
 
@@ -868,7 +868,7 @@ def cmd_explain(args, out=print):
     _module, job = _build_job(args.algorithm, args)
     with HyracksCluster(num_nodes=args.nodes) as cluster:
         cluster.dfs.write_text_lines("/explain-input/part-0", ["0 _ 1:1.0", "1 _"])
-        partitions = PartitionMap(cluster.node_ids())
+        partitions = PartitionMap.balanced(cluster.node_ids(), cluster.num_partitions)
         generator = PlanGenerator(job, cluster.dfs, "explain", partitions)
     out("plan signature: %s" % job.plan_signature())
     for name, plan in (

@@ -23,7 +23,6 @@ from repro.hyracks.scheduler import (
     AbsoluteLocationConstraint,
     ChoiceLocationConstraint,
     CountConstraint,
-    Scheduler,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "AbsoluteLocationConstraint",
     "ChoiceLocationConstraint",
     "CountConstraint",
-    "Scheduler",
 ]

@@ -33,7 +33,7 @@ from repro.chaos.faults import FaultInjector
 from repro.common.accounting import Counters, IOCounters, MemoryBudget
 from repro.common.errors import JobFailure, SchedulingError, WorkerFailure
 from repro.hdfs import MiniDFS
-from repro.hyracks.scheduler import Scheduler
+from repro.hyracks.scheduler import place
 from repro.hyracks.storage.buffer_cache import BufferCache
 from repro.hyracks.storage.file_manager import FileManager
 from repro.telemetry import Telemetry
@@ -189,18 +189,17 @@ class HyracksCluster:
     :param node_memory_bytes: per-worker simulated RAM budget.
     :param buffer_cache_bytes: per-worker cache budget; defaults to a
         quarter of node memory, the paper's default.
-    :param partitions_per_node: data partitions per worker (the paper
-        assigns one per core).
     :param parallelism: must be 1 and ``io_latency_scale`` must be 0:
         clones run one after another on the calling thread and simulated
         transfers never sleep. Both are accepted only so that callers
         still passing those values keep working.
-    :param virtual_partitions: fix the cluster's data-partition count
-        independently of its (elastic) node count. With it set, every
-        run keeps the same ``hash(vid) % num_partitions`` function no
-        matter how many nodes join or drain, so results are byte-stable
-        across scaling; partitions are merely re-assigned round-robin
-        over the schedulable nodes at superstep boundaries.
+    :param virtual_partitions: the cluster's data-partition count
+        (default ``num_nodes``: one partition per machine; ``nodes × k``
+        gives each machine ``k``, the paper's one per core). It is fixed
+        here, as ``num_partitions``, whatever nodes later die, join or
+        drain: every run keeps the same ``hash(vid) % num_partitions``,
+        so results are byte-stable; partitions are merely re-assigned
+        round-robin over the schedulable nodes at superstep boundaries.
     """
 
     def __init__(
@@ -210,7 +209,6 @@ class HyracksCluster:
         buffer_cache_bytes=None,
         page_size=DEFAULT_PAGE_SIZE,
         root_dir=None,
-        partitions_per_node=1,
         telemetry=None,
         parallelism=1,
         io_latency_scale=0.0,
@@ -247,14 +245,11 @@ class HyracksCluster:
             )
         #: Blocks spread over the starting nodes; every write checks the injector.
         self.dfs = MiniDFS(self.node_ids(), fault_injector=self.fault_injector)
-        self.scheduler = Scheduler(partitions_per_node)
         self.jobs_executed = 0
         # Concurrent execute() calls (repro.serve runs whole jobs in
         # parallel) make the counter bump a read-modify-write.
         self._jobs_executed_lock = threading.Lock()
-        self.virtual_partitions = (
-            int(virtual_partitions) if virtual_partitions else None
-        )
+        self.num_partitions = int(virtual_partitions or num_nodes)
         # Elastic membership state. The membership lock serializes
         # add/drain/retire against placement (execute) and the per-run
         # partition-map pins registered by drivers; an RLock because
@@ -297,12 +292,6 @@ class HyracksCluster:
 
     def revive_node(self, node_id):
         self.nodes[node_id].alive = True
-
-    @property
-    def num_partitions(self):
-        if self.virtual_partitions:
-            return self.virtual_partitions
-        return len(self.alive_node_ids()) * self.scheduler.default_partitions_per_node
 
     def aggregate_memory_bytes(self):
         """Aggregated RAM of alive workers (the figures' denominator)."""
@@ -425,10 +414,8 @@ class HyracksCluster:
         # the running job, and unpinned (count/choice) placements prefer
         # schedulable nodes so drains converge.
         with self._membership_lock:
-            placement = self.scheduler.place(
-                job_spec,
-                self.alive_node_ids(),
-                preferred_nodes=self.schedulable_node_ids(),
+            placement = place(
+                job_spec, self.alive_node_ids(), self.schedulable_node_ids()
             )
             used_nodes = set()
             for locations in placement.values():
@@ -457,9 +444,8 @@ class HyracksCluster:
         # moment the producer's stage returned until the consumer's
         # stage assembles them.
         staged = {}
-        with self.telemetry.span("job:%s" % job_spec.name, category="job"):
-            for stage in job_spec.stages(placement):
-                self._run_stage(stage, staged, job_ctx, operator_seconds)
+        for stage in job_spec.stages(placement):
+            self._run_stage(stage, staged, job_ctx, operator_seconds)
         with self._jobs_executed_lock:
             self.jobs_executed += 1
         # The job's own totals go to the registry once, from its private

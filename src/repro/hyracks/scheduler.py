@@ -104,50 +104,36 @@ class CountConstraint(PartitionConstraint):
         return [nodes[i % len(nodes)] for i in range(self.count)]
 
 
-class Scheduler:
-    """Solves the placement of every operator in a job."""
+def place(job_spec, alive_nodes, preferred_nodes=None):
+    """Return ``{op_id: [node_id per partition]}`` for ``job_spec``.
 
-    def __init__(self, default_partitions_per_node=1):
-        self.default_partitions_per_node = default_partitions_per_node
+    Operators without an explicit constraint get one partition per
+    preferred node (the "as many partitions as cores" policy of the
+    Pregelix scheduler, with one simulated core per node).
 
-    def place(self, job_spec, alive_nodes, preferred_nodes=None):
-        """Return ``{op_id: [node_id per partition]}`` for ``job_spec``.
+    :param preferred_nodes: where unpinned work should go (the elastic
+        cluster's schedulable nodes); defaults to every alive node, and
+        falls back to them when empty.
+    """
+    from repro.hyracks.connectors import OneToOneConnector
 
-        Operators without an explicit constraint default to one partition
-        per alive node (the "as many partitions as cores" policy of the
-        Pregelix scheduler, with one simulated core per node).
-
-        :param preferred_nodes: where unpinned work should go (the
-            elastic cluster's schedulable nodes); defaults to every
-            alive node, and falls back to them when empty.
-        """
-        alive = list(alive_nodes)
-        if not alive:
-            raise SchedulingError("cluster has no alive nodes")
-        preferred = [node for node in (preferred_nodes or ()) if node in set(alive)]
-        if not preferred:
-            preferred = alive
-        placement = {}
-        for operator in job_spec.operators:
-            constraint = operator.partition_constraint
-            if constraint is None:
-                constraint = CountConstraint(
-                    len(preferred) * self.default_partitions_per_node
+    alive = list(alive_nodes)
+    if not alive:
+        raise SchedulingError("cluster has no alive nodes")
+    preferred = [node for node in (preferred_nodes or ()) if node in set(alive)]
+    if not preferred:
+        preferred = alive
+    placement = {}
+    for operator in job_spec.operators:
+        constraint = operator.partition_constraint or CountConstraint(len(preferred))
+        placement[operator.op_id] = constraint.solve(alive, preferred)
+    for edge in job_spec.edges:
+        if isinstance(edge.connector, OneToOneConnector):
+            producers = len(placement[edge.producer.op_id])
+            consumers = len(placement[edge.consumer.op_id])
+            if producers != consumers:
+                raise SchedulingError(
+                    "one-to-one connector between %r (%d parts) and %r (%d parts)"
+                    % (edge.producer, producers, edge.consumer, consumers)
                 )
-            placement[operator.op_id] = constraint.solve(alive, preferred)
-        self._check_one_to_one_edges(job_spec, placement)
-        return placement
-
-    @staticmethod
-    def _check_one_to_one_edges(job_spec, placement):
-        from repro.hyracks.connectors import OneToOneConnector
-
-        for edge in job_spec.edges:
-            if isinstance(edge.connector, OneToOneConnector):
-                producers = len(placement[edge.producer.op_id])
-                consumers = len(placement[edge.consumer.op_id])
-                if producers != consumers:
-                    raise SchedulingError(
-                        "one-to-one connector between %r (%d parts) and %r (%d parts)"
-                        % (edge.producer, producers, edge.consumer, consumers)
-                    )
+    return placement

@@ -82,8 +82,9 @@ _IMAGE = itemgetter(2)
 class PartitionMap:
     """The sticky vertex-partition-to-node assignment.
 
-    Built once at load time and reused by every superstep plan; rebuilt
-    only by recovery after a machine loss.
+    Built once at load time by :meth:`balanced` and reused by every
+    superstep plan; rebuilt, with the same partition count, only when
+    rebalancing or recovery moves partitions to other nodes.
     """
 
     def __init__(self, locations):
@@ -110,13 +111,6 @@ class PartitionMap:
         2**61 land where the per-tuple call puts them)."""
         n = self.num_partitions
         return [hash(vid) % n for vid in INT64.loads_many(list(map(LEAD, batch)))]
-
-    @classmethod
-    def over_nodes(cls, node_ids, partitions_per_node=1):
-        locations = []
-        for _ in range(partitions_per_node):
-            locations.extend(node_ids)
-        return cls(locations)
 
     @classmethod
     def balanced(cls, node_ids, num_partitions, offset=0):

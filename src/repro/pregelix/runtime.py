@@ -350,25 +350,24 @@ class PregelixDriver:
     # ------------------------------------------------------------------
     # partition maps on an elastic cluster
     # ------------------------------------------------------------------
-    def _balanced_map(self, run_id, num_partitions=None):
-        """The run's canonical map over the *current* schedulable nodes.
+    def _balanced_map(self, run_id, num_partitions=None, nodes=None):
+        """The run's canonical map over ``nodes`` (default: the current
+        schedulable nodes).
 
-        The partition count is fixed per run (``virtual_partitions`` when
-        the cluster sets one, else nodes × partitions-per-node at load
-        time), so ``hash(vid) % num_partitions`` — and therefore every
-        byte of every run — is independent of later membership changes;
-        elasticity only moves partitions between nodes. When the cluster
-        has more nodes than the run has partitions, the assignment is
+        The partition count is the cluster's ``num_partitions`` (fixed
+        when it was built), so ``hash(vid) % num_partitions`` — and
+        therefore every byte of every run — is independent of membership
+        changes; elasticity and recovery only move partitions between
+        nodes. ``num_partitions`` overrides it for a run that keeps
+        another count (one resumed from a checkpoint written with it).
+        When there are more nodes than partitions, the assignment is
         rotated by a run-id hash so concurrent runs spread out.
         """
         cluster = self.cluster
-        nodes = cluster.schedulable_node_ids() or cluster.alive_node_ids()
+        nodes = nodes or cluster.schedulable_node_ids() or cluster.alive_node_ids()
         if not nodes:
             raise SchedulingError("cluster has no alive nodes")
-        if num_partitions is None:
-            num_partitions = cluster.virtual_partitions or (
-                len(nodes) * cluster.scheduler.default_partitions_per_node
-            )
+        num_partitions = num_partitions or cluster.num_partitions
         offset = 0
         if len(nodes) > num_partitions:
             offset = zlib.crc32(run_id.encode("utf-8")) % len(nodes)
@@ -666,8 +665,10 @@ class PregelixDriver:
             # receive recovered partitions it would only hand off again.
             schedulable = set(self.cluster.schedulable_node_ids())
             preferred = [n for n in healthy if n in schedulable] or healthy
-            new_map = PartitionMap(
-                [preferred[i % len(preferred)] for i in range(generator.partition_map.num_partitions)]
+            new_map = self._balanced_map(
+                generator.run_id,
+                num_partitions=generator.partition_map.num_partitions,
+                nodes=preferred,
             )
             try:
                 generator = self._restore(generator, checkpointer, superstep, new_map)

@@ -39,7 +39,7 @@ class ServiceDocuments:
             "draining": len(self.cluster.draining_node_ids()),
             "retired": list(self.cluster.retired_nodes),
             "epoch": self.cluster.membership_epoch,
-            "virtual_partitions": self.cluster.virtual_partitions,
+            "virtual_partitions": self.cluster.num_partitions,
         }
         if self.autoscaler is not None:
             doc["autoscaler"] = dict(

@@ -376,7 +376,7 @@ class Executor:
             "boundary_hook": self._boundary_hook(members),
         }
         # Scoped tracer context: every span this run records — driver
-        # phases and supersteps, engine job and task spans, storage ops,
+        # phases and supersteps, task spans, storage ops,
         # even spans from pool worker threads — is stamped with this
         # job's id, which keeps the shared session's trace separable per
         # job. (A shared run's spans carry only the run id: the engine

@@ -103,11 +103,6 @@ class JobService(ServiceDocuments):
             )
         self.cluster = cluster
         self.telemetry = cluster.telemetry
-        if cluster.virtual_partitions is None:
-            # Pin the data-partition count at the starting size: every
-            # job keeps the same hash(vid) % N no matter how the node
-            # set breathes, so results are byte-stable under scaling.
-            cluster.virtual_partitions = cluster.num_partitions
         self.autoscaler = Autoscaler(self, config.autoscale) if config.autoscale else None
         self.admission = AdmissionController(cluster, config.quotas)
         self.queue = FairShareQueue(aging_rate=AGING_RATE)

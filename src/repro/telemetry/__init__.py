@@ -7,8 +7,8 @@ The observability spine of the reproduction (DESIGN.md "Telemetry"):
   (serve, LSM, ``pregelix.*``, per-job engine totals, each written once)
   and *reads* the ones that live in a resident holder (a node's I/O
   counters, a buffer cache's stats) through ``expose``.
-* :mod:`repro.telemetry.tracing` — nested spans (job → superstep →
-  operator task → storage op) with wall-clock and simulated-time stamps.
+* :mod:`repro.telemetry.tracing` — nested spans (run → superstep →
+  stage task → storage op) with wall-clock and simulated-time stamps.
 * :mod:`repro.telemetry.events` — a ring-buffered structured event log
   for discrete occurrences (evictions, LSM flushes, checkpoints,
   failures, optimizer re-plans).

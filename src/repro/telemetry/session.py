@@ -49,41 +49,6 @@ class Telemetry:
         self.span = self.tracer.span
         self.event = self.events.emit
 
-    # ------------------------------------------------------------------
-    # collection conveniences
-    # ------------------------------------------------------------------
-    def counter(self, name, **labels):
-        return self.registry.counter(name, **labels)
-
-    def gauge(self, name, **labels):
-        return self.registry.gauge(name, **labels)
-
-    def histogram(self, name, **labels):
-        return self.registry.histogram(name, **labels)
-
-    # ------------------------------------------------------------------
-    # export conveniences (thin wrappers over repro.telemetry.export)
-    # ------------------------------------------------------------------
-    def chrome_trace(self):
-        from repro.telemetry.export import chrome_trace
-
-        return chrome_trace(self)
-
-    def write_chrome_trace(self, path):
-        from repro.telemetry.export import write_chrome_trace
-
-        return write_chrome_trace(self, path)
-
-    def write_jsonl(self, path_or_file):
-        from repro.telemetry.export import write_jsonl
-
-        return write_jsonl(self, path_or_file)
-
-    def summary_lines(self):
-        from repro.telemetry.export import summary_lines
-
-        return summary_lines(self)
-
     def __repr__(self):
         return "Telemetry(enabled=%r, %d metrics, %d spans, %d events)" % (
             self.enabled,

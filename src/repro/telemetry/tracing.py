@@ -1,7 +1,7 @@
 """Nested span tracing stamped with wall-clock and simulated time.
 
 A :class:`Tracer` produces :class:`Span`\\ s arranged in the natural
-execution hierarchy — job → superstep → stage task → storage op — by
+execution hierarchy — run → superstep → stage task → storage op — by
 keeping a per-thread stack of open spans. Every span records wall-clock
 ``perf_counter`` timestamps; when the tracer carries a :class:`SimClock`
 (advanced by the Pregelix driver from the cost model), spans additionally

@@ -276,7 +276,7 @@ def test_an_edge_list_loads_the_rows_it_loaded_before(tmp_path):
         dfs = cluster.dfs
         for part in range(3):
             dfs.write_text_lines("/in/part-%d" % part, lines[part::3])
-        partition_map = PartitionMap.over_nodes(cluster.node_ids())
+        partition_map = PartitionMap.balanced(cluster.node_ids(), cluster.num_partitions)
         generator = PlanGenerator(sssp.build_job(source_id=0), dfs, "load-test", partition_map)
         result = cluster.execute(generator.loading_plan("/in", parse_edge_line))
         rows = []

@@ -10,7 +10,7 @@ from repro.hyracks.scheduler import (
     AbsoluteLocationConstraint,
     ChoiceLocationConstraint,
     CountConstraint,
-    Scheduler,
+    place,
 )
 
 NODES = ["n0", "n1", "n2", "n3"]
@@ -63,20 +63,20 @@ class TestSchedulerPlacement:
     def test_default_one_partition_per_node(self):
         spec = JobSpec()
         op = spec.add(MapOperator(lambda t: t))
-        placement = Scheduler().place(spec, NODES)
+        placement = place(spec, NODES)
         assert placement[op.op_id] == NODES
 
-    def test_partitions_per_node_multiplier(self):
+    def test_default_follows_preferred_nodes(self):
         spec = JobSpec()
         op = spec.add(MapOperator(lambda t: t))
-        placement = Scheduler(default_partitions_per_node=2).place(spec, ["a", "b"])
-        assert len(placement[op.op_id]) == 4
+        placement = place(spec, NODES, ["n3", "n1", "gone"])
+        assert placement[op.op_id] == ["n3", "n1"]
 
     def test_explicit_constraint_wins(self):
         spec = JobSpec()
         op = spec.add(MapOperator(lambda t: t))
         op.partition_constraint = AbsoluteLocationConstraint(["n1"])
-        placement = Scheduler().place(spec, NODES)
+        placement = place(spec, NODES)
         assert placement[op.op_id] == ["n1"]
 
     def test_sticky_placement_is_reproducible(self):
@@ -84,8 +84,8 @@ class TestSchedulerPlacement:
         spec = JobSpec()
         op = spec.add(MapOperator(lambda t: t))
         op.partition_constraint = AbsoluteLocationConstraint(["n3", "n1"])
-        first = Scheduler().place(spec, NODES)
-        second = Scheduler().place(spec, NODES)
+        first = place(spec, NODES)
+        second = place(spec, NODES)
         assert first == second
 
     def test_one_to_one_arity_mismatch_rejected(self):
@@ -96,7 +96,7 @@ class TestSchedulerPlacement:
         b.partition_constraint = CountConstraint(3)
         spec.connect(OneToOneConnector(), a, b)
         with pytest.raises(SchedulingError):
-            Scheduler().place(spec, NODES)
+            place(spec, NODES)
 
     def test_mton_arity_mismatch_allowed(self):
         spec = JobSpec()
@@ -105,7 +105,7 @@ class TestSchedulerPlacement:
         a.partition_constraint = CountConstraint(2)
         b.partition_constraint = CountConstraint(3)
         spec.connect(MToNPartitioningConnector(key_fn=lambda t: t), a, b)
-        placement = Scheduler().place(spec, NODES)
+        placement = place(spec, NODES)
         assert len(placement[a.op_id]) == 2
         assert len(placement[b.op_id]) == 3
 
@@ -113,4 +113,4 @@ class TestSchedulerPlacement:
         spec = JobSpec()
         spec.add(MapOperator(lambda t: t))
         with pytest.raises(SchedulingError):
-            Scheduler().place(spec, [])
+            place(spec, [])

@@ -25,6 +25,7 @@ from repro.hyracks.operators.func import (
     MapOperator,
     UnionOperator,
 )
+from repro.hyracks.scheduler import place
 from repro.telemetry import Telemetry
 
 NODES = 3
@@ -49,7 +50,7 @@ def cluster(tmp_path):
 
 
 def _stage_names(cluster, spec):
-    placement = cluster.scheduler.place(spec, cluster.alive_node_ids())
+    placement = place(spec, cluster.alive_node_ids())
     return [[op.name for op in stage.operators] for stage in spec.stages(placement)]
 
 
@@ -237,10 +238,7 @@ def test_a_small_superstep_makes_at_most_16_clones(tmp_path):
             sssp.build_job(source_id=0), "/in/g", output_path="/out/r"
         )
         spans = cluster.telemetry.tracer.finished_spans()
-    supersteps = {
-        span.span_id for span in spans
-        if span.category == "job" and "-superstep-" in span.name
-    }
+    supersteps = {span.span_id for span in spans if span.category == "superstep"}
     clones = {}
     for span in spans:
         if span.category == "task" and span.parent_id in supersteps:

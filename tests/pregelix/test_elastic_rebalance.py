@@ -115,6 +115,25 @@ class TestMembership:
             cluster.add_node()
             assert cluster.num_partitions == 6
 
+    def test_a_plain_cluster_keeps_its_count_through_kill_and_join(self, cluster):
+        write_graph_to_dfs(
+            cluster.dfs, "/in/g", iter(btc_graph(VERTICES, seed=GRAPH_SEED)),
+            num_files=3,
+        )
+        driver = PregelixDriver(cluster, cluster.dfs)
+
+        def output_lines(path):
+            driver.run(pagerank.build_job(iterations=3), "/in/g", output_path=path)
+            return driver.read_output(path)
+
+        before = output_lines("/out/before")
+        cluster.kill_node("node2")
+        assert cluster.num_partitions == 3
+        # Three partitions on two machines: same hash(vid) % 3, same bytes.
+        assert output_lines("/out/after") == before
+        cluster.add_node()
+        assert cluster.num_partitions == 3
+
     def test_joined_node_and_rebuilt_cache_fire_the_armed_plan(self, tmp_path):
         """A node joined after ``arm`` and a cache ``kill_node`` rebuilt
         both hold the cluster's one injector, so its page.read specs

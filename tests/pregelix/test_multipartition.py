@@ -2,7 +2,7 @@
 
 The Pregelix scheduler "assigns as many partitions to a selected machine
 as the number of its cores" (Section 5.7); the simulated cluster models
-cores with ``partitions_per_node``. Everything — sticky placement,
+cores with ``virtual_partitions = nodes × cores``. Everything — sticky placement,
 message routing, checkpointing — must hold when each node owns several
 vertex partitions.
 """
@@ -20,7 +20,7 @@ from repro.pregelix import PregelixDriver
 @pytest.fixture
 def multicore_cluster(tmp_path):
     with HyracksCluster(
-        num_nodes=2, partitions_per_node=3, root_dir=str(tmp_path / "mc")
+        num_nodes=2, virtual_partitions=6, root_dir=str(tmp_path / "mc")
     ) as cluster:
         yield cluster
 

@@ -45,9 +45,9 @@ class TestPartitionMap:
         assert partition_map.partition_of(17) == partition_map.partition_of(17)
         assert 0 <= partition_map.partition_of(12345) < 3
 
-    def test_over_nodes_multiplier(self):
-        pm = PartitionMap.over_nodes(["a", "b"], partitions_per_node=2)
-        assert pm.num_partitions == 4
+    def test_balanced_round_robin_from_offset(self):
+        pm = PartitionMap.balanced(["a", "b", "c"], 4, offset=1)
+        assert pm.locations == ["b", "c", "a", "b"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -148,9 +148,10 @@ class TestManualScale:
         assert idle_service.admission.aggregate_capacity() == 3 * per_node
 
     def test_virtual_partitions_pinned_at_construction(self, idle_service):
-        assert idle_service.cluster.virtual_partitions == 2
+        assert idle_service.cluster.num_partitions == 2
         idle_service.scale_to(4)
         assert idle_service.cluster.num_partitions == 2
+        assert idle_service.stats()["cluster"]["virtual_partitions"] == 2
 
 
 class TestLivenessSurfacing:

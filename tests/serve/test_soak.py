@@ -6,8 +6,8 @@ band's min and max — scale-ups under backlog, drains when idle, nodes
 joining and retiring between batches. The bars:
 
 * **correctness** — every result matches the sequential direct-driver
-  reference for its algorithm (the service pins ``virtual_partitions``
-  at the starting size, so scaling never perturbs a single byte);
+  reference for its algorithm (a cluster's partition count is fixed
+  at its starting size, so scaling never perturbs a single byte);
 * **no leaks** — after every batch, every resident page on every node
   is unpinned, and the persistent nodes' open paged-file count returns
   to its post-batch-one level (per-run state was dropped, handles

@@ -2,7 +2,14 @@
 
 import json
 
-from repro.telemetry import Telemetry, chrome_trace_events
+from repro.telemetry import (
+    Telemetry,
+    chrome_trace,
+    chrome_trace_events,
+    summary_lines,
+    write_chrome_trace,
+    write_jsonl,
+)
 
 
 def build_session():
@@ -20,8 +27,8 @@ def build_session():
                     )
                 telemetry.sim_clock.advance(1.5)
     telemetry.event("lsm.flush", category="storage", bytes=2048)
-    telemetry.counter("engine.jobs_executed").inc(2)
-    telemetry.histogram("pregelix.superstep_seconds").observe(0.25)
+    telemetry.registry.counter("engine.jobs_executed").inc(2)
+    telemetry.registry.histogram("pregelix.superstep_seconds").observe(0.25)
     return telemetry
 
 
@@ -49,7 +56,7 @@ class TestChromeTrace:
     def test_round_trip_is_valid_json(self, tmp_path):
         telemetry = build_session()
         path = str(tmp_path / "trace.json")
-        assert telemetry.write_chrome_trace(path) == path
+        assert write_chrome_trace(telemetry, path) == path
         with open(path) as handle:
             document = json.load(handle)  # valid JSON by construction
         assert document["displayTimeUnit"] == "ms"
@@ -84,7 +91,7 @@ class TestChromeTrace:
         assert begin["args"]["sim_seconds"] == 4.5
 
     def test_empty_session(self):
-        document = Telemetry().chrome_trace()
+        document = chrome_trace(Telemetry())
         assert document["traceEvents"] == []
 
 
@@ -92,7 +99,7 @@ class TestJsonl:
     def test_records_cover_all_surfaces(self, tmp_path):
         telemetry = build_session()
         path = str(tmp_path / "telemetry.jsonl")
-        count = telemetry.write_jsonl(path)
+        count = write_jsonl(telemetry, path)
         with open(path) as handle:
             records = [json.loads(line) for line in handle]
         assert len(records) == count
@@ -107,7 +114,7 @@ class TestJsonl:
 class TestSummary:
     def test_summary_lines_sections(self):
         telemetry = build_session()
-        lines = telemetry.summary_lines()
+        lines = summary_lines(telemetry)
         assert lines[0] == "-- telemetry summary --"
         text = "\n".join(lines)
         assert "metrics:" in text
@@ -126,7 +133,7 @@ class TestSummary:
             name = "MsgScan+IndexLeftOuterJoin(vertex:%s)+Compute(sssp)+IndexBulkLoad(vid:%s)"
             with telemetry.span(name % (run, run), category="task"):
                 pass
-        rows = [line.split() for line in telemetry.summary_lines() if "task/" in line]
+        rows = [line.split() for line in summary_lines(telemetry) if "task/" in line]
         assert [row[:2] for row in rows] == [[
             "task/MsgScan+IndexLeftOuterJoin(vertex)+Compute(sssp)+IndexBulkLoad(vid)",
             "n=2",

@@ -2,7 +2,7 @@
 
 These are the acceptance tests for the telemetry subsystem: one PageRank
 run on a real (small-cache) cluster must produce a Chrome trace with
-nested pregelix → superstep → job → task spans plus buffer-cache and LSM
+nested pregelix → superstep → task spans plus buffer-cache and LSM
 storage events, and the registry's ``pregelix.*`` series must total the
 statistics collectors of every run on the cluster exactly.
 """
@@ -17,7 +17,7 @@ from repro.graphs.io import write_graph_to_dfs
 from repro.hyracks.engine import HyracksCluster
 from repro.hyracks.storage.lsm_btree import LSMBTree
 from repro.pregelix import PregelixDriver
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, write_chrome_trace
 
 from tests.telemetry.test_export import assert_well_formed_chrome
 
@@ -62,21 +62,16 @@ class TestTracedPageRank:
         assert [s.name for s in supersteps] == [
             "superstep:%d" % i for i in range(1, outcome.supersteps + 1)
         ]
-        # superstep spans nest under the pregelix span; per-superstep job
-        # spans nest under their superstep; task spans under their job.
+        # superstep spans nest under the pregelix span; the engine opens
+        # no span per job, so a superstep's task spans are its children.
         for superstep in supersteps:
             assert spans[superstep.parent_id].category == "pregelix"
-        jobs = telemetry.tracer.finished_spans(category="job")
-        assert jobs
-        superstep_jobs = [
-            j for j in jobs if spans.get(j.parent_id, None) in supersteps
-        ]
-        assert superstep_jobs
+        assert not telemetry.tracer.finished_spans(category="job")
         tasks = telemetry.tracer.finished_spans(category="task")
         assert tasks
-        assert any(
-            spans.get(t.parent_id) in superstep_jobs for t in tasks
-        )
+        # Loading and dump clones sit under their phase span.
+        assert {spans[t.parent_id].category for t in tasks} == {"phase", "superstep"}
+        assert any(spans[t.parent_id] in supersteps for t in tasks)
         phases = {s.name for s in telemetry.tracer.finished_spans(category="phase")}
         assert phases == {"load", "dump"}
 
@@ -101,7 +96,7 @@ class TestTracedPageRank:
     def test_chrome_trace_loads_and_is_well_formed(self, traced_run, tmp_path):
         telemetry, _outcome = traced_run
         path = str(tmp_path / "pagerank-trace.json")
-        telemetry.write_chrome_trace(path)
+        write_chrome_trace(telemetry, path)
         with open(path) as handle:
             document = json.load(handle)
         events = document["traceEvents"]
@@ -112,7 +107,8 @@ class TestTracedPageRank:
         assert "cache.evict" in names
         assert "lsm.flush" in names
         categories = {e["cat"] for e in events}
-        assert {"pregelix", "superstep", "job", "task", "storage"} <= categories
+        assert {"pregelix", "superstep", "task", "storage"} <= categories
+        assert "job" not in categories
 
     def test_registry_totals_cover_all_runs_each_summary_its_own(self, tmp_path):
         telemetry = Telemetry()

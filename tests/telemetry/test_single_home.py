@@ -109,18 +109,18 @@ def random_run(rng, driver, dfs, plan):
     return driver.run(job, path, output_path=path + ".out", **options)
 
 
-@pytest.mark.parametrize("partitions_per_node", [1, 2])
+@pytest.mark.parametrize("per_node", [1, 2])
 @pytest.mark.parametrize(
     "shape,plan", [(IN_MEMORY, {}), (OUT_OF_CORE, OUT_OF_CORE_PLAN)],
     ids=["in-memory", "out-of-core"],
 )
 def test_registry_equals_the_holders_after_any_run(
-    tmp_path, partitions_per_node, shape, plan
+    tmp_path, per_node, shape, plan
 ):
-    rng = random.Random(1600 + partitions_per_node + len(shape))
+    rng = random.Random(1600 + per_node + len(shape))
     with HyracksCluster(
         num_nodes=3, root_dir=str(tmp_path / "c"),
-        partitions_per_node=partitions_per_node, **shape
+        virtual_partitions=3 * per_node, **shape
     ) as cluster:
         results = record_results(cluster)
         driver = PregelixDriver(cluster, cluster.dfs)

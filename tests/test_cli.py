@@ -88,6 +88,8 @@ class TestBadValues:
         ["run", "sssp", "--input", "x", "--nodes", "0"],
         ["run", "sssp", "--input", "x", "--scale-at", "2"],
         ["run", "sssp", "--input", "x", "--scale-at", "2=0"],
+        ["run", "pagerank", "--input", "x", "--checkpoint-interval", "-1"],
+        ["run", "pagerank", "--input", "x", "--checkpoint-interval", "0"],
         ["pipeline", "sssp", "--input", "x", "--nodes", "0"],
         ["explain", "sssp", "--nodes", "0"],
         ["figures", "table3", "--nodes", "0"],

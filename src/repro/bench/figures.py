@@ -20,17 +20,17 @@ ALL_SYSTEMS = ["pregelix", "giraph-mem", "giraph-ooc", "graphlab", "graphx", "ha
 WORKLOADS = {
     "pagerank": dict(
         family="webmap",
-        build=lambda: pagerank.build_job(iterations=5),
+        build=lambda **plan: pagerank.build_job(iterations=5, **plan),
         parse_line=None,
     ),
     "sssp": dict(
         family="btc",
-        build=lambda: sssp.build_job(source_id=0),
+        build=lambda **plan: sssp.build_job(source_id=0, **plan),
         parse_line=None,
     ),
     "cc": dict(
         family="btc",
-        build=lambda: cc.build_job(),
+        build=cc.build_job,
         parse_line=cc.parse_line,
     ),
 }
@@ -307,8 +307,7 @@ def figure14(env, workload, sizes=None, paper_machines=8, out=print):
             ("full-outer-join", JoinStrategy.FULL_OUTER),
             ("left-outer-join", JoinStrategy.LEFT_OUTER),
         ):
-            job = config["build"]()
-            job.join_strategy = strategy
+            job = config["build"](join_strategy=strategy)
             m = run_pregelix(
                 env,
                 job,
@@ -372,8 +371,7 @@ def connector_tradeoff(env, size="x-small", machine_ladder=(4, 8, 16, 32), out=p
             ("m-to-n-partitioning", ConnectorPolicy.UNMERGED),
             ("m-to-n-partitioning-merging", ConnectorPolicy.MERGED),
         ):
-            job = pagerank.build_job(iterations=5)
-            job.connector_policy = policy
+            job = pagerank.build_job(iterations=5, connector_policy=policy)
             m = run_pregelix(
                 env,
                 job,

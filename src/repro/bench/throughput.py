@@ -42,6 +42,7 @@ class SteppedPregelixJob:
             self.generator.loading_plan(input_path, parse_line or parse_adjacency_line)
         )
         self.gs = load_result.collected["gs"][0][0]
+        self.stats = StatisticsCollector()
         self.costs = []  # (cpu, disk, net) per superstep, sim scale
         self.num_workers = partition_map.num_partitions
 
@@ -58,11 +59,8 @@ class SteppedPregelixJob:
             return False
         result = self.cluster.execute(self.generator.superstep_plan(self.gs))
         self.gs = result.collected["gs"][0][0]
-        stats = StatisticsCollector()
-        stats.record_superstep(self.gs.superstep, result)
-        self.costs.append(
-            pregelix_sim_cost(stats.supersteps[0], self.job, paper_machines)
-        )
+        record = self.stats.record_superstep(self.gs.superstep, result)
+        self.costs.append(pregelix_sim_cost(record, self.job, paper_machines))
         return True
 
     def totals(self, scale):

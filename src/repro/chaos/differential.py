@@ -272,7 +272,7 @@ class DifferentialChecker:
         """
         plans = list(plans) if plans is not None else all_plans()
         report = DifferentialReport(algorithm=self.algorithm)
-        baselines = {}  # (budget, groupby, connector) -> first ok cell
+        baselines = {}  # (budget, identity class) -> first ok cell
         for plan in plans:
             for budget in budgets:
                 for fault_seed in fault_seeds:
@@ -286,7 +286,7 @@ class DifferentialChecker:
                             % (cell.describe(), cell.error, cell.repro_command())
                         )
                         continue
-                    key = (cell.budget, plan.groupby, plan.connector)
+                    key = (cell.budget, plan.identity_class)
                     baseline = baselines.setdefault(key, cell)
                     if cell is not baseline and cell.lines != baseline.lines:
                         report.divergences.append(
@@ -300,11 +300,11 @@ class DifferentialChecker:
                         )
         if baselines:
             expected = self.case.reference(self.vertices)
-            for key in sorted(baselines, key=str):
-                got = self.case.parse_values(baselines[key].lines)
+            for (budget, identity_class), baseline in sorted(baselines.items()):
+                got = self.case.parse_values(baseline.lines)
                 report.reference_mismatches.extend(
-                    "budget %s, %s/%s group-by: %s"
-                    % (key[0], key[1].value, key[2].value, problem)
+                    "budget %s, %s group-by: %s"
+                    % (budget, identity_class, problem)
                     for problem in self.case.compare(got, expected)
                 )
         return report

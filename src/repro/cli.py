@@ -30,13 +30,7 @@ import sys
 from repro.algorithms import ALGORITHMS, algorithm_module
 from repro.bench.gates import GATES, run_gate, summary_lines
 from repro.common.errors import JobFailure, ReproError
-from repro.pregelix.api import (
-    CONNECTOR_CODES,
-    GROUPBY_CODES,
-    JOIN_CODES,
-    STORAGE_CODES,
-    PlanChoice,
-)
+from repro.pregelix.api import PlanChoice
 from repro.serve.config import ServeConfig
 
 #: ``repro figures NAME``: its renderer in :mod:`repro.bench.figures` and
@@ -72,14 +66,9 @@ GRAPH_FAMILIES = {
 }
 
 #: The physical-plan hints a command line may override (PAPER.md §5): the
-#: flag is ``--<axis>``, the axis a :class:`PlanChoice` field, the codes
-#: those of :mod:`repro.pregelix.api`.
-PLAN_AXES = {
-    "join": JOIN_CODES,
-    "groupby": GROUPBY_CODES,
-    "connector": CONNECTOR_CODES,
-    "storage": STORAGE_CODES,
-}
+#: flag is ``--<axis>``, the axis a :class:`PlanChoice` field, its choices
+#: the values of that field's enum.
+PLAN_AXES = PlanChoice.axes()
 
 
 def _flag_type(parse):
@@ -155,7 +144,8 @@ def _serve_url(text):
 
 def _add_plan_arguments(parser, axes=tuple(PLAN_AXES)):
     for axis in axes:
-        parser.add_argument("--" + axis, choices=list(PLAN_AXES[axis]),
+        parser.add_argument("--" + axis,
+                            choices=[code.value for code in PLAN_AXES[axis]],
                             default=None,
                             help="override the job's %s hint" % axis)
 
@@ -434,8 +424,8 @@ def _build_job(name, args):
         if hasattr(args, param)
     })
     overrides = {
-        axis: codes[getattr(args, axis)]
-        for axis, codes in PLAN_AXES.items()
+        axis: kind(getattr(args, axis))
+        for axis, kind in PLAN_AXES.items()
         if getattr(args, axis, None)
     }
     dataclasses.replace(PlanChoice.of(job), **overrides).apply(job)

@@ -12,7 +12,7 @@ import enum
 import itertools
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.common import serde
 from repro.common.errors import GraphMutationConflict, ReproError
@@ -450,8 +450,8 @@ class VertexResolver:
 class JoinStrategy(enum.Enum):
     """Message delivery physical choice (paper Figure 8)."""
 
-    FULL_OUTER = "full-outer-join"
-    LEFT_OUTER = "left-outer-join"
+    FULL_OUTER = "foj"
+    LEFT_OUTER = "loj"
 
 
 class GroupByStrategy(enum.Enum):
@@ -464,33 +464,34 @@ class GroupByStrategy(enum.Enum):
 class ConnectorPolicy(enum.Enum):
     """Message redistribution connector choice (paper Figure 7)."""
 
-    UNMERGED = "m-to-n-partitioning"
-    MERGED = "m-to-n-partitioning-merging"
+    UNMERGED = "unmerged"
+    MERGED = "merged"
 
 
 class VertexStorage(enum.Enum):
     """Vertex relation storage structure (paper Section 5.2)."""
 
     BTREE = "btree"
-    LSM_BTREE = "lsm-btree"
-
-
-#: Short plan-axis codes: the CLI flags, ``repro chaos`` reports, and the
-#: serve journal's plan pin all spell a plan ``join/groupby/connector/storage``.
-JOIN_CODES = {"foj": JoinStrategy.FULL_OUTER, "loj": JoinStrategy.LEFT_OUTER}
-GROUPBY_CODES = {"sort": GroupByStrategy.SORT, "hashsort": GroupByStrategy.HASHSORT}
-CONNECTOR_CODES = {"unmerged": ConnectorPolicy.UNMERGED, "merged": ConnectorPolicy.MERGED}
-STORAGE_CODES = {"btree": VertexStorage.BTREE, "lsm": VertexStorage.LSM_BTREE}
+    LSM_BTREE = "lsm"
 
 
 @dataclass(frozen=True)
 class PlanChoice:
-    """One of the sixteen physical plans."""
+    """One of the sixteen physical plans.
+
+    Each field is one plan axis, typed by the enum whose values spell it:
+    a plan prints, journals and parses as ``join/groupby/connector/storage``.
+    """
 
     join: JoinStrategy
     groupby: GroupByStrategy
     connector: ConnectorPolicy
     storage: VertexStorage
+
+    @classmethod
+    def axes(cls):
+        """Axis name -> its enum, in signature order."""
+        return {spec.name: spec.type for spec in fields(cls)}
 
     @classmethod
     def of(cls, job):
@@ -501,34 +502,39 @@ class PlanChoice:
         )
 
     def signature(self):
-        def code(table, value):
-            return next(k for k, v in table.items() if v is value)
+        return "/".join(getattr(self, axis).value for axis in self.axes())
 
-        return "%s/%s/%s/%s" % (
-            code(JOIN_CODES, self.join),
-            code(GROUPBY_CODES, self.groupby),
-            code(CONNECTOR_CODES, self.connector),
-            code(STORAGE_CODES, self.storage),
-        )
+    @property
+    def identity_class(self):
+        """The plan's bit-identity class, ``groupby/connector``.
+
+        Output bytes are identical across join strategy and vertex
+        storage (the chaos harness's standing invariant); floating-point
+        accumulation order, and hence bits, can differ across group-by
+        strategies and connector policies, so those two axes define it.
+        """
+        return "%s/%s" % (self.groupby.value, self.connector.value)
 
     @classmethod
     def parse(cls, signature):
         """Inverse of :meth:`signature` (``foj/sort/unmerged/btree``)."""
+        axes = cls.axes()
         parts = signature.split("/")
-        if len(parts) != 4:
+        if len(parts) != len(axes):
             raise ValueError(
-                "plan signature must be join/groupby/connector/storage, got %r"
-                % signature
+                "plan signature must be %s, got %r"
+                % ("/".join(axes), signature)
             )
-        try:
-            return cls(
-                JOIN_CODES[parts[0]],
-                GROUPBY_CODES[parts[1]],
-                CONNECTOR_CODES[parts[2]],
-                STORAGE_CODES[parts[3]],
-            )
-        except KeyError as missing:
-            raise ValueError("unknown plan axis code %s in %r" % (missing, signature))
+        choice = {}
+        for (axis, kind), code in zip(axes.items(), parts):
+            try:
+                choice[axis] = kind(code)
+            except ValueError:
+                raise ValueError(
+                    "%s must be one of %s, got %r in %r"
+                    % (axis, ", ".join(m.value for m in kind), code, signature)
+                ) from None
+        return cls(**choice)
 
     def apply(self, job):
         job.join_strategy = self.join
@@ -632,10 +638,5 @@ class PregelixJob:
         return global_state_serde(self.aggregator_set().value_serde())
 
     def plan_signature(self):
-        """Human-readable physical plan choice (for logs and benches)."""
-        return "%s/%s/%s/%s" % (
-            self.join_strategy.value,
-            self.groupby_strategy.value,
-            self.connector_policy.value,
-            self.vertex_storage.value,
-        )
+        """The job's plan, spelled ``join/groupby/connector/storage``."""
+        return PlanChoice.of(self).signature()

@@ -29,7 +29,12 @@ can start immediately.
 from dataclasses import dataclass, field
 
 from repro.common import costmodel
-from repro.pregelix.api import ConnectorPolicy, GroupByStrategy, JoinStrategy
+from repro.pregelix.api import (
+    ConnectorPolicy,
+    GroupByStrategy,
+    JoinStrategy,
+    PlanChoice,
+)
 
 
 @dataclass
@@ -42,6 +47,14 @@ class PlanDecision:
     scan_cost: float = 0.0
     probe_cost: float = 0.0
     reason: str = ""
+
+    def plan_for(self, job):
+        """This decision as ``job``'s whole plan: the optimizer never
+        changes vertex storage."""
+        return PlanChoice(
+            self.join_strategy, self.groupby_strategy,
+            self.connector_policy, job.vertex_storage,
+        )
 
 
 @dataclass
@@ -146,13 +159,6 @@ class CostBasedOptimizer:
         )
         self.trace.decisions.append(decision)
         return decision
-
-    def apply(self, job, decision):
-        """Install a decision's choices on the job (used by the driver)."""
-        job.join_strategy = decision.join_strategy
-        job.groupby_strategy = decision.groupby_strategy
-        job.connector_policy = decision.connector_policy
-        return job
 
     # ------------------------------------------------------------------
     def _estimate_live(self, stats, num_vertices):

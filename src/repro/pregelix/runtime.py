@@ -28,11 +28,7 @@ from repro.pregelix.checkpoint import Checkpointer
 from repro.pregelix.failure import FailureManager, failure_kind
 from repro.pregelix.physical import PartitionMap, PlanGenerator
 from repro.pregelix.relations import RunRelations
-from repro.pregelix.stats import (
-    StatisticsCollector,
-    pregelix_sim_cost,
-    seconds_by_kind,
-)
+from repro.pregelix.stats import StatisticsCollector, pregelix_sim_cost
 from repro.pregelix.types import GlobalState
 
 _run_ids = itertools.count(1)
@@ -411,11 +407,10 @@ class PregelixDriver:
             from repro.pregelix.optimizer import CostBasedOptimizer
 
             optimizer = CostBasedOptimizer(generator.partition_map.num_partitions)
-            optimizer.apply(
-                job, optimizer.initial_plan(gs.num_vertices, gs.num_edges)
-            )
+            decision = optimizer.initial_plan(gs.num_vertices, gs.num_edges)
+            decision.plan_for(job).apply(job)
             stats.optimizer_trace = optimizer.trace
-            self._record_replan(optimizer.trace.decisions[-1], superstep=0)
+            self._record_replan(decision, superstep=0)
         scale_at = dict(scale_at) if scale_at else {}
         while True:
             try:
@@ -469,17 +464,11 @@ class PregelixDriver:
                     self._advance_sim_superstep(job, record, ss_span)
                     # Where the superstep's time went, per operator kind:
                     # a stage clone opens no span of its own by default.
-                    ss_span.annotate(
-                        operators=seconds_by_kind(record.operator_seconds)
-                    )
+                    ss_span.annotate(operators=record.kind_seconds)
                 if optimizer is not None and not gs.halt:
-                    optimizer.apply(
-                        job,
-                        optimizer.next_plan(stats.supersteps[-1], gs.num_vertices),
-                    )
-                    self._record_replan(
-                        optimizer.trace.decisions[-1], superstep=gs.superstep
-                    )
+                    decision = optimizer.next_plan(record, gs.num_vertices)
+                    decision.plan_for(job).apply(job)
+                    self._record_replan(decision, superstep=gs.superstep)
                 if (
                     job.checkpoint_interval
                     and gs.superstep % job.checkpoint_interval == 0

@@ -46,6 +46,8 @@ class SuperstepStats:
     cache_misses: int = _counter()
     cache_writebacks: int = _counter()
     operator_seconds: dict = field(default_factory=dict)
+    #: ``operator_seconds`` keyed by :func:`operator_kind`, never by run.
+    kind_seconds: dict = field(default_factory=dict)
 
 
 #: SuperstepStats counter name -> the JobResult holder it is read from.
@@ -54,15 +56,6 @@ _COUNTERS = {
     for spec in fields(SuperstepStats)
     if "holder" in spec.metadata
 }
-
-
-def seconds_by_kind(operator_seconds):
-    """``operator_seconds`` keyed by :func:`operator_kind`, never by run."""
-    kinds = {}
-    for name, seconds in operator_seconds.items():
-        kind = operator_kind(name)
-        kinds[kind] = kinds.get(kind, 0.0) + seconds
-    return kinds
 
 
 def _read(job_result, name, holder):
@@ -94,10 +87,15 @@ class StatisticsCollector:
             name: _read(job_result, name, holder)
             for name, holder in _COUNTERS.items()
         }
+        kinds = {}
+        for name, seconds in job_result.operator_seconds.items():
+            kind = operator_kind(name)
+            kinds[kind] = kinds.get(kind, 0.0) + seconds
         record = SuperstepStats(
             superstep=superstep,
             elapsed=job_result.elapsed,
             operator_seconds=dict(job_result.operator_seconds),
+            kind_seconds=kinds,
             **counts,
         )
         self.supersteps.append(record)
@@ -105,7 +103,7 @@ class StatisticsCollector:
         for name, amount in counts.items():
             if amount:
                 self.registry.counter(name).inc(amount)
-        for kind, seconds in seconds_by_kind(record.operator_seconds).items():
+        for kind, seconds in kinds.items():
             self.registry.counter("operator_seconds", operator=kind).inc(seconds)
         return record
 

@@ -40,7 +40,7 @@ _EXPORTS = {
                 "JobState Rejection ServiceCrashed advance_job_ids "
                 "result_document"),
         ("autoscale", "AutoscalePolicy Autoscaler"),
-        ("cache", "LRUCache PlanCache ResultCache plan_class result_digest"),
+        ("cache", "LRUCache PlanCache ResultCache result_digest"),
         ("client", "ServeClient"),
         ("config", "ServeConfig"),
         ("datasets", "Dataset"),

@@ -24,8 +24,8 @@ over-committing memory).
 
 import time
 
+from repro.pregelix.api import PlanChoice
 from repro.serve.api import JobState
-from repro.serve.cache import plan_class
 
 #: Algorithm families whose message combiners are order-independent
 #: (min/max), making batched lanes *exactly* equivalent to solo runs.
@@ -89,7 +89,7 @@ class BatchFormer:
         return (
             request.dataset,
             request.algorithm,
-            plan_class(job),
+            PlanChoice.of(job).identity_class,
             request.max_supersteps,
             record.deadline_seconds,
         )
@@ -143,7 +143,7 @@ class BatchFormer:
             "serve.batch.form", category="serve",
             leader=leader.job_id, size=len(members),
             members=[r.job_id for r in members],
-            dataset=key[0], algorithm=key[1], plan_class=key[2],
+            dataset=key[0], algorithm=key[1], identity_class=key[2],
             estimated_bytes=self.merged_estimate(members),
         )
         return members

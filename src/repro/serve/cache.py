@@ -133,17 +133,6 @@ class LRUCache:
             return len(self._entries)
 
 
-def plan_class(job):
-    """The bit-identity class of a job's physical plan.
-
-    Results are bit-identical across join strategy and vertex storage
-    (the chaos harness's standing invariant); floating-point accumulation
-    order — and hence bits — can differ across group-by strategies and
-    connector policies, so those two axes define the class.
-    """
-    return "%s/%s" % (job.groupby_strategy.value, job.connector_policy.value)
-
-
 class ResultCache(LRUCache):
     """LRU of result documents for repeated identical queries."""
 

@@ -285,7 +285,7 @@ class Executor:
         ):
             # Resume needs checkpoints to land on.
             job.checkpoint_interval = interval
-        plan_signature = plans.plan_signature(job)
+        plan_signature = job.plan_signature()
         if shared:
             run_id = "serve-batch-%s-x%d" % (leader.job_id, len(lanes))
         else:

@@ -1,18 +1,17 @@
 """Request → job: how a submission's physical plan is resolved.
 
 One module knows the precedence (explicit plan > journaled pin >
-optimizer > plan cache > algorithm defaults), the short
-``join/groupby/connector/storage`` signature journaled with a dispatch,
-and the result-cache key derived from the resolved plan's bit-identity
-class. Validation, the batch former's compatibility check, dispatch and
-the result-cache lookup all build their job here, so they cannot
-disagree about which plan a request would run under.
+optimizer > plan cache > algorithm defaults) and the result-cache key
+derived from the resolved plan's bit-identity class. Validation, the
+batch former's compatibility check, dispatch and the result-cache
+lookup all build their job here, so they cannot disagree about which
+plan a request would run under.
 """
 
 from repro.algorithms import ALGORITHMS, algorithm_module
 from repro.common.errors import ReproError
 from repro.pregelix.api import PlanChoice
-from repro.serve.cache import ResultCache, plan_class
+from repro.serve.cache import ResultCache
 
 
 def build_job(request, dataset, plan_cache, plan_signature=None):
@@ -44,14 +43,9 @@ def build_job(request, dataset, plan_cache, plan_signature=None):
     return job
 
 
-def plan_signature(job):
-    """The job's resolved plan as a short, parseable signature."""
-    return PlanChoice.of(job).signature()
-
-
 def cache_key(request, dataset, job):
     """The result-cache key of ``request`` run as ``job``."""
     return ResultCache.make_key(
         dataset.digest, request.algorithm, request.params_key(),
-        plan_class(job),
+        PlanChoice.of(job).identity_class,
     )

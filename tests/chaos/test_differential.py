@@ -121,6 +121,10 @@ class TestDifferentialMatrix:
         )
         assert not report.ok
         assert report.reference_mismatches
+        # A mismatch names its budget and bit-identity class.
+        assert report.reference_mismatches[0].startswith(
+            "budget roomy, sort/unmerged group-by: "
+        )
 
     def test_failed_cell_reported_not_raised(self, chaos_graph):
         """A cell whose job crashes becomes a finding, not a test crash."""

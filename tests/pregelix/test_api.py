@@ -1,5 +1,7 @@
 """Unit tests for the user-facing Pregel API."""
 
+import dataclasses
+
 import pytest
 
 from repro.common import serde
@@ -13,11 +15,13 @@ from repro.pregelix.api import (
     JoinStrategy,
     MaxCombiner,
     MinCombiner,
+    PlanChoice,
     PregelixJob,
     SumCombiner,
     Vertex,
     VertexResolver,
     VertexStorage,
+    all_plans,
 )
 
 
@@ -216,7 +220,7 @@ class TestPregelixJob:
 
     def test_plan_signature(self):
         job = PregelixJob("j", EchoVertex)
-        assert job.plan_signature() == "full-outer-join/sort/m-to-n-partitioning/btree"
+        assert job.plan_signature() == "foj/sort/unmerged/btree"
 
     def test_sixteen_distinct_plans(self):
         signatures = set()
@@ -250,24 +254,18 @@ class TestPregelixJob:
 
 
 class TestPlanEncoding:
-    """The 16-plan short-code encoding lives beside the enums; every
-    spelling of a plan the system persists or prints is pinned here."""
+    """The enums' values are the plan's one spelling; every spelling of a
+    plan the system persists or prints is pinned here."""
 
-    def test_three_spellings_of_one_plan(self):
+    def test_one_spelling_of_one_plan(self):
         from repro.algorithms import sssp
         from repro.pregelix.api import PlanChoice
-        from repro.serve import plans
-        from repro.serve.cache import plan_class
 
         job = sssp.build_job(vertex_storage=VertexStorage.LSM_BTREE)
-        # the journal's plan pin
-        assert plans.plan_signature(job) == "loj/hashsort/unmerged/lsm"
-        # the result document's `plan`
-        assert job.plan_signature() == (
-            "left-outer-join/hashsort/m-to-n-partitioning/lsm-btree"
-        )
+        # the journal's plan pin and the result document's `plan`
+        assert job.plan_signature() == "loj/hashsort/unmerged/lsm"
         # the result cache's bit-identity class
-        assert plan_class(job) == "hashsort/m-to-n-partitioning"
+        assert PlanChoice.of(job).identity_class == "hashsort/unmerged"
         assert PlanChoice.parse("loj/hashsort/unmerged/lsm") == PlanChoice.of(job)
 
     def test_chaos_re_exports_the_same_objects(self):
@@ -277,3 +275,56 @@ class TestPlanEncoding:
         assert repro.chaos.PlanChoice is api.PlanChoice
         assert repro.chaos.all_plans is api.all_plans
         assert len(api.all_plans()) == 16
+
+
+@pytest.fixture(scope="module")
+def sssp_run():
+    """One finished sssp run: its outcome and dumped lines."""
+    from repro.algorithms import sssp
+    from repro.graphs.generators import chain_graph
+    from repro.graphs.io import write_graph_to_dfs
+    from repro.hyracks.engine import HyracksCluster
+    from repro.pregelix import PregelixDriver
+
+    with HyracksCluster(num_nodes=2) as cluster:
+        write_graph_to_dfs(cluster.dfs, "/in", iter(chain_graph(6)), num_files=2)
+        driver = PregelixDriver(cluster, cluster.dfs)
+        outcome = driver.run(sssp.build_job(), "/in", "/out")
+        return outcome, driver.read_output("/out")
+
+
+@pytest.mark.parametrize(
+    "plan", all_plans(), ids=lambda plan: plan.signature().replace("/", "-")
+)
+def test_every_printed_spelling_parses_back(plan, sssp_run):
+    """Whatever prints a plan prints the spelling ``PlanChoice.parse``
+    reads, so a reported plan can be resubmitted as it stands."""
+    from repro.algorithms import sssp
+    from repro.chaos.differential import CellResult
+    from repro.cli import main
+    from repro.pregelix.multiquery import MultiQueryProgram
+    from repro.serve.api import result_document
+
+    outcome, lines = sssp_run
+    job = plan.apply(sssp.build_job())
+    program = MultiQueryProgram(sssp, [{"source_id": 0}], template_job=job)
+    command = CellResult("sssp", plan, "roomy", None).repro_command().split()
+    spellings = [
+        result_document("sssp", job, outcome)["plan"],
+        program.lane_document(0, "sssp", outcome, lines, lane_supersteps=1)["plan"],
+        command[command.index("--plans") + 1],
+    ]
+    assert [PlanChoice.parse(spelling) for spelling in spellings] == [plan] * 3
+    # `explain` takes no --storage flag: its job keeps sssp's B-tree.
+    printed = []
+    argv = ["explain", "sssp", "--nodes", "2"]
+    for axis in ("join", "groupby", "connector"):
+        argv += ["--" + axis, getattr(plan, axis).value]
+    assert main(argv, out=printed.append) == 0
+    (signature,) = [
+        line[len("plan signature: "):] for line in printed
+        if line.startswith("plan signature: ")
+    ]
+    assert PlanChoice.parse(signature) == dataclasses.replace(
+        plan, storage=VertexStorage.BTREE
+    )

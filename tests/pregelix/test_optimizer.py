@@ -5,7 +5,12 @@ import pytest
 from repro.algorithms import pagerank, sssp
 from repro.graphs.generators import btc_graph, chain_graph, webmap_graph
 from repro.graphs.io import write_graph_to_dfs
-from repro.pregelix import ConnectorPolicy, GroupByStrategy, JoinStrategy
+from repro.pregelix import (
+    ConnectorPolicy,
+    GroupByStrategy,
+    JoinStrategy,
+    VertexStorage,
+)
 from repro.pregelix.optimizer import CostBasedOptimizer, PlanDecision
 from repro.pregelix.stats import SuperstepStats
 
@@ -100,16 +105,19 @@ class TestDecisionLogic:
         assert optimizer.trace.switches() == [3]
 
     def test_apply_installs_choices(self):
-        job = sssp.build_job(auto_optimize=True)
-        optimizer = CostBasedOptimizer(8)
+        job = sssp.build_job(
+            auto_optimize=True, vertex_storage=VertexStorage.LSM_BTREE
+        )
         decision = PlanDecision(
             join_strategy=JoinStrategy.LEFT_OUTER,
             groupby_strategy=GroupByStrategy.HASHSORT,
             connector_policy=ConnectorPolicy.UNMERGED,
         )
-        optimizer.apply(job, decision)
+        decision.plan_for(job).apply(job)
         assert job.join_strategy == JoinStrategy.LEFT_OUTER
         assert job.groupby_strategy == GroupByStrategy.HASHSORT
+        # The optimizer never chooses storage: the job's stays.
+        assert job.vertex_storage == VertexStorage.LSM_BTREE
 
 
 class TestEndToEnd:

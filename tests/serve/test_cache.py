@@ -9,7 +9,8 @@ from repro.pregelix import (
     JoinStrategy,
     VertexStorage,
 )
-from repro.serve.cache import LRUCache, PlanCache, ResultCache, plan_class
+from repro.pregelix.api import PlanChoice
+from repro.serve.cache import LRUCache, PlanCache, ResultCache
 from repro.telemetry import Telemetry
 
 
@@ -74,16 +75,16 @@ class TestPlanClass:
         b = connected_components.build_job()
         b.join_strategy = JoinStrategy.LEFT_OUTER
         b.vertex_storage = VertexStorage.LSM_BTREE
-        assert plan_class(a) == plan_class(b)
+        assert PlanChoice.of(a).identity_class == PlanChoice.of(b).identity_class
 
     def test_groupby_and_connector_split_the_class(self):
         a = connected_components.build_job()
         b = connected_components.build_job()
         b.groupby_strategy = GroupByStrategy.HASHSORT
-        assert plan_class(a) != plan_class(b)
+        assert PlanChoice.of(a).identity_class != PlanChoice.of(b).identity_class
         c = connected_components.build_job()
         c.connector_policy = ConnectorPolicy.MERGED
-        assert plan_class(a) != plan_class(c)
+        assert PlanChoice.of(a).identity_class != PlanChoice.of(c).identity_class
 
 
 class TestResultCacheKey:

@@ -63,10 +63,7 @@ class TestLifecycle:
     def test_explicit_plan_is_honored(self, service, reference_results):
         record = submit(service, "cc", plan="loj/hashsort/unmerged/lsm")
         assert record.wait(WAIT) is JobState.SUCCEEDED
-        plan = record.result["plan"]
-        assert "left-outer-join" in plan
-        assert "hashsort" in plan
-        assert "lsm" in plan
+        assert record.result["plan"] == "loj/hashsort/unmerged/lsm"
         # Join strategy and storage never change result bits.
         assert sorted(record.result["results"]) == reference_results["cc"]
 
@@ -122,7 +119,7 @@ class TestResultCache:
         digest = service.datasets["g"].digest
         remembered = service.plan_cache.lookup(digest, "cc")
         assert remembered is not None
-        assert remembered.storage.value == "lsm-btree"
+        assert remembered.storage.value == "lsm"
 
 
 class TestRejections:
@@ -154,6 +151,9 @@ class TestRejections:
         with pytest.raises(AdmissionRejected) as excinfo:
             submit(service, "cc", plan="quantum/sort/unmerged/btree")
         assert excinfo.value.rejection.code == "bad_request"
+        assert "join must be one of foj, loj, got 'quantum'" in (
+            excinfo.value.rejection.reason
+        )
 
     def test_rejections_counted_in_stats(self, service):
         with pytest.raises(AdmissionRejected):

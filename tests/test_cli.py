@@ -163,7 +163,7 @@ class TestRun:
              "--storage", "lsm"]
         )
         assert code == 0
-        assert any("full-outer-join/sort/m-to-n-partitioning-merging/lsm-btree" in line
+        assert any("foj/sort/merged/lsm" in line
                    for line in lines)
 
     def test_plan_flags_move_only_their_axes(self):
@@ -399,6 +399,18 @@ class TestChaos:
         assert errors == [
             "repro chaos: error: argument --plans: plan signature must be "
             "join/groupby/connector/storage, got 'bogus'"
+        ]
+        # A signature of four parts names the axis it fails on, and the
+        # spellings that axis accepts.
+        with pytest.raises(SystemExit) as exit:
+            run_cli(["chaos", "--plans", "loj/hashsort/m-to-n-partitioning/btree"])
+        assert exit.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == [
+            "repro chaos: error: argument --plans: connector must be one of "
+            "unmerged, merged, got 'm-to-n-partitioning' in "
+            "'loj/hashsort/m-to-n-partitioning/btree'"
         ]
 
     def test_durability_action_pool(self):

@@ -142,10 +142,10 @@ def _serve_url(text):
     return text
 
 
-def _add_plan_arguments(parser, axes=tuple(PLAN_AXES)):
-    for axis in axes:
+def _add_plan_arguments(parser):
+    for axis, kind in PLAN_AXES.items():
         parser.add_argument("--" + axis,
-                            choices=[code.value for code in PLAN_AXES[axis]],
+                            choices=[code.value for code in kind],
                             default=None,
                             help="override the job's %s hint" % axis)
 
@@ -304,7 +304,7 @@ def build_parser():
         "explain", cmd_explain, "print the physical plans for an algorithm's job"
     )
     explain.add_argument("algorithm", choices=sorted(ALGORITHMS))
-    _add_plan_arguments(explain, ("join", "groupby", "connector"))
+    _add_plan_arguments(explain)
     explain.add_argument("--nodes", type=_at_least(1), default=4)
 
     chaos = command(

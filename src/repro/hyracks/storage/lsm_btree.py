@@ -6,7 +6,9 @@ budget it is flushed to an immutable on-disk B-tree component built with
 bulk load — turning random update I/O into sequential writes. Lookups
 consult the memory component, then disk components newest-first; deletes
 write tombstones. When the number of disk components grows past
-``max_components`` they are merged into one.
+``max_components`` they are merged into one. A full scan whose output is
+exactly the live entries of its memory snapshot has proved every disk
+component it read dead, and retires them all.
 
 Pregelix selects this structure for jobs whose vertex data changes size
 drastically between supersteps or that mutate the graph heavily (e.g. the
@@ -28,13 +30,33 @@ _KEY, _VALUE = itemgetter(0), itemgetter(1)
 
 class _Component:
     """One immutable disk component: a bulk-loaded B-tree plus the bloom
-    filter that lets lookups skip it cheaply."""
+    filter that lets lookups skip it cheaply, the open scans reading it,
+    and whether it has left the LSM (merged or retired). Its tree is
+    destroyed once it has left and no scan reads it."""
 
-    __slots__ = ("tree", "bloom")
+    __slots__ = ("tree", "bloom", "readers", "gone")
 
     def __init__(self, tree, bloom):
         self.tree = tree
         self.bloom = bloom
+        self.readers = 0
+        self.gone = False
+
+    def leave(self):
+        """The component is out of its LSM: merged or retired."""
+        self.gone = True
+        self._destroy_if_unread()
+
+    def release(self):
+        """One open scan over the component has ended."""
+        self.readers -= 1
+        self._destroy_if_unread()
+
+    def _destroy_if_unread(self):
+        # No scan starts on a component that has left, so this destroys
+        # its tree once.
+        if self.gone and not self.readers:
+            self.tree.destroy()
 
 
 class LSMBTree(Index):
@@ -43,8 +65,8 @@ class LSMBTree(Index):
     :param buffer_cache: node buffer cache backing the disk components.
     :param memory_budget_bytes: flush threshold for the memory component.
     :param max_components: disk-component count that triggers a merge,
-        which merges every component into one. Flushes and merges are
-        recorded in the cache's telemetry session.
+        which merges every component into one. Flushes, merges and
+        retirements are recorded in the cache's telemetry session.
     """
 
     def __init__(self, buffer_cache, memory_budget_bytes=1 << 20, max_components=4, name=None):
@@ -59,6 +81,7 @@ class LSMBTree(Index):
         self._component_seq = 0
         self.flushes = 0
         self.merges = 0
+        self.drops = 0  # full scans that retired every disk component they read
         self.bloom_skips = 0  # component descents avoided by blooms
 
     # ------------------------------------------------------------------
@@ -116,10 +139,13 @@ class LSMBTree(Index):
         return None
 
     def scan(self, low=None, high=None):
-        # Snapshot the memory component so in-flight updates (the compute
-        # mini-operator writes during the join scan) cannot corrupt the
-        # cursor; disk components are immutable by construction.
-        if low is None and high is None:
+        # Snapshot the memory component (at the first ``next``) so
+        # in-flight updates (the compute mini-operator writes during the
+        # join scan) cannot corrupt the cursor; disk components are
+        # immutable by construction, and the ones read here outlive a
+        # merge or retirement until the scan ends.
+        full = low is None and high is None
+        if full:
             memory_items = sorted(self._memory.items())
         else:
             memory_items = sorted(
@@ -127,9 +153,27 @@ class LSMBTree(Index):
                 for key, value in self._memory.items()
                 if (low is None or key >= low) and (high is None or key < high)
             )
-        return self._merged_scan([memory_items] + [
-            component.tree.scan(low, high) for component in self._components
-        ])
+        components = list(self._components)
+        for component in components:
+            component.readers += 1
+        try:
+            emitted = 0
+            for pairs in merge_sorted_rounds([memory_items] + [
+                component.tree.scan(low, high) for component in components
+            ]):
+                pairs = _winners(pairs)
+                emitted += len(pairs)
+                yield from pairs
+            # Every live memory entry wins its key, so output no larger
+            # than them means no disk key survived: the components are
+            # dead, their tombstones too (nothing older exists).
+            if full and components:
+                values = list(map(_VALUE, memory_items))
+                if emitted == len(values) - values.count(TOMBSTONE):
+                    self._retire(components)
+        finally:
+            for component in components:
+                component.release()
 
     def bulk_load(self, pairs):
         if len(self):
@@ -146,7 +190,7 @@ class LSMBTree(Index):
 
     def destroy(self):
         for component in self._components:
-            component.tree.destroy()
+            component.leave()
         self._components = []
         self._memory = {}
         self._memory_bytes = 0
@@ -215,12 +259,26 @@ class LSMBTree(Index):
             )
             self._components = [merged]
             for component in victims:
-                component.tree.destroy()
+                component.leave()
         self.merges += 1
+
+    def _retire(self, components):
+        """Take those of ``components`` still in the LSM out of it: a full
+        scan proved no key of theirs survives."""
+        dead = [component for component in components if not component.gone]
+        if not dead:
+            return
+        with self._storage_op("lsm.drop", "storage.lsm.drops", victims=len(dead)):
+            for component in dead:
+                component.leave()
+            self._components = [
+                component for component in self._components if not component.gone
+            ]
+        self.drops += 1
 
     @contextlib.contextmanager
     def _storage_op(self, name, counter, **args):
-        """Span a flush or merge, then log and count it."""
+        """Span a flush, merge or retirement, then log and count it."""
         with self.telemetry.span(name, category="storage", index=self.name, **args):
             yield
         self.telemetry.event(name, category="storage", index=self.name, **args)
@@ -244,3 +302,4 @@ def _winners(pairs):
         pair for pair, previous in zip(pairs, chain((None,), map(_KEY, pairs)))
         if pair[0] != previous and pair[1] != TOMBSTONE
     ]
+

@@ -205,8 +205,12 @@ class StatisticsCollector:
         if self.optimizer_trace is not None:
             for index, decision in enumerate(self.optimizer_trace.decisions):
                 out(
-                    "plan ss%d: %s (%s)"
-                    % (index + 1, decision.join_strategy.value, decision.reason)
+                    "plan ss%d: %s/%s/%s (%s)"
+                    % (
+                        index + 1, decision.join_strategy.value,
+                        decision.groupby_strategy.value,
+                        decision.connector_policy.value, decision.reason,
+                    )
                 )
         # Access-method and operator-time detail (collected since the
         # seed but previously never printed).

@@ -10,6 +10,7 @@ from repro.algorithms import pagerank, sssp
 from repro.common import serde
 from repro.graphs.generators import btc_graph, chain_graph, star_graph, webmap_graph
 from repro.graphs.io import write_graph_to_dfs
+from repro.hyracks.storage.lsm_btree import LSMBTree
 from repro.pregelix import (
     ConnectorPolicy,
     GroupByStrategy,
@@ -141,6 +142,31 @@ class TestConnectedComponents:
         expected = reference_components(vertices)
         got = {int(l.split()[0]): int(l.split()[1]) for l in driver.read_output("/out/cc")}
         assert got == expected
+
+    def test_lsm_full_scans_retire_the_bulk_load(self, cluster, driver, dfs):
+        """Superstep 1 rewrites every vertex, so superstep 2's full-outer
+        join scan proves each partition's loaded component dead and
+        retires it; the output is the B-tree run's."""
+        write_graph_to_dfs(dfs, "/in/lsm", btc_graph(200, seed=9), num_files=3)
+        components = {}
+
+        def look(superstep, gs):
+            components[superstep] = [
+                index.num_disk_components
+                for node in cluster.nodes.values()
+                for index in node.services.get("indexes", {}).values()
+                if isinstance(index, LSMBTree)
+            ]
+
+        outputs = []
+        for storage in (VertexStorage.LSM_BTREE, VertexStorage.BTREE):
+            out = "/out/cc-%s" % storage.value
+            driver.run(cc.build_job(vertex_storage=storage), "/in/lsm", output_path=out,
+                       boundary_hook=look if storage is VertexStorage.LSM_BTREE else None)
+            outputs.append(sorted(driver.read_output(out)))
+        assert components[1] == [1, 1, 1]
+        assert components[2] == [0, 0, 0]
+        assert outputs[0] == outputs[1]
 
 
 class TestPlanEquivalence:

@@ -7,6 +7,8 @@ from repro.chaos import FaultPlan, FaultSpec
 from repro.common.errors import WorkerFailure
 from repro.graphs.generators import btc_graph, chain_graph
 from repro.graphs.io import write_graph_to_dfs
+from repro.hyracks.engine import HyracksCluster
+from repro.pregelix import PregelixDriver
 from repro.pregelix.failure import FailureManager
 
 
@@ -27,6 +29,19 @@ class TestStatsReport:
         lines = []
         outcome.stats.report(out=lines.append)
         assert any(line.startswith("plan ss") for line in lines)
+
+    def test_optimizer_lines_name_the_whole_plan(self, tmp_path):
+        """Each ``plan ssN:`` line spells join/groupby/connector, so a
+        group-by switch the optimizer makes shows in the report."""
+        with HyracksCluster(num_nodes=2, root_dir=str(tmp_path / "two")) as cluster:
+            write_graph_to_dfs(cluster.dfs, "/in/b", btc_graph(300), num_files=2)
+            job = sssp.build_job(source_id=0, auto_optimize=True)
+            outcome = PregelixDriver(cluster, cluster.dfs).run(job, "/in/b")
+        lines = []
+        outcome.stats.report(out=lines.append)
+        plans = [line.split()[2] for line in lines if line.startswith("plan ss")]
+        assert {plan.count("/") for plan in plans} == {2}
+        assert any(plan.split("/")[1] == "hashsort" for plan in plans)
 
 
 class TestFailureKinds:

@@ -299,7 +299,7 @@ class _SpillingGroupByBase(OperatorDescriptor):
         return {self.OUT: list(self.grouped_stream(ctx, stream))}
 
     def _runs(self, ctx):
-        return SortedRuns(ctx.files, "groupby-run", self.aggregator.state_serde())
+        return SortedRuns(ctx, "groupby-run", self.aggregator.state_serde())
 
     def _overflow(self, runs, named_states):
         """Spill a batch of sorted named states that exceeded the budget."""
@@ -317,7 +317,7 @@ class _SpillingGroupByBase(OperatorDescriptor):
         (``aggregator.merge_rounds``)."""
         aggregator = self.aggregator
         batches = (in_memory,)
-        if runs.paths:
+        if runs.extents:
             batches = aggregator.merge_rounds(runs.merged_rounds(in_memory))
         return _finished_batches(aggregator, batches)
 

@@ -5,7 +5,7 @@ batches that fit the memory budget, turn every full batch into sorted
 ``(key, value)`` pairs and spill it as a run, merge the runs with what
 is still in memory — inside one
 :class:`~repro.hyracks.storage.run_file.SortedRuns` scope, which owns
-the files. The sort's batch policy sorts raw tuples and folds nothing;
+the run file. The sort's batch policy sorts raw tuples and folds nothing;
 the re-grouping group-bys are the same skeleton with a fold. In-memory
 inputs never write a run, so small jobs stay fast.
 """
@@ -82,12 +82,12 @@ class ExternalSortOperator(OperatorDescriptor):
 
     def sorted_stream(self, ctx, stream):
         """Yield the tuples of ``stream`` in sort-key order."""
-        with SortedRuns(ctx.files, "sort-run", self.tuple_serde) as runs:
+        with SortedRuns(ctx, "sort-run", self.tuple_serde) as runs:
             buffer = spill_full_batches(
                 stream, self.tuple_serde, self.memory_limit,
                 lambda full: runs.spill(self._sorted_pairs(full)),
             )
-            if not runs.paths:
+            if not runs.extents:
                 buffer.sort(key=self.sort_key_fn)
                 yield from buffer
                 return

@@ -3,7 +3,7 @@
 from repro.hyracks.storage.file_manager import FileManager
 from repro.hyracks.storage.pages import Page, PageId, PageKind
 from repro.hyracks.storage.buffer_cache import BufferCache
-from repro.hyracks.storage.run_file import RunFileWriter, RunFileReader
+from repro.hyracks.storage.run_file import RunFileReader
 from repro.hyracks.storage.index import Index, TOMBSTONE
 from repro.hyracks.storage.btree import BTree
 from repro.hyracks.storage.lsm_btree import LSMBTree
@@ -14,7 +14,6 @@ __all__ = [
     "PageId",
     "PageKind",
     "BufferCache",
-    "RunFileWriter",
     "RunFileReader",
     "Index",
     "TOMBSTONE",

@@ -8,6 +8,7 @@ the key — the difference between one B-tree descent and one per
 component for the probe-heavy left-outer-join plan.
 """
 
+import hashlib
 import math
 import struct
 
@@ -53,21 +54,10 @@ class BloomFilter:
     # ------------------------------------------------------------------
     @staticmethod
     def _base_hashes(key):
-        # Two independent 64-bit hashes by splitmix-style finalization of
-        # an FNV-1a pass (no hashlib needed; deterministic across runs).
-        h = 0xCBF29CE484222325
-        for byte in key:
-            h ^= byte
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        x = h
-        x ^= x >> 30
-        x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 27
-        x = (x * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 31
-        h2 = (x * 0x9E3779B97F4A7C15 + 0x165667B19E3779F9) & 0xFFFFFFFFFFFFFFFF
-        h2 |= 1  # odd stride so the probe sequence covers the bit array
-        return x, h2
+        # Two 64-bit words of one blake2b digest; the second is the probe
+        # stride, odd so the probe sequence covers the bit array.
+        h1, h2 = _DIGEST.unpack(hashlib.blake2b(key, digest_size=16).digest())
+        return h1, h2 | 1
 
     def _set_bit(self, index):
         self._bits[index >> 3] |= 1 << (index & 7)

@@ -1,11 +1,13 @@
 """Sequential run files: spill output for sorts, group-bys, and Msg data.
 
-A run file is a flat local file of length-prefixed ``(key, value)`` byte
+A run is a flat sequence of length-prefixed ``(key, value)`` byte
 records written once and scanned sequentially — exactly the shape of an
 external sort run or of the sorted per-partition ``Msg`` relation the
-paper stores "in temporary local files" between supersteps. A ``Msg``
-partition (:class:`RunFile`) keeps those bytes in memory instead while
-the node's memory budget takes them.
+paper stores "in temporary local files" between supersteps. The runs an
+operator clone spills are extents ``(offset, length)`` of one local file
+(:class:`SortedRuns`); a ``Msg`` partition (:class:`RunFile`) keeps its
+bytes in memory while the node's memory budget takes them, and in a
+file of its own otherwise. :class:`RunFileReader` reads both.
 
 This is the one framing of a ``(key, value)`` byte pair: a run file and
 a checkpoint blob (:func:`pack_pairs`/:func:`iter_pairs`) are the same
@@ -28,8 +30,6 @@ import struct
 from repro.common.errors import MemoryBudgetExceeded, StorageError
 
 _RECORD_HEADER = struct.Struct(">II")
-#: Records framed and written per call by :meth:`RunFileWriter.extend`.
-_WRITE_BATCH = 4096
 #: Bytes a reader takes from its file per call. One chunk — or one record,
 #: if a record is larger — is all an open run holds in memory, so a merge
 #: of spilled runs is bounded by their number, never by their length.
@@ -117,15 +117,18 @@ class _Buffered:
 
 
 def pack_pairs(pairs):
-    """Frame ``(key, value)`` byte pairs into one blob: every header
-    packed, and every record laid out, by C-level maps over the batch."""
+    """Frame ``(key, value)`` byte pairs into one blob by C-level maps
+    over the batch: a header per record, or one for all of them when the
+    keys share one length and the values share one."""
     if not isinstance(pairs, list):
         pairs = list(pairs)
-    keys, values = map(LEAD, pairs), map(_VALUE, pairs)
-    headers = map(
-        _RECORD_HEADER.pack,
-        map(len, map(LEAD, pairs)), map(len, map(_VALUE, pairs)),
-    )
+    keys, values = list(map(LEAD, pairs)), list(map(_VALUE, pairs))
+    key_lengths, value_lengths = list(map(len, keys)), list(map(len, values))
+    headers = map(_RECORD_HEADER.pack, key_lengths, value_lengths)
+    if keys and key_lengths.count(key_lengths[0]) == len(keys) == (
+        value_lengths.count(value_lengths[0])
+    ):
+        headers = itertools.repeat(next(headers))
     return b"".join(itertools.chain.from_iterable(zip(headers, keys, values)))
 
 
@@ -192,129 +195,119 @@ def _decoded_chunk(loads_many, records):
     return zip(map(LEAD, records), loads_many(list(map(_VALUE, records))))
 
 
-def _cut_inside_a_record(what, short):
+def _cut_inside_a_record(what, at, short):
     raise StorageError(
-        "%s is cut inside a record (at least %d bytes missing)" % (what, short)
+        "%s is cut inside a record at offset %d (at least %d bytes missing)"
+        % (what, at, short)
     )
 
 
 def iter_pairs(blob):
     """Inverse of :func:`pack_pairs`."""
-    records, _end, short = _parse(bytes(blob))
+    records, end, short = _parse(bytes(blob))
     if short:
-        _cut_inside_a_record("a blob of framed pairs", short)
+        _cut_inside_a_record("a blob of framed pairs", end, short)
     return iter(records)
 
 
-class RunFileWriter:
-    """Appends ``(key, value)`` byte records to a local file."""
-
-    def __init__(self, path, file_manager=None):
-        self.path = path
-        self.files = file_manager
-        self._handle = open(path, "wb")
-        self.bytes_written = 0
-
-    def append(self, key, value):
-        self.extend(((key, value),))
-
-    def extend(self, pairs):
-        """Append a batch of records, framed and written
-        :data:`_WRITE_BATCH` at a time."""
-        pairs = iter(pairs)
-        while True:
-            blob = pack_pairs(itertools.islice(pairs, _WRITE_BATCH))
-            if not blob:
-                return
-            self._handle.write(blob)
-            self.bytes_written += len(blob)
-
-    def close(self):
-        if self._handle.closed:
-            return
-        self._handle.close()
-        if self.files is not None:
-            self.files.record_run_write(self.bytes_written)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
 class RunFileReader:
-    """Sequentially iterates the ``(key, value)`` records of a run file."""
+    """The ``(key, value)`` records of one extent ``(offset, length)``
+    of a run file (the whole file by default), read in order by
+    positioned reads of ``fd`` if its owner keeps the file open, else of
+    ``path``, opened per reading."""
 
-    def __init__(self, path, file_manager=None):
+    def __init__(self, path, file_manager=None, extent=None, fd=None):
         self.path = path
         self.files = file_manager
+        self.extent = extent
+        self.fd = fd
 
     def __iter__(self):
         return itertools.chain.from_iterable(self.chunks())
 
     def chunks(self):
-        """The records, one list per read of the file. The bytes parsed
-        are charged to the file manager however the reading ends."""
-        try:
-            handle = open(self.path, "rb")
-        except FileNotFoundError:
-            # Every owner writes its run before reading it.
-            raise StorageError("run file %s is missing" % self.path) from None
-        total = 0
+        """The records, one list per read of :data:`_READ_CHUNK` bytes
+        (or of the one record that is longer). The bytes parsed are
+        charged to the file manager however the reading ends; an extent
+        that ends inside a record, or past the file's end, is a
+        :class:`StorageError` naming the file and the offset."""
+        fd = self.fd
+        opened = fd is None
+        if opened:
+            try:
+                fd = os.open(self.path, os.O_RDONLY)
+            except FileNotFoundError:
+                # Every owner writes its run before reading it.
+                raise StorageError("run file %s is missing" % self.path) from None
+        offset, length = self.extent or (0, os.fstat(fd).st_size)
+        at, end = offset, offset + length
+        parsed = short = 0
         data = b""
-        short = 0
         try:
-            with handle:
-                while True:
-                    more = handle.read(max(_READ_CHUNK, short))
-                    if not more:
-                        break
-                    data += more
-                    records, end, short = _parse(data)
-                    total += end
-                    data = data[end:]
-                    if records:
-                        yield records
+            while at < end:
+                more = os.pread(fd, min(max(_READ_CHUNK, short), end - at), at)
+                if not more:
+                    break
+                at += len(more)
+                data += more
+                records, cut, short = _parse(data)
+                parsed += cut
+                data = data[cut:]
+                if records:
+                    yield records
         finally:
-            if self.files is not None and total:
-                self.files.record_run_read(total)
-        if short:
-            _cut_inside_a_record("run file %s" % self.path, short)
-
-    def delete(self):
-        if os.path.exists(self.path):
-            os.remove(self.path)
+            if opened:
+                os.close(fd)
+            if self.files is not None and parsed:
+                self.files.record_run_read(parsed)
+        if at < end or data:
+            _cut_inside_a_record(
+                "run file %s" % self.path, offset + parsed, max(short, end - at)
+            )
 
 
 class SortedRuns:
-    """The sorted runs one operator clone spills, and their only owner.
+    """The sorted runs one operator clone spills, and their only owner:
+    :attr:`extents` ``(offset, length)`` of one file, which the first
+    :meth:`spill` creates (``create_temp_path(hint)``). A context manager
+    to hold around *both* run generation and the consumption of
+    :meth:`merged`: it then deletes the file when the consumer exhausts
+    the stream, abandons it, or anything raises.
 
-    A context manager to hold around *both* run generation and the
-    consumption of :meth:`merged`: it then deletes every file it created
-    (under ``create_temp_path(hint)``; the one being written included)
-    when the consumer exhausts the stream, abandons it, or anything
-    raises. ``files`` is not touched before the first :meth:`spill`.
+    Every spill counts one run, in the job's counters (``spilled_runs``)
+    and in the registry (``storage.spill.runs{hint=...}``); a context
+    with no job (an operator driven on its own) counts nothing.
     """
 
-    def __init__(self, files, hint, value_serde):
-        self.files = files
+    def __init__(self, ctx, hint, value_serde):
+        self.files = ctx.files
+        self.job = getattr(ctx, "job", None)
         self.hint = hint
         self.value_serde = value_serde
-        self.paths = []
+        self.path = None
+        self.extents = []
+        self._handle = None
         self._replays = []
 
     def spill(self, pairs):
         """Write ``(key bytes, value)`` pairs, in key order, as one more run."""
         pairs = list(pairs)
-        path = self.files.create_temp_path(self.hint)
-        self.paths.append(path)
-        with RunFileWriter(path, self.files) as writer:
-            writer.extend(zip(
-                map(LEAD, pairs),
-                self.value_serde.dumps_many(map(_VALUE, pairs)),
-            ))
+        image = pack_pairs(zip(
+            map(LEAD, pairs), self.value_serde.dumps_many(map(_VALUE, pairs))
+        ))
+        if self._handle is None:
+            self.path = self.files.create_temp_path(self.hint)
+            self._handle = open(self.path, "w+b")
+        offset = sum(self.extents[-1]) if self.extents else 0
+        self._handle.write(image)
+        self._handle.flush()
+        self.extents.append((offset, len(image)))
+        self.files.record_run_write(len(image))
+        if self.job is not None:
+            self.job.counters.add("spilled_runs")
+            self.job.telemetry.registry.counter(
+                "storage.spill.runs", hint=self.hint
+            ).inc()
 
     def merged(self, tail=()):
         """The pairs of every run, in the order spilled, and of ``tail``
@@ -323,12 +316,17 @@ class SortedRuns:
 
     def merged_rounds(self, tail=()):
         """:meth:`merged` as the rounds of :func:`merge_sorted`: sorted
-        lists, each going on where the one before stopped."""
+        lists, each going on where the one before stopped. A run of one
+        read chunk is read and decoded whole, and merged as a list; a
+        longer one is replayed a chunk at a time."""
         streams = []
-        for path in self.paths:
-            replay = RunFileReader(path, self.files).chunks()
+        for extent in self.extents:
+            replay = RunFileReader(
+                self.path, self.files, extent, self._handle.fileno()
+            ).chunks()
             self._replays.append(replay)
-            streams.append(_decoded(replay, self.value_serde.loads_many))
+            run = _decoded(replay, self.value_serde.loads_many)
+            streams.append(list(run) if extent[1] <= _READ_CHUNK else run)
         return merge_sorted_rounds(streams + [tail])
 
     def __enter__(self):
@@ -337,8 +335,11 @@ class SortedRuns:
     def __exit__(self, *exc):
         for replay in self._replays:
             replay.close()  # charges what it read
-        for path in self.paths:
-            self.files.delete_path(path)
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            finally:
+                self.files.delete_path(self.path)
 
 
 class RunFile:

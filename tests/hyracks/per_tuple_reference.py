@@ -7,7 +7,10 @@ records one ``append`` at a time; the partitioning connectors called
 unchanged but for living outside the operators (as
 ``test_btree_overwrite.RemoveThenInsertBTree`` keeps the old overwrite),
 so that tests can hold the batch kernels to them: same output tuples,
-same run files byte for byte, same per-consumer lists, same exceptions.
+same runs byte for byte, same per-consumer lists, same exceptions.
+A reference run is a file of its own; an operator's runs are extents of
+one file, which :func:`record_extents` lets :class:`RecordingFiles` cut
+apart.
 
 Nothing here calls the code under test: aggregators, serdes and
 ``key_fn``/``partition_fn`` callables are handed in.
@@ -18,17 +21,23 @@ import struct
 
 from repro.common.errors import StorageError
 from repro.hyracks.storage.file_manager import FileManager
+from repro.hyracks.storage.run_file import SortedRuns
 
 _RECORD_HEADER = struct.Struct(">II")
 
 
-def write_run(ctx, hint, records):
+def framed(records):
     """One record, one header, one concatenation at a time."""
+    for key, value in records:
+        yield _RECORD_HEADER.pack(len(key), len(value)) + key + value
+
+
+def write_run(ctx, hint, records):
+    """One framed record written at a time."""
     path = ctx.files.create_temp_path(hint)
     written = 0
     with open(path, "wb") as handle:
-        for key, value in records:
-            record = _RECORD_HEADER.pack(len(key), len(value)) + key + value
+        for record in framed(records):
             handle.write(record)
             written += len(record)
     ctx.files.record_run_write(written)
@@ -286,16 +295,40 @@ class ReceiverCombine(SenderCombine):
 
 
 class RecordingFiles(FileManager):
-    """Remembers every temp file, size and bytes, when it is deleted."""
+    """Remembers every run, size and bytes, when its file is deleted: each
+    extent of a file a :class:`SortedRuns` scope spilled into (as
+    :func:`record_extents` hands them over), one run per file otherwise."""
 
     def __init__(self, root):
         super().__init__(root)
         self.run_sizes = []
         self.run_bytes = []
+        #: path -> ``(offset, length)`` of each run in the file.
+        self.extents = {}
 
     def delete_path(self, path):
         with open(path, "rb") as handle:
             data = handle.read()
-        self.run_sizes.append(len(data))
-        self.run_bytes.append(data)
+        extents = self.extents.pop(path, [(0, len(data))])
+        # The extents tile the file: no byte unaccounted for, none twice.
+        assert [offset for offset, _ in extents] == [
+            sum(length for _, length in extents[:i]) for i in range(len(extents))
+        ]
+        assert sum(length for _, length in extents) == len(data)
+        for offset, length in extents:
+            self.run_sizes.append(length)
+            self.run_bytes.append(data[offset:offset + length])
         super().delete_path(path)
+
+
+def record_extents(monkeypatch):
+    """Have every :class:`SortedRuns` scope hand its extents to its
+    :class:`RecordingFiles` just before it deletes its file."""
+    exit_scope = SortedRuns.__exit__
+
+    def recording_exit(self, *exc):
+        if self.path is not None and isinstance(self.files, RecordingFiles):
+            self.files.extents[self.path] = list(self.extents)
+        return exit_scope(self, *exc)
+
+    monkeypatch.setattr(SortedRuns, "__exit__", recording_exit)

@@ -4,7 +4,7 @@ From the sender group-by to the receiver's, every hop now handles a batch
 per call and a key is encoded once per group. What must not have moved is
 everything observable: the output tuples (compared by ``repr``, so the
 sign of a zero and the order of a list bundle count), the
-run files (how many, and every byte of each), the I/O charged for them,
+runs (how many, and every byte of each), the I/O charged for them,
 the per-consumer lists a connector makes, and the exceptions.
 :mod:`tests.hyracks.per_tuple_reference` is the oracle: the per-tuple
 loops as they were.
@@ -51,6 +51,12 @@ BUDGETS = {"roomy": 64 << 20, "16KiB": 16 << 10, "1KiB": 1 << 10}
 EDGE_VIDS = (-(2 ** 63), -(2 ** 61) - 1, -2, -1, 0, 2 ** 61 - 1, 2 ** 61,
              2 ** 61 + 5, 2 ** 62 + 1, 2 ** 63 - 1)
 MESSAGES = 3000
+
+
+@pytest.fixture(autouse=True)
+def runs_extent_by_extent(monkeypatch):
+    """Every run an operator spills is recorded on its own."""
+    reference.record_extents(monkeypatch)
 
 
 def sum_case(rng):

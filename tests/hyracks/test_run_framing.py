@@ -11,6 +11,7 @@ import random
 import types
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.common import serde
 from repro.common.errors import StorageError
@@ -76,6 +77,32 @@ def test_pack_pairs_writes_the_per_record_bytes(tmp_path, seed, shape):
     assert run_file.pack_pairs(records) == want
     assert run_file.pack_pairs(iter(records)) == want
     assert run_file.pack_pairs(tuple(records)) == want
+
+
+#: Batches whose keys share one length and whose values share one, and
+#: batches of any widths: the two ways ``pack_pairs`` frames a batch.
+uniform_batches = st.tuples(
+    st.integers(0, 12), st.integers(0, 12), st.integers(0, 40)
+).flatmap(lambda shape: st.lists(
+    st.tuples(
+        st.binary(min_size=shape[0], max_size=shape[0]),
+        st.binary(min_size=shape[1], max_size=shape[1]),
+    ),
+    max_size=shape[2],
+))
+mixed_batches = st.lists(
+    st.tuples(st.binary(max_size=12), st.binary(max_size=20)), max_size=40
+)
+
+
+@seed(51)
+@settings(max_examples=300, deadline=None)
+@given(records=st.one_of(uniform_batches, mixed_batches))
+def test_pack_pairs_is_the_per_record_framing(records):
+    want = b"".join(reference.framed(records))
+    assert run_file.pack_pairs(records) == want
+    assert run_file.pack_pairs(iter(records)) == want
+    assert list(run_file.iter_pairs(want)) == records
 
 
 def outcome(parse, data):

@@ -1,9 +1,10 @@
 """Spilled runs have one owner, and it cleans up on every exit.
 
 Whatever interrupts a run-generating operator — a fold, a serde or a key
-function that raises while the k-th run is being cut or while the runs
+function that raises once the k-th run is spilled or while the runs
 are merged, or a consumer that stops reading — no ``*-run-*.tmp`` file
-may stay in the node's directory: in ``repro serve`` every failed attempt
+(a clone makes one, whatever the number of its runs) may stay in the
+node's directory: in ``repro serve`` every failed attempt
 of a poison job would otherwise keep its spill files until the process
 exits. The same module holds the laws of the one k-way merge every
 sorted stream goes through.
@@ -19,6 +20,10 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro.common import serde
 from repro.common.serde import encode_key
+from repro.hyracks.connectors import OneToOneConnector
+from repro.hyracks.engine import HyracksCluster, JobContext
+from repro.hyracks.job import JobSpec
+from repro.hyracks.operators.func import CollectSinkOperator, GeneratorSourceOperator
 from repro.hyracks.operators.groupby import (
     GroupAggregator,
     HashSortGroupByOperator,
@@ -30,7 +35,7 @@ from repro.hyracks.storage import run_file
 from repro.hyracks.storage.run_file import LEAD, merge_sorted
 
 TUPLES = 400
-TUPLE_SERDE = serde.TupleSerde(serde.INT64, serde.FLOAT64)  # 16 bytes
+TUPLE_SERDE = serde.TupleSerde(serde.INT64, serde.FLOAT64)
 STREAM = [((7 * i) % 97, float(i % 5)) for i in range(TUPLES)]
 
 
@@ -48,15 +53,25 @@ class CountingFiles(FileManager):
         return super().create_temp_path(hint)
 
 
+def spill_context(files):
+    """An operator clone's context: its node's files and a job whose
+    counters count the runs spilled."""
+    return types.SimpleNamespace(files=files, job=JobContext("spill"))
+
+
+def spilled_runs(ctx):
+    return ctx.job.counters.get("spilled_runs")
+
+
 class Tripwire:
     """Wraps a callable: raises :class:`Boom` from the first call made
-    once ``after_runs`` runs have been created."""
+    once ``after_runs`` runs have been spilled."""
 
-    def __init__(self, files, after_runs, function):
-        self.files, self.after_runs, self.function = files, after_runs, function
+    def __init__(self, ctx, after_runs, function):
+        self.ctx, self.after_runs, self.function = ctx, after_runs, function
 
     def __call__(self, *args):
-        if self.files.created >= self.after_runs:
+        if spilled_runs(self.ctx) >= self.after_runs:
             raise Boom()
         return self.function(*args)
 
@@ -146,10 +161,11 @@ def runs_left(files):
 def undisturbed(tmp_path, name):
     """(output, runs spilled) of the operator when nothing fails."""
     files = CountingFiles(str(tmp_path / "undisturbed"))
-    stream = OPERATORS[name][0]({})(types.SimpleNamespace(files=files), list(STREAM))
+    ctx = spill_context(files)
+    stream = OPERATORS[name][0]({})(ctx, list(STREAM))
     output = list(stream)
     assert runs_left(files) == []
-    return output, files.created
+    return output, spilled_runs(ctx)
 
 
 CASES = [
@@ -167,8 +183,8 @@ def test_no_run_survives_a_failure_at_any_spill(tmp_path, name, failing, consume
     raised = 0
     for after_runs in range(spilled + 1):
         files = CountingFiles(str(tmp_path / ("%s-%d" % (failing, after_runs))))
-        trip = {failing: lambda f: Tripwire(files, after_runs, f)}
-        ctx = types.SimpleNamespace(files=files)
+        ctx = spill_context(files)
+        trip = {failing: lambda f: Tripwire(ctx, after_runs, f)}
         stream = OPERATORS[name][0](trip)(ctx, list(STREAM))
         try:
             if consumer == "exhausts":
@@ -179,7 +195,8 @@ def test_no_run_survives_a_failure_at_any_spill(tmp_path, name, failing, consume
                 stream.close()
         except Boom:
             raised += 1
-        assert runs_left(files) == [], (after_runs, files.created)
+        assert runs_left(files) == [], (after_runs, spilled_runs(ctx))
+        assert files.created <= 1
         if failing == "merge":
             # The merge of partial states raised once every run had been
             # read (each fits one read chunk): all of it is charged,
@@ -194,14 +211,57 @@ def test_no_run_survives_a_failure_at_any_spill(tmp_path, name, failing, consume
 def test_no_run_survives_a_consumer_that_stops_reading(tmp_path, name, taken):
     output, _ = undisturbed(tmp_path, name)
     files = CountingFiles(str(tmp_path / "abandoned"))
-    stream = OPERATORS[name][0]({})(types.SimpleNamespace(files=files), list(STREAM))
+    ctx = spill_context(files)
+    stream = OPERATORS[name][0]({})(ctx, list(STREAM))
     assert list(itertools.islice(stream, taken)) == output[:taken]
     stream.close()
-    assert files.created >= 3
+    assert spilled_runs(ctx) >= 3
     assert runs_left(files) == []
     # The first merged item read every run (each fits one read chunk);
     # what was read is charged however the merge ended.
     assert files.io.disk_read_bytes == files.io.disk_write_bytes > 0
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_a_clone_spills_every_run_into_one_file(tmp_path, name):
+    """However many runs a clone spills, it creates one ``*-run-*.tmp``,
+    which is there while the runs are merged and gone after."""
+    files = CountingFiles(str(tmp_path / "one-file"))
+    ctx = spill_context(files)
+    stream = OPERATORS[name][0]({})(ctx, list(STREAM))
+    next(stream)
+    assert spilled_runs(ctx) >= 2
+    (path,) = runs_left(files)
+    assert path.startswith(("sort-run-", "groupby-run-"))
+    list(stream)
+    assert files.created == 1
+    assert runs_left(files) == []
+
+
+def test_spills_are_counted_per_job_and_in_the_registry(tmp_path):
+    """Each spilled run adds one to the job's ``spilled_runs`` and to the
+    registry's ``storage.spill.runs{hint}``: 400 tuples of 24 bytes under
+    an 800-byte budget are 11 full batches of 34 per partition, each
+    spilled as a run, and 26 tuples kept in memory."""
+    assert TUPLE_SERDE.fixed_size == 24
+    spec = JobSpec("spilling-groupby")
+    source = spec.add(GeneratorSourceOperator(lambda ctx, partition: list(STREAM)))
+    group = spec.add(SortGroupByOperator(
+        LEAD, SumAggregator({}), TUPLE_SERDE, memory_limit_bytes=800
+    ))
+    sink = spec.add(CollectSinkOperator("sums"))
+    spec.connect(OneToOneConnector(), source, group)
+    spec.connect(OneToOneConnector(), group, sink)
+    with HyracksCluster(num_nodes=2, root_dir=str(tmp_path / "cluster")) as cluster:
+        result = cluster.execute(spec)
+        registry = cluster.telemetry.registry
+        assert result.counters.get("spilled_runs") == 2 * 11
+        assert registry.value("storage.spill.runs", hint="groupby-run") == 2 * 11
+        assert registry.value("storage.spill.runs", hint="sort-run") == 0
+        assert registry.value("engine.counters.spilled_runs") == 2 * 11
+        assert len(result.gather("sums")) == 2 * len({key for key, _ in STREAM})
+        for node in cluster.nodes.values():
+            assert runs_left(node.files) == []
 
 
 # ----------------------------------------------------------------------

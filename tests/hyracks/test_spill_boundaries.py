@@ -30,6 +30,12 @@ BUDGET = 16 << 10
 MESSAGES = 5000
 
 
+@pytest.fixture(autouse=True)
+def runs_extent_by_extent(monkeypatch):
+    """Every run an operator spills is recorded on its own."""
+    reference_loops.record_extents(monkeypatch)
+
+
 class SumAggregator(GroupAggregator):
     def create(self):
         return 0.0

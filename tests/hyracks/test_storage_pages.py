@@ -2,9 +2,12 @@
 
 import os
 import random
+import re
+import types
 
 import pytest
 
+from repro.common import serde
 from repro.common.errors import StorageError
 from repro.hyracks.storage.buffer_cache import BufferCache
 from repro.hyracks.storage.pages import (
@@ -15,7 +18,8 @@ from repro.hyracks.storage.pages import (
     PageKind,
 )
 from repro.hyracks.storage import run_file
-from repro.hyracks.storage.run_file import RunFileReader, RunFileWriter
+from repro.hyracks.storage.run_file import RunFileReader, SortedRuns
+from tests.hyracks import per_tuple_reference as reference
 
 
 def make_page(capacity=4096, kind=PageKind.LEAF):
@@ -226,20 +230,36 @@ class TestBufferCache:
         assert not page.dirty
 
 
+def spilled(file_manager, *runs):
+    """A :class:`SortedRuns` scope of raw byte values that spilled each of
+    ``runs`` (lists of key-sorted ``(key, value)`` byte pairs)."""
+    sorted_runs = SortedRuns(types.SimpleNamespace(files=file_manager), "sort-run", serde.BYTES)
+    for run in runs:
+        sorted_runs.spill(run)
+    return sorted_runs
+
+
+def extent_images(sorted_runs):
+    with open(sorted_runs.path, "rb") as handle:
+        data = handle.read()
+    return [data[offset:offset + length] for offset, length in sorted_runs.extents]
+
+
 class TestRunFiles:
     def test_roundtrip(self, file_manager):
-        path = file_manager.create_temp_path()
-        with RunFileWriter(path, file_manager) as writer:
-            writer.append(b"k1", b"v1")
-            writer.append(b"k2", b"")
-            writer.append(b"", b"v3")
-        records = list(RunFileReader(path, file_manager))
-        assert records == [(b"k1", b"v1"), (b"k2", b""), (b"", b"v3")]
+        records = [(b"", b"v3"), (b"k1", b"v1"), (b"k2", b"")]
+        with spilled(file_manager, records) as runs:
+            assert list(runs.merged()) == records
+            extent = RunFileReader(runs.path, file_manager, runs.extents[0])
+            assert list(extent) == records
 
     def test_empty_file(self, file_manager):
         path = file_manager.create_temp_path()
-        RunFileWriter(path, file_manager).close()
+        open(path, "wb").close()
         assert list(RunFileReader(path, file_manager)) == []
+        with spilled(file_manager, []) as runs:
+            assert runs.extents == [(0, 0)]
+            assert list(runs.merged()) == []
 
     def test_missing_file_is_refused(self, file_manager):
         # Every owner writes its run before reading it: a run that is not
@@ -250,33 +270,60 @@ class TestRunFiles:
         assert file_manager.io.disk_read_bytes == 0
 
     def test_large_volume(self, file_manager):
-        path = file_manager.create_temp_path()
-        with RunFileWriter(path, file_manager) as writer:
-            for i in range(5000):
-                writer.append(b"%08d" % i, b"payload-%d" % i)
-        count = 0
-        for i, (key, value) in enumerate(RunFileReader(path, file_manager)):
-            assert key == b"%08d" % i
-            count += 1
-        assert count == 5000
+        # Two runs, each longer than a read chunk: replayed a chunk at a
+        # time, not decoded whole.
+        halves = [
+            [(b"%08d" % i, b"payload-%d" % i) for i in range(start, 10000, 2)]
+            for start in (0, 1)
+        ]
+        with spilled(file_manager, *halves) as runs:
+            assert all(length > run_file._READ_CHUNK for _, length in runs.extents)
+            count = 0
+            for i, (key, value) in enumerate(runs.merged()):
+                assert (key, value) == (b"%08d" % i, b"payload-%d" % i)
+                count += 1
+        assert count == 10000
 
     def test_io_counters_recorded(self, file_manager):
-        path = file_manager.create_temp_path()
-        with RunFileWriter(path, file_manager) as writer:
-            writer.append(b"k", b"v")
-        list(RunFileReader(path, file_manager))
-        assert file_manager.io.disk_write_bytes > 0
-        assert file_manager.io.disk_read_bytes > 0
+        with spilled(file_manager, [(b"k", b"v")], [(b"a", b"")]) as runs:
+            list(runs.merged())
+        assert file_manager.io.disk_write_bytes == 8 + 2 + 8 + 1
+        assert file_manager.io.disk_read_bytes == file_manager.io.disk_write_bytes
 
     def test_delete(self, file_manager):
-        path = file_manager.create_temp_path()
-        with RunFileWriter(path, file_manager) as writer:
-            writer.append(b"k", b"v")
-        reader = RunFileReader(path)
-        reader.delete()
+        with spilled(file_manager, [(b"k", b"v")], [(b"k", b"w")]) as runs:
+            path = runs.path
         assert not os.path.exists(path)
         with pytest.raises(StorageError, match="missing"):
-            list(reader)
+            list(RunFileReader(path))
+
+    def test_runs_are_extents_of_one_file(self, file_manager):
+        """Every run of a scope goes to the one file it created, in the
+        order spilled, and each extent is its run's framed image."""
+        runs_in = [sorted(MIXED_RECORDS[:4]), sorted(MIXED_RECORDS[4:]), []]
+        with spilled(file_manager, *runs_in) as runs:
+            assert os.listdir(file_manager.root) == [os.path.basename(runs.path)]
+            images = list(map(run_file.pack_pairs, runs_in))
+            assert extent_images(runs) == images
+            assert runs.extents == [
+                (len(b"".join(images[:i])), len(image)) for i, image in enumerate(images)
+            ]
+        assert os.listdir(file_manager.root) == []
+
+    def test_an_extent_cut_inside_a_record_names_the_file_and_the_offset(
+        self, file_manager
+    ):
+        first, second = sorted(MIXED_RECORDS[:4]), sorted(MIXED_RECORDS[4:])
+        with spilled(file_manager, first, second) as runs:
+            offset, length = runs.extents[1]
+            runs.extents[1] = (offset, length - 3)
+            last_record = offset + len(run_file.pack_pairs(second[:-1]))
+            pattern = r"%s is cut inside a record at offset %d" % (
+                re.escape(runs.path), last_record
+            )
+            with pytest.raises(StorageError, match=pattern):
+                list(runs.merged())
+        assert os.listdir(file_manager.root) == []
 
 
 MIXED_RECORDS = [
@@ -302,9 +349,12 @@ class TestRunFileCutInsideARecord:
         return ends
 
     @pytest.mark.parametrize("chunk", [7, 16, 64 << 10])
+    @pytest.mark.parametrize("prefix", [b"", b"another run"])
     def test_every_truncation_is_a_clean_prefix_or_an_error(
-        self, file_manager, monkeypatch, chunk
+        self, file_manager, monkeypatch, chunk, prefix
     ):
+        """The whole file, or an extent of it that starts after
+        ``prefix``, read up to each cut."""
         monkeypatch.setattr(run_file, "_READ_CHUNK", chunk)
         blob = run_file.pack_pairs(MIXED_RECORDS)
         boundaries = self.boundaries()
@@ -312,19 +362,34 @@ class TestRunFileCutInsideARecord:
         path = file_manager.create_temp_path()
         for cut in range(len(blob) + 1):
             with open(path, "wb") as handle:
-                handle.write(blob[:cut])
+                handle.write(prefix + blob[:cut] + b"beyond the extent")
+            extent = (len(prefix), cut)
+            if not prefix:
+                with open(path, "wb") as handle:
+                    handle.write(blob[:cut])
+                extent = None
             whole = max(end for end in boundaries if end <= cut)
             read_before = file_manager.io.disk_read_bytes
             records = []
+            reader = RunFileReader(path, file_manager, extent)
             if cut in boundaries:
-                records.extend(RunFileReader(path, file_manager))
+                records.extend(reader)
             else:
-                with pytest.raises(StorageError):
-                    records.extend(RunFileReader(path, file_manager))
+                with pytest.raises(StorageError, match="offset %d" % (len(prefix) + whole)):
+                    records.extend(reader)
             # Never a shortened key or value: whole records only, and
             # only their bytes are charged as read.
             assert records == MIXED_RECORDS[: boundaries.index(whole)]
             assert file_manager.io.disk_read_bytes - read_before == whole
+
+    def test_an_extent_past_the_end_of_its_file(self, file_manager):
+        path = file_manager.create_temp_path()
+        blob = run_file.pack_pairs(MIXED_RECORDS)
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        reader = RunFileReader(path, file_manager, (0, len(blob) + 8))
+        with pytest.raises(StorageError, match="offset %d" % len(blob)):
+            list(reader)
 
     def test_a_blob_of_pairs_is_parsed_the_same_way(self):
         blob = run_file.pack_pairs(MIXED_RECORDS)
@@ -342,24 +407,20 @@ class TestRunFileCutInsideARecord:
     def test_a_record_larger_than_the_read_chunk(self, file_manager, monkeypatch):
         monkeypatch.setattr(run_file, "_READ_CHUNK", 32)
         records = [(b"a", b"x" * 1000), (b"b" * 100, b""), (b"c", b"y")]
-        path = file_manager.create_temp_path()
-        with RunFileWriter(path, file_manager) as writer:
-            writer.extend(records)
-        assert list(RunFileReader(path, file_manager)) == records
+        with spilled(file_manager, records, [(b"b", b"z" * 40)]) as runs:
+            assert list(runs.merged()) == sorted(records + [(b"b", b"z" * 40)])
 
-    def test_batches_and_single_appends_frame_the_same_bytes(self, file_manager):
-        paths = [file_manager.create_temp_path() for _ in range(2)]
-        with RunFileWriter(paths[0], file_manager) as writer:
-            for key, value in MIXED_RECORDS:
-                writer.append(key, value)
-        with RunFileWriter(paths[1], file_manager) as writer:
-            writer.extend(iter(MIXED_RECORDS))
-        images = []
-        for path in paths:
-            with open(path, "rb") as handle:
-                images.append(handle.read())
-        assert images[0] == images[1] == run_file.pack_pairs(MIXED_RECORDS)
-        assert file_manager.io.disk_write_bytes == 2 * len(images[0])
+    def test_batches_and_single_appends_frame_the_same_bytes(self, tmp_path, file_manager):
+        """A spilled run is the record-at-a-time framing of its pairs."""
+        run = sorted(MIXED_RECORDS)
+        reference_path = reference.write_run(
+            types.SimpleNamespace(files=file_manager), "reference", run
+        )
+        with open(reference_path, "rb") as handle:
+            want = handle.read()
+        with spilled(file_manager, run, iter(run)) as runs:
+            assert extent_images(runs) == [want, want]
+        assert file_manager.io.disk_write_bytes == 3 * len(want)
 
 
 class TestReplacementPolicies:
